@@ -268,29 +268,6 @@ func tgraphSnapshot(s *experiments.Setup, t int) *tgraph.Snapshot {
 	return snap
 }
 
-func BenchmarkSolverMultiplicativeVsPG(b *testing.B) {
-	// Solver-choice ablation: the paper's multiplicative updates vs the
-	// projected-gradient alternative of its related work (§6.2).
-	s := benchSetup(b, experiments.Prop30)
-	cfg := core.DefaultConfig()
-	cfg.MaxIter = 20
-	p := s.Problem(cfg.K)
-	b.Run("multiplicative", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.FitOffline(p, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("projected-gradient", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.FitOfflinePG(p, cfg, core.DefaultPGOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // ——— substrate kernel benches ———
 
 func BenchmarkSpMM(b *testing.B) {

@@ -104,14 +104,15 @@ func benchBatch(day int) batchRequest {
 }
 
 // BenchmarkDaemonBatchPersist measures the full POST /batches path of a
-// durable daemon — solve plus persistence — in the two durability modes.
-// snapshot-every-batch rewrites the O(state) snapshot per batch (the
-// pre-journal behaviour); journal appends one O(batch) record and
-// compacts every 64 batches. Run with -benchtime 500x for the
-// 500-batch-stream comparison recorded in ROADMAP.md.
+// durable daemon — solve plus persistence — at the default cadence: one
+// O(batch) journal record per batch, a compaction every 64. Run with
+// -benchtime 500x for the 500-batch stream recorded in ROADMAP.md.
 func BenchmarkDaemonBatchPersist(b *testing.B) {
-	run := func(b *testing.B, opts journalOptions) {
-		_, srv, day := benchDaemon(b, opts)
+	// Note for bench-parsing tools: sub-benchmark names must not end in
+	// digits (the GOMAXPROCS suffix is only appended on multi-core
+	// runners, so a trailing number would be ambiguous).
+	b.Run("journal-amortized", func(b *testing.B) {
+		_, srv, day := benchDaemon(b, journalOptions{})
 		client := srv.Client()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -121,15 +122,6 @@ func BenchmarkDaemonBatchPersist(b *testing.B) {
 			}
 			*day++
 		}
-	}
-	b.Run("snapshot-every-batch", func(b *testing.B) {
-		run(b, journalOptions{Every: 1})
-	})
-	// Note for bench-parsing tools: sub-benchmark names must not end in
-	// digits (the GOMAXPROCS suffix is only appended on multi-core
-	// runners, so a trailing number would be ambiguous).
-	b.Run("journal-amortized", func(b *testing.B) {
-		run(b, journalOptions{Every: 64, MaxBytes: 8 << 20})
 	})
 }
 
@@ -156,10 +148,11 @@ func BenchmarkReadsUnderIngest(b *testing.B) {
 	}
 	for _, v := range []variant{{"rcu-view", false}, {"topic-locked", true}} {
 		b.Run(v.name, func(b *testing.B) {
-			// Snapshot-every-batch durability: each batch holds the topic
-			// lock across the solve AND the O(state) snapshot encode +
-			// fsync — the longest span the write path ever serializes —
-			// so the lock is held for most of the measurement window.
+			// Every: 1 compacts on every batch: each one holds the topic
+			// lock across the solve, the journal append AND the O(state)
+			// snapshot encode + fsync — the longest span the write path
+			// ever serializes — so the lock is held for most of the
+			// measurement window.
 			s, _, day := benchDaemon(b, journalOptions{Every: 1})
 
 			// Continuous ingest until the readers are done.

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"triclust"
 	"triclust/internal/cluster"
 )
 
@@ -433,16 +432,7 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, int, st
 			return moveResponse{}, http.StatusBadGateway, codeMoveFailed,
 				fmt.Errorf("install %q on %s: %w", tp.name, target, err)
 		}
-		s.mu.Lock()
-		if s.topics[tp.name] == tp {
-			delete(s.topics, tp.name)
-		}
-		s.mu.Unlock()
-		tp.deleted = true
-		if tp.jw != nil {
-			tp.jw.Close()
-			tp.jw = nil
-		}
+		s.retire(tp)
 		s.logf("hand-off of %q to %s is ambiguous (%v); fence kept, retry the move to resume", tp.name, target, err)
 		return moveResponse{}, http.StatusBadGateway, codeMoveFailed,
 			fmt.Errorf("install %q on %s did not complete: %v — the topic is fenced; retry the move to resume the hand-off",
@@ -452,16 +442,7 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, int, st
 	// The target owns the topic now. Drop the local copy: registry entry,
 	// journal handle, snapshot and journal files — the tombstone stays.
 	batches := tp.eng().Batches()
-	s.mu.Lock()
-	if s.topics[tp.name] == tp {
-		delete(s.topics, tp.name)
-	}
-	s.mu.Unlock()
-	tp.deleted = true
-	if tp.jw != nil {
-		tp.jw.Close()
-		tp.jw = nil
-	}
+	s.retire(tp)
 	s.removeStale(tp.name)
 	if s.repl != nil {
 		// The new primary re-seeds its own followers; this shard's
@@ -581,27 +562,17 @@ func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.T
 	}
 	l := s.lockName(req.Topic)
 	defer s.unlockName(req.Topic, l)
-	data, err := s.store.readSnap(req.Topic)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage,
-			fmt.Errorf("read pending snapshot: %w", err))
-		return
-	}
-	tp, err := triclust.Restore(bytes.NewReader(data))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage,
-			fmt.Errorf("pending snapshot undecodable: %w", err))
-		return
-	}
 	// A real interruption fell between the final compaction and the
-	// install, so the journal should be empty — but replay any tail it
-	// does hold (same verified path as startup recovery) rather than
+	// install, so the journal should be empty — but any tail it does hold
+	// is replayed (same verified path as startup recovery) rather than
 	// silently dropping acked batches from an unexpected state.
-	rt := &restoredTopic{tp: tp}
-	if replayed := s.store.recoverJournal(req.Topic, rt, data, s.logf); replayed > 0 {
-		s.logf("resume of %q replayed %d journal records on top of the pending snapshot", req.Topic, replayed)
+	rt, err := s.store.loadTopic(req.Topic, s.logf)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, codeStorage,
+			fmt.Errorf("reload pending snapshot: %w", err))
+		return
 	}
-	tp = rt.tp
+	tp := rt.tp
 	// The on-disk snapshot predates the epoch bump (it was the final
 	// compaction); re-stamp it with the fencing epoch before installing.
 	tp.SetEpoch(mv.Epoch)

@@ -23,7 +23,7 @@ import (
 
 func conformServer(t *testing.T, mode triclust.ConformanceMode) (*server, *httptest.Server) {
 	t.Helper()
-	s, err := newServer("", serverOptions{journal: journalOptions{Every: 1}, conform: mode}, t.Logf)
+	s, err := newServer("", serverOptions{conform: mode}, t.Logf)
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
 	}

@@ -20,7 +20,7 @@ import (
 // rollback reload failed — the daemon then holds NO state disk vouches
 // for, so the topic serves nothing until a probe-driven reload succeeds.
 //
-//	stOK ──(DegradeAfter consecutive failures, or ENOSPC)──▶ stDegraded
+//	stOK ──(DegradeAfter consecutive failures, ENOSPC, or no journal)──▶ stDegraded
 //	stOK/stDegraded ──(rollback reload fails)──▶ stParked
 //	stDegraded ──(probe ok + compaction save ok)──▶ stOK
 //	stParked ──(probe ok + reload ok + save ok)──▶ stOK
@@ -37,8 +37,8 @@ const (
 // storageOptions tune the degraded-mode state machine.
 type storageOptions struct {
 	// DegradeAfter is how many consecutive durable-write failures flip a
-	// topic into the read-only degraded state (ENOSPC flips immediately:
-	// a full disk is not a transient).
+	// topic into the read-only degraded state (ENOSPC and a lost journal
+	// flip immediately: neither is a transient).
 	DegradeAfter int
 	// ShardAfter is how many degraded/parked topics flip the whole shard
 	// read-only.
@@ -130,9 +130,8 @@ func (m *storageMonitor) noteFailure(tp *topic, err error) {
 	msg := err.Error()
 	m.lastErr.Store(&msg)
 	n := int(tp.storFails.Add(1))
-	if n >= m.opts.DegradeAfter || errors.Is(err, syscall.ENOSPC) {
+	if n >= m.opts.DegradeAfter || errors.Is(err, syscall.ENOSPC) || errors.Is(err, errNoJournal) {
 		if tp.storage.CompareAndSwap(stOK, stDegraded) {
-			tp.degraded.Store(true)
 			m.s.logf("topic %q storage-degraded after %d consecutive durable-write failures: %v", tp.name, n, err)
 		}
 		m.recount()
@@ -185,7 +184,6 @@ func (m *storageMonitor) park(tp *topic, err error) {
 		return
 	}
 	tp.storage.Store(stParked)
-	tp.degraded.Store(true)
 	msg := err.Error()
 	m.lastErr.Store(&msg)
 	m.s.logf("topic %q parked: durable state unreadable after a storage failure (%v); refusing reads and writes until recovery re-reads disk", tp.name, err)
@@ -197,12 +195,8 @@ func (m *storageMonitor) park(tp *topic, err error) {
 // non-"" code means refuse with that status/code (and a Retry-After in
 // the HTTP layer).
 func (m *storageMonitor) writeGate(tp *topic) (int, string, error) {
-	if m == nil {
-		return 0, "", nil
-	}
-	if m.readonly.Load() {
-		return http.StatusServiceUnavailable, codeStorageReadonly,
-			fmt.Errorf("shard is read-only: %d+ topics have degraded storage; retry after recovery", m.opts.ShardAfter)
+	if status, code, err := m.shardGate(); code != "" {
+		return status, code, err
 	}
 	switch tp.storage.Load() {
 	case stParked:
@@ -227,8 +221,9 @@ func (m *storageMonitor) shardGate() (int, string, error) {
 }
 
 // recount recomputes the shard-level read-only switch from the current
-// per-topic states. Safe under tp.mu (lock order tp.mu → s.mu).
-func (m *storageMonitor) recount() {
+// per-topic states and returns how many topics are not stOK. Safe under
+// tp.mu (lock order tp.mu → s.mu).
+func (m *storageMonitor) recount() int {
 	n := 0
 	m.s.mu.RLock()
 	for _, tp := range m.s.topics {
@@ -244,6 +239,7 @@ func (m *storageMonitor) recount() {
 	} else if was && !now {
 		m.s.logf("shard writable again: %d topics with degraded storage (threshold %d)", n, m.opts.ShardAfter)
 	}
+	return n
 }
 
 // ensureProber starts the probe loop if it is not already running. The
@@ -290,9 +286,8 @@ func (m *storageMonitor) probeLoop(stop chan struct{}) {
 		for _, tp := range pending {
 			m.recoverTopic(tp)
 		}
-		m.recount()
 		// Nothing left to watch: stop until the next degrade.
-		if m.allOK() {
+		if m.recount() == 0 {
 			m.mu.Lock()
 			if m.stop == stop {
 				m.running = false
@@ -301,17 +296,6 @@ func (m *storageMonitor) probeLoop(stop chan struct{}) {
 			return
 		}
 	}
-}
-
-func (m *storageMonitor) allOK() bool {
-	m.s.mu.RLock()
-	defer m.s.mu.RUnlock()
-	for _, tp := range m.s.topics {
-		if tp.storage.Load() != stOK {
-			return false
-		}
-	}
-	return true
 }
 
 // probeWrite proves the data directory accepts durable writes: create,
@@ -353,18 +337,12 @@ func (m *storageMonitor) recoverTopic(tp *topic) {
 		return
 	}
 	if state == stParked {
-		epoch := tp.eng().Epoch()
-		fresh, err := m.s.store.reloadTopic(tp.name, m.s.logf)
-		if err != nil {
+		if err := m.s.reloadFromDisk(tp); err != nil {
 			m.s.logf("recovery reload %q: %v (still parked)", tp.name, err)
 			return
 		}
-		fresh.SetEpoch(epoch)
-		fresh.SetConformanceMode(m.s.conform)
-		tp.engp.Store(fresh)
-		tp.jRecords = 0
 	}
-	// The proving write: a fresh snapshot + journal rotation. This also
+	// The proving write: a fresh snapshot + journal restart. This also
 	// re-bases the followers (replShip below), so replication converges
 	// from the recovered durable state.
 	ok, err := m.s.saveIfCurrent(tp)
@@ -374,7 +352,6 @@ func (m *storageMonitor) recoverTopic(tp *topic) {
 	}
 	tp.storage.Store(stOK)
 	tp.storFails.Store(0)
-	tp.degraded.Store(false)
 	m.recoveries.Add(1)
 	if !ok {
 		return // deleted concurrently; nothing to ship

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -176,7 +177,7 @@ func decodeBody(t *testing.T, resp *http.Response, out any) {
 }
 
 // TestParkedTopicAfterFailedRollback is the regression test for the
-// failJournalAppend latent bug: when the disk refuses the append AND the
+// rollback latent bug: when the disk refuses the append AND the
 // rollback reload fails, the daemon holds no state disk vouches for —
 // it must park the topic (refuse reads and writes), not keep serving
 // the in-memory state that is ahead of durable history as if it were
@@ -246,6 +247,130 @@ func TestParkedTopicAfterFailedRollback(t *testing.T) {
 	}
 	if s.topics[name].eng().Batches() != 2 {
 		t.Fatalf("batches after retry = %d, want 2", s.topics[name].eng().Batches())
+	}
+}
+
+// TestCompactionFailureKeepsAck: a batch whose frame is fsynced in the
+// journal is acked even when the compaction that follows it fails — an
+// error there would make the client retry a batch the daemon already
+// holds, into 409 stale_timestamp. The failure is counted, a restart
+// recovers the batch from the journal, and the next batch compacts.
+func TestCompactionFailureKeepsAck(t *testing.T) {
+	const name = "compact"
+	opts := journalOptions{Every: 3}
+	feed := func(s *server, from, to int) {
+		t.Helper()
+		for day := from; day <= to; day++ {
+			if rec := matrixServe(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(day)); rec.Code != http.StatusOK {
+				t.Fatalf("batch %d: %d %s", day, rec.Code, rec.Body.String())
+			}
+		}
+	}
+
+	ctrl, _ := faultServer(t, nil, opts, storageOptions{})
+	matrixServe(t, ctrl, "POST", "/v1/topics", degradeCreateReq(name))
+	feed(ctrl, 1, 3)
+	want := captureTopic(t, ctrl, name)
+
+	// The create's save is the first rename; batch 3's compaction the second.
+	script := fault.NewScript(fault.Rule{Site: "persist.snap.rename", Hit: 2, Err: errors.New("injected rename failure")})
+	s, hs := faultServer(t, script, opts, storageOptions{})
+	matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name))
+	feed(s, 1, 3)
+	var hr healthResponse
+	if code, err := doJSON(hs.Client(), "GET", hs.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
+		t.Fatalf("healthz: %d %v", code, err)
+	}
+	if hr.Storage.Failures != 1 || hr.Storage.State != "ok" {
+		t.Fatalf("storage after the failed compaction: %+v, want 1 failure and state ok", hr.Storage)
+	}
+
+	// A crash right now loses nothing: the journal holds all three batches.
+	crashDir := t.TempDir()
+	if err := os.CopyFS(crashDir, os.DirFS(s.store.dir)); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := newServer(crashDir, serverOptions{journal: opts}, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := captureTopic(t, s2, name); got.batches != 3 || !bytes.Equal(got.snap, want.snap) {
+		t.Fatalf("restart recovered %d batches, snapshot equal to control = %v; want 3, true",
+			got.batches, bytes.Equal(got.snap, want.snap))
+	}
+
+	// The compaction is retried by the next batch.
+	feed(s, 4, 4)
+	j, err := journal.Load(fault.OS, s.store.journalPath(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.Records) != 0 {
+		t.Fatalf("journal holds %d records after batch 4, want a compacted, empty one", len(j.Records))
+	}
+	if code, err := doJSON(hs.Client(), "GET", hs.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
+		t.Fatalf("healthz: %d %v", code, err)
+	}
+	if hr.Status != "ok" || hr.Storage.Failures != 1 {
+		t.Fatalf("healthz after the retried compaction: status %q, storage %+v", hr.Status, hr.Storage)
+	}
+}
+
+// TestJournalRecreateFailureDegrades: when a compaction's journal rotate
+// fails and the journal cannot be re-created either, the topic has no way
+// left to commit a batch. It must say so — read-only through the storage
+// monitor, 503 storage_degraded — and come back through the write probe,
+// not quietly take batches some other way.
+func TestJournalRecreateFailureDegrades(t *testing.T) {
+	const name = "nojournal"
+	script := fault.NewScript()
+	s, hs := faultServer(t, script, journalOptions{Every: 2},
+		storageOptions{ProbeInterval: 20 * time.Millisecond})
+	client := hs.Client()
+	url := hs.URL + "/v1/topics/" + name + "/batches"
+	if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq(name)); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, ec)
+	}
+	if code, ec := errCode(t, client, "POST", url, degradeBatch(1)); code != http.StatusOK {
+		t.Fatalf("batch 1: %d %s", code, ec)
+	}
+
+	inject := errors.New("injected journal failure")
+	script.AddRule(fault.Rule{Site: "journal.rotate.truncate", Err: inject})
+	script.AddRule(fault.Rule{Site: "journal.create.open", Err: inject})
+	// Batch 2 is a compaction point. Its frame is durable before the
+	// rotate fails, so it is acked.
+	if code, ec := errCode(t, client, "POST", url, degradeBatch(2)); code != http.StatusOK {
+		t.Fatalf("batch 2: %d %s", code, ec)
+	}
+	resp, err := client.Post(url, "application/json", strings.NewReader(`{"time":3,"tweets":[{"tokens":["w1"],"user":0}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	decodeBody(t, resp, &eb)
+	if resp.StatusCode != http.StatusServiceUnavailable || eb.Error.Code != codeStorageDegraded || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("batch on a topic without a journal: %d %s (Retry-After %q), want 503 %s",
+			resp.StatusCode, eb.Error.Code, resp.Header.Get("Retry-After"), codeStorageDegraded)
+	}
+	hr := awaitStorageState(t, client, hs.URL, "degraded")
+	if len(hr.Degraded) != 1 || hr.Degraded[0] != name {
+		t.Fatalf("healthz degraded = %v, want [%s]", hr.Degraded, name)
+	}
+
+	script.ClearRules()
+	awaitStorageState(t, client, hs.URL, "ok")
+	if code, ec := errCode(t, client, "POST", url, degradeBatch(3)); code != http.StatusOK {
+		t.Fatalf("batch 3 after recovery: %d %s", code, ec)
+	}
+	s2, err := newServer(s.store.dir, serverOptions{}, t.Logf)
+	if err != nil {
+		t.Fatalf("re-open after recovery: %v", err)
+	}
+	defer s2.Close()
+	if got, want := captureTopic(t, s2, name), captureTopic(t, s, name); got.batches != 3 || !bytes.Equal(got.snap, want.snap) {
+		t.Fatalf("restart serves %d batches, snapshot equal = %v; want 3, true", got.batches, bytes.Equal(got.snap, want.snap))
 	}
 }
 

@@ -51,21 +51,24 @@ func TestRestoreUnsupportedSnapshotVersion(t *testing.T) {
 }
 
 // TestPersistenceFailureStorageError: when the data directory vanishes
-// under a running daemon (disk detached, path unlinked), the batch that
-// cannot be persisted is refused with storage_error.
+// under a running daemon (disk detached, path unlinked), a create — whose
+// 201 would promise a snapshot and a journal on disk — is refused with
+// storage_error and leaves no topic behind.
 func TestPersistenceFailureStorageError(t *testing.T) {
 	dir := t.TempDir()
-	_, srv := testServer(t, dir) // snapshot-every-batch: each batch must save
+	s, srv := testServer(t, dir)
+	t.Cleanup(func() { _ = s.Close() })
 	client := srv.Client()
-	jtCreate(t, client, srv.URL)
-	jtFeed(t, client, srv.URL, 0, 2)
 
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics/"+journalTopicName+"/batches", jtBatch(2))
+	code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics", jtCreateReq())
 	if code != http.StatusInternalServerError || ec != codeStorage {
-		t.Fatalf("batch without storage: %d %q, want 500 %q", code, ec, codeStorage)
+		t.Fatalf("create without storage: %d %q, want 500 %q", code, ec, codeStorage)
+	}
+	if code, ec := errCode(t, client, "GET", srv.URL+"/v1/topics/"+journalTopicName, nil); code != http.StatusNotFound {
+		t.Fatalf("topic after failed create: %d %q, want 404", code, ec)
 	}
 }
 

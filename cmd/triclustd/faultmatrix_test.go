@@ -9,10 +9,12 @@ package main
 // assertion at the bottom fails the build if instrumentation is ever
 // ripped out wholesale.
 //
-// Three workloads cover the three durable-write planes:
+// Four workloads cover the durable-write planes:
 //
 //   - batch commit + compaction on a single shard (create, journal
 //     appends, periodic snapshot + rotate),
+//   - a restart opening each loaded topic's journal (startup compaction
+//     of a replayed tail, or an empty journal restarted in place),
 //   - an operator-driven cluster move (final compaction, tombstone
 //     fencing, post-install file removal),
 //   - replica installation on a follower (base snapshot, replica
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -248,6 +251,77 @@ func TestCrashPointMatrix(t *testing.T) {
 						t.Fatalf("batch after recovery from crash at %s: %d %s", site, rec.Code, rec.Body.String())
 					}
 				})
+			}
+		}
+	})
+
+	t.Run("RestartJournalOpen", func(t *testing.T) {
+		// A restart writes too: every loaded topic gets its journal —
+		// folded into a fresh snapshot when records were replayed, restarted
+		// empty otherwise. Kill each of those writes on both kinds of disk
+		// image; the next boot must still serve all mxDays batches.
+		ctrl, err := newServer(t.TempDir(), serverOptions{journal: matrixJournalOpts()}, t.Logf)
+		if err != nil {
+			t.Fatalf("control server: %v", err)
+		}
+		defer ctrl.Close()
+		if acked, _, _ := runMatrixWorkload(t, ctrl); acked != mxDays {
+			t.Fatalf("control run acked %d batches", acked)
+		}
+		want := captureTopic(t, ctrl, mxTopic)
+		withTail := ctrl.store.dir // one record past the compaction at batch 6
+		compacted := t.TempDir()
+		if err := os.CopyFS(compacted, os.DirFS(withTail)); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := newServer(compacted, serverOptions{journal: matrixJournalOpts()}, t.Logf)
+		if err != nil {
+			t.Fatalf("compacting reopen: %v", err)
+		}
+		cs.Close()
+
+		for image, src := range map[string]string{"tail": withTail, "compacted": compacted} {
+			disc := fault.NewScript()
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := newServer(dir, serverOptions{journal: matrixJournalOpts(), fs: disc}, t.Logf)
+			if err != nil {
+				t.Fatalf("discovery reopen: %v", err)
+			}
+			ds.Close()
+			noteSites(disc.Sites())
+			for _, site := range disc.Sites() {
+				for _, tail := range []fault.TailMode{fault.KeepTail, fault.DropTail, fault.TornTail} {
+					t.Run(fmt.Sprintf("%s/%s/tail=%d", image, site, tail), func(t *testing.T) {
+						dir := t.TempDir()
+						if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+							t.Fatal(err)
+						}
+						script := fault.NewScript(fault.Rule{Site: site, Hit: 1, Crash: true, Tail: tail})
+						func() {
+							defer func() {
+								if _, ok := fault.AsCrash(recover()); !ok {
+									t.Fatalf("site %s was hit in discovery but the reopen did not crash", site)
+								}
+							}()
+							_, _ = newServer(dir, serverOptions{journal: matrixJournalOpts(), fs: script}, t.Logf)
+						}()
+						s2, err := newServer(dir, serverOptions{journal: matrixJournalOpts()}, t.Logf)
+						if err != nil {
+							t.Fatalf("recovery after a restart crashed at %s failed: %v", site, err)
+						}
+						defer s2.Close()
+						got := captureTopic(t, s2, mxTopic)
+						if got == nil || got.batches != mxDays || got.draws != want.draws || !bytes.Equal(got.snap, want.snap) {
+							t.Fatalf("restart crashed at %s: recovered %+v, want the control's %d batches byte-identical", site, got, mxDays)
+						}
+						if rec := matrixServe(t, s2, "POST", "/v1/topics/"+mxTopic+"/batches", degradeBatch(50)); rec.Code != http.StatusOK {
+							t.Fatalf("batch after recovery: %d %s", rec.Code, rec.Body.String())
+						}
+					})
+				}
 			}
 		}
 	})

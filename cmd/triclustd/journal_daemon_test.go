@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"triclust/internal/fault"
+	"triclust/internal/journal"
 )
 
 // journalTopicName is the fixed topic every journal test drives.
@@ -282,32 +285,89 @@ func TestDaemonJournalMaxBytesCompaction(t *testing.T) {
 	}
 }
 
-// TestDaemonJournalModeMigration drives the same data dir through
-// snapshot-per-batch and journal modes in both directions: plain
-// snapshot dirs load unchanged under journaling, and a journal-mode dir
-// (including its journal tail) loads correctly in snapshot mode.
+// TestJournalOptionsDefaults: an unset cadence field means the default,
+// never "compact on every batch" — a zero MaxBytes is exceeded by any
+// journal.
+func TestJournalOptionsDefaults(t *testing.T) {
+	for _, tc := range []struct{ in, want journalOptions }{
+		{journalOptions{}, journalOptions{Every: 64, MaxBytes: 8 << 20}},
+		{journalOptions{Every: 100}, journalOptions{Every: 100, MaxBytes: 8 << 20}},
+		{journalOptions{Every: 1, MaxBytes: 64}, journalOptions{Every: 1, MaxBytes: 64}},
+	} {
+		if got := tc.in.withDefaults(); got != tc.want {
+			t.Errorf("%+v.withDefaults() = %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestDaemonJournalModeMigration pins the one load-compatibility fact:
+// a snapshot-only data dir, as a build older than the journal wrote it,
+// loads, gets a journal, and keeps its batches.
 func TestDaemonJournalModeMigration(t *testing.T) {
 	dir := t.TempDir()
-
-	// Plain snapshot-per-batch era.
-	_, srvA := testServerOpts(t, dir, journalOptions{Every: 1})
+	sA, srvA := testServer(t, dir)
 	jtCreate(t, srvA.Client(), srvA.URL)
 	jtFeed(t, srvA.Client(), srvA.URL, 0, 2)
 	srvA.Close()
+	// An old build's dir: the full state in the snapshot, no journal.
+	if err := sA.snapshotAll(); err != nil {
+		t.Fatal(err)
+	}
+	jp := filepath.Join(dir, journalTopicName+".journal")
+	if err := os.Remove(jp); err != nil {
+		t.Fatal(err)
+	}
 
-	// Upgrade to journal mode: the plain dir loads unchanged.
-	_, srvB := testServerOpts(t, dir, journalOptions{Every: 100, MaxBytes: 1 << 40})
+	_, srvB := testServer(t, dir)
 	if sum := jtSummary(t, srvB.Client(), srvB.URL); sum.Batches != 2 {
-		t.Fatalf("after upgrade: %d batches, want 2", sum.Batches)
+		t.Fatalf("snapshot-only dir loaded %d batches, want 2", sum.Batches)
+	}
+	if _, err := os.Stat(jp); err != nil {
+		t.Fatalf("loaded topic got no journal: %v", err)
 	}
 	jtFeed(t, srvB.Client(), srvB.URL, 2, 4)
 	srvB.Close()
 
-	// Roll back to snapshot mode: the journal tail must still be
-	// replayed, not dropped.
-	_, srvC := testServerOpts(t, dir, journalOptions{Every: 1})
+	_, srvC := testServer(t, dir)
 	if sum := jtSummary(t, srvC.Client(), srvC.URL); sum.Batches != 4 {
-		t.Fatalf("after rollback: %d batches, want 4", sum.Batches)
+		t.Fatalf("after restart: %d batches, want 4", sum.Batches)
+	}
+}
+
+// TestFirstBatchAfterRestartAppends: a topic loaded with an empty
+// journal tail (every clean shutdown leaves one) holds an open journal
+// like any other, so its first batch after the restart appends one
+// O(batch) record and leaves the O(state) snapshot alone.
+func TestFirstBatchAfterRestartAppends(t *testing.T) {
+	dir := t.TempDir()
+	sA, srvA := testServer(t, dir)
+	jtCreate(t, srvA.Client(), srvA.URL)
+	jtFeed(t, srvA.Client(), srvA.URL, 0, 3)
+	srvA.Close()
+	if err := sA.snapshotAll(); err != nil { // graceful shutdown compacts
+		t.Fatal(err)
+	}
+
+	snapPath := filepath.Join(dir, journalTopicName+".snap")
+	snapBefore, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, srvB := testServer(t, dir)
+	jtFeed(t, srvB.Client(), srvB.URL, 3, 4)
+	snapAfter, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapAfter, snapBefore) {
+		t.Fatal("first batch after a restart rewrote the snapshot")
+	}
+	j, err := journal.Load(fault.OS, filepath.Join(dir, journalTopicName+".journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.Records) != 1 {
+		t.Fatalf("journal holds %d records after the first post-restart batch, want 1", len(j.Records))
 	}
 }
 

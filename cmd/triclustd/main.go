@@ -44,17 +44,20 @@
 // one final time. A restarted daemon serves the same user estimates it
 // did before the restart.
 //
-// Durability is amortized: each batch fsync-appends an O(batch) record
-// to <dir>/<topic>.journal, and the full O(state) snapshot
-// <dir>/<topic>.snap is rewritten only every -journal-every batches (or
-// when the journal exceeds -journal-max-bytes), after which the journal
-// is truncated. Startup recovery loads the snapshot and replays the
-// journal tail through the same deterministic pipeline, verifying each
-// record's post-batch fingerprint — recovered state is bit-identical to
-// the pre-crash stream. A torn final record (crash mid-append) is
-// truncated: it was never acknowledged. -journal-every 1 restores the
-// plain snapshot-per-batch mode; data dirs written by either mode (or by
-// older snapshot-only builds) load unchanged.
+// A batch becomes durable one way: its O(batch) record is fsync-appended
+// to <dir>/<topic>.journal before the ack. A failed append rolls the
+// topic back to what disk vouches for and answers 503. The full O(state)
+// snapshot <dir>/<topic>.snap is compaction: rewritten every
+// -journal-every batches (or when the journal exceeds
+// -journal-max-bytes), after which the journal is truncated; a failed
+// compaction is counted in healthz and retried on the next batch, and
+// never fails a batch the journal already holds. Startup recovery loads
+// the snapshot and replays the journal tail through the same
+// deterministic pipeline, verifying each record's post-batch fingerprint
+// — recovered state is bit-identical to the pre-crash stream. A torn
+// final record (crash mid-append) is truncated: it was never
+// acknowledged. Data dirs written by older snapshot-only builds load
+// unchanged and get a journal.
 //
 // The first non-empty batch of a topic freezes its vocabulary (the online
 // algorithm requires comparable feature spaces across snapshots) unless a
@@ -142,7 +145,7 @@ func main() {
 	procs := flag.Int("procs", runtime.GOMAXPROCS(0), "parallelism width of the compute kernels")
 	dataDir := flag.String("data-dir", "", "directory for durable topic snapshots (empty: in-memory only)")
 	journalEvery := flag.Int("journal-every", 64,
-		"rewrite a topic's full snapshot every N batches, journaling the batches in between (1: snapshot every batch)")
+		"compact a topic's journal into a fresh full snapshot every N batches")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 8<<20,
 		"also compact a topic's journal into a snapshot when it exceeds this size")
 	maxBody := flag.Int64("max-body-bytes", 0,

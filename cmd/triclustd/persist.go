@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -28,13 +29,23 @@ func validTopicName(name string) error {
 	return nil
 }
 
-// journalOptions configure amortized durability: with Every > 1 the
-// daemon appends one O(batch) journal record per batch and rewrites the
-// O(state) snapshot only every Every batches — or sooner when the journal
-// outgrows MaxBytes. Every <= 1 restores snapshot-on-every-batch.
+// journalOptions set the compaction cadence: every batch appends one
+// O(batch) journal record, and the O(state) snapshot is rewritten (and
+// the journal restarted) every Every records — or sooner when the journal
+// outgrows MaxBytes.
 type journalOptions struct {
 	Every    int
 	MaxBytes int64
+}
+
+func (o journalOptions) withDefaults() journalOptions {
+	if o.Every <= 0 {
+		o.Every = 64
+	}
+	if o.MaxBytes <= 0 {
+		o.MaxBytes = 8 << 20
+	}
+	return o
 }
 
 // store persists topic state under a data directory: one <topic>.snap
@@ -70,12 +81,7 @@ func newStore(dir string, opts journalOptions, fsys fault.FS) (*store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("create data dir: %w", err)
 	}
-	return &store{dir: dir, opts: opts, fs: fsys}, nil
-}
-
-// journaling reports whether the amortized journal mode is on.
-func (st *store) journaling() bool {
-	return st != nil && st.opts.Every > 1
+	return &store{dir: dir, opts: opts.withDefaults(), fs: fsys}, nil
 }
 
 func (st *store) path(name string) string {
@@ -195,17 +201,13 @@ func (st *store) snapExists(name string) bool {
 	return err == nil
 }
 
-// readSnap returns a topic's on-disk snapshot bytes.
-func (st *store) readSnap(name string) ([]byte, error) {
-	return st.fs.ReadFile("persist.snap.read", st.path(name))
-}
-
-// restoredTopic is one topic recovered at startup: the live topic plus
-// how many journal records were replayed on top of its snapshot (> 0
-// means the in-memory state is ahead of the on-disk snapshot and should
-// be compacted).
+// restoredTopic is one topic rebuilt from disk: the live topic, the
+// CRC-32C of the snapshot file it was restored from, and how many journal
+// records were replayed on top of that snapshot (> 0 means the in-memory
+// state is ahead of the on-disk snapshot and should be compacted).
 type restoredTopic struct {
 	tp       *triclust.Topic
+	snapCRC  uint32
 	replayed int
 }
 
@@ -235,45 +237,35 @@ func (st *store) loadAll(warn func(format string, args ...any)) (map[string]*res
 			warn("skipping %s: %v", e.Name(), err)
 			continue
 		}
-		data, err := st.fs.ReadFile("persist.snap.read", filepath.Join(st.dir, e.Name()))
+		rt, err := st.loadTopic(name, warn)
+		if errors.Is(err, codec.ErrVersion) {
+			// An old-format snapshot is not corrupt — it is intact data
+			// this build cannot replay (e.g. a version-1 file whose
+			// random-stream position belongs to the old generator).
+			// Quarantine it under a suffix the loader ignores, so
+			// re-creating the topic cannot atomically overwrite the only
+			// copy of the old state. The quarantine name itself must not
+			// clobber an earlier quarantined copy (possible after an
+			// upgrade → rollback → upgrade cycle), so pick the first free
+			// slot.
+			st.quarantine(e.Name(), "unsupported-version", warn, err)
+			continue
+		}
 		if err != nil {
 			st.quarantined.Add(1)
 			warn("skipping %s: %v", e.Name(), err)
 			continue
 		}
-		tp, err := triclust.Restore(bytes.NewReader(data))
-		if err != nil {
-			if errors.Is(err, codec.ErrVersion) {
-				// An old-format snapshot is not corrupt — it is intact
-				// data this build cannot replay (e.g. a version-1 file
-				// whose random-stream position belongs to the old
-				// generator). Quarantine it under a suffix the loader
-				// ignores, so re-creating the topic cannot atomically
-				// overwrite the only copy of the old state. The
-				// quarantine name itself must not clobber an earlier
-				// quarantined copy (possible after an upgrade → rollback
-				// → upgrade cycle), so pick the first free slot.
-				st.quarantine(e.Name(), "unsupported-version", warn, err)
-				continue
-			}
-			st.quarantined.Add(1)
-			warn("skipping %s: %v", e.Name(), err)
-			continue
-		}
-		rt := &restoredTopic{tp: tp}
-		rt.replayed = st.recoverJournal(name, rt, data, warn)
 		out[name] = rt
 	}
 	return out, nil
 }
 
-// reloadTopic rebuilds one topic from its on-disk state (snapshot +
-// journal tail), exactly as a restart would: the recovery path for a
-// failed journal append, where the in-memory topic has advanced past
-// what disk can vouch for and must be rolled back to the durable
-// position.
-func (st *store) reloadTopic(name string, warn func(format string, args ...any)) (*triclust.Topic, error) {
-	data, err := st.readSnap(name)
+// loadTopic rebuilds one topic from its on-disk state (snapshot +
+// journal tail): the one way disk becomes a live topic, at startup and
+// at every later rollback to what disk vouches for.
+func (st *store) loadTopic(name string, warn func(format string, args ...any)) (*restoredTopic, error) {
+	data, err := st.fs.ReadFile("persist.snap.read", st.path(name))
 	if err != nil {
 		return nil, err
 	}
@@ -282,17 +274,19 @@ func (st *store) reloadTopic(name string, warn func(format string, args ...any))
 		return nil, err
 	}
 	rt := &restoredTopic{tp: tp}
-	st.recoverJournal(name, rt, data, warn)
-	return rt.tp, nil
+	rt.replayed = st.recoverJournal(name, rt, data, warn)
+	return rt, nil
 }
 
 // recoverJournal replays <name>.journal on top of the freshly restored
-// topic, returning how many records were applied. Any problem — header
+// topic, returning how many records were applied (and recording the
+// snapshot's checksum in rt). Any problem — header
 // undecodable, journal naming a different snapshot, replay divergence —
 // resolves to "serve the snapshot alone": the journal is quarantined (or
 // ignored when merely stale) and the topic re-restored from the snapshot
 // bytes if replay had already touched it.
 func (st *store) recoverJournal(name string, rt *restoredTopic, snapData []byte, warn func(format string, args ...any)) int {
+	rt.snapCRC = codec.Checksum(snapData)
 	jp := st.journalPath(name)
 	j, err := journal.Load(st.fs, jp)
 	if err != nil {
@@ -305,7 +299,7 @@ func (st *store) recoverJournal(name string, rt *restoredTopic, snapData []byte,
 	if len(j.Records) == 0 {
 		return 0
 	}
-	if j.SnapCRC != codec.Checksum(snapData) {
+	if j.SnapCRC != rt.snapCRC {
 		// The journal extends a different (older or newer) snapshot —
 		// e.g. a crash fell between snapshot rename and journal rotation.
 		// Its records are already part of the snapshot or unverifiable;
@@ -316,30 +310,263 @@ func (st *store) recoverJournal(name string, rt *restoredTopic, snapData []byte,
 	if j.Torn {
 		warn("%s.journal has a torn final record (crash mid-append); replaying the %d intact records", name, len(j.Records))
 	}
-	for i, rec := range j.Records {
-		out, err := rt.tp.Process(rec.Time, rec.Tweets)
+	if err := replayRecords(rt.tp, j.Records); err != nil {
+		st.quarantine(name+".journal", "corrupt", warn, err)
+		// Replay already advanced the topic; rebuild it from the
+		// snapshot alone.
+		fresh, rerr := triclust.Restore(bytes.NewReader(snapData))
+		if rerr != nil {
+			warn("re-restore %s.snap after failed replay: %v", name, rerr)
+			return 0
+		}
+		rt.tp = fresh
+		return 0
+	}
+	return len(j.Records)
+}
+
+// replayRecords re-applies journaled batches to tp through Topic.Process
+// — the pipeline is deterministic, so the replay is bit-identical —
+// verifying each record's post-batch fingerprint.
+func replayRecords(tp *triclust.Topic, recs []*journal.Record) error {
+	for i, rec := range recs {
+		out, err := tp.Process(rec.Time, rec.Tweets)
 		if err == nil && out.Skipped {
 			err = errors.New("recorded batch replayed as an empty-batch skip")
 		}
 		if err == nil {
-			if b, d := rt.tp.StreamPos(); b != rec.Batches || d != rec.RandDraws {
+			if b, d := tp.StreamPos(); b != rec.Batches || d != rec.RandDraws {
 				err = fmt.Errorf("fingerprint mismatch: replayed (batches=%d, draws=%d), recorded (batches=%d, draws=%d)",
 					b, d, rec.Batches, rec.RandDraws)
 			}
 		}
 		if err != nil {
-			st.quarantine(name+".journal", "corrupt", warn,
-				fmt.Errorf("replay of record %d/%d failed: %w", i+1, len(j.Records), err))
-			// Replay already advanced the topic; rebuild it from the
-			// snapshot alone.
-			fresh, rerr := triclust.Restore(bytes.NewReader(snapData))
-			if rerr != nil {
-				warn("re-restore %s.snap after failed replay: %v", name, rerr)
-				return 0
-			}
-			rt.tp = fresh
-			return 0
+			return fmt.Errorf("replay of record %d/%d failed: %w", i+1, len(recs), err)
 		}
 	}
-	return len(j.Records)
+	return nil
+}
+
+// ——— the commit path ———
+//
+// How a batch becomes durable is decided here and nowhere else: its frame
+// is fsync-appended to the topic's journal, shipped to the followers and
+// acked. Snapshots are compaction — maintenance that bounds recovery
+// time, never the thing an ack rests on.
+
+// journalState is a persisted topic's open batch journal: jw appends to
+// <topic>.journal, jRecords counts the records appended since the last
+// snapshot. A topic holds a journal from the moment it enters the
+// registry until retire closes it; jw is nil in between only while the
+// topic's storage is degraded or parked (see errNoJournal).
+type journalState struct {
+	jw       *journal.Writer
+	jRecords int
+}
+
+func (j *journalState) closeJournal() {
+	if j.jw != nil {
+		j.jw.Close()
+		j.jw = nil
+	}
+}
+
+// errNoJournal marks a storage failure that left a topic without an open
+// journal. Unlike a failed append it is no transient — nothing can commit
+// until a compaction re-creates the journal — so the storage monitor
+// degrades the topic at once and its write probe retries the compaction.
+var errNoJournal = errors.New("topic has no open journal")
+
+// storageFailed reports a failed durable write on tp to the storage
+// monitor, marked errNoJournal if it left tp without a journal, and
+// returns the error as reported. Caller holds tp.mu.
+func (s *server) storageFailed(tp *topic, err error) error {
+	if tp.jw == nil && !errors.Is(err, errNoJournal) {
+		err = fmt.Errorf("%w: %w", errNoJournal, err)
+	}
+	s.storage.noteFailure(tp, err)
+	return err
+}
+
+// openJournal gives a topic loaded at startup its journal, so the first
+// batch after a restart commits by an O(batch) append like every other.
+// Replayed records are first folded into a fresh snapshot — a restart
+// never begins with a growing recovery debt; if that fails the journal
+// on disk still holds them, and the topic waits degraded for the write
+// probe to compact. With nothing replayed the journal restarts empty
+// against the snapshot just loaded. Startup is single-threaded, so the
+// per-name lock rotateJournal otherwise needs is moot.
+func (s *server) openJournal(tp *topic, rt *restoredTopic) {
+	var err error
+	if rt.replayed > 0 {
+		_, err = s.saveIfCurrent(tp)
+	} else if err = s.rotateJournal(tp, rt.snapCRC); err != nil {
+		err = s.storageFailed(tp, err)
+	}
+	if err != nil {
+		s.logf("open journal of %q: %v", tp.name, err)
+	}
+}
+
+// commit makes the batch tp just processed durable before it is acked:
+// append + fsync the frame, ship the same bytes to the followers (they
+// verify and store them without re-encoding). The append is the one
+// durable write a batch depends on, so its failure is the one failure a
+// client sees: the topic is rolled back to disk and the batch answers
+// 503. A compaction point comes after the frame is durable; a failed
+// compaction is counted by the storage monitor (in saveIfCurrent) and
+// retried on the next batch — jRecords stays past the cadence — but
+// cannot un-ack a batch the journal already vouches for. Caller holds
+// tp.mu; a non-nil error carries the HTTP status and stable code.
+func (s *server) commit(tp *topic, ts int, tweets []triclust.Tweet) (int, string, error) {
+	batches, draws := tp.eng().StreamPos()
+	rec := journal.Record{Time: ts, Tweets: tweets, Batches: batches, RandDraws: draws}
+	frame, err := journal.EncodeFrame(&rec)
+	switch {
+	case err != nil:
+	case tp.jw == nil:
+		// Only reachable on a topic a DELETE or a move is retiring right now.
+		err = errNoJournal
+	default:
+		err = tp.jw.AppendFrames(frame)
+	}
+	if err != nil {
+		return s.rollback(tp, err)
+	}
+	tp.jRecords++
+	if tp.jRecords < s.store.opts.Every && tp.jw.Size() < s.store.opts.MaxBytes {
+		s.storage.noteSuccess(tp)
+	} else if compacted, err := s.saveIfCurrent(tp); err != nil {
+		s.logf("compaction of %q: %v (the batch is durable in the journal)", tp.name, err)
+	} else if compacted {
+		// A compaction re-bases the followers too: ship the fresh snapshot
+		// (a nil frame) so their replica journals restart as bounded tails.
+		frame = nil
+	}
+	return s.replShip(tp, frame, batches, draws, false)
+}
+
+// rollback resolves a batch the journal did not take (disk full, I/O
+// error). The batch already ran in memory, but acknowledging it would
+// promise durability the disk refused — so the on-disk tail is truncated
+// (the failed append leaves no ambiguous torn frame for recovery to guess
+// about), the topic is reloaded to exactly what disk vouches for, and
+// the batch fails with 503 journal_write_failed. The topic stays served
+// (reads, retries) and healthz reports it degraded until a durable write
+// succeeds.
+//
+// If the reload itself fails there is no trustworthy state to fall back
+// to: the topic is parked — reads and writes both refuse — until a
+// storage probe re-reads disk successfully. (File-level quarantine of
+// undecodable snapshots/journals already happens inside loadTopic;
+// parking covers the unreadable-disk case, where renaming files aside
+// could destroy a perfectly good snapshot over a transient read error.)
+func (s *server) rollback(tp *topic, cause error) (int, string, error) {
+	if tp.jw != nil {
+		if terr := tp.jw.TruncateTail(); terr != nil {
+			// The tail could not even be truncated: no batch may be appended
+			// after it. Drop the journal; recovery re-creates it.
+			s.logf("journal truncate %q after failed append: %v", tp.name, terr)
+			tp.closeJournal()
+		}
+	}
+	if rerr := s.reloadFromDisk(tp); rerr != nil {
+		tp.closeJournal()
+		s.storage.park(tp, rerr)
+		return http.StatusServiceUnavailable, codeStorageDegraded,
+			fmt.Errorf("batch processed but not durable, and the rollback re-read failed (%v): %w", rerr, cause)
+	}
+	return http.StatusServiceUnavailable, codeJournalWriteFailed,
+		fmt.Errorf("batch processed but not durable: %w", s.storageFailed(tp, cause))
+}
+
+// reloadFromDisk swaps in an engine rebuilt from tp's on-disk state —
+// the rollback for any point where memory ran ahead of what disk vouches
+// for. The ownership epoch and the conformance mode are runtime state a
+// reload must carry over. Caller holds tp.mu.
+func (s *server) reloadFromDisk(tp *topic) error {
+	epoch := tp.eng().Epoch()
+	rt, err := s.store.loadTopic(tp.name, s.logf)
+	if err != nil {
+		return err
+	}
+	rt.tp.SetEpoch(epoch)
+	rt.tp.SetConformanceMode(s.conform)
+	tp.engp.Store(rt.tp)
+	return nil
+}
+
+// saveIfCurrent compacts tp — snapshot save, then journal restart — if
+// tp is still the topic the registry serves under its name, reporting
+// whether it was. Holding the per-name lock across the registry re-check
+// and the write orders the save against concurrent removes and against
+// saves of other same-named instances, so <name>.snap always holds the
+// state of the topic a restarted daemon would be expected to serve under
+// that name. Lock order here and in every other path is tp.mu → name
+// lock → s.mu; every caller holds tp.mu, which also guards the journal.
+// The outcome is reported to the storage monitor either way.
+func (s *server) saveIfCurrent(tp *topic) (bool, error) {
+	if s.store == nil {
+		return true, nil
+	}
+	l := s.lockName(tp.name)
+	defer s.unlockName(tp.name, l)
+	s.mu.RLock()
+	current := s.topics[tp.name] == tp
+	s.mu.RUnlock()
+	if !current {
+		return false, nil
+	}
+	crc, err := s.store.save(tp.name, tp.eng())
+	if err == nil {
+		tp.saved = true
+		err = s.rotateJournal(tp, crc)
+	}
+	if err != nil {
+		return true, s.storageFailed(tp, err)
+	}
+	s.storage.noteSuccess(tp)
+	return true, nil
+}
+
+// rotateJournal restarts tp's journal empty, extending the snapshot with
+// checksum snapCRC, so recovery cost is bounded by the records since that
+// snapshot. An open journal rotates in place on its own descriptor
+// (journal.Writer.Rotate); without one — a new topic, a restart, a failed
+// rotate — the file is created. An error leaves tp without a journal.
+// Called with tp.mu and the per-name lock held.
+func (s *server) rotateJournal(tp *topic, snapCRC uint32) error {
+	tp.jRecords = 0
+	if tp.jw != nil {
+		err := tp.jw.Rotate(snapCRC)
+		if err == nil {
+			return nil
+		}
+		s.logf("journal rotate %q: %v (recreating)", tp.name, err)
+		tp.closeJournal()
+	}
+	jw, err := journal.Create(s.store.fs, s.store.journalPath(tp.name), snapCRC)
+	if err != nil {
+		return fmt.Errorf("journal create: %w", err)
+	}
+	if err := s.store.syncDir(); err != nil {
+		jw.Close()
+		return fmt.Errorf("journal dir sync: %w", err)
+	}
+	tp.jw = jw
+	return nil
+}
+
+// retire takes tp out of service for good (delete, hand-off, fencing, a
+// create that could not be persisted): unregistered if the registry
+// still serves this instance, marked deleted so no batch or save may
+// follow, its journal handle released. Caller holds tp.mu.
+func (s *server) retire(tp *topic) {
+	s.mu.Lock()
+	if s.topics[tp.name] == tp {
+		delete(s.topics, tp.name)
+	}
+	s.mu.Unlock()
+	tp.deleted = true
+	tp.closeJournal()
 }

@@ -434,7 +434,7 @@ func TestClusterReadersDuringMoveAndIngest(t *testing.T) {
 
 // TestReadPlaneDuringJournalRollback races the lock-free readers against
 // the one write-path operation that swaps the topic's engine pointer:
-// the journal-append-failure rollback (failJournalAppend reloads the
+// the journal-append-failure rollback (rollback reloads the
 // topic from disk and stores a fresh engine). Readers must keep getting
 // well-formed responses throughout — this is the -race proof that the
 // engine pointer hand-off is safe without the topic lock — and after
@@ -494,7 +494,7 @@ func TestReadPlaneDuringJournalRollback(t *testing.T) {
 	tp.mu.Lock()
 	if tp.jw == nil {
 		tp.mu.Unlock()
-		t.Fatal("topic has no journal writer; the rollback path needs journaling on")
+		t.Fatal("topic has no journal writer")
 	}
 	tp.jw.Close()
 	tp.mu.Unlock()

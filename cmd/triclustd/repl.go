@@ -627,21 +627,12 @@ func (s *server) replShip(tp *topic, frame []byte, batches int, draws uint64, as
 	return 0, "", nil
 }
 
-// fenceLocal demotes this shard's copy of a topic: it is unregistered,
-// its journal handle closed, a tombstone at the given epoch written (so
-// clients are redirected to target and stale-epoch state cannot
-// re-register), and its files dropped. Caller holds tp.mu.
+// fenceLocal demotes this shard's copy of a topic: it is retired, a
+// tombstone at the given epoch written (so clients are redirected to
+// target and stale-epoch state cannot re-register), and its files
+// dropped. Caller holds tp.mu.
 func (s *server) fenceLocal(tp *topic, epoch uint64, target string) {
-	s.mu.Lock()
-	if s.topics[tp.name] == tp {
-		delete(s.topics, tp.name)
-	}
-	s.mu.Unlock()
-	tp.deleted = true
-	if tp.jw != nil {
-		tp.jw.Close()
-		tp.jw = nil
-	}
+	s.retire(tp)
 	if err := s.setMoved(tp.name, cluster.Tombstone{Epoch: epoch, Target: target}); err != nil {
 		s.logf("fence %q: tombstone not persisted: %v", tp.name, err)
 	}
@@ -1213,20 +1204,8 @@ func (s *server) promoteReplica(name string, rep *replica) error {
 	if j.SnapCRC != rep.meta.SnapCRC {
 		return fmt.Errorf("tail journal extends snapshot %08x, meta names %08x", j.SnapCRC, rep.meta.SnapCRC)
 	}
-	for i, rec := range j.Records {
-		out, err := tr.Process(rec.Time, rec.Tweets)
-		if err == nil && out.Skipped {
-			err = errors.New("recorded batch replayed as an empty-batch skip")
-		}
-		if err == nil {
-			if b, d := tr.StreamPos(); b != rec.Batches || d != rec.RandDraws {
-				err = fmt.Errorf("fingerprint mismatch: replayed (batches=%d, draws=%d), recorded (batches=%d, draws=%d)",
-					b, d, rec.Batches, rec.RandDraws)
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("replay of tail record %d/%d failed: %w", i+1, len(j.Records), err)
-		}
+	if err := replayRecords(tr, j.Records); err != nil {
+		return fmt.Errorf("tail journal: %w", err)
 	}
 	newEpoch := rep.meta.Epoch + 1
 	tr.SetEpoch(newEpoch)
@@ -1241,8 +1220,8 @@ func (s *server) promoteReplica(name string, rep *replica) error {
 	}
 	tp.mu.Lock()
 	if _, err := s.saveIfCurrent(tp); err != nil {
-		// The topic serves from memory; the next successful save (or
-		// batch) restores durability.
+		// The topic serves reads from memory, storage-degraded; the write
+		// probe's next successful save makes it durable and writable.
 		s.logf("persist promoted %q: %v", name, err)
 	}
 	tp.mu.Unlock()

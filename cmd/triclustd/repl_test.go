@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"triclust/internal/codec"
 	"triclust/internal/journal"
@@ -270,9 +271,9 @@ func TestReplicaFrameSequence(t *testing.T) {
 // 503 journal_write_failed, the topic rolls back to what disk vouches
 // for (so the same timestamp retries cleanly instead of tripping the
 // stale-timestamp guard), healthz reports the topic degraded, and the
-// first successful durability operation clears the flag.
+// first successful durability operation clears that.
 func TestJournalWriteFailureDegradesTopic(t *testing.T) {
-	s, hs := testServerOpts(t, t.TempDir(), journalOptions{Every: 100})
+	s, hs := faultServer(t, nil, journalOptions{}, storageOptions{ProbeInterval: 200 * time.Millisecond})
 	client := hs.Client()
 
 	d, req := synthTopic(t, 77)
@@ -293,7 +294,7 @@ func TestJournalWriteFailureDegradesTopic(t *testing.T) {
 	tp.mu.Lock()
 	if tp.jw == nil {
 		tp.mu.Unlock()
-		t.Fatal("topic has no journal writer; the failure path needs journaling on")
+		t.Fatal("topic has no journal writer")
 	}
 	tp.jw.Close()
 	tp.mu.Unlock()
@@ -312,9 +313,11 @@ func TestJournalWriteFailureDegradesTopic(t *testing.T) {
 		t.Fatalf("healthz after failed append: status=%q degraded=%v", hr.Status, hr.Degraded)
 	}
 
-	// The failed batch was rolled back, so the SAME timestamp retries —
-	// and succeeds via the snapshot path (the writer was closed), which
-	// re-creates the journal and clears the degradation.
+	// The writer was closed, so the failed append's tail could not be
+	// truncated either: the topic lost its journal and is read-only until
+	// the write probe's compaction re-creates one. The failed batch was
+	// rolled back, so the SAME timestamp then retries cleanly.
+	awaitStorageState(t, client, hs.URL, "ok")
 	if code, err := doJSON(client, "POST", url, day2, nil); err != nil || code != http.StatusOK {
 		t.Fatalf("day 2 retry: %d %v", code, err)
 	}

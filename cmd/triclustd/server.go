@@ -15,7 +15,6 @@ import (
 	"triclust/internal/cluster"
 	"triclust/internal/codec"
 	"triclust/internal/fault"
-	"triclust/internal/journal"
 )
 
 // server is the HTTP façade over a registry of named, durable topics.
@@ -23,8 +22,8 @@ import (
 // write lock. Each topic serializes its own batch processing with a
 // per-topic mutex, so batches for independent topics are solved
 // concurrently. With a data directory configured, every state-changing
-// operation is followed by an atomic snapshot write, so a restarted
-// daemon resumes exactly where it stopped.
+// operation is durable before it is acknowledged (see persist.go), so a
+// restarted daemon resumes exactly where it stopped.
 type server struct {
 	mu     sync.RWMutex
 	topics map[string]*topic
@@ -85,29 +84,23 @@ type topic struct {
 	mu sync.Mutex // serializes Process + persistence + deletion
 	// engp holds the engine. All mutations happen under mu, but the
 	// pointer itself is atomic because the lock-free read plane loads
-	// it without mu while failJournalAppend may be swapping in an
-	// engine reloaded from disk (the rollback path). Access via eng().
+	// it without mu while reloadFromDisk may be swapping in an engine
+	// reloaded from disk (the rollback path). Access via eng().
 	engp    atomic.Pointer[triclust.Topic]
-	deleted bool // set under mu by deleteTopic; no save may follow
-	// jw appends this topic's batch journal (nil before the first
-	// snapshot save, or when journaling is off); jRecords counts the
-	// records appended since the last snapshot. Both are guarded by mu.
-	jw       *journal.Writer
-	jRecords int
+	deleted bool // set under mu by retire; no batch or save may follow
+	// journalState is the topic's open batch journal (see persist.go),
+	// guarded by mu.
+	journalState
 	// saved reports that a snapshot of this topic instance is on disk.
 	// It is read and written only under the instance's name lock, where
 	// it tells removeStale whether <name>.snap belongs to the currently
 	// registered topic or to a deleted earlier incarnation of the name.
 	saved bool
-	// degraded is set when the topic's last journal append failed (disk
-	// full, I/O error): the batch was refused with journal_write_failed
-	// and healthz reports the topic until an append or snapshot succeeds.
-	// Atomic so healthz can read it without the topic lock.
-	degraded atomic.Bool
 	// storage is the topic's disk-degraded state (stOK/stDegraded/
 	// stParked) and storFails its consecutive durable-write failure
-	// count; both driven by the storageMonitor (degrade.go). Atomic so
-	// the write gate and read plane check them without the topic lock.
+	// count; both driven by the storageMonitor (degrade.go), and together
+	// the one record of the topic's storage health. Atomic so the write
+	// gate, the read plane and healthz check them without the topic lock.
 	storage   atomic.Int32
 	storFails atomic.Int32
 	// feat caches the encoded /features response for the current read
@@ -143,13 +136,11 @@ type serverOptions struct {
 }
 
 // newServer builds the registry, restoring every snapshot found under
-// dataDir (empty dataDir disables persistence) and replaying each
-// topic's journal tail. Topics whose in-memory state ran ahead of their
-// snapshot (replayed records) are compacted immediately, so a restart
-// never begins with a growing recovery debt. Hand-off tombstones are
-// reloaded alongside the snapshots; a topic with both a snapshot and a
-// tombstone was caught mid-move and is held back from serving until the
-// move is retried (see resumeMove).
+// dataDir (empty dataDir disables persistence), replaying each topic's
+// journal tail and opening its journal (see openJournal). Hand-off
+// tombstones are reloaded alongside the snapshots; a topic with both a
+// snapshot and a tombstone was caught mid-move and is held back from
+// serving until the move is retried (see resumeMove).
 func newServer(dataDir string, opts serverOptions, logf func(format string, args ...any)) (*server, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -204,20 +195,11 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 		tp := &topic{name: name, created: time.Now().UTC(), saved: true}
 		tp.engp.Store(rt.tp)
 		s.topics[name] = tp
-		if rt.replayed > 0 {
-			s.logf("restored topic %q (%d batches, %d users; %d journal records replayed)",
-				name, rt.tp.Batches(), rt.tp.Users(), rt.replayed)
-			tp.mu.Lock()
-			if _, err := s.saveIfCurrent(tp); err != nil {
-				// Not fatal: the journal still holds the replayed
-				// records, so durability is intact; the next successful
-				// save compacts.
-				s.logf("startup compaction of %q: %v", name, err)
-			}
-			tp.mu.Unlock()
-		} else {
-			s.logf("restored topic %q (%d batches, %d users)", name, rt.tp.Batches(), rt.tp.Users())
-		}
+		s.logf("restored topic %q (%d batches, %d users; %d journal records replayed)",
+			name, rt.tp.Batches(), rt.tp.Users(), rt.replayed)
+		tp.mu.Lock()
+		s.openJournal(tp, rt)
+		tp.mu.Unlock()
 	}
 
 	if opts.repl != nil && opts.repl.Factor >= 2 {
@@ -307,9 +289,10 @@ type healthResponse struct {
 	// counter existed, quarantine was silent unless you listed the files.
 	Quarantined int            `json:"quarantined"`
 	Cluster     *clusterHealth `json:"cluster,omitempty"`
-	// Degraded lists topics whose last journal append failed: they are
-	// serving reads but refusing batches with journal_write_failed until
-	// the disk recovers. Non-empty flips Status to "degraded".
+	// Degraded lists topics whose last durable write failed (their next
+	// one has yet to succeed) or whose storage is degraded/parked — the
+	// same per-topic state the storage section reports, so the two cannot
+	// disagree. Non-empty flips Status to "degraded".
 	Degraded []string `json:"degraded,omitempty"`
 	// Replication reports the shard's replication state (factor, down
 	// peers, held replicas, per-follower shipping lag); absent when
@@ -344,7 +327,7 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	served := make([]*topic, 0, len(s.topics))
 	for name, tp := range s.topics {
 		served = append(served, tp)
-		if tp.degraded.Load() {
+		if tp.storFails.Load() != 0 || tp.storage.Load() != stOK {
 			degraded = append(degraded, name)
 		}
 	}
@@ -564,16 +547,7 @@ func (s *server) createTopic(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidConfig, err)
 		return
 	}
-	tr.SetConformanceMode(s.conform)
-	tp := &topic{name: req.Name, created: time.Now().UTC()}
-	tp.engp.Store(tr)
-	if !s.register(w, tp, 0) {
-		return
-	}
-	if !s.persistNew(w, tp) {
-		return
-	}
-	writeJSON(w, http.StatusCreated, tp.summary())
+	s.install(w, req.Name, tr, 0)
 }
 
 // restoreTopic implements PUT /v1/topics/{topic}: the request body is a
@@ -612,16 +586,19 @@ func (s *server) restoreTopic(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, snapshotErrorCode(err), err)
 		return
 	}
+	s.install(w, name, tr, tr.Epoch())
+}
+
+// install is the shared tail of create and restore: the engine becomes a
+// registered topic under this shard's conformance policy, durable (first
+// snapshot + open journal) before the 201.
+func (s *server) install(w http.ResponseWriter, name string, tr *triclust.Topic, epoch uint64) {
 	tr.SetConformanceMode(s.conform)
 	tp := &topic{name: name, created: time.Now().UTC()}
 	tp.engp.Store(tr)
-	if !s.register(w, tp, tr.Epoch()) {
-		return
+	if s.register(w, tp, epoch) && s.persistNew(w, tp) {
+		writeJSON(w, http.StatusCreated, tp.summary())
 	}
-	if !s.persistNew(w, tp) {
-		return
-	}
-	writeJSON(w, http.StatusCreated, tp.summary())
 }
 
 // lockName acquires the per-name snapshot-file lock, creating it on
@@ -649,74 +626,6 @@ func (s *server) unlockName(name string, l *nameLock) {
 	s.nameMu.Unlock()
 }
 
-// saveIfCurrent persists tp's snapshot if tp is still the topic the
-// registry serves under its name, reporting whether it was. Holding the
-// per-name lock across the registry re-check and the write orders the
-// save against concurrent removes and against saves of other same-named
-// instances, so <name>.snap always holds the state of the topic a
-// restarted daemon would be expected to serve under that name. Lock
-// order here and in every other path is tp.mu → name lock → s.mu; every
-// caller holds tp.mu, which also guards the journal rotation.
-//
-// A successful snapshot save is a compaction point: the journal is
-// truncated and re-headed with the new snapshot's identity, so recovery
-// cost is bounded by the records since the last snapshot.
-func (s *server) saveIfCurrent(tp *topic) (bool, error) {
-	if s.store == nil {
-		return true, nil
-	}
-	l := s.lockName(tp.name)
-	defer s.unlockName(tp.name, l)
-	s.mu.RLock()
-	current := s.topics[tp.name] == tp
-	s.mu.RUnlock()
-	if !current {
-		return false, nil
-	}
-	crc, err := s.store.save(tp.name, tp.eng())
-	if err != nil {
-		s.storage.noteFailure(tp, err)
-		return true, err
-	}
-	s.storage.noteSuccess(tp)
-	tp.saved = true
-	s.rotateJournal(tp, crc)
-	return true, nil
-}
-
-// rotateJournal starts a fresh journal extending the snapshot just
-// written. An open journal rotates in place on its own descriptor (the
-// hand-off/compaction hook, journal.Writer.Rotate); otherwise a new file
-// is created. On failure the daemon degrades to snapshot-on-every-batch
-// for this topic (jw stays nil) instead of serving without durability.
-// Called with tp.mu and the per-name lock held.
-func (s *server) rotateJournal(tp *topic, snapCRC uint32) {
-	if !s.store.journaling() {
-		return
-	}
-	tp.jRecords = 0
-	if tp.jw != nil {
-		if err := tp.jw.Rotate(snapCRC); err == nil {
-			return
-		} else {
-			s.logf("journal rotate %q: %v (recreating)", tp.name, err)
-			tp.jw.Close()
-			tp.jw = nil
-		}
-	}
-	jw, err := journal.Create(s.store.fs, s.store.journalPath(tp.name), snapCRC)
-	if err != nil {
-		s.logf("journal create %q: %v (falling back to snapshot-per-batch)", tp.name, err)
-		return
-	}
-	if err := s.store.syncDir(); err != nil {
-		s.logf("journal dir sync %q: %v (falling back to snapshot-per-batch)", tp.name, err)
-		jw.Close()
-		return
-	}
-	tp.jw = jw
-}
-
 // removeStale deletes <name>.snap unless the file belongs to the
 // currently registered topic, i.e. unless that topic has completed a
 // save under the per-name lock. This covers both the deleted-name case
@@ -738,23 +647,18 @@ func (s *server) removeStale(name string) {
 	}
 }
 
-// persistNew writes a freshly registered topic's first snapshot. A 201
-// must imply durability when -data-dir is set, so on failure the topic
-// is unregistered again and the request fails with storage_error; a
-// DELETE racing in between register and this save must not leave an
-// orphan snapshot that resurrects the topic on the next restart.
+// persistNew writes a freshly registered topic's first snapshot and
+// opens its journal. A 201 must imply durability when -data-dir is set,
+// so on failure the topic is retired again and the request fails with
+// storage_error; a DELETE racing in between register and this save must
+// not leave an orphan snapshot that resurrects the topic on the next
+// restart.
 func (s *server) persistNew(w http.ResponseWriter, tp *topic) bool {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	ok, err := s.saveIfCurrent(tp)
 	if err != nil {
-		s.mu.Lock()
-		// Unregister only if the entry is still this topic; the name may
-		// have been deleted and re-created concurrently.
-		if s.topics[tp.name] == tp {
-			delete(s.topics, tp.name)
-		}
-		s.mu.Unlock()
+		s.retire(tp)
 		// With this topic unregistered, any snapshot file left on disk
 		// belongs to an earlier, deleted incarnation of the name (the
 		// name was free when this topic registered): drop it so the
@@ -869,15 +773,10 @@ func (s *server) deleteTopic(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("unknown topic %q", name))
 		return
 	}
-	// Mark the topic deleted under its own lock so an in-flight batch
-	// that already passed lookup cannot re-apply in memory afterwards,
-	// and release its journal handle.
+	// Retire the topic under its own lock so an in-flight batch that
+	// already passed lookup cannot re-apply in memory afterwards.
 	tp.mu.Lock()
-	tp.deleted = true
-	if tp.jw != nil {
-		tp.jw.Close()
-		tp.jw = nil
-	}
+	s.retire(tp)
 	tp.mu.Unlock()
 	// Remove the deleted topic's snapshot file. A save racing this
 	// delete re-checks the registry under the same per-name lock, so it
@@ -1083,11 +982,8 @@ func writeBatchBinary(w http.ResponseWriter, sc *batchScratch, out *triclust.Str
 // on it) forever; response writing happens in the caller, off the lock,
 // so a slow client cannot stall the topic either.
 //
-// Durability before acknowledgement, two ways: with journaling on, the
-// batch delta is fsync-appended to the topic's journal — O(batch) bytes —
-// and the O(state) snapshot is rewritten only at compaction points
-// (every -journal-every batches, or when the journal exceeds
-// -journal-max-bytes); otherwise every batch rewrites the snapshot.
+// Durability before acknowledgement: with a data directory every
+// applied batch goes through commit (persist.go) before it is acked.
 func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust.StreamResult, int, string, error) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
@@ -1123,95 +1019,11 @@ func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust
 	// or quarantined still shows up in the healthz census.
 	tp.noteViolation(ts, out.Conformance)
 	if !out.Skipped && s.store != nil {
-		if tp.jw != nil {
-			batches, draws := tp.eng().StreamPos()
-			rec := journal.Record{Time: ts, Tweets: tweets, Batches: batches, RandDraws: draws}
-			frame, err := journal.EncodeFrame(&rec)
-			if err == nil {
-				err = tp.jw.AppendFrames(frame)
-			}
-			if err != nil {
-				return s.failJournalAppend(tp, err)
-			}
-			tp.degraded.Store(false)
-			s.storage.noteSuccess(tp)
-			tp.jRecords++
-			if tp.jRecords < s.store.opts.Every && tp.jw.Size() < s.store.opts.MaxBytes {
-				// The frame just fsynced locally ships to the followers
-				// before the ack — the same bytes, so they verify and store
-				// it without re-encoding.
-				if status, code, err := s.replShip(tp, frame, batches, draws, false); err != nil {
-					return nil, status, code, err
-				}
-				return out, 0, "", nil
-			}
-			// Compaction point: fold the journal into a fresh snapshot.
-		}
-		// Snapshot durability: the new state is persisted before the
-		// response is sent, so an acknowledged batch survives a restart.
-		ok, err := s.saveIfCurrent(tp)
-		if err != nil {
-			return nil, http.StatusInternalServerError, codeStorage,
-				fmt.Errorf("batch applied in memory but snapshot not persisted: %w", err)
-		}
-		if !ok {
-			return nil, http.StatusNotFound, codeTopicNotFound,
-				fmt.Errorf("topic %q was deleted", tp.name)
-		}
-		tp.degraded.Store(false)
-		// A compaction re-bases the followers too: ship the fresh snapshot
-		// so their replica journals restart as bounded tails (and so the
-		// snapshot-per-batch mode replicates at all).
-		if status, code, err := s.replShip(tp, nil, 0, 0, false); err != nil {
+		if status, code, err := s.commit(tp, ts, tweets); err != nil {
 			return nil, status, code, err
 		}
 	}
 	return out, 0, "", nil
-}
-
-// failJournalAppend resolves a failed journal append + fsync (disk full,
-// I/O error). The batch already ran in memory, but acknowledging it
-// would promise durability the disk refused — so the topic is rolled
-// back to exactly what disk vouches for (snapshot + intact journal
-// records), the on-disk tail is truncated so the failed append leaves no
-// ambiguous torn frame for recovery to guess about, and the batch fails
-// with 503 journal_write_failed. The topic stays served (reads, retries)
-// but is reported degraded by healthz until an append or save succeeds.
-//
-// If the rollback reload itself fails, the in-memory engine is ahead of
-// anything disk vouches for and there is no trustworthy state to fall
-// back to: the topic is parked — reads and writes both refuse — until a
-// storage probe re-reads disk successfully. (File-level quarantine of
-// undecodable snapshots/journals already happens inside reloadTopic;
-// parking covers the unreadable-disk case, where renaming files aside
-// could destroy a perfectly good snapshot over a transient read error.)
-func (s *server) failJournalAppend(tp *topic, cause error) (*triclust.StreamResult, int, string, error) {
-	tp.degraded.Store(true)
-	if terr := tp.jw.TruncateTail(); terr != nil {
-		// The tail could not even be truncated; close the writer so the
-		// next batch re-resolves durability (journal re-create, or the
-		// snapshot path) instead of appending after an ambiguous tail.
-		s.logf("journal truncate %q after failed append: %v", tp.name, terr)
-		tp.jw.Close()
-		tp.jw = nil
-	}
-	epoch := tp.eng().Epoch()
-	fresh, rerr := s.store.reloadTopic(tp.name, s.logf)
-	if rerr != nil {
-		if tp.jw != nil {
-			tp.jw.Close()
-			tp.jw = nil
-		}
-		s.storage.park(tp, rerr)
-		return nil, http.StatusServiceUnavailable, codeStorageDegraded,
-			fmt.Errorf("batch processed but not durable, and the rollback re-read failed (%v): %w", rerr, cause)
-	}
-	fresh.SetEpoch(epoch)
-	fresh.SetConformanceMode(s.conform)
-	tp.engp.Store(fresh)
-	s.storage.noteFailure(tp, cause)
-	return nil, http.StatusServiceUnavailable, codeJournalWriteFailed,
-		fmt.Errorf("batch processed but not durable: %w", cause)
 }
 
 // warmupVocab implements POST /v1/topics/{topic}/vocab: fold warm-up
@@ -1415,5 +1227,5 @@ func appendJSON(dst []sentimentJSON, ss []triclust.Sentiment) []sentimentJSON {
 
 // eng returns the topic's engine. Writers mutate the engine only under
 // tp.mu; the atomic load lets the lock-free read plane observe the
-// rollback swap in failJournalAppend without a lock.
+// rollback swap in reloadFromDisk without a lock.
 func (tp *topic) eng() *triclust.Topic { return tp.engp.Load() }

@@ -17,10 +17,10 @@ import (
 	"triclust/internal/synth"
 )
 
-// testServer runs a daemon in the legacy snapshot-every-batch mode; the
-// journal-mode tests in journal_daemon_test.go use testServerOpts.
+// testServer runs a daemon at the default compaction cadence; tests that
+// care about the cadence use testServerOpts.
 func testServer(t *testing.T, dataDir string) (*server, *httptest.Server) {
-	return testServerOpts(t, dataDir, journalOptions{Every: 1})
+	return testServerOpts(t, dataDir, journalOptions{})
 }
 
 func testServerOpts(t *testing.T, dataDir string, opts journalOptions) (*server, *httptest.Server) {
