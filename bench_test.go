@@ -6,10 +6,14 @@
 package triclust_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
+	"triclust"
+	"triclust/internal/codec"
 	"triclust/internal/core"
 	"triclust/internal/experiments"
 	"triclust/internal/text"
@@ -315,4 +319,92 @@ func BenchmarkGraphBuild(b *testing.B) {
 			b.Fatal("empty graph")
 		}
 	}
+}
+
+// ——— durable state: what a compaction fsyncs, a replica install ships
+// and GET …/snapshot serves ———
+
+var snapBench struct {
+	once sync.Once
+	tp   *triclust.Topic
+	snap []byte
+	err  error
+}
+
+// snapshotBenchTopic streams the Prop37 preset at full size through a
+// topic, day by day, and returns it with its snapshot: the state the
+// online_replay workload of bench/ ends on — full temporal window, every
+// user's history. The solver is capped because sweeps change the floats,
+// not the shape.
+func snapshotBenchTopic(b *testing.B) (*triclust.Topic, []byte) {
+	b.Helper()
+	snapBench.once.Do(func() {
+		s, err := experiments.NewSetup(experiments.Prop37, 1)
+		if err != nil {
+			snapBench.err = err
+			return
+		}
+		cfg := triclust.OnlineConfig{}
+		cfg.MaxIter = 5
+		tp, err := triclust.NewTopic(s.Dataset.Corpus.Users,
+			triclust.WithLexicon(s.Lexicon), triclust.WithSolverConfig(cfg))
+		if err != nil {
+			snapBench.err = err
+			return
+		}
+		lo, hi, _ := s.Dataset.Corpus.TimeRange()
+		days := make([][]triclust.Tweet, hi-lo+1)
+		for _, tw := range s.Dataset.Corpus.Tweets {
+			tw.RetweetOf = -1 // indices are corpus-global
+			days[tw.Time-lo] = append(days[tw.Time-lo], tw)
+		}
+		for d, batch := range days {
+			if _, err := tp.Process(lo+d, batch); err != nil {
+				snapBench.err = err
+				return
+			}
+		}
+		var buf bytes.Buffer
+		snapBench.err = tp.Snapshot(&buf)
+		snapBench.tp, snapBench.snap = tp, buf.Bytes()
+	})
+	if snapBench.err != nil {
+		b.Fatal(snapBench.err)
+	}
+	return snapBench.tp, snapBench.snap
+}
+
+// benchSnapshotOp runs one snapshot operation as a sub-benchmark and
+// reports the size of the snapshot it writes or reads.
+func benchSnapshotOp(b *testing.B, name string, snap []byte, op func() error) {
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(snap)), "snapshot-bytes")
+	})
+}
+
+// BenchmarkSnapshot measures writing the durable state, at two layers:
+// codec is the encoder alone on a ready state, topic adds the state
+// export under the topic lock.
+func BenchmarkSnapshot(b *testing.B) {
+	tp, snap := snapshotBenchTopic(b)
+	st, err := codec.Decode(bytes.NewReader(snap))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSnapshotOp(b, "codec", snap, func() error { return codec.Encode(io.Discard, st) })
+	benchSnapshotOp(b, "topic", snap, func() error { return tp.Snapshot(io.Discard) })
+}
+
+// BenchmarkRestore measures reading it back: codec is checksum and
+// decode, topic adds session rebuild and the first published read view.
+func BenchmarkRestore(b *testing.B) {
+	_, snap := snapshotBenchTopic(b)
+	benchSnapshotOp(b, "codec", snap, func() error { _, err := codec.Decode(bytes.NewReader(snap)); return err })
+	benchSnapshotOp(b, "topic", snap, func() error { _, err := triclust.Restore(bytes.NewReader(snap)); return err })
 }

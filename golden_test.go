@@ -17,9 +17,14 @@ var updateGolden = flag.Bool("update-golden", false,
 	"regenerate the current-version golden snapshot fixture (only when deliberately changing the snapshot format)")
 
 const (
-	goldenPath = "testdata/golden_v2.snap"
+	goldenPath = "testdata/golden_v3.snap"
+	// fixedGoldenPath is the same topic as written by the last version-2
+	// build (fixed-width integers, Sp and Su stored, conformance section
+	// included). No build can regenerate it any more: it is what an
+	// upgraded daemon finds in its data dir.
+	fixedGoldenPath = "testdata/golden_v2.snap"
 	// legacyGoldenPath is a version-1 snapshot (draw-counted stdlib RNG,
-	// no generator identifier). Version 2 cannot replay its random
+	// no generator identifier). No later build can replay its random
 	// stream, so restoring it must fail with a clean version error.
 	legacyGoldenPath = "testdata/golden_v1.snap"
 )
@@ -60,29 +65,53 @@ func goldenTopic(t *testing.T) *triclust.Topic {
 	return tp
 }
 
-// TestGoldenSnapshotCompat restores the checked-in version-1 snapshot
-// fixture, guarding the codec against accidental format breaks: a change
-// that can no longer read yesterday's snapshots fails here, not in a
-// production restore. Run with -update-golden after a deliberate,
-// version-bumped format change.
+func snapshotBytes(t *testing.T, tp *triclust.Topic) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tp.Snapshot(&buf); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenSnapshotCompat pins the snapshot format to the checked-in
+// fixtures, in both directions. Writing: the golden topic must snapshot
+// to exactly the current-version fixture, so a layout or size drift fails
+// here instead of passing as "still restores". Reading: that fixture and
+// its version-2 predecessor must restore, to the same state — the
+// version-2 fixture re-snapshots as the version-3 bytes, which is the
+// in-place upgrade a daemon's next compaction performs. Run with
+// -update-golden after a deliberate, version-bumped format change.
 func TestGoldenSnapshotCompat(t *testing.T) {
 	if *updateGolden {
-		tp := goldenTopic(t)
-		var buf bytes.Buffer
-		if err := tp.Snapshot(&buf); err != nil {
-			t.Fatalf("Snapshot: %v", err)
-		}
+		snap := snapshotBytes(t, goldenTopic(t))
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, snap, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", goldenPath, buf.Len())
+		t.Logf("wrote %s (%d bytes)", goldenPath, len(snap))
 	}
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("read golden fixture: %v (generate with -update-golden)", err)
+	}
+	if got := snapshotBytes(t, goldenTopic(t)); !bytes.Equal(got, data) {
+		t.Fatalf("golden topic snapshots to %d bytes that differ from the %d-byte fixture — codec layout drift?",
+			len(got), len(data))
+	}
+	fixed, err := os.ReadFile(fixedGoldenPath)
+	if err != nil {
+		t.Fatalf("read version-2 fixture: %v", err)
+	}
+	old, err := triclust.Restore(bytes.NewReader(fixed))
+	if err != nil {
+		t.Fatalf("version-2 snapshot no longer restores — upgraded daemons would quarantine live state: %v", err)
+	}
+	if got := snapshotBytes(t, old); !bytes.Equal(got, data) {
+		t.Fatalf("version-2 fixture re-snapshots to %d bytes that differ from the %d-byte version-3 fixture",
+			len(got), len(data))
 	}
 	tp, err := triclust.Restore(bytes.NewReader(data))
 	if err != nil {

@@ -4,9 +4,9 @@
 // client's Accept header negotiates it. It exists because JSON
 // encode/decode became the dominant per-request cost on the daemon's
 // ingest path once the solver, journal and replication layers went
-// allocation-free; the frames below reuse the snapshot format's wire
-// primitives (WireEncoder/WireDecoder, CRC-32C) so every triclust
-// on-disk and on-wire format shares one idiom.
+// allocation-free; the frames below are built from the fixed-width wire
+// primitives (WireEncoder/WireDecoder, CRC-32C) the journal and the
+// replication frames use, so those formats share one idiom.
 //
 // # Request frame (application/x-triclust-batch)
 //

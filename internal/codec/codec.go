@@ -8,7 +8,7 @@
 // A snapshot is:
 //
 //	magic    [8]byte  "TRICSNAP"
-//	version  uint16   format version (currently 2)
+//	version  uint16   format version (currently 3)
 //	length   uint64   payload length in bytes
 //	payload  [length]byte
 //	crc      uint32   CRC-32C (Castagnoli) of the payload
@@ -20,12 +20,29 @@
 //	body     [size]byte
 //
 // terminated by tag 0. Decoders skip sections with unknown tags, so later
-// format versions can add sections without breaking version-1 readers;
+// revisions of a version can add sections without breaking its readers;
 // removing or reshaping an existing section requires a version bump.
-// All integers are little-endian; floats are IEEE-754 bit patterns;
-// strings and slices are length-prefixed. Map sections are written in
-// sorted key order, so encoding is deterministic: equal states produce
-// byte-identical snapshots.
+// The framing above is fixed-width little-endian. Inside a section body:
+//
+//	count, length, index, counter   uvarint (minimal encoding only)
+//	timestamp, label, seed          zigzag varint
+//	float                           IEEE-754 bits, 8 bytes little-endian
+//	bool                            one byte, 0 or 1
+//	[]bool                          uvarint bit count + bitset, LSB first,
+//	                                padding bits zero
+//	string, slice, map              count-prefixed
+//	matrix                          presence bool, rows, cols, floats
+//
+// Map sections are written in sorted key order, so encoding is
+// deterministic: equal states produce byte-identical snapshots. Floats
+// are never re-quantized, so a restore is bit-identical.
+//
+// Version 2 had the same sections with every integer as 8 fixed bytes and
+// every []bool as a byte per element, and stored the tweet and user
+// factors of the last solve, which no restored topic reads. Decode still
+// reads it (the same decoder, switched to fixed width by the header's
+// version field); Encode writes version 3 only. The fixed-width
+// primitives live on in wire.go for the journal and frame formats.
 //
 // The online section names the solver's random generator alongside the
 // recorded stream position, because a draw position is only replayable on
@@ -55,12 +72,21 @@ import (
 	"triclust/internal/tgraph"
 )
 
-// Version is the current snapshot format version. Version 2 inserted the
-// random-generator identifier into the online section when the solver's
-// PRNG moved to SplitMix64; version-1 snapshots recorded stream positions
-// of a different generator and are rejected with ErrVersion rather than
-// replayed on the wrong stream.
-const Version = 2
+// Version is the snapshot format version Encode writes. Version 3 made
+// section bodies compact (varints, bitsets) and dropped the dead tweet
+// and user factors; versionFixed is its fixed-width predecessor, which
+// Decode still reads so an upgraded daemon loads its data dir. Version 2
+// had inserted the random-generator identifier into the online section
+// when the solver's PRNG moved to SplitMix64; version-1 snapshots
+// recorded stream positions of a different generator and are rejected
+// with ErrVersion rather than replayed on the wrong stream.
+const (
+	Version      = 3
+	versionFixed = 2
+)
+
+// headerLen is the fixed header: magic, version, payload length.
+const headerLen = 18
 
 var magic = [8]byte{'T', 'R', 'I', 'C', 'S', 'N', 'A', 'P'}
 
@@ -77,10 +103,10 @@ var (
 	ErrCorrupt = errors.New("codec: corrupt snapshot")
 )
 
-// Section tags of the snapshot format. Tags 1–7 are unchanged since
-// version 1; tagEpoch and tagConform were added within version 2 as
-// optional sections (absent = epoch 0 / empty conformance profile),
-// which older version-2 readers skip by the unknown-tag rule.
+// Section tags of the snapshot format. Tags 1–7 date from version 1;
+// tagEpoch and tagConform were added within version 2 as optional
+// sections (absent = epoch 0 / empty conformance profile), which older
+// version-2 readers skip by the unknown-tag rule.
 const (
 	tagEnd     = 0
 	tagConfig  = 1
@@ -104,84 +130,76 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // silently continuing a stream with different random values.
 const rngSplitMix64 = 1
 
-// Encode writes st as a versioned binary snapshot to w.
+// Encode writes st as a versioned binary snapshot to w, in one Write.
 func Encode(w io.Writer, st *engine.State) error {
 	if st == nil {
 		return errors.New("codec: nil state")
 	}
-	var payload bytes.Buffer
-	enc := &encoder{w: &payload}
-	enc.section(tagConfig, func(e *encoder) { e.config(st.Config, st) })
-	enc.section(tagLexicon, func(e *encoder) { e.stringIntMap(st.Lexicon) })
-	enc.section(tagVocab, func(e *encoder) {
+	// The whole snapshot is built in one buffer: the header's length and
+	// every section's size are patched in once the bytes after them exist.
+	e := &encoder{buf: make([]byte, headerLen, 4096)}
+	copy(e.buf, magic[:])
+	binary.LittleEndian.PutUint16(e.buf[8:], Version)
+	e.section(tagConfig, func() { e.config(st.Config, st) })
+	e.section(tagLexicon, func() { e.stringIntMap(st.Lexicon) })
+	e.section(tagVocab, func() {
 		e.bool(st.Frozen)
 		e.stringSlice(st.VocabWords)
 		e.dense(st.Sf0)
 		e.stringIntMap(st.VocabCounts)
 		e.uint(uint64(st.VocabDocs))
 	})
-	enc.section(tagUsers, func(e *encoder) {
+	e.section(tagUsers, func() {
 		e.uint(uint64(len(st.Users)))
 		for _, u := range st.Users {
 			e.string(u.Name)
 			e.int(int64(u.Label))
 		}
 	})
-	enc.section(tagCounter, func(e *encoder) {
+	e.section(tagCounter, func() {
 		e.uint(uint64(st.Batches))
 		e.uint(uint64(st.Skips))
 	})
-	enc.section(tagOnline, func(e *encoder) { e.online(st.Online) })
+	e.section(tagOnline, func() { e.online(st.Online) })
 	if st.LastFactors != nil {
-		enc.section(tagFactors, func(e *encoder) { e.factors(st.LastFactors) })
+		e.section(tagFactors, func() { e.factors(st.LastFactors) })
 	}
 	// The ownership epoch is written only when set, so snapshots of
-	// never-moved topics stay byte-identical to pre-cluster builds (and to
-	// the golden fixture). Determinism holds either way: equal states make
-	// equal include-or-omit decisions.
+	// never-moved topics are the same bytes in and out of a cluster.
+	// Determinism holds either way: equal states make equal
+	// include-or-omit decisions.
 	if st.Epoch != 0 {
-		enc.section(tagEpoch, func(e *encoder) { e.uint(st.Epoch) })
+		e.section(tagEpoch, func() { e.uint(st.Epoch) })
 	}
 	// Same rule for the conformance profile: an empty default profile is
-	// omitted, so pre-conformance snapshots and snapshots of fresh topics
-	// keep their exact bytes. The profile owns its wire format (versioned
-	// separately inside the section body, see internal/conform/wire.go).
+	// omitted. The profile owns its wire format (versioned separately
+	// inside the section body, see internal/conform/wire.go).
 	if st.Conform != nil && !st.Conform.IsZero() {
-		enc.section(tagConform, func(e *encoder) { e.write(st.Conform.AppendBinary(nil)) })
+		e.section(tagConform, func() { e.buf = st.Conform.AppendBinary(e.buf) })
 	}
-	enc.byte(tagEnd)
-	if enc.err != nil {
-		return enc.err
-	}
+	e.byte(tagEnd)
 
-	var hdr [18]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint16(hdr[8:10], Version)
-	binary.LittleEndian.PutUint64(hdr[10:18], uint64(payload.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), castagnoli))
-	_, err := w.Write(crc[:])
+	payload := e.buf[headerLen:]
+	binary.LittleEndian.PutUint64(e.buf[10:], uint64(len(payload)))
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc32.Checksum(payload, castagnoli))
+	_, err := w.Write(e.buf)
 	return err
 }
 
 // Decode reads one snapshot from r and reconstructs the engine state. The
 // payload checksum is verified before any field is parsed.
 func Decode(r io.Reader) (*engine.State, error) {
-	var hdr [18]byte
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	if !bytes.Equal(hdr[:8], magic[:]) {
 		return nil, ErrBadMagic
 	}
-	if v := binary.LittleEndian.Uint16(hdr[8:10]); v != Version {
-		return nil, fmt.Errorf("%w: snapshot is version %d, this build reads %d", ErrVersion, v, Version)
+	version := binary.LittleEndian.Uint16(hdr[8:10])
+	if version != Version && version != versionFixed {
+		return nil, fmt.Errorf("%w: snapshot is version %d, this build reads %d and %d",
+			ErrVersion, version, versionFixed, Version)
 	}
 	n := binary.LittleEndian.Uint64(hdr[10:18])
 	if n > maxPayload {
@@ -201,7 +219,7 @@ func Decode(r io.Reader) (*engine.State, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (payload %08x, trailer %08x)", ErrCorrupt, got, want)
 	}
 
-	dec := &decoder{buf: payload.Bytes()}
+	dec := &decoder{buf: payload.Bytes(), fixed: version == versionFixed}
 	st := &engine.State{}
 	seen := map[byte]bool{}
 	for {
@@ -212,8 +230,7 @@ func Decode(r io.Reader) (*engine.State, error) {
 		if tag == tagEnd {
 			break
 		}
-		size := dec.uint()
-		body := dec.bytes(size)
+		body := dec.bytes(dec.u64())
 		if dec.err != nil {
 			return nil, dec.err
 		}
@@ -221,7 +238,7 @@ func Decode(r io.Reader) (*engine.State, error) {
 			return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, tag)
 		}
 		seen[tag] = true
-		sd := &decoder{buf: body}
+		sd := &decoder{buf: body, fixed: dec.fixed}
 		switch tag {
 		case tagConfig:
 			sd.config(&st.Config, st)
@@ -277,18 +294,13 @@ func Decode(r io.Reader) (*engine.State, error) {
 
 // ——— encoder ———
 
+// encoder appends the compact primitives to one buffer. An append cannot
+// fail, so there is no error to thread.
 type encoder struct {
-	w   io.Writer
-	err error
+	buf []byte
 }
 
-func (e *encoder) write(p []byte) {
-	if e.err == nil {
-		_, e.err = e.w.Write(p)
-	}
-}
-
-func (e *encoder) byte(b byte) { e.write([]byte{b}) }
+func (e *encoder) byte(b byte) { e.buf = append(e.buf, b) }
 
 func (e *encoder) bool(b bool) {
 	if b {
@@ -298,19 +310,18 @@ func (e *encoder) bool(b bool) {
 	}
 }
 
-func (e *encoder) uint(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	e.write(buf[:])
-}
+func (e *encoder) uint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-func (e *encoder) int(v int64) { e.uint(uint64(v)) }
+// int writes a zigzag varint, so NoLabel (-1) stays one byte.
+func (e *encoder) int(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
 
-func (e *encoder) float(v float64) { e.uint(math.Float64bits(v)) }
+func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+
+func (e *encoder) float(v float64) { e.u64(math.Float64bits(v)) }
 
 func (e *encoder) string(s string) {
 	e.uint(uint64(len(s)))
-	e.write([]byte(s))
+	e.buf = append(e.buf, s...)
 }
 
 func (e *encoder) stringSlice(ss []string) {
@@ -334,10 +345,15 @@ func (e *encoder) ints(vs []int) {
 	}
 }
 
+// bools writes a bit count and a bitset, least significant bit first.
 func (e *encoder) bools(bs []bool) {
 	e.uint(uint64(len(bs)))
-	for _, b := range bs {
-		e.bool(b)
+	at := len(e.buf)
+	e.buf = append(e.buf, make([]byte, (len(bs)+7)/8)...)
+	for i, b := range bs {
+		if b {
+			e.buf[at+i/8] |= 1 << (i % 8)
+		}
 	}
 }
 
@@ -368,21 +384,14 @@ func (e *encoder) dense(m *mat.Dense) {
 	}
 }
 
-// section buffers a tagged body so its length prefix can be written first.
-func (e *encoder) section(tag byte, body func(*encoder)) {
-	if e.err != nil {
-		return
-	}
-	var buf bytes.Buffer
-	sub := &encoder{w: &buf}
-	body(sub)
-	if sub.err != nil {
-		e.err = sub.err
-		return
-	}
+// section writes a tagged body; the size field in front of it is patched
+// once the body has been appended.
+func (e *encoder) section(tag byte, body func()) {
 	e.byte(tag)
-	e.uint(uint64(buf.Len()))
-	e.write(buf.Bytes())
+	e.u64(0)
+	at := len(e.buf)
+	body()
+	binary.LittleEndian.PutUint64(e.buf[at-8:], uint64(len(e.buf)-at))
 }
 
 func (e *encoder) config(c core.OnlineConfig, st *engine.State) {
@@ -445,9 +454,9 @@ func (e *encoder) online(o *core.OnlineState) {
 	}
 }
 
+// factors writes what a restored topic reads of the last solve: Sf (read
+// view, fold-in) and the cores. Sp and Su are per-batch and not stored.
 func (e *encoder) factors(f *core.Factors) {
-	e.dense(f.Sp)
-	e.dense(f.Su)
 	e.dense(f.Sf)
 	e.dense(f.Hp)
 	e.dense(f.Hu)
@@ -455,9 +464,14 @@ func (e *encoder) factors(f *core.Factors) {
 
 // ——— decoder ———
 
+// decoder reads the primitives back. fixed selects the width: false for
+// the compact version-3 encodings, true for 8-byte integers and
+// byte-per-element masks — version-2 snapshots and, through WireDecoder,
+// the journal and frame formats.
 type decoder struct {
-	buf []byte
-	err error
+	buf   []byte
+	fixed bool
+	err   error
 }
 
 func (d *decoder) fail(msg string) {
@@ -499,7 +513,8 @@ func (d *decoder) bool() bool {
 	}
 }
 
-func (d *decoder) uint() uint64 {
+// u64 reads 8 little-endian bytes at either width: section sizes, floats.
+func (d *decoder) u64() uint64 {
 	b := d.bytes(8)
 	if b == nil {
 		return 0
@@ -507,17 +522,46 @@ func (d *decoder) uint() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (d *decoder) int() int64 { return int64(d.uint()) }
+// uint reads an unsigned integer. A varint must be minimal (no trailing
+// zero group), so every value has one encoding and decode∘encode is the
+// identity on accepted input.
+func (d *decoder) uint() uint64 {
+	if d.fixed {
+		return d.u64()
+	}
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 || (n > 1 && d.buf[n-1] == 0) {
+		d.fail("truncated, overlong or non-minimal varint")
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
 
-func (d *decoder) float() float64 { return math.Float64frombits(d.uint()) }
+func (d *decoder) int() int64 {
+	u := d.uint()
+	if d.fixed {
+		return int64(u)
+	}
+	return int64(u>>1) ^ -int64(u&1) // zigzag
+}
 
-// count reads a length prefix and sanity-checks it against the bytes that
-// remain, given a minimum encoded size per element. The comparison is by
-// division, so a hostile count near 2^64 cannot overflow the check and
-// reach a huge allocation.
-func (d *decoder) count(minElemSize uint64) uint64 {
+func (d *decoder) float() float64 { return math.Float64frombits(d.u64()) }
+
+// count reads an element count and checks it against the bytes that
+// remain, given the smallest encoding of one element: ints integer fields
+// (8 bytes each at fixed width, 1 as a varint) plus raw further bytes.
+// The comparison is by division, so a hostile count near 2^64 cannot
+// overflow the check and reach a huge allocation.
+func (d *decoder) count(ints, raw uint64) uint64 {
 	n := d.uint()
-	if d.err == nil && minElemSize > 0 && n > uint64(len(d.buf))/minElemSize {
+	if d.fixed {
+		ints *= 8
+	}
+	if d.err == nil && n > uint64(len(d.buf))/(ints+raw) {
 		d.fail("element count past end of data")
 		return 0
 	}
@@ -527,7 +571,7 @@ func (d *decoder) count(minElemSize uint64) uint64 {
 func (d *decoder) string() string { return string(d.bytes(d.uint())) }
 
 func (d *decoder) stringSlice() []string {
-	n := d.count(8)
+	n := d.count(1, 0)
 	if n == 0 {
 		return nil
 	}
@@ -539,7 +583,7 @@ func (d *decoder) stringSlice() []string {
 }
 
 func (d *decoder) floats() []float64 {
-	n := d.count(8)
+	n := d.count(0, 8)
 	if n == 0 {
 		return nil
 	}
@@ -551,7 +595,7 @@ func (d *decoder) floats() []float64 {
 }
 
 func (d *decoder) intSlice() []int {
-	n := d.count(8)
+	n := d.count(1, 0)
 	if n == 0 {
 		return nil
 	}
@@ -563,13 +607,31 @@ func (d *decoder) intSlice() []int {
 }
 
 func (d *decoder) bools() []bool {
-	n := d.count(1)
-	if n == 0 {
+	if d.fixed {
+		n := d.count(0, 1)
+		if n == 0 {
+			return nil
+		}
+		out := make([]bool, n)
+		for i := range out {
+			out[i] = d.bool()
+		}
+		return out
+	}
+	// The bitset must fit in what remains before n sizes an allocation;
+	// n/8 cannot overflow.
+	n := d.uint()
+	bits := d.bytes(n/8 + (n%8+7)/8)
+	if n == 0 || d.err != nil {
+		return nil
+	}
+	if n%8 != 0 && bits[len(bits)-1]>>(n%8) != 0 {
+		d.fail("non-zero bitset padding")
 		return nil
 	}
 	out := make([]bool, n)
 	for i := range out {
-		out[i] = d.bool()
+		out[i] = bits[i/8]>>(i%8)&1 != 0
 	}
 	return out
 }
@@ -578,7 +640,7 @@ func (d *decoder) bools() []bool {
 // nil for an empty collection (encoders do not distinguish nil from
 // empty, so decoders canonicalize to nil).
 func (d *decoder) stringIntMap() map[string]int {
-	n := d.count(16)
+	n := d.count(2, 0)
 	if n == 0 {
 		return nil
 	}
@@ -644,7 +706,7 @@ func (d *decoder) config(c *core.OnlineConfig, st *engine.State) {
 }
 
 func (d *decoder) users() []tgraph.User {
-	n := d.count(16)
+	n := d.count(2, 0)
 	if n == 0 {
 		return nil
 	}
@@ -673,7 +735,7 @@ func (d *decoder) online() *core.OnlineState {
 	o := &core.OnlineState{RandDraws: d.uint()}
 	o.LastHp = d.dense()
 	o.LastHu = d.dense()
-	n := d.count(1)
+	n := d.count(2, 1) // time, mask count; matrix flag
 	if n > 0 {
 		o.SfHist = make([]core.SfSnapshotState, 0, n)
 	}
@@ -683,13 +745,13 @@ func (d *decoder) online() *core.OnlineState {
 		s.Seen = d.bools()
 		o.SfHist = append(o.SfHist, s)
 	}
-	m := d.count(16)
+	m := d.count(2, 0)
 	// UserHist stays non-nil even when empty: it is the one container the
 	// solver mutates in place after restore.
 	o.UserHist = make(map[int][]core.UserSnapshotState, m)
 	for i := uint64(0); i < m && d.err == nil; i++ {
 		g := int(d.int())
-		cnt := d.count(16)
+		cnt := d.count(2, 0)
 		var hist []core.UserSnapshotState
 		for j := uint64(0); j < cnt && d.err == nil; j++ {
 			hist = append(hist, core.UserSnapshotState{Time: int(d.int()), Row: d.floats()})
@@ -700,9 +762,11 @@ func (d *decoder) online() *core.OnlineState {
 }
 
 func (d *decoder) factors() *core.Factors {
+	if d.fixed {
+		d.dense() // version 2 stored Sp and Su in front; nothing reads them
+		d.dense()
+	}
 	f := &core.Factors{}
-	f.Sp = d.dense()
-	f.Su = d.dense()
 	f.Sf = d.dense()
 	f.Hp = d.dense()
 	f.Hu = d.dense()

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"triclust/internal/conform"
@@ -59,14 +60,66 @@ func fullState() *engine.State {
 			},
 		},
 		LastFactors: &core.Factors{
-			Sp: denseOf(1, 3, 0.2, 0.3, 0.5),
-			Su: denseOf(2, 3, 1, 2, 3, 4, 5, 6),
 			Sf: denseOf(3, 3, 1, 1, 1, 2, 2, 2, 3, 3, 3),
 			Hp: denseOf(3, 3, 1, 0, 0, 0, 1, 0, 0, 0, 1),
 			Hu: denseOf(3, 3, 2, 0, 0, 0, 2, 0, 0, 0, 2),
 		},
 		Epoch: 6,
 	}
+}
+
+// payloadOf returns a copy of a snapshot's payload (between the 18-byte
+// header and the CRC trailer).
+func payloadOf(snap []byte) []byte {
+	return append([]byte(nil), snap[headerLen:len(snap)-4]...)
+}
+
+// reframe wraps a payload in a valid header and checksum, so a forged
+// body reaches the section decoders instead of failing the CRC.
+func reframe(version uint16, payload []byte) []byte {
+	out := append([]byte(nil), magic[:]...)
+	out = binary.LittleEndian.AppendUint16(out, version)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+}
+
+// findSection returns the offset of a section's body within payload and
+// its size. Section framing is a tag byte and an 8-byte size in every
+// format version.
+func findSection(t *testing.T, payload []byte, tag byte) (body, size int) {
+	t.Helper()
+	for i := 0; i < len(payload) && payload[i] != tagEnd; {
+		size := int(binary.LittleEndian.Uint64(payload[i+1:]))
+		if payload[i] == tag {
+			return i + 9, size
+		}
+		i += 9 + size
+	}
+	t.Fatalf("section %d not found", tag)
+	return 0, 0
+}
+
+// spliceSection replaces n bytes at offset off of a section's body with
+// repl and re-patches the section's size, so only the replaced field is
+// wrong about the forged snapshot.
+func spliceSection(t *testing.T, payload []byte, tag byte, off, n int, repl []byte) []byte {
+	t.Helper()
+	body, size := findSection(t, payload, tag)
+	out := append([]byte(nil), payload[:body+off]...)
+	out = append(out, repl...)
+	out = append(out, payload[body+off+n:]...)
+	binary.LittleEndian.PutUint64(out[body-8:], uint64(size-n+len(repl)))
+	return out
+}
+
+func mustEncode(t testing.TB, st *engine.State) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Encode(&buf, st); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	return buf.Bytes()
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -110,9 +163,9 @@ func TestRoundTripMinimal(t *testing.T) {
 
 // TestEpochSectionOptional pins the epoch section's compatibility story:
 // epoch 0 (a topic that never changed shards) omits the section entirely,
-// so such snapshots are byte-identical to those of pre-cluster builds —
-// the golden fixture keeps passing without a version bump — while a
-// non-zero epoch rides along and round-trips.
+// so a topic's snapshot is the same bytes in and out of a cluster — the
+// golden fixture needs no epoch — while a non-zero epoch rides along and
+// round-trips.
 func TestEpochSectionOptional(t *testing.T) {
 	withEpoch := fullState()
 	withEpoch.Epoch = 9
@@ -126,9 +179,9 @@ func TestEpochSectionOptional(t *testing.T) {
 	if err := Encode(&b, without); err != nil {
 		t.Fatal(err)
 	}
-	// tag byte + 8-byte size + 8-byte epoch.
-	if want := b.Len() + 17; a.Len() != want {
-		t.Fatalf("epoch section size: with=%d without=%d, want with = without+17", a.Len(), b.Len())
+	// tag byte + 8-byte size + one-byte varint epoch.
+	if want := b.Len() + 10; a.Len() != want {
+		t.Fatalf("epoch section size: with=%d without=%d, want with = without+10", a.Len(), b.Len())
 	}
 	got, err := Decode(&a)
 	if err != nil {
@@ -230,65 +283,84 @@ func TestCorruptionDetected(t *testing.T) {
 // absurd element counts must fail with ErrCorrupt, not panic or allocate
 // unboundedly (the length checks are overflow-safe).
 func TestHostileCountsRejected(t *testing.T) {
-	forge := func(mutate func(payload []byte)) []byte {
-		var buf bytes.Buffer
-		if err := Encode(&buf, fullState()); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
-		payload := append([]byte(nil), data[18:len(data)-4]...)
-		mutate(payload)
-		out := append([]byte(nil), data[:10]...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-		out = append(out, payload...)
-		return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	}
-	// The vocab section (tag 3) starts with the frozen flag, then the
-	// word-count prefix of the word list; the lexicon section (tag 2)
-	// starts with its entry count. Overwrite each count with values whose
-	// naive size products overflow uint64.
-	for _, huge := range []uint64{1 << 61, 1<<64 - 1} {
-		for _, tag := range []byte{tagLexicon, tagVocab} {
-			data := forge(func(p []byte) {
-				for i := 0; i < len(p); {
-					secTag, size := p[i], binary.LittleEndian.Uint64(p[i+1:i+9])
-					if secTag == tag {
-						off := i + 9
-						if tag == tagVocab {
-							off++ // skip the frozen flag
-						}
-						binary.LittleEndian.PutUint64(p[off:], huge)
-						return
-					}
-					if secTag == tagEnd {
-						t.Fatal("section not found")
-					}
-					i += 9 + int(size)
-				}
-			})
-			if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("tag %d count %d: got %v, want ErrCorrupt", tag, huge, err)
-			}
+	payload := payloadOf(mustEncode(t, fullState()))
+	reject := func(name string, forged []byte) {
+		t.Helper()
+		if _, err := Decode(bytes.NewReader(reframe(Version, forged))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
-	// Dense-matrix header with dimensions whose byte size overflows.
-	data := forge(func(p []byte) {
-		for i := 0; i < len(p); {
-			secTag, size := p[i], binary.LittleEndian.Uint64(p[i+1:i+9])
-			if secTag == tagFactors {
-				// factors: Sp first → flag byte, rows, cols.
-				binary.LittleEndian.PutUint64(p[i+10:], 1<<61)
-				binary.LittleEndian.PutUint64(p[i+18:], 1<<61)
-				return
-			}
-			if secTag == tagEnd {
-				t.Fatal("factors section not found")
-			}
-			i += 9 + int(size)
+	// The lexicon section (tag 2) starts with its entry count; the vocab
+	// section (tag 3) with the frozen flag, then the word count. Each is a
+	// one-byte varint in fullState. Replace it with counts whose naive
+	// size products overflow uint64, up to 2^64-1 itself.
+	for _, huge := range []uint64{1 << 61, 1<<64 - 2, 1<<64 - 1} {
+		count := binary.AppendUvarint(nil, huge)
+		reject("lexicon count", spliceSection(t, payload, tagLexicon, 0, 1, count))
+		reject("vocab count", spliceSection(t, payload, tagVocab, 1, 1, count))
+	}
+	// Dense-matrix header with dimensions whose byte size overflows: the
+	// factors section starts with Sf → flag byte, rows, cols.
+	dim := binary.AppendUvarint(nil, 1<<61)
+	reject("matrix dims", spliceSection(t, payload, tagFactors, 1, 2, append(dim, dim...)))
+	// A mask whose bit count no bitset in the section could back.
+	d := &decoder{buf: binary.AppendUvarint(nil, 1<<64-1)}
+	if d.bools(); !errors.Is(d.err, ErrCorrupt) {
+		t.Fatalf("hostile mask count: got %v, want ErrCorrupt", d.err)
+	}
+}
+
+// TestNonCanonicalPrimitivesRejected: every value has exactly one
+// accepted encoding, so equal states cannot arrive as different bytes. A
+// varint that spends more bytes than its value needs — including the
+// 10-byte all-continuation spelling of zero — and a bitset with bits set
+// past its count are corruption.
+func TestNonCanonicalPrimitivesRejected(t *testing.T) {
+	payload := payloadOf(mustEncode(t, fullState()))
+	body, _ := findSection(t, payload, tagLexicon)
+	if payload[body] != 2 {
+		t.Fatalf("lexicon count byte is %d, want 2", payload[body])
+	}
+	// 0x82 0x00 still reads as 2 to a lenient varint reader, and the
+	// section size is re-patched, so only minimality can reject it.
+	overlong10 := append(bytes.Repeat([]byte{0x80}, 9), 0x00)
+	for name, repl := range map[string][]byte{
+		"non-minimal count":    {0x82, 0x00},
+		"10-byte overlong":     overlong10,
+		"11-byte continuation": bytes.Repeat([]byte{0x80}, 11),
+		"overflowing 10th":     append(bytes.Repeat([]byte{0xff}, 9), 0x02),
+	} {
+		forged := reframe(Version, spliceSection(t, payload, tagLexicon, 0, 1, repl))
+		if _, err := Decode(bytes.NewReader(forged)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: got %v, want ErrCorrupt", name, err)
 		}
-	})
-	if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("hostile matrix dims: got %v, want ErrCorrupt", err)
+	}
+	if d := (&decoder{buf: []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}}); d.uint() != 1<<64-1 || d.err != nil {
+		t.Fatalf("maximal 10-byte varint rejected: %v", d.err)
+	}
+
+	for name, tc := range map[string]struct {
+		in   []byte
+		want []bool
+		bad  bool
+	}{
+		"exact":          {in: []byte{3, 0b101}, want: []bool{true, false, true}},
+		"byte boundary":  {in: []byte{8, 0x80}, want: []bool{false, false, false, false, false, false, false, true}},
+		"empty":          {in: []byte{0}},
+		"padding bit":    {in: []byte{3, 0b1101}, bad: true},
+		"padding high":   {in: []byte{9, 0x00, 0x80}, bad: true},
+		"short bitset":   {in: []byte{9, 0x00}, bad: true},
+		"truncated mask": {in: []byte{1}, bad: true},
+	} {
+		d := &decoder{buf: tc.in}
+		got := d.bools()
+		if tc.bad {
+			if !errors.Is(d.err, ErrCorrupt) {
+				t.Fatalf("bitset %s: got %v / %v, want ErrCorrupt", name, got, d.err)
+			}
+		} else if d.err != nil || !reflect.DeepEqual(got, tc.want) || len(d.buf) != 0 {
+			t.Fatalf("bitset %s: got %v (err %v, %d left), want %v", name, got, d.err, len(d.buf), tc.want)
+		}
 	}
 }
 
@@ -296,31 +368,18 @@ func TestHostileCountsRejected(t *testing.T) {
 // tags, the forward-compatibility half of the self-describing format.
 func TestUnknownSectionSkipped(t *testing.T) {
 	st := fullState()
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	payload := data[18 : len(data)-4]
+	payload := payloadOf(mustEncode(t, st))
 	if payload[len(payload)-1] != tagEnd {
 		t.Fatal("payload does not end with the end tag")
 	}
 
-	// Splice an unknown section (tag 200) in front of the end tag.
-	extra := []byte{200}
-	extra = binary.LittleEndian.AppendUint64(extra, 3)
-	extra = append(extra, 'x', 'y', 'z')
-	newPayload := append(append([]byte(nil), payload[:len(payload)-1]...), extra...)
-	newPayload = append(newPayload, tagEnd)
+	// Splice an unknown section (tag 200) in front of the end tag. Section
+	// framing is fixed-width: tag, 8-byte size, body.
+	extra := binary.LittleEndian.AppendUint64([]byte{200}, 3)
+	extra = append(extra, 'x', 'y', 'z', tagEnd)
+	forged := reframe(Version, append(payload[:len(payload)-1], extra...))
 
-	var out bytes.Buffer
-	out.Write(data[:8])
-	out.Write(binary.LittleEndian.AppendUint16(nil, Version))
-	out.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(newPayload))))
-	out.Write(newPayload)
-	out.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(newPayload, castagnoli)))
-
-	got, err := Decode(bytes.NewReader(out.Bytes()))
+	got, err := Decode(bytes.NewReader(forged))
 	if err != nil {
 		t.Fatalf("snapshot with unknown section rejected: %v", err)
 	}
@@ -336,12 +395,11 @@ func TestUnknownSectionSkipped(t *testing.T) {
 // recoverable paths (startup quarantine, stable error code) as an
 // unknown format version.
 func TestUnknownRNGAlgorithmRejected(t *testing.T) {
-	var buf bytes.Buffer
-	e := &encoder{w: &buf}
+	e := &encoder{}
 	e.bool(true)
 	e.byte(rngSplitMix64 + 1)
 	e.uint(5)
-	d := &decoder{buf: buf.Bytes()}
+	d := &decoder{buf: e.buf}
 	if _ = d.online(); d.err == nil {
 		t.Fatal("unknown generator accepted")
 	}
@@ -416,42 +474,200 @@ func TestConformSectionOptional(t *testing.T) {
 func TestConformSectionVersionSkew(t *testing.T) {
 	st := fullState()
 	st.Conform = warmConformProfile()
-	forge := func(mutate func(payload []byte)) []byte {
-		var buf bytes.Buffer
-		if err := Encode(&buf, st); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
-		payload := append([]byte(nil), data[18:len(data)-4]...)
-		mutate(payload)
-		out := append([]byte(nil), data[:10]...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-		out = append(out, payload...)
-		return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	// forge rewrites one byte at off within the conform section's body
+	// (off 0 is the profile wire version).
+	forge := func(off int, val byte) []byte {
+		payload := payloadOf(mustEncode(t, st))
+		body, _ := findSection(t, payload, tagConform)
+		payload[body+off] = val
+		return reframe(Version, payload)
 	}
-	// mutateConform rewrites one byte at off within the conform section's
-	// payload (off 0 is the profile wire version).
-	mutateConform := func(off int, val byte) func([]byte) {
-		return func(p []byte) {
-			for i := 0; i < len(p); {
-				tag, size := p[i], binary.LittleEndian.Uint64(p[i+1:i+9])
-				if tag == tagConform {
-					p[i+9+off] = val
-					return
-				}
-				if tag == tagEnd {
-					t.Fatal("conform section not found")
-				}
-				i += 9 + int(size)
-			}
-		}
-	}
-	if _, err := Decode(bytes.NewReader(forge(mutateConform(0, 9)))); !errors.Is(err, ErrVersion) {
+	if _, err := Decode(bytes.NewReader(forge(0, 9))); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future profile version: got %v, want ErrVersion", err)
 	}
 	// Byte 73 is the metric count; an invariant-set mismatch is
 	// corruption, not skew (the wire version pins the set).
-	if _, err := Decode(bytes.NewReader(forge(mutateConform(73, 200)))); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decode(bytes.NewReader(forge(73, 200))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("metric-count damage: got %v, want ErrCorrupt", err)
+	}
+}
+
+// encodeV2 writes st in the version-2 layout — every integer 8 fixed
+// bytes, masks a byte per element, the last solve's Sp and Su in front of
+// the factors section — with the fixed-width wire primitives that format
+// was built from. It is the decoder's width switch's test oracle: builds
+// before version 3 wrote exactly these bytes.
+func encodeV2(st *engine.State, sp, su *mat.Dense) []byte {
+	var payload bytes.Buffer
+	section := func(tag byte, body func(e *WireEncoder)) {
+		var buf bytes.Buffer
+		body(NewWireEncoder(&buf))
+		payload.WriteByte(tag)
+		payload.Write(binary.LittleEndian.AppendUint64(nil, uint64(buf.Len())))
+		payload.Write(buf.Bytes())
+	}
+	ints := func(e *WireEncoder, vs []int) {
+		e.Uint(uint64(len(vs)))
+		for _, v := range vs {
+			e.Int(int64(v))
+		}
+	}
+	stringIntMap := func(e *WireEncoder, m map[string]int) {
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		e.Uint(uint64(len(keys)))
+		for _, k := range keys {
+			e.String(k)
+			e.Int(int64(m[k]))
+		}
+	}
+	dense := func(e *WireEncoder, m *mat.Dense) {
+		e.Bool(m != nil)
+		if m == nil {
+			return
+		}
+		e.Uint(uint64(m.Rows()))
+		e.Uint(uint64(m.Cols()))
+		for _, v := range m.Data() {
+			e.Float(v)
+		}
+	}
+	section(tagConfig, func(e *WireEncoder) {
+		c, tok := st.Config, st.Tokenizer
+		e.Uint(uint64(c.K))
+		e.Float(c.Alpha)
+		e.Float(c.Beta)
+		e.Uint(uint64(c.MaxIter))
+		e.Float(c.Tol)
+		e.Int(c.Seed)
+		e.Bool(c.LexiconInit)
+		e.Float(c.SparsityLambda)
+		e.Float(c.DiversityLambda)
+		e.Float(c.GuidedLambda)
+		ints(e, c.GuidedTweetLabels)
+		ints(e, c.GuidedUserLabels)
+		e.Float(c.Gamma)
+		e.Float(c.Tau)
+		e.Uint(uint64(c.Window))
+		e.Uint(uint64(st.Weighting))
+		e.Uint(uint64(st.MinDF))
+		e.Float(st.LexiconHit)
+		e.Bool(tok.KeepHashtags)
+		e.Bool(tok.KeepMentions)
+		e.Bool(tok.RemoveStopwords)
+		e.Uint(uint64(tok.MinTokenLen))
+		e.Bool(tok.Stem)
+	})
+	section(tagLexicon, func(e *WireEncoder) { stringIntMap(e, st.Lexicon) })
+	section(tagVocab, func(e *WireEncoder) {
+		e.Bool(st.Frozen)
+		e.StringSlice(st.VocabWords)
+		dense(e, st.Sf0)
+		stringIntMap(e, st.VocabCounts)
+		e.Uint(uint64(st.VocabDocs))
+	})
+	section(tagUsers, func(e *WireEncoder) {
+		e.Uint(uint64(len(st.Users)))
+		for _, u := range st.Users {
+			e.String(u.Name)
+			e.Int(int64(u.Label))
+		}
+	})
+	section(tagCounter, func(e *WireEncoder) {
+		e.Uint(uint64(st.Batches))
+		e.Uint(uint64(st.Skips))
+	})
+	section(tagOnline, func(e *WireEncoder) {
+		o := st.Online
+		e.Bool(true)
+		e.Bool(true) // generator id rngSplitMix64 = 1, the same byte
+		e.Uint(o.RandDraws)
+		dense(e, o.LastHp)
+		dense(e, o.LastHu)
+		e.Uint(uint64(len(o.SfHist)))
+		for _, s := range o.SfHist {
+			e.Int(int64(s.Time))
+			dense(e, s.Sf)
+			e.Uint(uint64(len(s.Seen)))
+			for _, b := range s.Seen {
+				e.Bool(b)
+			}
+		}
+		gids := make([]int, 0, len(o.UserHist))
+		for g := range o.UserHist {
+			gids = append(gids, g)
+		}
+		sort.Ints(gids)
+		e.Uint(uint64(len(gids)))
+		for _, g := range gids {
+			e.Int(int64(g))
+			e.Uint(uint64(len(o.UserHist[g])))
+			for _, h := range o.UserHist[g] {
+				e.Int(int64(h.Time))
+				e.Uint(uint64(len(h.Row)))
+				for _, f := range h.Row {
+					e.Float(f)
+				}
+			}
+		}
+	})
+	section(tagFactors, func(e *WireEncoder) {
+		dense(e, sp)
+		dense(e, su)
+		dense(e, st.LastFactors.Sf)
+		dense(e, st.LastFactors.Hp)
+		dense(e, st.LastFactors.Hu)
+	})
+	if st.Epoch != 0 {
+		section(tagEpoch, func(e *WireEncoder) { e.Uint(st.Epoch) })
+	}
+	if st.Conform != nil && !st.Conform.IsZero() {
+		payload.WriteByte(tagConform)
+		prof := st.Conform.AppendBinary(nil)
+		payload.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(prof))))
+		payload.Write(prof)
+	}
+	payload.WriteByte(tagEnd)
+	return reframe(versionFixed, payload.Bytes())
+}
+
+// TestVersion2StillDecodes: an upgraded daemon must load the data dir its
+// predecessor wrote. A version-2 snapshot decodes to the same state as
+// its version-3 encoding — every section, negative labels, masks, the
+// optional epoch and conformance sections — minus the Sp and Su it
+// carried. Labelled as version 3 the same bytes are corrupt, never
+// half-read.
+func TestVersion2StillDecodes(t *testing.T) {
+	// Without the optional sections first: the earliest version-2 builds
+	// knew neither epochs nor conformance profiles.
+	early := fullState()
+	early.Epoch = 0
+	got, err := Decode(bytes.NewReader(encodeV2(early, nil, nil)))
+	if err != nil || !reflect.DeepEqual(got, early) {
+		t.Fatalf("version-2 snapshot without optional sections: %v", err)
+	}
+
+	st := fullState()
+	st.Conform = warmConformProfile()
+	v2 := encodeV2(st, denseOf(1, 3, 0.2, 0.3, 0.5), denseOf(2, 3, 1, 2, 3, 4, 5, 6))
+	got, err = Decode(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatalf("version-2 snapshot rejected: %v", err)
+	}
+	v3 := mustEncode(t, st)
+	if !bytes.Equal(mustEncode(t, got), v3) {
+		t.Fatal("version-2 snapshot decodes to a different state than its version-3 encoding")
+	}
+	if len(v3) >= len(v2) {
+		t.Fatalf("version 3 is %d bytes, version 2 %d: want smaller", len(v3), len(v2))
+	}
+	if _, err := Decode(bytes.NewReader(reframe(Version, payloadOf(v2)))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("fixed-width body under a version-3 header: got %v, want ErrCorrupt", err)
+	}
+	if _, err := Decode(bytes.NewReader(reframe(1, payloadOf(v2)))); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 1: got %v, want ErrVersion", err)
 	}
 }

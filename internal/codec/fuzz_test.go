@@ -7,9 +7,10 @@ import (
 )
 
 // FuzzDecode hammers the snapshot decoder with hostile bytes. The corpus
-// is seeded from the checked-in golden fixture plus in-memory encodings
-// (full and minimal states) and targeted mutations of them, so the fuzzer
-// starts inside the format and walks outward — exactly the byte streams
+// is seeded from the checked-in golden fixtures of both readable versions
+// (compact version 3, fixed-width version 2) plus in-memory encodings and
+// targeted mutations of them, so the fuzzer starts inside both widths of
+// the format and walks outward — exactly the byte streams
 // the cluster hand-off path (PUT restore of an attacker-supplied body)
 // must survive. Three properties are enforced on every input:
 //
@@ -19,7 +20,11 @@ import (
 //  3. the re-encoding must decode again to the identical byte encoding —
 //     the determinism contract equal states sign up for.
 func FuzzDecode(f *testing.F) {
-	if golden, err := os.ReadFile("../../testdata/golden_v2.snap"); err == nil {
+	for _, fixture := range []string{"../../testdata/golden_v3.snap", "../../testdata/golden_v2.snap"} {
+		golden, err := os.ReadFile(fixture)
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(golden)
 		// A bit-flip and a truncation of the golden fixture as explicit
 		// hostile seeds.
@@ -28,18 +33,11 @@ func FuzzDecode(f *testing.F) {
 		f.Add(flip)
 		f.Add(golden[:len(golden)*2/3])
 	}
-	var full bytes.Buffer
-	if err := Encode(&full, fullState()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(full.Bytes())
-	var withEpoch bytes.Buffer
+	f.Add(mustEncode(f, fullState()))
 	st := fullState()
 	st.Epoch = 42
-	if err := Encode(&withEpoch, st); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(withEpoch.Bytes())
+	f.Add(mustEncode(f, st))
+	f.Add(encodeV2(st, nil, nil))
 	f.Add([]byte("TRICSNAP"))
 	f.Add([]byte{})
 

@@ -1,9 +1,9 @@
 // repl.go defines the replication wire frame: the body of
 // POST /v1/replica/{topic}/append, by which a topic's primary ships its
 // journal tail (and, on first contact or after a compaction, the full
-// base snapshot) to the topic's ring successors. The frame reuses the
-// snapshot format's primitive layer and framing idiom: little-endian
-// fields, a magic + version prelude, and a trailing CRC-32C over
+// base snapshot) to the topic's ring successors. The frame is built from
+// the fixed-width wire primitives (wire.go) and the snapshot format's
+// framing idiom: a magic + version prelude, and a trailing CRC-32C over
 // everything before it, so a truncated or corrupted ship is rejected
 // whole — a follower never applies half a frame.
 package codec

@@ -1,12 +1,17 @@
-// wire.go exposes the snapshot format's primitive layer — little-endian
+// wire.go holds the fixed-width stream primitives — little-endian 8-byte
 // integers, IEEE-754 floats, length-prefixed strings and slices, and the
-// CRC-32C (Castagnoli) checksum — so sibling on-disk formats (the batch
-// journal) share one wire idiom instead of reinventing framing.
+// CRC-32C (Castagnoli) checksum — that the batch journal, the binary
+// batch frames and the replication frames are built from. Their layout is
+// pinned byte for byte by those formats' own versions and fixtures; the
+// snapshot format's compact primitives are in codec.go and share only the
+// decoder, which reads both widths.
 package codec
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"triclust/internal/tgraph"
 )
@@ -23,60 +28,81 @@ func ChecksumUpdate(crc uint32, p []byte) uint32 {
 	return crc32.Update(crc, castagnoli, p)
 }
 
-// WireEncoder writes the snapshot format's primitives to a stream. Errors
-// are sticky: the first write failure is retained and later calls are
+// WireEncoder writes the fixed-width primitives to a stream. Errors are
+// sticky: the first write failure is retained and later calls are
 // no-ops, so callers check Err once after encoding.
 type WireEncoder struct {
-	enc encoder
+	w   io.Writer
+	err error
 }
 
 // NewWireEncoder returns an encoder writing to w.
 func NewWireEncoder(w io.Writer) *WireEncoder {
-	return &WireEncoder{enc: encoder{w: w}}
+	return &WireEncoder{w: w}
 }
 
 // Err returns the first write error, if any.
-func (e *WireEncoder) Err() error { return e.enc.err }
+func (e *WireEncoder) Err() error { return e.err }
+
+func (e *WireEncoder) write(p []byte) {
+	if e.err == nil {
+		_, e.err = e.w.Write(p)
+	}
+}
 
 // Uint writes a little-endian uint64.
-func (e *WireEncoder) Uint(v uint64) { e.enc.uint(v) }
+func (e *WireEncoder) Uint(v uint64) { e.write(binary.LittleEndian.AppendUint64(nil, v)) }
 
 // Int writes a two's-complement int64.
-func (e *WireEncoder) Int(v int64) { e.enc.int(v) }
+func (e *WireEncoder) Int(v int64) { e.Uint(uint64(v)) }
 
 // Bool writes a single 0/1 byte.
-func (e *WireEncoder) Bool(v bool) { e.enc.bool(v) }
+func (e *WireEncoder) Bool(v bool) {
+	if v {
+		e.write([]byte{1})
+	} else {
+		e.write([]byte{0})
+	}
+}
 
 // Float writes a float64 as its IEEE-754 bits, little-endian.
-func (e *WireEncoder) Float(v float64) { e.enc.float(v) }
+func (e *WireEncoder) Float(v float64) { e.Uint(math.Float64bits(v)) }
 
 // String writes a length-prefixed string.
-func (e *WireEncoder) String(s string) { e.enc.string(s) }
+func (e *WireEncoder) String(s string) {
+	e.Uint(uint64(len(s)))
+	e.write([]byte(s))
+}
 
 // StringSlice writes a length-prefixed string slice.
-func (e *WireEncoder) StringSlice(ss []string) { e.enc.stringSlice(ss) }
+func (e *WireEncoder) StringSlice(ss []string) {
+	e.Uint(uint64(len(ss)))
+	for _, s := range ss {
+		e.String(s)
+	}
+}
 
 // Tweet writes one tweet, preserving the nil-vs-empty distinction of its
 // Tokens (nil means "tokenize the text", so replay must reproduce it).
 func (e *WireEncoder) Tweet(tw *tgraph.Tweet) {
-	e.enc.string(tw.Text)
-	e.enc.bool(tw.Tokens != nil)
-	e.enc.stringSlice(tw.Tokens)
-	e.enc.int(int64(tw.User))
-	e.enc.int(int64(tw.Time))
-	e.enc.int(int64(tw.RetweetOf))
-	e.enc.int(int64(tw.Label))
+	e.String(tw.Text)
+	e.Bool(tw.Tokens != nil)
+	e.StringSlice(tw.Tokens)
+	e.Int(int64(tw.User))
+	e.Int(int64(tw.Time))
+	e.Int(int64(tw.RetweetOf))
+	e.Int(int64(tw.Label))
 }
 
-// WireDecoder reads the snapshot format's primitives from a byte slice.
-// Errors are sticky and out-of-bounds reads fail with ErrCorrupt.
+// WireDecoder reads the fixed-width primitives from a byte slice. Errors
+// are sticky and out-of-bounds reads fail with ErrCorrupt.
 type WireDecoder struct {
 	dec decoder
 }
 
 // NewWireDecoder returns a decoder over buf.
 func NewWireDecoder(buf []byte) *WireDecoder {
-	return &WireDecoder{dec: decoder{buf: buf}}
+	return &WireDecoder{dec: decoder{buf: buf, fixed: true}}
 }
 
 // Err returns the first decode error, if any.

@@ -51,10 +51,13 @@ type State struct {
 	// Online is the solver's mutable state.
 	Online *core.OnlineState
 
-	// LastFactors optionally carries the factor matrices of the most
-	// recent solve, so fold-in prediction works immediately after a
-	// restore. Nil when the topic never solved (or the exporter chose not
-	// to include them); Restore tolerates nil.
+	// LastFactors optionally carries Sf, Hp and Hu of the most recent
+	// solve, so fold-in prediction and the read view work immediately
+	// after a restore. Sp and Su describe one batch's tweets and users,
+	// nothing after a restore reads them, and they are not part of the
+	// state: the codec does not store them. Nil when the topic never
+	// solved (or the exporter chose not to include them); Restore
+	// tolerates nil.
 	LastFactors *core.Factors
 
 	// Epoch is the topic's ownership epoch in a sharded deployment: 0 for
@@ -239,12 +242,6 @@ func validateStateShapes(st *State) error {
 		if !f.Hp.Dims(k, k) || !f.Hu.Dims(k, k) {
 			return fmt.Errorf("engine: last association cores are %dx%d / %dx%d, want %dx%d",
 				f.Hp.Rows(), f.Hp.Cols(), f.Hu.Rows(), f.Hu.Cols(), k, k)
-		}
-		if f.Sp != nil && f.Sp.Cols() != k {
-			return fmt.Errorf("engine: last Sp has %d columns, want k=%d", f.Sp.Cols(), k)
-		}
-		if f.Su != nil && f.Su.Cols() != k {
-			return fmt.Errorf("engine: last Su has %d columns, want k=%d", f.Su.Cols(), k)
 		}
 	}
 	return nil

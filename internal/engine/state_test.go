@@ -31,8 +31,6 @@ func validFactors(st *State) *core.Factors {
 	k := st.Config.K
 	words := len(st.VocabWords)
 	return &core.Factors{
-		Sp: mat.NewDense(4, k),
-		Su: mat.NewDense(4, k),
 		Sf: mat.NewDense(words, k),
 		Hp: mat.NewDense(k, k),
 		Hu: mat.NewDense(k, k),
@@ -71,9 +69,6 @@ func TestRestoreSessionRejectsIncoherentState(t *testing.T) {
 		}},
 		{"factors core shape", func(st *State) {
 			st.LastFactors.Hp = mat.NewDense(st.Config.K, st.Config.K+1)
-		}},
-		{"factors Sp columns", func(st *State) {
-			st.LastFactors.Sp = mat.NewDense(4, st.Config.K+1)
 		}},
 	}
 	for _, tc := range cases {

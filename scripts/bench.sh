@@ -50,7 +50,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-LIB_BENCHES='BenchmarkProcessWarm|BenchmarkOnlineStep|BenchmarkOfflineFit|BenchmarkTable4TweetComparison|BenchmarkTable5UserComparison|BenchmarkTokenizePipeline|BenchmarkGraphBuild'
+LIB_BENCHES='BenchmarkProcessWarm|BenchmarkOnlineStep|BenchmarkOfflineFit|BenchmarkTable4TweetComparison|BenchmarkTable5UserComparison|BenchmarkTokenizePipeline|BenchmarkGraphBuild|BenchmarkSnapshot|BenchmarkRestore'
 
 go test -run xxx -bench "$LIB_BENCHES" -benchtime "$BENCHTIME" -benchmem . | tee -a "$RAW"
 # The daemon persistence bench runs at -cpu 1,4: the hot path (solver +
@@ -105,7 +105,7 @@ BEGIN { n = 0 }
         name = substr(name, 1, RSTART - 1)
     }
     iters = $2
-    ns = ""; bytes = ""; allocs = ""; p99 = ""; max = ""; batches = ""
+    ns = ""; bytes = ""; allocs = ""; p99 = ""; max = ""; batches = ""; snap = ""
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op") ns = $i
         if ($(i+1) == "B/op") bytes = $i
@@ -113,6 +113,7 @@ BEGIN { n = 0 }
         if ($(i+1) == "p99-ns") p99 = $i
         if ($(i+1) == "max-ns") max = $i
         if ($(i+1) == "batches") batches = $i
+        if ($(i+1) == "snapshot-bytes") snap = $i
     }
     rec = sprintf("  {\"name\": \"%s\", \"iterations\": %s", name, iters)
     if (cpus != "")    rec = rec sprintf(", \"cpus\": %s", cpus)
@@ -122,6 +123,7 @@ BEGIN { n = 0 }
     if (p99 != "")     rec = rec sprintf(", \"p99_ns\": %s", p99)
     if (max != "")     rec = rec sprintf(", \"max_ns\": %s", max)
     if (batches != "") rec = rec sprintf(", \"batches\": %s", batches)
+    if (snap != "")    rec = rec sprintf(", \"snapshot_bytes\": %s", snap)
     rec = rec "}"
     recs[n++] = rec
 }

@@ -457,24 +457,26 @@ func (t *Topic) StreamPos() (batches int, randDraws uint64) {
 }
 
 // Snapshot serializes the topic's complete state — configuration,
-// lexicon, vocabulary, Sf0 prior, solver factors and history, user
+// lexicon, vocabulary, Sf0 prior, feature factors and history, user
 // history and random-stream position — as a self-describing, versioned
 // binary snapshot. A topic restored from it continues the stream
 // bit-identically (at a fixed kernel parallelism width). Equal states
-// produce byte-identical snapshots.
+// produce byte-identical snapshots, and the size does not depend on how
+// many tweets the last batch held: the per-tweet and per-user factors of
+// a solve are results, not state.
 func (t *Topic) Snapshot(w io.Writer) error {
 	st := func() *engine.State {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		st := t.sess.ExportState()
-		if t.last != nil {
-			st.LastFactors = &t.last.Factors
+		if f := t.last; f != nil {
+			st.LastFactors = &core.Factors{Sf: f.Sf, Hp: f.Hp, Hu: f.Hu}
 		}
 		st.Epoch = t.epoch
 		return st
 	}()
-	// Encoding streams to w outside the lock so a slow writer — e.g. a
-	// stalled snapshot download — cannot block Process or FitCorpus. This
+	// Encoding and writing happen outside the lock so a slow writer — e.g.
+	// a stalled snapshot download — cannot block Process or FitCorpus. This
 	// is safe: st is a deep copy, and t.last's factors are replaced, never
 	// mutated, once a solve publishes them.
 	return codec.Encode(w, st)

@@ -265,6 +265,94 @@ func TestTopicPredictAfterRestore(t *testing.T) {
 	}
 }
 
+// TestSnapshotHoldsStateNotResults: the tweet and user factors of the last
+// solve are that solve's results — nothing a restored topic does reads
+// them — so the snapshot must not carry them: fitting twice the tweets
+// over the same vocabulary and users leaves its length unchanged, and a
+// topic restored without them still predicts, estimates and continues
+// the stream exactly as the original.
+func TestSnapshotHoldsStateNotResults(t *testing.T) {
+	d := demoCorpus(t, 13)
+	restored := func(tp *triclust.Topic) *triclust.Topic {
+		t.Helper()
+		out, err := triclust.Restore(bytes.NewReader(snapshotBytes(t, tp)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	docs := [][]string{{"love", "great", "win"}, {"awful", "scam"}, {"unseen"}}
+	samePredictions := func(a, b *triclust.Topic) {
+		t.Helper()
+		want, err := a.PredictTokenized(docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.PredictTokenized(docs)
+		if err != nil {
+			t.Fatalf("PredictTokenized after restore: %v", err)
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("prediction %d: %+v vs %+v", i, want[i], got[i])
+			}
+		}
+	}
+
+	// Offline: n tweets, then the same n twice. With min_df 1 both fits
+	// freeze the same vocabulary; the user universe is the topic's.
+	once := dayBatches(d, 8)[0]
+	twice := append(append([]triclust.Tweet(nil), once...), once...)
+	fit := func(tweets []triclust.Tweet) *triclust.Topic {
+		t.Helper()
+		tp, err := triclust.NewTopic(d.Corpus.Users, triclust.WithMinDF(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tp.FitCorpus(&triclust.Corpus{Tweets: tweets, Users: d.Corpus.Users}); err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+	small, large := fit(once), fit(twice)
+	if a, b := len(snapshotBytes(t, small)), len(snapshotBytes(t, large)); a != b {
+		t.Fatalf("snapshot is %d bytes after fitting %d tweets, %d after %d: it holds per-tweet results",
+			a, len(once), b, len(twice))
+	}
+	samePredictions(large, restored(large))
+
+	// Online: a restored topic answers reads as the original and takes
+	// the next batch to bit-identical factors.
+	batches := dayBatches(d, 8)
+	live, err := triclust.NewTopic(d.Corpus.Users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for day := 0; day < 3; day++ {
+		if _, err := live.Process(day, batches[day]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twin := restored(live)
+	samePredictions(live, twin)
+	for u := range d.Corpus.Users {
+		want, wok := live.UserEstimate(u)
+		got, gok := twin.UserEstimate(u)
+		if wok != gok || want != got {
+			t.Fatalf("user %d estimate: %+v/%v vs %+v/%v", u, want, wok, got, gok)
+		}
+	}
+	a, err := live.Process(3, batches[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := twin.Process(3, batches[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameStep(t, 3, a, b, 0)
+}
+
 // TestRestoreRejectsCorruption flips every 7th byte of a valid snapshot
 // (and truncates it at several lengths) and requires Restore to reject
 // each mutation rather than restore silently-wrong state.
