@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"triclust/internal/store"
 )
 
 // benchUsers / benchVocab shape the benchmark topic: a large user
@@ -25,7 +27,7 @@ const (
 
 // benchDaemon boots a persistent daemon and warms one topic: a frozen
 // vocabulary and one wide batch giving every user recorded history.
-func benchDaemon(b *testing.B, opts journalOptions) (*server, *httptest.Server, *int) {
+func benchDaemon(b *testing.B, opts store.Options) (*server, *httptest.Server, *int) {
 	b.Helper()
 	s, err := newServer(b.TempDir(), serverOptions{journal: opts}, nil)
 	if err != nil {
@@ -112,7 +114,7 @@ func BenchmarkDaemonBatchPersist(b *testing.B) {
 	// digits (the GOMAXPROCS suffix is only appended on multi-core
 	// runners, so a trailing number would be ambiguous).
 	b.Run("journal-amortized", func(b *testing.B) {
-		_, srv, day := benchDaemon(b, journalOptions{})
+		_, srv, day := benchDaemon(b, store.Options{})
 		client := srv.Client()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -153,7 +155,7 @@ func BenchmarkReadsUnderIngest(b *testing.B) {
 			// snapshot encode + fsync — the longest span the write path
 			// ever serializes — so the lock is held for most of the
 			// measurement window.
-			s, _, day := benchDaemon(b, journalOptions{Every: 1})
+			s, _, day := benchDaemon(b, store.Options{Every: 1})
 
 			// Continuous ingest until the readers are done.
 			stop := make(chan struct{})

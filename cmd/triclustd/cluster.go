@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"triclust/internal/cluster"
+	"triclust/internal/store"
 )
 
 // Cluster mode shards the topic registry across processes. Each shard is
@@ -221,8 +222,9 @@ func (s *server) forward(w http.ResponseWriter, r *http.Request, target string, 
 	// Content-Type selects the request format and Accept the response
 	// format on the owning shard, so both must survive the hop — a
 	// binary batch proxied without them would decode as JSON and answer
-	// in the wrong format.
-	for _, h := range []string{"Content-Type", "Accept"} {
+	// in the wrong format. If-None-Match carries the read plane's
+	// conditional poll: without it a proxied read never answers 304.
+	for _, h := range []string{"Content-Type", "Accept", "If-None-Match"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}
@@ -234,7 +236,11 @@ func (s *server) forward(w http.ResponseWriter, r *http.Request, target string, 
 		return
 	}
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Content-Disposition", shardHeader} {
+	// Back across the hop goes everything the owner's answer means beyond
+	// its body: the validator and cache policy of a read, the retry hint
+	// and degraded marker of a storage refusal, the fencing epoch of a 409.
+	for _, h := range []string{"Content-Type", "Content-Disposition", shardHeader,
+		"ETag", "Cache-Control", "Retry-After", degradedHeader, epochHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -254,15 +260,7 @@ func (s *server) setMoved(name string, ts cluster.Tombstone) error {
 	s.mu.Lock()
 	s.moved[name] = ts
 	s.mu.Unlock()
-	if s.store == nil {
-		return nil
-	}
-	l := s.lockName(name)
-	defer s.unlockName(name, l)
-	if err := cluster.WriteTombstone(s.store.fs, s.store.dir, name, ts); err != nil {
-		return err
-	}
-	return s.store.syncDir()
+	return s.store.SetTombstone(name, ts)
 }
 
 // clearMoved undoes setMoved after a failed hand-off.
@@ -270,12 +268,7 @@ func (s *server) clearMoved(name string) {
 	s.mu.Lock()
 	delete(s.moved, name)
 	s.mu.Unlock()
-	if s.store == nil {
-		return
-	}
-	l := s.lockName(name)
-	defer s.unlockName(name, l)
-	if err := cluster.RemoveTombstone(s.store.fs, s.store.dir, name); err != nil {
+	if err := s.store.ClearTombstone(name); err != nil {
 		s.logf("remove tombstone %q: %v", name, err)
 	}
 }
@@ -322,7 +315,7 @@ func (s *server) moveTopic(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
-	if err := validTopicName(req.Topic); err != nil {
+	if err := store.ValidTopicName(req.Topic); err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidName, err)
 		return
 	}
@@ -341,7 +334,10 @@ func (s *server) moveTopic(w http.ResponseWriter, r *http.Request) {
 	case local:
 		// fall through to the live hand-off below
 	case movedOK:
-		if s.pendingHandoff(req.Topic) {
+		// A tombstone *and* the snapshot still on disk is the signature of
+		// a hand-off interrupted between fencing and installation: the
+		// topic serves nothing until a move retry completes the install.
+		if s.store.HasSnapshot(req.Topic) {
 			s.resumeMove(w, req, mv)
 			return
 		}
@@ -388,15 +384,13 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, int, st
 	}
 	// Final compaction: fold the journal tail into one fresh snapshot so
 	// the exported state is the complete, settled history.
-	if s.store != nil {
-		ok, err := s.saveIfCurrent(tp)
-		if err != nil {
-			return moveResponse{}, http.StatusInternalServerError, codeStorage,
-				fmt.Errorf("final compaction before hand-off: %w", err)
-		}
-		if !ok {
-			return moveResponse{}, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name)
-		}
+	ok, err := s.saveIfCurrent(tp)
+	if err != nil {
+		return moveResponse{}, http.StatusInternalServerError, codeStorage,
+			fmt.Errorf("final compaction before hand-off: %w", err)
+	}
+	if !ok {
+		return moveResponse{}, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name)
 	}
 
 	oldEpoch := tp.eng().Epoch()
@@ -443,7 +437,7 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, int, st
 	// journal handle, snapshot and journal files — the tombstone stays.
 	batches := tp.eng().Batches()
 	s.retire(tp)
-	s.removeStale(tp.name)
+	s.store.RemoveStale(tp.name, s.diskOf)
 	if s.repl != nil {
 		// The new primary re-seeds its own followers; this shard's
 		// shipping state for the topic is obsolete.
@@ -534,21 +528,6 @@ func (s *server) putSnapshot(target, name string, snapshot []byte) (*installResp
 	return out, nil
 }
 
-// pendingHandoff reports whether name has a tombstone *and* its snapshot
-// still on disk — the signature of a hand-off interrupted between fencing
-// and installation. Such a topic serves nothing until a move retry
-// completes the installation.
-func (s *server) pendingHandoff(name string) bool {
-	if s.store == nil {
-		return false
-	}
-	s.mu.RLock()
-	_, movedOK := s.moved[name]
-	_, local := s.topics[name]
-	s.mu.RUnlock()
-	return movedOK && !local && s.store.snapExists(name)
-}
-
 // resumeMove completes an interrupted hand-off: the tombstone recorded
 // the fencing epoch, the snapshot is still on disk, so re-export it at
 // that epoch and install it on the requested target. Retrying against a
@@ -560,19 +539,17 @@ func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.T
 			errors.New("cannot resume a hand-off onto the fencing shard"))
 		return
 	}
-	l := s.lockName(req.Topic)
-	defer s.unlockName(req.Topic, l)
 	// A real interruption fell between the final compaction and the
 	// install, so the journal should be empty — but any tail it does hold
 	// is replayed (same verified path as startup recovery) rather than
 	// silently dropping acked batches from an unexpected state.
-	rt, err := s.store.loadTopic(req.Topic, s.logf)
+	rt, err := s.store.Load(req.Topic)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, codeStorage,
 			fmt.Errorf("reload pending snapshot: %w", err))
 		return
 	}
-	tp := rt.tp
+	tp := rt.Topic
 	// The on-disk snapshot predates the epoch bump (it was the final
 	// compaction); re-stamp it with the fencing epoch before installing.
 	tp.SetEpoch(mv.Epoch)
@@ -583,13 +560,10 @@ func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.T
 	}
 	if req.Target != mv.Target {
 		mv = cluster.Tombstone{Epoch: mv.Epoch, Target: req.Target}
-		if err := cluster.WriteTombstone(s.store.fs, s.store.dir, req.Topic, mv); err != nil {
+		if err := s.setMoved(req.Topic, mv); err != nil {
 			writeError(w, http.StatusInternalServerError, codeStorage, err)
 			return
 		}
-		s.mu.Lock()
-		s.moved[req.Topic] = mv
-		s.mu.Unlock()
 	}
 	if _, err := s.installOn(req.Target, req.Topic, snap.Bytes(), mv.Epoch); err != nil {
 		// If the interrupted hand-off's original PUT did land on the
@@ -603,7 +577,9 @@ func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.T
 		}
 		s.logf("hand-off of %q to %s had already completed; finishing the local drop", req.Topic, req.Target)
 	}
-	s.store.remove(req.Topic)
+	// The leftover files go unless the topic has meanwhile come back and
+	// saved here — then they are its own.
+	s.store.RemoveStale(req.Topic, s.diskOf)
 	s.logf("resumed interrupted hand-off of %q to %s at epoch %d", req.Topic, req.Target, mv.Epoch)
 	writeJSON(w, http.StatusOK, moveResponse{
 		Topic: req.Topic, Source: s.cluster.self, Target: req.Target,
@@ -696,7 +672,7 @@ func (s *server) clusterInfo(w http.ResponseWriter, r *http.Request) {
 		Proxy:  s.cluster.proxy,
 	}
 	if name := r.URL.Query().Get("topic"); name != "" {
-		if err := validTopicName(name); err != nil {
+		if err := store.ValidTopicName(name); err != nil {
 			writeError(w, http.StatusBadRequest, codeInvalidName, err)
 			return
 		}

@@ -29,7 +29,19 @@ import (
 
 	"triclust"
 	"triclust/internal/cluster"
+	"triclust/internal/store"
 )
+
+// dirStore opens a plain store over a (stopped) shard's data directory,
+// for tests that plant or inspect files exactly as a daemon writes them.
+func dirStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{}, nil, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 // shardHandler is the switchable front of one shard. kill() swaps the
 // handler out and waits for in-flight requests to drain, so the old
@@ -314,7 +326,7 @@ func TestClusterShardingEndToEnd(t *testing.T) {
 	// is a false quarantine — and the control comparison below proves
 	// enforce leaves snapshots byte-identical to an ungated run.
 	tc := newTestCluster(t, 3, serverOptions{
-		journal: journalOptions{Every: 4, MaxBytes: 8 << 20},
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		conform: triclust.ConformEnforce,
 	}, false, true)
 
@@ -513,7 +525,7 @@ func TestClusterShardingEndToEnd(t *testing.T) {
 // the wrong shard forwards them transparently and stamps X-Triclust-Shard
 // with the shard that really served them.
 func TestClusterProxyMode(t *testing.T) {
-	tc := newTestCluster(t, 3, serverOptions{journal: journalOptions{Every: 1}}, true, false)
+	tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 1}}, true, false)
 	name := harnessTopicName(0)
 	owner := tc.ownerIdx(name)
 	wrong := (owner + 1) % 3
@@ -548,6 +560,20 @@ func TestClusterProxyMode(t *testing.T) {
 	data := fetchSnapshot(t, tc.noRedirect, tc.url(wrong)+"/v1/topics/"+name+"/snapshot")
 	if _, err := triclust.Restore(bytes.NewReader(data)); err != nil {
 		t.Fatalf("proxied snapshot does not restore: %v", err)
+	}
+	// The read plane's contract survives the hop: a proxied read carries
+	// the owner's validator and cache policy, and a conditional poll
+	// through a non-owner revalidates against it.
+	direct := getRead(t, tc.noRedirect, tc.url(owner)+"/v1/topics/"+name+"/users/1", "")
+	proxied := getRead(t, tc.noRedirect, tc.url(wrong)+"/v1/topics/"+name+"/users/1", "")
+	if direct.etag == "" || proxied.status != http.StatusOK || proxied.etag != direct.etag || proxied.cc != direct.cc {
+		t.Fatalf("proxied read answered %d with ETag %q / Cache-Control %q, the owner %q / %q",
+			proxied.status, proxied.etag, proxied.cc, direct.etag, direct.cc)
+	}
+	proxied = getRead(t, tc.noRedirect, tc.url(wrong)+"/v1/topics/"+name+"/users/1", direct.etag)
+	if proxied.status != http.StatusNotModified || proxied.etag != direct.etag {
+		t.Fatalf("proxied conditional read answered %d with ETag %q, want 304 with %q",
+			proxied.status, proxied.etag, direct.etag)
 	}
 	// A request the owner itself serves carries no forwarding.
 	code, err = doJSON(tc.noRedirect, "GET", tc.url(owner)+"/v1/topics/"+name, nil, &sum)
@@ -718,7 +744,7 @@ func errCode2(t *testing.T, client *http.Client, method, url string, body any) (
 // one shard.
 func TestClusterDeleteRacingMove(t *testing.T) {
 	for round := 0; round < 3; round++ {
-		tc := newTestCluster(t, 3, serverOptions{journal: journalOptions{Every: 2, MaxBytes: 8 << 20}}, false, true)
+		tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 2, MaxBytes: 8 << 20}}, false, true)
 		name := harnessTopicName(9)
 		src := tc.ownerIdx(name)
 		dst := (src + 1) % 3
@@ -813,7 +839,7 @@ func TestClusterDeleteRacingMove(t *testing.T) {
 // target: after restart the source refuses the topic's writes but keeps
 // the snapshot, and retrying the move completes the hand-off.
 func TestClusterInterruptedHandoffResume(t *testing.T) {
-	tc := newTestCluster(t, 3, serverOptions{journal: journalOptions{Every: 4, MaxBytes: 8 << 20}}, false, true)
+	tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}}, false, true)
 	name := harnessTopicName(3)
 	src := tc.ownerIdx(name)
 	dst := (src + 2) % 3
@@ -825,7 +851,7 @@ func TestClusterInterruptedHandoffResume(t *testing.T) {
 	// Crash mid-hand-off: kill the shard, then write the fencing
 	// tombstone exactly as moveTopic would have just before its PUT.
 	tc.shards[src].sh.kill()
-	if err := cluster.WriteTombstone(nil, tc.shards[src].dir, name, cluster.Tombstone{Epoch: 1, Target: tc.url(dst)}); err != nil {
+	if err := dirStore(t, tc.shards[src].dir).SetTombstone(name, cluster.Tombstone{Epoch: 1, Target: tc.url(dst)}); err != nil {
 		t.Fatal(err)
 	}
 	tc.boot(src)

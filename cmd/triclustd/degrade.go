@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -64,10 +62,10 @@ func (o storageOptions) withDefaults() storageOptions {
 // storageMonitor runs the disk-degraded state machine: it counts
 // durable-write failures per topic, degrades topics (and past a
 // threshold the shard) into read-only, probes the data directory with
-// real write+fsync cycles while anything is degraded, and recovers
-// topics — reload from disk if parked, then a proving compaction save —
-// once writes succeed again. One monitor per server; nil when the
-// server has no store (nothing durable can fail).
+// real write+fsync cycles (the store's Probe) while anything is degraded,
+// and recovers topics — reload from disk if parked, then a proving
+// compaction save — once writes succeed again. One monitor per server; nil
+// when the server has no store (nothing durable can fail).
 type storageMonitor struct {
 	s    *server
 	opts storageOptions
@@ -121,7 +119,8 @@ func (m *storageMonitor) noteSuccess(tp *topic) {
 }
 
 // noteFailure records a failed durable write on tp, degrading the topic
-// once failures look persistent. Callers hold tp.mu.
+// once failures look persistent — or at once if tp lost its journal, which
+// only the write probe's compaction re-creates. Callers hold tp.mu.
 func (m *storageMonitor) noteFailure(tp *topic, err error) {
 	if m == nil {
 		return
@@ -130,7 +129,7 @@ func (m *storageMonitor) noteFailure(tp *topic, err error) {
 	msg := err.Error()
 	m.lastErr.Store(&msg)
 	n := int(tp.storFails.Add(1))
-	if n >= m.opts.DegradeAfter || errors.Is(err, syscall.ENOSPC) || errors.Is(err, errNoJournal) {
+	if n >= m.opts.DegradeAfter || errors.Is(err, syscall.ENOSPC) || !tp.disk.HasJournal() {
 		if tp.storage.CompareAndSwap(stOK, stDegraded) {
 			m.s.logf("topic %q storage-degraded after %d consecutive durable-write failures: %v", tp.name, n, err)
 		}
@@ -266,7 +265,7 @@ func (m *storageMonitor) probeLoop(stop chan struct{}) {
 		case <-t.C:
 		}
 		m.probes.Add(1)
-		if err := m.probeWrite(); err != nil {
+		if err := m.s.store.Probe(); err != nil {
 			msg := "probe failed: " + err.Error()
 			m.lastProbe.Store(&msg)
 			continue
@@ -296,31 +295,6 @@ func (m *storageMonitor) probeLoop(stop chan struct{}) {
 			return
 		}
 	}
-}
-
-// probeWrite proves the data directory accepts durable writes: create,
-// write, fsync and remove a probe file through the store's fault.FS —
-// so an injected ENOSPC budget (or a real full disk) fails the probe
-// exactly like it fails a journal append.
-func (m *storageMonitor) probeWrite() error {
-	st := m.s.store
-	path := filepath.Join(st.dir, ".storage-probe")
-	f, err := st.fs.OpenFile("storage.probe.open", path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write("storage.probe.write", []byte("probe")); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync("storage.probe.sync"); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return st.fs.Remove("storage.probe.remove", path)
 }
 
 // recoverTopic brings one degraded/parked topic back: a parked topic is

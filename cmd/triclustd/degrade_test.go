@@ -8,20 +8,29 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"triclust/internal/fault"
 	"triclust/internal/journal"
+	"triclust/internal/store"
 )
 
 // faultServer builds one daemon whose durable writes go through the
 // given fault.FS, with a fast storage probe so degraded-mode tests
 // converge in milliseconds.
-func faultServer(t *testing.T, fs fault.FS, jopts journalOptions, sopts storageOptions) (*server, *httptest.Server) {
+func faultServer(t *testing.T, fs fault.FS, jopts store.Options, sopts storageOptions) (*server, *httptest.Server) {
 	t.Helper()
-	s, err := newServer(t.TempDir(), serverOptions{journal: jopts, fs: fs, storage: sopts}, t.Logf)
+	return faultServerAt(t, t.TempDir(), fs, jopts, sopts)
+}
+
+// faultServerAt is faultServer over a data directory the test keeps, to
+// inspect or reopen it afterwards.
+func faultServerAt(t *testing.T, dir string, fs fault.FS, jopts store.Options, sopts storageOptions) (*server, *httptest.Server) {
+	t.Helper()
+	s, err := newServer(dir, serverOptions{journal: jopts, fs: fs, storage: sopts}, t.Logf)
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
 	}
@@ -29,6 +38,15 @@ func faultServer(t *testing.T, fs fault.FS, jopts journalOptions, sopts storageO
 	hs := httptest.NewServer(s)
 	t.Cleanup(hs.Close)
 	return s, hs
+}
+
+// sabotageJournal makes the next journal append fail the way a dead disk
+// would: the write errors, and so does the truncate that would tidy up
+// after it, so the topic loses its journal.
+func sabotageJournal(script *fault.Script) {
+	dead := errors.New("injected: journal device gone")
+	script.AddRule(fault.Rule{Site: "journal.append.write", Hit: script.Hits("journal.append.write") + 1, Err: dead})
+	script.AddRule(fault.Rule{Site: "journal.truncate.truncate", Hit: script.Hits("journal.truncate.truncate") + 1, Err: dead})
 }
 
 func degradeCreateReq(name string) createTopicRequest {
@@ -70,7 +88,8 @@ func awaitStorageState(t *testing.T, client *http.Client, base, want string) hea
 // restart.
 func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
 	script := fault.NewScript()
-	s, hs := faultServer(t, script, journalOptions{Every: 100},
+	dir := t.TempDir()
+	s, hs := faultServerAt(t, dir, script, store.Options{Every: 100},
 		storageOptions{ShardAfter: 2, ProbeInterval: 20 * time.Millisecond})
 	client := hs.Client()
 
@@ -154,7 +173,7 @@ func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
 	}
 
 	// The recovered state must be exactly what a restart would serve.
-	s2, err := newServer(s.store.dir, serverOptions{journal: journalOptions{Every: 100}}, t.Logf)
+	s2, err := newServer(dir, serverOptions{journal: store.Options{Every: 100}}, t.Logf)
 	if err != nil {
 		t.Fatalf("re-open after recovery: %v", err)
 	}
@@ -191,7 +210,7 @@ func TestParkedTopicAfterFailedRollback(t *testing.T) {
 		// ...and the rollback cannot re-read the snapshot either.
 		fault.Rule{Site: "persist.snap.read", Err: injectRead},
 	)
-	s, hs := faultServer(t, script, journalOptions{Every: 100},
+	s, hs := faultServer(t, script, store.Options{Every: 100},
 		storageOptions{ProbeInterval: 20 * time.Millisecond})
 	client := hs.Client()
 
@@ -257,7 +276,7 @@ func TestParkedTopicAfterFailedRollback(t *testing.T) {
 // recovers the batch from the journal, and the next batch compacts.
 func TestCompactionFailureKeepsAck(t *testing.T) {
 	const name = "compact"
-	opts := journalOptions{Every: 3}
+	opts := store.Options{Every: 3}
 	feed := func(s *server, from, to int) {
 		t.Helper()
 		for day := from; day <= to; day++ {
@@ -274,7 +293,8 @@ func TestCompactionFailureKeepsAck(t *testing.T) {
 
 	// The create's save is the first rename; batch 3's compaction the second.
 	script := fault.NewScript(fault.Rule{Site: "persist.snap.rename", Hit: 2, Err: errors.New("injected rename failure")})
-	s, hs := faultServer(t, script, opts, storageOptions{})
+	dir := t.TempDir()
+	s, hs := faultServerAt(t, dir, script, opts, storageOptions{})
 	matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name))
 	feed(s, 1, 3)
 	var hr healthResponse
@@ -287,7 +307,7 @@ func TestCompactionFailureKeepsAck(t *testing.T) {
 
 	// A crash right now loses nothing: the journal holds all three batches.
 	crashDir := t.TempDir()
-	if err := os.CopyFS(crashDir, os.DirFS(s.store.dir)); err != nil {
+	if err := os.CopyFS(crashDir, os.DirFS(dir)); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := newServer(crashDir, serverOptions{journal: opts}, t.Logf)
@@ -302,7 +322,7 @@ func TestCompactionFailureKeepsAck(t *testing.T) {
 
 	// The compaction is retried by the next batch.
 	feed(s, 4, 4)
-	j, err := journal.Load(fault.OS, s.store.journalPath(name))
+	j, err := journal.Load(fault.OS, filepath.Join(dir, name+".journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +345,8 @@ func TestCompactionFailureKeepsAck(t *testing.T) {
 func TestJournalRecreateFailureDegrades(t *testing.T) {
 	const name = "nojournal"
 	script := fault.NewScript()
-	s, hs := faultServer(t, script, journalOptions{Every: 2},
+	dir := t.TempDir()
+	s, hs := faultServerAt(t, dir, script, store.Options{Every: 2},
 		storageOptions{ProbeInterval: 20 * time.Millisecond})
 	client := hs.Client()
 	url := hs.URL + "/v1/topics/" + name + "/batches"
@@ -364,7 +385,7 @@ func TestJournalRecreateFailureDegrades(t *testing.T) {
 	if code, ec := errCode(t, client, "POST", url, degradeBatch(3)); code != http.StatusOK {
 		t.Fatalf("batch 3 after recovery: %d %s", code, ec)
 	}
-	s2, err := newServer(s.store.dir, serverOptions{}, t.Logf)
+	s2, err := newServer(dir, serverOptions{}, t.Logf)
 	if err != nil {
 		t.Fatalf("re-open after recovery: %v", err)
 	}
@@ -391,13 +412,18 @@ func TestDegradedRecoveryReconvergesReplication(t *testing.T) {
 	script := fault.NewScript()
 	fss := [2]fault.FS{script, nil}
 	var servers [2]*server
+	followerDir := ""
 	for i := range servers {
 		cc, err := newClusterConfig(urls[i], strings.Join(urls, ","), 32, false)
 		if err != nil {
 			t.Fatalf("cluster config %d: %v", i, err)
 		}
-		s, err := newServer(t.TempDir(), serverOptions{
-			journal: journalOptions{Every: 100},
+		dir := t.TempDir()
+		if i == 1 {
+			followerDir = dir
+		}
+		s, err := newServer(dir, serverOptions{
+			journal: store.Options{Every: 100},
 			cluster: cc,
 			repl:    &replOptions{Factor: 2, ProbeInterval: time.Hour},
 			fs:      fss[i],
@@ -432,7 +458,7 @@ func TestDegradedRecoveryReconvergesReplication(t *testing.T) {
 			t.Fatalf("batch %d: %d %s", day, code, ec)
 		}
 	}
-	if b, d := replicaPos(t, servers[1], name); b != 3 {
+	if b, d := replicaPos(t, followerDir, name); b != 3 {
 		t.Fatalf("replica at (%d,%d) before the storm, want batches 3", b, d)
 	}
 
@@ -442,7 +468,7 @@ func TestDegradedRecoveryReconvergesReplication(t *testing.T) {
 	}
 	// The refused batch shipped nothing: the follower still sits at the
 	// last durable frame.
-	if b, _ := replicaPos(t, servers[1], name); b != 3 {
+	if b, _ := replicaPos(t, followerDir, name); b != 3 {
 		t.Fatalf("replica moved to %d batches during the storm, want 3", b)
 	}
 
@@ -452,26 +478,27 @@ func TestDegradedRecoveryReconvergesReplication(t *testing.T) {
 		t.Fatalf("batch after recovery: %d %s", code, ec)
 	}
 	pb, pd := servers[0].topics[name].eng().StreamPos()
-	rb, rd := replicaPos(t, servers[1], name)
+	rb, rd := replicaPos(t, followerDir, name)
 	if pb != rb || pd != rd {
 		t.Fatalf("replication diverged after recovery: primary (%d,%d), replica (%d,%d)", pb, pd, rb, rd)
 	}
 }
 
-// replicaPos reads a follower's durable replica position from disk: the
+// replicaPos reads a follower's durable replica position from its data
+// directory: the
 // base snapshot's fingerprint advanced by the fsynced tail frames.
-func replicaPos(t *testing.T, s *server, name string) (int, uint64) {
+func replicaPos(t *testing.T, dir, name string) (int, uint64) {
 	t.Helper()
-	data, err := os.ReadFile(s.store.replMetaPath(name))
+	data, err := os.ReadFile(filepath.Join(dir, name+".rmeta"))
 	if err != nil {
 		t.Fatalf("replica meta %s: %v", name, err)
 	}
-	var meta replMeta
+	var meta store.ReplicaMeta
 	if err := json.Unmarshal(data, &meta); err != nil {
 		t.Fatalf("replica meta %s: %v", name, err)
 	}
 	batches, draws := meta.Batches, meta.RandDraws
-	j, err := journal.Load(s.store.fs, s.store.replJournalPath(name))
+	j, err := journal.Load(fault.OS, filepath.Join(dir, name+".rjournal"))
 	if err != nil {
 		t.Fatalf("replica journal %s: %v", name, err)
 	}

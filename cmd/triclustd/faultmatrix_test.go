@@ -5,9 +5,9 @@ package main
 // fault.Script records the sites it sees), then each discovered site is
 // killed at its first hit and the daemon is rebooted over the surviving
 // disk image. No hand-maintained site list — a new write site added
-// anywhere in the store automatically enters the matrix, and the floor
-// assertion at the bottom fails the build if instrumentation is ever
-// ripped out wholesale.
+// anywhere in the store automatically enters the matrix, and the
+// assertion at the bottom fails the build if any of the sites covered
+// today is lost in a later refactor.
 //
 // Four workloads cover the durable-write planes:
 //
@@ -24,7 +24,8 @@ package main
 // every acknowledged batch survives, nothing beyond what was attempted
 // appears, recovery itself never fails, the recovered state is
 // byte-identical to a control run at the same position, a second restart
-// reproduces it bit-for-bit, and the reopened daemon accepts writes.
+// reproduces it bit-for-bit, the reopened daemon accepts writes, and the
+// reboot leaves no *.tmp* file of an interrupted atomic replace behind.
 
 import (
 	"bytes"
@@ -38,8 +39,10 @@ import (
 	"testing"
 	"time"
 
+	"triclust/internal/cluster"
 	"triclust/internal/codec"
 	"triclust/internal/fault"
+	"triclust/internal/store"
 )
 
 const (
@@ -47,10 +50,10 @@ const (
 	mxDays  = 7
 )
 
-func matrixJournalOpts() journalOptions {
+func matrixJournalOpts() store.Options {
 	// Every:3 puts compactions at batches 3 and 6, so the 7-day workload
 	// crosses append-only stretches and two snapshot+rotate points.
-	return journalOptions{Every: 3, MaxBytes: 1 << 40}
+	return store.Options{Every: 3, MaxBytes: 1 << 40}
 }
 
 // matrixServe sends one request straight through ServeHTTP — no TCP, no
@@ -130,9 +133,38 @@ func captureTopic(t *testing.T, s *server, name string) *engineState {
 	return st
 }
 
+// matrixSites are the failpoint sites the matrix covered when the durable
+// writes moved behind internal/store. Discovery may find more; it must
+// never find fewer — a failpoint dropped in transit fails tier-1 here.
+var matrixSites = strings.Fields(`
+	journal.append.sync journal.append.write
+	journal.create.open journal.create.sync journal.create.write journal.load.read
+	journal.rotate.sync journal.rotate.truncate journal.rotate.write
+	persist.dir.sync persist.remove.journal persist.remove.snap
+	persist.snap.cleanup persist.snap.read persist.snap.rename persist.snap.sync persist.snap.tmp persist.snap.write
+	repl.meta.cleanup repl.meta.rename repl.meta.sync repl.meta.tmp repl.meta.write
+	repl.snap.cleanup repl.snap.rename repl.snap.sync repl.snap.tmp repl.snap.write
+	tombstone.cleanup tombstone.rename tombstone.sync tombstone.tmp tombstone.write`)
+
+// assertNoTempFiles fails if a rebooted daemon's data directory still
+// holds the temp file of an atomic replace a crash interrupted: each is an
+// O(state) leak nothing else would ever remove.
+func assertNoTempFiles(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Fatalf("the reboot left %s behind", e.Name())
+		}
+	}
+}
+
 func TestCrashPointMatrix(t *testing.T) {
-	// Union of every failpoint site any workload discovered; the floor
-	// assertion at the bottom is the tentpole's coverage guarantee.
+	// Union of every failpoint site any workload discovered, checked
+	// against matrixSites at the bottom.
 	allSites := map[string]bool{}
 	noteSites := func(sites []string) {
 		for _, site := range sites {
@@ -206,6 +238,7 @@ func TestCrashPointMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("recovery after crash at %s failed: %v", site, err)
 					}
+					assertNoTempFiles(t, dir)
 					got := captureTopic(t, s2, mxTopic)
 					recovered := -1
 					if got != nil {
@@ -260,7 +293,8 @@ func TestCrashPointMatrix(t *testing.T) {
 		// folded into a fresh snapshot when records were replayed, restarted
 		// empty otherwise. Kill each of those writes on both kinds of disk
 		// image; the next boot must still serve all mxDays batches.
-		ctrl, err := newServer(t.TempDir(), serverOptions{journal: matrixJournalOpts()}, t.Logf)
+		withTail := t.TempDir() // ends one record past the compaction at batch 6
+		ctrl, err := newServer(withTail, serverOptions{journal: matrixJournalOpts()}, t.Logf)
 		if err != nil {
 			t.Fatalf("control server: %v", err)
 		}
@@ -269,7 +303,6 @@ func TestCrashPointMatrix(t *testing.T) {
 			t.Fatalf("control run acked %d batches", acked)
 		}
 		want := captureTopic(t, ctrl, mxTopic)
-		withTail := ctrl.store.dir // one record past the compaction at batch 6
 		compacted := t.TempDir()
 		if err := os.CopyFS(compacted, os.DirFS(withTail)); err != nil {
 			t.Fatal(err)
@@ -313,6 +346,7 @@ func TestCrashPointMatrix(t *testing.T) {
 							t.Fatalf("recovery after a restart crashed at %s failed: %v", site, err)
 						}
 						defer s2.Close()
+						assertNoTempFiles(t, dir)
 						got := captureTopic(t, s2, mxTopic)
 						if got == nil || got.batches != mxDays || got.draws != want.draws || !bytes.Equal(got.snap, want.snap) {
 							t.Fatalf("restart crashed at %s: recovered %+v, want the control's %d batches byte-identical", site, got, mxDays)
@@ -397,6 +431,7 @@ func TestCrashPointMatrix(t *testing.T) {
 					t.Fatalf("source reboot after crash at %s failed: %v", site, err)
 				}
 				defer s0b.Close()
+				assertNoTempFiles(t, srcDir)
 				handlers[0].swap(s0b)
 
 				// Retry the move. Depending on where the crash fell this is
@@ -483,6 +518,7 @@ func TestCrashPointMatrix(t *testing.T) {
 					// adopt them — never fail.
 					s2 := replicaMatrixServer(t, dir, nil)
 					defer s2.Close()
+					assertNoTempFiles(t, dir)
 
 					// The primary notices the lag and re-ships a full base;
 					// the follower must converge on it regardless of the
@@ -497,7 +533,7 @@ func TestCrashPointMatrix(t *testing.T) {
 					if code != http.StatusOK || ack.Batches != 3 || ack.RandDraws != 30 {
 						t.Fatalf("full re-ship after crash at %s: %d %s ack=%+v", site, code, ec, ack)
 					}
-					if b, d := replicaPos(t, s2, mxTopic); b != 3 || d != 30 {
+					if b, d := replicaPos(t, dir, mxTopic); b != 3 || d != 30 {
 						t.Fatalf("replica at (%d,%d) after re-ship, want (3,30)", b, d)
 					}
 				})
@@ -511,9 +547,10 @@ func TestCrashPointMatrix(t *testing.T) {
 	}
 	sort.Strings(union)
 	t.Logf("crash-point matrix covered %d failpoint sites: %v", len(union), union)
-	if len(union) < 15 {
-		t.Fatalf("the matrix discovered only %d failpoint sites (%v), want >= 15 — durable-write instrumentation has regressed",
-			len(union), union)
+	for _, site := range matrixSites {
+		if !allSites[site] {
+			t.Errorf("the matrix no longer discovers failpoint site %s — durable-write instrumentation has regressed", site)
+		}
 	}
 }
 
@@ -587,11 +624,57 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 	}
 	// And the source's leftovers are gone: a second retry has nothing to
 	// resume and routes to the target, which refuses the self-move.
-	if s0b.store.snapExists(name) {
+	if s0b.store.HasSnapshot(name) {
 		t.Fatal("the resumed hand-off left the source's snapshot behind")
 	}
 	if rec := matrixServe(t, s0b, "POST", "/v1/topics/"+name+"/batches", degradeBatch(50)); rec.Code != http.StatusOK {
 		t.Fatalf("batch after resume: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestMoveResumeRepointSyncsDir: resuming an interrupted hand-off onto a
+// different target than first recorded re-points the tombstone — a rename
+// like every other, so the directory must be fsynced after it or a power
+// cut can bring the old target back. The resume is crashed at its first
+// directory fsync; by then the tombstone's rename must have happened.
+func TestMoveResumeRepointSyncsDir(t *testing.T) {
+	tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}}, false, true)
+	name := harnessTopicName(3)
+	src := tc.ownerIdx(name)
+	first, second := (src+1)%3, (src+2)%3
+	tc.retryJSON("POST", tc.url(src)+"/v1/topics", harnessCreateReq(3), nil, http.StatusCreated)
+	for day := 1; day <= 3; day++ {
+		tc.retryJSON("POST", tc.url(src)+"/v1/topics/"+name+"/batches", harnessBatch(3, day), nil, http.StatusOK)
+	}
+	// Crash mid-hand-off to the first target, then reboot the source on a
+	// recording script.
+	tc.shards[src].sh.kill()
+	if err := dirStore(t, tc.shards[src].dir).SetTombstone(name, cluster.Tombstone{Epoch: 1, Target: tc.url(first)}); err != nil {
+		t.Fatal(err)
+	}
+	script := fault.NewScript()
+	tc.opts.fs = script
+	tc.boot(src)
+
+	renames := script.Hits("tombstone.rename")
+	script.AddRule(fault.Rule{Site: "persist.dir.sync", Hit: script.Hits("persist.dir.sync") + 1, Crash: true})
+	crashed := false
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := fault.AsCrash(r); !ok {
+					panic(r)
+				}
+				crashed = true
+			}
+		}()
+		matrixServe(t, tc.shards[src].srv, "POST", "/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(second)})
+	}()
+	if !crashed {
+		t.Fatal("the resumed hand-off re-pointed its tombstone without ever fsyncing the directory")
+	}
+	if got := script.Hits("tombstone.rename"); got != renames+1 {
+		t.Fatalf("the directory fsync came after %d tombstone renames, want exactly 1 before it", got-renames)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"triclust/internal/fault"
 	"triclust/internal/journal"
+	"triclust/internal/store"
 )
 
 // journalTopicName is the fixed topic every journal test drives.
@@ -109,7 +110,7 @@ func jtSummary(t *testing.T, client *http.Client, url string) topicSummary {
 // zero, not just within tolerance.
 func TestDaemonJournalCrashRecoveryBitIdentical(t *testing.T) {
 	const crashAt, total = 10, 14
-	opts := journalOptions{Every: 1 << 20, MaxBytes: 1 << 40} // no compaction during the test
+	opts := store.Options{Every: 1 << 20, MaxBytes: 1 << 40} // no compaction during the test
 
 	// Reference: the uninterrupted stream.
 	_, refSrv := testServerOpts(t, t.TempDir(), opts)
@@ -161,7 +162,7 @@ func TestDaemonJournalCrashRecoveryBitIdentical(t *testing.T) {
 // snapshots byte-for-byte with an uninterrupted run.
 func TestDaemonJournalRestartWithoutTear(t *testing.T) {
 	const stopAt, total = 5, 9
-	opts := journalOptions{Every: 3, MaxBytes: 1 << 40} // compaction mid-stream too
+	opts := store.Options{Every: 3, MaxBytes: 1 << 40} // compaction mid-stream too
 
 	_, refSrv := testServerOpts(t, t.TempDir(), opts)
 	jtCreate(t, refSrv.Client(), refSrv.URL)
@@ -193,7 +194,7 @@ func TestDaemonJournalRestartWithoutTear(t *testing.T) {
 func TestDaemonJournalBytesPerBatch(t *testing.T) {
 	const every = 8
 	dir := t.TempDir()
-	_, srv := testServerOpts(t, dir, journalOptions{Every: every, MaxBytes: 1 << 40})
+	_, srv := testServerOpts(t, dir, store.Options{Every: every, MaxBytes: 1 << 40})
 	client := srv.Client()
 	jtCreate(t, client, srv.URL)
 
@@ -271,7 +272,7 @@ func TestDaemonJournalBytesPerBatch(t *testing.T) {
 // trigger: a tiny -journal-max-bytes compacts on (nearly) every batch.
 func TestDaemonJournalMaxBytesCompaction(t *testing.T) {
 	dir := t.TempDir()
-	_, srv := testServerOpts(t, dir, journalOptions{Every: 1 << 20, MaxBytes: 64})
+	_, srv := testServerOpts(t, dir, store.Options{Every: 1 << 20, MaxBytes: 64})
 	jtCreate(t, srv.Client(), srv.URL)
 	jtFeed(t, srv.Client(), srv.URL, 0, 3)
 	info, err := os.Stat(filepath.Join(dir, journalTopicName+".journal"))
@@ -282,21 +283,6 @@ func TestDaemonJournalMaxBytesCompaction(t *testing.T) {
 	// holds at most the header (18 bytes) after each acknowledged batch.
 	if info.Size() > 64 {
 		t.Fatalf("journal grew to %d bytes despite MaxBytes=64", info.Size())
-	}
-}
-
-// TestJournalOptionsDefaults: an unset cadence field means the default,
-// never "compact on every batch" — a zero MaxBytes is exceeded by any
-// journal.
-func TestJournalOptionsDefaults(t *testing.T) {
-	for _, tc := range []struct{ in, want journalOptions }{
-		{journalOptions{}, journalOptions{Every: 64, MaxBytes: 8 << 20}},
-		{journalOptions{Every: 100}, journalOptions{Every: 100, MaxBytes: 8 << 20}},
-		{journalOptions{Every: 1, MaxBytes: 64}, journalOptions{Every: 1, MaxBytes: 64}},
-	} {
-		if got := tc.in.withDefaults(); got != tc.want {
-			t.Errorf("%+v.withDefaults() = %+v, want %+v", tc.in, got, tc.want)
-		}
 	}
 }
 
@@ -376,7 +362,7 @@ func TestFirstBatchAfterRestartAppends(t *testing.T) {
 // undecodable journal aside, and keep running.
 func TestDaemonJournalQuarantine(t *testing.T) {
 	dir := t.TempDir()
-	opts := journalOptions{Every: 1 << 20, MaxBytes: 1 << 40}
+	opts := store.Options{Every: 1 << 20, MaxBytes: 1 << 40}
 	_, srvA := testServerOpts(t, dir, opts)
 	jtCreate(t, srvA.Client(), srvA.URL)
 	jtFeed(t, srvA.Client(), srvA.URL, 0, 3)

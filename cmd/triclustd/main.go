@@ -138,6 +138,7 @@ import (
 
 	"triclust"
 	"triclust/internal/par"
+	"triclust/internal/store"
 )
 
 func main() {
@@ -159,7 +160,7 @@ func main() {
 	clusterProxy := flag.Bool("cluster-proxy", false,
 		"proxy mis-routed topic requests to the owning shard instead of 307-redirecting")
 	peerTimeout := flag.Duration("peer-timeout", 0,
-		"deadline for each inter-shard request: proxy hop, hand-off PUT, replica ship (0: 30s default)")
+		"deadline for each inter-shard request: proxy hop, hand-off PUT, replica ship (0: 30s default, 10s for replica ships)")
 	replFactor := flag.Int("replication-factor", 1,
 		"copies of every topic across the cluster: the primary plus N-1 cold replicas on ring successors (1: off)")
 	probeInterval := flag.Duration("probe-interval", time.Second,
@@ -193,7 +194,7 @@ func main() {
 		os.Exit(1)
 	}
 	opts := serverOptions{
-		journal: journalOptions{Every: *journalEvery, MaxBytes: *journalMaxBytes},
+		journal: store.Options{Every: *journalEvery, MaxBytes: *journalMaxBytes},
 		maxBody: *maxBody,
 		conform: conform,
 		storage: storageOptions{
@@ -260,8 +261,8 @@ func main() {
 	}
 
 	// Graceful shutdown: stop accepting, drain in-flight batches (each
-	// of which persists its own snapshot before responding), then write
-	// a final snapshot of every topic.
+	// durable in its topic's journal before it is acked), then compact
+	// every topic into a final snapshot.
 	logf("signal received, draining (timeout %s)", *drain)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()

@@ -13,6 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"triclust/internal/fault"
+	"triclust/internal/store"
 )
 
 // readResp is one observed read-plane response.
@@ -197,7 +200,7 @@ func TestReadPlaneETagContract(t *testing.T) {
 // client state keyed on it — survives the restart, and a poll with the
 // pre-restart validator still answers 304.
 func TestReadPlaneETagStableAcrossRestart(t *testing.T) {
-	opts := journalOptions{Every: 1 << 20, MaxBytes: 1 << 40} // force replay on restart
+	opts := store.Options{Every: 1 << 20, MaxBytes: 1 << 40} // force replay on restart
 	dir := t.TempDir()
 	_, srvA := testServerOpts(t, dir, opts)
 	jtCreate(t, srvA.Client(), srvA.URL)
@@ -378,7 +381,17 @@ func TestClusterReadersDuringMoveAndIngest(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer done.Store(true)
+		defer func() {
+			// On a loaded machine the four moves can finish before a reader
+			// has come round to its first conditional poll: let the readers
+			// run on (against the settled topic) until both read paths were
+			// seen, so the check below judges the read plane, not the
+			// scheduler.
+			for deadline := time.Now().Add(5 * time.Second); (okReads.Load() == 0 || notMod.Load() == 0) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			done.Store(true)
+		}()
 		owner, other := src, dst
 		for move := 1; move <= moveWant; move++ {
 			for i := 0; i < 2; i++ {
@@ -441,7 +454,8 @@ func TestClusterReadersDuringMoveAndIngest(t *testing.T) {
 // the rollback the validator must revert to the last durable one, per
 // the README's rollback caveat.
 func TestReadPlaneDuringJournalRollback(t *testing.T) {
-	s, hs := testServerOpts(t, t.TempDir(), journalOptions{Every: 100})
+	script := fault.NewScript()
+	s, hs := faultServer(t, script, store.Options{Every: 100}, storageOptions{})
 	client := hs.Client()
 
 	d, req := synthTopic(t, 41)
@@ -488,16 +502,7 @@ func TestReadPlaneDuringJournalRollback(t *testing.T) {
 
 	// Sabotage the journal writer and trip the rollback while the
 	// readers hammer the topic.
-	s.mu.RLock()
-	tp := s.topics[req.Name]
-	s.mu.RUnlock()
-	tp.mu.Lock()
-	if tp.jw == nil {
-		tp.mu.Unlock()
-		t.Fatal("topic has no journal writer")
-	}
-	tp.jw.Close()
-	tp.mu.Unlock()
+	sabotageJournal(script)
 	day3 := batchRequest{Time: 3, Tweets: dayTweets(d, 3)}
 	if code, ec := errCode(t, client, "POST", url, day3); code != http.StatusServiceUnavailable || ec != codeJournalWriteFailed {
 		t.Fatalf("batch on dead journal: %d %q, want 503 %q", code, ec, codeJournalWriteFailed)

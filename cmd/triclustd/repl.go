@@ -39,16 +39,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"triclust"
 	"triclust/internal/cluster"
 	"triclust/internal/codec"
-	"triclust/internal/journal"
+	"triclust/internal/store"
 )
 
 // epochHeader carries the responding shard's ownership epoch on a 409
@@ -124,25 +121,11 @@ type followerState struct {
 	synced  bool
 }
 
-// replMeta is the follower's durable description of one cold replica
-// (<topic>.rmeta, JSON): who ships it, at what epoch, and the identity +
-// fingerprint of the base snapshot its journal tail extends.
-type replMeta struct {
-	Source    string `json:"source"`
-	Epoch     uint64 `json:"epoch"`
-	SnapCRC   uint32 `json:"snap_crc"`
-	Batches   int    `json:"batches"`
-	RandDraws uint64 `json:"rand_draws"`
-}
-
-// replica is one cold replica held for a peer: its durable meta, the open
-// tail writer (lazy), and the in-memory position (base + applied tail).
+// replica is one cold replica held for a peer: the store's durable side
+// (meta, position, tail) under the lock that serializes its wire.
 type replica struct {
-	mu      sync.Mutex
-	meta    replMeta
-	jw      *journal.Writer
-	batches int
-	draws   uint64
+	mu sync.Mutex
+	store.Replica
 	dropped bool
 }
 
@@ -255,10 +238,7 @@ func (r *replicator) close() {
 	r.mu.Unlock()
 	for _, rep := range reps {
 		rep.mu.Lock()
-		if rep.jw != nil {
-			rep.jw.Close()
-			rep.jw = nil
-		}
+		rep.Close()
 		rep.mu.Unlock()
 	}
 }
@@ -636,7 +616,7 @@ func (s *server) fenceLocal(tp *topic, epoch uint64, target string) {
 	if err := s.setMoved(tp.name, cluster.Tombstone{Epoch: epoch, Target: target}); err != nil {
 		s.logf("fence %q: tombstone not persisted: %v", tp.name, err)
 	}
-	s.removeStale(tp.name)
+	s.store.RemoveStale(tp.name, s.diskOf)
 	if s.repl != nil {
 		s.repl.dropTopicState(tp.name)
 	}
@@ -690,123 +670,6 @@ func (r *replicator) forgetReplica(name string, rep *replica) {
 	r.mu.Unlock()
 }
 
-// loadReplicas restores the cold replicas found in the data directory at
-// startup: every <topic>.rmeta whose snapshot and journal agree with it.
-// A replica that fails its own consistency checks is skipped (and
-// counted), not served — the primary will re-ship a fresh base on its
-// next contact.
-func (r *replicator) loadReplicas() {
-	st := r.s.store
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		r.s.logf("replica scan: %v", err)
-		return
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".rmeta") {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), ".rmeta")
-		if err := validTopicName(name); err != nil {
-			st.quarantined.Add(1)
-			r.s.logf("skipping replica %s: %v", e.Name(), err)
-			continue
-		}
-		rep, err := r.loadReplica(name)
-		if err != nil {
-			st.quarantined.Add(1)
-			r.s.logf("skipping replica %q: %v", name, err)
-			continue
-		}
-		r.replicas[name] = rep
-		r.s.logf("loaded replica %q (source %s, epoch %d, %d batches)",
-			name, rep.meta.Source, rep.meta.Epoch, rep.batches)
-	}
-}
-
-func (r *replicator) loadReplica(name string) (*replica, error) {
-	st := r.s.store
-	data, err := st.fs.ReadFile("repl.meta.read", st.replMetaPath(name))
-	if err != nil {
-		return nil, err
-	}
-	var meta replMeta
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return nil, fmt.Errorf("meta undecodable: %w", err)
-	}
-	snap, err := st.fs.ReadFile("repl.snap.read", st.replSnapPath(name))
-	if err != nil {
-		return nil, err
-	}
-	if crc := codec.Checksum(snap); crc != meta.SnapCRC {
-		return nil, fmt.Errorf("base snapshot CRC %08x does not match meta %08x", crc, meta.SnapCRC)
-	}
-	j, err := journal.Load(st.fs, st.replJournalPath(name))
-	if err != nil {
-		return nil, fmt.Errorf("tail journal: %w", err)
-	}
-	if j.SnapCRC != meta.SnapCRC {
-		return nil, fmt.Errorf("tail journal extends snapshot %08x, meta names %08x", j.SnapCRC, meta.SnapCRC)
-	}
-	rep := &replica{meta: meta, batches: meta.Batches, draws: meta.RandDraws}
-	if n := len(j.Records); n > 0 {
-		last := j.Records[n-1]
-		rep.batches, rep.draws = last.Batches, last.RandDraws
-	}
-	return rep, nil
-}
-
-// verifyTail decodes raw journal frames and checks they chain gaplessly
-// from the position after fromBatches to exactly (wantBatches, wantDraws).
-// Nothing is written unless the whole tail verifies.
-func verifyTail(tail []byte, fromBatches, wantBatches int, fromDraws, wantDraws uint64) error {
-	prevB, prevD := fromBatches, fromDraws
-	for off := 0; off < len(tail); {
-		rec, n, ok := journal.DecodeFrame(tail[off:])
-		if !ok {
-			return errors.New("undecodable record frame in tail")
-		}
-		if rec.Batches != prevB+1 {
-			return fmt.Errorf("tail record at batch %d does not follow %d", rec.Batches, prevB)
-		}
-		prevB, prevD = rec.Batches, rec.RandDraws
-		off += n
-	}
-	if prevB != wantBatches || prevD != wantDraws {
-		return fmt.Errorf("tail ends at (batches=%d, draws=%d), frame declares (batches=%d, draws=%d)",
-			prevB, prevD, wantBatches, wantDraws)
-	}
-	return nil
-}
-
-// writeReplMeta atomically persists a replica's meta file.
-func (st *store) writeReplMeta(name string, meta replMeta) error {
-	data, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	tmp, err := st.fs.CreateTemp("repl.meta.tmp", st.dir, name+".rmeta.tmp*")
-	if err != nil {
-		return err
-	}
-	defer st.fs.Remove("repl.meta.cleanup", tmp.Name())
-	if _, err := tmp.Write("repl.meta.write", data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync("repl.meta.sync"); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := st.fs.Rename("repl.meta.rename", tmp.Name(), st.replMetaPath(name)); err != nil {
-		return err
-	}
-	return st.syncDir()
-}
-
 // replicaAppend implements POST /v1/replica/{topic}/append — the wire a
 // primary ships journal frames (and base snapshots) over. The frame is
 // verified completely — CRC, epoch fencing, gapless fingerprint chain —
@@ -825,7 +688,7 @@ func (s *server) replicaAppend(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	name := req.PathValue("topic")
-	if err := validTopicName(name); err != nil {
+	if err := store.ValidTopicName(name); err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidName, err)
 		return
 	}
@@ -890,11 +753,11 @@ func (s *server) replicaAppend(w http.ResponseWriter, req *http.Request) {
 			fmt.Errorf("replica of %q is being removed; re-ship a full base", name))
 		return
 	}
-	if rep.meta.Epoch > fr.Epoch {
-		w.Header().Set(epochHeader, strconv.FormatUint(rep.meta.Epoch, 10))
-		w.Header().Set(shardHeader, rep.meta.Source)
+	if rep.Meta.Epoch > fr.Epoch {
+		w.Header().Set(epochHeader, strconv.FormatUint(rep.Meta.Epoch, 10))
+		w.Header().Set(shardHeader, rep.Meta.Source)
 		writeError(w, http.StatusConflict, codeEpochMismatch,
-			fmt.Errorf("replica of %q is held at epoch %d; refusing frames at epoch %d", name, rep.meta.Epoch, fr.Epoch))
+			fmt.Errorf("replica of %q is held at epoch %d; refusing frames at epoch %d", name, rep.Meta.Epoch, fr.Epoch))
 		return
 	}
 	if fr.Snapshot != nil {
@@ -907,117 +770,59 @@ func (s *server) replicaAppend(w http.ResponseWriter, req *http.Request) {
 // installReplica replaces a replica's base with a shipped full snapshot.
 // rep.mu held.
 func (s *server) installReplica(w http.ResponseWriter, rep *replica, name string, fr *codec.ReplAppend) {
-	st := s.store
-	if err := verifyTail(fr.Tail, int(fr.BaseBatches), int(fr.Batches), fr.BaseRandDraws, fr.RandDraws); err != nil {
+	if err := store.VerifyTail(fr.Tail, int(fr.BaseBatches), int(fr.Batches), fr.BaseRandDraws, fr.RandDraws); err != nil {
 		writeError(w, http.StatusConflict, codeReplicaOutOfSync,
 			fmt.Errorf("shipped tail does not extend the shipped base: %w", err))
 		return
 	}
-	tmp, err := st.fs.CreateTemp("repl.snap.tmp", st.dir, name+".rsnap.tmp*")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
-	}
-	defer st.fs.Remove("repl.snap.cleanup", tmp.Name())
-	if _, err := tmp.Write("repl.snap.write", fr.Snapshot); err != nil {
-		tmp.Close()
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
-	}
-	if err := tmp.Sync("repl.snap.sync"); err != nil {
-		tmp.Close()
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
-	}
-	if err := st.fs.Rename("repl.snap.rename", tmp.Name(), st.replSnapPath(name)); err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
-	}
-	if rep.jw != nil {
-		rep.jw.Close()
-		rep.jw = nil
-	}
-	jw, err := journal.Create(st.fs, st.replJournalPath(name), fr.SnapCRC)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
-	}
-	if len(fr.Tail) > 0 {
-		if err := jw.AppendFrames(fr.Tail); err != nil {
-			jw.Close()
-			writeError(w, http.StatusInternalServerError, codeStorage, err)
-			return
-		}
-	}
-	meta := replMeta{Source: fr.Source, Epoch: fr.Epoch, SnapCRC: fr.SnapCRC,
+	meta := store.ReplicaMeta{Source: fr.Source, Epoch: fr.Epoch, SnapCRC: fr.SnapCRC,
 		Batches: int(fr.BaseBatches), RandDraws: fr.BaseRandDraws}
-	if err := st.writeReplMeta(name, meta); err != nil {
-		jw.Close()
+	if err := s.store.InstallReplica(&rep.Replica, name, meta, fr.Snapshot, fr.Tail, int(fr.Batches), fr.RandDraws); err != nil {
 		writeError(w, http.StatusInternalServerError, codeStorage, err)
 		return
 	}
-	rep.meta = meta
-	rep.jw = jw
-	rep.batches, rep.draws = int(fr.Batches), fr.RandDraws
 	rep.dropped = false
-	writeJSON(w, http.StatusOK, replAck{Batches: rep.batches, RandDraws: rep.draws})
+	writeJSON(w, http.StatusOK, replAck{Batches: rep.Batches, RandDraws: rep.Draws})
 }
 
 // appendReplica extends a replica's journal tail with shipped frames.
 // rep.mu held.
 func (s *server) appendReplica(w http.ResponseWriter, rep *replica, name string, fr *codec.ReplAppend) {
-	if rep.meta.SnapCRC == 0 && rep.meta.Source == "" {
+	if rep.Meta.SnapCRC == 0 && rep.Meta.Source == "" {
 		writeError(w, http.StatusConflict, codeReplicaOutOfSync,
 			fmt.Errorf("no replica of %q is held here; ship a full base first", name))
 		return
 	}
-	if rep.meta.Epoch != fr.Epoch || rep.meta.SnapCRC != fr.SnapCRC {
+	if rep.Meta.Epoch != fr.Epoch || rep.Meta.SnapCRC != fr.SnapCRC {
 		writeError(w, http.StatusConflict, codeReplicaOutOfSync,
 			fmt.Errorf("replica of %q holds base %08x at epoch %d, frame extends %08x at epoch %d",
-				name, rep.meta.SnapCRC, rep.meta.Epoch, fr.SnapCRC, fr.Epoch))
+				name, rep.Meta.SnapCRC, rep.Meta.Epoch, fr.SnapCRC, fr.Epoch))
 		return
 	}
-	if int(fr.Batches) <= rep.batches {
+	if int(fr.Batches) <= rep.Batches {
 		// A duplicate delivery: the original append landed but its ack was
 		// lost. Verify the claim before the idempotent ack — a same-epoch
 		// primary whose history diverged declares the right batch count
 		// with the wrong draw fingerprint, and acking it would silently
 		// bless the fork.
-		if int(fr.Batches) == rep.batches && fr.RandDraws != rep.draws {
+		if int(fr.Batches) == rep.Batches && fr.RandDraws != rep.Draws {
 			writeError(w, http.StatusConflict, codeReplicaOutOfSync,
 				fmt.Errorf("frame at batch %d declares draws %d, replica recorded %d — histories diverged",
-					fr.Batches, fr.RandDraws, rep.draws))
+					fr.Batches, fr.RandDraws, rep.Draws))
 			return
 		}
-		writeJSON(w, http.StatusOK, replAck{Batches: rep.batches, RandDraws: rep.draws})
+		writeJSON(w, http.StatusOK, replAck{Batches: rep.Batches, RandDraws: rep.Draws})
 		return
 	}
-	if err := verifyTail(fr.Tail, rep.batches, int(fr.Batches), rep.draws, fr.RandDraws); err != nil {
+	if err := store.VerifyTail(fr.Tail, rep.Batches, int(fr.Batches), rep.Draws, fr.RandDraws); err != nil {
 		writeError(w, http.StatusConflict, codeReplicaOutOfSync, err)
 		return
 	}
-	if rep.jw == nil {
-		jw, _, err := journal.Open(s.store.fs, s.store.replJournalPath(name))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeStorage, err)
-			return
-		}
-		rep.jw = jw
-	}
-	if err := rep.jw.AppendFrames(fr.Tail); err != nil {
-		if terr := rep.jw.TruncateTail(); terr != nil {
-			rep.jw.Close()
-			rep.jw = nil
-		}
+	if err := s.store.AppendReplica(&rep.Replica, name, fr.Tail, int(fr.Batches), fr.RandDraws); err != nil {
 		writeError(w, http.StatusInternalServerError, codeStorage, err)
 		return
 	}
-	rep.batches, rep.draws = int(fr.Batches), fr.RandDraws
-	writeJSON(w, http.StatusOK, replAck{Batches: rep.batches, RandDraws: rep.draws})
+	writeJSON(w, http.StatusOK, replAck{Batches: rep.Batches, RandDraws: rep.Draws})
 }
 
 // replicaDrop implements DELETE /v1/replica/{topic}?epoch=N: the primary
@@ -1031,7 +836,7 @@ func (s *server) replicaDrop(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	name := req.PathValue("topic")
-	if err := validTopicName(name); err != nil {
+	if err := store.ValidTopicName(name); err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidName, err)
 		return
 	}
@@ -1043,14 +848,10 @@ func (s *server) replicaDrop(w http.ResponseWriter, req *http.Request) {
 	rep := r.replicaFor(name, false)
 	if rep != nil {
 		rep.mu.Lock()
-		dropped := epoch >= rep.meta.Epoch
+		dropped := epoch >= rep.Meta.Epoch
 		if dropped {
-			if rep.jw != nil {
-				rep.jw.Close()
-				rep.jw = nil
-			}
 			rep.dropped = true
-			s.removeReplicaFiles(name)
+			s.store.DropReplica(&rep.Replica, name)
 		}
 		rep.mu.Unlock()
 		if dropped {
@@ -1058,12 +859,6 @@ func (s *server) replicaDrop(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *server) removeReplicaFiles(name string) {
-	_ = s.store.fs.Remove("repl.remove.snap", s.store.replSnapPath(name))
-	_ = s.store.fs.Remove("repl.remove.journal", s.store.replJournalPath(name))
-	_ = s.store.fs.Remove("repl.remove.meta", s.store.replMetaPath(name))
 }
 
 // ——— failover: promotion ———
@@ -1108,7 +903,7 @@ func (r *replicator) promoteFrom(peer string) {
 	var names []string
 	for name, rep := range reps {
 		rep.mu.Lock()
-		match := rep.meta.Source == peer && !rep.dropped
+		match := rep.Meta.Source == peer && !rep.dropped
 		rep.mu.Unlock()
 		if match {
 			names = append(names, name)
@@ -1142,7 +937,7 @@ func (r *replicator) maybePromote(name, source string) {
 		return
 	}
 	rep.mu.Lock()
-	if rep.dropped || rep.meta.Source != source {
+	if rep.dropped || rep.Meta.Source != source {
 		rep.mu.Unlock()
 		return
 	}
@@ -1154,8 +949,8 @@ func (r *replicator) maybePromote(name, source string) {
 		if c == s.cluster.self || r.det.Down(c) {
 			continue
 		}
-		if s.targetHasTopic(c, name, rep.meta.Epoch) {
-			s.logf("not promoting %q: %s already serves it at epoch ≥ %d", name, c, rep.meta.Epoch)
+		if s.targetHasTopic(c, name, rep.Meta.Epoch) {
+			s.logf("not promoting %q: %s already serves it at epoch ≥ %d", name, c, rep.Meta.Epoch)
 			rep.mu.Unlock()
 			return
 		}
@@ -1172,48 +967,22 @@ func (r *replicator) maybePromote(name, source string) {
 }
 
 // promoteReplica turns a verified cold replica into the served topic:
-// restore the base snapshot, replay the tail through Topic.Process with
-// fingerprint verification (bit-identical by the determinism contract),
-// bump the epoch past the dead primary's, register, persist, and drop the
-// replica files. rep.mu held.
+// the store restores the base snapshot and replays the tail through
+// Topic.Process with fingerprint verification (bit-identical by the
+// determinism contract); then bump the epoch past the dead primary's,
+// register, persist, and drop the replica files. rep.mu held.
 func (s *server) promoteReplica(name string, rep *replica) error {
-	st := s.store
-	snapData, err := st.fs.ReadFile("repl.snap.read", st.replSnapPath(name))
+	tr, err := s.store.LoadReplica(name, &rep.Replica)
 	if err != nil {
 		return err
 	}
-	if crc := codec.Checksum(snapData); crc != rep.meta.SnapCRC {
-		return fmt.Errorf("base snapshot CRC %08x does not match meta %08x", crc, rep.meta.SnapCRC)
-	}
-	tr, err := triclust.Restore(bytes.NewReader(snapData))
-	if err != nil {
-		return fmt.Errorf("base snapshot undecodable: %w", err)
-	}
-	if b, d := tr.StreamPos(); b != rep.meta.Batches || d != rep.meta.RandDraws {
-		return fmt.Errorf("base snapshot is at (batches=%d, draws=%d), meta declares (batches=%d, draws=%d)",
-			b, d, rep.meta.Batches, rep.meta.RandDraws)
-	}
-	if rep.jw != nil {
-		rep.jw.Close()
-		rep.jw = nil
-	}
-	j, err := journal.Load(st.fs, st.replJournalPath(name))
-	if err != nil {
-		return fmt.Errorf("tail journal: %w", err)
-	}
-	if j.SnapCRC != rep.meta.SnapCRC {
-		return fmt.Errorf("tail journal extends snapshot %08x, meta names %08x", j.SnapCRC, rep.meta.SnapCRC)
-	}
-	if err := replayRecords(tr, j.Records); err != nil {
-		return fmt.Errorf("tail journal: %w", err)
-	}
-	newEpoch := rep.meta.Epoch + 1
+	newEpoch := rep.Meta.Epoch + 1
 	tr.SetEpoch(newEpoch)
 	// Replay above ran without a conformance mode (recorded batches were
 	// already accepted by the dead primary); the promoted topic enforces
 	// this shard's policy from its first fresh batch.
 	tr.SetConformanceMode(s.conform)
-	tp := &topic{name: name, created: time.Now().UTC()}
+	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, false)}
 	tp.engp.Store(tr)
 	if code, err := s.tryRegister(tp, newEpoch); err != nil {
 		return fmt.Errorf("register promoted topic: %s: %w", code, err)
@@ -1226,9 +995,9 @@ func (s *server) promoteReplica(name string, rep *replica) error {
 	}
 	tp.mu.Unlock()
 	rep.dropped = true
-	s.removeReplicaFiles(name)
+	s.store.DropReplica(&rep.Replica, name)
 	s.logf("promoted replica %q to primary at epoch %d (%d batches; source %s is down)",
-		name, newEpoch, tr.Batches(), rep.meta.Source)
+		name, newEpoch, tr.Batches(), rep.Meta.Source)
 	// The caller (holding rep.mu) forgets the map entry and seeds this
 	// shard's own followers once the lock is released — the lock
 	// discipline forbids touching r.mu from here.

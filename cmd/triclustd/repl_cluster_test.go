@@ -15,6 +15,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +25,7 @@ import (
 
 	"triclust"
 	"triclust/internal/cluster"
+	"triclust/internal/store"
 )
 
 // fastRepl returns replication options tuned for the harness: probes
@@ -91,7 +94,7 @@ func TestClusterReplicationFailover(t *testing.T) {
 		t.Skip("cluster harness is not short")
 	}
 	opts := serverOptions{
-		journal: journalOptions{Every: 4, MaxBytes: 8 << 20},
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    fastRepl(nil),
 		// Enforce mode rides the failover harness too: replica promotion
 		// replays the tail ungated (the records were already accepted),
@@ -289,7 +292,7 @@ func TestClusterReplicationFlakyTransport(t *testing.T) {
 		t.Skip("cluster harness is not short")
 	}
 	opts := serverOptions{
-		journal: journalOptions{Every: 4, MaxBytes: 8 << 20},
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    fastRepl(newFlakyTransport(20260808, 0.12)),
 	}
 	tc := newTestCluster(t, 3, opts, false, true)
@@ -360,7 +363,7 @@ func TestClusterZombieFencing(t *testing.T) {
 		t.Skip("cluster harness is not short")
 	}
 	opts := serverOptions{
-		journal: journalOptions{Every: 4, MaxBytes: 8 << 20},
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    fastRepl(nil),
 	}
 	tc := newTestCluster(t, 3, opts, false, true)
@@ -402,11 +405,9 @@ func TestClusterZombieFencing(t *testing.T) {
 
 	// Fenced: the tombstone is on the zombie's disk, naming the new owner
 	// at the epoch that demoted it, and reads redirect.
-	tombs, err := cluster.LoadTombstones(tc.shards[0].dir, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, ok := tombs[name]
+	var ts cluster.Tombstone
+	data, err := os.ReadFile(filepath.Join(tc.shards[0].dir, name+".moved"))
+	ok := err == nil && json.Unmarshal(data, &ts) == nil
 	if !ok || ts.Target != tc.url(promoted) || ts.Epoch != 0 {
 		t.Fatalf("zombie tombstone = %+v (present=%v), want epoch 0 → %s", ts, ok, tc.url(promoted))
 	}
@@ -462,7 +463,7 @@ func TestClusterReplicationRebalanceAfterRecovery(t *testing.T) {
 	ro.AutoRebalance = true
 	ro.RebalanceInterval = 50 * time.Millisecond
 	opts := serverOptions{
-		journal: journalOptions{Every: 4, MaxBytes: 8 << 20},
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    ro,
 	}
 	tc := newTestCluster(t, 3, opts, false, true)

@@ -6,19 +6,22 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"triclust/internal/codec"
+	"triclust/internal/fault"
 	"triclust/internal/journal"
+	"triclust/internal/store"
 )
 
 // replTestServer builds one replicated daemon without starting its
 // background machinery (no detector, no resync worker, no rebalancer):
 // the replica endpoints are exercised directly through ServeHTTP with
 // hand-crafted wire frames, so the peer in the ring never has to exist.
-func replTestServer(t *testing.T) *server {
+func replTestServer(t *testing.T) (*server, string) {
 	t.Helper()
 	self := "http://self.test:8547"
 	peer := "http://peer.test:8547"
@@ -26,8 +29,9 @@ func replTestServer(t *testing.T) *server {
 	if err != nil {
 		t.Fatalf("newClusterConfig: %v", err)
 	}
-	s, err := newServer(t.TempDir(), serverOptions{
-		journal: journalOptions{Every: 4},
+	dir := t.TempDir()
+	s, err := newServer(dir, serverOptions{
+		journal: store.Options{Every: 4},
 		cluster: cc,
 		repl:    &replOptions{Factor: 2},
 	}, t.Logf)
@@ -35,7 +39,7 @@ func replTestServer(t *testing.T) *server {
 		t.Fatalf("newServer: %v", err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	return s
+	return s, dir
 }
 
 // postReplFrame ships one encoded ReplAppend to the server's replica
@@ -118,7 +122,7 @@ func TestReplicaEndpointsRequireReplication(t *testing.T) {
 // garbage bytes, invalid topic names — is rejected before anything
 // touches disk.
 func TestReplicaAppendRejectsBadRequests(t *testing.T) {
-	s := replTestServer(t)
+	s, _ := replTestServer(t)
 
 	req := httptest.NewRequest("POST", "/v1/replica/tp/append", strings.NewReader("definitely not a TRICREPL frame"))
 	rec := httptest.NewRecorder()
@@ -149,7 +153,7 @@ func TestReplicaAppendRejectsBadRequests(t *testing.T) {
 // refuse gaps and wrong bases, and fence stale epochs — verifying the
 // on-disk replica (snapshot, journal, meta) after each accepted frame.
 func TestReplicaFrameSequence(t *testing.T) {
-	s := replTestServer(t)
+	s, dir := replTestServer(t)
 	const name = "protocol-topic"
 	src := "http://peer.test:8547"
 	snap := []byte("opaque base snapshot bytes — the follower stores, never decodes")
@@ -176,7 +180,7 @@ func TestReplicaFrameSequence(t *testing.T) {
 	if code != http.StatusOK || ack.Batches != 3 || ack.RandDraws != 30 {
 		t.Fatalf("full install: %d ack=%+v", code, ack)
 	}
-	onDisk, err := os.ReadFile(s.store.replSnapPath(name))
+	onDisk, err := os.ReadFile(filepath.Join(dir, name+".rsnap"))
 	if err != nil || !bytes.Equal(onDisk, snap) {
 		t.Fatalf("replica snapshot on disk: err=%v match=%v", err, bytes.Equal(onDisk, snap))
 	}
@@ -231,7 +235,7 @@ func TestReplicaFrameSequence(t *testing.T) {
 	}
 
 	// 7. The replica journal holds exactly the accepted records.
-	j, err := journal.Load(s.store.fs, s.store.replJournalPath(name))
+	j, err := journal.Load(fault.OS, filepath.Join(dir, name+".rjournal"))
 	if err != nil {
 		t.Fatalf("load replica journal: %v", err)
 	}
@@ -273,7 +277,8 @@ func TestReplicaFrameSequence(t *testing.T) {
 // stale-timestamp guard), healthz reports the topic degraded, and the
 // first successful durability operation clears that.
 func TestJournalWriteFailureDegradesTopic(t *testing.T) {
-	s, hs := faultServer(t, nil, journalOptions{}, storageOptions{ProbeInterval: 200 * time.Millisecond})
+	script := fault.NewScript()
+	_, hs := faultServer(t, script, store.Options{}, storageOptions{ProbeInterval: 200 * time.Millisecond})
 	client := hs.Client()
 
 	d, req := synthTopic(t, 77)
@@ -285,19 +290,7 @@ func TestJournalWriteFailureDegradesTopic(t *testing.T) {
 		t.Fatalf("day 1: %d %v", code, err)
 	}
 
-	// Sabotage the journal writer underneath the topic: the file handle
-	// closes, the writer stays installed, and the next append fails the
-	// way a dead disk would.
-	s.mu.RLock()
-	tp := s.topics[req.Name]
-	s.mu.RUnlock()
-	tp.mu.Lock()
-	if tp.jw == nil {
-		tp.mu.Unlock()
-		t.Fatal("topic has no journal writer")
-	}
-	tp.jw.Close()
-	tp.mu.Unlock()
+	sabotageJournal(script)
 
 	day2 := batchRequest{Time: 2, Tweets: dayTweets(d, 2)}
 	code, ec := errCode(t, client, "POST", url, day2)

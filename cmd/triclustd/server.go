@@ -15,6 +15,7 @@ import (
 	"triclust/internal/cluster"
 	"triclust/internal/codec"
 	"triclust/internal/fault"
+	"triclust/internal/store"
 )
 
 // server is the HTTP façade over a registry of named, durable topics.
@@ -29,12 +30,12 @@ type server struct {
 	topics map[string]*topic
 	// moved records topics this shard handed off to another shard
 	// (tombstones): the ownership epoch they left at and where they went.
-	// Guarded by mu, persisted as <topic>.moved markers when a data
-	// directory is configured. A name is never in both topics and moved
+	// Guarded by mu, persisted by the store when a data directory is
+	// configured. A name is never in both topics and moved
 	// visibility-wise: while a hand-off is in flight the registry entry
 	// wins (lookups serve it until the move commits).
 	moved map[string]cluster.Tombstone
-	store *store // nil: in-memory only
+	store *store.Store // nil: in-memory only
 	logf  func(format string, args ...any)
 	mux   *http.ServeMux
 	// cluster is non-nil when the daemon runs as one shard of a
@@ -61,20 +62,6 @@ type server struct {
 	// rejections (which leave no durable trace — see conform.go).
 	conform         triclust.ConformanceMode
 	conformRejected atomic.Uint64
-
-	// nameLocks serializes snapshot-file saves and removes per topic
-	// name. Neither the registry lock nor a per-topic mutex can play this
-	// role: a name can be deleted and re-created while an older
-	// instance's save is still in flight, and the two instances' saves
-	// hold different topic mutexes. Entries are refcounted and dropped on
-	// last release, so name churn does not grow the map without bound.
-	nameMu    sync.Mutex
-	nameLocks map[string]*nameLock
-}
-
-type nameLock struct {
-	mu   sync.Mutex
-	refs int
 }
 
 type topic struct {
@@ -88,14 +75,10 @@ type topic struct {
 	// reloaded from disk (the rollback path). Access via eng().
 	engp    atomic.Pointer[triclust.Topic]
 	deleted bool // set under mu by retire; no batch or save may follow
-	// journalState is the topic's open batch journal (see persist.go),
-	// guarded by mu.
-	journalState
-	// saved reports that a snapshot of this topic instance is on disk.
-	// It is read and written only under the instance's name lock, where
-	// it tells removeStale whether <name>.snap belongs to the currently
-	// registered topic or to a deleted earlier incarnation of the name.
-	saved bool
+	// disk is the topic's durable side — its open batch journal and its
+	// claim on the snapshot file (see store.Handle); nil without a data
+	// directory. The journal is guarded by mu.
+	disk *store.Handle
 	// storage is the topic's disk-degraded state (stOK/stDegraded/
 	// stParked) and storFails its consecutive durable-write failure
 	// count; both driven by the storageMonitor (degrade.go), and together
@@ -116,7 +99,7 @@ type topic struct {
 // journaling cadence, the request-body bound, and — when the daemon runs
 // as one shard of a cluster — the placement configuration.
 type serverOptions struct {
-	journal journalOptions
+	journal store.Options
 	// maxBody bounds every request body in bytes (0: defaultMaxBody).
 	maxBody int64
 	// cluster enables sharded routing; nil runs single-process.
@@ -145,72 +128,68 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	st, err := newStore(dataDir, opts.journal, opts.fs)
+	st, err := store.Open(dataDir, opts.journal, opts.fs, logf)
 	if err != nil {
 		return nil, err
 	}
 	s := &server{
-		topics:    make(map[string]*topic),
-		moved:     make(map[string]cluster.Tombstone),
-		store:     st,
-		logf:      logf,
-		cluster:   opts.cluster,
-		maxBody:   opts.maxBody,
-		conform:   opts.conform,
-		nameLocks: make(map[string]*nameLock),
+		topics:  make(map[string]*topic),
+		moved:   make(map[string]cluster.Tombstone),
+		store:   st,
+		logf:    logf,
+		cluster: opts.cluster,
+		maxBody: opts.maxBody,
+		conform: opts.conform,
 	}
 	if st != nil {
 		s.storage = newStorageMonitor(s, opts.storage)
 	}
-	restored, err := st.loadAll(logf)
+	replicated := opts.repl != nil && opts.repl.Factor >= 2
+	if replicated && opts.cluster == nil {
+		return nil, errors.New("-replication-factor needs cluster mode (-peers and -self)")
+	}
+	if replicated && st == nil {
+		return nil, errors.New("-replication-factor needs a -data-dir (cold replicas live on disk)")
+	}
+	found, err := st.Scan(replicated)
 	if err != nil {
 		return nil, err
 	}
-	if st != nil {
-		tombs, err := cluster.LoadTombstones(st.dir, func(format string, args ...any) {
-			st.quarantined.Add(1)
-			logf(format, args...)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for name, ts := range tombs {
-			s.moved[name] = ts
-			if _, pending := restored[name]; pending {
-				// The daemon crashed between writing the hand-off intent
-				// and deleting the topic's files: the tombstone fences
-				// writes, the snapshot stays for a move retry.
-				delete(restored, name)
-				s.logf("topic %q has an interrupted hand-off to %s (epoch %d); refusing writes until the move is retried",
-					name, ts.Target, ts.Epoch)
-			}
+	for name, ts := range found.Tombstones {
+		s.moved[name] = ts
+		if _, pending := found.Topics[name]; pending {
+			// The daemon crashed between writing the hand-off intent and
+			// deleting the topic's files: the tombstone fences writes, the
+			// snapshot stays for a move retry.
+			delete(found.Topics, name)
+			s.logf("topic %q has an interrupted hand-off to %s (epoch %d); refusing writes until the move is retried",
+				name, ts.Target, ts.Epoch)
 		}
 	}
-	for name, rt := range restored {
-		// Journal replay (inside loadAll) ran without a conformance mode:
+	for name, rt := range found.Topics {
+		// Journal replay (inside the scan) ran without a conformance mode:
 		// recorded batches were already accepted once, so replay must
 		// redo them regardless of today's policy. The mode applies to new
 		// batches only, from here on.
-		rt.tp.SetConformanceMode(opts.conform)
-		tp := &topic{name: name, created: time.Now().UTC(), saved: true}
-		tp.engp.Store(rt.tp)
+		rt.Topic.SetConformanceMode(opts.conform)
+		tp := &topic{name: name, created: time.Now().UTC(), disk: st.Handle(name, true)}
+		tp.engp.Store(rt.Topic)
 		s.topics[name] = tp
 		s.logf("restored topic %q (%d batches, %d users; %d journal records replayed)",
-			name, rt.tp.Batches(), rt.tp.Users(), rt.replayed)
+			name, rt.Topic.Batches(), rt.Topic.Users(), rt.Replayed)
 		tp.mu.Lock()
 		s.openJournal(tp, rt)
 		tp.mu.Unlock()
 	}
-
-	if opts.repl != nil && opts.repl.Factor >= 2 {
-		if opts.cluster == nil {
-			return nil, errors.New("-replication-factor needs cluster mode (-peers and -self)")
-		}
-		if st == nil {
-			return nil, errors.New("-replication-factor needs a -data-dir (cold replicas live on disk)")
-		}
+	if replicated {
+		// A replica that failed its own consistency checks was skipped (and
+		// counted) by the scan — the primary re-ships a fresh base on its
+		// next contact.
 		s.repl = newReplicator(s, *opts.repl)
-		s.repl.loadReplicas()
+		for name, rep := range found.Replicas {
+			s.repl.replicas[name] = &replica{Replica: *rep}
+			s.logf("loaded replica %q (source %s, epoch %d, %d batches)", name, rep.Meta.Source, rep.Meta.Epoch, rep.Batches)
+		}
 	}
 
 	mux := http.NewServeMux()
@@ -343,9 +322,7 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "degraded"
 		resp.Degraded = degraded
 	}
-	if s.store != nil {
-		resp.Quarantined = int(s.store.quarantined.Load())
-	}
+	resp.Quarantined = s.store.Quarantined()
 	if sh := s.storage.health(served); sh != nil {
 		resp.Storage = sh
 		if sh.State != "ok" {
@@ -519,7 +496,7 @@ func (s *server) createTopic(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
-	if err := validTopicName(req.Name); err != nil {
+	if err := store.ValidTopicName(req.Name); err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidName, err)
 		return
 	}
@@ -562,7 +539,7 @@ func (s *server) restoreTopic(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("topic")
-	if err := validTopicName(name); err != nil {
+	if err := store.ValidTopicName(name); err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidName, err)
 		return
 	}
@@ -594,56 +571,10 @@ func (s *server) restoreTopic(w http.ResponseWriter, r *http.Request) {
 // snapshot + open journal) before the 201.
 func (s *server) install(w http.ResponseWriter, name string, tr *triclust.Topic, epoch uint64) {
 	tr.SetConformanceMode(s.conform)
-	tp := &topic{name: name, created: time.Now().UTC()}
+	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, false)}
 	tp.engp.Store(tr)
 	if s.register(w, tp, epoch) && s.persistNew(w, tp) {
 		writeJSON(w, http.StatusCreated, tp.summary())
-	}
-}
-
-// lockName acquires the per-name snapshot-file lock, creating it on
-// first use. Pair with unlockName, which drops the map entry when the
-// last holder or waiter releases it.
-func (s *server) lockName(name string) *nameLock {
-	s.nameMu.Lock()
-	l := s.nameLocks[name]
-	if l == nil {
-		l = new(nameLock)
-		s.nameLocks[name] = l
-	}
-	l.refs++
-	s.nameMu.Unlock()
-	l.mu.Lock()
-	return l
-}
-
-func (s *server) unlockName(name string, l *nameLock) {
-	l.mu.Unlock()
-	s.nameMu.Lock()
-	if l.refs--; l.refs == 0 {
-		delete(s.nameLocks, name)
-	}
-	s.nameMu.Unlock()
-}
-
-// removeStale deletes <name>.snap unless the file belongs to the
-// currently registered topic, i.e. unless that topic has completed a
-// save under the per-name lock. This covers both the deleted-name case
-// (no registered topic) and the re-created-but-not-yet-persisted case:
-// there the file still holds a previous, deleted incarnation's state,
-// and keeping it would resurrect that topic if the daemon crashed
-// before the new topic's first save.
-func (s *server) removeStale(name string) {
-	if s.store == nil {
-		return
-	}
-	l := s.lockName(name)
-	defer s.unlockName(name, l)
-	s.mu.RLock()
-	cur := s.topics[name]
-	s.mu.RUnlock()
-	if cur == nil || !cur.saved {
-		s.store.remove(name)
 	}
 }
 
@@ -663,7 +594,7 @@ func (s *server) persistNew(w http.ResponseWriter, tp *topic) bool {
 		// belongs to an earlier, deleted incarnation of the name (the
 		// name was free when this topic registered): drop it so the
 		// failed create cannot resurrect that topic on restart.
-		s.removeStale(tp.name)
+		s.store.RemoveStale(tp.name, s.diskOf)
 		writeError(w, http.StatusInternalServerError, codeStorage,
 			fmt.Errorf("topic not persisted: %w", err))
 		return false
@@ -718,12 +649,10 @@ func (s *server) tryRegister(tp *topic, epoch uint64) (string, error) {
 	_, wasMoved := s.moved[tp.name]
 	delete(s.moved, tp.name)
 	s.mu.Unlock()
-	if wasMoved && s.store != nil {
-		l := s.lockName(tp.name)
-		if err := cluster.RemoveTombstone(s.store.fs, s.store.dir, tp.name); err != nil {
+	if wasMoved {
+		if err := s.store.ClearTombstone(tp.name); err != nil {
 			s.logf("remove tombstone %q: %v", tp.name, err)
 		}
-		s.unlockName(tp.name, l)
 	}
 	return "", nil
 }
@@ -782,7 +711,7 @@ func (s *server) deleteTopic(w http.ResponseWriter, r *http.Request) {
 	// delete re-checks the registry under the same per-name lock, so it
 	// either belongs to this (now unregistered) topic and is skipped, or
 	// to a re-created topic whose own save marks its file current.
-	s.removeStale(name)
+	s.store.RemoveStale(name, s.diskOf)
 	if s.repl != nil {
 		// Best-effort: tell the followers their cold replicas are garbage.
 		// A follower that misses the drop keeps a stale replica, which the
@@ -1152,9 +1081,6 @@ func marshalFeatures(tp *topic, v triclust.ReadView) ([]byte, error) {
 // snapshotAll persists every topic (used for the final snapshot during
 // graceful shutdown). It reports the first error but keeps going.
 func (s *server) snapshotAll() error {
-	if s.store == nil {
-		return nil
-	}
 	s.mu.RLock()
 	topics := make([]*topic, 0, len(s.topics))
 	for _, tp := range s.topics {

@@ -14,16 +14,17 @@ import (
 	"testing"
 
 	"triclust"
+	"triclust/internal/store"
 	"triclust/internal/synth"
 )
 
 // testServer runs a daemon at the default compaction cadence; tests that
 // care about the cadence use testServerOpts.
 func testServer(t *testing.T, dataDir string) (*server, *httptest.Server) {
-	return testServerOpts(t, dataDir, journalOptions{})
+	return testServerOpts(t, dataDir, store.Options{})
 }
 
-func testServerOpts(t *testing.T, dataDir string, opts journalOptions) (*server, *httptest.Server) {
+func testServerOpts(t *testing.T, dataDir string, opts store.Options) (*server, *httptest.Server) {
 	t.Helper()
 	s, err := newServer(dataDir, serverOptions{journal: opts}, t.Logf)
 	if err != nil {
@@ -724,7 +725,7 @@ func TestHealthzQuarantineCount(t *testing.T) {
 
 	// One healthy topic, persisted by a first daemon instance.
 	{
-		s, err := newServer(dir, serverOptions{journal: journalOptions{Every: 1}}, t.Logf)
+		s, err := newServer(dir, serverOptions{journal: store.Options{Every: 1}}, t.Logf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -744,7 +745,7 @@ func TestHealthzQuarantineCount(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := newServer(dir, serverOptions{journal: journalOptions{Every: 4}}, t.Logf)
+	s, err := newServer(dir, serverOptions{journal: store.Options{Every: 4}}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"triclust/internal/codec"
+	"triclust/internal/store"
 )
 
 // doRaw issues one request with an explicit body, Content-Type, and
@@ -385,7 +386,7 @@ func TestClusterWireFormatsEndToEnd(t *testing.T) {
 		days   = 6
 	)
 	tc := newTestCluster(t, 3, serverOptions{
-		journal: journalOptions{Every: 3, MaxBytes: 8 << 20},
+		journal: store.Options{Every: 3, MaxBytes: 8 << 20},
 		repl:    fastRepl(nil),
 	}, true, true)
 

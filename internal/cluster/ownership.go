@@ -1,19 +1,10 @@
 package cluster
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-
-	"triclust/internal/fault"
-)
-
 // Tombstone records that a topic was handed off to another shard at a
 // given ownership epoch. The shard that gave the topic up persists one
-// next to where the topic's snapshot used to live, so that — across
-// restarts — it refuses writes for the topic and redirects clients to the
-// recorded target instead of silently re-creating divergent state.
+// (through internal/store) next to where the topic's snapshot used to
+// live, so that — across restarts — it refuses writes for the topic and
+// redirects clients to the recorded target, not re-creating forked state.
 //
 // Epoch invariants:
 //
@@ -35,100 +26,4 @@ type Tombstone struct {
 	Epoch uint64 `json:"epoch"`
 	// Target is the peer the topic was handed to.
 	Target string `json:"target"`
-}
-
-// tombstoneSuffix is the on-disk marker extension: <topic>.moved next to
-// where <topic>.snap lived.
-const tombstoneSuffix = ".moved"
-
-// TombstonePath returns the on-disk path of a topic's hand-off marker
-// under dir.
-func TombstonePath(dir, topic string) string {
-	return filepath.Join(dir, topic+tombstoneSuffix)
-}
-
-// WriteTombstone atomically persists a hand-off marker (temp file +
-// rename, then directory-durable via the caller's dir sync if required).
-// All syscalls go through fsys: the tombstone write is the hand-off's
-// fencing point, so its crash states are part of the fault matrix.
-func WriteTombstone(fsys fault.FS, dir, topic string, ts Tombstone) error {
-	if fsys == nil {
-		fsys = fault.OS
-	}
-	data, err := json.Marshal(ts)
-	if err != nil {
-		return err
-	}
-	tmp, err := fsys.CreateTemp("tombstone.tmp", dir, topic+tombstoneSuffix+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer fsys.Remove("tombstone.cleanup", tmp.Name())
-	if _, err := tmp.Write("tombstone.write", data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync("tombstone.sync"); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return fsys.Rename("tombstone.rename", tmp.Name(), TombstonePath(dir, topic))
-}
-
-// ReadTombstone loads a topic's hand-off marker. It returns os.ErrNotExist
-// (via the underlying open) when no marker exists.
-func ReadTombstone(dir, topic string) (Tombstone, error) {
-	data, err := os.ReadFile(TombstonePath(dir, topic))
-	if err != nil {
-		return Tombstone{}, err
-	}
-	var ts Tombstone
-	if err := json.Unmarshal(data, &ts); err != nil {
-		return Tombstone{}, fmt.Errorf("cluster: tombstone %s: %w", topic, err)
-	}
-	if ts.Target == "" {
-		return Tombstone{}, fmt.Errorf("cluster: tombstone %s names no target", topic)
-	}
-	return ts, nil
-}
-
-// RemoveTombstone deletes a topic's hand-off marker; missing is not an
-// error.
-func RemoveTombstone(fsys fault.FS, dir, topic string) error {
-	if fsys == nil {
-		fsys = fault.OS
-	}
-	err := fsys.Remove("tombstone.remove", TombstonePath(dir, topic))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
-// LoadTombstones scans dir for hand-off markers, returning topic name →
-// tombstone. Undecodable markers are reported through warn and skipped —
-// like a corrupt snapshot, one bad file must not keep a shard from
-// starting.
-func LoadTombstones(dir string, warn func(format string, args ...any)) (map[string]Tombstone, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Tombstone)
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != tombstoneSuffix {
-			continue
-		}
-		topic := e.Name()[:len(e.Name())-len(tombstoneSuffix)]
-		ts, err := ReadTombstone(dir, topic)
-		if err != nil {
-			warn("skipping %s: %v", e.Name(), err)
-			continue
-		}
-		out[topic] = ts
-	}
-	return out, nil
 }

@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,62 +239,5 @@ func TestPlanRebalance(t *testing.T) {
 	}
 	if len(filtered) >= len(plan) {
 		t.Fatalf("filtering a dead owner did not shrink the plan (%d vs %d)", len(filtered), len(plan))
-	}
-}
-
-// Satellite: LoadTombstones against damaged markers — corrupt JSON,
-// truncated files, wrong shapes. Every damaged marker is skipped with a
-// warning (counted, not fatal), and intact markers still load.
-func TestLoadTombstonesDamagedMarkers(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteTombstone(nil, dir, "good", Tombstone{Epoch: 3, Target: "http://b"}); err != nil {
-		t.Fatalf("WriteTombstone: %v", err)
-	}
-	damaged := map[string]string{
-		"corrupt.moved":   "{not json at all",
-		"truncated.moved": `{"epoch": 7, "targ`,
-		"empty.moved":     "",
-		"notarget.moved":  `{"epoch": 2, "target": ""}`,
-	}
-	for name, content := range damaged {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatalf("write %s: %v", name, err)
-		}
-	}
-	var warnings []string
-	tombs, err := LoadTombstones(dir, func(format string, args ...any) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-	})
-	if err != nil {
-		t.Fatalf("LoadTombstones: %v", err)
-	}
-	if len(tombs) != 1 {
-		t.Fatalf("loaded %d tombstones (%v), want only the intact one", len(tombs), tombs)
-	}
-	if ts := tombs["good"]; ts.Epoch != 3 || ts.Target != "http://b" {
-		t.Fatalf("good tombstone = %+v", ts)
-	}
-	if len(warnings) != len(damaged) {
-		t.Fatalf("%d warnings for %d damaged markers: %v", len(warnings), len(damaged), warnings)
-	}
-	for name := range damaged {
-		base := strings.TrimSuffix(name, ".moved")
-		found := false
-		for _, w := range warnings {
-			if strings.Contains(w, base) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no warning mentions damaged marker %s: %v", name, warnings)
-		}
-	}
-}
-
-func TestLoadTombstonesMissingDir(t *testing.T) {
-	tombs, err := LoadTombstones(filepath.Join(t.TempDir(), "nope"), func(string, ...any) {})
-	if err == nil && len(tombs) != 0 {
-		t.Fatalf("missing dir produced tombstones: %v", tombs)
 	}
 }

@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -168,53 +166,6 @@ func TestRingValidation(t *testing.T) {
 	}
 	if !r.Contains("a") || !r.Contains("b") || r.Contains("c") {
 		t.Fatal("Contains is wrong")
-	}
-}
-
-// TestTombstoneRoundTrip covers the hand-off marker's persistence:
-// write → read → list → remove, plus rejection of undecodable markers.
-func TestTombstoneRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	ts := Tombstone{Epoch: 3, Target: "http://shard-b:8547"}
-	if err := WriteTombstone(nil, dir, "prop37", ts); err != nil {
-		t.Fatalf("WriteTombstone: %v", err)
-	}
-	got, err := ReadTombstone(dir, "prop37")
-	if err != nil {
-		t.Fatalf("ReadTombstone: %v", err)
-	}
-	if got != ts {
-		t.Fatalf("round trip %+v, want %+v", got, ts)
-	}
-	if _, err := ReadTombstone(dir, "absent"); !os.IsNotExist(err) {
-		t.Fatalf("missing tombstone: %v, want not-exist", err)
-	}
-
-	// A marker with no target is invalid; a corrupt one is skipped by the
-	// directory scan but still listed topics survive.
-	if err := os.WriteFile(filepath.Join(dir, "bad.moved"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var warned int
-	all, err := LoadTombstones(dir, func(string, ...any) { warned++ })
-	if err != nil {
-		t.Fatalf("LoadTombstones: %v", err)
-	}
-	if len(all) != 1 || all["prop37"] != ts {
-		t.Fatalf("LoadTombstones %v", all)
-	}
-	if warned == 0 {
-		t.Fatal("corrupt tombstone did not warn")
-	}
-
-	if err := RemoveTombstone(nil, dir, "prop37"); err != nil {
-		t.Fatal(err)
-	}
-	if err := RemoveTombstone(nil, dir, "prop37"); err != nil {
-		t.Fatalf("second remove: %v", err)
-	}
-	if _, err := ReadTombstone(dir, "prop37"); !os.IsNotExist(err) {
-		t.Fatal("tombstone survived removal")
 	}
 }
 

@@ -45,6 +45,27 @@ if [ -n "$leaf_deps" ]; then
     fail=1
 fi
 
+# internal/store owns the data directory and nothing else: it must stay
+# usable without the HTTP layer, and can never reach back into a command.
+forbid triclust/internal/store 'net/http|triclust/cmd(/.*)?' \
+    "store is disk mechanism below the daemon; HTTP and commands are its callers"
+
+# internal/cluster is placement arithmetic and the Tombstone type; the
+# tombstone's file I/O — its only use of the failpoint layer — lives in
+# internal/store.
+forbid triclust/internal/cluster 'triclust/internal/fault' \
+    "cluster decides ownership; internal/store does the file I/O"
+
+# The daemon reaches disk only through internal/store's verbs. A direct
+# import of the journal (checked on Imports, not -deps: the store brings
+# it in transitively) would mean a handler holds a journal.Writer again.
+direct=$(go list -f '{{join .Imports "\n"}}' triclust/cmd/triclustd | grep -x 'triclust/internal/journal' || true)
+if [ -n "$direct" ]; then
+    echo "BOUNDARY: triclust/cmd/triclustd must not import triclust/internal/journal directly" >&2
+    echo "          (durable writes go through internal/store)" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "arch-boundaries-check: FAILED" >&2
     exit 1
