@@ -2,15 +2,12 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strings"
-	"time"
 
 	"triclust/internal/cluster"
 	"triclust/internal/store"
@@ -22,16 +19,7 @@ import (
 // placement table is stored or gossiped. A request arriving at the wrong
 // shard is answered with 307 + Location + X-Triclust-Shard (the default,
 // keeping shards stateless pass-through-free) or transparently proxied
-// (-cluster-proxy).
-//
-// Ownership is layered, checked in this order:
-//
-//  1. registry — a topic this shard holds is served here, even when the
-//     ring disagrees (an operator move overrode placement);
-//  2. tombstone — a topic this shard handed off is forwarded to the
-//     recorded target and its writes refused forever at epochs ≤ the
-//     hand-off epoch;
-//  3. ring — everything else goes to the consistent-hash owner.
+// (-cluster-proxy). Who owns a name is resolve's answer.
 //
 // Topic moves (POST /v1/cluster/move) drain the topic under its lock,
 // compact the journal into a final snapshot, bump the ownership epoch,
@@ -65,39 +53,6 @@ type clusterConfig struct {
 	self  string // this shard's base URL; must be a ring member
 	ring  *cluster.Ring
 	proxy bool // proxy mis-routed requests instead of 307
-	// client issues hand-off PUTs and (in proxy mode) forwarded requests.
-	client *http.Client
-	// peerTimeout bounds each inter-shard request (proxy hop, hand-off
-	// PUT, placement query) with a per-request context; 0 selects
-	// defaultPeerTimeout. The client's own 2-minute timeout stays as the
-	// outer backstop.
-	peerTimeout time.Duration
-	// backoff spaces retries of idempotent inter-shard requests; the zero
-	// value selects cluster.DefaultBackoff.
-	backoff cluster.Backoff
-}
-
-// defaultPeerTimeout bounds one inter-shard request when -peer-timeout is
-// not set.
-const defaultPeerTimeout = 30 * time.Second
-
-// peerAttempts bounds retries of inter-shard requests that are safe to
-// re-issue (idempotent GETs; hand-off PUTs disambiguated between tries).
-const peerAttempts = 4
-
-func (c *clusterConfig) timeout() time.Duration {
-	if c.peerTimeout > 0 {
-		return c.peerTimeout
-	}
-	return defaultPeerTimeout
-}
-
-func (c *clusterConfig) retryDelay(attempt int) time.Duration {
-	b := c.backoff
-	if b.Base <= 0 {
-		b = cluster.DefaultBackoff
-	}
-	return b.Delay(attempt)
 }
 
 // newClusterConfig validates and assembles the cluster flags: peers is
@@ -124,55 +79,95 @@ func newClusterConfig(self, peers string, vnodes int, proxy bool) (*clusterConfi
 	if !ring.Contains(self) {
 		return nil, fmt.Errorf("cluster: -self %q is not in -peers %q", self, peers)
 	}
-	return &clusterConfig{
-		self:   self,
-		ring:   ring,
-		proxy:  proxy,
-		client: &http.Client{Timeout: 2 * time.Minute},
-	}, nil
+	return &clusterConfig{self: self, ring: ring, proxy: proxy}, nil
+}
+
+// placement is resolve's answer: where a topic name lives as far as this
+// shard knows.
+type placement struct {
+	tp    *topic // non-nil: registered here
+	owner string // the shard to ask ("" when unknown outside cluster mode)
+	moved bool   // owner comes from a hand-off tombstone left at epoch
+	epoch uint64
+}
+
+// resolve is the only reader of the ownership layers, in their order:
+//
+//  1. registry — a topic this shard holds is served here, even when the
+//     ring disagrees (an operator move overrode placement);
+//  2. tombstone — a topic this shard handed off is forwarded to the
+//     recorded target and its writes refused forever at epochs ≤ the
+//     hand-off epoch;
+//  3. ring — everything else goes to the consistent-hash owner, or, with
+//     replication on and that owner down, to the first live replica-set
+//     member: the shard that has promoted (or is about to promote) the
+//     topic's cold replica. When that is this shard the registry answers
+//     404 until the promotion lands and clients retry — strictly better
+//     than forwarding into a dead shard's connection timeouts.
+func (s *server) resolve(name string) placement {
+	s.mu.RLock()
+	tp := s.topics[name]
+	mv, moved := s.moved[name]
+	s.mu.RUnlock()
+	var self string
+	if s.cluster != nil {
+		self = s.cluster.self
+	}
+	switch {
+	case tp != nil:
+		return placement{tp: tp, owner: self}
+	case moved:
+		return placement{owner: mv.Target, moved: true, epoch: mv.Epoch}
+	case s.cluster == nil:
+		return placement{}
+	}
+	owner := s.cluster.ring.Owner(name)
+	if rp := s.repl; rp != nil && owner != self && rp.det.Down(owner) {
+		if alt, ok := rp.det.FirstLive(rp.candidates(name, owner)); ok {
+			owner = alt
+		}
+	}
+	return placement{owner: owner}
+}
+
+// served returns the registered topics.
+func (s *server) served() []*topic {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]*topic, 0, len(s.topics))
+	for _, tp := range s.topics {
+		out = append(out, tp)
+	}
+	return out
 }
 
 // routeTopic decides whether this shard serves the request for name,
-// reporting true to continue locally. When another shard owns the topic
-// the request is forwarded — 307 redirect or transparent proxy — and
-// routeTopic reports false with the response written. body carries the
-// already-consumed request body for proxying (nil when r.Body is still
-// unread). Hand-off PUTs bypass routing: the move pins the topic here.
-func (s *server) routeTopic(w http.ResponseWriter, r *http.Request, name string, body []byte) bool {
-	if s.cluster == nil || r.Header.Get(handoffHeader) != "" {
-		return true
+// reporting true (and the topic, if registered) to continue locally. When
+// another shard owns the topic the request is forwarded and routeTopic
+// reports false with the response written. body carries the already-
+// consumed request body for proxying (nil when r.Body is still unread).
+// Hand-off PUTs bypass routing: the move pins the topic here.
+func (s *server) routeTopic(w http.ResponseWriter, r *http.Request, name string, body []byte) (*topic, bool) {
+	pl := s.resolve(name)
+	if s.cluster == nil || pl.owner == s.cluster.self || r.Header.Get(handoffHeader) != "" {
+		return pl.tp, true
 	}
-	s.mu.RLock()
-	_, local := s.topics[name]
-	mv, movedOK := s.moved[name]
-	s.mu.RUnlock()
-	if local {
-		return true
-	}
-	if movedOK {
-		s.forward(w, r, mv.Target, body)
-		return false
-	}
-	if owner := s.cluster.ring.Owner(name); owner != s.cluster.self {
-		// With replication on, a request for a down owner's topic goes to
-		// the first live replica-set member instead — the shard that has
-		// promoted (or is about to promote) the topic's cold replica. When
-		// that shard is this one, serve locally: before the promotion lands
-		// the registry answers 404 and clients retry, which is strictly
-		// better than forwarding into a dead shard's connection timeouts.
-		if rp := s.repl; rp != nil && rp.det.Down(owner) {
-			if alt, ok := rp.det.FirstLive(rp.candidates(name, owner)); ok {
-				if alt == s.cluster.self {
-					return true
-				}
-				s.forward(w, r, alt, body)
-				return false
-			}
+	s.forward(w, r, pl.owner, body)
+	return nil, false
+}
+
+// refuse hands e back to be the answer — unless the topic merely moved:
+// a request that found it, then waited out a hand-off on the topic lock,
+// sees a retired topic whose tombstone says where it lives now, and is
+// forwarded there (nil: response written) instead of told 404.
+func (s *server) refuse(w http.ResponseWriter, r *http.Request, name string, body []byte, e *apiError) *apiError {
+	if e.code == codeTopicNotFound && s.cluster != nil {
+		if pl := s.resolve(name); pl.moved {
+			s.forward(w, r, pl.owner, body)
+			return nil
 		}
-		s.forward(w, r, owner, body)
-		return false
 	}
-	return true
+	return e
 }
 
 // forward hands the request to target: a 307 redirect by default (the
@@ -184,17 +179,13 @@ func (s *server) forward(w http.ResponseWriter, r *http.Request, target string, 
 	if via := r.Header.Get(forwardedHeader); via != "" {
 		hops = strings.Split(via, ",")
 	}
+	looped := len(hops) >= len(s.cluster.ring.Peers())
 	for _, h := range hops {
-		if h == target {
-			writeError(w, http.StatusBadGateway, codeShardUnreachable,
-				fmt.Errorf("routing loop: %s would forward to %s, which already handled the request (path %v)",
-					s.cluster.self, target, hops))
-			return
-		}
+		looped = looped || h == target
 	}
-	if len(hops) >= len(s.cluster.ring.Peers()) {
+	if looped {
 		writeError(w, http.StatusBadGateway, codeShardUnreachable,
-			fmt.Errorf("routing loop: request traversed %d shards (%v)", len(hops), hops))
+			fmt.Errorf("routing loop: %s would forward to %s after the request traversed %v", s.cluster.self, target, hops))
 		return
 	}
 	w.Header().Set(shardHeader, target)
@@ -207,18 +198,7 @@ func (s *server) forward(w http.ResponseWriter, r *http.Request, target string, 
 	if body != nil {
 		rdr = bytes.NewReader(body)
 	}
-	// Bound the hop with its own deadline (under the client's context) so
-	// a wedged peer fails this request in -peer-timeout, not in the
-	// transport's 2-minute backstop. No retry: the proxied request may not
-	// be idempotent, and the client owns the retry decision.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cluster.timeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, r.Method, dest, rdr)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, codeShardUnreachable, err)
-		return
-	}
-	req.Header.Set(forwardedHeader, strings.Join(append(hops, s.cluster.self), ","))
+	hdr := http.Header{forwardedHeader: {strings.Join(append(hops, s.cluster.self), ",")}}
 	// Content-Type selects the request format and Accept the response
 	// format on the owning shard, so both must survive the hop — a
 	// binary batch proxied without them would decode as JSON and answer
@@ -226,10 +206,12 @@ func (s *server) forward(w http.ResponseWriter, r *http.Request, target string, 
 	// conditional poll: without it a proxied read never answers 304.
 	for _, h := range []string{"Content-Type", "Accept", "If-None-Match"} {
 		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
+			hdr.Set(h, v)
 		}
 	}
-	resp, err := s.cluster.client.Do(req)
+	// One hop under the client's context, no retry: the proxied request
+	// may not be idempotent, and the client owns the retry decision.
+	resp, err := s.peers.open(r.Context(), 0, r.Method, dest, rdr, hdr)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, codeShardUnreachable,
 			fmt.Errorf("proxy to %s: %w", target, err))
@@ -297,100 +279,80 @@ type moveResponse struct {
 // rebalance path. The request is routed like any topic request, so the
 // operator may address any shard; the shard currently holding the topic
 // performs the drain → compact → export → install → drop sequence.
-func (s *server) moveTopic(w http.ResponseWriter, r *http.Request) {
-	if _, ok := requireMediaType(w, r, mediaTypeJSON); !ok {
-		return
+func (s *server) moveTopic(w http.ResponseWriter, r *http.Request) *apiError {
+	if _, e := requireMediaType(r, mediaTypeJSON); e != nil {
+		return e
 	}
 	if s.cluster == nil {
-		writeError(w, http.StatusConflict, codeNotClustered,
-			errors.New("this daemon is not running in cluster mode (-peers/-self)"))
-		return
+		return errNotClustered()
 	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
+	body, e := readBody(r)
+	if e != nil {
+		return e
 	}
 	var req moveRequest
 	if err := decodeStrict(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("decode: %w", err))
-		return
+		return errf(http.StatusBadRequest, codeInvalidRequest, "decode: %w", err)
 	}
 	if err := store.ValidTopicName(req.Topic); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidName, err)
-		return
+		return errf(http.StatusBadRequest, codeInvalidName, "%w", err)
 	}
 	req.Target = strings.TrimSuffix(strings.TrimSpace(req.Target), "/")
 	if !s.cluster.ring.Contains(req.Target) {
-		writeError(w, http.StatusBadRequest, codeUnknownPeer,
-			fmt.Errorf("target %q is not a cluster peer", req.Target))
-		return
+		return errf(http.StatusBadRequest, codeUnknownPeer, "target %q is not a cluster peer", req.Target)
 	}
 
-	s.mu.RLock()
-	tp, local := s.topics[req.Topic]
-	mv, movedOK := s.moved[req.Topic]
-	s.mu.RUnlock()
+	pl := s.resolve(req.Topic)
 	switch {
-	case local:
+	case pl.tp != nil:
 		// fall through to the live hand-off below
-	case movedOK:
+	case pl.moved && s.store.HasSnapshot(req.Topic):
 		// A tombstone *and* the snapshot still on disk is the signature of
 		// a hand-off interrupted between fencing and installation: the
 		// topic serves nothing until a move retry completes the install.
-		if s.store.HasSnapshot(req.Topic) {
-			s.resumeMove(w, req, mv)
-			return
-		}
-		// The topic moved on and lives elsewhere now; route the move to
-		// its current holder so "POST to any shard" keeps holding.
-		s.forward(w, r, mv.Target, body)
-		return
+		return s.resumeMove(w, req, cluster.Tombstone{Epoch: pl.epoch, Target: pl.owner})
+	case pl.owner != s.cluster.self:
+		// The topic moved on (or never lived here); route the move to its
+		// current holder so "POST to any shard" keeps holding.
+		s.forward(w, r, pl.owner, body)
+		return nil
 	default:
-		if owner := s.cluster.ring.Owner(req.Topic); owner != s.cluster.self {
-			s.forward(w, r, owner, body)
-			return
-		}
-		writeError(w, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("unknown topic %q", req.Topic))
-		return
+		return errf(http.StatusNotFound, codeTopicNotFound, "unknown topic %q", req.Topic)
 	}
 	if req.Target == s.cluster.self {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			fmt.Errorf("topic %q already lives on %s", req.Topic, s.cluster.self))
-		return
+		return errf(http.StatusBadRequest, codeInvalidRequest, "topic %q already lives on %s", req.Topic, s.cluster.self)
 	}
 
-	resp, status, code, err := s.performHandoff(tp, req.Target)
-	if err != nil {
-		writeError(w, status, code, err)
-		return
+	resp, e := s.performHandoff(pl.tp, req.Target)
+	if e != nil {
+		return s.refuse(w, r, req.Topic, body, e)
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
+}
+
+func errNotClustered() *apiError {
+	return errf(http.StatusConflict, codeNotClustered, "this daemon is not running in cluster mode (-peers/-self)")
 }
 
 // performHandoff executes the drain → compact → export → install → drop
 // sequence moving tp to target. It is the shared spine of the operator
 // move endpoint and the automatic rebalancer; the caller must not hold
-// tp.mu. On failure it returns the HTTP status and stable code the
-// operator path responds with.
-func (s *server) performHandoff(tp *topic, target string) (moveResponse, int, string, error) {
+// tp.mu.
+func (s *server) performHandoff(tp *topic, target string) (moveResponse, *apiError) {
 	// Holding the topic lock for the whole hand-off *is* the drain: any
 	// in-flight batch finished before we got the lock, and every batch
-	// that arrives while we hold it blocks, then finds the tombstone and
-	// follows it to the target.
+	// that arrives while we hold it blocks, then finds the topic retired
+	// and follows the tombstone to the target.
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	if tp.deleted {
-		return moveResponse{}, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name)
+	if e := s.admit(tp, opWrite); e != nil {
+		return moveResponse{}, e
 	}
 	// Final compaction: fold the journal tail into one fresh snapshot so
 	// the exported state is the complete, settled history.
-	ok, err := s.saveIfCurrent(tp)
-	if err != nil {
-		return moveResponse{}, http.StatusInternalServerError, codeStorage,
-			fmt.Errorf("final compaction before hand-off: %w", err)
-	}
-	if !ok {
-		return moveResponse{}, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name)
+	if err := s.saveIfCurrent(tp); err != nil {
+		return moveResponse{}, errf(http.StatusInternalServerError, codeStorage, "final compaction before hand-off: %w", err)
 	}
 
 	oldEpoch := tp.eng().Epoch()
@@ -399,38 +361,34 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, int, st
 	var snap bytes.Buffer
 	if err := tp.eng().Snapshot(&snap); err != nil {
 		tp.eng().SetEpoch(oldEpoch)
-		return moveResponse{}, http.StatusInternalServerError, codeStorage,
-			fmt.Errorf("export snapshot: %w", err)
+		return moveResponse{}, errf(http.StatusInternalServerError, codeStorage, "export snapshot: %w", err)
 	}
 	ts := cluster.Tombstone{Epoch: newEpoch, Target: target}
 	if err := s.setMoved(tp.name, ts); err != nil {
 		s.clearMoved(tp.name)
 		tp.eng().SetEpoch(oldEpoch)
-		return moveResponse{}, http.StatusInternalServerError, codeStorage,
-			fmt.Errorf("persist hand-off intent: %w", err)
+		return moveResponse{}, errf(http.StatusInternalServerError, codeStorage, "persist hand-off intent: %w", err)
 	}
-	if definitive, err := s.installOn(target, tp.name, snap.Bytes(), newEpoch); err != nil {
-		// A definitive refusal (the target answered non-201) installed
-		// nothing: un-fence and keep serving. A transport error is
-		// *ambiguous* — the PUT may have been applied on the target — so
+	if err := s.installOn(target, tp.name, snap.Bytes(), newEpoch); err != nil {
+		// A refusal installed nothing: un-fence and keep serving. Anything
+		// else is *ambiguous* — the PUT may have been applied — so
 		// un-fencing could let both shards accept writes and fork the
 		// topic. With a data directory the safe resolution exists: keep
 		// the fence, park the topic in the interrupted-hand-off state
 		// (tombstone + on-disk snapshot) and let a move retry resume it.
 		// Without one there is nothing to resume from, so in-memory
-		// clusters choose availability and un-fence (the trade-off of
-		// running without -data-dir).
-		if definitive || s.store == nil {
+		// clusters choose availability and un-fence.
+		var refusal *apiError
+		if errors.As(err, &refusal) || s.store == nil {
 			s.clearMoved(tp.name)
 			tp.eng().SetEpoch(oldEpoch)
-			return moveResponse{}, http.StatusBadGateway, codeMoveFailed,
-				fmt.Errorf("install %q on %s: %w", tp.name, target, err)
+			return moveResponse{}, errf(http.StatusBadGateway, codeMoveFailed, "install %q on %s: %w", tp.name, target, err)
 		}
 		s.retire(tp)
 		s.logf("hand-off of %q to %s is ambiguous (%v); fence kept, retry the move to resume", tp.name, target, err)
-		return moveResponse{}, http.StatusBadGateway, codeMoveFailed,
-			fmt.Errorf("install %q on %s did not complete: %v — the topic is fenced; retry the move to resume the hand-off",
-				tp.name, target, err)
+		return moveResponse{}, errf(http.StatusBadGateway, codeMoveFailed,
+			"install %q on %s did not complete: %v — the topic is fenced; retry the move to resume the hand-off",
+			tp.name, target, err)
 	}
 
 	// The target owns the topic now. Drop the local copy: registry entry,
@@ -447,85 +405,44 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, int, st
 	return moveResponse{
 		Topic: tp.name, Source: s.cluster.self, Target: target,
 		Epoch: newEpoch, Batches: batches,
-	}, 0, "", nil
+	}, nil
 }
 
 // installOn PUTs a snapshot onto the target shard through the ordinary
 // restore endpoint, marked as a hand-off so the target pins the topic.
-// definitive reports whether the outcome is known: true on success or
-// when the target answered with a refusal (nothing was installed), false
-// when every attempt ended in ambiguity — the PUT may or may not have
-// been applied, and the caller must not assume either.
+// Nil means installed. An error that is an *apiError is the target's
+// considered refusal — it answered, and holds nothing; any other error is
+// ambiguous: the PUT may or may not have been applied.
 //
 // A hand-off PUT is not blindly idempotent: if an earlier attempt landed
 // but its response was lost, the retry is refused with topic_exists —
-// which must read as success, not refusal. So between attempts the
-// target's placement is queried at the hand-off epoch: already-installed
-// resolves to success, reachable-but-absent makes a transport failure
-// safe to retry (nothing landed), and unreachable stays ambiguous.
-func (s *server) installOn(target, name string, snapshot []byte, epoch uint64) (definitive bool, err error) {
-	var last error
-	for attempt := 0; attempt < peerAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(s.cluster.retryDelay(attempt - 1))
-		}
-		resp, rerr := s.putSnapshot(target, name, snapshot)
-		if rerr != nil {
-			last = rerr
+// which must read as success. So after every attempt of unknown outcome
+// (no answer, a 5xx, topic_exists) the target's placement is queried at
+// the hand-off epoch: already-installed resolves to success, reachable-
+// but-absent makes the retry safe, and unreachable stays ambiguous.
+func (s *server) installOn(target, name string, snapshot []byte, epoch uint64) error {
+	return s.peers.call(peerCall{
+		method: http.MethodPut, peer: target, path: "/v1/topics/" + name, body: snapshot,
+		header:   http.Header{"Content-Type": {mediaTypeSnapshot}, handoffHeader: {"1"}},
+		attempts: peerAttempts,
+		settle: func(err error) (bool, error) {
+			var refusal *apiError
+			exists := errors.As(err, &refusal) && refusal.code == codeTopicExists
+			if refusal != nil && refusal.status < 500 && !exists {
+				return true, err // epoch fence, invalid snapshot: retrying cannot change it
+			}
 			has, reachable := s.targetTopicState(target, name, epoch)
-			if has {
+			switch {
+			case has:
 				return true, nil
+			case exists:
+				return true, err // the name is taken there by other state
+			case !reachable:
+				return true, fmt.Errorf("outcome unknown and %s cannot be asked: %v", target, err)
 			}
-			if !reachable {
-				return false, rerr // truly ambiguous: park the hand-off
-			}
-			continue // target answered and lacks the topic: retry is safe
-		}
-		if resp.status == http.StatusCreated {
-			return true, nil
-		}
-		if resp.code == codeTopicExists {
-			if has, _ := s.targetTopicState(target, name, epoch); has {
-				return true, nil
-			}
-		}
-		// Any other answer is the target's considered refusal (epoch
-		// fence, quarantine, invalid snapshot); retrying cannot change it.
-		return true, fmt.Errorf("target answered %d (%s: %s)", resp.status, resp.code, resp.message)
-	}
-	return false, fmt.Errorf("gave up after %d attempts: %w", peerAttempts, last)
-}
-
-// installResponse is one hand-off PUT's decoded outcome.
-type installResponse struct {
-	status  int
-	code    string
-	message string
-}
-
-func (s *server) putSnapshot(target, name string, snapshot []byte) (*installResponse, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cluster.timeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		target+"/v1/topics/"+name, bytes.NewReader(snapshot))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(handoffHeader, "1")
-	resp, err := s.cluster.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out := &installResponse{status: resp.StatusCode}
-	if resp.StatusCode != http.StatusCreated {
-		var eb errorBody
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb); err == nil {
-			out.code, out.message = eb.Error.Code, eb.Error.Message
-		}
-	}
-	return out, nil
+			return false, nil
+		},
+	}, nil)
 }
 
 // resumeMove completes an interrupted hand-off: the tombstone recorded
@@ -533,11 +450,9 @@ func (s *server) putSnapshot(target, name string, snapshot []byte) (*installResp
 // that epoch and install it on the requested target. Retrying against a
 // different target than first recorded is allowed (the first target may
 // be the shard that died) and re-points the tombstone.
-func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.Tombstone) {
+func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.Tombstone) *apiError {
 	if req.Target == s.cluster.self {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			errors.New("cannot resume a hand-off onto the fencing shard"))
-		return
+		return errf(http.StatusBadRequest, codeInvalidRequest, "cannot resume a hand-off onto the fencing shard")
 	}
 	// A real interruption fell between the final compaction and the
 	// install, so the journal should be empty — but any tail it does hold
@@ -545,9 +460,7 @@ func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.T
 	// silently dropping acked batches from an unexpected state.
 	rt, err := s.store.Load(req.Topic)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage,
-			fmt.Errorf("reload pending snapshot: %w", err))
-		return
+		return errf(http.StatusInternalServerError, codeStorage, "reload pending snapshot: %w", err)
 	}
 	tp := rt.Topic
 	// The on-disk snapshot predates the epoch bump (it was the final
@@ -555,27 +468,18 @@ func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.T
 	tp.SetEpoch(mv.Epoch)
 	var snap bytes.Buffer
 	if err := tp.Snapshot(&snap); err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
+		return errf(http.StatusInternalServerError, codeStorage, "%w", err)
 	}
 	if req.Target != mv.Target {
 		mv = cluster.Tombstone{Epoch: mv.Epoch, Target: req.Target}
 		if err := s.setMoved(req.Topic, mv); err != nil {
-			writeError(w, http.StatusInternalServerError, codeStorage, err)
-			return
+			return errf(http.StatusInternalServerError, codeStorage, "%w", err)
 		}
 	}
-	if _, err := s.installOn(req.Target, req.Topic, snap.Bytes(), mv.Epoch); err != nil {
-		// If the interrupted hand-off's original PUT did land on the
-		// target, the retry is refused with topic_exists; ask the target
-		// whether it already serves the topic at the fencing epoch and, if
-		// so, just finish the local drop.
-		if !s.targetHasTopic(req.Target, req.Topic, mv.Epoch) {
-			writeError(w, http.StatusBadGateway, codeMoveFailed,
-				fmt.Errorf("install %q on %s: %w", req.Topic, req.Target, err))
-			return
-		}
-		s.logf("hand-off of %q to %s had already completed; finishing the local drop", req.Topic, req.Target)
+	// If the interrupted hand-off's original PUT did land, installOn's
+	// placement query finds the topic there and reports success.
+	if err := s.installOn(req.Target, req.Topic, snap.Bytes(), mv.Epoch); err != nil {
+		return errf(http.StatusBadGateway, codeMoveFailed, "install %q on %s: %w", req.Topic, req.Target, err)
 	}
 	// The leftover files go unless the topic has meanwhile come back and
 	// saved here — then they are its own.
@@ -585,56 +489,19 @@ func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.T
 		Topic: req.Topic, Source: s.cluster.self, Target: req.Target,
 		Epoch: mv.Epoch, Batches: tp.Batches(), Resumed: true,
 	})
+	return nil
 }
 
-// targetHasTopic asks target whether it serves name locally at an epoch
-// at least the given one — the signature of a hand-off whose installation
-// succeeded but whose acknowledgement was lost.
-func (s *server) targetHasTopic(target, name string, epoch uint64) bool {
-	has, _ := s.targetTopicState(target, name, epoch)
-	return has
-}
-
-// targetTopicState additionally reports whether the target answered at
-// all: reachable distinguishes "asked, and the topic is not there" from
-// "could not ask" — the difference between a retryable and an ambiguous
-// hand-off failure. The placement query is an idempotent GET, so it is
-// retried with backoff under per-request deadlines.
+// targetTopicState asks target whether it serves name locally at an epoch
+// at least the given one — the signature of a hand-off (or promotion)
+// that already happened there. reachable distinguishes "asked, and the
+// topic is not there" from "could not ask": a retryable from an ambiguous
+// hand-off failure. An idempotent GET, so it retries.
 func (s *server) targetTopicState(target, name string, epoch uint64) (has, reachable bool) {
-	for attempt := 0; attempt < peerAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(s.cluster.retryDelay(attempt - 1))
-		}
-		info, err := s.queryPlacement(target, name)
-		if err != nil {
-			continue
-		}
-		return info.Topic != nil && info.Topic.Local && info.Topic.Epoch >= epoch, true
-	}
-	return false, false
-}
-
-func (s *server) queryPlacement(target, name string) (*clusterInfoResponse, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cluster.timeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		target+"/v1/cluster/info?topic="+name, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.cluster.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("placement query answered %d", resp.StatusCode)
-	}
 	var info clusterInfoResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	err := s.peers.call(peerCall{method: http.MethodGet, peer: target,
+		path: "/v1/cluster/info?topic=" + name, attempts: peerAttempts}, &info)
+	return err == nil && info.Topic != nil && info.Topic.Local && info.Topic.Epoch >= epoch, err == nil
 }
 
 // clusterInfoResponse describes this shard's placement view; with
@@ -659,11 +526,9 @@ type topicPlacement struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-func (s *server) clusterInfo(w http.ResponseWriter, r *http.Request) {
+func (s *server) clusterInfo(w http.ResponseWriter, r *http.Request) *apiError {
 	if s.cluster == nil {
-		writeError(w, http.StatusConflict, codeNotClustered,
-			errors.New("this daemon is not running in cluster mode (-peers/-self)"))
-		return
+		return errNotClustered()
 	}
 	resp := clusterInfoResponse{
 		Self:   s.cluster.self,
@@ -673,23 +538,15 @@ func (s *server) clusterInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	if name := r.URL.Query().Get("topic"); name != "" {
 		if err := store.ValidTopicName(name); err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidName, err)
-			return
+			return errf(http.StatusBadRequest, codeInvalidName, "%w", err)
 		}
-		pl := &topicPlacement{Name: name}
-		s.mu.RLock()
-		tp, local := s.topics[name]
-		mv, movedOK := s.moved[name]
-		s.mu.RUnlock()
-		switch {
-		case local:
-			pl.Owner, pl.Local, pl.Epoch = s.cluster.self, true, tp.eng().Epoch()
-		case movedOK:
-			pl.Owner, pl.Epoch = mv.Target, mv.Epoch
-		default:
-			pl.Owner = s.cluster.ring.Owner(name)
+		// Owner is exactly where this shard would route the topic.
+		pl := s.resolve(name)
+		resp.Topic = &topicPlacement{Name: name, Owner: pl.owner, Local: pl.tp != nil, Epoch: pl.epoch}
+		if pl.tp != nil {
+			resp.Topic.Epoch = pl.tp.eng().Epoch()
 		}
-		resp.Topic = pl
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }

@@ -710,6 +710,45 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 	if code != http.StatusBadRequest || ec != codeInvalidRequest {
 		t.Fatalf("move onto self: %d %q", code, ec)
 	}
+
+	// Every write path that loses the race to a hand-off follows the
+	// tombstone: requests that found the topic, then waited on its lock
+	// while it left (the lock is held here, the topic fenced under it as
+	// a hand-off leaves it), are forwarded — not told 404 about a topic
+	// that merely moved.
+	srv := tc.shards[src].srv
+	tp := srv.resolve(name).tp
+	tp.mu.Lock()
+	late := map[string]any{
+		"/v1/topics/" + name + "/vocab":   vocabRequest{},
+		"/v1/topics/" + name + "/batches": harnessBatch(7, 6),
+		"/v1/cluster/move":                moveRequest{Topic: name, Target: tc.url(dst)},
+	}
+	type answer struct {
+		path, shard string
+		code        int
+	}
+	answers := make(chan answer, len(late))
+	for path, body := range late {
+		go func() {
+			data, _ := json.Marshal(body)
+			resp, err := tc.noRedirect.Post(tc.url(src)+path, "application/json", bytes.NewReader(data))
+			if err != nil {
+				answers <- answer{path: path}
+				return
+			}
+			resp.Body.Close()
+			answers <- answer{path, resp.Header.Get(shardHeader), resp.StatusCode}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond) // let them reach the topic lock
+	srv.fenceLocal(tp, 3, tc.url(dst), "simulated hand-off")
+	tp.mu.Unlock()
+	for range late {
+		if a := <-answers; a.code != http.StatusTemporaryRedirect || a.shard != tc.url(dst) {
+			t.Fatalf("POST %s behind a hand-off answered %d shard=%q, want 307 to %s", a.path, a.code, a.shard, tc.url(dst))
+		}
+	}
 }
 
 // errCode2 is errCode for clients that must not follow redirects (the
@@ -831,6 +870,70 @@ func TestClusterDeleteRacingMove(t *testing.T) {
 			tc.retryJSON("POST", tc.url(serving)+"/v1/topics/"+name+"/batches",
 				batchRequest{Time: 100 + round, Tweets: harnessBatch(9, 7).Tweets}, nil, http.StatusOK)
 		}
+	}
+}
+
+// lostAckTransport performs every request for real, but reports the first
+// hand-off PUT's response as lost: the target installed the topic, the
+// source only sees a transport error.
+type lostAckTransport struct {
+	lost atomic.Bool
+}
+
+func (l *lostAckTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.Header.Get(handoffHeader) != "" && l.lost.CompareAndSwap(false, true) {
+		resp.Body.Close()
+		return nil, fmt.Errorf("injected: the response to %s %s was lost", req.Method, req.URL.Path)
+	}
+	return resp, err
+}
+
+// TestClusterMoveLostInstallAck: the hand-off PUT lands but its ack does
+// not. The source must neither un-fence (two owners) nor park the move
+// (the target can be asked): the placement query at the hand-off epoch
+// finds the topic installed, and the move completes.
+func TestClusterMoveLostInstallAck(t *testing.T) {
+	transport := &lostAckTransport{}
+	tc := newTestCluster(t, 3, serverOptions{
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
+		peer:    fastPeer(transport),
+	}, false, true)
+	name := harnessTopicName(5)
+	src := tc.ownerIdx(name)
+	dst := (src + 1) % 3
+	tc.retryJSON("POST", tc.url(src)+"/v1/topics", harnessCreateReq(5), nil, http.StatusCreated)
+	ctl := controlTopic(t, harnessCreateReq(5))
+	for day := 1; day <= 3; day++ {
+		tc.retryJSON("POST", tc.url(src)+"/v1/topics/"+name+"/batches", harnessBatch(5, day), nil, http.StatusOK)
+		if _, err := ctl.Process(day, specTweets(harnessBatch(5, day))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var mv moveResponse
+	code, err := doJSON(tc.client, "POST", tc.url(src)+"/v1/cluster/move",
+		moveRequest{Topic: name, Target: tc.url(dst)}, &mv)
+	if err != nil || code != http.StatusOK || mv.Epoch != 1 || mv.Batches != 3 {
+		t.Fatalf("move with a lost install ack: %d %v %+v", code, err, mv)
+	}
+	if !transport.lost.Load() {
+		t.Fatal("the hand-off PUT never crossed the transport")
+	}
+
+	ctl.SetEpoch(1)
+	var want bytes.Buffer
+	if err := ctl.Snapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got := fetchSnapshot(t, tc.noRedirect, tc.url(dst)+"/v1/topics/"+name+"/snapshot"); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("target snapshot (%d bytes) differs from the control (%d bytes)", len(got), want.Len())
+	}
+	if pl := tc.shards[src].srv.resolve(name); pl.tp != nil || !pl.moved || pl.owner != tc.url(dst) || pl.epoch != 1 {
+		t.Fatalf("source placement after the move: %+v, want a tombstone to %s at epoch 1", pl, tc.url(dst))
+	}
+	if dirStore(t, tc.shards[src].dir).HasSnapshot(name) {
+		t.Fatal("source still holds the snapshot of a topic it handed off")
 	}
 }
 

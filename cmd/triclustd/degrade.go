@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -12,25 +11,83 @@ import (
 	"time"
 )
 
-// Per-topic storage states. A topic leaves stOK when its durable writes
-// keep failing (stDegraded: read-only, reads served from the last
+// A topic's condition is one atomic state, and topicStates the one table
+// of what each state means to a request. A topic leaves stServing when
+// its durable writes keep failing (stReadOnly: reads served from the last
 // durable state via the RCU view) and falls to stParked when even the
 // rollback reload failed — the daemon then holds NO state disk vouches
 // for, so the topic serves nothing until a probe-driven reload succeeds.
+// stRetired is terminal: the topic was deleted, handed off or fenced.
 //
-//	stOK ──(DegradeAfter consecutive failures, ENOSPC, or no journal)──▶ stDegraded
-//	stOK/stDegraded ──(rollback reload fails)──▶ stParked
-//	stDegraded ──(probe ok + compaction save ok)──▶ stOK
-//	stParked ──(probe ok + reload ok + save ok)──▶ stOK
+//	stServing ──(DegradeAfter consecutive failures, ENOSPC, or no journal)──▶ stReadOnly
+//	stServing/stReadOnly ──(rollback reload fails)──▶ stParked
+//	stReadOnly ──(probe ok + compaction save ok)──▶ stServing
+//	stParked ──(probe ok + reload ok + save ok)──▶ stServing
+//	any ──(retire)──▶ stRetired
 //
-// Past ShardAfter degraded/parked topics the whole shard turns
+// Past ShardAfter read-only/parked topics the whole shard turns
 // read-only: every write answers 503 storage_readonly, because a disk
 // failing across topics is a disk about to fail the next topic too.
 const (
-	stOK int32 = iota
-	stDegraded
+	stServing int32 = iota
+	stReadOnly
 	stParked
+	stRetired
 )
+
+var topicStates = [...]struct {
+	readable, writable bool
+	// status, code and why refuse what the state does not admit
+	// (Retry-After rides on the storage codes, see fail).
+	status    int
+	code, why string
+	// mark is the X-Triclust-Degraded value of admitted reads: a header
+	// (not a body change) so ETag revalidation and the memoized /features
+	// body stay byte-identical.
+	mark string
+}{
+	stServing: {readable: true, writable: true},
+	stReadOnly: {readable: true, status: http.StatusServiceUnavailable, code: codeStorageDegraded,
+		why: "is read-only after persistent storage failures; retry after recovery", mark: "storage"},
+	stParked: {status: http.StatusServiceUnavailable, code: codeStorageDegraded,
+		why: "is parked after a storage failure (no state disk vouches for); retry after recovery"},
+	stRetired: {status: http.StatusNotFound, code: codeTopicNotFound, why: "was deleted"},
+}
+
+const (
+	opRead  = false
+	opWrite = true
+)
+
+// admit is the one gate of a request against a topic's condition: nil
+// admits, anything else is the refusal to answer. Writes also pass the
+// shard-level switch; tp nil (create, restore) checks only that. Writers
+// call it under tp.mu, so the verdict holds until they unlock; the read
+// plane calls it lock-free.
+func (s *server) admit(tp *topic, write bool) *apiError {
+	if m := s.storage; write && m != nil && m.readonly.Load() {
+		return errf(http.StatusServiceUnavailable, codeStorageReadonly,
+			"shard is read-only: %d+ topics have degraded storage; retry after recovery", m.opts.ShardAfter)
+	}
+	if tp == nil {
+		return nil
+	}
+	st := &topicStates[tp.state.Load()]
+	if write && st.writable || !write && st.readable {
+		return nil
+	}
+	return errf(st.status, st.code, "topic %q %s", tp.name, st.why)
+}
+
+// setState moves tp to state to, reporting whether anything changed;
+// nothing leaves stRetired. Callers hold tp.mu.
+func (tp *topic) setState(to int32) bool {
+	if from := tp.state.Load(); from == stRetired || from == to {
+		return false
+	}
+	tp.state.Store(to)
+	return true
+}
 
 // storageOptions tune the degraded-mode state machine.
 type storageOptions struct {
@@ -130,7 +187,7 @@ func (m *storageMonitor) noteFailure(tp *topic, err error) {
 	m.lastErr.Store(&msg)
 	n := int(tp.storFails.Add(1))
 	if n >= m.opts.DegradeAfter || errors.Is(err, syscall.ENOSPC) || !tp.disk.HasJournal() {
-		if tp.storage.CompareAndSwap(stOK, stDegraded) {
+		if tp.state.CompareAndSwap(stServing, stReadOnly) {
 			m.s.logf("topic %q storage-degraded after %d consecutive durable-write failures: %v", tp.name, n, err)
 		}
 		m.recount()
@@ -139,39 +196,8 @@ func (m *storageMonitor) noteFailure(tp *topic, err error) {
 }
 
 // degradedHeader marks read responses served from the last durable
-// state while the topic's storage is degraded. A header (not a body
-// change) so ETag revalidation and the memoized /features body stay
-// byte-identical.
+// state while the topic's storage is degraded (see topicStates.mark).
 const degradedHeader = "X-Triclust-Degraded"
-
-// retryAfter stamps the Retry-After hint on storage-refusal responses:
-// the probe cadence, i.e. the soonest recovery could have happened.
-func (s *server) retryAfter(w http.ResponseWriter, code string) {
-	if s.storage != nil && (code == codeStorageDegraded || code == codeStorageReadonly) {
-		w.Header().Set("Retry-After", s.storage.retrySeconds())
-	}
-}
-
-// readGate refuses reads of a parked topic — parked means the daemon
-// holds no state disk vouches for — and stamps the degraded marker
-// header on reads of a degraded one (those reads stay correct: the RCU
-// view is the last durable state). Reports whether the read may
-// proceed; on refusal the response is already written.
-func (s *server) readGate(w http.ResponseWriter, tp *topic) bool {
-	if s.storage == nil {
-		return true
-	}
-	switch tp.storage.Load() {
-	case stParked:
-		s.retryAfter(w, codeStorageDegraded)
-		writeError(w, http.StatusServiceUnavailable, codeStorageDegraded,
-			fmt.Errorf("topic %q is parked after a storage failure: no trustworthy state to serve", tp.name))
-		return false
-	case stDegraded:
-		w.Header().Set(degradedHeader, "storage")
-	}
-	return true
-}
 
 // park drops tp to the parked state: the rollback reload after a failed
 // durable write itself failed, so the in-memory engine is ahead of
@@ -182,7 +208,7 @@ func (m *storageMonitor) park(tp *topic, err error) {
 	if m == nil {
 		return
 	}
-	tp.storage.Store(stParked)
+	tp.setState(stParked)
 	msg := err.Error()
 	m.lastErr.Store(&msg)
 	m.s.logf("topic %q parked: durable state unreadable after a storage failure (%v); refusing reads and writes until recovery re-reads disk", tp.name, err)
@@ -190,47 +216,22 @@ func (m *storageMonitor) park(tp *topic, err error) {
 	m.ensureProber()
 }
 
-// writeGate is the fail-fast check at the top of every write path:
-// non-"" code means refuse with that status/code (and a Retry-After in
-// the HTTP layer).
-func (m *storageMonitor) writeGate(tp *topic) (int, string, error) {
-	if status, code, err := m.shardGate(); code != "" {
-		return status, code, err
+// impaired returns the served topics that do not admit writes.
+func (m *storageMonitor) impaired() []*topic {
+	var out []*topic
+	for _, tp := range m.s.served() {
+		if !topicStates[tp.state.Load()].writable {
+			out = append(out, tp)
+		}
 	}
-	switch tp.storage.Load() {
-	case stParked:
-		return http.StatusServiceUnavailable, codeStorageDegraded,
-			fmt.Errorf("topic %q is parked after a storage failure (durable state unreadable); retry after recovery", tp.name)
-	case stDegraded:
-		return http.StatusServiceUnavailable, codeStorageDegraded,
-			fmt.Errorf("topic %q is read-only: persistent storage failures; retry after recovery", tp.name)
-	}
-	return 0, "", nil
-}
-
-// shardGate is writeGate for paths that create new durable state before
-// any topic exists (create, restore): only the shard-level switch
-// applies.
-func (m *storageMonitor) shardGate() (int, string, error) {
-	if m != nil && m.readonly.Load() {
-		return http.StatusServiceUnavailable, codeStorageReadonly,
-			fmt.Errorf("shard is read-only: %d+ topics have degraded storage; retry after recovery", m.opts.ShardAfter)
-	}
-	return 0, "", nil
+	return out
 }
 
 // recount recomputes the shard-level read-only switch from the current
-// per-topic states and returns how many topics are not stOK. Safe under
-// tp.mu (lock order tp.mu → s.mu).
+// per-topic states and returns how many served topics are impaired. Safe
+// under tp.mu (lock order tp.mu → s.mu).
 func (m *storageMonitor) recount() int {
-	n := 0
-	m.s.mu.RLock()
-	for _, tp := range m.s.topics {
-		if tp.storage.Load() != stOK {
-			n++
-		}
-	}
-	m.s.mu.RUnlock()
+	n := len(m.impaired())
 	was := m.readonly.Swap(n >= m.opts.ShardAfter)
 	now := n >= m.opts.ShardAfter
 	if now && !was {
@@ -242,7 +243,7 @@ func (m *storageMonitor) recount() int {
 }
 
 // ensureProber starts the probe loop if it is not already running. The
-// loop stops itself once every topic is back to stOK, so servers that
+// loop stops itself once every topic admits writes again, so servers that
 // never degrade never run it.
 func (m *storageMonitor) ensureProber() {
 	m.mu.Lock()
@@ -274,15 +275,7 @@ func (m *storageMonitor) probeLoop(stop chan struct{}) {
 		m.lastProbe.Store(&ok)
 		// Writes work again: walk the degraded topics and prove each one
 		// back to health with a real reload + compaction save.
-		m.s.mu.RLock()
-		pending := make([]*topic, 0, len(m.s.topics))
-		for _, tp := range m.s.topics {
-			if tp.storage.Load() != stOK {
-				pending = append(pending, tp)
-			}
-		}
-		m.s.mu.RUnlock()
-		for _, tp := range pending {
+		for _, tp := range m.impaired() {
 			m.recoverTopic(tp)
 		}
 		// Nothing left to watch: stop until the next degrade.
@@ -305,9 +298,8 @@ func (m *storageMonitor) probeLoop(stop chan struct{}) {
 func (m *storageMonitor) recoverTopic(tp *topic) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	state := tp.storage.Load()
-	if state == stOK || tp.deleted {
-		tp.storage.Store(stOK)
+	state := tp.state.Load()
+	if state != stReadOnly && state != stParked {
 		return
 	}
 	if state == stParked {
@@ -319,19 +311,15 @@ func (m *storageMonitor) recoverTopic(tp *topic) {
 	// The proving write: a fresh snapshot + journal restart. This also
 	// re-bases the followers (replShip below), so replication converges
 	// from the recovered durable state.
-	ok, err := m.s.saveIfCurrent(tp)
-	if err != nil {
+	if err := m.s.saveIfCurrent(tp); err != nil {
 		m.s.logf("recovery save %q: %v (still degraded)", tp.name, err)
 		return
 	}
-	tp.storage.Store(stOK)
+	tp.setState(stServing)
 	tp.storFails.Store(0)
 	m.recoveries.Add(1)
-	if !ok {
-		return // deleted concurrently; nothing to ship
-	}
-	if _, _, err := m.s.replShip(tp, nil, 0, 0, false); err != nil {
-		m.s.logf("recovery re-ship %q: %v (resync queued)", tp.name, err)
+	if e := m.s.replShip(tp, nil, false); e != nil {
+		m.s.logf("recovery re-ship %q: %v (resync queued)", tp.name, e)
 	}
 	m.s.logf("topic %q storage recovered", tp.name)
 }
@@ -364,14 +352,12 @@ func (m *storageMonitor) health(served []*topic) *storageHealth {
 		Recoveries: m.recoveries.Load(),
 		Probes:     m.probes.Load(),
 	}
+	var in [len(topicStates)][]string
 	for _, tp := range served {
-		switch tp.storage.Load() {
-		case stDegraded:
-			h.Degraded = append(h.Degraded, tp.name)
-		case stParked:
-			h.Parked = append(h.Parked, tp.name)
-		}
+		st := tp.state.Load()
+		in[st] = append(in[st], tp.name)
 	}
+	h.Degraded, h.Parked = in[stReadOnly], in[stParked]
 	sort.Strings(h.Degraded)
 	sort.Strings(h.Parked)
 	if len(h.Degraded)+len(h.Parked) > 0 {

@@ -337,6 +337,61 @@ func TestCompactionFailureKeepsAck(t *testing.T) {
 	}
 }
 
+// TestVocabSaveFailureRollsBack: a vocabulary warm-up whose snapshot save
+// fails answers 500 storage_error — and must leave memory where disk is.
+// If the folded documents stayed in memory, the next batch would be
+// journaled against a vocabulary the snapshot does not hold: acked 200,
+// then lost on restart when replay cannot reproduce its fingerprint.
+// Whatever the daemon answers, a restart must serve what it served.
+func TestVocabSaveFailureRollsBack(t *testing.T) {
+	const name = "vocab"
+	opts := store.Options{Every: 100}
+	warm := vocabRequest{Docs: [][]string{{"w1", "w9"}, {"w9", "w8", "w7"}}}
+	for _, tc := range []struct {
+		label     string
+		rules     []fault.Rule
+		vocabCode int
+	}{
+		{"control", nil, http.StatusOK},
+		// The create's save is the first rename; the warm-up's the second.
+		{"save fails", []fault.Rule{{Site: "persist.snap.rename", Hit: 2, Err: errors.New("injected rename failure")}},
+			http.StatusInternalServerError},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := faultServerAt(t, dir, fault.NewScript(tc.rules...), opts, storageOptions{ProbeInterval: time.Hour})
+			if rec := matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name)); rec.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+			}
+			rec := matrixServe(t, s, "POST", "/v1/topics/"+name+"/vocab", warm)
+			if rec.Code != tc.vocabCode || (rec.Code != http.StatusOK && !strings.Contains(rec.Body.String(), codeStorage)) {
+				t.Fatalf("warm-up: %d %s, want %d", rec.Code, rec.Body.String(), tc.vocabCode)
+			}
+			rec = matrixServe(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1))
+			t.Logf("batch 1 after the warm-up: %d", rec.Code)
+			live := captureTopic(t, s, name)
+
+			restartDir := t.TempDir()
+			if err := os.CopyFS(restartDir, os.DirFS(dir)); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := newServer(restartDir, serverOptions{journal: opts}, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			got := captureTopic(t, s2, name)
+			if got == nil {
+				t.Fatal("restart does not serve the topic")
+			}
+			if got.batches != live.batches || !bytes.Equal(got.snap, live.snap) || s2.store.Quarantined() != 0 {
+				t.Fatalf("restart serves %d batches (snapshot equal = %v, %d files quarantined); the live daemon served %d — want the same bytes, nothing quarantined",
+					got.batches, bytes.Equal(got.snap, live.snap), s2.store.Quarantined(), live.batches)
+			}
+		})
+	}
+}
+
 // TestJournalRecreateFailureDegrades: when a compaction's journal rotate
 // fails and the journal cannot be re-created either, the topic has no way
 // left to commit a batch. It must say so — read-only through the storage

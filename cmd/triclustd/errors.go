@@ -3,8 +3,11 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"strconv"
 
+	"triclust"
 	"triclust/internal/codec"
 )
 
@@ -88,6 +91,64 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: err.Error()}})
 }
 
+// apiError is the one value a refused request is described by, from the
+// function that refuses it to the response: status, stable code, cause,
+// and — for fencing verdicts — the epoch and owning shard the refusal
+// advertises. It exists only on refusal. A peer's refusal decodes back
+// into the same type (peerError), so an inter-shard caller branches on
+// exactly what the remote handler returned.
+type apiError struct {
+	status int
+	code   string
+	err    error
+	epoch  uint64 // X-Triclust-Epoch (0: none)
+	owner  string // X-Triclust-Shard ("": none)
+}
+
+func (e *apiError) Error() string { return e.err.Error() }
+
+func errf(status int, code, format string, args ...any) *apiError {
+	return &apiError{status: status, code: code, err: fmt.Errorf(format, args...)}
+}
+
+// fail writes e as the response — the only place that stamps what a
+// refusal means beyond its body: the retry hint of a storage refusal (the
+// probe cadence, i.e. the soonest recovery could have happened), the
+// fencing epoch and owner of an epoch_mismatch, and the structured verdict
+// of a conformance rejection (which invariant broke, by how many sigma).
+func (s *server) fail(w http.ResponseWriter, e *apiError) {
+	h := w.Header()
+	if s.storage != nil && (e.code == codeStorageDegraded || e.code == codeStorageReadonly) {
+		h.Set("Retry-After", s.storage.retrySeconds())
+	}
+	if e.epoch != 0 {
+		h.Set(epochHeader, strconv.FormatUint(e.epoch, 10))
+	}
+	if e.owner != "" {
+		h.Set(shardHeader, e.owner)
+	}
+	detail := errorDetail{Code: e.code, Message: e.Error()}
+	var ce *triclust.ConformanceError
+	if errors.As(e.err, &ce) {
+		detail.Conformance = verdictOf(&ce.Verdict)
+	}
+	writeJSON(w, e.status, errorBody{Error: detail})
+}
+
+// peerError rebuilds the apiError a peer's handler passed to fail from the
+// peer's reply.
+func peerError(peer string, resp *http.Response, body []byte) *apiError {
+	e := &apiError{status: resp.StatusCode, owner: resp.Header.Get(shardHeader),
+		err: fmt.Errorf("%s answered %d", peer, resp.StatusCode)}
+	e.epoch, _ = strconv.ParseUint(resp.Header.Get(epochHeader), 10, 64)
+	var eb errorBody
+	if json.Unmarshal(body, &eb) == nil && eb.Error.Code != "" {
+		e.code = eb.Error.Code
+		e.err = fmt.Errorf("%s answered %d (%s: %s)", peer, resp.StatusCode, e.code, eb.Error.Message)
+	}
+	return e
+}
+
 // snapshotErrorCode maps codec decode failures onto stable error codes.
 func snapshotErrorCode(err error) string {
 	switch {
@@ -98,16 +159,16 @@ func snapshotErrorCode(err error) string {
 	}
 }
 
-// requestErrorStatus maps a request-body read/decode failure onto a
-// status and stable code: a body that tripped the -max-body-bytes bound
-// is 413 body_too_large (the client should split the batch, not re-send),
-// anything else is a plain 400.
-func requestErrorStatus(err error) (int, string) {
+// bodyError maps a request-body read failure onto its refusal: a body
+// that tripped the -max-body-bytes bound is 413 body_too_large (the client
+// should split the batch, not re-send), anything else is a plain 400.
+func bodyError(err error) *apiError {
+	e := errf(http.StatusBadRequest, codeInvalidRequest, "read body: %w", err)
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge, codeBodyTooLarge
+		e.status, e.code = http.StatusRequestEntityTooLarge, codeBodyTooLarge
 	}
-	return http.StatusBadRequest, codeInvalidRequest
+	return e
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -45,8 +45,7 @@
 // did before the restart.
 //
 // A batch becomes durable one way: its O(batch) record is fsync-appended
-// to <dir>/<topic>.journal before the ack. A failed append rolls the
-// topic back to what disk vouches for and answers 503. The full O(state)
+// to <dir>/<topic>.journal before the ack. The full O(state)
 // snapshot <dir>/<topic>.snap is compaction: rewritten every
 // -journal-every batches (or when the journal exceeds
 // -journal-max-bytes), after which the journal is truncated; a failed
@@ -64,6 +63,24 @@
 // vocab warm-up with "freeze":true fixed it earlier; batch times must
 // strictly increase per topic; an empty batch is a recorded no-op. Batch
 // results are independent of tweet ordering within a batch.
+//
+// # Topic states
+//
+// A topic is in exactly one state; one table (topicStates, degrade.go)
+// says what a request gets from it:
+//
+//	serving    reads 200/304                        writes 200
+//	read-only  reads 200/304 + X-Triclust-Degraded  writes 503 storage_degraded + Retry-After
+//	parked     reads and writes 503 storage_degraded + Retry-After
+//	retired    404 topic_not_found or, if the topic moved, forwarded after its tombstone
+//
+// A write whose durable step fails (503 journal_write_failed for a batch,
+// 500 storage_error for a warm-up) is rolled back to what disk vouches
+// for and can be retried. -degrade-after failures in a row (ENOSPC at
+// once) make a topic read-only; a rollback that cannot re-read disk parks
+// it; -shard-degrade-after unwritable topics make the shard refuse every
+// write with 503 storage_readonly. A write probe (-storage-probe-interval,
+// also the Retry-After hint) recovers topics without a restart.
 //
 // # Conformance gate
 //
@@ -99,8 +116,8 @@
 // compacts its journal into a final snapshot, bumps the topic's
 // ownership epoch, installs the snapshot on the target over the restore
 // endpoint, and drops the local copy, leaving a persisted tombstone
-// (<topic>.moved) that refuses the topic's writes at stale epochs and
-// redirects clients — across restarts — to the new owner.
+// (<topic>.moved) that refuses the topic's state at stale epochs and —
+// across restarts — sends its clients after it (the retired row above).
 //
 // # Replication and failover
 //
@@ -120,8 +137,8 @@
 // and redirects its clients to the new owner. -auto-rebalance drives
 // held topics back onto the ring as peers die and return. GET /v1/healthz
 // reports the replication factor, down peers, held replicas and
-// per-follower shipping lag; a topic whose journal append fails (disk
-// full) answers 503 journal_write_failed and is listed as degraded.
+// per-follower shipping lag. Every inter-shard request (probe, ship,
+// hand-off, placement query, proxy hop) is bounded by -peer-timeout.
 package main
 
 import (
@@ -209,8 +226,8 @@ func main() {
 			logf("startup: %v", err)
 			os.Exit(1)
 		}
-		cc.peerTimeout = *peerTimeout
 		opts.cluster = cc
+		opts.peer = peerOptions{Timeout: *peerTimeout}
 	}
 	if *replFactor >= 2 {
 		opts.repl = &replOptions{
@@ -218,7 +235,6 @@ func main() {
 			ProbeInterval:     *probeInterval,
 			ProbeTimeout:      *probeTimeout,
 			ProbeFailures:     *probeFailures,
-			ShipTimeout:       *peerTimeout,
 			AutoRebalance:     *autoRebalance,
 			RebalanceInterval: *rebalanceInterval,
 		}

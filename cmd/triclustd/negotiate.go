@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"mime"
 	"net/http"
 	"strings"
@@ -24,26 +23,23 @@ const (
 // requireMediaType validates the request's Content-Type against the
 // media types the endpoint accepts. An absent header selects the first
 // (the endpoint's default); parameters like charset are tolerated and
-// ignored. On rejection the 415 response is written and ok is false.
-func requireMediaType(w http.ResponseWriter, r *http.Request, accepted ...string) (mt string, ok bool) {
+// ignored. Anything else is refused with 415.
+func requireMediaType(r *http.Request, accepted ...string) (string, *apiError) {
 	ct := r.Header.Get("Content-Type")
 	if ct == "" {
-		return accepted[0], true
+		return accepted[0], nil
 	}
 	mt, _, err := mime.ParseMediaType(ct)
 	if err != nil {
-		writeError(w, http.StatusUnsupportedMediaType, codeUnsupportedMediaType,
-			fmt.Errorf("malformed Content-Type %q: %v", ct, err))
-		return "", false
+		return "", errf(http.StatusUnsupportedMediaType, codeUnsupportedMediaType, "malformed Content-Type %q: %v", ct, err)
 	}
 	for _, a := range accepted {
 		if mt == a {
-			return mt, true
+			return mt, nil
 		}
 	}
-	writeError(w, http.StatusUnsupportedMediaType, codeUnsupportedMediaType,
-		fmt.Errorf("Content-Type %q is not accepted here (expected %s)", mt, strings.Join(accepted, " or ")))
-	return "", false
+	return "", errf(http.StatusUnsupportedMediaType, codeUnsupportedMediaType,
+		"Content-Type %q is not accepted here (expected %s)", mt, strings.Join(accepted, " or "))
 }
 
 // acceptsBatch reports whether the request negotiates the binary batch

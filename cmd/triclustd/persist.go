@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"net/http"
 
 	"triclust"
@@ -11,9 +10,9 @@ import (
 // ——— the commit path ———
 //
 // How a batch becomes durable is decided here and nowhere else: its frame
-// is fsync-appended to the topic's journal, shipped to the followers and
-// acked. Snapshots are compaction — maintenance that bounds recovery
-// time, never the thing an ack rests on.
+// is fsync-appended to the topic's journal, shipped to the followers (by
+// update, server.go) and acked. Snapshots are compaction — maintenance
+// that bounds recovery time, never the thing an ack rests on.
 
 // openJournal gives a topic loaded at startup its journal, so the first
 // batch after a restart commits by an O(batch) append like every other.
@@ -25,7 +24,7 @@ import (
 func (s *server) openJournal(tp *topic, rt *store.Restored) {
 	var err error
 	if rt.Replayed > 0 {
-		_, err = s.saveIfCurrent(tp)
+		err = s.saveIfCurrent(tp)
 	} else if err = tp.disk.Restart(rt.SnapCRC); err != nil {
 		s.storage.noteFailure(tp, err)
 	}
@@ -35,38 +34,38 @@ func (s *server) openJournal(tp *topic, rt *store.Restored) {
 }
 
 // commit makes the batch tp just processed durable before it is acked:
-// append + fsync the frame, ship the same bytes to the followers (they
-// verify and store them without re-encoding). The append is the one
-// durable write a batch depends on, so its failure is the one failure a
-// client sees: the topic is rolled back to disk and the batch answers
-// 503. A compaction point comes after the frame is durable; a failed
-// compaction is counted by the storage monitor (in saveIfCurrent) and
-// retried on the next batch — the journal stays past its cadence — but
+// append + fsync the frame, returned so update ships the same bytes to the
+// followers (they verify and store them without re-encoding). The append
+// is the one durable write a batch depends on, so its failure is the one
+// failure a client sees: 503 journal_write_failed, after update rolled the
+// topic back. A compaction point comes after the frame is durable; a
+// failed compaction is counted by the storage monitor (in saveIfCurrent)
+// and retried on the next batch — the journal stays past its cadence — but
 // cannot un-ack a batch the journal already vouches for. Caller holds
-// tp.mu; a non-nil error carries the HTTP status and stable code.
-func (s *server) commit(tp *topic, ts int, tweets []triclust.Tweet) (int, string, error) {
+// tp.mu.
+func (s *server) commit(tp *topic, ts int, tweets []triclust.Tweet) ([]byte, *apiError) {
 	batches, draws := tp.eng().StreamPos()
 	frame, due, err := tp.disk.Append(ts, tweets, batches, draws)
 	if err != nil {
-		return s.rollback(tp, err)
+		s.storage.noteFailure(tp, err)
+		return nil, errf(http.StatusServiceUnavailable, codeJournalWriteFailed, "batch processed but not durable: %w", err)
 	}
 	if !due {
 		s.storage.noteSuccess(tp)
-	} else if compacted, err := s.saveIfCurrent(tp); err != nil {
+	} else if err := s.saveIfCurrent(tp); err != nil {
 		s.logf("compaction of %q: %v (the batch is durable in the journal)", tp.name, err)
-	} else if compacted {
+	} else {
 		// A compaction re-bases the followers too: ship the fresh snapshot
 		// (a nil frame) so their replica journals restart as bounded tails.
 		frame = nil
 	}
-	return s.replShip(tp, frame, batches, draws, false)
+	return frame, nil
 }
 
-// rollback resolves a batch the journal did not take (disk full, I/O
-// error). The batch already ran in memory, but acknowledging it would
-// promise durability the disk refused — so (the store having truncated
-// the on-disk tail) the topic is reloaded to exactly what disk vouches
-// for, and the batch fails with 503 journal_write_failed. The topic stays
+// rollback resolves a mutation whose durable write failed (disk full, I/O
+// error) with cause. The mutation already ran in memory — so (the store
+// having truncated any torn journal tail) the topic is reloaded to exactly
+// what disk vouches for, and the request answers cause. The topic stays
 // served (reads, retries) and healthz reports it degraded until a durable
 // write succeeds.
 //
@@ -77,16 +76,14 @@ func (s *server) commit(tp *topic, ts int, tweets []triclust.Tweet) (int, string
 // load; parking covers the unreadable-disk case, where renaming files
 // aside could destroy a perfectly good snapshot over a transient read
 // error.)
-func (s *server) rollback(tp *topic, cause error) (int, string, error) {
+func (s *server) rollback(tp *topic, cause *apiError) *apiError {
 	if rerr := s.reloadFromDisk(tp); rerr != nil {
 		tp.disk.Close()
 		s.storage.park(tp, rerr)
-		return http.StatusServiceUnavailable, codeStorageDegraded,
-			fmt.Errorf("batch processed but not durable, and the rollback re-read failed (%v): %w", rerr, cause)
+		return errf(http.StatusServiceUnavailable, codeStorageDegraded,
+			"the rollback re-read failed too (%v): %w", rerr, cause)
 	}
-	s.storage.noteFailure(tp, cause)
-	return http.StatusServiceUnavailable, codeJournalWriteFailed,
-		fmt.Errorf("batch processed but not durable: %w", cause)
+	return cause
 }
 
 // reloadFromDisk swaps in an engine rebuilt from tp's on-disk state —
@@ -109,44 +106,47 @@ func (s *server) reloadFromDisk(tp *topic) error {
 // name (nil: none) — how the store tells the current instance of a name
 // from a deleted earlier incarnation.
 func (s *server) diskOf(name string) *store.Handle {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if tp := s.topics[name]; tp != nil {
+	if tp := s.resolve(name).tp; tp != nil {
 		return tp.disk
 	}
 	return nil
 }
 
 // saveIfCurrent compacts tp — snapshot save, then journal restart — if
-// tp is still the topic the registry serves under its name, reporting
-// whether it was (see store.Handle.Save for the locking that makes the
-// re-check sound). Every caller holds tp.mu, which also guards the
-// journal. The outcome is reported to the storage monitor either way.
-func (s *server) saveIfCurrent(tp *topic) (bool, error) {
+// tp is still the topic the registry serves under its name (see
+// store.Handle.Save for the locking that makes the re-check sound). Every
+// caller holds tp.mu, which also guards the journal; under it a topic
+// that admit has not refused is current, because only retire unregisters
+// one. A retired topic's files are not its own any more: nothing is
+// written and nothing is wrong. The outcome is reported to the storage
+// monitor either way.
+func (s *server) saveIfCurrent(tp *topic) error {
 	if s.store == nil {
-		return true, nil
+		return nil
 	}
 	current, err := tp.disk.Save(tp.eng(), s.diskOf)
 	if err != nil {
 		s.storage.noteFailure(tp, err)
-		return true, err
-	}
-	if current {
+	} else if current {
 		s.storage.noteSuccess(tp)
 	}
-	return current, nil
+	return err
 }
 
 // retire takes tp out of service for good (delete, hand-off, fencing, a
-// create that could not be persisted): unregistered if the registry
-// still serves this instance, marked deleted so no batch or save may
-// follow, its journal handle released. Caller holds tp.mu.
-func (s *server) retire(tp *topic) {
+// create that could not be persisted) — the one way a topic leaves the
+// registry: its state turns terminal so no batch, save or recovery may
+// follow, it is unregistered, its journal handle released. It reports
+// false if tp was retired already. Caller holds tp.mu.
+func (s *server) retire(tp *topic) bool {
+	if !tp.setState(stRetired) {
+		return false
+	}
 	s.mu.Lock()
 	if s.topics[tp.name] == tp {
 		delete(s.topics, tp.name)
 	}
 	s.mu.Unlock()
-	tp.deleted = true
 	tp.disk.Close()
+	return true
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -79,13 +78,11 @@ func setReadHeaders(w http.ResponseWriter, etag string) {
 	h.Set("Cache-Control", readCacheControl)
 }
 
-// readScratch is the pooled per-request encoding state of the read
-// endpoints: one buffer for the ETag and one for the response body, so a
-// steady-state user-estimate poll allocates only the small header
-// strings that escape into the response — the read path's analogue of
-// the batch endpoint's batchScratch.
+// readScratch is the pooled per-request encoding state of the hottest
+// read: the response body buffer, so a steady-state user-estimate poll
+// allocates only the small header strings that escape into the response
+// — the read path's analogue of the batch endpoint's batchScratch.
 type readScratch struct {
-	tag []byte
 	buf []byte
 }
 
@@ -137,36 +134,61 @@ type cachedRead struct {
 	body []byte
 }
 
-// userEstimate implements GET /v1/topics/{topic}/users/{user}: the
-// hottest read. Served entirely from the published view with pooled
-// encoding scratch; an If-None-Match hit costs no encoding at all.
-func (s *server) userEstimate(w http.ResponseWriter, r *http.Request) {
-	tp := s.lookup(w, r)
-	if tp == nil || !s.readGate(w, tp) {
-		return
+// readable resolves the request's topic and admits the read, marking
+// reads served from the last durable state. Like lookup, a nil topic ends
+// the request: with the refusal, or forwarded.
+func (s *server) readable(w http.ResponseWriter, r *http.Request) (*topic, *apiError) {
+	tp, e := s.lookup(w, r)
+	if tp == nil {
+		return nil, e
 	}
-	user, err := strconv.Atoi(r.PathValue("user"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("bad user id: %w", err))
-		return
+	if e := s.admit(tp, opRead); e != nil {
+		return nil, s.refuse(w, r, tp.name, nil, e)
+	}
+	if mark := topicStates[tp.state.Load()].mark; mark != "" {
+		w.Header().Set(degradedHeader, mark)
+	}
+	return tp, nil
+}
+
+// conditionalRead is the preamble of the ETag-validated reads: lookup →
+// admit → published view → its ETag → 304 on a matching If-None-Match (no
+// body, no encoding work). A nil topic ends the request, as in lookup.
+func (s *server) conditionalRead(w http.ResponseWriter, r *http.Request) (tp *topic, v triclust.ReadView, etag string, e *apiError) {
+	if tp, e = s.readable(w, r); tp == nil {
+		return nil, v, "", e
 	}
 	s.reads.Add(1)
-	v := tp.eng().ReadView()
-	sc := readPool.Get().(*readScratch)
-	defer readPool.Put(sc)
-	sc.tag = appendETag(sc.tag[:0], v)
-	etag := string(sc.tag)
+	v = tp.eng().ReadView()
+	var tag [64]byte
+	etag = string(appendETag(tag[:0], v))
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		s.notModified.Add(1)
 		setReadHeaders(w, etag)
 		w.WriteHeader(http.StatusNotModified)
-		return
+		return nil, v, "", nil
+	}
+	return tp, v, etag, nil
+}
+
+// userEstimate implements GET /v1/topics/{topic}/users/{user}: the
+// hottest read. Served entirely from the published view with pooled
+// encoding scratch; an If-None-Match hit costs no encoding at all.
+func (s *server) userEstimate(w http.ResponseWriter, r *http.Request) *apiError {
+	user, err := strconv.Atoi(r.PathValue("user"))
+	if err != nil {
+		return errf(http.StatusBadRequest, codeInvalidRequest, "bad user id: %w", err)
+	}
+	tp, v, etag, e := s.conditionalRead(w, r)
+	if tp == nil {
+		return e
 	}
 	est, ok := v.UserEstimate(user)
 	if !ok {
-		writeError(w, http.StatusNotFound, codeUserNotFound, fmt.Errorf("user %d has no history", user))
-		return
+		return errf(http.StatusNotFound, codeUserNotFound, "user %d has no history", user)
 	}
+	sc := readPool.Get().(*readScratch)
+	defer readPool.Put(sc)
 	b := append(sc.buf[:0], `{"user":`...)
 	b = strconv.AppendInt(b, int64(user), 10)
 	b = append(b, ',')
@@ -179,6 +201,7 @@ func (s *server) userEstimate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
+	return nil
 }
 
 // featureSentiments implements GET /v1/topics/{topic}/features: the
@@ -187,26 +210,16 @@ func (s *server) userEstimate(w http.ResponseWriter, r *http.Request) {
 // the published view — labeled once per committed batch, not per request
 // — and the whole response body is cached against the view's ETag, so
 // polls at an unchanged batch counter re-serve bytes (or 304).
-func (s *server) featureSentiments(w http.ResponseWriter, r *http.Request) {
-	tp := s.lookup(w, r)
-	if tp == nil || !s.readGate(w, tp) {
-		return
-	}
-	s.reads.Add(1)
-	v := tp.eng().ReadView()
-	etag := string(appendETag(nil, v))
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		s.notModified.Add(1)
-		setReadHeaders(w, etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
+func (s *server) featureSentiments(w http.ResponseWriter, r *http.Request) *apiError {
+	tp, v, etag, e := s.conditionalRead(w, r)
+	if tp == nil {
+		return e
 	}
 	c := tp.feat.Load()
 	if c == nil || c.etag != etag {
 		body, err := marshalFeatures(tp, v)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeStorage, err)
-			return
+			return errf(http.StatusInternalServerError, codeStorage, "%w", err)
 		}
 		c = &cachedRead{etag: etag, body: body}
 		tp.feat.Store(c)
@@ -215,26 +228,19 @@ func (s *server) featureSentiments(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(c.body)
+	return nil
 }
 
 // topicInfo implements GET /v1/topics/{topic}: the summary, served from
 // the view with the same ETag contract as the other read endpoints.
-func (s *server) topicInfo(w http.ResponseWriter, r *http.Request) {
-	tp := s.lookup(w, r)
-	if tp == nil || !s.readGate(w, tp) {
-		return
-	}
-	s.reads.Add(1)
-	v := tp.eng().ReadView()
-	etag := string(appendETag(nil, v))
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		s.notModified.Add(1)
-		setReadHeaders(w, etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
+func (s *server) topicInfo(w http.ResponseWriter, r *http.Request) *apiError {
+	tp, v, etag, e := s.conditionalRead(w, r)
+	if tp == nil {
+		return e
 	}
 	setReadHeaders(w, etag)
 	writeJSON(w, http.StatusOK, tp.summaryView(v))
+	return nil
 }
 
 // readPlaneHealth is the healthz read-plane section: traffic counters

@@ -34,10 +34,8 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -53,13 +51,6 @@ import (
 // a tombstone at exactly the epoch that demoted it.
 const epochHeader = "X-Triclust-Epoch"
 
-// shipRequestAttempts caps replica-ship retries on the request path,
-// where tp.mu is held and a client is waiting: enough to absorb one
-// transient failure, tight enough that a hung peer stalls the topic's
-// writers for about one ship timeout rather than the full configured
-// budget. The async resync worker uses the whole ShipAttempts budget.
-const shipRequestAttempts = 2
-
 // replOptions are the replication tunables (flags in main.go; the test
 // harness sets them directly).
 type replOptions struct {
@@ -71,36 +62,17 @@ type replOptions struct {
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	ProbeFailures int
-	// ShipTimeout bounds each replica-ship request; ShipAttempts bounds
-	// the in-request retries before a follower is marked out-of-sync.
-	ShipTimeout  time.Duration
-	ShipAttempts int
-	// Backoff spaces the in-request ship retries.
-	Backoff cluster.Backoff
 	// AutoRebalance drives held topics back onto the ring every
 	// RebalanceInterval; off by default, preserving PR 5's pin semantics.
 	AutoRebalance     bool
 	RebalanceInterval time.Duration
-	// Transport overrides the ship/probe transport (the fault-injection
-	// harness plugs a flaky RoundTripper in here); nil uses the default.
-	Transport http.RoundTripper
 }
 
+// withDefaults fills what the replicator itself reads; the detector
+// defaults its own timeout and threshold (cluster.DetectorConfig).
 func (o replOptions) withDefaults() replOptions {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = o.ProbeInterval
-	}
-	if o.ProbeFailures <= 0 {
-		o.ProbeFailures = 3
-	}
-	if o.ShipTimeout <= 0 {
-		o.ShipTimeout = 10 * time.Second
-	}
-	if o.ShipAttempts <= 0 {
-		o.ShipAttempts = 8
 	}
 	if o.RebalanceInterval <= 0 {
 		o.RebalanceInterval = 10 * time.Second
@@ -146,10 +118,9 @@ type replAck struct {
 // (promoteFrom vs replicaDrop) and could deadlock two peer-down
 // promotions against a replica DELETE.
 type replicator struct {
-	s      *server
-	opts   replOptions
-	client *http.Client
-	det    *cluster.Detector
+	s    *server
+	opts replOptions
+	det  *cluster.Detector
 
 	mu        sync.Mutex
 	followers map[string]map[string]*followerState // topic → peer → state
@@ -157,10 +128,9 @@ type replicator struct {
 	queued    map[string]bool                      // resync dedup
 	closed    bool
 
-	queue    chan string
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	queue chan string
+	stop  <-chan struct{} // the peer client's lifetime, ended by server.Close
+	wg    sync.WaitGroup
 }
 
 func newReplicator(s *server, opts replOptions) *replicator {
@@ -168,12 +138,11 @@ func newReplicator(s *server, opts replOptions) *replicator {
 	r := &replicator{
 		s:         s,
 		opts:      opts,
-		client:    &http.Client{Transport: opts.Transport},
 		followers: make(map[string]map[string]*followerState),
 		replicas:  make(map[string]*replica),
 		queued:    make(map[string]bool),
 		queue:     make(chan string, 256),
-		stop:      make(chan struct{}),
+		stop:      s.peers.ctx.Done(),
 	}
 	var peers []string
 	for _, p := range s.cluster.ring.Peers() {
@@ -185,27 +154,16 @@ func newReplicator(s *server, opts replOptions) *replicator {
 		Interval:  opts.ProbeInterval,
 		Timeout:   opts.ProbeTimeout,
 		Threshold: opts.ProbeFailures,
-		Backoff:   opts.Backoff,
+		Backoff:   s.peers.opts.Backoff,
 	}, r.onPeerChange)
+	s.peers.down = r.det.Down
 	return r
 }
 
-// probe is the detector's liveness check: the peer's readiness endpoint.
+// probe is the detector's liveness check: the peer's readiness endpoint,
+// under the detector's per-probe deadline.
 func (r *replicator) probe(ctx context.Context, peer string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz answered %d", resp.StatusCode)
-	}
-	return nil
+	return r.s.peers.call(peerCall{ctx: ctx, method: http.MethodGet, peer: peer, path: "/v1/healthz"}, nil)
 }
 
 // start launches the detector, the resync worker, the optional
@@ -219,15 +177,12 @@ func (r *replicator) start() {
 	r.spawn(r.reconcileStartup)
 }
 
-// close stops every background goroutine and releases the replica
-// journal handles. Idempotent.
+// close waits for every background goroutine (server.Close has ended
+// stop) and releases the replica journal handles. Idempotent.
 func (r *replicator) close() {
-	r.stopOnce.Do(func() {
-		r.mu.Lock()
-		r.closed = true
-		r.mu.Unlock()
-		close(r.stop)
-	})
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
 	r.det.Stop()
 	r.wg.Wait()
 	r.mu.Lock()
@@ -263,19 +218,8 @@ func (r *replicator) spawn(fn func()) {
 // Using ring order keyed by the topic name (not by who currently serves
 // it) keeps the set stable under operator moves and promotions.
 func (r *replicator) followerPeers(name string) []string {
-	all := r.s.cluster.ring.Peers()
-	set := r.s.cluster.ring.ReplicaSet(name, len(all))
-	out := make([]string, 0, r.opts.Factor-1)
-	for _, p := range set {
-		if p == r.s.cluster.self {
-			continue
-		}
-		out = append(out, p)
-		if len(out) == r.opts.Factor-1 {
-			break
-		}
-	}
-	return out
+	set := r.candidates(name, r.s.cluster.self)
+	return set[:min(len(set), r.opts.Factor-1)]
 }
 
 // candidates returns the ring-ordered promotion candidates for a topic
@@ -300,15 +244,10 @@ func (r *replicator) candidates(name, source string) []string {
 func (r *replicator) follower(name, peer string) (followerState, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := r.followers[name]
-	if m == nil {
-		return followerState{}, false
+	if st := r.followers[name][peer]; st != nil {
+		return *st, true
 	}
-	st := m[peer]
-	if st == nil {
-		return followerState{}, false
-	}
-	return *st, true
+	return followerState{}, false
 }
 
 func (r *replicator) setFollower(name, peer string, st followerState) {
@@ -370,19 +309,17 @@ func (r *replicator) resyncLoop() {
 		delete(r.queued, name)
 		r.mu.Unlock()
 		s := r.s
-		s.mu.RLock()
-		tp := s.topics[name]
-		s.mu.RUnlock()
+		tp := s.resolve(name).tp
 		if tp == nil {
 			continue
 		}
 		tp.mu.Lock()
-		if !tp.deleted {
+		if s.admit(tp, opRead) == nil {
 			// Full re-ship to the followers that fell behind; errors mark
 			// them unsynced again and re-queue (unless the follower is now
 			// declared down — then the peer-up sweep owns the re-queue).
-			if _, _, err := s.replShip(tp, nil, 0, 0, true); err != nil {
-				s.logf("resync %q: %v", name, err)
+			if e := s.replShip(tp, nil, true); e != nil {
+				s.logf("resync %q: %v", name, e)
 			}
 		}
 		tp.mu.Unlock()
@@ -403,117 +340,52 @@ func (r *replicator) resyncLoop() {
 	}
 }
 
-// shipError is a ship attempt's terminal failure: the follower's stable
-// error code (when it answered) plus the epoch/owner it advertised.
-type shipError struct {
-	code  string
-	epoch uint64
-	owner string
-	err   error
-}
-
-// post ships one replication frame to peer with bounded retries and
-// backoff. Transport errors and 5xx answers retry (a duplicate delivery
-// is acknowledged idempotently by the follower, so retrying a frame whose
-// response was lost is safe); 4xx answers are definitive. A peer the
-// detector declares down mid-retry is abandoned immediately — its resync
-// happens when it comes back, not by hammering a corpse.
-func (r *replicator) post(peer, name string, fr *codec.ReplAppend, attempts int) (replAck, *shipError) {
+// post ships one replication frame to peer with bounded retries — safe,
+// because the follower acknowledges a duplicate delivery (a retry whose
+// first response was lost) idempotently.
+func (r *replicator) post(peer, name string, fr *codec.ReplAppend, attempts int) (replAck, error) {
 	var buf bytes.Buffer
 	if err := codec.EncodeReplAppend(&buf, fr); err != nil {
-		return replAck{}, &shipError{err: err}
+		return replAck{}, err
 	}
-	var last error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if r.det.Down(peer) {
-				return replAck{}, &shipError{err: fmt.Errorf("%s declared down after %d attempts: %w", peer, attempt, last)}
-			}
-			select {
-			case <-r.stop:
-				return replAck{}, &shipError{err: errors.New("replicator shutting down")}
-			case <-time.After(r.opts.Backoff.Delay(attempt - 1)):
-			}
-		}
-		ack, se, retry := r.postOnce(peer, name, buf.Bytes())
-		if se == nil {
-			return ack, nil
-		}
-		if !retry {
-			return replAck{}, se
-		}
-		last = se.err
-	}
-	return replAck{}, &shipError{err: fmt.Errorf("gave up after %d attempts: %w", attempts, last)}
-}
-
-func (r *replicator) postOnce(peer, name string, frame []byte) (replAck, *shipError, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.opts.ShipTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		peer+"/v1/replica/"+name+"/append", bytes.NewReader(frame))
-	if err != nil {
-		return replAck{}, &shipError{err: err}, false
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return replAck{}, &shipError{err: err}, true
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode == http.StatusOK {
-		var ack replAck
-		if err := json.Unmarshal(body, &ack); err != nil {
-			return replAck{}, &shipError{err: fmt.Errorf("undecodable ack: %w", err)}, false
-		}
-		return ack, nil, false
-	}
-	se := &shipError{err: fmt.Errorf("%s answered %d", peer, resp.StatusCode)}
-	var eb errorBody
-	if err := json.Unmarshal(body, &eb); err == nil && eb.Error.Code != "" {
-		se.code = eb.Error.Code
-		se.err = fmt.Errorf("%s answered %d (%s: %s)", peer, resp.StatusCode, eb.Error.Code, eb.Error.Message)
-	}
-	if v := resp.Header.Get(epochHeader); v != "" {
-		se.epoch, _ = strconv.ParseUint(v, 10, 64)
-	}
-	se.owner = resp.Header.Get(shardHeader)
-	// 5xx (including a killed shard's 503) may be transient; 4xx is the
-	// follower's considered verdict.
-	return replAck{}, se, resp.StatusCode >= 500
+	var ack replAck
+	err := r.s.peers.call(peerCall{
+		method: http.MethodPost, peer: peer, path: "/v1/replica/" + name + "/append", body: buf.Bytes(),
+		header:  http.Header{"Content-Type": {mediaTypeSnapshot}},
+		timeout: defaultShipTimeout, attempts: attempts,
+	}, &ack)
+	return ack, err
 }
 
 // replShip replicates a topic's latest state to its followers; the caller
-// holds tp.mu. frame non-nil ships that just-appended journal frame
-// incrementally (batches/draws are the post-append fingerprint); frame
-// nil ships the full current snapshot — the first-contact, post-
-// compaction and resync path. async marks the resync worker's mode: skip
-// followers already in sync, and retry with the full ShipAttempts budget
-// (no client is waiting); the request path gets shipRequestAttempts.
+// holds tp.mu and has been admitted. frame non-nil ships that just-
+// appended journal frame incrementally; frame nil ships the full current
+// snapshot — the first-contact, post-compaction and resync path. async
+// marks the resync worker's mode: skip followers already in sync, and
+// retry with the full shipResyncAttempts budget (no client is waiting);
+// the request path gets shipRequestAttempts.
 //
 // The only failure that propagates is discovering this shard is a fenced
 // zombie (a follower answered epoch_mismatch): the topic is fenced
 // locally and the caller must fail the client's request with 409. Every
 // other failure degrades: the follower is marked out-of-sync, a resync is
 // queued, and the batch acks with fewer live copies.
-func (s *server) replShip(tp *topic, frame []byte, batches int, draws uint64, async bool) (int, string, error) {
+func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
 	r := s.repl
-	if r == nil || tp.deleted {
-		return 0, "", nil
+	if r == nil {
+		return nil
 	}
 	peers := r.followerPeers(tp.name)
 	if len(peers) == 0 {
-		return 0, "", nil
+		return nil
 	}
 	attempts := shipRequestAttempts
-	if async || attempts > r.opts.ShipAttempts {
-		attempts = r.opts.ShipAttempts
+	if async {
+		attempts = shipResyncAttempts
 	}
 	epoch := tp.eng().Epoch()
-	if frame == nil {
-		batches, draws = tp.eng().StreamPos()
-	}
+	// The post-append fingerprint the frame (or the full snapshot) carries.
+	batches, draws := tp.eng().StreamPos()
 	// The full snapshot is built at most once per ship round and reused
 	// across followers.
 	var fullSnap []byte
@@ -552,8 +424,7 @@ func (s *server) replShip(tp *topic, frame []byte, batches int, draws uint64, as
 			crc := st.snapCRC
 			if full {
 				if err := buildFull(); err != nil {
-					return http.StatusInternalServerError, codeStorage,
-						fmt.Errorf("export snapshot for replication: %w", err)
+					return errf(http.StatusInternalServerError, codeStorage, "export snapshot for replication: %w", err)
 				}
 				crc = fullCRC
 				fr.Snapshot = fullSnap
@@ -563,33 +434,33 @@ func (s *server) replShip(tp *topic, frame []byte, batches int, draws uint64, as
 				fr.Tail = frame
 			}
 			fr.SnapCRC = crc
-			ack, se := r.post(peer, tp.name, &fr, attempts)
-			if se == nil {
+			ack, err := r.post(peer, tp.name, &fr, attempts)
+			if err == nil {
 				r.setFollower(tp.name, peer, followerState{
 					snapCRC: crc, batches: ack.Batches, draws: ack.RandDraws, synced: true,
 				})
 				break
 			}
-			if se.code == codeEpochMismatch {
+			var refusal *apiError
+			errors.As(err, &refusal)
+			if refusal != nil && refusal.code == codeEpochMismatch {
 				// The follower knows the topic at a higher epoch: someone
 				// promoted (or the topic legitimately moved on) while this
 				// shard kept serving. Fence ourselves at just below the
 				// winning epoch so the new owner's ships to *us* pass and
 				// our clients are redirected to it.
-				fe := se.epoch
+				fe, target := refusal.epoch, refusal.owner
 				if fe == 0 {
 					fe = epoch + 1
 				}
-				target := se.owner
 				if target == "" {
 					target = peer
 				}
-				s.logf("topic %q: follower %s fenced this shard (epoch %d > %d); demoting", tp.name, peer, fe, epoch)
-				s.fenceLocal(tp, fe-1, target)
-				return http.StatusConflict, codeEpochMismatch,
-					fmt.Errorf("topic %q is now owned elsewhere at epoch %d (this shard was fenced; ask %s)", tp.name, fe, target)
+				s.fenceLocal(tp, fe-1, target, fmt.Sprintf("follower %s fenced this shard (epoch %d > %d)", peer, fe, epoch))
+				return &apiError{status: http.StatusConflict, code: codeEpochMismatch, epoch: fe, owner: target,
+					err: fmt.Errorf("topic %q is now owned elsewhere at epoch %d (this shard was fenced; ask %s)", tp.name, fe, target)}
 			}
-			if se.code == codeReplicaOutOfSync && !full {
+			if refusal != nil && refusal.code == codeReplicaOutOfSync && !full {
 				full = true
 				continue
 			}
@@ -600,19 +471,23 @@ func (s *server) replShip(tp *topic, frame []byte, batches int, draws uint64, as
 				// async retry.
 				r.enqueueResync(tp.name)
 			}
-			s.logf("replicate %q to %s: %v (follower marked out of sync)", tp.name, peer, se.err)
+			s.logf("replicate %q to %s: %v (follower marked out of sync)", tp.name, peer, err)
 			break
 		}
 	}
-	return 0, "", nil
+	return nil
 }
 
-// fenceLocal demotes this shard's copy of a topic: it is retired, a
-// tombstone at the given epoch written (so clients are redirected to
-// target and stale-epoch state cannot re-register), and its files
-// dropped. Caller holds tp.mu.
-func (s *server) fenceLocal(tp *topic, epoch uint64, target string) {
-	s.retire(tp)
+// fenceLocal demotes this shard's copy of a topic (why says who outranked
+// it): it is retired, a tombstone at the given epoch written (so clients
+// are redirected to target and stale-epoch state cannot re-register), and
+// its files dropped. A topic retired already stays as it is. Caller holds
+// tp.mu.
+func (s *server) fenceLocal(tp *topic, epoch uint64, target, why string) {
+	if !s.retire(tp) {
+		return
+	}
+	s.logf("topic %q: %s; demoting local copy", tp.name, why)
 	if err := s.setMoved(tp.name, cluster.Tombstone{Epoch: epoch, Target: target}); err != nil {
 		s.logf("fence %q: tombstone not persisted: %v", tp.name, err)
 	}
@@ -629,16 +504,8 @@ func (r *replicator) dropReplicas(name string, epoch uint64) {
 	r.dropTopicState(name)
 	r.spawn(func() {
 		for _, peer := range peers {
-			ctx, cancel := context.WithTimeout(context.Background(), r.opts.ShipTimeout)
-			req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-				peer+"/v1/replica/"+name+"?epoch="+strconv.FormatUint(epoch, 10), nil)
-			if err == nil {
-				if resp, err := r.client.Do(req); err == nil {
-					_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-					resp.Body.Close()
-				}
-			}
-			cancel()
+			_ = r.s.peers.call(peerCall{method: http.MethodDelete, peer: peer, timeout: defaultShipTimeout,
+				path: "/v1/replica/" + name + "?epoch=" + strconv.FormatUint(epoch, 10)}, nil)
 		}
 	})
 }
@@ -670,38 +537,52 @@ func (r *replicator) forgetReplica(name string, rep *replica) {
 	r.mu.Unlock()
 }
 
-// replicaAppend implements POST /v1/replica/{topic}/append — the wire a
-// primary ships journal frames (and base snapshots) over. The frame is
-// verified completely — CRC, epoch fencing, gapless fingerprint chain —
-// before anything is fsynced; a frame the follower cannot reconcile with
-// its replica answers 409 replica_out_of_sync, telling the primary to
-// re-ship a full base. Duplicate frames (a retry whose original response
-// was lost) are acknowledged idempotently.
-func (s *server) replicaAppend(w http.ResponseWriter, req *http.Request) {
-	r := s.repl
-	if r == nil {
-		writeError(w, http.StatusConflict, codeReplicationOff,
-			errors.New("this daemon does not run replication (-replication-factor)"))
-		return
-	}
-	if _, ok := requireMediaType(w, req, mediaTypeSnapshot); !ok {
-		return
-	}
+// replicaName is the shared preamble of the replica endpoints: they exist
+// only with replication on, for a valid topic name.
+func (s *server) replicaName(req *http.Request) (string, *apiError) {
 	name := req.PathValue("topic")
-	if err := store.ValidTopicName(name); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidName, err)
-		return
+	if s.repl == nil {
+		return "", errf(http.StatusConflict, codeReplicationOff, "this daemon does not run replication (-replication-factor)")
 	}
-	body, ok := s.readBody(w, req)
-	if !ok {
-		return
+	if err := store.ValidTopicName(name); err != nil {
+		return "", errf(http.StatusBadRequest, codeInvalidName, "%w", err)
+	}
+	return name, nil
+}
+
+// replicaAppend implements POST /v1/replica/{topic}/append — the wire a
+// primary ships journal frames (and base snapshots) over.
+func (s *server) replicaAppend(w http.ResponseWriter, req *http.Request) *apiError {
+	name, e := s.replicaName(req)
+	if e != nil {
+		return e
+	}
+	if _, e := requireMediaType(req, mediaTypeSnapshot); e != nil {
+		return e
+	}
+	body, e := readBody(req)
+	if e != nil {
+		return e
 	}
 	fr, err := codec.DecodeReplAppend(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
+		return errf(http.StatusBadRequest, codeInvalidRequest, "%w", err)
 	}
+	ack, e := s.storeFrame(name, fr)
+	if e != nil {
+		return e
+	}
+	writeJSON(w, http.StatusOK, ack)
+	return nil
+}
 
+// storeFrame folds one shipped frame into the cold replica of name. The
+// frame is verified completely — epoch fencing, gapless fingerprint chain
+// — before anything is fsynced; a frame the follower cannot reconcile with
+// its replica answers 409 replica_out_of_sync, telling the primary to
+// re-ship a full base. Duplicate frames (a retry whose original response
+// was lost) are acknowledged idempotently.
+func (s *server) storeFrame(name string, fr *codec.ReplAppend) (replAck, *apiError) {
 	// Epoch fencing against this shard's own view of the topic. A local
 	// copy at a strictly higher epoch outranks the shipper (it is the
 	// zombie); a local copy at a lower epoch means *we* are stale — fence
@@ -712,139 +593,105 @@ func (s *server) replicaAppend(w http.ResponseWriter, req *http.Request) {
 	// frame is stored as a replica without touching the served topic —
 	// demoting here would deadlock against the hand-off holding tp.mu, and
 	// refusing would fence the legitimate new owner.
-	s.mu.RLock()
-	tp, local := s.topics[name]
-	mv, movedOK := s.moved[name]
-	s.mu.RUnlock()
-	if local {
+	outranked := func(held uint64, owner, how string) (replAck, *apiError) {
+		return replAck{}, &apiError{status: http.StatusConflict, code: codeEpochMismatch, epoch: held, owner: owner,
+			err: fmt.Errorf("topic %q %s at epoch %d; refusing replica frames at epoch %d", name, how, held, fr.Epoch)}
+	}
+	pl := s.resolve(name)
+	if tp := pl.tp; tp != nil {
 		if le := tp.eng().Epoch(); le > fr.Epoch {
-			w.Header().Set(epochHeader, strconv.FormatUint(le, 10))
-			w.Header().Set(shardHeader, s.cluster.self)
-			writeError(w, http.StatusConflict, codeEpochMismatch,
-				fmt.Errorf("topic %q is served here at epoch %d; refusing replica frames at epoch %d", name, le, fr.Epoch))
-			return
+			return outranked(le, s.cluster.self, "is served here")
 		} else if le < fr.Epoch {
 			tp.mu.Lock()
-			if !tp.deleted {
-				s.logf("topic %q: replica frame at epoch %d outranks local epoch %d; demoting to follower",
-					name, fr.Epoch, tp.eng().Epoch())
-				s.fenceLocal(tp, fr.Epoch-1, fr.Source)
-			}
+			s.fenceLocal(tp, fr.Epoch-1, fr.Source,
+				fmt.Sprintf("replica frame at epoch %d outranks local epoch %d", fr.Epoch, le))
 			tp.mu.Unlock()
 		}
-	} else if movedOK && mv.Epoch > fr.Epoch {
+	} else if pl.moved && pl.epoch > fr.Epoch {
 		// The tombstone records the epoch the topic *left* at — the new
 		// owner legitimately ships at exactly that epoch, so only strictly
 		// older frames are the fenced zombie's.
-		w.Header().Set(epochHeader, strconv.FormatUint(mv.Epoch, 10))
-		w.Header().Set(shardHeader, mv.Target)
-		writeError(w, http.StatusConflict, codeEpochMismatch,
-			fmt.Errorf("topic %q was handed off at epoch %d; refusing replica frames at epoch %d", name, mv.Epoch, fr.Epoch))
-		return
+		return outranked(pl.epoch, pl.owner, "was handed off")
 	}
 
-	rep := r.replicaFor(name, true)
+	rep := s.repl.replicaFor(name, true)
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if rep.dropped {
+	var e *apiError
+	switch {
+	case rep.dropped:
 		// Mid-removal (a drop or promotion has marked it, the map entry is
 		// about to go): refuse, and the primary's retry gets a fresh entry.
-		writeError(w, http.StatusConflict, codeReplicaOutOfSync,
-			fmt.Errorf("replica of %q is being removed; re-ship a full base", name))
-		return
+		e = errf(http.StatusConflict, codeReplicaOutOfSync, "replica of %q is being removed; re-ship a full base", name)
+	case rep.Meta.Epoch > fr.Epoch:
+		return outranked(rep.Meta.Epoch, rep.Meta.Source, "is held as a replica")
+	case fr.Snapshot != nil:
+		e = s.installReplica(rep, name, fr)
+	default:
+		e = s.appendReplica(rep, name, fr)
 	}
-	if rep.Meta.Epoch > fr.Epoch {
-		w.Header().Set(epochHeader, strconv.FormatUint(rep.Meta.Epoch, 10))
-		w.Header().Set(shardHeader, rep.Meta.Source)
-		writeError(w, http.StatusConflict, codeEpochMismatch,
-			fmt.Errorf("replica of %q is held at epoch %d; refusing frames at epoch %d", name, rep.Meta.Epoch, fr.Epoch))
-		return
-	}
-	if fr.Snapshot != nil {
-		s.installReplica(w, rep, name, fr)
-		return
-	}
-	s.appendReplica(w, rep, name, fr)
+	return replAck{Batches: rep.Batches, RandDraws: rep.Draws}, e
 }
 
 // installReplica replaces a replica's base with a shipped full snapshot.
 // rep.mu held.
-func (s *server) installReplica(w http.ResponseWriter, rep *replica, name string, fr *codec.ReplAppend) {
+func (s *server) installReplica(rep *replica, name string, fr *codec.ReplAppend) *apiError {
 	if err := store.VerifyTail(fr.Tail, int(fr.BaseBatches), int(fr.Batches), fr.BaseRandDraws, fr.RandDraws); err != nil {
-		writeError(w, http.StatusConflict, codeReplicaOutOfSync,
-			fmt.Errorf("shipped tail does not extend the shipped base: %w", err))
-		return
+		return errf(http.StatusConflict, codeReplicaOutOfSync, "shipped tail does not extend the shipped base: %w", err)
 	}
 	meta := store.ReplicaMeta{Source: fr.Source, Epoch: fr.Epoch, SnapCRC: fr.SnapCRC,
 		Batches: int(fr.BaseBatches), RandDraws: fr.BaseRandDraws}
 	if err := s.store.InstallReplica(&rep.Replica, name, meta, fr.Snapshot, fr.Tail, int(fr.Batches), fr.RandDraws); err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
+		return &apiError{status: http.StatusInternalServerError, code: codeStorage, err: err}
 	}
 	rep.dropped = false
-	writeJSON(w, http.StatusOK, replAck{Batches: rep.Batches, RandDraws: rep.Draws})
+	return nil
 }
 
 // appendReplica extends a replica's journal tail with shipped frames.
 // rep.mu held.
-func (s *server) appendReplica(w http.ResponseWriter, rep *replica, name string, fr *codec.ReplAppend) {
-	if rep.Meta.SnapCRC == 0 && rep.Meta.Source == "" {
-		writeError(w, http.StatusConflict, codeReplicaOutOfSync,
-			fmt.Errorf("no replica of %q is held here; ship a full base first", name))
-		return
-	}
-	if rep.Meta.Epoch != fr.Epoch || rep.Meta.SnapCRC != fr.SnapCRC {
-		writeError(w, http.StatusConflict, codeReplicaOutOfSync,
-			fmt.Errorf("replica of %q holds base %08x at epoch %d, frame extends %08x at epoch %d",
-				name, rep.Meta.SnapCRC, rep.Meta.Epoch, fr.SnapCRC, fr.Epoch))
-		return
-	}
-	if int(fr.Batches) <= rep.Batches {
+func (s *server) appendReplica(rep *replica, name string, fr *codec.ReplAppend) *apiError {
+	switch {
+	case rep.Meta.SnapCRC == 0 && rep.Meta.Source == "":
+		return errf(http.StatusConflict, codeReplicaOutOfSync, "no replica of %q is held here; ship a full base first", name)
+	case rep.Meta.Epoch != fr.Epoch || rep.Meta.SnapCRC != fr.SnapCRC:
+		return errf(http.StatusConflict, codeReplicaOutOfSync,
+			"replica of %q holds base %08x at epoch %d, frame extends %08x at epoch %d",
+			name, rep.Meta.SnapCRC, rep.Meta.Epoch, fr.SnapCRC, fr.Epoch)
+	case int(fr.Batches) == rep.Batches && fr.RandDraws != rep.Draws:
+		// A same-epoch primary whose history diverged declares the right
+		// batch count with the wrong draw fingerprint; acking it as a
+		// duplicate would silently bless the fork.
+		return errf(http.StatusConflict, codeReplicaOutOfSync,
+			"frame at batch %d declares draws %d, replica recorded %d — histories diverged",
+			fr.Batches, fr.RandDraws, rep.Draws)
+	case int(fr.Batches) <= rep.Batches:
 		// A duplicate delivery: the original append landed but its ack was
-		// lost. Verify the claim before the idempotent ack — a same-epoch
-		// primary whose history diverged declares the right batch count
-		// with the wrong draw fingerprint, and acking it would silently
-		// bless the fork.
-		if int(fr.Batches) == rep.Batches && fr.RandDraws != rep.Draws {
-			writeError(w, http.StatusConflict, codeReplicaOutOfSync,
-				fmt.Errorf("frame at batch %d declares draws %d, replica recorded %d — histories diverged",
-					fr.Batches, fr.RandDraws, rep.Draws))
-			return
-		}
-		writeJSON(w, http.StatusOK, replAck{Batches: rep.Batches, RandDraws: rep.Draws})
-		return
+		// lost.
+		return nil
 	}
 	if err := store.VerifyTail(fr.Tail, rep.Batches, int(fr.Batches), rep.Draws, fr.RandDraws); err != nil {
-		writeError(w, http.StatusConflict, codeReplicaOutOfSync, err)
-		return
+		return &apiError{status: http.StatusConflict, code: codeReplicaOutOfSync, err: err}
 	}
 	if err := s.store.AppendReplica(&rep.Replica, name, fr.Tail, int(fr.Batches), fr.RandDraws); err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
+		return &apiError{status: http.StatusInternalServerError, code: codeStorage, err: err}
 	}
-	writeJSON(w, http.StatusOK, replAck{Batches: rep.Batches, RandDraws: rep.Draws})
+	return nil
 }
 
 // replicaDrop implements DELETE /v1/replica/{topic}?epoch=N: the primary
 // deleted the topic (or re-homed it), so the cold replica at epochs ≤ N
 // is garbage.
-func (s *server) replicaDrop(w http.ResponseWriter, req *http.Request) {
-	r := s.repl
-	if r == nil {
-		writeError(w, http.StatusConflict, codeReplicationOff,
-			errors.New("this daemon does not run replication (-replication-factor)"))
-		return
-	}
-	name := req.PathValue("topic")
-	if err := store.ValidTopicName(name); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidName, err)
-		return
+func (s *server) replicaDrop(w http.ResponseWriter, req *http.Request) *apiError {
+	name, e := s.replicaName(req)
+	if e != nil {
+		return e
 	}
 	epoch, err := strconv.ParseUint(req.URL.Query().Get("epoch"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("bad epoch: %w", err))
-		return
+		return errf(http.StatusBadRequest, codeInvalidRequest, "bad epoch: %w", err)
 	}
+	r := s.repl
 	rep := r.replicaFor(name, false)
 	if rep != nil {
 		rep.mu.Lock()
@@ -859,6 +706,7 @@ func (s *server) replicaDrop(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 // ——— failover: promotion ———
@@ -877,15 +725,8 @@ func (r *replicator) onPeerChange(peer string, down bool) {
 }
 
 func (r *replicator) resyncAllLocal() {
-	s := r.s
-	s.mu.RLock()
-	names := make([]string, 0, len(s.topics))
-	for name := range s.topics {
-		names = append(names, name)
-	}
-	s.mu.RUnlock()
-	for _, name := range names {
-		r.enqueueResync(name)
+	for _, tp := range r.s.served() {
+		r.enqueueResync(tp.name)
 	}
 }
 
@@ -895,20 +736,11 @@ func (r *replicator) resyncAllLocal() {
 // itself per topic once detector views converge.
 func (r *replicator) promoteFrom(peer string) {
 	r.mu.Lock()
-	reps := make(map[string]*replica, len(r.replicas))
-	for name, rep := range r.replicas {
-		reps[name] = rep
+	names := make([]string, 0, len(r.replicas))
+	for name := range r.replicas {
+		names = append(names, name)
 	}
 	r.mu.Unlock()
-	var names []string
-	for name, rep := range reps {
-		rep.mu.Lock()
-		match := rep.Meta.Source == peer && !rep.dropped
-		rep.mu.Unlock()
-		if match {
-			names = append(names, name)
-		}
-	}
 	for _, name := range names {
 		select {
 		case <-r.stop:
@@ -919,6 +751,8 @@ func (r *replicator) promoteFrom(peer string) {
 	}
 }
 
+// maybePromote promotes the replica of name if source is who shipped it
+// and this shard is its first live promotion candidate.
 func (r *replicator) maybePromote(name, source string) {
 	s := r.s
 	cands := r.candidates(name, source)
@@ -926,10 +760,7 @@ func (r *replicator) maybePromote(name, source string) {
 	if !ok || first != s.cluster.self {
 		return
 	}
-	s.mu.RLock()
-	_, local := s.topics[name]
-	s.mu.RUnlock()
-	if local {
+	if s.resolve(name).tp != nil {
 		return
 	}
 	rep := r.replicaFor(name, false)
@@ -949,7 +780,7 @@ func (r *replicator) maybePromote(name, source string) {
 		if c == s.cluster.self || r.det.Down(c) {
 			continue
 		}
-		if s.targetHasTopic(c, name, rep.Meta.Epoch) {
+		if has, _ := s.targetTopicState(c, name, rep.Meta.Epoch); has {
 			s.logf("not promoting %q: %s already serves it at epoch ≥ %d", name, c, rep.Meta.Epoch)
 			rep.mu.Unlock()
 			return
@@ -984,11 +815,11 @@ func (s *server) promoteReplica(name string, rep *replica) error {
 	tr.SetConformanceMode(s.conform)
 	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, false)}
 	tp.engp.Store(tr)
-	if code, err := s.tryRegister(tp, newEpoch); err != nil {
-		return fmt.Errorf("register promoted topic: %s: %w", code, err)
+	if e := s.tryRegister(tp, newEpoch); e != nil {
+		return fmt.Errorf("register promoted topic: %s: %w", e.code, e)
 	}
 	tp.mu.Lock()
-	if _, err := s.saveIfCurrent(tp); err != nil {
+	if err := s.saveIfCurrent(tp); err != nil {
 		// The topic serves reads from memory, storage-degraded; the write
 		// probe's next successful save makes it durable and writable.
 		s.logf("persist promoted %q: %v", name, err)
@@ -1011,29 +842,17 @@ func (s *server) promoteReplica(name string, rep *replica) error {
 // fenced on its next ship.
 func (r *replicator) reconcileStartup() {
 	s := r.s
-	s.mu.RLock()
-	topics := make([]*topic, 0, len(s.topics))
-	for _, tp := range s.topics {
-		topics = append(topics, tp)
-	}
-	s.mu.RUnlock()
-	for _, tp := range topics {
+	for _, tp := range s.served() {
 		select {
 		case <-r.stop:
 			return
 		default:
 		}
 		epoch := tp.eng().Epoch()
-		for _, peer := range r.s.cluster.ring.ReplicaSet(tp.name, len(r.s.cluster.ring.Peers())) {
-			if peer == s.cluster.self {
-				continue
-			}
-			if s.targetHasTopic(peer, tp.name, epoch+1) {
+		for _, peer := range r.candidates(tp.name, s.cluster.self) {
+			if has, _ := s.targetTopicState(peer, tp.name, epoch+1); has {
 				tp.mu.Lock()
-				if !tp.deleted {
-					s.logf("topic %q was re-homed to %s while this shard was down; demoting local copy", tp.name, peer)
-					s.fenceLocal(tp, epoch, peer)
-				}
+				s.fenceLocal(tp, epoch, peer, fmt.Sprintf("re-homed to %s while this shard was down", peer))
 				tp.mu.Unlock()
 				break
 			}
@@ -1063,12 +882,11 @@ func (r *replicator) rebalanceLoop() {
 
 func (r *replicator) rebalanceOnce() {
 	s := r.s
-	s.mu.RLock()
-	held := make([]string, 0, len(s.topics))
-	for name := range s.topics {
-		held = append(held, name)
+	served := s.served()
+	held := make([]string, len(served))
+	for i, tp := range served {
+		held[i] = tp.name
 	}
-	s.mu.RUnlock()
 	plan := cluster.PlanRebalance(s.cluster.ring, s.cluster.self, held, func(p string) bool {
 		return !r.det.Down(p)
 	})
@@ -1078,15 +896,13 @@ func (r *replicator) rebalanceOnce() {
 			return
 		default:
 		}
-		s.mu.RLock()
-		tp := s.topics[mv.Topic]
-		s.mu.RUnlock()
+		tp := s.resolve(mv.Topic).tp
 		if tp == nil {
 			continue
 		}
-		resp, _, _, err := s.performHandoff(tp, mv.To)
-		if err != nil {
-			s.logf("rebalance %q to %s: %v", mv.Topic, mv.To, err)
+		resp, e := s.performHandoff(tp, mv.To)
+		if e != nil {
+			s.logf("rebalance %q to %s: %v", mv.Topic, mv.To, e)
 			continue
 		}
 		s.logf("rebalanced %q to its ring owner %s at epoch %d", mv.Topic, mv.To, resp.Epoch)
@@ -1116,22 +932,19 @@ type replicaLagJSON struct {
 
 func (r *replicator) health() *replicationHealth {
 	h := &replicationHealth{Factor: r.opts.Factor, DownPeers: r.det.DownPeers()}
-	s := r.s
-	s.mu.RLock()
-	batches := make(map[string]int, len(s.topics))
-	for name, tp := range s.topics {
-		batches[name] = tp.eng().Batches()
+	// Batch counters are read before r.mu: the engine's own lock is held
+	// for a whole solve, and r.mu must never wait on one.
+	served := r.s.served()
+	batches := make([]int, len(served))
+	for i, tp := range served {
+		batches[i] = tp.eng().Batches()
 	}
-	s.mu.RUnlock()
 	r.mu.Lock()
 	h.Replicas = len(r.replicas)
-	for name, cur := range batches {
-		for peer, st := range r.followers[name] {
-			behind := cur - st.batches
-			if behind < 0 {
-				behind = 0
-			}
-			h.Lag = append(h.Lag, replicaLagJSON{Topic: name, Peer: peer, Behind: behind, Synced: st.synced})
+	for i, tp := range served {
+		for peer, st := range r.followers[tp.name] {
+			behind := max(0, batches[i]-st.batches)
+			h.Lag = append(h.Lag, replicaLagJSON{Topic: tp.name, Peer: peer, Behind: behind, Synced: st.synced})
 		}
 	}
 	r.mu.Unlock()

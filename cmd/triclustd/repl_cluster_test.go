@@ -29,18 +29,24 @@ import (
 )
 
 // fastRepl returns replication options tuned for the harness: probes
-// every 25ms, a peer is down after 3 straight failures (~75ms), ship
-// retries back off from 2ms.
-func fastRepl(transport http.RoundTripper) *replOptions {
+// every 25ms, a peer is down after 3 straight failures (~75ms).
+func fastRepl() *replOptions {
 	return &replOptions{
 		Factor:        2,
 		ProbeInterval: 25 * time.Millisecond,
 		ProbeTimeout:  250 * time.Millisecond,
 		ProbeFailures: 3,
-		ShipTimeout:   5 * time.Second,
-		ShipAttempts:  8,
-		Backoff:       cluster.Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond},
-		Transport:     transport,
+	}
+}
+
+// fastPeer returns inter-shard options tuned for the harness: retries
+// back off from 2ms, every request rides the given transport (nil: the
+// default).
+func fastPeer(transport http.RoundTripper) peerOptions {
+	return peerOptions{
+		Timeout:   5 * time.Second,
+		Backoff:   cluster.Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond},
+		Transport: transport,
 	}
 }
 
@@ -95,7 +101,8 @@ func TestClusterReplicationFailover(t *testing.T) {
 	}
 	opts := serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    fastRepl(nil),
+		repl:    fastRepl(),
+		peer:    fastPeer(nil),
 		// Enforce mode rides the failover harness too: replica promotion
 		// replays the tail ungated (the records were already accepted),
 		// re-stamps the mode, and must still match the control run
@@ -293,7 +300,8 @@ func TestClusterReplicationFlakyTransport(t *testing.T) {
 	}
 	opts := serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    fastRepl(newFlakyTransport(20260808, 0.12)),
+		repl:    fastRepl(),
+		peer:    fastPeer(newFlakyTransport(20260808, 0.12)),
 	}
 	tc := newTestCluster(t, 3, opts, false, true)
 
@@ -364,7 +372,8 @@ func TestClusterZombieFencing(t *testing.T) {
 	}
 	opts := serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    fastRepl(nil),
+		repl:    fastRepl(),
+		peer:    fastPeer(nil),
 	}
 	tc := newTestCluster(t, 3, opts, false, true)
 
@@ -459,12 +468,13 @@ func TestClusterReplicationRebalanceAfterRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster harness is not short")
 	}
-	ro := fastRepl(nil)
+	ro := fastRepl()
 	ro.AutoRebalance = true
 	ro.RebalanceInterval = 50 * time.Millisecond
 	opts := serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    ro,
+		peer:    fastPeer(nil),
 	}
 	tc := newTestCluster(t, 3, opts, false, true)
 

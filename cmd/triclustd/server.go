@@ -42,6 +42,9 @@ type server struct {
 	// consistent-hash cluster (see cluster.go); nil preserves the exact
 	// single-process behavior.
 	cluster *clusterConfig
+	// peers carries every request to another shard (peer.go); non-nil
+	// exactly when cluster is.
+	peers *peerClient
 	// repl is non-nil when -replication-factor >= 2: this shard ships its
 	// topics' journals to ring successors and holds cold replicas for
 	// peers (see repl.go).
@@ -73,18 +76,16 @@ type topic struct {
 	// pointer itself is atomic because the lock-free read plane loads
 	// it without mu while reloadFromDisk may be swapping in an engine
 	// reloaded from disk (the rollback path). Access via eng().
-	engp    atomic.Pointer[triclust.Topic]
-	deleted bool // set under mu by retire; no batch or save may follow
+	engp atomic.Pointer[triclust.Topic]
 	// disk is the topic's durable side — its open batch journal and its
 	// claim on the snapshot file (see store.Handle); nil without a data
 	// directory. The journal is guarded by mu.
 	disk *store.Handle
-	// storage is the topic's disk-degraded state (stOK/stDegraded/
-	// stParked) and storFails its consecutive durable-write failure
-	// count; both driven by the storageMonitor (degrade.go), and together
-	// the one record of the topic's storage health. Atomic so the write
-	// gate, the read plane and healthz check them without the topic lock.
-	storage   atomic.Int32
+	// state is the topic's one condition (topicStates, degrade.go) and
+	// storFails its consecutive durable-write failure count. Both change
+	// only under mu; atomic so admit, the read plane and healthz check
+	// them without the topic lock.
+	state     atomic.Int32
 	storFails atomic.Int32
 	// feat caches the encoded /features response for the current read
 	// view's ETag (see readplane.go); lock-free like the view itself.
@@ -104,6 +105,8 @@ type serverOptions struct {
 	maxBody int64
 	// cluster enables sharded routing; nil runs single-process.
 	cluster *clusterConfig
+	// peer tunes inter-shard traffic (cluster mode only).
+	peer peerOptions
 	// repl enables journal-shipped replication (nil or Factor < 2: off).
 	// Requires cluster mode and a data directory.
 	repl *replOptions
@@ -143,6 +146,9 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 	}
 	if st != nil {
 		s.storage = newStorageMonitor(s, opts.storage)
+	}
+	if opts.cluster != nil {
+		s.peers = newPeerClient(opts.peer)
 	}
 	replicated := opts.repl != nil && opts.repl.Factor >= 2
 	if replicated && opts.cluster == nil {
@@ -196,21 +202,21 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("GET /v1/healthz", s.healthz)
-	mux.HandleFunc("POST /v1/topics", s.createTopic)
-	mux.HandleFunc("GET /v1/topics", s.listTopics)
-	mux.HandleFunc("GET /v1/topics/{topic}", s.topicInfo)
-	mux.HandleFunc("PUT /v1/topics/{topic}", s.restoreTopic)
-	mux.HandleFunc("DELETE /v1/topics/{topic}", s.deleteTopic)
-	mux.HandleFunc("POST /v1/topics/{topic}/batches", s.processBatch)
-	mux.HandleFunc("POST /v1/topics/{topic}/vocab", s.warmupVocab)
-	mux.HandleFunc("GET /v1/topics/{topic}/users/{user}", s.userEstimate)
-	mux.HandleFunc("GET /v1/topics/{topic}/snapshot", s.exportSnapshot)
-	mux.HandleFunc("GET /v1/topics/{topic}/features", s.featureSentiments)
-	mux.HandleFunc("POST /v1/cluster/move", s.moveTopic)
-	mux.HandleFunc("GET /v1/cluster/info", s.clusterInfo)
-	mux.HandleFunc("POST /v1/replica/{topic}/append", s.replicaAppend)
-	mux.HandleFunc("DELETE /v1/replica/{topic}", s.replicaDrop)
+	mux.HandleFunc("GET /v1/healthz", s.handle(s.healthz))
+	mux.HandleFunc("POST /v1/topics", s.handle(s.createTopic))
+	mux.HandleFunc("GET /v1/topics", s.handle(s.listTopics))
+	mux.HandleFunc("GET /v1/topics/{topic}", s.handle(s.topicInfo))
+	mux.HandleFunc("PUT /v1/topics/{topic}", s.handle(s.restoreTopic))
+	mux.HandleFunc("DELETE /v1/topics/{topic}", s.handle(s.deleteTopic))
+	mux.HandleFunc("POST /v1/topics/{topic}/batches", s.handle(s.processBatch))
+	mux.HandleFunc("POST /v1/topics/{topic}/vocab", s.handle(s.warmupVocab))
+	mux.HandleFunc("GET /v1/topics/{topic}/users/{user}", s.handle(s.userEstimate))
+	mux.HandleFunc("GET /v1/topics/{topic}/snapshot", s.handle(s.exportSnapshot))
+	mux.HandleFunc("GET /v1/topics/{topic}/features", s.handle(s.featureSentiments))
+	mux.HandleFunc("POST /v1/cluster/move", s.handle(s.moveTopic))
+	mux.HandleFunc("GET /v1/cluster/info", s.handle(s.clusterInfo))
+	mux.HandleFunc("POST /v1/replica/{topic}/append", s.handle(s.replicaAppend))
+	mux.HandleFunc("DELETE /v1/replica/{topic}", s.handle(s.replicaDrop))
 	s.mux = mux
 	return s, nil
 }
@@ -228,6 +234,9 @@ func (s *server) start() {
 // Close stops the background machinery and releases replica journal
 // handles. Idempotent; a server that was never started closes cleanly.
 func (s *server) Close() error {
+	if s.peers != nil {
+		s.peers.cancel()
+	}
 	if s.repl != nil {
 		s.repl.close()
 	}
@@ -298,22 +307,17 @@ type clusterHealth struct {
 	MovedTopics int      `json:"moved_topics"`
 }
 
-func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	topics := len(s.topics)
-	movedTopics := len(s.moved)
+func (s *server) healthz(w http.ResponseWriter, r *http.Request) *apiError {
+	served := s.served()
 	var degraded []string
-	served := make([]*topic, 0, len(s.topics))
-	for name, tp := range s.topics {
-		served = append(served, tp)
-		if tp.storFails.Load() != 0 || tp.storage.Load() != stOK {
-			degraded = append(degraded, name)
+	for _, tp := range served {
+		if tp.storFails.Load() != 0 || !topicStates[tp.state.Load()].writable {
+			degraded = append(degraded, tp.name)
 		}
 	}
-	s.mu.RUnlock()
 	resp := healthResponse{
 		Status:      "ok",
-		Topics:      topics,
+		Topics:      len(served),
 		ReadPlane:   s.readPlaneHealth(served),
 		Conformance: s.conformanceHealth(served),
 	}
@@ -330,17 +334,20 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if c := s.cluster; c != nil {
+		s.mu.RLock()
 		resp.Cluster = &clusterHealth{
 			Self:        c.self,
 			Peers:       c.ring.Peers(),
 			Vnodes:      c.ring.VirtualNodes(),
-			MovedTopics: movedTopics,
+			MovedTopics: len(s.moved),
 		}
+		s.mu.RUnlock()
 	}
 	if rp := s.repl; rp != nil {
 		resp.Replication = rp.health()
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // ——— wire types ———
@@ -466,51 +473,55 @@ type featuresResponse struct {
 
 // ——— handlers ———
 
-// readBody buffers a request body (already bounded by -max-body-bytes in
-// ServeHTTP) so handlers can decode it and still forward it intact to
-// another shard. On failure the error response — 413 for an oversized
-// body, 400 otherwise — is written and ok is false.
-func (s *server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		status, code := requestErrorStatus(err)
-		writeError(w, status, code, fmt.Errorf("read body: %w", err))
-		return nil, false
+// endpoint is one route's handler: it writes its response and returns
+// nil, or returns the refusal for fail to write.
+type endpoint func(w http.ResponseWriter, r *http.Request) *apiError
+
+func (s *server) handle(h endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if e := h(w, r); e != nil {
+			s.fail(w, e)
+		}
 	}
-	return buf.Bytes(), true
 }
 
-func (s *server) createTopic(w http.ResponseWriter, r *http.Request) {
-	if _, ok := requireMediaType(w, r, mediaTypeJSON); !ok {
-		return
+// readBody buffers a request body (already bounded by -max-body-bytes in
+// ServeHTTP) so handlers can decode it and still forward it intact to
+// another shard.
+func readBody(r *http.Request) ([]byte, *apiError) {
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		return nil, bodyError(err)
+	}
+	return buf.Bytes(), nil
+}
+
+func (s *server) createTopic(w http.ResponseWriter, r *http.Request) *apiError {
+	if _, e := requireMediaType(r, mediaTypeJSON); e != nil {
+		return e
 	}
 	// The topic name lives in the body, so routing needs the body decoded
 	// first; it is buffered so a mis-routed create can be proxied onward
 	// intact.
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
+	body, e := readBody(r)
+	if e != nil {
+		return e
 	}
 	var req createTopicRequest
 	if err := decodeStrict(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("decode: %w", err))
-		return
+		return errf(http.StatusBadRequest, codeInvalidRequest, "decode: %w", err)
 	}
 	if err := store.ValidTopicName(req.Name); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidName, err)
-		return
+		return errf(http.StatusBadRequest, codeInvalidName, "%w", err)
 	}
-	if !s.routeTopic(w, r, req.Name, body) {
-		return
+	if _, here := s.routeTopic(w, r, req.Name, body); !here {
+		return nil
 	}
-	if status, code, err := s.storage.shardGate(); code != "" {
-		s.retryAfter(w, code)
-		writeError(w, status, code, err)
-		return
+	if e := s.admit(nil, opWrite); e != nil {
+		return e
 	}
 	if len(req.Users) == 0 {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, errors.New("missing user universe"))
-		return
+		return errf(http.StatusBadRequest, codeInvalidRequest, "missing user universe")
 	}
 	users := make([]triclust.User, len(req.Users))
 	for i, name := range req.Users {
@@ -521,10 +532,9 @@ func (s *server) createTopic(w http.ResponseWriter, r *http.Request) {
 		triclust.WithMinDF(req.Options.MinDF),
 		triclust.WithLexiconHit(req.Options.LexiconHit))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidConfig, err)
-		return
+		return errf(http.StatusBadRequest, codeInvalidConfig, "%w", err)
 	}
-	s.install(w, req.Name, tr, 0)
+	return s.install(w, req.Name, tr, 0)
 }
 
 // restoreTopic implements PUT /v1/topics/{topic}: the request body is a
@@ -534,119 +544,102 @@ func (s *server) createTopic(w http.ResponseWriter, r *http.Request) {
 // the handoff header, which pins the topic to this shard regardless of
 // ring placement. Either way the snapshot's ownership epoch must beat any
 // tombstone this shard holds for the name.
-func (s *server) restoreTopic(w http.ResponseWriter, r *http.Request) {
-	if _, ok := requireMediaType(w, r, mediaTypeSnapshot); !ok {
-		return
+func (s *server) restoreTopic(w http.ResponseWriter, r *http.Request) *apiError {
+	if _, e := requireMediaType(r, mediaTypeSnapshot); e != nil {
+		return e
 	}
 	name := r.PathValue("topic")
 	if err := store.ValidTopicName(name); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidName, err)
-		return
+		return errf(http.StatusBadRequest, codeInvalidName, "%w", err)
 	}
 	// The body is buffered (bounded by -max-body-bytes) so an oversized
 	// upload maps to 413 instead of a generic snapshot-corruption error,
 	// and so a mis-routed restore can be proxied onward.
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
+	body, e := readBody(r)
+	if e != nil {
+		return e
 	}
-	if !s.routeTopic(w, r, name, body) {
-		return
+	if _, here := s.routeTopic(w, r, name, body); !here {
+		return nil
 	}
-	if status, code, err := s.storage.shardGate(); code != "" {
-		s.retryAfter(w, code)
-		writeError(w, status, code, err)
-		return
+	if e := s.admit(nil, opWrite); e != nil {
+		return e
 	}
 	tr, err := triclust.Restore(bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, snapshotErrorCode(err), err)
-		return
+		return errf(http.StatusBadRequest, snapshotErrorCode(err), "%w", err)
 	}
-	s.install(w, name, tr, tr.Epoch())
+	return s.install(w, name, tr, tr.Epoch())
 }
 
 // install is the shared tail of create and restore: the engine becomes a
 // registered topic under this shard's conformance policy, durable (first
 // snapshot + open journal) before the 201.
-func (s *server) install(w http.ResponseWriter, name string, tr *triclust.Topic, epoch uint64) {
+func (s *server) install(w http.ResponseWriter, name string, tr *triclust.Topic, epoch uint64) *apiError {
 	tr.SetConformanceMode(s.conform)
 	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, false)}
 	tp.engp.Store(tr)
-	if s.register(w, tp, epoch) && s.persistNew(w, tp) {
-		writeJSON(w, http.StatusCreated, tp.summary())
+	if e := s.tryRegister(tp, epoch); e != nil {
+		return e
 	}
+	if e := s.persistNew(tp); e != nil {
+		return e
+	}
+	writeJSON(w, http.StatusCreated, tp.summary())
+	return nil
 }
 
 // persistNew writes a freshly registered topic's first snapshot and
 // opens its journal. A 201 must imply durability when -data-dir is set,
 // so on failure the topic is retired again and the request fails with
-// storage_error; a DELETE racing in between register and this save must
-// not leave an orphan snapshot that resurrects the topic on the next
-// restart.
-func (s *server) persistNew(w http.ResponseWriter, tp *topic) bool {
+// storage_error; a DELETE that won the race to the topic lock has retired
+// the topic already, and admit says so.
+func (s *server) persistNew(tp *topic) *apiError {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	ok, err := s.saveIfCurrent(tp)
-	if err != nil {
+	e := s.admit(tp, opWrite)
+	if e == nil {
+		if err := s.saveIfCurrent(tp); err != nil {
+			e = errf(http.StatusInternalServerError, codeStorage, "topic not persisted: %w", err)
+		}
+	}
+	if e != nil {
 		s.retire(tp)
 		// With this topic unregistered, any snapshot file left on disk
 		// belongs to an earlier, deleted incarnation of the name (the
 		// name was free when this topic registered): drop it so the
 		// failed create cannot resurrect that topic on restart.
 		s.store.RemoveStale(tp.name, s.diskOf)
-		writeError(w, http.StatusInternalServerError, codeStorage,
-			fmt.Errorf("topic not persisted: %w", err))
-		return false
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, codeTopicNotFound,
-			fmt.Errorf("topic %q was deleted while being created", tp.name))
-		return false
+		return e
 	}
 	// Seed the topic's followers with its base snapshot before the 201:
 	// a replicated topic's creation ack implies RF copies exist (or are
 	// at least queued for resync). Only a fencing verdict fails the
 	// request — this shard learned it does not own the name after all.
-	if status, code, err := s.replShip(tp, nil, 0, 0, false); err != nil {
-		writeError(w, status, code, err)
-		return false
-	}
-	return true
+	return s.replShip(tp, nil, false)
 }
 
-// register installs a topic in the registry, writing the 409 response
-// itself when the name is taken or a tombstone fences the epoch (the
-// HTTP wrapper around tryRegister).
-func (s *server) register(w http.ResponseWriter, tp *topic, epoch uint64) bool {
-	if code, err := s.tryRegister(tp, epoch); err != nil {
-		writeError(w, http.StatusConflict, code, err)
-		return false
-	}
-	return true
-}
-
-// tryRegister installs a topic in the registry, failing with a stable
-// error code if the name is taken or if a hand-off tombstone fences the
+// tryRegister installs a topic in the registry, failing with 409 and a
+// stable code if the name is taken or if a hand-off tombstone fences the
 // topic's epoch. epoch is the ownership epoch the topic arrives with (0
 // for a fresh create): a shard that handed the topic away at epoch E
 // accepts it back only at a strictly greater epoch, so a stale pre-move
 // snapshot can never resurrect forked state. Registering at a valid
 // epoch clears the tombstone — the topic legitimately lives here again.
-func (s *server) tryRegister(tp *topic, epoch uint64) (string, error) {
+func (s *server) tryRegister(tp *topic, epoch uint64) *apiError {
 	s.mu.Lock()
-	if mv, ok := s.moved[tp.name]; ok && epoch <= mv.Epoch {
+	mv, wasMoved := s.moved[tp.name]
+	if wasMoved && epoch <= mv.Epoch {
 		s.mu.Unlock()
-		return codeEpochMismatch,
-			fmt.Errorf("topic %q was handed off to %s at epoch %d; refusing state at epoch %d",
-				tp.name, mv.Target, mv.Epoch, epoch)
+		return errf(http.StatusConflict, codeEpochMismatch,
+			"topic %q was handed off to %s at epoch %d; refusing state at epoch %d",
+			tp.name, mv.Target, mv.Epoch, epoch)
 	}
 	if _, exists := s.topics[tp.name]; exists {
 		s.mu.Unlock()
-		return codeTopicExists, fmt.Errorf("topic %q already exists", tp.name)
+		return errf(http.StatusConflict, codeTopicExists, "topic %q already exists", tp.name)
 	}
 	s.topics[tp.name] = tp
-	_, wasMoved := s.moved[tp.name]
 	delete(s.moved, tp.name)
 	s.mu.Unlock()
 	if wasMoved {
@@ -654,71 +647,59 @@ func (s *server) tryRegister(tp *topic, epoch uint64) (string, error) {
 			s.logf("remove tombstone %q: %v", tp.name, err)
 		}
 	}
-	return "", nil
+	return nil
 }
 
 // lookup resolves the request's topic, routing it to the owning shard
-// first in cluster mode: a request for a topic this shard neither holds
-// nor owns is redirected (or proxied) and lookup returns nil with the
-// response already written.
-func (s *server) lookup(w http.ResponseWriter, r *http.Request) *topic {
+// first in cluster mode. A nil topic means the request ends here: with the
+// returned refusal, or — forwarded to the shard that owns the topic —
+// with the response already written.
+func (s *server) lookup(w http.ResponseWriter, r *http.Request) (*topic, *apiError) {
 	name := r.PathValue("topic")
-	if !s.routeTopic(w, r, name, nil) {
-		return nil
+	tp, here := s.routeTopic(w, r, name, nil)
+	if here && tp == nil {
+		return nil, errf(http.StatusNotFound, codeTopicNotFound, "unknown topic %q", name)
 	}
-	s.mu.RLock()
-	tp := s.topics[name]
-	s.mu.RUnlock()
-	if tp == nil {
-		writeError(w, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("unknown topic %q", name))
-	}
-	return tp
+	return tp, nil
 }
 
-func (s *server) listTopics(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	topics := make([]*topic, 0, len(s.topics))
-	for _, tp := range s.topics {
-		topics = append(topics, tp)
-	}
-	s.mu.RUnlock()
+func (s *server) listTopics(w http.ResponseWriter, r *http.Request) *apiError {
+	topics := s.served()
 	out := make([]topicSummary, len(topics))
 	for i, tp := range topics {
 		out[i] = tp.summary()
 	}
 	writeJSON(w, http.StatusOK, out)
+	return nil
 }
 
-func (s *server) deleteTopic(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("topic")
-	if !s.routeTopic(w, r, name, nil) {
-		return
+func (s *server) deleteTopic(w http.ResponseWriter, r *http.Request) *apiError {
+	tp, e := s.lookup(w, r)
+	if tp == nil {
+		return e
 	}
-	s.mu.Lock()
-	tp, ok := s.topics[name]
-	delete(s.topics, name)
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("unknown topic %q", name))
-		return
-	}
-	// Retire the topic under its own lock so an in-flight batch that
-	// already passed lookup cannot re-apply in memory afterwards.
+	// Retire the topic under its own lock, so an in-flight batch finishes
+	// first and every request queued behind it finds the topic retired.
+	// Of two racing DELETEs exactly one retires it.
 	tp.mu.Lock()
-	s.retire(tp)
+	retired := s.retire(tp)
 	tp.mu.Unlock()
+	if !retired {
+		return s.refuse(w, r, tp.name, nil, s.admit(tp, opRead))
+	}
 	// Remove the deleted topic's snapshot file. A save racing this
 	// delete re-checks the registry under the same per-name lock, so it
 	// either belongs to this (now unregistered) topic and is skipped, or
 	// to a re-created topic whose own save marks its file current.
-	s.store.RemoveStale(name, s.diskOf)
+	s.store.RemoveStale(tp.name, s.diskOf)
 	if s.repl != nil {
 		// Best-effort: tell the followers their cold replicas are garbage.
 		// A follower that misses the drop keeps a stale replica, which the
 		// epoch fence retires if the name is ever re-created.
-		s.repl.dropReplicas(name, tp.eng().Epoch())
+		s.repl.dropReplicas(tp.name, tp.eng().Epoch())
 	}
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 // batchScratch is the pooled per-request decode/encode state of the
@@ -764,26 +745,24 @@ func (sc *batchScratch) reset() {
 	sc.resp = batchResponse{Tweets: tweets[:0], Users: users[:0]}
 }
 
-func (s *server) processBatch(w http.ResponseWriter, r *http.Request) {
+func (s *server) processBatch(w http.ResponseWriter, r *http.Request) *apiError {
 	// Content negotiation happens before routing so a request in a format
 	// no shard decodes is refused here instead of bouncing off the owner;
 	// every shard runs the same build, so local validation is cluster
 	// validation.
-	format, ok := requireMediaType(w, r, mediaTypeJSON, mediaTypeBatch)
-	if !ok {
-		return
+	format, e := requireMediaType(r, mediaTypeJSON, mediaTypeBatch)
+	if e != nil {
+		return e
 	}
-	tp := s.lookup(w, r)
+	tp, e := s.lookup(w, r)
 	if tp == nil {
-		return
+		return e
 	}
 	sc := batchPool.Get().(*batchScratch)
 	defer batchPool.Put(sc)
 	sc.reset()
 	if _, err := sc.body.ReadFrom(r.Body); err != nil {
-		status, code := requestErrorStatus(err)
-		writeError(w, status, code, fmt.Errorf("read body: %w", err))
-		return
+		return bodyError(err)
 	}
 	var batchTime int
 	if format == mediaTypeBatch {
@@ -795,14 +774,12 @@ func (s *server) processBatch(w http.ResponseWriter, r *http.Request) {
 		// is the same 400 the JSON path gives malformed bodies.
 		ts, tweets, err := codec.DecodeBatchRequest(sc.body.Bytes(), sc.tweets[:0])
 		if err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("decode batch frame: %w", err))
-			return
+			return errf(http.StatusBadRequest, codeInvalidRequest, "decode batch frame: %w", err)
 		}
 		batchTime, sc.tweets = ts, tweets
 	} else {
 		if err := decodeStrict(sc.body.Bytes(), &sc.req); err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("decode: %w", err))
-			return
+			return errf(http.StatusBadRequest, codeInvalidRequest, "decode: %w", err)
 		}
 		req := &sc.req
 		batchTime = req.Time
@@ -825,39 +802,14 @@ func (s *server) processBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	out, status, code, err := s.runBatch(tp, batchTime, sc.tweets)
-	if err != nil {
-		// A batch can lose the race against a hand-off: lookup succeeded,
-		// then the move committed while the batch waited on the topic
-		// lock. The topic is not gone — it lives on another shard now —
-		// so forward the client instead of reporting 404.
-		if code == codeTopicNotFound && s.cluster != nil {
-			s.mu.RLock()
-			mv, movedOK := s.moved[tp.name]
-			s.mu.RUnlock()
-			if movedOK {
-				s.forward(w, r, mv.Target, sc.body.Bytes())
-				return
-			}
-		}
-		// A conformance rejection carries its structured verdict in the
-		// error body, so the client sees which invariant broke and by how
-		// many sigma without parsing the message text.
-		var ce *triclust.ConformanceError
-		if errors.As(err, &ce) {
-			writeJSON(w, status, errorBody{Error: errorDetail{
-				Code: code, Message: err.Error(), Conformance: verdictOf(&ce.Verdict),
-			}})
-			return
-		}
-		s.retryAfter(w, code)
-		writeError(w, status, code, err)
-		return
+	out, e := s.runBatch(tp, batchTime, sc.tweets)
+	if e != nil {
+		return s.refuse(w, r, tp.name, sc.body.Bytes(), e)
 	}
 
 	if acceptsBatch(r) {
 		writeBatchBinary(w, sc, out, batchTime)
-		return
+		return nil
 	}
 	sc.resp.Time = batchTime
 	sc.resp.Skipped = out.Skipped
@@ -873,6 +825,7 @@ func (s *server) processBatch(w http.ResponseWriter, r *http.Request) {
 		sc.resp.Users = append(sc.resp.Users, userSentimentJSON{User: out.ActiveUsers[i], sentimentJSON: oneJSON(sen)})
 	}
 	writeJSON(w, http.StatusOK, &sc.resp)
+	return nil
 }
 
 // writeBatchBinary writes the Accept-negotiated binary batch response:
@@ -904,157 +857,145 @@ func writeBatchBinary(w http.ResponseWriter, sc *batchScratch, out *triclust.Str
 	_, _ = w.Write(sc.bin)
 }
 
-// runBatch solves one batch under the topic lock. On failure it returns
-// the HTTP status and stable error code to respond with. The lock is
-// released by defer so that a panic anywhere below — the solver, the
-// store — unwinds instead of wedging the topic (and every later request
-// on it) forever; response writing happens in the caller, off the lock,
-// so a slow client cannot stall the topic either.
-//
-// Durability before acknowledgement: with a data directory every
-// applied batch goes through commit (persist.go) before it is acked.
-func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust.StreamResult, int, string, error) {
+// update is the one write path of a registered topic: lock → admit →
+// mutate → durable-or-rollback. mutate changes the engine in memory and
+// reports whether anything changed (false: nothing to persist) beside any
+// refusal; persist makes the change durable and returns the journal frame
+// the followers get (nil: the full snapshot). A persist that fails leaves
+// memory ahead of what disk vouches for — keeping that state would promise
+// durability the disk refused — so the engine is rolled back to disk (see
+// rollback) and the write answers persist's error. The lock is released by
+// defer so that a panic below — the solver, the store — unwinds instead of
+// wedging the topic forever; the response is written by the caller, off
+// the lock, so a slow client cannot stall the topic either.
+func (s *server) update(tp *topic, mutate func(eng *triclust.Topic) (bool, *apiError), persist func() ([]byte, *apiError)) *apiError {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	if tp.deleted {
-		return nil, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name)
+	// Fail fast while storage is degraded: don't burn a solve (or worse,
+	// another rollback reload) on a write that cannot be made durable.
+	if e := s.admit(tp, opWrite); e != nil {
+		return e
 	}
-	// Fail fast while storage is degraded: the disk already proved it
-	// drops writes, so don't burn a solve (or worse, another rollback
-	// reload) on a batch that cannot be made durable.
-	if status, code, err := s.storage.writeGate(tp); code != "" {
-		return nil, status, code, err
-	}
-	if last, ok := tp.eng().LastTime(); ok && len(tweets) > 0 && ts <= last {
-		return nil, http.StatusConflict, codeStaleTimestamp,
-			fmt.Errorf("time %d not after last processed %d", ts, last)
-	}
-	out, err := tp.eng().Process(ts, tweets)
-	if err != nil {
-		// An enforce-mode conformance rejection happened before any state
-		// advanced — before the journal append in particular, so the
-		// refused batch is not in durable history and a corrected retry is
-		// safe. It gets its own stable code (the verdict rides in the
-		// error body, see processBatch) and is tracked for healthz.
-		var ce *triclust.ConformanceError
-		if errors.As(err, &ce) {
-			s.conformRejected.Add(1)
-			tp.noteViolation(ts, &ce.Verdict)
-			return nil, http.StatusUnprocessableEntity, codeBatchNonconforming, err
+	changed, refusal := mutate(tp.eng())
+	if changed && s.store != nil {
+		frame, e := persist()
+		if e != nil {
+			return s.rollback(tp, e)
 		}
-		return nil, http.StatusUnprocessableEntity, codeInvalidBatch, err
-	}
-	// Flag-mode bookkeeping: an accepted batch whose verdict was flagged
-	// or quarantined still shows up in the healthz census.
-	tp.noteViolation(ts, out.Conformance)
-	if !out.Skipped && s.store != nil {
-		if status, code, err := s.commit(tp, ts, tweets); err != nil {
-			return nil, status, code, err
+		if e := s.replShip(tp, frame, false); e != nil {
+			return e
 		}
 	}
-	return out, 0, "", nil
+	return refusal
+}
+
+// runBatch solves one batch through update; with a data directory every
+// applied batch is journaled (commit, persist.go) before it is acked.
+func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust.StreamResult, *apiError) {
+	var out *triclust.StreamResult
+	e := s.update(tp, func(eng *triclust.Topic) (bool, *apiError) {
+		if last, ok := eng.LastTime(); ok && len(tweets) > 0 && ts <= last {
+			return false, errf(http.StatusConflict, codeStaleTimestamp, "time %d not after last processed %d", ts, last)
+		}
+		var err error
+		if out, err = eng.Process(ts, tweets); err != nil {
+			// An enforce-mode conformance rejection happened before any state
+			// advanced — before the journal append in particular, so the
+			// refused batch is not in durable history and a corrected retry is
+			// safe. It gets its own stable code (the verdict rides in the
+			// error body, see fail) and is tracked for healthz.
+			var ce *triclust.ConformanceError
+			if errors.As(err, &ce) {
+				s.conformRejected.Add(1)
+				tp.noteViolation(ts, &ce.Verdict)
+				return false, &apiError{status: http.StatusUnprocessableEntity, code: codeBatchNonconforming, err: err}
+			}
+			return false, &apiError{status: http.StatusUnprocessableEntity, code: codeInvalidBatch, err: err}
+		}
+		// Flag-mode bookkeeping: an accepted batch whose verdict was flagged
+		// or quarantined still shows up in the healthz census.
+		tp.noteViolation(ts, out.Conformance)
+		return !out.Skipped, nil
+	}, func() ([]byte, *apiError) { return s.commit(tp, ts, tweets) })
+	return out, e
 }
 
 // warmupVocab implements POST /v1/topics/{topic}/vocab: fold warm-up
 // documents into the vocabulary before the first batch freezes it, and
 // optionally freeze it explicitly.
-func (s *server) warmupVocab(w http.ResponseWriter, r *http.Request) {
-	if _, ok := requireMediaType(w, r, mediaTypeJSON); !ok {
-		return
+func (s *server) warmupVocab(w http.ResponseWriter, r *http.Request) *apiError {
+	if _, e := requireMediaType(r, mediaTypeJSON); e != nil {
+		return e
 	}
-	tp := s.lookup(w, r)
+	tp, e := s.lookup(w, r)
 	if tp == nil {
-		return
+		return e
 	}
 	// Buffer-then-decodeStrict, like every JSON endpoint: the streaming
 	// json.Decoder this handler used to construct stopped at the first
 	// complete value and silently accepted trailing garbage, a laxness no
 	// other endpoint shared.
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
+	body, e := readBody(r)
+	if e != nil {
+		return e
 	}
 	var req vocabRequest
 	if err := decodeStrict(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("decode: %w", err))
-		return
+		return errf(http.StatusBadRequest, codeInvalidRequest, "decode: %w", err)
 	}
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	if tp.deleted {
-		writeError(w, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name))
-		return
-	}
-	if status, code, err := s.storage.writeGate(tp); code != "" {
-		s.retryAfter(w, code)
-		writeError(w, status, code, err)
-		return
-	}
-	changed := false
-	if len(req.Texts) > 0 {
-		if err := tp.eng().WarmupVocabulary(req.Texts...); err != nil {
-			writeError(w, http.StatusConflict, codeVocabFrozen, err)
-			return
-		}
-		changed = true
-	}
-	if len(req.Docs) > 0 {
-		if err := tp.eng().WarmupTokenized(req.Docs); err != nil {
-			writeError(w, http.StatusConflict, codeVocabFrozen, err)
-			return
-		}
-		changed = true
-	}
-	if req.Freeze {
-		if err := tp.eng().Freeze(); err != nil {
-			// Freeze fails for two distinct reasons: the vocabulary is
-			// already frozen (a conflict) or the warm-up counts yield no
-			// words at MinDF (a bad request, fixed by sending more docs).
-			if tp.eng().Frozen() {
-				writeError(w, http.StatusConflict, codeVocabFrozen, err)
-			} else {
-				writeError(w, http.StatusUnprocessableEntity, codeInvalidRequest, err)
+	var resp vocabResponse
+	// Vocabulary warm-up mutates state outside the journal, so its durable
+	// write is a fresh snapshot, and the followers get that new base. A
+	// no-op request (nothing folded in, no freeze) persists nothing:
+	// repeated empty POSTs must not re-write a potentially large snapshot.
+	// A request refused part-way still persists the part it folded in.
+	e = s.update(tp, func(eng *triclust.Topic) (changed bool, _ *apiError) {
+		if len(req.Texts) > 0 {
+			if err := eng.WarmupVocabulary(req.Texts...); err != nil {
+				return changed, &apiError{status: http.StatusConflict, code: codeVocabFrozen, err: err}
 			}
-			return
+			changed = true
 		}
-		changed = true
-	}
-	// A no-op request (nothing folded in, no freeze) changed no state, so
-	// there is nothing to persist: skipping the save keeps repeated empty
-	// POSTs from re-writing a potentially large snapshot on every call.
-	if changed {
-		ok, err := s.saveIfCurrent(tp)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeStorage, err)
-			return
+		if len(req.Docs) > 0 {
+			if err := eng.WarmupTokenized(req.Docs); err != nil {
+				return changed, &apiError{status: http.StatusConflict, code: codeVocabFrozen, err: err}
+			}
+			changed = true
 		}
-		if !ok {
-			writeError(w, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name))
-			return
+		if req.Freeze {
+			if err := eng.Freeze(); err != nil {
+				// Freeze fails for two distinct reasons: the vocabulary is
+				// already frozen (a conflict) or the warm-up counts yield no
+				// words at MinDF (a bad request, fixed by sending more docs).
+				if eng.Frozen() {
+					return changed, &apiError{status: http.StatusConflict, code: codeVocabFrozen, err: err}
+				}
+				return changed, &apiError{status: http.StatusUnprocessableEntity, code: codeInvalidRequest, err: err}
+			}
+			changed = true
 		}
-		// Vocabulary warm-up mutates state outside the journal, so the
-		// followers need the new base snapshot.
-		if status, code, err := s.replShip(tp, nil, 0, 0, false); err != nil {
-			writeError(w, status, code, err)
-			return
+		resp = vocabResponse{Frozen: eng.Frozen(), VocabSize: eng.VocabSize()}
+		return changed, nil
+	}, func() ([]byte, *apiError) {
+		if err := s.saveIfCurrent(tp); err != nil {
+			return nil, &apiError{status: http.StatusInternalServerError, code: codeStorage, err: err}
 		}
-	}
-	writeJSON(w, http.StatusOK, vocabResponse{
-		Frozen:    tp.eng().Frozen(),
-		VocabSize: tp.eng().VocabSize(),
+		return nil, nil
 	})
+	if e != nil {
+		return s.refuse(w, r, tp.name, body, e)
+	}
+	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // exportSnapshot implements GET /v1/topics/{topic}/snapshot: the durable
 // binary export. The body round-trips through PUT /v1/topics/{name} (on
 // this or another daemon) and through triclust.Restore.
-func (s *server) exportSnapshot(w http.ResponseWriter, r *http.Request) {
-	tp := s.lookup(w, r)
+func (s *server) exportSnapshot(w http.ResponseWriter, r *http.Request) *apiError {
+	tp, e := s.readable(w, r)
 	if tp == nil {
-		return
-	}
-	if !s.readGate(w, tp) {
-		return
+		return e
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", tp.name+".snap"))
@@ -1064,6 +1005,7 @@ func (s *server) exportSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.logf("snapshot %q: %v", tp.name, err)
 		panic(http.ErrAbortHandler)
 	}
+	return nil
 }
 
 // marshalFeatures builds the /features response body for one view: the
@@ -1081,19 +1023,10 @@ func marshalFeatures(tp *topic, v triclust.ReadView) ([]byte, error) {
 // snapshotAll persists every topic (used for the final snapshot during
 // graceful shutdown). It reports the first error but keeps going.
 func (s *server) snapshotAll() error {
-	s.mu.RLock()
-	topics := make([]*topic, 0, len(s.topics))
-	for _, tp := range s.topics {
-		topics = append(topics, tp)
-	}
-	s.mu.RUnlock()
 	var first error
-	for _, tp := range topics {
+	for _, tp := range s.served() {
 		tp.mu.Lock()
-		var err error
-		if !tp.deleted {
-			_, err = s.saveIfCurrent(tp)
-		}
+		err := s.saveIfCurrent(tp)
 		tp.mu.Unlock()
 		if err != nil {
 			s.logf("final snapshot %q: %v", tp.name, err)

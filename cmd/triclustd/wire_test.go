@@ -387,7 +387,8 @@ func TestClusterWireFormatsEndToEnd(t *testing.T) {
 	)
 	tc := newTestCluster(t, 3, serverOptions{
 		journal: store.Options{Every: 3, MaxBytes: 8 << 20},
-		repl:    fastRepl(nil),
+		repl:    fastRepl(),
+		peer:    fastPeer(nil),
 	}, true, true)
 
 	for i := 0; i < topics; i++ {

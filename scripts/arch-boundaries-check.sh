@@ -66,6 +66,42 @@ if [ -n "$direct" ]; then
     fail=1
 fi
 
+# The daemon's request spine is written once: every request resolves who
+# holds the name (resolve), is admitted against the topic's one state
+# (admit), and is refused with one error value (apiError); every byte to
+# another shard leaves through one client (peer.go). A second copy of any
+# of these is how the handlers drifted apart before, so the shapes that
+# would be one are counted in the non-test sources.
+daemon=$(ls cmd/triclustd/*.go | grep -v '_test\.go$')
+expect() {
+    local want=$1 pattern=$2 why=$3 got
+    got=$(cat $daemon | grep -c -F -- "$pattern" || true)
+    if [ "$got" -ne "$want" ]; then
+        echo "SPINE: cmd/triclustd has $got x '$pattern', want $want ($why)" >&2
+        fail=1
+    fi
+}
+expect 1 'http.NewRequestWithContext(' "peerClient.open builds every inter-shard request"
+expect 1 'http.Client{' "one client on one injectable transport"
+expect 0 'int, string, error)' "refusals travel as *apiError, not (status, code, err)"
+expect 0 '.deleted' "a topic's condition is its one atomic state; see admit"
+expect 1 'delete(s.topics' "retire is the only way out of the registry"
+for gone in shipError installResponse writeGate readGate shardGate postOnce putSnapshot queryPlacement; do
+    if grep -n -w -- "$gone" $daemon >&2; then
+        echo "SPINE: $gone is back in cmd/triclustd (see admit / apiError / peerClient)" >&2
+        fail=1
+    fi
+done
+stray=$(awk '
+    /^func / { fn = $0 }
+    /s\.moved\[/ && !/s\.moved\[[^]]*\] = / && fn !~ /\) (resolve|tryRegister)\(/ { print FILENAME ": " $0 }
+' $daemon)
+if [ -n "$stray" ]; then
+    echo "SPINE: the tombstone map is read outside resolve/tryRegister:" >&2
+    echo "$stray" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "arch-boundaries-check: FAILED" >&2
     exit 1
