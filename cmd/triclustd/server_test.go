@@ -577,17 +577,17 @@ func TestDeleteRecreateFileConsistency(t *testing.T) {
 	}
 }
 
+// legacySnapshot is the header of a version-1 snapshot (magic, version 1,
+// zeros): everything a reader sees of one before it turns it away.
+var legacySnapshot = append([]byte("TRICSNAP\x01\x00"), make([]byte, 10)...)
+
 // TestLoadAllQuarantinesUnsupportedVersion: a daemon upgrade must not
 // silently discard old-format snapshots. Startup renames them out of the
 // *.snap namespace so a same-name create cannot overwrite the only copy
 // of the old state, and serves an empty (not wrong) topic.
 func TestLoadAllQuarantinesUnsupportedVersion(t *testing.T) {
-	legacy, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden_v1.snap"))
-	if err != nil {
-		t.Fatalf("read legacy fixture: %v", err)
-	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "prop37.snap"), legacy, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "prop37.snap"), legacySnapshot, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, srv := testServer(t, dir)
@@ -602,7 +602,7 @@ func TestLoadAllQuarantinesUnsupportedVersion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("quarantined copy missing: %v", err)
 	}
-	if !bytes.Equal(kept, legacy) {
+	if !bytes.Equal(kept, legacySnapshot) {
 		t.Fatal("quarantined copy does not match the original bytes")
 	}
 	// The freed name is usable again without touching the quarantined file.
@@ -610,7 +610,7 @@ func TestLoadAllQuarantinesUnsupportedVersion(t *testing.T) {
 		createTopicRequest{Name: "prop37", Users: []string{"a", "b"}}, nil); err != nil || code != http.StatusCreated {
 		t.Fatalf("re-create over quarantined name: %d %v", code, err)
 	}
-	if kept2, err := os.ReadFile(filepath.Join(dir, "prop37.snap.unsupported-version")); err != nil || !bytes.Equal(kept2, legacy) {
+	if kept2, err := os.ReadFile(filepath.Join(dir, "prop37.snap.unsupported-version")); err != nil || !bytes.Equal(kept2, legacySnapshot) {
 		t.Fatalf("re-create disturbed the quarantined copy: %v", err)
 	}
 }
@@ -619,23 +619,19 @@ func TestLoadAllQuarantinesUnsupportedVersion(t *testing.T) {
 // upgrade cycle quarantines twice under the same topic name; the second
 // quarantine must pick a fresh slot, not overwrite the first copy.
 func TestQuarantineDoesNotClobberEarlierCopy(t *testing.T) {
-	legacy, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden_v1.snap"))
-	if err != nil {
-		t.Fatalf("read legacy fixture: %v", err)
-	}
 	dir := t.TempDir()
-	first := append([]byte("first"), legacy...)
+	first := append([]byte("first"), legacySnapshot...)
 	if err := os.WriteFile(filepath.Join(dir, "prop37.snap.unsupported-version"), first, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "prop37.snap"), legacy, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "prop37.snap"), legacySnapshot, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	testServer(t, dir)
 	if kept, err := os.ReadFile(filepath.Join(dir, "prop37.snap.unsupported-version")); err != nil || !bytes.Equal(kept, first) {
 		t.Fatalf("earlier quarantined copy clobbered: %v", err)
 	}
-	if kept, err := os.ReadFile(filepath.Join(dir, "prop37.snap.unsupported-version.1")); err != nil || !bytes.Equal(kept, legacy) {
+	if kept, err := os.ReadFile(filepath.Join(dir, "prop37.snap.unsupported-version.1")); err != nil || !bytes.Equal(kept, legacySnapshot) {
 		t.Fatalf("second quarantine copy wrong: %v", err)
 	}
 }

@@ -14,20 +14,26 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"regenerate the current-version golden snapshot fixture (only when deliberately changing the snapshot format)")
+	"regenerate the current-version golden snapshot fixture (only when deliberately changing the snapshot format or what a snapshot holds)")
 
 const (
 	goldenPath = "testdata/golden_v3.snap"
-	// fixedGoldenPath is the same topic as written by the last version-2
-	// build (fixed-width integers, Sp and Su stored, conformance section
-	// included). No build can regenerate it any more: it is what an
-	// upgraded daemon finds in its data dir.
+	// wideGoldenPath is the same topic as written by the version-3 builds
+	// that retained one feature snapshot and one row per user more than a
+	// later step can read, and fixedGoldenPath as written by the last
+	// version-2 build (fixed-width integers, Sp and Su stored, conformance
+	// section included, the same wide history). No build can regenerate
+	// either any more: they are what an upgraded daemon finds in its data
+	// dir.
+	wideGoldenPath  = "testdata/golden_v3_wide_history.snap"
 	fixedGoldenPath = "testdata/golden_v2.snap"
-	// legacyGoldenPath is a version-1 snapshot (draw-counted stdlib RNG,
-	// no generator identifier). No later build can replay its random
-	// stream, so restoring it must fail with a clean version error.
-	legacyGoldenPath = "testdata/golden_v1.snap"
 )
+
+// legacySnapshot is the header of a version-1 snapshot (draw-counted
+// stdlib RNG, no generator identifier): magic, version 1, zeros. No later
+// build can replay such a random stream, so a restore must fail at the
+// version field with a clean version error.
+var legacySnapshot = append([]byte("TRICSNAP\x01\x00"), make([]byte, 10)...)
 
 // goldenTopic builds the topic the golden fixture was generated from:
 // a tiny fully deterministic stream (pre-tokenized tweets, fixed seed).
@@ -78,10 +84,10 @@ func snapshotBytes(t *testing.T, tp *triclust.Topic) []byte {
 // fixtures, in both directions. Writing: the golden topic must snapshot
 // to exactly the current-version fixture, so a layout or size drift fails
 // here instead of passing as "still restores". Reading: that fixture and
-// its version-2 predecessor must restore, to the same state — the
-// version-2 fixture re-snapshots as the version-3 bytes, which is the
-// in-place upgrade a daemon's next compaction performs. Run with
-// -update-golden after a deliberate, version-bumped format change.
+// its predecessors — version 3 with the wide history, version 2 — must
+// restore, to the same state: each re-snapshots as the current bytes,
+// which is the in-place upgrade a daemon's next compaction performs. Run
+// with -update-golden after a deliberate change of what a snapshot holds.
 func TestGoldenSnapshotCompat(t *testing.T) {
 	if *updateGolden {
 		snap := snapshotBytes(t, goldenTopic(t))
@@ -101,17 +107,19 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 		t.Fatalf("golden topic snapshots to %d bytes that differ from the %d-byte fixture — codec layout drift?",
 			len(got), len(data))
 	}
-	fixed, err := os.ReadFile(fixedGoldenPath)
-	if err != nil {
-		t.Fatalf("read version-2 fixture: %v", err)
-	}
-	old, err := triclust.Restore(bytes.NewReader(fixed))
-	if err != nil {
-		t.Fatalf("version-2 snapshot no longer restores — upgraded daemons would quarantine live state: %v", err)
-	}
-	if got := snapshotBytes(t, old); !bytes.Equal(got, data) {
-		t.Fatalf("version-2 fixture re-snapshots to %d bytes that differ from the %d-byte version-3 fixture",
-			len(got), len(data))
+	for _, path := range []string{wideGoldenPath, fixedGoldenPath} {
+		written, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read earlier-build fixture: %v", err)
+		}
+		old, err := triclust.Restore(bytes.NewReader(written))
+		if err != nil {
+			t.Fatalf("%s no longer restores — upgraded daemons would quarantine live state: %v", path, err)
+		}
+		if got := snapshotBytes(t, old); !bytes.Equal(got, data) {
+			t.Fatalf("%s re-snapshots to %d bytes that differ from the %d-byte current fixture",
+				path, len(got), len(data))
+		}
 	}
 	tp, err := triclust.Restore(bytes.NewReader(data))
 	if err != nil {
@@ -155,11 +163,7 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 // self-describing version error — never half-parsed or silently replayed
 // on the wrong stream.
 func TestLegacySnapshotRejectedByVersion(t *testing.T) {
-	data, err := os.ReadFile(legacyGoldenPath)
-	if err != nil {
-		t.Fatalf("read legacy fixture: %v", err)
-	}
-	_, err = triclust.Restore(bytes.NewReader(data))
+	_, err := triclust.Restore(bytes.NewReader(legacySnapshot))
 	if !errors.Is(err, codec.ErrVersion) {
 		t.Fatalf("legacy v1 snapshot: got %v, want ErrVersion", err)
 	}

@@ -5,7 +5,9 @@
 package triclust_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"triclust"
@@ -16,6 +18,12 @@ import (
 // per-Process allocation can be measured with testing.AllocsPerRun.
 func hotTopic(tb testing.TB, batchTweets int) (*triclust.Topic, func() []triclust.Tweet, *int) {
 	tb.Helper()
+	return hotTopicWindow(tb, batchTweets, 0)
+}
+
+// hotTopicWindow is hotTopic with the temporal window set (0 = default).
+func hotTopicWindow(tb testing.TB, batchTweets, window int) (*triclust.Topic, func() []triclust.Tweet, *int) {
+	tb.Helper()
 	const numUsers = 24
 	users := make([]triclust.User, numUsers)
 	for i := range users {
@@ -23,6 +31,7 @@ func hotTopic(tb testing.TB, batchTweets int) (*triclust.Topic, func() []triclus
 	}
 	cfg := triclust.DefaultStreamOptions().Config
 	cfg.MaxIter = 3
+	cfg.Window = window
 	tp, err := triclust.NewTopic(users, triclust.WithSolverConfig(cfg), triclust.WithMinDF(1))
 	if err != nil {
 		tb.Fatal(err)
@@ -92,6 +101,98 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 	t.Logf("allocs per Process (warm topic, 20 tweets): %.1f", allocs)
 	if allocs > 64 {
 		t.Fatalf("warm Topic.Process allocates %.1f times per batch, want <= 64 (seed behaviour was ~346)", allocs)
+	}
+}
+
+// TestHugeWindowSizesNothing: the window reaches the solver unbounded (the
+// daemon takes it from topic-create JSON), so no storage may be sized by
+// it — history depth follows the rows actually held. At a window of 2³⁰
+// nothing is ever forgotten, so each batch adds its own feature snapshot
+// and one layer of user rows: a handful of allocations over the warm
+// path, inside the same cap.
+func TestHugeWindowSizesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; absolute counts only hold without -race")
+	}
+	tp, next, ts := hotTopicWindow(t, 20, 1<<30)
+	batch := next()
+	allocs := testing.AllocsPerRun(2, func() {
+		for i := range batch {
+			batch[i].Tokens = nil
+		}
+		if _, err := tp.Process(*ts, batch); err != nil {
+			t.Fatal(err)
+		}
+		*ts++
+	})
+	t.Logf("allocs per Process (window 1<<30): %.1f", allocs)
+	if allocs > 64 {
+		t.Fatalf("Topic.Process at window 1<<30 allocates %.1f times per batch, want <= 64", allocs)
+	}
+}
+
+// TestSnapshotRestoreAllocsPerUser pins the flat user history where
+// per-user allocation would creep back: exporting and encoding a topic
+// costs the same number of allocations whether 40 or 400 users have
+// history, and restoring one costs each further user its name string and
+// little else (it was ≈2 allocations per user per copy, with one copy on
+// the snapshot path and three on the restore path).
+func TestSnapshotRestoreAllocsPerUser(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; absolute counts only hold without -race")
+	}
+	measure := func(numUsers int) (snapshot, restore float64) {
+		users := make([]triclust.User, numUsers)
+		for i := range users {
+			users[i] = triclust.User{Name: fmt.Sprintf("u%d", i), Label: triclust.NoLabel}
+		}
+		cfg := triclust.OnlineConfig{}
+		cfg.MaxIter = 3
+		tp, err := triclust.NewTopic(users, triclust.WithSolverConfig(cfg), triclust.WithMinDF(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := []string{"love", "prop37", "win", "awful", "scam", "label", "vote"}
+		for ts := 0; ts < 3; ts++ {
+			batch := make([]triclust.Tweet, numUsers) // every user tweets
+			for u := range batch {
+				batch[u] = triclust.Tweet{
+					Tokens: []string{words[(u+ts)%len(words)], words[(u+2*ts+1)%len(words)]},
+					User:   u, Time: ts, RetweetOf: -1, Label: triclust.NoLabel,
+				}
+			}
+			if _, err := tp.Process(ts, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tp.KnownUsers() != numUsers {
+			t.Fatalf("%d of %d users have history", tp.KnownUsers(), numUsers)
+		}
+		snap := snapshotBytes(t, tp)
+		snapshot = testing.AllocsPerRun(20, func() {
+			if err := tp.Snapshot(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		restore = testing.AllocsPerRun(20, func() {
+			if _, err := triclust.Restore(bytes.NewReader(snap)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return snapshot, restore
+	}
+	snapSmall, restoreSmall := measure(40)
+	snapLarge, restoreLarge := measure(400)
+	t.Logf("allocs, 40 vs 400 users with history: Snapshot %.0f vs %.0f, Restore %.0f vs %.0f",
+		snapSmall, snapLarge, restoreSmall, restoreLarge)
+	// The one-buffer encoder doubles a few more times for the larger state.
+	if snapLarge > snapSmall+8 {
+		t.Fatalf("Topic.Snapshot allocates %.0f times for 40 users and %.0f for 400: it allocates per user",
+			snapSmall, snapLarge)
+	}
+	if perUser := (restoreLarge - restoreSmall) / 360; perUser > 1.5 {
+		t.Fatalf("Restore allocates %.2f times per further user (%.0f for 40 users, %.0f for 400), want <= 1.5",
+			perUser, restoreSmall, restoreLarge)
 	}
 }
 

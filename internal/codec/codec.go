@@ -33,9 +33,12 @@
 //	string, slice, map              count-prefixed
 //	matrix                          presence bool, rows, cols, floats
 //
-// Map sections are written in sorted key order, so encoding is
-// deterministic: equal states produce byte-identical snapshots. Floats
-// are never re-quantized, so a restore is bit-identical.
+// Map sections are written in sorted key order and the solver exports its
+// history in a canonical form (core.OnlineState), so encoding is
+// deterministic: equal states produce byte-identical snapshots, and so do
+// equal streams — two topics that processed the same batches, whatever
+// snapshots and restores lay in between. Floats are never re-quantized,
+// so a restore is bit-identical.
 //
 // Version 2 had the same sections with every integer as 8 fixed bytes and
 // every []bool as a byte per element, and stored the tweet and user
@@ -437,19 +440,25 @@ func (e *encoder) online(o *core.OnlineState) {
 		e.dense(s.Sf)
 		e.bools(s.Seen)
 	}
-	gids := make([]int, 0, len(o.UserHist))
-	for g := range o.UserHist {
-		gids = append(gids, g)
+	// The flat history is sorted by id: a user's rows are one run of it.
+	ids := o.UserIDs
+	users := 0
+	for i, g := range ids {
+		if i == 0 || g != ids[i-1] {
+			users++
+		}
 	}
-	sort.Ints(gids)
-	e.uint(uint64(len(gids)))
-	for _, g := range gids {
-		e.int(int64(g))
-		hist := o.UserHist[g]
-		e.uint(uint64(len(hist)))
-		for _, h := range hist {
-			e.int(int64(h.Time))
-			e.floats(h.Row)
+	e.uint(uint64(users))
+	for i := 0; i < len(ids); {
+		end := i + 1
+		for end < len(ids) && ids[end] == ids[i] {
+			end++
+		}
+		e.int(int64(ids[i]))
+		e.uint(uint64(end - i))
+		for ; i < end; i++ {
+			e.int(int64(o.UserTimes[i]))
+			e.floats(o.UserRows.Row(i))
 		}
 	}
 }
@@ -582,16 +591,12 @@ func (d *decoder) stringSlice() []string {
 	return out
 }
 
-func (d *decoder) floats() []float64 {
-	n := d.count(0, 8)
-	if n == 0 {
-		return nil
+// floats appends a count-prefixed float slice to dst.
+func (d *decoder) floats(dst []float64) []float64 {
+	for n := d.count(0, 8); n > 0; n-- {
+		dst = append(dst, d.float())
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.float()
-	}
-	return out
+	return dst
 }
 
 func (d *decoder) intSlice() []int {
@@ -746,17 +751,33 @@ func (d *decoder) online() *core.OnlineState {
 		o.SfHist = append(o.SfHist, s)
 	}
 	m := d.count(2, 0)
-	// UserHist stays non-nil even when empty: it is the one container the
-	// solver mutates in place after restore.
-	o.UserHist = make(map[int][]core.UserSnapshotState, m)
+	if m == 0 || d.err != nil {
+		return o
+	}
+	// Every user has at least one row in what Encode writes, so m is the
+	// likely row count; the floats that follow cannot outnumber the bytes
+	// that hold them.
+	o.UserIDs = make([]int, 0, m)
+	o.UserTimes = make([]int, 0, m)
+	rows := make([]float64, 0, len(d.buf)/8)
+	width := -1
 	for i := uint64(0); i < m && d.err == nil; i++ {
 		g := int(d.int())
-		cnt := d.count(2, 0)
-		var hist []core.UserSnapshotState
-		for j := uint64(0); j < cnt && d.err == nil; j++ {
-			hist = append(hist, core.UserSnapshotState{Time: int(d.int()), Row: d.floats()})
+		for cnt := d.count(2, 0); cnt > 0 && d.err == nil; cnt-- {
+			o.UserIDs = append(o.UserIDs, g)
+			o.UserTimes = append(o.UserTimes, int(d.int()))
+			at := len(rows)
+			rows = d.floats(rows)
+			if width < 0 {
+				width = len(rows) - at
+			}
+			if len(rows)-at != width {
+				d.fail("user history rows of unequal length")
+			}
 		}
-		o.UserHist[g] = hist
+	}
+	if d.err == nil && len(o.UserIDs) > 0 {
+		o.UserRows = mat.NewDenseData(len(o.UserIDs), width, rows)
 	}
 	return o
 }

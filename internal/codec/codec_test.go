@@ -54,10 +54,10 @@ func fullState() *engine.State {
 				{Time: 3, Sf: denseOf(3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9), Seen: []bool{true, false, true}},
 				{Time: 4, Sf: denseOf(3, 3, 9, 8, 7, 6, 5, 4, 3, 2, 1), Seen: []bool{false, true, true}},
 			},
-			UserHist: map[int][]core.UserSnapshotState{
-				0: {{Time: 3, Row: []float64{0.5, 0.25, 0.25}}},
-				7: {{Time: 3, Row: []float64{1, 0, 0}}, {Time: 4, Row: []float64{0, 1, 0}}},
-			},
+			// User 0 has one row, user 7 two.
+			UserIDs:   []int{0, 7, 7},
+			UserTimes: []int{3, 3, 4},
+			UserRows:  denseOf(3, 3, 0.5, 0.25, 0.25, 1, 0, 0, 0, 1, 0),
 		},
 		LastFactors: &core.Factors{
 			Sf: denseOf(3, 3, 1, 1, 1, 2, 2, 2, 3, 3, 3),
@@ -146,7 +146,7 @@ func TestRoundTripMinimal(t *testing.T) {
 		MinDF:       2,
 		VocabCounts: map[string]int{"warm": 1},
 		VocabDocs:   1,
-		Online:      &core.OnlineState{UserHist: map[int][]core.UserSnapshotState{}},
+		Online:      &core.OnlineState{},
 	}
 	var buf bytes.Buffer
 	if err := Encode(&buf, st); err != nil {
@@ -303,6 +303,12 @@ func TestHostileCountsRejected(t *testing.T) {
 	// factors section starts with Sf → flag byte, rows, cols.
 	dim := binary.AppendUvarint(nil, 1<<61)
 	reject("matrix dims", spliceSection(t, payload, tagFactors, 1, 2, append(dim, dim...)))
+	// User history rows are one flat k-wide matrix: a row of another
+	// length has nowhere to go. The online section ends with user 7's
+	// second row — a length byte (3) and 24 bytes of floats.
+	_, size := findSection(t, payload, tagOnline)
+	short := append([]byte{2}, make([]byte, 16)...)
+	reject("ragged user rows", spliceSection(t, payload, tagOnline, size-25, 25, short))
 	// A mask whose bit count no bitset in the section could back.
 	d := &decoder{buf: binary.AppendUvarint(nil, 1<<64-1)}
 	if d.bools(); !errors.Is(d.err, ErrCorrupt) {
@@ -596,19 +602,24 @@ func encodeV2(st *engine.State, sp, su *mat.Dense) []byte {
 				e.Bool(b)
 			}
 		}
-		gids := make([]int, 0, len(o.UserHist))
-		for g := range o.UserHist {
+		entries := map[int][]int{} // user id → indices into the flat history
+		for i, g := range o.UserIDs {
+			entries[g] = append(entries[g], i)
+		}
+		gids := make([]int, 0, len(entries))
+		for g := range entries {
 			gids = append(gids, g)
 		}
 		sort.Ints(gids)
 		e.Uint(uint64(len(gids)))
 		for _, g := range gids {
 			e.Int(int64(g))
-			e.Uint(uint64(len(o.UserHist[g])))
-			for _, h := range o.UserHist[g] {
-				e.Int(int64(h.Time))
-				e.Uint(uint64(len(h.Row)))
-				for _, f := range h.Row {
+			e.Uint(uint64(len(entries[g])))
+			for _, i := range entries[g] {
+				e.Int(int64(o.UserTimes[i]))
+				row := o.UserRows.Row(i)
+				e.Uint(uint64(len(row)))
+				for _, f := range row {
 					e.Float(f)
 				}
 			}

@@ -8,7 +8,8 @@ import (
 
 // FuzzDecode hammers the snapshot decoder with hostile bytes. The corpus
 // is seeded from the checked-in golden fixtures of both readable versions
-// (compact version 3, fixed-width version 2) plus in-memory encodings and
+// (compact version 3, as written now and with the wide history of earlier
+// builds; fixed-width version 2) plus in-memory encodings and
 // targeted mutations of them, so the fuzzer starts inside both widths of
 // the format and walks outward — exactly the byte streams
 // the cluster hand-off path (PUT restore of an attacker-supplied body)
@@ -20,7 +21,11 @@ import (
 //  3. the re-encoding must decode again to the identical byte encoding —
 //     the determinism contract equal states sign up for.
 func FuzzDecode(f *testing.F) {
-	for _, fixture := range []string{"../../testdata/golden_v3.snap", "../../testdata/golden_v2.snap"} {
+	for _, fixture := range []string{
+		"../../testdata/golden_v3.snap",
+		"../../testdata/golden_v3_wide_history.snap",
+		"../../testdata/golden_v2.snap",
+	} {
 		golden, err := os.ReadFile(fixture)
 		if err != nil {
 			f.Fatal(err)

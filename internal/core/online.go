@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"triclust/internal/mat"
 	"triclust/internal/sparse"
@@ -19,10 +20,17 @@ type OnlineConfig struct {
 	// Tau ∈ (0,1] is the exponential decay of past results
 	// (Sfw(t)=Σ τⁱ Sf(t−i)).
 	Tau float64
-	// Window is w: snapshots [t−w, t) contribute to the history
-	// aggregates.
+	// Window is w: a step at t aggregates the snapshots of ages 1 … w−1,
+	// i.e. those timed in [t−w+1, t). Retention follows from it: the next
+	// step is at t+1 or later, so after a step at t the solver keeps an
+	// entry timed s iff s ≥ t−w+2 (see horizon), plus the newest feature
+	// snapshot and each user's newest row whatever their age — at most
+	// max(1, w−1) feature snapshots and as many rows per user.
 	Window int
 }
+
+// horizon returns the oldest timestamp a step later than t can still read.
+func (c OnlineConfig) horizon(t int) int { return t - c.Window + 2 }
 
 // DefaultOnlineConfig returns the parameters the paper settles on for the
 // online experiments (§5.2): α = τ = 0.9, γ = 0.2, β = 0.8, w = 2.
@@ -121,9 +129,82 @@ type sfSnapshot struct {
 	seen []bool
 }
 
-type userSnapshot struct {
-	time int
-	row  []float64
+// userRows is the retained Su history of every user, indexed by user id.
+// Layer d is one users×k slab holding each user's d-th oldest retained row:
+// user u holds n[u] rows, in layers 0 … n[u]−1, oldest first. A layer is
+// added when some user comes to hold that many rows, so the depth follows
+// the rows actually held — never Window, which arrives from outside
+// unbounded.
+type userRows struct {
+	k      int
+	n      []int
+	layers []userLayer
+	known  int // users holding at least one row
+}
+
+type userLayer struct {
+	times []int
+	rows  []float64
+}
+
+func (l *userLayer) row(u, k int) []float64 { return l.rows[u*k : (u+1)*k] }
+
+// held returns how many rows user u holds (0 for an id never recorded).
+func (h *userRows) held(u int) int {
+	if u < 0 || u >= len(h.n) {
+		return 0
+	}
+	return h.n[u]
+}
+
+// newest returns user u's most recent row, or nil if u holds none.
+func (h *userRows) newest(u int) []float64 {
+	if n := h.held(u); n > 0 {
+		return h.layers[n-1].row(u, h.k)
+	}
+	return nil
+}
+
+// grow extends the id index (and every layer) to cover ids below users.
+func (h *userRows) grow(users int) {
+	extra := users - len(h.n)
+	if extra <= 0 {
+		return
+	}
+	h.n = append(h.n, make([]int, extra)...)
+	for d := range h.layers {
+		l := &h.layers[d]
+		l.times = append(l.times, make([]int, extra)...)
+		l.rows = append(l.rows, make([]float64, extra*h.k)...)
+	}
+}
+
+// push records row as user u's newest, first dropping u's rows older than
+// minTime — the only place a user's history shrinks.
+func (h *userRows) push(u, t, minTime int, row []float64) {
+	h.grow(u + 1)
+	n := h.n[u]
+	if n == 0 {
+		h.known++
+	}
+	drop := 0
+	for drop < n && h.layers[drop].times[u] < minTime {
+		drop++
+	}
+	for d := drop; d < n; d++ { // the survivors move down
+		h.layers[d-drop].times[u] = h.layers[d].times[u]
+		copy(h.layers[d-drop].row(u, h.k), h.layers[d].row(u, h.k))
+	}
+	n -= drop
+	if n == len(h.layers) {
+		h.layers = append(h.layers, userLayer{
+			times: make([]int, len(h.n)),
+			rows:  make([]float64, len(h.n)*h.k),
+		})
+	}
+	h.layers[n].times[u] = t
+	copy(h.layers[n].row(u, h.k), row)
+	h.n[u] = n + 1
 }
 
 // Online is the stateful dynamic tri-clustering solver (Algorithm 2).
@@ -131,17 +212,18 @@ type userSnapshot struct {
 // history Sfw / Suw across calls.
 //
 // Beyond the algorithmic state the solver owns the per-step scratch — a
-// persistent kernel workspace, the temporal-aggregate buffers and free
-// lists recycling pruned history storage — so a long stream of Steps
-// allocates only the result factors that escape to the caller.
+// persistent kernel workspace and the temporal-aggregate buffers — and a
+// recorded snapshot takes over the storage of the one it displaces, so a
+// long stream of Steps allocates only the result factors that escape to
+// the caller.
 type Online struct {
-	cfg      OnlineConfig
-	sfHist   []sfSnapshot
-	userHist map[int][]userSnapshot
-	lastHp   *mat.Dense
-	lastHu   *mat.Dense
-	src      *countingSource
-	rng      *rand.Rand
+	cfg    OnlineConfig
+	sfHist []sfSnapshot
+	users  userRows
+	lastHp *mat.Dense
+	lastHu *mat.Dense
+	src    *countingSource
+	rng    *rand.Rand
 
 	// Reused per-step scratch (never escapes a Step call).
 	ws      *mat.Workspace
@@ -149,12 +231,6 @@ type Online struct {
 	suw     *mat.Dense
 	acc     *mat.Dense
 	seenAny []bool
-	// Free lists recycling the storage of history entries pruned by
-	// record, so the bounded-window history reaches a steady state with
-	// no per-step allocation.
-	sfFree   []*mat.Dense
-	seenFree [][]bool
-	rowFree  [][]float64
 }
 
 // NewOnline returns a solver with empty history. Its random stream is
@@ -164,11 +240,11 @@ func NewOnline(cfg OnlineConfig) *Online {
 	cfg = cfg.withDefaults()
 	src := newCountingSource(cfg.Seed)
 	return &Online{
-		cfg:      cfg,
-		userHist: make(map[int][]userSnapshot),
-		src:      src,
-		rng:      rand.New(src),
-		ws:       mat.NewWorkspace(),
+		cfg:   cfg,
+		users: userRows{k: cfg.K},
+		src:   src,
+		rng:   rand.New(src),
+		ws:    mat.NewWorkspace(),
 	}
 }
 
@@ -186,7 +262,9 @@ func (o *Online) HistoryLen() int { return len(o.sfHist) }
 // Step processes the snapshot at timestamp t. p holds the snapshot's
 // matrices with tweets and *active users* locally indexed; active[i] is
 // the global id of local user i (so history can follow users across
-// snapshots). Timestamps must be strictly increasing across calls.
+// snapshots): a non-negative index into the caller's user universe — the
+// history is indexed by it, so it grows to the largest id seen.
+// Timestamps must be strictly increasing across calls.
 func (o *Online) Step(t int, p *Problem, active []int) (*Result, error) {
 	cfg := o.cfg
 	if err := p.Validate(cfg.K); err != nil {
@@ -194,6 +272,11 @@ func (o *Online) Step(t int, p *Problem, active []int) (*Result, error) {
 	}
 	if len(active) != p.Xu.Rows() {
 		return nil, fmt.Errorf("core: %d active users for %d Xu rows", len(active), p.Xu.Rows())
+	}
+	for _, g := range active {
+		if g < 0 {
+			return nil, fmt.Errorf("core: negative user id %d", g)
+		}
 	}
 	if n := len(o.sfHist); n > 0 && o.sfHist[n-1].time >= t {
 		return nil, fmt.Errorf("core: non-increasing timestamp %d after %d", t, o.sfHist[n-1].time)
@@ -338,7 +421,7 @@ func (o *Online) skipDraws(n int) {
 }
 
 // buildTemporal assembles Sfw(t), Suw(t) and the history mask from the
-// retained snapshots within [t−w, t) as the τ-decayed weighted average
+// retained snapshots within [t−w+1, t) as the τ-decayed weighted average
 //
 //	Sfw(t) = Σᵢ τ^(i−1) Sf(t−i) / Σᵢ τ^(i−1)
 //
@@ -402,21 +485,20 @@ func (o *Online) buildTemporal(t int, p *Problem, active []int) *temporalUser {
 		tr.sfPrior = p.Sf0
 	}
 
-	// Suw rows per active user (same unnormalized decayed sum).
+	// Suw rows per active user: the same normalized decayed average, over
+	// the user's own rows, oldest first.
 	for i, g := range active {
-		hist := o.userHist[g]
 		var wsum float64
 		row := tr.suw.Row(i)
-		for _, h := range hist {
-			age := t - h.time
+		for d, n := 0, o.users.held(g); d < n; d++ {
+			l := &o.users.layers[d]
+			age := t - l.times[g]
 			if age < 1 || age >= cfg.Window {
 				continue
 			}
 			w := math.Pow(cfg.Tau, float64(age-1))
-			for j, v := range h.row {
-				if j < len(row) {
-					row[j] += w * v
-				}
+			for j, v := range l.row(g, cfg.K) {
+				row[j] += w * v
 			}
 			wsum += w
 		}
@@ -430,105 +512,38 @@ func (o *Online) buildTemporal(t int, p *Problem, active []int) *temporalUser {
 	return tr
 }
 
-// record retains the snapshot's Sf and the active users' Su rows, pruning
-// entries that fell out of the window. Sf is stored row-normalized: on a
-// thin snapshot most vocabulary words receive no data evidence and their
-// rows only shrink (the denominator's global k×k term applies to every
-// row), so recording raw magnitudes would compound into a collapsing
-// feature memory across snapshots; the row's class *distribution* is the
-// information Observation 1 says persists.
+// record retains the snapshot's Sf and the active users' Su rows, dropping
+// what no later step can read (see OnlineConfig.Window). Sf is stored
+// row-normalized: on a thin snapshot most vocabulary words receive no data
+// evidence and their rows only shrink (the denominator's global k×k term
+// applies to every row), so recording raw magnitudes would compound into a
+// collapsing feature memory across snapshots; the row's class
+// *distribution* is the information Observation 1 says persists.
 func (o *Online) record(t int, p *Problem, f *Factors, active []int) {
-	sf := o.getHistSf(f.Sf.Rows(), f.Sf.Cols())
-	sf.CopyFrom(f.Sf)
-	sf.NormalizeRowsL1()
-	seen := o.getHistSeen(p.Xp.Cols())
-	markNonzeroCols(seen, p.Xp)
-	markNonzeroCols(seen, p.Xu)
-	o.sfHist = append(o.sfHist, sfSnapshot{time: t, sf: sf, seen: seen})
-	minTime := t - o.cfg.Window + 1
-	pruned := o.sfHist[:0]
-	for _, s := range o.sfHist {
-		if s.time >= minTime {
-			pruned = append(pruned, s)
-		} else {
-			o.putHist(s)
-		}
+	minTime := o.cfg.horizon(t)
+	dead := 0
+	for dead < len(o.sfHist) && o.sfHist[dead].time < minTime {
+		dead++
 	}
-	o.sfHist = pruned
+	// The new snapshot takes over the storage of a dropped one; at a steady
+	// cadence exactly one drops per step, so a warm history allocates
+	// nothing.
+	var s sfSnapshot
+	if dead > 0 {
+		s = o.sfHist[dead-1]
+	}
+	o.sfHist = append(o.sfHist[:0], o.sfHist[dead:]...)
+	s.time = t
+	s.sf = mat.ReuseDense(s.sf, f.Sf.Rows(), f.Sf.Cols())
+	s.sf.CopyFrom(f.Sf)
+	s.sf.NormalizeRowsL1()
+	s.seen = reuseBools(s.seen, p.Xp.Cols())
+	markNonzeroCols(s.seen, p.Xp)
+	markNonzeroCols(s.seen, p.Xu)
+	o.sfHist = append(o.sfHist, s)
 
 	for i, g := range active {
-		row := o.getHistRow(f.Su.Cols())
-		copy(row, f.Su.Row(i))
-		hist := append(o.userHist[g], userSnapshot{time: t, row: row})
-		// The just-appended time-t row always satisfies t >= minTime
-		// (Window >= 1), so kept is never empty and LastUserEstimate can
-		// still report long-disappeared users from their newest row.
-		kept := hist[:0]
-		for _, h := range hist {
-			if h.time >= minTime {
-				kept = append(kept, h)
-			} else {
-				o.putHistRow(h.row)
-			}
-		}
-		o.userHist[g] = kept
-	}
-}
-
-// getHistSf / getHistSeen / getHistRow draw history storage from the
-// free lists fed by pruning, so the bounded-window history stops
-// allocating once warm; putHist returns a pruned snapshot's storage.
-func (o *Online) getHistSf(rows, cols int) *mat.Dense {
-	for i := len(o.sfFree) - 1; i >= 0; i-- {
-		m := o.sfFree[i]
-		o.sfFree = o.sfFree[:i]
-		if m.Dims(rows, cols) {
-			return m
-		}
-	}
-	return mat.NewDense(rows, cols)
-}
-
-func (o *Online) getHistSeen(n int) []bool {
-	if last := len(o.seenFree) - 1; last >= 0 {
-		s := o.seenFree[last]
-		o.seenFree = o.seenFree[:last]
-		if cap(s) >= n {
-			s = s[:n]
-			for i := range s {
-				s[i] = false
-			}
-			return s
-		}
-	}
-	return make([]bool, n)
-}
-
-func (o *Online) getHistRow(k int) []float64 {
-	if last := len(o.rowFree) - 1; last >= 0 {
-		r := o.rowFree[last]
-		o.rowFree = o.rowFree[:last]
-		if cap(r) >= k {
-			return r[:k]
-		}
-	}
-	return make([]float64, k)
-}
-
-const maxFreeRows = 4096
-
-func (o *Online) putHist(s sfSnapshot) {
-	if len(o.sfFree) < 8 {
-		o.sfFree = append(o.sfFree, s.sf)
-	}
-	if len(o.seenFree) < 8 {
-		o.seenFree = append(o.seenFree, s.seen)
-	}
-}
-
-func (o *Online) putHistRow(r []float64) {
-	if len(o.rowFree) < maxFreeRows {
-		o.rowFree = append(o.rowFree, r)
+		o.users.push(g, t, minTime, f.Su.Row(i))
 	}
 }
 
@@ -563,24 +578,20 @@ func reuseBools(s []bool, n int) []bool {
 // score disappeared users at later timestamps (their sentiment persists
 // per Observation 2).
 func (o *Online) LastUserEstimate(g int) []float64 {
-	hist := o.userHist[g]
-	if len(hist) == 0 {
-		return nil
-	}
-	return append([]float64(nil), hist[len(hist)-1].row...)
+	return slices.Clone(o.users.newest(g))
 }
 
 // KnownUsers returns the number of users with recorded history.
-func (o *Online) KnownUsers() int { return len(o.userHist) }
+func (o *Online) KnownUsers() int { return o.users.known }
 
-// VisitUserEstimates calls fn once per user with recorded history, passing
-// the user's global id and most recent Su row. The row is the solver's own
-// storage: fn must copy what it keeps and must not mutate it. Iteration
-// order is unspecified (map order).
+// VisitUserEstimates calls fn once per user with recorded history, in
+// increasing id order, passing the user's global id and most recent Su
+// row. The row is the solver's own storage: fn must copy what it keeps and
+// must not mutate it.
 func (o *Online) VisitUserEstimates(fn func(user int, row []float64)) {
-	for g, hist := range o.userHist {
-		if len(hist) > 0 {
-			fn(g, hist[len(hist)-1].row)
+	for g := range o.users.n {
+		if row := o.users.newest(g); row != nil {
+			fn(g, row)
 		}
 	}
 }

@@ -75,18 +75,18 @@ type SfSnapshotState struct {
 	Seen []bool
 }
 
-// UserSnapshotState is the serializable form of one retained user row.
-type UserSnapshotState struct {
-	Time int
-	Row  []float64
-}
-
 // OnlineState is the complete mutable state of an Online solver: the
 // temporal history that feeds Sfw/Suw, the warm-start association cores,
 // and the position in the seeded random stream. Together with the
 // solver's OnlineConfig it determines every future Step bit-for-bit (at a
 // fixed kernel parallelism width), which is what makes durable
 // snapshot/restore of a stream possible.
+//
+// An exported state is canonical: it holds exactly the history a step
+// after the last one can read (see OnlineConfig.Window), measured against
+// the last step's time for every user. It is therefore a function of the
+// stream alone — two solvers that took the same steps export equal states
+// whatever their snapshot/restore history.
 type OnlineState struct {
 	// RandDraws is the number of raw draws consumed from the seeded
 	// source so far; restore replays the stream to this position.
@@ -96,17 +96,20 @@ type OnlineState struct {
 	LastHp, LastHu *mat.Dense
 	// SfHist holds the retained feature snapshots, oldest first.
 	SfHist []SfSnapshotState
-	// UserHist holds the retained Su rows per global user id.
-	UserHist map[int][]UserSnapshotState
+	// UserIDs, UserTimes and the rows of UserRows are the retained Su
+	// history in flat parallel form: entry i is the k-wide row
+	// UserRows.Row(i) that user UserIDs[i] was given at time UserTimes[i],
+	// sorted by id, then time. All three are nil when no user has history.
+	UserIDs   []int
+	UserTimes []int
+	UserRows  *mat.Dense
 }
 
-// ExportState deep-copies the solver's mutable state. The solver remains
-// usable; the returned state is independent of later Steps.
+// ExportState deep-copies the solver's mutable state in its canonical
+// form. The solver remains usable; the returned state is independent of
+// later Steps.
 func (o *Online) ExportState() *OnlineState {
-	st := &OnlineState{
-		RandDraws: o.src.n,
-		UserHist:  make(map[int][]UserSnapshotState, len(o.userHist)),
-	}
+	st := &OnlineState{RandDraws: o.src.n}
 	if o.lastHp != nil {
 		st.LastHp = o.lastHp.Clone()
 		st.LastHu = o.lastHu.Clone()
@@ -119,20 +122,38 @@ func (o *Online) ExportState() *OnlineState {
 			Seen: append([]bool(nil), s.seen...),
 		}
 	}
-	for g, hist := range o.userHist {
-		rows := make([]UserSnapshotState, len(hist))
-		for i, h := range hist {
-			rows[i] = UserSnapshotState{Time: h.time, Row: append([]float64(nil), h.row...)}
-		}
-		st.UserHist[g] = rows
+	h := &o.users
+	if h.known == 0 {
+		return st
 	}
+	// A user who has not been active lately may still hold rows that were
+	// readable when they were recorded and no longer are: push drops them
+	// the next time the user is active, and they are never exported. At
+	// the default window that leaves one row per known user.
+	last, _ := o.LastTime()
+	minTime := o.cfg.horizon(last)
+	ids, times := make([]int, 0, h.known), make([]int, 0, h.known)
+	rows := make([]float64, 0, h.known*h.k)
+	for u, n := range h.n {
+		for d := 0; d < n; d++ {
+			if l := &h.layers[d]; d == n-1 || l.times[u] >= minTime {
+				ids = append(ids, u)
+				times = append(times, l.times[u])
+				rows = append(rows, l.row(u, h.k)...)
+			}
+		}
+	}
+	st.UserIDs, st.UserTimes, st.UserRows = ids, times, mat.NewDenseData(len(ids), h.k, rows)
 	return st
 }
 
 // NewOnlineFromState rebuilds a solver that continues exactly where the
 // exported one stopped: same configuration, same history, and the seeded
 // random stream fast-forwarded to the recorded position. The state is
-// deep-copied.
+// deep-copied. History no later step can read is dropped on the way in (a
+// state written under a wider retention rule restores to the canonical
+// one). The user ids size the solver's history index: a caller restoring
+// outside input bounds them by its user universe first.
 func NewOnlineFromState(cfg OnlineConfig, st *OnlineState) (*Online, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil online state")
@@ -157,7 +178,11 @@ func NewOnlineFromState(cfg OnlineConfig, st *OnlineState) (*Online, error) {
 		o.lastHp = st.LastHp.Clone()
 		o.lastHu = st.LastHu.Clone()
 	}
-	o.sfHist = make([]sfSnapshot, len(st.SfHist))
+	// History no later step can read is not loaded.
+	newest, minTime := len(st.SfHist)-1, 0
+	if newest >= 0 {
+		minTime = o.cfg.horizon(st.SfHist[newest].Time)
+	}
 	for i, s := range st.SfHist {
 		if s.Sf == nil {
 			return nil, fmt.Errorf("core: feature snapshot %d has no matrix", i)
@@ -176,22 +201,62 @@ func NewOnlineFromState(cfg OnlineConfig, st *OnlineState) (*Online, error) {
 		if i > 0 && st.SfHist[i-1].Time >= s.Time {
 			return nil, fmt.Errorf("core: feature history times not increasing at %d", i)
 		}
-		o.sfHist[i] = sfSnapshot{
-			time: s.Time,
-			sf:   s.Sf.Clone(),
-			seen: append([]bool(nil), s.Seen...),
+		if s.Time >= minTime || i == newest {
+			o.sfHist = append(o.sfHist, sfSnapshot{
+				time: s.Time,
+				sf:   s.Sf.Clone(),
+				seen: append([]bool(nil), s.Seen...),
+			})
 		}
 	}
-	for g, hist := range st.UserHist {
-		rows := make([]userSnapshot, len(hist))
-		for i, h := range hist {
-			if len(h.Row) != k {
-				return nil, fmt.Errorf("core: user %d history row %d has %d entries, want k=%d",
-					g, i, len(h.Row), k)
-			}
-			rows[i] = userSnapshot{time: h.Time, row: append([]float64(nil), h.Row...)}
-		}
-		o.userHist[g] = rows
+	if err := st.validateUserHistory(k); err != nil {
+		return nil, err
+	}
+	if n := len(st.UserIDs); n > 0 {
+		o.users.grow(st.UserIDs[n-1] + 1) // ids are sorted: one allocation, not a doubling series
+	}
+	for i, g := range st.UserIDs {
+		o.users.push(g, st.UserTimes[i], minTime, st.UserRows.Row(i))
 	}
 	return o, nil
+}
+
+// validateUserHistory checks the flat user history: parallel lengths,
+// k-wide rows, ids non-negative and sorted, each user's times strictly
+// increasing and none later than the newest feature snapshot (the last
+// step recorded both).
+func (st *OnlineState) validateUserHistory(k int) error {
+	n := len(st.UserIDs)
+	if len(st.UserTimes) != n {
+		return fmt.Errorf("core: user history has %d ids for %d times", n, len(st.UserTimes))
+	}
+	if n == 0 {
+		return nil
+	}
+	if st.UserRows == nil || !st.UserRows.Dims(n, k) {
+		return fmt.Errorf("core: user history rows do not form a %dx%d matrix", n, k)
+	}
+	if len(st.SfHist) == 0 {
+		return fmt.Errorf("core: user history without a feature snapshot")
+	}
+	last := st.SfHist[len(st.SfHist)-1].Time
+	for i, g := range st.UserIDs {
+		if g < 0 {
+			return fmt.Errorf("core: negative user id %d in history", g)
+		}
+		if st.UserTimes[i] > last {
+			return fmt.Errorf("core: user %d has a row at time %d, after the last step at %d",
+				g, st.UserTimes[i], last)
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := st.UserIDs[i-1]; g < prev {
+			return fmt.Errorf("core: user history ids not sorted at entry %d (%d after %d)", i, g, prev)
+		} else if g == prev && st.UserTimes[i] <= st.UserTimes[i-1] {
+			return fmt.Errorf("core: user %d history times not increasing (%d after %d)",
+				g, st.UserTimes[i], st.UserTimes[i-1])
+		}
+	}
+	return nil
 }

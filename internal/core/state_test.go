@@ -63,12 +63,14 @@ func TestNewOnlineFromStateHugeRandDraws(t *testing.T) {
 }
 
 // steppedOnline runs two snapshots through a solver so its exported state
-// carries warm-start cores, feature history and user history.
+// carries warm-start cores, feature history and user history. Window is 3
+// so that both snapshots (and two rows of a returning user) are retained.
 func steppedOnline(t *testing.T) *Online {
 	t.Helper()
 	_, snaps, lex := onlineFixture(t, 3)
 	cfg := DefaultOnlineConfig()
 	cfg.MaxIter = 5
+	cfg.Window = 3
 	o := NewOnline(cfg)
 	steps := 0
 	for ti, s := range snaps {
@@ -82,8 +84,8 @@ func steppedOnline(t *testing.T) *Online {
 			break
 		}
 	}
-	if steps < 2 {
-		t.Fatal("fixture yielded fewer than 2 non-empty snapshots")
+	if steps < 2 || o.HistoryLen() < 2 {
+		t.Fatalf("fixture took %d steps and retains %d feature snapshots, want 2 and 2", steps, o.HistoryLen())
 	}
 	return o
 }
@@ -95,13 +97,14 @@ func TestNewOnlineFromStateRejectsIncoherentState(t *testing.T) {
 	if _, err := NewOnlineFromState(cfg, o.ExportState()); err != nil {
 		t.Fatalf("unmutated state must restore: %v", err)
 	}
-	anyUser := func(st *OnlineState) int {
-		for g, hist := range st.UserHist {
-			if len(hist) > 0 {
-				return g
+	// returning finds the second row of a user who holds two.
+	returning := func(st *OnlineState) int {
+		for i := 1; i < len(st.UserIDs); i++ {
+			if st.UserIDs[i] == st.UserIDs[i-1] {
+				return i
 			}
 		}
-		t.Fatal("no user history in state")
+		t.Fatal("no user with two history rows in state")
 		return -1
 	}
 	cases := []struct {
@@ -117,9 +120,6 @@ func TestNewOnlineFromStateRejectsIncoherentState(t *testing.T) {
 			st.SfHist[0].Sf = mat.NewDense(st.SfHist[0].Sf.Rows(), k+1)
 		}},
 		{"history rows mismatch", func(st *OnlineState) {
-			if len(st.SfHist) < 2 {
-				t.Skip("window kept only one snapshot")
-			}
 			last := len(st.SfHist) - 1
 			st.SfHist[last].Sf = mat.NewDense(st.SfHist[0].Sf.Rows()+1, k)
 			st.SfHist[last].Seen = make([]bool, st.SfHist[0].Sf.Rows()+1)
@@ -128,17 +128,34 @@ func TestNewOnlineFromStateRejectsIncoherentState(t *testing.T) {
 			st.SfHist[0].Seen = st.SfHist[0].Seen[:len(st.SfHist[0].Seen)-1]
 		}},
 		{"user row length", func(st *OnlineState) {
-			g := anyUser(st)
-			st.UserHist[g][0].Row = []float64{1}
+			st.UserRows = mat.NewDense(len(st.UserIDs), 1)
 		}},
+		{"user times length", func(st *OnlineState) {
+			st.UserTimes = st.UserTimes[:len(st.UserTimes)-1]
+		}},
+		{"user id negative", func(st *OnlineState) { st.UserIDs[0] = -1 }},
+		{"user ids unsorted", func(st *OnlineState) {
+			last := len(st.UserIDs) - 1
+			st.UserIDs[0], st.UserIDs[last] = st.UserIDs[last], st.UserIDs[0]
+		}},
+		{"user times not increasing", func(st *OnlineState) {
+			i := returning(st)
+			st.UserTimes[i-1], st.UserTimes[i] = st.UserTimes[i], st.UserTimes[i-1]
+		}},
+		{"user row after the last step", func(st *OnlineState) {
+			st.UserTimes[len(st.UserTimes)-1] = st.SfHist[len(st.SfHist)-1].Time + 1
+		}},
+		{"user history without feature history", func(st *OnlineState) { st.SfHist = nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			st := o.ExportState()
 			tc.mutate(st)
-			if _, err := NewOnlineFromState(cfg, st); err == nil {
+			_, err := NewOnlineFromState(cfg, st)
+			if err == nil {
 				t.Fatal("incoherent state restored without error")
 			}
+			t.Log(err)
 		})
 	}
 }

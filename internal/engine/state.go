@@ -203,13 +203,22 @@ func RestoreSession(st *State) (*Session, error) {
 
 // validateStateShapes cross-checks the state's components against each
 // other: solver history and last factors must agree with the vocabulary
-// and class count, and a never-frozen topic cannot carry solver results.
+// and class count, user history must name users of the universe (the
+// solver indexes it by user id), and a never-frozen topic cannot carry
+// solver results.
 // core.NewOnlineFromState separately checks the solver state's internal
 // shapes; together they ensure a valid-checksum but crafted snapshot is
 // rejected at restore instead of panicking inside a later Process or
 // Predict.
 func validateStateShapes(st *State) error {
 	k := st.Config.K
+	if st.Online != nil {
+		for _, g := range st.Online.UserIDs {
+			if g < 0 || g >= len(st.Users) {
+				return fmt.Errorf("engine: history for user %d outside the %d-user universe", g, len(st.Users))
+			}
+		}
+	}
 	if !st.Frozen {
 		if st.Batches > 0 {
 			return fmt.Errorf("engine: state has %d batches but no frozen vocabulary", st.Batches)

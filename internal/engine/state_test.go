@@ -63,6 +63,12 @@ func TestRestoreSessionRejectsIncoherentState(t *testing.T) {
 			st.Online.SfHist[0].Sf = mat.NewDense(1, st.Config.K)
 			st.Online.SfHist[0].Seen = make([]bool, 1)
 		}},
+		// A snapshot's user history is outside input: the solver indexes it
+		// by user id, and the read plane counts its users.
+		{"history for a negative user id", func(st *State) { st.Online.UserIDs[0] = -1 }},
+		{"history for a user outside the universe", func(st *State) {
+			st.Online.UserIDs[len(st.Online.UserIDs)-1] = 1 << 40
+		}},
 		{"factors missing core", func(st *State) { st.LastFactors.Hp = nil }},
 		{"factors Sf shape", func(st *State) {
 			st.LastFactors.Sf = mat.NewDense(len(st.VocabWords)+1, st.Config.K)

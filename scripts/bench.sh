@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench.sh — run the performance-tracking benchmark suite and emit a
-# machine-readable BENCH_PR10.json artifact, so the perf trajectory
+# machine-readable BENCH.json artifact, so the perf trajectory
 # across PRs can be consumed from CI artifacts instead of hand-copied
 # tables. Since PR 10 the artifact is an object: "benchmarks" holds the
 # go-test microbenchmark rows (same shape as the PR-9 array), and
@@ -32,7 +32,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_PR10.json}
+OUT=${1:-BENCH.json}
 BENCHTIME=${BENCHTIME:-10x}
 DAEMON_BENCHTIME=${DAEMON_BENCHTIME:-500x}
 READ_BENCHTIME=${READ_BENCHTIME:-2s}

@@ -2,11 +2,13 @@ package triclust_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"triclust"
+	"triclust/internal/codec"
 	"triclust/internal/synth"
 )
 
@@ -176,6 +178,90 @@ func TestTopicSnapshotDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
 		t.Fatal("two snapshots of the same state differ")
+	}
+}
+
+// TestSnapshotIsAFunctionOfTheStream: a snapshot holds the history a later
+// batch can read, measured against the last batch — never what happened
+// to be in memory. So a topic snapshotted and restored after any prefix of
+// a stream, then fed the rest, ends on the bytes the uninterrupted topic
+// ends on (the window is 3 and users come and go, so a topic that was
+// never restored holds rows in memory that a restored one does not); and
+// the snapshot stops growing once every user has been seen, however long
+// they keep tweeting.
+func TestSnapshotIsAFunctionOfTheStream(t *testing.T) {
+	gen := synth.DefaultConfig()
+	gen.Seed = 17
+	gen.NumUsers = 40
+	gen.Days = 12
+	gen.ElectionDay = 8
+	d, err := synth.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := dayBatches(d, gen.Days)
+	cfg := triclust.OnlineConfig{Window: 3}
+	cfg.MaxIter = 4
+	feed := func(tp *triclust.Topic, from, to int) {
+		t.Helper()
+		for day := from; day < to; day++ {
+			// Day 6 arrives late: a timestamp gap wider than the window.
+			ts := day
+			if day >= 6 {
+				ts += 4
+			}
+			if _, err := tp.Process(ts, batches[day]); err != nil {
+				t.Fatalf("day %d: %v", day, err)
+			}
+		}
+	}
+	fresh := func() *triclust.Topic {
+		t.Helper()
+		tp, err := triclust.NewTopic(d.Corpus.Users, triclust.WithSolverConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+	whole := fresh()
+	feed(whole, 0, gen.Days)
+	want := snapshotBytes(t, whole)
+	for cut := 1; cut < gen.Days; cut++ {
+		tp := fresh()
+		feed(tp, 0, cut)
+		tp, err := triclust.Restore(bytes.NewReader(snapshotBytes(t, tp)))
+		if err != nil {
+			t.Fatalf("restore after %d batches: %v", cut, err)
+		}
+		feed(tp, cut, gen.Days)
+		if got := snapshotBytes(t, tp); !bytes.Equal(got, want) {
+			t.Fatalf("restored after %d of %d batches: final snapshot is %d bytes that differ from the uninterrupted topic's %d",
+				cut, gen.Days, len(got), len(want))
+		}
+	}
+
+	// Every user tweets in every batch, for n batches and then n more. The
+	// counters and timestamps are varints and may gain a byte each; one
+	// leaked row per user would be some 40 × 27 bytes.
+	const n = 6
+	everyone := make([]triclust.Tweet, len(d.Corpus.Users))
+	steady := fresh()
+	size := func(upTo int) int {
+		t.Helper()
+		for ts := steady.Batches(); ts < upTo; ts++ {
+			for u := range everyone {
+				everyone[u] = triclust.Tweet{Tokens: batches[0][(u+ts)%len(batches[0])].Tokens,
+					User: u, Time: ts, RetweetOf: -1, Label: triclust.NoLabel}
+			}
+			if _, err := steady.Process(ts, everyone); err != nil {
+				t.Fatalf("steady batch %d: %v", ts, err)
+			}
+		}
+		return len(snapshotBytes(t, steady))
+	}
+	if a, b := size(n), size(2*n); b > a+16 {
+		t.Fatalf("snapshot is %d bytes after %d batches of the same users and %d after %d: it holds history nothing can read",
+			a, n, b, 2*n)
 	}
 }
 
@@ -391,6 +477,41 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 	if _, err := triclust.Restore(strings.NewReader("not a snapshot at all........")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestRestoreRejectsForeignUserHistory: a snapshot is outside input even
+// when its checksum is right. History for a user id the topic's universe
+// does not have would be answered by UserEstimate, counted by KnownUsers
+// and carried into every later snapshot — and the solver indexes its
+// history by that id — so Restore must turn the snapshot away.
+func TestRestoreRejectsForeignUserHistory(t *testing.T) {
+	d := demoCorpus(t, 9)
+	tp, err := triclust.NewTopic(d.Corpus.Users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tp.Process(0, dayBatches(d, 8)[0]); err != nil {
+		t.Fatal(err)
+	}
+	good := snapshotBytes(t, tp)
+	for name, forge := range map[string]func(ids []int){
+		"negative id":      func(ids []int) { ids[0] = -1 },
+		"id past universe": func(ids []int) { ids[len(ids)-1] = 1 << 40 },
+	} {
+		st, err := codec.Decode(bytes.NewReader(good))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forge(st.Online.UserIDs)
+		var forged bytes.Buffer
+		if err := codec.Encode(&forged, st); err != nil {
+			t.Fatal(err)
+		}
+		_, err = triclust.Restore(bytes.NewReader(forged.Bytes()))
+		if err == nil || errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("%s: Restore returned %v, want a state-validation error", name, err)
+		}
 	}
 }
 
