@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,20 +12,23 @@ import (
 
 	"triclust"
 	"triclust/internal/codec"
+	"triclust/internal/engine"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
 	"regenerate the current-version golden snapshot fixture (only when deliberately changing the snapshot format or what a snapshot holds)")
 
 const (
-	goldenPath = "testdata/golden_v3.snap"
-	// wideGoldenPath is the same topic as written by the version-3 builds
-	// that retained one feature snapshot and one row per user more than a
-	// later step can read, and fixedGoldenPath as written by the last
+	goldenPath = "testdata/golden_v4.snap"
+	// denseGoldenPath is the same topic as written by the last version-3
+	// build (every matrix stored dense), wideGoldenPath by the version-3
+	// builds before it, which retained one feature snapshot and one row per
+	// user more than a later step can read, and fixedGoldenPath by the last
 	// version-2 build (fixed-width integers, Sp and Su stored, conformance
 	// section included, the same wide history). No build can regenerate
-	// either any more: they are what an upgraded daemon finds in its data
-	// dir.
+	// any of them any more: they are what an upgraded daemon finds in its
+	// data dir.
+	denseGoldenPath = "testdata/golden_v3.snap"
 	wideGoldenPath  = "testdata/golden_v3_wide_history.snap"
 	fixedGoldenPath = "testdata/golden_v2.snap"
 )
@@ -84,10 +88,11 @@ func snapshotBytes(t *testing.T, tp *triclust.Topic) []byte {
 // fixtures, in both directions. Writing: the golden topic must snapshot
 // to exactly the current-version fixture, so a layout or size drift fails
 // here instead of passing as "still restores". Reading: that fixture and
-// its predecessors — version 3 with the wide history, version 2 — must
-// restore, to the same state: each re-snapshots as the current bytes,
-// which is the in-place upgrade a daemon's next compaction performs. Run
-// with -update-golden after a deliberate change of what a snapshot holds.
+// its predecessors — version 3, version 3 with the wide history, version
+// 2 — must restore, to the same state: each re-snapshots as the current
+// bytes, which is the in-place upgrade a daemon's next compaction
+// performs. Run with -update-golden after a deliberate change of what a
+// snapshot holds.
 func TestGoldenSnapshotCompat(t *testing.T) {
 	if *updateGolden {
 		snap := snapshotBytes(t, goldenTopic(t))
@@ -107,7 +112,7 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 		t.Fatalf("golden topic snapshots to %d bytes that differ from the %d-byte fixture — codec layout drift?",
 			len(got), len(data))
 	}
-	for _, path := range []string{wideGoldenPath, fixedGoldenPath} {
+	for _, path := range []string{denseGoldenPath, wideGoldenPath, fixedGoldenPath} {
 		written, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("read earlier-build fixture: %v", err)
@@ -154,6 +159,45 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 	}
 	if _, err := tp.Predict([]string{"love this win"}); err != nil {
 		t.Fatalf("golden predict: %v", err)
+	}
+}
+
+// TestGoldenDerivationPinned pins the arithmetic of the format's derived
+// matrix form for good: the version-3 fixture stores the newest feature
+// snapshot as the solver recorded it, the version-4 fixture of the same
+// topic stores nothing and has Decode rebuild it from the last solve's Sf,
+// and the two must decode to the same state, every float bit included. A
+// change to how Decode derives (or to what the solver records) fails here
+// before it silently changes what files on disk mean.
+func TestGoldenDerivationPinned(t *testing.T) {
+	decode := func(path string) (*engine.State, int) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := codec.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return st, len(data)
+	}
+	stored, v3 := decode(denseGoldenPath)
+	derived, v4 := decode(goldenPath)
+	if !reflect.DeepEqual(stored, derived) {
+		t.Fatal("golden_v3 (matrix stored) and golden_v4 (matrix derived) decode to different states")
+	}
+	// reflect.DeepEqual compares floats with ==: compare the bits too, and
+	// make sure the fixture exercises the derivation at all.
+	hist := stored.Online.SfHist
+	a, b := hist[len(hist)-1].Sf.Data(), derived.Online.SfHist[len(hist)-1].Sf.Data()
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("derived entry %d is %x, the solver recorded %x", i, math.Float64bits(b[i]), math.Float64bits(a[i]))
+		}
+	}
+	if saved, matrix := v3-v4, 8*len(a); saved < matrix {
+		t.Fatalf("golden_v4 is %d bytes smaller than golden_v3, less than the %d-byte matrix it should not store", saved, matrix)
 	}
 }
 

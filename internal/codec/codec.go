@@ -8,7 +8,7 @@
 // A snapshot is:
 //
 //	magic    [8]byte  "TRICSNAP"
-//	version  uint16   format version (currently 3)
+//	version  uint16   format version (currently 4)
 //	length   uint64   payload length in bytes
 //	payload  [length]byte
 //	crc      uint32   CRC-32C (Castagnoli) of the payload
@@ -31,21 +31,59 @@
 //	[]bool                          uvarint bit count + bitset, LSB first,
 //	                                padding bits zero
 //	string, slice, map              count-prefixed
-//	matrix                          presence bool, rows, cols, floats
+//	matrix                          form byte, then the form's body
+//
+// # Matrix forms
+//
+// A snapshot stores no matrix the rest of it determines. The form byte
+// says how a matrix is held:
+//
+//	0 absent    no body; the matrix is nil. Legal wherever a matrix is.
+//	1 dense     rows, cols, rows×cols floats in row order. Legal wherever
+//	            a matrix is.
+//	2 dict      a row dictionary: rows, cols, d, the d distinct rows in
+//	            order of first use (d×cols floats), then one index per
+//	            row. Rows are distinct by their bits (−0 is not +0, NaN
+//	            payloads differ), d ≤ 16 and cols ≤ 8, every dictionary
+//	            row is used, and index i may name a row first used at or
+//	            before row i only — so a matrix has one dictionary.
+//	            Legal for Sf0 only, whose rows are the lexicon's few class
+//	            priors; Encode writes it whenever the limits allow and
+//	            dense beyond them.
+//	3 derived   no body. Legal for the newest feature snapshot of the
+//	            online section only, and only after a factors section
+//	            whose Sf has one row per bit of the snapshot's mask: the
+//	            matrix is that Sf with every row L1-normalized, which is
+//	            what the solver records after a step.
+//
+// The derivation of form 3 is part of the format. For each row r of the
+// factors section's Sf, with k columns: s is +0 plus r[0], r[1], …,
+// r[k−1] added in that order; if s == 0 every entry of the derived row is
+// 1/k; otherwise every entry is r[j] × (1/s) — the reciprocal taken once,
+// then one multiplication per entry — all in IEEE-754 binary64, round to
+// nearest even, nothing fused. Encode elides the matrix only after
+// checking: it computes the derivation and compares bits, and writes the
+// matrix dense on any difference (no factors section, a last solve that
+// is not the snapshot's source, a derived NaN, whose payload is the
+// hardware's choice), so every state round-trips bit for bit. The factors
+// section is written in front of the online section for this.
 //
 // Map sections are written in sorted key order and the solver exports its
 // history in a canonical form (core.OnlineState), so encoding is
 // deterministic: equal states produce byte-identical snapshots, and so do
 // equal streams — two topics that processed the same batches, whatever
-// snapshots and restores lay in between. Floats are never re-quantized,
-// so a restore is bit-identical.
+// snapshots and restores lay in between. Which form a matrix takes is a
+// function of the state alone. Floats are never re-quantized, so a
+// restore is bit-identical.
 //
-// Version 2 had the same sections with every integer as 8 fixed bytes and
-// every []bool as a byte per element, and stored the tweet and user
+// Version 3 had every matrix dense (the form byte was a presence bool,
+// the same two values) and the factors section after the online one.
+// Version 2 had version 3's sections with every integer as 8 fixed bytes
+// and every []bool as a byte per element, and stored the tweet and user
 // factors of the last solve, which no restored topic reads. Decode still
-// reads it (the same decoder, switched to fixed width by the header's
-// version field); Encode writes version 3 only. The fixed-width
-// primitives live on in wire.go for the journal and frame formats.
+// reads both (the same decoder, switched by the header's version field);
+// Encode writes version 4 only. The fixed-width primitives live on in
+// wire.go for the journal and frame formats.
 //
 // The online section names the solver's random generator alongside the
 // recorded stream position, because a draw position is only replayable on
@@ -75,17 +113,40 @@ import (
 	"triclust/internal/tgraph"
 )
 
-// Version is the snapshot format version Encode writes. Version 3 made
-// section bodies compact (varints, bitsets) and dropped the dead tweet
-// and user factors; versionFixed is its fixed-width predecessor, which
-// Decode still reads so an upgraded daemon loads its data dir. Version 2
-// had inserted the random-generator identifier into the online section
-// when the solver's PRNG moved to SplitMix64; version-1 snapshots
-// recorded stream positions of a different generator and are rejected
-// with ErrVersion rather than replayed on the wrong stream.
+// Version is the snapshot format version Encode writes; Decode reads
+// oldestVersion through Version, so an upgraded daemon loads its data dir.
+// Version 4 (versionForms) stopped storing matrices the rest of the
+// snapshot determines; version 3 (versionCompact) made section bodies
+// compact (varints, bitsets) and dropped the dead tweet and user factors
+// of its fixed-width predecessor. Version 2 had inserted the
+// random-generator identifier into the online section when the solver's
+// PRNG moved to SplitMix64; version-1 snapshots recorded stream positions
+// of a different generator and are rejected with ErrVersion rather than
+// replayed on the wrong stream.
 const (
-	Version      = 3
-	versionFixed = 2
+	Version        = 4
+	oldestVersion  = 2
+	versionCompact = 3
+	versionForms   = 4
+)
+
+// Matrix forms (see the package comment). Before versionForms the byte was
+// a presence bool: formAbsent and formDense, by the same values.
+const (
+	formAbsent  = 0
+	formDense   = 1
+	formDict    = 2
+	formDerived = 3
+)
+
+// A row dictionary holds at most dictMaxRows distinct rows of at most
+// dictMaxCols columns. The limits are the format's: they keep the
+// encoder's and the decoder's tables fixed-size and bound what one index
+// byte of a forged snapshot can make the decoder allocate (dictMaxCols
+// floats).
+const (
+	dictMaxRows = 16
+	dictMaxCols = 8
 )
 
 // headerLen is the fixed header: magic, version, payload length.
@@ -148,7 +209,7 @@ func Encode(w io.Writer, st *engine.State) error {
 	e.section(tagVocab, func() {
 		e.bool(st.Frozen)
 		e.stringSlice(st.VocabWords)
-		e.dense(st.Sf0)
+		e.dict(st.Sf0)
 		e.stringIntMap(st.VocabCounts)
 		e.uint(uint64(st.VocabDocs))
 	})
@@ -163,10 +224,12 @@ func Encode(w io.Writer, st *engine.State) error {
 		e.uint(uint64(st.Batches))
 		e.uint(uint64(st.Skips))
 	})
-	e.section(tagOnline, func() { e.online(st.Online) })
+	// The factors go first: the online section's newest feature snapshot
+	// may be written as derived from their Sf.
 	if st.LastFactors != nil {
 		e.section(tagFactors, func() { e.factors(st.LastFactors) })
 	}
+	e.section(tagOnline, func() { e.online(st.Online, factorsSf(st)) })
 	// The ownership epoch is written only when set, so snapshots of
 	// never-moved topics are the same bytes in and out of a cluster.
 	// Determinism holds either way: equal states make equal
@@ -200,9 +263,9 @@ func Decode(r io.Reader) (*engine.State, error) {
 		return nil, ErrBadMagic
 	}
 	version := binary.LittleEndian.Uint16(hdr[8:10])
-	if version != Version && version != versionFixed {
-		return nil, fmt.Errorf("%w: snapshot is version %d, this build reads %d and %d",
-			ErrVersion, version, versionFixed, Version)
+	if version < oldestVersion || version > Version {
+		return nil, fmt.Errorf("%w: snapshot is version %d, this build reads %d through %d",
+			ErrVersion, version, oldestVersion, Version)
 	}
 	n := binary.LittleEndian.Uint64(hdr[10:18])
 	if n > maxPayload {
@@ -222,7 +285,7 @@ func Decode(r io.Reader) (*engine.State, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (payload %08x, trailer %08x)", ErrCorrupt, got, want)
 	}
 
-	dec := &decoder{buf: payload.Bytes(), fixed: version == versionFixed}
+	dec := &decoder{buf: payload.Bytes(), fixed: version < versionCompact, forms: version >= versionForms}
 	st := &engine.State{}
 	seen := map[byte]bool{}
 	for {
@@ -241,7 +304,7 @@ func Decode(r io.Reader) (*engine.State, error) {
 			return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, tag)
 		}
 		seen[tag] = true
-		sd := &decoder{buf: body, fixed: dec.fixed}
+		sd := &decoder{buf: body, fixed: dec.fixed, forms: dec.forms}
 		switch tag {
 		case tagConfig:
 			sd.config(&st.Config, st)
@@ -250,7 +313,7 @@ func Decode(r io.Reader) (*engine.State, error) {
 		case tagVocab:
 			st.Frozen = sd.bool()
 			st.VocabWords = sd.stringSlice()
-			st.Sf0 = sd.dense()
+			st.Sf0 = sd.matrix(sd.form(), true)
 			st.VocabCounts = sd.stringIntMap()
 			st.VocabDocs = int(sd.uint())
 		case tagUsers:
@@ -259,7 +322,7 @@ func Decode(r io.Reader) (*engine.State, error) {
 			st.Batches = int(sd.uint())
 			st.Skips = int(sd.uint())
 		case tagOnline:
-			st.Online = sd.online()
+			st.Online = sd.online(factorsSf(st))
 		case tagFactors:
 			st.LastFactors = sd.factors()
 		case tagEpoch:
@@ -293,6 +356,15 @@ func Decode(r io.Reader) (*engine.State, error) {
 		}
 	}
 	return st, nil
+}
+
+// factorsSf returns the Sf of the state's factors section, the matrix a
+// derived feature snapshot is derived from; nil without the section.
+func factorsSf(st *engine.State) *mat.Dense {
+	if st.LastFactors == nil {
+		return nil
+	}
+	return st.LastFactors.Sf
 }
 
 // ——— encoder ———
@@ -376,15 +448,116 @@ func (e *encoder) stringIntMap(m map[string]int) {
 
 func (e *encoder) dense(m *mat.Dense) {
 	if m == nil {
-		e.bool(false)
+		e.byte(formAbsent)
 		return
 	}
-	e.bool(true)
+	e.byte(formDense)
 	e.uint(uint64(m.Rows()))
 	e.uint(uint64(m.Cols()))
 	for _, v := range m.Data() {
 		e.float(v)
 	}
+}
+
+// dict writes m as a row dictionary, or dense when it has more distinct
+// rows or more columns than a dictionary holds. Two passes over m and a
+// fixed table: nothing is allocated per row.
+func (e *encoder) dict(m *mat.Dense) {
+	if m == nil || m.Cols() > dictMaxCols {
+		e.dense(m)
+		return
+	}
+	var first [dictMaxRows]int // the row of m each dictionary entry was first seen at
+	d := 0
+	for i := 0; i < m.Rows(); i++ {
+		if dictIndex(m, first[:d], m.Row(i)) < d {
+			continue
+		}
+		if d == dictMaxRows {
+			e.dense(m)
+			return
+		}
+		first[d] = i
+		d++
+	}
+	e.byte(formDict)
+	e.uint(uint64(m.Rows()))
+	e.uint(uint64(m.Cols()))
+	e.uint(uint64(d))
+	for _, i := range first[:d] {
+		for _, v := range m.Row(i) {
+			e.float(v)
+		}
+	}
+	for i := 0; i < m.Rows(); i++ {
+		e.uint(uint64(dictIndex(m, first[:d], m.Row(i))))
+	}
+}
+
+// dictIndex returns the position in first of the row of m that equals row,
+// or len(first) when none does.
+func dictIndex(m *mat.Dense, first []int, row []float64) int {
+	for at, i := range first {
+		if sameBits(m.Row(i), row) {
+			return at
+		}
+	}
+	return len(first)
+}
+
+// sameBits reports whether two rows of one length are equal bit for bit.
+// Bits, not ==: a dictionary must give −0 and every NaN payload back as
+// they were.
+func sameBits(a, b []float64) bool {
+	for j, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowScale and scaled are the arithmetic of the derived form, which the
+// package comment makes part of the format: a change here is a change of
+// what existing snapshots mean. A row whose entries sum to zero derives to
+// the uniform row (uniform set, scale 1/k); any other to its entries times
+// scale, the reciprocal of the sum.
+func rowScale(row []float64) (scale float64, uniform bool) {
+	var s float64
+	for _, v := range row {
+		s += v
+	}
+	if s == 0 {
+		return 1 / float64(len(row)), true
+	}
+	return 1 / s, false
+}
+
+func scaled(v, scale float64, uniform bool) float64 {
+	if uniform {
+		return scale
+	}
+	return v * scale
+}
+
+// derives reports whether m is, bit for bit, what the derived form would
+// rebuild from src. A derived NaN never matches: its payload is whatever
+// the hardware propagates, and a snapshot must decode alike everywhere.
+func derives(src, m *mat.Dense) bool {
+	if src == nil || m == nil || !m.Dims(src.Rows(), src.Cols()) {
+		return false
+	}
+	for i := 0; i < src.Rows(); i++ {
+		from, to := src.Row(i), m.Row(i)
+		scale, uniform := rowScale(from)
+		for j, v := range from {
+			v = scaled(v, scale, uniform)
+			if v != v || math.Float64bits(v) != math.Float64bits(to[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // section writes a tagged body; the size field in front of it is patched
@@ -424,7 +597,10 @@ func (e *encoder) config(c core.OnlineConfig, st *engine.State) {
 	e.bool(tok.Stem)
 }
 
-func (e *encoder) online(o *core.OnlineState) {
+// online writes the solver's state. lastSf is the Sf of the factors
+// section already written (nil without one): the newest feature snapshot
+// is elided when it is that matrix's derivation.
+func (e *encoder) online(o *core.OnlineState, lastSf *mat.Dense) {
 	if o == nil {
 		e.bool(false)
 		return
@@ -435,9 +611,13 @@ func (e *encoder) online(o *core.OnlineState) {
 	e.dense(o.LastHp)
 	e.dense(o.LastHu)
 	e.uint(uint64(len(o.SfHist)))
-	for _, s := range o.SfHist {
+	for i, s := range o.SfHist {
 		e.int(int64(s.Time))
-		e.dense(s.Sf)
+		if i == len(o.SfHist)-1 && derives(lastSf, s.Sf) && len(s.Seen) == s.Sf.Rows() {
+			e.byte(formDerived)
+		} else {
+			e.dense(s.Sf)
+		}
 		e.bools(s.Seen)
 	}
 	// The flat history is sorted by id: a user's rows are one run of it.
@@ -474,12 +654,14 @@ func (e *encoder) factors(f *core.Factors) {
 // ——— decoder ———
 
 // decoder reads the primitives back. fixed selects the width: false for
-// the compact version-3 encodings, true for 8-byte integers and
-// byte-per-element masks — version-2 snapshots and, through WireDecoder,
-// the journal and frame formats.
+// the compact encodings, true for 8-byte integers and byte-per-element
+// masks — version-2 snapshots and, through WireDecoder, the journal and
+// frame formats. forms is set from version 4 on: a matrix starts with a
+// form byte, not a presence bool.
 type decoder struct {
 	buf   []byte
 	fixed bool
+	forms bool
 	err   error
 }
 
@@ -658,10 +840,41 @@ func (d *decoder) stringIntMap() map[string]int {
 	return out
 }
 
-func (d *decoder) dense() *mat.Dense {
-	if !d.bool() || d.err != nil {
-		return nil
+// form reads the byte a matrix starts with.
+func (d *decoder) form() byte {
+	if !d.forms {
+		if d.bool() {
+			return formDense
+		}
+		return formAbsent
 	}
+	f := d.byte()
+	if f > formDerived {
+		d.fail("unknown matrix form")
+	}
+	return f
+}
+
+// dense reads a matrix where only the absent and dense forms are legal.
+func (d *decoder) dense() *mat.Dense { return d.matrix(d.form(), false) }
+
+// matrix reads the body of a matrix of the given form; dict says whether
+// a row dictionary is legal at this position. The derived form has no body
+// and is the online section's to handle.
+func (d *decoder) matrix(form byte, dict bool) *mat.Dense {
+	switch {
+	case d.err != nil || form == formAbsent:
+		return nil
+	case form == formDense:
+		return d.denseBody()
+	case form == formDict && dict:
+		return d.dictBody()
+	}
+	d.fail("matrix form not legal at this position")
+	return nil
+}
+
+func (d *decoder) denseBody() *mat.Dense {
 	rows, cols := d.uint(), d.uint()
 	if d.err != nil {
 		return nil
@@ -680,6 +893,80 @@ func (d *decoder) dense() *mat.Dense {
 	}
 	if d.err != nil {
 		return nil
+	}
+	return out
+}
+
+// dictBody reads a row dictionary, and holds it to the one spelling Encode
+// gives a matrix: distinct dictionary rows, each used, in order of first
+// use.
+func (d *decoder) dictBody() *mat.Dense {
+	rows, cols, n := d.uint(), d.uint(), d.uint()
+	if d.err == nil && (cols > dictMaxCols || n > dictMaxRows) {
+		d.fail("row dictionary larger than the format allows")
+	}
+	if d.err != nil {
+		return nil
+	}
+	var table [dictMaxRows * dictMaxCols]float64
+	for i := range table[:n*cols] {
+		table[i] = d.float()
+	}
+	if d.err != nil {
+		return nil
+	}
+	entry := func(i uint64) []float64 { return table[i*cols : (i+1)*cols] }
+	for i := uint64(1); i < n; i++ {
+		for j := uint64(0); j < i; j++ {
+			if sameBits(entry(i), entry(j)) {
+				d.fail("duplicate dictionary row")
+				return nil
+			}
+		}
+	}
+	// An index takes at least a byte, so rows is bounded before it sizes
+	// the matrix.
+	if rows > uint64(len(d.buf)) {
+		d.fail("more dictionary indices than remaining data")
+		return nil
+	}
+	out := mat.NewDense(int(rows), int(cols))
+	used := uint64(0)
+	for i := 0; i < int(rows); i++ {
+		at := d.uint()
+		if d.err != nil {
+			return nil
+		}
+		if at > used || at >= n {
+			d.fail("dictionary index out of range or not in order of first use")
+			return nil
+		}
+		if at == used {
+			used++
+		}
+		copy(out.Row(i), entry(at))
+	}
+	if used != n {
+		d.fail("unused dictionary row")
+		return nil
+	}
+	return out
+}
+
+// derived rebuilds the newest feature snapshot from the factors section's
+// Sf (nil when no factors section came first).
+func (d *decoder) derived(src *mat.Dense) *mat.Dense {
+	if src == nil {
+		d.fail("derived matrix with no factors Sf in front of it")
+		return nil
+	}
+	out := mat.NewDense(src.Rows(), src.Cols())
+	for i := 0; i < src.Rows(); i++ {
+		from, to := src.Row(i), out.Row(i)
+		scale, uniform := rowScale(from)
+		for j, v := range from {
+			to[j] = scaled(v, scale, uniform)
+		}
 	}
 	return out
 }
@@ -723,7 +1010,9 @@ func (d *decoder) users() []tgraph.User {
 	return out
 }
 
-func (d *decoder) online() *core.OnlineState {
+// online reads the solver's state; lastSf is the Sf of the factors section
+// if one has been read, the source of a derived feature snapshot.
+func (d *decoder) online(lastSf *mat.Dense) *core.OnlineState {
 	if !d.bool() || d.err != nil {
 		return nil
 	}
@@ -740,14 +1029,25 @@ func (d *decoder) online() *core.OnlineState {
 	o := &core.OnlineState{RandDraws: d.uint()}
 	o.LastHp = d.dense()
 	o.LastHu = d.dense()
-	n := d.count(2, 1) // time, mask count; matrix flag
+	n := d.count(2, 1) // time, mask count; matrix form
 	if n > 0 {
 		o.SfHist = make([]core.SfSnapshotState, 0, n)
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		s := core.SfSnapshotState{Time: int(d.int())}
-		s.Sf = d.dense()
+		form := d.form()
+		switch {
+		case form != formDerived:
+			s.Sf = d.matrix(form, false)
+		case i != n-1:
+			d.fail("derived matrix in an older feature snapshot")
+		default:
+			s.Sf = d.derived(lastSf)
+		}
 		s.Seen = d.bools()
+		if form == formDerived && d.err == nil && len(s.Seen) != s.Sf.Rows() {
+			d.fail("derived matrix of another shape than its mask")
+		}
 		o.SfHist = append(o.SfHist, s)
 	}
 	m := d.count(2, 0)

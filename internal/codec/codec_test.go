@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"triclust/internal/conform"
@@ -87,7 +88,7 @@ func reframe(version uint16, payload []byte) []byte {
 // findSection returns the offset of a section's body within payload and
 // its size. Section framing is a tag byte and an 8-byte size in every
 // format version.
-func findSection(t *testing.T, payload []byte, tag byte) (body, size int) {
+func findSection(t testing.TB, payload []byte, tag byte) (body, size int) {
 	t.Helper()
 	for i := 0; i < len(payload) && payload[i] != tagEnd; {
 		size := int(binary.LittleEndian.Uint64(payload[i+1:]))
@@ -103,7 +104,7 @@ func findSection(t *testing.T, payload []byte, tag byte) (body, size int) {
 // spliceSection replaces n bytes at offset off of a section's body with
 // repl and re-patches the section's size, so only the replaced field is
 // wrong about the forged snapshot.
-func spliceSection(t *testing.T, payload []byte, tag byte, off, n int, repl []byte) []byte {
+func spliceSection(t testing.TB, payload []byte, tag byte, off, n int, repl []byte) []byte {
 	t.Helper()
 	body, size := findSection(t, payload, tag)
 	out := append([]byte(nil), payload[:body+off]...)
@@ -234,6 +235,42 @@ func TestSpecialFloatsSurvive(t *testing.T) {
 	if got.Sf0.At(0, 2) != 1e-308 {
 		t.Fatal("subnormal-range value not preserved")
 	}
+
+	// Through the row dictionary: rows that == calls equal (−0 and +0) or
+	// never equal to themselves (NaN) are told apart, and found again, by
+	// their bits. Eight rows, five distinct.
+	negZero := math.Copysign(0, -1)
+	nanA := math.Float64frombits(0x7ff8000000000001)
+	nanB := math.Float64frombits(0x7ff8000000000002)
+	st = fullState()
+	st.VocabWords = []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	st.Sf0 = denseOf(8, 3,
+		0, 0, 1,
+		negZero, 0, 1,
+		nanA, 0, 1,
+		nanB, 0, 1,
+		0, 0, 1,
+		nanA, 0, 1,
+		math.Inf(1), math.Inf(-1), 1,
+		negZero, 0, 1)
+	snap := mustEncode(t, st)
+	body, _ := findSection(t, payloadOf(snap), tagVocab)
+	// frozen flag, word count, eight one-letter words, then the matrix.
+	if hdr := payloadOf(snap)[body+2+16:][:4]; !bytes.Equal(hdr, []byte{formDict, 8, 3, 5}) {
+		t.Fatalf("Sf0 starts % x, want a 8x3 dictionary of 5 rows", hdr)
+	}
+	got, err = Decode(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range st.Sf0.Data() {
+		if have := got.Sf0.Data()[i]; math.Float64bits(have) != math.Float64bits(want) {
+			t.Fatalf("Sf0 entry %d: bits %x, want %x", i, math.Float64bits(have), math.Float64bits(want))
+		}
+	}
+	if !bytes.Equal(mustEncode(t, got), snap) {
+		t.Fatal("dictionary of special values does not re-encode to the same bytes")
+	}
 }
 
 func TestBadMagicAndVersion(t *testing.T) {
@@ -313,6 +350,317 @@ func TestHostileCountsRejected(t *testing.T) {
 	d := &decoder{buf: binary.AppendUvarint(nil, 1<<64-1)}
 	if d.bools(); !errors.Is(d.err, ErrCorrupt) {
 		t.Fatalf("hostile mask count: got %v, want ErrCorrupt", d.err)
+	}
+}
+
+// TestMatrixForms: Encode stores no matrix the rest of the snapshot
+// determines, and stores every matrix it cannot prove determined. Each
+// case round-trips to an equal state (float bits included) and re-encodes
+// to the same bytes; the forms written are read back off the bytes.
+func TestMatrixForms(t *testing.T) {
+	// The solver records Sf with its rows L1-normalized. 1/3 and 0.1 are
+	// inexact, a zero row derives to the uniform one.
+	recorded := func(sf *mat.Dense) *mat.Dense {
+		out := sf.Clone()
+		out.NormalizeRowsL1()
+		return out
+	}
+	derivable := func() *engine.State {
+		st := fullState()
+		st.LastFactors.Sf = denseOf(3, 3, 0.1, 0.2, 0.7, 0, 0, 0, 3, 1e-9, 1.0/3)
+		hist := st.Online.SfHist
+		hist[len(hist)-1].Sf = recorded(st.LastFactors.Sf)
+		return st
+	}
+	for _, tc := range []struct {
+		name  string
+		state func() *engine.State
+		sf0   byte
+		hist  []byte // the form of each feature snapshot, oldest first
+	}{
+		{"newest snapshot is the last solve's", derivable, formDict, []byte{formDense, formDerived}},
+		{"last solve is not the snapshot's source", fullState, formDict, []byte{formDense, formDense}},
+		{"no last factors", func() *engine.State {
+			st := derivable()
+			st.LastFactors = nil
+			return st
+		}, formDict, []byte{formDense, formDense}},
+		{"one entry off by an ulp", func() *engine.State {
+			st := derivable()
+			sf := st.Online.SfHist[1].Sf
+			sf.Set(2, 2, math.Nextafter(sf.At(2, 2), 1))
+			return st
+		}, formDict, []byte{formDense, formDense}},
+		{"older snapshot equals the derivation too", func() *engine.State {
+			st := derivable()
+			st.Online.SfHist[0].Sf = recorded(st.LastFactors.Sf)
+			return st
+		}, formDict, []byte{formDense, formDerived}},
+		{"derivation yields NaN", func() *engine.State {
+			st := derivable()
+			st.LastFactors.Sf.Set(0, 0, math.Inf(1)) // ∞ × 1/∞
+			st.Online.SfHist[1].Sf = recorded(st.LastFactors.Sf)
+			return st
+		}, formDict, []byte{formDense, formDense}},
+		{"mask of another length than the matrix", func() *engine.State {
+			st := derivable()
+			st.Online.SfHist[1].Seen = []bool{true, false}
+			return st
+		}, formDict, []byte{formDense, formDense}},
+		{"window 3: two retained snapshots and the newest", func() *engine.State {
+			st := derivable()
+			st.Config.Window = 3
+			st.Online.SfHist = append([]core.SfSnapshotState{
+				{Time: 2, Sf: denseOf(3, 3, 1, 0, 0, 0, 1, 0, 0, 0, 1), Seen: []bool{true, true, false}},
+			}, st.Online.SfHist...)
+			return st
+		}, formDict, []byte{formDense, formDense, formDerived}},
+		{"no history", func() *engine.State {
+			st := derivable()
+			st.Online.SfHist = nil
+			st.Online.UserIDs, st.Online.UserTimes, st.Online.UserRows = nil, nil, nil
+			return st
+		}, formDict, nil},
+		{"prior with more distinct rows than a dictionary holds", func() *engine.State {
+			st := derivable()
+			st.Sf0 = mat.NewDense(dictMaxRows+1, 3)
+			for i := 0; i <= dictMaxRows; i++ {
+				st.Sf0.Set(i, 0, float64(i))
+			}
+			return st
+		}, formDense, []byte{formDense, formDerived}},
+		{"prior with exactly as many", func() *engine.State {
+			st := derivable()
+			st.Sf0 = mat.NewDense(dictMaxRows+1, 3)
+			for i := 0; i <= dictMaxRows; i++ {
+				st.Sf0.Set(i, 0, float64(i%dictMaxRows))
+			}
+			return st
+		}, formDict, []byte{formDense, formDerived}},
+		{"prior wider than a dictionary row", func() *engine.State {
+			st := derivable()
+			st.Sf0 = mat.NewDense(2, dictMaxCols+1)
+			return st
+		}, formDense, []byte{formDense, formDerived}},
+		{"empty prior", func() *engine.State {
+			st := derivable()
+			st.Sf0 = mat.NewDense(0, 3)
+			return st
+		}, formDict, []byte{formDense, formDerived}},
+		{"no prior", func() *engine.State {
+			st := derivable()
+			st.Sf0 = nil
+			return st
+		}, formAbsent, []byte{formDense, formDerived}},
+	} {
+		st := tc.state()
+		snap := mustEncode(t, st)
+		got, err := Decode(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", tc.name, err)
+		}
+		if !bytes.Equal(mustEncode(t, got), snap) {
+			t.Fatalf("%s: decoded state re-encodes to other bytes", tc.name)
+		}
+		want, have := matrixData(st), matrixData(got)
+		if len(want) != len(have) || !sameBits(want, have) {
+			t.Fatalf("%s: matrices differ after the round trip", tc.name)
+		}
+		// == cannot compare a state that holds a NaN; its bits just were.
+		nan := false
+		for _, v := range want {
+			nan = nan || v != v
+		}
+		if !nan && !reflect.DeepEqual(st, got) {
+			t.Fatalf("%s: round trip mismatch:\n want %+v\n got  %+v", tc.name, st, got)
+		}
+		sf0, hist := formsOf(t, snap)
+		if sf0 != tc.sf0 || !bytes.Equal(hist, tc.hist) {
+			t.Fatalf("%s: forms Sf0 %d, history %v; want %d, %v", tc.name, sf0, hist, tc.sf0, tc.hist)
+		}
+	}
+}
+
+// matrixData flattens the matrices the forms are about — the prior, the
+// last solve's Sf, the feature history — for the bit comparison
+// reflect.DeepEqual's == does not make (NaN, −0).
+func matrixData(st *engine.State) []float64 {
+	var out []float64
+	if st.Sf0 != nil {
+		out = append(out, st.Sf0.Data()...)
+	}
+	if st.LastFactors != nil {
+		out = append(out, st.LastFactors.Sf.Data()...)
+	}
+	for _, s := range st.Online.SfHist {
+		out = append(out, s.Sf.Data()...)
+	}
+	return out
+}
+
+// formsOf reads, off a version-4 snapshot's bytes, the form byte of Sf0
+// and of every feature snapshot.
+func formsOf(t *testing.T, snap []byte) (sf0 byte, hist []byte) {
+	t.Helper()
+	payload := payloadOf(snap)
+	section := func(tag byte) *decoder {
+		body, size := findSection(t, payload, tag)
+		return &decoder{buf: payload[body : body+size], forms: true}
+	}
+	d := section(tagVocab)
+	d.bool()
+	d.stringSlice()
+	sf0 = d.form()
+
+	d = section(tagOnline)
+	d.bool()
+	d.byte()
+	d.uint()
+	d.dense()
+	d.dense()
+	for n := d.uint(); n > 0; n-- {
+		d.int()
+		form := d.form()
+		hist = append(hist, form)
+		if form != formDerived {
+			d.matrix(form, false)
+		}
+		d.bools()
+	}
+	if d.err != nil {
+		t.Fatalf("walking the online section: %v", d.err)
+	}
+	return sf0, hist
+}
+
+// formsState is fullState with a prior of two distinct rows (A B A) and a
+// newest feature snapshot that is the last solve's Sf row-normalized, so
+// its encoding holds a matrix of each form.
+func formsState() *engine.State {
+	st := fullState()
+	st.Sf0 = denseOf(3, 3, 0.1, 0.1, 0.8, 0.8, 0.1, 0.1, 0.1, 0.1, 0.8)
+	st.LastFactors.Sf = denseOf(3, 3, 1, 1, 2, 0, 0, 0, 3, 1, 0)
+	st.Online.SfHist[1].Sf = st.LastFactors.Sf.Clone()
+	st.Online.SfHist[1].Sf.NormalizeRowsL1()
+	return st
+}
+
+// withoutSection cuts a section out of a payload.
+func withoutSection(t testing.TB, payload []byte, tag byte) []byte {
+	body, size := findSection(t, payload, tag)
+	return append(append([]byte(nil), payload[:body-9]...), payload[body+size:]...)
+}
+
+// TestMatrixFormsStrict: the new forms have one spelling and fixed places.
+// Everything else — sizes past the data, indices past the dictionary, a
+// second dictionary for the same matrix, a form where it is not legal, a
+// form of a later version — is ErrCorrupt, from a snapshot whose checksum
+// is right.
+func TestMatrixFormsStrict(t *testing.T) {
+	good := mustEncode(t, formsState())
+	payload := payloadOf(good)
+	if sf0, hist := formsOf(t, good); sf0 != formDict || !bytes.Equal(hist, []byte{formDense, formDerived}) {
+		t.Fatalf("fixture forms: Sf0 %d, history %v", sf0, hist)
+	}
+	// reject also holds each forgery to the check it was forged for: the
+	// offsets below are by hand, and a slip would still be corrupt somehow.
+	reject := func(name, why string, forged []byte) {
+		t.Helper()
+		_, err := Decode(bytes.NewReader(reframe(Version, forged)))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), why) {
+			t.Fatalf("%s: got %v, want ErrCorrupt: %s", name, err, why)
+		}
+	}
+
+	// Sf0 sits in the vocab section after the frozen flag, the word count
+	// and three words of 3 + 4 + 6 letters: form, rows 3, cols 3, d 2, two
+	// 24-byte rows, indices 0 1 0.
+	const sf0At = 1 + 1 + 4 + 5 + 7
+	const idxAt = sf0At + 4 + 48
+	vocab, _ := findSection(t, payload, tagVocab)
+	if hdr := payload[vocab+sf0At:][:4]; !bytes.Equal(hdr, []byte{formDict, 3, 3, 2}) {
+		t.Fatalf("Sf0 header % x", hdr)
+	}
+	rowA := payload[vocab+sf0At+4:][:24]
+	rowB := payload[vocab+sf0At+28:][:24]
+	huge := binary.AppendUvarint(nil, 1<<61)
+	most := binary.AppendUvarint(nil, 1<<64-1)
+	reject("dictionary size past the data", "length past end of data", spliceSection(t, payload, tagVocab, sf0At+3, 1, []byte{dictMaxRows}))
+	reject("dictionary size past the format", "larger than the format allows", spliceSection(t, payload, tagVocab, sf0At+3, 1, []byte{dictMaxRows + 1}))
+	reject("dictionary size overflowing", "larger than the format allows", spliceSection(t, payload, tagVocab, sf0At+3, 1, most))
+	reject("dictionary width past the format", "larger than the format allows", spliceSection(t, payload, tagVocab, sf0At+2, 1, []byte{dictMaxCols + 1}))
+	reject("dictionary width overflowing", "larger than the format allows", spliceSection(t, payload, tagVocab, sf0At+2, 1, most))
+	reject("index count past the data", "more dictionary indices than remaining data", spliceSection(t, payload, tagVocab, sf0At+1, 1, huge))
+	reject("index count overflowing", "more dictionary indices than remaining data", spliceSection(t, payload, tagVocab, sf0At+1, 1, most))
+	reject("index past the dictionary", "index out of range or not in order", spliceSection(t, payload, tagVocab, idxAt+2, 1, []byte{2}))
+	reject("index before its first use", "index out of range or not in order", spliceSection(t, payload, tagVocab, idxAt, 2, []byte{1, 0}))
+	reject("unused dictionary row", "unused dictionary row", spliceSection(t, payload, tagVocab, idxAt+1, 1, []byte{0}))
+	reject("non-minimal index", "non-minimal varint", spliceSection(t, payload, tagVocab, idxAt+1, 1, []byte{0x81, 0x00}))
+	reject("duplicate dictionary rows", "duplicate dictionary row", spliceSection(t, payload, tagVocab, sf0At+28, 24, rowA))
+	reject("empty dictionary for three rows", "index out of range or not in order", spliceSection(t, payload, tagVocab, sf0At+3, 49, []byte{0}))
+	// Rows in another order than first use: B, A with indices 1 0 1 names
+	// the same matrix a second way.
+	swapped := spliceSection(t, payload, tagVocab, sf0At+4, 48, append(append([]byte(nil), rowB...), rowA...))
+	reject("dictionary not in order of first use", "index out of range or not in order", spliceSection(t, swapped, tagVocab, idxAt, 3, []byte{1, 0, 1}))
+	// Zero-width rows are all one row.
+	empty := []byte{formDict, 2, 0, 2, 0, 1}
+	reject("two empty dictionary rows", "duplicate dictionary row", spliceSection(t, payload, tagVocab, sf0At, 4+48+3, empty))
+	if _, err := Decode(bytes.NewReader(reframe(Version, spliceSection(t, payload, tagVocab, sf0At, 4+48+3, []byte{formDict, 2, 0, 1, 0, 0})))); err != nil {
+		t.Fatalf("2x0 dictionary matrix rejected: %v", err)
+	}
+
+	// The factors section starts with Sf; the online section with its flag,
+	// the generator, a two-byte draw count and two 2x2 cores, then the
+	// history: count, time, form …
+	const histAt = 1 + 1 + 2 + 2*(3+32)
+	online, _ := findSection(t, payload, tagOnline)
+	if hdr := payload[online+histAt:][:3]; !bytes.Equal(hdr, []byte{2, 6, formDense}) {
+		t.Fatalf("history header % x", hdr)
+	}
+	// The newest entry: time, the form byte, a three-bit mask; then the
+	// user history.
+	newestAt := histAt + 1 + 1 + (3 + 72) + 2
+	if e := payload[online+newestAt:][:4]; !bytes.Equal(e, []byte{8, formDerived, 3, 0b110}) {
+		t.Fatalf("newest history entry % x", e)
+	}
+	reject("dictionary where only dense is legal", "form not legal at this position", spliceSection(t, payload, tagFactors, 0, 1, []byte{formDict}))
+	reject("derived where only dense is legal", "form not legal at this position", spliceSection(t, payload, tagFactors, 0, 1, []byte{formDerived}))
+	reject("derived prior", "form not legal at this position", spliceSection(t, payload, tagVocab, sf0At, 4+48+3, []byte{formDerived}))
+	reject("dictionary in the history", "form not legal at this position", spliceSection(t, payload, tagOnline, newestAt+1, 1, append([]byte{formDict, 3, 3, 1}, append(append([]byte(nil), rowA...), 0, 0, 0)...)))
+	reject("derived older entry", "derived matrix in an older feature snapshot", spliceSection(t, payload, tagOnline, histAt+2, 3+72, []byte{formDerived}))
+	reject("derived matrix of another shape than its mask", "another shape than its mask", spliceSection(t, payload, tagOnline, newestAt+2, 2, []byte{2, 0b10}))
+	reject("unknown form", "unknown matrix form", spliceSection(t, payload, tagOnline, newestAt+1, 1, []byte{formDerived + 1}))
+	reject("unknown form of the prior", "unknown matrix form", spliceSection(t, payload, tagVocab, sf0At, 1, []byte{0xff}))
+
+	// Derived with nothing to derive from: the factors section cut out,
+	// behind the online section, or without an Sf.
+	factors, fsize := findSection(t, payload, tagFactors)
+	without := withoutSection(t, payload, tagFactors)
+	reject("derived without a factors section", "no factors Sf in front", without)
+	end := len(without) - 1 // the end tag
+	behind := append(append(append([]byte(nil), without[:end]...), payload[factors-9:factors+fsize]...), tagEnd)
+	reject("derived before the factors section", "no factors Sf in front", behind)
+	reject("derived against absent factors Sf", "no factors Sf in front", spliceSection(t, payload, tagFactors, 0, 3+72, []byte{formAbsent}))
+	// With the newest entry stored, the same section orders decode: only
+	// the derived form needs the factors first.
+	dense := append([]byte{formDense, 3, 3}, make([]byte, 72)...)
+	ok := spliceSection(t, behind, tagOnline, newestAt+1, 1, dense)
+	if _, err := Decode(bytes.NewReader(reframe(Version, ok))); err != nil {
+		t.Fatalf("stored history in front of the factors section: %v", err)
+	}
+
+	// Earlier versions know two values of the byte; a later version is not
+	// this build's to read.
+	_, err := Decode(bytes.NewReader(reframe(versionCompact, payload)))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "invalid boolean") {
+		t.Fatalf("version-4 forms under a version-3 header: got %v, want ErrCorrupt: invalid boolean", err)
+	}
+	if _, err := Decode(bytes.NewReader(reframe(oldestVersion, payload))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-4 body under a version-2 header: got %v, want ErrCorrupt", err)
+	}
+	_, err = Decode(bytes.NewReader(reframe(Version+1, payload)))
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "reads 2 through 4") {
+		t.Fatalf("version-5 header: got %v, want ErrVersion naming the readable range", err)
 	}
 }
 
@@ -406,7 +754,7 @@ func TestUnknownRNGAlgorithmRejected(t *testing.T) {
 	e.byte(rngSplitMix64 + 1)
 	e.uint(5)
 	d := &decoder{buf: e.buf}
-	if _ = d.online(); d.err == nil {
+	if _ = d.online(nil); d.err == nil {
 		t.Fatal("unknown generator accepted")
 	}
 	if !errors.Is(d.err, ErrVersion) {
@@ -642,7 +990,7 @@ func encodeV2(st *engine.State, sp, su *mat.Dense) []byte {
 		payload.Write(prof)
 	}
 	payload.WriteByte(tagEnd)
-	return reframe(versionFixed, payload.Bytes())
+	return reframe(oldestVersion, payload.Bytes())
 }
 
 // TestVersion2StillDecodes: an upgraded daemon must load the data dir its

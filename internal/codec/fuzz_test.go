@@ -7,13 +7,14 @@ import (
 )
 
 // FuzzDecode hammers the snapshot decoder with hostile bytes. The corpus
-// is seeded from the checked-in golden fixtures of both readable versions
-// (compact version 3, as written now and with the wide history of earlier
-// builds; fixed-width version 2) plus in-memory encodings and
-// targeted mutations of them, so the fuzzer starts inside both widths of
-// the format and walks outward — exactly the byte streams
-// the cluster hand-off path (PUT restore of an attacker-supplied body)
-// must survive. Three properties are enforced on every input:
+// is seeded from the checked-in golden fixtures of every readable version
+// (version 4; version 3 with every matrix dense, as its last build wrote it
+// and with the wide history of earlier ones; fixed-width version 2) plus
+// in-memory encodings and targeted mutations of them — one forgery per
+// matrix form version 4 added — so the fuzzer starts inside every layout
+// of the format and walks outward — exactly the byte streams the cluster
+// hand-off path (PUT restore of an attacker-supplied body) must survive.
+// Three properties are enforced on every input:
 //
 //  1. Decode never panics or over-allocates its way to an OOM (the run
 //     itself enforces this);
@@ -22,6 +23,7 @@ import (
 //     the determinism contract equal states sign up for.
 func FuzzDecode(f *testing.F) {
 	for _, fixture := range []string{
+		"../../testdata/golden_v4.snap",
 		"../../testdata/golden_v3.snap",
 		"../../testdata/golden_v3_wide_history.snap",
 		"../../testdata/golden_v2.snap",
@@ -43,6 +45,14 @@ func FuzzDecode(f *testing.F) {
 	st.Epoch = 42
 	f.Add(mustEncode(f, st))
 	f.Add(encodeV2(st, nil, nil))
+	// A matrix of each version-4 form, then each form forged: a dictionary
+	// whose indices (0 1 0) name its rows before their first use, and a
+	// derived matrix with no factors section to derive it from.
+	forms := payloadOf(mustEncode(f, formsState()))
+	f.Add(reframe(Version, forms))
+	indices := bytes.Index(forms, []byte{formDict, 3, 3, 2}) + 4 + 2*24
+	f.Add(reframe(Version, append(append(append([]byte(nil), forms[:indices]...), 1, 0, 1), forms[indices+3:]...)))
+	f.Add(reframe(Version, withoutSection(f, forms, tagFactors)))
 	f.Add([]byte("TRICSNAP"))
 	f.Add([]byte{})
 

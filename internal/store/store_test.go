@@ -263,6 +263,88 @@ func TestScanClassification(t *testing.T) {
 	}
 }
 
+// TestUpgradeFromVersion3DataDir is the format upgrade as a daemon lives
+// it: a data dir the last version-3 build left behind — the golden topic's
+// snapshot, every matrix stored, with its journal — loads without a
+// quarantine and answers as the golden topic, and the next compaction
+// leaves the version-4 golden fixture on disk, byte for byte, with the
+// journal restarted against it.
+func TestUpgradeFromVersion3DataDir(t *testing.T) {
+	fixture := func(file string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	v3, v4 := fixture("golden_v3.snap"), fixture("golden_v4.snap")
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "t.snap"), v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jw, err := journal.Create(fault.OS, filepath.Join(dir, "t.journal"), codec.Checksum(v3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw.Close()
+
+	st := openStore(t, dir, nil)
+	found, err := st.Scan(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := found.Topics["t"]
+	if rt == nil || st.Quarantined() != 0 {
+		t.Fatalf("version-3 data dir: topics %q, %d files quarantined", sortedKeys(found.Topics), st.Quarantined())
+	}
+	if rt.SnapCRC != codec.Checksum(v3) || rt.Replayed != 0 {
+		t.Fatalf("restored as %+v", rt)
+	}
+	want, err := triclust.Restore(bytes.NewReader(v4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, wd := want.StreamPos()
+	if b, d := rt.Topic.StreamPos(); b != wb || d != wd || b != 2 {
+		t.Fatalf("stream position (%d, %d), the golden topic's is (%d, %d)", b, d, wb, wd)
+	}
+	for u := 0; u < want.Users(); u++ {
+		we, wok := want.UserEstimate(u)
+		ge, gok := rt.Topic.UserEstimate(u)
+		if we != ge || wok != gok {
+			t.Fatalf("user %d estimate %+v/%v, the golden topic's is %+v/%v", u, ge, gok, we, wok)
+		}
+	}
+
+	h := st.Handle("t", true)
+	defer h.Close()
+	if err := h.Restart(rt.SnapCRC); err != nil {
+		t.Fatal(err)
+	}
+	if current, err := h.Save(rt.Topic, func(string) *Handle { return h }); !current || err != nil {
+		t.Fatalf("Save: current=%v, %v", current, err)
+	}
+	onDisk, err := os.ReadFile(filepath.Join(dir, "t.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, v4) {
+		t.Fatalf("compaction left %d bytes that differ from the %d-byte version-4 fixture", len(onDisk), len(v4))
+	}
+	j, err := journal.Load(fault.OS, filepath.Join(dir, "t.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.SnapCRC != codec.Checksum(v4) || len(j.Records) != 0 {
+		t.Fatalf("journal extends snapshot %08x with %d records, want %08x (the new file) and none",
+			j.SnapCRC, len(j.Records), codec.Checksum(v4))
+	}
+	if left := tempFiles(t, dir); len(left) != 0 {
+		t.Fatalf("upgrade left temp files: %v", left)
+	}
+}
+
 // TestTombstoneRoundTrip covers the hand-off marker's persistence:
 // write → scan → remove, plus rejection of undecodable markers.
 func TestTombstoneRoundTrip(t *testing.T) {

@@ -3,12 +3,15 @@ package triclust_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"triclust"
 	"triclust/internal/codec"
+	"triclust/internal/engine"
 	"triclust/internal/synth"
 )
 
@@ -262,6 +265,154 @@ func TestSnapshotIsAFunctionOfTheStream(t *testing.T) {
 	if a, b := size(n), size(2*n); b > a+16 {
 		t.Fatalf("snapshot is %d bytes after %d batches of the same users and %d after %d: it holds history nothing can read",
 			a, n, b, 2*n)
+	}
+}
+
+// TestSnapshotElidesOnlyWhatTheRestDetermines: the newest feature snapshot
+// is not stored when it is the last solve's Sf row-normalized — after any
+// Process it is — and is stored whenever it is not: the encoder checks, it
+// does not assume. Either way the snapshot restores and re-snapshots to
+// the same bytes, and decodes and re-encodes to them.
+func TestSnapshotElidesOnlyWhatTheRestDetermines(t *testing.T) {
+	d := demoCorpus(t, 21)
+	batches := dayBatches(d, 8)
+	stream := func(window, days int) *triclust.Topic {
+		t.Helper()
+		cfg := triclust.OnlineConfig{Window: window}
+		cfg.MaxIter = 4
+		tp, err := triclust.NewTopic(d.Corpus.Users, triclust.WithSolverConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for day := 0; day < days; day++ {
+			if _, err := tp.Process(day, batches[day]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tp
+	}
+	decode := func(snap []byte) *engine.State {
+		t.Helper()
+		st, err := codec.Decode(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	encode := func(st *engine.State) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := codec.Encode(&buf, st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// check round-trips a snapshot both ways and returns how many bytes it
+	// saves on the newest feature snapshot, measured from outside: the same
+	// state with one bit of that matrix changed has to store it.
+	check := func(name string, snap []byte, retained int) (elided, matrix int) {
+		t.Helper()
+		tp, err := triclust.Restore(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, tp), snap) {
+			t.Fatalf("%s: restored topic snapshots to other bytes", name)
+		}
+		st := decode(snap)
+		if !bytes.Equal(encode(st), snap) {
+			t.Fatalf("%s: decoded state encodes to other bytes", name)
+		}
+		hist := st.Online.SfHist
+		if len(hist) != retained {
+			t.Fatalf("%s: %d feature snapshots retained, want %d", name, len(hist), retained)
+		}
+		sf := hist[len(hist)-1].Sf
+		sf.Data()[0] = math.Nextafter(sf.Data()[0], 2)
+		// The stored form: form byte aside, two one-byte dimensions
+		// (fewer than 128 words) and the floats.
+		return len(encode(st)) - len(snap), 2 + 8*len(sf.Data())
+	}
+
+	live := stream(2, 3)
+	if elided, matrix := check("default window", snapshotBytes(t, live), 1); elided != matrix {
+		t.Fatalf("default window: newest feature snapshot costs %d bytes less than stored, want %d (derived)", elided, matrix)
+	}
+	if elided, matrix := check("window 3", snapshotBytes(t, stream(3, 4)), 2); elided != matrix {
+		t.Fatalf("window 3: newest feature snapshot costs %d bytes less than stored, want %d (derived)", elided, matrix)
+	}
+
+	// An offline fit replaces the last solve; the feature history is still
+	// the last Process's.
+	if _, err := live.FitCorpus(&triclust.Corpus{Tweets: batches[3], Users: d.Corpus.Users}); err != nil {
+		t.Fatal(err)
+	}
+	refit := snapshotBytes(t, live)
+	if elided, _ := check("FitCorpus after Process", refit, 1); elided != 0 {
+		t.Fatalf("FitCorpus after Process: the feature snapshot is not the last solve's, yet storing it costs %d bytes more", elided)
+	}
+
+	// An exporter may leave the last factors out.
+	st := decode(refit)
+	st.LastFactors = nil
+	if elided, _ := check("no last factors", encode(st), 1); elided != 0 {
+		t.Fatalf("no last factors: nothing to derive from, yet storing the feature snapshot costs %d bytes more", elided)
+	}
+	if got := decode(encode(st)); !reflect.DeepEqual(got, st) {
+		t.Fatal("no last factors: state does not round-trip")
+	}
+}
+
+// TestSnapshotGrowthPerWord: at the default window a frozen word costs a
+// snapshot its string, one row of the last solve's Sf (8k bytes), one
+// dictionary index of the prior and one mask bit — not the three stored
+// matrix rows (24k) it cost while the prior and the newest feature
+// snapshot were stored too. A silent fall-back to dense anywhere fails
+// here.
+func TestSnapshotGrowthPerWord(t *testing.T) {
+	d := demoCorpus(t, 23)
+	batches := dayBatches(d, 8)
+	const extra, wordLen = 64, 8
+	size := func(more int) (bytes, words int) {
+		t.Helper()
+		cfg := triclust.OnlineConfig{}
+		cfg.MaxIter = 4
+		tp, err := triclust.NewTopic(d.Corpus.Users, triclust.WithSolverConfig(cfg), triclust.WithMinDF(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The vocabulary is the first two batches' words, and words no
+		// tweet will ever use.
+		warm := [][]string{}
+		for _, tw := range append(append([]triclust.Tweet(nil), batches[0]...), batches[1]...) {
+			warm = append(warm, tw.Tokens)
+		}
+		for i := 0; i < more; i++ {
+			warm = append(warm, []string{fmt.Sprintf("zz%0*d", wordLen-2, i)})
+		}
+		if err := tp.WarmupTokenized(warm); err != nil {
+			t.Fatal(err)
+		}
+		if err := tp.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		for day := 0; day < 2; day++ {
+			if _, err := tp.Process(day, batches[day]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return len(snapshotBytes(t, tp)), tp.VocabSize()
+	}
+	small, w := size(0)
+	large, w2 := size(extra)
+	if w2 != w+extra {
+		t.Fatalf("vocabulary grew from %d to %d words, want %d more", w, w2, extra)
+	}
+	const k = 3
+	t.Logf("%d more words: %d -> %d bytes, %.1f a word", extra, small, large, float64(large-small)/extra)
+	if perWord := 8*k + 1 + wordLen + 2; large-small > extra*perWord {
+		t.Fatalf("%d more words grew the snapshot from %d to %d bytes: %.1f a word, want <= %d",
+			extra, small, large, float64(large-small)/extra, perWord)
 	}
 }
 
