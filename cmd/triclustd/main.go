@@ -34,8 +34,9 @@
 // accepts application/x-triclust-batch, a CRC-framed binary batch
 // request (see internal/codec), with identical semantics and error
 // codes to the JSON form; Accept: application/x-triclust-batch selects
-// the binary response frame on success. cmd/loadgen measures the two
-// formats against each other over real HTTP.
+// the binary response frame on success. The repository benchmark drives
+// each format over real HTTP (bench/: daemon_ingest binary, daemon_mixed
+// JSON).
 //
 // With -data-dir set the daemon is durable: every accepted batch (and
 // create/restore/warm-up) is persisted before the response is sent, the

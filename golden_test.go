@@ -16,7 +16,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"regenerate the current-version golden snapshot fixture (only when deliberately changing the snapshot format or what a snapshot holds)")
+	"regenerate the golden fixtures this build writes (only when deliberately changing the snapshot format, what a snapshot holds, or the solver's arithmetic)")
 
 const (
 	goldenPath = "testdata/golden_v4.snap"
@@ -211,4 +211,110 @@ func TestLegacySnapshotRejectedByVersion(t *testing.T) {
 	if !errors.Is(err, codec.ErrVersion) {
 		t.Fatalf("legacy v1 snapshot: got %v, want ErrVersion", err)
 	}
+}
+
+const (
+	// offlineGoldenPath pins a FitCorpus solve (Algorithm 1) and
+	// retweetGoldenPath an online stream (Algorithm 2), both over a retweet
+	// graph and at the paper's regularizer weights. The golden topic has no
+	// retweet and configures no weight, so its Gu is empty, α = β = γ = 0, and
+	// it reaches neither a float of the offline loop nor the lexicon seeding,
+	// the graph term or the temporal terms of the online one.
+	offlineGoldenPath = "testdata/golden_v4_offline.snap"
+	retweetGoldenPath = "testdata/golden_v4_retweet.snap"
+)
+
+// TestGoldenOfflineFit pins, bit for bit, the solver paths
+// TestGoldenSnapshotCompat cannot see: the snapshot after an offline fit
+// carries that solve's Sf, Hp and Hu, the one after three online steps the
+// factors plus the Sf and Su history that the lexicon prior, the graph
+// regularizer and the temporal terms shaped. A refactor of internal/core
+// that reorders one float operation or one random draw on either path fails
+// here. Run with -update-golden only after a deliberate change to the
+// solver's arithmetic.
+func TestGoldenOfflineFit(t *testing.T) {
+	pin := func(path string, tp *triclust.Topic) {
+		t.Helper()
+		got := snapshotBytes(t, tp)
+		if *updateGolden {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote %s (%d bytes)", path, len(got))
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read golden fixture: %v (generate with -update-golden)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the topic snapshots to %d bytes that differ from the %d-byte fixture — solver arithmetic drift?",
+				path, len(got), len(want))
+		}
+	}
+	users := []triclust.User{
+		{Name: "ann", Label: triclust.NoLabel},
+		{Name: "bob", Label: triclust.NoLabel},
+		{Name: "cyn", Label: triclust.NoLabel},
+	}
+	newTopic := func() *triclust.Topic {
+		t.Helper()
+		cfg := triclust.DefaultOnlineConfig() // α, β, γ > 0, lexicon seeding on
+		cfg.MaxIter = 5
+		cfg.Seed = 42
+		tp, err := triclust.NewTopic(users,
+			triclust.WithMinDF(1),
+			triclust.WithSolverConfig(cfg))
+		if err != nil {
+			t.Fatalf("NewTopic: %v", err)
+		}
+		return tp
+	}
+	tweet := func(time, user, retweetOf int, tokens ...string) triclust.Tweet {
+		return triclust.Tweet{Tokens: tokens, User: user, Time: time, RetweetOf: retweetOf, Label: triclust.NoLabel}
+	}
+
+	offline := newTopic()
+	res, err := offline.FitCorpus(&triclust.Corpus{Users: users, Tweets: []triclust.Tweet{
+		tweet(0, 0, -1, "love", "prop37", "win"),
+		tweet(0, 1, -1, "awful", "prop37", "scam"),
+		tweet(0, 2, 0, "love", "prop37", "win"), // cyn retweets ann
+		tweet(1, 1, -1, "awful", "scam"),
+		tweet(1, 0, -1, "great", "win"),
+		tweet(1, 2, -1, "love", "great"),
+	}})
+	if err != nil {
+		t.Fatalf("FitCorpus: %v", err)
+	}
+	if res.Iterations != 5 || res.Converged {
+		t.Fatalf("offline fit ran %d sweeps (converged %v), want the 5-sweep cap", res.Iterations, res.Converged)
+	}
+	pin(offlineGoldenPath, offline)
+
+	// The golden stream's two batches, then one whose retweet joins cyn to
+	// ann in Gu while all three users carry history (Eq. 26 rows).
+	online := newTopic()
+	for day, batch := range [][]triclust.Tweet{
+		{
+			tweet(0, 0, -1, "love", "prop37", "win"),
+			tweet(0, 1, -1, "awful", "prop37", "scam"),
+		},
+		{
+			tweet(1, 2, -1, "love", "win"),
+			tweet(1, 1, -1, "awful", "scam"),
+		},
+		{
+			tweet(2, 0, -1, "love", "prop37"),
+			tweet(2, 1, -1, "awful", "scam"),
+			tweet(2, 2, 0, "love", "prop37"), // cyn retweets ann
+		},
+	} {
+		out, err := online.Process(day, batch)
+		if err != nil {
+			t.Fatalf("retweet stream batch %d: %v", day, err)
+		}
+		if out.Iterations != 5 || out.Converged {
+			t.Fatalf("batch %d ran %d sweeps (converged %v), want the 5-sweep cap", day, out.Iterations, out.Converged)
+		}
+	}
+	pin(retweetGoldenPath, online)
 }

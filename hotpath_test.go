@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"triclust"
+	"triclust/internal/codec"
+	"triclust/internal/journal"
 )
 
 // hotTopic builds a warmed-up Topic plus a batch generator that feeds it
@@ -128,6 +130,48 @@ func TestHugeWindowSizesNothing(t *testing.T) {
 	t.Logf("allocs per Process (window 1<<30): %.1f", allocs)
 	if allocs > 64 {
 		t.Fatalf("Topic.Process at window 1<<30 allocates %.1f times per batch, want <= 64", allocs)
+	}
+}
+
+// TestCommitPathEncodeAllocs pins the two encoders every acknowledged batch
+// passes through — the journal record the daemon fsyncs and the binary
+// request frame a client (or a proxying shard) builds — at 30 pre-tokenized
+// tweets of 10 tokens. Both write fixed-width integers through an io.Writer;
+// when each integer was a fresh slice the record alone cost 824 allocations,
+// twenty-five times the warm Process it makes durable. What remains is the
+// output buffer growing (journal) or nothing but the encoder itself (a warm
+// request buffer).
+func TestCommitPathEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; absolute counts only hold without -race")
+	}
+	tweets := make([]triclust.Tweet, 30)
+	for i := range tweets {
+		tokens := make([]string, 10)
+		for j := range tokens {
+			tokens[j] = fmt.Sprintf("word%d", (i+j)%40)
+		}
+		tweets[i] = triclust.Tweet{Tokens: tokens, User: i % 24, Time: 7, RetweetOf: -1, Label: triclust.NoLabel}
+	}
+	rec := &journal.Record{Time: 7, Tweets: tweets, Batches: 8, RandDraws: 4096}
+	frame := testing.AllocsPerRun(100, func() {
+		if _, err := journal.EncodeFrame(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	buf, err := codec.AppendBatchRequest(nil, 7, tweets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	request := testing.AllocsPerRun(100, func() {
+		if _, err := codec.AppendBatchRequest(buf[:0], 7, tweets); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per 30x10 batch: journal.EncodeFrame %.0f, codec.AppendBatchRequest (warm buffer) %.0f", frame, request)
+	if frame > 16 || request > 4 {
+		t.Fatalf("encoding a 30x10 batch allocates %.0f times (journal frame, want <= 16) and %.0f times (request into a warm buffer, want <= 4)",
+			frame, request)
 	}
 }
 

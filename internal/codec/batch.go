@@ -68,6 +68,12 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// WriteString spares io.WriteString its []byte(s) copy.
+func (w *sliceWriter) WriteString(s string) (int, error) {
+	w.buf = append(w.buf, s...)
+	return len(s), nil
+}
+
 // AppendBatchRequest appends the binary batch request frame for (time,
 // tweets) to dst and returns the extended slice. Tweets must be
 // unlabeled (Label == NoLabel): the ingest wire carries client data, and

@@ -34,6 +34,10 @@ func ChecksumUpdate(crc uint32, p []byte) uint32 {
 type WireEncoder struct {
 	w   io.Writer
 	err error
+	// scratch stages one integer for the writer. A slice built per call
+	// would escape through the io.Writer — a heap allocation for every
+	// integer of every tweet on the commit path.
+	scratch [8]byte
 }
 
 // NewWireEncoder returns an encoder writing to w.
@@ -51,18 +55,21 @@ func (e *WireEncoder) write(p []byte) {
 }
 
 // Uint writes a little-endian uint64.
-func (e *WireEncoder) Uint(v uint64) { e.write(binary.LittleEndian.AppendUint64(nil, v)) }
+func (e *WireEncoder) Uint(v uint64) {
+	binary.LittleEndian.PutUint64(e.scratch[:], v)
+	e.write(e.scratch[:])
+}
 
 // Int writes a two's-complement int64.
 func (e *WireEncoder) Int(v int64) { e.Uint(uint64(v)) }
 
 // Bool writes a single 0/1 byte.
 func (e *WireEncoder) Bool(v bool) {
+	e.scratch[0] = 0
 	if v {
-		e.write([]byte{1})
-	} else {
-		e.write([]byte{0})
+		e.scratch[0] = 1
 	}
+	e.write(e.scratch[:1])
 }
 
 // Float writes a float64 as its IEEE-754 bits, little-endian.
@@ -71,7 +78,9 @@ func (e *WireEncoder) Float(v float64) { e.Uint(math.Float64bits(v)) }
 // String writes a length-prefixed string.
 func (e *WireEncoder) String(s string) {
 	e.Uint(uint64(len(s)))
-	e.write([]byte(s))
+	if e.err == nil {
+		_, e.err = io.WriteString(e.w, s)
+	}
 }
 
 // StringSlice writes a length-prefixed string slice.

@@ -60,19 +60,58 @@ func FitOffline(p *Problem, cfg Config) (*Result, error) {
 	cfg.Alpha *= aScale
 	cfg.Beta *= bScale
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := initFactors(p, cfg, rng)
-	res := &Result{Factors: f, History: make([]LossBreakdown, 0, cfg.MaxIter)}
-	ws := mat.NewWorkspace()
+	f := initFactors(p, cfg, rng, nil, nil, nil)
+	return iterate(p, f, cfg, nil, offlineOrder, mat.NewWorkspace()), nil
+}
 
+// update names one of the five multiplicative update rules.
+type update uint8
+
+const (
+	stepSp update = iota // Eq. 9
+	stepHp               // Eq. 12
+	stepSu               // Eq. 11 offline; Eqs. 24/26 online
+	stepHu               // Eq. 13
+	stepSf               // Eq. 7 offline; Eq. 23 online
+)
+
+// The two algorithms sweep the same five rules in different orders, and the
+// order is part of each one's arithmetic. Algorithm 1 fits the clusterings to
+// the data first and ends its sweep on Eq. 7, where the lexicon pulls Sf back
+// last. Algorithm 2 (lines 4–8) starts its sweep at Sf: line 1 initialized it
+// to the temporal prior Sfw(t), and Eq. 23 fits that history to the snapshot's
+// data before any other factor reads it.
+var (
+	offlineOrder = [5]update{stepSp, stepHp, stepSu, stepHu, stepSf}
+	onlineOrder  = [5]update{stepSf, stepSp, stepHp, stepHu, stepSu}
+)
+
+// iterate is the solver loop of both algorithms: sweep the five rules over f
+// in the given order until the relative change of the objective falls below
+// cfg.Tol or cfg.MaxIter sweeps complete. tr is nil for the offline objective
+// (Eq. 1); online (Eq. 19) it carries the temporal terms. The updates work in
+// place, so the result's factors are f's matrices.
+func iterate(p *Problem, f Factors, cfg Config, tr *temporalUser, order [5]update, ws *mat.Workspace) *Result {
+	res := &Result{Factors: f, History: make([]LossBreakdown, 0, cfg.MaxIter)}
+	prior := p.featurePrior(tr)
 	prev := math.Inf(1)
 	for it := 0; it < cfg.MaxIter; it++ {
-		updateSp(p, &f, cfg, ws)
-		updateHp(p, &f, ws)
-		updateSu(p, &f, cfg, nil, ws)
-		updateHu(p, &f, ws)
-		updateSf(p, &f, cfg, p.Sf0, ws)
+		for _, u := range order {
+			switch u {
+			case stepSp:
+				updateSp(p, &f, cfg, ws)
+			case stepHp:
+				updateH(p.Xp, f.Sp, f.Hp, f.Sf, ws)
+			case stepSu:
+				updateSu(p, &f, cfg, tr, ws)
+			case stepHu:
+				updateH(p.Xu, f.Su, f.Hu, f.Sf, ws)
+			case stepSf:
+				updateSf(p, &f, cfg, prior, ws)
+			}
+		}
 
-		loss := Loss(p, &f, cfg, nil, ws)
+		loss := Loss(p, &f, cfg, tr, ws)
 		res.History = append(res.History, loss)
 		res.Iterations = it + 1
 		if relChange(prev, loss.Total) < cfg.Tol {
@@ -81,7 +120,16 @@ func FitOffline(p *Problem, cfg Config) (*Result, error) {
 		}
 		prev = loss.Total
 	}
-	return res, nil
+	return res
+}
+
+// featurePrior returns what the Sf update and the loss pull Sf toward: the
+// temporal prior Sfw(t) of an online step, the lexicon prior Sf0 otherwise.
+func (p *Problem) featurePrior(tr *temporalUser) *mat.Dense {
+	if tr != nil && tr.sfPrior != nil {
+		return tr.sfPrior
+	}
+	return p.Sf0
 }
 
 func relChange(prev, cur float64) float64 {
@@ -262,34 +310,21 @@ func updateSf(p *Problem, f *Factors, cfg Config, prior *mat.Dense, ws *mat.Work
 		delta, dPos, dNeg, numer, denom, sfPos)
 }
 
-// updateHp applies Eq. 12: Hp ← Hp ∘ √(Spᵀ Xp Sf / Spᵀ Sp Hp Sfᵀ Sf).
-func updateHp(p *Problem, f *Factors, ws *mat.Workspace) {
-	k := f.Hp.Rows()
-	n := f.Sp.Rows()
-	xpSf := p.Xp.MulDenseInto(ws.Get(n, k), f.Sf)
+// updateH applies Eq. 12 to (Xp, Sp, Hp) and Eq. 13 to (Xu, Su, Hu), the same
+// rule over either side of the tripartite graph:
+//
+//	H ← H ∘ √(Sᵀ X Sf / Sᵀ S H Sfᵀ Sf)
+func updateH(x *sparse.CSR, s, h, sf *mat.Dense, ws *mat.Workspace) {
+	k := h.Rows()
+	xSf := x.MulDenseInto(ws.Get(s.Rows(), k), sf)
 	numer := ws.Get(k, k)
-	numer.MulATB(f.Sp, xpSf)
-	gramSp := mat.GramInto(ws.Get(k, k), f.Sp)
-	gramSf := mat.GramInto(ws.Get(k, k), f.Sf)
-	gh := mat.ProductInto(ws.Get(k, k), gramSp, f.Hp)
+	numer.MulATB(s, xSf)
+	gramS := mat.GramInto(ws.Get(k, k), s)
+	gramSf := mat.GramInto(ws.Get(k, k), sf)
+	gh := mat.ProductInto(ws.Get(k, k), gramS, h)
 	denom := mat.ProductInto(ws.Get(k, k), gh, gramSf)
-	mat.MulUpdate(f.Hp, numer, denom)
-	ws.Put(xpSf, numer, gramSp, gramSf, gh, denom)
-}
-
-// updateHu applies Eq. 13: Hu ← Hu ∘ √(Suᵀ Xu Sf / Suᵀ Su Hu Sfᵀ Sf).
-func updateHu(p *Problem, f *Factors, ws *mat.Workspace) {
-	k := f.Hu.Rows()
-	m := f.Su.Rows()
-	xuSf := p.Xu.MulDenseInto(ws.Get(m, k), f.Sf)
-	numer := ws.Get(k, k)
-	numer.MulATB(f.Su, xuSf)
-	gramSu := mat.GramInto(ws.Get(k, k), f.Su)
-	gramSf := mat.GramInto(ws.Get(k, k), f.Sf)
-	gh := mat.ProductInto(ws.Get(k, k), gramSu, f.Hu)
-	denom := mat.ProductInto(ws.Get(k, k), gh, gramSf)
-	mat.MulUpdate(f.Hu, numer, denom)
-	ws.Put(xuSf, numer, gramSu, gramSf, gh, denom)
+	mat.MulUpdate(h, numer, denom)
+	ws.Put(xSf, numer, gramS, gramSf, gh, denom)
 }
 
 // applyExtensions adds the §7 optional regularizer terms to a factor's
@@ -346,11 +381,7 @@ func Loss(p *Problem, f *Factors, cfg Config, tr *temporalUser, ws *mat.Workspac
 	lb.UserFeature = p.Xu.ResidualFrobeniusSqWS(f.Su, f.Hu, f.Sf, ws)
 	lb.UserTweet = p.Xr.ResidualFrobeniusSqWS(f.Su, nil, f.Sp, ws)
 
-	prior := p.Sf0
-	if tr != nil && tr.sfPrior != nil {
-		prior = tr.sfPrior
-	}
-	if cfg.Alpha > 0 && prior != nil {
+	if prior := p.featurePrior(tr); cfg.Alpha > 0 && prior != nil {
 		lb.Lexicon = cfg.Alpha * mat.DiffFrobeniusSq(f.Sf, prior)
 	}
 	if cfg.Beta > 0 && p.Gu != nil {

@@ -292,45 +292,22 @@ func (o *Online) Step(t int, p *Problem, active []int) (*Result, error) {
 	tr.gamma = o.cfg.Gamma * gScale
 
 	// Line 1 of Algorithm 2: initialize Sf(t) = Sfw(t) and
-	// Su(d,e)(t) = Suw(t); line 2: random init for the rest. Beyond the
-	// letter of the algorithm we also propagate the *learned* feature
-	// sentiments into the Sp/Su seeding (Observation 1: previous feature
-	// results improve the clustering of new tweets) and warm-start the
-	// association cores from the previous snapshot.
-	f := o.initStepFactors(p, cfg.Config, tr)
+	// Su(d,e)(t) = Suw(t); line 2: random init for the rest (see
+	// initFactors for what the prior and the previous cores seed beyond
+	// the letter of the algorithm).
+	f := initFactors(p, cfg.Config, o.rng, tr.sfPrior, o.lastHp, o.lastHu)
 	for i, ok := range tr.hasHist {
 		if ok {
 			copy(f.Su.Row(i), tr.suw.Row(i))
 			for j, v := range f.Su.Row(i) {
 				if v <= 0 {
-
 					f.Su.Row(i)[j] = 1e-6
 				}
 			}
 		}
 	}
 
-	res := &Result{Factors: f, History: make([]LossBreakdown, 0, cfg.MaxIter)}
-	ws := o.ws
-	prev := math.Inf(1)
-	for it := 0; it < cfg.MaxIter; it++ {
-		// Lines 4–8 of Algorithm 2.
-		updateSf(p, &f, cfg.Config, tr.sfPrior, ws)
-		updateSp(p, &f, cfg.Config, ws)
-		updateHp(p, &f, ws)
-		updateHu(p, &f, ws)
-		updateSu(p, &f, cfg.Config, tr, ws)
-
-		loss := Loss(p, &f, cfg.Config, tr, ws)
-		res.History = append(res.History, loss)
-		res.Iterations = it + 1
-		if relChange(prev, loss.Total) < cfg.Tol {
-			res.Converged = true
-			break
-		}
-		prev = loss.Total
-	}
-	res.Factors = f
+	res := iterate(p, f, cfg.Config, tr, onlineOrder, o.ws)
 
 	if o.lastHp != nil && o.lastHp.Dims(f.Hp.Rows(), f.Hp.Cols()) {
 		o.lastHp.CopyFrom(f.Hp)
@@ -340,84 +317,6 @@ func (o *Online) Step(t int, p *Problem, active []int) (*Result, error) {
 	}
 	o.record(t, p, &f, active)
 	return res, nil
-}
-
-// initStepFactors builds the starting factors of one Step. It computes
-// exactly what initFactors plus the Sfw/warm-start overrides used to, but
-// skips materializing intermediates that the overrides immediately
-// replace. The random stream advances through the skipped initializers
-// draw-for-draw (every initializer consumes one uniform draw per matrix
-// element regardless of branch), so results are bit-identical to the
-// straightforward construction.
-func (o *Online) initStepFactors(p *Problem, cfg Config, tr *temporalUser) Factors {
-	n, l := p.Xp.Rows(), p.Xp.Cols()
-	m := p.Xu.Rows()
-	k := cfg.K
-	var f Factors
-
-	// Sf: initFactors' version is replaced whenever a temporal prior
-	// exists (it almost always does: the lexicon prior is its fallback).
-	switch {
-	case tr.sfPrior != nil:
-		o.skipDraws(l * k)
-	case p.Sf0 != nil:
-		f.Sf = p.Sf0.Clone()
-		mat.PerturbPositive(o.rng, f.Sf, 0.01)
-	default:
-		f.Sf = mat.RandomNonNegative(o.rng, l, k, 0.1, 1)
-	}
-	// Sp / Su: the lexicon-vote seeding is recomputed against the
-	// temporal prior below; skip the vote against Sf0 it would discard.
-	lexVote := cfg.LexiconInit && p.Sf0 != nil
-	replaceVotes := tr.sfPrior != nil && cfg.LexiconInit
-	switch {
-	case replaceVotes:
-		o.skipDraws(n*k + m*k)
-	case lexVote:
-		f.Sp = p.Xp.MulDense(p.Sf0)
-		f.Sp.NormalizeRowsL1()
-		mat.PerturbPositive(o.rng, f.Sp, 0.05)
-		f.Su = p.Xu.MulDense(p.Sf0)
-		f.Su.NormalizeRowsL1()
-		mat.PerturbPositive(o.rng, f.Su, 0.05)
-	default:
-		f.Sp = mat.RandomNonNegative(o.rng, n, k, 0.1, 1)
-		f.Su = mat.RandomNonNegative(o.rng, m, k, 0.1, 1)
-	}
-	// Hp / Hu: warm-started from the previous snapshot when one exists.
-	if o.lastHp != nil {
-		o.skipDraws(2 * k * k)
-		f.Hp = o.lastHp.Clone()
-		f.Hu = o.lastHu.Clone()
-	} else {
-		f.Hp = mat.Identity(k)
-		mat.PerturbPositive(o.rng, f.Hp, 0.05)
-		f.Hu = mat.Identity(k)
-		mat.PerturbPositive(o.rng, f.Hu, 0.05)
-	}
-	// The temporal-prior overrides (the draws initFactors never made).
-	if tr.sfPrior != nil {
-		f.Sf = tr.sfPrior.Clone()
-		mat.PerturbPositive(o.rng, f.Sf, 0.01)
-		if cfg.LexiconInit {
-			f.Sp = p.Xp.MulDense(tr.sfPrior)
-			f.Sp.NormalizeRowsL1()
-			mat.PerturbPositive(o.rng, f.Sp, 0.05)
-			f.Su = p.Xu.MulDense(tr.sfPrior)
-			f.Su.NormalizeRowsL1()
-			mat.PerturbPositive(o.rng, f.Su, 0.05)
-		}
-	}
-	return f
-}
-
-// skipDraws consumes n uniform draws exactly as the skipped initializer
-// would have (one Float64 per matrix element), keeping the replayable
-// stream position identical to the unskipped construction.
-func (o *Online) skipDraws(n int) {
-	for i := 0; i < n; i++ {
-		o.rng.Float64()
-	}
 }
 
 // buildTemporal assembles Sfw(t), Suw(t) and the history mask from the
@@ -431,9 +330,8 @@ func (o *Online) skipDraws(n int) {
 // factorization's scale and destabilizes the multiplicative updates
 // (small τ shrinks the prior toward zero, collapsing clusters); the
 // normalized form keeps the paper's forgetting semantics with the target
-// on the scale of one snapshot. τ = 0 degenerates to "previous snapshot
-// only"; an empty window falls back to the lexicon prior, matching the
-// offline framework's behaviour on the first snapshot.
+// on the scale of one snapshot. An empty window falls back to the lexicon
+// prior, matching the offline framework's behaviour on the first snapshot.
 func (o *Online) buildTemporal(t int, p *Problem, active []int) *temporalUser {
 	cfg := o.cfg
 	tr := &o.tr
@@ -480,8 +378,8 @@ func (o *Online) buildTemporal(t int, p *Problem, active []int) *temporalUser {
 		}
 		tr.sfPrior = acc
 	} else if p.Sf0 != nil {
-		// First snapshot, τ = 0, or vocabulary mismatch: fall back to
-		// the lexicon prior, as in the offline framework.
+		// First snapshot, empty window or vocabulary mismatch: fall back
+		// to the lexicon prior, as in the offline framework.
 		tr.sfPrior = p.Sf0
 	}
 

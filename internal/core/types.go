@@ -239,40 +239,81 @@ func (r *Result) FinalLoss() LossBreakdown {
 	return r.History[len(r.History)-1]
 }
 
-// initFactors builds the starting factors. With LexiconInit, Sp and Su are
-// seeded by propagating lexicon votes through the data matrices, which
-// keeps cluster index j aligned with sentiment class j (the emotion
-// consistency the Sf0 regularizer then maintains); otherwise they are
-// random positive matrices.
-func initFactors(p *Problem, cfg Config, rng *rand.Rand) Factors {
+// initFactors builds the starting factors of a solve. With LexiconInit, Sp
+// and Su are seeded by propagating lexicon votes through the data matrices,
+// which keeps cluster index j aligned with sentiment class j (the emotion
+// consistency the Sf0 regularizer then maintains); otherwise they are random
+// positive matrices.
+//
+// An online step (Algorithm 2, lines 1–2) additionally passes the temporal
+// prior Sfw(t), which then seeds Sf and the votes in place of Sf0 —
+// Observation 1: previous feature results improve the clustering of new
+// tweets — and the previous snapshot's association cores, which warm-start Hp
+// and Hu; the offline fit passes nil for all three. The step's random stream
+// is laid out as the prior-less construction (Sf, Sp, Su, Hp, Hu) followed by
+// the prior's overrides (Sf, Sp, Su), one uniform draw per matrix element
+// whatever the branch. A matrix the overrides or the warm start replace is not
+// materialized, but its draws are still consumed (skipDraws): journal
+// fingerprints and ETags carry the stream position.
+func initFactors(p *Problem, cfg Config, rng *rand.Rand, prior, hp, hu *mat.Dense) Factors {
 	n, l := p.Xp.Rows(), p.Xp.Cols()
 	m := p.Xu.Rows()
 	k := cfg.K
+	var f Factors
 
-	var sf *mat.Dense
-	if p.Sf0 != nil {
-		sf = p.Sf0.Clone()
-		mat.PerturbPositive(rng, sf, 0.01)
-	} else {
-		sf = mat.RandomNonNegative(rng, l, k, 0.1, 1)
+	switch {
+	case prior != nil:
+		skipDraws(rng, l*k)
+	case p.Sf0 != nil:
+		f.Sf = p.Sf0.Clone()
+		mat.PerturbPositive(rng, f.Sf, 0.01)
+	default:
+		f.Sf = mat.RandomNonNegative(rng, l, k, 0.1, 1)
 	}
-
-	var sp, su *mat.Dense
-	if cfg.LexiconInit && p.Sf0 != nil {
-		sp = p.Xp.MulDense(p.Sf0) // n×k lexicon vote per tweet
-		sp.NormalizeRowsL1()
-		mat.PerturbPositive(rng, sp, 0.05)
-		su = p.Xu.MulDense(p.Sf0) // m×k lexicon vote per user
-		su.NormalizeRowsL1()
-		mat.PerturbPositive(rng, su, 0.05)
-	} else {
-		sp = mat.RandomNonNegative(rng, n, k, 0.1, 1)
-		su = mat.RandomNonNegative(rng, m, k, 0.1, 1)
+	switch {
+	case cfg.LexiconInit && prior != nil:
+		skipDraws(rng, n*k+m*k)
+	case cfg.LexiconInit && p.Sf0 != nil:
+		f.Sp, f.Su = lexiconVotes(p, p.Sf0, rng)
+	default:
+		f.Sp = mat.RandomNonNegative(rng, n, k, 0.1, 1)
+		f.Su = mat.RandomNonNegative(rng, m, k, 0.1, 1)
 	}
+	if hp != nil {
+		skipDraws(rng, 2*k*k)
+		f.Hp, f.Hu = hp.Clone(), hu.Clone()
+	} else {
+		f.Hp = mat.Identity(k)
+		mat.PerturbPositive(rng, f.Hp, 0.05)
+		f.Hu = mat.Identity(k)
+		mat.PerturbPositive(rng, f.Hu, 0.05)
+	}
+	if prior != nil {
+		f.Sf = prior.Clone()
+		mat.PerturbPositive(rng, f.Sf, 0.01)
+		if cfg.LexiconInit {
+			f.Sp, f.Su = lexiconVotes(p, prior, rng)
+		}
+	}
+	return f
+}
 
-	hp := mat.Identity(k)
-	mat.PerturbPositive(rng, hp, 0.05)
-	hu := mat.Identity(k)
-	mat.PerturbPositive(rng, hu, 0.05)
-	return Factors{Sp: sp, Su: su, Sf: sf, Hp: hp, Hu: hu}
+// lexiconVotes seeds Sp (n×k) and Su (m×k) with each tweet's and each user's
+// normalized vote over the feature sentiments sf.
+func lexiconVotes(p *Problem, sf *mat.Dense, rng *rand.Rand) (sp, su *mat.Dense) {
+	sp = p.Xp.MulDense(sf)
+	sp.NormalizeRowsL1()
+	mat.PerturbPositive(rng, sp, 0.05)
+	su = p.Xu.MulDense(sf)
+	su.NormalizeRowsL1()
+	mat.PerturbPositive(rng, su, 0.05)
+	return sp, su
+}
+
+// skipDraws consumes n uniform draws exactly as the initializer it stands in
+// for would have (one Float64 per matrix element).
+func skipDraws(rng *rand.Rand, n int) {
+	for i := 0; i < n; i++ {
+		rng.Float64()
+	}
 }

@@ -43,7 +43,7 @@ func TestHpUpdateFixedPointOnExactFactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p, f := exactProblem(rng, 12, 6, 9, 3)
 	before := f.Hp.Clone()
-	updateHp(p, &f, mat.NewWorkspace())
+	updateH(p.Xp, f.Sp, f.Hp, f.Sf, mat.NewWorkspace())
 	// At an exact factorization, Spᵀ Xp Sf = Spᵀ Sp Hp Sfᵀ Sf, so the
 	// multiplicative ratio is 1 and Hp must not move.
 	if !mat.Equal(f.Hp, before, 1e-8) {
@@ -55,7 +55,7 @@ func TestHuUpdateFixedPointOnExactFactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p, f := exactProblem(rng, 12, 6, 9, 3)
 	before := f.Hu.Clone()
-	updateHu(p, &f, mat.NewWorkspace())
+	updateH(p.Xu, f.Su, f.Hu, f.Sf, mat.NewWorkspace())
 	if !mat.Equal(f.Hu, before, 1e-8) {
 		t.Fatal("Hu moved at fixed point")
 	}
@@ -69,7 +69,7 @@ func TestHpUpdateReducesResidual(t *testing.T) {
 	mat.PerturbPositive(rng, f.Hp, 2)
 	before := p.Xp.ResidualFrobeniusSq(f.Sp, f.Hp, f.Sf)
 	for i := 0; i < 5; i++ {
-		updateHp(p, &f, mat.NewWorkspace())
+		updateH(p.Xp, f.Sp, f.Hp, f.Sf, mat.NewWorkspace())
 	}
 	after := p.Xp.ResidualFrobeniusSq(f.Sp, f.Hp, f.Sf)
 	if after >= before {
@@ -242,9 +242,9 @@ func TestUpdatesPreserveNonNegativityProperty(t *testing.T) {
 		ws := mat.NewWorkspace()
 		for i := 0; i < 3; i++ {
 			updateSp(p, &fac, cfg, ws)
-			updateHp(p, &fac, ws)
+			updateH(p.Xp, fac.Sp, fac.Hp, fac.Sf, ws)
 			updateSu(p, &fac, cfg, nil, ws)
-			updateHu(p, &fac, ws)
+			updateH(p.Xu, fac.Su, fac.Hu, fac.Sf, ws)
 			updateSf(p, &fac, cfg, nil, ws)
 		}
 		for _, m := range []*mat.Dense{fac.Sp, fac.Su, fac.Sf, fac.Hp, fac.Hu} {

@@ -43,64 +43,16 @@ func DefaultBuildOptions() BuildOptions {
 }
 
 // Build constructs the tripartite graph of a tokenized corpus. Tweets must
-// already have Tokens set (call Corpus.Tokenize first for raw text).
+// already have Tokens set (call Corpus.Tokenize first for raw text). It is
+// the one-shot form of the construction a SnapshotBuilder repeats per batch:
+// a builder dedicated to this call, so the graph owns its matrices.
 func Build(c *Corpus, opts BuildOptions) *Graph {
-	docs := c.TokenDocs()
 	vocab := opts.Vocab
 	if vocab == nil {
-		minDF := opts.MinDF
-		if minDF < 1 {
-			minDF = 1
-		}
-		vocab = text.BuildVocabulary(docs, minDF)
+		vocab = text.BuildVocabulary(c.TokenDocs(), max(opts.MinDF, 1))
 	}
-
-	n, m := c.NumTweets(), c.NumUsers()
-	xp := text.DocFeatureMatrix(docs, vocab, opts.Weighting)
-
-	owner := make([]int, n)
-	for i := range c.Tweets {
-		owner[i] = c.Tweets[i].User
-	}
-	xu := text.UserFeatureMatrix(xp, owner, m)
-
-	xr := sparse.NewCOO(m, n)
-	gu := sparse.NewCOO(m, m)
-	for i, tw := range c.Tweets {
-		xr.Add(tw.User, i, 1)
-		if tw.RetweetOf >= 0 {
-			orig := c.Tweets[tw.RetweetOf]
-			// The retweeting user is also connected to the original tweet…
-			xr.Add(tw.User, tw.RetweetOf, 1)
-			// …and to its author in the user–user graph (both directions;
-			// the Laplacian regularizer treats Gu as undirected).
-			if orig.User != tw.User {
-				gu.Add(tw.User, orig.User, 1)
-				gu.Add(orig.User, tw.User, 1)
-			}
-		}
-	}
-
-	return &Graph{
-		Xp:    xp,
-		Xu:    xu,
-		Xr:    clampBinary(xr.ToCSR()),
-		Gu:    gu.ToCSR(),
-		Vocab: vocab,
-	}
-}
-
-// clampBinary caps duplicate-accumulated incidence entries at 1: a user
-// either interacted with a tweet or did not.
-func clampBinary(m *sparse.CSR) *sparse.CSR {
-	b := sparse.NewCOO(m.Rows(), m.Cols())
-	for i := 0; i < m.Rows(); i++ {
-		cols, vals := m.Row(i)
-		for p, j := range cols {
-			if vals[p] != 0 {
-				b.Add(i, j, 1)
-			}
-		}
-	}
-	return b.ToCSR()
+	b := SnapshotBuilder{compact: *c}
+	b.buildGraphInto(vocab, opts.Weighting)
+	g := b.graph
+	return &g
 }

@@ -120,8 +120,9 @@ func (b *SnapshotBuilder) Build(c *Corpus, from, to int, vocab *text.Vocabulary,
 	return &b.snap
 }
 
-// buildGraphInto is tgraph.Build over the builder's compacted corpus,
-// emitting every matrix into the builder's reusable CSR backing.
+// buildGraphInto is the graph construction — the only one: Build runs it on
+// a builder of its own — over the builder's compacted corpus, emitting every
+// matrix into the builder's reusable CSR backing.
 func (b *SnapshotBuilder) buildGraphInto(vocab *text.Vocabulary, w text.Weighting) {
 	c := &b.compact
 	n, m := c.NumTweets(), c.NumUsers()

@@ -73,11 +73,12 @@ fi
 # of these is how the handlers drifted apart before, so the shapes that
 # would be one are counted in the non-test sources.
 daemon=$(ls cmd/triclustd/*.go | grep -v '_test\.go$')
+where=cmd/triclustd sources=$daemon
 expect() {
     local want=$1 pattern=$2 why=$3 got
-    got=$(cat $daemon | grep -c -F -- "$pattern" || true)
+    got=$(cat $sources | grep -c -F -- "$pattern" || true)
     if [ "$got" -ne "$want" ]; then
-        echo "SPINE: cmd/triclustd has $got x '$pattern', want $want ($why)" >&2
+        echo "SPINE: $where has $got x '$pattern', want $want ($why)" >&2
         fail=1
     fi
 }
@@ -99,6 +100,25 @@ stray=$(awk '
 if [ -n "$stray" ]; then
     echo "SPINE: the tombstone map is read outside resolve/tryRegister:" >&2
     echo "$stray" >&2
+    fail=1
+fi
+
+# The same count for what the library writes once: Algorithm 1 and
+# Algorithm 2 share one solver loop (the sweep order is data), the graph
+# construction lives in SnapshotBuilder.buildGraphInto with tgraph.Build as
+# its one-shot form, and bench/ is the only traffic generator (BENCHMARK.json
+# the only load contract). Each had a hand-kept twin once.
+where=internal/core sources=$(ls internal/core/*.go | grep -v '_test\.go$')
+expect 1 'it < cfg.MaxIter' "iterate is the solver loop of FitOffline and Online.Step"
+where=internal/tgraph/build.go sources=internal/tgraph/build.go
+expect 0 'NewCOO' "Build assembles no matrix itself; see buildGraphInto"
+expect 0 '.Add(' "Build assembles no matrix itself; see buildGraphInto"
+# The retired generator's name is spelled in two halves so that this file
+# passes its own rule.
+retired=load
+retired+=gen
+if [ -e "cmd/$retired" ] || grep -rn -- "$retired" scripts/ >&2; then
+    echo "SPINE: cmd/$retired or a script that drives it is back (load is generated by bench/ alone)" >&2
     fail=1
 fi
 

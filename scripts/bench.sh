@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# bench.sh — run the performance-tracking benchmark suite and emit a
-# machine-readable BENCH.json artifact, so the perf trajectory
-# across PRs can be consumed from CI artifacts instead of hand-copied
-# tables. Since PR 10 the artifact is an object: "benchmarks" holds the
-# go-test microbenchmark rows (same shape as the PR-9 array), and
-# "loadgen" embeds the cmd/loadgen JSON-vs-binary wire-format comparison
-# measured against a real daemon over HTTP.
+# bench.sh — run the go-test microbenchmark suites and emit one
+# machine-readable artifact, so their trajectory across PRs can be read
+# from CI artifacts instead of hand-copied tables:
+#
+#   {"schema": "triclust-bench/v3", "benchmarks": [{name, cpus, ns_per_op, …}]}
+#
+# This is not the repository's benchmark: load against a running daemon is
+# generated, measured and gated by bench/ + BENCHMARK.json alone
+# (bench/README.md).
 #
 # Usage:
 #   scripts/bench.sh [output.json]
@@ -14,8 +16,7 @@
 #   BENCHTIME         per-benchmark -benchtime for the library suite
 #                     (default 10x)
 #   DAEMON_BENCHTIME  -benchtime for the daemon persistence comparison
-#                     (default 500x: the 500-batch stream of the PR-4
-#                     acceptance criteria)
+#                     (default 500x: a 500-batch stream)
 #   READ_BENCHTIME    -benchtime for the read-under-ingest comparison
 #                     (default 2s: time-based, so the background ingest
 #                     loop lands several full snapshot+fsync cycles in
@@ -23,12 +24,6 @@
 #   CONFORM_BENCHTIME -benchtime for the conformance-scoring microbench
 #                     (default 1000x: scoring one batch against a warm
 #                     profile is nanoseconds, so it needs iterations)
-#   LOADGEN_BATCHES   total batches per loadgen run (default 500: the
-#                     same 500-batch daemon stream the persistence
-#                     comparison tracks)
-#   LOADGEN_TWEETS    tweets per batch (default 300)
-#   LOADGEN_PORT      loopback port for the loadgen target daemon
-#                     (default 8590)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,18 +32,9 @@ BENCHTIME=${BENCHTIME:-10x}
 DAEMON_BENCHTIME=${DAEMON_BENCHTIME:-500x}
 READ_BENCHTIME=${READ_BENCHTIME:-2s}
 CONFORM_BENCHTIME=${CONFORM_BENCHTIME:-1000x}
-LOADGEN_BATCHES=${LOADGEN_BATCHES:-500}
-LOADGEN_TWEETS=${LOADGEN_TWEETS:-300}
-LOADGEN_PORT=${LOADGEN_PORT:-8590}
 
 RAW=$(mktemp)
-WORK=$(mktemp -d)
-DAEMON_PID=""
-cleanup() {
-    [ -n "$DAEMON_PID" ] && kill "$DAEMON_PID" 2>/dev/null || true
-    rm -rf "$RAW" "$WORK"
-}
-trap cleanup EXIT
+trap 'rm -f "$RAW"' EXIT
 
 LIB_BENCHES='BenchmarkProcessWarm|BenchmarkOnlineStep|BenchmarkOfflineFit|BenchmarkTable4TweetComparison|BenchmarkTable5UserComparison|BenchmarkTokenizePipeline|BenchmarkGraphBuild|BenchmarkSnapshot|BenchmarkRestore'
 
@@ -69,33 +55,10 @@ go test -run xxx -bench BenchmarkReadsUnderIngest -benchtime "$READ_BENCHTIME" -
 # The conformance-gate microbench: scoring one batch observation against
 # a warm profile. This cost sits on every ingest in every mode
 # (accumulation never turns off), so the artifact tracks it per-PR; it
-# must stay noise against the solve (the PR-8 bar caps warm Process
-# overhead at 5%).
+# must stay noise against the solve (at most 5% of a warm Process).
 go test -run xxx -bench BenchmarkConformScore -benchtime "$CONFORM_BENCHTIME" -benchmem -cpu 1,4 ./internal/conform/ | tee -a "$RAW"
 
-# ——— loadgen stage: the wire-format comparison over real HTTP ———
-# A persistent single-shard daemon takes the same 500-batch stream in
-# both wire formats: closed-loop legs measure ingest capacity per
-# format, then -rate auto replays both formats open-loop at the JSON
-# capacity, which is where the p99-at-equal-offered-load gap shows.
-go build -o "$WORK/triclustd" ./cmd/triclustd
-go build -o "$WORK/loadgen" ./cmd/loadgen
-"$WORK/triclustd" -addr "127.0.0.1:$LOADGEN_PORT" -data-dir "$WORK/data" \
-    >"$WORK/daemon.log" 2>&1 &
-DAEMON_PID=$!
-for _ in $(seq 50); do
-    curl -fsS "http://127.0.0.1:$LOADGEN_PORT/healthz" >/dev/null 2>&1 && break
-    sleep 0.1
-done
-"$WORK/loadgen" -targets "http://127.0.0.1:$LOADGEN_PORT" \
-    -topics 4 -users 60 -tweets-per-batch "$LOADGEN_TWEETS" \
-    -batches "$LOADGEN_BATCHES" -rate auto -format both \
-    -topic-prefix bench -out "$WORK/loadgen.json"
-kill "$DAEMON_PID" 2>/dev/null || true
-wait "$DAEMON_PID" 2>/dev/null || true
-DAEMON_PID=""
-
-awk -v out="$WORK/benchmarks.json" '
+awk -v out="$OUT" '
 BEGIN { n = 0 }
 /^Benchmark/ {
     name = $1
@@ -128,18 +91,10 @@ BEGIN { n = 0 }
     recs[n++] = rec
 }
 END {
-    printf "[\n" > out
+    printf "{\n\"schema\": \"triclust-bench/v3\",\n\"benchmarks\":\n[\n" > out
     for (i = 0; i < n; i++) printf "%s%s\n", recs[i], (i < n-1 ? "," : "") >> out
-    printf "]\n" >> out
+    printf "]\n}\n" >> out
 }
 ' "$RAW"
-
-{
-    printf '{\n"schema": "triclust-bench/v2",\n"benchmarks":\n'
-    cat "$WORK/benchmarks.json"
-    printf ',\n"loadgen":\n'
-    cat "$WORK/loadgen.json"
-    printf '}\n'
-} > "$OUT"
 
 echo "wrote $OUT ($(wc -c < "$OUT") bytes)"
