@@ -19,15 +19,17 @@ var updateGolden = flag.Bool("update-golden", false,
 	"regenerate the golden fixtures this build writes (only when deliberately changing the snapshot format, what a snapshot holds, or the solver's arithmetic)")
 
 const (
-	goldenPath = "testdata/golden_v4.snap"
-	// denseGoldenPath is the same topic as written by the last version-3
-	// build (every matrix stored dense), wideGoldenPath by the version-3
-	// builds before it, which retained one feature snapshot and one row per
-	// user more than a later step can read, and fixedGoldenPath by the last
-	// version-2 build (fixed-width integers, Sp and Su stored, conformance
-	// section included, the same wide history). No build can regenerate
-	// any of them any more: they are what an upgraded daemon finds in its
-	// data dir.
+	goldenPath = "testdata/golden_v5.snap"
+	// formsGoldenPath is the same topic as written by the last version-4
+	// build (the lexicon stored, plain word lists, the user history a record
+	// per user), denseGoldenPath by the last version-3 build (every matrix
+	// stored dense), wideGoldenPath by the version-3 builds before it, which
+	// retained one feature snapshot and one row per user more than a later
+	// step can read, and fixedGoldenPath by the last version-2 build
+	// (fixed-width integers, Sp and Su stored, conformance section included,
+	// the same wide history). No build can regenerate any of them any more:
+	// they are what an upgraded daemon finds in its data dir.
+	formsGoldenPath = "testdata/golden_v4.snap"
 	denseGoldenPath = "testdata/golden_v3.snap"
 	wideGoldenPath  = "testdata/golden_v3_wide_history.snap"
 	fixedGoldenPath = "testdata/golden_v2.snap"
@@ -88,8 +90,8 @@ func snapshotBytes(t *testing.T, tp *triclust.Topic) []byte {
 // fixtures, in both directions. Writing: the golden topic must snapshot
 // to exactly the current-version fixture, so a layout or size drift fails
 // here instead of passing as "still restores". Reading: that fixture and
-// its predecessors — version 3, version 3 with the wide history, version
-// 2 — must restore, to the same state: each re-snapshots as the current
+// its predecessors — version 4, version 3, version 3 with the wide history,
+// version 2 — must restore, to the same state: each re-snapshots as the current
 // bytes, which is the in-place upgrade a daemon's next compaction
 // performs. Run with -update-golden after a deliberate change of what a
 // snapshot holds.
@@ -112,7 +114,7 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 		t.Fatalf("golden topic snapshots to %d bytes that differ from the %d-byte fixture — codec layout drift?",
 			len(got), len(data))
 	}
-	for _, path := range []string{denseGoldenPath, wideGoldenPath, fixedGoldenPath} {
+	for _, path := range []string{formsGoldenPath, denseGoldenPath, wideGoldenPath, fixedGoldenPath} {
 		written, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("read earlier-build fixture: %v", err)
@@ -162,28 +164,50 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 	}
 }
 
+// decodeFixture decodes a checked-in snapshot and returns its size too.
+func decodeFixture(t *testing.T, path string) (*engine.State, int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := codec.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return st, len(data)
+}
+
+// sameStateButLexicon fails unless the current-version fixture decodes to
+// the state the earlier version's fixture of the same topic holds, every
+// float bit included, except for the frozen topic's lexicon, which only the
+// earlier one carries. (reflect.DeepEqual compares floats with ==; the
+// states hold no NaN and no zero a sign could hide in.)
+func sameStateButLexicon(t *testing.T, earlierPath, currentPath string) {
+	t.Helper()
+	earlier, _ := decodeFixture(t, earlierPath)
+	current, _ := decodeFixture(t, currentPath)
+	if !earlier.Frozen || len(earlier.Lexicon) == 0 || current.Lexicon != nil {
+		t.Fatalf("%s holds %d lexicon entries (frozen %v), %s %d: want some and none",
+			earlierPath, len(earlier.Lexicon), earlier.Frozen, currentPath, len(current.Lexicon))
+	}
+	earlier.Lexicon = nil
+	if !reflect.DeepEqual(earlier, current) {
+		t.Fatalf("%s and %s decode to different states", earlierPath, currentPath)
+	}
+}
+
 // TestGoldenDerivationPinned pins the arithmetic of the format's derived
 // matrix form for good: the version-3 fixture stores the newest feature
 // snapshot as the solver recorded it, the version-4 fixture of the same
 // topic stores nothing and has Decode rebuild it from the last solve's Sf,
 // and the two must decode to the same state, every float bit included. A
 // change to how Decode derives (or to what the solver records) fails here
-// before it silently changes what files on disk mean.
+// before it silently changes what files on disk mean. The version-5 fixture
+// holds that state too, less the lexicon a frozen topic no longer stores.
 func TestGoldenDerivationPinned(t *testing.T) {
-	decode := func(path string) (*engine.State, int) {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := codec.Decode(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		return st, len(data)
-	}
-	stored, v3 := decode(denseGoldenPath)
-	derived, v4 := decode(goldenPath)
+	stored, v3 := decodeFixture(t, denseGoldenPath)
+	derived, v4 := decodeFixture(t, formsGoldenPath)
 	if !reflect.DeepEqual(stored, derived) {
 		t.Fatal("golden_v3 (matrix stored) and golden_v4 (matrix derived) decode to different states")
 	}
@@ -199,6 +223,7 @@ func TestGoldenDerivationPinned(t *testing.T) {
 	if saved, matrix := v3-v4, 8*len(a); saved < matrix {
 		t.Fatalf("golden_v4 is %d bytes smaller than golden_v3, less than the %d-byte matrix it should not store", saved, matrix)
 	}
+	sameStateButLexicon(t, formsGoldenPath, goldenPath)
 }
 
 // TestLegacySnapshotRejectedByVersion pins the compatibility story for
@@ -220,8 +245,13 @@ const (
 	// retweet and configures no weight, so its Gu is empty, α = β = γ = 0, and
 	// it reaches neither a float of the offline loop nor the lexicon seeding,
 	// the graph term or the temporal terms of the online one.
-	offlineGoldenPath = "testdata/golden_v4_offline.snap"
-	retweetGoldenPath = "testdata/golden_v4_retweet.snap"
+	offlineGoldenPath = "testdata/golden_v5_offline.snap"
+	retweetGoldenPath = "testdata/golden_v5_retweet.snap"
+	// The two as the last version-4 build wrote them, when the pins were
+	// made: format version 5 carried the pinned solves over from these, it
+	// did not run them again and trust the result.
+	offlineFormsGoldenPath = "testdata/golden_v4_offline.snap"
+	retweetFormsGoldenPath = "testdata/golden_v4_retweet.snap"
 )
 
 // TestGoldenOfflineFit pins, bit for bit, the solver paths
@@ -231,9 +261,13 @@ const (
 // regularizer and the temporal terms shaped. A refactor of internal/core
 // that reorders one float operation or one random draw on either path fails
 // here. Run with -update-golden only after a deliberate change to the
-// solver's arithmetic.
+// solver's arithmetic. Each solve is held to two fixtures: its snapshot is
+// the current-version file byte for byte, and that file holds the state the
+// version-4 file of the same solve does (which restores, and re-snapshots
+// as the current one) — so a change of format re-spells the pin and cannot
+// move it.
 func TestGoldenOfflineFit(t *testing.T) {
-	pin := func(path string, tp *triclust.Topic) {
+	pin := func(path, earlierPath string, tp *triclust.Topic) {
 		t.Helper()
 		got := snapshotBytes(t, tp)
 		if *updateGolden {
@@ -249,6 +283,18 @@ func TestGoldenOfflineFit(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: the topic snapshots to %d bytes that differ from the %d-byte fixture — solver arithmetic drift?",
 				path, len(got), len(want))
+		}
+		sameStateButLexicon(t, earlierPath, path)
+		written, err := os.ReadFile(earlierPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := triclust.Restore(bytes.NewReader(written))
+		if err != nil {
+			t.Fatalf("%s no longer restores: %v", earlierPath, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, old), want) {
+			t.Fatalf("%s re-snapshots to other bytes than %s", earlierPath, path)
 		}
 	}
 	users := []triclust.User{
@@ -288,7 +334,7 @@ func TestGoldenOfflineFit(t *testing.T) {
 	if res.Iterations != 5 || res.Converged {
 		t.Fatalf("offline fit ran %d sweeps (converged %v), want the 5-sweep cap", res.Iterations, res.Converged)
 	}
-	pin(offlineGoldenPath, offline)
+	pin(offlineGoldenPath, offlineFormsGoldenPath, offline)
 
 	// The golden stream's two batches, then one whose retweet joins cyn to
 	// ann in Gu while all three users carry history (Eq. 26 rows).
@@ -316,5 +362,5 @@ func TestGoldenOfflineFit(t *testing.T) {
 			t.Fatalf("batch %d ran %d sweeps (converged %v), want the 5-sweep cap", day, out.Iterations, out.Converged)
 		}
 	}
-	pin(retweetGoldenPath, online)
+	pin(retweetGoldenPath, retweetFormsGoldenPath, online)
 }

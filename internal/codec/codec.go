@@ -8,7 +8,7 @@
 // A snapshot is:
 //
 //	magic    [8]byte  "TRICSNAP"
-//	version  uint16   format version (currently 4)
+//	version  uint16   format version (currently 5)
 //	length   uint64   payload length in bytes
 //	payload  [length]byte
 //	crc      uint32   CRC-32C (Castagnoli) of the payload
@@ -24,14 +24,85 @@
 // removing or reshaping an existing section requires a version bump.
 // The framing above is fixed-width little-endian. Inside a section body:
 //
-//	count, length, index, counter   uvarint (minimal encoding only)
-//	timestamp, label, seed          zigzag varint
-//	float                           IEEE-754 bits, 8 bytes little-endian
-//	bool                            one byte, 0 or 1
-//	[]bool                          uvarint bit count + bitset, LSB first,
-//	                                padding bits zero
-//	string, slice, map              count-prefixed
-//	matrix                          form byte, then the form's body
+//	count, length, index, counter, age   uvarint (minimal encoding only)
+//	timestamp, label, seed               zigzag varint
+//	float                                IEEE-754 bits, 8 bytes little-endian
+//	bool                                 one byte, 0 or 1
+//	[]bool                               uvarint bit count + bitset, LSB
+//	                                     first, padding bits zero
+//	id set                               a []bool whose last bit is set (or
+//	                                     that is empty): bit i says whether
+//	                                     id i is a member, so its count is
+//	                                     the largest member plus one
+//	string                               length + bytes
+//	name list                            count, then the strings
+//	word list                            count, then the words front-coded
+//	map                                  its keys as a word list, then one
+//	                                     zigzag value per key
+//	matrix                               form byte, then the form's body
+//
+// # What a snapshot does not hold
+//
+// A snapshot carries nothing dead, nothing twice, and writes a position
+// as a position. The four rules below, with their fallbacks, are part of
+// the format: each is a function of the state alone, so equal states have
+// one encoding, and Decode holds a version-5 payload to it.
+//
+//  1. Nothing dead. The lexicon section (the word→class map that seeds
+//     Sf0 at the vocabulary freeze) is written only when the map is not
+//     empty, and a section that holds no entry is corrupt. A frozen topic
+//     exports none (engine.State.Lexicon): Sf0 is in the snapshot and
+//     nothing reads the lexicon after the freeze. An unfrozen topic still
+//     needs it, and carries it.
+//  2. Nothing twice. See the matrix forms: a matrix the rest of the
+//     snapshot determines is not stored, and is stored on any doubt.
+//  3. A position is a position. Which users are labelled, and which hold
+//     history rows, is an id set; when a row was recorded is its age
+//     against the last step. See the users and the user history below.
+//  4. Sorted word lists are front-coded. See word lists below.
+//
+// # Word lists
+//
+// The vocabulary and the keys of a map are word lists: per word, the
+// length of the prefix it shares with the word before it (0 for the first)
+// and the rest of it as a string. The shared length is the whole common
+// prefix, up to maxShared bytes: a shorter one, or one longer than the
+// word before, is corrupt. The cap keeps the shared length one byte and
+// bounds what a forged list can make the decoder allocate per byte of
+// input. A list is always front-coded, sorted or not: the vocabulary
+// VocabBuilder.Build freezes is sorted, and an externally frozen unsorted
+// one pays its byte a word for nothing. The keys of a map are written in
+// increasing order, and a key list that is not strictly increasing is
+// corrupt: a map has one encoding and no key twice.
+//
+// # Users
+//
+// The users section is the name list of the universe in universe order
+// (names are not sorted, so not front-coded), the id set of the users that
+// carry a label, and the labels of those users in id order. A user outside
+// the set has tgraph.NoLabel, which is therefore not a label the list may
+// hold; a universe without labels costs the set's one count byte.
+//
+// # User history
+//
+// The online section ends with the rows of user history the solver
+// retains (core.OnlineState.UserIDs, UserTimes, UserRows):
+//
+//	rows     uvarint     number of rows; 0 ends the section
+//	k        uvarint     floats per row
+//	ids      id set      the users that hold rows
+//	counts   uvarint…    rows per user in id order, each at least 1 and
+//	                     rows in sum: present only when rows exceeds the
+//	                     set's population (never at the default window,
+//	                     where a user holds one row)
+//	ages     uvarint…    per row, the newest feature snapshot's time minus
+//	                     the row's: the row was recorded that long before
+//	                     the last step
+//	block    rows×k      the rows' floats, in row order
+//
+// So a history has ids that are non-negative and sorted, and no row later
+// than the last step, by construction. A state whose history is otherwise
+// (no solver exports or accepts one) has no encoding: Encode refuses it.
 //
 // # Matrix forms
 //
@@ -50,40 +121,56 @@
 //	            Legal for Sf0 only, whose rows are the lexicon's few class
 //	            priors; Encode writes it whenever the limits allow and
 //	            dense beyond them.
-//	3 derived   no body. Legal for the newest feature snapshot of the
-//	            online section only, and only after a factors section
+//	3 derived   no body: the matrix is a function of the factors section,
+//	            which is written in front of the online section for this.
+//	            Legal in the online section only, in two places. For the
+//	            newest feature snapshot, and only after a factors section
 //	            whose Sf has one row per bit of the snapshot's mask: the
 //	            matrix is that Sf with every row L1-normalized, which is
-//	            what the solver records after a step.
+//	            what the solver records after a step. For a warm-start
+//	            core (LastHp, LastHu; from version 5), and only after a
+//	            factors section that holds that core (Hp, Hu): the matrix
+//	            is that core, which is what the solver keeps after a step.
 //
-// The derivation of form 3 is part of the format. For each row r of the
-// factors section's Sf, with k columns: s is +0 plus r[0], r[1], …,
-// r[k−1] added in that order; if s == 0 every entry of the derived row is
-// 1/k; otherwise every entry is r[j] × (1/s) — the reciprocal taken once,
-// then one multiplication per entry — all in IEEE-754 binary64, round to
-// nearest even, nothing fused. Encode elides the matrix only after
-// checking: it computes the derivation and compares bits, and writes the
-// matrix dense on any difference (no factors section, a last solve that
-// is not the snapshot's source, a derived NaN, whose payload is the
-// hardware's choice), so every state round-trips bit for bit. The factors
-// section is written in front of the online section for this.
+// The derivation of a feature snapshot is part of the format. For each
+// row r of the factors section's Sf, with k columns: s is +0 plus r[0],
+// r[1], …, r[k−1] added in that order; if s == 0 every entry of the
+// derived row is 1/k; otherwise every entry is r[j] × (1/s) — the
+// reciprocal taken once, then one multiplication per entry — all in
+// IEEE-754 binary64, round to nearest even, nothing fused. Encode elides a
+// matrix only after checking: it computes the derivation and compares
+// bits, and writes the matrix dense on any difference (no factors section,
+// a last solve that is not the snapshot's source, a derived NaN, whose
+// payload is the hardware's choice), so every state round-trips bit for
+// bit. Decode holds a version-5 payload to the same choice, so a matrix has
+// one encoding: a core or a newest feature snapshot stored dense although
+// the factors section determines its bits, an Sf0 stored dense within a
+// dictionary's limits, and a factors section behind the online section
+// (where nothing could be derived from it) are corrupt.
 //
-// Map sections are written in sorted key order and the solver exports its
-// history in a canonical form (core.OnlineState), so encoding is
-// deterministic: equal states produce byte-identical snapshots, and so do
-// equal streams — two topics that processed the same batches, whatever
-// snapshots and restores lay in between. Which form a matrix takes is a
-// function of the state alone. Floats are never re-quantized, so a
-// restore is bit-identical.
+// The solver exports its history in a canonical form (core.OnlineState),
+// so encoding is deterministic: equal states produce byte-identical
+// snapshots, and so do equal streams — two topics that processed the same
+// batches, whatever snapshots and restores lay in between. Floats are
+// never re-quantized, so a restore is bit-identical.
 //
-// Version 3 had every matrix dense (the form byte was a presence bool,
-// the same two values) and the factors section after the online one.
-// Version 2 had version 3's sections with every integer as 8 fixed bytes
-// and every []bool as a byte per element, and stored the tweet and user
-// factors of the last solve, which no restored topic reads. Decode still
-// reads both (the same decoder, switched by the header's version field);
-// Encode writes version 4 only. The fixed-width primitives live on in
-// wire.go for the journal and frame formats.
+// # Earlier versions
+//
+// Version 4 stored the lexicon always, plain strings everywhere (the map
+// sections as key, value pairs in any order, a later pair overwriting an
+// earlier one), a zigzag label per user, both warm-start cores dense, and
+// the user history as one record per user: zigzag id, row count, and per
+// row a zigzag time and a length-prefixed row. Version 3 had every matrix
+// dense (the form byte was a presence bool, the same two values) and the
+// factors section after the online one. Version 2 had version 3's
+// sections with every integer as 8 fixed bytes and every []bool as a byte
+// per element, and stored the tweet and user factors of the last solve,
+// which no restored topic reads. Decode still reads all three, as
+// leniently as the builds that wrote them (the same decoder, switched by
+// the header's version field); Encode writes version 5 only. An older
+// build does not read a newer version: it answers ErrVersion. The
+// fixed-width primitives live on in wire.go for the journal and frame
+// formats.
 //
 // The online section names the solver's random generator alongside the
 // recorded stream position, because a draw position is only replayable on
@@ -103,7 +190,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
+	"strings"
 
 	"triclust/internal/conform"
 	"triclust/internal/core"
@@ -115,19 +204,23 @@ import (
 
 // Version is the snapshot format version Encode writes; Decode reads
 // oldestVersion through Version, so an upgraded daemon loads its data dir.
-// Version 4 (versionForms) stopped storing matrices the rest of the
-// snapshot determines; version 3 (versionCompact) made section bodies
-// compact (varints, bitsets) and dropped the dead tweet and user factors
-// of its fixed-width predecessor. Version 2 had inserted the
-// random-generator identifier into the online section when the solver's
-// PRNG moved to SplitMix64; version-1 snapshots recorded stream positions
-// of a different generator and are rejected with ErrVersion rather than
+// Version 5 (versionPacked) dropped the frozen topic's lexicon and the
+// second copy of the association cores, framed labels and user history by
+// id sets and ages, and front-coded the word lists; version 4
+// (versionForms) stopped storing matrices the rest of the snapshot
+// determines; version 3 (versionCompact) made section bodies compact
+// (varints, bitsets) and dropped the dead tweet and user factors of its
+// fixed-width predecessor. Version 2 had inserted the random-generator
+// identifier into the online section when the solver's PRNG moved to
+// SplitMix64; version-1 snapshots recorded stream positions of a
+// different generator and are rejected with ErrVersion rather than
 // replayed on the wrong stream.
 const (
-	Version        = 4
+	Version        = 5
 	oldestVersion  = 2
 	versionCompact = 3
 	versionForms   = 4
+	versionPacked  = 5
 )
 
 // Matrix forms (see the package comment). Before versionForms the byte was
@@ -138,6 +231,12 @@ const (
 	formDict    = 2
 	formDerived = 3
 )
+
+// maxShared is the longest prefix a front-coded word borrows from the word
+// before it. The limit is the format's: the shared length stays one byte,
+// and a forged list cannot make the decoder allocate more than maxShared
+// bytes for the two it costs to name a word.
+const maxShared = 31
 
 // A row dictionary holds at most dictMaxRows distinct rows of at most
 // dictMaxCols columns. The limits are the format's: they keep the
@@ -194,10 +293,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // silently continuing a stream with different random values.
 const rngSplitMix64 = 1
 
-// Encode writes st as a versioned binary snapshot to w, in one Write.
+// Encode writes st as a versioned binary snapshot to w, in one Write. A
+// state whose user history the format has no encoding for (see the package
+// comment) is refused.
 func Encode(w io.Writer, st *engine.State) error {
 	if st == nil {
 		return errors.New("codec: nil state")
+	}
+	if err := encodable(st.Online); err != nil {
+		return err
 	}
 	// The whole snapshot is built in one buffer: the header's length and
 	// every section's size are patched in once the bytes after them exist.
@@ -205,31 +309,29 @@ func Encode(w io.Writer, st *engine.State) error {
 	copy(e.buf, magic[:])
 	binary.LittleEndian.PutUint16(e.buf[8:], Version)
 	e.section(tagConfig, func() { e.config(st.Config, st) })
-	e.section(tagLexicon, func() { e.stringIntMap(st.Lexicon) })
+	// A frozen topic exports no lexicon; like the epoch below, an empty
+	// one is no section.
+	if len(st.Lexicon) > 0 {
+		e.section(tagLexicon, func() { e.stringIntMap(st.Lexicon) })
+	}
 	e.section(tagVocab, func() {
 		e.bool(st.Frozen)
-		e.stringSlice(st.VocabWords)
+		e.wordList(st.VocabWords)
 		e.dict(st.Sf0)
 		e.stringIntMap(st.VocabCounts)
 		e.uint(uint64(st.VocabDocs))
 	})
-	e.section(tagUsers, func() {
-		e.uint(uint64(len(st.Users)))
-		for _, u := range st.Users {
-			e.string(u.Name)
-			e.int(int64(u.Label))
-		}
-	})
+	e.section(tagUsers, func() { e.users(st.Users) })
 	e.section(tagCounter, func() {
 		e.uint(uint64(st.Batches))
 		e.uint(uint64(st.Skips))
 	})
-	// The factors go first: the online section's newest feature snapshot
-	// may be written as derived from their Sf.
+	// The factors go first: the online section's cores and newest feature
+	// snapshot may be written as derived from them.
 	if st.LastFactors != nil {
 		e.section(tagFactors, func() { e.factors(st.LastFactors) })
 	}
-	e.section(tagOnline, func() { e.online(st.Online, factorsSf(st)) })
+	e.section(tagOnline, func() { e.online(st.Online, st.LastFactors) })
 	// The ownership epoch is written only when set, so snapshots of
 	// never-moved topics are the same bytes in and out of a cluster.
 	// Determinism holds either way: equal states make equal
@@ -285,7 +387,7 @@ func Decode(r io.Reader) (*engine.State, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (payload %08x, trailer %08x)", ErrCorrupt, got, want)
 	}
 
-	dec := &decoder{buf: payload.Bytes(), fixed: version < versionCompact, forms: version >= versionForms}
+	dec := &decoder{buf: payload.Bytes(), fixed: version < versionCompact, forms: version >= versionForms, packed: version >= versionPacked}
 	st := &engine.State{}
 	seen := map[byte]bool{}
 	for {
@@ -304,15 +406,17 @@ func Decode(r io.Reader) (*engine.State, error) {
 			return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, tag)
 		}
 		seen[tag] = true
-		sd := &decoder{buf: body, fixed: dec.fixed, forms: dec.forms}
+		sd := &decoder{buf: body, fixed: dec.fixed, forms: dec.forms, packed: dec.packed}
 		switch tag {
 		case tagConfig:
 			sd.config(&st.Config, st)
 		case tagLexicon:
-			st.Lexicon = sd.stringIntMap()
+			if st.Lexicon = sd.stringIntMap(); sd.packed && st.Lexicon == nil {
+				sd.fail("empty lexicon section")
+			}
 		case tagVocab:
 			st.Frozen = sd.bool()
-			st.VocabWords = sd.stringSlice()
+			st.VocabWords = sd.stringList(sd.packed, false)
 			st.Sf0 = sd.matrix(sd.form(), true)
 			st.VocabCounts = sd.stringIntMap()
 			st.VocabDocs = int(sd.uint())
@@ -322,8 +426,13 @@ func Decode(r io.Reader) (*engine.State, error) {
 			st.Batches = int(sd.uint())
 			st.Skips = int(sd.uint())
 		case tagOnline:
-			st.Online = sd.online(factorsSf(st))
+			st.Online = sd.online(st.LastFactors)
 		case tagFactors:
+			// What the online section may derive from this one it must: from
+			// version 5 on the order Encode writes is the only one.
+			if sd.packed && seen[tagOnline] {
+				sd.fail("factors section behind the online section")
+			}
 			st.LastFactors = sd.factors()
 		case tagEpoch:
 			st.Epoch = sd.uint()
@@ -351,20 +460,12 @@ func Decode(r io.Reader) (*engine.State, error) {
 		}
 	}
 	for _, tag := range []byte{tagConfig, tagLexicon, tagVocab, tagUsers, tagCounter, tagOnline} {
-		if !seen[tag] {
+		// From version 5 on an empty lexicon is no section.
+		if !seen[tag] && !(tag == tagLexicon && dec.packed) {
 			return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, tag)
 		}
 	}
 	return st, nil
-}
-
-// factorsSf returns the Sf of the state's factors section, the matrix a
-// derived feature snapshot is derived from; nil without the section.
-func factorsSf(st *engine.State) *mat.Dense {
-	if st.LastFactors == nil {
-		return nil
-	}
-	return st.LastFactors.Sf
 }
 
 // ——— encoder ———
@@ -399,18 +500,30 @@ func (e *encoder) string(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-func (e *encoder) stringSlice(ss []string) {
-	e.uint(uint64(len(ss)))
-	for _, s := range ss {
-		e.string(s)
+// wordList front-codes words: each as the length of the prefix it shares
+// with the one before it (the whole common prefix, up to maxShared) and
+// the rest.
+func (e *encoder) wordList(words []string) {
+	e.uint(uint64(len(words)))
+	prev := ""
+	for _, w := range words {
+		n := sharedPrefix(prev, w)
+		e.uint(uint64(n))
+		e.string(w[n:])
+		prev = w
 	}
 }
 
-func (e *encoder) floats(fs []float64) {
-	e.uint(uint64(len(fs)))
-	for _, f := range fs {
-		e.float(f)
+// sharedPrefix returns the length of the common prefix of a and b, at most
+// maxShared.
+func sharedPrefix(a, b string) int {
+	n := min(len(a), len(b), maxShared)
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
 	}
+	return n
 }
 
 func (e *encoder) ints(vs []int) {
@@ -420,29 +533,76 @@ func (e *encoder) ints(vs []int) {
 	}
 }
 
-// bools writes a bit count and a bitset, least significant bit first.
-func (e *encoder) bools(bs []bool) {
-	e.uint(uint64(len(bs)))
+// bits writes the bit count n and n zero bits, and returns the bytes that
+// hold them, least significant bit first, for the caller to set.
+func (e *encoder) bits(n int) []byte {
+	e.uint(uint64(n))
 	at := len(e.buf)
-	e.buf = append(e.buf, make([]byte, (len(bs)+7)/8)...)
+	e.buf = append(e.buf, make([]byte, (n+7)/8)...)
+	return e.buf[at:]
+}
+
+func (e *encoder) bools(bs []bool) {
+	set := e.bits(len(bs))
 	for i, b := range bs {
 		if b {
-			e.buf[at+i/8] |= 1 << (i % 8)
+			set[i/8] |= 1 << (i % 8)
 		}
 	}
 }
 
-// stringIntMap writes entries in sorted key order for determinism.
+// idset writes an id set — a bitset that ends in its largest member — and
+// returns its population. id(i) is the id entry i of n contributes, or a
+// negative number for none; ids do not decrease with i, and a repeated one
+// counts once.
+func (e *encoder) idset(n int, id func(i int) int) (members int) {
+	end := 0 // the largest member, plus one
+	for i := n - 1; i >= 0 && end == 0; i-- {
+		end = max(id(i)+1, 0)
+	}
+	set := e.bits(end)
+	prev := -1
+	for i := 0; i < n; i++ {
+		if g := id(i); g > prev {
+			set[g/8] |= 1 << (g % 8)
+			members++
+			prev = g
+		}
+	}
+	return members
+}
+
+// stringIntMap writes the keys in increasing order, front-coded, then
+// their values.
 func (e *encoder) stringIntMap(m map[string]int) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	e.uint(uint64(len(keys)))
+	e.wordList(keys)
 	for _, k := range keys {
-		e.string(k)
 		e.int(int64(m[k]))
+	}
+}
+
+// users writes the universe: the names, the set of the users that carry a
+// label, and those labels.
+func (e *encoder) users(users []tgraph.User) {
+	e.uint(uint64(len(users)))
+	for _, u := range users {
+		e.string(u.Name)
+	}
+	e.idset(len(users), func(i int) int {
+		if users[i].Label == tgraph.NoLabel {
+			return -1
+		}
+		return i
+	})
+	for _, u := range users {
+		if u.Label != tgraph.NoLabel {
+			e.int(int64(u.Label))
+		}
 	}
 }
 
@@ -463,22 +623,10 @@ func (e *encoder) dense(m *mat.Dense) {
 // rows or more columns than a dictionary holds. Two passes over m and a
 // fixed table: nothing is allocated per row.
 func (e *encoder) dict(m *mat.Dense) {
-	if m == nil || m.Cols() > dictMaxCols {
+	first, d, ok := dictRows(m)
+	if !ok {
 		e.dense(m)
 		return
-	}
-	var first [dictMaxRows]int // the row of m each dictionary entry was first seen at
-	d := 0
-	for i := 0; i < m.Rows(); i++ {
-		if dictIndex(m, first[:d], m.Row(i)) < d {
-			continue
-		}
-		if d == dictMaxRows {
-			e.dense(m)
-			return
-		}
-		first[d] = i
-		d++
 	}
 	e.byte(formDict)
 	e.uint(uint64(m.Rows()))
@@ -492,6 +640,26 @@ func (e *encoder) dict(m *mat.Dense) {
 	for i := 0; i < m.Rows(); i++ {
 		e.uint(uint64(dictIndex(m, first[:d], m.Row(i))))
 	}
+}
+
+// dictRows finds the dictionary of m: the rows of m at which its d distinct
+// rows are first seen, in that order. ok is false when m is nil or has more
+// distinct rows or more columns than a dictionary holds.
+func dictRows(m *mat.Dense) (first [dictMaxRows]int, d int, ok bool) {
+	if m == nil || m.Cols() > dictMaxCols {
+		return first, 0, false
+	}
+	for i := 0; i < m.Rows(); i++ {
+		if dictIndex(m, first[:d], m.Row(i)) < d {
+			continue
+		}
+		if d == dictMaxRows {
+			return first, 0, false
+		}
+		first[d] = i
+		d++
+	}
+	return first, d, true
 }
 
 // dictIndex returns the position in first of the row of m that equals row,
@@ -597,49 +765,103 @@ func (e *encoder) config(c core.OnlineConfig, st *engine.State) {
 	e.bool(tok.Stem)
 }
 
-// online writes the solver's state. lastSf is the Sf of the factors
-// section already written (nil without one): the newest feature snapshot
-// is elided when it is that matrix's derivation.
-func (e *encoder) online(o *core.OnlineState, lastSf *mat.Dense) {
+// online writes the solver's state. last is the factors section already
+// written (nil without one): the cores and the newest feature snapshot are
+// elided when they are what it determines.
+func (e *encoder) online(o *core.OnlineState, last *core.Factors) {
 	if o == nil {
 		e.bool(false)
 		return
 	}
+	if last == nil {
+		last = &core.Factors{}
+	}
 	e.bool(true)
 	e.byte(rngSplitMix64)
 	e.uint(o.RandDraws)
-	e.dense(o.LastHp)
-	e.dense(o.LastHu)
+	e.core(o.LastHp, last.Hp)
+	e.core(o.LastHu, last.Hu)
 	e.uint(uint64(len(o.SfHist)))
 	for i, s := range o.SfHist {
 		e.int(int64(s.Time))
-		if i == len(o.SfHist)-1 && derives(lastSf, s.Sf) && len(s.Seen) == s.Sf.Rows() {
+		if i == len(o.SfHist)-1 && derives(last.Sf, s.Sf) && len(s.Seen) == s.Sf.Rows() {
 			e.byte(formDerived)
 		} else {
 			e.dense(s.Sf)
 		}
 		e.bools(s.Seen)
 	}
-	// The flat history is sorted by id: a user's rows are one run of it.
-	ids := o.UserIDs
-	users := 0
-	for i, g := range ids {
-		if i == 0 || g != ids[i-1] {
-			users++
+	e.history(o)
+}
+
+// core writes a warm-start core: as derived when it is, bit for bit, the
+// factors section's core of the same name, dense otherwise.
+func (e *encoder) core(m, of *mat.Dense) {
+	if sameMatrix(m, of) {
+		e.byte(formDerived)
+	} else {
+		e.dense(m)
+	}
+}
+
+// sameMatrix reports whether a and b are both present, of one shape and
+// equal bit for bit.
+func sameMatrix(a, b *mat.Dense) bool {
+	return a != nil && b != nil && a.Dims(b.Rows(), b.Cols()) && sameBits(a.Data(), b.Data())
+}
+
+// encodable reports whether the user history of o has an encoding: parallel
+// slices over k-wide rows, ids non-negative and sorted (a user's rows are
+// one run of the flat history), and no row later than the newest feature
+// snapshot. core.NewOnlineFromState accepts no other history either.
+func encodable(o *core.OnlineState) error {
+	if o == nil || len(o.UserIDs) == 0 && len(o.UserTimes) == 0 {
+		return nil
+	}
+	n := len(o.UserIDs)
+	if len(o.UserTimes) != n || o.UserRows == nil || o.UserRows.Rows() != n {
+		return errors.New("codec: user history ids, times and rows are not parallel")
+	}
+	if len(o.SfHist) == 0 {
+		return errors.New("codec: user history without a feature snapshot to date it against")
+	}
+	last := o.SfHist[len(o.SfHist)-1].Time
+	for i, g := range o.UserIDs {
+		if g < 0 || g >= maxPayload || (i > 0 && g < o.UserIDs[i-1]) {
+			return fmt.Errorf("codec: user history id %d at entry %d is negative, past the format's limit or out of order", g, i)
+		}
+		if o.UserTimes[i] > last {
+			return fmt.Errorf("codec: user %d has a history row at time %d, after the last step at %d", g, o.UserTimes[i], last)
 		}
 	}
-	e.uint(uint64(users))
-	for i := 0; i < len(ids); {
-		end := i + 1
-		for end < len(ids) && ids[end] == ids[i] {
-			end++
+	return nil
+}
+
+// history writes the retained user rows (see the package comment). The
+// flat history is sorted by id: a user's rows are one run of it.
+func (e *encoder) history(o *core.OnlineState) {
+	ids := o.UserIDs
+	e.uint(uint64(len(ids)))
+	if len(ids) == 0 {
+		return
+	}
+	e.uint(uint64(o.UserRows.Cols()))
+	if users := e.idset(len(ids), func(i int) int { return ids[i] }); users < len(ids) {
+		for i := 0; i < len(ids); {
+			end := i + 1
+			for end < len(ids) && ids[end] == ids[i] {
+				end++
+			}
+			e.uint(uint64(end - i))
+			i = end
 		}
-		e.int(int64(ids[i]))
-		e.uint(uint64(end - i))
-		for ; i < end; i++ {
-			e.int(int64(o.UserTimes[i]))
-			e.floats(o.UserRows.Row(i))
-		}
+	}
+	last := o.SfHist[len(o.SfHist)-1].Time
+	for _, t := range o.UserTimes {
+		e.uint(uint64(last) - uint64(t)) // exact for any two ints, t <= last
+	}
+	for _, v := range o.UserRows.Data() {
+		e.float(v)
 	}
 }
 
@@ -657,12 +879,15 @@ func (e *encoder) factors(f *core.Factors) {
 // the compact encodings, true for 8-byte integers and byte-per-element
 // masks — version-2 snapshots and, through WireDecoder, the journal and
 // frame formats. forms is set from version 4 on: a matrix starts with a
-// form byte, not a presence bool.
+// form byte, not a presence bool. packed is set from version 5 on: word
+// lists are front-coded, a map is its key list and then its values, labels
+// and user history are framed by id sets, and a core may be derived.
 type decoder struct {
-	buf   []byte
-	fixed bool
-	forms bool
-	err   error
+	buf    []byte
+	fixed  bool
+	forms  bool
+	packed bool
+	err    error
 }
 
 func (d *decoder) fail(msg string) {
@@ -761,21 +986,68 @@ func (d *decoder) count(ints, raw uint64) uint64 {
 
 func (d *decoder) string() string { return string(d.bytes(d.uint())) }
 
-func (d *decoder) stringSlice() []string {
-	n := d.count(1, 0)
-	if n == 0 {
+// stringList reads a list of strings into one backing string, so a list
+// costs two allocations however long it is. front says the list is a word
+// list (front-coded); increasing that it is a map's key list, which holds
+// no key twice and has one order.
+func (d *decoder) stringList(front, increasing bool) []string {
+	entry := uint64(1) // a length
+	if front {
+		entry = 2 // and a shared length
+	}
+	n := d.count(entry, 0)
+	if n == 0 || d.err != nil {
 		return nil
 	}
+	// A first pass over a copy of the cursor checks every length and sizes
+	// the backing string: a shared length is bounded, so the total is at
+	// most maxShared+1 times the bytes that remain.
+	scan := *d
+	var total, prevLen uint64
+	for i := uint64(0); i < n; i++ {
+		var shared uint64
+		if front {
+			if shared = scan.uint(); shared > prevLen || shared > maxShared {
+				scan.fail("word shares a longer prefix than the word before it has, or than the format allows")
+			}
+		}
+		length := scan.uint()
+		scan.bytes(length)
+		if scan.err != nil {
+			d.err = scan.err
+			return nil
+		}
+		prevLen = shared + length
+		total += prevLen
+	}
+	var back strings.Builder
+	back.Grow(int(total)) // no write below reallocates: the strings cut from it stay one allocation
 	out := make([]string, n)
+	prev := ""
 	for i := range out {
-		out[i] = d.string()
+		at, shared := back.Len(), 0
+		if front {
+			shared = int(d.uint())
+			back.WriteString(prev[:shared])
+		}
+		back.Write(d.bytes(d.uint()))
+		w := back.String()[at:]
+		if front && shared < maxShared && shared < len(prev) && shared < len(w) && w[shared] == prev[shared] {
+			d.fail("word shares a longer prefix with the word before it than it says")
+			return nil
+		}
+		if increasing && i > 0 && prev >= w {
+			d.fail("map keys not strictly increasing")
+			return nil
+		}
+		out[i], prev = w, w
 	}
 	return out
 }
 
-// floats appends a count-prefixed float slice to dst.
-func (d *decoder) floats(dst []float64) []float64 {
-	for n := d.count(0, 8); n > 0; n-- {
+// floats appends n floats to dst.
+func (d *decoder) floats(dst []float64, n uint64) []float64 {
+	for ; n > 0; n-- {
 		dst = append(dst, d.float())
 	}
 	return dst
@@ -805,28 +1077,70 @@ func (d *decoder) bools() []bool {
 		}
 		return out
 	}
-	// The bitset must fit in what remains before n sizes an allocation;
-	// n/8 cannot overflow.
-	n := d.uint()
-	bits := d.bytes(n/8 + (n%8+7)/8)
-	if n == 0 || d.err != nil {
-		return nil
-	}
-	if n%8 != 0 && bits[len(bits)-1]>>(n%8) != 0 {
-		d.fail("non-zero bitset padding")
+	n, set := d.bitset()
+	if n == 0 {
 		return nil
 	}
 	out := make([]bool, n)
 	for i := range out {
-		out[i] = bits[i/8]>>(i%8)&1 != 0
+		out[i] = hasBit(set, uint64(i))
 	}
 	return out
 }
 
+// hasBit reports whether bit i of a bitset is set.
+func hasBit(set []byte, i uint64) bool { return set[i/8]>>(i%8)&1 != 0 }
+
+// bitset reads a bit count and that many bits, least significant first,
+// the padding bits of the last byte zero. n is 0 after an error.
+func (d *decoder) bitset() (n uint64, set []byte) {
+	// The bitset must fit in what remains before n sizes an allocation;
+	// n/8 cannot overflow.
+	n = d.uint()
+	set = d.bytes(n/8 + (n%8+7)/8)
+	if n == 0 || d.err != nil {
+		return 0, nil
+	}
+	if n%8 != 0 && set[len(set)-1]>>(n%8) != 0 {
+		d.fail("non-zero bitset padding")
+		return 0, nil
+	}
+	return n, set
+}
+
+// idset reads a set of ids: a bitset that is empty or ends in a set bit, so
+// a set has one spelling. members is its population.
+func (d *decoder) idset() (n uint64, set []byte, members uint64) {
+	n, set = d.bitset()
+	if n == 0 {
+		return 0, nil, 0
+	}
+	if !hasBit(set, n-1) {
+		d.fail("id set longer than its largest member")
+		return 0, nil, 0
+	}
+	for _, b := range set {
+		members += uint64(bits.OnesCount8(b))
+	}
+	return n, set, members
+}
+
 // stringIntMap decodes a map section; like the slice decoders it returns
 // nil for an empty collection (encoders do not distinguish nil from
-// empty, so decoders canonicalize to nil).
+// empty, so decoders canonicalize to nil). Before version 5 a map was
+// key, value pairs in whatever order, a repeated key overwriting.
 func (d *decoder) stringIntMap() map[string]int {
+	if d.packed {
+		keys := d.stringList(true, true)
+		if len(keys) == 0 {
+			return nil
+		}
+		out := make(map[string]int, len(keys))
+		for _, k := range keys {
+			out[k] = int(d.int())
+		}
+		return out
+	}
 	n := d.count(2, 0)
 	if n == 0 {
 		return nil
@@ -859,14 +1173,21 @@ func (d *decoder) form() byte {
 func (d *decoder) dense() *mat.Dense { return d.matrix(d.form(), false) }
 
 // matrix reads the body of a matrix of the given form; dict says whether
-// a row dictionary is legal at this position. The derived form has no body
-// and is the online section's to handle.
+// a row dictionary is legal at this position, where from version 5 on a
+// matrix that fits one is corrupt in any other form. The derived form has
+// no body and is the online section's to handle.
 func (d *decoder) matrix(form byte, dict bool) *mat.Dense {
 	switch {
 	case d.err != nil || form == formAbsent:
 		return nil
 	case form == formDense:
-		return d.denseBody()
+		m := d.denseBody()
+		if dict && d.packed {
+			if _, _, fits := dictRows(m); fits {
+				d.fail("matrix stored dense although a row dictionary holds it")
+			}
+		}
+		return m
 	case form == formDict && dict:
 		return d.dictBody()
 	}
@@ -998,21 +1319,42 @@ func (d *decoder) config(c *core.OnlineConfig, st *engine.State) {
 }
 
 func (d *decoder) users() []tgraph.User {
-	n := d.count(2, 0)
-	if n == 0 {
+	if !d.packed {
+		n := d.count(2, 0)
+		if n == 0 {
+			return nil
+		}
+		out := make([]tgraph.User, n)
+		for i := range out {
+			out[i].Name = d.string()
+			out[i].Label = int(d.int())
+		}
+		return out
+	}
+	names := d.stringList(false, false)
+	n, set, _ := d.idset()
+	if n > uint64(len(names)) {
+		d.fail("label for a user past the universe")
 		return nil
 	}
-	out := make([]tgraph.User, n)
+	if len(names) == 0 {
+		return nil
+	}
+	out := make([]tgraph.User, len(names))
 	for i := range out {
-		out[i].Name = d.string()
-		out[i].Label = int(d.int())
+		out[i] = tgraph.User{Name: names[i], Label: tgraph.NoLabel}
+		if uint64(i) < n && hasBit(set, uint64(i)) {
+			if out[i].Label = int(d.int()); out[i].Label == tgraph.NoLabel {
+				d.fail("labelled user without a label")
+			}
+		}
 	}
 	return out
 }
 
-// online reads the solver's state; lastSf is the Sf of the factors section
-// if one has been read, the source of a derived feature snapshot.
-func (d *decoder) online(lastSf *mat.Dense) *core.OnlineState {
+// online reads the solver's state; last is the factors section if one has
+// been read, the source of the derived forms.
+func (d *decoder) online(last *core.Factors) *core.OnlineState {
 	if !d.bool() || d.err != nil {
 		return nil
 	}
@@ -1026,9 +1368,12 @@ func (d *decoder) online(lastSf *mat.Dense) *core.OnlineState {
 			ErrVersion, algo, rngSplitMix64)
 		return nil
 	}
+	if last == nil {
+		last = &core.Factors{}
+	}
 	o := &core.OnlineState{RandDraws: d.uint()}
-	o.LastHp = d.dense()
-	o.LastHu = d.dense()
+	o.LastHp = d.core(last.Hp)
+	o.LastHu = d.core(last.Hu)
 	n := d.count(2, 1) // time, mask count; matrix form
 	if n > 0 {
 		o.SfHist = make([]core.SfSnapshotState, 0, n)
@@ -1042,44 +1387,144 @@ func (d *decoder) online(lastSf *mat.Dense) *core.OnlineState {
 		case i != n-1:
 			d.fail("derived matrix in an older feature snapshot")
 		default:
-			s.Sf = d.derived(lastSf)
+			s.Sf = d.derived(last.Sf)
 		}
 		s.Seen = d.bools()
 		if form == formDerived && d.err == nil && len(s.Seen) != s.Sf.Rows() {
 			d.fail("derived matrix of another shape than its mask")
 		}
+		if d.packed && form == formDense && i == n-1 && derives(last.Sf, s.Sf) && len(s.Seen) == s.Sf.Rows() {
+			d.fail("feature snapshot stored although the factors section determines it")
+		}
 		o.SfHist = append(o.SfHist, s)
 	}
+	if d.packed {
+		d.history(o)
+	} else {
+		d.historyByUser(o)
+	}
+	return o
+}
+
+// core reads a warm-start core; of is the factors section's core of the
+// same name, which a derived one is (nil when no factors section came
+// first). From version 5 on a core has one encoding: stored dense although
+// it could have been derived, it is corrupt.
+func (d *decoder) core(of *mat.Dense) *mat.Dense {
+	form := d.form()
+	if d.packed && form == formDerived {
+		if of == nil {
+			d.fail("derived core with no such core in a factors section in front of it")
+			return nil
+		}
+		return of.Clone()
+	}
+	m := d.matrix(form, false)
+	if d.packed && sameMatrix(m, of) {
+		d.fail("core stored although the factors section holds it")
+	}
+	return m
+}
+
+// history reads the retained user rows of version 5 (see the package
+// comment) into o, whose feature history has been read: ages count back
+// from its newest entry.
+func (d *decoder) history(o *core.OnlineState) {
+	rows := d.uint()
+	if rows == 0 || d.err != nil {
+		return
+	}
+	if len(o.SfHist) == 0 {
+		d.fail("user history without a feature snapshot to date it against")
+		return
+	}
+	k := d.uint()
+	n, set, users := d.idset()
+	if d.err != nil {
+		return
+	}
+	// A row is at least its age byte and k floats: rows and k are bounded
+	// by the bytes that remain before they size anything, by division.
+	if left := uint64(len(d.buf)); k > left/8 || rows > left/(1+8*k) || users > rows {
+		d.fail("user history larger than remaining data, or more users than rows")
+		return
+	}
+	o.UserIDs = make([]int, 0, rows)
+	for g := uint64(0); g < n && d.err == nil; g++ {
+		if !hasBit(set, g) {
+			continue
+		}
+		cnt := uint64(1)
+		if rows > users {
+			if cnt = d.uint(); cnt == 0 || cnt > rows-uint64(len(o.UserIDs)) {
+				d.fail("user history row counts do not add up to its rows")
+				return
+			}
+		}
+		for ; cnt > 0; cnt-- {
+			o.UserIDs = append(o.UserIDs, int(g))
+		}
+	}
+	if d.err == nil && uint64(len(o.UserIDs)) != rows {
+		d.fail("user history row counts do not add up to its rows")
+	}
+	if d.err != nil {
+		return
+	}
+	// An age reaches back from the last step's time to the smallest
+	// timestamp at most.
+	last := int64(o.SfHist[len(o.SfHist)-1].Time)
+	oldest := uint64(last) + 1<<63 // last − MinInt64, exact modulo 2⁶⁴
+	o.UserTimes = make([]int, rows)
+	for i := range o.UserTimes {
+		age := d.uint()
+		if age > oldest {
+			d.fail("user history row older than a timestamp can say")
+			return
+		}
+		o.UserTimes[i] = int(last - int64(age))
+	}
+	o.UserRows = mat.NewDense(int(rows), int(k))
+	data := o.UserRows.Data()
+	for i := range data {
+		data[i] = d.float()
+	}
+}
+
+// historyByUser reads the user rows as versions 2 to 4 wrote them: per
+// user a zigzag id and a row count, per row a zigzag time and a
+// length-prefixed row.
+func (d *decoder) historyByUser(o *core.OnlineState) {
 	m := d.count(2, 0)
 	if m == 0 || d.err != nil {
-		return o
+		return
 	}
-	// Every user has at least one row in what Encode writes, so m is the
-	// likely row count; the floats that follow cannot outnumber the bytes
-	// that hold them.
+	// Every user has at least one row in what Encode wrote, so m is the
+	// likely row count, and the first row's length the likely width; the
+	// floats that follow cannot outnumber the bytes that hold them.
 	o.UserIDs = make([]int, 0, m)
 	o.UserTimes = make([]int, 0, m)
-	rows := make([]float64, 0, len(d.buf)/8)
+	var rows []float64
 	width := -1
 	for i := uint64(0); i < m && d.err == nil; i++ {
 		g := int(d.int())
 		for cnt := d.count(2, 0); cnt > 0 && d.err == nil; cnt-- {
 			o.UserIDs = append(o.UserIDs, g)
 			o.UserTimes = append(o.UserTimes, int(d.int()))
-			at := len(rows)
-			rows = d.floats(rows)
+			n := d.count(0, 8)
 			if width < 0 {
-				width = len(rows) - at
+				width = int(n)
+				rows = make([]float64, 0, min(m*n, uint64(len(d.buf))/8))
 			}
-			if len(rows)-at != width {
+			if int(n) != width {
 				d.fail("user history rows of unequal length")
 			}
+			rows = d.floats(rows, n)
 		}
 	}
 	if d.err == nil && len(o.UserIDs) > 0 {
 		o.UserRows = mat.NewDenseData(len(o.UserIDs), width, rows)
 	}
-	return o
 }
 
 func (d *decoder) factors() *core.Factors {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -255,8 +256,9 @@ func TestSpecialFloatsSurvive(t *testing.T) {
 		negZero, 0, 1)
 	snap := mustEncode(t, st)
 	body, _ := findSection(t, payloadOf(snap), tagVocab)
-	// frozen flag, word count, eight one-letter words, then the matrix.
-	if hdr := payloadOf(snap)[body+2+16:][:4]; !bytes.Equal(hdr, []byte{formDict, 8, 3, 5}) {
+	// frozen flag, word count, eight one-letter words (shared length,
+	// length, letter), then the matrix.
+	if hdr := payloadOf(snap)[body+2+24:][:4]; !bytes.Equal(hdr, []byte{formDict, 8, 3, 5}) {
 		t.Fatalf("Sf0 starts % x, want a 8x3 dictionary of 5 rows", hdr)
 	}
 	got, err = Decode(bytes.NewReader(snap))
@@ -340,17 +342,151 @@ func TestHostileCountsRejected(t *testing.T) {
 	// factors section starts with Sf → flag byte, rows, cols.
 	dim := binary.AppendUvarint(nil, 1<<61)
 	reject("matrix dims", spliceSection(t, payload, tagFactors, 1, 2, append(dim, dim...)))
-	// User history rows are one flat k-wide matrix: a row of another
-	// length has nowhere to go. The online section ends with user 7's
-	// second row — a length byte (3) and 24 bytes of floats.
-	_, size := findSection(t, payload, tagOnline)
-	short := append([]byte{2}, make([]byte, 16)...)
-	reject("ragged user rows", spliceSection(t, payload, tagOnline, size-25, 25, short))
+	// The online section ends with the user history: rows 3, k 3, the id
+	// set {0, 7} (count 8, one byte), the row counts 1 2, the ages 1 1 0 and
+	// 72 bytes of floats. Neither rows nor k may size anything the bytes
+	// that remain cannot back.
+	online, size := findSection(t, payload, tagOnline)
+	hist := size - (1 + 1 + 2 + 2 + 3 + 72)
+	if hdr := payload[online+hist:][:6]; !bytes.Equal(hdr, []byte{3, 3, 8, 0b10000001, 1, 2}) {
+		t.Fatalf("user history starts % x", hdr)
+	}
+	for _, huge := range []uint64{1 << 28, 1 << 61, 1<<64 - 1} {
+		count := binary.AppendUvarint(nil, huge)
+		reject("history row count", spliceSection(t, payload, tagOnline, hist, 1, count))
+		reject("history row width", spliceSection(t, payload, tagOnline, hist+1, 1, count))
+	}
 	// A mask whose bit count no bitset in the section could back.
 	d := &decoder{buf: binary.AppendUvarint(nil, 1<<64-1)}
 	if d.bools(); !errors.Is(d.err, ErrCorrupt) {
 		t.Fatalf("hostile mask count: got %v, want ErrCorrupt", d.err)
 	}
+
+	// The layouts Encode no longer writes are still read — from every
+	// upgraded data dir, and from a PUT whose header says 2, 3 or 4 — by
+	// branches of their own: a count in front of key, value pairs and of
+	// name, label pairs, and the user history as one record a user. Every
+	// count of theirs is forged in a payload of each version, at its width.
+	for _, old := range []struct {
+		version uint16
+		payload []byte
+	}{
+		{oldestVersion, payloadOf(encodeV2(fullState(), nil, nil))},
+		{versionCompact, payloadOf(readFixture(t, "golden_v3_wide_history.snap"))},
+		{versionForms, payloadOf(readFixture(t, "golden_v4.snap"))},
+	} {
+		want, err := Decode(bytes.NewReader(reframe(old.version, old.payload)))
+		if err != nil {
+			t.Fatalf("version %d: untouched payload rejected: %v", old.version, err)
+		}
+		in := func(tag byte) *decoder {
+			body, size := findSection(t, old.payload, tag)
+			return &decoder{buf: old.payload[body : body+size], fixed: old.version < versionCompact, forms: old.version >= versionForms}
+		}
+		// forge replaces the count d stands at, in the section d reads, by v,
+		// and wants the result refused as a count the data cannot back.
+		forge := func(name string, tag byte, d *decoder, v uint64) {
+			const why = "count past end of data"
+			t.Helper()
+			_, size := findSection(t, old.payload, tag)
+			at := size - len(d.buf)
+			was := *d
+			was.uint()
+			if d.err != nil || was.err != nil {
+				t.Fatalf("version %d: %s: walking section %d: %v, %v", old.version, name, tag, d.err, was.err)
+			}
+			forged := spliceSection(t, old.payload, tag, at, len(d.buf)-len(was.buf), num(d.fixed, v))
+			_, err := Decode(bytes.NewReader(reframe(old.version, forged)))
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), why) {
+				t.Fatalf("version %d: %s = %d: got %v, want ErrCorrupt: %s", old.version, name, v, err, why)
+			}
+		}
+		for _, huge := range []uint64{1 << 28, 1 << 61, 1<<64 - 1} {
+			forge("lexicon count", tagLexicon, in(tagLexicon), huge)
+			d := in(tagVocab)
+			d.bool()
+			forge("vocabulary count", tagVocab, d, huge)
+			d.stringList(false, false)
+			d.matrix(d.form(), true)
+			forge("vocabulary-count count", tagVocab, d, huge)
+			forge("user count", tagUsers, in(tagUsers), huge)
+
+			// The online section up to the user history: flag, generator,
+			// draws, two cores, the feature history. Then the user count, and
+			// per user an id, a row count, and per row a time and a length.
+			d = in(tagOnline)
+			d.bool()
+			d.byte()
+			d.uint()
+			d.dense()
+			d.dense()
+			for n := d.uint(); n > 0; n-- {
+				d.int()
+				if form := d.form(); form != formDerived {
+					d.matrix(form, false)
+				}
+				d.bools()
+			}
+			forge("history user count", tagOnline, d, huge)
+			d.uint()
+			d.int()
+			forge("history row count", tagOnline, d, huge)
+			d.uint()
+			d.int()
+			forge("history row length", tagOnline, d, huge)
+		}
+		// What these versions' own builds accepted still loads: a map with a
+		// key twice, which version 5 refuses, is here the map with it once.
+		d := in(tagLexicon)
+		count := d.uint()
+		pairs := d.buf
+		d.string()
+		d.int()
+		first := pairs[:len(pairs)-len(d.buf)]
+		twice := append(append(num(d.fixed, count+1), first...), pairs...)
+		_, size := findSection(t, old.payload, tagLexicon)
+		got, err := Decode(bytes.NewReader(reframe(old.version, spliceSection(t, old.payload, tagLexicon, 0, size, twice))))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("version %d: repeated lexicon key: %v", old.version, err)
+		}
+
+		// User history rows are one flat k-wide matrix: a row of another
+		// length has nowhere to go. Every payload here ends its online
+		// section with a row of three floats behind their count; two floats
+		// behind a 2 are well-formed bytes and no history.
+		d = in(tagOnline)
+		_, size = findSection(t, old.payload, tagOnline)
+		width := len(num(d.fixed, 2))
+		d.bytes(uint64(size - width - 24))
+		if k := d.uint(); k != 3 || len(d.buf) != 24 {
+			t.Fatalf("version %d: the online section does not end in a row of 3 floats", old.version)
+		}
+		short := append(num(d.fixed, 2), make([]byte, 16)...)
+		ragged := spliceSection(t, old.payload, tagOnline, size-width-24, width+24, short)
+		_, err = Decode(bytes.NewReader(reframe(old.version, ragged)))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "rows of unequal length") {
+			t.Fatalf("version %d: ragged user rows: got %v, want ErrCorrupt: rows of unequal length", old.version, err)
+		}
+	}
+}
+
+// num is v as an integer of a section body: 8 fixed bytes in version 2, a
+// uvarint since.
+func num(fixed bool, v uint64) []byte {
+	if fixed {
+		return binary.LittleEndian.AppendUint64(nil, v)
+	}
+	return binary.AppendUvarint(nil, v)
+}
+
+// readFixture reads a checked-in snapshot of an earlier build.
+func readFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	snap, err := os.ReadFile("../../testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // TestMatrixForms: Encode stores no matrix the rest of the snapshot
@@ -370,43 +506,62 @@ func TestMatrixForms(t *testing.T) {
 		st.LastFactors.Sf = denseOf(3, 3, 0.1, 0.2, 0.7, 0, 0, 0, 3, 1e-9, 1.0/3)
 		hist := st.Online.SfHist
 		hist[len(hist)-1].Sf = recorded(st.LastFactors.Sf)
+		// After a step the warm-start cores are the last solve's.
+		st.Online.LastHp, st.Online.LastHu = st.LastFactors.Hp.Clone(), st.LastFactors.Hu.Clone()
 		return st
 	}
+	stored, same := []byte{formDense, formDense}, []byte{formDerived, formDerived}
 	for _, tc := range []struct {
 		name  string
 		state func() *engine.State
 		sf0   byte
 		hist  []byte // the form of each feature snapshot, oldest first
+		cores []byte // the forms of LastHp and LastHu
 	}{
-		{"newest snapshot is the last solve's", derivable, formDict, []byte{formDense, formDerived}},
-		{"last solve is not the snapshot's source", fullState, formDict, []byte{formDense, formDense}},
+		{"newest snapshot is the last solve's", derivable, formDict, []byte{formDense, formDerived}, same},
+		{"last solve is not the snapshot's source", fullState, formDict, []byte{formDense, formDense}, stored},
 		{"no last factors", func() *engine.State {
 			st := derivable()
 			st.LastFactors = nil
 			return st
-		}, formDict, []byte{formDense, formDense}},
+		}, formDict, []byte{formDense, formDense}, stored},
+		{"one core off by an ulp", func() *engine.State {
+			st := derivable()
+			st.Online.LastHp.Set(1, 1, math.Nextafter(1, 2))
+			return st
+		}, formDict, []byte{formDense, formDerived}, []byte{formDense, formDerived}},
+		{"a core the factors section does not hold", func() *engine.State {
+			st := derivable()
+			st.LastFactors.Hu = nil
+			return st
+		}, formDict, []byte{formDense, formDerived}, []byte{formDerived, formDense}},
+		{"no warm-start cores", func() *engine.State {
+			st := derivable()
+			st.Online.LastHp, st.Online.LastHu = nil, nil
+			return st
+		}, formDict, []byte{formDense, formDerived}, []byte{formAbsent, formAbsent}},
 		{"one entry off by an ulp", func() *engine.State {
 			st := derivable()
 			sf := st.Online.SfHist[1].Sf
 			sf.Set(2, 2, math.Nextafter(sf.At(2, 2), 1))
 			return st
-		}, formDict, []byte{formDense, formDense}},
+		}, formDict, []byte{formDense, formDense}, same},
 		{"older snapshot equals the derivation too", func() *engine.State {
 			st := derivable()
 			st.Online.SfHist[0].Sf = recorded(st.LastFactors.Sf)
 			return st
-		}, formDict, []byte{formDense, formDerived}},
+		}, formDict, []byte{formDense, formDerived}, same},
 		{"derivation yields NaN", func() *engine.State {
 			st := derivable()
 			st.LastFactors.Sf.Set(0, 0, math.Inf(1)) // ∞ × 1/∞
 			st.Online.SfHist[1].Sf = recorded(st.LastFactors.Sf)
 			return st
-		}, formDict, []byte{formDense, formDense}},
+		}, formDict, []byte{formDense, formDense}, same},
 		{"mask of another length than the matrix", func() *engine.State {
 			st := derivable()
 			st.Online.SfHist[1].Seen = []bool{true, false}
 			return st
-		}, formDict, []byte{formDense, formDense}},
+		}, formDict, []byte{formDense, formDense}, same},
 		{"window 3: two retained snapshots and the newest", func() *engine.State {
 			st := derivable()
 			st.Config.Window = 3
@@ -414,13 +569,13 @@ func TestMatrixForms(t *testing.T) {
 				{Time: 2, Sf: denseOf(3, 3, 1, 0, 0, 0, 1, 0, 0, 0, 1), Seen: []bool{true, true, false}},
 			}, st.Online.SfHist...)
 			return st
-		}, formDict, []byte{formDense, formDense, formDerived}},
+		}, formDict, []byte{formDense, formDense, formDerived}, same},
 		{"no history", func() *engine.State {
 			st := derivable()
 			st.Online.SfHist = nil
 			st.Online.UserIDs, st.Online.UserTimes, st.Online.UserRows = nil, nil, nil
 			return st
-		}, formDict, nil},
+		}, formDict, nil, same},
 		{"prior with more distinct rows than a dictionary holds", func() *engine.State {
 			st := derivable()
 			st.Sf0 = mat.NewDense(dictMaxRows+1, 3)
@@ -428,7 +583,7 @@ func TestMatrixForms(t *testing.T) {
 				st.Sf0.Set(i, 0, float64(i))
 			}
 			return st
-		}, formDense, []byte{formDense, formDerived}},
+		}, formDense, []byte{formDense, formDerived}, same},
 		{"prior with exactly as many", func() *engine.State {
 			st := derivable()
 			st.Sf0 = mat.NewDense(dictMaxRows+1, 3)
@@ -436,22 +591,22 @@ func TestMatrixForms(t *testing.T) {
 				st.Sf0.Set(i, 0, float64(i%dictMaxRows))
 			}
 			return st
-		}, formDict, []byte{formDense, formDerived}},
+		}, formDict, []byte{formDense, formDerived}, same},
 		{"prior wider than a dictionary row", func() *engine.State {
 			st := derivable()
 			st.Sf0 = mat.NewDense(2, dictMaxCols+1)
 			return st
-		}, formDense, []byte{formDense, formDerived}},
+		}, formDense, []byte{formDense, formDerived}, same},
 		{"empty prior", func() *engine.State {
 			st := derivable()
 			st.Sf0 = mat.NewDense(0, 3)
 			return st
-		}, formDict, []byte{formDense, formDerived}},
+		}, formDict, []byte{formDense, formDerived}, same},
 		{"no prior", func() *engine.State {
 			st := derivable()
 			st.Sf0 = nil
 			return st
-		}, formAbsent, []byte{formDense, formDerived}},
+		}, formAbsent, []byte{formDense, formDerived}, same},
 	} {
 		st := tc.state()
 		snap := mustEncode(t, st)
@@ -474,9 +629,9 @@ func TestMatrixForms(t *testing.T) {
 		if !nan && !reflect.DeepEqual(st, got) {
 			t.Fatalf("%s: round trip mismatch:\n want %+v\n got  %+v", tc.name, st, got)
 		}
-		sf0, hist := formsOf(t, snap)
-		if sf0 != tc.sf0 || !bytes.Equal(hist, tc.hist) {
-			t.Fatalf("%s: forms Sf0 %d, history %v; want %d, %v", tc.name, sf0, hist, tc.sf0, tc.hist)
+		sf0, cores, hist := formsOf(t, snap)
+		if sf0 != tc.sf0 || !bytes.Equal(hist, tc.hist) || !bytes.Equal(cores, tc.cores) {
+			t.Fatalf("%s: forms Sf0 %d, cores %v, history %v; want %d, %v, %v", tc.name, sf0, cores, hist, tc.sf0, tc.cores, tc.hist)
 		}
 	}
 }
@@ -498,26 +653,31 @@ func matrixData(st *engine.State) []float64 {
 	return out
 }
 
-// formsOf reads, off a version-4 snapshot's bytes, the form byte of Sf0
-// and of every feature snapshot.
-func formsOf(t *testing.T, snap []byte) (sf0 byte, hist []byte) {
+// formsOf reads, off a current-version snapshot's bytes, the form byte of
+// Sf0, of the two warm-start cores and of every feature snapshot.
+func formsOf(t *testing.T, snap []byte) (sf0 byte, cores, hist []byte) {
 	t.Helper()
 	payload := payloadOf(snap)
 	section := func(tag byte) *decoder {
 		body, size := findSection(t, payload, tag)
-		return &decoder{buf: payload[body : body+size], forms: true}
+		return &decoder{buf: payload[body : body+size], forms: true, packed: true}
 	}
 	d := section(tagVocab)
 	d.bool()
-	d.stringSlice()
+	d.stringList(true, false)
 	sf0 = d.form()
 
 	d = section(tagOnline)
 	d.bool()
 	d.byte()
 	d.uint()
-	d.dense()
-	d.dense()
+	for range 2 {
+		form := d.form()
+		cores = append(cores, form)
+		if form != formDerived {
+			d.matrix(form, false)
+		}
+	}
 	for n := d.uint(); n > 0; n-- {
 		d.int()
 		form := d.form()
@@ -530,7 +690,7 @@ func formsOf(t *testing.T, snap []byte) (sf0 byte, hist []byte) {
 	if d.err != nil {
 		t.Fatalf("walking the online section: %v", d.err)
 	}
-	return sf0, hist
+	return sf0, cores, hist
 }
 
 // formsState is fullState with a prior of two distinct rows (A B A) and a
@@ -559,8 +719,8 @@ func withoutSection(t testing.TB, payload []byte, tag byte) []byte {
 func TestMatrixFormsStrict(t *testing.T) {
 	good := mustEncode(t, formsState())
 	payload := payloadOf(good)
-	if sf0, hist := formsOf(t, good); sf0 != formDict || !bytes.Equal(hist, []byte{formDense, formDerived}) {
-		t.Fatalf("fixture forms: Sf0 %d, history %v", sf0, hist)
+	if sf0, cores, hist := formsOf(t, good); sf0 != formDict || !bytes.Equal(cores, []byte{formDense, formDense}) || !bytes.Equal(hist, []byte{formDense, formDerived}) {
+		t.Fatalf("fixture forms: Sf0 %d, cores %v, history %v", sf0, cores, hist)
 	}
 	// reject also holds each forgery to the check it was forged for: the
 	// offsets below are by hand, and a slip would still be corrupt somehow.
@@ -573,9 +733,10 @@ func TestMatrixFormsStrict(t *testing.T) {
 	}
 
 	// Sf0 sits in the vocab section after the frozen flag, the word count
-	// and three words of 3 + 4 + 6 letters: form, rows 3, cols 3, d 2, two
-	// 24-byte rows, indices 0 1 0.
-	const sf0At = 1 + 1 + 4 + 5 + 7
+	// and three words of 3 + 4 + 6 letters that share no prefix (a shared
+	// length and a length byte each): form, rows 3, cols 3, d 2, two 24-byte
+	// rows, indices 0 1 0.
+	const sf0At = 1 + 1 + 5 + 6 + 8
 	const idxAt = sf0At + 4 + 48
 	vocab, _ := findSection(t, payload, tagVocab)
 	if hdr := payload[vocab+sf0At:][:4]; !bytes.Equal(hdr, []byte{formDict, 3, 3, 2}) {
@@ -641,26 +802,242 @@ func TestMatrixFormsStrict(t *testing.T) {
 	behind := append(append(append([]byte(nil), without[:end]...), payload[factors-9:factors+fsize]...), tagEnd)
 	reject("derived before the factors section", "no factors Sf in front", behind)
 	reject("derived against absent factors Sf", "no factors Sf in front", spliceSection(t, payload, tagFactors, 0, 3+72, []byte{formAbsent}))
-	// With the newest entry stored, the same section orders decode: only
-	// the derived form needs the factors first.
-	dense := append([]byte{formDense, 3, 3}, make([]byte, 72)...)
-	ok := spliceSection(t, behind, tagOnline, newestAt+1, 1, dense)
-	if _, err := Decode(bytes.NewReader(reframe(Version, ok))); err != nil {
-		t.Fatalf("stored history in front of the factors section: %v", err)
+	// With the newest entry stored the online section reads without the
+	// factors in front of it, but the sections have one order: the factors
+	// section behind it is corrupt, as is every matrix stored although a
+	// smaller form holds it.
+	zeros := append([]byte{formDense, 3, 3}, make([]byte, 72)...)
+	reject("factors section behind the online section", "behind the online section", spliceSection(t, behind, tagOnline, newestAt+1, 1, zeros))
+	stored := spliceSection(t, payload, tagOnline, newestAt+1, 1, zeros)
+	st, err := Decode(bytes.NewReader(reframe(Version, stored)))
+	if err != nil {
+		t.Fatalf("stored newest entry that is not the last solve's: %v", err)
 	}
+	if !bytes.Equal(payloadOf(mustEncode(t, st)), stored) {
+		t.Fatal("stored newest entry: accepted, but the decoded state encodes to other bytes")
+	}
+	state := formsState()
+	e := &encoder{}
+	e.dense(state.Online.SfHist[1].Sf)
+	reject("derivable newest entry stored", "although the factors section determines it", spliceSection(t, payload, tagOnline, newestAt+1, 1, e.buf))
+	e = &encoder{}
+	e.dense(state.Sf0)
+	reject("prior stored dense within the dictionary's limits", "although a row dictionary holds it", spliceSection(t, payload, tagVocab, sf0At, 4+48+3, e.buf))
 
-	// Earlier versions know two values of the byte; a later version is not
-	// this build's to read.
-	_, err := Decode(bytes.NewReader(reframe(versionCompact, payload)))
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "invalid boolean") {
-		t.Fatalf("version-4 forms under a version-3 header: got %v, want ErrCorrupt: invalid boolean", err)
-	}
-	if _, err := Decode(bytes.NewReader(reframe(oldestVersion, payload))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("version-4 body under a version-2 header: got %v, want ErrCorrupt", err)
+	// An earlier version's header over the same bytes is corrupt, never
+	// half-read; a later version is not this build's to read.
+	for v := uint16(oldestVersion); v < Version; v++ {
+		if _, err := Decode(bytes.NewReader(reframe(v, payload))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("version-%d body under a version-%d header: got %v, want ErrCorrupt", Version, v, err)
+		}
 	}
 	_, err = Decode(bytes.NewReader(reframe(Version+1, payload)))
-	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "reads 2 through 4") {
-		t.Fatalf("version-5 header: got %v, want ErrVersion naming the readable range", err)
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "reads 2 through 5") {
+		t.Fatalf("version-6 header: got %v, want ErrVersion naming the readable range", err)
+	}
+}
+
+// TestPackedListsStrict: what version 5 added has one spelling too. A map's
+// key list that repeats a key used to decode to a smaller map (the later
+// pair overwrote the earlier) and re-encode to other bytes; now a key list
+// is strictly increasing, a shared length is the whole common prefix and no
+// longer than the word before, an id set ends in its largest member and
+// agrees with what follows it, an age reaches no further back than a
+// timestamp can say, and a derived core has a core to be. Everything else is
+// ErrCorrupt from a snapshot whose checksum is right — and every section
+// the forgeries start from is Encode's own bytes.
+func TestPackedListsStrict(t *testing.T) {
+	type word struct {
+		shared int
+		rest   string
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	words := func(ws ...word) []byte {
+		e := &encoder{}
+		e.uint(uint64(len(ws)))
+		for _, w := range ws {
+			e.uint(uint64(w.shared))
+			e.string(w.rest)
+		}
+		return e.buf
+	}
+	ints := func(vs ...int64) []byte {
+		e := &encoder{}
+		for _, v := range vs {
+			e.int(v)
+		}
+		return e.buf
+	}
+	uints := func(vs ...uint64) []byte {
+		e := &encoder{}
+		for _, v := range vs {
+			e.uint(v)
+		}
+		return e.buf
+	}
+	set := func(n uint64, bits ...byte) []byte { return append(uints(n), bits...) }
+	floats := func(n int) []byte { return make([]byte, 8*n) }
+	long := strings.Repeat("a", maxShared+4)
+
+	// Cores that are the factors section's, so they are written derived.
+	frozen := formsState()
+	frozen.Online.LastHp, frozen.Online.LastHu = frozen.LastFactors.Hp.Clone(), frozen.LastFactors.Hu.Clone()
+	unfrozen := &engine.State{
+		Config:      frozen.Config,
+		LexiconHit:  0.8,
+		MinDF:       2,
+		Lexicon:     map[string]int{"bad": 1, "good": 0},
+		VocabCounts: map[string]int{"bad": 2, "baz": 1},
+		VocabDocs:   3,
+		Users:       frozen.Users,
+		Online:      &core.OnlineState{},
+	}
+	hu := frozen.LastFactors.Hu
+	huDense := (&encoder{})
+	huDense.dense(hu)
+
+	// Where the forged bytes go. The vocab section of an unfrozen topic is
+	// flag, no words, no prior (a byte each), then the document-frequency
+	// map and the document count; the users section two names (1 + 4 + 3
+	// bytes), then the labels; the online section flag, generator, two draw
+	// bytes, the two cores; and, at its end, the user history of fullState:
+	// 1 + 1 + 2 + 2 + 3 + 72 bytes (see TestHostileCountsRejected), dated
+	// against a newest feature snapshot timed 4. The factors section is three
+	// dense 3x3 matrices.
+	const (
+		toEnd    = -1
+		countsAt = 3
+		labelsAt = 1 + 4 + 3
+		coresAt  = 1 + 1 + 2
+		histLen  = 1 + 1 + 2 + 2 + 3 + 72
+		matrix   = 3 + 72
+	)
+	mostNegative := uint64(4) + 1<<63 // the age of a row timed math.MinInt64
+
+	for _, tc := range []struct {
+		name   string
+		state  *engine.State
+		tag    byte
+		off, n int // the bytes replaced: n from off; a negative off counts from the section's end
+		body   []byte
+		why    string // "" if Decode must accept, and Encode must write the same bytes
+	}{
+		{"lexicon as Encode writes it", unfrozen, tagLexicon, 0, toEnd,
+			cat(words(word{0, "bad"}, word{0, "good"}), ints(1, 0)), ""},
+		{"repeated lexicon key", unfrozen, tagLexicon, 0, toEnd,
+			cat(words(word{0, "bad"}, word{3, ""}), ints(1, 0)), "not strictly increasing"},
+		{"lexicon keys out of order", unfrozen, tagLexicon, 0, toEnd,
+			cat(words(word{0, "good"}, word{0, "bad"}), ints(0, 1)), "not strictly increasing"},
+		{"a key that is a prefix of the key before it", unfrozen, tagLexicon, 0, toEnd,
+			cat(words(word{0, "bad"}, word{2, ""}), ints(1, 0)), "not strictly increasing"},
+		{"shared prefix longer than the word before", unfrozen, tagLexicon, 0, toEnd,
+			cat(words(word{0, "bad"}, word{4, "x"}), ints(1, 0)), "longer prefix than the word before it has"},
+		{"first word shares a prefix with nothing", unfrozen, tagLexicon, 0, toEnd,
+			cat(words(word{1, "ad"}, word{0, "good"}), ints(1, 0)), "longer prefix than the word before it has"},
+		{"shared prefix at the format's limit", unfrozen, tagLexicon, 0, toEnd,
+			cat(words(word{0, long}, word{maxShared, "aaab"}), ints(1, 0)), ""},
+		{"shared prefix past the format's limit", unfrozen, tagLexicon, 0, toEnd,
+			cat(words(word{0, long}, word{maxShared + 1, "aab"}), ints(1, 0)), "than the format allows"},
+		{"shared prefix shorter than the words share", unfrozen, tagLexicon, 0, toEnd,
+			cat(words(word{0, "bad"}, word{1, "az"}), ints(1, 0)), "than it says"},
+		{"lexicon section that holds nothing", unfrozen, tagLexicon, 0, toEnd, words(), "empty lexicon section"},
+		{"vocabulary counts as Encode writes them", unfrozen, tagVocab, countsAt, toEnd,
+			cat(words(word{0, "bad"}, word{2, "z"}), ints(2, 1), uints(3)), ""},
+		{"repeated vocabulary-count key", unfrozen, tagVocab, countsAt, toEnd,
+			cat(words(word{0, "bad"}, word{3, ""}), ints(2, 1), uints(3)), "not strictly increasing"},
+		// A vocabulary is a word list, not a key list: any order decodes
+		// (the engine holds its words to being distinct).
+		{"unsorted vocabulary", frozen, tagVocab, 1, 1 + 5 + 6 + 8,
+			words(word{0, "good"}, word{0, "bad"}, word{0, "prop37"}), ""},
+		{"vocabulary word hiding a shared prefix", frozen, tagVocab, 1, 1 + 5 + 6 + 8,
+			words(word{0, "bad"}, word{0, "bood"}, word{0, "prop37"}), "than it says"},
+
+		{"labels as Encode writes them", frozen, tagUsers, labelsAt, toEnd, cat(set(1, 0b1), ints(0)), ""},
+		{"no labelled user", frozen, tagUsers, labelsAt, toEnd, uints(0), ""},
+		{"both users labelled", frozen, tagUsers, labelsAt, toEnd, cat(set(2, 0b11), ints(0, -2)), ""},
+		{"id set longer than its largest member", frozen, tagUsers, labelsAt, toEnd,
+			cat(set(2, 0b01), ints(0)), "longer than its largest member"},
+		{"label for a user past the universe", frozen, tagUsers, labelsAt, toEnd,
+			cat(set(3, 0b101), ints(0, 1)), "past the universe"},
+		{"labelled user without a label", frozen, tagUsers, labelsAt, toEnd,
+			cat(set(1, 0b1), ints(-1)), "without a label"},
+		{"fewer labels than labelled users", frozen, tagUsers, labelsAt, toEnd,
+			cat(set(2, 0b11), ints(0)), "varint"},
+		{"more labels than labelled users", frozen, tagUsers, labelsAt, toEnd,
+			cat(set(1, 0b1), ints(0, 1)), "trailing bytes"},
+
+		// User history: rows, k, id set, counts when rows > users, ages, block.
+		{"history as Encode writes it", frozen, tagOnline, -histLen, toEnd,
+			cat(uints(3, 3), set(8, 0b10000001), uints(1, 2, 1, 1, 0), floats(9)), ""},
+		{"one row a user, no counts", frozen, tagOnline, -histLen, toEnd,
+			cat(uints(2, 3), set(8, 0b10000001), uints(1, 0), floats(6)), ""},
+		{"counts although every user holds one row", frozen, tagOnline, -histLen, toEnd,
+			cat(uints(2, 3), set(8, 0b10000001), uints(1, 1, 1, 0), floats(6)), "trailing bytes"},
+		{"more users than rows", frozen, tagOnline, -histLen, toEnd,
+			cat(uints(1, 3), set(8, 0b10000001), uints(0), floats(3)), "more users than rows"},
+		{"row counts short of the rows", frozen, tagOnline, -histLen, toEnd,
+			cat(uints(4, 3), set(8, 0b10000001), uints(1, 2, 1, 1, 0, 0), floats(12)), "do not add up"},
+		{"row counts past the rows", frozen, tagOnline, -histLen, toEnd,
+			cat(uints(3, 3), set(8, 0b10000001), uints(1, 3, 1, 1, 0), floats(9)), "do not add up"},
+		{"a user of the set with no rows", frozen, tagOnline, -histLen, toEnd,
+			cat(uints(3, 3), set(8, 0b10000001), uints(0, 3, 1, 1, 0), floats(9)), "do not add up"},
+		{"id set that stops short of its last byte", frozen, tagOnline, -histLen, toEnd,
+			cat(uints(3, 3), set(7, 0b10000001), uints(1, 2, 1, 1, 0), floats(9)), "bitset padding"},
+		{"a row as old as a timestamp can say", frozen, tagOnline, -histLen, toEnd,
+			cat(uints(3, 3), set(8, 0b10000001), uints(1, 2, mostNegative, 1, 0), floats(9)), ""},
+		{"a row older than that", frozen, tagOnline, -histLen, toEnd,
+			cat(uints(3, 3), set(8, 0b10000001), uints(1, 2, mostNegative+1, 1, 0), floats(9)), "older than a timestamp can say"},
+		// An unfrozen topic has no feature snapshot, and its history is the
+		// section's last byte: no rows.
+		{"history with no feature snapshot to date it", unfrozen, tagOnline, -1, toEnd,
+			cat(uints(1, 3), set(1, 0b1), uints(0), floats(3)), "without a feature snapshot"},
+
+		{"cores as Encode writes them", frozen, tagOnline, coresAt, 2, []byte{formDerived, formDerived}, ""},
+		{"core stored although the factors section holds it", frozen, tagOnline, coresAt + 1, 1,
+			huDense.buf, "although the factors section holds it"},
+		{"derived core the factors section holds none of", frozen, tagFactors, matrix, matrix,
+			[]byte{formAbsent}, "no such core"},
+		{"dictionary core", frozen, tagOnline, coresAt, 1, []byte{formDict}, "form not legal at this position"},
+	} {
+		payload := payloadOf(mustEncode(t, tc.state))
+		_, size := findSection(t, payload, tc.tag)
+		off, n := tc.off, tc.n
+		if off < 0 {
+			off += size
+		}
+		if n == toEnd {
+			n = size - off
+		}
+		forged := spliceSection(t, payload, tc.tag, off, n, tc.body)
+		st, err := Decode(bytes.NewReader(reframe(Version, forged)))
+		if tc.why == "" {
+			if err != nil {
+				t.Fatalf("%s: rejected: %v", tc.name, err)
+			}
+			if !bytes.Equal(payloadOf(mustEncode(t, st)), forged) {
+				t.Fatalf("%s: accepted, but the decoded state encodes to other bytes", tc.name)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.why) {
+			t.Fatalf("%s: got %v, want ErrCorrupt: %s", tc.name, err, tc.why)
+		}
+	}
+
+	// A derived core needs the factors section in front of it, whole.
+	payload := payloadOf(mustEncode(t, frozen))
+	_, err := Decode(bytes.NewReader(reframe(Version, withoutSection(t, payload, tagFactors))))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "no such core") {
+		t.Fatalf("derived core without a factors section: got %v, want ErrCorrupt: no such core", err)
+	}
+	// The lexicon section is optional from version 5 on, and no earlier.
+	bare := withoutSection(t, payloadOf(mustEncode(t, unfrozen)), tagLexicon)
+	st, err := Decode(bytes.NewReader(reframe(Version, bare)))
+	if err != nil || st.Lexicon != nil {
+		t.Fatalf("no lexicon section: %v, lexicon %v", err, st.Lexicon)
+	}
+	if !bytes.Equal(payloadOf(mustEncode(t, st)), bare) {
+		t.Fatal("a state without a lexicon does not encode to a snapshot without the section")
 	}
 }
 

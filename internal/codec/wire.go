@@ -147,14 +147,14 @@ func (d *WireDecoder) Float() float64 { return d.dec.float() }
 func (d *WireDecoder) String() string { return d.dec.string() }
 
 // StringSlice reads a length-prefixed string slice.
-func (d *WireDecoder) StringSlice() []string { return d.dec.stringSlice() }
+func (d *WireDecoder) StringSlice() []string { return d.dec.stringList(false, false) }
 
 // Tweet reads one tweet written by WireEncoder.Tweet.
 func (d *WireDecoder) Tweet() tgraph.Tweet {
 	var tw tgraph.Tweet
 	tw.Text = d.dec.string()
 	hasTokens := d.dec.bool()
-	tw.Tokens = d.dec.stringSlice()
+	tw.Tokens = d.dec.stringList(false, false)
 	if hasTokens && tw.Tokens == nil {
 		// The slice decoders canonicalize empty to nil; restore the
 		// explicit empty slice ("already tokenized, no features").

@@ -66,6 +66,12 @@ func (c Config) withDefaults() Config {
 	if c.Lexicon == nil {
 		c.Lexicon = lexicon.Builtin()
 	}
+	return c.withScalarDefaults()
+}
+
+// withScalarDefaults fills every default but the lexicon, which Validate
+// does not look at and a frozen restore does not have.
+func (c Config) withScalarDefaults() Config {
 	if c.LexiconHit == 0 {
 		c.LexiconHit = 0.8
 	}
@@ -96,7 +102,7 @@ func (c Config) Validate() error {
 	if c.MinDF < 0 {
 		return fmt.Errorf("engine: MinDF must not be negative (got %d)", c.MinDF)
 	}
-	d := c.withDefaults()
+	d := c.withScalarDefaults()
 	if err := d.Online.Validate(); err != nil {
 		return err
 	}
@@ -127,7 +133,7 @@ func onlineUnset(c core.OnlineConfig) bool {
 // NewModel; derive per-stream state with NewSession.
 type Model struct {
 	cfg       core.OnlineConfig
-	lex       *lexicon.Lexicon
+	lex       *lexicon.Lexicon // read by the freeze only; nil in a model restored frozen
 	hit       float64
 	weighting text.Weighting
 	minDF     int

@@ -29,8 +29,10 @@ type State struct {
 	MinDF      int
 	LexiconHit float64
 	Tokenizer  text.TokenizerOptions
-	// Lexicon is the word→class map seeding Sf0 (needed again only if the
-	// vocabulary is not yet frozen).
+	// Lexicon is the word→class map that seeds Sf0 at the vocabulary
+	// freeze. Nil once Frozen: Sf0 below is authoritative from then on and
+	// nothing reads the lexicon again, so ExportState leaves it out and
+	// RestoreSession ignores one an older snapshot still carries.
 	Lexicon map[string]int
 
 	// Frozen reports whether the vocabulary is fixed. When true,
@@ -92,7 +94,6 @@ func (s *Session) ExportState() *State {
 		Tokenizer: s.model.tok.Options(),
 	}
 	st.LexiconHit = s.model.hit
-	st.Lexicon = s.model.lex.Entries()
 	st.Conform = s.prof.Clone()
 
 	s.model.mu.RLock()
@@ -102,6 +103,7 @@ func (s *Session) ExportState() *State {
 		st.VocabWords = s.model.vocab.Words()
 		st.Sf0 = s.model.sf0.Clone()
 	} else {
+		st.Lexicon = s.model.lex.Entries()
 		st.VocabCounts = s.model.vb.Counts()
 		st.VocabDocs = s.model.vb.Docs()
 	}
@@ -126,9 +128,14 @@ func RestoreSession(st *State) (*Session, error) {
 		return nil, fmt.Errorf("engine: negative counters in state (batches=%d, skips=%d, docs=%d)",
 			st.Batches, st.Skips, st.VocabDocs)
 	}
-	lex, err := lexicon.FromEntries(st.Lexicon)
-	if err != nil {
-		return nil, fmt.Errorf("engine: restore lexicon: %w", err)
+	// Only the freeze reads the lexicon: a frozen state needs none, and one
+	// it carries (snapshots before format version 5 did) is not rebuilt.
+	var lex *lexicon.Lexicon
+	if !st.Frozen {
+		var err error
+		if lex, err = lexicon.FromEntries(st.Lexicon); err != nil {
+			return nil, fmt.Errorf("engine: restore lexicon: %w", err)
+		}
 	}
 	// A snapshot is framed and checksummed but not signed: hold its
 	// configuration to the same contract NewTopic enforces, so a crafted

@@ -98,9 +98,9 @@ func (osFS) SyncDir(_, dir string) error {
 // (same representation), so the passthrough adds no allocation per open.
 type osFile os.File
 
-func (f *osFile) Write(_ string, p []byte) (int, error)  { return (*os.File)(f).Write(p) }
-func (f *osFile) Sync(_ string) error                    { return (*os.File)(f).Sync() }
-func (f *osFile) Truncate(_ string, size int64) error    { return (*os.File)(f).Truncate(size) }
+func (f *osFile) Write(_ string, p []byte) (int, error) { return (*os.File)(f).Write(p) }
+func (f *osFile) Sync(_ string) error                   { return (*os.File)(f).Sync() }
+func (f *osFile) Truncate(_ string, size int64) error   { return (*os.File)(f).Truncate(size) }
 func (f *osFile) Seek(off int64, whence int) (int64, error) {
 	return (*os.File)(f).Seek(off, whence)
 }

@@ -266,10 +266,17 @@ func TestScanClassification(t *testing.T) {
 // TestUpgradeFromVersion3DataDir is the format upgrade as a daemon lives
 // it: a data dir the last version-3 build left behind — the golden topic's
 // snapshot, every matrix stored, with its journal — loads without a
-// quarantine and answers as the golden topic, and the next compaction
-// leaves the version-4 golden fixture on disk, byte for byte, with the
-// journal restarted against it.
-func TestUpgradeFromVersion3DataDir(t *testing.T) {
+// quarantine and answers as the golden topic (same stream position, so the
+// same ETags), and the next compaction leaves the current version's golden
+// fixture on disk, byte for byte, with the journal restarted against it.
+func TestUpgradeFromVersion3DataDir(t *testing.T) { upgradeDataDir(t, "golden_v3.snap") }
+
+// TestUpgradeFromVersion4DataDir: the same for what the last version-4
+// build left behind — the lexicon of a frozen topic still in the file,
+// plain word lists, a record per user of history.
+func TestUpgradeFromVersion4DataDir(t *testing.T) { upgradeDataDir(t, "golden_v4.snap") }
+
+func upgradeDataDir(t *testing.T, earlier string) {
 	fixture := func(file string) []byte {
 		t.Helper()
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", file))
@@ -278,12 +285,12 @@ func TestUpgradeFromVersion3DataDir(t *testing.T) {
 		}
 		return data
 	}
-	v3, v4 := fixture("golden_v3.snap"), fixture("golden_v4.snap")
+	old, current := fixture(earlier), fixture("golden_v5.snap")
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "t.snap"), v3, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "t.snap"), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jw, err := journal.Create(fault.OS, filepath.Join(dir, "t.journal"), codec.Checksum(v3))
+	jw, err := journal.Create(fault.OS, filepath.Join(dir, "t.journal"), codec.Checksum(old))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +303,12 @@ func TestUpgradeFromVersion3DataDir(t *testing.T) {
 	}
 	rt := found.Topics["t"]
 	if rt == nil || st.Quarantined() != 0 {
-		t.Fatalf("version-3 data dir: topics %q, %d files quarantined", sortedKeys(found.Topics), st.Quarantined())
+		t.Fatalf("%s data dir: topics %q, %d files quarantined", earlier, sortedKeys(found.Topics), st.Quarantined())
 	}
-	if rt.SnapCRC != codec.Checksum(v3) || rt.Replayed != 0 {
+	if rt.SnapCRC != codec.Checksum(old) || rt.Replayed != 0 {
 		t.Fatalf("restored as %+v", rt)
 	}
-	want, err := triclust.Restore(bytes.NewReader(v4))
+	want, err := triclust.Restore(bytes.NewReader(current))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,16 +336,16 @@ func TestUpgradeFromVersion3DataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(onDisk, v4) {
-		t.Fatalf("compaction left %d bytes that differ from the %d-byte version-4 fixture", len(onDisk), len(v4))
+	if !bytes.Equal(onDisk, current) {
+		t.Fatalf("compaction left %d bytes that differ from the %d-byte current fixture", len(onDisk), len(current))
 	}
 	j, err := journal.Load(fault.OS, filepath.Join(dir, "t.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.SnapCRC != codec.Checksum(v4) || len(j.Records) != 0 {
+	if j.SnapCRC != codec.Checksum(current) || len(j.Records) != 0 {
 		t.Fatalf("journal extends snapshot %08x with %d records, want %08x (the new file) and none",
-			j.SnapCRC, len(j.Records), codec.Checksum(v4))
+			j.SnapCRC, len(j.Records), codec.Checksum(current))
 	}
 	if left := tempFiles(t, dir); len(left) != 0 {
 		t.Fatalf("upgrade left temp files: %v", left)

@@ -122,6 +122,18 @@ if [ -e "cmd/$retired" ] || grep -rn -- "$retired" scripts/ >&2; then
     fail=1
 fi
 
+# A snapshot is opaque outside internal/codec: the store moves it, the
+# daemon ships it, the benchmark weighs it. A section tag or a matrix form
+# named anywhere else means some other package has started to parse one.
+inside=$(grep -rnwE --include='*.go' \
+    'tag(End|Config|Lexicon|Vocab|Users|Counter|Online|Factors|Epoch|Conform)|form(Absent|Dense|Dict|Derived)' . \
+    | grep -v '^\./internal/codec/' || true)
+if [ -n "$inside" ]; then
+    echo "BOUNDARY: snapshot section tags and matrix forms are internal/codec's alone:" >&2
+    echo "$inside" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "arch-boundaries-check: FAILED" >&2
     exit 1

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"triclust"
 	"triclust/internal/codec"
 	"triclust/internal/engine"
+	"triclust/internal/mat"
 	"triclust/internal/synth"
 )
 
@@ -243,9 +245,35 @@ func TestSnapshotIsAFunctionOfTheStream(t *testing.T) {
 		}
 	}
 
+	// Nor does the version of the snapshot it was restored from show: the
+	// version-4 fixture holds the golden stream after its two batches, and
+	// the lexicon a frozen topic stored then. Fed a third batch, it ends on
+	// the bytes of the golden topic that never restored.
+	written, err := os.ReadFile(formsGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upgraded, err := triclust.Restore(bytes.NewReader(written))
+	if err != nil {
+		t.Fatal(err)
+	}
+	never := goldenTopic(t)
+	third := []triclust.Tweet{
+		{Tokens: []string{"love", "prop37"}, User: 0, Time: 2, RetweetOf: -1, Label: triclust.NoLabel},
+		{Tokens: []string{"awful", "scam"}, User: 2, Time: 2, RetweetOf: -1, Label: triclust.NoLabel},
+	}
+	for _, tp := range []*triclust.Topic{upgraded, never} {
+		if _, err := tp.Process(2, third); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snapshotBytes(t, upgraded), snapshotBytes(t, never)) {
+		t.Fatal("a topic restored from a version-4 snapshot mid-stream ends on other bytes than one that never restored")
+	}
+
 	// Every user tweets in every batch, for n batches and then n more. The
 	// counters and timestamps are varints and may gain a byte each; one
-	// leaked row per user would be some 40 × 27 bytes.
+	// leaked row per user would be some 40 × 25 bytes.
 	const n = 6
 	everyone := make([]triclust.Tweet, len(d.Corpus.Users))
 	steady := fresh()
@@ -361,18 +389,111 @@ func TestSnapshotElidesOnlyWhatTheRestDetermines(t *testing.T) {
 	if got := decode(encode(st)); !reflect.DeepEqual(got, st) {
 		t.Fatal("no last factors: state does not round-trip")
 	}
+
+	// Nothing dead: once the vocabulary is frozen nothing reads the lexicon,
+	// and the snapshot holds none; before, the freeze still needs it.
+	const k = 3
+	frozen := decode(snapshotBytes(t, stream(2, 3)))
+	if !frozen.Frozen || frozen.Lexicon != nil {
+		t.Fatalf("frozen topic stores %d lexicon entries", len(frozen.Lexicon))
+	}
+	warming, err := triclust.NewTopic(d.Corpus.Users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warming.WarmupVocabulary("prop37 labeling ballot", "prop37 vote yes"); err != nil {
+		t.Fatal(err)
+	}
+	unfrozen := snapshotBytes(t, warming)
+	if st := decode(unfrozen); st.Frozen || len(st.Lexicon) == 0 || !bytes.Equal(encode(st), unfrozen) {
+		t.Fatalf("unfrozen topic: frozen %v, %d lexicon entries; want the lexicon, and the same bytes back", st.Frozen, len(st.Lexicon))
+	}
+	if tp, err := triclust.Restore(bytes.NewReader(unfrozen)); err != nil || !bytes.Equal(snapshotBytes(t, tp), unfrozen) {
+		t.Fatalf("unfrozen topic does not restore to the same bytes: %v", err)
+	}
+
+	// Nothing twice: after a Process the warm-start cores are the last
+	// solve's, and cost a form byte each; one bit apart, a core is stored —
+	// form, two dimensions, k×k floats.
+	snap := snapshotBytes(t, stream(2, 3))
+	st = decode(snap)
+	if !reflect.DeepEqual(st.Online.LastHp, st.LastFactors.Hp) || !reflect.DeepEqual(st.Online.LastHu, st.LastFactors.Hu) {
+		t.Fatal("the warm-start cores are not the last solve's after a Process")
+	}
+	hp := st.Online.LastHp.Data()
+	hp[0] = math.Nextafter(hp[0], 2)
+	perturbed := encode(st)
+	if grew, core := len(perturbed)-len(snap), 2+8*k*k; grew != core {
+		t.Fatalf("a warm-start core one bit off the last solve's costs %d bytes more, want %d (stored)", grew, core)
+	}
+	if got := decode(perturbed); !reflect.DeepEqual(got, st) {
+		t.Fatal("perturbed core: state does not round-trip")
+	}
+
+	// A position is a position: at the default window a user holds one row
+	// and the history has no counts; at window 3 some hold two and every
+	// user has one. Cutting those users back to their newest row saves the
+	// rows cut (an age byte and k floats each) and every count.
+	wide := snapshotBytes(t, stream(3, 4))
+	st = decode(wide)
+	o := st.Online
+	keep, users := make([]int, 0, len(o.UserIDs)), 0
+	for i, g := range o.UserIDs {
+		if i+1 == len(o.UserIDs) || o.UserIDs[i+1] != g {
+			keep = append(keep, i)
+			users++
+		}
+	}
+	cut := len(o.UserIDs) - users
+	if cut == 0 {
+		t.Fatal("window 3: no user holds two rows")
+	}
+	if one := decode(snapshotBytes(t, stream(2, 3))).Online; len(one.UserIDs) == 0 || one.UserRows.Rows() != len(one.UserIDs) {
+		t.Fatal("default window: no history")
+	} else {
+		for i := 1; i < len(one.UserIDs); i++ {
+			if one.UserIDs[i] == one.UserIDs[i-1] {
+				t.Fatalf("default window: user %d holds two rows", one.UserIDs[i])
+			}
+		}
+	}
+	ids, times, rows := make([]int, users), make([]int, users), make([]float64, 0, users*k)
+	for at, i := range keep {
+		ids[at], times[at] = o.UserIDs[i], o.UserTimes[i]
+		rows = append(rows, o.UserRows.Row(i)...)
+	}
+	o.UserIDs, o.UserTimes, o.UserRows = ids, times, mat.NewDenseData(users, k, rows)
+	if saved, want := len(wide)-len(encode(st)), cut*(1+8*k)+users; saved != want {
+		t.Fatalf("window 3: one row a user saves %d bytes, want %d (%d rows and %d counts)", saved, want, cut, users)
+	}
+	// The version-3 builds that kept a row more than a later step can read
+	// wrote such a history at the default window: it still decodes, and the
+	// codec gives every row of it back.
+	written, err := os.ReadFile(wideGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = decode(written)
+	if got := decode(encode(st)); !reflect.DeepEqual(got, st) {
+		t.Fatal("golden_v3_wide_history: state does not round-trip through the current version")
+	}
+	if ids := st.Online.UserIDs; len(ids) != 4 || ids[1] != ids[2] {
+		t.Fatalf("golden_v3_wide_history: user ids %v, want bob to hold two rows", ids)
+	}
 }
 
 // TestSnapshotGrowthPerWord: at the default window a frozen word costs a
-// snapshot its string, one row of the last solve's Sf (8k bytes), one
-// dictionary index of the prior and one mask bit — not the three stored
-// matrix rows (24k) it cost while the prior and the newest feature
-// snapshot were stored too. A silent fall-back to dense anywhere fails
-// here.
+// snapshot one row of the last solve's Sf (8k bytes), the part of it the
+// word before it does not start with (front coding: two length bytes and
+// the suffix), one dictionary index of the prior and one mask bit — not the
+// three stored matrix rows (24k) it cost while the prior and the newest
+// feature snapshot were stored too, and not its every byte. A silent
+// fall-back to dense, or to plain strings, anywhere fails here.
 func TestSnapshotGrowthPerWord(t *testing.T) {
 	d := demoCorpus(t, 23)
 	batches := dayBatches(d, 8)
 	const extra, wordLen = 64, 8
+	word := func(i int) string { return fmt.Sprintf("zz%0*d", wordLen-2, i) }
 	size := func(more int) (bytes, words int) {
 		t.Helper()
 		cfg := triclust.OnlineConfig{}
@@ -388,7 +509,7 @@ func TestSnapshotGrowthPerWord(t *testing.T) {
 			warm = append(warm, tw.Tokens)
 		}
 		for i := 0; i < more; i++ {
-			warm = append(warm, []string{fmt.Sprintf("zz%0*d", wordLen-2, i)})
+			warm = append(warm, []string{word(i)})
 		}
 		if err := tp.WarmupTokenized(warm); err != nil {
 			t.Fatal(err)
@@ -408,11 +529,72 @@ func TestSnapshotGrowthPerWord(t *testing.T) {
 	if w2 != w+extra {
 		t.Fatalf("vocabulary grew from %d to %d words, want %d more", w, w2, extra)
 	}
+	// The added words sort behind the rest, one after the other: the first
+	// may share nothing with the word before it, every other all but the
+	// digits that changed.
+	suffixes := wordLen
+	for i := 1; i < extra; i++ {
+		a, b := word(i-1), word(i)
+		for a[0] == b[0] {
+			a, b = a[1:], b[1:]
+		}
+		suffixes += len(b)
+	}
 	const k = 3
 	t.Logf("%d more words: %d -> %d bytes, %.1f a word", extra, small, large, float64(large-small)/extra)
-	if perWord := 8*k + 1 + wordLen + 2; large-small > extra*perWord {
-		t.Fatalf("%d more words grew the snapshot from %d to %d bytes: %.1f a word, want <= %d",
-			extra, small, large, float64(large-small)/extra, perWord)
+	// Sf row, shared length, suffix length, dictionary index; suffix; mask bit.
+	if limit := extra*(8*k+3) + suffixes + extra/8; large-small > limit {
+		t.Fatalf("%d more words grew the snapshot from %d to %d bytes: %d, want <= %d (%d of it suffixes)",
+			extra, small, large, large-small, limit, suffixes)
+	}
+}
+
+// TestSnapshotGrowthPerUser is its twin for the other axis a topic grows
+// along: a further user with history costs a snapshot the name, one row of
+// k floats, the row's age (one byte: a row is as old as the user's silence,
+// and the solver keeps none older than the window allows, except each
+// user's newest) and one bit of the set of users that hold rows — not an
+// id, a row count, a timestamp and a row length on top, and no label byte
+// for a user without one.
+func TestSnapshotGrowthPerUser(t *testing.T) {
+	const base, extra, nameLen, k = 40, 360, 6, 3
+	words := []string{"love", "prop37", "win", "awful", "scam", "label", "vote"}
+	size := func(numUsers int) int {
+		t.Helper()
+		users := make([]triclust.User, numUsers)
+		for i := range users {
+			users[i] = triclust.User{Name: fmt.Sprintf("u%0*d", nameLen-1, i), Label: triclust.NoLabel}
+		}
+		cfg := triclust.OnlineConfig{}
+		cfg.MaxIter = 3
+		tp, err := triclust.NewTopic(users, triclust.WithSolverConfig(cfg), triclust.WithMinDF(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ts := 0; ts < 3; ts++ {
+			batch := make([]triclust.Tweet, numUsers) // every user tweets
+			for u := range batch {
+				batch[u] = triclust.Tweet{
+					Tokens: []string{words[(u+ts)%len(words)], words[(u+2*ts+1)%len(words)]},
+					User:   u, Time: ts, RetweetOf: -1, Label: triclust.NoLabel,
+				}
+			}
+			if _, err := tp.Process(ts, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tp.KnownUsers() != numUsers {
+			t.Fatalf("%d of %d users have history", tp.KnownUsers(), numUsers)
+		}
+		return len(snapshotBytes(t, tp))
+	}
+	small, large := size(base), size(base+extra)
+	t.Logf("%d more users: %d -> %d bytes, %.1f a user", extra, small, large, float64(large-small)/extra)
+	// Name with its length, row, age; a bit; and the few counts that gain a
+	// byte (users, rows, the set's size).
+	if limit := extra*(1+nameLen+8*k+1) + extra/8 + 8; large-small > limit {
+		t.Fatalf("%d more users grew the snapshot from %d to %d bytes: %d, want <= %d",
+			extra, small, large, large-small, limit)
 	}
 }
 
@@ -635,7 +817,10 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 // when its checksum is right. History for a user id the topic's universe
 // does not have would be answered by UserEstimate, counted by KnownUsers
 // and carried into every later snapshot — and the solver indexes its
-// history by that id — so Restore must turn the snapshot away.
+// history by that id — so Restore must turn the snapshot away. Since format
+// version 5 the ids that hold history are a bitset: an id past the universe
+// is a bit past it, which the snapshot can say and Restore refuses; a
+// negative id is not a position at all, and Encode refuses to write one.
 func TestRestoreRejectsForeignUserHistory(t *testing.T) {
 	d := demoCorpus(t, 9)
 	tp, err := triclust.NewTopic(d.Corpus.Users)
@@ -646,23 +831,30 @@ func TestRestoreRejectsForeignUserHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := snapshotBytes(t, tp)
-	for name, forge := range map[string]func(ids []int){
-		"negative id":      func(ids []int) { ids[0] = -1 },
-		"id past universe": func(ids []int) { ids[len(ids)-1] = 1 << 40 },
-	} {
+	forge := func(forge func(ids []int)) ([]byte, error) {
+		t.Helper()
 		st, err := codec.Decode(bytes.NewReader(good))
 		if err != nil {
 			t.Fatal(err)
 		}
 		forge(st.Online.UserIDs)
 		var forged bytes.Buffer
-		if err := codec.Encode(&forged, st); err != nil {
-			t.Fatal(err)
-		}
-		_, err = triclust.Restore(bytes.NewReader(forged.Bytes()))
-		if err == nil || errors.Is(err, codec.ErrCorrupt) {
-			t.Fatalf("%s: Restore returned %v, want a state-validation error", name, err)
-		}
+		err = codec.Encode(&forged, st)
+		return forged.Bytes(), err
+	}
+	past, err := forge(func(ids []int) { ids[len(ids)-1] = len(d.Corpus.Users) })
+	if err != nil {
+		t.Fatalf("id past universe: Encode: %v", err)
+	}
+	_, err = triclust.Restore(bytes.NewReader(past))
+	if err == nil || errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("id past universe: Restore returned %v, want a state-validation error", err)
+	}
+	if _, err := forge(func(ids []int) { ids[0] = -1 }); err == nil {
+		t.Fatal("negative id: Encode wrote a history the format has no encoding for")
+	}
+	if _, err := forge(func(ids []int) { ids[len(ids)-1] = 1 << 40 }); err == nil {
+		t.Fatal("id past any universe: Encode sized a bitset by it")
 	}
 }
 
