@@ -293,7 +293,7 @@ func BenchmarkSpMMTranspose(b *testing.B) {
 	spDense := xp.MulDense(dense) // n×k
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := xp.MulTDense(spDense); out.Rows() != xp.Cols() {
+		if out := xp.MulTDenseInto(nil, spDense); out.Rows() != xp.Cols() {
 			b.Fatal("bad dims")
 		}
 	}

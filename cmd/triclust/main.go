@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"triclust"
-	"triclust/internal/core"
 	"triclust/internal/eval"
 	"triclust/internal/par"
 	"triclust/internal/synth"
@@ -31,7 +30,7 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "corpus JSON (default: generate a demo corpus)")
+	in := flag.String("in", "", "corpus file: .json, .csv or .tsv (default: generate a demo corpus)")
 	online := flag.Bool("online", false, "run the online algorithm over daily snapshots")
 	k := flag.Int("k", 3, "number of sentiment classes (2 or 3)")
 	alpha := flag.Float64("alpha", -1, "lexicon/temporal-feature weight α (default per mode)")
@@ -84,17 +83,21 @@ func loadCorpus(path string) (*triclust.Corpus, error) {
 }
 
 func runOffline(corpus *triclust.Corpus, k int, alpha, beta float64, maxIter int, seed int64, top int) {
-	opts := triclust.DefaultOptions()
-	opts.Config.K = k
+	cfg := triclust.DefaultConfig()
+	cfg.K = k
 	if alpha >= 0 {
-		opts.Config.Alpha = alpha
+		cfg.Alpha = alpha
 	}
-	opts.Config.Beta = beta
-	opts.Config.MaxIter = maxIter
-	opts.Config.Seed = seed
+	cfg.Beta = beta
+	cfg.MaxIter = maxIter
+	cfg.Seed = seed
+	topic, err := triclust.NewTopic(nil, triclust.WithSolverConfig(triclust.OnlineConfig{Config: cfg}))
+	if err != nil {
+		fatal(err)
+	}
 
 	start := time.Now()
-	res, err := triclust.Fit(corpus, opts)
+	res, err := topic.FitCorpus(corpus)
 	if err != nil {
 		fatal(err)
 	}
@@ -102,11 +105,11 @@ func runOffline(corpus *triclust.Corpus, k int, alpha, beta float64, maxIter int
 		res.Iterations, res.Converged, time.Since(start).Round(time.Millisecond))
 
 	reportAccuracy(res, corpus)
-	showExamples(res, corpus, top)
+	showExamples(res, corpus, k, top)
 }
 
 func runOnline(corpus *triclust.Corpus, k int, alpha, beta, gamma, tau float64, maxIter int, seed int64) {
-	cfg := core.DefaultOnlineConfig()
+	cfg := triclust.DefaultOnlineConfig()
 	cfg.K = k
 	if alpha >= 0 {
 		cfg.Alpha = alpha
@@ -116,10 +119,7 @@ func runOnline(corpus *triclust.Corpus, k int, alpha, beta, gamma, tau float64, 
 	cfg.Tau = tau
 	cfg.MaxIter = maxIter
 	cfg.Seed = seed
-	sopts := triclust.DefaultStreamOptions()
-	sopts.Config = cfg
-
-	st, err := triclust.NewStream(corpus.Users, sopts)
+	st, err := triclust.NewTopic(corpus.Users, triclust.WithSolverConfig(cfg))
 	if err != nil {
 		fatal(err)
 	}
@@ -129,13 +129,10 @@ func runOnline(corpus *triclust.Corpus, k int, alpha, beta, gamma, tau float64, 
 	}
 	total := time.Duration(0)
 	for day := lo; day <= hi; day++ {
-		var batch []triclust.Tweet
-		for _, tw := range corpus.Tweets {
-			if tw.Time == day {
-				tw.RetweetOf = -1
-				batch = append(batch, tw)
-			}
-		}
+		// Slice remaps same-day retweet targets to batch-local indices and
+		// drops targets posted on another day, as Process expects.
+		sub, _ := corpus.Slice(day, day+1)
+		batch := sub.Tweets
 		if len(batch) == 0 {
 			continue
 		}
@@ -178,11 +175,11 @@ func reportAccuracy(res *triclust.Result, corpus *triclust.Corpus) {
 	}
 }
 
-func showExamples(res *triclust.Result, corpus *triclust.Corpus, top int) {
+func showExamples(res *triclust.Result, corpus *triclust.Corpus, k, top int) {
 	if top <= 0 {
 		return
 	}
-	for cls := 0; cls < 3; cls++ {
+	for cls := 0; cls < k; cls++ {
 		fmt.Printf("examples (%s):\n", triclust.ClassName(cls))
 		shown := 0
 		for i, s := range res.TweetSentiments {

@@ -793,11 +793,8 @@ func shipReplicaFrames(t *testing.T, s *server) (acked int, crash *fault.Crash) 
 			Batches: 3, RandDraws: 30, Tail: tailFrame(t, 3, 3, 30)},
 	}
 	for _, fr := range frames {
-		var body bytes.Buffer
-		if err := codec.EncodeReplAppend(&body, fr); err != nil {
-			t.Fatalf("EncodeReplAppend: %v", err)
-		}
-		req := httptest.NewRequest("POST", "/v1/replica/"+mxTopic+"/append", &body)
+		body := bytes.NewReader(codec.AppendReplAppend(nil, fr))
+		req := httptest.NewRequest("POST", "/v1/replica/"+mxTopic+"/append", body)
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {

@@ -344,13 +344,10 @@ func (r *replicator) resyncLoop() {
 // because the follower acknowledges a duplicate delivery (a retry whose
 // first response was lost) idempotently.
 func (r *replicator) post(peer, name string, fr *codec.ReplAppend, attempts int) (replAck, error) {
-	var buf bytes.Buffer
-	if err := codec.EncodeReplAppend(&buf, fr); err != nil {
-		return replAck{}, err
-	}
 	var ack replAck
 	err := r.s.peers.call(peerCall{
-		method: http.MethodPost, peer: peer, path: "/v1/replica/" + name + "/append", body: buf.Bytes(),
+		method: http.MethodPost, peer: peer, path: "/v1/replica/" + name + "/append",
+		body:    codec.AppendReplAppend(nil, fr),
 		header:  http.Header{"Content-Type": {mediaTypeSnapshot}},
 		timeout: defaultShipTimeout, attempts: attempts,
 	}, &ack)

@@ -47,11 +47,8 @@ func replTestServer(t *testing.T) (*server, string) {
 // code (otherwise), and the response headers.
 func postReplFrame(t *testing.T, s *server, name string, fr *codec.ReplAppend) (int, replAck, string, http.Header) {
 	t.Helper()
-	var body bytes.Buffer
-	if err := codec.EncodeReplAppend(&body, fr); err != nil {
-		t.Fatalf("EncodeReplAppend: %v", err)
-	}
-	req := httptest.NewRequest("POST", "/v1/replica/"+name+"/append", &body)
+	body := bytes.NewReader(codec.AppendReplAppend(nil, fr))
+	req := httptest.NewRequest("POST", "/v1/replica/"+name+"/append", body)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	var ack replAck
@@ -86,11 +83,8 @@ func TestReplicaEndpointsRequireReplication(t *testing.T) {
 	_, hs := testServer(t, t.TempDir())
 	client := hs.Client()
 
-	var body bytes.Buffer
-	if err := codec.EncodeReplAppend(&body, &codec.ReplAppend{Source: "http://x", SnapCRC: codec.Checksum(nil)}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Post(hs.URL+"/v1/replica/some-topic/append", "application/octet-stream", &body)
+	body := bytes.NewReader(codec.AppendReplAppend(nil, &codec.ReplAppend{Source: "http://x", SnapCRC: codec.Checksum(nil)}))
+	resp, err := client.Post(hs.URL+"/v1/replica/some-topic/append", "application/octet-stream", body)
 	if err != nil {
 		t.Fatal(err)
 	}

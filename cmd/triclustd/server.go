@@ -366,7 +366,7 @@ type topicOptions struct {
 }
 
 func (o topicOptions) onlineConfig() triclust.OnlineConfig {
-	cfg := triclust.DefaultStreamOptions().Config
+	cfg := triclust.DefaultOnlineConfig()
 	if o.K != 0 {
 		cfg.K = o.K
 	}

@@ -44,7 +44,7 @@ func conformBatch(ts, tokensPerTweet int) []triclust.Tweet {
 
 func conformTopic(t *testing.T, mode triclust.ConformanceMode) *triclust.Topic {
 	t.Helper()
-	cfg := triclust.DefaultStreamOptions().Config
+	cfg := triclust.DefaultOnlineConfig()
 	cfg.MaxIter = 5
 	cfg.Seed = 7
 	tp, err := triclust.NewTopic(conformUsers(), triclust.WithSolverConfig(cfg))

@@ -18,12 +18,17 @@ func Example() {
 			{Text: "dangerous lies, fear and failure", User: 1, RetweetOf: -1, Label: triclust.NoLabel},
 		},
 	}
-	opts := triclust.DefaultOptions()
-	opts.MinDF = 1
-	opts.Config.K = 2
-	opts.Config.Seed = 1
-
-	res, err := triclust.Fit(corpus, opts)
+	cfg := triclust.DefaultConfig()
+	cfg.K = 2
+	cfg.Seed = 1
+	topic, err := triclust.NewTopic(nil,
+		triclust.WithSolverConfig(triclust.OnlineConfig{Config: cfg}),
+		triclust.WithMinDF(1))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	res, err := topic.FitCorpus(corpus)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

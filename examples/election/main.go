@@ -62,15 +62,13 @@ func main() {
 	fmt.Println("day  n(t)  users  time      tweet-acc  tracked-user")
 	var total time.Duration
 	for day := 0; day < cfg.Days; day++ {
-		var batch []triclust.Tweet
-		var truth []int
-		for i, tw := range d.Corpus.Tweets {
-			if tw.Time != day {
-				continue
-			}
-			tw.RetweetOf = -1
-			batch = append(batch, tw)
-			truth = append(truth, d.TweetClass[i])
+		// Slice keeps the day's retweet edges: same-day targets become
+		// batch-local indices, targets posted on another day become -1.
+		sub, global := d.Corpus.Slice(day, day+1)
+		batch := sub.Tweets
+		truth := make([]int, len(batch))
+		for i, g := range global {
+			truth[i] = d.TweetClass[g]
 		}
 		if day == snapDay {
 			// Durable checkpoint right before the burst: the snapshot

@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"triclust/internal/core"
 	"triclust/internal/eval"
 	"triclust/internal/lexicon"
 	"triclust/internal/sparse"
@@ -271,7 +272,8 @@ func TestAggregateUserFromTweets(t *testing.T) {
 func TestMiniBatchAndFullBatchRun(t *testing.T) {
 	d, _ := fixture(t, 14)
 	lex := d.PlantedLexicon(0.4, 0.05, 11)
-	cfg := DefaultShortConfig()
+	cfg := core.DefaultConfig()
+	cfg.MaxIter = 30
 
 	mini, err := MiniBatch(d.Corpus, lex, cfg, 2)
 	if err != nil {
@@ -300,7 +302,8 @@ func TestMiniBatchAndFullBatchRun(t *testing.T) {
 func TestOnlineDriverRuns(t *testing.T) {
 	d, _ := fixture(t, 15)
 	lex := d.PlantedLexicon(0.4, 0.05, 11)
-	ocfg := DefaultShortOnlineConfig()
+	ocfg := core.DefaultOnlineConfig()
+	ocfg.MaxIter = 30
 	steps, err := OnlineDriver(d.Corpus, lex, ocfg, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -27,23 +27,6 @@ type BatchStep struct {
 	NewTweets int
 }
 
-// DefaultShortConfig is the offline configuration with a reduced
-// iteration budget, used by streaming drivers and benches where each of
-// many timestamps triggers a full fit.
-func DefaultShortConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.MaxIter = 30
-	return cfg
-}
-
-// DefaultShortOnlineConfig is the matching reduced-budget online
-// configuration.
-func DefaultShortOnlineConfig() core.OnlineConfig {
-	cfg := core.DefaultOnlineConfig()
-	cfg.MaxIter = 30
-	return cfg
-}
-
 // problemFromSnapshot assembles a core.Problem for a snapshot graph with
 // a prior already built for the series' shared vocabulary.
 func problemFromSnapshot(s *tgraph.Snapshot, sf0 *mat.Dense) *core.Problem {

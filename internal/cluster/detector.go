@@ -191,20 +191,3 @@ func (d *Detector) FirstLive(peers []string) (string, bool) {
 	}
 	return "", false
 }
-
-// MarkDown forces a peer's verdict (used by tests and by callers that
-// learn of a death out-of-band, e.g. a connection refused on a ship).
-func (d *Detector) MarkDown(peer string) {
-	d.mu.Lock()
-	st := d.state[peer]
-	var changed bool
-	if st != nil && !st.down {
-		st.down = true
-		st.fails = d.cfg.Threshold
-		changed = true
-	}
-	d.mu.Unlock()
-	if changed && d.onChange != nil {
-		d.onChange(peer, true)
-	}
-}

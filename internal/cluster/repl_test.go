@@ -62,24 +62,27 @@ func TestReplicaSetDeterministicAcrossPeerOrder(t *testing.T) {
 	}
 }
 
+// TestSuccessorsExcludeOwner: a key's followers are its replica set less
+// the first entry (how the daemon's replicator takes them), and the owner is
+// not among them.
 func TestSuccessorsExcludeOwner(t *testing.T) {
 	r := testRing(t, "http://a", "http://b", "http://c")
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("k%d", i)
-		succ := r.Successors(key, 2)
+		succ := r.ReplicaSet(key, 3)[1:]
 		if len(succ) != 2 {
-			t.Fatalf("Successors(%q, 2) = %v", key, succ)
+			t.Fatalf("ReplicaSet(%q, 3)[1:] = %v", key, succ)
 		}
 		owner := r.Owner(key)
 		for _, p := range succ {
 			if p == owner {
-				t.Fatalf("Successors(%q) contains the owner %s", key, owner)
+				t.Fatalf("the followers of %q contain the owner %s", key, owner)
 			}
 		}
 	}
 	single := testRing(t, "http://only")
-	if succ := single.Successors("k", 2); len(succ) != 0 {
-		t.Fatalf("one-peer ring has successors: %v", succ)
+	if set := single.ReplicaSet("k", 3); len(set) != 1 {
+		t.Fatalf("one-peer ring has successors: %v", set)
 	}
 }
 
@@ -192,7 +195,12 @@ func TestDetectorSingleFailureIsNotDown(t *testing.T) {
 func TestDetectorFirstLive(t *testing.T) {
 	d := NewDetector([]string{"http://a", "http://b"}, func(context.Context, string) error { return nil },
 		DetectorConfig{}, nil)
-	d.MarkDown("http://a")
+	markDown := func(peer string) {
+		d.mu.Lock()
+		d.state[peer].down = true
+		d.mu.Unlock()
+	}
+	markDown("http://a")
 	if p, ok := d.FirstLive([]string{"http://a", "http://b"}); !ok || p != "http://b" {
 		t.Fatalf("FirstLive = %q, %v", p, ok)
 	}
@@ -200,7 +208,7 @@ func TestDetectorFirstLive(t *testing.T) {
 	if p, ok := d.FirstLive([]string{"http://self", "http://b"}); !ok || p != "http://self" {
 		t.Fatalf("FirstLive with unwatched = %q, %v", p, ok)
 	}
-	d.MarkDown("http://b")
+	markDown("http://b")
 	if _, ok := d.FirstLive([]string{"http://a", "http://b"}); ok {
 		t.Fatal("FirstLive found a live peer among all-down")
 	}

@@ -144,17 +144,6 @@ func (r *Ring) ReplicaSet(key string, n int) []string {
 	return out
 }
 
-// Successors returns the n distinct peers clockwise from key's owner,
-// excluding the owner itself — the follower set a primary ships its
-// journal to.
-func (r *Ring) Successors(key string, n int) []string {
-	set := r.ReplicaSet(key, n+1)
-	if len(set) <= 1 {
-		return nil
-	}
-	return set[1:]
-}
-
 // Peers returns the ring's peer list in sorted order. The slice is shared;
 // callers must not mutate it.
 func (r *Ring) Peers() []string { return r.peers }

@@ -49,52 +49,34 @@ import (
 // instead of guessing.
 const BatchWireVersion = 1
 
-// Conservative lower bounds on one encoded element, used to refuse
-// hostile count fields before allocating: a tweet frame is at least its
-// four int64 fields plus the text length, token-count prefixes and the
-// has-tokens byte; a response sentiment is class+confidence.
+// Conservative lower bounds on one encoded response element, used to
+// refuse hostile count fields before allocating: a sentiment is
+// class+confidence (WireDecoder.Batch holds the tweets' bound).
 const (
-	minTweetFrameBytes    = 8 + 1 + 8 + 4*8
 	minSentimentBytes     = 8 + 8
 	minUserSentimentBytes = 8 + 8 + 8
 )
-
-// sliceWriter adapts an append-grown byte slice to io.Writer so the
-// batch encoders can reuse WireEncoder without per-call buffers.
-type sliceWriter struct{ buf []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// WriteString spares io.WriteString its []byte(s) copy.
-func (w *sliceWriter) WriteString(s string) (int, error) {
-	w.buf = append(w.buf, s...)
-	return len(s), nil
-}
 
 // AppendBatchRequest appends the binary batch request frame for (time,
 // tweets) to dst and returns the extended slice. Tweets must be
 // unlabeled (Label == NoLabel): the ingest wire carries client data, and
 // the JSON path never lets a client plant ground-truth labels either.
 func AppendBatchRequest(dst []byte, time int, tweets []tgraph.Tweet) ([]byte, error) {
-	start := len(dst)
-	sw := &sliceWriter{buf: append(dst, BatchWireVersion)}
-	e := NewWireEncoder(sw)
-	e.Int(int64(time))
-	e.Uint(uint64(len(tweets)))
 	for i := range tweets {
 		if tweets[i].Label != tgraph.NoLabel {
 			return nil, fmt.Errorf("codec: batch wire tweet %d is labeled (%d); the ingest wire carries unlabeled tweets only",
 				i, tweets[i].Label)
 		}
-		e.Tweet(&tweets[i])
 	}
-	if err := e.Err(); err != nil {
-		return nil, err
-	}
-	return binary.LittleEndian.AppendUint32(sw.buf, Checksum(sw.buf[start:])), nil
+	e := NewWireEncoder(append(dst, BatchWireVersion))
+	e.Batch(time, tweets)
+	return closeFrame(e, len(dst)), nil
+}
+
+// closeFrame appends the CRC-32C of everything e encoded from offset start
+// on, the trailer every frame ends with, and returns the bytes.
+func closeFrame(e *WireEncoder, start int) []byte {
+	return binary.LittleEndian.AppendUint32(e.buf, Checksum(e.buf[start:]))
 }
 
 // EncodeBatchRequest is AppendBatchRequest into a fresh slice.
@@ -143,26 +125,16 @@ func DecodeBatchRequest(data []byte, scratch []tgraph.Tweet) (time int, tweets [
 	if err != nil {
 		return 0, nil, err
 	}
-	ts := d.Int()
-	n := d.Uint()
-	if limit := uint64(d.Remaining()/minTweetFrameBytes) + 1; n > limit {
-		return 0, nil, fmt.Errorf("%w: batch frame claims %d tweets in %d bytes", ErrCorrupt, n, d.Remaining())
-	}
-	tweets = scratch
-	for i := uint64(0); i < n; i++ {
-		tw := d.Tweet()
-		if d.Err() != nil {
-			break
-		}
-		if tw.Label != tgraph.NoLabel {
-			return 0, nil, fmt.Errorf("%w: batch frame tweet %d is labeled", ErrCorrupt, i)
-		}
-		tweets = append(tweets, tw)
-	}
+	time, tweets = d.Batch(scratch)
 	if err := closeBatchFrame(d); err != nil {
 		return 0, nil, err
 	}
-	return int(ts), tweets, nil
+	for i := len(scratch); i < len(tweets); i++ {
+		if tweets[i].Label != tgraph.NoLabel {
+			return 0, nil, fmt.Errorf("%w: batch frame tweet %d is labeled", ErrCorrupt, i-len(scratch))
+		}
+	}
+	return time, tweets, nil
 }
 
 // BatchSentiment is one labeled element of a binary batch response.
@@ -194,9 +166,7 @@ type BatchResult struct {
 // AppendBatchResponse appends the binary batch response frame to dst and
 // returns the extended slice.
 func AppendBatchResponse(dst []byte, res *BatchResult) []byte {
-	start := len(dst)
-	sw := &sliceWriter{buf: append(dst, BatchWireVersion)}
-	e := NewWireEncoder(sw)
+	e := NewWireEncoder(append(dst, BatchWireVersion))
 	e.Int(int64(res.Time))
 	e.Bool(res.Skipped)
 	e.Bool(res.Converged)
@@ -212,7 +182,7 @@ func AppendBatchResponse(dst []byte, res *BatchResult) []byte {
 		e.Int(int64(u.Class))
 		e.Float(u.Confidence)
 	}
-	return binary.LittleEndian.AppendUint32(sw.buf, Checksum(sw.buf[start:]))
+	return closeFrame(e, len(dst))
 }
 
 // DecodeBatchResponse decodes a binary batch response frame.

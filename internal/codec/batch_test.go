@@ -34,13 +34,9 @@ func goldenBatch() (int, []tgraph.Tweet) {
 // encoder refuses to produce.
 func frame(t *testing.T, payload func(e *WireEncoder)) []byte {
 	t.Helper()
-	sw := &sliceWriter{buf: []byte{BatchWireVersion}}
-	e := NewWireEncoder(sw)
+	e := NewWireEncoder([]byte{BatchWireVersion})
 	payload(e)
-	if err := e.Err(); err != nil {
-		t.Fatalf("building frame: %v", err)
-	}
-	return binary.LittleEndian.AppendUint32(sw.buf, Checksum(sw.buf))
+	return closeFrame(e, 0)
 }
 
 func TestBatchRequestRoundTrip(t *testing.T) {

@@ -154,6 +154,18 @@
 // batches, whatever snapshots and restores lay in between. Floats are
 // never re-quantized, so a restore is bit-identical.
 //
+// # Configuration
+//
+// The config section is a fixed run of slots: k, α, β, the sweep limit,
+// the tolerance, the seed, the lexicon-init flag (slots 1–7), then γ, τ, the
+// window, and the pipeline's weighting, MinDF, lexicon hit mass and
+// tokenizer flags (from slot 13). Config slots 8–12 are reserved: three
+// floats that are zero and two lists that are empty, in every version.
+// Earlier builds kept the weights and label lists of three extension
+// regularizers there (core.Config's SparsityLambda and its four
+// neighbours, since removed), which nothing ever set. Anything else in a
+// reserved slot is version skew, not corruption: Decode answers ErrVersion.
+//
 // # Earlier versions
 //
 // Version 4 stored the lexicon always, plain strings everywhere (the map
@@ -526,13 +538,6 @@ func sharedPrefix(a, b string) int {
 	return n
 }
 
-func (e *encoder) ints(vs []int) {
-	e.uint(uint64(len(vs)))
-	for _, v := range vs {
-		e.int(int64(v))
-	}
-}
-
 // bits writes the bit count n and n zero bits, and returns the bytes that
 // hold them, least significant bit first, for the caller to set.
 func (e *encoder) bits(n int) []byte {
@@ -746,11 +751,13 @@ func (e *encoder) config(c core.OnlineConfig, st *engine.State) {
 	e.float(c.Tol)
 	e.int(c.Seed)
 	e.bool(c.LexiconInit)
-	e.float(c.SparsityLambda)
-	e.float(c.DiversityLambda)
-	e.float(c.GuidedLambda)
-	e.ints(c.GuidedTweetLabels)
-	e.ints(c.GuidedUserLabels)
+	// Slots 8–12, reserved (see the package comment): three zero floats and
+	// two empty lists.
+	e.float(0)
+	e.float(0)
+	e.float(0)
+	e.uint(0)
+	e.uint(0)
 	e.float(c.Gamma)
 	e.float(c.Tau)
 	e.uint(uint64(c.Window))
@@ -1053,18 +1060,6 @@ func (d *decoder) floats(dst []float64, n uint64) []float64 {
 	return dst
 }
 
-func (d *decoder) intSlice() []int {
-	n := d.count(1, 0)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.int())
-	}
-	return out
-}
-
 func (d *decoder) bools() []bool {
 	if d.fixed {
 		n := d.count(0, 1)
@@ -1300,11 +1295,16 @@ func (d *decoder) config(c *core.OnlineConfig, st *engine.State) {
 	c.Tol = d.float()
 	c.Seed = d.int()
 	c.LexiconInit = d.bool()
-	c.SparsityLambda = d.float()
-	c.DiversityLambda = d.float()
-	c.GuidedLambda = d.float()
-	c.GuidedTweetLabels = d.intSlice()
-	c.GuidedUserLabels = d.intSlice()
+	// Slots 8–12 are reserved. An older build wrote the weights of three
+	// extension regularizers and two label lists there; see the end.
+	extension := math.Float64bits(d.float())|math.Float64bits(d.float())|math.Float64bits(d.float()) != 0
+	for list := 0; list < 2; list++ {
+		n := d.count(1, 0)
+		extension = extension || n != 0
+		for ; n > 0; n-- {
+			d.int()
+		}
+	}
 	c.Gamma = d.float()
 	c.Tau = d.float()
 	c.Window = int(d.uint())
@@ -1316,6 +1316,13 @@ func (d *decoder) config(c *core.OnlineConfig, st *engine.State) {
 	st.Tokenizer.RemoveStopwords = d.bool()
 	st.Tokenizer.MinTokenLen = int(d.uint())
 	st.Tokenizer.Stem = d.bool()
+	// A set extension changes the objective, so continuing the stream
+	// without it would fork it. In a section that otherwise reads to its
+	// last byte that is version skew, like an unknown random generator: the
+	// snapshot is intact, this build cannot run it.
+	if extension && d.err == nil && len(d.buf) == 0 {
+		d.err = fmt.Errorf("%w: snapshot configures an extension regularizer this build does not implement", ErrVersion)
+	}
 }
 
 func (d *decoder) users() []tgraph.User {

@@ -32,8 +32,7 @@ func fullState() *engine.State {
 		Config: core.OnlineConfig{
 			Config: core.Config{
 				K: 3, Alpha: 0.05, Beta: 0.8, MaxIter: 40, Tol: -1,
-				Seed: 17, LexiconInit: true, SparsityLambda: 0.1,
-				GuidedTweetLabels: []int{-1, 0, 2},
+				Seed: 17, LexiconInit: true,
 			},
 			Gamma: 0.2, Tau: 0.9, Window: 2,
 		},
@@ -1139,6 +1138,64 @@ func TestUnknownRNGAlgorithmRejected(t *testing.T) {
 	}
 }
 
+// TestReservedConfigSlotsAreVersionSkew: config slots 8–12 held, in builds
+// that still had them, the weights of three extension regularizers and two
+// label lists. Encode writes them zero and empty; a snapshot that sets one —
+// exactly what such a build wrote for that field, in the compact layout and
+// in version 2's fixed-width one — is intact but asks for an objective this
+// build does not have, so it takes the recoverable-skew path, not the
+// corrupt one.
+func TestReservedConfigSlotsAreVersionSkew(t *testing.T) {
+	half := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5))
+	labels := func(fixed bool) []byte { // the list {-1, 2}
+		if fixed {
+			e := NewWireEncoder(nil)
+			e.Uint(2)
+			e.Int(-1)
+			e.Int(2)
+			return e.Bytes()
+		}
+		e := &encoder{}
+		e.uint(2)
+		e.int(-1)
+		e.int(2)
+		return e.buf
+	}
+	for _, layout := range []struct {
+		name    string
+		version uint16
+		payload []byte
+		slot8   int // offset of the first reserved slot in the config section
+		count   int // width of an empty list
+	}{
+		// k, α, β, sweeps, tolerance, seed, lexicon-init in front.
+		{"compact", Version, payloadOf(mustEncode(t, fullState())), 1 + 8 + 8 + 1 + 8 + 1 + 1, 1},
+		{"fixed-width", oldestVersion, payloadOf(encodeV2(fullState(), nil, nil)), 6*8 + 1, 8},
+	} {
+		if _, err := Decode(bytes.NewReader(reframe(layout.version, layout.payload))); err != nil {
+			t.Fatalf("%s: zero slots rejected: %v", layout.name, err)
+		}
+		fixed := layout.count == 8
+		for _, slot := range []struct {
+			name   string
+			off, n int
+			body   []byte
+		}{
+			{"sparsity weight", layout.slot8, 8, half},
+			{"diversity weight", layout.slot8 + 8, 8, half},
+			{"guided weight", layout.slot8 + 16, 8, half},
+			{"guided tweet labels", layout.slot8 + 24, layout.count, labels(fixed)},
+			{"guided user labels", layout.slot8 + 24 + layout.count, layout.count, labels(fixed)},
+		} {
+			forged := spliceSection(t, layout.payload, tagConfig, slot.off, slot.n, slot.body)
+			_, err := Decode(bytes.NewReader(reframe(layout.version, forged)))
+			if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "extension regularizer") {
+				t.Errorf("%s, %s set: got %v, want ErrVersion naming the extension", layout.name, slot.name, err)
+			}
+		}
+	}
+}
+
 // warmConformProfile builds a profile warmed past its MinSamples gate on
 // a steady synthetic stream, so every counter and metric is non-zero.
 func warmConformProfile() *conform.Profile {
@@ -1231,17 +1288,11 @@ func TestConformSectionVersionSkew(t *testing.T) {
 func encodeV2(st *engine.State, sp, su *mat.Dense) []byte {
 	var payload bytes.Buffer
 	section := func(tag byte, body func(e *WireEncoder)) {
-		var buf bytes.Buffer
-		body(NewWireEncoder(&buf))
+		e := NewWireEncoder(nil)
+		body(e)
 		payload.WriteByte(tag)
-		payload.Write(binary.LittleEndian.AppendUint64(nil, uint64(buf.Len())))
-		payload.Write(buf.Bytes())
-	}
-	ints := func(e *WireEncoder, vs []int) {
-		e.Uint(uint64(len(vs)))
-		for _, v := range vs {
-			e.Int(int64(v))
-		}
+		payload.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(e.Bytes()))))
+		payload.Write(e.Bytes())
 	}
 	stringIntMap := func(e *WireEncoder, m map[string]int) {
 		keys := make([]string, 0, len(m))
@@ -1275,11 +1326,12 @@ func encodeV2(st *engine.State, sp, su *mat.Dense) []byte {
 		e.Float(c.Tol)
 		e.Int(c.Seed)
 		e.Bool(c.LexiconInit)
-		e.Float(c.SparsityLambda)
-		e.Float(c.DiversityLambda)
-		e.Float(c.GuidedLambda)
-		ints(e, c.GuidedTweetLabels)
-		ints(e, c.GuidedUserLabels)
+		// The five reserved slots: three zero floats, two empty lists.
+		for i := 0; i < 3; i++ {
+			e.Float(0)
+		}
+		e.Uint(0)
+		e.Uint(0)
 		e.Float(c.Gamma)
 		e.Float(c.Tau)
 		e.Uint(uint64(c.Window))

@@ -11,7 +11,6 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // ReplVersion is the current replication frame version.
@@ -60,61 +59,25 @@ type ReplAppend struct {
 	Tail []byte
 }
 
-// EncodeReplAppend writes fr's wire encoding to w.
-func EncodeReplAppend(w io.Writer, fr *ReplAppend) error {
-	var crc uint32
-	cw := &crcTee{w: w}
-	enc := NewWireEncoder(cw)
-	cw.crc = &crc
-	if _, err := cw.Write(replMagic[:]); err != nil {
-		return err
-	}
-	var ver [2]byte
-	binary.LittleEndian.PutUint16(ver[:], ReplVersion)
-	if _, err := cw.Write(ver[:]); err != nil {
-		return err
-	}
-	enc.String(fr.Source)
-	enc.Uint(fr.Epoch)
-	enc.Uint(uint64(fr.SnapCRC))
-	enc.Uint(fr.BaseBatches)
-	enc.Uint(fr.BaseRandDraws)
-	enc.Uint(fr.Batches)
-	enc.Uint(fr.RandDraws)
-	enc.Bool(fr.Snapshot != nil)
-	enc.Uint(uint64(len(fr.Snapshot)))
-	if len(fr.Snapshot) > 0 {
-		if _, err := cw.Write(fr.Snapshot); err != nil {
-			return err
-		}
-	}
-	enc.Uint(uint64(len(fr.Tail)))
-	if len(fr.Tail) > 0 {
-		if _, err := cw.Write(fr.Tail); err != nil {
-			return err
-		}
-	}
-	if err := enc.Err(); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc)
-	_, err := w.Write(sum[:])
-	return err
-}
-
-// crcTee accumulates the CRC-32C of everything written through it.
-type crcTee struct {
-	w   io.Writer
-	crc *uint32
-}
-
-func (c *crcTee) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	if c.crc != nil {
-		*c.crc = ChecksumUpdate(*c.crc, p[:n])
-	}
-	return n, err
+// AppendReplAppend appends fr's wire encoding to dst and returns the
+// extended slice.
+func AppendReplAppend(dst []byte, fr *ReplAppend) []byte {
+	e := NewWireEncoder(dst)
+	e.Raw(replMagic[:])
+	e.buf = binary.LittleEndian.AppendUint16(e.buf, ReplVersion)
+	e.String(fr.Source)
+	e.Uint(fr.Epoch)
+	e.Uint(uint64(fr.SnapCRC))
+	e.Uint(fr.BaseBatches)
+	e.Uint(fr.BaseRandDraws)
+	e.Uint(fr.Batches)
+	e.Uint(fr.RandDraws)
+	e.Bool(fr.Snapshot != nil)
+	e.Uint(uint64(len(fr.Snapshot)))
+	e.Raw(fr.Snapshot)
+	e.Uint(uint64(len(fr.Tail)))
+	e.Raw(fr.Tail)
+	return closeFrame(e, len(dst))
 }
 
 // DecodeReplAppend parses a replication frame, verifying magic, version

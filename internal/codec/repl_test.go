@@ -38,11 +38,7 @@ func sampleReplFrames() []*ReplAppend {
 
 func encodeRepl(t *testing.T, fr *ReplAppend) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeReplAppend(&buf, fr); err != nil {
-		t.Fatalf("EncodeReplAppend: %v", err)
-	}
-	return buf.Bytes()
+	return AppendReplAppend(nil, fr)
 }
 
 func TestReplAppendRoundTrip(t *testing.T) {
@@ -140,15 +136,12 @@ func TestReplAppendRejectsDamage(t *testing.T) {
 // path relies on.
 func FuzzReplAppend(f *testing.F) {
 	for _, fr := range sampleReplFrames() {
-		var buf bytes.Buffer
-		if err := EncodeReplAppend(&buf, fr); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		flip := append([]byte(nil), buf.Bytes()...)
+		enc := AppendReplAppend(nil, fr)
+		f.Add(enc)
+		flip := append([]byte(nil), enc...)
 		flip[len(flip)/2] ^= 0x40
 		f.Add(flip)
-		f.Add(buf.Bytes()[:len(buf.Bytes())*2/3])
+		f.Add(enc[:len(enc)*2/3])
 	}
 	f.Add([]byte("TRICREPL"))
 	f.Add([]byte{})
@@ -158,20 +151,13 @@ func FuzzReplAppend(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly — the common, correct outcome
 		}
-		var out bytes.Buffer
-		if err := EncodeReplAppend(&out, fr); err != nil {
-			t.Fatalf("decoded frame does not re-encode: %v", err)
-		}
-		fr2, err := DecodeReplAppend(out.Bytes())
+		out := AppendReplAppend(nil, fr)
+		fr2, err := DecodeReplAppend(out)
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
-		var out2 bytes.Buffer
-		if err := EncodeReplAppend(&out2, fr2); err != nil {
-			t.Fatalf("second re-encode: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
-			t.Fatalf("encode∘decode is not a fixed point: %d vs %d bytes", out.Len(), out2.Len())
+		if out2 := AppendReplAppend(nil, fr2); !bytes.Equal(out, out2) {
+			t.Fatalf("encode∘decode is not a fixed point: %d vs %d bytes", len(out), len(out2))
 		}
 	})
 }

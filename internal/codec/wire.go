@@ -10,7 +10,6 @@ package codec
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 	"math"
 
 	"triclust/internal/tgraph"
@@ -28,48 +27,38 @@ func ChecksumUpdate(crc uint32, p []byte) uint32 {
 	return crc32.Update(crc, castagnoli, p)
 }
 
-// WireEncoder writes the fixed-width primitives to a stream. Errors are
-// sticky: the first write failure is retained and later calls are
-// no-ops, so callers check Err once after encoding.
+// WireEncoder appends the fixed-width primitives to a byte slice. Every
+// format built from them is framed by a checksum over the encoded bytes,
+// so every caller encodes into memory: there is no writer behind the
+// encoder and nothing that can fail.
 type WireEncoder struct {
-	w   io.Writer
-	err error
-	// scratch stages one integer for the writer. A slice built per call
-	// would escape through the io.Writer — a heap allocation for every
-	// integer of every tweet on the commit path.
-	scratch [8]byte
+	buf []byte
 }
 
-// NewWireEncoder returns an encoder writing to w.
-func NewWireEncoder(w io.Writer) *WireEncoder {
-	return &WireEncoder{w: w}
+// NewWireEncoder returns an encoder appending to dst.
+func NewWireEncoder(dst []byte) *WireEncoder {
+	return &WireEncoder{buf: dst}
 }
 
-// Err returns the first write error, if any.
-func (e *WireEncoder) Err() error { return e.err }
+// Bytes returns dst extended by everything encoded so far.
+func (e *WireEncoder) Bytes() []byte { return e.buf }
 
-func (e *WireEncoder) write(p []byte) {
-	if e.err == nil {
-		_, e.err = e.w.Write(p)
-	}
-}
+// Raw appends p as it is, with no length in front.
+func (e *WireEncoder) Raw(p []byte) { e.buf = append(e.buf, p...) }
 
 // Uint writes a little-endian uint64.
-func (e *WireEncoder) Uint(v uint64) {
-	binary.LittleEndian.PutUint64(e.scratch[:], v)
-	e.write(e.scratch[:])
-}
+func (e *WireEncoder) Uint(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
 // Int writes a two's-complement int64.
 func (e *WireEncoder) Int(v int64) { e.Uint(uint64(v)) }
 
 // Bool writes a single 0/1 byte.
 func (e *WireEncoder) Bool(v bool) {
-	e.scratch[0] = 0
+	var b byte
 	if v {
-		e.scratch[0] = 1
+		b = 1
 	}
-	e.write(e.scratch[:1])
+	e.buf = append(e.buf, b)
 }
 
 // Float writes a float64 as its IEEE-754 bits, little-endian.
@@ -78,9 +67,7 @@ func (e *WireEncoder) Float(v float64) { e.Uint(math.Float64bits(v)) }
 // String writes a length-prefixed string.
 func (e *WireEncoder) String(s string) {
 	e.Uint(uint64(len(s)))
-	if e.err == nil {
-		_, e.err = io.WriteString(e.w, s)
-	}
+	e.buf = append(e.buf, s...)
 }
 
 // StringSlice writes a length-prefixed string slice.
@@ -101,6 +88,16 @@ func (e *WireEncoder) Tweet(tw *tgraph.Tweet) {
 	e.Int(int64(tw.Time))
 	e.Int(int64(tw.RetweetOf))
 	e.Int(int64(tw.Label))
+}
+
+// Batch writes a batch body — the timestamp, the tweet count, the tweets —
+// the run a journal record and a binary batch request both start with.
+func (e *WireEncoder) Batch(time int, tweets []tgraph.Tweet) {
+	e.Int(int64(time))
+	e.Uint(uint64(len(tweets)))
+	for i := range tweets {
+		e.Tweet(&tweets[i])
+	}
 }
 
 // WireDecoder reads the fixed-width primitives from a byte slice. Errors
@@ -167,4 +164,20 @@ func (d *WireDecoder) Tweet() tgraph.Tweet {
 	tw.RetweetOf = int(d.dec.int())
 	tw.Label = int(d.dec.int())
 	return tw
+}
+
+// Batch reads a batch body written by WireEncoder.Batch, appending the
+// tweets to scratch (every appended element is fully assigned from the
+// wire). A tweet encodes to at least 49 bytes — its four integers, the
+// lengths of its text and of its token list, the has-tokens byte — so a
+// count the remaining bytes cannot hold fails before a tweet is read, and
+// the slice grows only as tweets decode: a crafted body buys no allocation
+// its own bytes do not back (CRC-32C detects corruption, not tampering).
+func (d *WireDecoder) Batch(scratch []tgraph.Tweet) (time int, tweets []tgraph.Tweet) {
+	time = int(d.dec.int())
+	tweets = scratch
+	for n := d.dec.count(6, 1); n > 0 && d.dec.err == nil; n-- {
+		tweets = append(tweets, d.Tweet())
+	}
+	return time, tweets
 }

@@ -99,7 +99,7 @@ func iterate(p *Problem, f Factors, cfg Config, tr *temporalUser, order [5]updat
 		for _, u := range order {
 			switch u {
 			case stepSp:
-				updateSp(p, &f, cfg, ws)
+				updateSp(p, &f, ws)
 			case stepHp:
 				updateH(p.Xp, f.Sp, f.Hp, f.Sf, ws)
 			case stepSu:
@@ -149,7 +149,7 @@ func relChange(prev, cur float64) float64 {
 //	             (Sp Hp Sfᵀ Sf Hpᵀ + Sp Suᵀ Su + Sp Δ⁺) )
 //
 // with Δ = Spᵀ Xp Sf Hpᵀ − Hp Sfᵀ Sf Hpᵀ + Spᵀ Xrᵀ Su − Suᵀ Su.
-func updateSp(p *Problem, f *Factors, cfg Config, ws *mat.Workspace) {
+func updateSp(p *Problem, f *Factors, ws *mat.Workspace) {
 	k := f.Sp.Cols()
 	n, l := f.Sp.Rows(), f.Sf.Rows()
 	sfHpT := ws.Get(l, k)
@@ -178,7 +178,6 @@ func updateSp(p *Problem, f *Factors, cfg Config, ws *mat.Workspace) {
 	spPos := mat.ProductInto(ws.Get(n, k), f.Sp, dPos)
 	denom.Add(denom, spPos)
 
-	applyExtensions(numer, denom, f.Sp, cfg, cfg.GuidedTweetLabels, ws)
 	mat.MulUpdate(f.Sp, numer, denom)
 	ws.Put(sfHpT, c, c2, gramSf, hpGram, d1, d2, d, delta, dPos, dNeg, numer, denom, spPos)
 }
@@ -250,7 +249,6 @@ func updateSu(p *Problem, f *Factors, cfg Config, tr *temporalUser, ws *mat.Work
 		tr.addTemporalTerms(numer, denom, f.Su)
 	}
 
-	applyExtensions(numer, denom, f.Su, cfg, cfg.GuidedUserLabels, ws)
 	mat.MulUpdate(f.Su, numer, denom)
 	ws.Put(sfHuT, e, e2, gramSf, huGram, f1, f2, fd, delta, dPos, dNeg, numer, denom, suPos)
 }
@@ -304,7 +302,6 @@ func updateSf(p *Problem, f *Factors, cfg Config, prior *mat.Dense, ws *mat.Work
 		denom.AddScaled(denom, cfg.Alpha, f.Sf)
 	}
 
-	applyExtensions(numer, denom, f.Sf, cfg, nil, ws)
 	mat.MulUpdate(f.Sf, numer, denom)
 	ws.Put(spHp, suHu, a, a2, gramSp, gramSpHp, b1, b2, gramSu, gramSuHu, b,
 		delta, dPos, dNeg, numer, denom, sfPos)
@@ -325,47 +322,6 @@ func updateH(x *sparse.CSR, s, h, sf *mat.Dense, ws *mat.Workspace) {
 	denom := mat.ProductInto(ws.Get(k, k), gh, gramSf)
 	mat.MulUpdate(h, numer, denom)
 	ws.Put(xSf, numer, gramS, gramSf, gh, denom)
-}
-
-// applyExtensions adds the §7 optional regularizer terms to a factor's
-// multiplicative numerator/denominator. labels may be nil (no guidance for
-// this factor).
-func applyExtensions(numer, denom, s *mat.Dense, cfg Config, labels []int, ws *mat.Workspace) {
-	if cfg.SparsityLambda > 0 {
-		// ∂(λ‖S‖₁)/∂S = λ → pure denominator (shrinkage) term.
-		d := denom.Data()
-		for i := range d {
-			d[i] += cfg.SparsityLambda
-		}
-	}
-	if cfg.DiversityLambda > 0 {
-		// λ tr(Sᵀ S (𝟙𝟙ᵀ − I)): gradient 2λ S(𝟙𝟙ᵀ−I) ≥ 0 → denominator.
-		k := s.Cols()
-		ones := ws.Get(k, k)
-		ones.Fill(1)
-		for i := 0; i < k; i++ {
-			ones.Set(i, i, 0)
-		}
-		sOnes := mat.ProductInto(ws.Get(s.Rows(), k), s, ones)
-		denom.AddScaled(denom, cfg.DiversityLambda, sOnes)
-		ws.Put(ones, sOnes)
-	}
-	if cfg.GuidedLambda > 0 && labels != nil {
-		// λ‖S(i) − e_y(i)‖² on labeled rows: numerator += λ e_y(i),
-		// denominator += λ S(i).
-		k := s.Cols()
-		for i, y := range labels {
-			if y < 0 || y >= k || i >= s.Rows() {
-				continue
-			}
-			numer.Set(i, y, numer.At(i, y)+cfg.GuidedLambda)
-			srow := s.Row(i)
-			drow := denom.Row(i)
-			for j := range drow {
-				drow[j] += cfg.GuidedLambda * srow[j]
-			}
-		}
-	}
 }
 
 // Loss evaluates every term of the objective. tr is nil for the offline
@@ -394,52 +350,7 @@ func Loss(p *Problem, f *Factors, cfg Config, tr *temporalUser, ws *mat.Workspac
 		lb.Temporal = tr.gamma * diff.FrobeniusSq()
 		ws.Put(diff)
 	}
-	if cfg.SparsityLambda > 0 {
-		lb.Sparsity = cfg.SparsityLambda * (f.Sp.Sum() + f.Su.Sum() + f.Sf.Sum())
-	}
-	if cfg.DiversityLambda > 0 {
-		lb.Diversity = cfg.DiversityLambda * (diversityPenalty(f.Sp, ws) + diversityPenalty(f.Su, ws) + diversityPenalty(f.Sf, ws))
-	}
-	if cfg.GuidedLambda > 0 {
-		lb.Guided = cfg.GuidedLambda * (guidedPenalty(f.Sp, cfg.GuidedTweetLabels) + guidedPenalty(f.Su, cfg.GuidedUserLabels))
-	}
 	lb.Total = lb.TweetFeature + lb.UserFeature + lb.UserTweet +
-		lb.Lexicon + lb.GraphReg + lb.Temporal + lb.Sparsity + lb.Diversity + lb.Guided
+		lb.Lexicon + lb.GraphReg + lb.Temporal
 	return lb
-}
-
-func diversityPenalty(s *mat.Dense, ws *mat.Workspace) float64 {
-	g := mat.GramInto(ws.Get(s.Cols(), s.Cols()), s)
-	var off float64
-	for i := 0; i < g.Rows(); i++ {
-		for j := 0; j < g.Cols(); j++ {
-			if i != j {
-				off += g.At(i, j)
-			}
-		}
-	}
-	ws.Put(g)
-	return off
-}
-
-func guidedPenalty(s *mat.Dense, labels []int) float64 {
-	if labels == nil {
-		return 0
-	}
-	var sum float64
-	k := s.Cols()
-	for i, y := range labels {
-		if y < 0 || y >= k || i >= s.Rows() {
-			continue
-		}
-		row := s.Row(i)
-		for j, v := range row {
-			d := v
-			if j == y {
-				d = v - 1
-			}
-			sum += d * d
-		}
-	}
-	return sum
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"triclust/internal/eval"
@@ -277,8 +276,6 @@ func TestLossBreakdownSumsToTotal(t *testing.T) {
 	d, g := smallDataset(t, 23)
 	p := problemFor(d, g, 3)
 	cfg := DefaultConfig()
-	cfg.SparsityLambda = 0.01
-	cfg.DiversityLambda = 0.01
 	cfg.MaxIter = 5
 	res, err := FitOffline(p, cfg)
 	if err != nil {
@@ -286,67 +283,9 @@ func TestLossBreakdownSumsToTotal(t *testing.T) {
 	}
 	lb := res.FinalLoss()
 	sum := lb.TweetFeature + lb.UserFeature + lb.UserTweet + lb.Lexicon +
-		lb.GraphReg + lb.Temporal + lb.Sparsity + lb.Diversity + lb.Guided
+		lb.GraphReg + lb.Temporal
 	if math.Abs(sum-lb.Total) > 1e-9*(1+lb.Total) {
 		t.Fatalf("breakdown sum %.6f != total %.6f", sum, lb.Total)
-	}
-}
-
-func TestGuidedRegularizationImprovesAccuracy(t *testing.T) {
-	d, g := smallDataset(t, 29)
-	p := problemFor(d, g, 3)
-
-	base := DefaultConfig()
-	base.MaxIter = 40
-	base.Seed = 2
-	base.LexiconInit = false // make the task harder so guidance matters
-	resBase, err := FitOffline(p, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	guided := base
-	guided.GuidedLambda = 5
-	// Reveal 30% of tweet labels.
-	rng := rand.New(rand.NewSource(1))
-	labels := make([]int, len(d.TweetClass))
-	for i := range labels {
-		if rng.Float64() < 0.3 {
-			labels[i] = d.TweetClass[i]
-		} else {
-			labels[i] = -1
-		}
-	}
-	guided.GuidedTweetLabels = labels
-	resGuided, err := FitOffline(p, guided)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	accBase := eval.Accuracy(resBase.TweetClusters(), d.TweetClass)
-	accGuided := eval.Accuracy(resGuided.TweetClusters(), d.TweetClass)
-	if accGuided < accBase-0.02 {
-		t.Fatalf("guidance hurt accuracy: %.3f vs %.3f", accGuided, accBase)
-	}
-}
-
-func TestSparsityRegularizationShrinksFactors(t *testing.T) {
-	d, g := smallDataset(t, 31)
-	p := problemFor(d, g, 3)
-	base := DefaultConfig()
-	base.MaxIter = 20
-	resBase, err := FitOffline(p, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := base
-	sp.SparsityLambda = 10
-	resSp, err := FitOffline(p, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resSp.Sp.Sum() >= resBase.Sp.Sum() {
-		t.Fatalf("sparsity did not shrink Sp: %.2f vs %.2f", resSp.Sp.Sum(), resBase.Sp.Sum())
 	}
 }
 
@@ -378,7 +317,7 @@ func TestResultClusterAccessors(t *testing.T) {
 	if got := r.TweetClusters(); got[0] != 0 || got[1] != 1 {
 		t.Fatalf("TweetClusters = %v", got)
 	}
-	if r.UserClusters()[0] != 1 || r.FeatureClusters()[0] != 0 {
+	if r.UserClusters()[0] != 1 {
 		t.Fatal("cluster accessors wrong")
 	}
 	if r.FinalLoss().Total != 0 {

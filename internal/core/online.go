@@ -75,9 +75,6 @@ func (c OnlineConfig) Validate() error {
 	if d.Window < 1 {
 		return fmt.Errorf("core: history window must be positive (got %d)", c.Window)
 	}
-	if d.SparsityLambda < 0 || d.DiversityLambda < 0 || d.GuidedLambda < 0 {
-		return fmt.Errorf("core: extension regularizer weights must be non-negative")
-	}
 	return nil
 }
 

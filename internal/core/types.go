@@ -1,9 +1,10 @@
 // Package core implements the paper's primary contribution: the offline
 // tri-clustering framework (Algorithm 1; Eqs. 1, 7, 9, 11, 12, 13) and the
 // online dynamic tri-clustering framework (Algorithm 2; Eqs. 19–26), both
-// solved by analytical multiplicative update rules, plus the optional
-// regularizers sketched in the paper's conclusion (§7): sparsity,
-// diversity, and guided (semi-supervised) regularization.
+// solved by analytical multiplicative update rules. The offline objective
+// (Eq. 1) has five terms, the online one (Eq. 19) adds the temporal user
+// term; Config has no knob that adds a seventh, so the paper's
+// monotone-objective guarantee covers everything a solver here can minimize.
 package core
 
 import (
@@ -139,21 +140,6 @@ type Config struct {
 	// LexiconInit seeds Sp and Su from lexicon votes (Xp·Sf0, Xu·Sf0)
 	// instead of pure random, aligning cluster j with sentiment class j.
 	LexiconInit bool
-
-	// ——— §7 extension regularizers (all zero by default) ———
-
-	// SparsityLambda adds an L1 shrinkage λ·‖S‖₁ on Sp, Su and Sf.
-	SparsityLambda float64
-	// DiversityLambda penalizes overlapping clusters via
-	// λ·tr(Sᵀ S (𝟙𝟙ᵀ − I)) on Sp, Su and Sf.
-	DiversityLambda float64
-	// GuidedLambda weighs the semi-supervised guidance ‖S(i) − e_y(i)‖²
-	// on rows with observed labels.
-	GuidedLambda float64
-	// GuidedTweetLabels / GuidedUserLabels supply those labels
-	// (len n / len m, entries are class indices or −1 for unlabeled).
-	GuidedTweetLabels []int
-	GuidedUserLabels  []int
 }
 
 // DefaultConfig returns the configuration used in the paper's offline
@@ -203,9 +189,6 @@ type LossBreakdown struct {
 	Lexicon      float64 // α‖Sf − Sf0‖²  (temporal feature term online)
 	GraphReg     float64 // β·tr(SuᵀLuSu)
 	Temporal     float64 // γ‖Su(d,e) − Suw‖² (online only)
-	Sparsity     float64
-	Diversity    float64
-	Guided       float64
 	Total        float64
 }
 
@@ -226,9 +209,6 @@ func (r *Result) TweetClusters() []int { return r.Sp.RowArgMax() }
 
 // UserClusters returns the hard cluster assignment of each user.
 func (r *Result) UserClusters() []int { return r.Su.RowArgMax() }
-
-// FeatureClusters returns the hard cluster assignment of each feature.
-func (r *Result) FeatureClusters() []int { return r.Sf.RowArgMax() }
 
 // FinalLoss returns the last recorded loss breakdown (zero value when the
 // solver did not iterate).

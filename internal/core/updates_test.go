@@ -100,14 +100,13 @@ func TestSpUpdateReducesResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p, f := exactProblem(rng, 12, 6, 9, 3)
 	mat.PerturbPositive(rng, f.Sp, 1)
-	cfg := Config{K: 3}.withDefaults()
 	loss := func() float64 {
 		return p.Xp.ResidualFrobeniusSq(f.Sp, f.Hp, f.Sf) +
 			p.Xr.ResidualFrobeniusSq(f.Su, nil, f.Sp)
 	}
 	before := loss()
 	for i := 0; i < 5; i++ {
-		updateSp(p, &f, cfg, mat.NewWorkspace())
+		updateSp(p, &f, mat.NewWorkspace())
 	}
 	after := loss()
 	if after >= before {
@@ -241,7 +240,7 @@ func TestUpdatesPreserveNonNegativityProperty(t *testing.T) {
 		cfg := Config{K: 2}.withDefaults()
 		ws := mat.NewWorkspace()
 		for i := 0; i < 3; i++ {
-			updateSp(p, &fac, cfg, ws)
+			updateSp(p, &fac, ws)
 			updateH(p.Xp, fac.Sp, fac.Hp, fac.Sf, ws)
 			updateSu(p, &fac, cfg, nil, ws)
 			updateH(p.Xu, fac.Su, fac.Hu, fac.Sf, ws)

@@ -227,24 +227,6 @@ func (m *Model) FreezeNow() error {
 	return nil
 }
 
-// FreezeVocabulary fixes an externally built vocabulary (e.g. shared
-// across models). It errors if a different vocabulary is already frozen.
-func (m *Model) FreezeVocabulary(v *text.Vocabulary) error {
-	if v == nil {
-		return errors.New("engine: nil vocabulary")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.vocab != nil {
-		if m.vocab == v {
-			return nil
-		}
-		return errors.New("engine: vocabulary already frozen")
-	}
-	m.freezeLocked(v)
-	return nil
-}
-
 func (m *Model) freezeLocked(v *text.Vocabulary) {
 	m.vocab = v
 	m.sf0 = m.lex.Sf0(v, m.cfg.K, m.hit)

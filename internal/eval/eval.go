@@ -1,7 +1,6 @@
 // Package eval implements the clustering-quality metrics of the paper's
 // §5: clustering accuracy under majority-vote cluster→class assignment and
-// Normalized Mutual Information (NMI), plus confusion matrices and
-// per-class precision/recall/F1 for diagnostics.
+// Normalized Mutual Information (NMI), plus the Adjusted Rand Index.
 //
 // All functions ignore items whose ground-truth label is negative
 // (unlabeled), matching the paper's evaluation on the labeled subsets of
@@ -99,21 +98,6 @@ func MajorityMapping(pred, truth []int) map[int]int {
 	return out
 }
 
-// MapClusters rewrites cluster ids to ground-truth classes via
-// MajorityMapping; clusters without labeled members map to themselves.
-func MapClusters(pred, truth []int) []int {
-	mapping := MajorityMapping(pred, truth)
-	out := make([]int, len(pred))
-	for i, c := range pred {
-		if cls, ok := mapping[c]; ok {
-			out[i] = cls
-		} else {
-			out[i] = c
-		}
-	}
-	return out
-}
-
 // NMI computes the Normalized Mutual Information
 //
 //	NMI(C,G) = 2·I(C;G) / (H(C)+H(G))
@@ -165,62 +149,6 @@ func entropy(counts map[int]float64, n float64) float64 {
 		}
 	}
 	return h
-}
-
-// ConfusionMatrix returns counts[class][cluster] over labeled items after
-// majority mapping of clusters to classes, with k rows/cols.
-func ConfusionMatrix(pred, truth []int, k int) [][]int {
-	mapped := MapClusters(pred, truth)
-	out := make([][]int, k)
-	for i := range out {
-		out[i] = make([]int, k)
-	}
-	for i, g := range truth {
-		if g < 0 || g >= k {
-			continue
-		}
-		m := mapped[i]
-		if m < 0 || m >= k {
-			continue
-		}
-		out[g][m]++
-	}
-	return out
-}
-
-// ClassScores holds per-class precision, recall and F1.
-type ClassScores struct {
-	Precision, Recall, F1 float64
-	Support               int
-}
-
-// PerClass computes precision/recall/F1 per ground-truth class after
-// majority mapping.
-func PerClass(pred, truth []int, k int) []ClassScores {
-	cm := ConfusionMatrix(pred, truth, k)
-	out := make([]ClassScores, k)
-	for c := 0; c < k; c++ {
-		var tp, fp, fn int
-		tp = cm[c][c]
-		for o := 0; o < k; o++ {
-			if o != c {
-				fn += cm[c][o]
-				fp += cm[o][c]
-			}
-		}
-		s := ClassScores{Support: tp + fn}
-		if tp+fp > 0 {
-			s.Precision = float64(tp) / float64(tp+fp)
-		}
-		if tp+fn > 0 {
-			s.Recall = float64(tp) / float64(tp+fn)
-		}
-		if s.Precision+s.Recall > 0 {
-			s.F1 = 2 * s.Precision * s.Recall / (s.Precision + s.Recall)
-		}
-		out[c] = s
-	}
-	return out
 }
 
 // Metrics bundles the two headline numbers the paper reports.

@@ -84,9 +84,9 @@ func TestMajorityMapping(t *testing.T) {
 func TestMapClustersUnlabeledClusterKeepsID(t *testing.T) {
 	truth := []int{0, -1}
 	pred := []int{3, 9} // cluster 9 has no labeled member
-	mapped := MapClusters(pred, truth)
-	if mapped[0] != 0 || mapped[1] != 9 {
-		t.Fatalf("MapClusters = %v", mapped)
+	m := MajorityMapping(pred, truth)
+	if _, mapped := m[9]; mapped || m[3] != 0 {
+		t.Fatalf("MajorityMapping = %v, want cluster 3 on class 0 and cluster 9 left alone", m)
 	}
 }
 
@@ -152,31 +152,6 @@ func TestNMISymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	truth := []int{0, 0, 1, 1}
-	pred := []int{0, 1, 1, 1}
-	cm := ConfusionMatrix(pred, truth, 2)
-	// cluster 0 → class 0; cluster 1 → class 1 (majority 2 vs 1).
-	if cm[0][0] != 1 || cm[0][1] != 1 || cm[1][1] != 2 || cm[1][0] != 0 {
-		t.Fatalf("ConfusionMatrix = %v", cm)
-	}
-}
-
-func TestPerClass(t *testing.T) {
-	truth := []int{0, 0, 1, 1}
-	pred := []int{0, 0, 1, 0}
-	s := PerClass(pred, truth, 2)
-	if s[0].Recall != 1 || math.Abs(s[0].Precision-2.0/3) > 1e-12 {
-		t.Fatalf("class0 = %+v", s[0])
-	}
-	if s[1].Recall != 0.5 || s[1].Precision != 1 {
-		t.Fatalf("class1 = %+v", s[1])
-	}
-	if s[0].Support != 2 || s[1].Support != 2 {
-		t.Fatalf("supports = %+v", s)
 	}
 }
 

@@ -105,7 +105,7 @@ func RenderAblation(w io.Writer, prop Prop, rows []AblationRow) {
 			if v == 0 {
 				return "–"
 			}
-			return fmtPct(v)
+			return eval.Percent(v)
 		}
 		table = append(table, []string{r.Variant,
 			cell(r.Tweet.Accuracy), cell(r.Tweet.NMI),

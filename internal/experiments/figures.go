@@ -344,13 +344,13 @@ func RenderOnlineSweep(w io.Writer, title string, cells []OnlineSweepCell, byGam
 	if byGamma {
 		rows = append(rows, []string{"γ", "user acc", "tweet acc"})
 		for _, c := range cells {
-			rows = append(rows, []string{fmt.Sprintf("%.1f", c.Gamma), fmtPct(c.User), fmtPct(c.Tweet)})
+			rows = append(rows, []string{fmt.Sprintf("%.1f", c.Gamma), eval.Percent(c.User), eval.Percent(c.Tweet)})
 		}
 	} else {
 		rows = append(rows, []string{"α", "τ", "user acc", "tweet acc"})
 		for _, c := range cells {
 			rows = append(rows, []string{fmt.Sprintf("%.1f", c.Alpha), fmt.Sprintf("%.1f", c.Tau),
-				fmtPct(c.User), fmtPct(c.Tweet)})
+				eval.Percent(c.User), eval.Percent(c.Tweet)})
 		}
 	}
 	Table(w, rows)
@@ -499,8 +499,8 @@ func RenderTimeline(w io.Writer, r *TimelineResult) {
 			fmt.Sprintf("%.1f", float64(on.Elapsed.Microseconds())/1000),
 			fmt.Sprintf("%.1f", float64(mini.Elapsed.Microseconds())/1000),
 			fmt.Sprintf("%.1f", float64(full.Elapsed.Microseconds())/1000),
-			fmtPct(on.TweetAcc), fmtPct(mini.TweetAcc), fmtPct(full.TweetAcc),
-			fmtPct(on.UserAcc), fmtPct(mini.UserAcc), fmtPct(full.UserAcc),
+			eval.Percent(on.TweetAcc), eval.Percent(mini.TweetAcc), eval.Percent(full.TweetAcc),
+			eval.Percent(on.UserAcc), eval.Percent(mini.UserAcc), eval.Percent(full.UserAcc),
 		})
 	}
 	Table(w, rows)
@@ -508,7 +508,7 @@ func RenderTimeline(w io.Writer, r *TimelineResult) {
 	fmt.Fprintf(w, "totals: online %v, mini-batch %v, full-batch %v\n",
 		sum.OnlineTime.Round(time.Millisecond), sum.MiniTime.Round(time.Millisecond), sum.FullTime.Round(time.Millisecond))
 	fmt.Fprintf(w, "mean tweet acc: online %s, mini %s, full %s\n",
-		fmtPct(sum.OnlineTweetAcc), fmtPct(sum.MiniTweetAcc), fmtPct(sum.FullTweetAcc))
+		eval.Percent(sum.OnlineTweetAcc), eval.Percent(sum.MiniTweetAcc), eval.Percent(sum.FullTweetAcc))
 	fmt.Fprintf(w, "mean user acc: online %s, mini %s, full %s\n",
-		fmtPct(sum.OnlineUserAcc), fmtPct(sum.MiniUserAcc), fmtPct(sum.FullUserAcc))
+		eval.Percent(sum.OnlineUserAcc), eval.Percent(sum.MiniUserAcc), eval.Percent(sum.FullUserAcc))
 }

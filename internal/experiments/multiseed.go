@@ -130,10 +130,10 @@ func RenderMultiSeed(w io.Writer, r *MultiSeedResult) {
 	fmt.Fprintf(w, "Multi-seed robustness (%s, %d seeds): accuracy mean ± std\n", r.Prop, len(r.Seeds))
 	rows := [][]string{{"level", "method", "mean", "std"}}
 	for _, s := range r.TweetAcc {
-		rows = append(rows, []string{"tweet", s.Method, fmtPct(s.Mean), fmtPct(s.Std)})
+		rows = append(rows, []string{"tweet", s.Method, eval.Percent(s.Mean), eval.Percent(s.Std)})
 	}
 	for _, s := range r.UserAcc {
-		rows = append(rows, []string{"user", s.Method, fmtPct(s.Mean), fmtPct(s.Std)})
+		rows = append(rows, []string{"user", s.Method, eval.Percent(s.Mean), eval.Percent(s.Std)})
 	}
 	Table(w, rows)
 }

@@ -189,5 +189,3 @@ func Series(w io.Writer, xName string, x []float64, cols map[string][]float64, o
 	}
 	Table(w, rows)
 }
-
-func fmtPct(v float64) string { return fmt.Sprintf("%.2f", v*100) }

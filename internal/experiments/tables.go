@@ -424,9 +424,9 @@ func RenderComparison(w io.Writer, title string, results []*ComparisonResult) {
 		row := []string{results[0].Scores[i].Group, results[0].Scores[i].Method}
 		for _, r := range results {
 			sc := r.Scores[i]
-			row = append(row, fmtPct(sc.Accuracy))
+			row = append(row, eval.Percent(sc.Accuracy))
 			if sc.HasNMI {
-				row = append(row, fmtPct(sc.NMI))
+				row = append(row, eval.Percent(sc.NMI))
 			} else {
 				row = append(row, "–")
 			}

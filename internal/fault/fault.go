@@ -19,7 +19,6 @@
 package fault
 
 import (
-	"io"
 	"os"
 )
 
@@ -106,15 +105,3 @@ func (f *osFile) Seek(off int64, whence int) (int64, error) {
 }
 func (f *osFile) Close() error { return (*os.File)(f).Close() }
 func (f *osFile) Name() string { return (*os.File)(f).Name() }
-
-// SiteWriter adapts a File at a fixed site to io.Writer, so streaming
-// encoders (Topic.Snapshot through a CRC tee) can write through the
-// failpoint layer.
-func SiteWriter(f File, site string) io.Writer { return siteWriter{f: f, site: site} }
-
-type siteWriter struct {
-	f    File
-	site string
-}
-
-func (w siteWriter) Write(p []byte) (int, error) { return w.f.Write(w.site, p) }

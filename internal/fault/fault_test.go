@@ -203,14 +203,6 @@ func TestPassthroughZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("passthrough Write allocates %v per op, want 0", n)
 	}
-	w := SiteWriter(f, "t.write")
-	if n := testing.AllocsPerRun(200, func() {
-		if _, err := w.Write(buf); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("SiteWriter allocates %v per op, want 0", n)
-	}
 }
 
 // The ns/op companion to the alloc guard: compare with

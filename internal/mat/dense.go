@@ -431,18 +431,11 @@ func (m *Dense) Max() float64 {
 	return best
 }
 
-// SplitPosNeg splits m into Δ⁺=(|m|+m)/2 and Δ⁻=(|m|−m)/2 so that
-// m = Δ⁺ − Δ⁻ with both parts non-negative. Used by the Lagrangian terms
-// in the multiplicative update rules (Eqs. 7, 9, 11, 26 of the paper).
-func SplitPosNeg(m *Dense) (pos, neg *Dense) {
-	pos = NewDense(m.rows, m.cols)
-	neg = NewDense(m.rows, m.cols)
-	SplitPosNegInto(pos, neg, m)
-	return pos, neg
-}
-
-// SplitPosNegInto is SplitPosNeg writing into caller-provided matrices of
-// m's shape (e.g. workspace scratch).
+// SplitPosNegInto splits m into Δ⁺=(|m|+m)/2 and Δ⁻=(|m|−m)/2 so that
+// m = Δ⁺ − Δ⁻ with both parts non-negative, writing them into
+// caller-provided matrices of m's shape (e.g. workspace scratch). Used by
+// the Lagrangian terms in the multiplicative update rules (Eqs. 7, 9, 11,
+// 26 of the paper).
 func SplitPosNegInto(pos, neg, m *Dense) {
 	checkSame("SplitPosNegInto(pos)", pos, m)
 	checkSame("SplitPosNegInto(neg)", neg, m)

@@ -197,7 +197,8 @@ func TestDiffFrobeniusSq(t *testing.T) {
 
 func TestSplitPosNeg(t *testing.T) {
 	m := FromRows([][]float64{{3, -2}, {0, -5}})
-	pos, neg := SplitPosNeg(m)
+	pos, neg := NewDense(2, 2), NewDense(2, 2)
+	SplitPosNegInto(pos, neg, m)
 	if !Equal(pos, FromRows([][]float64{{3, 0}, {0, 0}}), 0) {
 		t.Fatalf("pos = %v", pos)
 	}
@@ -215,7 +216,8 @@ func TestSplitPosNeg(t *testing.T) {
 func TestSplitPosNegProperty(t *testing.T) {
 	f := func(vals [6]float64) bool {
 		m := NewDenseData(2, 3, append([]float64(nil), vals[:]...))
-		pos, neg := SplitPosNeg(m)
+		pos, neg := NewDense(2, 3), NewDense(2, 3)
+		SplitPosNegInto(pos, neg, m)
 		for i := range pos.Data() {
 			if pos.Data()[i] < 0 || neg.Data()[i] < 0 {
 				return false
@@ -359,10 +361,8 @@ func TestIdentityAndDiag(t *testing.T) {
 	if !Equal(Product(i3, a), a, 1e-12) || !Equal(Product(a, i3), a, 1e-12) {
 		t.Fatal("identity is not multiplicative identity")
 	}
-	d := DiagFromVector([]float64{1, 2, 3})
-	got := Product(d, i3)
-	if got.At(1, 1) != 2 || got.At(0, 1) != 0 {
-		t.Fatalf("DiagFromVector wrong: %v", got)
+	if i3.At(1, 1) != 1 || i3.At(0, 1) != 0 {
+		t.Fatalf("Identity wrong: %v", i3)
 	}
 }
 

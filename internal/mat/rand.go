@@ -31,15 +31,6 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// DiagFromVector returns a square matrix with v on the diagonal.
-func DiagFromVector(v []float64) *Dense {
-	m := NewDense(len(v), len(v))
-	for i, x := range v {
-		m.Set(i, i, x)
-	}
-	return m
-}
-
 // FromRows builds a matrix from row slices. All rows must share a length;
 // an empty input yields a 0×0 matrix.
 func FromRows(rows [][]float64) *Dense {

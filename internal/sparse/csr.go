@@ -129,14 +129,9 @@ func (m *CSR) MulDenseInto(dst *mat.Dense, b *mat.Dense) *mat.Dense {
 	return dst
 }
 
-// MulTDense returns mᵀ·b as a dense matrix (cols×b.Cols()) without
-// materializing the transpose.
-func (m *CSR) MulTDense(b *mat.Dense) *mat.Dense {
-	return m.MulTDenseInto(nil, b)
-}
-
-// MulTDenseInto stores mᵀ·b into dst (cols×b.Cols()) and returns it; a
-// nil dst allocates. dst must not alias b (see MulDenseInto).
+// MulTDenseInto stores mᵀ·b into dst (cols×b.Cols()) without
+// materializing the transpose, and returns it; a nil dst allocates. dst
+// must not alias b (see MulDenseInto).
 //
 // The kernel scatters into output rows indexed by the columns of m, so it
 // runs serially: hot paths that need a parallel transpose product should
@@ -400,21 +395,6 @@ func (m *CSR) ScaleRows(s []float64) *CSR {
 		for p := lo; p < hi; p++ {
 			out.val[p] = m.val[p] * s[i]
 		}
-	}
-	return out
-}
-
-// ScaleCols multiplies column j by s[j], returning a new matrix.
-func (m *CSR) ScaleCols(s []float64) *CSR {
-	if len(s) != m.cols {
-		panic("sparse: ScaleCols length mismatch")
-	}
-	out := &CSR{rows: m.rows, cols: m.cols,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int(nil), m.colIdx...),
-		val:    make([]float64, len(m.val))}
-	for p, j := range m.colIdx {
-		out.val[p] = m.val[p] * s[j]
 	}
 	return out
 }

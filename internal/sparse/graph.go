@@ -91,15 +91,11 @@ func DegreeMulDenseInto(dst *mat.Dense, g *CSR, deg []float64, b *mat.Dense) *ma
 	return dst
 }
 
-// GraphRegularization returns tr(Sᵀ L S) = ½ Σ_{ij} G(i,j)·||S(i)−S(j)||²,
+// GraphRegularizationWS returns tr(Sᵀ L S) = ½ Σ_{ij} G(i,j)·||S(i)−S(j)||²,
 // the user-graph smoothness penalty of Eq. 6. It is computed from the
-// identity tr(SᵀLS) = tr(SᵀDS) − tr(SᵀGS) without forming L.
-func GraphRegularization(g *CSR, s *mat.Dense) float64 {
-	return GraphRegularizationWS(g, nil, s, nil)
-}
-
-// GraphRegularizationWS is GraphRegularization with an optional
-// precomputed degree vector and workspace for the L·S temporary.
+// identity tr(SᵀLS) = tr(SᵀDS) − tr(SᵀGS) without forming L. deg is an
+// optional precomputed degree vector and ws an optional workspace for the
+// L·S temporary (nil computes and allocates).
 func GraphRegularizationWS(g *CSR, deg []float64, s *mat.Dense, ws *mat.Workspace) float64 {
 	var dst *mat.Dense
 	if ws != nil {

@@ -111,10 +111,10 @@ func TestMulTDenseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomCSR(rng, 11, 9, 0.25)
 	b := mat.RandomNonNegative(rng, 11, 3, 0, 1)
-	got := a.MulTDense(b)
+	got := a.MulTDenseInto(nil, b)
 	want := mat.Product(a.ToDense().T(), b)
 	if !mat.Equal(got, want, 1e-10) {
-		t.Fatal("MulTDense mismatch vs dense reference")
+		t.Fatal("MulTDenseInto mismatch vs dense reference")
 	}
 }
 
@@ -220,9 +220,10 @@ func TestScaleRowsCols(t *testing.T) {
 	if r.At(0, 1) != 4 || r.At(1, 0) != 1.5 {
 		t.Fatalf("ScaleRows wrong: %v %v", r.At(0, 1), r.At(1, 0))
 	}
-	c := m.ScaleCols([]float64{10, 0})
+	c := FromDenseRows([][]float64{{1, 2}, {3, 4}})
+	c.ScaleColsInPlace([]float64{10, 0})
 	if c.At(0, 0) != 10 || c.At(1, 1) != 0 {
-		t.Fatalf("ScaleCols wrong: %v %v", c.At(0, 0), c.At(1, 1))
+		t.Fatalf("ScaleColsInPlace wrong: %v %v", c.At(0, 0), c.At(1, 1))
 	}
 	// Original untouched.
 	if m.At(0, 0) != 1 {
@@ -251,12 +252,12 @@ func TestDegreesAndLaplacian(t *testing.T) {
 	}
 	s := mat.FromRows([][]float64{{1}, {0}, {1}})
 	// tr(SᵀLS) = ½ ΣG(i,j)(s_i−s_j)² = ½(1+1+1+1) = 2.
-	if got := GraphRegularization(g, s); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("GraphRegularization = %v, want 2", got)
+	if got := GraphRegularizationWS(g, nil, s, nil); math.Abs(got-2) > 1e-12 {
+		t.Fatalf("GraphRegularizationWS = %v, want 2", got)
 	}
 	// Constant vector is in the Laplacian null space.
 	ones := mat.FromRows([][]float64{{1}, {1}, {1}})
-	if got := GraphRegularization(g, ones); math.Abs(got) > 1e-12 {
+	if got := GraphRegularizationWS(g, nil, ones, nil); math.Abs(got) > 1e-12 {
 		t.Fatalf("L·1 should vanish, got %v", got)
 	}
 }
@@ -268,7 +269,7 @@ func TestGraphRegularizationMatchesPairwiseSum(t *testing.T) {
 		g := randomCSR(rng, n, n, 0.3)
 		g = Symmetrize(DropDiagonal(g))
 		s := mat.RandomNonNegative(rng, n, 2, 0, 1)
-		got := GraphRegularization(g, s)
+		got := GraphRegularizationWS(g, nil, s, nil)
 		var want float64
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {

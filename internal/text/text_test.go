@@ -179,7 +179,7 @@ func TestInverseDocumentFrequencyValues(t *testing.T) {
 	v.AddWord("w")
 	docs := [][]string{{"w"}, {"w"}}
 	tf := DocFeatureMatrix(docs, v, TF)
-	idf := InverseDocumentFrequency(tf)
+	idf := InverseDocumentFrequencyInto(nil, tf)
 	want := math.Log(3.0/3.0) + 1
 	if math.Abs(idf[0]-want) > 1e-12 {
 		t.Fatalf("idf = %v, want %v", idf[0], want)
@@ -193,7 +193,7 @@ func TestUserFeatureMatrixAggregation(t *testing.T) {
 	docs := [][]string{{"gmo"}, {"gmo", "tax"}, {"tax"}}
 	xp := DocFeatureMatrix(docs, v, TF)
 	owner := []int{0, 0, 1}
-	xu := UserFeatureMatrix(xp, owner, 2)
+	xu := new(FeatureScratch).UserFeatureMatrixInto(nil, xp, owner, 2)
 	if xu.At(0, 0) != 2 || xu.At(0, 1) != 1 || xu.At(1, 1) != 1 || xu.At(1, 0) != 0 {
 		t.Fatalf("Xu wrong: %v", xu.ToDense())
 	}
@@ -203,7 +203,7 @@ func TestUserFeatureMatrixSkipsUnowned(t *testing.T) {
 	v := NewVocabulary()
 	v.AddWord("gmo")
 	xp := DocFeatureMatrix([][]string{{"gmo"}}, v, TF)
-	xu := UserFeatureMatrix(xp, []int{-1}, 1)
+	xu := new(FeatureScratch).UserFeatureMatrixInto(nil, xp, []int{-1}, 1)
 	if xu.NNZ() != 0 {
 		t.Fatal("unowned tweet aggregated")
 	}
@@ -218,7 +218,7 @@ func TestUserFeatureMatrixLengthPanics(t *testing.T) {
 	v := NewVocabulary()
 	v.AddWord("x")
 	xp := DocFeatureMatrix([][]string{{"x"}}, v, TF)
-	UserFeatureMatrix(xp, []int{0, 1}, 2)
+	new(FeatureScratch).UserFeatureMatrixInto(nil, xp, []int{0, 1}, 2)
 }
 
 func TestStem(t *testing.T) {

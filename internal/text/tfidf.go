@@ -84,8 +84,10 @@ func (s *FeatureScratch) DocFeatureMatrixInto(dst *sparse.CSR, docs [][]string, 
 	}
 }
 
-// UserFeatureMatrixInto is UserFeatureMatrix emitting into a reusable dst
-// (nil allocates one).
+// UserFeatureMatrixInto aggregates an n×l tweet–feature matrix into the m×l
+// user–feature matrix Xu by summing the rows of each user's tweets, emitting
+// into a reusable dst (nil allocates one). owner[i] gives the user index of
+// tweet i; tweets with owner -1 are skipped.
 func (s *FeatureScratch) UserFeatureMatrixInto(dst *sparse.CSR, xp *sparse.CSR, owner []int, numUsers int) *sparse.CSR {
 	if len(owner) != xp.Rows() {
 		panic("text: owner length must match tweet count")
@@ -104,14 +106,9 @@ func (s *FeatureScratch) UserFeatureMatrixInto(dst *sparse.CSR, xp *sparse.CSR, 
 	return s.coo.ToCSRInto(dst)
 }
 
-// InverseDocumentFrequency returns the smoothed IDF vector
-// idf(j) = ln((1+N)/(1+df(j))) + 1 for an n×l term-frequency matrix.
-func InverseDocumentFrequency(tf *sparse.CSR) []float64 {
-	return InverseDocumentFrequencyInto(nil, tf)
-}
-
-// InverseDocumentFrequencyInto computes the smoothed IDF vector into dst,
-// reusing its backing array when large enough.
+// InverseDocumentFrequencyInto computes the smoothed IDF vector
+// idf(j) = ln((1+N)/(1+df(j))) + 1 of an n×l term-frequency matrix into
+// dst, reusing its backing array when large enough.
 func InverseDocumentFrequencyInto(dst []float64, tf *sparse.CSR) []float64 {
 	n := tf.Rows()
 	l := tf.Cols()
@@ -133,13 +130,4 @@ func InverseDocumentFrequencyInto(dst []float64, tf *sparse.CSR) []float64 {
 		dst[j] = math.Log((1+float64(n))/(1+d)) + 1
 	}
 	return dst
-}
-
-// UserFeatureMatrix aggregates an n×l tweet–feature matrix into the m×l
-// user–feature matrix Xu by summing the rows of each user's tweets.
-// owner[i] gives the user index of tweet i; tweets with owner -1 are
-// skipped.
-func UserFeatureMatrix(xp *sparse.CSR, owner []int, numUsers int) *sparse.CSR {
-	var s FeatureScratch
-	return s.UserFeatureMatrixInto(nil, xp, owner, numUsers)
 }

@@ -90,9 +90,6 @@ func NewVocabularyFromWords(words []string) *Vocabulary {
 	return v
 }
 
-// Distinct returns the number of distinct tokens observed so far.
-func (b *VocabBuilder) Distinct() int { return len(b.df) }
-
 // Build freezes the accumulated counts into a Vocabulary, keeping tokens
 // that occur in at least minDF documents, in lexicographic index order.
 // The builder remains usable (further Adds feed a later Build).

@@ -28,8 +28,8 @@ func TestVocabBuilderIncrementalMatchesBatch(t *testing.T) {
 	if b.Docs() != len(docs) {
 		t.Fatalf("Docs() = %d, want %d", b.Docs(), len(docs))
 	}
-	if b.Distinct() != 4 {
-		t.Fatalf("Distinct() = %d, want 4", b.Distinct())
+	if len(b.df) != 4 {
+		t.Fatalf("%d distinct tokens counted, want 4", len(b.df))
 	}
 }
 

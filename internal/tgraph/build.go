@@ -36,12 +36,6 @@ type BuildOptions struct {
 	Vocab *text.Vocabulary
 }
 
-// DefaultBuildOptions returns the paper's configuration: TF-IDF features,
-// vocabulary pruned at document frequency 2.
-func DefaultBuildOptions() BuildOptions {
-	return BuildOptions{Weighting: text.TFIDF, MinDF: 2}
-}
-
 // Build constructs the tripartite graph of a tokenized corpus. Tweets must
 // already have Tokens set (call Corpus.Tokenize first for raw text). It is
 // the one-shot form of the construction a SnapshotBuilder repeats per batch:

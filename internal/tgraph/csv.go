@@ -28,7 +28,7 @@ type CSVOptions struct {
 // index of an earlier row (-1 or empty for none), and label is
 // pos/neg/neu (or empty / "-" for unlabeled). It returns a validated
 // corpus; tweet text remains untokenized (call Corpus.Tokenize or let
-// triclust.Fit do it).
+// Topic.FitCorpus do it).
 func ReadCSV(r io.Reader, opts CSVOptions) (*Corpus, error) {
 	cr := csv.NewReader(r)
 	if opts.Comma != 0 {

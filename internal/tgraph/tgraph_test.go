@@ -98,6 +98,43 @@ func TestSliceRemapsTweetsAndRetweets(t *testing.T) {
 	}
 }
 
+// TestSliceByDayIsAnOnlineBatch walks a corpus the way cmd/triclust -online
+// and examples/election do, one Slice(day, day+1) a batch: a same-day retweet
+// keeps its target as a batch-local index, a target posted on another day
+// becomes -1, and ground truth follows the returned index map. (Both callers
+// used to set RetweetOf = -1 on every tweet, which ran Algorithm 2 without a
+// single retweet edge.)
+func TestSliceByDayIsAnOnlineBatch(t *testing.T) {
+	c := tinyCorpus()
+	// Day 2 gains a second tweet that retweets the day's first (corpus index
+	// 2), which itself retweets day 1's tweet 0.
+	c.Tweets = append(c.Tweets, Tweet{Tokens: []string{"label"}, User: 0, Time: 2, RetweetOf: 2, Label: 1})
+	truth := c.TweetLabels()
+
+	day1, idx1 := c.Slice(1, 2)
+	if !reflect.DeepEqual(idx1, []int{0, 1}) || day1.Tweets[0].RetweetOf != -1 || day1.Tweets[1].RetweetOf != -1 {
+		t.Fatalf("day 1: index map %v, tweets %+v", idx1, day1.Tweets)
+	}
+	day2, idx2 := c.Slice(2, 3)
+	if !reflect.DeepEqual(idx2, []int{2, 3}) {
+		t.Fatalf("day 2: index map %v, want [2 3]", idx2)
+	}
+	if got := day2.Tweets[0].RetweetOf; got != -1 {
+		t.Fatalf("cross-day retweet target = %d, want -1", got)
+	}
+	if got := day2.Tweets[1].RetweetOf; got != 0 {
+		t.Fatalf("same-day retweet target = %d, want the batch-local 0", got)
+	}
+	for i, g := range idx2 {
+		if day2.Tweets[i].Label != truth[g] {
+			t.Fatalf("batch tweet %d carries label %d, corpus tweet %d has %d", i, day2.Tweets[i].Label, g, truth[g])
+		}
+	}
+	if err := day2.Validate(); err != nil {
+		t.Fatalf("a day's slice is not a valid batch: %v", err)
+	}
+}
+
 func TestActiveUsers(t *testing.T) {
 	c := tinyCorpus()
 	if !reflect.DeepEqual(c.ActiveUsers(), []int{0, 1}) {
@@ -210,7 +247,7 @@ func TestBuildMinDFPrunes(t *testing.T) {
 }
 
 func TestBuildEmptyCorpus(t *testing.T) {
-	g := Build(&Corpus{}, DefaultBuildOptions())
+	g := Build(&Corpus{}, BuildOptions{Weighting: text.TFIDF, MinDF: 2})
 	if g.Xp.Rows() != 0 || g.Xu.Rows() != 0 || g.Xr.NNZ() != 0 || g.Gu.NNZ() != 0 {
 		t.Fatal("empty corpus should yield empty graph")
 	}

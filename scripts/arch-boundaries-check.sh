@@ -122,6 +122,20 @@ if [ -e "cmd/$retired" ] || grep -rn -- "$retired" scripts/ >&2; then
     fail=1
 fi
 
+# The library has one way in and the solver one objective: Topic is the
+# only API (Fit, Stream and the option struct of Fit are gone) and
+# core.Config holds the paper's terms only (Eq. 1 / Eq. 19). The snapshot
+# slots of the five removed extension knobs are reserved, and the comment
+# that says so in internal/codec is the one place that may still name one.
+back=$(grep -rnE --include='*.go' \
+    'func Fit\(|type Stream struct|NewStream\(|applyExtensions|SparsityLambda' . \
+    | grep -v '^\./internal/codec/codec\.go:[0-9]*://' || true)
+if [ -n "$back" ]; then
+    echo "SPINE: the second API or an extension regularizer is back (see triclust.go, internal/core/types.go):" >&2
+    echo "$back" >&2
+    fail=1
+fi
+
 # A snapshot is opaque outside internal/codec: the store moves it, the
 # daemon ships it, the benchmark weighs it. A section tag or a matrix form
 # named anywhere else means some other package has started to parse one.

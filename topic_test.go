@@ -904,26 +904,6 @@ func TestNewTopicValidation(t *testing.T) {
 	}
 }
 
-// TestNewStreamValidation: the deprecated constructor performs the same
-// validation (it used to return an error that could never be non-nil).
-func TestNewStreamValidation(t *testing.T) {
-	opts := triclust.DefaultStreamOptions()
-	opts.MinDF = -1
-	if _, err := triclust.NewStream([]triclust.User{{}}, opts); err == nil {
-		t.Fatal("NewStream accepted negative MinDF")
-	}
-	opts = triclust.DefaultStreamOptions()
-	opts.Config.Window = -2
-	if _, err := triclust.NewStream([]triclust.User{{}}, opts); err == nil {
-		t.Fatal("NewStream accepted negative window")
-	}
-	opts = triclust.DefaultStreamOptions()
-	opts.Config.K = 7
-	if _, err := triclust.NewStream([]triclust.User{{}}, opts); err == nil {
-		t.Fatal("NewStream accepted k=7")
-	}
-}
-
 // TestTopicWarmupFreezeLifecycle exercises the explicit lifecycle:
 // warm-up feeds the vocabulary, Freeze fixes it, later warm-up errors.
 func TestTopicWarmupFreezeLifecycle(t *testing.T) {
@@ -969,35 +949,6 @@ func TestTopicWarmupFreezeLifecycle(t *testing.T) {
 	}
 	if got := tp.Vocabulary(); len(got) != 2 {
 		t.Fatalf("first batch changed the frozen vocabulary: %v", got)
-	}
-}
-
-// TestStreamTopicEquivalence: the deprecated Stream adapter and the Topic
-// it wraps produce identical step results.
-func TestStreamTopicEquivalence(t *testing.T) {
-	d := demoCorpus(t, 13)
-	batches := dayBatches(d, 8)
-	st, err := triclust.NewStream(d.Corpus.Users, triclust.DefaultStreamOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := triclust.NewTopic(d.Corpus.Users)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for day := 0; day < 4; day++ {
-		a, err := st.Process(day, batches[day])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := tp.Process(day, batches[day])
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameStep(t, day, a, b, 0)
-	}
-	if st.Topic() == nil {
-		t.Fatal("Stream.Topic returned nil")
 	}
 }
 

@@ -41,22 +41,6 @@
 // Snapshots survive process restarts; cmd/triclustd uses them for its
 // -data-dir durability and its PUT /v1/topics/{topic} restore endpoint.
 //
-// # Migrating from Fit and Stream
-//
-// Fit and Stream predate Topic and remain as thin adapters:
-//
-//   - triclust.Fit(c, opts) ≡ NewTopic(nil, WithSolverConfig(...),
-//     WithLexicon(...), ...) followed by FitCorpus(c).
-//   - triclust.NewStream(users, opts) ≡ NewTopic(users, ...); then
-//     Stream.Process ≡ Topic.Process and Stream.UserEstimate ≡
-//     Topic.UserEstimate. Stream.Topic returns the underlying Topic, so
-//     an existing stream can be snapshotted without rewriting call sites.
-//
-// The parallel Options/StreamOptions structs map onto functional options:
-// Config/OnlineConfig → WithSolverConfig, Lexicon → WithLexicon,
-// LexiconHit → WithLexiconHit, Weighting → WithWeighting, MinDF →
-// WithMinDF, Tokenizer → WithTokenizer.
-//
 // # Architecture
 //
 // Topic is a thin façade over internal/engine, which decomposes the
@@ -73,13 +57,11 @@
 package triclust
 
 import (
-	"errors"
 	"fmt"
 
 	"triclust/internal/core"
 	"triclust/internal/engine"
 	"triclust/internal/lexicon"
-	"triclust/internal/text"
 	"triclust/internal/tgraph"
 )
 
@@ -94,7 +76,7 @@ type (
 	// User carries user metadata and an optional ground-truth label.
 	User = tgraph.User
 	// Config holds the offline hyper-parameters (k, α, β, iterations,
-	// §7 extension regularizers).
+	// tolerance, seed).
 	Config = core.Config
 	// OnlineConfig adds the temporal parameters (γ, τ, window).
 	OnlineConfig = core.OnlineConfig
@@ -138,41 +120,6 @@ func ClassName(c int) string {
 	}
 }
 
-// Options configure Fit.
-//
-// Deprecated: construct a Topic with functional options instead (see the
-// package documentation's migration notes).
-type Options struct {
-	// Config is the solver configuration (DefaultConfig of the paper's
-	// §5.1 when zero-valued fields are left alone).
-	Config Config
-	// Lexicon seeds the feature prior; nil uses the built-in polarity
-	// lexicon.
-	Lexicon *Lexicon
-	// LexiconHit is the prior probability mass a listed word puts on its
-	// class (default 0.8).
-	LexiconHit float64
-	// Weighting selects TF / TF-IDF / binary features (default TF-IDF).
-	Weighting text.Weighting
-	// MinDF prunes vocabulary words occurring in fewer tweets
-	// (default 2).
-	MinDF int
-	// Tokenizer controls text normalization for tweets whose Tokens
-	// field is nil.
-	Tokenizer text.TokenizerOptions
-}
-
-// DefaultOptions returns the paper's offline configuration.
-func DefaultOptions() Options {
-	return Options{
-		Config:     core.DefaultConfig(),
-		LexiconHit: 0.8,
-		Weighting:  text.TFIDF,
-		MinDF:      2,
-		Tokenizer:  text.DefaultTokenizerOptions(),
-	}
-}
-
 // Result is the outcome of an offline fit or one online step.
 type Result struct {
 	// TweetSentiments and UserSentiments follow the input ordering.
@@ -187,29 +134,6 @@ type Result struct {
 	Converged  bool
 	// Raw exposes the factor matrices and loss history for analysis.
 	Raw *core.Result
-
-	model *engine.Model
-}
-
-// PredictTweets classifies new tweets against the fitted model without
-// re-running the solver (NMF fold-in: the tweets' feature rows are
-// projected onto the learned feature space Sf·Hpᵀ). Out-of-vocabulary
-// words are ignored; a tweet with no known words gets a uniform-confidence
-// neutral-ish result.
-func (r *Result) PredictTweets(texts []string) ([]Sentiment, error) {
-	docs := make([][]string, len(texts))
-	for i, s := range texts {
-		docs[i] = r.model.Tokenizer().Tokenize(s)
-	}
-	return r.PredictTokenized(docs)
-}
-
-// PredictTokenized is PredictTweets for pre-tokenized input.
-func (r *Result) PredictTokenized(docs [][]string) ([]Sentiment, error) {
-	if r.model == nil || r.Raw == nil {
-		return nil, errors.New("triclust: result carries no model")
-	}
-	return r.model.Predict(&r.Raw.Factors, docs)
 }
 
 // resultFrom adapts an engine outcome to the public Result shape.
@@ -218,7 +142,6 @@ func resultFrom(out *engine.Outcome, m *engine.Model) *Result {
 		TweetSentiments:   out.TweetSentiments,
 		UserSentiments:    out.UserSentiments,
 		FeatureSentiments: out.FeatureSentiments,
-		model:             m,
 	}
 	if v := m.Vocabulary(); v != nil {
 		r.Vocabulary = v.Words()
@@ -231,63 +154,23 @@ func resultFrom(out *engine.Outcome, m *engine.Model) *Result {
 	return r
 }
 
-// Fit runs the offline tri-clustering algorithm (Algorithm 1) on a corpus
-// and returns tweet-, user- and feature-level sentiments.
+// StreamOptions is what is left of the removed Stream API: the one field of
+// its option struct the benchmark still reads.
 //
-// Deprecated: Fit is a thin adapter kept for compatibility; it is
-// equivalent to NewTopic(nil, ...) followed by Topic.FitCorpus, which
-// additionally gives access to warm-up, prediction and durable snapshots.
-func Fit(c *Corpus, o Options) (*Result, error) {
-	if c == nil {
-		return nil, errors.New("triclust: nil corpus")
-	}
-	// An unconfigured solver selects the paper's *offline* setup (the
-	// engine's own fallback is the online one).
-	if o.Config.K == 0 {
-		o.Config = core.DefaultConfig()
-	}
-	t, err := NewTopic(nil,
-		WithSolverConfig(core.OnlineConfig{Config: o.Config}),
-		WithLexicon(o.Lexicon),
-		WithLexiconHit(o.LexiconHit),
-		WithWeighting(o.Weighting),
-		WithMinDF(o.MinDF),
-		WithTokenizer(o.Tokenizer))
-	if err != nil {
-		return nil, err
-	}
-	return t.FitCorpus(c)
-}
-
-// StreamOptions configure a Stream.
-//
-// Deprecated: construct a Topic with functional options instead (see the
-// package documentation's migration notes).
+// Deprecated: nothing takes a StreamOptions. The type and
+// DefaultStreamOptions stay only until bench/replay.go, which a change to
+// the library may not edit, stops spelling the default solver configuration
+// DefaultStreamOptions().Config; write DefaultOnlineConfig().
 type StreamOptions struct {
-	// Config is the online solver configuration (paper defaults: α=τ=0.9,
-	// β=0.8, γ=0.2, w=2).
+	// Config is the online solver configuration (DefaultOnlineConfig).
 	Config OnlineConfig
-	// Lexicon, LexiconHit, Weighting, Tokenizer as in Options.
-	Lexicon    *Lexicon
-	LexiconHit float64
-	Weighting  text.Weighting
-	Tokenizer  text.TokenizerOptions
-	// MinDF prunes the vocabulary built from the first batch. The
-	// vocabulary is then frozen: later out-of-vocabulary words are
-	// ignored (the online algorithm requires comparable Sf(t) matrices;
-	// the paper likewise fixes the feature space per topic).
-	MinDF int
 }
 
 // DefaultStreamOptions returns the paper's online configuration.
+//
+// Deprecated: see StreamOptions.
 func DefaultStreamOptions() StreamOptions {
-	return StreamOptions{
-		Config:     core.DefaultOnlineConfig(),
-		LexiconHit: 0.8,
-		Weighting:  text.TFIDF,
-		MinDF:      2,
-		Tokenizer:  text.DefaultTokenizerOptions(),
-	}
+	return StreamOptions{Config: core.DefaultOnlineConfig()}
 }
 
 // StreamResult extends Result with the mapping from batch rows to the
@@ -306,51 +189,6 @@ type StreamResult struct {
 	// quarantined batch is rejected with a *ConformanceError instead of
 	// producing a StreamResult.
 	Conformance *ConformanceVerdict
-}
-
-// Stream is the stateful online analyzer (Algorithm 2).
-//
-// Deprecated: Stream is a thin adapter over Topic kept for compatibility;
-// Topic adds vocabulary warm-up, fold-in prediction and durable
-// snapshot/restore. Stream.Topic exposes the underlying Topic so existing
-// streams can use those without rewriting call sites.
-type Stream struct {
-	topic *Topic
-}
-
-// NewStream creates a stream over a fixed user universe (tweets in later
-// batches refer to users by index into users). The options are validated
-// like NewTopic's: a negative MinDF, a class count the lexicon prior
-// cannot seed, or a non-positive temporal window are rejected.
-func NewStream(users []User, opts StreamOptions) (*Stream, error) {
-	t, err := NewTopic(users,
-		WithSolverConfig(opts.Config),
-		WithLexicon(opts.Lexicon),
-		WithLexiconHit(opts.LexiconHit),
-		WithWeighting(opts.Weighting),
-		WithMinDF(opts.MinDF),
-		WithTokenizer(opts.Tokenizer))
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{topic: t}, nil
-}
-
-// Topic returns the underlying Topic, e.g. for Snapshot.
-func (s *Stream) Topic() *Topic { return s.topic }
-
-// Process runs one online step on the batch of tweets with timestamp t.
-// Timestamps must strictly increase across non-empty batches. The first
-// non-empty batch fixes the vocabulary; an empty batch returns a result
-// with Skipped set and changes nothing.
-func (s *Stream) Process(t int, tweets []Tweet) (*StreamResult, error) {
-	return s.topic.Process(t, tweets)
-}
-
-// UserEstimate returns the most recent sentiment estimate for a user, or
-// ok=false if the user has never appeared.
-func (s *Stream) UserEstimate(user int) (Sentiment, bool) {
-	return s.topic.UserEstimate(user)
 }
 
 // BuiltinLexicon returns the general-purpose polarity lexicon.

@@ -22,11 +22,27 @@ func demoCorpus(t testing.TB, seed int64) *synth.Dataset {
 	return d
 }
 
+// offlineTopic builds a user-less topic on the paper's offline setup (§5.1),
+// the configuration FitCorpus is evaluated with; cfg may adjust it.
+func offlineTopic(t testing.TB, cfg func(*triclust.Config), opts ...triclust.Option) *triclust.Topic {
+	t.Helper()
+	c := triclust.DefaultConfig()
+	if cfg != nil {
+		cfg(&c)
+	}
+	opts = append([]triclust.Option{triclust.WithSolverConfig(triclust.OnlineConfig{Config: c})}, opts...)
+	tp, err := triclust.NewTopic(nil, opts...)
+	if err != nil {
+		t.Fatalf("NewTopic: %v", err)
+	}
+	return tp
+}
+
 func TestFitEndToEnd(t *testing.T) {
 	d := demoCorpus(t, 1)
-	res, err := triclust.Fit(d.Corpus, triclust.DefaultOptions())
+	res, err := offlineTopic(t, nil).FitCorpus(d.Corpus)
 	if err != nil {
-		t.Fatalf("Fit: %v", err)
+		t.Fatalf("FitCorpus: %v", err)
 	}
 	if len(res.TweetSentiments) != d.Corpus.NumTweets() {
 		t.Fatalf("tweet sentiments %d, want %d", len(res.TweetSentiments), d.Corpus.NumTweets())
@@ -59,7 +75,7 @@ func TestFitClassAlignment(t *testing.T) {
 	// With the lexicon prior, cluster ids align with Pos/Neg so that a
 	// tweet made of strong positive words lands in Pos.
 	d := demoCorpus(t, 2)
-	res, err := triclust.Fit(d.Corpus, triclust.DefaultOptions())
+	res, err := offlineTopic(t, nil).FitCorpus(d.Corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +97,14 @@ func TestFitClassAlignment(t *testing.T) {
 }
 
 func TestFitNilAndInvalid(t *testing.T) {
-	if _, err := triclust.Fit(nil, triclust.DefaultOptions()); err == nil {
+	if _, err := offlineTopic(t, nil).FitCorpus(nil); err == nil {
 		t.Fatal("expected error for nil corpus")
 	}
 	bad := &triclust.Corpus{
 		Users:  []triclust.User{{}},
 		Tweets: []triclust.Tweet{{User: 5, RetweetOf: -1}},
 	}
-	if _, err := triclust.Fit(bad, triclust.DefaultOptions()); err == nil {
+	if _, err := offlineTopic(t, nil).FitCorpus(bad); err == nil {
 		t.Fatal("expected error for invalid corpus")
 	}
 }
@@ -103,10 +119,8 @@ func TestFitRawText(t *testing.T) {
 			{Text: "bad awful lies and fear", User: 1, RetweetOf: -1, Label: triclust.NoLabel},
 		},
 	}
-	opts := triclust.DefaultOptions()
-	opts.MinDF = 1
-	opts.Config.MaxIter = 30
-	res, err := triclust.Fit(c, opts)
+	res, err := offlineTopic(t, func(c *triclust.Config) { c.MaxIter = 30 },
+		triclust.WithMinDF(1)).FitCorpus(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,20 +138,16 @@ func TestFitRawText(t *testing.T) {
 
 func TestStreamProcess(t *testing.T) {
 	d := demoCorpus(t, 3)
-	st, err := triclust.NewStream(d.Corpus.Users, triclust.DefaultStreamOptions())
+	st, err := triclust.NewTopic(d.Corpus.Users)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lo, hi, _ := d.Corpus.TimeRange()
 	var processed int
 	for day := lo; day <= hi; day++ {
-		var batch []triclust.Tweet
-		for _, tw := range d.Corpus.Tweets {
-			if tw.Time == day {
-				tw.RetweetOf = -1 // batch-local indices unknown to caller
-				batch = append(batch, tw)
-			}
-		}
+		// A day's slice keeps its same-day retweet edges, batch-local.
+		sub, _ := d.Corpus.Slice(day, day+1)
+		batch := sub.Tweets
 		if len(batch) == 0 {
 			continue
 		}
@@ -170,7 +180,7 @@ func TestStreamProcess(t *testing.T) {
 }
 
 func TestStreamRejectsBadBatch(t *testing.T) {
-	st, err := triclust.NewStream([]triclust.User{{}}, triclust.DefaultStreamOptions())
+	st, err := triclust.NewTopic([]triclust.User{{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,18 +213,16 @@ func TestInduceLexiconExported(t *testing.T) {
 
 func TestPredictTweetsFoldIn(t *testing.T) {
 	d := demoCorpus(t, 5)
-	opts := triclust.DefaultOptions()
 	// Seed the topic lexicon, as the paper seeds Sf0 from its
 	// automatically built "Yes"/"No" lists; without topic words the Neg
 	// cluster has no anchor in a synthetic corpus.
 	lex := d.PlantedLexicon(0.4, 0, 1)
 	lex.Merge(triclust.BuiltinLexicon())
-	opts.Lexicon = lex
-	res, err := triclust.Fit(d.Corpus, opts)
-	if err != nil {
+	tp := offlineTopic(t, nil, triclust.WithLexicon(lex))
+	if _, err := tp.FitCorpus(d.Corpus); err != nil {
 		t.Fatal(err)
 	}
-	preds, err := res.PredictTweets([]string{
+	preds, err := tp.Predict([]string{
 		"yeson37 labelgmo health safe",
 		"corn farmer noprop37 crop",
 	})
@@ -234,11 +242,11 @@ func TestPredictTweetsFoldIn(t *testing.T) {
 
 func TestPredictTweetsOOVIsGraceful(t *testing.T) {
 	d := demoCorpus(t, 6)
-	res, err := triclust.Fit(d.Corpus, triclust.DefaultOptions())
-	if err != nil {
+	tp := offlineTopic(t, nil)
+	if _, err := tp.FitCorpus(d.Corpus); err != nil {
 		t.Fatal(err)
 	}
-	preds, err := res.PredictTweets([]string{"zzzunknownzzz qqqneverseen"})
+	preds, err := tp.Predict([]string{"zzzunknownzzz qqqneverseen"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +257,8 @@ func TestPredictTweetsOOVIsGraceful(t *testing.T) {
 
 func TestFitCustomOptionsRespected(t *testing.T) {
 	d := demoCorpus(t, 7)
-	opts := triclust.DefaultOptions()
-	opts.Config.K = 2
-	opts.Config.MaxIter = 8
-	opts.LexiconHit = 0.9
-	res, err := triclust.Fit(d.Corpus, opts)
+	res, err := offlineTopic(t, func(c *triclust.Config) { c.K, c.MaxIter = 2, 8 },
+		triclust.WithLexiconHit(0.9)).FitCorpus(d.Corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +273,7 @@ func TestFitCustomOptionsRespected(t *testing.T) {
 }
 
 func TestStreamEmptyBatch(t *testing.T) {
-	st, err := triclust.NewStream([]triclust.User{{Name: "u"}}, triclust.DefaultStreamOptions())
+	st, err := triclust.NewTopic([]triclust.User{{Name: "u"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +308,12 @@ func TestStreamEmptyBatch(t *testing.T) {
 }
 
 func TestStreamZeroValueOptions(t *testing.T) {
-	// A zero StreamOptions must be filled with defaults, not crash.
-	st, err := triclust.NewStream([]triclust.User{{Name: "u"}}, triclust.StreamOptions{})
+	// Every option left at its zero value must be filled with defaults, not
+	// crash (the zero Weighting is TF, the zero tokenizer keeps every token).
+	st, err := triclust.NewTopic([]triclust.User{{Name: "u"}},
+		triclust.WithSolverConfig(triclust.OnlineConfig{}), triclust.WithLexicon(nil),
+		triclust.WithLexiconHit(0), triclust.WithWeighting(0), triclust.WithMinDF(0),
+		triclust.WithTokenizer(triclust.TokenizerOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
