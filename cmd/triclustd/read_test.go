@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 
 	"triclust/internal/fault"
 	"triclust/internal/store"
+	"triclust/internal/synth"
 )
 
 // readResp is one observed read-plane response.
@@ -522,5 +524,112 @@ func TestReadPlaneDuringJournalRollback(t *testing.T) {
 	if after.status != http.StatusNotModified {
 		t.Fatalf("post-rollback conditional poll: %d (etag %q vs durable %q), want 304",
 			after.status, after.etag, durable.etag)
+	}
+}
+
+// TestReadPlaneSeesVocabFreeze: an explicit freeze changes what the topic
+// summary reports (frozen, vocab_size), so it republishes the view and —
+// the stream fingerprint being unchanged before the first batch — moves the
+// validator: a client revalidating with the pre-freeze ETag is re-served,
+// not told 304 about a body that says "unfrozen, empty vocabulary".
+func TestReadPlaneSeesVocabFreeze(t *testing.T) {
+	_, srv := testServer(t, "")
+	client := srv.Client()
+	req := createTopicRequest{Name: "warm", Users: []string{"a"}, Options: topicOptions{MinDF: 1, MaxIter: 5}}
+	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
+		t.Fatalf("create: %d %v", code, err)
+	}
+	url := srv.URL + "/v1/topics/warm"
+	before := getRead(t, client, url, "")
+	if before.status != http.StatusOK || !etagShape.MatchString(before.etag) {
+		t.Fatalf("pre-freeze read: status %d etag %q", before.status, before.etag)
+	}
+	if code, err := doJSON(client, "POST", url+"/vocab", vocabRequest{Texts: []string{"label gmo ballot"}, Freeze: true}, nil); err != nil || code != http.StatusOK {
+		t.Fatalf("freeze: %d %v", code, err)
+	}
+	after := getRead(t, client, url, before.etag)
+	if after.status != http.StatusOK || after.etag == before.etag {
+		t.Fatalf("revalidation across the freeze: status %d etag %q (pre-freeze %q), want 200 and a new validator",
+			after.status, after.etag, before.etag)
+	}
+	var sum topicSummary
+	if err := json.Unmarshal(after.body, &sum); err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Frozen || sum.VocabSize != 3 {
+		t.Fatalf("summary after the freeze: frozen=%v vocab_size=%d, want true/3", sum.Frozen, sum.VocabSize)
+	}
+	// From the first batch on the validator is the stream fingerprint alone.
+	if code, err := doJSON(client, "POST", url+"/batches",
+		batchRequest{Time: 0, Tweets: []tweetSpec{{Text: "label gmo today", User: 0}}}, nil); err != nil || code != http.StatusOK {
+		t.Fatalf("batch after freeze: %d %v", code, err)
+	}
+	if r := getRead(t, client, url, after.etag); r.status != http.StatusOK || !etagShape.MatchString(r.etag) {
+		t.Fatalf("read after the first batch: status %d etag %q", r.status, r.etag)
+	}
+}
+
+// TestHealthzAnswersDuringSolve: with replication on, /v1/healthz is the
+// failure detector's probe target and /v1/cluster/info?topic= the
+// placement query every move and promotion asks — neither may wait for a
+// number behind a solve, or a shard that is merely busy gets declared down
+// and fenced. Asserted by order: the topic's first batch freezes the
+// vocabulary inside Process, under the engine's locks, so once Vocabulary
+// shows it both endpoints are asked against a held lock, and must answer
+// before the solve commits (the published view still counts no batch), let
+// alone before the batch POST does. No probe interferes (interval: an hour).
+func TestHealthzAnswersDuringSolve(t *testing.T) {
+	tc := newTestCluster(t, 2, serverOptions{
+		repl: &replOptions{Factor: 2, ProbeInterval: time.Hour},
+		peer: fastPeer(nil),
+	}, false, true)
+	cfg := synth.DefaultConfig()
+	cfg.Seed, cfg.NumUsers, cfg.Days = 41, 1500, 8
+	d, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := createTopicRequest{Name: harnessTopicName(3)}
+	for _, u := range d.Corpus.Users {
+		create.Users = append(create.Users, u.Name)
+	}
+	batch := batchRequest{Time: 0}
+	for _, tw := range d.Corpus.Tweets {
+		batch.Tweets = append(batch.Tweets, tweetSpec{Tokens: tw.Tokens, User: tw.User})
+	}
+	owner := tc.ownerIdx(create.Name)
+	tc.retryJSON("POST", tc.url(owner)+"/v1/topics", create, nil, http.StatusCreated)
+	tp := tc.shards[owner].srv.resolve(create.Name).tp
+	if tp == nil {
+		t.Fatalf("shard %d does not serve %q", owner, create.Name)
+	}
+
+	done := make(chan string, 1)
+	go func() {
+		code, err := doJSON(tc.client, "POST", tc.url(owner)+"/v1/topics/"+create.Name+"/batches", batch, nil)
+		done <- fmt.Sprintf("%d %v", code, err)
+	}()
+	for tp.eng().Vocabulary() == nil {
+		runtime.Gosched()
+	}
+	var hr healthResponse
+	if code, err := doJSON(tc.client, "GET", tc.url(owner)+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK || hr.Replication == nil {
+		t.Errorf("healthz during the solve: %d %v %+v", code, err, hr.Replication)
+	}
+	var info clusterInfoResponse
+	if code, err := doJSON(tc.client, "GET", tc.url(owner)+"/v1/cluster/info?topic="+create.Name, nil, &info); err != nil ||
+		code != http.StatusOK || info.Topic == nil || !info.Topic.Local {
+		t.Errorf("cluster info during the solve: %d %v %+v", code, err, info.Topic)
+	}
+	if n := tp.eng().ReadView().Batches(); n != 0 {
+		t.Fatalf("healthz and cluster/info answered after the solve committed (%d batch published): they waited on it, or the batch is too small to tell", n)
+	}
+	select {
+	case res := <-done:
+		t.Fatalf("the batch POST (%s) answered before healthz and cluster/info did", res)
+	default:
+	}
+	if res := <-done; res != "200 <nil>" {
+		t.Fatalf("batch POST: %s", res)
 	}
 }

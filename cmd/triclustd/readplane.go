@@ -34,7 +34,10 @@ const readCacheControl = "private, no-cache"
 
 // appendETag appends the view's strong ETag: batches, random-stream
 // position (hex) and ownership epoch. Any committed batch changes the
-// fingerprint; a rolled-back (journal-refused) batch reverts it.
+// fingerprint; a rolled-back (journal-refused) batch reverts it. Before
+// the first batch the one thing a view can still change is an explicit
+// vocabulary freeze, so a frozen topic at batch 0 adds its vocabulary
+// size; from the first batch on only a batch changes what a view reports.
 func appendETag(b []byte, v triclust.ReadView) []byte {
 	batches, draws := v.StreamPos()
 	b = append(b, '"', 'b')
@@ -43,6 +46,10 @@ func appendETag(b []byte, v triclust.ReadView) []byte {
 	b = strconv.AppendUint(b, draws, 16)
 	b = append(b, '-', 'e')
 	b = strconv.AppendUint(b, v.Epoch(), 10)
+	if batches == 0 && v.Frozen() {
+		b = append(b, '-', 'v')
+		b = strconv.AppendInt(b, int64(v.VocabSize()), 10)
+	}
 	return append(b, '"')
 }
 

@@ -929,18 +929,13 @@ type replicaLagJSON struct {
 
 func (r *replicator) health() *replicationHealth {
 	h := &replicationHealth{Factor: r.opts.Factor, DownPeers: r.det.DownPeers()}
-	// Batch counters are read before r.mu: the engine's own lock is held
-	// for a whole solve, and r.mu must never wait on one.
 	served := r.s.served()
-	batches := make([]int, len(served))
-	for i, tp := range served {
-		batches[i] = tp.eng().Batches()
-	}
 	r.mu.Lock()
 	h.Replicas = len(r.replicas)
-	for i, tp := range served {
+	for _, tp := range served {
+		batches := tp.eng().Batches()
 		for peer, st := range r.followers[tp.name] {
-			behind := max(0, batches[i]-st.batches)
+			behind := max(0, batches-st.batches)
 			h.Lag = append(h.Lag, replicaLagJSON{Topic: tp.name, Peer: peer, Behind: behind, Synced: st.synced})
 		}
 	}

@@ -138,13 +138,6 @@ func (m *SVM) ScoreInto(dst []float64, cols []int, vals []float64) {
 	}
 }
 
-// Score returns the raw decision values of one row.
-func (m *SVM) Score(cols []int, vals []float64) []float64 {
-	out := make([]float64, m.k)
-	m.ScoreInto(out, cols, vals)
-	return out
-}
-
 // Predict classifies every row of x by the largest decision value. Rows
 // are scored on the parallel row-chunk kernel; the output is independent
 // of the chunking.

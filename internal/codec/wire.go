@@ -143,9 +143,6 @@ func (d *WireDecoder) Float() float64 { return d.dec.float() }
 // String reads a length-prefixed string.
 func (d *WireDecoder) String() string { return d.dec.string() }
 
-// StringSlice reads a length-prefixed string slice.
-func (d *WireDecoder) StringSlice() []string { return d.dec.stringList(false, false) }
-
 // Tweet reads one tweet written by WireEncoder.Tweet.
 func (d *WireDecoder) Tweet() tgraph.Tweet {
 	var tw tgraph.Tweet

@@ -253,9 +253,6 @@ func NewProfile(p Params) *Profile {
 	return &Profile{params: p.withDefaults()}
 }
 
-// Params returns the profile's (defaulted) thresholds.
-func (p *Profile) Params() Params { return p.params }
-
 // Clone deep-copies the profile.
 func (p *Profile) Clone() *Profile {
 	c := *p
@@ -272,9 +269,6 @@ func (p *Profile) IsZero() bool {
 	}
 	return p.params == DefaultParams()
 }
-
-// Samples returns the number of observed batches.
-func (p *Profile) Samples() uint64 { return p.observed }
 
 // Ready reports whether enough batches were observed for scoring to
 // produce verdicts.

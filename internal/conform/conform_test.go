@@ -37,7 +37,7 @@ func TestScoreNotReadyDuringWarmup(t *testing.T) {
 	p := NewProfile(Params{})
 	for i := 0; i < 7; i++ {
 		if _, ok := p.Score(steadyObs(i > 0)); ok {
-			t.Fatalf("batch %d scored with only %d samples (MinSamples=8)", i, p.Samples())
+			t.Fatalf("batch %d scored with only %d samples (MinSamples=8)", i, p.observed)
 		}
 		p.Observe(steadyObs(i > 0), nil)
 	}
@@ -321,8 +321,8 @@ func TestGoldenProfileCompat(t *testing.T) {
 	if !bytes.Equal(p.AppendBinary(nil), raw) {
 		t.Fatal("golden profile re-encodes differently")
 	}
-	if !p.Ready() || p.Samples() != 12 {
-		t.Fatalf("golden profile semantics drifted: ready=%v samples=%d", p.Ready(), p.Samples())
+	if !p.Ready() || p.observed != 12 {
+		t.Fatalf("golden profile semantics drifted: ready=%v samples=%d", p.Ready(), p.observed)
 	}
 	if v, ok := p.Score(steadyObs(true)); !ok || v.Status != Conforming {
 		t.Fatalf("steady batch against golden profile: ok=%v status=%s", ok, v.Status)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"triclust/internal/mat"
 	"triclust/internal/sparse"
@@ -467,17 +466,6 @@ func reuseBools(s []bool, n int) []bool {
 	}
 	return s
 }
-
-// LastUserEstimate returns the most recent Su row recorded for global user
-// g, or nil if the user has never been active. The experiments use it to
-// score disappeared users at later timestamps (their sentiment persists
-// per Observation 2).
-func (o *Online) LastUserEstimate(g int) []float64 {
-	return slices.Clone(o.users.newest(g))
-}
-
-// KnownUsers returns the number of users with recorded history.
-func (o *Online) KnownUsers() int { return o.users.known }
 
 // VisitUserEstimates calls fn once per user with recorded history, in
 // increasing id order, passing the user's global id and most recent Su

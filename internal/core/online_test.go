@@ -63,7 +63,9 @@ func TestOnlineStepsAccumulateHistory(t *testing.T) {
 	if limit := max(1, o.Config().Window-1); o.HistoryLen() == 0 || o.HistoryLen() > limit {
 		t.Fatalf("HistoryLen = %d, want in [1, %d]", o.HistoryLen(), limit)
 	}
-	if o.KnownUsers() == 0 {
+	known := 0
+	o.VisitUserEstimates(func(int, []float64) { known++ })
+	if known == 0 {
 		t.Fatal("no user history recorded")
 	}
 }
@@ -224,12 +226,17 @@ func TestOnlineLastUserEstimate(t *testing.T) {
 	if tracked < 0 {
 		t.Skip("no users")
 	}
-	est := o.LastUserEstimate(tracked)
-	if est == nil || len(est) != 3 {
-		t.Fatalf("LastUserEstimate = %v", est)
-	}
-	if o.LastUserEstimate(999999) != nil {
-		t.Fatal("unknown user should return nil")
+	var est []float64
+	o.VisitUserEstimates(func(g int, row []float64) {
+		if g == tracked {
+			est = row
+		}
+		if g == 999999 {
+			t.Error("a user who never appeared was visited")
+		}
+	})
+	if len(est) != 3 {
+		t.Fatalf("newest estimate of user %d = %v", tracked, est)
 	}
 }
 

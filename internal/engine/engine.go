@@ -12,6 +12,12 @@
 //     Process calls with an internal mutex; independent sessions run
 //     concurrently.
 //
+// One rule covers concurrency: writers (Process, FitCorpus, the freeze,
+// ExportState, BuildView) take the Session's or the Model's lock; nothing
+// that reports a result or a counter takes any lock. A Session has no
+// reader methods — BuildView materializes its results and counters as an
+// immutable View, and whoever asks reads the View the owner published.
+//
 // The pipeline stages, shared by the offline (Model.FitCorpus) and online
 // (Session.Process) paths, are:
 //
@@ -167,9 +173,6 @@ func (m *Model) Config() core.OnlineConfig { return m.cfg }
 
 // Tokenizer returns the model's tokenizer.
 func (m *Model) Tokenizer() *text.Tokenizer { return m.tok }
-
-// Weighting returns the feature weighting scheme.
-func (m *Model) Weighting() text.Weighting { return m.weighting }
 
 // Tokenize is stage 1: it fills Tokens for every tweet of c that has none.
 func (m *Model) Tokenize(c *tgraph.Corpus) { c.Tokenize(m.tok) }

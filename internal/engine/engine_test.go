@@ -146,8 +146,8 @@ func TestSessionEmptyBatchIsNoOp(t *testing.T) {
 	if m.Vocabulary() != nil {
 		t.Fatal("empty batch froze the vocabulary")
 	}
-	if sess.Skipped() != 1 || sess.Batches() != 0 {
-		t.Fatalf("counters: skipped=%d batches=%d", sess.Skipped(), sess.Batches())
+	if v := sess.BuildView(nil, nil, 0); v.Skips != 1 || v.Batches != 0 {
+		t.Fatalf("counters: skipped=%d batches=%d", v.Skips, v.Batches)
 	}
 	// The same timestamp is still available to a later real batch.
 	day := 0
@@ -340,14 +340,15 @@ func TestSessionUserEstimate(t *testing.T) {
 			seenUser = batch[0].User
 		}
 	}
-	est, ok := sess.UserEstimate(seenUser)
+	v := sess.BuildView(nil, nil, 0)
+	est, ok := v.UserEstimate(seenUser)
 	if !ok {
 		t.Fatal("no estimate for an active user")
 	}
 	if est.Confidence < 0 || est.Confidence > 1 {
 		t.Fatalf("confidence %v", est.Confidence)
 	}
-	if _, ok := sess.UserEstimate(len(d.Corpus.Users) + 3); ok {
+	if _, ok := v.UserEstimate(len(d.Corpus.Users) + 3); ok {
 		t.Fatal("estimate for unknown user")
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"triclust/internal/conform"
@@ -41,8 +40,7 @@ type Session struct {
 	in      *text.Interner
 	toks    [][]string // toks[callerIdx] = tokens (caller's or session-owned)
 	tokBufs [][]string // per-index reusable token buffers backing toks
-	sorter  canonSorter
-	userTw  []int // per-user tweet counts (zeroed after every batch)
+	userTw  []int      // per-user tweet counts (zeroed after every batch)
 
 	// prof is the stream-conformance profile; it accumulates and scores
 	// in every mode, cmode only decides what a quarantine verdict does.
@@ -67,61 +65,6 @@ func (m *Model) NewSession(users []tgraph.User) *Session {
 
 // Model returns the session's shared frozen artifacts.
 func (s *Session) Model() *Model { return s.model }
-
-// Batches returns the number of non-empty batches processed.
-func (s *Session) Batches() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batches
-}
-
-// Skipped returns the number of empty batches skipped.
-func (s *Session) Skipped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.skips
-}
-
-// NumUsers returns the size of the session's user universe.
-func (s *Session) NumUsers() int { return len(s.users) }
-
-// LastTime returns the timestamp of the most recent non-empty batch, or
-// ok = false before the first one. Unlike a caller-side high-water mark
-// it survives ExportState/RestoreSession.
-func (s *Session) LastTime() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.online.LastTime()
-}
-
-// Progress returns the session's replay fingerprint: the non-empty batch
-// count and the solver's position in its replayable random stream. A
-// journal records it after each batch so recovery can verify that replay
-// reproduced the original run exactly.
-func (s *Session) Progress() (batches int, randDraws uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batches, s.online.RandDraws()
-}
-
-// KnownUsers returns the number of users with recorded history.
-func (s *Session) KnownUsers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.online.KnownUsers()
-}
-
-// UserEstimate returns the most recent sentiment estimate for a user, or
-// ok = false if the user has never appeared.
-func (s *Session) UserEstimate(user int) (Sentiment, bool) {
-	s.mu.Lock()
-	row := s.online.LastUserEstimate(user)
-	s.mu.Unlock()
-	if row == nil {
-		return Sentiment{}, false
-	}
-	return LabelRow(row), true
-}
 
 // Process runs one online step (Algorithm 2) on the batch of tweets with
 // timestamp t. Timestamps must strictly increase across non-empty batches;
@@ -291,37 +234,6 @@ func (s *Session) tokenize(tweets []tgraph.Tweet) {
 	}
 }
 
-// canonSorter stable-sorts the order permutation without the reflection
-// scaffolding of sort.SliceStable (which allocates per call).
-type canonSorter struct {
-	s      *Session
-	tweets []tgraph.Tweet
-}
-
-func (c *canonSorter) Len() int      { return len(c.s.order) }
-func (c *canonSorter) Swap(a, b int) { o := c.s.order; o[a], o[b] = o[b], o[a] }
-func (c *canonSorter) Less(a, b int) bool {
-	s, tweets := c.s, c.tweets
-	ai, bi := s.order[a], s.order[b]
-	if cmp := s.compareTweet(tweets, ai, bi); cmp != 0 {
-		return cmp < 0
-	}
-	// Tie-break by retweet-target *content* (not its batch-local index,
-	// which depends on the input ordering): tweets that agree on
-	// (Time, User, Tokens) but retweet different targets carry different
-	// Xr edges and must not be treated as interchangeable.
-	n := len(tweets)
-	at, bt := tweets[ai].RetweetOf, tweets[bi].RetweetOf
-	aHas, bHas := at >= 0 && at < n, bt >= 0 && bt < n
-	if aHas != bHas {
-		return !aHas // plain tweets sort before retweets
-	}
-	if aHas {
-		return s.compareTweet(tweets, at, bt) < 0
-	}
-	return false
-}
-
 // canonicalize fills s.order with a permutation of [0,n) sorted by
 // (Time, User, Tokens) and s.sorted with the correspondingly reordered
 // tweets, remapping batch-local RetweetOf indices through the permutation.
@@ -331,9 +243,26 @@ func (s *Session) canonicalize(tweets []tgraph.Tweet) {
 	for i := 0; i < n; i++ {
 		s.order = append(s.order, i)
 	}
-	s.sorter = canonSorter{s: s, tweets: tweets}
-	sort.Stable(&s.sorter)
-	s.sorter = canonSorter{}
+	slices.SortStableFunc(s.order, func(ai, bi int) int {
+		if c := s.compareTweet(tweets, ai, bi); c != 0 {
+			return c
+		}
+		// Tie-break by retweet-target *content* (not its batch-local index,
+		// which depends on the input ordering): tweets that agree on
+		// (Time, User, Tokens) but retweet different targets carry different
+		// Xr edges and must not be treated as interchangeable.
+		at, bt := tweets[ai].RetweetOf, tweets[bi].RetweetOf
+		aHas, bHas := at >= 0 && at < n, bt >= 0 && bt < n
+		switch {
+		case aHas && bHas:
+			return s.compareTweet(tweets, at, bt)
+		case bHas:
+			return -1 // plain tweets sort before retweets
+		case aHas:
+			return 1
+		}
+		return 0
+	})
 	s.pos = s.pos[:0]
 	for range tweets {
 		s.pos = append(s.pos, 0)

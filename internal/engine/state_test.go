@@ -19,8 +19,8 @@ func steppedSession(t *testing.T) *Session {
 			t.Fatalf("Process day %d: %v", day, err)
 		}
 	}
-	if sess.Batches() != 2 {
-		t.Fatalf("fixture processed %d non-empty batches, want 2", sess.Batches())
+	if n := sess.BuildView(nil, nil, 0).Batches; n != 2 {
+		t.Fatalf("fixture processed %d non-empty batches, want 2", n)
 	}
 	return sess
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"triclust/internal/conform"
+	"triclust/internal/core"
 	"triclust/internal/mat"
 )
 
@@ -70,6 +71,10 @@ type View struct {
 	// Features labels the per-word rows of the most recent solve (nil
 	// before the first one), in vocabulary feature-index order.
 	Features []Sentiment
+	// Factors are Sf, Hp and Hu of that solve (Sp and Su nil; nil before
+	// the first solve): what fold-in prediction and a snapshot read. The
+	// publisher sets it; BuildView leaves it nil.
+	Factors *core.Factors
 	// State / Delta are the convergence indicator: Delta is the mean
 	// absolute per-entry change of the user estimates versus the previous
 	// view (1 when there is no previous view to compare against), State

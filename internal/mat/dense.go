@@ -408,29 +408,6 @@ func DiffFrobeniusSq(a, b *Dense) float64 {
 	return s
 }
 
-// Sum returns the sum of all elements.
-func (m *Dense) Sum() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v
-	}
-	return s
-}
-
-// Max returns the maximum element. It panics on an empty matrix.
-func (m *Dense) Max() float64 {
-	if len(m.data) == 0 {
-		panic("mat: Max of empty matrix")
-	}
-	best := m.data[0]
-	for _, v := range m.data[1:] {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
 // SplitPosNegInto splits m into Δ⁺=(|m|+m)/2 and Δ⁻=(|m|−m)/2 so that
 // m = Δ⁺ − Δ⁻ with both parts non-negative, writing them into
 // caller-provided matrices of m's shape (e.g. workspace scratch). Used by

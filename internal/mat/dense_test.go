@@ -392,16 +392,6 @@ func TestFromRowsEmpty(t *testing.T) {
 	}
 }
 
-func TestSumMax(t *testing.T) {
-	m := FromRows([][]float64{{1, -2}, {3, 4}})
-	if m.Sum() != 6 {
-		t.Fatalf("Sum = %v", m.Sum())
-	}
-	if m.Max() != 4 {
-		t.Fatalf("Max = %v", m.Max())
-	}
-}
-
 func TestMulAssociativityProperty(t *testing.T) {
 	// (AB)C == A(BC) for random small matrices.
 	rng := rand.New(rand.NewSource(9))
@@ -480,15 +470,6 @@ func TestEqualShapeMismatch(t *testing.T) {
 	if Equal(NewDense(1, 2), NewDense(2, 1), 1) {
 		t.Fatal("different shapes reported equal")
 	}
-}
-
-func TestMaxPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDense(0, 0).Max()
 }
 
 func TestRowArgMaxZeroCols(t *testing.T) {

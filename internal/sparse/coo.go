@@ -36,15 +36,6 @@ func NewCOO(rows, cols int) *COO {
 	return &COO{rows: rows, cols: cols}
 }
 
-// Rows returns the number of rows.
-func (b *COO) Rows() int { return b.rows }
-
-// Cols returns the number of columns.
-func (b *COO) Cols() int { return b.cols }
-
-// Len returns the number of accumulated triplets (before deduplication).
-func (b *COO) Len() int { return len(b.vs) }
-
 // Add accumulates v at (i, j). Zero values are skipped.
 func (b *COO) Add(i, j int, v float64) {
 	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {

@@ -243,15 +243,6 @@ func (m *CSR) FrobeniusSq() float64 {
 	return s
 }
 
-// Sum returns the sum of stored entries.
-func (m *CSR) Sum() float64 {
-	var s float64
-	for _, v := range m.val {
-		s += v
-	}
-	return s
-}
-
 // RowSums returns the vector of per-row sums.
 func (m *CSR) RowSums() []float64 {
 	return m.RowSumsInto(nil)

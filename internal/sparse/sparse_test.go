@@ -60,7 +60,7 @@ func TestCOOCancellationDropped(t *testing.T) {
 func TestCOOZeroSkipped(t *testing.T) {
 	b := NewCOO(1, 1)
 	b.Add(0, 0, 0)
-	if b.Len() != 0 {
+	if len(b.vs) != 0 {
 		t.Fatal("zero value stored")
 	}
 }
@@ -157,9 +157,6 @@ func TestRowColSums(t *testing.T) {
 	cs := m.ColSums()
 	if cs[0] != 1 || cs[1] != 5 || cs[2] != 4 {
 		t.Fatalf("ColSums = %v", cs)
-	}
-	if m.Sum() != 10 {
-		t.Fatalf("Sum = %v", m.Sum())
 	}
 }
 

@@ -2,8 +2,11 @@ package triclust
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -11,10 +14,14 @@ import (
 	"testing"
 )
 
-// reachAllowed names the functions that no shipped (non-test) file mentions
-// and that stay anyway, each with the reason. Keys are "pkgdir.Func" or
-// "pkgdir.Type.Method"; a key ending in ".*" covers every method of the type.
+// reachAllowed names the functions that no shipped (non-test) file uses and
+// that stay anyway, each with the reason. Keys are "pkgdir.Func" or
+// "pkgdir.Type.Method"; a key ending in ".*" covers every method of the
+// type, and "triclust: exported" every exported function and method of the
+// library.
 var reachAllowed = map[string]string{
+	"triclust: exported": "public API, whether or not a shipped command calls it",
+
 	// The scripted filesystem fake the daemon's, the store's and the
 	// journal's fault tests drive (crash-point matrix, degraded mode).
 	"internal/fault.NewScript": "the fault tests' scripted fake filesystem",
@@ -23,6 +30,8 @@ var reachAllowed = map[string]string{
 
 	// References and fixture builders of other functions' tests.
 	"internal/mat.FromRows":                   "literal fixtures in the mat, sparse and core tests",
+	"internal/mat.Equal":                      "the comparison every matrix test asserts with",
+	"internal/mat.Dense.T":                    "dense reference for MulATB, MulABT, CSR.T and core.Problem's cached transposes",
 	"internal/mat.Product":                    "allocating reference for ProductInto and the core update tests",
 	"internal/mat.Gram":                       "allocating reference for GramInto",
 	"internal/mat.Dense.Frobenius":            "norms the core update tests compare",
@@ -37,14 +46,13 @@ var reachAllowed = map[string]string{
 	"internal/sparse.DropDiagonal":            "graph fixtures of the Laplacian tests",
 	"internal/sparse.CSR.ScaleRows":           "the core scale-invariance test's fixture",
 	"internal/sparse.CSR.RowNNZ":              "row-shape assertions in the text tests",
+	"internal/sparse.CSR.At":                  "entry lookups the sparse and text tests assert with",
+	"internal/journal.Writer.Append":          "record-at-a-time fixture of the journal tests (the store appends pre-encoded frames)",
 	"internal/core.Online.HistoryLen":         "how the retention and state tests see the solver's memory",
 	"internal/tgraph.CategorizeUsers":         "reference the synth tests hold the generator's user churn to",
+	"internal/tgraph.Corpus.ActiveUsers":      "what those tests feed CategorizeUsers",
 	"internal/tgraph.WriteCSV":                "round-trip partner in ReadCSV's tests",
-
-	// Public options of the library no shipped command sets.
-	"triclust.WithConformance": "public option",
-	"triclust.WithTokenizer":   "public option",
-	"triclust.WithWeighting":   "public option",
+	"internal/lexicon.Lexicon.Len":            "public through the triclust.Lexicon alias; how the lexicon tests see a lexicon is not empty",
 
 	// Reached by their own tests only, and kept by this list alone: each
 	// goes with its test, a few tests a change (PR 22 took what it could).
@@ -60,90 +68,181 @@ var reachAllowed = map[string]string{
 	"internal/sparse.CSR.MulTDenseInto":  "self-tested and benchmarked only (core.Problem's cached transposes replaced it)",
 }
 
-// TestEveryFunctionIsReached fails, naming the function, when a top-level
-// function or method outside bench/ is mentioned by no non-test file. The
-// scan is by name: a mention is any identifier or selector of that name
-// outside the function's own declaration, in any non-test file of the
-// repository (bench/ included: the benchmark is a caller). Methods the
-// runtime or the standard library calls through an interface are matched
-// against implicitMethods.
+// TestEveryFunctionIsReached fails, naming the function, when no non-test
+// file uses a top-level function or method declared outside bench/. The
+// non-test files of every package (bench/ included: the benchmark is a
+// caller) are type-checked, and a use is an identifier the checker resolved
+// to that very function outside its own declaration — so a method is not
+// excused by a namesake on another type. A method also counts as used when
+// its receiver implements an interface of this repository that declares it;
+// methods the runtime or the standard library calls through an interface
+// of theirs are matched against implicitMethods.
 func TestEveryFunctionIsReached(t *testing.T) {
-	type decl struct{ key, name string }
-	var decls []decl
-	mentioned := map[string]bool{}
-
-	fset := token.NewFileSet()
+	imp := &repoImporter{
+		fset:  token.NewFileSet(),
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	// The source importer reads go/build's default context: without cgo it
+	// type-checks the pure-Go files of net and os/user and needs no C compiler.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	imp.std = importer.ForCompiler(imp.fset, "source", nil)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		inBench := strings.HasPrefix(filepath.ToSlash(path), "bench/")
-		pkg := filepath.ToSlash(filepath.Dir(path))
-		if pkg == "." {
-			pkg = "triclust"
-		}
-		for _, d := range f.Decls {
-			fn, isFunc := d.(*ast.FuncDecl)
-			self := ""
-			if isFunc {
-				self = fn.Name.Name
-				if !inBench && !implicitFunc(fn) {
-					decls = append(decls, decl{pkg + "." + recvPrefix(fn) + self, self})
-				}
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id.Name != self {
-					mentioned[id.Name] = true
-				}
-				return true
-			})
-		}
-		return nil
+		_, err = imp.Import(importPath(path))
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	used := map[string]bool{}
+	type decl struct {
+		key string
+		fn  *types.Func
+	}
+	var decls []decl
+	var ifaces []*types.Interface
+	used := map[*types.Func]bool{}
+	for path, files := range imp.files {
+		pkg := strings.TrimPrefix(path, "triclust/") // the root stays "triclust"
+		for _, f := range files {
+			for _, d := range f.Decls {
+				var self *types.Func
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					self = imp.info.Defs[fn.Name].(*types.Func)
+					if pkg != "bench" && !implicitFunc(fn) {
+						decls = append(decls, decl{pkg + "." + recvPrefix(fn) + fn.Name.Name, self})
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if fn, ok := imp.info.Uses[id].(*types.Func); ok && fn.Origin() != self {
+						used[fn.Origin()] = true
+					}
+					if tn, ok := imp.info.Defs[id].(*types.TypeName); ok {
+						if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+							ifaces = append(ifaces, it)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	excused := map[string]bool{}
 	var dead []string
 	for _, d := range decls {
-		if mentioned[d.name] {
+		if used[d.fn] || implementsRepoInterface(d.fn, ifaces) {
 			continue
 		}
-		if k := allowKey(d.key); k != "" {
-			used[k] = true
+		if k := allowKey(d.key, d.fn); k != "" {
+			excused[k] = true
 			continue
 		}
 		dead = append(dead, d.key)
 	}
 	sort.Strings(dead)
 	for _, k := range dead {
-		t.Errorf("%s is mentioned by no non-test file: delete it (with its own test), or call it", k)
+		t.Errorf("%s is used by no non-test file: delete it (with its own test), or call it", k)
 	}
 	for k := range reachAllowed {
-		if !used[k] {
+		if !excused[k] {
 			t.Errorf("reachAllowed[%q] excuses nothing: the function is gone or reached, drop the entry", k)
 		}
 	}
 }
 
-// allowKey returns the reachAllowed entry covering key, or "".
-func allowKey(key string) string {
+// repoImporter type-checks the repository's own packages from their
+// non-test source, once each and into one shared types.Info, and leaves
+// every other import path to the standard library's source importer.
+type repoImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File
+	info  *types.Info
+}
+
+// importPath maps a directory of the repository to its import path; bench/
+// is a module of its own whose path keeps the triclust/ prefix.
+func importPath(dir string) string {
+	if dir == "." {
+		return "triclust"
+	}
+	return "triclust/" + filepath.ToSlash(dir)
+}
+
+func (r *repoImporter) Import(path string) (*types.Package, error) {
+	if path != "triclust" && !strings.HasPrefix(path, "triclust/") {
+		return r.std.Import(path)
+	}
+	if p, ok := r.pkgs[path]; ok {
+		return p, nil
+	}
+	dir := "." + strings.TrimPrefix(path, "triclust")
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(r.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		r.pkgs[path] = nil // a directory that holds no package
+		return nil, nil
+	}
+	p, err := (&types.Config{Importer: r}).Check(path, r.fset, files, r.info)
+	if err != nil {
+		return nil, err
+	}
+	r.pkgs[path], r.files[path] = p, files
+	return p, nil
+}
+
+// implementsRepoInterface reports whether fn is a method some interface
+// declared in this repository declares too and fn's receiver implements:
+// such a method is called through the interface, never by its own name.
+func implementsRepoInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() && types.Implements(recv.Type(), it) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// allowKey returns the reachAllowed entry covering fn, declared as key, or "".
+func allowKey(key string, fn *types.Func) string {
 	if _, ok := reachAllowed[key]; ok {
 		return key
+	}
+	if fn.Pkg().Path() == "triclust" && fn.Exported() {
+		return "triclust: exported"
 	}
 	if i := strings.LastIndexByte(key, '.'); i >= 0 {
 		if _, ok := reachAllowed[key[:i]+".*"]; ok {
@@ -169,12 +268,11 @@ func recvPrefix(fn *ast.FuncDecl) string {
 }
 
 // implicitMethods are called through standard-library interfaces, never by
-// name: error, fmt.Stringer, io.*, sort.Interface, http.Handler and
-// RoundTripper, the JSON hooks, errors.Is/As/Unwrap.
+// name: error, fmt.Stringer, io.*, http.Handler and RoundTripper,
+// rand.Source64, the JSON hooks, errors.Is/As/Unwrap.
 var implicitMethods = map[string]bool{
 	"Error": true, "String": true, "Unwrap": true, "Is": true,
 	"Read": true, "Write": true, "Close": true,
-	"Len": true, "Less": true, "Swap": true,
 	"ServeHTTP": true, "RoundTrip": true, "Flush": true,
 	"Int63": true, "Uint64": true, "Seed": true,
 	"MarshalJSON": true, "UnmarshalJSON": true,

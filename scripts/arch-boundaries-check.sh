@@ -136,6 +136,29 @@ if [ -n "$back" ]; then
     fail=1
 fi
 
+# A Topic has one read path: every result and counter it reports is a field
+# of the view its last writer published. The session's locked readers are
+# gone, and none of Topic's accessors below may take a lock — a second read
+# path is how Frozen() and ReadView().Frozen() came to disagree, and how
+# healthz came to wait on a solve.
+back=$(grep -nE 'func \(s \*Session\) (Batches|Skipped|LastTime|Progress|KnownUsers|UserEstimate)\(' \
+    $(ls internal/engine/*.go | grep -v '_test\.go$') || true)
+if [ -n "$back" ]; then
+    echo "SPINE: a locked reader is back on engine.Session (read the View that BuildView publishes):" >&2
+    echo "$back" >&2
+    fail=1
+fi
+locked=$(awk '
+    /^func / { fn = "" }
+    /^func \(t \*Topic\) (Users|Batches|SkippedBatches|KnownUsers|LastTime|VocabSize|Frozen|FeatureSentiments|ConformanceReport|Predict|PredictTokenized|UserEstimate|Epoch|StreamPos|ReadView)\(/ { fn = $0 }
+    fn != "" && /\.mu\.(R)?Lock\(/ { print FILENAME ": " fn }
+' topic.go)
+if [ -n "$locked" ]; then
+    echo "SPINE: a Topic accessor that reports a result or a counter takes a lock (load t.view):" >&2
+    echo "$locked" >&2
+    fail=1
+fi
+
 # A snapshot is opaque outside internal/codec: the store moves it, the
 # daemon ships it, the benchmark weighs it. A section tag or a matrix form
 # named anywhere else means some other package has started to parse one.

@@ -188,21 +188,22 @@ func defaultTopicSettings() topicSettings {
 // Topic.Snapshot serializes the complete state (vocabulary, prior, solver
 // history, user history, random-stream position, configuration) into a
 // versioned binary snapshot; Restore rebuilds a topic that continues the
-// stream bit-identically (at a fixed kernel parallelism width). A Topic
-// is safe for concurrent use; batch processing serializes internally.
+// stream bit-identically (at a fixed kernel parallelism width).
+//
+// A Topic is safe for concurrent use, by one rule: writers (Process,
+// FitCorpus, Freeze, SetEpoch, Snapshot's export) take Topic.mu; nothing
+// that reports a result or a counter takes any lock. Every such number —
+// estimates, counters, the stream position, the epoch, the vocabulary's
+// size — is a field of the one immutable view the last writer published,
+// so it never waits on a solve and all of them agree with each other.
 type Topic struct {
-	mu    sync.Mutex
+	mu    sync.Mutex // serializes the writers; every publish happens under it
 	model *engine.Model
 	sess  *engine.Session
-	last  *core.Result // factors of the most recent solve, for Predict
-	// epoch is the ownership epoch of sharded deployments (see Epoch). It
-	// travels inside snapshots but never influences the solver.
-	epoch uint64
-	// view is the RCU read plane: an immutable results snapshot republished
-	// with a single pointer swap after every committed batch (and on
-	// restore and epoch changes). Readers load it without touching t.mu, so
-	// an in-flight Process never stalls UserEstimate, FeatureSentiments or
-	// ReadView; writers never wait for readers. Never nil after NewTopic.
+	// view is the RCU read plane: republished with a single pointer swap
+	// by every writer that changes what it reports (a committed batch, an
+	// offline fit, a freeze, an epoch change, a restore). Never nil after
+	// NewTopic.
 	view atomic.Pointer[engine.View]
 }
 
@@ -227,37 +228,51 @@ func NewTopic(users []User, opts ...Option) (*Topic, error) {
 	}
 	m := engine.NewModel(s.cfg)
 	t := &Topic{model: m, sess: m.NewSession(users)}
-	t.view.Store(t.sess.BuildView(nil, nil, 0))
+	t.publish(nil, 0)
 	return t, nil
 }
 
-// publishView materializes and atomically publishes a fresh read view.
-// Called under t.mu after any state change (batch, offline fit, restore),
-// so views are published in commit order and each one pairs the solver
-// history with the factors of the same batch.
-func (t *Topic) publishView() {
+// publish materializes and atomically publishes a fresh read view over
+// the session's current state, carrying f (the most recent solve's Sf, Hp
+// and Hu; nil before the first) at ownership epoch epoch. Called under
+// t.mu, or before the topic escapes its constructor, so views are
+// published in commit order and each pairs the solver history with the
+// factors of the same batch.
+func (t *Topic) publish(f *core.Factors, epoch uint64) {
 	var sf *mat.Dense
-	if t.last != nil {
-		sf = t.last.Sf
+	if f != nil {
+		sf = f.Sf
 	}
-	t.view.Store(t.sess.BuildView(sf, t.view.Load(), t.epoch))
+	v := t.sess.BuildView(sf, t.view.Load(), epoch)
+	v.Factors = f
+	t.view.Store(v)
+}
+
+// commit publishes the view of a finished solve. Sp and Su describe one
+// batch's tweets and users and nothing later reads them, so the view keeps
+// only the three factors fold-in and a snapshot need.
+func (t *Topic) commit(res *core.Result) {
+	t.publish(&core.Factors{Sf: res.Sf, Hp: res.Hp, Hu: res.Hu}, t.view.Load().Epoch)
 }
 
 // Users returns the size of the topic's user universe.
-func (t *Topic) Users() int { return t.sess.NumUsers() }
+func (t *Topic) Users() int { return t.view.Load().NumUsers }
 
 // Batches returns the number of non-empty batches processed.
-func (t *Topic) Batches() int { return t.sess.Batches() }
+func (t *Topic) Batches() int { return t.view.Load().Batches }
 
 // SkippedBatches returns the number of empty batches skipped.
-func (t *Topic) SkippedBatches() int { return t.sess.Skipped() }
+func (t *Topic) SkippedBatches() int { return t.view.Load().Skips }
 
 // KnownUsers returns the number of users with recorded history.
-func (t *Topic) KnownUsers() int { return t.sess.KnownUsers() }
+func (t *Topic) KnownUsers() int { return t.view.Load().KnownUsers }
 
 // LastTime returns the timestamp of the most recent non-empty batch, or
-// ok = false before the first one. It survives Snapshot/Restore.
-func (t *Topic) LastTime() (int, bool) { return t.sess.LastTime() }
+// ok = false before the first one.
+func (t *Topic) LastTime() (int, bool) {
+	v := t.view.Load()
+	return v.LastTime, v.HasTime
+}
 
 // Vocabulary returns a copy of the frozen vocabulary in feature-index
 // order, or nil before the freeze.
@@ -270,22 +285,15 @@ func (t *Topic) Vocabulary() []string {
 
 // VocabSize returns the frozen vocabulary's size without copying it
 // (0 before the freeze).
-func (t *Topic) VocabSize() int {
-	if v := t.model.Vocabulary(); v != nil {
-		return v.Len()
-	}
-	return 0
-}
+func (t *Topic) VocabSize() int { return t.view.Load().VocabSize }
 
 // Frozen reports whether the vocabulary is fixed.
-func (t *Topic) Frozen() bool { return t.model.Vocabulary() != nil }
+func (t *Topic) Frozen() bool { return t.view.Load().Frozen }
 
 // FeatureSentiments returns the labeled per-word sentiment rows of the
 // most recent solve (nil before the first one). Rows follow the
-// vocabulary's feature-index order. Unlike a caller-side cache of the
-// last batch outcome, it survives Snapshot/Restore. It is served from
-// the published read view — lock-free, labeled once per committed batch —
-// so the returned slice is shared and must be treated as read-only.
+// vocabulary's feature-index order. The slice is shared with the view:
+// treat it as read-only.
 func (t *Topic) FeatureSentiments() []Sentiment {
 	return t.view.Load().Features
 }
@@ -310,7 +318,18 @@ func (t *Topic) WarmupTokenized(docs [][]string) error {
 // Freeze fixes the vocabulary from the warm-up documents accumulated so
 // far, without waiting for the first batch. It errors if the vocabulary
 // is already frozen or the warm-up counts yield no words at MinDF.
-func (t *Topic) Freeze() error { return t.model.FreezeNow() }
+func (t *Topic) Freeze() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.model.FreezeNow(); err != nil {
+		return err
+	}
+	// The view reports Frozen and VocabSize: republish so no reader has to
+	// wait for the first batch to see the freeze.
+	v := t.view.Load()
+	t.publish(v.Factors, v.Epoch)
+	return nil
+}
 
 // Process runs one online step (Algorithm 2) on the batch of tweets with
 // timestamp ts. Timestamps must strictly increase across non-empty
@@ -318,24 +337,21 @@ func (t *Topic) Freeze() error { return t.model.FreezeNow() }
 // already did; an empty batch returns a result with Skipped set and
 // changes nothing.
 func (t *Topic) Process(ts int, tweets []Tweet) (*StreamResult, error) {
-	// t.mu is held across the solve (not just the t.last store) so a
-	// concurrent Snapshot can never pair batch-N solver history with
-	// batch-N−1 factors; lock order is always Topic.mu → Session.mu.
+	// t.mu is held across the solve (not just the publish) so a concurrent
+	// Snapshot can never pair batch-N solver history with the batch-N−1
+	// view; lock order is always Topic.mu → Session.mu.
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out, err := t.sess.Process(ts, tweets)
 	if err != nil {
 		return nil, err
 	}
-	if out.Res != nil {
-		t.last = out.Res
-	}
 	if out.Skipped {
 		// Nothing solved, nothing to re-materialize: carry the view over
 		// with only the skip counter bumped.
 		t.view.Store(t.view.Load().WithSkip())
 	} else {
-		t.publishView()
+		t.commit(out.Res)
 	}
 	return &StreamResult{
 		Result:      *resultFrom(out, t.model),
@@ -364,8 +380,7 @@ func (t *Topic) ConformanceMode() ConformanceMode {
 
 // ConformanceReport summarizes the topic's learned stream profile —
 // per-invariant distributions, verdict counters and the drift trend — as
-// of the most recently committed batch. It is served from the published
-// read view (lock-free); treat the report as read-only.
+// of the most recently committed batch. Treat the report as read-only.
 func (t *Topic) ConformanceReport() *ConformanceReport {
 	return t.view.Load().Conform
 }
@@ -384,10 +399,7 @@ func (t *Topic) FitCorpus(c *Corpus) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if out.Res != nil {
-		t.last = out.Res
-	}
-	t.publishView()
+	t.commit(out.Res)
 	return resultFrom(out, t.model), nil
 }
 
@@ -404,20 +416,17 @@ func (t *Topic) Predict(texts []string) ([]Sentiment, error) {
 
 // PredictTokenized is Predict for pre-tokenized input.
 func (t *Topic) PredictTokenized(docs [][]string) ([]Sentiment, error) {
-	t.mu.Lock()
-	last := t.last
-	t.mu.Unlock()
-	if last == nil {
+	f := t.view.Load().Factors
+	if f == nil {
 		return nil, errors.New("triclust: topic has no fitted factors yet (run Process or FitCorpus first)")
 	}
-	return t.model.Predict(&last.Factors, docs)
+	return t.model.Predict(f, docs)
 }
 
 // UserEstimate returns the most recent sentiment estimate for a user, or
-// ok = false if the user has never appeared. It reads the published view,
-// so it never blocks on an in-flight Process and always answers with the
-// estimate of the most recently committed batch — exactly what a
-// quiesced topic at the same batch counter would return.
+// ok = false if the user has never appeared: the estimate of the most
+// recently committed batch — exactly what a quiesced topic at the same
+// batch counter would return.
 func (t *Topic) UserEstimate(user int) (Sentiment, bool) {
 	return t.view.Load().UserEstimate(user)
 }
@@ -429,11 +438,7 @@ func (t *Topic) UserEstimate(user int) (Sentiment, bool) {
 // snapshots. The epoch never influences processing — two topics that
 // differ only in epoch produce identical results and, epoch section
 // aside, identical snapshots.
-func (t *Topic) Epoch() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.epoch
-}
+func (t *Topic) Epoch() uint64 { return t.view.Load().Epoch }
 
 // SetEpoch sets the topic's ownership epoch (see Epoch). It is called by
 // sharding layers at hand-off time, immediately before exporting the
@@ -441,9 +446,6 @@ func (t *Topic) Epoch() uint64 {
 func (t *Topic) SetEpoch(e uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.epoch = e
-	// Republish so readers (and their cache validators, which embed the
-	// epoch) see the ownership change without waiting for the next batch.
 	t.view.Store(t.view.Load().WithEpoch(e))
 }
 
@@ -453,7 +455,8 @@ func (t *Topic) SetEpoch(e uint64) {
 // batch journal records it to verify that crash-recovery replay
 // reproduced the original run exactly.
 func (t *Topic) StreamPos() (batches int, randDraws uint64) {
-	return t.sess.Progress()
+	v := t.view.Load()
+	return v.Batches, v.RandDraws
 }
 
 // Snapshot serializes the topic's complete state — configuration,
@@ -468,16 +471,16 @@ func (t *Topic) Snapshot(w io.Writer) error {
 	st := func() *engine.State {
 		t.mu.Lock()
 		defer t.mu.Unlock()
+		// Every publish happens under t.mu, so the view read here is the
+		// one the exported solver state belongs to.
 		st := t.sess.ExportState()
-		if f := t.last; f != nil {
-			st.LastFactors = &core.Factors{Sf: f.Sf, Hp: f.Hp, Hu: f.Hu}
-		}
-		st.Epoch = t.epoch
+		v := t.view.Load()
+		st.LastFactors, st.Epoch = v.Factors, v.Epoch
 		return st
 	}()
 	// Encoding and writing happen outside the lock so a slow writer — e.g.
 	// a stalled snapshot download — cannot block Process or FitCorpus. This
-	// is safe: st is a deep copy, and t.last's factors are replaced, never
+	// is safe: st is a deep copy, and a view's factors are replaced, never
 	// mutated, once a solve publishes them.
 	return codec.Encode(w, st)
 }
@@ -509,18 +512,16 @@ type Convergence struct {
 	Delta float64
 }
 
-// ReadView is an immutable, lock-free snapshot of a topic's queryable
-// results, published atomically after every committed batch (RCU style):
-// loading one never blocks on an in-flight Process, and two reads
-// through the same view are guaranteed mutually consistent. The zero
+// ReadView is the immutable view Topic's own accessors load one field of
+// at a time, held still: two reads through the same ReadView are
+// guaranteed mutually consistent, whatever commits in between. The zero
 // ReadView is invalid; obtain one from Topic.ReadView.
 type ReadView struct {
 	v *engine.View
 }
 
-// ReadView returns the topic's current read view. The call is a single
-// atomic pointer load — safe and non-blocking from any goroutine,
-// including while a batch, snapshot export or restore is in flight.
+// ReadView returns the topic's current read view: a single atomic pointer
+// load.
 func (t *Topic) ReadView() ReadView { return ReadView{v: t.view.Load()} }
 
 // Batches returns the number of non-empty batches behind the view.
@@ -592,13 +593,10 @@ func Restore(r io.Reader) (*Topic, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Topic{model: sess.Model(), sess: sess, epoch: st.Epoch}
-	if st.LastFactors != nil {
-		t.last = &core.Result{Factors: *st.LastFactors}
-	}
+	t := &Topic{model: sess.Model(), sess: sess}
 	// A restored topic serves reads immediately: publish its view before
 	// the handle escapes, so journal replay and replica promotion answer
 	// progressive estimates while they catch the stream up.
-	t.publishView()
+	t.publish(st.LastFactors, st.Epoch)
 	return t, nil
 }

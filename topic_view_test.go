@@ -9,11 +9,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"triclust"
+	"triclust/internal/synth"
 )
 
 // viewEstimates collects every known user's estimate from a view.
@@ -338,5 +340,92 @@ func TestReadViewRCUStress(t *testing.T) {
 	case msg := <-fail:
 		t.Fatal(msg)
 	default:
+	}
+}
+
+// TestFreezeIsVisibleToTheView: an explicit Freeze changes what the view
+// reports, so it republishes it — Topic and ReadView give one answer, not
+// the model's through one door and the last batch's through the other.
+func TestFreezeIsVisibleToTheView(t *testing.T) {
+	tp, err := triclust.NewTopic([]triclust.User{{Name: "a"}}, triclust.WithMinDF(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.WarmupVocabulary("label gmo ballot"); err != nil {
+		t.Fatal(err)
+	}
+	if tp.Frozen() || tp.ReadView().Frozen() || tp.VocabSize() != 0 {
+		t.Fatal("warm-up alone froze the vocabulary")
+	}
+	if err := tp.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
+	rv := tp.ReadView()
+	if !tp.Frozen() || tp.VocabSize() != 3 || !rv.Frozen() || rv.VocabSize() != 3 {
+		t.Fatalf("after Freeze: Topic says frozen=%v size=%d, its view frozen=%v size=%d; want true/3 from both",
+			tp.Frozen(), tp.VocabSize(), rv.Frozen(), rv.VocabSize())
+	}
+	if got := len(tp.Vocabulary()); got != 3 {
+		t.Fatalf("vocabulary has %d words, the view reports 3", got)
+	}
+	// A refused second Freeze leaves the published view alone.
+	if err := tp.Freeze(); err == nil || tp.ReadView() != rv {
+		t.Fatalf("second Freeze: err=%v, view republished=%v", err, tp.ReadView() != rv)
+	}
+}
+
+// TestReadsNeverWaitOnASolve: nothing that reports a result or a counter
+// queues behind an in-flight Process. Asserted by order, not by clock: the
+// first batch freezes the vocabulary inside Process, under both the topic's
+// and the session's lock, and Vocabulary (which reads the model's immutable
+// word list, not the view) shows it — from then until the done channel
+// fills, every accessor below is called against a held lock. Each must
+// return, and with the last committed state: the topic as it was created.
+func TestReadsNeverWaitOnASolve(t *testing.T) {
+	cfg := synth.DefaultConfig()
+	cfg.Seed, cfg.NumUsers, cfg.Days = 41, 1500, 8
+	d, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []triclust.Tweet
+	for _, b := range dayBatches(d, cfg.Days) {
+		batch = append(batch, b...)
+	}
+	tp, err := triclust.NewTopic(d.Corpus.Users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tp.ReadView()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := tp.Process(0, batch)
+		done <- err
+	}()
+	for tp.Vocabulary() == nil {
+		runtime.Gosched()
+	}
+
+	batches, draws := tp.StreamPos()
+	_, hasTime := tp.LastTime()
+	_, known := tp.UserEstimate(batch[0].User)
+	_, predictErr := tp.Predict([]string{"label gmo"})
+	if tp.Users() != len(d.Corpus.Users) || tp.Batches() != 0 || batches != 0 || draws != 0 ||
+		tp.SkippedBatches() != 0 || tp.KnownUsers() != 0 || hasTime || known || tp.Epoch() != 0 ||
+		tp.Frozen() || tp.VocabSize() != 0 || tp.FeatureSentiments() != nil ||
+		tp.ConformanceReport() != before.ConformanceReport() || tp.ReadView() != before || predictErr == nil {
+		t.Error("a read during the first solve answered with something other than the topic as created")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the solve (err=%v) finished before the reads returned: one waited on it, or the batch is too small to tell", err)
+	default:
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Process: %v", err)
+	}
+	if tp.Batches() != 1 || !tp.Frozen() || tp.KnownUsers() == 0 || tp.ReadView() == before {
+		t.Fatal("the committed batch did not publish")
 	}
 }

@@ -41,6 +41,13 @@
 // Snapshots survive process restarts; cmd/triclustd uses them for its
 // -data-dir durability and its PUT /v1/topics/{topic} restore endpoint.
 //
+// # Concurrency
+//
+// A Topic is safe for concurrent use. Writers (Process, FitCorpus, Freeze,
+// SetEpoch, Snapshot's export) take Topic.mu; nothing that reports a result
+// or a counter takes any lock — each is a load of the immutable view the
+// last writer published, so a read never waits on a solve.
+//
 // # Architecture
 //
 // Topic is a thin façade over internal/engine, which decomposes the
