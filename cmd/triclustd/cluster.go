@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -17,9 +16,9 @@ import (
 // a full triclustd with the same static peer list; a consistent-hash ring
 // (internal/cluster) assigns every topic name an owning shard, so no
 // placement table is stored or gossiped. A request arriving at the wrong
-// shard is answered with 307 + Location + X-Triclust-Shard (the default,
-// keeping shards stateless pass-through-free) or transparently proxied
-// (-cluster-proxy). Who owns a name is resolve's answer.
+// shard is answered 307 + Location + X-Triclust-Shard and the client
+// re-sends it there; a shard relays no client's request. Who owns a name
+// is resolve's answer.
 //
 // Topic moves (POST /v1/cluster/move) drain the topic under its lock,
 // compact the journal into a final snapshot, bump the ownership epoch,
@@ -30,35 +29,24 @@ import (
 
 // handoffHeader marks a snapshot PUT as a hand-off installation: the
 // receiving shard accepts the topic regardless of ring placement (the
-// move pins it) instead of forwarding the request back.
+// move pins it) instead of redirecting the request back.
 const handoffHeader = "X-Triclust-Handoff"
 
-// shardHeader names the shard a request was (or should be) routed to; it
-// is set on every 307 and on proxied responses.
+// shardHeader names the shard a request should be routed to; it is set on
+// every 307 and on fencing refusals.
 const shardHeader = "X-Triclust-Shard"
 
-// forwardedHeader carries the comma-separated list of shards a proxied
-// request has already traversed. Legitimate chains span two hops (wrong
-// shard → ring owner → tombstone target), so a forward is refused only
-// when its target is already on the path, or the path has visited as
-// many shards as the ring holds — a true loop (e.g. both sides of an
-// interrupted hand-off pointing at each other), which must fail fast
-// instead of ping-ponging until a timeout. Redirect mode gets the same
-// protection from the client's own redirect cap.
-const forwardedHeader = "X-Triclust-Forwarded"
-
-// clusterConfig is one shard's view of the cluster: its own identity, the
-// ring shared by every shard, and how to forward mis-routed requests.
+// clusterConfig is one shard's view of the cluster: its own identity and
+// the ring shared by every shard.
 type clusterConfig struct {
-	self  string // this shard's base URL; must be a ring member
-	ring  *cluster.Ring
-	proxy bool // proxy mis-routed requests instead of 307
+	self string // this shard's base URL; must be a ring member
+	ring *cluster.Ring
 }
 
 // newClusterConfig validates and assembles the cluster flags: peers is
 // the comma-separated static shard list (base URLs), self must be one of
 // them, vnodes the virtual-node count (<=0: default).
-func newClusterConfig(self, peers string, vnodes int, proxy bool) (*clusterConfig, error) {
+func newClusterConfig(self, peers string, vnodes int) (*clusterConfig, error) {
 	var list []string
 	for _, p := range strings.Split(peers, ",") {
 		p = strings.TrimSuffix(strings.TrimSpace(p), "/")
@@ -79,7 +67,7 @@ func newClusterConfig(self, peers string, vnodes int, proxy bool) (*clusterConfi
 	if !ring.Contains(self) {
 		return nil, fmt.Errorf("cluster: -self %q is not in -peers %q", self, peers)
 	}
-	return &clusterConfig{self: self, ring: ring, proxy: proxy}, nil
+	return &clusterConfig{self: self, ring: ring}, nil
 }
 
 // placement is resolve's answer: where a topic name lives as far as this
@@ -95,7 +83,7 @@ type placement struct {
 //
 //  1. registry — a topic this shard holds is served here, even when the
 //     ring disagrees (an operator move overrode placement);
-//  2. tombstone — a topic this shard handed off is forwarded to the
+//  2. tombstone — a topic this shard handed off is redirected to the
 //     recorded target and its writes refused forever at epochs ≤ the
 //     hand-off epoch;
 //  3. ring — everything else goes to the consistent-hash owner, or, with
@@ -103,7 +91,7 @@ type placement struct {
 //     member: the shard that has promoted (or is about to promote) the
 //     topic's cold replica. When that is this shard the registry answers
 //     404 until the promotion lands and clients retry — strictly better
-//     than forwarding into a dead shard's connection timeouts.
+//     than redirecting into a dead shard's connection timeouts.
 func (s *server) resolve(name string) placement {
 	s.mu.RLock()
 	tp := s.topics[name]
@@ -143,95 +131,39 @@ func (s *server) served() []*topic {
 
 // routeTopic decides whether this shard serves the request for name,
 // reporting true (and the topic, if registered) to continue locally. When
-// another shard owns the topic the request is forwarded and routeTopic
-// reports false with the response written. body carries the already-
-// consumed request body for proxying (nil when r.Body is still unread).
-// Hand-off PUTs bypass routing: the move pins the topic here.
-func (s *server) routeTopic(w http.ResponseWriter, r *http.Request, name string, body []byte) (*topic, bool) {
+// another shard owns the topic the request is redirected there and
+// routeTopic reports false with the response written. Hand-off PUTs bypass
+// routing: the move pins the topic here.
+func (s *server) routeTopic(w http.ResponseWriter, r *http.Request, name string) (*topic, bool) {
 	pl := s.resolve(name)
 	if s.cluster == nil || pl.owner == s.cluster.self || r.Header.Get(handoffHeader) != "" {
 		return pl.tp, true
 	}
-	s.forward(w, r, pl.owner, body)
+	forward(w, r, pl.owner)
 	return nil, false
 }
 
 // refuse hands e back to be the answer — unless the topic merely moved:
 // a request that found it, then waited out a hand-off on the topic lock,
 // sees a retired topic whose tombstone says where it lives now, and is
-// forwarded there (nil: response written) instead of told 404.
-func (s *server) refuse(w http.ResponseWriter, r *http.Request, name string, body []byte, e *apiError) *apiError {
+// redirected there (nil: response written) instead of told 404.
+func (s *server) refuse(w http.ResponseWriter, r *http.Request, name string, e *apiError) *apiError {
 	if e.code == codeTopicNotFound && s.cluster != nil {
 		if pl := s.resolve(name); pl.moved {
-			s.forward(w, r, pl.owner, body)
+			forward(w, r, pl.owner)
 			return nil
 		}
 	}
 	return e
 }
 
-// forward hands the request to target: a 307 redirect by default (the
-// method and body are preserved by the client re-issuing the request), or
-// a transparent proxy in -cluster-proxy mode. Both stamp X-Triclust-Shard
-// with the shard that should be asked.
-func (s *server) forward(w http.ResponseWriter, r *http.Request, target string, body []byte) {
-	var hops []string
-	if via := r.Header.Get(forwardedHeader); via != "" {
-		hops = strings.Split(via, ",")
-	}
-	looped := len(hops) >= len(s.cluster.ring.Peers())
-	for _, h := range hops {
-		looped = looped || h == target
-	}
-	if looped {
-		writeError(w, http.StatusBadGateway, codeShardUnreachable,
-			fmt.Errorf("routing loop: %s would forward to %s after the request traversed %v", s.cluster.self, target, hops))
-		return
-	}
+// forward answers 307 with the same request URI on target, naming target
+// in X-Triclust-Shard. The client re-sends the method and body there; a
+// chain of hops (wrong shard → ring owner → tombstone target) is bounded
+// by the client's own redirect cap.
+func forward(w http.ResponseWriter, r *http.Request, target string) {
 	w.Header().Set(shardHeader, target)
-	dest := target + r.URL.RequestURI()
-	if !s.cluster.proxy {
-		http.Redirect(w, r, dest, http.StatusTemporaryRedirect)
-		return
-	}
-	var rdr io.Reader = r.Body
-	if body != nil {
-		rdr = bytes.NewReader(body)
-	}
-	hdr := http.Header{forwardedHeader: {strings.Join(append(hops, s.cluster.self), ",")}}
-	// Content-Type selects the request format and Accept the response
-	// format on the owning shard, so both must survive the hop — a
-	// binary batch proxied without them would decode as JSON and answer
-	// in the wrong format. If-None-Match carries the read plane's
-	// conditional poll: without it a proxied read never answers 304.
-	for _, h := range []string{"Content-Type", "Accept", "If-None-Match"} {
-		if v := r.Header.Get(h); v != "" {
-			hdr.Set(h, v)
-		}
-	}
-	// One hop under the client's context, no retry: the proxied request
-	// may not be idempotent, and the client owns the retry decision.
-	resp, err := s.peers.open(r.Context(), 0, r.Method, dest, rdr, hdr)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, codeShardUnreachable,
-			fmt.Errorf("proxy to %s: %w", target, err))
-		return
-	}
-	defer resp.Body.Close()
-	// Back across the hop goes everything the owner's answer means beyond
-	// its body: the validator and cache policy of a read, the retry hint
-	// and degraded marker of a storage refusal, the fencing epoch of a 409.
-	for _, h := range []string{"Content-Type", "Content-Disposition", shardHeader,
-		"ETag", "Cache-Control", "Retry-After", degradedHeader, epochHeader} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.Header().Set(shardHeader, target)
-	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(w, resp.Body); err != nil {
-		s.logf("proxy %s %s to %s: %v", r.Method, r.URL.Path, target, err)
-	}
+	http.Redirect(w, r, target+r.URL.RequestURI(), http.StatusTemporaryRedirect)
 }
 
 // setMoved records a hand-off tombstone — memory first, then the durable
@@ -314,7 +246,7 @@ func (s *server) moveTopic(w http.ResponseWriter, r *http.Request) *apiError {
 	case pl.owner != s.cluster.self:
 		// The topic moved on (or never lived here); route the move to its
 		// current holder so "POST to any shard" keeps holding.
-		s.forward(w, r, pl.owner, body)
+		forward(w, r, pl.owner)
 		return nil
 	default:
 		return errf(http.StatusNotFound, codeTopicNotFound, "unknown topic %q", req.Topic)
@@ -325,7 +257,7 @@ func (s *server) moveTopic(w http.ResponseWriter, r *http.Request) *apiError {
 
 	resp, e := s.performHandoff(pl.tp, req.Target)
 	if e != nil {
-		return s.refuse(w, r, req.Topic, body, e)
+		return s.refuse(w, r, req.Topic, e)
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil
@@ -510,7 +442,6 @@ type clusterInfoResponse struct {
 	Self   string          `json:"self"`
 	Peers  []string        `json:"peers"`
 	Vnodes int             `json:"vnodes"`
-	Proxy  bool            `json:"proxy"`
 	Topic  *topicPlacement `json:"topic,omitempty"`
 }
 
@@ -534,7 +465,6 @@ func (s *server) clusterInfo(w http.ResponseWriter, r *http.Request) *apiError {
 		Self:   s.cluster.self,
 		Peers:  s.cluster.ring.Peers(),
 		Vnodes: s.cluster.ring.VirtualNodes(),
-		Proxy:  s.cluster.proxy,
 	}
 	if name := r.URL.Query().Get("topic"); name != "" {
 		if err := store.ValidTopicName(name); err != nil {

@@ -61,7 +61,7 @@ func (sh *shardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	sh.mu.RUnlock()
 	if h == nil {
-		writeError(w, http.StatusServiceUnavailable, "shard_down", fmt.Errorf("shard is down"))
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: errorDetail{Code: "shard_down", Message: "shard is down"}})
 		return
 	}
 	defer sh.wg.Done()
@@ -93,7 +93,6 @@ type testCluster struct {
 	shards []*testShard
 	peers  []string
 	opts   serverOptions // journal/maxBody template; cluster filled per shard
-	proxy  bool
 	vnodes int
 	ring   *cluster.Ring
 	// client follows redirects (the default Go behavior), so harness
@@ -105,12 +104,11 @@ type testCluster struct {
 
 // newTestCluster boots n shards with fresh data directories. persistent
 // false runs the cluster fully in memory (no -data-dir).
-func newTestCluster(t *testing.T, n int, opts serverOptions, proxy, persistent bool) *testCluster {
+func newTestCluster(t *testing.T, n int, opts serverOptions, persistent bool) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		t:      t,
 		opts:   opts,
-		proxy:  proxy,
 		vnodes: 32,
 		client: &http.Client{Timeout: 60 * time.Second},
 		noRedirect: &http.Client{
@@ -150,7 +148,7 @@ func newTestCluster(t *testing.T, n int, opts serverOptions, proxy, persistent b
 func (tc *testCluster) boot(i int) {
 	tc.t.Helper()
 	sd := tc.shards[i]
-	cc, err := newClusterConfig(sd.hs.URL, strings.Join(tc.peers, ","), tc.vnodes, tc.proxy)
+	cc, err := newClusterConfig(sd.hs.URL, strings.Join(tc.peers, ","), tc.vnodes)
 	if err != nil {
 		tc.t.Fatalf("shard %d cluster config: %v", i, err)
 	}
@@ -328,7 +326,7 @@ func TestClusterShardingEndToEnd(t *testing.T) {
 	tc := newTestCluster(t, 3, serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		conform: triclust.ConformEnforce,
-	}, false, true)
+	}, true)
 
 	// Create every topic through a rotating shard: roughly two thirds of
 	// the creates arrive at the wrong shard and must be routed.
@@ -520,86 +518,77 @@ func TestClusterShardingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestClusterProxyMode runs the cluster with -cluster-proxy: a client
-// that never follows redirects still gets its requests answered, because
-// the wrong shard forwards them transparently and stamps X-Triclust-Shard
-// with the shard that really served them.
-func TestClusterProxyMode(t *testing.T) {
-	tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 1}}, true, false)
+// TestClusterRedirectChain: a shard answers 307 for a topic it does not
+// hold, naming the shard to ask in X-Triclust-Shard, and a client that
+// follows lands on the holder with its request intact — so a conditional
+// read sent to a non-owner ends 304 and a binary download through one
+// restores. After a move off the ring owner the chain has two hops (third
+// shard → ring owner → tombstone target), each asserted on its own.
+func TestClusterRedirectChain(t *testing.T) {
+	tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 1}}, false)
 	name := harnessTopicName(0)
+	path := "/v1/topics/" + name
 	owner := tc.ownerIdx(name)
 	wrong := (owner + 1) % 3
+	hop := func(url, to string) string {
+		t.Helper()
+		resp, err := tc.noRedirect.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		loc := resp.Header.Get("Location")
+		if resp.StatusCode != http.StatusTemporaryRedirect || resp.Header.Get(shardHeader) != to || loc != to+path {
+			t.Fatalf("GET %s answered %d shard=%q Location=%q, want 307 to %s", url, resp.StatusCode, resp.Header.Get(shardHeader), loc, to)
+		}
+		return loc
+	}
 
 	var sum topicSummary
-	code, err := doJSON(tc.noRedirect, "POST", tc.url(wrong)+"/v1/topics", harnessCreateReq(0), &sum)
+	code, err := doJSON(tc.client, "POST", tc.url(wrong)+"/v1/topics", harnessCreateReq(0), &sum)
 	if err != nil || code != http.StatusCreated {
-		t.Fatalf("proxied create: %d %v", code, err)
+		t.Fatalf("create through a non-owner: %d %v", code, err)
 	}
 	var br batchResponse
-	code, err = doJSON(tc.noRedirect, "POST", tc.url(wrong)+"/v1/topics/"+name+"/batches", harnessBatch(0, 1), &br)
+	code, err = doJSON(tc.client, "POST", tc.url(wrong)+path+"/batches", harnessBatch(0, 1), &br)
 	if err != nil || code != http.StatusOK || br.Skipped {
-		t.Fatalf("proxied batch: %d %v %+v", code, err, br)
+		t.Fatalf("batch through a non-owner: %d %v %+v", code, err, br)
 	}
-	// The proxied response names the shard that served it.
-	req, err := http.NewRequest("GET", tc.url(wrong)+"/v1/topics/"+name, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tc.noRedirect.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("proxied info: %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(shardHeader); got != tc.url(owner) {
-		t.Fatalf("X-Triclust-Shard %q, want %q", got, tc.url(owner))
-	}
-	// Binary downloads proxy too.
-	data := fetchSnapshot(t, tc.noRedirect, tc.url(wrong)+"/v1/topics/"+name+"/snapshot")
+	hop(tc.url(wrong)+path, tc.url(owner))
+
+	// A binary download through a non-owner restores.
+	data := fetchSnapshot(t, tc.client, tc.url(wrong)+path+"/snapshot")
 	if _, err := triclust.Restore(bytes.NewReader(data)); err != nil {
-		t.Fatalf("proxied snapshot does not restore: %v", err)
+		t.Fatalf("snapshot through a non-owner does not restore: %v", err)
 	}
-	// The read plane's contract survives the hop: a proxied read carries
-	// the owner's validator and cache policy, and a conditional poll
-	// through a non-owner revalidates against it.
-	direct := getRead(t, tc.noRedirect, tc.url(owner)+"/v1/topics/"+name+"/users/1", "")
-	proxied := getRead(t, tc.noRedirect, tc.url(wrong)+"/v1/topics/"+name+"/users/1", "")
-	if direct.etag == "" || proxied.status != http.StatusOK || proxied.etag != direct.etag || proxied.cc != direct.cc {
-		t.Fatalf("proxied read answered %d with ETag %q / Cache-Control %q, the owner %q / %q",
-			proxied.status, proxied.etag, proxied.cc, direct.etag, direct.cc)
+	// The conditional poll survives the redirect: the client re-sends
+	// If-None-Match to the owner, which revalidates it.
+	direct := getRead(t, tc.noRedirect, tc.url(owner)+path+"/users/1", "")
+	if direct.status != http.StatusOK || direct.etag == "" {
+		t.Fatalf("owner read answered %d with ETag %q", direct.status, direct.etag)
 	}
-	proxied = getRead(t, tc.noRedirect, tc.url(wrong)+"/v1/topics/"+name+"/users/1", direct.etag)
-	if proxied.status != http.StatusNotModified || proxied.etag != direct.etag {
-		t.Fatalf("proxied conditional read answered %d with ETag %q, want 304 with %q",
-			proxied.status, proxied.etag, direct.etag)
-	}
-	// A request the owner itself serves carries no forwarding.
-	code, err = doJSON(tc.noRedirect, "GET", tc.url(owner)+"/v1/topics/"+name, nil, &sum)
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("direct info: %d %v", code, err)
+	if got := getRead(t, tc.client, tc.url(wrong)+path+"/users/1", direct.etag); got.status != http.StatusNotModified || got.etag != direct.etag {
+		t.Fatalf("conditional read through a non-owner answered %d with ETag %q, want 304 with %q",
+			got.status, got.etag, direct.etag)
 	}
 
-	// Two-hop proxying: move the topic off its ring owner, then ask the
-	// third shard — the request proxies third → ring owner (tombstone) →
-	// current holder, which the loop guard must allow (the path is
-	// acyclic; only genuine cycles are 502s).
+	// Two hops: move the topic off its ring owner, then ask the third shard.
 	dst := (owner + 2) % 3
 	third := 3 - owner - dst
 	var mv moveResponse
-	code, err = doJSON(tc.noRedirect, "POST", tc.url(owner)+"/v1/cluster/move",
+	code, err = doJSON(tc.client, "POST", tc.url(owner)+"/v1/cluster/move",
 		moveRequest{Topic: name, Target: tc.url(dst)}, &mv)
 	if err != nil || code != http.StatusOK || mv.Epoch != 1 {
-		t.Fatalf("proxy-mode move: %d %v %+v", code, err, mv)
+		t.Fatalf("move: %d %v %+v", code, err, mv)
 	}
-	code, err = doJSON(tc.noRedirect, "POST", tc.url(third)+"/v1/topics/"+name+"/batches", harnessBatch(0, 2), &br)
+	hop(hop(tc.url(third)+path, tc.url(owner)), tc.url(dst))
+	code, err = doJSON(tc.client, "POST", tc.url(third)+path+"/batches", harnessBatch(0, 2), &br)
 	if err != nil || code != http.StatusOK || br.Skipped {
-		t.Fatalf("two-hop proxied batch: %d %v %+v", code, err, br)
+		t.Fatalf("two-hop batch: %d %v %+v", code, err, br)
 	}
-	code, err = doJSON(tc.noRedirect, "GET", tc.url(third)+"/v1/topics/"+name, nil, &sum)
+	code, err = doJSON(tc.noRedirect, "GET", tc.url(dst)+path, nil, &sum)
 	if err != nil || code != http.StatusOK || sum.Batches != 2 {
-		t.Fatalf("two-hop proxied info: %d %v %+v", code, err, sum)
+		t.Fatalf("holder after the two-hop batch: %d %v %+v", code, err, sum)
 	}
 }
 
@@ -609,7 +598,7 @@ func TestClusterProxyMode(t *testing.T) {
 // is fenced with epoch_mismatch, and a second move hands the topic back
 // at epoch 2.
 func TestClusterMoveAndEpochFencing(t *testing.T) {
-	tc := newTestCluster(t, 3, serverOptions{}, false, false)
+	tc := newTestCluster(t, 3, serverOptions{}, false)
 	name := harnessTopicName(7)
 	src := tc.ownerIdx(name)
 	dst := (src + 1) % 3
@@ -783,7 +772,7 @@ func errCode2(t *testing.T, client *http.Client, method, url string, body any) (
 // one shard.
 func TestClusterDeleteRacingMove(t *testing.T) {
 	for round := 0; round < 3; round++ {
-		tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 2, MaxBytes: 8 << 20}}, false, true)
+		tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 2, MaxBytes: 8 << 20}}, true)
 		name := harnessTopicName(9)
 		src := tc.ownerIdx(name)
 		dst := (src + 1) % 3
@@ -898,7 +887,7 @@ func TestClusterMoveLostInstallAck(t *testing.T) {
 	tc := newTestCluster(t, 3, serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		peer:    fastPeer(transport),
-	}, false, true)
+	}, true)
 	name := harnessTopicName(5)
 	src := tc.ownerIdx(name)
 	dst := (src + 1) % 3
@@ -942,7 +931,7 @@ func TestClusterMoveLostInstallAck(t *testing.T) {
 // target: after restart the source refuses the topic's writes but keeps
 // the snapshot, and retrying the move completes the hand-off.
 func TestClusterInterruptedHandoffResume(t *testing.T) {
-	tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}}, false, true)
+	tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}}, true)
 	name := harnessTopicName(3)
 	src := tc.ownerIdx(name)
 	dst := (src + 2) % 3

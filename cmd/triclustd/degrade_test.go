@@ -469,7 +469,7 @@ func TestDegradedRecoveryReconvergesReplication(t *testing.T) {
 	var servers [2]*server
 	followerDir := ""
 	for i := range servers {
-		cc, err := newClusterConfig(urls[i], strings.Join(urls, ","), 32, false)
+		cc, err := newClusterConfig(urls[i], strings.Join(urls, ","), 32)
 		if err != nil {
 			t.Fatalf("cluster config %d: %v", i, err)
 		}

@@ -12,8 +12,9 @@ import (
 )
 
 // Stable error codes of the v1 API. Clients should branch on these, not
-// on message text or HTTP status alone; codes are append-only across
-// releases.
+// on message text or HTTP status alone. A code never changes meaning, and
+// a retired code (shard_unreachable went with the cluster proxy) is never
+// reused.
 const (
 	codeInvalidRequest = "invalid_request" // malformed JSON / missing fields
 	codeInvalidName    = "invalid_topic_name"
@@ -61,11 +62,10 @@ const (
 	codeStorageReadonly = "storage_readonly"
 
 	// Cluster-mode codes.
-	codeNotClustered     = "not_clustered"     // cluster endpoint without -peers/-self
-	codeUnknownPeer      = "unknown_peer"      // move target not in the ring
-	codeMoveFailed       = "move_failed"       // hand-off installation failed (see message for fence state)
-	codeEpochMismatch    = "epoch_mismatch"    // snapshot's ownership epoch fenced by a tombstone
-	codeShardUnreachable = "shard_unreachable" // proxying to the owning shard failed / routing loop
+	codeNotClustered  = "not_clustered"  // cluster endpoint without -peers/-self
+	codeUnknownPeer   = "unknown_peer"   // move target not in the ring
+	codeMoveFailed    = "move_failed"    // hand-off installation failed (see message for fence state)
+	codeEpochMismatch = "epoch_mismatch" // snapshot's ownership epoch fenced by a tombstone
 
 	// Replication codes.
 	codeReplicationOff   = "replication_off"     // replica endpoint without -replication-factor >= 2
@@ -85,10 +85,6 @@ type errorDetail struct {
 	// Conformance carries the structured verdict of a
 	// batch_nonconforming rejection; absent on every other error.
 	Conformance *verdictJSON `json:"conformance,omitempty"`
-}
-
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: err.Error()}})
 }
 
 // apiError is the one value a refused request is described by, from the

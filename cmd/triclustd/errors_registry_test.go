@@ -76,7 +76,7 @@ func TestPersistenceFailureStorageError(t *testing.T) {
 // (peer down, answering 503) is reported as move_failed, and the source
 // un-fences and keeps serving the topic.
 func TestMoveToDeadPeerFails(t *testing.T) {
-	tc := newTestCluster(t, 2, serverOptions{}, false, false)
+	tc := newTestCluster(t, 2, serverOptions{}, false)
 	name := harnessTopicName(5)
 	src := tc.ownerIdx(name)
 	dst := 1 - src
@@ -98,27 +98,5 @@ func TestMoveToDeadPeerFails(t *testing.T) {
 	tc.retryJSON("GET", tc.url(src)+"/v1/topics/"+name, nil, &info, http.StatusOK)
 	if info.Batches != 1 {
 		t.Fatalf("after failed move: %+v", info)
-	}
-}
-
-// TestProxyToDeadOwnerUnreachable: in proxy mode, a request for a topic
-// whose owning shard cannot be reached at all (connection refused) is
-// answered 502 shard_unreachable by the shard that tried to proxy it.
-func TestProxyToDeadOwnerUnreachable(t *testing.T) {
-	tc := newTestCluster(t, 2, serverOptions{}, true, false)
-	name := harnessTopicName(2)
-	owner := tc.ownerIdx(name)
-	other := 1 - owner
-
-	var sum topicSummary
-	tc.retryJSON("POST", tc.url(other)+"/v1/topics", harnessCreateReq(2), &sum, http.StatusCreated)
-
-	// Take the owner's listener down completely so the proxy dial fails.
-	tc.killShard(owner)
-	tc.shards[owner].hs.Close()
-
-	code, ec := errCode(t, tc.client, "GET", tc.url(other)+"/v1/topics/"+name, nil)
-	if code != http.StatusBadGateway || ec != codeShardUnreachable {
-		t.Fatalf("proxy to dead owner: %d %q, want 502 %q", code, ec, codeShardUnreachable)
 	}
 }

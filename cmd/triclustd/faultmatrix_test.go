@@ -33,9 +33,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -58,24 +60,39 @@ func matrixJournalOpts() store.Options {
 
 // matrixServe sends one request straight through ServeHTTP — no TCP, no
 // net/http panic recovery — so a scripted *Crash panic propagates to the
-// matrix driver exactly like a kill -9 unwinds the process.
+// matrix driver exactly like a kill -9 unwinds the process. A 307 (the
+// shard does not hold the topic) is followed once, the same way, to the
+// shard of setupMoveCluster its Location names.
 func matrixServe(t *testing.T, s *server, method, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
-	var rd *bytes.Reader
+	var data []byte
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
 			t.Fatalf("marshal %T: %v", body, err)
 		}
-		rd = bytes.NewReader(data)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
-	req := httptest.NewRequest(method, path, rd)
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
+	s.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(data)))
+	if rec.Code != http.StatusTemporaryRedirect {
+		return rec
+	}
+	loc, err := url.Parse(rec.Header().Get("Location"))
+	if err != nil {
+		t.Fatalf("307 with a bad Location: %v", err)
+	}
+	h, ok := matrixShards.Load(loc.Scheme + "://" + loc.Host)
+	if !ok {
+		t.Fatalf("307 to %s, which is no shard of this matrix", loc)
+	}
+	rec = httptest.NewRecorder()
+	h.(http.Handler).ServeHTTP(rec, httptest.NewRequest(method, loc.RequestURI(), bytes.NewReader(data)))
 	return rec
 }
+
+// matrixShards maps each setupMoveCluster shard's base URL to its
+// switchable front, so matrixServe can follow a 307 in-process.
+var matrixShards sync.Map
 
 // runMatrixWorkload drives create + mxDays batches, reporting progress as
 // batch-count states: -1 = nothing, 0 = topic created, i = batch i acked.
@@ -422,7 +439,7 @@ func TestCrashPointMatrix(t *testing.T) {
 
 				// Reboot the source shard over the frozen image and point
 				// its public URL at the new instance.
-				cc, err := newClusterConfig(urls[0], strings.Join(urls[:], ","), 32, true)
+				cc, err := newClusterConfig(urls[0], strings.Join(urls[:], ","), 32)
 				if err != nil {
 					t.Fatalf("cluster config: %v", err)
 				}
@@ -443,7 +460,7 @@ func TestCrashPointMatrix(t *testing.T) {
 				switch {
 				case rec.Code == http.StatusOK:
 				case rec.Code == http.StatusBadRequest && strings.Contains(rec.Body.String(), "already lives"):
-					// Forwarded to the target, which already owns it: the
+					// Redirected to the target, which already owns it: the
 					// crashed move had fully completed.
 				default:
 					t.Fatalf("move retry after crash at %s: %d %s", site, rec.Code, rec.Body.String())
@@ -583,7 +600,7 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 	}
 	_ = servers[0].Close()
 
-	cc, err := newClusterConfig(urls[0], strings.Join(urls[:], ","), 32, true)
+	cc, err := newClusterConfig(urls[0], strings.Join(urls[:], ","), 32)
 	if err != nil {
 		t.Fatalf("cluster config: %v", err)
 	}
@@ -638,7 +655,7 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 // cut can bring the old target back. The resume is crashed at its first
 // directory fsync; by then the tombstone's rename must have happened.
 func TestMoveResumeRepointSyncsDir(t *testing.T) {
-	tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}}, false, true)
+	tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}}, true)
 	name := harnessTopicName(3)
 	src := tc.ownerIdx(name)
 	first, second := (src+1)%3, (src+2)%3
@@ -689,16 +706,15 @@ func setupMoveCluster(t *testing.T) (*fault.Script, string, [2]*server, [2]strin
 		hs := httptest.NewServer(handlers[i])
 		t.Cleanup(hs.Close)
 		urls[i] = hs.URL
+		matrixShards.Store(hs.URL, handlers[i])
+		t.Cleanup(func() { matrixShards.Delete(hs.URL) })
 	}
 	script := fault.NewScript()
 	fss := [2]fault.FS{script, nil}
 	var servers [2]*server
 	srcDir := ""
 	for i := range servers {
-		// proxy mode: the shard forwards mis-routed requests itself, so
-		// the post-crash writability probe can be aimed at the rebooted
-		// source and follow the fence wherever the topic landed.
-		cc, err := newClusterConfig(urls[i], strings.Join(urls[:], ","), 32, true)
+		cc, err := newClusterConfig(urls[i], strings.Join(urls[:], ","), 32)
 		if err != nil {
 			t.Fatalf("cluster config %d: %v", i, err)
 		}
@@ -743,7 +759,7 @@ func replicaMatrixServer(t *testing.T, dir string, fs fault.FS) *server {
 	t.Helper()
 	self := "http://self.test:8547"
 	peer := "http://peer.test:8547"
-	cc, err := newClusterConfig(self, self+","+peer, 32, false)
+	cc, err := newClusterConfig(self, self+","+peer, 32)
 	if err != nil {
 		t.Fatalf("newClusterConfig: %v", err)
 	}

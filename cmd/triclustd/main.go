@@ -73,7 +73,7 @@
 //	serving    reads 200/304                        writes 200
 //	read-only  reads 200/304 + X-Triclust-Degraded  writes 503 storage_degraded + Retry-After
 //	parked     reads and writes 503 storage_degraded + Retry-After
-//	retired    404 topic_not_found or, if the topic moved, forwarded after its tombstone
+//	retired    404 topic_not_found or, if the topic moved, 307 after its tombstone
 //
 // A write whose durable step fails (503 journal_write_failed for a batch,
 // 500 storage_error for a warm-up) is rolled back to what disk vouches
@@ -106,8 +106,8 @@
 // static peer list (-vnodes virtual nodes per peer), so topic placement
 // is deterministic with no coordination traffic. A topic request
 // arriving at the wrong shard is answered 307 with a Location on the
-// owning shard and an X-Triclust-Shard header (or transparently proxied
-// with -cluster-proxy). Additional endpoints:
+// owning shard and an X-Triclust-Shard header; the client re-sends it
+// there (curl -L, Go's http.Client by default). Additional endpoints:
 //
 //	GET  /v1/healthz        readiness: topic count, startup-quarantine count, cluster view
 //	GET  /v1/cluster/info   ring membership; ?topic=t resolves t's placement
@@ -139,7 +139,7 @@
 // held topics back onto the ring as peers die and return. GET /v1/healthz
 // reports the replication factor, down peers, held replicas and
 // per-follower shipping lag. Every inter-shard request (probe, ship,
-// hand-off, placement query, proxy hop) is bounded by -peer-timeout.
+// hand-off, placement query) is bounded by -peer-timeout.
 package main
 
 import (
@@ -175,10 +175,8 @@ func main() {
 		"this shard's base URL; must be listed in -peers")
 	vnodes := flag.Int("vnodes", 0,
 		"virtual nodes per shard on the consistent-hash ring (0: default)")
-	clusterProxy := flag.Bool("cluster-proxy", false,
-		"proxy mis-routed topic requests to the owning shard instead of 307-redirecting")
 	peerTimeout := flag.Duration("peer-timeout", 0,
-		"deadline for each inter-shard request: proxy hop, hand-off PUT, replica ship (0: 30s default, 10s for replica ships)")
+		"deadline for each inter-shard request: hand-off PUT, placement query, replica ship (0: 30s default, 10s for replica ships)")
 	replFactor := flag.Int("replication-factor", 1,
 		"copies of every topic across the cluster: the primary plus N-1 cold replicas on ring successors (1: off)")
 	probeInterval := flag.Duration("probe-interval", time.Second,
@@ -222,7 +220,7 @@ func main() {
 		},
 	}
 	if *peers != "" || *self != "" {
-		cc, err := newClusterConfig(*self, *peers, *vnodes, *clusterProxy)
+		cc, err := newClusterConfig(*self, *peers, *vnodes)
 		if err != nil {
 			logf("startup: %v", err)
 			os.Exit(1)
@@ -266,8 +264,8 @@ func main() {
 	fmt.Printf("triclustd listening on %s (kernel procs=%d, data-dir=%q)\n",
 		*addr, par.Procs(), *dataDir)
 	if cc := opts.cluster; cc != nil {
-		logf("cluster mode: self=%s peers=%v vnodes=%d proxy=%v",
-			cc.self, cc.ring.Peers(), cc.ring.VirtualNodes(), cc.proxy)
+		logf("cluster mode: self=%s peers=%v vnodes=%d",
+			cc.self, cc.ring.Peers(), cc.ring.VirtualNodes())
 	}
 
 	select {

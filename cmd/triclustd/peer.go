@@ -14,9 +14,10 @@ import (
 )
 
 // All inter-shard traffic — failure-detector probes, replica ships and
-// drops, hand-off PUTs, placement queries and (in -cluster-proxy mode)
-// forwarded client requests — goes through one peerClient, so
-// substituting its transport substitutes every byte that crosses shards.
+// drops, hand-off PUTs and placement queries — goes through one
+// peerClient, so substituting its transport substitutes every byte that
+// crosses shards. Every such request is the daemon's own: a mis-routed
+// client request is answered 307, never relayed.
 
 // peerOptions are the tunables of inter-shard traffic.
 type peerOptions struct {
@@ -84,46 +85,26 @@ type peerCall struct {
 	settle   func(err error) (done bool, result error)
 }
 
-// cancelBody releases a request's deadline when its response body is closed.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b cancelBody) Close() error {
-	defer b.cancel()
-	return b.ReadCloser.Close()
-}
-
-// open issues one request under its own deadline — the one place an
-// inter-shard request is built — and returns the response with the body
-// still open (the proxy hop streams it).
-func (p *peerClient) open(ctx context.Context, timeout time.Duration, method, url string, body io.Reader, header http.Header) (*http.Response, error) {
+// once issues c a single time under its own deadline — the one place an
+// inter-shard request is built. A 2xx reply is decoded into out (nil:
+// discarded); any other answer comes back as the *apiError the peer wrote.
+func (p *peerClient) once(ctx context.Context, c *peerCall, out any) error {
+	timeout := c.timeout
 	if p.opts.Timeout > 0 {
 		timeout = p.opts.Timeout
 	} else if timeout <= 0 {
 		timeout = defaultPeerTimeout
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err == nil {
-		for k, v := range header {
-			req.Header[k] = v
-		}
-		var resp *http.Response
-		if resp, err = p.hc.Do(req); err == nil {
-			resp.Body = cancelBody{resp.Body, cancel}
-			return resp, nil
-		}
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, c.method, c.peer+c.path, bytes.NewReader(c.body))
+	if err != nil {
+		return err
 	}
-	cancel()
-	return nil, err
-}
-
-// once issues c a single time. A 2xx reply is decoded into out (nil:
-// discarded); any other answer comes back as the *apiError the peer wrote.
-func (p *peerClient) once(ctx context.Context, c *peerCall, out any) error {
-	resp, err := p.open(ctx, c.timeout, c.method, c.peer+c.path, bytes.NewReader(c.body), c.header)
+	for k, v := range c.header {
+		req.Header[k] = v
+	}
+	resp, err := p.hc.Do(req)
 	if err != nil {
 		return err
 	}

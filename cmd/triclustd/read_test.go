@@ -275,7 +275,7 @@ func TestReadPlaneServeAllocs(t *testing.T) {
 // backwards) or a stale-epoch view (ETag epoch moving backwards), and
 // every 304 must confirm exactly the validator the reader presented.
 func TestClusterReadersDuringMoveAndIngest(t *testing.T) {
-	tc := newTestCluster(t, 2, serverOptions{}, false, false)
+	tc := newTestCluster(t, 2, serverOptions{}, false)
 	name := harnessTopicName(3)
 	src := tc.ownerIdx(name)
 	dst := 1 - src
@@ -582,7 +582,7 @@ func TestHealthzAnswersDuringSolve(t *testing.T) {
 	tc := newTestCluster(t, 2, serverOptions{
 		repl: &replOptions{Factor: 2, ProbeInterval: time.Hour},
 		peer: fastPeer(nil),
-	}, false, true)
+	}, true)
 	cfg := synth.DefaultConfig()
 	cfg.Seed, cfg.NumUsers, cfg.Days = 41, 1500, 8
 	d, err := synth.Generate(cfg)

@@ -143,14 +143,14 @@ type cachedRead struct {
 
 // readable resolves the request's topic and admits the read, marking
 // reads served from the last durable state. Like lookup, a nil topic ends
-// the request: with the refusal, or forwarded.
+// the request: with the refusal, or redirected.
 func (s *server) readable(w http.ResponseWriter, r *http.Request) (*topic, *apiError) {
 	tp, e := s.lookup(w, r)
 	if tp == nil {
 		return nil, e
 	}
 	if e := s.admit(tp, opRead); e != nil {
-		return nil, s.refuse(w, r, tp.name, nil, e)
+		return nil, s.refuse(w, r, tp.name, e)
 	}
 	if mark := topicStates[tp.state.Load()].mark; mark != "" {
 		w.Header().Set(degradedHeader, mark)

@@ -109,7 +109,7 @@ func TestClusterReplicationFailover(t *testing.T) {
 		// byte-for-byte — profile included.
 		conform: triclust.ConformEnforce,
 	}
-	tc := newTestCluster(t, 3, opts, false, true)
+	tc := newTestCluster(t, 3, opts, true)
 	const victim = 1
 	survivors := []int{0, 2}
 
@@ -303,7 +303,7 @@ func TestClusterReplicationFlakyTransport(t *testing.T) {
 		repl:    fastRepl(),
 		peer:    fastPeer(newFlakyTransport(20260808, 0.12)),
 	}
-	tc := newTestCluster(t, 3, opts, false, true)
+	tc := newTestCluster(t, 3, opts, true)
 
 	const topics = 18 // fewer topics than the failover run: every batch ships through the flaky pipe
 	for i := 0; i < topics; i++ {
@@ -375,7 +375,7 @@ func TestClusterZombieFencing(t *testing.T) {
 		repl:    fastRepl(),
 		peer:    fastPeer(nil),
 	}
-	tc := newTestCluster(t, 3, opts, false, true)
+	tc := newTestCluster(t, 3, opts, true)
 
 	// One topic, owned by the shard that will go zombie.
 	pick := -1
@@ -476,7 +476,7 @@ func TestClusterReplicationRebalanceAfterRecovery(t *testing.T) {
 		repl:    ro,
 		peer:    fastPeer(nil),
 	}
-	tc := newTestCluster(t, 3, opts, false, true)
+	tc := newTestCluster(t, 3, opts, true)
 
 	pick := -1
 	for i := 0; i < harnessTopics; i++ {

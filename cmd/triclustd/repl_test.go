@@ -25,7 +25,7 @@ func replTestServer(t *testing.T) (*server, string) {
 	t.Helper()
 	self := "http://self.test:8547"
 	peer := "http://peer.test:8547"
-	cc, err := newClusterConfig(self, self+","+peer, 32, false)
+	cc, err := newClusterConfig(self, self+","+peer, 32)
 	if err != nil {
 		t.Fatalf("newClusterConfig: %v", err)
 	}

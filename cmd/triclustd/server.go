@@ -486,8 +486,8 @@ func (s *server) handle(h endpoint) http.HandlerFunc {
 }
 
 // readBody buffers a request body (already bounded by -max-body-bytes in
-// ServeHTTP) so handlers can decode it and still forward it intact to
-// another shard.
+// ServeHTTP), so an oversized upload maps to 413 body_too_large before
+// any decoder sees it.
 func readBody(r *http.Request) ([]byte, *apiError) {
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(r.Body); err != nil {
@@ -501,8 +501,7 @@ func (s *server) createTopic(w http.ResponseWriter, r *http.Request) *apiError {
 		return e
 	}
 	// The topic name lives in the body, so routing needs the body decoded
-	// first; it is buffered so a mis-routed create can be proxied onward
-	// intact.
+	// first.
 	body, e := readBody(r)
 	if e != nil {
 		return e
@@ -514,7 +513,7 @@ func (s *server) createTopic(w http.ResponseWriter, r *http.Request) *apiError {
 	if err := store.ValidTopicName(req.Name); err != nil {
 		return errf(http.StatusBadRequest, codeInvalidName, "%w", err)
 	}
-	if _, here := s.routeTopic(w, r, req.Name, body); !here {
+	if _, here := s.routeTopic(w, r, req.Name); !here {
 		return nil
 	}
 	if e := s.admit(nil, opWrite); e != nil {
@@ -552,15 +551,16 @@ func (s *server) restoreTopic(w http.ResponseWriter, r *http.Request) *apiError 
 	if err := store.ValidTopicName(name); err != nil {
 		return errf(http.StatusBadRequest, codeInvalidName, "%w", err)
 	}
+	// Routing comes first: a snapshot sent to the wrong shard is redirected
+	// before it is buffered here.
+	if _, here := s.routeTopic(w, r, name); !here {
+		return nil
+	}
 	// The body is buffered (bounded by -max-body-bytes) so an oversized
-	// upload maps to 413 instead of a generic snapshot-corruption error,
-	// and so a mis-routed restore can be proxied onward.
+	// upload maps to 413 instead of a generic snapshot-corruption error.
 	body, e := readBody(r)
 	if e != nil {
 		return e
-	}
-	if _, here := s.routeTopic(w, r, name, body); !here {
-		return nil
 	}
 	if e := s.admit(nil, opWrite); e != nil {
 		return e
@@ -652,11 +652,11 @@ func (s *server) tryRegister(tp *topic, epoch uint64) *apiError {
 
 // lookup resolves the request's topic, routing it to the owning shard
 // first in cluster mode. A nil topic means the request ends here: with the
-// returned refusal, or — forwarded to the shard that owns the topic —
+// returned refusal, or — redirected to the shard that owns the topic —
 // with the response already written.
 func (s *server) lookup(w http.ResponseWriter, r *http.Request) (*topic, *apiError) {
 	name := r.PathValue("topic")
-	tp, here := s.routeTopic(w, r, name, nil)
+	tp, here := s.routeTopic(w, r, name)
 	if here && tp == nil {
 		return nil, errf(http.StatusNotFound, codeTopicNotFound, "unknown topic %q", name)
 	}
@@ -685,7 +685,7 @@ func (s *server) deleteTopic(w http.ResponseWriter, r *http.Request) *apiError {
 	retired := s.retire(tp)
 	tp.mu.Unlock()
 	if !retired {
-		return s.refuse(w, r, tp.name, nil, s.admit(tp, opRead))
+		return s.refuse(w, r, tp.name, s.admit(tp, opRead))
 	}
 	// Remove the deleted topic's snapshot file. A save racing this
 	// delete re-checks the registry under the same per-name lock, so it
@@ -804,7 +804,7 @@ func (s *server) processBatch(w http.ResponseWriter, r *http.Request) *apiError 
 
 	out, e := s.runBatch(tp, batchTime, sc.tweets)
 	if e != nil {
-		return s.refuse(w, r, tp.name, sc.body.Bytes(), e)
+		return s.refuse(w, r, tp.name, e)
 	}
 
 	if acceptsBatch(r) {
@@ -983,7 +983,7 @@ func (s *server) warmupVocab(w http.ResponseWriter, r *http.Request) *apiError {
 		return nil, nil
 	})
 	if e != nil {
-		return s.refuse(w, r, tp.name, body, e)
+		return s.refuse(w, r, tp.name, e)
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil

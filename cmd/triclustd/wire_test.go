@@ -20,7 +20,8 @@ import (
 
 // doRaw issues one request with an explicit body, Content-Type, and
 // Accept, returning the status, the response body, and the response
-// Content-Type.
+// Content-Type. The *bytes.Reader body gives the request GetBody, so a
+// client following a 307 re-sends the same bytes to the owning shard.
 func doRaw(t *testing.T, client *http.Client, method, url, contentType, accept string, body []byte) (int, []byte, string) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
@@ -371,12 +372,13 @@ func TestBinaryBatchCorruptionRejected(t *testing.T) {
 }
 
 // TestClusterWireFormatsEndToEnd is the cluster leg of the equivalence
-// bar: interleaved JSON and binary batches driven through transparent
-// proxying (every request sent to a rotating, mostly wrong shard) on an
-// RF=2 replicated cluster, then — after failing the topics' primaries
-// over — every topic's snapshot must still be byte-identical to the
-// single-process control. The binary frames must survive forwarding and
-// journal-ship replication unchanged for that to hold.
+// bar: interleaved JSON and binary batches driven through 307 redirects
+// (every request sent to a rotating, mostly wrong shard) on an RF=2
+// replicated cluster, then — after failing the topics' primaries over —
+// every topic's snapshot must still be byte-identical to the
+// single-process control. The binary frames must survive the client's
+// re-send on the 307 (doRaw's request carries GetBody) and journal-ship
+// replication unchanged for that to hold.
 func TestClusterWireFormatsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster harness is not short")
@@ -389,7 +391,7 @@ func TestClusterWireFormatsEndToEnd(t *testing.T) {
 		journal: store.Options{Every: 3, MaxBytes: 8 << 20},
 		repl:    fastRepl(),
 		peer:    fastPeer(nil),
-	}, true, true)
+	}, true)
 
 	for i := 0; i < topics; i++ {
 		var sum topicSummary
@@ -409,7 +411,7 @@ func TestClusterWireFormatsEndToEnd(t *testing.T) {
 					status, body, _ := doRaw(t, tc.client, "POST", url, mediaTypeBatch, mediaTypeBatch, binaryBatchBody(t, batch))
 					if status == http.StatusOK {
 						if _, err := codec.DecodeBatchResponse(body); err != nil {
-							t.Fatalf("topic %d day %d: proxied binary response does not decode: %v", i, day, err)
+							t.Fatalf("topic %d day %d: redirected binary response does not decode: %v", i, day, err)
 						}
 						ok = true
 						break

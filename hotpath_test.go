@@ -135,7 +135,7 @@ func TestHugeWindowSizesNothing(t *testing.T) {
 
 // TestCommitPathEncodeAllocs pins the two encoders every acknowledged batch
 // passes through — the journal record the daemon fsyncs and the binary
-// request frame a client (or a proxying shard) builds — at 30 pre-tokenized
+// request frame a client builds — at 30 pre-tokenized
 // tweets of 10 tokens. Both append fixed-width integers to a byte slice; when
 // each integer was a fresh slice handed to an io.Writer the record alone cost
 // 824 allocations, twenty-five times the warm Process it makes durable. What

@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"math/rand"
-	"sync"
+	"math/rand/v2"
 	"time"
 )
 
 // Backoff computes capped exponential retry delays with jitter. Every
-// inter-shard call in the daemon (proxying, hand-off installs, replica
-// shipping, health probes) retries through one of these so a hung or
-// flapping peer costs a bounded, spread-out amount of waiting instead of
+// inter-shard call in the daemon (hand-off installs, replica shipping,
+// placement queries, health probes) retries through one of these so a hung
+// or flapping peer costs a bounded, spread-out amount of waiting instead of
 // either a tight retry loop or an unbounded stall.
 type Backoff struct {
 	// Base is the first retry's delay; attempt k waits Base<<k.
@@ -25,7 +24,9 @@ var DefaultBackoff = Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
 // Delay returns the jittered delay before retry attempt (0-based): the
 // capped exponential base scaled by a uniform factor in [0.5, 1.0], so
 // simultaneous retries against a recovering peer spread out instead of
-// arriving in lockstep.
+// arriving in lockstep. The jitter needs no determinism (nothing replays
+// it), so it comes from math/rand/v2's runtime-seeded, concurrency-safe
+// global source.
 func (b Backoff) Delay(attempt int) time.Duration {
 	base := b.Base
 	if base <= 0 {
@@ -42,20 +43,5 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	if d > max {
 		d = max
 	}
-	return d/2 + time.Duration(jitter.Int63n(int64(d/2)+1))
-}
-
-// jitter is the process-wide jitter source. Retry spacing needs no
-// determinism (nothing replays it), only contention-free concurrent use.
-var jitter = lockedRand{r: rand.New(rand.NewSource(time.Now().UnixNano()))}
-
-type lockedRand struct {
-	mu sync.Mutex
-	r  *rand.Rand
-}
-
-func (l *lockedRand) Int63n(n int64) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Int63n(n)
+	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }

@@ -33,8 +33,8 @@
 // damage (ErrCorrupt), and trailing bytes after the checksum — the same
 // strict "exactly one value, nothing after it" contract the daemon's
 // JSON decoding enforces. A decoded frame re-encodes to the identical
-// bytes (encode∘decode is a fixed point, fuzz-pinned), so proxied and
-// journal-replayed batches never drift.
+// bytes (encode∘decode is a fixed point, fuzz-pinned), so a batch never
+// drifts between its wire and journal forms.
 package codec
 
 import (

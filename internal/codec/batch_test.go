@@ -264,7 +264,7 @@ func TestGoldenBatchFixture(t *testing.T) {
 // daemon's ingest path, so the bar is: never panic, never over-allocate,
 // and on any accepted input encode∘decode must be the identity — a
 // decoded batch re-frames to the very bytes it came from, which is what
-// lets proxying and journaling treat the two wire formats as one stream.
+// lets journaling treat the two wire formats as one stream.
 func FuzzBatchWireDecode(f *testing.F) {
 	if golden, err := os.ReadFile(batchGoldenPath); err == nil {
 		f.Add(golden)

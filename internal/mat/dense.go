@@ -1,7 +1,7 @@
 // Package mat provides dense row-major float64 matrices and the small set
 // of linear-algebra kernels needed by the tri-clustering algorithms: matrix
-// products, Gram matrices, Hadamard (element-wise) operations, Frobenius
-// norms, and the guarded multiplicative-update kernel.
+// products, Gram matrices, element-wise sums and scalings, Frobenius norms,
+// and the guarded multiplicative-update kernel.
 //
 // All matrices are dense and stored row-major in a single backing slice.
 // The factor matrices in this project are tall and skinny (n×k with k ≤ 3),
@@ -141,15 +141,6 @@ func (m *Dense) Scale(s float64, a *Dense) {
 	checkSame("Scale", m, a)
 	for i := range m.data {
 		m.data[i] = s * a.data[i]
-	}
-}
-
-// Hadamard stores the element-wise product a∘b into m (m may alias a or b).
-func (m *Dense) Hadamard(a, b *Dense) {
-	checkSame("Hadamard", a, b)
-	checkSame("Hadamard(dst)", m, a)
-	for i := range m.data {
-		m.data[i] = a.data[i] * b.data[i]
 	}
 }
 
@@ -521,25 +512,6 @@ func (m *Dense) NormalizeRowsL1() {
 		inv := 1.0 / s
 		for j := range row {
 			row[j] *= inv
-		}
-	}
-}
-
-// NormalizeColsL2 scales each column to unit Euclidean norm; zero columns
-// are left untouched.
-func (m *Dense) NormalizeColsL2() {
-	for j := 0; j < m.cols; j++ {
-		var s float64
-		for i := 0; i < m.rows; i++ {
-			v := m.At(i, j)
-			s += v * v
-		}
-		if s == 0 {
-			continue
-		}
-		inv := 1.0 / math.Sqrt(s)
-		for i := 0; i < m.rows; i++ {
-			m.Set(i, j, m.At(i, j)*inv)
 		}
 	}
 }

@@ -320,17 +320,6 @@ func TestNormalizeRowsL1(t *testing.T) {
 	}
 }
 
-func TestNormalizeColsL2(t *testing.T) {
-	m := FromRows([][]float64{{3, 0}, {4, 0}})
-	m.NormalizeColsL2()
-	if !almostEq(m.At(0, 0), 0.6, 1e-12) || !almostEq(m.At(1, 0), 0.8, 1e-12) {
-		t.Fatalf("col 0 = %v,%v", m.At(0, 0), m.At(1, 0))
-	}
-	if m.At(0, 1) != 0 || m.At(1, 1) != 0 {
-		t.Fatal("zero column must stay zero")
-	}
-}
-
 func TestClampNonNegative(t *testing.T) {
 	m := FromRows([][]float64{{-1, 2}, {3, -4}})
 	m.ClampNonNegative()
@@ -449,21 +438,6 @@ func TestCopyFromAndDims(t *testing.T) {
 		}
 	}()
 	NewDense(1, 2).CopyFrom(a)
-}
-
-func TestHadamard(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	out := NewDense(2, 2)
-	out.Hadamard(a, b)
-	if !Equal(out, FromRows([][]float64{{5, 12}, {21, 32}}), 0) {
-		t.Fatalf("Hadamard = %v", out)
-	}
-	// Aliasing dst with a is allowed.
-	a.Hadamard(a, b)
-	if !Equal(a, out, 0) {
-		t.Fatal("aliased Hadamard wrong")
-	}
 }
 
 func TestEqualShapeMismatch(t *testing.T) {

@@ -10,7 +10,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -403,15 +402,4 @@ func (m *CSR) SelectRows(rows []int) *CSR {
 		}
 	}
 	return b.ToCSR()
-}
-
-// MaxAbs returns the largest |v| over stored entries, 0 for empty matrices.
-func (m *CSR) MaxAbs() float64 {
-	var best float64
-	for _, v := range m.val {
-		if a := math.Abs(v); a > best {
-			best = a
-		}
-	}
-	return best
 }

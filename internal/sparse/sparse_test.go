@@ -327,16 +327,6 @@ func TestFromTriplets(t *testing.T) {
 	}
 }
 
-func TestMaxAbs(t *testing.T) {
-	m := FromDenseRows([][]float64{{-9, 2}})
-	if m.MaxAbs() != 9 {
-		t.Fatalf("MaxAbs = %v", m.MaxAbs())
-	}
-	if Zeros(2, 2).MaxAbs() != 0 {
-		t.Fatal("MaxAbs of empty != 0")
-	}
-}
-
 func TestEmptyMatrixOps(t *testing.T) {
 	z := Zeros(3, 4)
 	if z.NNZ() != 0 {

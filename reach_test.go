@@ -60,10 +60,7 @@ var reachAllowed = map[string]string{
 	"internal/core.FoldInUsers":          "self-tested only",
 	"internal/eval.PairwiseF1":           "self-tested only",
 	"internal/lexicon.Lexicon.Coverage":  "self-tested only",
-	"internal/mat.Dense.Hadamard":        "self-tested only",
-	"internal/mat.Dense.NormalizeColsL2": "self-tested only",
 	"internal/sparse.FromTriplets":       "self-tested only",
-	"internal/sparse.CSR.MaxAbs":         "self-tested only",
 	"internal/sparse.CSR.SelectRows":     "self-tested only",
 	"internal/sparse.CSR.MulTDenseInto":  "self-tested and benchmarked only (core.Problem's cached transposes replaced it)",
 }

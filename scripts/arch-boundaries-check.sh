@@ -82,8 +82,9 @@ expect() {
         fail=1
     fi
 }
-expect 1 'http.NewRequestWithContext(' "peerClient.open builds every inter-shard request"
+expect 1 'http.NewRequestWithContext(' "peerClient.once builds every inter-shard request"
 expect 1 'http.Client{' "one client on one injectable transport"
+expect 1 'http.Redirect(' "a shard answers 307 for a topic it does not hold; it relays no client request"
 expect 0 'int, string, error)' "refusals travel as *apiError, not (status, code, err)"
 expect 0 '.deleted' "a topic's condition is its one atomic state; see admit"
 expect 1 'delete(s.topics' "retire is the only way out of the registry"
@@ -100,6 +101,14 @@ stray=$(awk '
 if [ -n "$stray" ]; then
     echo "SPINE: the tombstone map is read outside resolve/tryRegister:" >&2
     echo "$stray" >&2
+    fail=1
+fi
+# A mis-routed request has one answer, the 307 above: the relay that once
+# stood beside it (its loop-guard header, its flag) stays gone.
+relay=$(grep -rnE --include='*.go' 'X-Triclust-Forwarded|cluster-proxy' . | grep -v '_test\.go:' || true)
+if [ -n "$relay" ]; then
+    echo "SPINE: a second forwarding path is back (a shard answers 307; it relays no client request):" >&2
+    echo "$relay" >&2
     fail=1
 fi
 
