@@ -286,19 +286,6 @@ func BenchmarkSpMM(b *testing.B) {
 	}
 }
 
-func BenchmarkSpMMTranspose(b *testing.B) {
-	s := benchSetup(b, experiments.Prop30)
-	xp := s.Graph.Xp
-	dense := s.Problem(3).Sf0
-	spDense := xp.MulDense(dense) // n×k
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := xp.MulTDenseInto(nil, spDense); out.Rows() != xp.Cols() {
-			b.Fatal("bad dims")
-		}
-	}
-}
-
 func BenchmarkTokenizePipeline(b *testing.B) {
 	tok := text.NewTokenizer(text.DefaultTokenizerOptions())
 	tweet := "RT @alice Support the #California #GMO Labeling Ballot Initiative #prop37 https://example.com now!!!"

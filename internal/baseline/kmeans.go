@@ -65,8 +65,8 @@ func KMeans(x *sparse.CSR, k int, opts KMeansOptions) []int {
 	counts := make([]int, k)
 	// Per-chunk partial reductions of the parallel assignment step,
 	// combined in chunk order for determinism at a fixed par.Procs().
-	partScore := make([]float64, par.MaxChunks())
-	partChanged := make([]bool, par.MaxChunks())
+	partScore := make([]float64, par.Procs())
+	partChanged := make([]bool, par.Procs())
 	avgNNZ := x.NNZ()/max(n, 1) + 1
 
 	for restart := 0; restart < opts.Restarts; restart++ {
@@ -90,7 +90,7 @@ func KMeans(x *sparse.CSR, k int, opts KMeansOptions) []int {
 			// Assignment step: rows are independent, so the row range is
 			// split across workers; score and the changed flag reduce over
 			// per-chunk partials.
-			used := par.ForChunked(n, k*avgNNZ, func(chunk, lo, hi int) {
+			used := par.Run(n, k*avgNNZ, func(chunk, lo, hi int) {
 				var sum float64
 				var moved bool
 				for i := lo; i < hi; i++ {

@@ -144,7 +144,7 @@ func (m *SVM) ScoreInto(dst []float64, cols []int, vals []float64) {
 func (m *SVM) Predict(x *sparse.CSR) []int {
 	out := make([]int, x.Rows())
 	cost := m.k * (2 + x.NNZ()/maxInt(1, x.Rows()))
-	par.For(x.Rows(), cost, func(lo, hi int) {
+	par.Run(x.Rows(), cost, func(_, lo, hi int) {
 		scores := make([]float64, m.k)
 		for i := lo; i < hi; i++ {
 			cols, vals := x.Row(i)

@@ -57,7 +57,7 @@ func UserReg(xp *sparse.CSR, revealed, owner []int, numUsers, k int, opts UserRe
 	svm := TrainSVM(xp, revealed, k, opts.SVM)
 	scores := mat.NewDense(n, k)
 	scoreCost := k * (4 + xp.NNZ()/maxInt(1, n))
-	par.For(n, scoreCost, func(lo, hi int) {
+	par.Run(n, scoreCost, func(_, lo, hi int) {
 		s := make([]float64, k)
 		for i := lo; i < hi; i++ {
 			cols, vals := xp.Row(i)
@@ -91,7 +91,7 @@ func UserReg(xp *sparse.CSR, revealed, owner []int, numUsers, k int, opts UserRe
 	user := mat.NewDense(numUsers, k)
 	avgTweetsPerUser := n / maxInt(1, numUsers)
 	for it := 0; it < opts.Iterations; it++ {
-		par.For(numUsers, k*(1+avgTweetsPerUser), func(lo, hi int) {
+		par.Run(numUsers, k*(1+avgTweetsPerUser), func(_, lo, hi int) {
 			for u := lo; u < hi; u++ {
 				urow := user.Row(u)
 				for c := range urow {
@@ -112,7 +112,7 @@ func UserReg(xp *sparse.CSR, revealed, owner []int, numUsers, k int, opts UserRe
 				}
 			}
 		})
-		par.For(n, 3*k, func(lo, hi int) {
+		par.Run(n, 3*k, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				trow := tweet.Row(i)
 				if c := revealed[i]; c >= 0 && c < k {

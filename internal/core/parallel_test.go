@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,45 +32,94 @@ func randomProblem(seed int64, n, m, l int, k int) *Problem {
 	}
 }
 
-// TestFitOfflineSerialParallelEquivalent runs the full solver at
-// parallelism 1 and 4 on the same problem and requires the factor outputs
-// to agree within 1e-10 — the parallel engine must not change results.
+// TestFitOfflineSerialParallelEquivalent runs Algorithm 1 (FitOffline) and
+// two consecutive steps of Algorithm 2 (Online.Step) at parallelism 1, 2
+// and 4 on problems whose kernels cross the par threshold. Every factor
+// and the final loss must agree with the serial run within 1e-10 — the
+// parallel engine must not change results — and two runs at width 4 must
+// agree bit for bit, since chunk bounds depend on n and Procs() alone and
+// partial sums are reduced in chunk order.
 func TestFitOfflineSerialParallelEquivalent(t *testing.T) {
+	const n, m, l, k = 6000, 800, 400, 3
 	cfg := DefaultConfig()
 	cfg.MaxIter = 4
 	cfg.Tol = -1
+	ocfg := DefaultOnlineConfig()
+	ocfg.MaxIter = 4
+	ocfg.Tol = -1
 
-	run := func(procs int) *Result {
-		par.SetProcs(procs)
-		defer par.SetProcs(0)
-		// Fresh Problem per run: the transpose caches are shared state.
-		res, err := FitOffline(randomProblem(42, 6000, 800, 400, 3), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1)
-	parallel := run(4)
-
-	pairs := []struct {
-		name string
-		s, p *mat.Dense
+	solvers := []struct {
+		name     string
+		temporal bool // γ‖Su − Suw‖² is part of the objective
+		solve    func() (*Result, error)
 	}{
-		{"Sp", serial.Sp, parallel.Sp},
-		{"Su", serial.Su, parallel.Su},
-		{"Sf", serial.Sf, parallel.Sf},
-		{"Hp", serial.Hp, parallel.Hp},
-		{"Hu", serial.Hu, parallel.Hu},
+		// Fresh Problems per run: the transpose caches are shared state.
+		{"FitOffline", false, func() (*Result, error) {
+			return FitOffline(randomProblem(42, n, m, l, k), cfg)
+		}},
+		{"Online.Step×2", true, func() (*Result, error) {
+			o := NewOnline(ocfg)
+			first := make([]int, m)
+			for i := range first {
+				first[i] = i
+			}
+			if _, err := o.Step(0, randomProblem(42, n, m, l, k), first); err != nil {
+				return nil, err
+			}
+			// The second snapshot's first m/2 users were active in the
+			// first, so their rows carry history (γ, Eq. 26) and the rest
+			// are masked (Eq. 24).
+			second := make([]int, m)
+			for i := range second {
+				second[i] = m/2 + i
+			}
+			return o.Step(1, randomProblem(43, n, m, l, k), second)
+		}},
 	}
-	for _, pr := range pairs {
-		if !mat.Equal(pr.s, pr.p, 1e-10) {
-			t.Fatalf("%s: serial and parallel runs diverged beyond 1e-10", pr.name)
+	for _, s := range solvers {
+		t.Run(s.name, func(t *testing.T) {
+			run := func(procs int) *Result {
+				par.SetProcs(procs)
+				defer par.SetProcs(0)
+				res, err := s.solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			serial := run(1)
+			if loss := serial.FinalLoss(); loss.GraphReg == 0 || (s.temporal && loss.Temporal == 0) {
+				t.Fatalf("a regularizer the comparison should cover is inactive: %+v", loss)
+			}
+			for _, procs := range []int{2, 4} {
+				assertSameResult(t, fmt.Sprintf("procs 1 vs %d", procs), serial, run(procs), 1e-10)
+			}
+			assertSameResult(t, "procs 4 twice", run(4), run(4), 0)
+		})
+	}
+}
+
+// assertSameResult fails unless a and b hold the same factors within tol
+// and final losses within tol relative to a's.
+func assertSameResult(t *testing.T, what string, a, b *Result, tol float64) {
+	t.Helper()
+	for _, f := range []struct {
+		name string
+		a, b *mat.Dense
+	}{
+		{"Sp", a.Sp, b.Sp},
+		{"Su", a.Su, b.Su},
+		{"Sf", a.Sf, b.Sf},
+		{"Hp", a.Hp, b.Hp},
+		{"Hu", a.Hu, b.Hu},
+	} {
+		if !mat.Equal(f.a, f.b, tol) {
+			t.Fatalf("%s: %s differs beyond %g", what, f.name, tol)
 		}
 	}
-	st, pt := serial.FinalLoss().Total, parallel.FinalLoss().Total
-	if d := math.Abs(st - pt); d > 1e-10*(1+math.Abs(st)) {
-		t.Fatalf("loss diverged: serial %v vs parallel %v", st, pt)
+	la, lb := a.FinalLoss().Total, b.FinalLoss().Total
+	if d := math.Abs(la - lb); d > tol*(1+math.Abs(la)) {
+		t.Fatalf("%s: loss %v vs %v", what, la, lb)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"triclust/internal/par"
 )
@@ -150,15 +149,12 @@ func checkSame(op string, a, b *Dense) {
 	}
 }
 
-// Kernel launches must stay allocation-free (solver sweeps run thousands
-// of them), so the parallel loop bodies below are small pooled structs
-// implementing par.Body rather than closures, which would escape to the
-// heap on every call.
+// Each kernel below is a row function plus one launch: the rows run
+// inline when par.Serial says so, and only a launch that fans out builds
+// the closure it hands to par.Run (a closure escapes to the heap, and
+// solver sweeps run thousands of launches, nearly all serial).
 
-type mulBody struct{ dst, a, b *Dense }
-
-func (t *mulBody) Range(_, lo, hi int) {
-	a, b, dst := t.a, t.b, t.dst
+func mulRange(dst, a, b *Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		mrow := dst.Row(i)
@@ -178,8 +174,6 @@ func (t *mulBody) Range(_, lo, hi int) {
 	}
 }
 
-var mulBodyPool = sync.Pool{New: func() any { return new(mulBody) }}
-
 // Mul stores a·b into m. m must not alias a or b and must be a.rows×b.cols.
 // Large products are split across row blocks by package par.
 func (m *Dense) Mul(a, b *Dense) {
@@ -189,11 +183,11 @@ func (m *Dense) Mul(a, b *Dense) {
 	if m.rows != a.rows || m.cols != b.cols {
 		panic(fmt.Sprintf("mat: Mul dst is %dx%d, want %dx%d", m.rows, m.cols, a.rows, b.cols))
 	}
-	t := mulBodyPool.Get().(*mulBody)
-	t.dst, t.a, t.b = m, a, b
-	par.Run(a.rows, a.cols*b.cols, t)
-	*t = mulBody{}
-	mulBodyPool.Put(t)
+	if cost := a.cols * b.cols; par.Serial(a.rows, cost) {
+		mulRange(m, a, b, 0, a.rows)
+	} else {
+		par.Run(a.rows, cost, func(_, lo, hi int) { mulRange(m, a, b, lo, hi) })
+	}
 }
 
 // Product returns a·b as a freshly allocated matrix.
@@ -213,10 +207,7 @@ func ProductInto(dst *Dense, a, b *Dense) *Dense {
 	return dst
 }
 
-type abtBody struct{ dst, a, b *Dense }
-
-func (t *abtBody) Range(_, lo, hi int) {
-	a, b, dst := t.a, t.b, t.dst
+func mulABTRange(dst, a, b *Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		mrow := dst.Row(i)
@@ -231,8 +222,6 @@ func (t *abtBody) Range(_, lo, hi int) {
 	}
 }
 
-var abtBodyPool = sync.Pool{New: func() any { return new(abtBody) }}
-
 // MulABT stores a·bᵀ into m. m must be a.rows×b.rows. Large products are
 // split across row blocks by package par.
 func (m *Dense) MulABT(a, b *Dense) {
@@ -242,31 +231,12 @@ func (m *Dense) MulABT(a, b *Dense) {
 	if m.rows != a.rows || m.cols != b.rows {
 		panic(fmt.Sprintf("mat: MulABT dst is %dx%d, want %dx%d", m.rows, m.cols, a.rows, b.rows))
 	}
-	t := abtBodyPool.Get().(*abtBody)
-	t.dst, t.a, t.b = m, a, b
-	par.Run(a.rows, a.cols*b.rows, t)
-	*t = abtBody{}
-	abtBodyPool.Put(t)
-}
-
-// atbBody accumulates aᵀ·b row chunks into per-chunk private buffers
-// (buf[chunk*rc:(chunk+1)*rc]); pooled with its buffer so the parallel
-// path stays allocation-free after warmup.
-type atbBody struct {
-	a, b *Dense
-	buf  []float64
-	rc   int
-}
-
-func (t *atbBody) Range(chunk, lo, hi int) {
-	part := t.buf[chunk*t.rc : (chunk+1)*t.rc]
-	for i := range part {
-		part[i] = 0
+	if cost := a.cols * b.rows; par.Serial(a.rows, cost) {
+		mulABTRange(m, a, b, 0, a.rows)
+	} else {
+		par.Run(a.rows, cost, func(_, lo, hi int) { mulABTRange(m, a, b, lo, hi) })
 	}
-	mulATBRange(part, t.a, t.b, lo, hi)
 }
-
-var atbBodyPool = sync.Pool{New: func() any { return new(atbBody) }}
 
 // MulATB stores aᵀ·b into m. m must be a.cols×b.cols.
 //
@@ -281,29 +251,23 @@ func (m *Dense) MulATB(a, b *Dense) {
 	if m.rows != a.cols || m.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulATB dst is %dx%d, want %dx%d", m.rows, m.cols, a.cols, b.cols))
 	}
-	costPerRow := a.cols * b.cols
-	if par.Procs() == 1 || a.rows*costPerRow < par.MinParallelWork {
+	cost := a.cols * b.cols
+	if par.Serial(a.rows, cost) {
 		m.Zero()
 		mulATBRange(m.data, a, b, 0, a.rows)
 		return
 	}
 	rc := m.rows * m.cols
-	t := atbBodyPool.Get().(*atbBody)
-	if cap(t.buf) < par.MaxChunks()*rc {
-		t.buf = make([]float64, par.MaxChunks()*rc)
-	}
-	t.buf = t.buf[:cap(t.buf)]
-	t.a, t.b, t.rc = a, b, rc
-	used := par.Run(a.rows, costPerRow, t)
+	parts := make([]float64, par.Procs()*rc)
+	used := par.Run(a.rows, cost, func(c, lo, hi int) {
+		mulATBRange(parts[c*rc:(c+1)*rc], a, b, lo, hi)
+	})
 	m.Zero()
 	for c := 0; c < used; c++ {
-		part := t.buf[c*rc : (c+1)*rc]
-		for i, v := range part {
+		for i, v := range parts[c*rc : (c+1)*rc] {
 			m.data[i] += v
 		}
 	}
-	t.a, t.b = nil, nil
-	atbBodyPool.Put(t)
 }
 
 // mulATBRange accumulates aᵀ·b over rows [lo, hi) of a into the row-major
@@ -432,19 +396,16 @@ const Eps = 1e-12
 func MulUpdate(dst, numer, denom *Dense) {
 	checkSame("MulUpdate", numer, denom)
 	checkSame("MulUpdate(dst)", dst, numer)
-	t := mulUpdateBodyPool.Get().(*mulUpdateBody)
-	t.dst, t.numer, t.denom = dst, numer, denom
 	// The per-element sqrt+div makes this compute-bound enough to split;
 	// cost 8 ≈ scalar-op equivalent of one sqrt+div pair.
-	par.Run(len(dst.data), 8, t)
-	*t = mulUpdateBody{}
-	mulUpdateBodyPool.Put(t)
+	if n := len(dst.data); par.Serial(n, 8) {
+		mulUpdateRange(dst, numer, denom, 0, n)
+	} else {
+		par.Run(n, 8, func(_, lo, hi int) { mulUpdateRange(dst, numer, denom, lo, hi) })
+	}
 }
 
-type mulUpdateBody struct{ dst, numer, denom *Dense }
-
-func (t *mulUpdateBody) Range(_, lo, hi int) {
-	dst, numer, denom := t.dst, t.numer, t.denom
+func mulUpdateRange(dst, numer, denom *Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		n := numer.data[i]
 		if n < 0 {
@@ -457,8 +418,6 @@ func (t *mulUpdateBody) Range(_, lo, hi int) {
 		dst.data[i] *= math.Sqrt(n / (d + Eps))
 	}
 }
-
-var mulUpdateBodyPool = sync.Pool{New: func() any { return new(mulUpdateBody) }}
 
 // ClampNonNegative zeroes any negative entries (defensive; multiplicative
 // updates preserve non-negativity but external initializers may not).

@@ -3,15 +3,26 @@
 //
 // # Model
 //
-// Run (and its closure conveniences For and ForChunked) splits a row range
-// [0, n) into at most Procs() contiguous chunks and executes them on a
-// persistent pool of worker goroutines. The pool is sized to the
-// parallelism width and reused across calls, so a multiplicative-update
-// sweep that issues dozens of kernel launches pays the goroutine start-up
-// cost once per process, not once per launch. Hot kernels implement the
-// Body interface with small pooled structs instead of closures, which
-// keeps a kernel launch free of heap allocation on both the serial and
-// the parallel path.
+// A kernel is a row loop over [0, n). Run splits that range into at most
+// Procs() contiguous chunks and executes them on a persistent pool of
+// worker goroutines. The pool is sized to the parallelism width and reused
+// across calls, so a multiplicative-update sweep that issues dozens of
+// kernel launches pays the goroutine start-up cost once per process, not
+// once per launch.
+//
+// Serial states when a loop is not split. A hot kernel asks it first and
+// calls its row loop directly when it answers true, and only otherwise
+// builds the closure it hands to Run:
+//
+//	if par.Serial(n, cost) {
+//		rows(0, n)
+//	} else {
+//		par.Run(n, cost, func(_, lo, hi int) { rows(lo, hi) })
+//	}
+//
+// A serial launch therefore allocates nothing, and a launch that fans out
+// allocates its closure (plus whatever per-chunk partials a reduction
+// sizes from Procs()).
 //
 // # Threshold heuristic
 //
@@ -19,13 +30,13 @@
 // (channel send, wake-up, cache warm-up on another core). A kernel call
 // is only split when its total scalar work — rows × costPerRow, where
 // costPerRow approximates the flops per row (e.g. k² for an n×k × k×k
-// product, nnz/rows·k for an SpMM) — exceeds MinParallelWork. Below the
-// threshold the loop body runs inline on the calling goroutine, so the
-// tiny k×k factor-core products of the tri-clustering solvers (k ≤ 8)
-// never pay parallel overhead, while the n×k and nnz-sized sweeps over
-// tweets, users and features do get split. MinParallelWork = 64·1024
-// scalar ops ≈ tens of microseconds of arithmetic, an order of magnitude
-// above the hand-off cost.
+// product, nnz/rows·k for an SpMM) — reaches MinParallelWork. Below the
+// threshold the loop runs inline on the calling goroutine, so the tiny
+// k×k factor-core products of the tri-clustering solvers (k ≤ 8) never
+// pay parallel overhead, while the n×k and nnz-sized sweeps over tweets,
+// users and features do get split. MinParallelWork = 64·1024 scalar ops
+// ≈ tens of microseconds of arithmetic, an order of magnitude above the
+// hand-off cost.
 //
 // # Determinism
 //
@@ -55,10 +66,11 @@ const MinParallelWork = 64 * 1024
 // runtime.GOMAXPROCS(0).
 var procs atomic.Int64
 
-// SetProcs sets the parallelism width used by Run, For and ForChunked.
-// n ≤ 0 restores the default (runtime.GOMAXPROCS(0)). Call it during
-// startup, before kernels run: kernels size per-chunk storage from
-// MaxChunks, so growing the width mid-computation is not supported.
+// SetProcs sets the parallelism width used by Serial and Run. n ≤ 0
+// restores the default (runtime.GOMAXPROCS(0)). Call it during startup,
+// before kernels run: reductions size per-chunk storage from Procs() just
+// before they launch, so changing the width mid-computation is not
+// supported.
 func SetProcs(n int) {
 	if n < 0 {
 		n = 0
@@ -66,7 +78,8 @@ func SetProcs(n int) {
 	procs.Store(int64(n))
 }
 
-// Procs returns the current parallelism width.
+// Procs returns the current parallelism width, always ≥ 1. No Run call
+// uses more chunks than this.
 func Procs() int {
 	if p := int(procs.Load()); p > 0 {
 		return p
@@ -74,35 +87,16 @@ func Procs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// MaxChunks returns an upper bound on the number of chunks any subsequent
-// Run call may use, for sizing per-chunk accumulator storage.
-func MaxChunks() int {
-	p := Procs()
-	if p < 1 {
-		p = 1
-	}
-	return p
+// Serial reports whether a loop of n rows costing costPerRow each runs
+// inline on the calling goroutine: the width is 1, the cost is unknown
+// (< 1), or the total work is below MinParallelWork. It is the one
+// statement of the fan-out rule; Run applies it too.
+func Serial(n, costPerRow int) bool {
+	return Procs() <= 1 || costPerRow < 1 || n*costPerRow < MinParallelWork
 }
-
-// Body is a parallel loop body. Range processes rows [lo, hi); chunk is
-// the deterministic chunk index (0 on the serial path), letting reduction
-// kernels accumulate into per-chunk storage without races. Range must
-// treat disjoint row ranges independently.
-type Body interface {
-	Range(chunk, lo, hi int)
-}
-
-// region ties the chunks of one Run call together. Pooled so a parallel
-// launch performs no heap allocation in steady state.
-type region struct {
-	body Body
-	wg   sync.WaitGroup
-}
-
-var regionPool = sync.Pool{New: func() any { return new(region) }}
 
 type task struct {
-	r      *region
+	fn     func(chunk, lo, hi int)
 	chunk  int
 	lo, hi int
 }
@@ -115,8 +109,10 @@ var (
 	// active guards against nested/concurrent parallel regions: only one
 	// Run may fan out at a time, the rest run inline. This keeps the
 	// fixed-size pool deadlock-free (a worker never blocks waiting for a
-	// chunk that only another busy worker could run).
+	// chunk that only another busy worker could run), and it lets the one
+	// region in flight count its chunks on a single WaitGroup.
 	active atomic.Int32
+	wg     sync.WaitGroup
 )
 
 func ensureWorkers(n int) {
@@ -128,74 +124,41 @@ func ensureWorkers(n int) {
 	for workers < n {
 		go func() {
 			for t := range workCh {
-				t.r.body.Range(t.chunk, t.lo, t.hi)
-				t.r.wg.Done()
+				t.fn(t.chunk, t.lo, t.hi)
+				wg.Done()
 			}
 		}()
 		workers++
 	}
 }
 
-// Run executes body over [0, n) — split into parallel chunks when the
-// total work n×costPerRow clears MinParallelWork and no other region is
-// in flight, inline otherwise. It returns the number of chunks used
-// (1 on the serial path, ≤ MaxChunks() always).
-func Run(n, costPerRow int, body Body) int {
+// Run executes fn over [0, n) — split into parallel chunks unless Serial
+// says otherwise or another region is in flight, inline as fn(0, 0, n)
+// then. chunk is the deterministic chunk index, letting reductions
+// accumulate into per-chunk storage without races; fn must treat disjoint
+// row ranges independently. Run returns the number of chunks used (1 on
+// the serial path, ≤ Procs() always).
+func Run(n, costPerRow int, fn func(chunk, lo, hi int)) int {
 	if n <= 0 {
 		return 0
 	}
-	p := Procs()
-	if p <= 1 || costPerRow < 1 || n*costPerRow < MinParallelWork ||
-		!active.CompareAndSwap(0, 1) {
-		body.Range(0, 0, n)
+	if Serial(n, costPerRow) || !active.CompareAndSwap(0, 1) {
+		fn(0, 0, n)
 		return 1
 	}
 	defer active.Store(0)
 
-	chunks := p
-	if chunks > n {
-		chunks = n
-	}
+	chunks := min(Procs(), n)
 	ensureWorkers(chunks - 1)
-	r := regionPool.Get().(*region)
-	r.body = body
-	r.wg.Add(chunks - 1)
+	wg.Add(chunks - 1)
 	// Balanced split: chunk c covers [c·n/chunks, (c+1)·n/chunks), so
 	// sizes differ by at most one row and no chunk is empty.
 	for c := 0; c < chunks-1; c++ {
-		workCh <- task{r: r, chunk: c, lo: c * n / chunks, hi: (c + 1) * n / chunks}
+		workCh <- task{fn: fn, chunk: c, lo: c * n / chunks, hi: (c + 1) * n / chunks}
 	}
 	// The caller runs the final chunk itself, so even a saturated pool
 	// makes forward progress.
-	body.Range(chunks-1, (chunks-1)*n/chunks, n)
-	r.wg.Wait()
-	r.body = nil
-	regionPool.Put(r)
-	return chunks
-}
-
-// funcBody adapts a closure to Body for the For/ForChunked conveniences.
-type funcBody struct{ fn func(chunk, lo, hi int) }
-
-func (b *funcBody) Range(chunk, lo, hi int) { b.fn(chunk, lo, hi) }
-
-var funcBodyPool = sync.Pool{New: func() any { return new(funcBody) }}
-
-// For runs fn over [0, n) with the chunking and threshold rules of Run.
-// Convenient for cold paths; hot kernels implement Body directly so the
-// launch does not allocate a closure.
-func For(n, costPerRow int, fn func(lo, hi int)) {
-	ForChunked(n, costPerRow, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// ForChunked is For with the chunk index exposed, so callers can
-// accumulate into per-chunk storage and reduce deterministically (in
-// chunk order) afterwards. It returns the number of chunks used.
-func ForChunked(n, costPerRow int, fn func(chunk, lo, hi int)) int {
-	b := funcBodyPool.Get().(*funcBody)
-	b.fn = fn
-	chunks := Run(n, costPerRow, b)
-	b.fn = nil
-	funcBodyPool.Put(b)
+	fn(chunks-1, (chunks-1)*n/chunks, n)
+	wg.Wait()
 	return chunks
 }

@@ -11,7 +11,7 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 		SetProcs(procs)
 		for _, n := range []int{0, 1, 5, 1000, 100000} {
 			hits := make([]int32, n)
-			For(n, 1000, func(lo, hi int) {
+			Run(n, 1000, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -29,12 +29,12 @@ func TestForChunkedChunkIndicesAreDistinct(t *testing.T) {
 	SetProcs(4)
 	defer SetProcs(0)
 	const n = 100000
-	seen := make([]int32, MaxChunks())
-	used := ForChunked(n, 100, func(chunk, lo, hi int) {
+	seen := make([]int32, Procs())
+	used := Run(n, 100, func(chunk, lo, hi int) {
 		atomic.AddInt32(&seen[chunk], 1)
 	})
-	if used < 1 || used > MaxChunks() {
-		t.Fatalf("used=%d out of range [1,%d]", used, MaxChunks())
+	if used < 1 || used > Procs() {
+		t.Fatalf("used=%d out of range [1,%d]", used, Procs())
 	}
 	for c := 0; c < used; c++ {
 		if seen[c] != 1 {
@@ -46,14 +46,26 @@ func TestForChunkedChunkIndicesAreDistinct(t *testing.T) {
 func TestSmallWorkRunsSerial(t *testing.T) {
 	SetProcs(8)
 	defer SetProcs(0)
-	// Work below MinParallelWork must stay on the calling goroutine in a
-	// single chunk.
-	if used := ForChunked(10, 1, func(chunk, lo, hi int) {
-		if chunk != 0 || lo != 0 || hi != 10 {
-			t.Fatalf("serial path got chunk=%d [%d,%d)", chunk, lo, hi)
+	// Work below MinParallelWork, or of unknown cost, must stay on the
+	// calling goroutine in a single chunk; Serial and Run agree on it.
+	for _, cost := range []int{1, 0} {
+		if !Serial(10, cost) {
+			t.Fatalf("Serial(10, %d) = false, want true", cost)
 		}
-	}); used != 1 {
-		t.Fatalf("used=%d, want 1", used)
+		if used := Run(10, cost, func(chunk, lo, hi int) {
+			if chunk != 0 || lo != 0 || hi != 10 {
+				t.Fatalf("serial path got chunk=%d [%d,%d)", chunk, lo, hi)
+			}
+		}); used != 1 {
+			t.Fatalf("cost %d: used=%d, want 1", cost, used)
+		}
+	}
+	if Serial(MinParallelWork, 1) {
+		t.Fatal("Serial at MinParallelWork on 8 procs = true, want false")
+	}
+	SetProcs(1)
+	if !Serial(MinParallelWork, 1000) {
+		t.Fatal("Serial on 1 proc = false, want true")
 	}
 }
 
@@ -64,8 +76,8 @@ func TestNestedForFallsBackToSerial(t *testing.T) {
 	var total atomic.Int64
 	// The outer loop may fan out; inner loops must detect the active
 	// region and run inline rather than deadlock on the shared pool.
-	For(n, 10, func(lo, hi int) {
-		For(1000, 1000, func(ilo, ihi int) {
+	Run(n, 10, func(_, lo, hi int) {
+		Run(1000, 1000, func(_, ilo, ihi int) {
 			total.Add(int64(ihi - ilo))
 		})
 	})

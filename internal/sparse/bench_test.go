@@ -41,29 +41,6 @@ func BenchmarkMulDense(b *testing.B) {
 	}
 }
 
-func BenchmarkMulTDenseScatterVsCachedGather(b *testing.B) {
-	for _, s := range benchSpShapes {
-		x := benchCSR(s.rows, s.cols, s.density)
-		rng := rand.New(rand.NewSource(5))
-		d := mat.RandomNonNegative(rng, s.rows, s.k, 0.1, 1)
-		b.Run(fmt.Sprintf("scatter/%dx%d_k%d", s.rows, s.cols, s.k), func(b *testing.B) {
-			out := mat.NewDense(s.cols, s.k)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x.MulTDenseInto(out, d)
-			}
-		})
-		b.Run(fmt.Sprintf("gather/%dx%d_k%d", s.rows, s.cols, s.k), func(b *testing.B) {
-			xt := x.T()
-			out := mat.NewDense(s.cols, s.k)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				xt.MulDenseInto(out, d)
-			}
-		})
-	}
-}
-
 func BenchmarkLaplacianMulDense(b *testing.B) {
 	g := benchCSR(5000, 5000, 0.002)
 	rng := rand.New(rand.NewSource(6))

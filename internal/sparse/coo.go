@@ -202,18 +202,6 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// FromTriplets builds a CSR matrix directly from parallel triplet slices.
-func FromTriplets(rows, cols int, is, js []int, vs []float64) *CSR {
-	if len(is) != len(js) || len(js) != len(vs) {
-		panic("sparse: FromTriplets ragged input")
-	}
-	b := NewCOO(rows, cols)
-	for p := range vs {
-		b.Add(is[p], js[p], vs[p])
-	}
-	return b.ToCSR()
-}
-
 // FromDenseRows builds a CSR matrix from a row-major dense [][]float64,
 // storing only non-zero entries. Intended for tests.
 func FromDenseRows(rows [][]float64) *CSR {

@@ -11,7 +11,6 @@ package sparse
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"triclust/internal/mat"
 	"triclust/internal/par"
@@ -77,16 +76,7 @@ func (m *CSR) MulDense(b *mat.Dense) *mat.Dense {
 	return m.MulDenseInto(nil, b)
 }
 
-// spmmBody is the pooled parallel body of MulDenseInto (see par.Body:
-// pooled structs keep kernel launches allocation-free).
-type spmmBody struct {
-	m   *CSR
-	b   *mat.Dense
-	dst *mat.Dense
-}
-
-func (t *spmmBody) Range(_, lo, hi int) {
-	m, b, dst := t.m, t.b, t.dst
+func (m *CSR) mulDenseRange(dst, b *mat.Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		orow := dst.Row(i)
 		for j := range orow {
@@ -104,8 +94,6 @@ func (t *spmmBody) Range(_, lo, hi int) {
 	}
 }
 
-var spmmBodyPool = sync.Pool{New: func() any { return new(spmmBody) }}
-
 // MulDenseInto stores m·b into dst (rows×b.Cols()) and returns it; a nil
 // dst allocates. dst must not alias b: rows of dst are zeroed before rows
 // of b are gathered, so aliasing silently corrupts the product. Output
@@ -120,43 +108,10 @@ func (m *CSR) MulDenseInto(dst *mat.Dense, b *mat.Dense) *mat.Dense {
 	} else if !dst.Dims(m.rows, b.Cols()) {
 		panic(fmt.Sprintf("sparse: MulDenseInto dst is %dx%d, want %dx%d", dst.Rows(), dst.Cols(), m.rows, b.Cols()))
 	}
-	t := spmmBodyPool.Get().(*spmmBody)
-	t.m, t.b, t.dst = m, b, dst
-	par.Run(m.rows, m.spmmCostPerRow(b.Cols()), t)
-	*t = spmmBody{}
-	spmmBodyPool.Put(t)
-	return dst
-}
-
-// MulTDenseInto stores mᵀ·b into dst (cols×b.Cols()) without
-// materializing the transpose, and returns it; a nil dst allocates. dst
-// must not alias b (see MulDenseInto).
-//
-// The kernel scatters into output rows indexed by the columns of m, so it
-// runs serially: hot paths that need a parallel transpose product should
-// cache m.T() once and call MulDenseInto on it (a gather), as
-// core.Problem does for Xp, Xu and Xr.
-func (m *CSR) MulTDenseInto(dst *mat.Dense, b *mat.Dense) *mat.Dense {
-	if m.rows != b.Rows() {
-		panic(fmt.Sprintf("sparse: MulTDense %dx%d ᵀ· %dx%d", m.rows, m.cols, b.Rows(), b.Cols()))
-	}
-	if dst == nil {
-		dst = mat.NewDense(m.cols, b.Cols())
-	} else if !dst.Dims(m.cols, b.Cols()) {
-		panic(fmt.Sprintf("sparse: MulTDenseInto dst is %dx%d, want %dx%d", dst.Rows(), dst.Cols(), m.cols, b.Cols()))
+	if cost := m.spmmCostPerRow(b.Cols()); par.Serial(m.rows, cost) {
+		m.mulDenseRange(dst, b, 0, m.rows)
 	} else {
-		dst.Zero()
-	}
-	for i := 0; i < m.rows; i++ {
-		brow := b.Row(i)
-		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		for p := lo; p < hi; p++ {
-			orow := dst.Row(m.colIdx[p])
-			v := m.val[p]
-			for j, bv := range brow {
-				orow[j] += v * bv
-			}
-		}
+		par.Run(m.rows, cost, func(_, lo, hi int) { m.mulDenseRange(dst, b, lo, hi) })
 	}
 	return dst
 }
@@ -295,17 +250,9 @@ func (m *CSR) ResidualFrobeniusSq(u, c, v *mat.Dense) float64 {
 	return m.ResidualFrobeniusSqWS(u, c, v, nil)
 }
 
-// crossBody computes the per-chunk partial sums of the residual cross
-// term Σ X(i,j)·(UCVᵀ)(i,j); pooled with its partial buffer so loss
-// evaluation stays allocation-free after warmup.
-type crossBody struct {
-	m     *CSR
-	uc, v *mat.Dense
-	parts []float64
-}
-
-func (t *crossBody) Range(chunk, lo, hi int) {
-	m, uc, v := t.m, t.uc, t.v
+// crossRange returns Σ X(i,j)·(UCVᵀ)(i,j) over rows [lo, hi) of X = m,
+// with uc = U·C.
+func (m *CSR) crossRange(uc, v *mat.Dense, lo, hi int) float64 {
 	var sum float64
 	for i := lo; i < hi; i++ {
 		rlo, rhi := m.rowPtr[i], m.rowPtr[i+1]
@@ -319,10 +266,8 @@ func (t *crossBody) Range(chunk, lo, hi int) {
 			sum += m.val[p] * dot
 		}
 	}
-	t.parts[chunk] = sum
+	return sum
 }
-
-var crossBodyPool = sync.Pool{New: func() any { return new(crossBody) }}
 
 // ResidualFrobeniusSqWS is ResidualFrobeniusSq drawing its temporaries
 // (U·C and the two Gram matrices) from ws; a nil ws allocates. The
@@ -350,20 +295,17 @@ func (m *CSR) ResidualFrobeniusSqWS(u, c, v *mat.Dense, ws *mat.Workspace) float
 		ucScratch.Mul(u, c)
 		uc = ucScratch
 	}
-	t := crossBodyPool.Get().(*crossBody)
-	if cap(t.parts) < par.MaxChunks() {
-		t.parts = make([]float64, par.MaxChunks())
+	cost := m.spmmCostPerRow(k)
+	var cross float64
+	if par.Serial(m.rows, cost) {
+		cross = m.crossRange(uc, v, 0, m.rows)
+	} else {
+		parts := make([]float64, par.Procs())
+		used := par.Run(m.rows, cost, func(c, lo, hi int) { parts[c] = m.crossRange(uc, v, lo, hi) })
+		for _, p := range parts[:used] {
+			cross += p
+		}
 	}
-	t.parts = t.parts[:cap(t.parts)]
-	t.m, t.uc, t.v = m, uc, v
-	used := par.Run(m.rows, m.spmmCostPerRow(k), t)
-	cross := 0.0
-	for chunk := 0; chunk < used; chunk++ {
-		cross += t.parts[chunk]
-	}
-	t.m, t.uc, t.v = nil, nil, nil
-	crossBodyPool.Put(t)
-
 	gramU := mat.GramInto(ws.Get(k, k), uc)
 	gramV := mat.GramInto(ws.Get(k, k), v)
 	normApprox := mat.Dot(gramU, gramV)
@@ -387,19 +329,4 @@ func (m *CSR) ScaleRows(s []float64) *CSR {
 		}
 	}
 	return out
-}
-
-// SelectRows returns the sub-matrix of the given rows, in order.
-func (m *CSR) SelectRows(rows []int) *CSR {
-	b := NewCOO(len(rows), m.cols)
-	for newI, i := range rows {
-		if i < 0 || i >= m.rows {
-			panic(fmt.Sprintf("sparse: SelectRows index %d out of %d", i, m.rows))
-		}
-		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		for p := lo; p < hi; p++ {
-			b.Add(newI, m.colIdx[p], m.val[p])
-		}
-	}
-	return b.ToCSR()
 }

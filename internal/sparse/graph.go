@@ -1,8 +1,6 @@
 package sparse
 
 import (
-	"sync"
-
 	"triclust/internal/mat"
 	"triclust/internal/par"
 )
@@ -32,29 +30,27 @@ func LaplacianMulDenseInto(dst *mat.Dense, g *CSR, deg []float64, b *mat.Dense) 
 		dst = mat.NewDense(g.Rows(), b.Cols())
 	}
 	gb := g.MulDenseInto(dst, b)
-	t := diagBodyPool.Get().(*diagBody)
-	t.deg, t.b, t.dst, t.subtract = deg, b, gb, true
-	par.Run(g.Rows(), b.Cols()+1, t)
-	*t = diagBody{}
-	diagBodyPool.Put(t)
+	degreeTerm(gb, g.Rows(), deg, b, true)
 	return gb
 }
 
-// diagBody applies the diagonal degree term: dst ← D·b (or D·b − dst when
-// subtract is set, completing the Laplacian L·b = D·b − G·b). Pooled so
-// the launch does not allocate (see par.Body).
-type diagBody struct {
-	deg      []float64
-	b, dst   *mat.Dense
-	subtract bool
+// degreeTerm applies the diagonal degree term over rows [0, n): dst ← D·b,
+// or dst ← D·b − dst when subtract is set (completing the Laplacian
+// L·b = D·b − G·b).
+func degreeTerm(dst *mat.Dense, n int, deg []float64, b *mat.Dense, subtract bool) {
+	if cost := b.Cols() + 1; par.Serial(n, cost) {
+		degreeRange(dst, deg, b, subtract, 0, n)
+	} else {
+		par.Run(n, cost, func(_, lo, hi int) { degreeRange(dst, deg, b, subtract, lo, hi) })
+	}
 }
 
-func (t *diagBody) Range(_, lo, hi int) {
+func degreeRange(dst *mat.Dense, deg []float64, b *mat.Dense, subtract bool, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		d := t.deg[i]
-		brow := t.b.Row(i)
-		orow := t.dst.Row(i)
-		if t.subtract {
+		d := deg[i]
+		brow := b.Row(i)
+		orow := dst.Row(i)
+		if subtract {
 			for j := range orow {
 				orow[j] = d*brow[j] - orow[j]
 			}
@@ -65,8 +61,6 @@ func (t *diagBody) Range(_, lo, hi int) {
 		}
 	}
 }
-
-var diagBodyPool = sync.Pool{New: func() any { return new(diagBody) }}
 
 // DegreeMulDense computes D·B where D = diag(degrees of g).
 func DegreeMulDense(g *CSR, b *mat.Dense) *mat.Dense {
@@ -83,11 +77,7 @@ func DegreeMulDenseInto(dst *mat.Dense, g *CSR, deg []float64, b *mat.Dense) *ma
 	if dst == nil {
 		dst = mat.NewDense(g.Rows(), b.Cols())
 	}
-	t := diagBodyPool.Get().(*diagBody)
-	t.deg, t.b, t.dst, t.subtract = deg, b, dst, false
-	par.Run(g.Rows(), b.Cols()+1, t)
-	*t = diagBody{}
-	diagBodyPool.Put(t)
+	degreeTerm(dst, g.Rows(), deg, b, false)
 	return dst
 }
 

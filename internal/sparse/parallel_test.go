@@ -70,19 +70,6 @@ func TestMulDenseIntoReusesDst(t *testing.T) {
 	}
 }
 
-func TestMulTDenseIntoMatchesTransposeGather(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	x := randomCSR(rng, 50, 30, 0.15)
-	b := mat.RandomNonNegative(rng, 50, 3, 0.1, 1)
-	dst := mat.NewDense(30, 3)
-	dst.Fill(5)
-	scatter := x.MulTDenseInto(dst, b)
-	gather := x.T().MulDense(b)
-	if !mat.Equal(scatter, gather, 1e-12) {
-		t.Fatal("MulTDenseInto != T().MulDense")
-	}
-}
-
 func TestLaplacianIntoWithCachedDegrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	g := randomCSR(rng, 60, 60, 0.1)

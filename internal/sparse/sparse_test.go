@@ -107,17 +107,6 @@ func TestMulDenseMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMulTDenseMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomCSR(rng, 11, 9, 0.25)
-	b := mat.RandomNonNegative(rng, 11, 3, 0, 1)
-	got := a.MulTDenseInto(nil, b)
-	want := mat.Product(a.ToDense().T(), b)
-	if !mat.Equal(got, want, 1e-10) {
-		t.Fatal("MulTDenseInto mismatch vs dense reference")
-	}
-}
-
 func TestMulDimPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -228,14 +217,6 @@ func TestScaleRowsCols(t *testing.T) {
 	}
 }
 
-func TestSelectRows(t *testing.T) {
-	m := FromDenseRows([][]float64{{1, 0}, {0, 2}, {3, 3}})
-	s := m.SelectRows([]int{2, 0})
-	if s.Rows() != 2 || s.At(0, 0) != 3 || s.At(1, 0) != 1 || s.At(1, 1) != 0 {
-		t.Fatalf("SelectRows wrong: %v", s.ToDense())
-	}
-}
-
 func TestDegreesAndLaplacian(t *testing.T) {
 	// Path graph 0-1-2 with unit weights.
 	g := FromDenseRows([][]float64{
@@ -317,13 +298,6 @@ func TestDropDiagonal(t *testing.T) {
 	d := DropDiagonal(g)
 	if d.At(0, 0) != 0 || d.At(1, 1) != 0 || d.At(0, 1) != 1 || d.At(1, 0) != 2 {
 		t.Fatalf("DropDiagonal = %v", d.ToDense())
-	}
-}
-
-func TestFromTriplets(t *testing.T) {
-	m := FromTriplets(2, 2, []int{0, 1}, []int{1, 0}, []float64{3, 4})
-	if m.At(0, 1) != 3 || m.At(1, 0) != 4 {
-		t.Fatal("FromTriplets wrong")
 	}
 }
 

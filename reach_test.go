@@ -60,9 +60,6 @@ var reachAllowed = map[string]string{
 	"internal/core.FoldInUsers":          "self-tested only",
 	"internal/eval.PairwiseF1":           "self-tested only",
 	"internal/lexicon.Lexicon.Coverage":  "self-tested only",
-	"internal/sparse.FromTriplets":       "self-tested only",
-	"internal/sparse.CSR.SelectRows":     "self-tested only",
-	"internal/sparse.CSR.MulTDenseInto":  "self-tested and benchmarked only (core.Problem's cached transposes replaced it)",
 }
 
 // TestEveryFunctionIsReached fails, naming the function, when no non-test

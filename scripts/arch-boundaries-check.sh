@@ -131,6 +131,28 @@ if [ -e "cmd/$retired" ] || grep -rn -- "$retired" scripts/ >&2; then
     fail=1
 fi
 
+# A kernel is a row loop with one launch: par.Serial is the fan-out rule,
+# and par.Run takes a closure that only the fanning-out branch builds, so
+# a serial launch allocates nothing without a pool. The layer that stood
+# in for that (a loop-body interface, a pooled body type per kernel,
+# closure adapters beside it, a second copy of the rule in a kernel)
+# stays gone.
+where='internal/par, internal/mat and internal/sparse'
+sources=$(ls internal/par/*.go internal/mat/*.go internal/sparse/*.go | grep -v '_test\.go$')
+expect 0 'sync.Pool' "a kernel launch is par.Serial or par.Run, never a pooled body"
+rule=$(grep -rlw --include='*.go' MinParallelWork . | grep -v -e '_test\.go$' -e '^\./internal/par/' -e '^\./bench/' || true)
+if [ -n "$rule" ]; then
+    echo "SPINE: the fan-out rule is restated outside internal/par (ask par.Serial):" >&2
+    echo "$rule" >&2
+    fail=1
+fi
+back=$(grep -rnE --include='*.go' 'par\.Body|par\.For\(|ForChunked|Range\(chunk' . | grep -v '_test\.go:' || true)
+if [ -n "$back" ]; then
+    echo "SPINE: a second kernel launch is back (a kernel hands its row loop to par.Run):" >&2
+    echo "$back" >&2
+    fail=1
+fi
+
 # The library has one way in and the solver one objective: Topic is the
 # only API (Fit, Stream and the option struct of Fit are gone) and
 # core.Config holds the paper's terms only (Eq. 1 / Eq. 19). The snapshot
