@@ -353,7 +353,7 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, *apiErr
 // the hand-off epoch: already-installed resolves to success, reachable-
 // but-absent makes the retry safe, and unreachable stays ambiguous.
 func (s *server) installOn(target, name string, snapshot []byte, epoch uint64) error {
-	return s.peers.call(peerCall{
+	return s.peers.call(s.ctx, peerCall{
 		method: http.MethodPut, peer: target, path: "/v1/topics/" + name, body: snapshot,
 		header:   http.Header{"Content-Type": {mediaTypeSnapshot}, handoffHeader: {"1"}},
 		attempts: peerAttempts,
@@ -431,7 +431,7 @@ func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.T
 // hand-off failure. An idempotent GET, so it retries.
 func (s *server) targetTopicState(target, name string, epoch uint64) (has, reachable bool) {
 	var info clusterInfoResponse
-	err := s.peers.call(peerCall{method: http.MethodGet, peer: target,
+	err := s.peers.call(s.ctx, peerCall{method: http.MethodGet, peer: target,
 		path: "/v1/cluster/info?topic=" + name, attempts: peerAttempts}, &info)
 	return err == nil && info.Topic != nil && info.Topic.Local && info.Topic.Epoch >= epoch, err == nil
 }

@@ -159,7 +159,7 @@ func (tc *testCluster) boot(i int) {
 		tc.t.Fatalf("shard %d boot: %v", i, err)
 	}
 	s.start()
-	tc.t.Cleanup(func() { _ = s.Close() })
+	tc.t.Cleanup(s.Close)
 	sd.srv = s
 	sd.sh.swap(s)
 	tc.awaitReady(i)
@@ -173,7 +173,7 @@ func (tc *testCluster) boot(i int) {
 func (tc *testCluster) killShard(i int) {
 	tc.shards[i].sh.kill()
 	if srv := tc.shards[i].srv; srv != nil {
-		_ = srv.Close()
+		srv.Close()
 	}
 }
 

@@ -137,28 +137,14 @@ type storageMonitor struct {
 	// down.
 	readonly atomic.Bool
 
+	// running is set while the probe loop is live; the loop clears it
+	// when it stops itself.
 	mu      sync.Mutex
 	running bool
-	closed  bool
-	stop    chan struct{}
 }
 
 func newStorageMonitor(s *server, opts storageOptions) *storageMonitor {
 	return &storageMonitor{s: s, opts: opts.withDefaults()}
-}
-
-// close stops the probe goroutine if one is running.
-func (m *storageMonitor) close() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.closed = true
-	if m.running {
-		close(m.stop)
-		m.running = false
-	}
-	m.mu.Unlock()
 }
 
 // retrySeconds is the Retry-After value for refused writes: the probe
@@ -248,20 +234,18 @@ func (m *storageMonitor) recount() int {
 func (m *storageMonitor) ensureProber() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.running || m.closed {
-		return
+	if !m.running {
+		m.running = true
+		m.s.spawn(m.probeLoop)
 	}
-	m.running = true
-	m.stop = make(chan struct{})
-	go m.probeLoop(m.stop)
 }
 
-func (m *storageMonitor) probeLoop(stop chan struct{}) {
+func (m *storageMonitor) probeLoop() {
 	t := time.NewTicker(m.opts.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-m.s.ctx.Done():
 			return
 		case <-t.C:
 		}
@@ -278,13 +262,14 @@ func (m *storageMonitor) probeLoop(stop chan struct{}) {
 		for _, tp := range m.impaired() {
 			m.recoverTopic(tp)
 		}
-		// Nothing left to watch: stop until the next degrade.
-		if m.recount() == 0 {
-			m.mu.Lock()
-			if m.stop == stop {
-				m.running = false
-			}
-			m.mu.Unlock()
+		// Nothing left to watch: stop until the next degrade. The count is
+		// taken under m.mu, so a topic that degrades after it finds the
+		// loop stopped and starts the next one.
+		m.mu.Lock()
+		idle := m.recount() == 0
+		m.running = !idle
+		m.mu.Unlock()
+		if idle {
 			return
 		}
 	}
@@ -319,7 +304,7 @@ func (m *storageMonitor) recoverTopic(tp *topic) {
 	tp.storFails.Store(0)
 	m.recoveries.Add(1)
 	if e := m.s.replShip(tp, nil, false); e != nil {
-		m.s.logf("recovery re-ship %q: %v (resync queued)", tp.name, e)
+		m.s.logf("recovery re-ship %q: %v", tp.name, e)
 	}
 	m.s.logf("topic %q storage recovered", tp.name)
 }

@@ -34,7 +34,7 @@ func faultServerAt(t *testing.T, dir string, fs fault.FS, jopts store.Options, s
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
 	}
-	t.Cleanup(func() { _ = s.Close() })
+	t.Cleanup(s.Close)
 	hs := httptest.NewServer(s)
 	t.Cleanup(hs.Close)
 	return s, hs

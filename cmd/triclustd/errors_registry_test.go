@@ -57,7 +57,7 @@ func TestRestoreUnsupportedSnapshotVersion(t *testing.T) {
 func TestPersistenceFailureStorageError(t *testing.T) {
 	dir := t.TempDir()
 	s, srv := testServer(t, dir)
-	t.Cleanup(func() { _ = s.Close() })
+	t.Cleanup(s.Close)
 	client := srv.Client()
 
 	if err := os.RemoveAll(dir); err != nil {

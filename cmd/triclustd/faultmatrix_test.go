@@ -244,7 +244,7 @@ func TestCrashPointMatrix(t *testing.T) {
 						t.Fatalf("newServer: %v", err)
 					}
 					acked, attempted, crash := runMatrixWorkload(t, s)
-					_ = s.Close()
+					s.Close()
 					if crash == nil {
 						t.Fatalf("site %s was hit in discovery but the workload finished without crashing (acked=%d)", site, acked)
 					}
@@ -272,7 +272,7 @@ func TestCrashPointMatrix(t *testing.T) {
 								site, recovered, got.draws, want.draws, bytes.Equal(got.snap, want.snap))
 						}
 					}
-					_ = s2.Close()
+					s2.Close()
 
 					// Second restart: recovery must be idempotent — replay,
 					// quarantine and compaction decisions settle to the same
@@ -435,7 +435,7 @@ func TestCrashPointMatrix(t *testing.T) {
 				if !crashed {
 					t.Fatalf("site %s was hit by the clean move but this move finished without crashing", site)
 				}
-				_ = servers[0].Close()
+				servers[0].Close()
 
 				// Reboot the source shard over the frozen image and point
 				// its public URL at the new instance.
@@ -511,7 +511,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		if acked, crash := shipReplicaFrames(t, s); crash != nil || acked != 3 {
 			t.Fatalf("rule-less replica discovery: acked=%d crash=%v", acked, crash)
 		}
-		_ = s.Close()
+		s.Close()
 		sites := disc.Sites()
 		noteSites(sites)
 		if len(sites) == 0 {
@@ -525,7 +525,7 @@ func TestCrashPointMatrix(t *testing.T) {
 					script := fault.NewScript(fault.Rule{Site: site, Hit: 1, Crash: true, Tail: tail})
 					s := replicaMatrixServer(t, dir, script)
 					acked, crash := shipReplicaFrames(t, s)
-					_ = s.Close()
+					s.Close()
 					if crash == nil {
 						t.Fatalf("site %s was hit in discovery but the frames landed without crashing (acked=%d)", site, acked)
 					}
@@ -598,7 +598,7 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	_ = servers[0].Close()
+	servers[0].Close()
 
 	cc, err := newClusterConfig(urls[0], strings.Join(urls[:], ","), 32)
 	if err != nil {
@@ -726,7 +726,7 @@ func setupMoveCluster(t *testing.T) (*fault.Script, string, [2]*server, [2]strin
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		t.Cleanup(func() { _ = s.Close() })
+		t.Cleanup(s.Close)
 		servers[i] = s
 		handlers[i].swap(s)
 	}

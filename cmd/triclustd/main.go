@@ -128,7 +128,11 @@
 // batch's journal frame to the followers (POST /v1/replica/{topic}/append),
 // which verify it — CRC, epoch, and the recorded batch/random-stream
 // fingerprints — and fsync it to <topic>.rsnap + <topic>.rjournal without
-// ever opening the topic. Each shard probes its peers' /v1/healthz
+// ever opening the topic. A follower a ship misses is recorded out of
+// sync; every -probe-interval the primary re-ships a full base to each
+// topic with a follower that is up and unknown or out of sync, so idle
+// topics and a restarted primary's topics converge without another
+// batch. Each shard probes its peers' /v1/healthz
 // (-probe-interval, -probe-timeout, -probe-failures); when a peer is
 // declared down, the first live member of each affected topic's replica
 // set promotes its replica by replaying the tail through the
@@ -284,11 +288,10 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logf("shutdown: %v", err)
 	}
-	// Stop the replication machinery (detector, resync worker, rebalancer)
-	// before the final snapshot pass so nothing ships or promotes mid-exit.
-	if err := handler.Close(); err != nil {
-		logf("close: %v", err)
-	}
+	// End the background lifetime (detector, resync loop, rebalancer,
+	// storage prober) before the final snapshot pass so nothing ships or
+	// promotes mid-exit.
+	handler.Close()
 	if err := handler.snapshotAll(); err != nil {
 		logf("final snapshot: %v", err)
 		os.Exit(1)

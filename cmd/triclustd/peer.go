@@ -43,7 +43,7 @@ const (
 	// shipRequestAttempts caps replica-ship retries on the request path,
 	// where tp.mu is held and a client is waiting: enough to absorb one
 	// transient failure, tight enough that a hung peer stalls the topic's
-	// writers for about one ship timeout. The resync worker, with no
+	// writers for about one ship timeout. The resync loop, with no
 	// client waiting, gets shipResyncAttempts.
 	shipRequestAttempts = 2
 	shipResyncAttempts  = 8
@@ -52,10 +52,6 @@ const (
 type peerClient struct {
 	opts peerOptions
 	hc   *http.Client
-	// ctx spans the client's lifetime: cancel ends retry waits and
-	// in-flight requests that have no caller context of their own.
-	ctx    context.Context
-	cancel context.CancelFunc
 	// down reports a peer the failure detector declared down (nil without
 	// replication): retrying it is abandoned at once — its resync happens
 	// when it comes back, not by hammering a corpse.
@@ -63,14 +59,11 @@ type peerClient struct {
 }
 
 func newPeerClient(opts peerOptions) *peerClient {
-	p := &peerClient{opts: opts, hc: &http.Client{Transport: opts.Transport}}
-	p.ctx, p.cancel = context.WithCancel(context.Background())
-	return p
+	return &peerClient{opts: opts, hc: &http.Client{Transport: opts.Transport}}
 }
 
 // peerCall is one inter-shard request with a bounded JSON (or ignored) reply.
 type peerCall struct {
-	ctx        context.Context // nil: the client's lifetime
 	method     string
 	peer, path string
 	header     http.Header
@@ -125,12 +118,9 @@ func (p *peerClient) once(ctx context.Context, c *peerCall, out any) error {
 }
 
 // call issues c with bounded retries and backoff — the one retry loop of
-// inter-shard traffic.
-func (p *peerClient) call(c peerCall, out any) error {
-	ctx := c.ctx
-	if ctx == nil {
-		ctx = p.ctx
-	}
+// inter-shard traffic. ctx ends the retry waits and the request in flight:
+// the server's lifetime, or a probe's deadline.
+func (p *peerClient) call(ctx context.Context, c peerCall, out any) error {
 	var last error
 	for attempt := 0; attempt < max(c.attempts, 1); attempt++ {
 		if attempt > 0 {

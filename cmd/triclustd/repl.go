@@ -26,10 +26,14 @@ package main
 //
 // Shipping is semi-synchronous: the in-request ship (with bounded retries
 // and backoff) must either succeed, discover a zombie, or mark the
-// follower out-of-sync and queue an asynchronous full resync. A dead or
-// flaky follower therefore degrades a topic from RF=N to fewer live
-// copies — it never blocks the write path indefinitely, and healthz
-// reports the lag so an operator can see the degradation.
+// follower out of sync. That recorded state is the replicator's only
+// to-do list: every -probe-interval the resync loop re-ships a full base
+// to each served topic with a follower that is not down and is unknown or
+// out of sync — so convergence depends on what is recorded, never on
+// which events arrived. A dead or flaky follower therefore degrades a
+// topic from RF=N to fewer live copies — it never blocks the write path
+// indefinitely, and healthz reports the lag so an operator can see the
+// degradation.
 
 import (
 	"bytes"
@@ -89,7 +93,6 @@ func (o replOptions) withDefaults() replOptions {
 type followerState struct {
 	snapCRC uint32
 	batches int
-	draws   uint64
 	synced  bool
 }
 
@@ -109,8 +112,9 @@ type replAck struct {
 }
 
 // replicator holds one shard's replication machinery: the failure
-// detector, the per-follower shipping state for topics it serves, the
-// cold replicas it holds for peers, and the bounded resync queue.
+// detector, the per-follower shipping state for topics it serves, and the
+// cold replicas it holds for peers. Its goroutines run through
+// server.spawn and end with the server's context.
 //
 // Lock discipline: r.mu and any replica.mu are never held at the same
 // time. Code that needs both snapshots pointers under one lock, releases
@@ -125,12 +129,6 @@ type replicator struct {
 	mu        sync.Mutex
 	followers map[string]map[string]*followerState // topic → peer → state
 	replicas  map[string]*replica                  // topic → cold replica held here
-	queued    map[string]bool                      // resync dedup
-	closed    bool
-
-	queue chan string
-	stop  <-chan struct{} // the peer client's lifetime, ended by server.Close
-	wg    sync.WaitGroup
 }
 
 func newReplicator(s *server, opts replOptions) *replicator {
@@ -140,9 +138,6 @@ func newReplicator(s *server, opts replOptions) *replicator {
 		opts:      opts,
 		followers: make(map[string]map[string]*followerState),
 		replicas:  make(map[string]*replica),
-		queued:    make(map[string]bool),
-		queue:     make(chan string, 256),
-		stop:      s.peers.ctx.Done(),
 	}
 	var peers []string
 	for _, p := range s.cluster.ring.Peers() {
@@ -163,28 +158,23 @@ func newReplicator(s *server, opts replOptions) *replicator {
 // probe is the detector's liveness check: the peer's readiness endpoint,
 // under the detector's per-probe deadline.
 func (r *replicator) probe(ctx context.Context, peer string) error {
-	return r.s.peers.call(peerCall{ctx: ctx, method: http.MethodGet, peer: peer, path: "/v1/healthz"}, nil)
+	return r.s.peers.call(ctx, peerCall{method: http.MethodGet, peer: peer, path: "/v1/healthz"}, nil)
 }
 
-// start launches the detector, the resync worker, the optional
-// rebalancer, and the one-shot startup reconciliation.
+// start launches the detector, the resync loop, the optional rebalancer,
+// and the one-shot startup reconciliation.
 func (r *replicator) start() {
 	r.det.Start()
-	r.spawn(r.resyncLoop)
+	r.s.spawn(r.resyncLoop)
 	if r.opts.AutoRebalance {
-		r.spawn(r.rebalanceLoop)
+		r.s.spawn(r.rebalanceLoop)
 	}
-	r.spawn(r.reconcileStartup)
+	r.s.spawn(r.reconcileStartup)
 }
 
-// close waits for every background goroutine (server.Close has ended
-// stop) and releases the replica journal handles. Idempotent.
-func (r *replicator) close() {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	r.det.Stop()
-	r.wg.Wait()
+// closeReplicas releases the replica journal handles once server.Close
+// has waited out every goroutine that could still write them.
+func (r *replicator) closeReplicas() {
 	r.mu.Lock()
 	reps := make([]*replica, 0, len(r.replicas))
 	for _, rep := range r.replicas {
@@ -196,21 +186,6 @@ func (r *replicator) close() {
 		rep.Close()
 		rep.mu.Unlock()
 	}
-}
-
-// spawn runs fn on a tracked goroutine unless the replicator is closing.
-func (r *replicator) spawn(fn func()) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.wg.Add(1)
-	r.mu.Unlock()
-	go func() {
-		defer r.wg.Done()
-		fn()
-	}()
 }
 
 // followerPeers returns the peers a topic this shard serves replicates
@@ -274,68 +249,54 @@ func (r *replicator) markUnsynced(name, peer string) {
 func (r *replicator) dropTopicState(name string) {
 	r.mu.Lock()
 	delete(r.followers, name)
-	delete(r.queued, name)
 	r.mu.Unlock()
 }
 
-// enqueueResync queues an asynchronous full resync of a topic's
-// out-of-sync followers. The queue is bounded and deduplicated; when it
-// is full the enqueue is dropped — the next batch's ship (or the next
-// peer-up event) re-queues, so a dropped entry delays convergence without
-// losing it.
-func (r *replicator) enqueueResync(name string) {
+// needsResync reports whether a topic this shard serves has a follower
+// that is not declared down and is unknown or out of sync. It reads the
+// recorded state under r.mu alone, so the resync loop never takes the
+// lock of an idle or healthy topic.
+func (r *replicator) needsResync(name string) bool {
+	peers := r.followerPeers(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.queued[name] {
-		return
+	for _, peer := range peers {
+		if st := r.followers[name][peer]; (st == nil || !st.synced) && !r.det.Down(peer) {
+			return true
+		}
 	}
-	select {
-	case r.queue <- name:
-		r.queued[name] = true
-	default:
-		r.s.logf("resync queue full; dropping %q (will re-queue on next ship)", name)
-	}
+	return false
 }
 
+// resyncLoop reconciles every -probe-interval: each served topic that
+// needsResync gets a full re-ship to the followers that fell behind. The
+// recorded follower state is the whole to-do list, so a topic out of sync
+// is retried on every tick until it converges or its follower is declared
+// down — whether or not another batch or peer event ever arrives.
 func (r *replicator) resyncLoop() {
+	s := r.s
+	t := time.NewTicker(r.opts.ProbeInterval)
+	defer t.Stop()
 	for {
-		var name string
 		select {
-		case <-r.stop:
+		case <-s.ctx.Done():
 			return
-		case name = <-r.queue:
+		case <-t.C:
 		}
-		r.mu.Lock()
-		delete(r.queued, name)
-		r.mu.Unlock()
-		s := r.s
-		tp := s.resolve(name).tp
-		if tp == nil {
-			continue
-		}
-		tp.mu.Lock()
-		if s.admit(tp, opRead) == nil {
-			// Full re-ship to the followers that fell behind; errors mark
-			// them unsynced again and re-queue (unless the follower is now
-			// declared down — then the peer-up sweep owns the re-queue).
-			if e := s.replShip(tp, nil, true); e != nil {
-				s.logf("resync %q: %v", name, e)
-			}
-		}
-		tp.mu.Unlock()
-		// A topic that re-queued itself during the ship failed to converge
-		// (its follower is flaky but not yet declared down). Pace the next
-		// round instead of spinning on tp.mu at 100% CPU until the
-		// detector's verdict lands.
-		r.mu.Lock()
-		failed := r.queued[name]
-		r.mu.Unlock()
-		if failed {
-			select {
-			case <-r.stop:
+		for _, tp := range s.served() {
+			if s.ctx.Err() != nil {
 				return
-			case <-time.After(r.opts.ProbeInterval):
 			}
+			if !r.needsResync(tp.name) {
+				continue
+			}
+			tp.mu.Lock()
+			if s.admit(tp, opRead) == nil {
+				if e := s.replShip(tp, nil, true); e != nil {
+					s.logf("resync %q: %v", tp.name, e)
+				}
+			}
+			tp.mu.Unlock()
 		}
 	}
 }
@@ -345,7 +306,7 @@ func (r *replicator) resyncLoop() {
 // first response was lost) idempotently.
 func (r *replicator) post(peer, name string, fr *codec.ReplAppend, attempts int) (replAck, error) {
 	var ack replAck
-	err := r.s.peers.call(peerCall{
+	err := r.s.peers.call(r.s.ctx, peerCall{
 		method: http.MethodPost, peer: peer, path: "/v1/replica/" + name + "/append",
 		body:    codec.AppendReplAppend(nil, fr),
 		header:  http.Header{"Content-Type": {mediaTypeSnapshot}},
@@ -358,15 +319,15 @@ func (r *replicator) post(peer, name string, fr *codec.ReplAppend, attempts int)
 // holds tp.mu and has been admitted. frame non-nil ships that just-
 // appended journal frame incrementally; frame nil ships the full current
 // snapshot — the first-contact, post-compaction and resync path. async
-// marks the resync worker's mode: skip followers already in sync, and
+// marks the resync loop's mode: skip followers already in sync, and
 // retry with the full shipResyncAttempts budget (no client is waiting);
 // the request path gets shipRequestAttempts.
 //
 // The only failure that propagates is discovering this shard is a fenced
 // zombie (a follower answered epoch_mismatch): the topic is fenced
 // locally and the caller must fail the client's request with 409. Every
-// other failure degrades: the follower is marked out-of-sync, a resync is
-// queued, and the batch acks with fewer live copies.
+// other failure degrades: the follower is marked out of sync, which the
+// resync loop reads, and the batch acks with fewer live copies.
 func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
 	r := s.repl
 	if r == nil {
@@ -405,10 +366,8 @@ func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
 			continue
 		}
 		if r.det.Down(peer) {
-			// No resync is queued for a down peer — re-queueing now would
-			// spin the resync worker for the whole outage. The peer-up
-			// sweep (onPeerChange) re-queues every local topic when it
-			// answers again.
+			// The resync loop skips a down peer and picks it up again on
+			// the first tick after it answers.
 			r.markUnsynced(tp.name, peer)
 			continue
 		}
@@ -433,9 +392,7 @@ func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
 			fr.SnapCRC = crc
 			ack, err := r.post(peer, tp.name, &fr, attempts)
 			if err == nil {
-				r.setFollower(tp.name, peer, followerState{
-					snapCRC: crc, batches: ack.Batches, draws: ack.RandDraws, synced: true,
-				})
+				r.setFollower(tp.name, peer, followerState{snapCRC: crc, batches: ack.Batches, synced: true})
 				break
 			}
 			var refusal *apiError
@@ -462,12 +419,6 @@ func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
 				continue
 			}
 			r.markUnsynced(tp.name, peer)
-			if !r.det.Down(peer) {
-				// A peer that died mid-ship is handled by the peer-up
-				// sweep; only a still-nominally-live follower earns an
-				// async retry.
-				r.enqueueResync(tp.name)
-			}
 			s.logf("replicate %q to %s: %v (follower marked out of sync)", tp.name, peer, err)
 			break
 		}
@@ -499,9 +450,9 @@ func (s *server) fenceLocal(tp *topic, epoch uint64, target, why string) {
 func (r *replicator) dropReplicas(name string, epoch uint64) {
 	peers := r.followerPeers(name)
 	r.dropTopicState(name)
-	r.spawn(func() {
+	r.s.spawn(func() {
 		for _, peer := range peers {
-			_ = r.s.peers.call(peerCall{method: http.MethodDelete, peer: peer, timeout: defaultShipTimeout,
+			_ = r.s.peers.call(r.s.ctx, peerCall{method: http.MethodDelete, peer: peer, timeout: defaultShipTimeout,
 				path: "/v1/replica/" + name + "?epoch=" + strconv.FormatUint(epoch, 10)}, nil)
 		}
 	})
@@ -709,22 +660,16 @@ func (s *server) replicaDrop(w http.ResponseWriter, req *http.Request) *apiError
 // ——— failover: promotion ———
 
 // onPeerChange reacts to detector verdicts: a peer going down triggers
-// promotion of the replicas it was shipping; a peer coming back triggers
-// a resync sweep (it may have missed ships while down).
+// promotion of the replicas it was shipping. A peer coming back needs no
+// action here — the ships it missed left it recorded out of sync, and the
+// resync loop re-ships on its next tick.
 func (r *replicator) onPeerChange(peer string, down bool) {
 	if down {
 		r.s.logf("peer %s declared down", peer)
-		r.spawn(func() { r.promoteFrom(peer) })
+		r.s.spawn(func() { r.promoteFrom(peer) })
 		return
 	}
 	r.s.logf("peer %s is back", peer)
-	r.spawn(r.resyncAllLocal)
-}
-
-func (r *replicator) resyncAllLocal() {
-	for _, tp := range r.s.served() {
-		r.enqueueResync(tp.name)
-	}
 }
 
 // promoteFrom promotes every cold replica whose shipping source is the
@@ -739,10 +684,8 @@ func (r *replicator) promoteFrom(peer string) {
 	}
 	r.mu.Unlock()
 	for _, name := range names {
-		select {
-		case <-r.stop:
+		if r.s.ctx.Err() != nil {
 			return
-		default:
 		}
 		r.maybePromote(name, peer)
 	}
@@ -789,9 +732,9 @@ func (r *replicator) maybePromote(name, source string) {
 		s.logf("promote %q: %v (replica kept)", name, err)
 		return
 	}
+	// This shard is the topic's primary now; its followers are unknown, so
+	// the resync loop seeds them on its next tick.
 	r.forgetReplica(name, rep)
-	// This shard is the topic's primary now: seed its own followers.
-	r.enqueueResync(name)
 }
 
 // promoteReplica turns a verified cold replica into the served topic:
@@ -826,9 +769,8 @@ func (s *server) promoteReplica(name string, rep *replica) error {
 	s.store.DropReplica(&rep.Replica, name)
 	s.logf("promoted replica %q to primary at epoch %d (%d batches; source %s is down)",
 		name, newEpoch, tr.Batches(), rep.Meta.Source)
-	// The caller (holding rep.mu) forgets the map entry and seeds this
-	// shard's own followers once the lock is released — the lock
-	// discipline forbids touching r.mu from here.
+	// The caller (holding rep.mu) forgets the map entry once the lock is
+	// released — the lock discipline forbids touching r.mu from here.
 	return nil
 }
 
@@ -840,10 +782,8 @@ func (s *server) promoteReplica(name string, rep *replica) error {
 func (r *replicator) reconcileStartup() {
 	s := r.s
 	for _, tp := range s.served() {
-		select {
-		case <-r.stop:
+		if s.ctx.Err() != nil {
 			return
-		default:
 		}
 		epoch := tp.eng().Epoch()
 		for _, peer := range r.candidates(tp.name, s.cluster.self) {
@@ -869,7 +809,7 @@ func (r *replicator) rebalanceLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-r.stop:
+		case <-r.s.ctx.Done():
 			return
 		case <-t.C:
 		}
@@ -888,10 +828,8 @@ func (r *replicator) rebalanceOnce() {
 		return !r.det.Down(p)
 	})
 	for _, mv := range plan {
-		select {
-		case <-r.stop:
+		if s.ctx.Err() != nil {
 			return
-		default:
 		}
 		tp := s.resolve(mv.Topic).tp
 		if tp == nil {

@@ -361,6 +361,131 @@ func TestClusterReplicationFlakyTransport(t *testing.T) {
 	}
 }
 
+// gateTransport fails every inter-shard request whose path starts with
+// prefix until open is set; the rest pass to the default transport.
+type gateTransport struct {
+	prefix string
+	open   atomic.Bool
+}
+
+func (g *gateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !g.open.Load() && strings.HasPrefix(req.URL.Path, g.prefix) {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, fmt.Errorf("gate closed: %s %s", req.Method, req.URL.Path)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// ownedBy returns n topic names whose ring owner is shard i.
+func (tc *testCluster) ownedBy(i, n int) []string {
+	var names []string
+	for k := 0; len(names) < n; k++ {
+		if name := fmt.Sprintf("idle%04d", k); tc.ownerIdx(name) == i {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// awaitFollowersSynced polls shard i's healthz until its replication lag
+// lists Factor-1 followers for every named topic, each synced and 0
+// batches behind, failing after the given number of probe intervals.
+func (tc *testCluster) awaitFollowersSynced(i int, names []string, ticks int) {
+	tc.t.Helper()
+	want := tc.opts.repl.Factor - 1
+	var hr healthResponse
+	synced := 0
+	for deadline := time.Now().Add(time.Duration(ticks) * tc.opts.repl.ProbeInterval); time.Now().Before(deadline); {
+		hr = healthResponse{}
+		if code, err := doJSON(tc.client, "GET", tc.url(i)+"/v1/healthz", nil, &hr); err == nil && code == http.StatusOK && hr.Replication != nil {
+			ok := map[string]int{}
+			for _, l := range hr.Replication.Lag {
+				if l.Synced && l.Behind == 0 {
+					ok[l.Topic]++
+				}
+			}
+			synced = 0
+			for _, name := range names {
+				if ok[name] == want {
+					synced++
+				}
+			}
+			if synced == len(names) {
+				return
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	lag := 0
+	if hr.Replication != nil {
+		lag = len(hr.Replication.Lag)
+	}
+	tc.t.Fatalf("shard %d: %d of %d topics have every follower synced after %d ticks (healthz lists %d lag entries)",
+		i, synced, len(names), ticks, lag)
+}
+
+// TestResyncConvergesIdleTopics: followers that missed the base ship of
+// more topics than a bounded queue would hold converge once the transport
+// heals, though no batch follows and no peer changes state. The resync
+// loop reads the recorded follower state, so an idle topic is never
+// dropped from it.
+func TestResyncConvergesIdleTopics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster harness is not short")
+	}
+	gate := &gateTransport{prefix: "/v1/replica/"}
+	tc := newTestCluster(t, 2, serverOptions{
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
+		repl:    fastRepl(),
+		peer:    fastPeer(gate),
+	}, true)
+	names := tc.ownedBy(0, 320)
+	for _, name := range names {
+		tc.retryJSON("POST", tc.url(0)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
+	}
+	gate.open.Store(true)
+	tc.awaitFollowersSynced(0, names, 400)
+
+	primary := tc.shards[0].srv
+	for _, name := range names {
+		pb, pd := primary.resolve(name).tp.eng().StreamPos()
+		if rb, rd := replicaPos(t, tc.shards[1].dir, name); pb != rb || pd != rd {
+			t.Fatalf("%s: primary at (%d,%d), replica at (%d,%d)", name, pb, pd, rb, rd)
+		}
+	}
+}
+
+// TestRestartReseedsIdleFollowers: a rebooted primary knows nothing of its
+// followers, so within a tick it re-seeds those of its idle topics —
+// healthz lists every one synced without another batch.
+func TestRestartReseedsIdleFollowers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster harness is not short")
+	}
+	ro := fastRepl()
+	// The reboot must not read as a death: no promotion races it.
+	ro.ProbeFailures = 1 << 20
+	tc := newTestCluster(t, 2, serverOptions{
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
+		repl:    ro,
+		peer:    fastPeer(nil),
+	}, true)
+	names := tc.ownedBy(0, 6)
+	for _, name := range names {
+		tc.retryJSON("POST", tc.url(0)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
+		for day := 1; day <= 2; day++ {
+			tc.retryJSON("POST", tc.url(0)+"/v1/topics/"+name+"/batches", degradeBatch(day), nil, http.StatusOK)
+		}
+	}
+	tc.awaitFollowersSynced(0, names, 40)
+
+	tc.killShard(0)
+	tc.boot(0)
+	tc.awaitFollowersSynced(0, names, 40)
+}
+
 // TestClusterZombieFencing pins the split-brain guarantee: a primary cut
 // off from clients (but still running) keeps accepting nothing after its
 // topic is promoted elsewhere — its next write's replica ship comes back
@@ -437,7 +562,7 @@ func TestClusterZombieFencing(t *testing.T) {
 	}
 	tc.retryJSON("POST", tc.url(promoted)+"/v1/topics/"+name+"/batches", harnessBatch(pick, 4), nil, http.StatusOK)
 
-	_ = zombie.Close()
+	zombie.Close()
 }
 
 // serveJSON drives one JSON request straight into a server's ServeHTTP

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +20,7 @@ import (
 )
 
 // replTestServer builds one replicated daemon without starting its
-// background machinery (no detector, no resync worker, no rebalancer):
+// background machinery (no detector, no resync loop, no rebalancer):
 // the replica endpoints are exercised directly through ServeHTTP with
 // hand-crafted wire frames, so the peer in the ring never has to exist.
 func replTestServer(t *testing.T) (*server, string) {
@@ -38,7 +40,7 @@ func replTestServer(t *testing.T) (*server, string) {
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
 	}
-	t.Cleanup(func() { _ = s.Close() })
+	t.Cleanup(s.Close)
 	return s, dir
 }
 
@@ -320,4 +322,140 @@ func TestJournalWriteFailureDegradesTopic(t *testing.T) {
 	if code, err := doJSON(client, "POST", url, batchRequest{Time: 3, Tweets: dayTweets(d, 3)}, nil); err != nil || code != http.StatusOK {
 		t.Fatalf("day 3: %d %v", code, err)
 	}
+}
+
+// lifetimeLoops are the daemon's background loops: the detector's probe
+// loop, the resync and rebalance loops, and the storage prober.
+var lifetimeLoops = []string{
+	"(*Detector).probeLoop(", "(*replicator).resyncLoop(",
+	"(*replicator).rebalanceLoop(", "(*storageMonitor).probeLoop(",
+}
+
+// loopCounts counts the live goroutines that are running each of
+// lifetimeLoops.
+func loopCounts() map[string]int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	counts := map[string]int{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, loop := range lifetimeLoops {
+			if strings.Contains(g, loop) {
+				counts[loop]++
+			}
+		}
+	}
+	return counts
+}
+
+// TestCloseEndsOneLifetime: a replicated shard with a degraded topic runs
+// every background loop; when Close returns they have all exited, spawn
+// starts nothing any more, and a second Close is a no-op.
+func TestCloseEndsOneLifetime(t *testing.T) {
+	const self = "http://self.test:8547"
+	cc, err := newClusterConfig(self, self+",http://peer.test:8547", 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro := fastRepl()
+	ro.AutoRebalance = true
+	ro.RebalanceInterval = 10 * time.Millisecond
+	script := fault.NewScript()
+	s, err := newServer(t.TempDir(), serverOptions{
+		journal: store.Options{Every: 100},
+		cluster: cc,
+		repl:    ro,
+		// The peer exists on the ring only: every request to it fails here.
+		peer:    fastPeer(&gateTransport{prefix: "/"}),
+		fs:      script,
+		storage: storageOptions{ProbeInterval: 10 * time.Millisecond},
+	}, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	before := loopCounts()
+	s.start()
+
+	name := ""
+	for i := 0; name == ""; i++ {
+		if n := "life" + strconv.Itoa(i); cc.ring.Owner(n) == self {
+			name = n
+		}
+	}
+	if code, ec := serveJSON(t, s, "POST", "/v1/topics", degradeCreateReq(name)); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, ec)
+	}
+	// A full disk degrades the topic, which starts the storage prober; the
+	// disk stays full, so the prober keeps running.
+	script.SetBudget(0)
+	if code, ec := serveJSON(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1)); code != http.StatusServiceUnavailable {
+		t.Fatalf("batch on a full disk: %d %s, want 503", code, ec)
+	}
+	// waitLoops polls until ok holds for each loop's goroutine count less
+	// its count before start.
+	waitLoops := func(loops []string, ok func(extra int) bool, within time.Duration) {
+		t.Helper()
+		for deadline := time.Now().Add(within); ; time.Sleep(time.Millisecond) {
+			now, all := loopCounts(), true
+			for _, loop := range loops {
+				all = all && ok(now[loop]-before[loop])
+			}
+			if all {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("loops %v: %v (before start: %v)", loops, now, before)
+			}
+		}
+	}
+	waitLoops(lifetimeLoops, func(extra int) bool { return extra > 0 }, 5*time.Second)
+	// A goroutine that outlives the context by a moment: Close must wait
+	// for it like for the loops.
+	exited := make(chan struct{})
+	s.spawn(func() {
+		<-s.ctx.Done()
+		time.Sleep(50 * time.Millisecond)
+		close(exited)
+	})
+
+	closeWithin := func() {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			s.Close()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close did not return")
+		}
+	}
+	closeWithin()
+	select {
+	case <-exited:
+	default:
+		t.Fatal("Close returned before a spawned goroutine exited")
+	}
+	// A spawned loop returns before its goroutine releases the WaitGroup,
+	// so it is gone the moment Close returns. The detector's loop releases
+	// its own WaitGroup on the way out and may linger for an instant.
+	gone := func(extra int) bool { return extra == 0 }
+	waitLoops(lifetimeLoops[1:], gone, 0)
+	waitLoops(lifetimeLoops[:1], gone, time.Second)
+
+	ran := false
+	s.spawn(func() { ran = true })
+	s.wg.Wait()
+	if ran {
+		t.Fatal("spawn started a goroutine after Close")
+	}
+	closeWithin()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,6 +27,8 @@ import (
 // operation is durable before it is acknowledged (see persist.go), so a
 // restarted daemon resumes exactly where it stopped.
 type server struct {
+	// mu guards the registry (topics, moved) and orders spawn against
+	// Close.
 	mu     sync.RWMutex
 	topics map[string]*topic
 	// moved records topics this shard handed off to another shard
@@ -65,6 +68,13 @@ type server struct {
 	// rejections (which leave no durable trace — see conform.go).
 	conform         triclust.ConformanceMode
 	conformRejected atomic.Uint64
+
+	// ctx, cancel and wg are the daemon's one background lifetime: every
+	// goroutine besides the listener starts through spawn, every
+	// inter-shard request runs under ctx, and Close cancels it and waits.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 type topic struct {
@@ -144,6 +154,7 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 		maxBody: opts.maxBody,
 		conform: opts.conform,
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if st != nil {
 		s.storage = newStorageMonitor(s, opts.storage)
 	}
@@ -222,26 +233,45 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 }
 
 // start launches the server's background machinery — the failure
-// detector, the resync worker and the optional rebalancer. Kept out of
+// detector, the resync loop and the optional rebalancer. Kept out of
 // newServer so construction stays side-effect-free (tests that never
-// exercise replication need no goroutines and no Close).
+// exercise replication need no goroutines).
 func (s *server) start() {
 	if s.repl != nil {
 		s.repl.start()
 	}
 }
 
-// Close stops the background machinery and releases replica journal
-// handles. Idempotent; a server that was never started closes cleanly.
-func (s *server) Close() error {
-	if s.peers != nil {
-		s.peers.cancel()
+// spawn runs fn on a goroutine Close waits for; once Close has begun it
+// starts nothing. fn returns when s.ctx ends.
+func (s *server) spawn(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ctx.Err() != nil {
+		return
 	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		fn()
+	}()
+}
+
+// Close ends the background lifetime: spawn refuses from here on, the
+// detector and every spawned goroutine are waited for, and the replica
+// journal handles are released. Idempotent; a server that was never
+// started closes cleanly.
+func (s *server) Close() {
+	s.mu.Lock()
+	s.cancel()
+	s.mu.Unlock()
 	if s.repl != nil {
-		s.repl.close()
+		s.repl.det.Stop()
 	}
-	s.storage.close()
-	return nil
+	s.wg.Wait()
+	if s.repl != nil {
+		s.repl.closeReplicas()
+	}
 }
 
 // defaultMaxBody bounds every request body (JSON and snapshot uploads)
@@ -613,9 +643,10 @@ func (s *server) persistNew(tp *topic) *apiError {
 		return e
 	}
 	// Seed the topic's followers with its base snapshot before the 201:
-	// a replicated topic's creation ack implies RF copies exist (or are
-	// at least queued for resync). Only a fencing verdict fails the
-	// request — this shard learned it does not own the name after all.
+	// a replicated topic's creation ack implies RF copies exist (or a
+	// follower recorded out of sync, for the resync loop). Only a fencing
+	// verdict fails the request — this shard learned it does not own the
+	// name after all.
 	return s.replShip(tp, nil, false)
 }
 

@@ -29,18 +29,3 @@ func FoldInTweets(f *Factors, xpNew *sparse.CSR) (*mat.Dense, error) {
 	sp.NormalizeRowsL1()
 	return sp, nil
 }
-
-// FoldInUsers is the user-side analogue using Hu:
-//
-//	Su_new = normalize(Xu_new · Sf · Huᵀ)
-func FoldInUsers(f *Factors, xuNew *sparse.CSR) (*mat.Dense, error) {
-	if xuNew.Cols() != f.Sf.Rows() {
-		return nil, fmt.Errorf("core: fold-in features %d != trained %d", xuNew.Cols(), f.Sf.Rows())
-	}
-	proj := mat.NewDense(f.Sf.Rows(), f.Sf.Cols())
-	proj.MulABT(f.Sf, f.Hu)
-	su := xuNew.MulDense(proj)
-	su.ClampNonNegative()
-	su.NormalizeRowsL1()
-	return su, nil
-}

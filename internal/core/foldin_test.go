@@ -63,26 +63,6 @@ func TestFoldInUnseenTweets(t *testing.T) {
 	}
 }
 
-func TestFoldInUsers(t *testing.T) {
-	d, g := smallDataset(t, 37)
-	p := problemFor(d, g, 3)
-	cfg := DefaultConfig()
-	cfg.MaxIter = 40
-	res, err := FitOffline(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	su, err := FoldInUsers(&res.Factors, g.Xu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foldAcc := eval.Accuracy(su.RowArgMax(), d.Corpus.UserLabels())
-	fitAcc := eval.Accuracy(res.UserClusters(), d.Corpus.UserLabels())
-	if foldAcc < fitAcc-0.2 {
-		t.Fatalf("user fold-in accuracy %.3f far below fit %.3f", foldAcc, fitAcc)
-	}
-}
-
 func TestFoldInDimensionMismatch(t *testing.T) {
 	d, g := smallDataset(t, 39)
 	p := problemFor(d, g, 3)
@@ -93,9 +73,6 @@ func TestFoldInDimensionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := FoldInTweets(&res.Factors, sparse.Zeros(2, 1)); err == nil {
-		t.Fatal("expected dimension error")
-	}
-	if _, err := FoldInUsers(&res.Factors, sparse.Zeros(2, 1)); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }

@@ -45,39 +45,3 @@ func AdjustedRandIndex(pred, truth []int) float64 {
 	}
 	return (sumJoint - expected) / denom
 }
-
-// PairwiseF1 computes the pair-counting F1: pairs of items that share a
-// cluster in both partitions are true positives. Returns 0 when no
-// positive pairs exist on either side.
-func PairwiseF1(pred, truth []int) float64 {
-	p, g := filterLabeled(pred, truth)
-	n := len(g)
-	if n < 2 {
-		return 0
-	}
-	var tp, predPairs, truthPairs float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			samePred := p[i] == p[j]
-			sameTruth := g[i] == g[j]
-			if samePred {
-				predPairs++
-			}
-			if sameTruth {
-				truthPairs++
-			}
-			if samePred && sameTruth {
-				tp++
-			}
-		}
-	}
-	if predPairs == 0 || truthPairs == 0 {
-		return 0
-	}
-	precision := tp / predPairs
-	recall := tp / truthPairs
-	if precision+recall == 0 {
-		return 0
-	}
-	return 2 * precision * recall / (precision + recall)
-}

@@ -233,23 +233,3 @@ func TestARIDegenerate(t *testing.T) {
 		t.Fatal("degenerate partitions should give 0")
 	}
 }
-
-func TestPairwiseF1(t *testing.T) {
-	x := []int{0, 0, 1, 1}
-	if got := PairwiseF1(x, x); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("pairwise F1 identical = %v", got)
-	}
-	// pred splits one true cluster: tp=1 (pair 0-1), predPairs=1,
-	// truthPairs=C(3,2)=3 → P=1, R=1/3, F1=0.5.
-	truth := []int{0, 0, 0, 1}
-	pred := []int{0, 0, 1, 2}
-	if got := PairwiseF1(pred, truth); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("pairwise F1 = %v, want 0.5", got)
-	}
-	if PairwiseF1([]int{0}, []int{0}) != 0 {
-		t.Fatal("degenerate pairwise F1 should be 0")
-	}
-	if PairwiseF1([]int{0, 1}, []int{0, 1}) != 0 {
-		t.Fatal("no positive pairs should give 0")
-	}
-}

@@ -111,6 +111,24 @@ if [ -n "$relay" ]; then
     echo "$relay" >&2
     fail=1
 fi
+# The daemon has one background lifetime: server.spawn starts every
+# goroutine but main's listener, under the server's context, and Close
+# waits for them. The resync loop reconciles from the followers' recorded
+# state, so the event-fed queue that stood beside it (its enqueue, its
+# peer-up sweep, its channel of topic names, its pacing timer) stays gone.
+launches=$(grep -nE '^[[:space:]]*go [^[:space:]]' $daemon || true)
+if [ "$(echo "$launches" | grep -c .)" -ne 2 ]; then
+    echo "SPINE: cmd/triclustd must launch exactly two goroutines, main's ListenAndServe and server.spawn; found:" >&2
+    echo "$launches" >&2
+    fail=1
+fi
+expect 1 'time.After(' "the peer client's retry backoff; background loops tick until the server's context ends"
+for gone in enqueueResync resyncAllLocal 'chan string'; do
+    if grep -n -w -- "$gone" $daemon >&2; then
+        echo "SPINE: $gone is back in cmd/triclustd (the resync loop reads followerState; see needsResync)" >&2
+        fail=1
+    fi
+done
 
 # The same count for what the library writes once: Algorithm 1 and
 # Algorithm 2 share one solver loop (the sweep order is data), the graph
