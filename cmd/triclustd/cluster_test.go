@@ -29,6 +29,7 @@ import (
 
 	"triclust"
 	"triclust/internal/cluster"
+	"triclust/internal/fault"
 	"triclust/internal/store"
 )
 
@@ -86,6 +87,7 @@ type testShard struct {
 	hs  *httptest.Server
 	sh  *shardHandler
 	srv *server
+	fs  fault.FS // nil: the cluster's opts.fs
 }
 
 type testCluster struct {
@@ -154,6 +156,9 @@ func (tc *testCluster) boot(i int) {
 	}
 	opts := tc.opts
 	opts.cluster = cc
+	if sd.fs != nil {
+		opts.fs = sd.fs
+	}
 	s, err := newServer(sd.dir, opts, tc.t.Logf)
 	if err != nil {
 		tc.t.Fatalf("shard %d boot: %v", i, err)
@@ -197,14 +202,16 @@ func (tc *testCluster) awaitReady(i int) {
 func (tc *testCluster) url(i int) string { return tc.shards[i].hs.URL }
 
 // ownerIdx resolves the ring owner of a topic to a shard index.
-func (tc *testCluster) ownerIdx(topic string) int {
-	owner := tc.ring.Owner(topic)
+func (tc *testCluster) ownerIdx(topic string) int { return tc.peerIdx(tc.ring.Owner(topic)) }
+
+// peerIdx resolves a peer URL to a shard index.
+func (tc *testCluster) peerIdx(peer string) int {
 	for i, p := range tc.peers {
-		if p == owner {
+		if p == peer {
 			return i
 		}
 	}
-	tc.t.Fatalf("owner %q of %q not a peer", owner, topic)
+	tc.t.Fatalf("%q is not a peer", peer)
 	return -1
 }
 

@@ -133,11 +133,12 @@
 // topic with a follower that is up and unknown or out of sync, so idle
 // topics and a restarted primary's topics converge without another
 // batch. Each shard probes its peers' /v1/healthz
-// (-probe-interval, -probe-timeout, -probe-failures); when a peer is
-// declared down, the first live member of each affected topic's replica
-// set promotes its replica by replaying the tail through the
+// (-probe-interval, -probe-timeout, -probe-failures). On the same tick, a
+// replica whose recorded source is declared down is promoted by the first
+// live member of its replica set: it replays the tail through the
 // deterministic pipeline, bumps the ownership epoch, and serves the topic
-// from where the dead primary stopped. A zombie primary (still running,
+// from where the dead primary stopped once its first snapshot is durable;
+// a promotion that fails is retried on the next tick. A zombie primary (still running,
 // merely partitioned) is fenced on its next ship by 409 epoch_mismatch
 // and redirects its clients to the new owner. -auto-rebalance drives
 // held topics back onto the ring as peers die and return. GET /v1/healthz
@@ -288,7 +289,7 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logf("shutdown: %v", err)
 	}
-	// End the background lifetime (detector, resync loop, rebalancer,
+	// End the background lifetime (detector, reconcile loop, rebalancer,
 	// storage prober) before the final snapshot pass so nothing ships or
 	// promotes mid-exit.
 	handler.Close()

@@ -43,7 +43,7 @@ const (
 	// shipRequestAttempts caps replica-ship retries on the request path,
 	// where tp.mu is held and a client is waiting: enough to absorb one
 	// transient failure, tight enough that a hung peer stalls the topic's
-	// writers for about one ship timeout. The resync loop, with no
+	// writers for about one ship timeout. The reconcile loop, with no
 	// client waiting, gets shipResyncAttempts.
 	shipRequestAttempts = 2
 	shipResyncAttempts  = 8

@@ -11,10 +11,12 @@ package main
 // Failure handling is layered on the epoch fencing PR 5 introduced:
 //
 //   - a failure detector (internal/cluster.Detector) probes every peer's
-//     /v1/healthz; when a peer is declared down, the first live member of
-//     each of its topics' replica sets promotes its cold replica by
-//     replaying it through Topic.Process — deterministic, fingerprint-
-//     verified — and registers the topic at epoch+1;
+//     /v1/healthz; on every -probe-interval tick, a cold replica whose
+//     recorded source is declared down is promoted by the first live
+//     member of its replica set — replayed through Topic.Process
+//     (deterministic, fingerprint-verified), registered at epoch+1 and
+//     saved like a new topic, the replica files dropped only once that
+//     save is durable; a promotion that fails is tried again next tick;
 //   - the zombie side of a promotion (the old primary, still running but
 //     partitioned) discovers its demotion on its next ship: the follower
 //     answers 409 epoch_mismatch, and the zombie fences itself — drops
@@ -26,21 +28,24 @@ package main
 //
 // Shipping is semi-synchronous: the in-request ship (with bounded retries
 // and backoff) must either succeed, discover a zombie, or mark the
-// follower out of sync. That recorded state is the replicator's only
-// to-do list: every -probe-interval the resync loop re-ships a full base
-// to each served topic with a follower that is not down and is unknown or
-// out of sync — so convergence depends on what is recorded, never on
-// which events arrived. A dead or flaky follower therefore degrades a
-// topic from RF=N to fewer live copies — it never blocks the write path
-// indefinitely, and healthz reports the lag so an operator can see the
-// degradation.
+// follower out of sync. Recorded state is the replicator's only to-do
+// list: every -probe-interval the reconcile loop re-ships a full base to
+// each served topic with a follower that is not down and is unknown or
+// out of sync, then promotes the replicas whose source is down — so
+// convergence and failover depend on what is recorded, never on which
+// events arrived or in what order. A dead or flaky follower therefore
+// degrades a topic from RF=N to fewer live copies — it never blocks the
+// write path indefinitely, and healthz reports the lag so an operator can
+// see the degradation.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -102,6 +107,9 @@ type replica struct {
 	mu sync.Mutex
 	store.Replica
 	dropped bool
+	// held is why the last promotion check kept the replica; the tick
+	// logs a reason only when it changes.
+	held string
 }
 
 // replAck is the follower's 200 body: the replica position after applying
@@ -113,18 +121,19 @@ type replAck struct {
 
 // replicator holds one shard's replication machinery: the failure
 // detector, the per-follower shipping state for topics it serves, and the
-// cold replicas it holds for peers. Its goroutines run through
+// cold replicas it holds for peers. Its goroutines — one probe loop per
+// peer, the reconcile loop, the optional rebalancer — run through
 // server.spawn and end with the server's context.
 //
 // Lock discipline: r.mu and any replica.mu are never held at the same
 // time. Code that needs both snapshots pointers under one lock, releases
-// it, then takes the other — both orders of nesting used to exist
-// (promoteFrom vs replicaDrop) and could deadlock two peer-down
-// promotions against a replica DELETE.
+// it, then takes the other — nesting them in both orders could deadlock a
+// promotion against a replica DELETE.
 type replicator struct {
-	s    *server
-	opts replOptions
-	det  *cluster.Detector
+	s     *server
+	opts  replOptions
+	det   *cluster.Detector
+	peers []string // every ring peer but self: what det watches
 
 	mu        sync.Mutex
 	followers map[string]map[string]*followerState // topic → peer → state
@@ -139,18 +148,17 @@ func newReplicator(s *server, opts replOptions) *replicator {
 		followers: make(map[string]map[string]*followerState),
 		replicas:  make(map[string]*replica),
 	}
-	var peers []string
 	for _, p := range s.cluster.ring.Peers() {
 		if p != s.cluster.self {
-			peers = append(peers, p)
+			r.peers = append(r.peers, p)
 		}
 	}
-	r.det = cluster.NewDetector(peers, r.probe, cluster.DetectorConfig{
+	r.det = cluster.NewDetector(r.peers, r.probe, cluster.DetectorConfig{
 		Interval:  opts.ProbeInterval,
 		Timeout:   opts.ProbeTimeout,
 		Threshold: opts.ProbeFailures,
 		Backoff:   s.peers.opts.Backoff,
-	}, r.onPeerChange)
+	})
 	s.peers.down = r.det.Down
 	return r
 }
@@ -161,11 +169,13 @@ func (r *replicator) probe(ctx context.Context, peer string) error {
 	return r.s.peers.call(ctx, peerCall{method: http.MethodGet, peer: peer, path: "/v1/healthz"}, nil)
 }
 
-// start launches the detector, the resync loop, the optional rebalancer,
-// and the one-shot startup reconciliation.
+// start launches the detector's probe loops, the reconcile loop, the
+// optional rebalancer, and the one-shot startup reconciliation.
 func (r *replicator) start() {
-	r.det.Start()
-	r.s.spawn(r.resyncLoop)
+	for _, p := range r.peers {
+		r.s.spawn(func() { r.det.Watch(r.s.ctx, p) })
+	}
+	r.s.spawn(r.reconcileLoop)
 	if r.opts.AutoRebalance {
 		r.s.spawn(r.rebalanceLoop)
 	}
@@ -254,7 +264,7 @@ func (r *replicator) dropTopicState(name string) {
 
 // needsResync reports whether a topic this shard serves has a follower
 // that is not declared down and is unknown or out of sync. It reads the
-// recorded state under r.mu alone, so the resync loop never takes the
+// recorded state under r.mu alone, so the reconcile loop never takes the
 // lock of an idle or healthy topic.
 func (r *replicator) needsResync(name string) bool {
 	peers := r.followerPeers(name)
@@ -268,20 +278,27 @@ func (r *replicator) needsResync(name string) bool {
 	return false
 }
 
-// resyncLoop reconciles every -probe-interval: each served topic that
-// needsResync gets a full re-ship to the followers that fell behind. The
-// recorded follower state is the whole to-do list, so a topic out of sync
-// is retried on every tick until it converges or its follower is declared
-// down — whether or not another batch or peer event ever arrives.
-func (r *replicator) resyncLoop() {
+// reconcileLoop is the replicator's one reconciling tick, every
+// -probe-interval: each served topic that needsResync gets a full re-ship
+// to the followers that fell behind, then each held replica whose source
+// is down is offered to maybePromote. Recorded state is the whole to-do
+// list, so an out-of-sync follower or an orphaned replica is retried on
+// every tick until it converges — whether or not another batch or peer
+// event ever arrives, and whatever order the verdicts arrived in.
+func (r *replicator) reconcileLoop() {
 	s := r.s
 	t := time.NewTicker(r.opts.ProbeInterval)
 	defer t.Stop()
+	var down []string
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
 		case <-t.C:
+		}
+		if now := r.det.DownPeers(); !slices.Equal(now, down) {
+			s.logf("peers declared down: %v (was %v)", now, down)
+			down = now
 		}
 		for _, tp := range s.served() {
 			if s.ctx.Err() != nil {
@@ -297,6 +314,15 @@ func (r *replicator) resyncLoop() {
 				}
 			}
 			tp.mu.Unlock()
+		}
+		r.mu.Lock()
+		names := slices.Collect(maps.Keys(r.replicas))
+		r.mu.Unlock()
+		for _, name := range names {
+			if s.ctx.Err() != nil {
+				return
+			}
+			r.maybePromote(name)
 		}
 	}
 }
@@ -319,7 +345,7 @@ func (r *replicator) post(peer, name string, fr *codec.ReplAppend, attempts int)
 // holds tp.mu and has been admitted. frame non-nil ships that just-
 // appended journal frame incrementally; frame nil ships the full current
 // snapshot — the first-contact, post-compaction and resync path. async
-// marks the resync loop's mode: skip followers already in sync, and
+// marks the reconcile loop's mode: skip followers already in sync, and
 // retry with the full shipResyncAttempts budget (no client is waiting);
 // the request path gets shipRequestAttempts.
 //
@@ -327,7 +353,7 @@ func (r *replicator) post(peer, name string, fr *codec.ReplAppend, attempts int)
 // zombie (a follower answered epoch_mismatch): the topic is fenced
 // locally and the caller must fail the client's request with 409. Every
 // other failure degrades: the follower is marked out of sync, which the
-// resync loop reads, and the batch acks with fewer live copies.
+// reconcile loop reads, and the batch acks with fewer live copies.
 func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
 	r := s.repl
 	if r == nil {
@@ -366,7 +392,7 @@ func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
 			continue
 		}
 		if r.det.Down(peer) {
-			// The resync loop skips a down peer and picks it up again on
+			// The reconcile loop skips a down peer and picks it up again on
 			// the first tick after it answers.
 			r.markUnsynced(tp.name, peer)
 			continue
@@ -659,56 +685,21 @@ func (s *server) replicaDrop(w http.ResponseWriter, req *http.Request) *apiError
 
 // ——— failover: promotion ———
 
-// onPeerChange reacts to detector verdicts: a peer going down triggers
-// promotion of the replicas it was shipping. A peer coming back needs no
-// action here — the ships it missed left it recorded out of sync, and the
-// resync loop re-ships on its next tick.
-func (r *replicator) onPeerChange(peer string, down bool) {
-	if down {
-		r.s.logf("peer %s declared down", peer)
-		r.s.spawn(func() { r.promoteFrom(peer) })
-		return
-	}
-	r.s.logf("peer %s is back", peer)
-}
-
-// promoteFrom promotes every cold replica whose shipping source is the
-// dead peer — when this shard is the first live promotion candidate. The
-// candidate order is shared ring order, so exactly one shard elects
-// itself per topic once detector views converge.
-func (r *replicator) promoteFrom(peer string) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.replicas))
-	for name := range r.replicas {
-		names = append(names, name)
-	}
-	r.mu.Unlock()
-	for _, name := range names {
-		if r.s.ctx.Err() != nil {
-			return
-		}
-		r.maybePromote(name, peer)
-	}
-}
-
-// maybePromote promotes the replica of name if source is who shipped it
-// and this shard is its first live promotion candidate.
-func (r *replicator) maybePromote(name, source string) {
+// maybePromote promotes the replica of name when its recorded source is
+// declared down, this shard is its first live promotion candidate, and no
+// local topic holds the name. The candidate order is shared ring order,
+// so exactly one shard elects itself per topic once detector views
+// converge. A promotion that fails keeps the replica for the next tick.
+func (r *replicator) maybePromote(name string) {
 	s := r.s
-	cands := r.candidates(name, source)
-	first, ok := r.det.FirstLive(cands)
-	if !ok || first != s.cluster.self {
-		return
-	}
-	if s.resolve(name).tp != nil {
-		return
-	}
 	rep := r.replicaFor(name, false)
-	if rep == nil {
+	if rep == nil || s.resolve(name).tp != nil {
 		return
 	}
 	rep.mu.Lock()
-	if rep.dropped || rep.Meta.Source != source {
+	source := rep.Meta.Source
+	cands := r.candidates(name, source)
+	if first, ok := r.det.FirstLive(cands); rep.dropped || !r.det.Down(source) || !ok || first != s.cluster.self {
 		rep.mu.Unlock()
 		return
 	}
@@ -721,56 +712,63 @@ func (r *replicator) maybePromote(name, source string) {
 			continue
 		}
 		if has, _ := s.targetTopicState(c, name, rep.Meta.Epoch); has {
-			s.logf("not promoting %q: %s already serves it at epoch ≥ %d", name, c, rep.Meta.Epoch)
+			rep.hold(s, fmt.Sprintf("not promoting %q: %s already serves it at epoch ≥ %d", name, c, rep.Meta.Epoch))
 			rep.mu.Unlock()
 			return
 		}
 	}
-	err := s.promoteReplica(name, rep)
-	rep.mu.Unlock()
-	if err != nil {
-		s.logf("promote %q: %v (replica kept)", name, err)
+	if s.ctx.Err() != nil {
+		// Closing: the guard's queries were cut short, not answered.
+		rep.mu.Unlock()
 		return
 	}
-	// This shard is the topic's primary now; its followers are unknown, so
-	// the resync loop seeds them on its next tick.
-	r.forgetReplica(name, rep)
+	err := s.promoteReplica(name, rep)
+	if err != nil {
+		rep.hold(s, fmt.Sprintf("promote %q: %v (replica kept; retried every tick)", name, err))
+	}
+	rep.mu.Unlock()
+	if err == nil {
+		// This shard is the topic's primary now; its followers are unknown,
+		// so the next tick's resync seeds them.
+		r.forgetReplica(name, rep)
+	}
+}
+
+// hold logs why a promotion check kept the replica, once per reason.
+// rep.mu held.
+func (rep *replica) hold(s *server, why string) {
+	if why != rep.held {
+		rep.held = why
+		s.logf("%s", why)
+	}
 }
 
 // promoteReplica turns a verified cold replica into the served topic:
 // the store restores the base snapshot and replays the tail through
 // Topic.Process with fingerprint verification (bit-identical by the
-// determinism contract); then bump the epoch past the dead primary's,
-// register, persist, and drop the replica files. rep.mu held.
+// determinism contract); the topic then takes the create path's durable
+// step one epoch past the dead primary's, and only once its first
+// snapshot is durable are the replica files dropped. rep.mu held.
 func (s *server) promoteReplica(name string, rep *replica) error {
 	tr, err := s.store.LoadReplica(name, &rep.Replica)
 	if err != nil {
 		return err
 	}
-	newEpoch := rep.Meta.Epoch + 1
-	tr.SetEpoch(newEpoch)
+	epoch := rep.Meta.Epoch + 1
+	tr.SetEpoch(epoch)
 	// Replay above ran without a conformance mode (recorded batches were
-	// already accepted by the dead primary); the promoted topic enforces
-	// this shard's policy from its first fresh batch.
-	tr.SetConformanceMode(s.conform)
-	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, false)}
-	tp.engp.Store(tr)
-	if e := s.tryRegister(tp, newEpoch); e != nil {
-		return fmt.Errorf("register promoted topic: %s: %w", e.code, e)
-	}
+	// already accepted by the dead primary); newTopic stamps this shard's
+	// policy for the fresh batches.
+	tp := s.newTopic(name, tr)
 	tp.mu.Lock()
-	if err := s.saveIfCurrent(tp); err != nil {
-		// The topic serves reads from memory, storage-degraded; the write
-		// probe's next successful save makes it durable and writable.
-		s.logf("persist promoted %q: %v", name, err)
+	defer tp.mu.Unlock()
+	if e := s.persistNew(tp, epoch); e != nil {
+		return e
 	}
-	tp.mu.Unlock()
 	rep.dropped = true
 	s.store.DropReplica(&rep.Replica, name)
 	s.logf("promoted replica %q to primary at epoch %d (%d batches; source %s is down)",
-		name, newEpoch, tr.Batches(), rep.Meta.Source)
-	// The caller (holding rep.mu) forgets the map entry once the lock is
-	// released — the lock discipline forbids touching r.mu from here.
+		name, epoch, tr.Batches(), rep.Meta.Source)
 	return nil
 }
 

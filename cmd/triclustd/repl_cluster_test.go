@@ -3,14 +3,17 @@ package main
 // Fault-injection tests for journal-shipped replication: a shard killed
 // mid-stream and never restarted (the failover tentpole), a flaky
 // transport randomly dropping and delaying replica ships, a zombie
-// primary fenced after a promotion, and the rebalancer converging a
-// failed-over topic back onto the ring when its owner returns. All of
-// them hold the same bar as the PR 5 harness: every topic's final
-// snapshot byte-identical to a single-process control run.
+// primary fenced after a promotion, the rebalancer converging a
+// failed-over topic back onto the ring when its owner returns, and
+// promotions that cascade past a dead candidate, fail and retry, or fail
+// to become durable. All of them hold the same bar as the PR 5 harness:
+// every topic's final snapshot byte-identical to a single-process control
+// run.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -25,6 +28,7 @@ import (
 
 	"triclust"
 	"triclust/internal/cluster"
+	"triclust/internal/fault"
 	"triclust/internal/store"
 )
 
@@ -654,4 +658,171 @@ func TestClusterReplicationRebalanceAfterRecovery(t *testing.T) {
 	if !bytes.Equal(got, wantBytes.Bytes()) {
 		t.Fatal("post-recovery snapshot differs from single-process control")
 	}
+}
+
+// holdTransport holds every inter-shard request whose path starts with
+// prefix until release is closed or the request's context ends, counting
+// the requests it holds; the rest pass to the default transport.
+type holdTransport struct {
+	prefix  string
+	release chan struct{}
+	held    atomic.Int32
+}
+
+func (h *holdTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasPrefix(req.URL.Path, h.prefix) {
+		h.held.Add(1)
+		select {
+		case <-h.release:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// useFS reboots shard i with its durable writes going through fs.
+func (tc *testCluster) useFS(i int, fs fault.FS) {
+	tc.killShard(i)
+	tc.shards[i].fs = fs
+	tc.boot(i)
+}
+
+// failoverTopic creates one topic on shard p with batches for days 1–3 and
+// waits until every follower holds all three.
+func (tc *testCluster) failoverTopic(p int, name string) {
+	tc.t.Helper()
+	tc.retryJSON("POST", tc.url(p)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
+	for day := 1; day <= 3; day++ {
+		tc.retryJSON("POST", tc.url(p)+"/v1/topics/"+name+"/batches", degradeBatch(day), nil, http.StatusOK)
+	}
+	tc.awaitFollowersSynced(p, []string{name}, 40)
+}
+
+// assertPromoted holds the topic shard i serves to a single-process
+// control fed days 1–3, at epoch 1: one promotion past the dead primary,
+// every acked batch, byte for byte.
+func (tc *testCluster) assertPromoted(i int, name string) {
+	tc.t.Helper()
+	got := fetchSnapshot(tc.t, tc.client, tc.url(i)+"/v1/topics/"+name+"/snapshot")
+	ctl := controlTopic(tc.t, degradeCreateReq(name))
+	for day := 1; day <= 3; day++ {
+		if _, err := ctl.Process(day, specTweets(degradeBatch(day))); err != nil {
+			tc.t.Fatalf("control day %d: %v", day, err)
+		}
+	}
+	ctl.SetEpoch(1)
+	var want bytes.Buffer
+	if err := ctl.Snapshot(&want); err != nil {
+		tc.t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		tc.t.Fatalf("promoted %s on shard %d differs from the control at epoch 1", name, i)
+	}
+}
+
+// TestFailoverCascade: at RF 3 the primary P dies while its first
+// promotion candidate A is alive, so the second candidate B defers to A;
+// A dies before it promotes (its split-brain guard's query is held). B
+// must then promote, though the replica's recorded source is P and no
+// event names P again: the check runs on every tick from recorded state.
+func TestFailoverCascade(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster harness is not short")
+	}
+	hold := &holdTransport{prefix: "/v1/cluster/info", release: make(chan struct{})}
+	ro := fastRepl()
+	ro.Factor = 3
+	tc := newTestCluster(t, 3, serverOptions{
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
+		repl:    ro,
+		peer:    fastPeer(hold),
+	}, true)
+	name := "cascade"
+	set := tc.ring.ReplicaSet(name, 3)
+	p, a, b := tc.peerIdx(set[0]), tc.peerIdx(set[1]), tc.peerIdx(set[2])
+	tc.failoverTopic(p, name)
+
+	tc.killShard(p)
+	det := tc.shards[b].srv.repl.det
+	for deadline := time.Now().Add(10 * time.Second); hold.held.Load() == 0 || !det.Down(tc.url(p)); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("A never asked its split-brain guard (held %d) or B never saw P down (%v)", hold.held.Load(), det.Down(tc.url(p)))
+		}
+	}
+	if tc.shards[b].srv.resolve(name).tp != nil {
+		t.Fatal("B promoted while A was the first live candidate")
+	}
+
+	tc.killShard(a)
+	close(hold.release)
+	tc.awaitServedAt(name, 1, []int{b})
+	tc.assertPromoted(b, name)
+}
+
+// TestFailoverRetriesFailedPromotion: the promoting shard cannot read the
+// replica's base once; the replica is kept and the next tick promotes it.
+func TestFailoverRetriesFailedPromotion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster harness is not short")
+	}
+	tc := newTestCluster(t, 2, serverOptions{
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
+		repl:    fastRepl(),
+		peer:    fastPeer(nil),
+	}, true)
+	script := fault.NewScript()
+	tc.useFS(1, script)
+	name := tc.ownedBy(0, 1)[0]
+	tc.failoverTopic(0, name)
+
+	reads := script.Hits("repl.snap.read")
+	script.AddRule(fault.Rule{Site: "repl.snap.read", Hit: reads + 1, Err: errors.New("injected: replica base unreadable")})
+	tc.killShard(0)
+	tc.awaitServedAt(name, 1, []int{1})
+	if got := script.Hits("repl.snap.read"); got != reads+2 {
+		t.Fatalf("replica base read %d times, want %d (one failed promotion, one retry)", got-reads, 2)
+	}
+	tc.assertPromoted(1, name)
+}
+
+// TestFailoverKeepsReplicaUntilDurable: the promoted topic's first
+// snapshot cannot be written, so the topic is retired and the replica
+// kept. A restart with a healthy disk, the old primary still dead,
+// promotes it with every batch.
+func TestFailoverKeepsReplicaUntilDurable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster harness is not short")
+	}
+	tc := newTestCluster(t, 2, serverOptions{
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
+		repl:    fastRepl(),
+		peer:    fastPeer(nil),
+	}, true)
+	script := fault.NewScript()
+	tc.useFS(1, script)
+	name := tc.ownedBy(0, 1)[0]
+	tc.failoverTopic(0, name)
+
+	writes := script.Hits("persist.snap.write")
+	script.AddRule(fault.Rule{Site: "persist.snap.write", Err: errors.New("injected: snapshot device gone")})
+	tc.killShard(0)
+	for deadline := time.Now().Add(10 * time.Second); script.Hits("persist.snap.write") < writes+2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("promotion tried %d snapshot writes, want 2", script.Hits("persist.snap.write")-writes)
+		}
+	}
+	// Closed, the shard has no promotion in flight: the topic is retired
+	// and the replica kept.
+	tc.killShard(1)
+	if tc.shards[1].srv.resolve(name).tp != nil {
+		t.Fatal("a promoted topic whose first snapshot failed is served")
+	}
+	if _, err := os.Stat(filepath.Join(tc.shards[1].dir, name+".rsnap")); err != nil {
+		t.Fatalf("replica dropped though the promotion was not durable: %v", err)
+	}
+	script.ClearRules()
+	tc.boot(1)
+	tc.awaitServedAt(name, 1, []int{1})
+	tc.assertPromoted(1, name)
 }

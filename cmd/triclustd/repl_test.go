@@ -20,7 +20,7 @@ import (
 )
 
 // replTestServer builds one replicated daemon without starting its
-// background machinery (no detector, no resync loop, no rebalancer):
+// background machinery (no detector, no reconcile loop, no rebalancer):
 // the replica endpoints are exercised directly through ServeHTTP with
 // hand-crafted wire frames, so the peer in the ring never has to exist.
 func replTestServer(t *testing.T) (*server, string) {
@@ -325,9 +325,9 @@ func TestJournalWriteFailureDegradesTopic(t *testing.T) {
 }
 
 // lifetimeLoops are the daemon's background loops: the detector's probe
-// loop, the resync and rebalance loops, and the storage prober.
+// loop, the reconcile and rebalance loops, and the storage prober.
 var lifetimeLoops = []string{
-	"(*Detector).probeLoop(", "(*replicator).resyncLoop(",
+	"(*Detector).Watch(", "(*replicator).reconcileLoop(",
 	"(*replicator).rebalanceLoop(", "(*storageMonitor).probeLoop(",
 }
 

@@ -233,9 +233,9 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 }
 
 // start launches the server's background machinery — the failure
-// detector, the resync loop and the optional rebalancer. Kept out of
-// newServer so construction stays side-effect-free (tests that never
-// exercise replication need no goroutines).
+// detector's probe loops, the reconcile loop and the optional rebalancer.
+// Kept out of newServer so construction stays side-effect-free (tests that
+// never exercise replication need no goroutines).
 func (s *server) start() {
 	if s.repl != nil {
 		s.repl.start()
@@ -257,17 +257,13 @@ func (s *server) spawn(fn func()) {
 	}()
 }
 
-// Close ends the background lifetime: spawn refuses from here on, the
-// detector and every spawned goroutine are waited for, and the replica
-// journal handles are released. Idempotent; a server that was never
-// started closes cleanly.
+// Close ends the background lifetime: spawn refuses from here on, every
+// spawned goroutine is waited for, and the replica journal handles are
+// released. Idempotent; a server that was never started closes cleanly.
 func (s *server) Close() {
 	s.mu.Lock()
 	s.cancel()
 	s.mu.Unlock()
-	if s.repl != nil {
-		s.repl.det.Stop()
-	}
 	s.wg.Wait()
 	if s.repl != nil {
 		s.repl.closeReplicas()
@@ -606,48 +602,54 @@ func (s *server) restoreTopic(w http.ResponseWriter, r *http.Request) *apiError 
 // registered topic under this shard's conformance policy, durable (first
 // snapshot + open journal) before the 201.
 func (s *server) install(w http.ResponseWriter, name string, tr *triclust.Topic, epoch uint64) *apiError {
-	tr.SetConformanceMode(s.conform)
-	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, false)}
-	tp.engp.Store(tr)
-	if e := s.tryRegister(tp, epoch); e != nil {
-		return e
+	tp := s.newTopic(name, tr)
+	tp.mu.Lock()
+	e := s.persistNew(tp, epoch)
+	if e == nil {
+		// Seed the topic's followers with its base snapshot before the 201:
+		// a replicated topic's creation ack implies RF copies exist (or a
+		// follower recorded out of sync, for the reconcile loop). Only a
+		// fencing verdict fails the request — this shard learned it does
+		// not own the name after all.
+		e = s.replShip(tp, nil, false)
 	}
-	if e := s.persistNew(tp); e != nil {
+	tp.mu.Unlock()
+	if e != nil {
 		return e
 	}
 	writeJSON(w, http.StatusCreated, tp.summary())
 	return nil
 }
 
-// persistNew writes a freshly registered topic's first snapshot and
-// opens its journal. A 201 must imply durability when -data-dir is set,
-// so on failure the topic is retired again and the request fails with
-// storage_error; a DELETE that won the race to the topic lock has retired
-// the topic already, and admit says so.
-func (s *server) persistNew(tp *topic) *apiError {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	e := s.admit(tp, opWrite)
-	if e == nil {
-		if err := s.saveIfCurrent(tp); err != nil {
-			e = errf(http.StatusInternalServerError, codeStorage, "topic not persisted: %w", err)
-		}
+// newTopic wraps an engine for registration under name, stamped with this
+// shard's conformance policy.
+func (s *server) newTopic(name string, tr *triclust.Topic) *topic {
+	tr.SetConformanceMode(s.conform)
+	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, false)}
+	tp.engp.Store(tr)
+	return tp
+}
+
+// persistNew is the durable-or-retire step every new topic takes (create,
+// restore, promotion): register tp at epoch, then write its first snapshot
+// and open its journal. A registered topic must be durable when -data-dir
+// is set, so a failed save retires it again and fails with storage_error.
+// The caller holds tp.mu from before the registration, so no request
+// reaches the topic until the step is decided.
+func (s *server) persistNew(tp *topic, epoch uint64) *apiError {
+	if e := s.tryRegister(tp, epoch); e != nil {
+		return e
 	}
-	if e != nil {
+	if err := s.saveIfCurrent(tp); err != nil {
 		s.retire(tp)
 		// With this topic unregistered, any snapshot file left on disk
 		// belongs to an earlier, deleted incarnation of the name (the
 		// name was free when this topic registered): drop it so the
 		// failed create cannot resurrect that topic on restart.
 		s.store.RemoveStale(tp.name, s.diskOf)
-		return e
+		return errf(http.StatusInternalServerError, codeStorage, "topic not persisted: %w", err)
 	}
-	// Seed the topic's followers with its base snapshot before the 201:
-	// a replicated topic's creation ack implies RF copies exist (or a
-	// follower recorded out of sync, for the resync loop). Only a fencing
-	// verdict fails the request — this shard learned it does not own the
-	// name after all.
-	return s.replShip(tp, nil, false)
+	return nil
 }
 
 // tryRegister installs a topic in the registry, failing with 409 and a

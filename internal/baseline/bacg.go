@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"triclust/internal/core"
-	"triclust/internal/mat"
 	"triclust/internal/sparse"
 )
 
@@ -49,34 +48,4 @@ func BACG(xu *sparse.CSR, gu *sparse.CSR, k int, opts BACGOptions) ([]int, *core
 		return nil, nil, err
 	}
 	return res.UserClusters(), res, nil
-}
-
-// AggregateUserFromTweets derives user classes by majority vote over the
-// user's tweet classes — the simple aggregation of Smith et al. [28] and
-// Deng et al. [7] that the paper's introduction argues against. Users with
-// no tweets get class −1. Ties resolve to the lower class id.
-func AggregateUserFromTweets(tweetClasses, owner []int, numUsers, k int) []int {
-	if len(tweetClasses) != len(owner) {
-		panic("baseline: AggregateUserFromTweets length mismatch")
-	}
-	votes := mat.NewDense(numUsers, k)
-	for i, c := range tweetClasses {
-		u := owner[i]
-		if u < 0 || u >= numUsers || c < 0 || c >= k {
-			continue
-		}
-		votes.Set(u, c, votes.At(u, c)+1)
-	}
-	out := make([]int, numUsers)
-	for u := 0; u < numUsers; u++ {
-		row := votes.Row(u)
-		best, bestV := -1, 0.0
-		for c, v := range row {
-			if v > bestV {
-				best, bestV = c, v
-			}
-		}
-		out[u] = best
-	}
-	return out
 }

@@ -251,24 +251,6 @@ func TestBACGClustersUsers(t *testing.T) {
 	}
 }
 
-func TestAggregateUserFromTweets(t *testing.T) {
-	tweetClasses := []int{0, 0, 1, 1, 1, -1}
-	owner := []int{0, 0, 0, 1, 1, 2}
-	got := AggregateUserFromTweets(tweetClasses, owner, 4, 2)
-	if got[0] != 0 { // 2 votes class0, 1 vote class1
-		t.Fatalf("user0 = %d", got[0])
-	}
-	if got[1] != 1 {
-		t.Fatalf("user1 = %d", got[1])
-	}
-	if got[2] != -1 { // only an unlabeled tweet
-		t.Fatalf("user2 = %d", got[2])
-	}
-	if got[3] != -1 { // no tweets
-		t.Fatalf("user3 = %d", got[3])
-	}
-}
-
 func TestMiniBatchAndFullBatchRun(t *testing.T) {
 	d, _ := fixture(t, 14)
 	lex := d.PlantedLexicon(0.4, 0.05, 11)
@@ -318,44 +300,6 @@ func TestOnlineDriverRuns(t *testing.T) {
 		if s.NewTweets == 0 {
 			t.Fatal("empty snapshot not skipped")
 		}
-	}
-}
-
-func TestLexiconVote(t *testing.T) {
-	d, g := fixture(t, 20)
-	lex := d.PlantedLexicon(0.5, 0, 21)
-	pred := LexiconVote(g.Xp, g.Vocab, lex, 3)
-	if acc := eval.Accuracy(pred, d.TweetClass); acc < 0.55 {
-		t.Fatalf("lexicon vote accuracy = %.3f", acc)
-	}
-	// k=2 never emits Neu.
-	pred2 := LexiconVote(g.Xp, g.Vocab, lex, 2)
-	for _, c := range pred2 {
-		if c == lexicon.Neu {
-			t.Fatal("k=2 emitted neutral")
-		}
-	}
-}
-
-func TestLexiconVoteEmptyLexicon(t *testing.T) {
-	_, g := fixture(t, 22)
-	pred := LexiconVote(g.Xp, g.Vocab, lexicon.New(), 3)
-	for _, c := range pred {
-		if c != lexicon.Neu {
-			t.Fatal("empty lexicon should vote neutral everywhere")
-		}
-	}
-}
-
-func TestLexiconVoteUsers(t *testing.T) {
-	d, g := fixture(t, 24)
-	lex := d.PlantedLexicon(0.5, 0, 25)
-	pred := LexiconVoteUsers(g.Xp, g.Vocab, lex, owners(d.Corpus), d.Corpus.NumUsers(), 3)
-	if len(pred) != d.Corpus.NumUsers() {
-		t.Fatal("length mismatch")
-	}
-	if acc := eval.Accuracy(pred, d.Corpus.UserLabels()); acc < 0.5 {
-		t.Fatalf("user lexicon vote accuracy = %.3f", acc)
 	}
 }
 

@@ -45,20 +45,14 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 // peers until they answer again. It holds the shard's local view of which
 // peers are alive — there is no gossip; every shard probes every peer, so
 // views converge within a probe interval of the truth without any shared
-// state.
+// state. It starts no goroutine of its own: the caller runs Watch for each
+// peer under the lifetime it owns.
 type Detector struct {
 	cfg   DetectorConfig
 	probe ProbeFunc
-	// onChange (optional) is called outside the detector's locks whenever
-	// a peer transitions up↔down, from the peer's probe goroutine.
-	onChange func(peer string, down bool)
 
 	mu    sync.Mutex
 	state map[string]*peerProbe
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
 }
 
 type peerProbe struct {
@@ -66,15 +60,13 @@ type peerProbe struct {
 	down  bool
 }
 
-// NewDetector builds (but does not start) a detector over peers. The
-// probe function is called concurrently from one goroutine per peer.
-func NewDetector(peers []string, probe ProbeFunc, cfg DetectorConfig, onChange func(peer string, down bool)) *Detector {
+// NewDetector builds a detector over peers, all reported up until Watch
+// has probed them.
+func NewDetector(peers []string, probe ProbeFunc, cfg DetectorConfig) *Detector {
 	d := &Detector{
-		cfg:      cfg.withDefaults(),
-		probe:    probe,
-		onChange: onChange,
-		state:    make(map[string]*peerProbe, len(peers)),
-		stop:     make(chan struct{}),
+		cfg:   cfg.withDefaults(),
+		probe: probe,
+		state: make(map[string]*peerProbe, len(peers)),
 	}
 	for _, p := range peers {
 		d.state[p] = &peerProbe{}
@@ -82,78 +74,49 @@ func NewDetector(peers []string, probe ProbeFunc, cfg DetectorConfig, onChange f
 	return d
 }
 
-// Start launches the probe loops. Stop must be called to release them.
-func (d *Detector) Start() {
-	d.mu.Lock()
-	peers := make([]string, 0, len(d.state))
-	for p := range d.state {
-		peers = append(peers, p)
-	}
-	d.mu.Unlock()
-	for _, p := range peers {
-		d.wg.Add(1)
-		go d.probeLoop(p)
-	}
-}
-
-// Stop terminates the probe loops and waits for them to exit.
-func (d *Detector) Stop() {
-	d.stopOnce.Do(func() { close(d.stop) })
-	d.wg.Wait()
-}
-
-func (d *Detector) probeLoop(peer string) {
-	defer d.wg.Done()
+// Watch probes peer until ctx ends; each probe's deadline derives from ctx,
+// so a probe in flight is cancelled with it.
+func (d *Detector) Watch(ctx context.Context, peer string) {
 	timer := time.NewTimer(d.cfg.Interval)
 	defer timer.Stop()
 	for {
 		select {
-		case <-d.stop:
+		case <-ctx.Done():
 			return
 		case <-timer.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), d.cfg.Timeout)
-		err := d.probe(ctx, peer)
+		pctx, cancel := context.WithTimeout(ctx, d.cfg.Timeout)
+		err := d.probe(pctx, peer)
 		cancel()
-		changed, down, downFor := d.record(peer, err == nil)
-		if changed && d.onChange != nil {
-			d.onChange(peer, down)
-		}
+		down, downFor := d.record(peer, err == nil)
 		// Live peers are probed at the steady interval; down peers back
 		// off (capped), so a long outage costs a trickle of probes.
 		next := d.cfg.Interval
 		if down {
-			next = d.cfg.Backoff.Delay(downFor)
-			if next < d.cfg.Interval {
-				next = d.cfg.Interval
-			}
+			next = max(d.cfg.Backoff.Delay(downFor), d.cfg.Interval)
 		}
 		timer.Reset(next)
 	}
 }
 
-// record folds one probe result into the peer's state, reporting whether
-// the up/down verdict changed, the new verdict, and for how many probes
-// beyond the threshold the peer has been down (the backoff exponent).
-func (d *Detector) record(peer string, ok bool) (changed, down bool, downFor int) {
+// record folds one probe result into the peer's state, reporting the
+// verdict and for how many probes beyond the threshold the peer has been
+// down (the backoff exponent).
+func (d *Detector) record(peer string, ok bool) (down bool, downFor int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.state[peer]
 	if st == nil {
-		return false, false, 0
+		return false, 0
 	}
 	if ok {
-		changed = st.down
 		st.down = false
 		st.fails = 0
-		return changed, false, 0
+		return false, 0
 	}
 	st.fails++
-	if !st.down && st.fails >= d.cfg.Threshold {
-		st.down = true
-		changed = true
-	}
-	return changed, st.down, st.fails - d.cfg.Threshold
+	st.down = st.down || st.fails >= d.cfg.Threshold
+	return st.down, st.fails - d.cfg.Threshold
 }
 
 // Down reports this shard's current verdict on peer. Unknown peers are

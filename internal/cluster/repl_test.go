@@ -116,10 +116,26 @@ func TestBackoffCappedAndJittered(t *testing.T) {
 	}
 }
 
+// watch runs d's probe loop for each peer until the test ends, the way the
+// daemon runs it under its server lifetime.
+func watch(t *testing.T, d *Detector, peers ...string) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for _, p := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.Watch(ctx, p)
+		}()
+	}
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+}
+
 func TestDetectorThresholdAndRecovery(t *testing.T) {
 	var failing atomic.Bool
-	var mu sync.Mutex
-	events := []string{}
 	probe := func(ctx context.Context, peer string) error {
 		if failing.Load() {
 			return errors.New("down")
@@ -131,13 +147,8 @@ func TestDetectorThresholdAndRecovery(t *testing.T) {
 		Timeout:   5 * time.Millisecond,
 		Threshold: 3,
 		Backoff:   Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
-	}, func(peer string, down bool) {
-		mu.Lock()
-		events = append(events, fmt.Sprintf("%s down=%v", peer, down))
-		mu.Unlock()
 	})
-	d.Start()
-	defer d.Stop()
+	watch(t, d, "http://p")
 
 	deadline := time.Now().Add(2 * time.Second)
 	if d.Down("http://p") {
@@ -160,11 +171,6 @@ func TestDetectorThresholdAndRecovery(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) < 2 || events[0] != "http://p down=true" || events[1] != "http://p down=false" {
-		t.Fatalf("onChange events = %v", events)
-	}
 }
 
 func TestDetectorSingleFailureIsNotDown(t *testing.T) {
@@ -177,9 +183,8 @@ func TestDetectorSingleFailureIsNotDown(t *testing.T) {
 	}
 	d := NewDetector([]string{"http://p"}, probe, DetectorConfig{
 		Interval: 2 * time.Millisecond, Threshold: 3,
-	}, nil)
-	d.Start()
-	defer d.Stop()
+	})
+	watch(t, d, "http://p")
 	deadline := time.Now().Add(time.Second)
 	for calls.Load() < 5 {
 		if time.Now().After(deadline) {
@@ -192,9 +197,35 @@ func TestDetectorSingleFailureIsNotDown(t *testing.T) {
 	}
 }
 
+// TestDetectorWatchCancelsProbeInFlight: a probe's deadline derives from
+// Watch's context, so ending the context ends a probe that would otherwise
+// wait out its whole timeout, and Watch with it.
+func TestDetectorWatchCancelsProbeInFlight(t *testing.T) {
+	started := make(chan struct{})
+	probe := func(ctx context.Context, peer string) error {
+		close(started)
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	d := NewDetector([]string{"http://p"}, probe, DetectorConfig{Interval: time.Millisecond, Timeout: time.Hour})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		d.Watch(ctx, "http://p")
+		close(done)
+	}()
+	<-started
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Watch did not return after its context ended mid-probe")
+	}
+}
+
 func TestDetectorFirstLive(t *testing.T) {
 	d := NewDetector([]string{"http://a", "http://b"}, func(context.Context, string) error { return nil },
-		DetectorConfig{}, nil)
+		DetectorConfig{})
 	markDown := func(peer string) {
 		d.mu.Lock()
 		d.state[peer].down = true

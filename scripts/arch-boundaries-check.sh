@@ -113,7 +113,7 @@ if [ -n "$relay" ]; then
 fi
 # The daemon has one background lifetime: server.spawn starts every
 # goroutine but main's listener, under the server's context, and Close
-# waits for them. The resync loop reconciles from the followers' recorded
+# waits for them. The reconcile loop works from the followers' recorded
 # state, so the event-fed queue that stood beside it (its enqueue, its
 # peer-up sweep, its channel of topic names, its pacing timer) stays gone.
 launches=$(grep -nE '^[[:space:]]*go [^[:space:]]' $daemon || true)
@@ -125,10 +125,29 @@ fi
 expect 1 'time.After(' "the peer client's retry backoff; background loops tick until the server's context ends"
 for gone in enqueueResync resyncAllLocal 'chan string'; do
     if grep -n -w -- "$gone" $daemon >&2; then
-        echo "SPINE: $gone is back in cmd/triclustd (the resync loop reads followerState; see needsResync)" >&2
+        echo "SPINE: $gone is back in cmd/triclustd (the reconcile loop reads followerState; see needsResync)" >&2
         fail=1
     fi
 done
+# Failover is reconciled the same way: the tick promotes a replica whose
+# recorded source is down, so the peer-down event handler and its sweep
+# stay gone, and the detector's probe loops run in the same lifetime (it
+# exports Watch, launches nothing itself and calls back nobody).
+for gone in onPeerChange promoteFrom; do
+    if grep -n -w -- "$gone" $daemon >&2; then
+        echo "SPINE: $gone is back in cmd/triclustd (reconcileLoop promotes from recorded state; see maybePromote)" >&2
+        fail=1
+    fi
+done
+detector=$(ls internal/cluster/*.go | grep -v '_test\.go$')
+if grep -nE '^[[:space:]]*go [^[:space:]]' $detector >&2; then
+    echo "SPINE: internal/cluster launches a goroutine (its probe loop runs through the daemon's server.spawn; see Detector.Watch)" >&2
+    fail=1
+fi
+if grep -n -w onChange $detector >&2; then
+    echo "SPINE: onChange is back in internal/cluster (the reconcile tick reads Detector.Down; nothing is called back)" >&2
+    fail=1
+fi
 
 # The same count for what the library writes once: Algorithm 1 and
 # Algorithm 2 share one solver loop (the sweep order is data), the graph
