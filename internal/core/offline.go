@@ -20,7 +20,8 @@ import (
 // scale; we therefore scale each regularizer so that weight 1 makes it
 // comparable to one data term.
 func regScales(p *Problem) (alphaScale, betaScale, gammaScale float64) {
-	data := (p.Xp.FrobeniusSq() + p.Xu.FrobeniusSq() + p.Xr.FrobeniusSq()) / 3
+	xp, xu, xr := p.dataNormsSq()
+	data := (xp + xu + xr) / 3
 	if data <= 0 {
 		return 1, 1, 1
 	}
@@ -333,9 +334,10 @@ func Loss(p *Problem, f *Factors, cfg Config, tr *temporalUser, ws *mat.Workspac
 		ws = mat.NewWorkspace()
 	}
 	var lb LossBreakdown
-	lb.TweetFeature = p.Xp.ResidualFrobeniusSqWS(f.Sp, f.Hp, f.Sf, ws)
-	lb.UserFeature = p.Xu.ResidualFrobeniusSqWS(f.Su, f.Hu, f.Sf, ws)
-	lb.UserTweet = p.Xr.ResidualFrobeniusSqWS(f.Su, nil, f.Sp, ws)
+	xp, xu, xr := p.dataNormsSq()
+	lb.TweetFeature = p.Xp.ResidualFrobeniusSqWS(xp, f.Sp, f.Hp, f.Sf, ws)
+	lb.UserFeature = p.Xu.ResidualFrobeniusSqWS(xu, f.Su, f.Hu, f.Sf, ws)
+	lb.UserTweet = p.Xr.ResidualFrobeniusSqWS(xr, f.Su, nil, f.Sp, ws)
 
 	if prior := p.featurePrior(tr); cfg.Alpha > 0 && prior != nil {
 		lb.Lexicon = cfg.Alpha * mat.DiffFrobeniusSq(f.Sf, prior)

@@ -43,6 +43,9 @@ type Problem struct {
 	xpT, xuT *sparse.CSR
 	xrT      *sparse.CSR
 	guDeg    []float64
+	// ‖Xp‖², ‖Xu‖², ‖Xr‖²: the constant part of each data residual and
+	// the scale regScales sets the regularizers on.
+	xpSq, xuSq, xrSq float64
 	// scratch survives Reset so a Problem reused across a session's
 	// batches retransposes into the same backing arrays instead of
 	// reallocating them.
@@ -69,6 +72,7 @@ func (p *Problem) derive() {
 			p.guDeg = p.Gu.RowSumsInto(s.guDeg)
 			s.guDeg = p.guDeg
 		}
+		p.xpSq, p.xuSq, p.xrSq = p.Xp.FrobeniusSq(), p.Xu.FrobeniusSq(), p.Xr.FrobeniusSq()
 	})
 }
 
@@ -93,6 +97,12 @@ func (p *Problem) XrT() *sparse.CSR { p.derive(); return p.xrT }
 
 // GuDegrees returns the cached degree vector of Gu (nil when Gu is nil).
 func (p *Problem) GuDegrees() []float64 { p.derive(); return p.guDeg }
+
+// dataNormsSq returns the cached ‖Xp‖², ‖Xu‖² and ‖Xr‖².
+func (p *Problem) dataNormsSq() (xp, xu, xr float64) {
+	p.derive()
+	return p.xpSq, p.xuSq, p.xrSq
+}
 
 // Validate checks dimension consistency.
 func (p *Problem) Validate(k int) error {

@@ -4,8 +4,10 @@
 // and the guarded multiplicative-update kernel.
 //
 // All matrices are dense and stored row-major in a single backing slice.
-// The factor matrices in this project are tall and skinny (n×k with k ≤ 3),
-// so dense storage is cheap; the large data matrices use package sparse.
+// The factor matrices in this project are tall and skinny (n×k with
+// k ∈ {2, 3}, the widths the API accepts), so dense storage is cheap; the
+// large data matrices use package sparse. The products have a width-3 body
+// for k = 3 beside the generic loop, with the same results bit for bit.
 package mat
 
 import (
@@ -153,8 +155,23 @@ func checkSame(op string, a, b *Dense) {
 // inline when par.Serial says so, and only a launch that fans out builds
 // the closure it hands to par.Run (a closure escapes to the heap, and
 // solver sweeps run thousands of launches, nearly all serial).
+//
+// The row functions of Mul and MulATB pick a body by operand width: the
+// solver runs k = 3, so operands exactly 3 wide take a body that walks the
+// flat backing slices with its accumulators in locals; every other width
+// takes the generic loop. A width-3 body adds the same terms in the same
+// order as the generic loop, zero skips included, so both produce the
+// same bits.
 
 func mulRange(dst, a, b *Dense, lo, hi int) {
+	if a.cols == 3 && b.cols == 3 {
+		mulRange3(dst, a, b, lo, hi)
+	} else {
+		mulRangeAny(dst, a, b, lo, hi)
+	}
+}
+
+func mulRangeAny(dst, a, b *Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		mrow := dst.Row(i)
@@ -171,6 +188,37 @@ func mulRange(dst, a, b *Dense, lo, hi int) {
 				orow[j] += av * bv
 			}
 		}
+	}
+}
+
+// mulRange3 is mulRangeAny for an n×3 a and a 3×3 b, b held in locals.
+func mulRange3(dst, a, b *Dense, lo, hi int) {
+	bd := b.data[:9]
+	b00, b01, b02 := bd[0], bd[1], bd[2]
+	b10, b11, b12 := bd[3], bd[4], bd[5]
+	b20, b21, b22 := bd[6], bd[7], bd[8]
+	ad := a.data[3*lo : 3*hi]
+	od := dst.data[3*lo : 3*hi]
+	od = od[:len(ad)]
+	for i := 0; i+2 < len(ad); i += 3 {
+		a0, a1, a2 := ad[i], ad[i+1], ad[i+2]
+		var o0, o1, o2 float64
+		if a0 != 0 {
+			o0 += a0 * b00
+			o1 += a0 * b01
+			o2 += a0 * b02
+		}
+		if a1 != 0 {
+			o0 += a1 * b10
+			o1 += a1 * b11
+			o2 += a1 * b12
+		}
+		if a2 != 0 {
+			o0 += a2 * b20
+			o1 += a2 * b21
+			o2 += a2 * b22
+		}
+		od[i], od[i+1], od[i+2] = o0, o1, o2
 	}
 }
 
@@ -273,6 +321,14 @@ func (m *Dense) MulATB(a, b *Dense) {
 // mulATBRange accumulates aᵀ·b over rows [lo, hi) of a into the row-major
 // dst buffer (a.cols×b.cols).
 func mulATBRange(dst []float64, a, b *Dense, lo, hi int) {
+	if a.cols == 3 && b.cols == 3 {
+		mulATBRange3(dst, a, b, lo, hi)
+	} else {
+		mulATBRangeAny(dst, a, b, lo, hi)
+	}
+}
+
+func mulATBRangeAny(dst []float64, a, b *Dense, lo, hi int) {
 	cols := b.cols
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
@@ -287,6 +343,40 @@ func mulATBRange(dst []float64, a, b *Dense, lo, hi int) {
 			}
 		}
 	}
+}
+
+// mulATBRange3 is mulATBRangeAny for n×3 a and b, the 3×3 sum held in
+// locals.
+func mulATBRange3(dst []float64, a, b *Dense, lo, hi int) {
+	d := dst[:9]
+	d00, d01, d02 := d[0], d[1], d[2]
+	d10, d11, d12 := d[3], d[4], d[5]
+	d20, d21, d22 := d[6], d[7], d[8]
+	ad := a.data[3*lo : 3*hi]
+	bd := b.data[3*lo : 3*hi]
+	bd = bd[:len(ad)]
+	for i := 0; i+2 < len(ad); i += 3 {
+		a0, a1, a2 := ad[i], ad[i+1], ad[i+2]
+		b0, b1, b2 := bd[i], bd[i+1], bd[i+2]
+		if a0 != 0 {
+			d00 += a0 * b0
+			d01 += a0 * b1
+			d02 += a0 * b2
+		}
+		if a1 != 0 {
+			d10 += a1 * b0
+			d11 += a1 * b1
+			d12 += a1 * b2
+		}
+		if a2 != 0 {
+			d20 += a2 * b0
+			d21 += a2 * b1
+			d22 += a2 * b2
+		}
+	}
+	d[0], d[1], d[2] = d00, d01, d02
+	d[3], d[4], d[5] = d10, d11, d12
+	d[6], d[7], d[8] = d20, d21, d22
 }
 
 // Gram returns aᵀ·a (cols×cols), the Gram matrix.

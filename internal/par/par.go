@@ -32,8 +32,8 @@
 // costPerRow approximates the flops per row (e.g. k² for an n×k × k×k
 // product, nnz/rows·k for an SpMM) — reaches MinParallelWork. Below the
 // threshold the loop runs inline on the calling goroutine, so the tiny
-// k×k factor-core products of the tri-clustering solvers (k ≤ 8) never
-// pay parallel overhead, while the n×k and nnz-sized sweeps over tweets,
+// k×k factor-core products of the tri-clustering solvers (k ∈ {2, 3})
+// never pay parallel overhead, while the n×k and nnz-sized sweeps over tweets,
 // users and features do get split. MinParallelWork = 64·1024 scalar ops
 // ≈ tens of microseconds of arithmetic, an order of magnitude above the
 // hand-off cost.

@@ -55,6 +55,7 @@ func TestKernelLaunchAllocs(t *testing.T) {
 		c := mat.RandomNonNegative(rng, k, k, 0.1, 1)
 		sg := mat.RandomNonNegative(rng, tc.ng, k, 0.1, 1)
 		out, outg := mat.NewDense(tc.nx, k), mat.NewDense(tc.ng, k)
+		normSq := x.FrobeniusSq()
 		ws := mat.NewWorkspace()
 		for _, kn := range []struct {
 			name       string
@@ -62,7 +63,7 @@ func TestKernelLaunchAllocs(t *testing.T) {
 			run        func()
 		}{
 			{"MulDenseInto", tc.nx, x.spmmCostPerRow(k), func() { x.MulDenseInto(out, f) }},
-			{"ResidualFrobeniusSqWS", tc.nx, x.spmmCostPerRow(k), func() { x.ResidualFrobeniusSqWS(s, c, f, ws) }},
+			{"ResidualFrobeniusSqWS", tc.nx, x.spmmCostPerRow(k), func() { x.ResidualFrobeniusSqWS(normSq, s, c, f, ws) }},
 			{"LaplacianMulDenseInto", tc.ng, k + 1, func() { LaplacianMulDenseInto(outg, g, deg, sg) }},
 			{"DegreeMulDenseInto", tc.ng, k + 1, func() { DegreeMulDenseInto(outg, g, deg, sg) }},
 		} {

@@ -76,7 +76,21 @@ func (m *CSR) MulDense(b *mat.Dense) *mat.Dense {
 	return m.MulDenseInto(nil, b)
 }
 
+// mulDenseRange and crossRange pick a body by width, as package mat's
+// products do: a 3-wide dense operand (the solver's k = 3) takes a body
+// that walks the flat backing slices with its sums in locals, adding the
+// same terms in the same order as the generic loop, so both produce the
+// same bits; every other width takes the generic loop.
+
 func (m *CSR) mulDenseRange(dst, b *mat.Dense, lo, hi int) {
+	if b.Cols() == 3 {
+		m.mulDenseRange3(dst, b, lo, hi)
+	} else {
+		m.mulDenseRangeAny(dst, b, lo, hi)
+	}
+}
+
+func (m *CSR) mulDenseRangeAny(dst, b *mat.Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		orow := dst.Row(i)
 		for j := range orow {
@@ -91,6 +105,25 @@ func (m *CSR) mulDenseRange(dst, b *mat.Dense, lo, hi int) {
 				drow[j] += v * bv
 			}
 		}
+	}
+}
+
+// mulDenseRange3 is mulDenseRangeAny for a 3-wide b.
+func (m *CSR) mulDenseRange3(dst, b *mat.Dense, lo, hi int) {
+	bd, od := b.Data(), dst.Data()
+	for i := lo; i < hi; i++ {
+		rlo, rhi := m.rowPtr[i], m.rowPtr[i+1]
+		vals := m.val[rlo:rhi]
+		var o0, o1, o2 float64
+		for p, j := range m.colIdx[rlo:rhi] {
+			v := vals[p]
+			br := bd[3*j : 3*j+3]
+			o0 += v * br[0]
+			o1 += v * br[1]
+			o2 += v * br[2]
+		}
+		o := od[3*i : 3*i+3]
+		o[0], o[1], o[2] = o0, o1, o2
 	}
 }
 
@@ -247,12 +280,19 @@ func (m *CSR) ToDense() *mat.Dense {
 // ||UCVᵀ||² = tr(Cᵀ UᵀU C VᵀV). Pass C = nil for the two-factor residual
 // ||X − U Vᵀ||² (as in the Xr ≈ Su Spᵀ term).
 func (m *CSR) ResidualFrobeniusSq(u, c, v *mat.Dense) float64 {
-	return m.ResidualFrobeniusSqWS(u, c, v, nil)
+	return m.ResidualFrobeniusSqWS(m.FrobeniusSq(), u, c, v, nil)
 }
 
 // crossRange returns Σ X(i,j)·(UCVᵀ)(i,j) over rows [lo, hi) of X = m,
 // with uc = U·C.
 func (m *CSR) crossRange(uc, v *mat.Dense, lo, hi int) float64 {
+	if uc.Cols() == 3 && v.Cols() == 3 {
+		return m.crossRange3(uc, v, lo, hi)
+	}
+	return m.crossRangeAny(uc, v, lo, hi)
+}
+
+func (m *CSR) crossRangeAny(uc, v *mat.Dense, lo, hi int) float64 {
 	var sum float64
 	for i := lo; i < hi; i++ {
 		rlo, rhi := m.rowPtr[i], m.rowPtr[i+1]
@@ -269,11 +309,33 @@ func (m *CSR) crossRange(uc, v *mat.Dense, lo, hi int) float64 {
 	return sum
 }
 
-// ResidualFrobeniusSqWS is ResidualFrobeniusSq drawing its temporaries
-// (U·C and the two Gram matrices) from ws; a nil ws allocates. The
-// nnz-sized cross term Σ X(i,j)·(UCVᵀ)(i,j) is reduced over parallel row
-// chunks in chunk order.
-func (m *CSR) ResidualFrobeniusSqWS(u, c, v *mat.Dense, ws *mat.Workspace) float64 {
+// crossRange3 is crossRangeAny for 3-wide uc and v, uc's row in locals.
+func (m *CSR) crossRange3(uc, v *mat.Dense, lo, hi int) float64 {
+	ud, vd := uc.Data(), v.Data()
+	var sum float64
+	for i := lo; i < hi; i++ {
+		u := ud[3*i : 3*i+3]
+		u0, u1, u2 := u[0], u[1], u[2]
+		rlo, rhi := m.rowPtr[i], m.rowPtr[i+1]
+		vals := m.val[rlo:rhi]
+		for p, j := range m.colIdx[rlo:rhi] {
+			vr := vd[3*j : 3*j+3]
+			var dot float64
+			dot += u0 * vr[0]
+			dot += u1 * vr[1]
+			dot += u2 * vr[2]
+			sum += vals[p] * dot
+		}
+	}
+	return sum
+}
+
+// ResidualFrobeniusSqWS is ResidualFrobeniusSq for a caller that keeps
+// normSq = m.FrobeniusSq() across calls, drawing its temporaries (U·C and
+// the two Gram matrices) from ws; a nil ws allocates. The nnz-sized cross
+// term Σ X(i,j)·(UCVᵀ)(i,j) is reduced over parallel row chunks in chunk
+// order.
+func (m *CSR) ResidualFrobeniusSqWS(normSq float64, u, c, v *mat.Dense, ws *mat.Workspace) float64 {
 	k := u.Cols()
 	if v.Cols() != k {
 		panic("sparse: ResidualFrobeniusSq factor rank mismatch")
@@ -310,7 +372,7 @@ func (m *CSR) ResidualFrobeniusSqWS(u, c, v *mat.Dense, ws *mat.Workspace) float
 	gramV := mat.GramInto(ws.Get(k, k), v)
 	normApprox := mat.Dot(gramU, gramV)
 	ws.Put(gramU, gramV, ucScratch)
-	return m.FrobeniusSq() - 2*cross + normApprox
+	return normSq - 2*cross + normApprox
 }
 
 // ScaleRows multiplies row i by s[i], returning a new matrix.
