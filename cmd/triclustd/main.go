@@ -56,8 +56,7 @@
 // deterministic pipeline, verifying each record's post-batch fingerprint
 // — recovered state is bit-identical to the pre-crash stream. A torn
 // final record (crash mid-append) is truncated: it was never
-// acknowledged. Data dirs written by older snapshot-only builds load
-// unchanged and get a journal.
+// acknowledged.
 //
 // The first non-empty batch of a topic freezes its vocabulary (the online
 // algorithm requires comparable feature spaces across snapshots) unless a

@@ -14,6 +14,9 @@ import (
 	"testing"
 
 	"triclust"
+	"triclust/internal/codec"
+	"triclust/internal/fault"
+	"triclust/internal/journal"
 	"triclust/internal/store"
 	"triclust/internal/synth"
 )
@@ -584,10 +587,27 @@ var legacySnapshot = append([]byte("TRICSNAP\x01\x00"), make([]byte, 10)...)
 // TestLoadAllQuarantinesUnsupportedVersion: a daemon upgrade must not
 // silently discard old-format snapshots. Startup renames them out of the
 // *.snap namespace so a same-name create cannot overwrite the only copy
-// of the old state, and serves an empty (not wrong) topic.
+// of the old state, and serves an empty (not wrong) topic. The journal of
+// the batches acked after that snapshot goes aside with it: left in place,
+// the create would delete it as stale.
 func TestLoadAllQuarantinesUnsupportedVersion(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "prop37.snap"), legacySnapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(dir, "prop37.journal")
+	jw, err := journal.Create(fault.OS, jpath, codec.Checksum(legacySnapshot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Append(&journal.Record{Time: 7, Batches: 3, RandDraws: 30, Tweets: []triclust.Tweet{
+		{Text: "love #prop37", User: 0, Time: 7, RetweetOf: -1, Label: triclust.NoLabel},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	jw.Close()
+	acked, err := os.ReadFile(jpath)
+	if err != nil {
 		t.Fatal(err)
 	}
 	_, srv := testServer(t, dir)
@@ -612,6 +632,9 @@ func TestLoadAllQuarantinesUnsupportedVersion(t *testing.T) {
 	}
 	if kept2, err := os.ReadFile(filepath.Join(dir, "prop37.snap.unsupported-version")); err != nil || !bytes.Equal(kept2, legacySnapshot) {
 		t.Fatalf("re-create disturbed the quarantined copy: %v", err)
+	}
+	if kept, err := os.ReadFile(filepath.Join(dir, "prop37.journal.unsupported-version")); err != nil || !bytes.Equal(kept, acked) {
+		t.Fatalf("the quarantined snapshot's journal is lost or changed: %v", err)
 	}
 }
 

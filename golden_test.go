@@ -2,8 +2,10 @@ package triclust_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"triclust"
 	"triclust/internal/codec"
 	"triclust/internal/engine"
+	"triclust/internal/mat"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -20,19 +23,9 @@ var updateGolden = flag.Bool("update-golden", false,
 
 const (
 	goldenPath = "testdata/golden_v5.snap"
-	// formsGoldenPath is the same topic as written by the last version-4
-	// build (the lexicon stored, plain word lists, the user history a record
-	// per user), denseGoldenPath by the last version-3 build (every matrix
-	// stored dense), wideGoldenPath by the version-3 builds before it, which
-	// retained one feature snapshot and one row per user more than a later
-	// step can read, and fixedGoldenPath by the last version-2 build
-	// (fixed-width integers, Sp and Su stored, conformance section included,
-	// the same wide history). No build can regenerate any of them any more:
-	// they are what an upgraded daemon finds in its data dir.
-	formsGoldenPath = "testdata/golden_v4.snap"
-	denseGoldenPath = "testdata/golden_v3.snap"
-	wideGoldenPath  = "testdata/golden_v3_wide_history.snap"
-	fixedGoldenPath = "testdata/golden_v2.snap"
+	// v4GoldenPath is the same topic as the last version-4 build wrote it:
+	// an intact snapshot of a version this build does not read.
+	v4GoldenPath = "testdata/golden_v4.snap"
 )
 
 // legacySnapshot is the header of a version-1 snapshot (draw-counted
@@ -87,13 +80,10 @@ func snapshotBytes(t *testing.T, tp *triclust.Topic) []byte {
 }
 
 // TestGoldenSnapshotCompat pins the snapshot format to the checked-in
-// fixtures, in both directions. Writing: the golden topic must snapshot
-// to exactly the current-version fixture, so a layout or size drift fails
-// here instead of passing as "still restores". Reading: that fixture and
-// its predecessors — version 4, version 3, version 3 with the wide history,
-// version 2 — must restore, to the same state: each re-snapshots as the current
-// bytes, which is the in-place upgrade a daemon's next compaction
-// performs. Run with -update-golden after a deliberate change of what a
+// fixture, in both directions. Writing: the golden topic must snapshot to
+// exactly the fixture, so a layout or size drift fails here instead of
+// passing as "still restores". Reading: the fixture must restore to a live
+// topic. Run with -update-golden after a deliberate change of what a
 // snapshot holds.
 func TestGoldenSnapshotCompat(t *testing.T) {
 	if *updateGolden {
@@ -113,20 +103,6 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 	if got := snapshotBytes(t, goldenTopic(t)); !bytes.Equal(got, data) {
 		t.Fatalf("golden topic snapshots to %d bytes that differ from the %d-byte fixture — codec layout drift?",
 			len(got), len(data))
-	}
-	for _, path := range []string{formsGoldenPath, denseGoldenPath, wideGoldenPath, fixedGoldenPath} {
-		written, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read earlier-build fixture: %v", err)
-		}
-		old, err := triclust.Restore(bytes.NewReader(written))
-		if err != nil {
-			t.Fatalf("%s no longer restores — upgraded daemons would quarantine live state: %v", path, err)
-		}
-		if got := snapshotBytes(t, old); !bytes.Equal(got, data) {
-			t.Fatalf("%s re-snapshots to %d bytes that differ from the %d-byte current fixture",
-				path, len(got), len(data))
-		}
 	}
 	tp, err := triclust.Restore(bytes.NewReader(data))
 	if err != nil {
@@ -164,8 +140,81 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 	}
 }
 
-// decodeFixture decodes a checked-in snapshot and returns its size too.
-func decodeFixture(t *testing.T, path string) (*engine.State, int) {
+// goldenDigests pins the state each fixture decodes to: stateDigest of it,
+// written here by hand. -update-golden rewrites the fixtures, never these,
+// so a regenerated fixture cannot move a float of the solver or of the
+// derived form's arithmetic without failing checkDigest. Each
+// value is also what the version-3 and version-4 files of the same solves
+// decoded to, when builds still read them.
+var goldenDigests = map[string]uint64{
+	goldenPath:        0x69e628d74341890d,
+	offlineGoldenPath: 0x54d8816c5196c511,
+	retweetGoldenPath: 0x96f7f34997fd7630,
+}
+
+// stateDigest is FNV-64a over the numbers of a state, 8 bytes each: the
+// counters, Sf0, the user labels, the last solve's factors, and the online
+// state — draws, warm-start cores, the feature history with its times and
+// masks, and the user history with its ids and times. A float counts by its
+// bits; a matrix by its shape, then its entries.
+func stateDigest(st *engine.State) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	ints := func(vs ...int) {
+		word(uint64(len(vs)))
+		for _, v := range vs {
+			word(uint64(v))
+		}
+	}
+	matrix := func(m *mat.Dense) {
+		if m == nil {
+			word(math.MaxUint64)
+			return
+		}
+		ints(m.Rows(), m.Cols())
+		for _, v := range m.Data() {
+			word(math.Float64bits(v))
+		}
+	}
+	ints(st.Batches, st.Skips, st.VocabDocs, int(st.Epoch))
+	matrix(st.Sf0)
+	for _, u := range st.Users {
+		ints(u.Label)
+	}
+	if f := st.LastFactors; f != nil {
+		matrix(f.Sf)
+		matrix(f.Hp)
+		matrix(f.Hu)
+	}
+	if o := st.Online; o != nil {
+		word(o.RandDraws)
+		matrix(o.LastHp)
+		matrix(o.LastHu)
+		for _, s := range o.SfHist {
+			ints(s.Time)
+			matrix(s.Sf)
+			for _, seen := range s.Seen {
+				if seen {
+					word(1)
+				} else {
+					word(0)
+				}
+			}
+		}
+		ints(o.UserIDs...)
+		ints(o.UserTimes...)
+		matrix(o.UserRows)
+	}
+	return h.Sum64()
+}
+
+// checkDigest holds the fixture at path to the state goldenDigests pins,
+// after any -update-golden rewrite of it.
+func checkDigest(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -175,66 +224,36 @@ func decodeFixture(t *testing.T, path string) (*engine.State, int) {
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	return st, len(data)
-}
-
-// sameStateButLexicon fails unless the current-version fixture decodes to
-// the state the earlier version's fixture of the same topic holds, every
-// float bit included, except for the frozen topic's lexicon, which only the
-// earlier one carries. (reflect.DeepEqual compares floats with ==; the
-// states hold no NaN and no zero a sign could hide in.)
-func sameStateButLexicon(t *testing.T, earlierPath, currentPath string) {
-	t.Helper()
-	earlier, _ := decodeFixture(t, earlierPath)
-	current, _ := decodeFixture(t, currentPath)
-	if !earlier.Frozen || len(earlier.Lexicon) == 0 || current.Lexicon != nil {
-		t.Fatalf("%s holds %d lexicon entries (frozen %v), %s %d: want some and none",
-			earlierPath, len(earlier.Lexicon), earlier.Frozen, currentPath, len(current.Lexicon))
-	}
-	earlier.Lexicon = nil
-	if !reflect.DeepEqual(earlier, current) {
-		t.Fatalf("%s and %s decode to different states", earlierPath, currentPath)
+	if got, want := stateDigest(st), goldenDigests[path]; got != want {
+		t.Fatalf("%s decodes to a state of digest %#016x, pinned %#016x — solver or derivation arithmetic drift?", path, got, want)
 	}
 }
 
 // TestGoldenDerivationPinned pins the arithmetic of the format's derived
-// matrix form for good: the version-3 fixture stores the newest feature
-// snapshot as the solver recorded it, the version-4 fixture of the same
-// topic stores nothing and has Decode rebuild it from the last solve's Sf,
-// and the two must decode to the same state, every float bit included. A
-// change to how Decode derives (or to what the solver records) fails here
-// before it silently changes what files on disk mean. The version-5 fixture
-// holds that state too, less the lexicon a frozen topic no longer stores.
-func TestGoldenDerivationPinned(t *testing.T) {
-	stored, v3 := decodeFixture(t, denseGoldenPath)
-	derived, v4 := decodeFixture(t, formsGoldenPath)
-	if !reflect.DeepEqual(stored, derived) {
-		t.Fatal("golden_v3 (matrix stored) and golden_v4 (matrix derived) decode to different states")
-	}
-	// reflect.DeepEqual compares floats with ==: compare the bits too, and
-	// make sure the fixture exercises the derivation at all.
-	hist := stored.Online.SfHist
-	a, b := hist[len(hist)-1].Sf.Data(), derived.Online.SfHist[len(hist)-1].Sf.Data()
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			t.Fatalf("derived entry %d is %x, the solver recorded %x", i, math.Float64bits(b[i]), math.Float64bits(a[i]))
-		}
-	}
-	if saved, matrix := v3-v4, 8*len(a); saved < matrix {
-		t.Fatalf("golden_v4 is %d bytes smaller than golden_v3, less than the %d-byte matrix it should not store", saved, matrix)
-	}
-	sameStateButLexicon(t, formsGoldenPath, goldenPath)
-}
+// matrix form: golden_v5.snap stores its newest feature snapshot in that
+// form (TestGoldenNewestSnapshotDerived in internal/codec), so what the
+// file decodes to, held to its pinned digest, is what Decode derives. A
+// change to how Decode derives (or to what the solver records, once the
+// fixture is regenerated) fails here before it silently changes what files
+// on disk mean.
+func TestGoldenDerivationPinned(t *testing.T) { checkDigest(t, goldenPath) }
 
 // TestLegacySnapshotRejectedByVersion pins the compatibility story for
-// pre-SplitMix64 snapshots: their recorded random-stream position belongs
-// to a different generator, so they must be turned away with a
-// self-describing version error — never half-parsed or silently replayed
-// on the wrong stream.
+// snapshots of other versions: a version-1 one recorded its random-stream
+// position on a different generator, and a version-4 one is a layout this
+// build no longer reads. Both must be turned away with a self-describing
+// version error — never half-parsed or silently replayed.
 func TestLegacySnapshotRejectedByVersion(t *testing.T) {
 	_, err := triclust.Restore(bytes.NewReader(legacySnapshot))
 	if !errors.Is(err, codec.ErrVersion) {
 		t.Fatalf("legacy v1 snapshot: got %v, want ErrVersion", err)
+	}
+	v4, err := os.ReadFile(v4GoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := triclust.Restore(bytes.NewReader(v4)); !errors.Is(err, codec.ErrVersion) {
+		t.Fatalf("%s: got %v, want ErrVersion", v4GoldenPath, err)
 	}
 }
 
@@ -247,11 +266,6 @@ const (
 	// the graph term or the temporal terms of the online one.
 	offlineGoldenPath = "testdata/golden_v5_offline.snap"
 	retweetGoldenPath = "testdata/golden_v5_retweet.snap"
-	// The two as the last version-4 build wrote them, when the pins were
-	// made: format version 5 carried the pinned solves over from these, it
-	// did not run them again and trust the result.
-	offlineFormsGoldenPath = "testdata/golden_v4_offline.snap"
-	retweetFormsGoldenPath = "testdata/golden_v4_retweet.snap"
 )
 
 // TestGoldenOfflineFit pins, bit for bit, the solver paths
@@ -261,13 +275,11 @@ const (
 // regularizer and the temporal terms shaped. A refactor of internal/core
 // that reorders one float operation or one random draw on either path fails
 // here. Run with -update-golden only after a deliberate change to the
-// solver's arithmetic. Each solve is held to two fixtures: its snapshot is
-// the current-version file byte for byte, and that file holds the state the
-// version-4 file of the same solve does (which restores, and re-snapshots
-// as the current one) — so a change of format re-spells the pin and cannot
-// move it.
+// solver's arithmetic. Each solve's snapshot is its fixture byte for byte,
+// and checkDigest holds that fixture to a pinned state — so a
+// change of format re-spells the pin and cannot move it.
 func TestGoldenOfflineFit(t *testing.T) {
-	pin := func(path, earlierPath string, tp *triclust.Topic) {
+	pin := func(path string, tp *triclust.Topic) {
 		t.Helper()
 		got := snapshotBytes(t, tp)
 		if *updateGolden {
@@ -284,18 +296,7 @@ func TestGoldenOfflineFit(t *testing.T) {
 			t.Fatalf("%s: the topic snapshots to %d bytes that differ from the %d-byte fixture — solver arithmetic drift?",
 				path, len(got), len(want))
 		}
-		sameStateButLexicon(t, earlierPath, path)
-		written, err := os.ReadFile(earlierPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		old, err := triclust.Restore(bytes.NewReader(written))
-		if err != nil {
-			t.Fatalf("%s no longer restores: %v", earlierPath, err)
-		}
-		if !bytes.Equal(snapshotBytes(t, old), want) {
-			t.Fatalf("%s re-snapshots to other bytes than %s", earlierPath, path)
-		}
+		checkDigest(t, path)
 	}
 	users := []triclust.User{
 		{Name: "ann", Label: triclust.NoLabel},
@@ -334,7 +335,7 @@ func TestGoldenOfflineFit(t *testing.T) {
 	if res.Iterations != 5 || res.Converged {
 		t.Fatalf("offline fit ran %d sweeps (converged %v), want the 5-sweep cap", res.Iterations, res.Converged)
 	}
-	pin(offlineGoldenPath, offlineFormsGoldenPath, offline)
+	pin(offlineGoldenPath, offline)
 
 	// The golden stream's two batches, then one whose retweet joins cyn to
 	// ann in Gu while all three users carry history (Eq. 26 rows).
@@ -362,5 +363,5 @@ func TestGoldenOfflineFit(t *testing.T) {
 			t.Fatalf("batch %d ran %d sweeps (converged %v), want the 5-sweep cap", day, out.Iterations, out.Converged)
 		}
 	}
-	pin(retweetGoldenPath, retweetFormsGoldenPath, online)
+	pin(retweetGoldenPath, online)
 }

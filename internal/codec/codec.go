@@ -46,7 +46,7 @@
 // A snapshot carries nothing dead, nothing twice, and writes a position
 // as a position. The four rules below, with their fallbacks, are part of
 // the format: each is a function of the state alone, so equal states have
-// one encoding, and Decode holds a version-5 payload to it.
+// one encoding, and Decode holds a payload to it.
 //
 //  1. Nothing dead. The lexicon section (the word→class map that seeds
 //     Sf0 at the vocabulary freeze) is written only when the map is not
@@ -128,7 +128,7 @@
 //	            whose Sf has one row per bit of the snapshot's mask: the
 //	            matrix is that Sf with every row L1-normalized, which is
 //	            what the solver records after a step. For a warm-start
-//	            core (LastHp, LastHu; from version 5), and only after a
+//	            core (LastHp, LastHu), and only after a
 //	            factors section that holds that core (Hp, Hu): the matrix
 //	            is that core, which is what the solver keeps after a step.
 //
@@ -142,7 +142,7 @@
 // bits, and writes the matrix dense on any difference (no factors section,
 // a last solve that is not the snapshot's source, a derived NaN, whose
 // payload is the hardware's choice), so every state round-trips bit for
-// bit. Decode holds a version-5 payload to the same choice, so a matrix has
+// bit. Decode holds a payload to the same choice, so a matrix has
 // one encoding: a core or a newest feature snapshot stored dense although
 // the factors section determines its bits, an Sf0 stored dense within a
 // dictionary's limits, and a factors section behind the online section
@@ -160,29 +160,17 @@
 // the tolerance, the seed, the lexicon-init flag (slots 1–7), then γ, τ, the
 // window, and the pipeline's weighting, MinDF, lexicon hit mass and
 // tokenizer flags (from slot 13). Config slots 8–12 are reserved: three
-// floats that are zero and two lists that are empty, in every version.
+// floats that are zero and two lists that are empty.
 // Earlier builds kept the weights and label lists of three extension
 // regularizers there (core.Config's SparsityLambda and its four
 // neighbours, since removed), which nothing ever set. Anything else in a
 // reserved slot is version skew, not corruption: Decode answers ErrVersion.
 //
-// # Earlier versions
+// # Versions
 //
-// Version 4 stored the lexicon always, plain strings everywhere (the map
-// sections as key, value pairs in any order, a later pair overwriting an
-// earlier one), a zigzag label per user, both warm-start cores dense, and
-// the user history as one record per user: zigzag id, row count, and per
-// row a zigzag time and a length-prefixed row. Version 3 had every matrix
-// dense (the form byte was a presence bool, the same two values) and the
-// factors section after the online one. Version 2 had version 3's
-// sections with every integer as 8 fixed bytes and every []bool as a byte
-// per element, and stored the tweet and user factors of the last solve,
-// which no restored topic reads. Decode still reads all three, as
-// leniently as the builds that wrote them (the same decoder, switched by
-// the header's version field); Encode writes version 5 only. An older
-// build does not read a newer version: it answers ErrVersion. The
-// fixed-width primitives live on in wire.go for the journal and frame
-// formats.
+// Encode writes version 5 and Decode reads version 5 only: a snapshot of
+// any other version answers ErrVersion, an intact file this build does not
+// run.
 //
 // The online section names the solver's random generator alongside the
 // recorded stream position, because a draw position is only replayable on
@@ -214,29 +202,11 @@ import (
 	"triclust/internal/tgraph"
 )
 
-// Version is the snapshot format version Encode writes; Decode reads
-// oldestVersion through Version, so an upgraded daemon loads its data dir.
-// Version 5 (versionPacked) dropped the frozen topic's lexicon and the
-// second copy of the association cores, framed labels and user history by
-// id sets and ages, and front-coded the word lists; version 4
-// (versionForms) stopped storing matrices the rest of the snapshot
-// determines; version 3 (versionCompact) made section bodies compact
-// (varints, bitsets) and dropped the dead tweet and user factors of its
-// fixed-width predecessor. Version 2 had inserted the random-generator
-// identifier into the online section when the solver's PRNG moved to
-// SplitMix64; version-1 snapshots recorded stream positions of a
-// different generator and are rejected with ErrVersion rather than
-// replayed on the wrong stream.
-const (
-	Version        = 5
-	oldestVersion  = 2
-	versionCompact = 3
-	versionForms   = 4
-	versionPacked  = 5
-)
+// Version is the snapshot format version Encode writes and the only one
+// Decode reads.
+const Version = 5
 
-// Matrix forms (see the package comment). Before versionForms the byte was
-// a presence bool: formAbsent and formDense, by the same values.
+// Matrix forms (see the package comment).
 const (
 	formAbsent  = 0
 	formDense   = 1
@@ -278,10 +248,8 @@ var (
 	ErrCorrupt = errors.New("codec: corrupt snapshot")
 )
 
-// Section tags of the snapshot format. Tags 1–7 date from version 1;
-// tagEpoch and tagConform were added within version 2 as optional
-// sections (absent = epoch 0 / empty conformance profile), which older
-// version-2 readers skip by the unknown-tag rule.
+// Section tags of the snapshot format. tagEpoch and tagConform are
+// optional sections (absent = epoch 0 / empty conformance profile).
 const (
 	tagEnd     = 0
 	tagConfig  = 1
@@ -377,9 +345,9 @@ func Decode(r io.Reader) (*engine.State, error) {
 		return nil, ErrBadMagic
 	}
 	version := binary.LittleEndian.Uint16(hdr[8:10])
-	if version < oldestVersion || version > Version {
-		return nil, fmt.Errorf("%w: snapshot is version %d, this build reads %d through %d",
-			ErrVersion, version, oldestVersion, Version)
+	if version != Version {
+		return nil, fmt.Errorf("%w: snapshot is version %d, this build reads version %d only",
+			ErrVersion, version, Version)
 	}
 	n := binary.LittleEndian.Uint64(hdr[10:18])
 	if n > maxPayload {
@@ -399,7 +367,7 @@ func Decode(r io.Reader) (*engine.State, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (payload %08x, trailer %08x)", ErrCorrupt, got, want)
 	}
 
-	dec := &decoder{buf: payload.Bytes(), fixed: version < versionCompact, forms: version >= versionForms, packed: version >= versionPacked}
+	dec := &decoder{buf: payload.Bytes()}
 	st := &engine.State{}
 	seen := map[byte]bool{}
 	for {
@@ -418,17 +386,17 @@ func Decode(r io.Reader) (*engine.State, error) {
 			return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, tag)
 		}
 		seen[tag] = true
-		sd := &decoder{buf: body, fixed: dec.fixed, forms: dec.forms, packed: dec.packed}
+		sd := &decoder{buf: body}
 		switch tag {
 		case tagConfig:
 			sd.config(&st.Config, st)
 		case tagLexicon:
-			if st.Lexicon = sd.stringIntMap(); sd.packed && st.Lexicon == nil {
+			if st.Lexicon = sd.stringIntMap(); st.Lexicon == nil {
 				sd.fail("empty lexicon section")
 			}
 		case tagVocab:
 			st.Frozen = sd.bool()
-			st.VocabWords = sd.stringList(sd.packed, false)
+			st.VocabWords = sd.stringList(true, false)
 			st.Sf0 = sd.matrix(sd.form(), true)
 			st.VocabCounts = sd.stringIntMap()
 			st.VocabDocs = int(sd.uint())
@@ -440,9 +408,9 @@ func Decode(r io.Reader) (*engine.State, error) {
 		case tagOnline:
 			st.Online = sd.online(st.LastFactors)
 		case tagFactors:
-			// What the online section may derive from this one it must: from
-			// version 5 on the order Encode writes is the only one.
-			if sd.packed && seen[tagOnline] {
+			// What the online section may derive from this one it must: the
+			// order Encode writes is the only one.
+			if seen[tagOnline] {
 				sd.fail("factors section behind the online section")
 			}
 			st.LastFactors = sd.factors()
@@ -471,9 +439,9 @@ func Decode(r io.Reader) (*engine.State, error) {
 			return nil, fmt.Errorf("%w: %d trailing bytes in section %d", ErrCorrupt, len(sd.buf), tag)
 		}
 	}
-	for _, tag := range []byte{tagConfig, tagLexicon, tagVocab, tagUsers, tagCounter, tagOnline} {
-		// From version 5 on an empty lexicon is no section.
-		if !seen[tag] && !(tag == tagLexicon && dec.packed) {
+	// An empty lexicon is no section, so it is the one that may be missing.
+	for _, tag := range []byte{tagConfig, tagVocab, tagUsers, tagCounter, tagOnline} {
+		if !seen[tag] {
 			return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, tag)
 		}
 	}
@@ -882,19 +850,13 @@ func (e *encoder) factors(f *core.Factors) {
 
 // ——— decoder ———
 
-// decoder reads the primitives back. fixed selects the width: false for
-// the compact encodings, true for 8-byte integers and byte-per-element
-// masks — version-2 snapshots and, through WireDecoder, the journal and
-// frame formats. forms is set from version 4 on: a matrix starts with a
-// form byte, not a presence bool. packed is set from version 5 on: word
-// lists are front-coded, a map is its key list and then its values, labels
-// and user history are framed by id sets, and a core may be derived.
+// decoder reads the primitives back. fixed selects the journal and frame
+// wire format (WireDecoder), whose integers are 8 fixed bytes where a
+// snapshot's are varints; a snapshot is read with fixed unset.
 type decoder struct {
-	buf    []byte
-	fixed  bool
-	forms  bool
-	packed bool
-	err    error
+	buf   []byte
+	fixed bool
+	err   error
 }
 
 func (d *decoder) fail(msg string) {
@@ -1052,26 +1014,7 @@ func (d *decoder) stringList(front, increasing bool) []string {
 	return out
 }
 
-// floats appends n floats to dst.
-func (d *decoder) floats(dst []float64, n uint64) []float64 {
-	for ; n > 0; n-- {
-		dst = append(dst, d.float())
-	}
-	return dst
-}
-
 func (d *decoder) bools() []bool {
-	if d.fixed {
-		n := d.count(0, 1)
-		if n == 0 {
-			return nil
-		}
-		out := make([]bool, n)
-		for i := range out {
-			out[i] = d.bool()
-		}
-		return out
-	}
 	n, set := d.bitset()
 	if n == 0 {
 		return nil
@@ -1122,41 +1065,21 @@ func (d *decoder) idset() (n uint64, set []byte, members uint64) {
 
 // stringIntMap decodes a map section; like the slice decoders it returns
 // nil for an empty collection (encoders do not distinguish nil from
-// empty, so decoders canonicalize to nil). Before version 5 a map was
-// key, value pairs in whatever order, a repeated key overwriting.
+// empty, so decoders canonicalize to nil).
 func (d *decoder) stringIntMap() map[string]int {
-	if d.packed {
-		keys := d.stringList(true, true)
-		if len(keys) == 0 {
-			return nil
-		}
-		out := make(map[string]int, len(keys))
-		for _, k := range keys {
-			out[k] = int(d.int())
-		}
-		return out
-	}
-	n := d.count(2, 0)
-	if n == 0 {
+	keys := d.stringList(true, true)
+	if len(keys) == 0 {
 		return nil
 	}
-	out := make(map[string]int, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		k := d.string()
-		v := int(d.int())
-		out[k] = v
+	out := make(map[string]int, len(keys))
+	for _, k := range keys {
+		out[k] = int(d.int())
 	}
 	return out
 }
 
 // form reads the byte a matrix starts with.
 func (d *decoder) form() byte {
-	if !d.forms {
-		if d.bool() {
-			return formDense
-		}
-		return formAbsent
-	}
 	f := d.byte()
 	if f > formDerived {
 		d.fail("unknown matrix form")
@@ -1168,8 +1091,8 @@ func (d *decoder) form() byte {
 func (d *decoder) dense() *mat.Dense { return d.matrix(d.form(), false) }
 
 // matrix reads the body of a matrix of the given form; dict says whether
-// a row dictionary is legal at this position, where from version 5 on a
-// matrix that fits one is corrupt in any other form. The derived form has
+// a row dictionary is legal at this position, where a matrix that fits one
+// is corrupt in any other form. The derived form has
 // no body and is the online section's to handle.
 func (d *decoder) matrix(form byte, dict bool) *mat.Dense {
 	switch {
@@ -1177,7 +1100,7 @@ func (d *decoder) matrix(form byte, dict bool) *mat.Dense {
 		return nil
 	case form == formDense:
 		m := d.denseBody()
-		if dict && d.packed {
+		if dict {
 			if _, _, fits := dictRows(m); fits {
 				d.fail("matrix stored dense although a row dictionary holds it")
 			}
@@ -1326,18 +1249,6 @@ func (d *decoder) config(c *core.OnlineConfig, st *engine.State) {
 }
 
 func (d *decoder) users() []tgraph.User {
-	if !d.packed {
-		n := d.count(2, 0)
-		if n == 0 {
-			return nil
-		}
-		out := make([]tgraph.User, n)
-		for i := range out {
-			out[i].Name = d.string()
-			out[i].Label = int(d.int())
-		}
-		return out
-	}
 	names := d.stringList(false, false)
 	n, set, _ := d.idset()
 	if n > uint64(len(names)) {
@@ -1400,26 +1311,22 @@ func (d *decoder) online(last *core.Factors) *core.OnlineState {
 		if form == formDerived && d.err == nil && len(s.Seen) != s.Sf.Rows() {
 			d.fail("derived matrix of another shape than its mask")
 		}
-		if d.packed && form == formDense && i == n-1 && derives(last.Sf, s.Sf) && len(s.Seen) == s.Sf.Rows() {
+		if form == formDense && i == n-1 && derives(last.Sf, s.Sf) && len(s.Seen) == s.Sf.Rows() {
 			d.fail("feature snapshot stored although the factors section determines it")
 		}
 		o.SfHist = append(o.SfHist, s)
 	}
-	if d.packed {
-		d.history(o)
-	} else {
-		d.historyByUser(o)
-	}
+	d.history(o)
 	return o
 }
 
 // core reads a warm-start core; of is the factors section's core of the
 // same name, which a derived one is (nil when no factors section came
-// first). From version 5 on a core has one encoding: stored dense although
-// it could have been derived, it is corrupt.
+// first). A core has one encoding: stored dense although it could have been
+// derived, it is corrupt.
 func (d *decoder) core(of *mat.Dense) *mat.Dense {
 	form := d.form()
-	if d.packed && form == formDerived {
+	if form == formDerived {
 		if of == nil {
 			d.fail("derived core with no such core in a factors section in front of it")
 			return nil
@@ -1427,14 +1334,13 @@ func (d *decoder) core(of *mat.Dense) *mat.Dense {
 		return of.Clone()
 	}
 	m := d.matrix(form, false)
-	if d.packed && sameMatrix(m, of) {
+	if sameMatrix(m, of) {
 		d.fail("core stored although the factors section holds it")
 	}
 	return m
 }
 
-// history reads the retained user rows of version 5 (see the package
-// comment) into o, whose feature history has been read: ages count back
+// history reads the retained user rows (see the package comment) into o, whose feature history has been read: ages count back
 // from its newest entry.
 func (d *decoder) history(o *core.OnlineState) {
 	rows := d.uint()
@@ -1498,47 +1404,7 @@ func (d *decoder) history(o *core.OnlineState) {
 	}
 }
 
-// historyByUser reads the user rows as versions 2 to 4 wrote them: per
-// user a zigzag id and a row count, per row a zigzag time and a
-// length-prefixed row.
-func (d *decoder) historyByUser(o *core.OnlineState) {
-	m := d.count(2, 0)
-	if m == 0 || d.err != nil {
-		return
-	}
-	// Every user has at least one row in what Encode wrote, so m is the
-	// likely row count, and the first row's length the likely width; the
-	// floats that follow cannot outnumber the bytes that hold them.
-	o.UserIDs = make([]int, 0, m)
-	o.UserTimes = make([]int, 0, m)
-	var rows []float64
-	width := -1
-	for i := uint64(0); i < m && d.err == nil; i++ {
-		g := int(d.int())
-		for cnt := d.count(2, 0); cnt > 0 && d.err == nil; cnt-- {
-			o.UserIDs = append(o.UserIDs, g)
-			o.UserTimes = append(o.UserTimes, int(d.int()))
-			n := d.count(0, 8)
-			if width < 0 {
-				width = int(n)
-				rows = make([]float64, 0, min(m*n, uint64(len(d.buf))/8))
-			}
-			if int(n) != width {
-				d.fail("user history rows of unequal length")
-			}
-			rows = d.floats(rows, n)
-		}
-	}
-	if d.err == nil && len(o.UserIDs) > 0 {
-		o.UserRows = mat.NewDenseData(len(o.UserIDs), width, rows)
-	}
-}
-
 func (d *decoder) factors() *core.Factors {
-	if d.fixed {
-		d.dense() // version 2 stored Sp and Su in front; nothing reads them
-		d.dense()
-	}
 	f := &core.Factors{}
 	f.Sf = d.dense()
 	f.Hp = d.dense()

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -294,6 +293,38 @@ func TestBadMagicAndVersion(t *testing.T) {
 	}
 }
 
+// TestOnlyVersion5Decodes: this build reads the version Encode writes and
+// no other. golden_v4.snap is what the last version-4 build wrote, intact
+// (its checksum holds): it and every header from 1 to 4 or past 5, over its
+// payload or over a version-5 one, answer ErrVersion naming version 5 —
+// the recoverable-skew path (quarantine at startup,
+// unsupported_snapshot_version over HTTP) — and are never half-read as
+// corrupt.
+func TestOnlyVersion5Decodes(t *testing.T) {
+	old := readFixture(t, "golden_v4.snap")
+	if v := binary.LittleEndian.Uint16(old[8:]); v != 4 {
+		t.Fatalf("golden_v4.snap has a version-%d header", v)
+	}
+	want := "this build reads version 5 only"
+	if _, err := Decode(bytes.NewReader(old)); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("golden_v4.snap: got %v, want ErrVersion: %s", err, want)
+	}
+	for _, body := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"golden_v4.snap", payloadOf(old)},
+		{"version 5", payloadOf(mustEncode(t, fullState()))},
+	} {
+		for _, v := range []uint16{1, 2, 3, 4, Version + 1, 1<<16 - 1} {
+			_, err := Decode(bytes.NewReader(reframe(v, body.payload)))
+			if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s under a version-%d header: got %v, want ErrVersion: %s", body.name, v, err, want)
+			}
+		}
+	}
+}
+
 func TestCorruptionDetected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Encode(&buf, fullState()); err != nil {
@@ -360,125 +391,9 @@ func TestHostileCountsRejected(t *testing.T) {
 	if d.bools(); !errors.Is(d.err, ErrCorrupt) {
 		t.Fatalf("hostile mask count: got %v, want ErrCorrupt", d.err)
 	}
-
-	// The layouts Encode no longer writes are still read — from every
-	// upgraded data dir, and from a PUT whose header says 2, 3 or 4 — by
-	// branches of their own: a count in front of key, value pairs and of
-	// name, label pairs, and the user history as one record a user. Every
-	// count of theirs is forged in a payload of each version, at its width.
-	for _, old := range []struct {
-		version uint16
-		payload []byte
-	}{
-		{oldestVersion, payloadOf(encodeV2(fullState(), nil, nil))},
-		{versionCompact, payloadOf(readFixture(t, "golden_v3_wide_history.snap"))},
-		{versionForms, payloadOf(readFixture(t, "golden_v4.snap"))},
-	} {
-		want, err := Decode(bytes.NewReader(reframe(old.version, old.payload)))
-		if err != nil {
-			t.Fatalf("version %d: untouched payload rejected: %v", old.version, err)
-		}
-		in := func(tag byte) *decoder {
-			body, size := findSection(t, old.payload, tag)
-			return &decoder{buf: old.payload[body : body+size], fixed: old.version < versionCompact, forms: old.version >= versionForms}
-		}
-		// forge replaces the count d stands at, in the section d reads, by v,
-		// and wants the result refused as a count the data cannot back.
-		forge := func(name string, tag byte, d *decoder, v uint64) {
-			const why = "count past end of data"
-			t.Helper()
-			_, size := findSection(t, old.payload, tag)
-			at := size - len(d.buf)
-			was := *d
-			was.uint()
-			if d.err != nil || was.err != nil {
-				t.Fatalf("version %d: %s: walking section %d: %v, %v", old.version, name, tag, d.err, was.err)
-			}
-			forged := spliceSection(t, old.payload, tag, at, len(d.buf)-len(was.buf), num(d.fixed, v))
-			_, err := Decode(bytes.NewReader(reframe(old.version, forged)))
-			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), why) {
-				t.Fatalf("version %d: %s = %d: got %v, want ErrCorrupt: %s", old.version, name, v, err, why)
-			}
-		}
-		for _, huge := range []uint64{1 << 28, 1 << 61, 1<<64 - 1} {
-			forge("lexicon count", tagLexicon, in(tagLexicon), huge)
-			d := in(tagVocab)
-			d.bool()
-			forge("vocabulary count", tagVocab, d, huge)
-			d.stringList(false, false)
-			d.matrix(d.form(), true)
-			forge("vocabulary-count count", tagVocab, d, huge)
-			forge("user count", tagUsers, in(tagUsers), huge)
-
-			// The online section up to the user history: flag, generator,
-			// draws, two cores, the feature history. Then the user count, and
-			// per user an id, a row count, and per row a time and a length.
-			d = in(tagOnline)
-			d.bool()
-			d.byte()
-			d.uint()
-			d.dense()
-			d.dense()
-			for n := d.uint(); n > 0; n-- {
-				d.int()
-				if form := d.form(); form != formDerived {
-					d.matrix(form, false)
-				}
-				d.bools()
-			}
-			forge("history user count", tagOnline, d, huge)
-			d.uint()
-			d.int()
-			forge("history row count", tagOnline, d, huge)
-			d.uint()
-			d.int()
-			forge("history row length", tagOnline, d, huge)
-		}
-		// What these versions' own builds accepted still loads: a map with a
-		// key twice, which version 5 refuses, is here the map with it once.
-		d := in(tagLexicon)
-		count := d.uint()
-		pairs := d.buf
-		d.string()
-		d.int()
-		first := pairs[:len(pairs)-len(d.buf)]
-		twice := append(append(num(d.fixed, count+1), first...), pairs...)
-		_, size := findSection(t, old.payload, tagLexicon)
-		got, err := Decode(bytes.NewReader(reframe(old.version, spliceSection(t, old.payload, tagLexicon, 0, size, twice))))
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("version %d: repeated lexicon key: %v", old.version, err)
-		}
-
-		// User history rows are one flat k-wide matrix: a row of another
-		// length has nowhere to go. Every payload here ends its online
-		// section with a row of three floats behind their count; two floats
-		// behind a 2 are well-formed bytes and no history.
-		d = in(tagOnline)
-		_, size = findSection(t, old.payload, tagOnline)
-		width := len(num(d.fixed, 2))
-		d.bytes(uint64(size - width - 24))
-		if k := d.uint(); k != 3 || len(d.buf) != 24 {
-			t.Fatalf("version %d: the online section does not end in a row of 3 floats", old.version)
-		}
-		short := append(num(d.fixed, 2), make([]byte, 16)...)
-		ragged := spliceSection(t, old.payload, tagOnline, size-width-24, width+24, short)
-		_, err = Decode(bytes.NewReader(reframe(old.version, ragged)))
-		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "rows of unequal length") {
-			t.Fatalf("version %d: ragged user rows: got %v, want ErrCorrupt: rows of unequal length", old.version, err)
-		}
-	}
 }
 
-// num is v as an integer of a section body: 8 fixed bytes in version 2, a
-// uvarint since.
-func num(fixed bool, v uint64) []byte {
-	if fixed {
-		return binary.LittleEndian.AppendUint64(nil, v)
-	}
-	return binary.AppendUvarint(nil, v)
-}
-
-// readFixture reads a checked-in snapshot of an earlier build.
+// readFixture reads a checked-in snapshot.
 func readFixture(t testing.TB, name string) []byte {
 	t.Helper()
 	snap, err := os.ReadFile("../../testdata/" + name)
@@ -635,6 +550,18 @@ func TestMatrixForms(t *testing.T) {
 	}
 }
 
+// TestGoldenNewestSnapshotDerived: golden_v5.snap, the golden topic's
+// checked-in snapshot, stores its newest feature snapshot in the derived
+// form, so the state digest the root package pins it to covers the
+// derivation's arithmetic (rowScale, scaled): a change of it changes what
+// that file decodes to.
+func TestGoldenNewestSnapshotDerived(t *testing.T) {
+	_, _, hist := formsOf(t, readFixture(t, "golden_v5.snap"))
+	if len(hist) == 0 || hist[len(hist)-1] != formDerived {
+		t.Fatalf("golden_v5.snap feature history forms %v: want the newest derived", hist)
+	}
+}
+
 // matrixData flattens the matrices the forms are about — the prior, the
 // last solve's Sf, the feature history — for the bit comparison
 // reflect.DeepEqual's == does not make (NaN, −0).
@@ -659,7 +586,7 @@ func formsOf(t *testing.T, snap []byte) (sf0 byte, cores, hist []byte) {
 	payload := payloadOf(snap)
 	section := func(tag byte) *decoder {
 		body, size := findSection(t, payload, tag)
-		return &decoder{buf: payload[body : body+size], forms: true, packed: true}
+		return &decoder{buf: payload[body : body+size]}
 	}
 	d := section(tagVocab)
 	d.bool()
@@ -822,24 +749,11 @@ func TestMatrixFormsStrict(t *testing.T) {
 	e = &encoder{}
 	e.dense(state.Sf0)
 	reject("prior stored dense within the dictionary's limits", "although a row dictionary holds it", spliceSection(t, payload, tagVocab, sf0At, 4+48+3, e.buf))
-
-	// An earlier version's header over the same bytes is corrupt, never
-	// half-read; a later version is not this build's to read.
-	for v := uint16(oldestVersion); v < Version; v++ {
-		if _, err := Decode(bytes.NewReader(reframe(v, payload))); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("version-%d body under a version-%d header: got %v, want ErrCorrupt", Version, v, err)
-		}
-	}
-	_, err = Decode(bytes.NewReader(reframe(Version+1, payload)))
-	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "reads 2 through 5") {
-		t.Fatalf("version-6 header: got %v, want ErrVersion naming the readable range", err)
-	}
 }
 
-// TestPackedListsStrict: what version 5 added has one spelling too. A map's
-// key list that repeats a key used to decode to a smaller map (the later
-// pair overwrote the earlier) and re-encode to other bytes; now a key list
-// is strictly increasing, a shared length is the whole common prefix and no
+// TestPackedListsStrict: the lists, sets and ages have one spelling too. A
+// key list is strictly increasing (a repeated key would decode to a smaller
+// map and re-encode to other bytes), a shared length is the whole common prefix and no
 // longer than the word before, an id set ends in its largest member and
 // agrees with what follows it, an age reaches no further back than a
 // timestamp can say, and a derived core has a core to be. Everything else is
@@ -1029,7 +943,7 @@ func TestPackedListsStrict(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "no such core") {
 		t.Fatalf("derived core without a factors section: got %v, want ErrCorrupt: no such core", err)
 	}
-	// The lexicon section is optional from version 5 on, and no earlier.
+	// The lexicon section is optional: an empty lexicon is no section.
 	bare := withoutSection(t, payloadOf(mustEncode(t, unfrozen)), tagLexicon)
 	st, err := Decode(bytes.NewReader(reframe(Version, bare)))
 	if err != nil || st.Lexicon != nil {
@@ -1141,57 +1055,37 @@ func TestUnknownRNGAlgorithmRejected(t *testing.T) {
 // TestReservedConfigSlotsAreVersionSkew: config slots 8–12 held, in builds
 // that still had them, the weights of three extension regularizers and two
 // label lists. Encode writes them zero and empty; a snapshot that sets one —
-// exactly what such a build wrote for that field, in the compact layout and
-// in version 2's fixed-width one — is intact but asks for an objective this
-// build does not have, so it takes the recoverable-skew path, not the
-// corrupt one.
+// exactly what such a build wrote for that field — is intact but asks for an
+// objective this build does not have, so it takes the recoverable-skew path,
+// not the corrupt one.
 func TestReservedConfigSlotsAreVersionSkew(t *testing.T) {
 	half := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5))
-	labels := func(fixed bool) []byte { // the list {-1, 2}
-		if fixed {
-			e := NewWireEncoder(nil)
-			e.Uint(2)
-			e.Int(-1)
-			e.Int(2)
-			return e.Bytes()
-		}
-		e := &encoder{}
-		e.uint(2)
-		e.int(-1)
-		e.int(2)
-		return e.buf
+	e := &encoder{} // the list {-1, 2}
+	e.uint(2)
+	e.int(-1)
+	e.int(2)
+	labels := e.buf
+	payload := payloadOf(mustEncode(t, fullState()))
+	if _, err := Decode(bytes.NewReader(reframe(Version, payload))); err != nil {
+		t.Fatalf("zero slots rejected: %v", err)
 	}
-	for _, layout := range []struct {
-		name    string
-		version uint16
-		payload []byte
-		slot8   int // offset of the first reserved slot in the config section
-		count   int // width of an empty list
+	// k, α, β, sweeps, tolerance, seed, lexicon-init in front.
+	const slot8 = 1 + 8 + 8 + 1 + 8 + 1 + 1
+	for _, slot := range []struct {
+		name   string
+		off, n int
+		body   []byte
 	}{
-		// k, α, β, sweeps, tolerance, seed, lexicon-init in front.
-		{"compact", Version, payloadOf(mustEncode(t, fullState())), 1 + 8 + 8 + 1 + 8 + 1 + 1, 1},
-		{"fixed-width", oldestVersion, payloadOf(encodeV2(fullState(), nil, nil)), 6*8 + 1, 8},
+		{"sparsity weight", slot8, 8, half},
+		{"diversity weight", slot8 + 8, 8, half},
+		{"guided weight", slot8 + 16, 8, half},
+		{"guided tweet labels", slot8 + 24, 1, labels},
+		{"guided user labels", slot8 + 24 + 1, 1, labels},
 	} {
-		if _, err := Decode(bytes.NewReader(reframe(layout.version, layout.payload))); err != nil {
-			t.Fatalf("%s: zero slots rejected: %v", layout.name, err)
-		}
-		fixed := layout.count == 8
-		for _, slot := range []struct {
-			name   string
-			off, n int
-			body   []byte
-		}{
-			{"sparsity weight", layout.slot8, 8, half},
-			{"diversity weight", layout.slot8 + 8, 8, half},
-			{"guided weight", layout.slot8 + 16, 8, half},
-			{"guided tweet labels", layout.slot8 + 24, layout.count, labels(fixed)},
-			{"guided user labels", layout.slot8 + 24 + layout.count, layout.count, labels(fixed)},
-		} {
-			forged := spliceSection(t, layout.payload, tagConfig, slot.off, slot.n, slot.body)
-			_, err := Decode(bytes.NewReader(reframe(layout.version, forged)))
-			if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "extension regularizer") {
-				t.Errorf("%s, %s set: got %v, want ErrVersion naming the extension", layout.name, slot.name, err)
-			}
+		forged := spliceSection(t, payload, tagConfig, slot.off, slot.n, slot.body)
+		_, err := Decode(bytes.NewReader(reframe(Version, forged)))
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "extension regularizer") {
+			t.Errorf("%s set: got %v, want ErrVersion naming the extension", slot.name, err)
 		}
 	}
 }
@@ -1277,185 +1171,5 @@ func TestConformSectionVersionSkew(t *testing.T) {
 	// corruption, not skew (the wire version pins the set).
 	if _, err := Decode(bytes.NewReader(forge(73, 200))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("metric-count damage: got %v, want ErrCorrupt", err)
-	}
-}
-
-// encodeV2 writes st in the version-2 layout — every integer 8 fixed
-// bytes, masks a byte per element, the last solve's Sp and Su in front of
-// the factors section — with the fixed-width wire primitives that format
-// was built from. It is the decoder's width switch's test oracle: builds
-// before version 3 wrote exactly these bytes.
-func encodeV2(st *engine.State, sp, su *mat.Dense) []byte {
-	var payload bytes.Buffer
-	section := func(tag byte, body func(e *WireEncoder)) {
-		e := NewWireEncoder(nil)
-		body(e)
-		payload.WriteByte(tag)
-		payload.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(e.Bytes()))))
-		payload.Write(e.Bytes())
-	}
-	stringIntMap := func(e *WireEncoder, m map[string]int) {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		e.Uint(uint64(len(keys)))
-		for _, k := range keys {
-			e.String(k)
-			e.Int(int64(m[k]))
-		}
-	}
-	dense := func(e *WireEncoder, m *mat.Dense) {
-		e.Bool(m != nil)
-		if m == nil {
-			return
-		}
-		e.Uint(uint64(m.Rows()))
-		e.Uint(uint64(m.Cols()))
-		for _, v := range m.Data() {
-			e.Float(v)
-		}
-	}
-	section(tagConfig, func(e *WireEncoder) {
-		c, tok := st.Config, st.Tokenizer
-		e.Uint(uint64(c.K))
-		e.Float(c.Alpha)
-		e.Float(c.Beta)
-		e.Uint(uint64(c.MaxIter))
-		e.Float(c.Tol)
-		e.Int(c.Seed)
-		e.Bool(c.LexiconInit)
-		// The five reserved slots: three zero floats, two empty lists.
-		for i := 0; i < 3; i++ {
-			e.Float(0)
-		}
-		e.Uint(0)
-		e.Uint(0)
-		e.Float(c.Gamma)
-		e.Float(c.Tau)
-		e.Uint(uint64(c.Window))
-		e.Uint(uint64(st.Weighting))
-		e.Uint(uint64(st.MinDF))
-		e.Float(st.LexiconHit)
-		e.Bool(tok.KeepHashtags)
-		e.Bool(tok.KeepMentions)
-		e.Bool(tok.RemoveStopwords)
-		e.Uint(uint64(tok.MinTokenLen))
-		e.Bool(tok.Stem)
-	})
-	section(tagLexicon, func(e *WireEncoder) { stringIntMap(e, st.Lexicon) })
-	section(tagVocab, func(e *WireEncoder) {
-		e.Bool(st.Frozen)
-		e.StringSlice(st.VocabWords)
-		dense(e, st.Sf0)
-		stringIntMap(e, st.VocabCounts)
-		e.Uint(uint64(st.VocabDocs))
-	})
-	section(tagUsers, func(e *WireEncoder) {
-		e.Uint(uint64(len(st.Users)))
-		for _, u := range st.Users {
-			e.String(u.Name)
-			e.Int(int64(u.Label))
-		}
-	})
-	section(tagCounter, func(e *WireEncoder) {
-		e.Uint(uint64(st.Batches))
-		e.Uint(uint64(st.Skips))
-	})
-	section(tagOnline, func(e *WireEncoder) {
-		o := st.Online
-		e.Bool(true)
-		e.Bool(true) // generator id rngSplitMix64 = 1, the same byte
-		e.Uint(o.RandDraws)
-		dense(e, o.LastHp)
-		dense(e, o.LastHu)
-		e.Uint(uint64(len(o.SfHist)))
-		for _, s := range o.SfHist {
-			e.Int(int64(s.Time))
-			dense(e, s.Sf)
-			e.Uint(uint64(len(s.Seen)))
-			for _, b := range s.Seen {
-				e.Bool(b)
-			}
-		}
-		entries := map[int][]int{} // user id → indices into the flat history
-		for i, g := range o.UserIDs {
-			entries[g] = append(entries[g], i)
-		}
-		gids := make([]int, 0, len(entries))
-		for g := range entries {
-			gids = append(gids, g)
-		}
-		sort.Ints(gids)
-		e.Uint(uint64(len(gids)))
-		for _, g := range gids {
-			e.Int(int64(g))
-			e.Uint(uint64(len(entries[g])))
-			for _, i := range entries[g] {
-				e.Int(int64(o.UserTimes[i]))
-				row := o.UserRows.Row(i)
-				e.Uint(uint64(len(row)))
-				for _, f := range row {
-					e.Float(f)
-				}
-			}
-		}
-	})
-	section(tagFactors, func(e *WireEncoder) {
-		dense(e, sp)
-		dense(e, su)
-		dense(e, st.LastFactors.Sf)
-		dense(e, st.LastFactors.Hp)
-		dense(e, st.LastFactors.Hu)
-	})
-	if st.Epoch != 0 {
-		section(tagEpoch, func(e *WireEncoder) { e.Uint(st.Epoch) })
-	}
-	if st.Conform != nil && !st.Conform.IsZero() {
-		payload.WriteByte(tagConform)
-		prof := st.Conform.AppendBinary(nil)
-		payload.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(prof))))
-		payload.Write(prof)
-	}
-	payload.WriteByte(tagEnd)
-	return reframe(oldestVersion, payload.Bytes())
-}
-
-// TestVersion2StillDecodes: an upgraded daemon must load the data dir its
-// predecessor wrote. A version-2 snapshot decodes to the same state as
-// its version-3 encoding — every section, negative labels, masks, the
-// optional epoch and conformance sections — minus the Sp and Su it
-// carried. Labelled as version 3 the same bytes are corrupt, never
-// half-read.
-func TestVersion2StillDecodes(t *testing.T) {
-	// Without the optional sections first: the earliest version-2 builds
-	// knew neither epochs nor conformance profiles.
-	early := fullState()
-	early.Epoch = 0
-	got, err := Decode(bytes.NewReader(encodeV2(early, nil, nil)))
-	if err != nil || !reflect.DeepEqual(got, early) {
-		t.Fatalf("version-2 snapshot without optional sections: %v", err)
-	}
-
-	st := fullState()
-	st.Conform = warmConformProfile()
-	v2 := encodeV2(st, denseOf(1, 3, 0.2, 0.3, 0.5), denseOf(2, 3, 1, 2, 3, 4, 5, 6))
-	got, err = Decode(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("version-2 snapshot rejected: %v", err)
-	}
-	v3 := mustEncode(t, st)
-	if !bytes.Equal(mustEncode(t, got), v3) {
-		t.Fatal("version-2 snapshot decodes to a different state than its version-3 encoding")
-	}
-	if len(v3) >= len(v2) {
-		t.Fatalf("version 3 is %d bytes, version 2 %d: want smaller", len(v3), len(v2))
-	}
-	if _, err := Decode(bytes.NewReader(reframe(Version, payloadOf(v2)))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("fixed-width body under a version-3 header: got %v, want ErrCorrupt", err)
-	}
-	if _, err := Decode(bytes.NewReader(reframe(1, payloadOf(v2)))); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version 1: got %v, want ErrVersion", err)
 	}
 }

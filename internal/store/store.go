@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -195,28 +196,34 @@ func (st *Store) syncDir() error {
 	return st.fs.SyncDir("persist.dir.sync", st.dir)
 }
 
-// quarantine renames file aside under the first free <file>.<suffix>[.N]
-// name — never clobbering an earlier quarantined copy, possible after an
-// upgrade → rollback → upgrade cycle — and counts it as quarantined either
-// way (renamed or merely skipped, it is not served).
-func (st *Store) quarantine(file, suffix string, cause error) {
-	st.quarantined.Add(1)
+// quarantine renames files aside, in order, under the first suffix
+// .<suffix>[.N] free for all of them — never clobbering an earlier
+// quarantined copy, possible after an upgrade → rollback → upgrade cycle,
+// and keeping files that belong together under one N — and counts each as
+// quarantined either way (renamed or merely skipped, it is not served).
+func (st *Store) quarantine(suffix string, cause error, files ...string) {
+	st.quarantined.Add(int64(len(files)))
 	for i := 0; i < 1000; i++ {
-		q := file + "." + suffix
+		at := "." + suffix
 		if i > 0 {
-			q = fmt.Sprintf("%s.%d", q, i)
+			at = fmt.Sprintf("%s.%d", at, i)
 		}
-		if _, err := os.Stat(st.path(q)); !os.IsNotExist(err) {
+		if slices.ContainsFunc(files, func(file string) bool {
+			_, err := os.Stat(st.path(file + at))
+			return !os.IsNotExist(err)
+		}) {
 			continue
 		}
-		if err := st.fs.Rename("persist.quarantine.rename", st.path(file), st.path(q)); err != nil {
-			st.logf("skipping %s: %v (quarantine failed: %v)", file, cause, err)
-			return
+		for _, file := range files {
+			if err := st.fs.Rename("persist.quarantine.rename", st.path(file), st.path(file+at)); err != nil {
+				st.logf("skipping %s: %v (quarantine failed: %v)", file, cause, err)
+				continue
+			}
+			st.logf("quarantined %s as %s: %v", file, file+at, cause)
 		}
-		st.logf("quarantined %s as %s: %v", file, q, cause)
 		return
 	}
-	st.logf("skipping %s: %v (no free quarantine name)", file, cause)
+	st.logf("skipping %v: %v (no free quarantine name)", files, cause)
 }
 
 // Found is what the startup scan of the data directory holds.
@@ -273,8 +280,17 @@ func (st *Store) Scan(withReplicas bool) (Found, error) {
 			// An old-format snapshot is not corrupt — it is intact data this
 			// build cannot replay. Quarantine it under a suffix the scan
 			// ignores, so re-creating the topic cannot atomically overwrite
-			// the only copy of the old state.
-			st.quarantine(file, "unsupported-version", err)
+			// the only copy of the old state — and with it the journal of
+			// the batches acked after it, which the re-create would delete
+			// as stale. The journal goes first: a crash between the two
+			// renames leaves the snapshot to be quarantined again.
+			files := []string{file}
+			if jfile := name + extJournal; ext == extSnap {
+				if _, serr := os.Stat(st.path(jfile)); serr == nil {
+					files = []string{jfile, file}
+				}
+			}
+			st.quarantine("unsupported-version", err, files...)
 		default:
 			st.quarantined.Add(1)
 			st.logf("skipping %s: %v", file, err)

@@ -263,29 +263,17 @@ func TestScanClassification(t *testing.T) {
 	}
 }
 
-// TestUpgradeFromVersion3DataDir is the format upgrade as a daemon lives
-// it: a data dir the last version-3 build left behind — the golden topic's
-// snapshot, every matrix stored, with its journal — loads without a
-// quarantine and answers as the golden topic (same stream position, so the
-// same ETags), and the next compaction leaves the current version's golden
-// fixture on disk, byte for byte, with the journal restarted against it.
-func TestUpgradeFromVersion3DataDir(t *testing.T) { upgradeDataDir(t, "golden_v3.snap") }
-
-// TestUpgradeFromVersion4DataDir: the same for what the last version-4
-// build left behind — the lexicon of a frozen topic still in the file,
-// plain word lists, a record per user of history.
-func TestUpgradeFromVersion4DataDir(t *testing.T) { upgradeDataDir(t, "golden_v4.snap") }
-
-func upgradeDataDir(t *testing.T, earlier string) {
-	fixture := func(file string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+// TestVersion4DataDirQuarantined: a data dir the last version-4 build left
+// behind — the golden topic's snapshot and a journal of batches acked after
+// it — is refused whole, not half-read. Both files are moved aside under one
+// suffix and counted, no topic is served, and the name can be created anew
+// without touching the quarantined bytes: an operator can still upgrade
+// them with a build that reads version 4.
+func TestVersion4DataDirQuarantined(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden_v4.snap"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	old, current := fixture(earlier), fixture("golden_v5.snap")
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "t.snap"), old, 0o644); err != nil {
 		t.Fatal(err)
@@ -294,62 +282,57 @@ func upgradeDataDir(t *testing.T, earlier string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for ts := 2; ts < 4; ts++ {
+		rec := &journal.Record{Time: ts, Batches: ts + 1, RandDraws: uint64(10 * ts), Tweets: []triclust.Tweet{
+			{Tokens: []string{"love", "prop37"}, User: 0, Time: ts, RetweetOf: -1, Label: triclust.NoLabel},
+		}}
+		if err := jw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
 	jw.Close()
+	acked, err := os.ReadFile(filepath.Join(dir, "t.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	st := openStore(t, dir, nil)
 	found, err := st.Scan(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := found.Topics["t"]
-	if rt == nil || st.Quarantined() != 0 {
-		t.Fatalf("%s data dir: topics %q, %d files quarantined", earlier, sortedKeys(found.Topics), st.Quarantined())
+	if len(found.Topics) != 0 || st.Quarantined() != 2 {
+		t.Fatalf("version-4 data dir: topics %q, %d files quarantined; want none and 2", sortedKeys(found.Topics), st.Quarantined())
 	}
-	if rt.SnapCRC != codec.Checksum(old) || rt.Replayed != 0 {
-		t.Fatalf("restored as %+v", rt)
-	}
-	want, err := triclust.Restore(bytes.NewReader(current))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, wd := want.StreamPos()
-	if b, d := rt.Topic.StreamPos(); b != wb || d != wd || b != 2 {
-		t.Fatalf("stream position (%d, %d), the golden topic's is (%d, %d)", b, d, wb, wd)
-	}
-	for u := 0; u < want.Users(); u++ {
-		we, wok := want.UserEstimate(u)
-		ge, gok := rt.Topic.UserEstimate(u)
-		if we != ge || wok != gok {
-			t.Fatalf("user %d estimate %+v/%v, the golden topic's is %+v/%v", u, ge, gok, we, wok)
+	kept := func(file string, want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %v, or not the bytes it was quarantined with", file, err)
 		}
 	}
+	for _, file := range []string{"t.snap", "t.journal"} {
+		if _, err := os.Stat(filepath.Join(dir, file)); !os.IsNotExist(err) {
+			t.Fatalf("%s still occupies the topic's name: %v", file, err)
+		}
+	}
+	kept("t.snap.unsupported-version", old)
+	kept("t.journal.unsupported-version", acked)
 
-	h := st.Handle("t", true)
-	defer h.Close()
-	if err := h.Restart(rt.SnapCRC); err != nil {
+	// Re-create the name the way the daemon does: clear what is stale, then
+	// save the new topic with its journal.
+	st.RemoveStale("t", func(string) *Handle { return nil })
+	tp, err := triclust.NewTopic([]triclust.User{{Name: "a", Label: triclust.NoLabel}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if current, err := h.Save(rt.Topic, func(string) *Handle { return h }); !current || err != nil {
+	h := st.Handle("t", false)
+	defer h.Close()
+	if current, err := h.Save(tp, func(string) *Handle { return h }); !current || err != nil {
 		t.Fatalf("Save: current=%v, %v", current, err)
 	}
-	onDisk, err := os.ReadFile(filepath.Join(dir, "t.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(onDisk, current) {
-		t.Fatalf("compaction left %d bytes that differ from the %d-byte current fixture", len(onDisk), len(current))
-	}
-	j, err := journal.Load(fault.OS, filepath.Join(dir, "t.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.SnapCRC != codec.Checksum(current) || len(j.Records) != 0 {
-		t.Fatalf("journal extends snapshot %08x with %d records, want %08x (the new file) and none",
-			j.SnapCRC, len(j.Records), codec.Checksum(current))
-	}
-	if left := tempFiles(t, dir); len(left) != 0 {
-		t.Fatalf("upgrade left temp files: %v", left)
-	}
+	kept("t.snap.unsupported-version", old)
+	kept("t.journal.unsupported-version", acked)
 }
 
 // TestTombstoneRoundTrip covers the hand-off marker's persistence:

@@ -80,9 +80,9 @@ func (st *Store) Load(name string) (*Restored, error) {
 	switch {
 	case os.IsNotExist(jerr):
 	case jerr != nil:
-		st.quarantine(jfile, "corrupt", jerr)
+		st.quarantine("corrupt", jerr, jfile)
 	case tailErr != nil:
-		st.quarantine(jfile, "corrupt", tailErr)
+		st.quarantine("corrupt", tailErr, jfile)
 	case len(recs) < len(j.Records):
 		// The journal extends a different (older or newer) snapshot — e.g. a
 		// crash fell between snapshot rename and journal rotation. Its

@@ -245,15 +245,14 @@ func TestSnapshotIsAFunctionOfTheStream(t *testing.T) {
 		}
 	}
 
-	// Nor does the version of the snapshot it was restored from show: the
-	// version-4 fixture holds the golden stream after its two batches, and
-	// the lexicon a frozen topic stored then. Fed a third batch, it ends on
-	// the bytes of the golden topic that never restored.
-	written, err := os.ReadFile(formsGoldenPath)
+	// Nor does a snapshot checked in by an earlier run show: the golden
+	// fixture holds the golden stream after its two batches. Fed a third
+	// batch, it ends on the bytes of the golden topic that never restored.
+	written, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	upgraded, err := triclust.Restore(bytes.NewReader(written))
+	restored, err := triclust.Restore(bytes.NewReader(written))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,13 +261,13 @@ func TestSnapshotIsAFunctionOfTheStream(t *testing.T) {
 		{Tokens: []string{"love", "prop37"}, User: 0, Time: 2, RetweetOf: -1, Label: triclust.NoLabel},
 		{Tokens: []string{"awful", "scam"}, User: 2, Time: 2, RetweetOf: -1, Label: triclust.NoLabel},
 	}
-	for _, tp := range []*triclust.Topic{upgraded, never} {
+	for _, tp := range []*triclust.Topic{restored, never} {
 		if _, err := tp.Process(2, third); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(snapshotBytes(t, upgraded), snapshotBytes(t, never)) {
-		t.Fatal("a topic restored from a version-4 snapshot mid-stream ends on other bytes than one that never restored")
+	if !bytes.Equal(snapshotBytes(t, restored), snapshotBytes(t, never)) {
+		t.Fatal("a topic restored from the golden fixture mid-stream ends on other bytes than one that never restored")
 	}
 
 	// Every user tweets in every batch, for n batches and then n more. The
@@ -465,20 +464,6 @@ func TestSnapshotElidesOnlyWhatTheRestDetermines(t *testing.T) {
 	o.UserIDs, o.UserTimes, o.UserRows = ids, times, mat.NewDenseData(users, k, rows)
 	if saved, want := len(wide)-len(encode(st)), cut*(1+8*k)+users; saved != want {
 		t.Fatalf("window 3: one row a user saves %d bytes, want %d (%d rows and %d counts)", saved, want, cut, users)
-	}
-	// The version-3 builds that kept a row more than a later step can read
-	// wrote such a history at the default window: it still decodes, and the
-	// codec gives every row of it back.
-	written, err := os.ReadFile(wideGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = decode(written)
-	if got := decode(encode(st)); !reflect.DeepEqual(got, st) {
-		t.Fatal("golden_v3_wide_history: state does not round-trip through the current version")
-	}
-	if ids := st.Online.UserIDs; len(ids) != 4 || ids[1] != ids[2] {
-		t.Fatalf("golden_v3_wide_history: user ids %v, want bob to hold two rows", ids)
 	}
 }
 
