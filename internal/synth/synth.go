@@ -7,6 +7,9 @@
 // It substitutes for the (non-redistributable) California-ballot corpus of
 // §5; the presets Prop30Config and Prop37Config match Table 3's scale and
 // class skew.
+//
+// Generation costs time linear in the tweets it draws, plus one pass over
+// the users per day.
 package synth
 
 import (
@@ -89,6 +92,9 @@ func (c Config) Validate() error {
 	if c.NumUsers <= 0 || c.Days <= 0 {
 		return fmt.Errorf("synth: NumUsers=%d Days=%d must be positive", c.NumUsers, c.Days)
 	}
+	if c.PolarWordsPerClass < 1 || c.NeutralWords < 1 {
+		return fmt.Errorf("synth: PolarWordsPerClass=%d NeutralWords=%d must be positive", c.PolarWordsPerClass, c.NeutralWords)
+	}
 	for _, p := range []float64{c.NeutralWordProb, c.OppositeWordProb, c.TweetNoiseProb,
 		c.RetweetProb, c.Homophily, c.EvolveFrac, c.ChurnFrac, c.LabeledUserFrac, c.LabeledTweetFrac} {
 		if p < 0 || p > 1 {
@@ -164,14 +170,17 @@ func Prop37Config() Config {
 }
 
 // Scaled returns cfg with users, days, and vocabulary shrunk by factor
-// (≥ 1), for fast benches while preserving the corpus shape.
+// (≥ 1), for fast benches while preserving the corpus shape. A disabled
+// burst (ElectionDay −1) stays disabled.
 func Scaled(cfg Config, factor int) Config {
 	if factor <= 1 {
 		return cfg
 	}
 	cfg.NumUsers = maxInt(20, cfg.NumUsers/factor)
 	cfg.Days = maxInt(8, cfg.Days/factor)
-	cfg.ElectionDay = cfg.Days * 4 / 5
+	if cfg.ElectionDay >= 0 {
+		cfg.ElectionDay = cfg.Days * 4 / 5
+	}
 	cfg.PolarWordsPerClass = maxInt(20, cfg.PolarWordsPerClass/factor)
 	cfg.NeutralWords = maxInt(50, cfg.NeutralWords/factor)
 	return cfg
@@ -278,15 +287,17 @@ func Generate(cfg Config) (*Dataset, error) {
 
 	// recent[t] holds tweet indices of day t for retweet sourcing.
 	recent := make([][]int, cfg.Days)
+	// Active users and their cumulative activity for sampling, refilled
+	// each day.
+	activeIdx := make([]int, 0, cfg.NumUsers)
+	cum := make([]float64, 0, cfg.NumUsers)
 	for t := 0; t < cfg.Days; t++ {
 		burst := 1.0
 		if cfg.ElectionDay >= 0 && cfg.BurstMultiplier > 1 && cfg.BurstWidth > 0 {
 			dd := float64(t - cfg.ElectionDay)
 			burst = 1 + (cfg.BurstMultiplier-1)*math.Exp(-dd*dd/(2*cfg.BurstWidth*cfg.BurstWidth))
 		}
-		// Active users and their cumulative activity for sampling.
-		var activeIdx []int
-		var cum []float64
+		activeIdx, cum = activeIdx[:0], cum[:0]
 		var total float64
 		for i := range d.users {
 			if t >= d.users[i].arrival && t <= d.users[i].departure {
@@ -375,26 +386,33 @@ func (d *Dataset) sampleTokens(rng *rand.Rand, cfg Config, class, day int, zp, z
 }
 
 // pickRetweetSource picks a tweet from the last two days whose author's
-// stance matches with probability homophily.
+// stance matches with probability homophily. The pool is day t's tweets
+// followed by day t−1's, indexed in place.
 func (d *Dataset) pickRetweetSource(rng *rand.Rand, recent [][]int, t, stance int, homophily float64) int {
-	var pool []int
-	for dt := 0; dt <= 1; dt++ {
-		if t-dt >= 0 {
-			pool = append(pool, recent[t-dt]...)
-		}
+	today := recent[t]
+	var yesterday []int
+	if t > 0 {
+		yesterday = recent[t-1]
 	}
-	if len(pool) == 0 {
+	n := len(today) + len(yesterday)
+	if n == 0 {
 		return -1
+	}
+	at := func(i int) int {
+		if i < len(today) {
+			return today[i]
+		}
+		return yesterday[i-len(today)]
 	}
 	wantSame := rng.Float64() < homophily
 	// Rejection-sample a few times, then fall back to any.
 	for try := 0; try < 8; try++ {
-		cand := pool[rng.Intn(len(pool))]
+		cand := at(rng.Intn(n))
 		if (d.TweetClass[cand] == stance) == wantSame {
 			return cand
 		}
 	}
-	return pool[rng.Intn(len(pool))]
+	return at(rng.Intn(n))
 }
 
 // StanceAt returns user u's planted stance on day t.

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -276,6 +278,19 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(cfg); err == nil {
 		t.Fatal("expected probability error")
 	}
+	// An empty or negative planted vocabulary is refused, not a panic.
+	for _, n := range []int{0, -1} {
+		cfg = DefaultConfig()
+		cfg.PolarWordsPerClass = n
+		if _, err := Generate(cfg); err == nil {
+			t.Fatalf("expected error for PolarWordsPerClass=%d", n)
+		}
+		cfg = DefaultConfig()
+		cfg.NeutralWords = n
+		if _, err := Generate(cfg); err == nil {
+			t.Fatalf("expected error for NeutralWords=%d", n)
+		}
+	}
 }
 
 func TestPresetSkews(t *testing.T) {
@@ -305,6 +320,11 @@ func TestScaled(t *testing.T) {
 	}
 	if Scaled(base, 1).NumUsers != base.NumUsers {
 		t.Fatal("factor 1 should be identity")
+	}
+	noBurst := DefaultConfig()
+	noBurst.ElectionDay = -1
+	if got := Scaled(noBurst, 2).ElectionDay; got != -1 {
+		t.Fatalf("Scaled turned a disabled burst on: ElectionDay = %d, want -1", got)
 	}
 }
 
@@ -456,5 +476,122 @@ func TestFrequencyDriftPinsSeedWords(t *testing.T) {
 	// The pinned head words remain the most frequent polar words.
 	if counts["yeson37"] < counts[d.PosWords[len(d.PosWords)-1]] {
 		t.Fatal("drift displaced the pinned head word")
+	}
+}
+
+// datasetDigest is an FNV-64a digest over everything Generate decides:
+// every user's name and label; every tweet's user, time, retweet target,
+// label and tokens; the planted class of every tweet; and the three
+// planted word lists.
+func datasetDigest(d *Dataset) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	num := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
+		h.Write(buf[:])
+	}
+	str := func(s string) {
+		num(len(s))
+		h.Write([]byte(s))
+	}
+	num(len(d.Corpus.Users))
+	for _, u := range d.Corpus.Users {
+		str(u.Name)
+		num(u.Label)
+	}
+	num(len(d.Corpus.Tweets))
+	for _, tw := range d.Corpus.Tweets {
+		num(tw.User)
+		num(tw.Time)
+		num(tw.RetweetOf)
+		num(tw.Label)
+		num(len(tw.Tokens))
+		for _, tok := range tw.Tokens {
+			str(tok)
+		}
+	}
+	num(len(d.TweetClass))
+	for _, c := range d.TweetClass {
+		num(c)
+	}
+	for _, words := range [][]string{d.PosWords, d.NegWords, d.NeutWords} {
+		num(len(words))
+		for _, w := range words {
+			str(w)
+		}
+	}
+	return h.Sum64()
+}
+
+// daemonTopicConfig is the corpus shape of one topic of the benchmark's
+// daemon_ingest workload: 480 batches of 30 tweets from 60 users.
+func daemonTopicConfig() Config {
+	cfg := DefaultConfig()
+	cfg.NumUsers = 60
+	cfg.ElectionDay = -1
+	cfg.TweetsPerUserDay = 1.15 * 14400 / float64(cfg.NumUsers*cfg.Days) / 0.85
+	return cfg
+}
+
+// TestGenerateDigests pins every byte Generate produces for a spread of
+// configurations, so a change to the generator's internals that moves a
+// single draw fails here.
+func TestGenerateDigests(t *testing.T) {
+	prop37 := Prop37Config()
+	prop37.Seed = 38
+	// Every tweet tries to be a retweet. Day 0 has no yesterday, the
+	// corpus's first tweet finds an empty pool, and the sparse variant
+	// also has later days whose first tweets find one.
+	stress := func(homophily float64) Config {
+		cfg := DefaultConfig()
+		cfg.RetweetProb = 1
+		cfg.Homophily = homophily
+		cfg.ChurnFrac = 1
+		return cfg
+	}
+	sparse := stress(0.5)
+	sparse.NumUsers = 20
+	sparse.TweetsPerUserDay = 0.05
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"default", DefaultConfig(), 0x23ed4ee063ea5379},
+		{"prop30/4", Scaled(Prop30Config(), 4), 0x915dd73d11477998},
+		{"prop37/seed38", prop37, 0xf529e69926e3e07e},
+		{"daemon_ingest_topic", daemonTopicConfig(), 0xf3bcc9591865f12f},
+		{"all_retweets/homophily0", stress(0), 0xdaf01b3a550fbf16},
+		{"all_retweets/homophily1", stress(1), 0xd26189fbb8157c69},
+		{"all_retweets/sparse", sparse, 0x0165b669fe125c95},
+	} {
+		d := mustGenerate(t, tc.cfg)
+		if got := datasetDigest(d); got != tc.want {
+			t.Errorf("%s: digest %#016x, want %#016x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkGenerate times corpus generation at the two shapes the
+// benchmark workloads generate most: online_replay's seed-1 corpus and
+// one daemon_ingest topic.
+func BenchmarkGenerate(b *testing.B) {
+	prop37 := Prop37Config()
+	prop37.Seed = 38
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"prop37", prop37},
+		{"daemon_ingest_topic", daemonTopicConfig()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(bc.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
