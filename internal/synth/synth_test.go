@@ -552,6 +552,12 @@ func TestGenerateDigests(t *testing.T) {
 	sparse := stress(0.5)
 	sparse.NumUsers = 20
 	sparse.TweetsPerUserDay = 0.05
+	// Drift maps every sampled rank past the pinned head; a partial label
+	// fraction draws a label coin per tweet that hides some labels.
+	drift := DefaultConfig()
+	drift.FrequencyDrift = 1.5
+	partial := Scaled(Prop30Config(), 4)
+	partial.LabeledTweetFrac = 0.6
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -564,6 +570,8 @@ func TestGenerateDigests(t *testing.T) {
 		{"all_retweets/homophily0", stress(0), 0xdaf01b3a550fbf16},
 		{"all_retweets/homophily1", stress(1), 0xd26189fbb8157c69},
 		{"all_retweets/sparse", sparse, 0x0165b669fe125c95},
+		{"drift1.5", drift, 0x158babb6b8ba4022},
+		{"prop30/4/labeled0.6", partial, 0xe1d072526bb58b2e},
 	} {
 		d := mustGenerate(t, tc.cfg)
 		if got := datasetDigest(d); got != tc.want {
