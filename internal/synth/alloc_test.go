@@ -33,3 +33,23 @@ func TestPickRetweetSourceAllocs(t *testing.T) {
 		t.Fatalf("pickRetweetSource allocated %v times per call, want 0", allocs)
 	}
 }
+
+// TestGenerateAllocs caps the allocations of generating online_replay's
+// seed-1 corpus (Prop37 at seed 38). Tokens come from a shared arena and
+// the corpus is reserved up front, so what is left is mostly the user
+// names, the planted words and the days' retweet pools: 10,652
+// allocations with go1.24. The cap leaves 22 % headroom over that; a
+// generator that allocates a slice per tweet makes ≈55k.
+func TestGenerateAllocs(t *testing.T) {
+	const ceiling = 13000
+	cfg := Prop37Config()
+	cfg.Seed = 38
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("Generate(Prop37, seed 38) allocated %v times, want ≤ %d", allocs, ceiling)
+	}
+}

@@ -9,7 +9,10 @@
 // class skew.
 //
 // Generation costs time linear in the tweets it draws, plus one pass over
-// the users per day.
+// the users per day. Every draw costs O(1) expected: a word rank and a
+// tweet's author are inverse-CDF lookups that start from a guide table
+// (cdf). Tweets' tokens are cut from one shared arena, and the corpus is
+// reserved up front from the expected tweet count.
 package synth
 
 import (
@@ -85,6 +88,11 @@ type Config struct {
 
 // Validate reports the first configuration problem.
 func (c Config) Validate() error {
+	for _, p := range c.ClassProbs {
+		if !(p >= 0) || math.IsInf(p, 0) {
+			return fmt.Errorf("synth: ClassProbs %v has a negative or non-finite entry", c.ClassProbs)
+		}
+	}
 	sum := c.ClassProbs[0] + c.ClassProbs[1] + c.ClassProbs[2]
 	if math.Abs(sum-1) > 1e-6 {
 		return fmt.Errorf("synth: ClassProbs sum to %v", sum)
@@ -97,9 +105,25 @@ func (c Config) Validate() error {
 	}
 	for _, p := range []float64{c.NeutralWordProb, c.OppositeWordProb, c.TweetNoiseProb,
 		c.RetweetProb, c.Homophily, c.EvolveFrac, c.ChurnFrac, c.LabeledUserFrac, c.LabeledTweetFrac} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("synth: probability %v out of [0,1]", p)
 		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"TweetsPerUserDay", c.TweetsPerUserDay},
+		{"BurstMultiplier", c.BurstMultiplier},
+		{"BurstWidth", c.BurstWidth},
+		{"ZipfS", c.ZipfS},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("synth: %s=%v must be finite and non-negative", f.name, f.v)
+		}
+	}
+	if math.IsNaN(c.FrequencyDrift) || math.IsInf(c.FrequencyDrift, 0) {
+		return fmt.Errorf("synth: FrequencyDrift=%v must be finite", c.FrequencyDrift)
 	}
 	return nil
 }
@@ -281,38 +305,39 @@ func Generate(cfg Config) (*Dataset, error) {
 	}
 
 	// ——— tweets, day by day ———
-	zipfPos := newZipf(rng, cfg.ZipfS, len(d.PosWords))
-	zipfNeg := newZipf(rng, cfg.ZipfS, len(d.NegWords))
-	zipfNeut := newZipf(rng, cfg.ZipfS, len(d.NeutWords))
+	zipfPos := newZipf(cfg.ZipfS, len(d.PosWords))
+	zipfNeg := newZipf(cfg.ZipfS, len(d.NegWords))
+	zipfNeut := newZipf(cfg.ZipfS, len(d.NeutWords))
+
+	n := d.expectedTweets()
+	corpus.Tweets = make([]tgraph.Tweet, 0, n)
+	d.TweetClass = make([]int, 0, n)
+	var arena tokenArena
 
 	// recent[t] holds tweet indices of day t for retweet sourcing.
 	recent := make([][]int, cfg.Days)
 	// Active users and their cumulative activity for sampling, refilled
 	// each day.
 	activeIdx := make([]int, 0, cfg.NumUsers)
-	cum := make([]float64, 0, cfg.NumUsers)
+	authors := cdf{cum: make([]float64, 0, cfg.NumUsers)}
 	for t := 0; t < cfg.Days; t++ {
-		burst := 1.0
-		if cfg.ElectionDay >= 0 && cfg.BurstMultiplier > 1 && cfg.BurstWidth > 0 {
-			dd := float64(t - cfg.ElectionDay)
-			burst = 1 + (cfg.BurstMultiplier-1)*math.Exp(-dd*dd/(2*cfg.BurstWidth*cfg.BurstWidth))
-		}
-		activeIdx, cum = activeIdx[:0], cum[:0]
+		activeIdx, authors.cum = activeIdx[:0], authors.cum[:0]
 		var total float64
 		for i := range d.users {
 			if t >= d.users[i].arrival && t <= d.users[i].departure {
 				activeIdx = append(activeIdx, i)
 				total += d.users[i].activity
-				cum = append(cum, total)
+				authors.cum = append(authors.cum, total)
 			}
 		}
 		if len(activeIdx) == 0 {
 			continue
 		}
-		mean := cfg.TweetsPerUserDay * float64(len(activeIdx)) * burst
+		authors.index()
+		mean := cfg.TweetsPerUserDay * float64(len(activeIdx)) * cfg.burst(t)
 		count := samplePoisson(rng, mean)
 		for c := 0; c < count; c++ {
-			author := activeIdx[sampleCum(rng, cum, total)]
+			author := activeIdx[authors.sample(rng)]
 			stance := d.StanceAt(author, t)
 			class := stance
 			if rng.Float64() < cfg.TweetNoiseProb {
@@ -329,9 +354,9 @@ func Generate(cfg Config) (*Dataset, error) {
 			if tw.RetweetOf >= 0 {
 				// Retweets reuse (a sample of) the source's tokens.
 				srcTokens := corpus.Tweets[tw.RetweetOf].Tokens
-				tw.Tokens = append([]string(nil), srcTokens...)
+				tw.Tokens = append(arena.take(len(srcTokens)), srcTokens...)
 			} else {
-				tw.Tokens = d.sampleTokens(rng, cfg, class, t, zipfPos, zipfNeg, zipfNeut)
+				tw.Tokens = d.sampleTokens(rng, cfg, class, t, zipfPos, zipfNeg, zipfNeut, &arena)
 			}
 			if rng.Float64() < cfg.LabeledTweetFrac {
 				tw.Label = class
@@ -350,12 +375,74 @@ func Generate(cfg Config) (*Dataset, error) {
 	return d, nil
 }
 
+// burst is day t's volume multiplier: a Gaussian bump of height
+// BurstMultiplier centred on ElectionDay, or 1 when the burst is off.
+func (c Config) burst(t int) float64 {
+	if c.ElectionDay < 0 || c.BurstMultiplier <= 1 || c.BurstWidth <= 0 {
+		return 1
+	}
+	dd := float64(t - c.ElectionDay)
+	return 1 + (c.BurstMultiplier-1)*math.Exp(-dd*dd/(2*c.BurstWidth*c.BurstWidth))
+}
+
+// maxReserve caps expectedTweets, so an extreme config reserves a bounded
+// corpus and grows it by appending like any other.
+const maxReserve = 1 << 20
+
+// expectedTweets is the capacity Generate reserves for the corpus: the sum
+// of the days' Poisson means, from the same active-user counts and bursts
+// the day loop uses, plus four standard deviations. It draws nothing and
+// is only a hint: a corpus that outgrows it appends as usual.
+func (d *Dataset) expectedTweets() int {
+	cfg := d.Config
+	// Before the running sum, active[t] is the users arriving on day t
+	// minus those who left after day t−1.
+	active := make([]int, cfg.Days+1)
+	for _, u := range d.users {
+		active[u.arrival]++
+		active[u.departure+1]--
+	}
+	var mean float64
+	for t := 0; t < cfg.Days; t++ {
+		if t > 0 {
+			active[t] += active[t-1]
+		}
+		mean += cfg.TweetsPerUserDay * float64(active[t]) * cfg.burst(t)
+	}
+	hint := mean + 4*math.Sqrt(mean) + 16
+	if !(hint < maxReserve) {
+		return maxReserve
+	}
+	return int(hint)
+}
+
+// tokenArena hands out tweets' token slices from shared chunks, so a
+// corpus costs one allocation per chunk rather than one per tweet.
+type tokenArena struct {
+	free []string
+}
+
+// arenaChunk is the number of tokens in one arena chunk.
+const arenaChunk = 1 << 13
+
+// take returns an empty slice with capacity n cut from the arena. Its
+// capacity is capped, so no two slices share an element and an append
+// past n reallocates.
+func (a *tokenArena) take(n int) []string {
+	if n > len(a.free) {
+		a.free = make([]string, max(n, arenaChunk))
+	}
+	out := a.free[:0:n]
+	a.free = a.free[n:]
+	return out
+}
+
 // sampleTokens draws a tweet's tokens given its planted class and day.
 // FrequencyDrift rotates the Zipf ranking so word *popularity* (not word
 // sentiment) shifts over time, reproducing Observation 1 / Figure 4. The
 // named seed words (the head ranks) are pinned: the paper's Table 2 notes
 // that the top hashtags stay popular through the whole collection period.
-func (d *Dataset) sampleTokens(rng *rand.Rand, cfg Config, class, day int, zp, zn, zu *zipfSampler) []string {
+func (d *Dataset) sampleTokens(rng *rand.Rand, cfg Config, class, day int, zp, zn, zu *cdf, a *tokenArena) []string {
 	const pinnedHead = 8
 	drift := func(rank, size int) int {
 		if cfg.FrequencyDrift <= 0 || rank < pinnedHead || size <= pinnedHead {
@@ -366,10 +453,10 @@ func (d *Dataset) sampleTokens(rng *rand.Rand, cfg Config, class, day int, zp, z
 		return pinnedHead + shifted
 	}
 	n := 1 + samplePoisson(rng, float64(cfg.WordsPerTweet-1))
-	out := make([]string, 0, n)
+	out := a.take(n)
 	for w := 0; w < n; w++ {
 		if class == lexicon.Neu || rng.Float64() < cfg.NeutralWordProb {
-			out = append(out, d.NeutWords[drift(zu.Sample(), len(d.NeutWords))])
+			out = append(out, d.NeutWords[drift(zu.sample(rng), len(d.NeutWords))])
 			continue
 		}
 		c := class
@@ -377,9 +464,9 @@ func (d *Dataset) sampleTokens(rng *rand.Rand, cfg Config, class, day int, zp, z
 			c = 1 - c
 		}
 		if c == lexicon.Pos {
-			out = append(out, d.PosWords[drift(zp.Sample(), len(d.PosWords))])
+			out = append(out, d.PosWords[drift(zp.sample(rng), len(d.PosWords))])
 		} else {
-			out = append(out, d.NegWords[drift(zn.Sample(), len(d.NegWords))])
+			out = append(out, d.NegWords[drift(zn.sample(rng), len(d.NegWords))])
 		}
 	}
 	return out
@@ -510,28 +597,69 @@ func samplePoisson(rng *rand.Rand, mean float64) int {
 	}
 }
 
-func sampleCum(rng *rand.Rand, cum []float64, total float64) int {
-	r := rng.Float64() * total
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// cdf draws an index with probability proportional to its weight, by
+// inverse transform over cum, the running sums of the weights
+// (non-decreasing; the last is the total, which must be positive). A guide
+// table (Chen & Asau's indexed search) makes a lookup O(1) expected:
+// guide[j] is the smallest index whose cumulative weight reaches the lower
+// edge of bucket j, where the len(guide) buckets split [0, total) evenly.
+type cdf struct {
+	cum   []float64
+	guide []int
+	scale float64 // buckets per unit of weight: len(guide)/total
+}
+
+// index rebuilds the guide table for the current cum, with a power of two
+// ≥ len(cum) buckets. When the total is 1, as for a Zipf table, bucket
+// edges and bucket(r) are exact, so a lookup only scans forward.
+func (c *cdf) index() {
+	n := len(c.cum)
+	m := 1
+	for m < n {
+		m <<= 1
 	}
-	return lo
+	if cap(c.guide) < m {
+		c.guide = make([]int, m)
+	}
+	c.guide = c.guide[:m]
+	c.scale = float64(m) / c.cum[n-1]
+	i := 0
+	for j := range c.guide {
+		edge := float64(j) / c.scale
+		for i < n-1 && c.cum[i] < edge {
+			i++
+		}
+		c.guide[j] = i
+	}
 }
 
-// zipfSampler draws ranks 0..n−1 with P(r) ∝ 1/(r+1)^s via the inverse-CDF
-// over a precomputed table.
-type zipfSampler struct {
-	rng *rand.Rand
-	cum []float64
+// sample draws an index: one rng.Float64() scaled to the total.
+func (c *cdf) sample(rng *rand.Rand) int {
+	return c.rank(rng.Float64() * c.cum[len(c.cum)-1])
 }
 
-func newZipf(rng *rand.Rand, s float64, n int) *zipfSampler {
+// rank returns the smallest i with cum[i] ≥ r, or len(cum)−1 when there is
+// none: the index a binary search over cum returns. It starts at r's guide
+// entry; the scan back covers an unnormalized total, where bucket(r) can
+// round past r's true bucket.
+func (c *cdf) rank(r float64) int {
+	b := int(r * c.scale)
+	if b >= len(c.guide) {
+		b = len(c.guide) - 1
+	}
+	i := c.guide[b]
+	for i > 0 && c.cum[i-1] >= r {
+		i--
+	}
+	for i < len(c.cum)-1 && c.cum[i] < r {
+		i++
+	}
+	return i
+}
+
+// newZipf returns the table that draws ranks 0..n−1 with
+// P(r) ∝ 1/(r+1)^s.
+func newZipf(s float64, n int) *cdf {
 	cum := make([]float64, n)
 	var total float64
 	for r := 0; r < n; r++ {
@@ -541,19 +669,7 @@ func newZipf(rng *rand.Rand, s float64, n int) *zipfSampler {
 	for r := range cum {
 		cum[r] /= total
 	}
-	return &zipfSampler{rng: rng, cum: cum}
-}
-
-func (z *zipfSampler) Sample() int {
-	r := z.rng.Float64()
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	c := &cdf{cum: cum}
+	c.index()
+	return c
 }

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -291,6 +292,39 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 			t.Fatalf("expected error for NeutralWords=%d", n)
 		}
 	}
+	// Configs whose sums and ranges look plausible but that the samplers
+	// cannot honour: a negative class weight offset by one above 1, a NaN
+	// weight or probability (every comparison with NaN is false), and
+	// non-finite or negative rates and shapes. Validate is called directly:
+	// Generate hangs on some of them when Validate lets them through.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"ClassProbs{1.2,-0.2,0}", func(c *Config) { c.ClassProbs = [3]float64{1.2, -0.2, 0} }},
+		{"ClassProbs{NaN,0,0}", func(c *Config) { c.ClassProbs = [3]float64{nan, 0, 0} }},
+		{"ClassProbs{+Inf,-Inf,0}", func(c *Config) { c.ClassProbs = [3]float64{inf, -inf, 0} }},
+		{"RetweetProb=NaN", func(c *Config) { c.RetweetProb = nan }},
+		{"LabeledTweetFrac=NaN", func(c *Config) { c.LabeledTweetFrac = nan }},
+		{"TweetsPerUserDay=+Inf", func(c *Config) { c.TweetsPerUserDay = inf }},
+		{"TweetsPerUserDay=-1", func(c *Config) { c.TweetsPerUserDay = -1 }},
+		{"TweetsPerUserDay=NaN", func(c *Config) { c.TweetsPerUserDay = nan }},
+		{"BurstMultiplier=+Inf", func(c *Config) { c.BurstMultiplier = inf }},
+		{"BurstMultiplier=-2", func(c *Config) { c.BurstMultiplier = -2 }},
+		{"BurstWidth=NaN", func(c *Config) { c.BurstWidth = nan }},
+		{"BurstWidth=-1", func(c *Config) { c.BurstWidth = -1 }},
+		{"ZipfS=NaN", func(c *Config) { c.ZipfS = nan }},
+		{"ZipfS=-1", func(c *Config) { c.ZipfS = -1 }},
+		{"FrequencyDrift=+Inf", func(c *Config) { c.FrequencyDrift = inf }},
+		{"FrequencyDrift=NaN", func(c *Config) { c.FrequencyDrift = nan }},
+	} {
+		cfg = DefaultConfig()
+		tc.set(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+	}
 }
 
 func TestPresetSkews(t *testing.T) {
@@ -353,16 +387,132 @@ func TestPoissonSampler(t *testing.T) {
 
 func TestZipfSamplerHeadHeavy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	z := newZipf(rng, 1.2, 100)
+	z := newZipf(1.2, 100)
 	counts := make([]int, 100)
 	for i := 0; i < 10000; i++ {
-		counts[z.Sample()]++
+		counts[z.sample(rng)]++
 	}
 	if counts[0] <= counts[50] {
 		t.Fatalf("rank 0 (%d) not more frequent than rank 50 (%d)", counts[0], counts[50])
 	}
 	if counts[0] < 1000 {
 		t.Fatalf("head rank too rare: %d", counts[0])
+	}
+}
+
+// searchCum is the binary search cdf.rank stands for: the smallest i with
+// cum[i] ≥ r, or len(cum)−1 when there is none.
+func searchCum(cum []float64, r float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// checkRank compares c.rank with searchCum at 0, the largest draw below
+// the total and the total itself, every bucket edge, every cumulative
+// value, and the float64 neighbours of each.
+func checkRank(t *testing.T, name string, c *cdf) {
+	t.Helper()
+	total := c.cum[len(c.cum)-1]
+	points := []float64{0, total, math.Nextafter(1, 0) * total}
+	for j := range c.guide {
+		points = append(points, float64(j)/c.scale)
+	}
+	points = append(points, c.cum...)
+	for _, p := range points {
+		for _, r := range []float64{math.Nextafter(p, math.Inf(-1)), p, math.Nextafter(p, math.Inf(1))} {
+			if r < 0 {
+				continue
+			}
+			if got, want := c.rank(r), searchCum(c.cum, r); got != want {
+				t.Fatalf("%s: rank(%v) = %d, binary search %d", name, r, got, want)
+			}
+		}
+	}
+}
+
+// TestZipfRankMatchesBinarySearch holds the guided lookup to the binary
+// search it replaced, at every word-list size a preset or its scaled
+// variants use, and at n = 1.
+func TestZipfRankMatchesBinarySearch(t *testing.T) {
+	sizes := map[int]bool{1: true}
+	for _, base := range []Config{DefaultConfig(), Prop30Config(), Prop37Config(), daemonTopicConfig()} {
+		for _, f := range []int{1, 2, 4, 8, 16} {
+			cfg := Scaled(base, f)
+			sizes[cfg.PolarWordsPerClass] = true
+			sizes[cfg.NeutralWords] = true
+		}
+	}
+	for n := range sizes {
+		for _, s := range []float64{1.1, 1.2} {
+			z := newZipf(s, n)
+			if z.scale != float64(len(z.guide)) || len(z.guide) < n || len(z.guide)&(len(z.guide)-1) != 0 {
+				t.Fatalf("n=%d: %d buckets at scale %v, want a power of two ≥ n at scale = buckets", n, len(z.guide), z.scale)
+			}
+			checkRank(t, fmt.Sprintf("zipf n=%d s=%v", n, s), z)
+		}
+	}
+}
+
+// TestAuthorRankMatchesBinarySearch does the same for unnormalized
+// cumulative activity tables like the daily author draw's, with repeated
+// values from zero weights and ties, and for the same table re-indexed at
+// a smaller size, as the day loop reuses it.
+func TestAuthorRankMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var c cdf
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(2000)
+		if trial%2 == 1 {
+			n = 1 + rng.Intn(40)
+		}
+		c.cum = c.cum[:0]
+		total := 0.0
+		for i := 0; i < n; i++ {
+			switch w := rng.Float64(); {
+			case i > 0 && w < 0.2: // a zero weight repeats the previous value
+			case w < 0.4:
+				total += float64(1 + rng.Intn(3))
+			default:
+				total += math.Min(math.Pow(rng.Float64(), -0.6), 12)
+			}
+			c.cum = append(c.cum, total)
+		}
+		if total == 0 {
+			continue
+		}
+		c.index()
+		checkRank(t, fmt.Sprintf("trial %d n=%d", trial, n), &c)
+		for i := 0; i < 200; i++ {
+			r := rng.Float64() * total
+			if got, want := c.rank(r), searchCum(c.cum, r); got != want {
+				t.Fatalf("trial %d: rank(%v) = %d, binary search %d", trial, r, got, want)
+			}
+		}
+	}
+	// A cumulative value one ulp below a bucket's edge, where bucket(r)
+	// rounds up into that bucket: only the scan back finds it.
+	for trial := 0; ; trial++ {
+		if trial == 10000 {
+			t.Fatal("no total found whose bucket(r) rounds past an edge")
+		}
+		total := 1 + rng.Float64()*20000
+		scale := 8 / total
+		x := math.Nextafter(7/scale, math.Inf(-1))
+		if int(x*scale) < 7 {
+			continue
+		}
+		c.cum = append(c.cum[:0], x, x, x, x, x, x, x, total)
+		c.index()
+		checkRank(t, fmt.Sprintf("rounding case total=%v", total), &c)
+		break
 	}
 }
 

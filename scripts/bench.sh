@@ -57,6 +57,10 @@ go test -run xxx -bench BenchmarkReadsUnderIngest -benchtime "$READ_BENCHTIME" -
 # (accumulation never turns off), so the artifact tracks it per-PR; it
 # must stay noise against the solve (at most 5% of a warm Process).
 go test -run xxx -bench BenchmarkConformScore -benchtime "$CONFORM_BENCHTIME" -benchmem -cpu 1,4 ./internal/conform/ | tee -a "$RAW"
+# Corpus generation: every bench/ workload starts from a synth.Generate
+# corpus, and it is most of setup_s on three of the four, so the artifact
+# tracks it too.
+go test -run xxx -bench BenchmarkGenerate -benchmem ./internal/synth/ | tee -a "$RAW"
 
 awk -v out="$OUT" '
 BEGIN { n = 0 }
