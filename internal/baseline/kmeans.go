@@ -63,11 +63,10 @@ func KMeans(x *sparse.CSR, k int, opts KMeansOptions) []int {
 	}
 	assign := make([]int, n)
 	counts := make([]int, k)
-	// Per-chunk partial reductions of the parallel assignment step,
-	// combined in chunk order for determinism at a fixed par.Procs().
-	partScore := make([]float64, par.Procs())
-	partChanged := make([]bool, par.Procs())
-	avgNNZ := x.NNZ()/max(n, 1) + 1
+	// Per-block partials of the assignment step (see assignRows).
+	cost := k * (x.NNZ()/max(n, 1) + 1)
+	nb := par.Blocks(n, cost)
+	partScore, partChanged := make([]float64, nb), make([]bool, nb)
 
 	for restart := 0; restart < opts.Restarts; restart++ {
 		// Initialize centroids from random distinct rows.
@@ -87,43 +86,8 @@ func KMeans(x *sparse.CSR, k int, opts KMeansOptions) []int {
 		}
 		var score float64
 		for it := 0; it < opts.MaxIter; it++ {
-			// Assignment step: rows are independent, so the row range is
-			// split across workers; score and the changed flag reduce over
-			// per-chunk partials.
-			used := par.Run(n, k*avgNNZ, func(chunk, lo, hi int) {
-				var sum float64
-				var moved bool
-				for i := lo; i < hi; i++ {
-					cols, vals := x.Row(i)
-					best, bestSim := 0, math.Inf(-1)
-					for c := 0; c < k; c++ {
-						cent := centroids[c]
-						var dot float64
-						for p, j := range cols {
-							dot += vals[p] * cent[j]
-						}
-						if norms[i] > 0 {
-							dot /= norms[i]
-						}
-						if dot > bestSim {
-							best, bestSim = c, dot
-						}
-					}
-					if assign[i] != best {
-						assign[i] = best
-						moved = true
-					}
-					sum += bestSim
-				}
-				partScore[chunk] = sum
-				partChanged[chunk] = moved
-			})
-			score = 0
-			changed := false
-			for chunk := 0; chunk < used; chunk++ {
-				score += partScore[chunk]
-				changed = changed || partChanged[chunk]
-			}
+			var changed bool
+			score, changed = assignRows(x, cost, norms, centroids, assign, partScore, partChanged)
 			if !changed && it > 0 {
 				break
 			}
@@ -180,4 +144,46 @@ func KMeans(x *sparse.CSR, k int, opts KMeansOptions) []int {
 		}
 	}
 	return bestAssign
+}
+
+// assignRows is the assignment step: it moves each row of x to its most
+// cosine-similar centroid and returns the summed best similarity and
+// whether any row moved. Rows are independent, so par.Run splits them at
+// costPerRow; the score and the changed flag reduce over one partial per
+// par.Blocks block, held in partScore and partChanged and combined in
+// block order. The blocks depend on the shape alone, so the score has the
+// same bits at every parallelism width.
+func assignRows(x *sparse.CSR, costPerRow int, norms []float64, centroids [][]float64, assign []int, partScore []float64, partChanged []bool) (score float64, changed bool) {
+	par.Run(x.Rows(), costPerRow, func(blk, lo, hi int) {
+		var sum float64
+		var moved bool
+		for i := lo; i < hi; i++ {
+			cols, vals := x.Row(i)
+			best, bestSim := 0, math.Inf(-1)
+			for c, cent := range centroids {
+				var dot float64
+				for p, j := range cols {
+					dot += vals[p] * cent[j]
+				}
+				if norms[i] > 0 {
+					dot /= norms[i]
+				}
+				if dot > bestSim {
+					best, bestSim = c, dot
+				}
+			}
+			if assign[i] != best {
+				assign[i] = best
+				moved = true
+			}
+			sum += bestSim
+		}
+		partScore[blk] = sum
+		partChanged[blk] = moved
+	})
+	for b, s := range partScore {
+		score += s
+		changed = changed || partChanged[b]
+	}
+	return score, changed
 }

@@ -139,8 +139,8 @@ func (m *SVM) ScoreInto(dst []float64, cols []int, vals []float64) {
 }
 
 // Predict classifies every row of x by the largest decision value. Rows
-// are scored on the parallel row-chunk kernel; the output is independent
-// of the chunking.
+// are scored on the parallel row-block kernel; the output is independent
+// of the blocking.
 func (m *SVM) Predict(x *sparse.CSR) []int {
 	out := make([]int, x.Rows())
 	cost := m.k * (2 + x.NNZ()/maxInt(1, x.Rows()))

@@ -78,8 +78,8 @@ type SfSnapshotState struct {
 // OnlineState is the complete mutable state of an Online solver: the
 // temporal history that feeds Sfw/Suw, the warm-start association cores,
 // and the position in the seeded random stream. Together with the
-// solver's OnlineConfig it determines every future Step bit-for-bit (at a
-// fixed kernel parallelism width), which is what makes durable
+// solver's OnlineConfig it determines every future Step bit-for-bit, at
+// any kernel parallelism width, which is what makes durable
 // snapshot/restore of a stream possible.
 //
 // An exported state is canonical: it holds exactly the history a step

@@ -15,8 +15,8 @@ import (
 // frozen artifacts (configuration, lexicon, vocabulary, cached Sf0 prior),
 // the Session's counters and user universe, and the Online solver's
 // history and random-stream position. A Session restored from an exported
-// State continues the stream bit-identically (at a fixed kernel
-// parallelism width): every input to every future pipeline stage —
+// State continues the stream bit-identically, at any kernel parallelism
+// width: every input to every future pipeline stage —
 // vocabulary, prior, solver history, RNG draws — is reproduced exactly.
 //
 // internal/codec serializes a State to the versioned binary snapshot

@@ -13,9 +13,9 @@ import (
 )
 
 // TestKernelLaunchAllocs pins the launch contract at two procs: a kernel
-// whose work is below par.MinParallelWork runs its row loop inline and
-// allocates nothing; one that fans out allocates its closure and, for
-// MulATB, the per-chunk partials — at most 2 per call.
+// whose work is below par.MinParallelWork is one block, runs its row loop
+// inline and allocates nothing; one of several blocks allocates its
+// closure and, for MulATB, the per-block partials — at most 2 per call.
 func TestKernelLaunchAllocs(t *testing.T) {
 	defer par.SetProcs(0)
 	par.SetProcs(2)
@@ -44,8 +44,8 @@ func TestKernelLaunchAllocs(t *testing.T) {
 			{"MulATB", tc.n, k * k, func() { gram.MulATB(a, b) }},
 			{"MulUpdate", tc.n * k, 8, func() { MulUpdate(out, a, b) }},
 		} {
-			if par.Serial(kn.rows, kn.cost) != tc.serial {
-				t.Fatalf("%s at n=%d: par.Serial = %v, the shape does not test the path it names", kn.name, tc.n, !tc.serial)
+			if (par.Blocks(kn.rows, kn.cost) == 1) != tc.serial {
+				t.Fatalf("%s at n=%d: par.Blocks = %d, the shape does not test the path it names", kn.name, tc.n, par.Blocks(kn.rows, kn.cost))
 			}
 			if got := testing.AllocsPerRun(20, kn.run); got > tc.maxAllocs {
 				t.Errorf("%s at n=%d (serial %v): %.1f allocs per call, want <= %.0f", kn.name, tc.n, tc.serial, got, tc.maxAllocs)

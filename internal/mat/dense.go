@@ -152,9 +152,10 @@ func checkSame(op string, a, b *Dense) {
 }
 
 // Each kernel below is a row function plus one launch: the rows run
-// inline when par.Serial says so, and only a launch that fans out builds
-// the closure it hands to par.Run (a closure escapes to the heap, and
-// solver sweeps run thousands of launches, nearly all serial).
+// inline when par.Blocks gives one block, and only a launch of several
+// blocks builds the closure it hands to par.Run (a closure escapes to the
+// heap, and solver sweeps run thousands of launches, nearly all of one
+// block).
 //
 // The row functions of Mul and MulATB pick a body by operand width: the
 // solver runs k = 3, so operands exactly 3 wide take a body that walks the
@@ -231,7 +232,7 @@ func (m *Dense) Mul(a, b *Dense) {
 	if m.rows != a.rows || m.cols != b.cols {
 		panic(fmt.Sprintf("mat: Mul dst is %dx%d, want %dx%d", m.rows, m.cols, a.rows, b.cols))
 	}
-	if cost := a.cols * b.cols; par.Serial(a.rows, cost) {
+	if cost := a.cols * b.cols; par.Blocks(a.rows, cost) == 1 {
 		mulRange(m, a, b, 0, a.rows)
 	} else {
 		par.Run(a.rows, cost, func(_, lo, hi int) { mulRange(m, a, b, lo, hi) })
@@ -279,7 +280,7 @@ func (m *Dense) MulABT(a, b *Dense) {
 	if m.rows != a.rows || m.cols != b.rows {
 		panic(fmt.Sprintf("mat: MulABT dst is %dx%d, want %dx%d", m.rows, m.cols, a.rows, b.rows))
 	}
-	if cost := a.cols * b.rows; par.Serial(a.rows, cost) {
+	if cost := a.cols * b.rows; par.Blocks(a.rows, cost) == 1 {
 		mulABTRange(m, a, b, 0, a.rows)
 	} else {
 		par.Run(a.rows, cost, func(_, lo, hi int) { mulABTRange(m, a, b, lo, hi) })
@@ -289,9 +290,10 @@ func (m *Dense) MulABT(a, b *Dense) {
 // MulATB stores aᵀ·b into m. m must be a.cols×b.cols.
 //
 // The accumulation pattern scatters into output rows indexed by columns of
-// a, so the parallel path gives each row chunk a private accumulator and
-// reduces them in chunk order — deterministic for a fixed par.Procs() and
-// within floating-point reassociation error of the serial path.
+// a, so a launch of several blocks gives each row block a private
+// accumulator and adds them in block order. The blocks depend on the
+// operands' shape alone, so the result has the same bits at every
+// parallelism width.
 func (m *Dense) MulATB(a, b *Dense) {
 	if a.rows != b.rows {
 		panic(dimErr("MulATB", a, b))
@@ -299,20 +301,20 @@ func (m *Dense) MulATB(a, b *Dense) {
 	if m.rows != a.cols || m.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulATB dst is %dx%d, want %dx%d", m.rows, m.cols, a.cols, b.cols))
 	}
+	m.Zero()
 	cost := a.cols * b.cols
-	if par.Serial(a.rows, cost) {
-		m.Zero()
+	nb := par.Blocks(a.rows, cost)
+	if nb == 1 {
 		mulATBRange(m.data, a, b, 0, a.rows)
 		return
 	}
 	rc := m.rows * m.cols
-	parts := make([]float64, par.Procs()*rc)
-	used := par.Run(a.rows, cost, func(c, lo, hi int) {
-		mulATBRange(parts[c*rc:(c+1)*rc], a, b, lo, hi)
+	parts := make([]float64, nb*rc)
+	par.Run(a.rows, cost, func(blk, lo, hi int) {
+		mulATBRange(parts[blk*rc:(blk+1)*rc], a, b, lo, hi)
 	})
-	m.Zero()
-	for c := 0; c < used; c++ {
-		for i, v := range parts[c*rc : (c+1)*rc] {
+	for b := 0; b < nb; b++ {
+		for i, v := range parts[b*rc : (b+1)*rc] {
 			m.data[i] += v
 		}
 	}
@@ -488,7 +490,7 @@ func MulUpdate(dst, numer, denom *Dense) {
 	checkSame("MulUpdate(dst)", dst, numer)
 	// The per-element sqrt+div makes this compute-bound enough to split;
 	// cost 8 ≈ scalar-op equivalent of one sqrt+div pair.
-	if n := len(dst.data); par.Serial(n, 8) {
+	if n := len(dst.data); par.Blocks(n, 8) == 1 {
 		mulUpdateRange(dst, numer, denom, 0, n)
 	} else {
 		par.Run(n, 8, func(_, lo, hi int) { mulUpdateRange(dst, numer, denom, lo, hi) })

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func withProcs(p int, fn func()) {
 }
 
 // TestParallelKernelsMatchSerial checks that every parallel kernel agrees
-// with its serial execution within 1e-10 on shapes large enough to cross
+// with its serial execution bit for bit on shapes large enough to cross
 // the par threshold.
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -56,9 +57,44 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		var serial, parallel *Dense
 		withProcs(1, func() { serial = kn.run() })
 		withProcs(4, func() { parallel = kn.run() })
-		if !Equal(serial, parallel, 1e-10) {
-			t.Fatalf("%s: serial and parallel outputs differ beyond 1e-10", kn.name)
+		if i := sameBits(parallel.data, serial.data); i >= 0 {
+			t.Fatalf("%s: serial and parallel outputs differ at %d: %v vs %v", kn.name, i, serial.data[i], parallel.data[i])
 		}
+	}
+}
+
+// TestReductionBitsIgnoreWidth holds MulATB and GramInto, whose launches
+// reduce per-block partials, to one summation tree: a 40000×3 product has
+// the bits it has at two procs when it runs inline because another
+// parallel region holds the pool, and at one, three and four procs.
+func TestReductionBitsIgnoreWidth(t *testing.T) {
+	defer par.SetProcs(0)
+	rng := rand.New(rand.NewSource(37))
+	const n = 40000
+	a, b := width3Operand(rng, n), width3Operand(rng, n)
+	run := func() []float64 {
+		atb := NewDense(3, 3)
+		atb.MulATB(a, b)
+		return append(atb.data, GramInto(nil, a).data...)
+	}
+	par.SetProcs(2)
+	want := run()
+	check := func(mode string, got []float64) {
+		t.Helper()
+		if i := sameBits(got, want); i >= 0 {
+			t.Errorf("%s: entry %d is %v, %v at two procs", mode, i, got[i], want[i])
+		}
+	}
+	var contended []float64
+	par.Run(2, par.MinParallelWork, func(blk, _, _ int) {
+		if blk == 0 {
+			contended = run()
+		}
+	})
+	check("beside another region", contended)
+	for _, procs := range []int{1, 3, 4} {
+		par.SetProcs(procs)
+		check(fmt.Sprintf("procs %d", procs), run())
 	}
 }
 

@@ -36,7 +36,8 @@ func sameBits(got, want []float64) int {
 
 // TestWidth3BodiesMatchRowLoops holds each width-3 body to the generic row
 // loop it stands in for, bit for bit, launched the way its kernel launches
-// it — inline, and fanned out over two procs — at 0, 1 and odd row counts.
+// it — inline, and split into blocks at one and two procs — at 0, 1 and
+// odd row counts.
 // a carries exact zeros; in the inf cases b also carries an infinity that
 // only the zero skip keeps out of a sum (0·∞ is NaN), so a body that drops
 // the skip fails too. The kernels themselves (Mul, MulATB, GramInto) are
@@ -48,8 +49,8 @@ func TestWidth3BodiesMatchRowLoops(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		par.SetProcs(procs)
 		for _, n := range []int{0, 1, 7, 8001} {
-			if fans := !par.Serial(n, cost); fans != (procs == 2 && n == 8001) {
-				t.Fatalf("procs %d, n %d: par.Serial = %v, the shapes do not test the launches they name", procs, n, !fans)
+			if split := par.Blocks(n, cost) > 1; split != (n == 8001) {
+				t.Fatalf("n %d: par.Blocks = %d, the shapes do not test the launches they name", n, par.Blocks(n, cost))
 			}
 			for _, inf := range []bool{false, true} {
 				a, b, core := width3Operand(rng, n), width3Operand(rng, n), width3Operand(rng, 3)
@@ -69,7 +70,7 @@ func TestWidth3BodiesMatchRowLoops(t *testing.T) {
 				mul := func(rows func(dst, a, b *Dense, lo, hi int)) *Dense {
 					out := NewDense(n, 3)
 					out.Fill(7) // a body must overwrite, not accumulate
-					if par.Serial(n, cost) {
+					if par.Blocks(n, cost) == 1 {
 						rows(out, a, core, 0, n)
 					} else {
 						par.Run(n, cost, func(_, lo, hi int) { rows(out, a, core, lo, hi) })
@@ -80,20 +81,14 @@ func TestWidth3BodiesMatchRowLoops(t *testing.T) {
 				check("mulRange3", mul(mulRange3).data, want.data)
 				check("Mul", Product(a, core).data, want.data)
 
-				// MulATB's launch: the rows inline, or per-chunk partials
-				// summed in chunk order.
+				// MulATB's block tree: one partial per block, summed in
+				// block order.
 				atb := func(rows func(dst []float64, a, b *Dense, lo, hi int), a, b *Dense) *Dense {
 					out := NewDense(3, 3)
-					if par.Serial(n, cost) {
-						rows(out.data, a, b, 0, n)
-						return out
-					}
-					parts := make([]float64, par.Procs()*9)
-					used := par.Run(n, cost, func(c, lo, hi int) { rows(parts[c*9:(c+1)*9], a, b, lo, hi) })
-					for c := 0; c < used; c++ {
-						for i, v := range parts[c*9 : (c+1)*9] {
-							out.data[i] += v
-						}
+					parts := make([]float64, par.Blocks(n, cost)*9)
+					par.Run(n, cost, func(blk, lo, hi int) { rows(parts[blk*9:(blk+1)*9], a, b, lo, hi) })
+					for i, v := range parts {
+						out.data[i%9] += v
 					}
 					return out
 				}

@@ -1,28 +1,28 @@
-// Package par provides the chunked data-parallel loop that backs every
+// Package par provides the blocked data-parallel loop that backs every
 // dense and sparse kernel in this repository.
 //
 // # Model
 //
-// A kernel is a row loop over [0, n). Run splits that range into at most
-// Procs() contiguous chunks and executes them on a persistent pool of
-// worker goroutines. The pool is sized to the parallelism width and reused
-// across calls, so a multiplicative-update sweep that issues dozens of
-// kernel launches pays the goroutine start-up cost once per process, not
-// once per launch.
+// A kernel is a row loop over [0, n). Blocks fixes how that range splits
+// into contiguous blocks, and Run executes the blocks on a persistent pool
+// of worker goroutines. The pool is sized to the parallelism width and
+// reused across calls, so a multiplicative-update sweep that issues dozens
+// of kernel launches pays the goroutine start-up cost once per process,
+// not once per launch.
 //
-// Serial states when a loop is not split. A hot kernel asks it first and
-// calls its row loop directly when it answers true, and only otherwise
-// builds the closure it hands to Run:
+// A loop of one block is not split. A hot kernel asks Blocks first and
+// calls its row loop directly when it answers 1, and only otherwise builds
+// the closure it hands to Run:
 //
-//	if par.Serial(n, cost) {
+//	if par.Blocks(n, cost) == 1 {
 //		rows(0, n)
 //	} else {
 //		par.Run(n, cost, func(_, lo, hi int) { rows(lo, hi) })
 //	}
 //
-// A serial launch therefore allocates nothing, and a launch that fans out
-// allocates its closure (plus whatever per-chunk partials a reduction
-// sizes from Procs()).
+// A one-block launch therefore allocates nothing, and a launch of several
+// blocks allocates its closure (plus whatever per-block partials a
+// reduction sizes from Blocks).
 //
 // # Threshold heuristic
 //
@@ -40,15 +40,16 @@
 //
 // # Determinism
 //
-// Chunk boundaries depend only on n and Procs(), never on scheduling, so
-// kernels that reduce per-chunk partials in chunk order produce
-// bit-identical results across runs at a fixed Procs() and results within
-// floating-point reassociation error (≪ 1e-10 relative for the shapes
-// used here) of the serial path.
+// Block boundaries depend only on the loop's shape (n and costPerRow),
+// never on Procs() or on what else is running; the width and the schedule
+// only decide which goroutine runs which block. A reduction that keeps
+// one partial per block and adds the partials in block order therefore
+// has one summation tree, and produces the same bits at every width, run
+// alone or beside other solves.
 //
 // Nested or concurrent parallel regions are detected with an atomic guard
-// and run serially inline, which keeps the pool deadlock-free without
-// goroutine-local state.
+// and run their blocks inline, in block order, which keeps the pool
+// deadlock-free without goroutine-local state.
 package par
 
 import (
@@ -58,7 +59,7 @@ import (
 )
 
 // MinParallelWork is the minimum total scalar work (rows × costPerRow)
-// before a loop is split across workers. See the package comment for the
+// before a loop is split into blocks. See the package comment for the
 // rationale.
 const MinParallelWork = 64 * 1024
 
@@ -66,11 +67,9 @@ const MinParallelWork = 64 * 1024
 // runtime.GOMAXPROCS(0).
 var procs atomic.Int64
 
-// SetProcs sets the parallelism width used by Serial and Run. n ≤ 0
-// restores the default (runtime.GOMAXPROCS(0)). Call it during startup,
-// before kernels run: reductions size per-chunk storage from Procs() just
-// before they launch, so changing the width mid-computation is not
-// supported.
+// SetProcs sets the parallelism width Run fans out to. n ≤ 0 restores the
+// default (runtime.GOMAXPROCS(0)). The width never changes a result, only
+// how many goroutines share the blocks, so it may change at any time.
 func SetProcs(n int) {
 	if n < 0 {
 		n = 0
@@ -79,7 +78,7 @@ func SetProcs(n int) {
 }
 
 // Procs returns the current parallelism width, always ≥ 1. No Run call
-// uses more chunks than this.
+// uses more goroutines than this.
 func Procs() int {
 	if p := int(procs.Load()); p > 0 {
 		return p
@@ -87,18 +86,37 @@ func Procs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Serial reports whether a loop of n rows costing costPerRow each runs
-// inline on the calling goroutine: the width is 1, the cost is unknown
-// (< 1), or the total work is below MinParallelWork. It is the one
-// statement of the fan-out rule; Run applies it too.
-func Serial(n, costPerRow int) bool {
-	return Procs() <= 1 || costPerRow < 1 || n*costPerRow < MinParallelWork
+// splitBlocks is how many blocks a split loop has (n, if it has fewer
+// rows). Run deals whole blocks to the goroutines, so the count sets the
+// balance: 64 shares out evenly at widths 2, 4 and 8 and leaves the
+// busiest goroutine at most 3 % over an even share at widths 3, 5 and 6
+// (9 % at 7), while a reduction's per-block partials stay a fixed, small
+// allocation whatever the loop's length.
+const splitBlocks = 64
+
+// Blocks returns the number of blocks nb a loop of n rows, each costing
+// costPerRow scalar operations, splits into; block b covers
+// [b·n/nb, (b+1)·n/nb). It is the one split rule: 1 when the cost is
+// unknown (< 1) or the total work is below MinParallelWork, otherwise
+// min(n, splitBlocks).
+func Blocks(n, costPerRow int) int {
+	if costPerRow < 1 || n*costPerRow < MinParallelWork {
+		return 1
+	}
+	return min(n, splitBlocks)
 }
 
 type task struct {
-	fn     func(chunk, lo, hi int)
-	chunk  int
-	lo, hi int
+	fn            func(block, lo, hi int)
+	n, nb, b0, b1 int
+}
+
+// run calls fn on blocks [b0, b1) of the nb-block split of [0, n), in
+// block order.
+func (t task) run() {
+	for b := t.b0; b < t.b1; b++ {
+		t.fn(b, b*t.n/t.nb, (b+1)*t.n/t.nb)
+	}
 }
 
 var (
@@ -124,7 +142,7 @@ func ensureWorkers(n int) {
 	for workers < n {
 		go func() {
 			for t := range workCh {
-				t.fn(t.chunk, t.lo, t.hi)
+				t.run()
 				wg.Done()
 			}
 		}()
@@ -132,33 +150,31 @@ func ensureWorkers(n int) {
 	}
 }
 
-// Run executes fn over [0, n) — split into parallel chunks unless Serial
-// says otherwise or another region is in flight, inline as fn(0, 0, n)
-// then. chunk is the deterministic chunk index, letting reductions
-// accumulate into per-chunk storage without races; fn must treat disjoint
-// row ranges independently. Run returns the number of chunks used (1 on
-// the serial path, ≤ Procs() always).
-func Run(n, costPerRow int, fn func(chunk, lo, hi int)) int {
+// Run calls fn once for each of the Blocks(n, costPerRow) blocks of
+// [0, n), with the block index and its row range; fn must treat disjoint
+// row ranges independently. The blocks are dealt out in contiguous chunks
+// to min(Procs(), nb) goroutines, or run inline in block order when there
+// is one block, the width is 1, or another region is in flight.
+func Run(n, costPerRow int, fn func(block, lo, hi int)) {
 	if n <= 0 {
-		return 0
+		return
 	}
-	if Serial(n, costPerRow) || !active.CompareAndSwap(0, 1) {
-		fn(0, 0, n)
-		return 1
+	nb := Blocks(n, costPerRow)
+	chunks := min(Procs(), nb)
+	if chunks <= 1 || !active.CompareAndSwap(0, 1) {
+		task{fn: fn, n: n, nb: nb, b1: nb}.run()
+		return
 	}
 	defer active.Store(0)
 
-	chunks := min(Procs(), n)
 	ensureWorkers(chunks - 1)
 	wg.Add(chunks - 1)
-	// Balanced split: chunk c covers [c·n/chunks, (c+1)·n/chunks), so
-	// sizes differ by at most one row and no chunk is empty.
+	// Chunk c runs blocks [c·nb/chunks, (c+1)·nb/chunks), so no chunk is
+	// empty, and the caller runs the last chunk itself, so even a
+	// saturated pool makes forward progress.
 	for c := 0; c < chunks-1; c++ {
-		workCh <- task{fn: fn, chunk: c, lo: c * n / chunks, hi: (c + 1) * n / chunks}
+		workCh <- task{fn: fn, n: n, nb: nb, b0: c * nb / chunks, b1: (c + 1) * nb / chunks}
 	}
-	// The caller runs the final chunk itself, so even a saturated pool
-	// makes forward progress.
-	fn(chunks-1, (chunks-1)*n/chunks, n)
+	task{fn: fn, n: n, nb: nb, b0: (chunks - 1) * nb / chunks, b1: nb}.run()
 	wg.Wait()
-	return chunks
 }

@@ -1,9 +1,18 @@
 package par
 
 import (
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
+
+// goid returns the calling goroutine's id, read from the header line of
+// its stack trace ("goroutine 7 [running]:").
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	defer SetProcs(0)
@@ -25,47 +34,120 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestForChunkedChunkIndicesAreDistinct(t *testing.T) {
-	SetProcs(4)
+// TestBlocksDependOnShapeAlone pins the split rule: the blocks tile
+// [0, n) exactly once, none empty; there is one block exactly when the work
+// is below MinParallelWork (or of unknown cost), splitBlocks (n if fewer)
+// otherwise, and the count does not change with the width.
+func TestBlocksDependOnShapeAlone(t *testing.T) {
 	defer SetProcs(0)
-	const n = 100000
-	seen := make([]int32, Procs())
-	used := Run(n, 100, func(chunk, lo, hi int) {
-		atomic.AddInt32(&seen[chunk], 1)
-	})
-	if used < 1 || used > Procs() {
-		t.Fatalf("used=%d out of range [1,%d]", used, Procs())
-	}
-	for c := 0; c < used; c++ {
-		if seen[c] != 1 {
-			t.Fatalf("chunk %d ran %d times", c, seen[c])
+	for _, tc := range []struct{ n, cost int }{
+		{0, 1}, {1, 1 << 20}, {10, 0}, {MinParallelWork - 1, 1}, {MinParallelWork, 1},
+		{MinParallelWork / 3, 3}, {40000, 3}, {40000, 9}, {1000, 1000}, {100000, 10},
+		{5, MinParallelWork}, {splitBlocks + 1, MinParallelWork},
+	} {
+		SetProcs(1)
+		nb := Blocks(tc.n, tc.cost)
+		want := min(tc.n, splitBlocks)
+		if tc.cost < 1 || tc.n*tc.cost < MinParallelWork {
+			want = 1
+		}
+		if nb != want {
+			t.Fatalf("Blocks(%d, %d) = %d, want %d", tc.n, tc.cost, nb, want)
+		}
+		for _, procs := range []int{2, 3, 4, 7} {
+			SetProcs(procs)
+			if got := Blocks(tc.n, tc.cost); got != nb {
+				t.Fatalf("Blocks(%d, %d) = %d at %d procs, %d at 1", tc.n, tc.cost, got, procs, nb)
+			}
+		}
+		for b, prev := 0, 0; b < nb; b++ {
+			lo, hi := b*tc.n/nb, (b+1)*tc.n/nb
+			if lo != prev || (hi <= lo && tc.n > 0) {
+				t.Fatalf("n=%d nb=%d: block %d is [%d,%d) after %d", tc.n, nb, b, lo, hi, prev)
+			}
+			prev = hi
+			if b == nb-1 && hi != tc.n {
+				t.Fatalf("n=%d nb=%d: blocks end at %d", tc.n, nb, hi)
+			}
 		}
 	}
+}
+
+// TestRunCallsEachBlockOnce holds Run to the split Blocks states: fn sees
+// each block once, with that block's row range, whether the loop fans
+// out, runs inline because another region holds the pool, or runs at
+// width 1.
+func TestRunCallsEachBlockOnce(t *testing.T) {
+	defer SetProcs(0)
+	const n, cost = 100000, 10
+	nb := Blocks(n, cost)
+	if nb < 4 {
+		t.Fatalf("Blocks(%d, %d) = %d, the loop does not test a split", n, cost, nb)
+	}
+	check := func(mode string, run func(fn func(block, lo, hi int))) {
+		t.Helper()
+		seen := make([]int32, nb)
+		run(func(b, lo, hi int) {
+			if lo != b*n/nb || hi != (b+1)*n/nb {
+				t.Errorf("%s: block %d got [%d,%d)", mode, b, lo, hi)
+			}
+			atomic.AddInt32(&seen[b], 1)
+		})
+		for b, c := range seen {
+			if c != 1 {
+				t.Fatalf("%s: block %d ran %d times", mode, b, c)
+			}
+		}
+	}
+	SetProcs(4)
+	check("fanned out", func(fn func(block, lo, hi int)) { Run(n, cost, fn) })
+	check("contended", func(fn func(block, lo, hi int)) {
+		Run(2, MinParallelWork, func(b, _, _ int) {
+			if b == 0 {
+				Run(n, cost, fn)
+			}
+		})
+	})
+	SetProcs(1)
+	check("width 1", func(fn func(block, lo, hi int)) { Run(n, cost, fn) })
 }
 
 func TestSmallWorkRunsSerial(t *testing.T) {
 	SetProcs(8)
 	defer SetProcs(0)
-	// Work below MinParallelWork, or of unknown cost, must stay on the
-	// calling goroutine in a single chunk; Serial and Run agree on it.
+	// Work below MinParallelWork, or of unknown cost, is one block and
+	// stays on the calling goroutine.
 	for _, cost := range []int{1, 0} {
-		if !Serial(10, cost) {
-			t.Fatalf("Serial(10, %d) = false, want true", cost)
+		if nb := Blocks(10, cost); nb != 1 {
+			t.Fatalf("Blocks(10, %d) = %d, want 1", cost, nb)
 		}
-		if used := Run(10, cost, func(chunk, lo, hi int) {
-			if chunk != 0 || lo != 0 || hi != 10 {
-				t.Fatalf("serial path got chunk=%d [%d,%d)", chunk, lo, hi)
+		calls := 0
+		Run(10, cost, func(block, lo, hi int) {
+			calls++
+			if block != 0 || lo != 0 || hi != 10 {
+				t.Fatalf("serial path got block=%d [%d,%d)", block, lo, hi)
 			}
-		}); used != 1 {
-			t.Fatalf("cost %d: used=%d, want 1", cost, used)
+		})
+		if calls != 1 {
+			t.Fatalf("cost %d: %d calls, want 1", cost, calls)
 		}
 	}
-	if Serial(MinParallelWork, 1) {
-		t.Fatal("Serial at MinParallelWork on 8 procs = true, want false")
+	if Blocks(MinParallelWork, 1) == 1 {
+		t.Fatal("Blocks at MinParallelWork = 1, want a split")
 	}
+	// At width 1 a loop of many blocks runs them all on the calling
+	// goroutine, in block order, without taking the pool.
 	SetProcs(1)
-	if !Serial(MinParallelWork, 1000) {
-		t.Fatal("Serial on 1 proc = false, want true")
+	caller, next := goid(), 0
+	Run(MinParallelWork, 1, func(block, _, _ int) {
+		if g := goid(); g != caller || block != next || active.Load() != 0 {
+			t.Errorf("width 1: block %d (want %d) ran on goroutine %s (caller %s), region taken %t",
+				block, next, g, caller, active.Load() != 0)
+		}
+		next++
+	})
+	if nb := Blocks(MinParallelWork, 1); next != nb {
+		t.Fatalf("width 1: %d blocks ran, want %d", next, nb)
 	}
 }
 
@@ -81,7 +163,7 @@ func TestNestedForFallsBackToSerial(t *testing.T) {
 			total.Add(int64(ihi - ilo))
 		})
 	})
-	// Each outer chunk contributes one full inner range of 1000.
+	// Each outer block contributes one full inner range of 1000.
 	if got := total.Load(); got%1000 != 0 || got == 0 {
 		t.Fatalf("inner ranges incomplete: total=%d", got)
 	}

@@ -14,10 +14,10 @@ import (
 )
 
 // TestKernelLaunchAllocs pins the launch contract at two procs: a kernel
-// whose work is below par.MinParallelWork runs its row loop inline and
-// allocates nothing (ResidualFrobeniusSqWS with a warm workspace); one
-// that fans out allocates its closure and, for the residual's cross term,
-// the per-chunk partials — at most 2 per call.
+// whose work is below par.MinParallelWork is one block, runs its row loop
+// inline and allocates nothing (ResidualFrobeniusSqWS with a warm
+// workspace); one of several blocks allocates its closure and, for the
+// residual's cross term, the per-block partials — at most 2 per call.
 func TestKernelLaunchAllocs(t *testing.T) {
 	defer par.SetProcs(0)
 	par.SetProcs(2)
@@ -67,8 +67,8 @@ func TestKernelLaunchAllocs(t *testing.T) {
 			{"LaplacianMulDenseInto", tc.ng, k + 1, func() { LaplacianMulDenseInto(outg, g, deg, sg) }},
 			{"DegreeMulDenseInto", tc.ng, k + 1, func() { DegreeMulDenseInto(outg, g, deg, sg) }},
 		} {
-			if par.Serial(kn.rows, kn.cost) != tc.serial {
-				t.Fatalf("%s at %d rows: par.Serial = %v, the shape does not test the path it names", kn.name, kn.rows, !tc.serial)
+			if (par.Blocks(kn.rows, kn.cost) == 1) != tc.serial {
+				t.Fatalf("%s at %d rows: par.Blocks = %d, the shape does not test the path it names", kn.name, kn.rows, par.Blocks(kn.rows, kn.cost))
 			}
 			if got := testing.AllocsPerRun(20, kn.run); got > tc.maxAllocs {
 				t.Errorf("%s at %d rows (serial %v): %.1f allocs per call, want <= %.0f", kn.name, kn.rows, tc.serial, got, tc.maxAllocs)

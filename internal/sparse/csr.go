@@ -141,7 +141,7 @@ func (m *CSR) MulDenseInto(dst *mat.Dense, b *mat.Dense) *mat.Dense {
 	} else if !dst.Dims(m.rows, b.Cols()) {
 		panic(fmt.Sprintf("sparse: MulDenseInto dst is %dx%d, want %dx%d", dst.Rows(), dst.Cols(), m.rows, b.Cols()))
 	}
-	if cost := m.spmmCostPerRow(b.Cols()); par.Serial(m.rows, cost) {
+	if cost := m.spmmCostPerRow(b.Cols()); par.Blocks(m.rows, cost) == 1 {
 		m.mulDenseRange(dst, b, 0, m.rows)
 	} else {
 		par.Run(m.rows, cost, func(_, lo, hi int) { m.mulDenseRange(dst, b, lo, hi) })
@@ -333,8 +333,9 @@ func (m *CSR) crossRange3(uc, v *mat.Dense, lo, hi int) float64 {
 // ResidualFrobeniusSqWS is ResidualFrobeniusSq for a caller that keeps
 // normSq = m.FrobeniusSq() across calls, drawing its temporaries (U·C and
 // the two Gram matrices) from ws; a nil ws allocates. The nnz-sized cross
-// term Σ X(i,j)·(UCVᵀ)(i,j) is reduced over parallel row chunks in chunk
-// order.
+// term Σ X(i,j)·(UCVᵀ)(i,j) is summed per row block (par.Blocks) and the
+// block sums are added in block order, so its bits do not depend on the
+// parallelism width.
 func (m *CSR) ResidualFrobeniusSqWS(normSq float64, u, c, v *mat.Dense, ws *mat.Workspace) float64 {
 	k := u.Cols()
 	if v.Cols() != k {
@@ -359,12 +360,12 @@ func (m *CSR) ResidualFrobeniusSqWS(normSq float64, u, c, v *mat.Dense, ws *mat.
 	}
 	cost := m.spmmCostPerRow(k)
 	var cross float64
-	if par.Serial(m.rows, cost) {
+	if nb := par.Blocks(m.rows, cost); nb == 1 {
 		cross = m.crossRange(uc, v, 0, m.rows)
 	} else {
-		parts := make([]float64, par.Procs())
-		used := par.Run(m.rows, cost, func(c, lo, hi int) { parts[c] = m.crossRange(uc, v, lo, hi) })
-		for _, p := range parts[:used] {
+		parts := make([]float64, nb)
+		par.Run(m.rows, cost, func(blk, lo, hi int) { parts[blk] = m.crossRange(uc, v, lo, hi) })
+		for _, p := range parts {
 			cross += p
 		}
 	}

@@ -38,7 +38,7 @@ func LaplacianMulDenseInto(dst *mat.Dense, g *CSR, deg []float64, b *mat.Dense) 
 // or dst ← D·b − dst when subtract is set (completing the Laplacian
 // L·b = D·b − G·b).
 func degreeTerm(dst *mat.Dense, n int, deg []float64, b *mat.Dense, subtract bool) {
-	if cost := b.Cols() + 1; par.Serial(n, cost) {
+	if cost := b.Cols() + 1; par.Blocks(n, cost) == 1 {
 		degreeRange(dst, deg, b, subtract, 0, n)
 	} else {
 		par.Run(n, cost, func(_, lo, hi int) { degreeRange(dst, deg, b, subtract, lo, hi) })

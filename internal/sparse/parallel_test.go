@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,8 +16,21 @@ func withProcs(p int, fn func()) {
 	fn()
 }
 
+// sameBits reports whether a and b hold the same bits entry for entry.
+func sameBits(a, b *mat.Dense) bool {
+	if !a.Dims(b.Rows(), b.Cols()) {
+		return false
+	}
+	for i, v := range a.Data() {
+		if math.Float64bits(v) != math.Float64bits(b.Data()[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestParallelSparseKernelsMatchSerial checks serial/parallel agreement
-// within 1e-10 for the SpMM, Laplacian, degree and residual kernels at
+// bit for bit for the SpMM, Laplacian, degree and residual kernels at
 // sizes crossing the par threshold.
 func TestParallelSparseKernelsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -31,8 +46,8 @@ func TestParallelSparseKernelsMatchSerial(t *testing.T) {
 	var serialMul, parMul *mat.Dense
 	withProcs(1, func() { serialMul = x.MulDense(dense) })
 	withProcs(4, func() { parMul = x.MulDense(dense) })
-	if !mat.Equal(serialMul, parMul, 1e-10) {
-		t.Fatal("MulDense: serial and parallel outputs differ beyond 1e-10")
+	if !sameBits(serialMul, parMul) {
+		t.Fatal("MulDense: serial and parallel outputs differ")
 	}
 
 	var serialLap, parLap, serialDeg, parDeg *mat.Dense
@@ -44,18 +59,55 @@ func TestParallelSparseKernelsMatchSerial(t *testing.T) {
 		parLap = LaplacianMulDense(g, gb)
 		parDeg = DegreeMulDense(g, gb)
 	})
-	if !mat.Equal(serialLap, parLap, 1e-10) {
+	if !sameBits(serialLap, parLap) {
 		t.Fatal("LaplacianMulDense: serial/parallel mismatch")
 	}
-	if !mat.Equal(serialDeg, parDeg, 1e-10) {
+	if !sameBits(serialDeg, parDeg) {
 		t.Fatal("DegreeMulDense: serial/parallel mismatch")
 	}
 
 	var serialRes, parRes float64
 	withProcs(1, func() { serialRes = x.ResidualFrobeniusSq(u, c, v) })
 	withProcs(4, func() { parRes = x.ResidualFrobeniusSq(u, c, v) })
-	if d := serialRes - parRes; d > 1e-10*(1+serialRes) || -d > 1e-10*(1+serialRes) {
+	if math.Float64bits(serialRes) != math.Float64bits(parRes) {
 		t.Fatalf("ResidualFrobeniusSq: serial %v vs parallel %v", serialRes, parRes)
+	}
+}
+
+// TestReductionBitsIgnoreWidth holds ResidualFrobeniusSqWS, whose cross
+// term and Gram matrices reduce per-block partials, to one summation tree:
+// over a 20000-row matrix it has the bits it has at two procs when it runs
+// inline because another parallel region holds the pool, and at one, three
+// and four procs.
+func TestReductionBitsIgnoreWidth(t *testing.T) {
+	defer par.SetProcs(0)
+	rng := rand.New(rand.NewSource(37))
+	const rows, cols = 20000, 200
+	x := randomCSR(rng, rows, cols, 0.05)
+	if nb := par.Blocks(rows, x.spmmCostPerRow(3)); nb < 5 {
+		t.Fatalf("the cross term is %d blocks, the shape does not test a split", nb)
+	}
+	u, c, v := signedOperand(rng, rows), signedOperand(rng, 3), signedOperand(rng, cols)
+	normSq := x.FrobeniusSq()
+	run := func() float64 { return x.ResidualFrobeniusSqWS(normSq, u, c, v, nil) }
+	par.SetProcs(2)
+	want := run()
+	check := func(mode string, got float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: %v, %v at two procs", mode, got, want)
+		}
+	}
+	var contended float64
+	par.Run(2, par.MinParallelWork, func(blk, _, _ int) {
+		if blk == 0 {
+			contended = run()
+		}
+	})
+	check("beside another region", contended)
+	for _, procs := range []int{1, 3, 4} {
+		par.SetProcs(procs)
+		check(fmt.Sprintf("procs %d", procs), run())
 	}
 }
 

@@ -23,9 +23,9 @@ func signedOperand(rng *rand.Rand, n int) *mat.Dense {
 
 // TestWidth3BodiesMatchRowLoops holds the SpMM's and the residual cross
 // term's width-3 bodies to the generic row loops they stand in for, bit
-// for bit, launched the way their kernels launch them — inline, and
-// fanned out over two procs with the cross term's partials summed in chunk
-// order — at 0, 1 and odd row counts. MulDenseInto and
+// for bit, launched the way their kernels launch them — inline, and split
+// into blocks at one and two procs with the cross term's partials summed
+// in block order — at 0, 1 and odd row counts. MulDenseInto and
 // ResidualFrobeniusSqWS are held to the generic loops the same way.
 func TestWidth3BodiesMatchRowLoops(t *testing.T) {
 	defer par.SetProcs(0)
@@ -36,15 +36,15 @@ func TestWidth3BodiesMatchRowLoops(t *testing.T) {
 		for _, rows := range []int{0, 1, 7, 3001} {
 			x := randomCSR(rng, rows, cols, 0.04)
 			cost := x.spmmCostPerRow(3)
-			if fans := !par.Serial(rows, cost); fans != (procs == 2 && rows == 3001) {
-				t.Fatalf("procs %d, rows %d: par.Serial = %v, the shapes do not test the launches they name", procs, rows, !fans)
+			if split := par.Blocks(rows, cost) > 1; split != (rows == 3001) {
+				t.Fatalf("rows %d: par.Blocks = %d, the shapes do not test the launches they name", rows, par.Blocks(rows, cost))
 			}
 			b, u := signedOperand(rng, cols), signedOperand(rng, rows)
 
 			spmm := func(body func(dst, b *mat.Dense, lo, hi int)) *mat.Dense {
 				out := mat.NewDense(rows, 3)
 				out.Fill(7) // a body must overwrite, not accumulate
-				if par.Serial(rows, cost) {
+				if par.Blocks(rows, cost) == 1 {
 					body(out, b, 0, rows)
 				} else {
 					par.Run(rows, cost, func(_, lo, hi int) { body(out, b, lo, hi) })
@@ -64,13 +64,10 @@ func TestWidth3BodiesMatchRowLoops(t *testing.T) {
 			}
 
 			cross := func(body func(uc, v *mat.Dense, lo, hi int) float64) float64 {
-				if par.Serial(rows, cost) {
-					return body(u, b, 0, rows)
-				}
-				parts := make([]float64, par.Procs())
-				used := par.Run(rows, cost, func(c, lo, hi int) { parts[c] = body(u, b, lo, hi) })
+				parts := make([]float64, par.Blocks(rows, cost))
+				par.Run(rows, cost, func(blk, lo, hi int) { parts[blk] = body(u, b, lo, hi) })
 				var sum float64
-				for _, p := range parts[:used] {
+				for _, p := range parts {
 					sum += p
 				}
 				return sum

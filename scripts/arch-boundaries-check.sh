@@ -168,25 +168,34 @@ if [ -e "cmd/$retired" ] || grep -rn -- "$retired" scripts/ >&2; then
     fail=1
 fi
 
-# A kernel is a row loop with one launch: par.Serial is the fan-out rule,
-# and par.Run takes a closure that only the fanning-out branch builds, so
-# a serial launch allocates nothing without a pool. The layer that stood
-# in for that (a loop-body interface, a pooled body type per kernel,
-# closure adapters beside it, a second copy of the rule in a kernel)
-# stays gone.
+# A kernel is a row loop with one launch: par.Blocks is the split rule,
+# and par.Run takes a closure that only the branch of several blocks
+# builds, so a one-block launch allocates nothing without a pool. The
+# layer that stood in for that (a loop-body interface, a pooled body type
+# per kernel, closure adapters beside it, a second copy of the rule in a
+# kernel, a second rule in par.Serial) stays gone, and no library code
+# reads the width: a reduction sizes its partials from par.Blocks, so its
+# bits do not depend on par.Procs(). Only the daemon's start-up log line
+# reports it.
 where='internal/par, internal/mat and internal/sparse'
 sources=$(ls internal/par/*.go internal/mat/*.go internal/sparse/*.go | grep -v '_test\.go$')
-expect 0 'sync.Pool' "a kernel launch is par.Serial or par.Run, never a pooled body"
+expect 0 'sync.Pool' "a kernel launch is inline or par.Run, never a pooled body"
 rule=$(grep -rlw --include='*.go' MinParallelWork . | grep -v -e '_test\.go$' -e '^\./internal/par/' -e '^\./bench/' || true)
 if [ -n "$rule" ]; then
-    echo "SPINE: the fan-out rule is restated outside internal/par (ask par.Serial):" >&2
+    echo "SPINE: the split rule is restated outside internal/par (ask par.Blocks):" >&2
     echo "$rule" >&2
     fail=1
 fi
-back=$(grep -rnE --include='*.go' 'par\.Body|par\.For\(|ForChunked|Range\(chunk' . | grep -v '_test\.go:' || true)
+back=$(grep -rnE --include='*.go' 'par\.Body|par\.For\(|ForChunked|Range\(chunk|par\.Serial' . | grep -v '_test\.go:' || true)
 if [ -n "$back" ]; then
     echo "SPINE: a second kernel launch is back (a kernel hands its row loop to par.Run):" >&2
     echo "$back" >&2
+    fail=1
+fi
+width=$(grep -rn --include='*.go' 'par\.Procs()' . | grep -v -e '_test\.go:' -e '^\./internal/par/' -e '^\./bench/' -e '^\./cmd/triclustd/main\.go:' || true)
+if [ -n "$width" ]; then
+    echo "SPINE: library code reads the parallelism width (size partials from par.Blocks):" >&2
+    echo "$width" >&2
     fail=1
 fi
 

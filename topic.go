@@ -188,7 +188,7 @@ func defaultTopicSettings() topicSettings {
 // Topic.Snapshot serializes the complete state (vocabulary, prior, solver
 // history, user history, random-stream position, configuration) into a
 // versioned binary snapshot; Restore rebuilds a topic that continues the
-// stream bit-identically (at a fixed kernel parallelism width).
+// stream bit-identically, at any kernel parallelism width.
 //
 // A Topic is safe for concurrent use, by one rule: writers (Process,
 // FitCorpus, Freeze, SetEpoch, Snapshot's export) take Topic.mu; nothing
@@ -463,7 +463,7 @@ func (t *Topic) StreamPos() (batches int, randDraws uint64) {
 // lexicon, vocabulary, Sf0 prior, feature factors and history, user
 // history and random-stream position — as a self-describing, versioned
 // binary snapshot. A topic restored from it continues the stream
-// bit-identically (at a fixed kernel parallelism width). Equal states
+// bit-identically, at any kernel parallelism width. Equal states
 // produce byte-identical snapshots, and the size does not depend on how
 // many tweets the last batch held: the per-tweet and per-user factors of
 // a solve are results, not state.

@@ -92,8 +92,8 @@ func requireSameStep(t *testing.T, day int, a, b *triclust.StreamResult, tol flo
 
 // TestTopicSnapshotRestoreMidStream is the acceptance test of the
 // snapshot subsystem: a topic snapshotted after batch t and restored in a
-// fresh "process" must produce identical results (within 1e-12; in fact
-// bit-identical) for batches t+1… as the uninterrupted session.
+// fresh "process" must produce bit-identical results for batches t+1… as
+// the uninterrupted session.
 func TestTopicSnapshotRestoreMidStream(t *testing.T) {
 	d := demoCorpus(t, 11)
 	const days, cut = 8, 4
@@ -144,7 +144,7 @@ func TestTopicSnapshotRestoreMidStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("restored process day %d: %v", day, err)
 		}
-		requireSameStep(t, day, want[day-cut], out, 1e-12)
+		requireSameStep(t, day, want[day-cut], out, 0)
 	}
 
 	// User estimates after the full run agree too.
@@ -154,7 +154,7 @@ func TestTopicSnapshotRestoreMidStream(t *testing.T) {
 		if oka != okb {
 			t.Fatalf("user %d: known %v vs %v", u, oka, okb)
 		}
-		if oka && (ea.Class != eb.Class || math.Abs(ea.Confidence-eb.Confidence) > 1e-12) {
+		if oka && ea != eb {
 			t.Fatalf("user %d: estimate %+v vs %+v", u, ea, eb)
 		}
 	}

@@ -32,7 +32,7 @@
 //
 // Topic.Snapshot serializes the full state into a self-describing,
 // versioned binary snapshot; Restore rebuilds a topic that continues the
-// stream bit-identically (at a fixed kernel parallelism width):
+// stream bit-identically, at any kernel parallelism width:
 //
 //	var buf bytes.Buffer
 //	_ = t.Snapshot(&buf)
