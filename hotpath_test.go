@@ -169,8 +169,8 @@ func TestCommitPathEncodeAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("allocs per 30x10 batch: journal.EncodeFrame %.0f, codec.AppendBatchRequest (warm buffer) %.0f", frame, request)
-	if frame > 4 || request > 1 {
-		t.Fatalf("encoding a 30x10 batch allocates %.0f times (journal frame, want <= 4) and %.0f times (request into a warm buffer, want <= 1)",
+	if frame > 1 || request > 1 {
+		t.Fatalf("encoding a 30x10 batch allocates %.0f times (journal frame, want <= 1) and %.0f times (request into a warm buffer, want <= 1)",
 			frame, request)
 	}
 }

@@ -40,6 +40,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"triclust/internal/tgraph"
 )
@@ -68,7 +69,7 @@ func AppendBatchRequest(dst []byte, time int, tweets []tgraph.Tweet) ([]byte, er
 				i, tweets[i].Label)
 		}
 	}
-	e := NewWireEncoder(append(dst, BatchWireVersion))
+	e := NewWireEncoder(append(slices.Grow(dst, 1+BatchSize(tweets)+4), BatchWireVersion))
 	e.Batch(time, tweets)
 	return closeFrame(e, len(dst)), nil
 }

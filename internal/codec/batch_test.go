@@ -73,6 +73,23 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchRequestExactSize pins BatchSize, by which a frame's buffer is
+// grown once before encoding, to the bytes Batch writes: for raw-text,
+// tokenized, empty-token and multi-byte tweets and for an empty batch.
+func TestBatchRequestExactSize(t *testing.T) {
+	time, tweets := goldenBatch()
+	tweets = append(tweets, tgraph.Tweet{Text: "naïve ≠ 37", Tokens: []string{"naïve", ""}, User: 3, RetweetOf: 2, Label: tgraph.NoLabel})
+	for n := 0; n <= len(tweets); n++ {
+		data, err := EncodeBatchRequest(time, tweets[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 + BatchSize(tweets[:n]) + 4; len(data) != want {
+			t.Fatalf("%d tweets: frame of %d bytes, BatchSize predicts %d", n, len(data), want)
+		}
+	}
+}
+
 func TestBatchRequestEmpty(t *testing.T) {
 	data, err := EncodeBatchRequest(3, nil)
 	if err != nil {

@@ -100,6 +100,20 @@ func (e *WireEncoder) Batch(time int, tweets []tgraph.Tweet) {
 	}
 }
 
+// BatchSize returns the number of bytes Batch writes for tweets, so a
+// frame can be allocated once at its exact length.
+func BatchSize(tweets []tgraph.Tweet) int {
+	n := 8 + 8
+	for i := range tweets {
+		// text, has-tokens, token count, user, time, retweetOf, label
+		n += 8 + len(tweets[i].Text) + 1 + 8 + 4*8
+		for _, s := range tweets[i].Tokens {
+			n += 8 + len(s)
+		}
+	}
+	return n
+}
+
 // WireDecoder reads the fixed-width primitives from a byte slice. Errors
 // are sticky and out-of-bounds reads fail with ErrCorrupt.
 type WireDecoder struct {

@@ -27,6 +27,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		if n != len(frame) {
 			t.Fatalf("DecodeFrame(%d) consumed %d of %d bytes", i, n, len(frame))
 		}
+		if cap(frame) != len(frame) {
+			t.Fatalf("EncodeFrame(%d) left a %d-byte frame in a %d-byte buffer, want it sized exactly", i, len(frame), cap(frame))
+		}
 		if !reflect.DeepEqual(got, rec) {
 			t.Fatalf("record %d round-trip mismatch:\n got %+v\nwant %+v", i, got, rec)
 		}

@@ -148,18 +148,20 @@ func Create(fsys fault.FS, path string, snapCRC uint32) (*Writer, error) {
 // locally and ship the identical frame to follower shards, which verify
 // and store it without re-encoding.
 func EncodeFrame(rec *Record) ([]byte, error) {
-	// kind, then the payload size, patched once the payload is behind it.
-	// The capacity spares a typical batch most of the buffer's doublings.
-	enc := codec.NewWireEncoder(append(make([]byte, 0, 4<<10), recBatch, 0, 0, 0, 0))
+	// kind, payload size, payload (the batch, Batches, RandDraws), CRC.
+	// BatchSize sizes the frame, so it is allocated once and an oversized
+	// record is refused before encoding; the size header is patched from
+	// the bytes actually written.
+	est := codec.BatchSize(rec.Tweets) + 8 + 8
+	if est > maxRecordSize {
+		return nil, fmt.Errorf("journal: record payload %d exceeds limit", est)
+	}
+	enc := codec.NewWireEncoder(append(make([]byte, 0, 5+est+4), recBatch, 0, 0, 0, 0))
 	enc.Batch(rec.Time, rec.Tweets)
 	enc.Int(int64(rec.Batches))
 	enc.Uint(rec.RandDraws)
 	frame := enc.Bytes()
-	size := len(frame) - 5
-	if size > maxRecordSize {
-		return nil, fmt.Errorf("journal: record payload %d exceeds limit", size)
-	}
-	binary.LittleEndian.PutUint32(frame[1:5], uint32(size))
+	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(frame)-5))
 	return binary.LittleEndian.AppendUint32(frame, codec.Checksum(frame)), nil
 }
 

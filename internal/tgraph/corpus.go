@@ -7,6 +7,7 @@ package tgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"triclust/internal/text"
@@ -126,31 +127,57 @@ func (c *Corpus) UserLabels() []int {
 // Slice returns the sub-corpus of tweets with Time in [from, to), remapped
 // to local tweet indices. Users keep their global indices (the online
 // algorithm tracks users across snapshots); the returned mapping gives the
-// global tweet index of each local tweet.
+// global tweet index of each local tweet. A retweet whose original is not
+// in the window (or not in the corpus: Slice does not validate) gets
+// RetweetOf -1. The cut is two passes over the corpus, no hashing.
 func (c *Corpus) Slice(from, to int) (*Corpus, []int) {
-	var idx []int
-	for i, tw := range c.Tweets {
-		if tw.Time >= from && tw.Time < to {
+	idx, tweets, _ := c.cutWindow(from, to, nil, nil)
+	return &Corpus{Users: c.Users, Tweets: tweets}, idx
+}
+
+// cutWindow is the window cut of Slice and SnapshotBuilder.Build: the
+// global indices of the tweets with Time in [from, to), allocated at their
+// count (nil if none), and the tweets with local retweet targets in dst.
+// remap[g-idx[0]] is global tweet g's local index, or -1 if g is not cut.
+func (c *Corpus) cutWindow(from, to int, dst []Tweet, remap []int32) ([]int, []Tweet, []int32) {
+	n := 0
+	for i := range c.Tweets {
+		if t := c.Tweets[i].Time; t >= from && t < to {
+			n++
+		}
+	}
+	if dst == nil {
+		dst = make([]Tweet, 0, n) // Slice's output, at its exact size
+	}
+	// A reused buffer grows as append would, so a stream of ever larger
+	// batches reallocates it a logarithmic number of times.
+	if dst = slices.Grow(dst[:0], n)[:n]; n == 0 {
+		return nil, dst, remap
+	}
+	idx := make([]int, 0, n)
+	for i := range c.Tweets {
+		if t := c.Tweets[i].Time; t >= from && t < to {
 			idx = append(idx, i)
 		}
 	}
-	global := make(map[int]int, len(idx))
-	for local, g := range idx {
-		global[g] = local
+	base, span := idx[0], idx[n-1]-idx[0]+1
+	remap = slices.Grow(remap[:0], span)[:span]
+	for i := range remap {
+		remap[i] = -1
 	}
-	out := &Corpus{Users: c.Users, Tweets: make([]Tweet, len(idx))}
-	for local, g := range idx {
-		tw := c.Tweets[g]
-		if tw.RetweetOf >= 0 {
-			if l, ok := global[tw.RetweetOf]; ok {
-				tw.RetweetOf = l
-			} else {
-				tw.RetweetOf = -1 // original fell outside the window
+	for l, g := range idx {
+		remap[g-base] = int32(l)
+	}
+	for l, g := range idx {
+		dst[l] = c.Tweets[g]
+		if r := dst[l].RetweetOf; r >= 0 {
+			dst[l].RetweetOf = -1 // original fell outside the window
+			if o := r - base; o >= 0 && o < span {
+				dst[l].RetweetOf = int(remap[o])
 			}
 		}
-		out.Tweets[local] = tw
 	}
-	return out, idx
+	return idx, dst, remap
 }
 
 // ActiveUsers returns the sorted global indices of users with at least one

@@ -21,12 +21,13 @@ type Snapshot struct {
 }
 
 // SnapshotBuilder builds snapshots with reusable scratch state: the
-// window slice, the local-user index map, the compacted corpus buffers
-// and — since the allocation-free ingest overhaul — the triplet builders
-// and CSR backing arrays of all four graph matrices. A long-lived session
-// that builds one snapshot per batch therefore reaches a steady state
-// where Build performs no heap allocation beyond the Active/TweetIdx
-// index slices that escape into the caller's results.
+// window slice and its dense retweet remap, the dense local-user index
+// userPos (−1 between builds: a build resets the entries it set), the
+// compacted corpus buffers and the triplet builders and CSR backing arrays
+// of all four graph matrices. A long-lived session that builds one
+// snapshot per batch therefore reaches a steady state where Build performs
+// no heap allocation beyond the Active/TweetIdx index slices that escape
+// into the caller's results.
 //
 // Everything else the returned Snapshot points at — the Graph, its
 // matrices, and the Corpus — aliases the builder's internal buffers and
@@ -34,14 +35,11 @@ type Snapshot struct {
 // snapshot use BuildSnapshot (which dedicates a fresh builder per call).
 // A builder is not safe for concurrent use.
 type SnapshotBuilder struct {
-	local   map[int]int
+	userPos []int32
+	remap   []int32
 	users   []User
 	tweets  []Tweet
 	compact Corpus
-
-	// Window-slicing scratch.
-	tweetLocal map[int]int
-	userSeen   map[int]struct{}
 
 	// Graph-construction arena.
 	docs  [][]string
@@ -64,54 +62,38 @@ type SnapshotBuilder struct {
 // allocated; the Snapshot itself, its Graph/matrices and its Corpus alias
 // the builder's internal buffers and are only valid until the next Build.
 func (b *SnapshotBuilder) Build(c *Corpus, from, to int, vocab *text.Vocabulary, w text.Weighting) *Snapshot {
-	// Window slice (Corpus.Slice with reusable buffers): select tweets,
-	// remap batch-local retweet targets, collect the active user set.
-	if b.tweetLocal == nil {
-		b.tweetLocal = make(map[int]int)
-		b.userSeen = make(map[int]struct{})
-		b.local = make(map[int]int)
-	} else {
-		clear(b.tweetLocal)
-		clear(b.userSeen)
-		clear(b.local)
+	var tweetIdx []int
+	tweetIdx, b.tweets, b.remap = c.cutWindow(from, to, b.tweets, b.remap)
+
+	// Number active users by first appearance, then in sorted order.
+	for len(b.userPos) < len(c.Users) {
+		b.userPos = append(b.userPos, -1)
 	}
-	tweetIdx := make([]int, 0, len(c.Tweets))
-	for i, tw := range c.Tweets {
-		if tw.Time >= from && tw.Time < to {
-			b.tweetLocal[i] = len(tweetIdx)
-			tweetIdx = append(tweetIdx, i)
+	na := int32(0)
+	for i := range b.tweets {
+		if u := b.tweets[i].User; b.userPos[u] < 0 {
+			b.userPos[u] = na
+			na++
 		}
 	}
-	b.tweets = b.tweets[:0]
-	for _, g := range tweetIdx {
-		tw := c.Tweets[g]
-		if tw.RetweetOf >= 0 {
-			if l, ok := b.tweetLocal[tw.RetweetOf]; ok {
-				tw.RetweetOf = l
-			} else {
-				tw.RetweetOf = -1 // original fell outside the window
-			}
-		}
-		b.userSeen[tw.User] = struct{}{}
-		b.tweets = append(b.tweets, tw)
-	}
-	active := make([]int, 0, len(b.userSeen))
-	for u := range b.userSeen {
-		active = append(active, u)
+	active := make([]int, na)
+	for i := range b.tweets {
+		active[b.userPos[b.tweets[i].User]] = b.tweets[i].User
 	}
 	sort.Ints(active)
-	for i, g := range active {
-		b.local[g] = i
-	}
 
 	// Re-home tweets onto local user indices in a compacted corpus copy
 	// backed by the builder's reusable buffers.
 	b.users = b.users[:0]
-	for _, g := range active {
+	for i, g := range active {
+		b.userPos[g] = int32(i)
 		b.users = append(b.users, c.Users[g])
 	}
 	for i := range b.tweets {
-		b.tweets[i].User = b.local[b.tweets[i].User]
+		b.tweets[i].User = int(b.userPos[b.tweets[i].User])
+	}
+	for _, g := range active {
+		b.userPos[g] = -1
 	}
 	b.compact = Corpus{Users: b.users, Tweets: b.tweets}
 

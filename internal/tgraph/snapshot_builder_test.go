@@ -1,8 +1,12 @@
 package tgraph
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"triclust/internal/sparse"
 	"triclust/internal/text"
 )
 
@@ -18,29 +22,74 @@ func builderCorpus() *Corpus {
 	}
 }
 
-// TestSnapshotBuilderMatchesOneShot checks the reusable builder produces
-// the same graphs as the one-shot BuildSnapshot across successive windows.
+// sameCSR fails the test unless two graph matrices have the same shape
+// and the same entries, row by row.
+func sameCSR(t *testing.T, name string, got, want *sparse.CSR) {
+	t.Helper()
+	if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+		t.Fatalf("%s: %dx%d, want %dx%d", name, got.Rows(), got.Cols(), want.Rows(), want.Cols())
+	}
+	for i := 0; i < got.Rows(); i++ {
+		gc, gv := got.Row(i)
+		wc, wv := want.Row(i)
+		if !slices.Equal(gc, wc) || !slices.Equal(gv, wv) {
+			t.Fatalf("%s row %d: cols %v vals %v, want cols %v vals %v", name, i, gc, gv, wc, wv)
+		}
+	}
+}
+
+// TestSnapshotBuilderMatchesOneShot runs one builder through windows whose
+// user sets overlap, nest, are disjoint and shrink, and checks every
+// output — each CSR entry of the four matrices, Active, TweetIdx and the
+// compacted corpus — against a fresh BuildSnapshot of the same window. A
+// builder that carried user or tweet scratch from one window into the
+// next would diverge here.
 func TestSnapshotBuilderMatchesOneShot(t *testing.T) {
-	c := builderCorpus()
+	rng := rand.New(rand.NewSource(11))
+	c := randomCorpus(rng, 300, 40, 12, true, true)
+	// Days 0–5 are posted by users 0–19, days 6–11 by users 20–39, so
+	// windows on either side of day 6 have disjoint user sets.
+	for i := range c.Tweets {
+		c.Tweets[i].User = c.Tweets[i].User%20 + 20*(c.Tweets[i].Time/6)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	vocab := text.BuildVocabulary(c.TokenDocs(), 1)
 	var b SnapshotBuilder
-	for _, window := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
-		got := b.Build(c, window[0], window[1], vocab, text.TF)
-		want := BuildSnapshot(c, window[0], window[1], vocab, text.TF)
-		if got.Graph.Xp.NNZ() != want.Graph.Xp.NNZ() ||
-			got.Graph.Xp.Rows() != want.Graph.Xp.Rows() {
-			t.Fatalf("window %v: Xp mismatch", window)
+	for _, window := range [][2]int{
+		{0, 12}, {0, 6}, {6, 12}, {3, 9}, {4, 5}, {0, 3}, {2, 8}, {11, 12}, {7, 7}, {50, 60}, {0, 12}, {5, 6},
+	} {
+		from, to := window[0], window[1]
+		got := b.Build(c, from, to, vocab, text.TFIDF)
+		want := BuildSnapshot(c, from, to, vocab, text.TFIDF)
+		if !reflect.DeepEqual(got.Active, want.Active) || !reflect.DeepEqual(got.TweetIdx, want.TweetIdx) {
+			t.Fatalf("window %v: Active %v TweetIdx %v, want %v %v", window, got.Active, got.TweetIdx, want.Active, want.TweetIdx)
 		}
-		if len(got.Active) != len(want.Active) {
-			t.Fatalf("window %v: active mismatch %v vs %v", window, got.Active, want.Active)
-		}
-		for i := range got.Active {
-			if got.Active[i] != want.Active[i] {
-				t.Fatalf("window %v: active[%d] %d vs %d", window, i, got.Active[i], want.Active[i])
+		// An empty window's compact corpus is the builder's emptied buffers
+		// against BuildSnapshot's nil copies.
+		if len(want.Corpus.Tweets) == 0 {
+			if len(got.Corpus.Tweets)+len(got.Corpus.Users) != 0 {
+				t.Fatalf("window %v: empty window keeps compact corpus %+v", window, got.Corpus)
 			}
+		} else if !reflect.DeepEqual(got.Corpus, want.Corpus) {
+			t.Fatalf("window %v: compact corpus %+v, want %+v", window, got.Corpus, want.Corpus)
 		}
-		if got.Graph.Gu.NNZ() != want.Graph.Gu.NNZ() {
-			t.Fatalf("window %v: Gu mismatch", window)
+		sameCSR(t, "Xp", got.Graph.Xp, want.Graph.Xp)
+		sameCSR(t, "Xu", got.Graph.Xu, want.Graph.Xu)
+		sameCSR(t, "Xr", got.Graph.Xr, want.Graph.Xr)
+		sameCSR(t, "Gu", got.Graph.Gu, want.Graph.Gu)
+
+		// The one-shot snapshot agrees with the reference cut.
+		sub, idx := mapSlice(c, from, to)
+		if !reflect.DeepEqual(want.TweetIdx, idx) || !reflect.DeepEqual(want.Active, sub.ActiveUsers()) {
+			t.Fatalf("window %v: TweetIdx %v Active %v, reference %v %v", window, want.TweetIdx, want.Active, idx, sub.ActiveUsers())
+		}
+		for i, tw := range want.Corpus.Tweets {
+			ref := sub.Tweets[i]
+			if tw.RetweetOf != ref.RetweetOf || want.Active[tw.User] != ref.User {
+				t.Fatalf("window %v tweet %d: %+v, reference %+v", window, i, tw, ref)
+			}
 		}
 	}
 }

@@ -61,6 +61,9 @@ go test -run xxx -bench BenchmarkConformScore -benchtime "$CONFORM_BENCHTIME" -b
 # corpus, and it is most of setup_s on three of the four, so the artifact
 # tracks it too.
 go test -run xxx -bench BenchmarkGenerate -benchmem ./internal/synth/ | tee -a "$RAW"
+# The corpus windowing layer: offline_refit's prefix cuts (Corpus.Slice)
+# and a long-lived builder's daily snapshots (SnapshotBuilder.Build).
+go test -run xxx -bench 'BenchmarkCorpusSlice|BenchmarkSnapshotBuilderWindow' -benchmem ./internal/tgraph/ | tee -a "$RAW"
 
 awk -v out="$OUT" '
 BEGIN { n = 0 }
