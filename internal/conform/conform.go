@@ -25,7 +25,7 @@
 // snapshots on a conforming stream.
 //
 // The package is self-contained on purpose: it imports neither the
-// engine nor the daemon (scripts/arch-boundaries-check.sh pins this), so
+// engine nor the daemon (TestArchLayering in arch_test.go pins this), so
 // the same gate can front any ingestion tier that can phrase a batch as
 // an Observation.
 package conform

@@ -152,20 +152,6 @@ func (l *Lexicon) Sf0(vocab *text.Vocabulary, k int, hit float64) *mat.Dense {
 	return out
 }
 
-// Coverage returns the fraction of vocabulary words that are listed.
-func (l *Lexicon) Coverage(vocab *text.Vocabulary) float64 {
-	if vocab.Len() == 0 {
-		return 0
-	}
-	hitCount := 0
-	for i := 0; i < vocab.Len(); i++ {
-		if _, ok := l.Class(vocab.Word(i)); ok {
-			hitCount++
-		}
-	}
-	return float64(hitCount) / float64(vocab.Len())
-}
-
 // Induce rebuilds a topic lexicon from labeled documents, the way the
 // paper's "Yes"/"No" lists were built: a word is assigned to a class when
 // its occurrence ratio in that class exceeds ratio (>1) times its

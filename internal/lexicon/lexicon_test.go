@@ -120,17 +120,6 @@ func TestSf0BadHitPanics(t *testing.T) {
 	Builtin().Sf0(vocabOf("x"), 3, 0.1)
 }
 
-func TestCoverage(t *testing.T) {
-	l := Builtin()
-	v := vocabOf("love", "evil", "gmo", "prop37")
-	if got := l.Coverage(v); got != 0.5 {
-		t.Fatalf("Coverage = %v, want 0.5", got)
-	}
-	if Builtin().Coverage(text.NewVocabulary()) != 0 {
-		t.Fatal("empty vocab coverage should be 0")
-	}
-}
-
 func TestInduceSeparatesClasses(t *testing.T) {
 	docs := [][]string{
 		{"yeson37", "label", "health"},

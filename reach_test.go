@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,19 +54,12 @@ var reachAllowed = map[string]string{
 	"internal/tgraph.Corpus.ActiveUsers":      "what those tests feed CategorizeUsers",
 	"internal/tgraph.WriteCSV":                "round-trip partner in ReadCSV's tests",
 	"internal/lexicon.Lexicon.Len":            "public through the triclust.Lexicon alias; how the lexicon tests see a lexicon is not empty",
-	"internal/lexicon.Lexicon.Coverage":       "public through the triclust.Lexicon alias",
 }
 
-// TestEveryFunctionIsReached fails, naming the function, when no non-test
-// file uses a top-level function or method declared outside bench/. The
-// non-test files of every package (bench/ included: the benchmark is a
-// caller) are type-checked, and a use is an identifier the checker resolved
-// to that very function outside its own declaration — so a method is not
-// excused by a namesake on another type. A method also counts as used when
-// its receiver implements an interface of this repository that declares it;
-// methods the runtime or the standard library calls through an interface
-// of theirs are matched against implicitMethods.
-func TestEveryFunctionIsReached(t *testing.T) {
+// loadRepo type-checks the repository once for the reach and architecture tests.
+var loadRepo = sync.OnceValues(typeCheckRepo)
+
+func typeCheckRepo() (*repoImporter, error) {
 	imp := &repoImporter{
 		fset:  token.NewFileSet(),
 		pkgs:  map[string]*types.Package{},
@@ -87,6 +81,20 @@ func TestEveryFunctionIsReached(t *testing.T) {
 		_, err = imp.Import(importPath(path))
 		return err
 	})
+	return imp, err
+}
+
+// TestEveryFunctionIsReached fails, naming the function, when no non-test
+// file uses a top-level function or method declared outside bench/. The
+// non-test files of every package (bench/ included: the benchmark is a
+// caller) are type-checked, and a use is an identifier the checker resolved
+// to that very function outside its own declaration — so a method is not
+// excused by a namesake on another type. A method also counts as used when
+// its receiver implements an interface of this repository that declares it;
+// methods the runtime or the standard library calls through an interface
+// of theirs are matched against implicitMethods.
+func TestEveryFunctionIsReached(t *testing.T) {
+	imp, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}

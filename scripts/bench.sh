@@ -5,6 +5,11 @@
 #
 #   {"schema": "triclust-bench/v3", "benchmarks": [{name, cpus, ns_per_op, …}]}
 #
+# This file is the one list of tracked microbenchmarks: CI's bench job runs
+# it once for the artifact, and bench-compare runs it on a PR's head and on
+# its merge base and feeds the raw `go test -bench` lines it prints on
+# stdout to benchstat.
+#
 # This is not the repository's benchmark: load against a running daemon is
 # generated, measured and gated by bench/ + BENCHMARK.json alone
 # (bench/README.md).
@@ -13,8 +18,8 @@
 #   scripts/bench.sh [output.json]
 #
 # Environment:
-#   BENCHTIME         per-benchmark -benchtime for the library suite
-#                     (default 10x)
+#   BENCHTIME         per-benchmark -benchtime for the library and kernel
+#                     suites (default 10x)
 #   DAEMON_BENCHTIME  -benchtime for the daemon persistence comparison
 #                     (default 500x: a 500-batch stream)
 #   READ_BENCHTIME    -benchtime for the read-under-ingest comparison
@@ -36,34 +41,52 @@ CONFORM_BENCHTIME=${CONFORM_BENCHTIME:-1000x}
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-LIB_BENCHES='BenchmarkProcessWarm|BenchmarkOnlineStep|BenchmarkOfflineFit|BenchmarkTable4TweetComparison|BenchmarkTable5UserComparison|BenchmarkTokenizePipeline|BenchmarkGraphBuild|BenchmarkSnapshot|BenchmarkRestore'
+# suite PKG ARGS... runs the benchmarks ARGS select in package directory PKG,
+# or skips them when this checkout has no such package (an older merge base).
+suite() {
+    local pkg=$1
+    shift
+    if [ ! -d "$pkg" ]; then
+        echo "bench.sh: no $pkg in this checkout; skipped" >&2
+        return
+    fi
+    go test -run xxx -benchmem "$@" "./$pkg" | tee -a "$RAW"
+}
 
-go test -run xxx -bench "$LIB_BENCHES" -benchtime "$BENCHTIME" -benchmem . | tee -a "$RAW"
+LIB_BENCHES='BenchmarkProcessWarm|BenchmarkOnlineStep|BenchmarkOffline|BenchmarkTable4TweetComparison|BenchmarkTable5UserComparison|BenchmarkTokenizePipeline|BenchmarkGraphBuild|BenchmarkSnapshot|BenchmarkRestore'
+
+# The solver and the kernels under it run at -cpu 1,4: the par kernels follow
+# GOMAXPROCS, so on a multi-core runner the artifact records the parallel
+# speedup of the solver and baseline hot paths.
+suite . -bench "$LIB_BENCHES" -benchtime "$BENCHTIME" -cpu 1,4
+for pkg in internal/mat internal/sparse internal/baseline; do
+    suite "$pkg" -bench . -benchtime "$BENCHTIME" -cpu 1,4
+done
 # The daemon persistence bench runs at -cpu 1,4: the hot path (solver +
 # journal fsync) follows GOMAXPROCS through the parallel kernels, so the
 # artifact records the multi-core profile wherever the runner has cores
 # (on a 1-CPU container both rows coincide) — the ROADMAP's open item on
 # multi-core numbers reads them from here.
-go test -run xxx -bench BenchmarkDaemonBatchPersist -benchtime "$DAEMON_BENCHTIME" -benchmem -cpu 1,4 ./cmd/triclustd/ | tee -a "$RAW"
+suite cmd/triclustd -bench BenchmarkDaemonBatchPersist -benchtime "$DAEMON_BENCHTIME" -cpu 1,4
 # The read-plane comparison also runs at -cpu 1,4. On one core the gap is
 # bounded by CPU sharing (readers and the writer time-slice either way);
 # the RCU read path's headline property — reads do not queue behind a
 # solve + snapshot fsync at all — only shows its full size when spare
 # cores exist for the blocked readers to have run on, so the 4-core rows
 # are the ones the ROADMAP trajectory tracks.
-go test -run xxx -bench BenchmarkReadsUnderIngest -benchtime "$READ_BENCHTIME" -benchmem -cpu 1,4 ./cmd/triclustd/ | tee -a "$RAW"
+suite cmd/triclustd -bench BenchmarkReadsUnderIngest -benchtime "$READ_BENCHTIME" -cpu 1,4
 # The conformance-gate microbench: scoring one batch observation against
 # a warm profile. This cost sits on every ingest in every mode
 # (accumulation never turns off), so the artifact tracks it per-PR; it
 # must stay noise against the solve (at most 5% of a warm Process).
-go test -run xxx -bench BenchmarkConformScore -benchtime "$CONFORM_BENCHTIME" -benchmem -cpu 1,4 ./internal/conform/ | tee -a "$RAW"
+suite internal/conform -bench BenchmarkConformScore -benchtime "$CONFORM_BENCHTIME" -cpu 1,4
 # Corpus generation: every bench/ workload starts from a synth.Generate
 # corpus, and it is most of setup_s on three of the four, so the artifact
 # tracks it too.
-go test -run xxx -bench BenchmarkGenerate -benchmem ./internal/synth/ | tee -a "$RAW"
+suite internal/synth -bench BenchmarkGenerate
 # The corpus windowing layer: offline_refit's prefix cuts (Corpus.Slice)
 # and a long-lived builder's daily snapshots (SnapshotBuilder.Build).
-go test -run xxx -bench 'BenchmarkCorpusSlice|BenchmarkSnapshotBuilderWindow' -benchmem ./internal/tgraph/ | tee -a "$RAW"
+suite internal/tgraph -bench 'BenchmarkCorpusSlice|BenchmarkSnapshotBuilderWindow'
 
 awk -v out="$OUT" '
 BEGIN { n = 0 }
@@ -104,4 +127,4 @@ END {
 }
 ' "$RAW"
 
-echo "wrote $OUT ($(wc -c < "$OUT") bytes)"
+echo "wrote $OUT ($(wc -c < "$OUT") bytes)" >&2
