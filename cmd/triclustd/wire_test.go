@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
@@ -350,6 +351,9 @@ func TestBinaryBatchCorruptionRejected(t *testing.T) {
 		"wrong magic": []byte("TRICSNAP nonsense"),
 	}
 	damaged["bit flip"][len(valid)/3] ^= 0x08
+	// An older client's version 1 frame, sealed as such: version skew.
+	v1 := append([]byte{1}, valid[1:len(valid)-4]...)
+	damaged["version 1"] = binary.LittleEndian.AppendUint32(v1, codec.Checksum(v1))
 	for name, body := range damaged {
 		t.Run(name, func(t *testing.T) {
 			status, respBody, _ := doRaw(t, client, "POST", url, mediaTypeBatch, "", body)

@@ -136,11 +136,11 @@ func TestHugeWindowSizesNothing(t *testing.T) {
 // TestCommitPathEncodeAllocs pins the two encoders every acknowledged batch
 // passes through — the journal record the daemon fsyncs and the binary
 // request frame a client builds — at 30 pre-tokenized
-// tweets of 10 tokens. Both append fixed-width integers to a byte slice; when
-// each integer was a fresh slice handed to an io.Writer the record alone cost
+// tweets of 10 tokens. Both append varints to a byte slice; when each
+// integer was a fresh slice handed to an io.Writer the record alone cost
 // 824 allocations, twenty-five times the warm Process it makes durable. What
-// remains is the output buffer growing (journal) or nothing at all (a warm
-// request buffer).
+// remains is the journal frame copied out of its pooled encoding buffer at
+// its exact length, or nothing at all (a warm request buffer).
 func TestCommitPathEncodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; absolute counts only hold without -race")

@@ -4,43 +4,46 @@
 // client's Accept header negotiates it. It exists because JSON
 // encode/decode became the dominant per-request cost on the daemon's
 // ingest path once the solver, journal and replication layers went
-// allocation-free; the frames below are built from the fixed-width wire
-// primitives (WireEncoder/WireDecoder, CRC-32C) the journal and the
-// replication frames use, so those formats share one idiom.
+// allocation-free. The frames are written with the snapshot's primitives
+// (uvarint counts and lengths, zig-zag varint signed integers, 8-byte
+// floats) and the tweet layout a journal record holds (wire.go), so the
+// commit path speaks one integer dialect.
 //
 // # Request frame (application/x-triclust-batch)
 //
-//	version  uint8    batch wire version (currently 1)
-//	time     int64    the batch timestamp (JSON's "time")
-//	count    uint64   number of tweets
-//	tweets   count × tweet frame (WireEncoder.Tweet layout: text,
-//	                  has-tokens bool, tokens, user, time, retweetOf,
-//	                  label — label must be NoLabel on this wire)
+//	version  uint8    batch wire version (currently 2)
+//	time     varint   the batch timestamp (JSON's "time")
+//	count    uvarint  number of tweets
+//	tweets   count × tweet: text (uvarint length + bytes), tokens
+//	                  (uvarint count + 1, then each token as a string;
+//	                  0 for nil, i.e. "tokenize the text"), user, time,
+//	                  retweetOf, label (varints; label must be NoLabel
+//	                  on this wire)
 //	crc      uint32   CRC-32C of every preceding byte (the whole body)
 //
 // # Response frame
 //
-//	version     uint8    batch wire version (currently 1)
-//	time        int64
+//	version     uint8    batch wire version (currently 2)
+//	time        varint
 //	skipped     bool
 //	converged   bool
-//	iterations  int64
-//	ntweets     uint64; per tweet:  class int64, confidence float64
-//	nusers      uint64; per user:   user int64, class int64, confidence float64
+//	iterations  varint
+//	ntweets     uvarint; per tweet:  class varint, confidence float64
+//	nusers      uvarint; per user:   user varint, class varint, confidence float64
 //	crc         uint32   CRC-32C of every preceding byte
 //
-// Both decoders reject version skew (ErrVersion), checksum or framing
-// damage (ErrCorrupt), and trailing bytes after the checksum — the same
-// strict "exactly one value, nothing after it" contract the daemon's
-// JSON decoding enforces. A decoded frame re-encodes to the identical
-// bytes (encode∘decode is a fixed point, fuzz-pinned), so a batch never
+// Both decoders reject version skew (ErrVersion; a version 1 frame from
+// an older client is one), checksum or framing damage (ErrCorrupt), and
+// trailing bytes after the checksum — the same strict "exactly one value,
+// nothing after it" contract the daemon's JSON decoding enforces. A
+// varint must be minimal, so a decoded frame re-encodes to the identical
+// bytes (encode∘decode is a fixed point, fuzz-pinned), and a batch never
 // drifts between its wire and journal forms.
 package codec
 
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"triclust/internal/tgraph"
 )
@@ -48,15 +51,7 @@ import (
 // BatchWireVersion is the current binary batch frame version. Bump it on
 // any layout change; decoders reject unknown versions with ErrVersion
 // instead of guessing.
-const BatchWireVersion = 1
-
-// Conservative lower bounds on one encoded response element, used to
-// refuse hostile count fields before allocating: a sentiment is
-// class+confidence (WireDecoder.Batch holds the tweets' bound).
-const (
-	minSentimentBytes     = 8 + 8
-	minUserSentimentBytes = 8 + 8 + 8
-)
+const BatchWireVersion = 2
 
 // AppendBatchRequest appends the binary batch request frame for (time,
 // tweets) to dst and returns the extended slice. Tweets must be
@@ -69,15 +64,15 @@ func AppendBatchRequest(dst []byte, time int, tweets []tgraph.Tweet) ([]byte, er
 				i, tweets[i].Label)
 		}
 	}
-	e := NewWireEncoder(append(slices.Grow(dst, 1+BatchSize(tweets)+4), BatchWireVersion))
-	e.Batch(time, tweets)
-	return closeFrame(e, len(dst)), nil
+	e := encoder{buf: append(dst, BatchWireVersion)}
+	e.batch(time, tweets)
+	return closeFrame(e.buf, len(dst)), nil
 }
 
-// closeFrame appends the CRC-32C of everything e encoded from offset start
-// on, the trailer every frame ends with, and returns the bytes.
-func closeFrame(e *WireEncoder, start int) []byte {
-	return binary.LittleEndian.AppendUint32(e.buf, Checksum(e.buf[start:]))
+// closeFrame appends the CRC-32C of buf from offset start on, the trailer
+// every frame ends with.
+func closeFrame(buf []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(buf, Checksum(buf[start:]))
 }
 
 // EncodeBatchRequest is AppendBatchRequest into a fresh slice.
@@ -88,30 +83,18 @@ func EncodeBatchRequest(time int, tweets []tgraph.Tweet) ([]byte, error) {
 // openBatchFrame validates the envelope every batch frame shares —
 // version byte, minimum length, whole-body CRC-32C trailer — and returns
 // a decoder over the payload between them.
-func openBatchFrame(data []byte) (*WireDecoder, error) {
+func openBatchFrame(data []byte) (decoder, error) {
 	if len(data) < 1+4 {
-		return nil, fmt.Errorf("%w: batch frame truncated (%d bytes)", ErrCorrupt, len(data))
+		return decoder{}, fmt.Errorf("%w: batch frame truncated (%d bytes)", ErrCorrupt, len(data))
 	}
 	if v := data[0]; v != BatchWireVersion {
-		return nil, fmt.Errorf("%w: batch frame is version %d, this build reads %d", ErrVersion, v, BatchWireVersion)
+		return decoder{}, fmt.Errorf("%w: batch frame is version %d, this build reads %d", ErrVersion, v, BatchWireVersion)
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if got, want := Checksum(body), binary.LittleEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("%w: batch frame checksum mismatch (body %08x, trailer %08x)", ErrCorrupt, got, want)
+		return decoder{}, fmt.Errorf("%w: batch frame checksum mismatch (body %08x, trailer %08x)", ErrCorrupt, got, want)
 	}
-	return NewWireDecoder(body[1:]), nil
-}
-
-// closeBatchFrame enforces the strict tail contract after a successful
-// payload decode: a frame carries exactly one value and nothing after it.
-func closeBatchFrame(d *WireDecoder) error {
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n := d.Remaining(); n != 0 {
-		return fmt.Errorf("%w: %d trailing bytes inside batch frame", ErrCorrupt, n)
-	}
-	return nil
+	return decoder{buf: body[1:]}, nil
 }
 
 // DecodeBatchRequest decodes a binary batch request frame, appending the
@@ -126,8 +109,8 @@ func DecodeBatchRequest(data []byte, scratch []tgraph.Tweet) (time int, tweets [
 	if err != nil {
 		return 0, nil, err
 	}
-	time, tweets = d.Batch(scratch)
-	if err := closeBatchFrame(d); err != nil {
+	time, tweets = d.batch(scratch)
+	if err := d.done(); err != nil {
 		return 0, nil, err
 	}
 	for i := len(scratch); i < len(tweets); i++ {
@@ -167,53 +150,43 @@ type BatchResult struct {
 // AppendBatchResponse appends the binary batch response frame to dst and
 // returns the extended slice.
 func AppendBatchResponse(dst []byte, res *BatchResult) []byte {
-	e := NewWireEncoder(append(dst, BatchWireVersion))
-	e.Int(int64(res.Time))
-	e.Bool(res.Skipped)
-	e.Bool(res.Converged)
-	e.Int(int64(res.Iterations))
-	e.Uint(uint64(len(res.Tweets)))
+	e := encoder{buf: append(dst, BatchWireVersion)}
+	e.int(int64(res.Time))
+	e.bool(res.Skipped)
+	e.bool(res.Converged)
+	e.int(int64(res.Iterations))
+	e.uint(uint64(len(res.Tweets)))
 	for _, s := range res.Tweets {
-		e.Int(int64(s.Class))
-		e.Float(s.Confidence)
+		e.int(int64(s.Class))
+		e.float(s.Confidence)
 	}
-	e.Uint(uint64(len(res.Users)))
+	e.uint(uint64(len(res.Users)))
 	for _, u := range res.Users {
-		e.Int(int64(u.User))
-		e.Int(int64(u.Class))
-		e.Float(u.Confidence)
+		e.int(int64(u.User))
+		e.int(int64(u.Class))
+		e.float(u.Confidence)
 	}
-	return closeFrame(e, len(dst))
+	return closeFrame(e.buf, len(dst))
 }
 
-// DecodeBatchResponse decodes a binary batch response frame.
+// DecodeBatchResponse decodes a binary batch response frame. A tweet's
+// sentiment is at least a varint and a float, a user's one varint more,
+// so a hostile count fails before anything is allocated for it.
 func DecodeBatchResponse(data []byte) (*BatchResult, error) {
 	d, err := openBatchFrame(data)
 	if err != nil {
 		return nil, err
 	}
-	res := &BatchResult{}
-	res.Time = int(d.Int())
-	res.Skipped = d.Bool()
-	res.Converged = d.Bool()
-	res.Iterations = int(d.Int())
-	nt := d.Uint()
-	if limit := uint64(d.Remaining()/minSentimentBytes) + 1; nt > limit {
-		return nil, fmt.Errorf("%w: batch response claims %d tweet sentiments in %d bytes", ErrCorrupt, nt, d.Remaining())
+	res := &BatchResult{Time: int(d.int()), Skipped: d.bool(), Converged: d.bool(), Iterations: int(d.int())}
+	res.Tweets = make([]BatchSentiment, d.count(1, 8))
+	for i := range res.Tweets {
+		res.Tweets[i] = BatchSentiment{Class: int(d.int()), Confidence: d.float()}
 	}
-	res.Tweets = make([]BatchSentiment, 0, nt)
-	for i := uint64(0); i < nt && d.Err() == nil; i++ {
-		res.Tweets = append(res.Tweets, BatchSentiment{Class: int(d.Int()), Confidence: d.Float()})
+	res.Users = make([]BatchUserSentiment, d.count(2, 8))
+	for i := range res.Users {
+		res.Users[i] = BatchUserSentiment{User: int(d.int()), Class: int(d.int()), Confidence: d.float()}
 	}
-	nu := d.Uint()
-	if limit := uint64(d.Remaining()/minUserSentimentBytes) + 1; nu > limit {
-		return nil, fmt.Errorf("%w: batch response claims %d user sentiments in %d bytes", ErrCorrupt, nu, d.Remaining())
-	}
-	res.Users = make([]BatchUserSentiment, 0, nu)
-	for i := uint64(0); i < nu && d.Err() == nil; i++ {
-		res.Users = append(res.Users, BatchUserSentiment{User: int(d.Int()), Class: int(d.Int()), Confidence: d.Float()})
-	}
-	if err := closeBatchFrame(d); err != nil {
+	if err := d.done(); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -15,7 +15,7 @@ import (
 var updateBatchGolden = flag.Bool("update-batch-golden", false,
 	"regenerate the binary batch request golden fixture (only when deliberately changing the batch wire format)")
 
-const batchGoldenPath = "../../testdata/golden_batch_v1.bin"
+const batchGoldenPath = "../../testdata/golden_batch_v2.bin"
 
 // goldenBatch is the fixed content of the checked-in batch fixture: a
 // small batch exercising every field shape the tweet frame carries —
@@ -32,11 +32,32 @@ func goldenBatch() (int, []tgraph.Tweet) {
 // frame builds a batch frame by hand — version byte, caller-written
 // payload, whole-body CRC-32C — so tests can craft inputs the public
 // encoder refuses to produce.
-func frame(t *testing.T, payload func(e *WireEncoder)) []byte {
+func frame(t *testing.T, payload func(e *encoder)) []byte {
 	t.Helper()
-	e := NewWireEncoder([]byte{BatchWireVersion})
-	payload(e)
-	return closeFrame(e, 0)
+	e := encoder{buf: []byte{BatchWireVersion}}
+	payload(&e)
+	return closeFrame(e.buf, 0)
+}
+
+// untokenizedWithTokens is a 99-byte version 1 request frame that a build
+// writing that version decoded without error: its one tweet ("love") says
+// it has no tokens, then lists two ("prop37", "win"). The decoder dropped
+// them and returned Tokens == nil, which re-encodes to 81 bytes. Version 2
+// has one token-list value, its length plus one, so it cannot say both.
+func untokenizedWithTokens() []byte {
+	le := binary.LittleEndian
+	b := []byte{1}
+	b = le.AppendUint64(b, 7) // time
+	b = le.AppendUint64(b, 1) // one tweet
+	b = append(le.AppendUint64(b, 4), "love"...)
+	b = append(b, 0)          // has tokens: no
+	b = le.AppendUint64(b, 2) // and yet two
+	b = append(le.AppendUint64(b, 6), "prop37"...)
+	b = append(le.AppendUint64(b, 3), "win"...)
+	for _, v := range []int64{0, 7, -1, -1} { // user, time, retweetOf, label
+		b = le.AppendUint64(b, uint64(v))
+	}
+	return closeFrame(b, 0)
 }
 
 func TestBatchRequestRoundTrip(t *testing.T) {
@@ -70,23 +91,6 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(again, data) {
 		t.Fatalf("re-encode is not byte-identical: %d vs %d bytes", len(again), len(data))
-	}
-}
-
-// TestBatchRequestExactSize pins BatchSize, by which a frame's buffer is
-// grown once before encoding, to the bytes Batch writes: for raw-text,
-// tokenized, empty-token and multi-byte tweets and for an empty batch.
-func TestBatchRequestExactSize(t *testing.T) {
-	time, tweets := goldenBatch()
-	tweets = append(tweets, tgraph.Tweet{Text: "naïve ≠ 37", Tokens: []string{"naïve", ""}, User: 3, RetweetOf: 2, Label: tgraph.NoLabel})
-	for n := 0; n <= len(tweets); n++ {
-		data, err := EncodeBatchRequest(time, tweets[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := 1 + BatchSize(tweets[:n]) + 4; len(data) != want {
-			t.Fatalf("%d tweets: frame of %d bytes, BatchSize predicts %d", n, len(data), want)
-		}
 	}
 }
 
@@ -163,21 +167,32 @@ func TestBatchRequestRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(d[len(d)-4:], Checksum(d[:len(d)-4]))
 			return d
 		}(), ErrVersion},
-		{"trailing inside frame", frame(t, func(e *WireEncoder) {
-			e.Int(1)
-			e.Uint(0)
-			e.Uint(0xdead) // extra payload after the declared tweets
+		{"trailing inside frame", frame(t, func(e *encoder) {
+			e.int(1)
+			e.uint(0)
+			e.uint(0xdead) // extra payload after the declared tweets
 		}), ErrCorrupt},
-		{"hostile count", frame(t, func(e *WireEncoder) {
-			e.Int(1)
-			e.Uint(1 << 50) // claims 2^50 tweets in a tiny frame
+		{"hostile count", frame(t, func(e *encoder) {
+			e.int(1)
+			e.uint(1 << 50) // claims 2^50 tweets in a tiny frame
 		}), ErrCorrupt},
-		{"labeled tweet", frame(t, func(e *WireEncoder) {
-			e.Int(1)
-			e.Uint(1)
+		{"hostile token count", frame(t, func(e *encoder) {
+			e.int(1)
+			e.uint(1)
+			e.string("x")
+			e.uint(1 << 50) // claims 2^50-1 tokens
+		}), ErrCorrupt},
+		{"labeled tweet", frame(t, func(e *encoder) {
+			e.int(1)
+			e.uint(1)
 			tw := tgraph.Tweet{Text: "x", User: 0, Time: 1, RetweetOf: -1, Label: 2}
-			e.Tweet(&tw)
+			e.tweet(&tw)
 		}), ErrCorrupt},
+		{"non-minimal varint", frame(t, func(e *encoder) {
+			e.buf = append(e.buf, 0x82, 0x00) // time 1, spelled in two bytes
+			e.uint(0)
+		}), ErrCorrupt},
+		{"version 1 tweet with tokens flagged untokenized", untokenizedWithTokens(), ErrVersion},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,8 +214,8 @@ func TestBatchRequestEncodeRejectsLabeled(t *testing.T) {
 	}
 }
 
-func TestBatchResponseRoundTrip(t *testing.T) {
-	res := &BatchResult{
+func sampleBatchResult() *BatchResult {
+	return &BatchResult{
 		Time:       11,
 		Skipped:    false,
 		Converged:  true,
@@ -214,6 +229,10 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 			{User: 3, Class: 0, Confidence: 0.25},
 		},
 	}
+}
+
+func TestBatchResponseRoundTrip(t *testing.T) {
+	res := sampleBatchResult()
 	data := AppendBatchResponse(nil, res)
 	got, err := DecodeBatchResponse(data)
 	if err != nil {
@@ -237,9 +256,19 @@ func TestBatchResponseRejectsCorruption(t *testing.T) {
 	if _, err := DecodeBatchResponse(data[:len(data)-1]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncation: got %v, want ErrCorrupt", err)
 	}
+	hostile := frame(t, func(e *encoder) {
+		e.int(1)
+		e.bool(false)
+		e.bool(true)
+		e.int(1)
+		e.uint(1 << 50) // claims 2^50 tweet sentiments in a tiny frame
+	})
+	if _, err := DecodeBatchResponse(hostile); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("hostile count: got %v, want ErrCorrupt", err)
+	}
 }
 
-// TestGoldenBatchFixture pins the version-1 batch wire layout to the
+// TestGoldenBatchFixture pins the version 2 batch wire layout to the
 // checked-in fixture: today's encoder must reproduce it byte-for-byte,
 // and today's decoder must read it back to the known content. Run with
 // -update-batch-golden only on a deliberate, version-bumped change.
@@ -299,8 +328,20 @@ func FuzzBatchWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{BatchWireVersion})
 	f.Add([]byte{})
+	// The version 1 frame whose tokens the old decoder dropped, as sent
+	// and with its body re-sealed under version 2.
+	v1 := untokenizedWithTokens()
+	f.Add(v1)
+	f.Add(closeFrame(append([]byte{BatchWireVersion}, v1[1:len(v1)-4]...), 0))
+	f.Add(AppendBatchResponse(nil, sampleBatchResult()))
+	f.Add(AppendBatchResponse(nil, &BatchResult{Skipped: true}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if res, err := DecodeBatchResponse(data); err == nil {
+			if again := AppendBatchResponse(nil, res); !bytes.Equal(again, data) {
+				t.Fatalf("response encode∘decode is not the identity: %d vs %d bytes", len(again), len(data))
+			}
+		}
 		batchTime, decoded, err := DecodeBatchRequest(data, nil)
 		if err != nil {
 			if decoded != nil {

@@ -1,7 +1,10 @@
 // Package codec serializes the full state of a topic — vocabulary, Sf0
 // prior, solver factors and history, user universe, timestamps and
 // configuration (an engine.State) — into a self-describing, versioned
-// binary snapshot, and restores it.
+// binary snapshot, and restores it. The same primitives, one integer
+// dialect, write the commit path's frames: journal record payloads, the
+// binary batch frames and the replication frames (wire.go, batch.go,
+// repl.go).
 //
 // # Format
 //
@@ -850,9 +853,9 @@ func (e *encoder) factors(f *core.Factors) {
 
 // ——— decoder ———
 
-// decoder reads the primitives back. fixed selects the journal and frame
-// wire format (WireDecoder), whose integers are 8 fixed bytes where a
-// snapshot's are varints; a snapshot is read with fixed unset.
+// decoder reads the primitives back: a snapshot, and every frame of the
+// commit path (wire.go). fixed reads 8 fixed bytes where those write a
+// varint; only DecodeRecordV1 sets it, to read a version 1 journal.
 type decoder struct {
 	buf   []byte
 	fixed bool
@@ -964,7 +967,12 @@ func (d *decoder) stringList(front, increasing bool) []string {
 	if front {
 		entry = 2 // and a shared length
 	}
-	n := d.count(entry, 0)
+	return d.list(d.count(entry, 0), front, increasing)
+}
+
+// list reads the n strings of a list whose count has been read and
+// checked, as stringList does; an empty list is nil.
+func (d *decoder) list(n uint64, front, increasing bool) []string {
 	if n == 0 || d.err != nil {
 		return nil
 	}

@@ -1,28 +1,32 @@
 // repl.go defines the replication wire frame: the body of
 // POST /v1/replica/{topic}/append, by which a topic's primary ships its
 // journal tail (and, on first contact or after a compaction, the full
-// base snapshot) to the topic's ring successors. The frame is built from
-// the fixed-width wire primitives (wire.go) and the snapshot format's
-// framing idiom: a magic + version prelude, and a trailing CRC-32C over
-// everything before it, so a truncated or corrupted ship is rejected
-// whole — a follower never applies half a frame.
+// base snapshot) to the topic's ring successors. The frame takes the
+// snapshot format's framing idiom — a magic + version prelude, and a
+// trailing CRC-32C over everything before it, so a truncated or corrupted
+// ship is rejected whole and a follower never applies half a frame — and
+// its primitives between them:
+//
+//	magic          [8]byte  "TRICREPL"
+//	version        uint16   replication frame version (currently 2)
+//	source         string   uvarint length + bytes
+//	epoch, snapCRC, baseBatches, baseRandDraws, batches, randDraws
+//	               uvarint each
+//	snapshot       uvarint length + 1, then the bytes; 0 when absent
+//	tail           uvarint length, then the journal record frames
+//	crc            uint32   CRC-32C of every preceding byte
 package codec
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // ReplVersion is the current replication frame version.
-const ReplVersion = 1
+const ReplVersion = 2
 
 var replMagic = [8]byte{'T', 'R', 'I', 'C', 'R', 'E', 'P', 'L'}
-
-// maxReplSection bounds the snapshot and tail lengths a decoder will
-// allocate for, so a corrupted length field cannot force an OOM. The
-// daemon's request-body bound is the real ceiling; this is the decoder's
-// own last line.
-const maxReplSection = 1 << 31
 
 // ReplAppend is one replication shipment for a topic.
 //
@@ -62,22 +66,20 @@ type ReplAppend struct {
 // AppendReplAppend appends fr's wire encoding to dst and returns the
 // extended slice.
 func AppendReplAppend(dst []byte, fr *ReplAppend) []byte {
-	e := NewWireEncoder(dst)
-	e.Raw(replMagic[:])
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, ReplVersion)
-	e.String(fr.Source)
-	e.Uint(fr.Epoch)
-	e.Uint(uint64(fr.SnapCRC))
-	e.Uint(fr.BaseBatches)
-	e.Uint(fr.BaseRandDraws)
-	e.Uint(fr.Batches)
-	e.Uint(fr.RandDraws)
-	e.Bool(fr.Snapshot != nil)
-	e.Uint(uint64(len(fr.Snapshot)))
-	e.Raw(fr.Snapshot)
-	e.Uint(uint64(len(fr.Tail)))
-	e.Raw(fr.Tail)
-	return closeFrame(e, len(dst))
+	e := encoder{buf: binary.LittleEndian.AppendUint16(append(dst, replMagic[:]...), ReplVersion)}
+	e.string(fr.Source)
+	for _, v := range []uint64{fr.Epoch, uint64(fr.SnapCRC), fr.BaseBatches, fr.BaseRandDraws, fr.Batches, fr.RandDraws} {
+		e.uint(v)
+	}
+	if fr.Snapshot == nil {
+		e.uint(0)
+	} else {
+		e.uint(uint64(len(fr.Snapshot)) + 1)
+		e.buf = append(e.buf, fr.Snapshot...)
+	}
+	e.uint(uint64(len(fr.Tail)))
+	e.buf = append(e.buf, fr.Tail...)
+	return closeFrame(e.buf, len(dst))
 }
 
 // DecodeReplAppend parses a replication frame, verifying magic, version
@@ -97,46 +99,24 @@ func DecodeReplAppend(data []byte) (*ReplAppend, error) {
 	if v := binary.LittleEndian.Uint16(body[8:10]); v != ReplVersion {
 		return nil, fmt.Errorf("%w: replication frame is version %d, this build reads %d", ErrVersion, v, ReplVersion)
 	}
-	dec := NewWireDecoder(body[10:])
-	fr := &ReplAppend{
-		Source: dec.String(),
-		Epoch:  dec.Uint(),
+	d := decoder{buf: body[10:]}
+	fr := &ReplAppend{Source: d.string(), Epoch: d.uint()}
+	if crc := d.uint(); crc <= math.MaxUint32 {
+		fr.SnapCRC = uint32(crc)
+	} else {
+		d.fail("snapshot CRC wider than 32 bits")
 	}
-	fr.SnapCRC = uint32(dec.Uint())
-	fr.BaseBatches = dec.Uint()
-	fr.BaseRandDraws = dec.Uint()
-	fr.Batches = dec.Uint()
-	fr.RandDraws = dec.Uint()
-	hasSnap := dec.Bool()
-	snapLen := dec.Uint()
-	if dec.Err() != nil {
-		return nil, dec.Err()
+	fr.BaseBatches, fr.BaseRandDraws = d.uint(), d.uint()
+	fr.Batches, fr.RandDraws = d.uint(), d.uint()
+	if n := d.uint(); n > 0 {
+		fr.Snapshot = d.bytes(n - 1)
 	}
-	if snapLen > maxReplSection || snapLen > uint64(dec.Remaining()) {
-		return nil, fmt.Errorf("%w: snapshot length %d exceeds frame", ErrCorrupt, snapLen)
-	}
-	snap := dec.Bytes(int(snapLen))
-	tailLen := dec.Uint()
-	if dec.Err() != nil {
-		return nil, dec.Err()
-	}
-	if tailLen > maxReplSection || tailLen > uint64(dec.Remaining()) {
-		return nil, fmt.Errorf("%w: tail length %d exceeds frame", ErrCorrupt, tailLen)
-	}
-	fr.Tail = dec.Bytes(int(tailLen))
-	if err := dec.Err(); err != nil {
+	fr.Tail = d.bytes(d.uint())
+	if err := d.done(); err != nil {
 		return nil, err
 	}
-	if dec.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in replication frame", ErrCorrupt, dec.Remaining())
-	}
-	if hasSnap {
-		fr.Snapshot = snap
-		if Checksum(fr.Snapshot) != fr.SnapCRC {
-			return nil, fmt.Errorf("%w: shipped snapshot fails its own CRC", ErrCorrupt)
-		}
-	} else if snapLen != 0 {
-		return nil, fmt.Errorf("%w: snapshot bytes present but not flagged", ErrCorrupt)
+	if fr.Snapshot != nil && Checksum(fr.Snapshot) != fr.SnapCRC {
+		return nil, fmt.Errorf("%w: shipped snapshot fails its own CRC", ErrCorrupt)
 	}
 	return fr, nil
 }

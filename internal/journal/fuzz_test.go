@@ -59,6 +59,13 @@ func FuzzJournalLoad(f *testing.F) {
 	rehdr := seedJournalBytes(f, 0xFEEDF00D, nil)
 	f.Add(append(append([]byte(nil), rehdr...), full[18:]...))
 	f.Add(append(append([]byte(nil), rehdr...), full[18:len(full)-5]...))
+	// Version 1 files, which only the loader still reads: the journal an
+	// older build left, and a record listing tokens on a tweet it flags as
+	// untokenized.
+	if v1, err := os.ReadFile(v1Journal); err == nil {
+		f.Add(v1)
+	}
+	f.Add(v1File(3, []v1Tweet{{text: "love", tokens: []string{"prop37", "win"}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

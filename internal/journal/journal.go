@@ -10,11 +10,11 @@
 //
 // # Format
 //
-// A journal reuses internal/codec's framing idiom (little-endian
-// primitives, CRC-32C):
+// A journal reuses internal/codec's framing idiom (a little-endian
+// header, CRC-32C):
 //
 //	magic    [8]byte  "TRICJRNL"
-//	version  uint16   journal format version (currently 1)
+//	version  uint16   journal format version (currently 2)
 //	snapCRC  uint32   CRC-32C of the snapshot file this journal extends
 //	hdrCRC   uint32   CRC-32C of the 14 header bytes above
 //
@@ -25,13 +25,21 @@
 //	payload  [size]byte
 //	crc      uint32   CRC-32C of kind ‖ size ‖ payload
 //
-// The batch payload is the wire encoding of (time, tweets, batches,
-// randDraws). Appends are fsynced before the batch is acknowledged, so an
-// acknowledged batch survives a crash; a crash *during* an append leaves
-// a torn final record, which Load tolerates by truncating at the first
-// record whose CRC or framing fails (the torn batch was never
-// acknowledged). A journal whose header is unreadable is undecodable —
-// callers quarantine it and fall back to the snapshot alone.
+// The batch payload is codec.AppendRecord's encoding of (time, tweets,
+// batches, randDraws), in the snapshot's integer dialect: uvarint counts
+// and lengths, zig-zag varint signed integers. Appends are fsynced before
+// the batch is acknowledged, so an acknowledged batch survives a crash; a
+// crash *during* an append leaves a torn final record, which Load
+// tolerates by truncating at the first record whose CRC or framing fails
+// (the torn batch was never acknowledged). A journal whose header is
+// unreadable is undecodable — callers quarantine it and fall back to the
+// snapshot alone.
+//
+// Load also reads version 1 files, whose payloads spend 8 fixed bytes on
+// every integer and length, so the acked batches an older build left on
+// disk replay. Nothing appends to one: Create and Rotate write a version 2
+// header, and Open refuses a version 1 file, so no file holds records of
+// both versions.
 package journal
 
 import (
@@ -41,14 +49,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"triclust/internal/codec"
 	"triclust/internal/fault"
-	"triclust/internal/tgraph"
 )
 
-// Version is the current journal format version.
-const Version = 1
+// Version is the journal format version this build writes.
+const Version = 2
 
 var magic = [8]byte{'T', 'R', 'I', 'C', 'J', 'R', 'N', 'L'}
 
@@ -57,6 +65,9 @@ const (
 	// maxRecordSize bounds a single record's payload so a corrupted or
 	// hostile length field cannot force a huge allocation.
 	maxRecordSize = 1 << 28
+	// maxPooledFrame is the largest encoding buffer framePool keeps, so
+	// one huge batch does not pin its buffer.
+	maxPooledFrame = 1 << 20
 )
 
 var (
@@ -70,17 +81,7 @@ var (
 
 // Record is one processed batch's delta: its inputs and the post-batch
 // fingerprint used to verify replay.
-type Record struct {
-	// Time is the batch timestamp passed to Topic.Process.
-	Time int
-	// Tweets are the batch inputs exactly as processed (Tokens keeps its
-	// nil-vs-empty distinction: nil means the text was tokenized).
-	Tweets []tgraph.Tweet
-	// Batches is the topic's non-empty batch count after this batch.
-	Batches int
-	// RandDraws is the solver's random-stream position after this batch.
-	RandDraws uint64
-}
+type Record = codec.Record
 
 // header is the fixed journal prelude: magic, version, the CRC of the
 // snapshot this journal extends, and a CRC over those bytes.
@@ -92,20 +93,20 @@ func encodeHeader(snapCRC uint32) []byte {
 	return binary.LittleEndian.AppendUint32(buf, codec.Checksum(buf))
 }
 
-func decodeHeader(buf []byte) (snapCRC uint32, rest []byte, err error) {
+func decodeHeader(buf []byte) (version uint16, snapCRC uint32, rest []byte, err error) {
 	if len(buf) < 18 {
-		return 0, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	if !bytes.Equal(buf[:8], magic[:]) {
-		return 0, nil, ErrBadMagic
+		return 0, 0, nil, ErrBadMagic
 	}
 	if want := binary.LittleEndian.Uint32(buf[14:18]); codec.Checksum(buf[:14]) != want {
-		return 0, nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
 	}
-	if v := binary.LittleEndian.Uint16(buf[8:10]); v != Version {
-		return 0, nil, fmt.Errorf("%w: journal is version %d, this build reads %d", ErrVersion, v, Version)
+	if version = binary.LittleEndian.Uint16(buf[8:10]); version < 1 || version > Version {
+		return 0, 0, nil, fmt.Errorf("%w: journal is version %d, this build reads 1 to %d", ErrVersion, version, Version)
 	}
-	return binary.LittleEndian.Uint32(buf[10:14]), buf[18:], nil
+	return version, binary.LittleEndian.Uint32(buf[10:14]), buf[18:], nil
 }
 
 // Writer appends CRC-framed records to a journal file, fsyncing each
@@ -143,33 +144,40 @@ func Create(fsys fault.FS, path string, snapCRC uint32) (*Writer, error) {
 	return &Writer{f: f, size: int64(len(hdr))}, nil
 }
 
+// framePool holds the buffers frames are encoded into before EncodeFrame
+// copies them out at their exact length.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // EncodeFrame returns rec's CRC-framed wire encoding — the exact bytes
 // Append writes. Exposed so the replication shipper can append a record
 // locally and ship the identical frame to follower shards, which verify
 // and store it without re-encoding.
 func EncodeFrame(rec *Record) ([]byte, error) {
-	// kind, payload size, payload (the batch, Batches, RandDraws), CRC.
-	// BatchSize sizes the frame, so it is allocated once and an oversized
-	// record is refused before encoding; the size header is patched from
-	// the bytes actually written.
-	est := codec.BatchSize(rec.Tweets) + 8 + 8
-	if est > maxRecordSize {
-		return nil, fmt.Errorf("journal: record payload %d exceeds limit", est)
+	// kind, payload size (patched once the payload is written), payload,
+	// CRC. Encoding into a reused buffer and copying out costs the frame
+	// one allocation, at its exact length, with nothing to size it by.
+	p := framePool.Get().(*[]byte)
+	buf := codec.AppendRecord(append((*p)[:0], recBatch, 0, 0, 0, 0), rec)
+	if size := len(buf) - 5; size > maxRecordSize {
+		return nil, fmt.Errorf("journal: record payload %d exceeds limit", size)
 	}
-	enc := codec.NewWireEncoder(append(make([]byte, 0, 5+est+4), recBatch, 0, 0, 0, 0))
-	enc.Batch(rec.Time, rec.Tweets)
-	enc.Int(int64(rec.Batches))
-	enc.Uint(rec.RandDraws)
-	frame := enc.Bytes()
-	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(frame)-5))
-	return binary.LittleEndian.AppendUint32(frame, codec.Checksum(frame)), nil
+	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
+	buf = binary.LittleEndian.AppendUint32(buf, codec.Checksum(buf))
+	frame := make([]byte, len(buf))
+	copy(frame, buf)
+	if cap(buf) <= maxPooledFrame {
+		*p = buf
+		framePool.Put(p)
+	}
+	return frame, nil
 }
 
-// DecodeFrame decodes one framed record from the front of buf, returning
-// its decoded form and encoded length. ok is false when the frame is
-// truncated, its checksum fails, or its payload does not decode.
+// DecodeFrame decodes one framed record of the current version from the
+// front of buf, returning its decoded form and encoded length. ok is false
+// when the frame is truncated, its checksum fails, or its payload does not
+// decode.
 func DecodeFrame(buf []byte) (rec *Record, n int, ok bool) {
-	return decodeRecord(buf)
+	return decodeRecord(buf, Version)
 }
 
 // Append marshals rec, appends it and fsyncs. The record is durable when
@@ -289,6 +297,9 @@ func Open(fsys fault.FS, path string) (*Writer, *Journal, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if j.Version != Version {
+		return nil, nil, fmt.Errorf("%w: journal is version %d, and appends go only to a version %d journal", ErrVersion, j.Version, Version)
+	}
 	f, err := fsys.OpenFile("journal.open.open", path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -308,6 +319,8 @@ func Open(fsys fault.FS, path string) (*Writer, *Journal, error) {
 
 // Journal is the result of loading a journal file for recovery.
 type Journal struct {
+	// Version is the format the file was written in, 1 or Version.
+	Version uint16
 	// SnapCRC names the snapshot this journal extends: recovery replays
 	// the records only on top of the snapshot file with this checksum.
 	SnapCRC uint32
@@ -334,13 +347,13 @@ func Load(fsys fault.FS, path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	snapCRC, rest, err := decodeHeader(data)
+	version, snapCRC, rest, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{SnapCRC: snapCRC, Size: int64(len(data) - len(rest))}
+	j := &Journal{Version: version, SnapCRC: snapCRC, Size: int64(len(data) - len(rest))}
 	for len(rest) > 0 {
-		rec, n, ok := decodeRecord(rest)
+		rec, n, ok := decodeRecord(rest, version)
 		if !ok {
 			j.Torn = true
 			break
@@ -352,11 +365,11 @@ func Load(fsys fault.FS, path string) (*Journal, error) {
 	return j, nil
 }
 
-// decodeRecord decodes one framed record from the front of buf, returning
-// its decoded form and encoded length. ok is false when the frame is
-// truncated, its checksum fails, or its payload does not decode — all
-// treated as the torn tail.
-func decodeRecord(buf []byte) (*Record, int, bool) {
+// decodeRecord decodes one framed record of a version's file from the
+// front of buf, returning its decoded form and encoded length. ok is false
+// when the frame is truncated, its checksum fails, or its payload does not
+// decode — all treated as the torn tail.
+func decodeRecord(buf []byte, version uint16) (*Record, int, bool) {
 	if len(buf) < 9 {
 		return nil, 0, false
 	}
@@ -372,12 +385,12 @@ func decodeRecord(buf []byte) (*Record, int, bool) {
 	if codec.Checksum(buf[:end]) != want {
 		return nil, 0, false
 	}
-	dec := codec.NewWireDecoder(buf[5:end])
-	rec := &Record{}
-	rec.Time, rec.Tweets = dec.Batch(nil)
-	rec.Batches = int(dec.Int())
-	rec.RandDraws = dec.Uint()
-	if dec.Err() != nil || dec.Remaining() != 0 {
+	decode := codec.DecodeRecord
+	if version == 1 {
+		decode = codec.DecodeRecordV1
+	}
+	rec, err := decode(buf[5:end])
+	if err != nil {
 		return nil, 0, false
 	}
 	return rec, end + 4, true

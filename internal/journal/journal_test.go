@@ -192,7 +192,9 @@ func TestJournalHeaderRejections(t *testing.T) {
 // TestJournalAppendIsOBatch pins the whole point of the journal: bytes
 // appended per batch depend on the batch, not on how much history the
 // topic has accumulated. Identical batches appended late in a long
-// stream must cost exactly as many bytes as the first one.
+// stream must cost exactly as many bytes as the first one. A record's
+// time and fingerprint are varints, whose width is the batch's own
+// content, so the stream keeps them at one width (4, 4 and 5 bytes).
 func TestJournalAppendIsOBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.journal")
 	w, err := Create(fault.OS, path, 1)
@@ -204,9 +206,9 @@ func TestJournalAppendIsOBatch(t *testing.T) {
 	var first int64
 	prev := w.Size()
 	for i := 0; i < 200; i++ {
-		rec.Time = 3 + i
-		rec.Batches = 1 + i
-		rec.RandDraws = uint64(1000 * i)
+		rec.Time = 1<<20 + i
+		rec.Batches = 1<<20 + i
+		rec.RandDraws = uint64(1<<30 + 1000*i)
 		if err := w.Append(rec); err != nil {
 			t.Fatal(err)
 		}

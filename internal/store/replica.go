@@ -30,6 +30,10 @@ type Replica struct {
 	Meta    ReplicaMeta
 	Batches int
 	Draws   uint64
+	// OldTail reports a tail journal an older build wrote (version 1): it
+	// loads for promotion, but nothing is appended to it, so the replica
+	// takes its next batch only as a full base.
+	OldTail bool
 	jw      *journal.Writer
 }
 
@@ -88,7 +92,7 @@ func (st *Store) InstallReplica(rep *Replica, name string, meta ReplicaMeta, sna
 		jw.Close()
 		return err
 	}
-	rep.Meta, rep.jw, rep.Batches, rep.Draws = meta, jw, batches, draws
+	rep.Meta, rep.jw, rep.Batches, rep.Draws, rep.OldTail = meta, jw, batches, draws, false
 	return nil
 }
 
@@ -149,7 +153,7 @@ func (st *Store) openReplica(name string) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Replica{Meta: meta, Batches: meta.Batches, Draws: meta.RandDraws}
+	rep := &Replica{Meta: meta, Batches: meta.Batches, Draws: meta.RandDraws, OldTail: j.Version != journal.Version}
 	if n := len(j.Records); n > 0 {
 		rep.Batches, rep.Draws = j.Records[n-1].Batches, j.Records[n-1].RandDraws
 	}
