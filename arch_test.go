@@ -115,6 +115,8 @@ func TestArchLayering(t *testing.T) {
 		"core is the paper's algorithm; engine orchestrates core, never the reverse")
 	a.want(0, in("internal/conform"), a.imports(false, "triclust"), "conform import reaching this module",
 		"conform is a stdlib-only leaf that the engine and the codec embed")
+	a.want(0, in("internal/conform"), a.imports(true, "encoding/binary"), "conform import of encoding/binary",
+		"internal/codec owns a profile's bytes: conform exports a ProfileState value and writes none")
 	a.want(0, in("internal/store"), a.imports(false, "net/http", "triclust/cmd"), "store import reaching net/http or a command",
 		"store is disk mechanism below the daemon; HTTP and commands are its callers")
 	a.want(0, in("internal/cluster"), a.imports(false, "triclust/internal/fault"), "cluster import reaching internal/fault",

@@ -1,20 +1,93 @@
 package main
 
-// Coverage for the error codes no other test exercises, so the
-// error-code registry check (scripts/error-codes-check.sh) can require
-// every code in errors.go to be both documented in README.md and
-// asserted by at least one test.
+// The error-code registry check (TestErrorCodeRegistry), and coverage for
+// the error codes no other test exercises, so that the check can require
+// every code in errors.go to be both documented in README.md and asserted
+// by at least one test.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net/http"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"triclust/internal/codec"
 )
+
+// TestErrorCodeRegistry keeps the v1 API error-code registry honest: every
+// code<Name> = "literal" constant in errors.go must be documented in
+// README.md and exercised by some *_test.go of the repository, through its
+// identifier or its quoted wire literal. A code that is neither documented
+// nor tested is a silent API surface.
+func TestErrorCodeRegistry(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "errors.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tests [][]byte
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == ".git":
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, "_test.go"):
+			b, err := os.ReadFile(path)
+			tests = append(tests, b)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := 0
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				if !strings.HasPrefix(name.Name, "code") || i >= len(vs.Values) {
+					continue
+				}
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					continue
+				}
+				code, _ := strconv.Unquote(lit.Value)
+				codes++
+				if !bytes.Contains(readme, []byte(code)) {
+					t.Errorf("%s (%q) is not documented in README.md", name.Name, code)
+				}
+				if !slices.ContainsFunc(tests, func(b []byte) bool {
+					return bytes.Contains(b, []byte(name.Name)) || bytes.Contains(b, []byte(lit.Value))
+				}) {
+					t.Errorf("%s (%q) is not exercised by any *_test.go", name.Name, code)
+				}
+			}
+		}
+	}
+	if codes == 0 {
+		t.Fatal("no code constants found in errors.go: the extraction is stale")
+	}
+}
 
 // TestRestoreUnsupportedSnapshotVersion: a snapshot stamped with a
 // future format version is refused with unsupported_snapshot_version —

@@ -762,7 +762,7 @@ func (s *server) promoteReplica(name string, rep *replica) error {
 	// Replay above ran without a conformance mode (recorded batches were
 	// already accepted by the dead primary); newTopic stamps this shard's
 	// policy for the fresh batches.
-	tp := s.newTopic(name, tr)
+	tp := s.newTopic(name, tr, false)
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	if e := s.persistNew(tp, epoch); e != nil {

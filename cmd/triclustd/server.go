@@ -186,11 +186,9 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 	for name, rt := range found.Topics {
 		// Journal replay (inside the scan) ran without a conformance mode:
 		// recorded batches were already accepted once, so replay must
-		// redo them regardless of today's policy. The mode applies to new
-		// batches only, from here on.
-		rt.Topic.SetConformanceMode(opts.conform)
-		tp := &topic{name: name, created: time.Now().UTC(), disk: st.Handle(name, true)}
-		tp.engp.Store(rt.Topic)
+		// redo them regardless of today's policy. newTopic stamps the mode
+		// for new batches only, from here on.
+		tp := s.newTopic(name, rt.Topic, true)
 		s.topics[name] = tp
 		s.logf("restored topic %q (%d batches, %d users; %d journal records replayed)",
 			name, rt.Topic.Batches(), rt.Topic.Users(), rt.Replayed)
@@ -602,7 +600,7 @@ func (s *server) restoreTopic(w http.ResponseWriter, r *http.Request) *apiError 
 // registered topic under this shard's conformance policy, durable (first
 // snapshot + open journal) before the 201.
 func (s *server) install(w http.ResponseWriter, name string, tr *triclust.Topic, epoch uint64) *apiError {
-	tp := s.newTopic(name, tr)
+	tp := s.newTopic(name, tr, false)
 	tp.mu.Lock()
 	e := s.persistNew(tp, epoch)
 	if e == nil {
@@ -622,10 +620,11 @@ func (s *server) install(w http.ResponseWriter, name string, tr *triclust.Topic,
 }
 
 // newTopic wraps an engine for registration under name, stamped with this
-// shard's conformance policy.
-func (s *server) newTopic(name string, tr *triclust.Topic) *topic {
+// shard's conformance policy. saved says the start-up scan loaded it from
+// its snapshot on disk (see store.Handle).
+func (s *server) newTopic(name string, tr *triclust.Topic, saved bool) *topic {
 	tr.SetConformanceMode(s.conform)
-	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, false)}
+	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, saved)}
 	tp.engp.Store(tr)
 	return tp
 }

@@ -169,6 +169,31 @@
 // neighbours, since removed), which nothing ever set. Anything else in a
 // reserved slot is version skew, not corruption: Decode answers ErrVersion.
 //
+// # Conformance profile
+//
+// The conformance section holds the topic's conform.ProfileState and is
+// written only when that state is not the fresh default (so a fresh
+// topic's snapshot has none). Its body is fixed-width and carries a
+// version of its own, apart from the snapshot's:
+//
+//	version      uint8    profile version (currently 1)
+//	minSamples   uint64   params
+//	flagZ        float
+//	quarantineZ  float
+//	observed     uint64   counters
+//	scored       uint64
+//	flagged      uint64
+//	quarantined  uint64
+//	drift        float
+//	prevDrift    float
+//	metricCount  uint8    the build's invariant count
+//	metrics      metricCount × { n uint64, mean, m2, min, max float }
+//
+// A uint64 here is 8 bytes little-endian, not a varint. A profile version
+// other than 1 is version skew (ErrVersion); a metric count other than the
+// build's, a body of any other length, or a state that
+// conform.ProfileState.Validate refuses is corrupt.
+//
 // # Versions
 //
 // Encode writes version 5 and Decode reads version 5 only: a snapshot of
@@ -208,6 +233,10 @@ import (
 // Version is the snapshot format version Encode writes and the only one
 // Decode reads.
 const Version = 5
+
+// profileVersion is the layout of the conformance section's body (see the
+// package comment), versioned apart from the snapshot.
+const profileVersion = 1
 
 // Matrix forms (see the package comment).
 const (
@@ -322,11 +351,10 @@ func Encode(w io.Writer, st *engine.State) error {
 	if st.Epoch != 0 {
 		e.section(tagEpoch, func() { e.uint(st.Epoch) })
 	}
-	// Same rule for the conformance profile: an empty default profile is
-	// omitted. The profile owns its wire format (versioned separately
-	// inside the section body, see internal/conform/wire.go).
+	// Same rule for the conformance profile: a fresh default one is
+	// omitted.
 	if st.Conform != nil && !st.Conform.IsZero() {
-		e.section(tagConform, func() { e.buf = st.Conform.AppendBinary(e.buf) })
+		e.section(tagConform, func() { e.profile(st.Conform) })
 	}
 	e.byte(tagEnd)
 
@@ -420,17 +448,7 @@ func Decode(r io.Reader) (*engine.State, error) {
 		case tagEpoch:
 			st.Epoch = sd.uint()
 		case tagConform:
-			p, err := conform.DecodeProfile(sd.buf)
-			if err != nil {
-				// An unimplemented profile wire version is version skew
-				// (intact snapshot, newer writer), not corruption.
-				if errors.Is(err, conform.ErrProfileVersion) {
-					return nil, fmt.Errorf("%w: %v", ErrVersion, err)
-				}
-				return nil, fmt.Errorf("%w: section %d: %v", ErrCorrupt, tag, err)
-			}
-			st.Conform = p
-			sd.buf = nil
+			st.Conform = sd.profile()
 		default:
 			// Unknown section from a newer minor revision: skip.
 			continue
@@ -849,6 +867,28 @@ func (e *encoder) factors(f *core.Factors) {
 	e.dense(f.Sf)
 	e.dense(f.Hp)
 	e.dense(f.Hu)
+}
+
+// profile writes the conformance section (see the package comment).
+func (e *encoder) profile(p *conform.ProfileState) {
+	e.byte(profileVersion)
+	e.u64(uint64(p.Params.MinSamples))
+	e.float(p.Params.FlagZ)
+	e.float(p.Params.QuarantineZ)
+	e.u64(p.Observed)
+	e.u64(p.Scored)
+	e.u64(p.Flagged)
+	e.u64(p.Quarantined)
+	e.float(p.Drift)
+	e.float(p.PrevDrift)
+	e.byte(byte(len(p.Metrics)))
+	for _, m := range p.Metrics {
+		e.u64(m.N)
+		e.float(m.Mean)
+		e.float(m.M2)
+		e.float(m.Min)
+		e.float(m.Max)
+	}
 }
 
 // ——— decoder ———
@@ -1410,6 +1450,44 @@ func (d *decoder) history(o *core.OnlineState) {
 	for i := range data {
 		data[i] = d.float()
 	}
+}
+
+// profile reads the conformance section (see the package comment). Like an
+// unknown random generator, an unknown profile version is version skew:
+// the snapshot is intact, this build cannot run it.
+func (d *decoder) profile() *conform.ProfileState {
+	if v := d.byte(); d.err == nil && v != profileVersion {
+		d.err = fmt.Errorf("%w: conformance profile is version %d, this build reads version %d",
+			ErrVersion, v, profileVersion)
+		return nil
+	}
+	p := &conform.ProfileState{}
+	p.Params.MinSamples = int(d.u64())
+	p.Params.FlagZ = d.float()
+	p.Params.QuarantineZ = d.float()
+	p.Observed = d.u64()
+	p.Scored = d.u64()
+	p.Flagged = d.u64()
+	p.Quarantined = d.u64()
+	p.Drift = d.float()
+	p.PrevDrift = d.float()
+	if n := d.byte(); d.err == nil && int(n) != len(p.Metrics) {
+		d.fail(fmt.Sprintf("conformance profile of %d invariants, this build defines %d", n, len(p.Metrics)))
+	}
+	for i := range p.Metrics {
+		m := &p.Metrics[i]
+		m.N = d.u64()
+		m.Mean = d.float()
+		m.M2 = d.float()
+		m.Min = d.float()
+		m.Max = d.float()
+	}
+	if d.err == nil {
+		if err := p.Validate(); err != nil {
+			d.fail(err.Error())
+		}
+	}
+	return p
 }
 
 func (d *decoder) factors() *core.Factors {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"hash/crc32"
 	"math"
 	"os"
@@ -1090,23 +1091,42 @@ func TestReservedConfigSlotsAreVersionSkew(t *testing.T) {
 	}
 }
 
-// warmConformProfile builds a profile warmed past its MinSamples gate on
-// a steady synthetic stream, so every counter and metric is non-zero.
-func warmConformProfile() *conform.Profile {
+var updateProfileGolden = flag.Bool("update-profile-golden", false,
+	"rewrite testdata/golden_profile_v1.bin (at the repository root) from the current encoder")
+
+// steadyObs is a structurally constant batch: 20 tweets, 3 tokens each,
+// no OOV, no duplicates, one tweet per user, unit time step, zero spread.
+func steadyObs(step bool) conform.Observation {
+	return conform.Observation{
+		Tweets: 20, Tokens: 60,
+		OOVValid:      true,
+		MaxUserTweets: 1,
+		TimeStep:      1, StepValid: step,
+	}
+}
+
+// observe folds o into p, with its verdict once p scores batches, as a
+// topic in flag mode does.
+func observe(p *conform.Profile, o conform.Observation) {
+	if v, ok := p.Score(o); ok {
+		p.Observe(o, &v)
+	} else {
+		p.Observe(o, nil)
+	}
+}
+
+// goldenProfile deterministically rebuilds the state of
+// golden_profile_v1.bin: twelve steady batches of jittered token counts,
+// the last four scored.
+func goldenProfile() *conform.ProfileState {
 	p := conform.NewProfile(conform.Params{})
 	for i := 0; i < 12; i++ {
-		obs := conform.Observation{
-			Tweets: 12, Tokens: 36, OOVTokens: 0, OOVValid: true,
-			MaxUserTweets: 1, Dups: 0,
-			TimeStep: 1, StepValid: i > 0, TimeSpread: 0,
-		}
-		if v, ok := p.Score(obs); ok {
-			p.Observe(obs, &v)
-		} else {
-			p.Observe(obs, nil)
-		}
+		o := steadyObs(i > 0)
+		o.Tokens = 60 + i%3
+		observe(p, o)
 	}
-	return p
+	s := p.State()
+	return &s
 }
 
 // TestConformSectionOptional pins the conformance section's
@@ -1121,7 +1141,8 @@ func TestConformSectionOptional(t *testing.T) {
 		t.Fatal(err)
 	}
 	zp := fullState()
-	zp.Conform = conform.NewProfile(conform.Params{})
+	zero := conform.NewProfile(conform.Params{}).State()
+	zp.Conform = &zero
 	if err := Encode(&zeroProf, zp); err != nil {
 		t.Fatal(err)
 	}
@@ -1130,7 +1151,7 @@ func TestConformSectionOptional(t *testing.T) {
 	}
 
 	ws := fullState()
-	ws.Conform = warmConformProfile()
+	ws.Conform = goldenProfile()
 	if err := Encode(&warm, ws); err != nil {
 		t.Fatal(err)
 	}
@@ -1144,7 +1165,7 @@ func TestConformSectionOptional(t *testing.T) {
 	if got.Conform == nil {
 		t.Fatal("decoded state lost the profile")
 	}
-	if !bytes.Equal(got.Conform.AppendBinary(nil), ws.Conform.AppendBinary(nil)) {
+	if *got.Conform != *ws.Conform {
 		t.Fatal("profile did not round-trip bit-exactly")
 	}
 }
@@ -1155,9 +1176,9 @@ func TestConformSectionOptional(t *testing.T) {
 // while structural damage to the section is ErrCorrupt.
 func TestConformSectionVersionSkew(t *testing.T) {
 	st := fullState()
-	st.Conform = warmConformProfile()
+	st.Conform = goldenProfile()
 	// forge rewrites one byte at off within the conform section's body
-	// (off 0 is the profile wire version).
+	// (off 0 is the profile version).
 	forge := func(off int, val byte) []byte {
 		payload := payloadOf(mustEncode(t, st))
 		body, _ := findSection(t, payload, tagConform)
@@ -1168,8 +1189,135 @@ func TestConformSectionVersionSkew(t *testing.T) {
 		t.Fatalf("future profile version: got %v, want ErrVersion", err)
 	}
 	// Byte 73 is the metric count; an invariant-set mismatch is
-	// corruption, not skew (the wire version pins the set).
+	// corruption, not skew (the profile version pins the set).
 	if _, err := Decode(bytes.NewReader(forge(73, 200))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("metric-count damage: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestProfileRoundTrip: a profile with its own thresholds, past its first
+// verdicts, comes back from a snapshot as the same state, which rebuilds a
+// profile and re-encodes to the same bytes.
+func TestProfileRoundTrip(t *testing.T) {
+	p := conform.NewProfile(conform.Params{MinSamples: 4, FlagZ: 3, QuarantineZ: 6})
+	for i := 0; i < 10; i++ {
+		observe(p, steadyObs(i > 0))
+	}
+	want := p.State()
+	st := fullState()
+	st.Conform = &want
+	snap := mustEncode(t, st)
+	got, err := Decode(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Conform == nil || *got.Conform != want {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got.Conform, want)
+	}
+	if _, err := conform.NewProfileFromState(*got.Conform); err != nil {
+		t.Fatalf("decoded state does not rebuild a profile: %v", err)
+	}
+	if !bytes.Equal(mustEncode(t, got), snap) {
+		t.Fatal("re-encode is not byte-identical (encode∘decode not a fixed point)")
+	}
+}
+
+// TestProfileRejectsHostileBytes drives damaged conformance sections
+// through Decode: each is corrupt (ErrCorrupt), except a profile version
+// this build does not read, which is version skew (ErrVersion).
+func TestProfileRejectsHostileBytes(t *testing.T) {
+	p := conform.NewProfile(conform.Params{})
+	for i := 0; i < 8; i++ {
+		observe(p, steadyObs(i > 0))
+	}
+	good := p.State()
+	st := fullState()
+	st.Conform = &good
+	payload := payloadOf(mustEncode(t, st))
+	_, size := findSection(t, payload, tagConform)
+	decode := func(payload []byte) error {
+		_, err := Decode(bytes.NewReader(reframe(Version, payload)))
+		return err
+	}
+	// edited is the payload of st with one field of its profile changed.
+	edited := func(edit func(*conform.ProfileState)) []byte {
+		bad := good
+		edit(&bad)
+		st.Conform = &bad
+		return payloadOf(mustEncode(t, st))
+	}
+
+	t.Run("truncated", func(t *testing.T) {
+		for _, n := range []int{0, 1, 10, size - 1} {
+			if err := decode(spliceSection(t, payload, tagConform, n, size-n, nil)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%d-byte truncation: got %v, want ErrCorrupt", n, err)
+			}
+		}
+	})
+	t.Run("oversized", func(t *testing.T) {
+		if err := decode(spliceSection(t, payload, tagConform, size, 0, []byte{0})); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("trailing byte: got %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("version", func(t *testing.T) {
+		if err := decode(spliceSection(t, payload, tagConform, 0, 1, []byte{99})); !errors.Is(err, ErrVersion) {
+			t.Errorf("unknown profile version: got %v, want ErrVersion", err)
+		}
+	})
+	t.Run("counter inversion", func(t *testing.T) {
+		// scored > observed: the low byte of scored is at 1+24+8.
+		if err := decode(spliceSection(t, payload, tagConform, 1+24+8, 1, []byte{0xff})); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("scored > observed: got %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("nan mean", func(t *testing.T) {
+		if err := decode(edited(func(s *conform.ProfileState) { s.Metrics[0].Mean = math.NaN() })); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("NaN mean: got %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("negative m2", func(t *testing.T) {
+		if err := decode(edited(func(s *conform.ProfileState) { s.Metrics[0].M2 = -1 })); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("negative variance accumulator: got %v, want ErrCorrupt", err)
+		}
+	})
+}
+
+// TestGoldenProfileCompat pins the conformance section's layout: the
+// checked-in 354-byte body, spliced into golden_v5.snap, must keep
+// decoding to a working profile that re-encodes to the identical bytes in
+// every future build, or the profile version must be bumped.
+func TestGoldenProfileCompat(t *testing.T) {
+	if *updateProfileGolden {
+		st := fullState()
+		st.Conform = goldenProfile()
+		payload := payloadOf(mustEncode(t, st))
+		body, size := findSection(t, payload, tagConform)
+		if err := os.WriteFile("../../testdata/golden_profile_v1.bin", payload[body:body+size], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := readFixture(t, "golden_profile_v1.bin")
+	if len(raw) != 354 {
+		t.Fatalf("golden profile is %d bytes, want 354", len(raw))
+	}
+	payload := payloadOf(readFixture(t, "golden_v5.snap"))
+	_, size := findSection(t, payload, tagConform)
+	st, err := Decode(bytes.NewReader(reframe(Version, spliceSection(t, payload, tagConform, 0, size, raw))))
+	if err != nil {
+		t.Fatalf("golden profile no longer decodes: %v", err)
+	}
+	re := payloadOf(mustEncode(t, st))
+	if body, size := findSection(t, re, tagConform); !bytes.Equal(re[body:body+size], raw) {
+		t.Fatal("golden profile re-encodes differently")
+	}
+	p, err := conform.NewProfileFromState(*st.Conform)
+	if err != nil {
+		t.Fatalf("golden profile does not rebuild: %v", err)
+	}
+	if !p.Ready() || st.Conform.Observed != 12 {
+		t.Fatalf("golden profile semantics drifted: ready=%v samples=%d", p.Ready(), st.Conform.Observed)
+	}
+	if v, ok := p.Score(steadyObs(true)); !ok || v.Status != conform.Conforming {
+		t.Fatalf("steady batch against golden profile: ok=%v status=%s", ok, v.Status)
 	}
 }

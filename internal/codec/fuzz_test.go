@@ -77,6 +77,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(reframe(Version, spliceSection(f, full, tagOnline, online-(2+3+72), 1, []byte{2})))
 	f.Add([]byte("TRICSNAP"))
 	f.Add([]byte{})
+	// golden_v5.snap's conformance section with a profile version this
+	// build does not read (2), and with a metric count one short (6, at
+	// byte 73).
+	golden := payloadOf(readFixture(f, "golden_v5.snap"))
+	f.Add(reframe(Version, spliceSection(f, golden, tagConform, 0, 1, []byte{2})))
+	f.Add(reframe(Version, spliceSection(f, golden, tagConform, 73, 1, []byte{6})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(bytes.NewReader(data))

@@ -15,9 +15,10 @@
 // (|z| >= QuarantineZ).
 //
 // The profile is part of the topic's durable state: it accumulates
-// deterministically from the accepted batch sequence, serializes to a
-// versioned binary section (see wire.go) and therefore survives
-// snapshot/restore, journal replay and replica promotion bit-identically.
+// deterministically from the accepted batch sequence, exports as a
+// ProfileState value (state.go), which the snapshot codec writes as one
+// section (internal/codec), and therefore survives snapshot/restore,
+// journal replay and replica promotion bit-identically.
 // Scoring itself never mutates the profile — only Observe does, and only
 // for batches that were actually applied — so rejecting a batch leaves
 // the durable state untouched and modes that merely differ in what they
@@ -154,8 +155,9 @@ type Observation struct {
 	TimeSpread int
 }
 
-// The invariants, in wire order. Adding one is a profile wire-format
-// change (see wire.go); reordering is forbidden.
+// The invariants, in the order a snapshot writes them. Adding one changes
+// ProfileState.Metrics and so the snapshot's profile section (a new
+// profile version in internal/codec); reordering is forbidden.
 const (
 	mTokenRate = iota
 	mTokensPerTweet
@@ -194,35 +196,28 @@ func stdFloor(m int, mean float64) float64 {
 	}
 }
 
-// metric is one invariant's online accumulator (Welford): n samples with
-// running mean, sum of squared deviations (M2), and the observed range.
-type metric struct {
-	n                uint64
-	mean, m2, lo, hi float64
-}
-
-func (m *metric) add(x float64) {
-	m.n++
-	if m.n == 1 {
-		m.mean, m.lo, m.hi = x, x, x
+func (m *MetricState) add(x float64) {
+	m.N++
+	if m.N == 1 {
+		m.Mean, m.Min, m.Max = x, x, x
 		return
 	}
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-	if x < m.lo {
-		m.lo = x
+	d := x - m.Mean
+	m.Mean += d / float64(m.N)
+	m.M2 += d * (x - m.Mean)
+	if x < m.Min {
+		m.Min = x
 	}
-	if x > m.hi {
-		m.hi = x
+	if x > m.Max {
+		m.Max = x
 	}
 }
 
-func (m *metric) std() float64 {
-	if m.n < 2 {
+func (m *MetricState) std() float64 {
+	if m.N < 2 {
 		return 0
 	}
-	return math.Sqrt(m.m2 / float64(m.n))
+	return math.Sqrt(m.M2 / float64(m.N))
 }
 
 // driftAlpha is the EWMA weight of the drift trend: each scored batch's
@@ -235,45 +230,19 @@ const driftAlpha = 0.2
 // serializes access (scoring and observation happen under the session
 // lock, on the ingest path).
 type Profile struct {
-	params  Params
-	metrics [numMetrics]metric
-	// observed counts batches folded in; scored / flagged / quarantined
-	// count verdicts of batches that were applied (a batch rejected in
-	// enforce mode leaves no trace here, so a rejected request never
-	// mutates durable state).
-	observed, scored, flagged, quarantined uint64
-	// drift is the EWMA of the scored batches' worst |z|; prevDrift is
-	// its value before the most recent update (the trend).
-	drift, prevDrift float64
+	s ProfileState
 }
 
 // NewProfile builds an empty profile with the given thresholds
 // (zero-valued fields select the defaults).
 func NewProfile(p Params) *Profile {
-	return &Profile{params: p.withDefaults()}
-}
-
-// Clone deep-copies the profile.
-func (p *Profile) Clone() *Profile {
-	c := *p
-	return &c
-}
-
-// IsZero reports whether the profile carries no information beyond the
-// defaults — nothing observed, default thresholds. Snapshots omit the
-// profile section for zero profiles, so pre-conformance snapshots and
-// snapshots of fresh topics stay byte-identical to older builds.
-func (p *Profile) IsZero() bool {
-	if p.observed != 0 || p.scored != 0 || p.drift != 0 || p.prevDrift != 0 {
-		return false
-	}
-	return p.params == DefaultParams()
+	return &Profile{s: ProfileState{Params: p.withDefaults()}}
 }
 
 // Ready reports whether enough batches were observed for scoring to
 // produce verdicts.
 func (p *Profile) Ready() bool {
-	return p.observed >= uint64(p.params.MinSamples)
+	return p.s.Observed >= uint64(p.s.Params.MinSamples)
 }
 
 // values extracts the per-invariant sample values of one observation;
@@ -321,10 +290,10 @@ type Score struct {
 type Verdict struct {
 	Status Status
 	// Scores lists every invariant that was defined for this batch and
-	// had enough samples, in wire order.
+	// had enough samples, in invariant order.
 	Scores []Score
 	// Violated names the invariants at or above the flag threshold,
-	// worst first only by wire order; nil when conforming.
+	// in invariant order; nil when conforming.
 	Violated []string
 	// Worst is the invariant with the largest |z| ("" if none scored);
 	// MaxZ its score.
@@ -341,19 +310,19 @@ func (p *Profile) Score(o Observation) (Verdict, bool) {
 		return v, false
 	}
 	vals, def := values(o)
-	minN := uint64(p.params.MinSamples)
+	minN := uint64(p.s.Params.MinSamples)
 	v.Scores = make([]Score, 0, numMetrics)
 	for i := 0; i < numMetrics; i++ {
-		m := &p.metrics[i]
-		if !def[i] || m.n < minN {
+		m := &p.s.Metrics[i]
+		if !def[i] || m.N < minN {
 			continue
 		}
-		std := math.Max(stdFloor(i, m.mean), m.std())
-		z := math.Abs(vals[i]-m.mean) / std
+		std := math.Max(stdFloor(i, m.Mean), m.std())
+		z := math.Abs(vals[i]-m.Mean) / std
 		v.Scores = append(v.Scores, Score{
 			Invariant: metricNames[i],
 			Value:     vals[i],
-			Mean:      m.mean,
+			Mean:      m.Mean,
 			Std:       std,
 			Z:         z,
 		})
@@ -367,13 +336,13 @@ func (p *Profile) Score(o Observation) (Verdict, bool) {
 	}
 	v.Status = Conforming
 	for _, s := range v.Scores {
-		if s.Z >= p.params.FlagZ {
+		if s.Z >= p.s.Params.FlagZ {
 			v.Violated = append(v.Violated, s.Invariant)
 			if v.Status != Quarantined {
 				v.Status = Flagged
 			}
 		}
-		if s.Z >= p.params.QuarantineZ {
+		if s.Z >= p.s.Params.QuarantineZ {
 			v.Status = Quarantined
 		}
 	}
@@ -392,20 +361,20 @@ func (p *Profile) Observe(o Observation, v *Verdict) {
 	vals, def := values(o)
 	for i := 0; i < numMetrics; i++ {
 		if def[i] {
-			p.metrics[i].add(vals[i])
+			p.s.Metrics[i].add(vals[i])
 		}
 	}
-	p.observed++
+	p.s.Observed++
 	if v != nil {
-		p.scored++
+		p.s.Scored++
 		switch v.Status {
 		case Flagged:
-			p.flagged++
+			p.s.Flagged++
 		case Quarantined:
-			p.quarantined++
+			p.s.Quarantined++
 		}
-		p.prevDrift = p.drift
-		p.drift = (1-driftAlpha)*p.drift + driftAlpha*v.MaxZ
+		p.s.PrevDrift = p.s.Drift
+		p.s.Drift = (1-driftAlpha)*p.s.Drift + driftAlpha*v.MaxZ
 	}
 }
 
@@ -435,7 +404,7 @@ type Report struct {
 	// ("falling") or not meaningfully ("flat").
 	Drift float64
 	Trend string
-	// Metrics lists the learned per-invariant distributions, in wire
+	// Metrics lists the learned per-invariant distributions, in invariant
 	// order, omitting invariants with no samples yet.
 	Metrics []MetricStats
 }
@@ -443,35 +412,35 @@ type Report struct {
 // Report materializes the profile's current summary.
 func (p *Profile) Report() *Report {
 	r := &Report{
-		Params:      p.params,
+		Params:      p.s.Params,
 		Ready:       p.Ready(),
-		Observed:    p.observed,
-		Scored:      p.scored,
-		Flagged:     p.flagged,
-		Quarantined: p.quarantined,
-		Drift:       p.drift,
+		Observed:    p.s.Observed,
+		Scored:      p.s.Scored,
+		Flagged:     p.s.Flagged,
+		Quarantined: p.s.Quarantined,
+		Drift:       p.s.Drift,
 		Trend:       "flat",
 	}
 	const eps = 1e-9
 	switch {
-	case p.drift > p.prevDrift+eps:
+	case p.s.Drift > p.s.PrevDrift+eps:
 		r.Trend = "rising"
-	case p.drift < p.prevDrift-eps:
+	case p.s.Drift < p.s.PrevDrift-eps:
 		r.Trend = "falling"
 	}
 	r.Metrics = make([]MetricStats, 0, numMetrics)
 	for i := 0; i < numMetrics; i++ {
-		m := &p.metrics[i]
-		if m.n == 0 {
+		m := &p.s.Metrics[i]
+		if m.N == 0 {
 			continue
 		}
 		r.Metrics = append(r.Metrics, MetricStats{
 			Invariant: metricNames[i],
-			Samples:   m.n,
-			Mean:      m.mean,
+			Samples:   m.N,
+			Mean:      m.Mean,
 			Std:       m.std(),
-			Min:       m.lo,
-			Max:       m.hi,
+			Min:       m.Min,
+			Max:       m.Max,
 		})
 	}
 	return r

@@ -69,12 +69,12 @@ type State struct {
 	// solver or the session.
 	Epoch uint64
 
-	// Conform is the stream-conformance profile. Nil in states exported
-	// by pre-conformance builds (and tolerated by Restore, which starts a
-	// fresh default profile); the codec omits the section when the
-	// profile carries no information, so such snapshots stay
+	// Conform is the stream-conformance profile's state. Nil in states
+	// decoded from snapshots without a profile section (and tolerated by
+	// Restore, which starts a fresh default profile); the codec omits the
+	// section when the state is the fresh default, so such snapshots stay
 	// byte-identical across the upgrade.
-	Conform *conform.Profile
+	Conform *conform.ProfileState
 }
 
 // ExportState deep-copies the session's full state (model + session +
@@ -94,7 +94,8 @@ func (s *Session) ExportState() *State {
 		Tokenizer: s.model.tok.Options(),
 	}
 	st.LexiconHit = s.model.hit
-	st.Conform = s.prof.Clone()
+	prof := s.prof.State()
+	st.Conform = &prof
 
 	s.model.mu.RLock()
 	defer s.model.mu.RUnlock()
@@ -185,17 +186,13 @@ func RestoreSession(st *State) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A pre-conformance state carries no profile: start a fresh default
-	// one (it begins learning from the next batch). A present profile is
-	// re-validated — the codec's CRC does not vouch for semantics.
-	prof := st.Conform
-	if prof == nil {
+	// A state without a profile starts a fresh default one (it begins
+	// learning from the next batch).
+	var prof *conform.Profile
+	if st.Conform == nil {
 		prof = conform.NewProfile(conform.Params{})
-	} else {
-		if err := prof.Validate(); err != nil {
-			return nil, err
-		}
-		prof = prof.Clone()
+	} else if prof, err = conform.NewProfileFromState(*st.Conform); err != nil {
+		return nil, err
 	}
 	return &Session{
 		model:   m,
