@@ -179,8 +179,7 @@ func TestArchDaemonSpine(t *testing.T) {
 
 // TestArchWrittenOnce: one solver loop for Algorithms 1 and 2, one graph
 // construction, one kernel split rule (par.Blocks) sized by no width, one
-// read path: a Topic read loads the published view and never waits on a lock,
-// and one integer dialect: the fixed-width decoder reads version 1 journals only.
+// read path: a Topic read loads the published view and never waits on a lock.
 func TestArchWrittenOnce(t *testing.T) {
 	a, sparse, par := newArch(t), "triclust/internal/sparse", "triclust/internal/par"
 	maxIter := a.use(a.obj("triclust/internal/core", "Config", "MaxIter"))
@@ -203,19 +202,6 @@ func TestArchWrittenOnce(t *testing.T) {
 		"par.MinParallelWork outside par and bench/", "the split rule is par.Blocks; ask it")
 	a.want(0, func(f string) bool { return !under(f, "internal/par", "bench", "cmd/triclustd/main.go") }, a.use(a.obj(par, "Procs")),
 		"par.Procs outside par, bench/ and the daemon's start-up log", "a reduction sizes its partials from par.Blocks, not by the width")
-	fixed, v1 := a.obj("triclust/internal/codec", "decoder", "fixed"), a.obj("triclust/internal/codec", "DecodeRecordV1")
-	a.want(0, func(string) bool { return true }, func(n ast.Node, fun string) bool {
-		switch n := n.(type) {
-		case *ast.KeyValueExpr:
-			return a.ref(n.Key) == fixed && fun != "DecodeRecordV1"
-		case *ast.AssignStmt:
-			return slices.ContainsFunc(n.Lhs, func(e ast.Expr) bool { return a.ref(e) == fixed })
-		case *ast.Ident:
-			return a.r.info.Uses[n] == v1 && (fun != "decodeRecord" || a.r.fset.Position(n.Pos()).Filename != "internal/journal/journal.go")
-		}
-		return false
-	}, "fixed-width decoder built outside codec.DecodeRecordV1, or DecodeRecordV1 called outside journal.decodeRecord",
-		"the commit path writes varints; 8-byte integers are read only from a version 1 journal an older build left")
 	lock := a.use(a.obj("sync", "Mutex", "Lock"), a.obj("sync", "RWMutex", "Lock"), a.obj("sync", "RWMutex", "RLock"))
 	a.want(0, func(f string) bool { return !strings.Contains(f, "/") }, func(n ast.Node, fun string) bool {
 		m, ok := strings.CutPrefix(fun, "Topic.")

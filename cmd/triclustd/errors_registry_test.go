@@ -1,6 +1,7 @@
 package main
 
-// The error-code registry check (TestErrorCodeRegistry), and coverage for
+// The daemon's public surface: the API-surface snapshot (TestAPISurface),
+// the error-code registry check (TestErrorCodeRegistry), and coverage for
 // the error codes no other test exercises, so that the check can require
 // every code in errors.go to be both documented in README.md and asserted
 // by at least one test.
@@ -9,6 +10,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"flag"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -23,6 +25,127 @@ import (
 
 	"triclust/internal/codec"
 )
+
+var updateAPISurface = flag.Bool("update-api-surface", false,
+	"rewrite scripts/api-surface.txt (at the repository root) from the daemon's source")
+
+// apiSurfaceFile is the checked-in snapshot of the daemon's surface.
+const apiSurfaceFile = "../../scripts/api-surface.txt"
+
+// apiSurface extracts the daemon's public surface from its non-test
+// sources: every mux.HandleFunc pattern ("route"), every code* and
+// mediaType* string constant ("error-code", "media-type"), and every
+// flag.* definition in main.go ("flag"), one sorted line each.
+func apiSurface(t *testing.T) map[string][]string {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := func(e ast.Expr) (string, bool) {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return "", false
+		}
+		s, err := strconv.Unquote(lit.Value)
+		return s, err == nil
+	}
+	// call reports the string first argument of a call to x.sel for any sel.
+	call := func(n ast.Node, x string) (sel, arg string, ok bool) {
+		c, isCall := n.(*ast.CallExpr)
+		if !isCall || len(c.Args) == 0 {
+			return "", "", false
+		}
+		f, isSel := c.Fun.(*ast.SelectorExpr)
+		if !isSel {
+			return "", "", false
+		}
+		if id, isID := f.X.(*ast.Ident); !isID || id.Name != x {
+			return "", "", false
+		}
+		arg, ok = str(c.Args[0])
+		return f.Sel.Name, arg, ok
+	}
+	surface := map[string][]string{}
+	for _, pkg := range pkgs {
+		for path, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if sel, pattern, ok := call(n, "mux"); ok && sel == "HandleFunc" {
+					surface["route"] = append(surface["route"], pattern)
+				}
+				if _, name, ok := call(n, "flag"); ok && filepath.Base(path) == "main.go" {
+					surface["flag"] = append(surface["flag"], "-"+name)
+				}
+				if vs, ok := n.(*ast.ValueSpec); ok {
+					for i, id := range vs.Names {
+						if i >= len(vs.Values) {
+							break
+						}
+						v, ok := str(vs.Values[i])
+						switch {
+						case !ok:
+						case strings.HasPrefix(id.Name, "code"):
+							surface["error-code"] = append(surface["error-code"], v)
+						case strings.HasPrefix(id.Name, "mediaType"):
+							surface["media-type"] = append(surface["media-type"], v)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, entries := range surface {
+		slices.Sort(entries)
+	}
+	return surface
+}
+
+// TestAPISurface pins the daemon's public surface — its HTTP routes, the
+// stable error codes, the accepted media types and the command-line flags —
+// to scripts/api-surface.txt. Clients branch on them and operators script
+// against them, so any change (addition, rename, removal) is an explicit
+// diff of that file in the change that makes it; -update-api-surface
+// rewrites it. An empty category means the extraction went stale.
+func TestAPISurface(t *testing.T) {
+	surface := apiSurface(t)
+	var b strings.Builder
+	b.WriteString("# Generated by go test ./cmd/triclustd -run TestAPISurface -update-api-surface; do not edit by hand.\n")
+	b.WriteString("# Routes, stable error codes, media types, and flags of cmd/triclustd.\n")
+	for _, kind := range []string{"route", "error-code", "media-type", "flag"} {
+		if len(surface[kind]) == 0 {
+			t.Errorf("no %s entries extracted: the extraction is stale", kind)
+		}
+		for _, e := range surface[kind] {
+			b.WriteString(kind + " " + e + "\n")
+		}
+	}
+	if *updateAPISurface {
+		if err := os.WriteFile(apiSurfaceFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(apiSurfaceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for _, l := range gotLines {
+			if !slices.Contains(wantLines, l) {
+				t.Errorf("+ %s", l)
+			}
+		}
+		for _, l := range wantLines {
+			if !slices.Contains(gotLines, l) {
+				t.Errorf("- %s", l)
+			}
+		}
+		t.Errorf("the daemon's public surface differs from scripts/api-surface.txt (+ source, - snapshot); " +
+			"if that is intended, rerun with -update-api-surface and commit the file")
+	}
+}
 
 // TestErrorCodeRegistry keeps the v1 API error-code registry honest: every
 // code<Name> = "literal" constant in errors.go must be documented in

@@ -643,9 +643,6 @@ func (s *server) appendReplica(rep *replica, name string, fr *codec.ReplAppend) 
 		// A duplicate delivery: the original append landed but its ack was
 		// lost.
 		return nil
-	case rep.OldTail:
-		return errf(http.StatusConflict, codeReplicaOutOfSync,
-			"replica of %q holds a version 1 journal tail, which takes no appends; re-ship a full base", name)
 	}
 	if err := store.VerifyTail(fr.Tail, rep.Batches, int(fr.Batches), rep.Draws, fr.RandDraws); err != nil {
 		return &apiError{status: http.StatusConflict, code: codeReplicaOutOfSync, err: err}

@@ -2,9 +2,10 @@
 // prior, solver factors and history, user universe, timestamps and
 // configuration (an engine.State) — into a self-describing, versioned
 // binary snapshot, and restores it. The same primitives, one integer
-// dialect, write the commit path's frames: journal record payloads, the
-// binary batch frames and the replication frames (wire.go, batch.go,
-// repl.go).
+// dialect, write and read the commit path's frames: journal record
+// payloads, the binary batch frames and the replication frames (wire.go,
+// batch.go, repl.go). The decoder has that one dialect: no frame of an
+// older, fixed-width layout is read.
 //
 // # Format
 //
@@ -894,12 +895,10 @@ func (e *encoder) profile(p *conform.ProfileState) {
 // ——— decoder ———
 
 // decoder reads the primitives back: a snapshot, and every frame of the
-// commit path (wire.go). fixed reads 8 fixed bytes where those write a
-// varint; only DecodeRecordV1 sets it, to read a version 1 journal.
+// commit path (wire.go).
 type decoder struct {
-	buf   []byte
-	fixed bool
-	err   error
+	buf []byte
+	err error
 }
 
 func (d *decoder) fail(msg string) {
@@ -941,7 +940,7 @@ func (d *decoder) bool() bool {
 	}
 }
 
-// u64 reads 8 little-endian bytes at either width: section sizes, floats.
+// u64 reads 8 little-endian bytes: section sizes, floats.
 func (d *decoder) u64() uint64 {
 	b := d.bytes(8)
 	if b == nil {
@@ -954,9 +953,6 @@ func (d *decoder) u64() uint64 {
 // zero group), so every value has one encoding and decode∘encode is the
 // identity on accepted input.
 func (d *decoder) uint() uint64 {
-	if d.fixed {
-		return d.u64()
-	}
 	if d.err != nil {
 		return 0
 	}
@@ -971,9 +967,6 @@ func (d *decoder) uint() uint64 {
 
 func (d *decoder) int() int64 {
 	u := d.uint()
-	if d.fixed {
-		return int64(u)
-	}
 	return int64(u>>1) ^ -int64(u&1) // zigzag
 }
 
@@ -981,14 +974,11 @@ func (d *decoder) float() float64 { return math.Float64frombits(d.u64()) }
 
 // count reads an element count and checks it against the bytes that
 // remain, given the smallest encoding of one element: ints integer fields
-// (8 bytes each at fixed width, 1 as a varint) plus raw further bytes.
-// The comparison is by division, so a hostile count near 2^64 cannot
-// overflow the check and reach a huge allocation.
+// (a varint byte each) plus raw further bytes. The comparison is by
+// division, so a hostile count near 2^64 cannot overflow the check and
+// reach a huge allocation.
 func (d *decoder) count(ints, raw uint64) uint64 {
 	n := d.uint()
-	if d.fixed {
-		ints *= 8
-	}
 	if d.err == nil && n > uint64(len(d.buf))/(ints+raw) {
 		d.fail("element count past end of data")
 		return 0

@@ -52,19 +52,7 @@ func AppendRecord(dst []byte, rec *Record) []byte {
 
 // DecodeRecord decodes a payload AppendRecord wrote, and nothing after it.
 func DecodeRecord(payload []byte) (*Record, error) {
-	return decodeRecord(decoder{buf: payload})
-}
-
-// DecodeRecordV1 decodes the payload of a version 1 journal record, which
-// spends 8 fixed bytes on every integer and length and flags a tweet's
-// tokens with a byte before their count. Only the journal's reader of
-// version 1 files calls it; nothing writes that layout any more.
-func DecodeRecordV1(payload []byte) (*Record, error) {
-	return decodeRecord(decoder{buf: payload, fixed: true})
-}
-
-func decodeRecord(d decoder) (*Record, error) {
-	rec := &Record{}
+	d, rec := decoder{buf: payload}, &Record{}
 	rec.Time, rec.Tweets = d.batch(nil)
 	rec.Batches = int(d.int())
 	rec.RandDraws = d.uint()
@@ -103,24 +91,10 @@ func (e *encoder) batch(time int, tweets []tgraph.Tweet) {
 	}
 }
 
-// tweet reads one tweet written by encoder.tweet, or in fixed mode by a
-// version 1 journal, which wrote a has-tokens byte and then the count; a
-// count behind a zero byte is corrupt, so that layout too has one encoding
-// per tweet.
+// tweet reads one tweet written by encoder.tweet.
 func (d *decoder) tweet() (tw tgraph.Tweet) {
 	tw.Text = d.string()
-	var tokens uint64 // the list's length plus one; 0 for nil
-	if d.fixed {
-		has := d.bool()
-		if tokens = d.count(1, 0); has {
-			tokens++
-		} else if tokens > 0 {
-			d.fail("tokens on a tweet flagged as untokenized")
-		}
-	} else {
-		tokens = d.count(1, 0)
-	}
-	if tokens > 0 {
+	if tokens := d.count(1, 0); tokens > 0 { // the list's length plus one; 0 for nil
 		// The list decoders canonicalize empty to nil; keep the explicit
 		// empty slice ("already tokenized, no features").
 		if tw.Tokens = d.list(tokens-1, false, false); tw.Tokens == nil {

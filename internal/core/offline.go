@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"triclust/internal/mat"
 	"triclust/internal/sparse"
@@ -57,12 +58,17 @@ func FitOffline(p *Problem, cfg Config) (*Result, error) {
 	if err := p.Validate(cfg.K); err != nil {
 		return nil, err
 	}
+	cfg, f := beginOffline(p, cfg)
+	return iterate(p, f, cfg, nil, offlineOrder, mat.NewWorkspace()), nil
+}
+
+// beginOffline sets a checked problem up for Algorithm 1: the weights
+// rescaled to its data, and the seeded factors the sweeps start from.
+func beginOffline(p *Problem, cfg Config) (Config, Factors) {
 	aScale, bScale, _ := regScales(p)
 	cfg.Alpha *= aScale
 	cfg.Beta *= bScale
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := initFactors(p, cfg, rng, nil, nil, nil)
-	return iterate(p, f, cfg, nil, offlineOrder, mat.NewWorkspace()), nil
+	return cfg, initFactors(p, cfg, rand.New(rand.NewSource(cfg.Seed)), nil, nil, nil)
 }
 
 // update names one of the five multiplicative update rules.
@@ -83,17 +89,27 @@ const (
 // to the temporal prior Sfw(t), and Eq. 23 fits that history to the snapshot's
 // data before any other factor reads it.
 var (
-	offlineOrder = [5]update{stepSp, stepHp, stepSu, stepHu, stepSf}
-	onlineOrder  = [5]update{stepSf, stepSp, stepHp, stepHu, stepSu}
+	offlineOrder = []update{stepSp, stepHp, stepSu, stepHu, stepSf}
+	onlineOrder  = []update{stepSf, stepSp, stepHp, stepHu, stepSu}
 )
 
-// iterate is the solver loop of both algorithms: sweep the five rules over f
-// in the given order until the relative change of the objective falls below
+// iterate is the solver loop of both algorithms: sweep the rules over f in
+// the given order until the relative change of the objective falls below
 // cfg.Tol or cfg.MaxIter sweeps complete. tr is nil for the offline objective
 // (Eq. 1); online (Eq. 19) it carries the temporal terms. The updates work in
-// place, so the result's factors are f's matrices.
-func iterate(p *Problem, f Factors, cfg Config, tr *temporalUser, order [5]update, ws *mat.Workspace) *Result {
+// place, so the result's factors are f's matrices. The solvers pass all
+// five rules (an all-OOV problem keeps two of them, below); a sweep of one
+// rule is how the property tests see the objective after each update.
+func iterate(p *Problem, f Factors, cfg Config, tr *temporalUser, order []update, ws *mat.Workspace) *Result {
 	res := &Result{Factors: f, History: make([]LossBreakdown, 0, cfg.MaxIter)}
+	if p.Xp.NNZ() == 0 && p.Xu.NNZ() == 0 {
+		// No tweet holds a vocabulary word (an all-OOV batch): nothing is
+		// evidence for Sf, Hp or Hu, so they keep where they start — the
+		// prior and the previous cores. Their rules would take Hp and Hu to
+		// exactly zero, where a warm start never leaves, and Sf's Δ⁻ term,
+		// with no data term against it, grows Sf without bound.
+		order = slices.DeleteFunc(slices.Clone(order), func(u update) bool { return u != stepSp && u != stepSu })
+	}
 	prior := p.featurePrior(tr)
 	prev := math.Inf(1)
 	for it := 0; it < cfg.MaxIter; it++ {
@@ -212,13 +228,15 @@ func updateSu(p *Problem, f *Factors, cfg Config, tr *temporalUser, ws *mat.Work
 
 	var gus, dus *mat.Dense
 	if cfg.Beta > 0 && p.Gu != nil {
-		deg := p.GuDegrees()
-		lus := sparse.LaplacianMulDenseInto(ws.Get(m, k), p.Gu, deg, f.Su)
+		gus = p.Gu.MulDenseInto(ws.Get(m, k), f.Su)
+		dus = sparse.DegreeMulDenseInto(ws.Get(m, k), p.Gu, p.GuDegrees(), f.Su)
+		// Lu Su = Du Su − Gu Su, with sparse.LaplacianMulDenseInto's bits
+		// and without its second SpMM over Gu.
+		lus := ws.Get(m, k)
+		lus.Sub(dus, gus)
 		lap := ws.Get(k, k)
 		lap.MulATB(f.Su, lus)
 		delta.AddScaled(delta, -cfg.Beta, lap)
-		gus = p.Gu.MulDenseInto(ws.Get(m, k), f.Su)
-		dus = sparse.DegreeMulDenseInto(ws.Get(m, k), p.Gu, deg, f.Su)
 		ws.Put(lus, lap)
 	}
 	if tr != nil && tr.gamma > 0 {

@@ -75,7 +75,9 @@ func TestFitOfflineObjectiveNonIncreasing(t *testing.T) {
 	// The multiplicative updates should drive the objective down. The
 	// orthogonality Δ-terms make per-sweep monotonicity only approximate
 	// (the paper's Figure 8 shows the same component-level wiggles), so
-	// allow small excursions of up to 2%.
+	// allow small excursions of up to 2%. The generated problems of
+	// TestOfflineUpdateProperties rise further (property_test.go), so
+	// their rise is no tighter bound here.
 	for i := 1; i < len(res.History); i++ {
 		prev, cur := res.History[i-1].Total, res.History[i].Total
 		if cur > prev*1.02 {

@@ -262,8 +262,7 @@ func (o *Online) HistoryLen() int { return len(o.sfHist) }
 // history is indexed by it, so it grows to the largest id seen.
 // Timestamps must be strictly increasing across calls.
 func (o *Online) Step(t int, p *Problem, active []int) (*Result, error) {
-	cfg := o.cfg
-	if err := p.Validate(cfg.K); err != nil {
+	if err := p.Validate(o.cfg.K); err != nil {
 		return nil, err
 	}
 	if len(active) != p.Xu.Rows() {
@@ -277,7 +276,17 @@ func (o *Online) Step(t int, p *Problem, active []int) (*Result, error) {
 	if n := len(o.sfHist); n > 0 && o.sfHist[n-1].time >= t {
 		return nil, fmt.Errorf("core: non-increasing timestamp %d after %d", t, o.sfHist[n-1].time)
 	}
+	cfg, tr, f := o.begin(t, p, active)
+	res := iterate(p, f, cfg, tr, onlineOrder, o.ws)
+	o.end(t, p, &f, active)
+	return res, nil
+}
 
+// begin sets a checked step up, lines 1–2 of Algorithm 2: the weights
+// rescaled to the snapshot, the temporal terms, and the factors the sweeps
+// start from.
+func (o *Online) begin(t int, p *Problem, active []int) (Config, *temporalUser, Factors) {
+	cfg := o.cfg
 	// Rescale the relative weights to this snapshot's data magnitude
 	// (see regScales).
 	aScale, bScale, gScale := regScales(p)
@@ -302,17 +311,19 @@ func (o *Online) Step(t int, p *Problem, active []int) (*Result, error) {
 			}
 		}
 	}
+	return cfg.Config, tr, f
+}
 
-	res := iterate(p, f, cfg.Config, tr, onlineOrder, o.ws)
-
+// end keeps what the next step reads of this one: the cores it warm-starts
+// from and the history record.
+func (o *Online) end(t int, p *Problem, f *Factors, active []int) {
 	if o.lastHp != nil && o.lastHp.Dims(f.Hp.Rows(), f.Hp.Cols()) {
 		o.lastHp.CopyFrom(f.Hp)
 		o.lastHu.CopyFrom(f.Hu)
 	} else {
 		o.lastHp, o.lastHu = f.Hp.Clone(), f.Hu.Clone()
 	}
-	o.record(t, p, &f, active)
-	return res, nil
+	o.record(t, p, f, active)
 }
 
 // buildTemporal assembles Sfw(t), Suw(t) and the history mask from the

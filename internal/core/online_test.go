@@ -75,7 +75,8 @@ func TestOnlineStepsAccumulateHistory(t *testing.T) {
 // drives the step's objective (Eq. 19) down within the offline test's 2 %
 // bound a sweep. The largest rise it finds over seeds 1–6 is 0.054 % (logged
 // under -v); the bound leaves room for the orthogonality Δ terms, as
-// offline.
+// offline. TestOnlineUpdateProperties finds rises to 53 % on small
+// generated problems, so it gives no tighter bound here.
 func TestOnlineStepObjectiveNonIncreasing(t *testing.T) {
 	worst := 0.0
 	for seed := int64(1); seed <= 6; seed++ {

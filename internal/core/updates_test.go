@@ -10,6 +10,11 @@ import (
 	"triclust/internal/sparse"
 )
 
+// residual is ||X − U·C·Vᵀ||², the loss term the update tests compare.
+func residual(x *sparse.CSR, u, c, v *mat.Dense) float64 {
+	return x.ResidualFrobeniusSqWS(x.FrobeniusSq(), u, c, v, nil)
+}
+
 // exactProblem builds X matrices that are *exactly* factorizable by known
 // factors, so update rules can be checked against their fixed points.
 func exactProblem(rng *rand.Rand, n, m, l, k int) (*Problem, Factors) {
@@ -20,9 +25,9 @@ func exactProblem(rng *rand.Rand, n, m, l, k int) (*Problem, Factors) {
 	hu := mat.RandomNonNegative(rng, k, k, 0.1, 1)
 
 	xp := mat.NewDense(n, l)
-	xp.MulABT(mat.Product(sp, hp), sf)
+	xp.MulABT(mat.ProductInto(nil, sp, hp), sf)
 	xu := mat.NewDense(m, l)
-	xu.MulABT(mat.Product(su, hu), sf)
+	xu.MulABT(mat.ProductInto(nil, su, hu), sf)
 	xr := mat.NewDense(m, n)
 	xr.MulABT(su, sp)
 
@@ -67,11 +72,11 @@ func TestHpUpdateReducesResidual(t *testing.T) {
 	// Perturb Hp away from the solution; updates must reduce the
 	// tweet–feature residual.
 	mat.PerturbPositive(rng, f.Hp, 2)
-	before := p.Xp.ResidualFrobeniusSq(f.Sp, f.Hp, f.Sf)
+	before := residual(p.Xp, f.Sp, f.Hp, f.Sf)
 	for i := 0; i < 5; i++ {
 		updateH(p.Xp, f.Sp, f.Hp, f.Sf, mat.NewWorkspace())
 	}
-	after := p.Xp.ResidualFrobeniusSq(f.Sp, f.Hp, f.Sf)
+	after := residual(p.Xp, f.Sp, f.Hp, f.Sf)
 	if after >= before {
 		t.Fatalf("Hp updates did not reduce residual: %.4f → %.4f", before, after)
 	}
@@ -83,8 +88,8 @@ func TestSfUpdateReducesResidual(t *testing.T) {
 	mat.PerturbPositive(rng, f.Sf, 1)
 	cfg := Config{K: 3}.withDefaults()
 	loss := func() float64 {
-		return p.Xp.ResidualFrobeniusSq(f.Sp, f.Hp, f.Sf) +
-			p.Xu.ResidualFrobeniusSq(f.Su, f.Hu, f.Sf)
+		return residual(p.Xp, f.Sp, f.Hp, f.Sf) +
+			residual(p.Xu, f.Su, f.Hu, f.Sf)
 	}
 	before := loss()
 	for i := 0; i < 5; i++ {
@@ -101,8 +106,8 @@ func TestSpUpdateReducesResidual(t *testing.T) {
 	p, f := exactProblem(rng, 12, 6, 9, 3)
 	mat.PerturbPositive(rng, f.Sp, 1)
 	loss := func() float64 {
-		return p.Xp.ResidualFrobeniusSq(f.Sp, f.Hp, f.Sf) +
-			p.Xr.ResidualFrobeniusSq(f.Su, nil, f.Sp)
+		return residual(p.Xp, f.Sp, f.Hp, f.Sf) +
+			residual(p.Xr, f.Su, nil, f.Sp)
 	}
 	before := loss()
 	for i := 0; i < 5; i++ {
@@ -120,8 +125,8 @@ func TestSuUpdateReducesResidual(t *testing.T) {
 	mat.PerturbPositive(rng, f.Su, 1)
 	cfg := Config{K: 3}.withDefaults()
 	loss := func() float64 {
-		return p.Xu.ResidualFrobeniusSq(f.Su, f.Hu, f.Sf) +
-			p.Xr.ResidualFrobeniusSq(f.Su, nil, f.Sp)
+		return residual(p.Xu, f.Su, f.Hu, f.Sf) +
+			residual(p.Xr, f.Su, nil, f.Sp)
 	}
 	before := loss()
 	for i := 0; i < 5; i++ {

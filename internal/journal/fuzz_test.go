@@ -1,11 +1,15 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"triclust/internal/codec"
 	"triclust/internal/fault"
 )
 
@@ -59,8 +63,8 @@ func FuzzJournalLoad(f *testing.F) {
 	rehdr := seedJournalBytes(f, 0xFEEDF00D, nil)
 	f.Add(append(append([]byte(nil), rehdr...), full[18:]...))
 	f.Add(append(append([]byte(nil), rehdr...), full[18:len(full)-5]...))
-	// Version 1 files, which only the loader still reads: the journal an
-	// older build left, and a record listing tokens on a tweet it flags as
+	// Version 1 files, which the loader refuses: the journal an older
+	// build left, and a record listing tokens on a tweet it flags as
 	// untokenized.
 	if v1, err := os.ReadFile(v1Journal); err == nil {
 		f.Add(v1)
@@ -74,6 +78,11 @@ func FuzzJournalLoad(f *testing.F) {
 			t.Fatal(err)
 		}
 		j, err := Load(fault.OS, path)
+		if intact := len(data) >= 18 && bytes.Equal(data[:8], magic[:]) &&
+			codec.Checksum(data[:14]) == binary.LittleEndian.Uint32(data[14:18]); intact &&
+			binary.LittleEndian.Uint16(data[8:10]) != Version && !errors.Is(err, ErrVersion) {
+			t.Fatalf("intact header of version %d: %v, want ErrVersion", binary.LittleEndian.Uint16(data[8:10]), err)
+		}
 		if err != nil {
 			return // undecodable header — quarantined by callers
 		}

@@ -35,11 +35,11 @@
 // unreadable is undecodable — callers quarantine it and fall back to the
 // snapshot alone.
 //
-// Load also reads version 1 files, whose payloads spend 8 fixed bytes on
-// every integer and length, so the acked batches an older build left on
-// disk replay. Nothing appends to one: Create and Rotate write a version 2
-// header, and Open refuses a version 1 file, so no file holds records of
-// both versions.
+// Load and Open read version 2 only. Any other header version is
+// ErrVersion, which is not corruption: a version 1 file an older build
+// left holds acked batches this build cannot decode, so the store
+// quarantines it beside the snapshot it extends rather than serve that
+// snapshot alone.
 package journal
 
 import (
@@ -73,7 +73,7 @@ const (
 var (
 	// ErrBadMagic marks a file that is not a triclust journal at all.
 	ErrBadMagic = errors.New("journal: not a triclust journal (bad magic)")
-	// ErrVersion marks a journal written by an unknown format version.
+	// ErrVersion marks a journal of a format version this build does not read.
 	ErrVersion = errors.New("journal: unsupported journal version")
 	// ErrCorrupt marks an undecodable header or record framing.
 	ErrCorrupt = errors.New("journal: corrupt journal")
@@ -93,20 +93,20 @@ func encodeHeader(snapCRC uint32) []byte {
 	return binary.LittleEndian.AppendUint32(buf, codec.Checksum(buf))
 }
 
-func decodeHeader(buf []byte) (version uint16, snapCRC uint32, rest []byte, err error) {
+func decodeHeader(buf []byte) (snapCRC uint32, rest []byte, err error) {
 	if len(buf) < 18 {
-		return 0, 0, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	if !bytes.Equal(buf[:8], magic[:]) {
-		return 0, 0, nil, ErrBadMagic
+		return 0, nil, ErrBadMagic
 	}
 	if want := binary.LittleEndian.Uint32(buf[14:18]); codec.Checksum(buf[:14]) != want {
-		return 0, 0, nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
 	}
-	if version = binary.LittleEndian.Uint16(buf[8:10]); version < 1 || version > Version {
-		return 0, 0, nil, fmt.Errorf("%w: journal is version %d, this build reads 1 to %d", ErrVersion, version, Version)
+	if version := binary.LittleEndian.Uint16(buf[8:10]); version != Version {
+		return 0, nil, fmt.Errorf("%w: journal is version %d, this build reads only %d", ErrVersion, version, Version)
 	}
-	return version, binary.LittleEndian.Uint32(buf[10:14]), buf[18:], nil
+	return binary.LittleEndian.Uint32(buf[10:14]), buf[18:], nil
 }
 
 // Writer appends CRC-framed records to a journal file, fsyncing each
@@ -172,12 +172,31 @@ func EncodeFrame(rec *Record) ([]byte, error) {
 	return frame, nil
 }
 
-// DecodeFrame decodes one framed record of the current version from the
-// front of buf, returning its decoded form and encoded length. ok is false
-// when the frame is truncated, its checksum fails, or its payload does not
-// decode.
+// DecodeFrame decodes one framed record from the front of buf, returning
+// its decoded form and encoded length. ok is false when the frame is
+// truncated, its checksum fails, or its payload does not decode — all of
+// which Load treats as the torn tail.
 func DecodeFrame(buf []byte) (rec *Record, n int, ok bool) {
-	return decodeRecord(buf, Version)
+	if len(buf) < 9 {
+		return nil, 0, false
+	}
+	if buf[0] != recBatch {
+		return nil, 0, false
+	}
+	size := binary.LittleEndian.Uint32(buf[1:5])
+	if size > maxRecordSize || uint64(len(buf)) < 9+uint64(size) {
+		return nil, 0, false
+	}
+	end := 5 + int(size)
+	want := binary.LittleEndian.Uint32(buf[end : end+4])
+	if codec.Checksum(buf[:end]) != want {
+		return nil, 0, false
+	}
+	rec, err := codec.DecodeRecord(buf[5:end])
+	if err != nil {
+		return nil, 0, false
+	}
+	return rec, end + 4, true
 }
 
 // Append marshals rec, appends it and fsyncs. The record is durable when
@@ -297,9 +316,6 @@ func Open(fsys fault.FS, path string) (*Writer, *Journal, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if j.Version != Version {
-		return nil, nil, fmt.Errorf("%w: journal is version %d, and appends go only to a version %d journal", ErrVersion, j.Version, Version)
-	}
 	f, err := fsys.OpenFile("journal.open.open", path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -319,8 +335,6 @@ func Open(fsys fault.FS, path string) (*Writer, *Journal, error) {
 
 // Journal is the result of loading a journal file for recovery.
 type Journal struct {
-	// Version is the format the file was written in, 1 or Version.
-	Version uint16
 	// SnapCRC names the snapshot this journal extends: recovery replays
 	// the records only on top of the snapshot file with this checksum.
 	SnapCRC uint32
@@ -339,21 +353,23 @@ type Journal struct {
 }
 
 // Load reads a journal file, tolerating a torn final record. It fails
-// with ErrBadMagic/ErrVersion/ErrCorrupt only when the header itself is
-// undecodable (the caller should quarantine such a file); record-level
-// corruption truncates instead, per the append-only crash model.
+// with ErrBadMagic/ErrCorrupt only when the header itself is undecodable
+// (the caller should quarantine such a file), and with ErrVersion when the
+// header names another version (the caller quarantines it with the
+// snapshot it extends); record-level corruption truncates instead, per the
+// append-only crash model.
 func Load(fsys fault.FS, path string) (*Journal, error) {
 	data, err := fsys.ReadFile("journal.load.read", path)
 	if err != nil {
 		return nil, err
 	}
-	version, snapCRC, rest, err := decodeHeader(data)
+	snapCRC, rest, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{Version: version, SnapCRC: snapCRC, Size: int64(len(data) - len(rest))}
+	j := &Journal{SnapCRC: snapCRC, Size: int64(len(data) - len(rest))}
 	for len(rest) > 0 {
-		rec, n, ok := decodeRecord(rest, version)
+		rec, n, ok := DecodeFrame(rest)
 		if !ok {
 			j.Torn = true
 			break
@@ -363,37 +379,6 @@ func Load(fsys fault.FS, path string) (*Journal, error) {
 		rest = rest[n:]
 	}
 	return j, nil
-}
-
-// decodeRecord decodes one framed record of a version's file from the
-// front of buf, returning its decoded form and encoded length. ok is false
-// when the frame is truncated, its checksum fails, or its payload does not
-// decode — all treated as the torn tail.
-func decodeRecord(buf []byte, version uint16) (*Record, int, bool) {
-	if len(buf) < 9 {
-		return nil, 0, false
-	}
-	if buf[0] != recBatch {
-		return nil, 0, false
-	}
-	size := binary.LittleEndian.Uint32(buf[1:5])
-	if size > maxRecordSize || uint64(len(buf)) < 9+uint64(size) {
-		return nil, 0, false
-	}
-	end := 5 + int(size)
-	want := binary.LittleEndian.Uint32(buf[end : end+4])
-	if codec.Checksum(buf[:end]) != want {
-		return nil, 0, false
-	}
-	decode := codec.DecodeRecord
-	if version == 1 {
-		decode = codec.DecodeRecordV1
-	}
-	rec, err := decode(buf[5:end])
-	if err != nil {
-		return nil, 0, false
-	}
-	return rec, end + 4, true
 }
 
 // CRCWriter tees writes to an inner writer while accumulating the

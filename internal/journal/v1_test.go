@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"triclust/internal/codec"
@@ -50,140 +49,73 @@ func v1File(snapCRC uint32, records ...[]v1Tweet) []byte {
 	return out
 }
 
-// TestVersion1Records: Load reads a version 1 file's records, with both
-// token-list states, and refuses one that lists tokens on a tweet it
-// flags as untokenized. The old decoder accepted that record and dropped
-// its tokens, so the record did not re-encode to itself; now it is the
-// torn tail, and the records before it stand.
+// TestVersion1Records: a version 1 file is refused whole, whatever its
+// records hold — raw text, tokens, an explicit empty token list, tokens
+// on a tweet it flags as untokenized, or the journal an older build left.
+// Load and Open both answer ErrVersion without reading a record, so no
+// version 1 payload reaches the decoder (its 8-byte integers would not be
+// read as varints), and the file keeps its bytes for the quarantine.
 func TestVersion1Records(t *testing.T) {
+	fixture, err := os.ReadFile(v1Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw := []v1Tweet{{text: "love prop37"}}
 	tokenized := []v1Tweet{{hasTokens: 1, tokens: []string{"no", "on", "37"}}}
 	empty := []v1Tweet{{hasTokens: 1}}
 	dropped := []v1Tweet{{text: "love", tokens: []string{"prop37", "win"}}}
 	for _, tc := range []struct {
-		name    string
-		records [][]v1Tweet
-		want    [][]string // each intact record's one token list
+		name string
+		file []byte
 	}{
-		{"raw text", [][]v1Tweet{raw}, [][]string{nil}},
-		{"tokens", [][]v1Tweet{tokenized}, [][]string{{"no", "on", "37"}}},
-		{"explicit empty tokens", [][]v1Tweet{empty}, [][]string{{}}},
-		{"tokens on an untokenized tweet", [][]v1Tweet{raw, dropped, tokenized}, [][]string{nil}},
+		{"raw text", v1File(9, raw)},
+		{"tokens", v1File(9, tokenized)},
+		{"explicit empty tokens", v1File(9, empty)},
+		{"tokens on an untokenized tweet", v1File(9, raw, dropped, tokenized)},
+		{"p2.journal fixture", fixture},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "t.journal")
-			if err := os.WriteFile(path, v1File(9, tc.records...), 0o644); err != nil {
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			j, err := Load(fault.OS, path)
-			if err != nil {
-				t.Fatal(err)
+			if j, err := Load(fault.OS, path); !errors.Is(err, ErrVersion) {
+				t.Fatalf("Load of a version 1 journal: %+v, %v; want ErrVersion", j, err)
 			}
-			if j.Version != 1 || j.SnapCRC != 9 {
-				t.Fatalf("header read as version %d, snapshot %d", j.Version, j.SnapCRC)
-			}
-			if torn := len(tc.want) < len(tc.records); j.Torn != torn || len(j.Records) != len(tc.want) {
-				t.Fatalf("loaded %d records (torn %v), want %d (torn %v)", len(j.Records), j.Torn, len(tc.want), torn)
-			}
-			for i, rec := range j.Records {
-				if tokens := rec.Tweets[0].Tokens; !reflect.DeepEqual(tokens, tc.want[i]) || (tokens == nil) != (tc.want[i] == nil) {
-					t.Fatalf("record %d: tokens %#v, want %#v", i, tokens, tc.want[i])
+			if w, _, err := Open(fault.OS, path); !errors.Is(err, ErrVersion) {
+				if w != nil {
+					w.Close()
 				}
-				if rec.Time != i+3 || rec.Batches != i+1 || rec.RandDraws != uint64(100*(i+1)) || rec.Tweets[0].RetweetOf != -1 {
-					t.Fatalf("record %d read as %+v", i, rec)
-				}
+				t.Fatalf("Open of a version 1 journal: %v, want ErrVersion", err)
+			}
+			if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, tc.file) {
+				t.Fatalf("refusing the version 1 file changed it (%v)", err)
 			}
 		})
 	}
 }
 
-// TestVersion1JournalLoadsAndStaysReadOnly: the journal a version 1
-// build left loads whole, each record survives a version 2 round trip,
-// and nothing appends to the file: Open refuses it and leaves its bytes
-// alone, so no journal ever holds records of both versions.
-func TestVersion1JournalLoadsAndStaysReadOnly(t *testing.T) {
-	orig, err := os.ReadFile(v1Journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "t.journal")
-	if err := os.WriteFile(path, orig, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := Load(fault.OS, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Version != 1 || j.Torn || len(j.Records) != 3 || j.Size != int64(len(orig)) {
-		t.Fatalf("version %d, torn %v, %d records, size %d", j.Version, j.Torn, len(j.Records), j.Size)
-	}
-	var tokenShapes [3]int // nil, empty, listed
-	var v2 int
-	for i, rec := range j.Records {
-		if rec.Batches != i+1 {
-			t.Fatalf("record %d at batch %d", i, rec.Batches)
-		}
-		for _, tw := range rec.Tweets {
-			switch {
-			case tw.Tokens == nil:
-				tokenShapes[0]++
-			case len(tw.Tokens) == 0:
-				tokenShapes[1]++
-			default:
-				tokenShapes[2]++
-			}
-		}
-		frame, err := EncodeFrame(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, ok := DecodeFrame(frame)
-		if !ok || !reflect.DeepEqual(got, rec) {
-			t.Fatalf("record %d does not survive a version 2 round trip", i)
-		}
-		v2 += len(frame)
-	}
-	if tokenShapes[0] == 0 || tokenShapes[1] == 0 || tokenShapes[2] == 0 {
-		t.Fatalf("fixture tweets by token list (nil, empty, listed): %v; want each shape", tokenShapes)
-	}
-	t.Logf("records: %d bytes as version 1, %d as version 2", len(orig)-18, v2)
-
-	if _, _, err := Open(fault.OS, path); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Open of a version 1 journal: %v, want ErrVersion", err)
-	}
-	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, orig) {
-		t.Fatalf("Open changed the version 1 file (%v)", err)
-	}
-	// Create and Rotate write the current version, so a writer's file
-	// holds only current records.
-	w, err := Create(fault.OS, path, j.SnapCRC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for _, rec := range j.Records {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j2, err := Load(fault.OS, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.Version != Version || !reflect.DeepEqual(j2.Records, j.Records) {
-		t.Fatalf("rewritten journal: version %d, %d records", j2.Version, len(j2.Records))
-	}
-}
-
-// TestHeaderVersions: a header names version 1 or 2; 0 and anything past
-// this build's version are version skew.
+// TestHeaderVersions: Load and Open read a version 2 header only; 0, 1 and
+// anything past this build's version are ErrVersion, from both.
 func TestHeaderVersions(t *testing.T) {
-	for v, ok := range map[uint16]bool{0: false, 1: true, Version: true, Version + 1: false} {
+	for _, v := range []uint16{0, 1, Version, Version + 1} {
 		hdr := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint16(append([]byte(nil), magic[:]...), v), 5)
 		hdr = binary.LittleEndian.AppendUint32(hdr, codec.Checksum(hdr))
-		got, crc, rest, err := decodeHeader(hdr)
-		if ok != (err == nil) || ok && (got != v || crc != 5 || len(rest) != 0) || !ok && !errors.Is(err, ErrVersion) {
-			t.Fatalf("version %d: read as %d, %d, err %v", v, got, crc, err)
+		path := filepath.Join(t.TempDir(), "t.journal")
+		if err := os.WriteFile(path, hdr, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Load(fault.OS, path)
+		w, oj, oerr := Open(fault.OS, path)
+		if w != nil {
+			w.Close()
+		}
+		if v == Version {
+			if err != nil || oerr != nil || j.SnapCRC != 5 || len(j.Records) != 0 || oj.SnapCRC != 5 {
+				t.Fatalf("version %d: Load %+v, %v; Open %v", v, j, err, oerr)
+			}
+		} else if !errors.Is(err, ErrVersion) || !errors.Is(oerr, ErrVersion) {
+			t.Fatalf("version %d: Load %v, Open %v; want ErrVersion from both", v, err, oerr)
 		}
 	}
 }

@@ -239,13 +239,6 @@ func (m *Dense) Mul(a, b *Dense) {
 	}
 }
 
-// Product returns a·b as a freshly allocated matrix.
-func Product(a, b *Dense) *Dense {
-	out := NewDense(a.rows, b.cols)
-	out.Mul(a, b)
-	return out
-}
-
 // ProductInto stores a·b into dst and returns it; a nil dst allocates.
 // Solvers pass workspace matrices here to keep sweeps allocation-free.
 func ProductInto(dst *Dense, a, b *Dense) *Dense {
@@ -381,15 +374,8 @@ func mulATBRange3(dst []float64, a, b *Dense, lo, hi int) {
 	d[6], d[7], d[8] = d20, d21, d22
 }
 
-// Gram returns aᵀ·a (cols×cols), the Gram matrix.
-func Gram(a *Dense) *Dense {
-	out := NewDense(a.cols, a.cols)
-	out.MulATB(a, a)
-	return out
-}
-
-// GramInto stores aᵀ·a into dst (cols×cols) and returns it; a nil dst
-// allocates.
+// GramInto stores aᵀ·a, the Gram matrix, into dst (cols×cols) and returns
+// it; a nil dst allocates.
 func GramInto(dst *Dense, a *Dense) *Dense {
 	if dst == nil {
 		dst = NewDense(a.cols, a.cols)

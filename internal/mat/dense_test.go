@@ -89,7 +89,7 @@ func TestAddSubScale(t *testing.T) {
 func TestMulKnown(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	b := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
-	got := Product(a, b)
+	got := ProductInto(nil, a, b)
 	want := FromRows([][]float64{{58, 64}, {139, 154}})
 	if !Equal(got, want, 1e-12) {
 		t.Fatalf("Product = %v, want %v", got, want)
@@ -102,7 +102,7 @@ func TestMulDimensionPanics(t *testing.T) {
 			t.Fatal("expected dimension panic")
 		}
 	}()
-	Product(NewDense(2, 3), NewDense(2, 3))
+	ProductInto(nil, NewDense(2, 3), NewDense(2, 3))
 }
 
 func TestMulATBMatchesExplicitTranspose(t *testing.T) {
@@ -111,7 +111,7 @@ func TestMulATBMatchesExplicitTranspose(t *testing.T) {
 	b := RandomNonNegative(rng, 7, 2, 0, 1)
 	got := NewDense(3, 2)
 	got.MulATB(a, b)
-	want := Product(a.T(), b)
+	want := ProductInto(nil, a.T(), b)
 	if !Equal(got, want, 1e-12) {
 		t.Fatalf("MulATB mismatch:\n%v\n%v", got, want)
 	}
@@ -123,7 +123,7 @@ func TestMulABTMatchesExplicitTranspose(t *testing.T) {
 	b := RandomNonNegative(rng, 6, 4, 0, 1)
 	got := NewDense(5, 6)
 	got.MulABT(a, b)
-	want := Product(a, b.T())
+	want := ProductInto(nil, a, b.T())
 	if !Equal(got, want, 1e-12) {
 		t.Fatalf("MulABT mismatch")
 	}
@@ -132,7 +132,7 @@ func TestMulABTMatchesExplicitTranspose(t *testing.T) {
 func TestGramSymmetricPSD(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := RandomNonNegative(rng, 10, 3, 0, 1)
-	g := Gram(a)
+	g := GramInto(nil, a)
 	for i := 0; i < 3; i++ {
 		if g.At(i, i) < 0 {
 			t.Fatalf("Gram diagonal negative: %v", g.At(i, i))
@@ -347,7 +347,7 @@ func TestIdentityAndDiag(t *testing.T) {
 	i3 := Identity(3)
 	rng := rand.New(rand.NewSource(7))
 	a := RandomNonNegative(rng, 3, 3, 0, 1)
-	if !Equal(Product(i3, a), a, 1e-12) || !Equal(Product(a, i3), a, 1e-12) {
+	if !Equal(ProductInto(nil, i3, a), a, 1e-12) || !Equal(ProductInto(nil, a, i3), a, 1e-12) {
 		t.Fatal("identity is not multiplicative identity")
 	}
 	if i3.At(1, 1) != 1 || i3.At(0, 1) != 0 {
@@ -388,8 +388,8 @@ func TestMulAssociativityProperty(t *testing.T) {
 		a := RandomNonNegative(rng, 4, 3, 0, 1)
 		b := RandomNonNegative(rng, 3, 5, 0, 1)
 		c := RandomNonNegative(rng, 5, 2, 0, 1)
-		left := Product(Product(a, b), c)
-		right := Product(a, Product(b, c))
+		left := ProductInto(nil, ProductInto(nil, a, b), c)
+		right := ProductInto(nil, a, ProductInto(nil, b, c))
 		if !Equal(left, right, 1e-10) {
 			t.Fatalf("associativity violated on trial %d", trial)
 		}

@@ -119,25 +119,43 @@ func TestWorkspaceReusesByShape(t *testing.T) {
 	ws.Put(nil, m2, m3) // nil must be tolerated
 }
 
+// TestProductIntoAndGramInto holds ProductInto and GramInto, into a nil
+// and into a stale destination, to the textbook loops aᵢₖ·bₖⱼ and aₖᵢ·aₖⱼ.
 func TestProductIntoAndGramInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := RandomNonNegative(rng, 6, 4, 0.1, 1)
 	b := RandomNonNegative(rng, 4, 5, 0.1, 1)
-	if got, want := ProductInto(nil, a, b), Product(a, b); !Equal(got, want, 0) {
-		t.Fatal("ProductInto(nil) != Product")
+	naive := func(rows, cols, inner int, at func(i, j, k int) float64) *Dense {
+		out := NewDense(rows, cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				for k := 0; k < inner; k++ {
+					out.Set(i, j, out.At(i, j)+at(i, j, k))
+				}
+			}
+		}
+		return out
 	}
-	dst := NewDense(6, 5)
-	dst.Fill(3)
-	if got, want := ProductInto(dst, a, b), Product(a, b); !Equal(got, want, 0) {
-		t.Fatal("ProductInto(dst) != Product")
+	product := naive(6, 5, 4, func(i, j, k int) float64 { return a.At(i, k) * b.At(k, j) })
+	gram := naive(4, 4, 6, func(i, j, k int) float64 { return a.At(k, i) * a.At(k, j) })
+	stale := func(rows, cols int) *Dense {
+		m := NewDense(rows, cols)
+		m.Fill(-1)
+		return m
 	}
-	if got, want := GramInto(nil, a), Gram(a); !Equal(got, want, 0) {
-		t.Fatal("GramInto(nil) != Gram")
+	for name, got := range map[string]*Dense{
+		"ProductInto(nil)": ProductInto(nil, a, b), "ProductInto(dst)": ProductInto(stale(6, 5), a, b),
+	} {
+		if !Equal(got, product, 1e-12) {
+			t.Errorf("%s is not a·b", name)
+		}
 	}
-	g := NewDense(4, 4)
-	g.Fill(-1)
-	if got, want := GramInto(g, a), Gram(a); !Equal(got, want, 0) {
-		t.Fatal("GramInto(dst) != Gram")
+	for name, got := range map[string]*Dense{
+		"GramInto(nil)": GramInto(nil, a), "GramInto(dst)": GramInto(stale(4, 4), a),
+	} {
+		if !Equal(got, gram, 1e-12) {
+			t.Errorf("%s is not aᵀ·a", name)
+		}
 	}
 }
 

@@ -79,7 +79,7 @@ func TestWidth3BodiesMatchRowLoops(t *testing.T) {
 				}
 				want := mul(mulRangeAny)
 				check("mulRange3", mul(mulRange3).data, want.data)
-				check("Mul", Product(a, core).data, want.data)
+				check("Mul", ProductInto(nil, a, core).data, want.data)
 
 				// MulATB's block tree: one partial per block, summed in
 				// block order.

@@ -271,18 +271,6 @@ func (m *CSR) ToDense() *mat.Dense {
 	return out
 }
 
-// ResidualFrobeniusSq returns ||X − U·C·Vᵀ||_F² where X = m (rows×cols),
-// U is rows×k, C is k×k and V is cols×k, evaluated without densifying X:
-//
-//	||X||² − 2·⟨X, U C Vᵀ⟩ + ||U C Vᵀ||²
-//
-// using ⟨X, UCVᵀ⟩ = Σ_{(i,j)∈nnz} X(i,j)·(UCVᵀ)(i,j) and
-// ||UCVᵀ||² = tr(Cᵀ UᵀU C VᵀV). Pass C = nil for the two-factor residual
-// ||X − U Vᵀ||² (as in the Xr ≈ Su Spᵀ term).
-func (m *CSR) ResidualFrobeniusSq(u, c, v *mat.Dense) float64 {
-	return m.ResidualFrobeniusSqWS(m.FrobeniusSq(), u, c, v, nil)
-}
-
 // crossRange returns Σ X(i,j)·(UCVᵀ)(i,j) over rows [lo, hi) of X = m,
 // with uc = U·C.
 func (m *CSR) crossRange(uc, v *mat.Dense, lo, hi int) float64 {
@@ -330,19 +318,26 @@ func (m *CSR) crossRange3(uc, v *mat.Dense, lo, hi int) float64 {
 	return sum
 }
 
-// ResidualFrobeniusSqWS is ResidualFrobeniusSq for a caller that keeps
-// normSq = m.FrobeniusSq() across calls, drawing its temporaries (U·C and
-// the two Gram matrices) from ws; a nil ws allocates. The nnz-sized cross
+// ResidualFrobeniusSqWS returns ||X − U·C·Vᵀ||_F² where X = m (rows×cols),
+// U is rows×k, C is k×k and V is cols×k, evaluated without densifying X:
+//
+//	||X||² − 2·⟨X, U C Vᵀ⟩ + ||U C Vᵀ||²
+//
+// using ⟨X, UCVᵀ⟩ = Σ_{(i,j)∈nnz} X(i,j)·(UCVᵀ)(i,j) and
+// ||UCVᵀ||² = tr(Cᵀ UᵀU C VᵀV). Pass C = nil for the two-factor residual
+// ||X − U Vᵀ||² (as in the Xr ≈ Su Spᵀ term). The caller keeps
+// normSq = m.FrobeniusSq() across calls; the temporaries (U·C and the two
+// Gram matrices) come from ws, and a nil ws allocates. The nnz-sized cross
 // term Σ X(i,j)·(UCVᵀ)(i,j) is summed per row block (par.Blocks) and the
 // block sums are added in block order, so its bits do not depend on the
 // parallelism width.
 func (m *CSR) ResidualFrobeniusSqWS(normSq float64, u, c, v *mat.Dense, ws *mat.Workspace) float64 {
 	k := u.Cols()
 	if v.Cols() != k {
-		panic("sparse: ResidualFrobeniusSq factor rank mismatch")
+		panic("sparse: ResidualFrobeniusSqWS factor rank mismatch")
 	}
 	if u.Rows() != m.rows || v.Rows() != m.cols {
-		panic("sparse: ResidualFrobeniusSq shape mismatch")
+		panic("sparse: ResidualFrobeniusSqWS shape mismatch")
 	}
 	if ws == nil {
 		ws = mat.NewWorkspace()
@@ -352,7 +347,7 @@ func (m *CSR) ResidualFrobeniusSqWS(normSq float64, u, c, v *mat.Dense, ws *mat.
 	var ucScratch *mat.Dense
 	if c != nil {
 		if !c.Dims(k, k) {
-			panic("sparse: ResidualFrobeniusSq core must be k×k")
+			panic("sparse: ResidualFrobeniusSqWS core must be k×k")
 		}
 		ucScratch = ws.Get(u.Rows(), k)
 		ucScratch.Mul(u, c)

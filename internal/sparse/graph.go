@@ -9,19 +9,14 @@ import (
 // d(i) = Σ_j G(i,j).
 func Degrees(g *CSR) []float64 { return g.RowSums() }
 
-// LaplacianMulDense computes L·B = (D − G)·B for the graph Laplacian of
-// adjacency g without forming L: D·B is a row scaling by degrees, G·B is an
-// SpMM. The result is dense (g.Rows()×B.Cols()).
-func LaplacianMulDense(g *CSR, b *mat.Dense) *mat.Dense {
-	return LaplacianMulDenseInto(nil, g, nil, b)
-}
-
-// LaplacianMulDenseInto is LaplacianMulDense writing into dst (nil
-// allocates); dst must not alias b (see CSR.MulDenseInto). deg may carry
-// precomputed Degrees(g) — solvers cache it so repeated Laplacian
-// products skip the O(nnz) degree pass — or be nil to compute it here.
-// The row loop fuses the SpMM with the degree scaling and is split
-// across workers.
+// LaplacianMulDenseInto computes L·B = (D − G)·B for the graph Laplacian
+// of adjacency g without forming L, into dst (nil allocates; g.Rows()×
+// B.Cols()): G·B is an SpMM into dst, then each entry becomes
+// d(i)·B(i,j) − (G·B)(i,j), with the bits DegreeMulDenseInto minus
+// CSR.MulDenseInto give. dst must not alias b (see CSR.MulDenseInto). deg
+// may carry precomputed Degrees(g) — solvers cache it so repeated
+// Laplacian products skip the O(nnz) degree pass — or be nil to compute it
+// here.
 func LaplacianMulDenseInto(dst *mat.Dense, g *CSR, deg []float64, b *mat.Dense) *mat.Dense {
 	if deg == nil {
 		deg = Degrees(g)
@@ -52,7 +47,10 @@ func degreeRange(dst *mat.Dense, deg []float64, b *mat.Dense, subtract bool, lo,
 		orow := dst.Row(i)
 		if subtract {
 			for j := range orow {
-				orow[j] = d*brow[j] - orow[j]
+				// The conversion rounds the product before the
+				// subtraction on every architecture (Go may fuse x*y − z
+				// otherwise), so an entry has D·B's bits minus G·B's.
+				orow[j] = float64(d*brow[j]) - orow[j]
 			}
 		} else {
 			for j := range orow {
@@ -62,13 +60,9 @@ func degreeRange(dst *mat.Dense, deg []float64, b *mat.Dense, subtract bool, lo,
 	}
 }
 
-// DegreeMulDense computes D·B where D = diag(degrees of g).
-func DegreeMulDense(g *CSR, b *mat.Dense) *mat.Dense {
-	return DegreeMulDenseInto(nil, g, nil, b)
-}
-
-// DegreeMulDenseInto is DegreeMulDense writing into dst (nil allocates),
-// with an optional precomputed degree vector as in LaplacianMulDenseInto.
+// DegreeMulDenseInto computes D·B where D = diag(degrees of g), writing
+// into dst (nil allocates), with an optional precomputed degree vector as
+// in LaplacianMulDenseInto.
 // dst may alias b (each element is read before it is written).
 func DegreeMulDenseInto(dst *mat.Dense, g *CSR, deg []float64, b *mat.Dense) *mat.Dense {
 	if deg == nil {

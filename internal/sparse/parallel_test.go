@@ -52,25 +52,25 @@ func TestParallelSparseKernelsMatchSerial(t *testing.T) {
 
 	var serialLap, parLap, serialDeg, parDeg *mat.Dense
 	withProcs(1, func() {
-		serialLap = LaplacianMulDense(g, gb)
-		serialDeg = DegreeMulDense(g, gb)
+		serialLap = LaplacianMulDenseInto(nil, g, nil, gb)
+		serialDeg = DegreeMulDenseInto(nil, g, nil, gb)
 	})
 	withProcs(4, func() {
-		parLap = LaplacianMulDense(g, gb)
-		parDeg = DegreeMulDense(g, gb)
+		parLap = LaplacianMulDenseInto(nil, g, nil, gb)
+		parDeg = DegreeMulDenseInto(nil, g, nil, gb)
 	})
 	if !sameBits(serialLap, parLap) {
-		t.Fatal("LaplacianMulDense: serial/parallel mismatch")
+		t.Fatal("LaplacianMulDenseInto: serial/parallel mismatch")
 	}
 	if !sameBits(serialDeg, parDeg) {
-		t.Fatal("DegreeMulDense: serial/parallel mismatch")
+		t.Fatal("DegreeMulDenseInto: serial/parallel mismatch")
 	}
 
 	var serialRes, parRes float64
-	withProcs(1, func() { serialRes = x.ResidualFrobeniusSq(u, c, v) })
-	withProcs(4, func() { parRes = x.ResidualFrobeniusSq(u, c, v) })
+	withProcs(1, func() { serialRes = x.ResidualFrobeniusSqWS(x.FrobeniusSq(), u, c, v, nil) })
+	withProcs(4, func() { parRes = x.ResidualFrobeniusSqWS(x.FrobeniusSq(), u, c, v, nil) })
 	if math.Float64bits(serialRes) != math.Float64bits(parRes) {
-		t.Fatalf("ResidualFrobeniusSq: serial %v vs parallel %v", serialRes, parRes)
+		t.Fatalf("ResidualFrobeniusSqWS: serial %v vs parallel %v", serialRes, parRes)
 	}
 }
 
@@ -122,17 +122,44 @@ func TestMulDenseIntoReusesDst(t *testing.T) {
 	}
 }
 
+// TestLaplacianIntoWithCachedDegrees holds LaplacianMulDenseInto and
+// DegreeMulDenseInto, with cached and with computed degrees, to the dense
+// loops Σⱼ L(i,j)·B(j,·) and d(i)·B(i,·) over g's entries.
 func TestLaplacianIntoWithCachedDegrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	g := randomCSR(rng, 60, 60, 0.1)
 	b := mat.RandomNonNegative(rng, 60, 3, 0.1, 1)
 	deg := Degrees(g)
-	dst := mat.NewDense(60, 3)
-	if got, want := LaplacianMulDenseInto(dst, g, deg, b), LaplacianMulDense(g, b); !mat.Equal(got, want, 1e-12) {
-		t.Fatal("LaplacianMulDenseInto(deg) != LaplacianMulDense")
+	gd := g.ToDense()
+	lap, dB := mat.NewDense(60, 3), mat.NewDense(60, 3)
+	for i := 0; i < 60; i++ {
+		d := 0.0
+		for j := 0; j < 60; j++ {
+			d += gd.At(i, j)
+		}
+		for c := 0; c < 3; c++ {
+			dB.Set(i, c, d*b.At(i, c))
+			v := d * b.At(i, c)
+			for j := 0; j < 60; j++ {
+				v -= gd.At(i, j) * b.At(j, c)
+			}
+			lap.Set(i, c, v)
+		}
 	}
-	dst2 := mat.NewDense(60, 3)
-	if got, want := DegreeMulDenseInto(dst2, g, deg, b), DegreeMulDense(g, b); !mat.Equal(got, want, 1e-12) {
-		t.Fatal("DegreeMulDenseInto(deg) != DegreeMulDense")
+	for name, got := range map[string]*mat.Dense{
+		"LaplacianMulDenseInto(deg)": LaplacianMulDenseInto(mat.NewDense(60, 3), g, deg, b),
+		"LaplacianMulDenseInto(nil)": LaplacianMulDenseInto(nil, g, nil, b),
+	} {
+		if !mat.Equal(got, lap, 1e-12) {
+			t.Errorf("%s is not L·B", name)
+		}
+	}
+	for name, got := range map[string]*mat.Dense{
+		"DegreeMulDenseInto(deg)": DegreeMulDenseInto(mat.NewDense(60, 3), g, deg, b),
+		"DegreeMulDenseInto(nil)": DegreeMulDenseInto(nil, g, nil, b),
+	} {
+		if !mat.Equal(got, dB, 1e-12) {
+			t.Errorf("%s is not D·B", name)
+		}
 	}
 }

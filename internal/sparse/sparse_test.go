@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"triclust/internal/mat"
+	"triclust/internal/par"
 )
 
 func randomCSR(rng *rand.Rand, rows, cols int, density float64) *CSR {
@@ -101,7 +102,7 @@ func TestMulDenseMatchesDense(t *testing.T) {
 	a := randomCSR(rng, 11, 9, 0.25)
 	b := mat.RandomNonNegative(rng, 9, 3, 0, 1)
 	got := a.MulDense(b)
-	want := mat.Product(a.ToDense(), b)
+	want := mat.ProductInto(nil, a.ToDense(), b)
 	if !mat.Equal(got, want, 1e-10) {
 		t.Fatal("MulDense mismatch vs dense reference")
 	}
@@ -163,10 +164,10 @@ func TestResidualThreeFactor(t *testing.T) {
 	u := mat.RandomNonNegative(rng, 9, 3, 0, 1)
 	c := mat.RandomNonNegative(rng, 3, 3, 0, 1)
 	v := mat.RandomNonNegative(rng, 7, 3, 0, 1)
-	got := x.ResidualFrobeniusSq(u, c, v)
+	got := x.ResidualFrobeniusSqWS(x.FrobeniusSq(), u, c, v, nil)
 
 	approx := mat.NewDense(9, 7)
-	approx.MulABT(mat.Product(u, c), v)
+	approx.MulABT(mat.ProductInto(nil, u, c), v)
 	want := mat.DiffFrobeniusSq(x.ToDense(), approx)
 	if math.Abs(got-want) > 1e-8*(1+want) {
 		t.Fatalf("residual = %v, want %v", got, want)
@@ -178,7 +179,7 @@ func TestResidualTwoFactor(t *testing.T) {
 	x := randomCSR(rng, 6, 8, 0.4)
 	u := mat.RandomNonNegative(rng, 6, 2, 0, 1)
 	v := mat.RandomNonNegative(rng, 8, 2, 0, 1)
-	got := x.ResidualFrobeniusSq(u, nil, v)
+	got := x.ResidualFrobeniusSqWS(x.FrobeniusSq(), u, nil, v, nil)
 	approx := mat.NewDense(6, 8)
 	approx.MulABT(u, v)
 	want := mat.DiffFrobeniusSq(x.ToDense(), approx)
@@ -193,7 +194,7 @@ func TestResidualNonNegativeProperty(t *testing.T) {
 		x := randomCSR(rng, 5, 5, 0.4)
 		u := mat.RandomNonNegative(rng, 5, 2, 0, 1)
 		v := mat.RandomNonNegative(rng, 5, 2, 0, 1)
-		return x.ResidualFrobeniusSq(u, nil, v) > -1e-9
+		return x.ResidualFrobeniusSqWS(x.FrobeniusSq(), u, nil, v, nil) > -1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -270,18 +271,29 @@ func TestGraphRegularizationMatchesPairwiseSum(t *testing.T) {
 	}
 }
 
+// TestLaplacianDecomposition: L·B is D·B − G·B bit for bit, on random
+// graphs with isolated vertices, launched inline and split into blocks —
+// so a caller holding D·B and G·B may form L·B from them with one Sub.
 func TestLaplacianDecomposition(t *testing.T) {
-	// L·B must equal D·B − G·B.
+	defer par.SetProcs(0)
 	rng := rand.New(rand.NewSource(7))
-	g := Symmetrize(DropDiagonal(randomCSR(rng, 6, 6, 0.4)))
-	b := mat.RandomNonNegative(rng, 6, 3, 0, 1)
-	lb := LaplacianMulDense(g, b)
-	db := DegreeMulDense(g, b)
-	gb := g.MulDense(b)
-	diff := mat.NewDense(6, 3)
-	diff.Sub(db, gb)
-	if !mat.Equal(lb, diff, 1e-10) {
-		t.Fatal("L·B != D·B − G·B")
+	par.SetProcs(2)
+	for _, n := range []int{6, 40, 20000} {
+		edges := NewCOO(n, n) // ≈3 a vertex, so some vertices have none
+		for e := 0; e < 3*n/2; e++ {
+			edges.Add(rng.Intn(n), rng.Intn(n), rng.Float64()*2)
+		}
+		g := Symmetrize(DropDiagonal(edges.ToCSR()))
+		b := signedOperand(rng, n)
+		if split := par.Blocks(n, b.Cols()+1) > 1; split != (n == 20000) {
+			t.Fatalf("%d vertices: par.Blocks = %d, the shapes do not test the launches they name", n, par.Blocks(n, b.Cols()+1))
+		}
+		lb := LaplacianMulDenseInto(nil, g, nil, b)
+		diff := mat.NewDense(n, b.Cols())
+		diff.Sub(DegreeMulDenseInto(nil, g, nil, b), g.MulDense(b))
+		if !sameBits(lb, diff) {
+			t.Fatalf("%d vertices: L·B does not have the bits of D·B − G·B", n)
+		}
 	}
 }
 

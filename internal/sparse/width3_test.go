@@ -74,7 +74,7 @@ func TestWidth3BodiesMatchRowLoops(t *testing.T) {
 			}
 			wantCross := cross(x.crossRangeAny)
 			normSq := x.FrobeniusSq()
-			wantRes := normSq - 2*wantCross + mat.Dot(mat.Gram(u), mat.Gram(b))
+			wantRes := normSq - 2*wantCross + mat.Dot(mat.GramInto(nil, u), mat.GramInto(nil, b))
 			for name, got := range map[string][2]float64{
 				"crossRange3":           {cross(x.crossRange3), wantCross},
 				"ResidualFrobeniusSqWS": {x.ResidualFrobeniusSqWS(normSq, u, nil, b, nil), wantRes},

@@ -30,10 +30,6 @@ type Replica struct {
 	Meta    ReplicaMeta
 	Batches int
 	Draws   uint64
-	// OldTail reports a tail journal an older build wrote (version 1): it
-	// loads for promotion, but nothing is appended to it, so the replica
-	// takes its next batch only as a full base.
-	OldTail bool
 	jw      *journal.Writer
 }
 
@@ -92,7 +88,7 @@ func (st *Store) InstallReplica(rep *Replica, name string, meta ReplicaMeta, sna
 		jw.Close()
 		return err
 	}
-	rep.Meta, rep.jw, rep.Batches, rep.Draws, rep.OldTail = meta, jw, batches, draws, false
+	rep.Meta, rep.jw, rep.Batches, rep.Draws = meta, jw, batches, draws
 	return nil
 }
 
@@ -123,21 +119,23 @@ func (st *Store) DropReplica(rep *Replica, name string) {
 
 // readReplica is the base-plus-tail verification of a cold replica: the
 // base snapshot must carry the CRC its meta names, and the tail journal
-// must extend exactly that base.
+// must extend exactly that base. The tail is read first: one of another
+// format version is journal.ErrVersion even if a crash mid-quarantine
+// took the base.
 func (st *Store) readReplica(name string, meta ReplicaMeta) ([]byte, *journal.Journal, error) {
-	snap, err := st.fs.ReadFile("repl.snap.read", st.path(name+extReplSnap))
-	if err != nil {
-		return nil, nil, err
-	}
-	if crc := codec.Checksum(snap); crc != meta.SnapCRC {
-		return nil, nil, fmt.Errorf("base snapshot CRC %08x does not match meta %08x", crc, meta.SnapCRC)
-	}
 	j, err := journal.Load(st.fs, st.path(name+extReplJournal))
 	if err != nil {
 		return nil, nil, fmt.Errorf("tail journal: %w", err)
 	}
 	if j.SnapCRC != meta.SnapCRC {
 		return nil, nil, fmt.Errorf("tail journal extends snapshot %08x, meta names %08x", j.SnapCRC, meta.SnapCRC)
+	}
+	snap, err := st.fs.ReadFile("repl.snap.read", st.path(name+extReplSnap))
+	if err != nil {
+		return nil, nil, err
+	}
+	if crc := codec.Checksum(snap); crc != meta.SnapCRC {
+		return nil, nil, fmt.Errorf("base snapshot CRC %08x does not match meta %08x", crc, meta.SnapCRC)
 	}
 	return snap, j, nil
 }
@@ -153,7 +151,7 @@ func (st *Store) openReplica(name string) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Replica{Meta: meta, Batches: meta.Batches, Draws: meta.RandDraws, OldTail: j.Version != journal.Version}
+	rep := &Replica{Meta: meta, Batches: meta.Batches, Draws: meta.RandDraws}
 	if n := len(j.Records); n > 0 {
 		rep.Batches, rep.Draws = j.Records[n-1].Batches, j.Records[n-1].RandDraws
 	}

@@ -23,6 +23,7 @@ import (
 	"triclust/internal/cluster"
 	"triclust/internal/codec"
 	"triclust/internal/fault"
+	"triclust/internal/journal"
 )
 
 const (
@@ -196,22 +197,27 @@ func (st *Store) syncDir() error {
 	return st.fs.SyncDir("persist.dir.sync", st.dir)
 }
 
-// quarantine renames files aside, in order, under the first suffix
-// .<suffix>[.N] free for all of them — never clobbering an earlier
-// quarantined copy, possible after an upgrade → rollback → upgrade cycle,
-// and keeping files that belong together under one N — and counts each as
-// quarantined either way (renamed or merely skipped, it is not served).
+// exists reports whether <dir>/<file> may exist: any answer but "does not
+// exist" counts, so a quarantine never clobbers what it cannot see.
+func (st *Store) exists(file string) bool {
+	_, err := os.Stat(st.path(file))
+	return !os.IsNotExist(err)
+}
+
+// quarantine renames those of files that exist aside, in order, under the
+// first suffix .<suffix>[.N] free for all of them — never clobbering an
+// earlier quarantined copy, possible after an upgrade → rollback → upgrade
+// cycle, and keeping files that belong together under one N — and counts
+// each either way (renamed or merely skipped, it is not served).
 func (st *Store) quarantine(suffix string, cause error, files ...string) {
+	files = slices.DeleteFunc(files, func(file string) bool { return !st.exists(file) })
 	st.quarantined.Add(int64(len(files)))
 	for i := 0; i < 1000; i++ {
 		at := "." + suffix
 		if i > 0 {
 			at = fmt.Sprintf("%s.%d", at, i)
 		}
-		if slices.ContainsFunc(files, func(file string) bool {
-			_, err := os.Stat(st.path(file + at))
-			return !os.IsNotExist(err)
-		}) {
+		if slices.ContainsFunc(files, func(file string) bool { return st.exists(file + at) }) {
 			continue
 		}
 		for _, file := range files {
@@ -271,24 +277,31 @@ func (st *Store) Scan(withReplicas bool) (Found, error) {
 			err = scanInto(f.Topics, name, st.Load)
 		case ext == extReplMeta && withReplicas:
 			err = scanInto(f.Replicas, name, st.openReplica)
+		case ext == extJournal && !st.exists(name+extSnap), ext == extReplJournal && !st.exists(name+extReplMeta):
+			// A journal is read with the file it extends. One found alone
+			// is read for its version: a crash in the quarantine below can
+			// leave a refused journal so, where a re-create would truncate it.
+			if _, err = journal.Load(st.fs, st.path(file)); !errors.Is(err, journal.ErrVersion) {
+				err = nil
+			}
 		case ext == extMoved:
 			err = scanInto(f.Tombstones, name, st.readTombstone)
 		}
 		switch {
 		case err == nil:
-		case errors.Is(err, codec.ErrVersion):
-			// An old-format snapshot is not corrupt — it is intact data this
-			// build cannot replay. Quarantine it under a suffix the scan
-			// ignores, so re-creating the topic cannot atomically overwrite
-			// the only copy of the old state — and with it the journal of
-			// the batches acked after it, which the re-create would delete
-			// as stale. The journal goes first: a crash between the two
-			// renames leaves the snapshot to be quarantined again.
-			files := []string{file}
-			if jfile := name + extJournal; ext == extSnap {
-				if _, serr := os.Stat(st.path(jfile)); serr == nil {
-					files = []string{jfile, file}
-				}
+		case errors.Is(err, codec.ErrVersion), errors.Is(err, journal.ErrVersion):
+			// A snapshot or journal of another format version is intact
+			// data this build cannot replay, not corruption, and a snapshot
+			// served without its journal silently loses the batches acked
+			// after it. So a topic's files (a replica's base, meta and
+			// tail) go aside together, under a suffix the scan ignores and
+			// a re-create cannot overwrite. The refused file goes last: a
+			// crash between the renames leaves it to be found again.
+			files := []string{name + extSnap, name + extJournal}
+			if errors.Is(err, codec.ErrVersion) {
+				slices.Reverse(files)
+			} else if ext == extReplMeta || ext == extReplJournal {
+				files = []string{name + extReplSnap, name + extReplMeta, name + extReplJournal}
 			}
 			st.quarantine("unsupported-version", err, files...)
 		default:

@@ -335,6 +335,71 @@ func TestVersion4DataDirQuarantined(t *testing.T) {
 	kept("t.journal.unsupported-version", acked)
 }
 
+// TestInterruptedVersionQuarantine: a crash in the middle of quarantining
+// a topic or a replica whose journal is version 1 moved some of its files
+// aside and left the rest. The refused journal goes last, so every such
+// state still holds it, and the next scan moves what is left under the same
+// suffix: a re-create can then truncate no acked batch. A version 2 journal
+// found alone is not this build's to move.
+func TestInterruptedVersionQuarantine(t *testing.T) {
+	v1 := filepath.Join("..", "..", "testdata", "datadir_v1", "data")
+	for _, tc := range []struct {
+		name  string
+		moved []string // by the interrupted quarantine
+		left  []string // for the next scan
+	}{
+		{"topic", []string{"p2.snap"}, []string{"p2.journal"}},
+		{"replica base", []string{"r2.rsnap"}, []string{"r2.rmeta", "r2.rjournal"}},
+		{"replica base and meta", []string{"r2.rsnap", "r2.rmeta"}, []string{"r2.rjournal"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			orig := map[string][]byte{}
+			for i, file := range append(tc.moved, tc.left...) {
+				b, err := os.ReadFile(filepath.Join(v1, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				orig[file] = b
+				if i < len(tc.moved) {
+					file += ".unsupported-version"
+				}
+				if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := openStore(t, dir, nil)
+			found, err := st.Scan(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(found.Topics)+len(found.Replicas) != 0 || st.Quarantined() != len(tc.left) {
+				t.Fatalf("%d topics, %d replicas, %d files quarantined; want none, none and %d",
+					len(found.Topics), len(found.Replicas), st.Quarantined(), len(tc.left))
+			}
+			for file, want := range orig {
+				if got, err := os.ReadFile(filepath.Join(dir, file+".unsupported-version")); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s is not under .unsupported-version with its bytes (%v)", file, err)
+				}
+			}
+		})
+	}
+
+	dir := t.TempDir()
+	jw, err := journal.Create(fault.OS, filepath.Join(dir, "t.journal"), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw.Close()
+	st := openStore(t, dir, nil)
+	if _, err := st.Scan(true); err != nil || st.Quarantined() != 0 {
+		t.Fatalf("a version 2 journal alone: %v, %d files quarantined", err, st.Quarantined())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "t.journal")); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTombstoneRoundTrip covers the hand-off marker's persistence:
 // write → scan → remove, plus rejection of undecodable markers.
 func TestTombstoneRoundTrip(t *testing.T) {

@@ -59,7 +59,8 @@ func revive(snap []byte, recs []*journal.Record) (tp *triclust.Topic, tailErr, e
 // divergence — resolves to "serve the snapshot alone": that is exactly
 // the state the journal's acked batches extended, minus records that can
 // no longer be trusted. The journal is quarantined, or ignored when
-// merely stale.
+// merely stale. One of another format version holds intact acked batches:
+// Load fails with its journal.ErrVersion rather than serve the snapshot.
 func (st *Store) Load(name string) (*Restored, error) {
 	data, err := st.fs.ReadFile("persist.snap.read", st.path(name+extSnap))
 	if err != nil {
@@ -68,6 +69,9 @@ func (st *Store) Load(name string) (*Restored, error) {
 	rt := &Restored{SnapCRC: codec.Checksum(data)}
 	jfile := name + extJournal
 	j, jerr := journal.Load(st.fs, st.path(jfile))
+	if errors.Is(jerr, journal.ErrVersion) {
+		return nil, fmt.Errorf("%s: %w", jfile, jerr)
+	}
 	var recs []*journal.Record
 	if jerr == nil && j.SnapCRC == rt.SnapCRC {
 		recs = j.Records

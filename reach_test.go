@@ -30,30 +30,25 @@ var reachAllowed = map[string]string{
 	"internal/fault.AsCrash":   "how those tests tell a scripted crash from an I/O error",
 
 	// References and fixture builders of other functions' tests.
-	"internal/mat.FromRows":                   "literal fixtures in the mat, sparse and core tests",
-	"internal/mat.Equal":                      "the comparison every matrix test asserts with",
-	"internal/mat.Dense.T":                    "dense reference for MulATB, MulABT, CSR.T and core.Problem's cached transposes",
-	"internal/mat.Product":                    "allocating reference for ProductInto and the core update tests",
-	"internal/mat.Gram":                       "allocating reference for GramInto",
-	"internal/mat.Dense.Frobenius":            "norms the core update tests compare",
-	"internal/mat.Dense.IsFinite":             "the solver tests' no-NaN assertion",
-	"internal/mat.Dense.Trace":                "reference for Dot (TestDotMatchesTraceIdentity)",
-	"internal/sparse.FromDenseRows":           "literal fixtures in the sparse, baseline and core tests",
-	"internal/sparse.CSR.ToDense":             "dense reference in the sparse, text, tgraph and core tests",
-	"internal/sparse.CSR.ResidualFrobeniusSq": "reference for ResidualFrobeniusSqWS and the core update tests' loss",
-	"internal/sparse.LaplacianMulDense":       "reference for LaplacianMulDenseInto",
-	"internal/sparse.DegreeMulDense":          "reference for DegreeMulDenseInto",
-	"internal/sparse.Symmetrize":              "graph fixtures in the sparse and core tests",
-	"internal/sparse.DropDiagonal":            "graph fixtures of the Laplacian tests",
-	"internal/sparse.CSR.ScaleRows":           "the core scale-invariance test's fixture",
-	"internal/sparse.CSR.RowNNZ":              "row-shape assertions in the text tests",
-	"internal/sparse.CSR.At":                  "entry lookups the sparse and text tests assert with",
-	"internal/journal.Writer.Append":          "record-at-a-time fixture of the journal tests (the store appends pre-encoded frames)",
-	"internal/core.Online.HistoryLen":         "how the retention and state tests see the solver's memory",
-	"internal/tgraph.CategorizeUsers":         "reference the synth tests hold the generator's user churn to",
-	"internal/tgraph.Corpus.ActiveUsers":      "what those tests feed CategorizeUsers",
-	"internal/tgraph.WriteCSV":                "round-trip partner in ReadCSV's tests",
-	"internal/lexicon.Lexicon.Len":            "public through the triclust.Lexicon alias; how the lexicon tests see a lexicon is not empty",
+	"internal/mat.FromRows":              "literal fixtures in the mat, sparse and core tests",
+	"internal/mat.Equal":                 "the comparison every matrix test asserts with",
+	"internal/mat.Dense.T":               "dense reference for MulATB, MulABT, CSR.T and core.Problem's cached transposes",
+	"internal/mat.Dense.Frobenius":       "norms the core update tests compare",
+	"internal/mat.Dense.IsFinite":        "the solver tests' no-NaN assertion",
+	"internal/mat.Dense.Trace":           "reference for Dot (TestDotMatchesTraceIdentity)",
+	"internal/sparse.FromDenseRows":      "literal fixtures in the sparse, baseline and core tests",
+	"internal/sparse.CSR.ToDense":        "dense reference in the sparse, text, tgraph and core tests",
+	"internal/sparse.Symmetrize":         "graph fixtures in the sparse and core tests",
+	"internal/sparse.DropDiagonal":       "graph fixtures of the Laplacian tests",
+	"internal/sparse.CSR.ScaleRows":      "the core scale-invariance test's fixture",
+	"internal/sparse.CSR.RowNNZ":         "row-shape assertions in the text tests",
+	"internal/sparse.CSR.At":             "entry lookups the sparse and text tests assert with",
+	"internal/journal.Writer.Append":     "record-at-a-time fixture of the journal tests (the store appends pre-encoded frames)",
+	"internal/core.Online.HistoryLen":    "how the retention and state tests see the solver's memory",
+	"internal/tgraph.CategorizeUsers":    "reference the synth tests hold the generator's user churn to",
+	"internal/tgraph.Corpus.ActiveUsers": "what those tests feed CategorizeUsers",
+	"internal/tgraph.WriteCSV":           "round-trip partner in ReadCSV's tests",
+	"internal/lexicon.Lexicon.Len":       "public through the triclust.Lexicon alias; how the lexicon tests see a lexicon is not empty",
 }
 
 // loadRepo type-checks the repository once for the reach and architecture tests.

@@ -1001,3 +1001,35 @@ func TestTopicEpochRoundTrip(t *testing.T) {
 	}
 	requireSameStep(t, 3, a, b, 0)
 }
+
+// TestAllOOVBatchKeepsTheTopicFinite: a batch in which no tweet holds a
+// vocabulary word carries no evidence about the features. Its step fits
+// the tweet and user factors only, so neither it nor the batches after it
+// end with a non-finite objective, and a user keeps a real estimate.
+func TestAllOOVBatchKeepsTheTopicFinite(t *testing.T) {
+	users := []triclust.User{{Name: "a", Label: triclust.NoLabel}, {Name: "b", Label: triclust.NoLabel}, {Name: "c", Label: triclust.NoLabel}}
+	tp, err := triclust.NewTopic(users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := func(ts int, texts ...string) []triclust.Tweet {
+		out := make([]triclust.Tweet, len(texts))
+		for i, s := range texts {
+			out[i] = triclust.Tweet{Text: s, User: i % len(users), Time: ts, RetweetOf: -1, Label: triclust.NoLabel}
+		}
+		return out
+	}
+	known := []string{"love love great prop37 win", "hate bad prop37 lose awful", "great win love prop37"}
+	for _, b := range [][]triclust.Tweet{day(1, known...), day(2, "zzzq xxyy", "qqqq wwww"), day(3, known...)} {
+		res, err := tp.Process(b[0].Time, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loss := res.Raw.History[len(res.Raw.History)-1].Total; math.IsNaN(loss) || math.IsInf(loss, 0) {
+			t.Fatalf("day %d ends with objective %v", b[0].Time, loss)
+		}
+	}
+	if s, ok := tp.UserEstimate(0); !ok || s.Confidence < 0.5 {
+		t.Fatalf("user a after the batches: %+v, %v; want a confident estimate", s, ok)
+	}
+}
