@@ -133,8 +133,10 @@ func TestArchDaemonSpine(t *testing.T) {
 		"peerClient.once builds every inter-shard request")
 	a.want(1, d, a.use(a.obj("net/http", "Redirect")), "http.Redirect",
 		"a shard answers 307 for a topic it does not hold; it relays no client request")
-	a.want(1, d, a.use(a.obj("time", "After")), "time.After",
-		"the peer client's retry backoff; background loops tick until the server's context ends")
+	timer := a.use(a.obj("time", "After"), a.obj("time", "Tick"), a.obj("time", "NewTimer"), a.obj("time", "NewTicker"),
+		a.obj("time", "AfterFunc"), a.obj("time", "Sleep"))
+	a.want(0, in("cmd/triclustd", "internal/cluster"), func(n ast.Node, fun string) bool { return fun != "WallSleep" && timer(n, fun) },
+		"timer outside cluster.WallSleep", "every loop and retry waits through the server's one cluster.Sleep, which a test replaces")
 	client, topics, moved := a.obj("net/http", "Client"), a.obj(daemon, "server", "topics"), a.obj(daemon, "server", "moved")
 	a.want(1, d, func(n ast.Node, _ string) bool { c, ok := n.(*ast.CompositeLit); return ok && a.ref(c.Type) == client },
 		"http.Client literal", "one client on one injectable transport")

@@ -52,6 +52,8 @@ type shardHandler struct {
 	mu sync.RWMutex
 	h  http.Handler
 	wg sync.WaitGroup
+	// refused counts the requests answered 503 while the shard was down.
+	refused atomic.Int64
 }
 
 func (sh *shardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -62,6 +64,7 @@ func (sh *shardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	sh.mu.RUnlock()
 	if h == nil {
+		sh.refused.Add(1)
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: errorDetail{Code: "shard_down", Message: "shard is down"}})
 		return
 	}
@@ -92,6 +95,7 @@ type testShard struct {
 
 type testCluster struct {
 	t      *testing.T
+	clock  *fault.Clock // nil: the shards wait on the wall clock
 	shards []*testShard
 	peers  []string
 	opts   serverOptions // journal/maxBody template; cluster filled per shard
@@ -182,20 +186,109 @@ func (tc *testCluster) killShard(i int) {
 	}
 }
 
+// noBackoff delays every retry by 0, for a server on a manual clock: there
+// a retry's wait would need an advance that only the request knows it
+// needs.
+var noBackoff = cluster.Backoff{Base: 1, Max: 1}
+
+// newClockedCluster is newTestCluster, persistent, with every shard's
+// loops waiting on one manual clock that tick advances, and no retry
+// backoff.
+func newClockedCluster(t *testing.T, n int, opts serverOptions) *testCluster {
+	clock := fault.NewClock()
+	opts.sleep, opts.peer.Backoff = clock.Sleep, noBackoff
+	tc := newTestCluster(t, n, opts, true)
+	tc.clock = clock
+	return tc
+}
+
+// tick advances the manual clock one probe interval once every loop of
+// every live shard is parked on it, and returns once all of them have
+// parked again: each loop due ran exactly one round.
+func (tc *testCluster) tick() {
+	tc.t.Helper()
+	tc.parkLoops()
+	tc.clock.Advance(tc.opts.repl.ProbeInterval)
+	tc.parkLoops()
+}
+
+// parkLoops waits until every loop of every live shard is parked: a probe
+// loop per peer, the reconcile loop, the rebalancer if it is on (its
+// interval must be the probe interval), and the storage prober while it
+// runs.
+// A round that degrades a topic starts the prober, so the count is taken
+// again after each wait; the prober is counted before it can park.
+func (tc *testCluster) parkLoops() {
+	tc.t.Helper()
+	loops := func() int {
+		n := 0
+		for _, sd := range tc.shards {
+			if s := sd.srv; s != nil && s.ctx.Err() == nil {
+				n += len(s.repl.peers) + 1
+				if s.repl.opts.AutoRebalance {
+					n++
+				}
+				s.storage.mu.Lock()
+				if s.storage.running {
+					n++
+				}
+				s.storage.mu.Unlock()
+			}
+		}
+		return n
+	}
+	for n := -1; n != loops(); {
+		if n = loops(); !tc.clock.WaitSleepers(n, eventuallyWithin) {
+			tc.t.Fatalf("the %d loops of the live shards never all parked", n)
+		}
+	}
+}
+
+// await waits for cond: on the manual clock it ticks between checks, at
+// most ticks times; on the wall clock it polls until eventually gives up.
+func (tc *testCluster) await(ticks int, cond func() bool) bool {
+	tc.t.Helper()
+	if tc.clock == nil {
+		return eventually(cond)
+	}
+	for tick := 0; !cond(); tick++ {
+		if tick == ticks {
+			return false
+		}
+		tc.tick()
+	}
+	return true
+}
+
+// eventuallyWithin bounds eventually: long enough that only a hang hits it
+// on a loaded machine under the race detector.
+const eventuallyWithin = 20 * time.Second
+
+// eventually polls cond every few milliseconds until it holds or
+// eventuallyWithin passes, and reports whether it held. It is how a test
+// waits for the daemon to act, across HTTP or beside it, where nothing
+// can be awaited directly.
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(eventuallyWithin); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
 // awaitReady polls the shard's /v1/healthz until it answers — the
 // readiness gate the healthz endpoint exists for.
 func (tc *testCluster) awaitReady(i int) {
 	tc.t.Helper()
 	url := tc.shards[i].hs.URL + "/v1/healthz"
-	for attempt := 0; attempt < 200; attempt++ {
+	if !eventually(func() bool {
 		var hr healthResponse
 		code, err := doJSON(tc.client, "GET", url, nil, &hr)
-		if err == nil && code == http.StatusOK && hr.Status == "ok" {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+		return err == nil && code == http.StatusOK && hr.Status == "ok"
+	}) {
+		tc.t.Fatalf("shard %d never became healthy", i)
 	}
-	tc.t.Fatalf("shard %d never became healthy", i)
 }
 
 // url returns shard i's base URL.
@@ -299,21 +392,36 @@ func controlTopic(t *testing.T, req createTopicRequest) *triclust.Topic {
 
 // retryJSON keeps issuing one request until it yields wantCode, riding
 // out shard kills (503), routing races around a mid-stream move (404,
-// redirect-cap errors) and the restart window. It fails the test after
-// ~6s of refusals.
+// redirect-cap errors) and the restart window. It fails the test once
+// eventually gives up.
 func (tc *testCluster) retryJSON(method, url string, body, out any, wantCode int) {
 	tc.t.Helper()
-	var lastCode int
-	var lastErr error
-	for attempt := 0; attempt < 600; attempt++ {
-		code, err := doJSON(tc.client, method, url, body, out)
-		if err == nil && code == wantCode {
-			return
-		}
-		lastCode, lastErr = code, err
-		time.Sleep(10 * time.Millisecond)
+	tc.retryJSONAt(method, func() string { return url }, "", body, out, wantCode)
+}
+
+// retryJSONAt is retryJSON with the base URL re-resolved on every
+// attempt: a worker caught mid-retry against a shard that just died for
+// good must fail over to a survivor instead of hammering the corpse for
+// its whole retry budget.
+func (tc *testCluster) retryJSONAt(method string, url func() string, path string, body, out any, wantCode int) {
+	tc.t.Helper()
+	var code int
+	var err error
+	if !eventually(func() bool {
+		code, err = doJSON(tc.client, method, url()+path, body, out)
+		return err == nil && code == wantCode
+	}) {
+		tc.t.Fatalf("%s %s never returned %d (last: %d, %v)", method, url()+path, wantCode, code, err)
 	}
-	tc.t.Fatalf("%s %s never returned %d (last: %d, %v)", method, url, wantCode, lastCode, lastErr)
+}
+
+// awaitAcked waits until acked reaches frac of total.
+func awaitAcked(t *testing.T, acked *atomic.Int64, frac float64, total int64) {
+	t.Helper()
+	want := int64(frac * float64(total))
+	if !eventually(func() bool { return acked.Load() >= want }) {
+		t.Fatalf("stream stalled at %d/%d acked batches", acked.Load(), total)
+	}
 }
 
 // TestClusterShardingEndToEnd is the acceptance test of the sharded
@@ -413,25 +521,17 @@ func TestClusterShardingEndToEnd(t *testing.T) {
 	// Mid-stream chaos, phase 1: kill shard 1 abruptly (no graceful
 	// drain beyond in-flight requests) once ~30% of batches are acked,
 	// then restart it from its data directory — snapshot load plus
-	// journal-tail replay.
-	waitAcked := func(frac float64) {
-		t.Helper()
-		want := int64(frac * float64(total))
-		for i := 0; i < 3000 && acked.Load() < want; i++ {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if acked.Load() < want {
-			t.Fatalf("stream stalled at %d/%d acked batches", acked.Load(), total)
-		}
-	}
-	waitAcked(0.3)
+	// journal-tail replay — once traffic has hit the dead shard.
+	awaitAcked(t, &acked, 0.3, total)
 	tc.shards[1].sh.kill()
-	time.Sleep(30 * time.Millisecond) // let some traffic hit the dead shard
+	if !eventually(func() bool { return tc.shards[1].sh.refused.Load() > 0 }) {
+		t.Fatal("no request reached the dead shard")
+	}
 	tc.boot(1)
 
 	// Phase 2: once ~60% of batches are acked, rebalance two topics while
 	// their streams are still running.
-	waitAcked(0.6)
+	awaitAcked(t, &acked, 0.6, total)
 	var mvResp moveResponse
 	tc.retryJSON("POST", tc.url(1)+"/v1/cluster/move", // deliberately not the source: the move routes
 		moveRequest{Topic: harnessTopicName(moveA), Target: tc.url(2)}, &mvResp, http.StatusOK)
@@ -737,7 +837,9 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 			answers <- answer{path, resp.Header.Get(shardHeader), resp.StatusCode}
 		}()
 	}
-	time.Sleep(50 * time.Millisecond) // let them reach the topic lock
+	if !eventually(func() bool { return lockWaiters("(*server).update", "(*server).performHandoff") == len(late) }) {
+		t.Fatalf("%d of %d requests reached the topic lock", lockWaiters("(*server).update", "(*server).performHandoff"), len(late))
+	}
 	srv.fenceLocal(tp, 3, tc.url(dst), "simulated hand-off")
 	tp.mu.Unlock()
 	for range late {
@@ -771,15 +873,46 @@ func errCode2(t *testing.T, client *http.Client, method, url string, body any) (
 	return resp.StatusCode, eb.Error.Code
 }
 
+// handoffPhases reports how far a move's hand-off PUT got: phase[0] is
+// closed already, phase[1] closes when the PUT leaves for the target and
+// phase[2] when its answer is back.
+type handoffPhases struct {
+	phase          [3]chan struct{}
+	sent, answered sync.Once
+}
+
+func newHandoffPhases() *handoffPhases {
+	h := &handoffPhases{}
+	for i := range h.phase {
+		h.phase[i] = make(chan struct{})
+	}
+	close(h.phase[0])
+	return h
+}
+
+func (h *handoffPhases) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method != http.MethodPut {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	h.sent.Do(func() { close(h.phase[1]) })
+	defer h.answered.Do(func() { close(h.phase[2]) })
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 // TestClusterDeleteRacingMove drives the satellite error path head-on: a
-// DELETE and a stream of batches race an in-flight move. Whatever the
-// interleaving, every request must resolve to a well-defined outcome (no
-// hangs, no panics, no wedged topic lock) and the cluster must end in a
-// consistent state: the topic either gone everywhere or served by exactly
-// one shard.
+// DELETE and a stream of batches race an in-flight move, the DELETE sent
+// at once, once the hand-off PUT has left, and once it was answered.
+// Whatever the interleaving, every request must resolve to a well-defined
+// outcome (no hangs, no panics, no wedged topic lock) and the cluster must
+// end in a consistent state: the topic either gone everywhere or served
+// by exactly one shard.
 func TestClusterDeleteRacingMove(t *testing.T) {
 	for round := 0; round < 3; round++ {
-		tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 2, MaxBytes: 8 << 20}}, true)
+		phases := newHandoffPhases()
+		tc := newTestCluster(t, 3, serverOptions{
+			journal: store.Options{Every: 2, MaxBytes: 8 << 20},
+			peer:    peerOptions{Transport: phases},
+		}, true)
 		name := harnessTopicName(9)
 		src := tc.ownerIdx(name)
 		dst := (src + 1) % 3
@@ -790,8 +923,10 @@ func TestClusterDeleteRacingMove(t *testing.T) {
 
 		var wg sync.WaitGroup
 		wg.Add(3)
+		moved := make(chan struct{})
 		go func() { // the move
 			defer wg.Done()
+			defer close(moved)
 			code, err := doJSON(tc.client, "POST", tc.url(src)+"/v1/cluster/move",
 				moveRequest{Topic: name, Target: tc.url(dst)}, nil)
 			if err != nil {
@@ -806,7 +941,10 @@ func TestClusterDeleteRacingMove(t *testing.T) {
 		}()
 		go func() { // the delete
 			defer wg.Done()
-			time.Sleep(time.Duration(round) * 2 * time.Millisecond)
+			select {
+			case <-phases.phase[round]:
+			case <-moved: // a move that sent no PUT
+			}
 			code, err := doJSON(tc.client, "DELETE", tc.url(src)+"/v1/topics/"+name, nil, nil)
 			if err != nil {
 				// A DELETE that raced the move may be redirected to the

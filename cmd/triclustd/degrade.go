@@ -241,14 +241,7 @@ func (m *storageMonitor) ensureProber() {
 }
 
 func (m *storageMonitor) probeLoop() {
-	t := time.NewTicker(m.opts.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.s.ctx.Done():
-			return
-		case <-t.C:
-		}
+	for m.s.sleep(m.s.ctx, m.opts.ProbeInterval) {
 		m.probes.Add(1)
 		if err := m.s.store.Probe(); err != nil {
 			msg := "probe failed: " + err.Error()

@@ -69,15 +69,13 @@ func degradeBatch(day int) batchRequest {
 func awaitStorageState(t *testing.T, client *http.Client, base, want string) healthResponse {
 	t.Helper()
 	var hr healthResponse
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	if !eventually(func() bool {
+		hr = healthResponse{}
 		code, err := doJSON(client, "GET", base+"/v1/healthz", nil, &hr)
-		if err == nil && code == http.StatusOK && hr.Storage != nil && hr.Storage.State == want {
-			return hr
-		}
-		time.Sleep(10 * time.Millisecond)
+		return err == nil && code == http.StatusOK && hr.Storage != nil && hr.Storage.State == want
+	}) {
+		t.Fatalf("storage never reached state %q (last: %+v)", want, hr.Storage)
 	}
-	t.Fatalf("storage never reached state %q (last: %+v)", want, hr.Storage)
 	return hr
 }
 

@@ -50,16 +50,17 @@ const (
 )
 
 type peerClient struct {
-	opts peerOptions
-	hc   *http.Client
+	opts  peerOptions
+	hc    *http.Client
+	sleep cluster.Sleep // the server's: spaces the retries
 	// down reports a peer the failure detector declared down (nil without
 	// replication): retrying it is abandoned at once — its resync happens
 	// when it comes back, not by hammering a corpse.
 	down func(peer string) bool
 }
 
-func newPeerClient(opts peerOptions) *peerClient {
-	return &peerClient{opts: opts, hc: &http.Client{Transport: opts.Transport}}
+func newPeerClient(opts peerOptions, sleep cluster.Sleep) *peerClient {
+	return &peerClient{opts: opts, hc: &http.Client{Transport: opts.Transport}, sleep: sleep}
 }
 
 // peerCall is one inter-shard request with a bounded JSON (or ignored) reply.
@@ -127,10 +128,8 @@ func (p *peerClient) call(ctx context.Context, c peerCall, out any) error {
 			if p.down != nil && p.down(c.peer) {
 				return fmt.Errorf("%s declared down after %d attempts: %w", c.peer, attempt, last)
 			}
-			select {
-			case <-ctx.Done():
+			if !p.sleep(ctx, p.opts.Backoff.Delay(attempt-1)) {
 				return ctx.Err()
-			case <-time.After(p.opts.Backoff.Delay(attempt - 1)):
 			}
 		}
 		if last = p.once(ctx, &c, out); last == nil {

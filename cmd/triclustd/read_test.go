@@ -389,40 +389,28 @@ func TestClusterReadersDuringMoveAndIngest(t *testing.T) {
 			// run on (against the settled topic) until both read paths were
 			// seen, so the check below judges the read plane, not the
 			// scheduler.
-			for deadline := time.Now().Add(5 * time.Second); (okReads.Load() == 0 || notMod.Load() == 0) && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
+			eventually(func() bool { return okReads.Load() > 0 && notMod.Load() > 0 })
 			done.Store(true)
 		}()
 		owner, other := src, dst
 		for move := 1; move <= moveWant; move++ {
 			for i := 0; i < 2; i++ {
 				lastDay++
-				ok := false
-				for attempt := 0; attempt < 600 && !ok; attempt++ {
+				if !eventually(func() bool {
 					var br batchResponse
 					code, err := doJSON(tc.client, "POST", tc.url(owner)+"/v1/topics/"+name+"/batches", harnessBatch(3, lastDay), &br)
-					ok = err == nil && code == http.StatusOK
-					if !ok {
-						time.Sleep(5 * time.Millisecond)
-					}
-				}
-				if !ok {
+					return err == nil && code == http.StatusOK
+				}) {
 					report("writer: batch %d never accepted", lastDay)
 					return
 				}
 			}
 			var mv moveResponse
-			ok := false
-			for attempt := 0; attempt < 600 && !ok; attempt++ {
+			if !eventually(func() bool {
 				code, err := doJSON(tc.client, "POST", tc.url(owner)+"/v1/cluster/move",
 					moveRequest{Topic: name, Target: tc.url(other)}, &mv)
-				ok = err == nil && code == http.StatusOK
-				if !ok {
-					time.Sleep(5 * time.Millisecond)
-				}
-			}
-			if !ok {
+				return err == nil && code == http.StatusOK
+			}) {
 				report("mover: move %d never committed", move)
 				return
 			}

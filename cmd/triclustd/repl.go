@@ -158,6 +158,7 @@ func newReplicator(s *server, opts replOptions) *replicator {
 		Timeout:   opts.ProbeTimeout,
 		Threshold: opts.ProbeFailures,
 		Backoff:   s.peers.opts.Backoff,
+		Sleep:     s.sleep,
 	})
 	s.peers.down = r.det.Down
 	return r
@@ -278,24 +279,17 @@ func (r *replicator) needsResync(name string) bool {
 	return false
 }
 
-// reconcileLoop is the replicator's one reconciling tick, every
-// -probe-interval: each served topic that needsResync gets a full re-ship
-// to the followers that fell behind, then each held replica whose source
-// is down is offered to maybePromote. Recorded state is the whole to-do
-// list, so an out-of-sync follower or an orphaned replica is retried on
-// every tick until it converges — whether or not another batch or peer
+// reconcileLoop is the replicator's one reconciling tick, -probe-interval
+// after the last one ended: each served topic that needsResync gets a full
+// re-ship to the followers that fell behind, then each held replica whose
+// source is down is offered to maybePromote. Recorded state is the whole
+// to-do list, so an out-of-sync follower or an orphaned replica is retried
+// on every tick until it converges — whether or not another batch or peer
 // event ever arrives, and whatever order the verdicts arrived in.
 func (r *replicator) reconcileLoop() {
 	s := r.s
-	t := time.NewTicker(r.opts.ProbeInterval)
-	defer t.Stop()
 	var down []string
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-t.C:
-		}
+	for s.sleep(s.ctx, r.opts.ProbeInterval) {
 		if now := r.det.DownPeers(); !slices.Equal(now, down) {
 			s.logf("peers declared down: %v (was %v)", now, down)
 			down = now
@@ -797,20 +791,14 @@ func (r *replicator) reconcileStartup() {
 
 // ——— rebalancer ———
 
-// rebalanceLoop periodically converges this shard's held topics onto the
-// ring: topics whose ring owner is a different live peer are handed off
-// through the ordinary move path. Because placement is a consistent hash,
-// the plan is exactly the minimal remap for whatever peers died or
-// returned — topics still mapping here never move.
+// rebalanceLoop converges this shard's held topics onto the ring,
+// -rebalance-interval after its last round ended: topics whose ring owner
+// is a different live peer are handed off through the ordinary move path.
+// Because placement is a consistent hash, the plan is exactly the minimal
+// remap for whatever peers died or returned — topics still mapping here
+// never move.
 func (r *replicator) rebalanceLoop() {
-	t := time.NewTicker(r.opts.RebalanceInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.s.ctx.Done():
-			return
-		case <-t.C:
-		}
+	for r.s.sleep(r.s.ctx, r.opts.RebalanceInterval) {
 		r.rebalanceOnce()
 	}
 }

@@ -54,42 +54,29 @@ func fastPeer(transport http.RoundTripper) peerOptions {
 	}
 }
 
-// retryJSONAt is retryJSON with the base URL re-resolved on every
-// attempt: a worker caught mid-retry against a shard that just died for
-// good must fail over to a survivor instead of hammering the corpse for
-// its whole retry budget.
-func (tc *testCluster) retryJSONAt(method string, url func() string, path string, body, out any, wantCode int) {
-	tc.t.Helper()
-	var lastCode int
-	var lastErr error
-	for attempt := 0; attempt < 600; attempt++ {
-		code, err := doJSON(tc.client, method, url()+path, body, out)
-		if err == nil && code == wantCode {
-			return
-		}
-		lastCode, lastErr = code, err
-		time.Sleep(10 * time.Millisecond)
-	}
-	tc.t.Fatalf("%s %s never returned %d (last: %d, %v)", method, path, wantCode, lastCode, lastErr)
-}
-
 // awaitServedAt polls the live shards until one of them serves the topic
-// locally at exactly wantEpoch, returning that shard's index.
+// locally at exactly wantEpoch, returning that shard's index. On the
+// manual clock a promotion must land within ProbeFailures+2 ticks: the
+// down verdict, the reconcile round of that tick or the next, and one
+// retry.
 func (tc *testCluster) awaitServedAt(name string, wantEpoch uint64, live []int) int {
 	tc.t.Helper()
-	for attempt := 0; attempt < 1000; attempt++ {
+	served := -1
+	if !tc.await(tc.opts.repl.ProbeFailures+2, func() bool {
 		for _, i := range live {
 			var info clusterInfoResponse
 			code, err := doJSON(tc.client, "GET", tc.url(i)+"/v1/cluster/info?topic="+name, nil, &info)
 			if err == nil && code == http.StatusOK && info.Topic != nil &&
 				info.Topic.Local && info.Topic.Epoch == wantEpoch {
-				return i
+				served = i
+				return true
 			}
 		}
-		time.Sleep(10 * time.Millisecond)
+		return false
+	}) {
+		tc.t.Fatalf("no live shard ever served %q at epoch %d", name, wantEpoch)
 	}
-	tc.t.Fatalf("no live shard ever served %q at epoch %d", name, wantEpoch)
-	return -1
+	return served
 }
 
 // TestClusterReplicationFailover is the tentpole acceptance test: three
@@ -167,13 +154,7 @@ func TestClusterReplicationFailover(t *testing.T) {
 	}
 
 	// Kill the victim once ~40% of the stream is acked. No restart.
-	want := int64(0.4 * float64(total))
-	for i := 0; i < 3000 && acked.Load() < want; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if acked.Load() < want {
-		t.Fatalf("stream stalled at %d/%d acked batches before the kill", acked.Load(), total)
-	}
+	awaitAcked(t, &acked, 0.4, total)
 	tc.killShard(victim)
 	killed.Store(true)
 
@@ -393,64 +374,64 @@ func (tc *testCluster) ownedBy(i, n int) []string {
 	return names
 }
 
-// awaitFollowersSynced polls shard i's healthz until its replication lag
+// awaitFollowersSynced reads shard i's healthz until its replication lag
 // lists Factor-1 followers for every named topic, each synced and 0
-// batches behind, failing after the given number of probe intervals.
+// batches behind, failing after the given number of ticks (see await).
 func (tc *testCluster) awaitFollowersSynced(i int, names []string, ticks int) {
 	tc.t.Helper()
 	want := tc.opts.repl.Factor - 1
 	var hr healthResponse
 	synced := 0
-	for deadline := time.Now().Add(time.Duration(ticks) * tc.opts.repl.ProbeInterval); time.Now().Before(deadline); {
+	if !tc.await(ticks, func() bool {
 		hr = healthResponse{}
-		if code, err := doJSON(tc.client, "GET", tc.url(i)+"/v1/healthz", nil, &hr); err == nil && code == http.StatusOK && hr.Replication != nil {
-			ok := map[string]int{}
-			for _, l := range hr.Replication.Lag {
-				if l.Synced && l.Behind == 0 {
-					ok[l.Topic]++
-				}
-			}
-			synced = 0
-			for _, name := range names {
-				if ok[name] == want {
-					synced++
-				}
-			}
-			if synced == len(names) {
-				return
+		code, err := doJSON(tc.client, "GET", tc.url(i)+"/v1/healthz", nil, &hr)
+		if err != nil || code != http.StatusOK || hr.Replication == nil {
+			return false
+		}
+		ok := map[string]int{}
+		for _, l := range hr.Replication.Lag {
+			if l.Synced && l.Behind == 0 {
+				ok[l.Topic]++
 			}
 		}
-		time.Sleep(10 * time.Millisecond)
+		synced = 0
+		for _, name := range names {
+			if ok[name] == want {
+				synced++
+			}
+		}
+		return synced == len(names)
+	}) {
+		lag := 0
+		if hr.Replication != nil {
+			lag = len(hr.Replication.Lag)
+		}
+		tc.t.Fatalf("shard %d: %d of %d topics have every follower synced after %d ticks (healthz lists %d lag entries)",
+			i, synced, len(names), ticks, lag)
 	}
-	lag := 0
-	if hr.Replication != nil {
-		lag = len(hr.Replication.Lag)
-	}
-	tc.t.Fatalf("shard %d: %d of %d topics have every follower synced after %d ticks (healthz lists %d lag entries)",
-		i, synced, len(names), ticks, lag)
 }
 
 // TestResyncConvergesIdleTopics: followers that missed the base ship of
-// more topics than a bounded queue would hold converge once the transport
-// heals, though no batch follows and no peer changes state. The resync
-// loop reads the recorded follower state, so an idle topic is never
-// dropped from it.
+// more topics than a bounded queue would hold converge in the first
+// reconcile round after the transport heals, though no batch follows and
+// no peer changes state. The resync loop reads the recorded follower
+// state, so an idle topic is never dropped from it.
 func TestResyncConvergesIdleTopics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster harness is not short")
 	}
 	gate := &gateTransport{prefix: "/v1/replica/"}
-	tc := newTestCluster(t, 2, serverOptions{
+	tc := newClockedCluster(t, 2, serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    fastRepl(),
 		peer:    fastPeer(gate),
-	}, true)
+	})
 	names := tc.ownedBy(0, 320)
 	for _, name := range names {
 		tc.retryJSON("POST", tc.url(0)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
 	}
 	gate.open.Store(true)
-	tc.awaitFollowersSynced(0, names, 400)
+	tc.awaitFollowersSynced(0, names, 1)
 
 	primary := tc.shards[0].srv
 	for _, name := range names {
@@ -462,20 +443,19 @@ func TestResyncConvergesIdleTopics(t *testing.T) {
 }
 
 // TestRestartReseedsIdleFollowers: a rebooted primary knows nothing of its
-// followers, so within a tick it re-seeds those of its idle topics —
-// healthz lists every one synced without another batch.
+// followers, so in its first tick it re-seeds those of its idle topics —
+// healthz lists every one synced without another batch. The clock stands
+// still while the primary is down, so no probe fails and no promotion
+// races the reboot.
 func TestRestartReseedsIdleFollowers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster harness is not short")
 	}
-	ro := fastRepl()
-	// The reboot must not read as a death: no promotion races it.
-	ro.ProbeFailures = 1 << 20
-	tc := newTestCluster(t, 2, serverOptions{
+	tc := newClockedCluster(t, 2, serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    ro,
+		repl:    fastRepl(),
 		peer:    fastPeer(nil),
-	}, true)
+	})
 	names := tc.ownedBy(0, 6)
 	for _, name := range names {
 		tc.retryJSON("POST", tc.url(0)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
@@ -483,11 +463,11 @@ func TestRestartReseedsIdleFollowers(t *testing.T) {
 			tc.retryJSON("POST", tc.url(0)+"/v1/topics/"+name+"/batches", degradeBatch(day), nil, http.StatusOK)
 		}
 	}
-	tc.awaitFollowersSynced(0, names, 40)
+	tc.awaitFollowersSynced(0, names, 0)
 
 	tc.killShard(0)
 	tc.boot(0)
-	tc.awaitFollowersSynced(0, names, 40)
+	tc.awaitFollowersSynced(0, names, 1)
 }
 
 // TestClusterZombieFencing pins the split-brain guarantee: a primary cut
@@ -504,7 +484,7 @@ func TestClusterZombieFencing(t *testing.T) {
 		repl:    fastRepl(),
 		peer:    fastPeer(nil),
 	}
-	tc := newTestCluster(t, 3, opts, true)
+	tc := newClockedCluster(t, 3, opts)
 
 	// One topic, owned by the shard that will go zombie.
 	pick := -1
@@ -599,13 +579,13 @@ func TestClusterReplicationRebalanceAfterRecovery(t *testing.T) {
 	}
 	ro := fastRepl()
 	ro.AutoRebalance = true
-	ro.RebalanceInterval = 50 * time.Millisecond
+	ro.RebalanceInterval = ro.ProbeInterval // one tick steps the rebalancer too
 	opts := serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    ro,
 		peer:    fastPeer(nil),
 	}
-	tc := newTestCluster(t, 3, opts, true)
+	tc := newClockedCluster(t, 3, opts)
 
 	pick := -1
 	for i := 0; i < harnessTopics; i++ {
@@ -745,10 +725,8 @@ func TestFailoverCascade(t *testing.T) {
 
 	tc.killShard(p)
 	det := tc.shards[b].srv.repl.det
-	for deadline := time.Now().Add(10 * time.Second); hold.held.Load() == 0 || !det.Down(tc.url(p)); time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("A never asked its split-brain guard (held %d) or B never saw P down (%v)", hold.held.Load(), det.Down(tc.url(p)))
-		}
+	if !eventually(func() bool { return hold.held.Load() > 0 && det.Down(tc.url(p)) }) {
+		t.Fatalf("A never asked its split-brain guard (held %d) or B never saw P down (%v)", hold.held.Load(), det.Down(tc.url(p)))
 	}
 	if tc.shards[b].srv.resolve(name).tp != nil {
 		t.Fatal("B promoted while A was the first live candidate")
@@ -766,11 +744,11 @@ func TestFailoverRetriesFailedPromotion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster harness is not short")
 	}
-	tc := newTestCluster(t, 2, serverOptions{
+	tc := newClockedCluster(t, 2, serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    fastRepl(),
 		peer:    fastPeer(nil),
-	}, true)
+	})
 	script := fault.NewScript()
 	tc.useFS(1, script)
 	name := tc.ownedBy(0, 1)[0]
@@ -794,11 +772,11 @@ func TestFailoverKeepsReplicaUntilDurable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster harness is not short")
 	}
-	tc := newTestCluster(t, 2, serverOptions{
+	tc := newClockedCluster(t, 2, serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    fastRepl(),
 		peer:    fastPeer(nil),
-	}, true)
+	})
 	script := fault.NewScript()
 	tc.useFS(1, script)
 	name := tc.ownedBy(0, 1)[0]
@@ -807,10 +785,8 @@ func TestFailoverKeepsReplicaUntilDurable(t *testing.T) {
 	writes := script.Hits("persist.snap.write")
 	script.AddRule(fault.Rule{Site: "persist.snap.write", Err: errors.New("injected: snapshot device gone")})
 	tc.killShard(0)
-	for deadline := time.Now().Add(10 * time.Second); script.Hits("persist.snap.write") < writes+2; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("promotion tried %d snapshot writes, want 2", script.Hits("persist.snap.write")-writes)
-		}
+	if !tc.await(tc.opts.repl.ProbeFailures+2, func() bool { return script.Hits("persist.snap.write") >= writes+2 }) {
+		t.Fatalf("promotion tried %d snapshot writes, want 2", script.Hits("persist.snap.write")-writes)
 	}
 	// Closed, the shard has no promotion in flight: the topic is retired
 	// and the replica kept.

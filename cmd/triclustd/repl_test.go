@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -331,20 +332,23 @@ var lifetimeLoops = []string{
 	"(*replicator).rebalanceLoop(", "(*storageMonitor).probeLoop(",
 }
 
-// loopCounts counts the live goroutines that are running each of
-// lifetimeLoops.
-func loopCounts() map[string]int {
+// stacks returns the stack of every live goroutine.
+func stacks() []string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			buf = buf[:n]
-			break
+			return strings.Split(string(buf[:n]), "\n\n")
 		}
 		buf = make([]byte, 2*len(buf))
 	}
+}
+
+// loopCounts counts the live goroutines that are running each of
+// lifetimeLoops.
+func loopCounts() map[string]int {
 	counts := map[string]int{}
-	for _, g := range strings.Split(string(buf), "\n\n") {
+	for _, g := range stacks() {
 		for _, loop := range lifetimeLoops {
 			if strings.Contains(g, loop) {
 				counts[loop]++
@@ -354,9 +358,21 @@ func loopCounts() map[string]int {
 	return counts
 }
 
+// lockWaiters counts the goroutines waiting for a mutex inside one of fns.
+func lockWaiters(fns ...string) int {
+	n := 0
+	for _, g := range stacks() {
+		if strings.Contains(g, "sync.(*Mutex).Lock") && slices.ContainsFunc(fns, func(fn string) bool { return strings.Contains(g, fn) }) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCloseEndsOneLifetime: a replicated shard with a degraded topic runs
-// every background loop; when Close returns they have all exited, spawn
-// starts nothing any more, and a second Close is a no-op.
+// every background loop, each parked on a manual clock; when Close returns
+// they have all exited, spawn starts nothing any more, and a second Close
+// is a no-op.
 func TestCloseEndsOneLifetime(t *testing.T) {
 	const self = "http://self.test:8547"
 	cc, err := newClusterConfig(self, self+",http://peer.test:8547", 32)
@@ -365,16 +381,17 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 	}
 	ro := fastRepl()
 	ro.AutoRebalance = true
-	ro.RebalanceInterval = 10 * time.Millisecond
+	clock := fault.NewClock()
 	script := fault.NewScript()
 	s, err := newServer(t.TempDir(), serverOptions{
 		journal: store.Options{Every: 100},
 		cluster: cc,
 		repl:    ro,
 		// The peer exists on the ring only: every request to it fails here.
-		peer:    fastPeer(&gateTransport{prefix: "/"}),
+		peer:    peerOptions{Backoff: noBackoff, Transport: &gateTransport{prefix: "/"}},
 		fs:      script,
 		storage: storageOptions{ProbeInterval: 10 * time.Millisecond},
+		sleep:   clock.Sleep,
 	}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
@@ -393,29 +410,23 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 		t.Fatalf("create: %d %s", code, ec)
 	}
 	// A full disk degrades the topic, which starts the storage prober; the
-	// disk stays full, so the prober keeps running.
+	// disk stays full and the clock never moves, so each loop stays parked.
 	script.SetBudget(0)
 	if code, ec := serveJSON(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1)); code != http.StatusServiceUnavailable {
 		t.Fatalf("batch on a full disk: %d %s, want 503", code, ec)
 	}
-	// waitLoops polls until ok holds for each loop's goroutine count less
-	// its count before start.
-	waitLoops := func(loops []string, ok func(extra int) bool, within time.Duration) {
-		t.Helper()
-		for deadline := time.Now().Add(within); ; time.Sleep(time.Millisecond) {
-			now, all := loopCounts(), true
-			for _, loop := range loops {
-				all = all && ok(now[loop]-before[loop])
-			}
-			if all {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("loops %v: %v (before start: %v)", loops, now, before)
-			}
-		}
+	if !clock.WaitSleepers(len(lifetimeLoops), eventuallyWithin) {
+		t.Fatalf("not every loop parked on the clock: %v (before start: %v)", loopCounts(), before)
 	}
-	waitLoops(lifetimeLoops, func(extra int) bool { return extra > 0 }, 5*time.Second)
+	// extra reports whether ok holds for each loop's goroutine count less
+	// its count before start.
+	extra := func(ok func(extra int) bool) bool {
+		now := loopCounts()
+		return !slices.ContainsFunc(lifetimeLoops, func(loop string) bool { return !ok(now[loop] - before[loop]) })
+	}
+	if !extra(func(n int) bool { return n == 1 }) {
+		t.Fatalf("loops running: %v (before start: %v)", loopCounts(), before)
+	}
 	// A goroutine that outlives the context by a moment: Close must wait
 	// for it like for the loops.
 	exited := make(chan struct{})
@@ -445,11 +456,10 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 		t.Fatal("Close returned before a spawned goroutine exited")
 	}
 	// A spawned loop returns before its goroutine releases the WaitGroup,
-	// so it is gone the moment Close returns. The detector's loop releases
-	// its own WaitGroup on the way out and may linger for an instant.
-	gone := func(extra int) bool { return extra == 0 }
-	waitLoops(lifetimeLoops[1:], gone, 0)
-	waitLoops(lifetimeLoops[:1], gone, time.Second)
+	// so it is gone the moment Close returns.
+	if !extra(func(n int) bool { return n == 0 }) {
+		t.Fatalf("loops outlived Close: %v (before start: %v)", loopCounts(), before)
+	}
 
 	ran := false
 	s.spawn(func() { ran = true })

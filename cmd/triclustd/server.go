@@ -75,6 +75,7 @@ type server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
+	sleep  cluster.Sleep // serverOptions.sleep: every wait of the lifetime
 }
 
 type topic struct {
@@ -129,6 +130,9 @@ type serverOptions struct {
 	fs fault.FS
 	// storage tunes the disk-degraded state machine (see degrade.go).
 	storage storageOptions
+	// sleep is every wait of the loops and retries (nil: cluster.WallSleep);
+	// tests inject a fault.Clock's to step the loops a round at a time.
+	sleep cluster.Sleep
 }
 
 // newServer builds the registry, restoring every snapshot found under
@@ -153,13 +157,17 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 		cluster: opts.cluster,
 		maxBody: opts.maxBody,
 		conform: opts.conform,
+		sleep:   opts.sleep,
+	}
+	if s.sleep == nil {
+		s.sleep = cluster.WallSleep
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if st != nil {
 		s.storage = newStorageMonitor(s, opts.storage)
 	}
 	if opts.cluster != nil {
-		s.peers = newPeerClient(opts.peer)
+		s.peers = newPeerClient(opts.peer, s.sleep)
 	}
 	replicated := opts.repl != nil && opts.repl.Factor >= 2
 	if replicated && opts.cluster == nil {

@@ -391,11 +391,11 @@ func TestClusterWireFormatsEndToEnd(t *testing.T) {
 		topics = 6
 		days   = 6
 	)
-	tc := newTestCluster(t, 3, serverOptions{
+	tc := newClockedCluster(t, 3, serverOptions{
 		journal: store.Options{Every: 3, MaxBytes: 8 << 20},
 		repl:    fastRepl(),
 		peer:    fastPeer(nil),
-	}, true)
+	})
 
 	for i := 0; i < topics; i++ {
 		var sum topicSummary
@@ -408,22 +408,16 @@ func TestClusterWireFormatsEndToEnd(t *testing.T) {
 			if (i+day)%2 == 0 {
 				// Binary leg, with a binary-negotiated response, retried the
 				// same way retryJSON rides out routing races.
-				var lastStatus int
-				var lastBody []byte
-				ok := false
-				for attempt := 0; attempt < 600 && !ok; attempt++ {
-					status, body, _ := doRaw(t, tc.client, "POST", url, mediaTypeBatch, mediaTypeBatch, binaryBatchBody(t, batch))
-					if status == http.StatusOK {
-						if _, err := codec.DecodeBatchResponse(body); err != nil {
-							t.Fatalf("topic %d day %d: redirected binary response does not decode: %v", i, day, err)
-						}
-						ok = true
-						break
-					}
-					lastStatus, lastBody = status, body
+				var status int
+				var body []byte
+				if !eventually(func() bool {
+					status, body, _ = doRaw(t, tc.client, "POST", url, mediaTypeBatch, mediaTypeBatch, binaryBatchBody(t, batch))
+					return status == http.StatusOK
+				}) {
+					t.Fatalf("topic %d day %d binary never succeeded (last %d: %s)", i, day, status, body)
 				}
-				if !ok {
-					t.Fatalf("topic %d day %d binary never succeeded (last %d: %s)", i, day, lastStatus, lastBody)
+				if _, err := codec.DecodeBatchResponse(body); err != nil {
+					t.Fatalf("topic %d day %d: redirected binary response does not decode: %v", i, day, err)
 				}
 			} else {
 				tc.retryJSON("POST", url, batch, nil, http.StatusOK)

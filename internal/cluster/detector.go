@@ -25,6 +25,8 @@ type DetectorConfig struct {
 	// Backoff spaces out probes of a peer already declared down, so a
 	// long-dead peer is not hammered at the live-probe cadence.
 	Backoff Backoff
+	// Sleep is the wait between probes (nil: WallSleep).
+	Sleep Sleep
 }
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
@@ -36,6 +38,9 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 	}
 	if c.Threshold <= 0 {
 		c.Threshold = 3
+	}
+	if c.Sleep == nil {
+		c.Sleep = WallSleep
 	}
 	return c
 }
@@ -74,28 +79,18 @@ func NewDetector(peers []string, probe ProbeFunc, cfg DetectorConfig) *Detector 
 	return d
 }
 
-// Watch probes peer until ctx ends; each probe's deadline derives from ctx,
-// so a probe in flight is cancelled with it.
+// Watch probes peer until ctx ends: every Interval while it is live, at a
+// capped backoff once it is down (a long outage costs a trickle of probes).
+// A probe's deadline derives from ctx, so a probe in flight ends with it.
 func (d *Detector) Watch(ctx context.Context, peer string) {
-	timer := time.NewTimer(d.cfg.Interval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
+	for next := d.cfg.Interval; d.cfg.Sleep(ctx, next); {
 		pctx, cancel := context.WithTimeout(ctx, d.cfg.Timeout)
 		err := d.probe(pctx, peer)
 		cancel()
-		down, downFor := d.record(peer, err == nil)
-		// Live peers are probed at the steady interval; down peers back
-		// off (capped), so a long outage costs a trickle of probes.
-		next := d.cfg.Interval
-		if down {
+		next = d.cfg.Interval
+		if down, downFor := d.record(peer, err == nil); down {
 			next = max(d.cfg.Backoff.Delay(downFor), d.cfg.Interval)
 		}
-		timer.Reset(next)
 	}
 }
 

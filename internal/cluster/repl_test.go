@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"triclust/internal/fault"
 )
 
 func testRing(t *testing.T, peers ...string) *Ring {
@@ -134,66 +136,126 @@ func watch(t *testing.T, d *Detector, peers ...string) {
 	})
 }
 
-func TestDetectorThresholdAndRecovery(t *testing.T) {
-	var failing atomic.Bool
-	probe := func(ctx context.Context, peer string) error {
-		if failing.Load() {
+// scriptedPeer is one watched peer on a manual clock: its probe answers
+// failing's verdict and counts, and step advances the clock and returns
+// once the probe loop has parked again, so every probe the advance was due
+// has run.
+type scriptedPeer struct {
+	t       *testing.T
+	clock   *fault.Clock
+	d       *Detector
+	failing atomic.Bool
+	probes  atomic.Int64
+}
+
+func newScriptedPeer(t *testing.T, cfg DetectorConfig) *scriptedPeer {
+	sp := &scriptedPeer{t: t, clock: fault.NewClock()}
+	cfg.Sleep = sp.clock.Sleep
+	sp.d = NewDetector([]string{"http://p"}, func(context.Context, string) error {
+		sp.probes.Add(1)
+		if sp.failing.Load() {
 			return errors.New("down")
 		}
 		return nil
-	}
-	d := NewDetector([]string{"http://p"}, probe, DetectorConfig{
-		Interval:  5 * time.Millisecond,
-		Timeout:   5 * time.Millisecond,
-		Threshold: 3,
-		Backoff:   Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
-	})
-	watch(t, d, "http://p")
+	}, cfg)
+	watch(t, sp.d, "http://p")
+	sp.park()
+	return sp
+}
 
-	deadline := time.Now().Add(2 * time.Second)
-	if d.Down("http://p") {
+func (sp *scriptedPeer) park() {
+	sp.t.Helper()
+	if !sp.clock.WaitSleepers(1, 10*time.Second) {
+		sp.t.Fatal("the probe loop never parked on the clock")
+	}
+}
+
+// step advances the clock by d and reports how many probes ran.
+func (sp *scriptedPeer) step(d time.Duration) int64 {
+	sp.t.Helper()
+	before := sp.probes.Load()
+	sp.clock.Advance(d)
+	sp.park()
+	return sp.probes.Load() - before
+}
+
+// TestDetectorThresholdAndRecovery pins the probe schedule on a manual
+// clock: a live peer is probed once per Interval, declared down on exactly
+// the Threshold-th consecutive failure, re-probed while down after
+// max(Backoff.Delay(n), Interval) — jittered into [d/2, d] — and brought
+// back by one success.
+func TestDetectorThresholdAndRecovery(t *testing.T) {
+	const interval = time.Second
+	b := Backoff{Base: 4 * time.Second, Max: 16 * time.Second}
+	sp := newScriptedPeer(t, DetectorConfig{Interval: interval, Threshold: 3, Backoff: b})
+	if n := sp.step(interval - 1); n != 0 {
+		t.Fatalf("%d probes before the first Interval passed", n)
+	}
+	for round := 0; round < 3; round++ {
+		if n := sp.step(1); n != 1 {
+			t.Fatalf("live round %d: %d probes in one Interval, want 1", round, n)
+		}
+		if n := sp.step(interval - 1); n != 0 {
+			t.Fatalf("live round %d: %d probes before the next Interval", round, n)
+		}
+	}
+
+	if sp.d.Down("http://p") {
 		t.Fatal("peer down before any probe failed")
 	}
-	failing.Store(true)
-	for !d.Down("http://p") {
-		if time.Now().After(deadline) {
-			t.Fatal("peer never declared down")
+	sp.failing.Store(true)
+	for fail := 1; fail <= 3; fail++ {
+		if sp.step(1) != 1 {
+			t.Fatalf("failure %d: not one probe per Interval", fail)
 		}
-		time.Sleep(time.Millisecond)
+		if down := sp.d.Down("http://p"); down != (fail == 3) {
+			t.Fatalf("after %d consecutive failures Down = %v (threshold 3)", fail, down)
+		}
+		if fail < 3 {
+			sp.step(interval - 1)
+		}
 	}
-	if got := d.DownPeers(); len(got) != 1 || got[0] != "http://p" {
+	if got := sp.d.DownPeers(); len(got) != 1 || got[0] != "http://p" {
 		t.Fatalf("DownPeers = %v", got)
 	}
-	failing.Store(false)
-	for d.Down("http://p") {
-		if time.Now().After(deadline) {
-			t.Fatal("peer never recovered")
+
+	// Down: the k-th re-probe waits max(Delay(k), Interval), a delay in
+	// [cap/2, cap] for the backoff's cap at attempt k, 4s, 8s, 16s, 16s.
+	for k, capped := range []time.Duration{4 * time.Second, 8 * time.Second, 16 * time.Second, 16 * time.Second} {
+		if n := sp.step(capped/2 - 1); n != 0 {
+			t.Fatalf("down re-probe %d came before %v", k, capped/2)
 		}
-		time.Sleep(time.Millisecond)
+		if n := sp.step(capped/2 + 1); n != 1 {
+			t.Fatalf("down re-probe %d: %d probes by %v, want 1", k, n, capped)
+		}
+		if !sp.d.Down("http://p") {
+			t.Fatal("a failed re-probe brought the peer back")
+		}
+	}
+
+	sp.failing.Store(false)
+	if n := sp.step(16 * time.Second); n != 1 || sp.d.Down("http://p") {
+		t.Fatalf("one successful probe (%d) left the peer down", n)
+	}
+	if n := sp.step(interval); n != 1 {
+		t.Fatalf("recovered peer: %d probes in the next Interval, want 1", n)
 	}
 }
 
 func TestDetectorSingleFailureIsNotDown(t *testing.T) {
-	var calls atomic.Int64
-	probe := func(ctx context.Context, peer string) error {
-		if calls.Add(1) == 1 {
-			return errors.New("one blip")
+	const interval = time.Second
+	sp := newScriptedPeer(t, DetectorConfig{Interval: interval, Threshold: 3})
+	sp.failing.Store(true)
+	sp.step(interval)
+	sp.failing.Store(false)
+	for round := 0; round < 4; round++ {
+		sp.step(interval)
+		if sp.d.Down("http://p") {
+			t.Fatalf("a single failed probe declared the peer down (round %d)", round)
 		}
-		return nil
 	}
-	d := NewDetector([]string{"http://p"}, probe, DetectorConfig{
-		Interval: 2 * time.Millisecond, Threshold: 3,
-	})
-	watch(t, d, "http://p")
-	deadline := time.Now().Add(time.Second)
-	for calls.Load() < 5 {
-		if time.Now().After(deadline) {
-			t.Fatal("probes never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if d.Down("http://p") {
-		t.Fatal("a single failed probe declared the peer down")
+	if n := sp.probes.Load(); n != 5 {
+		t.Fatalf("%d probes in 5 Intervals", n)
 	}
 }
 
@@ -207,13 +269,18 @@ func TestDetectorWatchCancelsProbeInFlight(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	d := NewDetector([]string{"http://p"}, probe, DetectorConfig{Interval: time.Millisecond, Timeout: time.Hour})
+	clock := fault.NewClock()
+	d := NewDetector([]string{"http://p"}, probe, DetectorConfig{Interval: time.Second, Timeout: time.Hour, Sleep: clock.Sleep})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		d.Watch(ctx, "http://p")
 		close(done)
 	}()
+	if !clock.WaitSleepers(1, 10*time.Second) {
+		t.Fatal("the probe loop never parked on the clock")
+	}
+	clock.Advance(time.Second)
 	<-started
 	cancel()
 	select {

@@ -1,9 +1,26 @@
 package cluster
 
 import (
+	"context"
 	"math/rand/v2"
 	"time"
 )
+
+// Sleep waits for d or until ctx ends, and reports whether ctx is still
+// live. It is the daemon's one wait: each loop is `for sleep(ctx, d) {…}`,
+// a fixed delay after each round, and a test steps it with a fault.Clock.
+type Sleep func(ctx context.Context, d time.Duration) bool
+
+// WallSleep is the Sleep of the wall clock: the one timer of the daemon.
+func WallSleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+	case <-t.C:
+	}
+	return ctx.Err() == nil
+}
 
 // Backoff computes capped exponential retry delays with jitter. Every
 // inter-shard call in the daemon (hand-off installs, replica shipping,

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"triclust/internal/mat"
 	"triclust/internal/sparse"
@@ -233,37 +232,4 @@ func constSlice(n int, v float64) []float64 {
 		out[i] = v
 	}
 	return out
-}
-
-func TestUpdatesPreserveNonNegativityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p, fac := exactProblem(rng, 6, 4, 5, 2)
-		mat.PerturbPositive(rng, fac.Sp, 1)
-		mat.PerturbPositive(rng, fac.Su, 1)
-		mat.PerturbPositive(rng, fac.Sf, 1)
-		cfg := Config{K: 2}.withDefaults()
-		ws := mat.NewWorkspace()
-		for i := 0; i < 3; i++ {
-			updateSp(p, &fac, ws)
-			updateH(p.Xp, fac.Sp, fac.Hp, fac.Sf, ws)
-			updateSu(p, &fac, cfg, nil, ws)
-			updateH(p.Xu, fac.Su, fac.Hu, fac.Sf, ws)
-			updateSf(p, &fac, cfg, nil, ws)
-		}
-		for _, m := range []*mat.Dense{fac.Sp, fac.Su, fac.Sf, fac.Hp, fac.Hu} {
-			if !m.IsFinite() {
-				return false
-			}
-			for _, v := range m.Data() {
-				if v < 0 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -24,10 +24,13 @@ var reachAllowed = map[string]string{
 	"triclust: exported": "public API, whether or not a shipped command calls it",
 
 	// The scripted filesystem fake the daemon's, the store's and the
-	// journal's fault tests drive (crash-point matrix, degraded mode).
+	// journal's fault tests drive (crash-point matrix, degraded mode), and
+	// the manual clock of the loop tests.
 	"internal/fault.NewScript": "the fault tests' scripted fake filesystem",
 	"internal/fault.Script.*":  "the fault tests' scripted fake filesystem",
 	"internal/fault.AsCrash":   "how those tests tell a scripted crash from an I/O error",
+	"internal/fault.NewClock":  "the manual clock the detector and cluster tests advance",
+	"internal/fault.Clock.*":   "the manual clock the detector and cluster tests advance",
 
 	// References and fixture builders of other functions' tests.
 	"internal/mat.FromRows":              "literal fixtures in the mat, sparse and core tests",
