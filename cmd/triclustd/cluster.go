@@ -327,12 +327,7 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, *apiErr
 	// journal handle, snapshot and journal files — the tombstone stays.
 	batches := tp.eng().Batches()
 	s.retire(tp)
-	s.store.RemoveStale(tp.name, s.diskOf)
-	if s.repl != nil {
-		// The new primary re-seeds its own followers; this shard's
-		// shipping state for the topic is obsolete.
-		s.repl.dropTopicState(tp.name)
-	}
+	s.dropRetired(tp.name)
 	s.logf("moved topic %q to %s at epoch %d (%d batches)", tp.name, target, newEpoch, batches)
 	return moveResponse{
 		Topic: tp.name, Source: s.cluster.self, Target: target,

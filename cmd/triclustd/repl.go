@@ -6,7 +6,8 @@ package main
 // sees the ack. Followers keep a *cold* replica — the base snapshot file
 // plus a journal tail, verified frame-by-frame (CRC + the {batches,
 // randDraws} fingerprints) — never an open Topic: replication costs
-// follower disk and verification, not follower compute.
+// follower disk and verification, not follower compute. internal/store
+// owns that follower side: the replicas held and which frame one accepts.
 //
 // Failure handling is layered on the epoch fencing PR 5 introduced:
 //
@@ -50,6 +51,7 @@ import (
 	"sync"
 	"time"
 
+	"triclust"
 	"triclust/internal/cluster"
 	"triclust/internal/codec"
 	"triclust/internal/store"
@@ -101,17 +103,6 @@ type followerState struct {
 	synced  bool
 }
 
-// replica is one cold replica held for a peer: the store's durable side
-// (meta, position, tail) under the lock that serializes its wire.
-type replica struct {
-	mu sync.Mutex
-	store.Replica
-	dropped bool
-	// held is why the last promotion check kept the replica; the tick
-	// logs a reason only when it changes.
-	held string
-}
-
 // replAck is the follower's 200 body: the replica position after applying
 // the frame, which the primary folds into its followerState.
 type replAck struct {
@@ -121,14 +112,9 @@ type replAck struct {
 
 // replicator holds one shard's replication machinery: the failure
 // detector, the per-follower shipping state for topics it serves, and the
-// cold replicas it holds for peers. Its goroutines — one probe loop per
-// peer, the reconcile loop, the optional rebalancer — run through
-// server.spawn and end with the server's context.
-//
-// Lock discipline: r.mu and any replica.mu are never held at the same
-// time. Code that needs both snapshots pointers under one lock, releases
-// it, then takes the other — nesting them in both orders could deadlock a
-// promotion against a replica DELETE.
+// promotion policy for the cold replicas the store holds for peers. Its
+// goroutines — one probe loop per peer, the reconcile loop, the optional
+// rebalancer — run through server.spawn and end with the server's context.
 type replicator struct {
 	s     *server
 	opts  replOptions
@@ -137,7 +123,10 @@ type replicator struct {
 
 	mu        sync.Mutex
 	followers map[string]map[string]*followerState // topic → peer → state
-	replicas  map[string]*replica                  // topic → cold replica held here
+
+	// held is why the last promotion check kept each replica; the tick logs
+	// a reason only when it changes. Only the reconcile loop touches it.
+	held map[string]string
 }
 
 func newReplicator(s *server, opts replOptions) *replicator {
@@ -146,7 +135,7 @@ func newReplicator(s *server, opts replOptions) *replicator {
 		s:         s,
 		opts:      opts,
 		followers: make(map[string]map[string]*followerState),
-		replicas:  make(map[string]*replica),
+		held:      make(map[string]string),
 	}
 	for _, p := range s.cluster.ring.Peers() {
 		if p != s.cluster.self {
@@ -181,22 +170,6 @@ func (r *replicator) start() {
 		r.s.spawn(r.rebalanceLoop)
 	}
 	r.s.spawn(r.reconcileStartup)
-}
-
-// closeReplicas releases the replica journal handles once server.Close
-// has waited out every goroutine that could still write them.
-func (r *replicator) closeReplicas() {
-	r.mu.Lock()
-	reps := make([]*replica, 0, len(r.replicas))
-	for _, rep := range r.replicas {
-		reps = append(reps, rep)
-	}
-	r.mu.Unlock()
-	for _, rep := range reps {
-		rep.mu.Lock()
-		rep.Close()
-		rep.mu.Unlock()
-	}
 }
 
 // followerPeers returns the peers a topic this shard serves replicates
@@ -255,14 +228,6 @@ func (r *replicator) markUnsynced(name, peer string) {
 	}
 }
 
-// dropTopicState forgets a topic's shipping state (topic deleted, handed
-// off, or fenced — the next holder rebuilds it from scratch).
-func (r *replicator) dropTopicState(name string) {
-	r.mu.Lock()
-	delete(r.followers, name)
-	r.mu.Unlock()
-}
-
 // needsResync reports whether a topic this shard serves has a follower
 // that is not declared down and is unknown or out of sync. It reads the
 // recorded state under r.mu alone, so the reconcile loop never takes the
@@ -309,14 +274,13 @@ func (r *replicator) reconcileLoop() {
 			}
 			tp.mu.Unlock()
 		}
-		r.mu.Lock()
-		names := slices.Collect(maps.Keys(r.replicas))
-		r.mu.Unlock()
-		for _, name := range names {
+		held := s.store.Replicas()
+		maps.DeleteFunc(r.held, func(name, _ string) bool { _, ok := held[name]; return !ok })
+		for name, meta := range held {
 			if s.ctx.Err() != nil {
 				return
 			}
-			r.maybePromote(name)
+			r.maybePromote(name, meta)
 		}
 	}
 }
@@ -459,9 +423,18 @@ func (s *server) fenceLocal(tp *topic, epoch uint64, target, why string) {
 	if err := s.setMoved(tp.name, cluster.Tombstone{Epoch: epoch, Target: target}); err != nil {
 		s.logf("fence %q: tombstone not persisted: %v", tp.name, err)
 	}
-	s.store.RemoveStale(tp.name, s.diskOf)
-	if s.repl != nil {
-		s.repl.dropTopicState(tp.name)
+	s.dropRetired(tp.name)
+}
+
+// dropRetired clears what a retired topic leaves here: its files, unless a
+// newer instance of the name owns them (store.RemoveStale), and its
+// followers' shipping state. A fencing tombstone is written before it.
+func (s *server) dropRetired(name string) {
+	s.store.RemoveStale(name, s.diskOf)
+	if r := s.repl; r != nil {
+		r.mu.Lock()
+		delete(r.followers, name)
+		r.mu.Unlock()
 	}
 }
 
@@ -469,7 +442,6 @@ func (s *server) fenceLocal(tp *topic, epoch uint64, target, why string) {
 // replicas (best effort, off the request path).
 func (r *replicator) dropReplicas(name string, epoch uint64) {
 	peers := r.followerPeers(name)
-	r.dropTopicState(name)
 	r.s.spawn(func() {
 		for _, peer := range peers {
 			_ = r.s.peers.call(r.s.ctx, peerCall{method: http.MethodDelete, peer: peer, timeout: defaultShipTimeout,
@@ -478,32 +450,7 @@ func (r *replicator) dropReplicas(name string, epoch uint64) {
 	})
 }
 
-// ——— follower side: the replica store ———
-
-// replicaFor returns the named cold replica, creating the bookkeeping
-// entry when create is set.
-func (r *replicator) replicaFor(name string, create bool) *replica {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rep := r.replicas[name]
-	if rep == nil && create {
-		rep = &replica{}
-		r.replicas[name] = rep
-	}
-	return rep
-}
-
-// forgetReplica removes a dropped replica's map entry. It runs with no
-// replica.mu held (the lock discipline forbids nesting), so the entry is
-// removed only while it still names the same replica — a concurrent
-// re-create must not lose its fresh entry.
-func (r *replicator) forgetReplica(name string, rep *replica) {
-	r.mu.Lock()
-	if r.replicas[name] == rep {
-		delete(r.replicas, name)
-	}
-	r.mu.Unlock()
-}
+// ——— follower side: the replica endpoints ———
 
 // replicaName is the shared preamble of the replica endpoints: they exist
 // only with replication on, for a valid topic name.
@@ -544,12 +491,10 @@ func (s *server) replicaAppend(w http.ResponseWriter, req *http.Request) *apiErr
 	return nil
 }
 
-// storeFrame folds one shipped frame into the cold replica of name. The
-// frame is verified completely — epoch fencing, gapless fingerprint chain
-// — before anything is fsynced; a frame the follower cannot reconcile with
-// its replica answers 409 replica_out_of_sync, telling the primary to
-// re-ship a full base. Duplicate frames (a retry whose original response
-// was lost) are acknowledged idempotently.
+// storeFrame fences one shipped frame, then the store folds it into the
+// cold replica of name. A frame the follower cannot reconcile with its
+// replica answers 409 replica_out_of_sync, telling the primary to re-ship
+// a full base; a duplicate (a retry whose ack was lost) is acknowledged.
 func (s *server) storeFrame(name string, fr *codec.ReplAppend) (replAck, *apiError) {
 	// Epoch fencing against this shard's own view of the topic. A local
 	// copy at a strictly higher epoch outranks the shipper (it is the
@@ -582,69 +527,17 @@ func (s *server) storeFrame(name string, fr *codec.ReplAppend) (replAck, *apiErr
 		return outranked(pl.epoch, pl.owner, "was handed off")
 	}
 
-	rep := s.repl.replicaFor(name, true)
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	var e *apiError
+	batches, draws, err := s.store.ApplyReplica(name, fr)
+	var held *store.Outranked
 	switch {
-	case rep.dropped:
-		// Mid-removal (a drop or promotion has marked it, the map entry is
-		// about to go): refuse, and the primary's retry gets a fresh entry.
-		e = errf(http.StatusConflict, codeReplicaOutOfSync, "replica of %q is being removed; re-ship a full base", name)
-	case rep.Meta.Epoch > fr.Epoch:
-		return outranked(rep.Meta.Epoch, rep.Meta.Source, "is held as a replica")
-	case fr.Snapshot != nil:
-		e = s.installReplica(rep, name, fr)
-	default:
-		e = s.appendReplica(rep, name, fr)
+	case errors.As(err, &held):
+		return outranked(held.Epoch, held.Source, "is held as a replica")
+	case errors.Is(err, store.ErrReplicaOutOfSync):
+		return replAck{}, &apiError{status: http.StatusConflict, code: codeReplicaOutOfSync, err: err}
+	case err != nil:
+		return replAck{}, &apiError{status: http.StatusInternalServerError, code: codeStorage, err: err}
 	}
-	return replAck{Batches: rep.Batches, RandDraws: rep.Draws}, e
-}
-
-// installReplica replaces a replica's base with a shipped full snapshot.
-// rep.mu held.
-func (s *server) installReplica(rep *replica, name string, fr *codec.ReplAppend) *apiError {
-	if err := store.VerifyTail(fr.Tail, int(fr.BaseBatches), int(fr.Batches), fr.BaseRandDraws, fr.RandDraws); err != nil {
-		return errf(http.StatusConflict, codeReplicaOutOfSync, "shipped tail does not extend the shipped base: %w", err)
-	}
-	meta := store.ReplicaMeta{Source: fr.Source, Epoch: fr.Epoch, SnapCRC: fr.SnapCRC,
-		Batches: int(fr.BaseBatches), RandDraws: fr.BaseRandDraws}
-	if err := s.store.InstallReplica(&rep.Replica, name, meta, fr.Snapshot, fr.Tail, int(fr.Batches), fr.RandDraws); err != nil {
-		return &apiError{status: http.StatusInternalServerError, code: codeStorage, err: err}
-	}
-	rep.dropped = false
-	return nil
-}
-
-// appendReplica extends a replica's journal tail with shipped frames.
-// rep.mu held.
-func (s *server) appendReplica(rep *replica, name string, fr *codec.ReplAppend) *apiError {
-	switch {
-	case rep.Meta.SnapCRC == 0 && rep.Meta.Source == "":
-		return errf(http.StatusConflict, codeReplicaOutOfSync, "no replica of %q is held here; ship a full base first", name)
-	case rep.Meta.Epoch != fr.Epoch || rep.Meta.SnapCRC != fr.SnapCRC:
-		return errf(http.StatusConflict, codeReplicaOutOfSync,
-			"replica of %q holds base %08x at epoch %d, frame extends %08x at epoch %d",
-			name, rep.Meta.SnapCRC, rep.Meta.Epoch, fr.SnapCRC, fr.Epoch)
-	case int(fr.Batches) == rep.Batches && fr.RandDraws != rep.Draws:
-		// A same-epoch primary whose history diverged declares the right
-		// batch count with the wrong draw fingerprint; acking it as a
-		// duplicate would silently bless the fork.
-		return errf(http.StatusConflict, codeReplicaOutOfSync,
-			"frame at batch %d declares draws %d, replica recorded %d — histories diverged",
-			fr.Batches, fr.RandDraws, rep.Draws)
-	case int(fr.Batches) <= rep.Batches:
-		// A duplicate delivery: the original append landed but its ack was
-		// lost.
-		return nil
-	}
-	if err := store.VerifyTail(fr.Tail, rep.Batches, int(fr.Batches), rep.Draws, fr.RandDraws); err != nil {
-		return &apiError{status: http.StatusConflict, code: codeReplicaOutOfSync, err: err}
-	}
-	if err := s.store.AppendReplica(&rep.Replica, name, fr.Tail, int(fr.Batches), fr.RandDraws); err != nil {
-		return &apiError{status: http.StatusInternalServerError, code: codeStorage, err: err}
-	}
-	return nil
+	return replAck{Batches: batches, RandDraws: draws}, nil
 }
 
 // replicaDrop implements DELETE /v1/replica/{topic}?epoch=N: the primary
@@ -659,42 +552,26 @@ func (s *server) replicaDrop(w http.ResponseWriter, req *http.Request) *apiError
 	if err != nil {
 		return errf(http.StatusBadRequest, codeInvalidRequest, "bad epoch: %w", err)
 	}
-	r := s.repl
-	rep := r.replicaFor(name, false)
-	if rep != nil {
-		rep.mu.Lock()
-		dropped := epoch >= rep.Meta.Epoch
-		if dropped {
-			rep.dropped = true
-			s.store.DropReplica(&rep.Replica, name)
-		}
-		rep.mu.Unlock()
-		if dropped {
-			r.forgetReplica(name, rep)
-		}
-	}
+	s.store.DropReplica(name, epoch)
 	w.WriteHeader(http.StatusNoContent)
 	return nil
 }
 
 // ——— failover: promotion ———
 
-// maybePromote promotes the replica of name when its recorded source is
-// declared down, this shard is its first live promotion candidate, and no
-// local topic holds the name. The candidate order is shared ring order,
-// so exactly one shard elects itself per topic once detector views
-// converge. A promotion that fails keeps the replica for the next tick.
-func (r *replicator) maybePromote(name string) {
+// maybePromote promotes the replica of name, held at meta, when its
+// recorded source is declared down, this shard is its first live promotion
+// candidate, and no local topic holds the name. The candidate order is
+// shared ring order, so exactly one shard elects itself per topic once
+// detector views converge. A promotion that fails keeps the replica for
+// the next tick.
+func (r *replicator) maybePromote(name string, meta store.ReplicaMeta) {
 	s := r.s
-	rep := r.replicaFor(name, false)
-	if rep == nil || s.resolve(name).tp != nil {
+	if s.resolve(name).tp != nil {
 		return
 	}
-	rep.mu.Lock()
-	source := rep.Meta.Source
-	cands := r.candidates(name, source)
-	if first, ok := r.det.FirstLive(cands); rep.dropped || !r.det.Down(source) || !ok || first != s.cluster.self {
-		rep.mu.Unlock()
+	cands := r.candidates(name, meta.Source)
+	if first, ok := r.det.FirstLive(cands); !r.det.Down(meta.Source) || !ok || first != s.cluster.self {
 		return
 	}
 	// Split-brain guard: an operator move (or an earlier promotion) may
@@ -705,65 +582,49 @@ func (r *replicator) maybePromote(name string) {
 		if c == s.cluster.self || r.det.Down(c) {
 			continue
 		}
-		if has, _ := s.targetTopicState(c, name, rep.Meta.Epoch); has {
-			rep.hold(s, fmt.Sprintf("not promoting %q: %s already serves it at epoch ≥ %d", name, c, rep.Meta.Epoch))
-			rep.mu.Unlock()
+		if has, _ := s.targetTopicState(c, name, meta.Epoch); has {
+			r.hold(name, fmt.Sprintf("not promoting %q: %s already serves it at epoch ≥ %d", name, c, meta.Epoch))
 			return
 		}
 	}
 	if s.ctx.Err() != nil {
 		// Closing: the guard's queries were cut short, not answered.
-		rep.mu.Unlock()
 		return
 	}
-	err := s.promoteReplica(name, rep)
+	// The store replayed the replica, fingerprint-verified; the topic takes
+	// the create path's durable step one epoch past the dead primary's, and
+	// its followers are seeded by the next tick's resync.
+	epoch := meta.Epoch + 1
+	err := s.store.PromoteReplica(name, func(tr *triclust.Topic, held store.ReplicaMeta) error {
+		if held.Source != meta.Source || held.Epoch != meta.Epoch {
+			return fmt.Errorf("re-based from %s at epoch %d since the check", held.Source, held.Epoch)
+		}
+		tr.SetEpoch(epoch)
+		// Replay ran without a conformance mode (recorded batches were
+		// already accepted by the dead primary); newTopic stamps this
+		// shard's policy for the fresh batches.
+		tp := s.newTopic(name, tr, false)
+		tp.mu.Lock()
+		defer tp.mu.Unlock()
+		if e := s.persistNew(tp, epoch); e != nil {
+			return e
+		}
+		s.logf("promoted replica %q to primary at epoch %d (%d batches; source %s is down)",
+			name, epoch, tr.Batches(), meta.Source)
+		return nil
+	})
 	if err != nil {
-		rep.hold(s, fmt.Sprintf("promote %q: %v (replica kept; retried every tick)", name, err))
-	}
-	rep.mu.Unlock()
-	if err == nil {
-		// This shard is the topic's primary now; its followers are unknown,
-		// so the next tick's resync seeds them.
-		r.forgetReplica(name, rep)
+		r.hold(name, fmt.Sprintf("promote %q: %v (replica kept; retried every tick)", name, err))
 	}
 }
 
-// hold logs why a promotion check kept the replica, once per reason.
-// rep.mu held.
-func (rep *replica) hold(s *server, why string) {
-	if why != rep.held {
-		rep.held = why
-		s.logf("%s", why)
+// hold logs why a promotion check kept the replica of name, once per
+// reason.
+func (r *replicator) hold(name, why string) {
+	if why != r.held[name] {
+		r.held[name] = why
+		r.s.logf("%s", why)
 	}
-}
-
-// promoteReplica turns a verified cold replica into the served topic:
-// the store restores the base snapshot and replays the tail through
-// Topic.Process with fingerprint verification (bit-identical by the
-// determinism contract); the topic then takes the create path's durable
-// step one epoch past the dead primary's, and only once its first
-// snapshot is durable are the replica files dropped. rep.mu held.
-func (s *server) promoteReplica(name string, rep *replica) error {
-	tr, err := s.store.LoadReplica(name, &rep.Replica)
-	if err != nil {
-		return err
-	}
-	epoch := rep.Meta.Epoch + 1
-	tr.SetEpoch(epoch)
-	// Replay above ran without a conformance mode (recorded batches were
-	// already accepted by the dead primary); newTopic stamps this shard's
-	// policy for the fresh batches.
-	tp := s.newTopic(name, tr, false)
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	if e := s.persistNew(tp, epoch); e != nil {
-		return e
-	}
-	rep.dropped = true
-	s.store.DropReplica(&rep.Replica, name)
-	s.logf("promoted replica %q to primary at epoch %d (%d batches; source %s is down)",
-		name, epoch, tr.Batches(), rep.Meta.Source)
-	return nil
 }
 
 // reconcileStartup checks, once per boot, whether any locally served
@@ -852,10 +713,9 @@ type replicaLagJSON struct {
 }
 
 func (r *replicator) health() *replicationHealth {
-	h := &replicationHealth{Factor: r.opts.Factor, DownPeers: r.det.DownPeers()}
+	h := &replicationHealth{Factor: r.opts.Factor, DownPeers: r.det.DownPeers(), Replicas: len(r.s.store.Replicas())}
 	served := r.s.served()
 	r.mu.Lock()
-	h.Replicas = len(r.replicas)
 	for _, tp := range served {
 		batches := tp.eng().Batches()
 		for peer, st := range r.followers[tp.name] {

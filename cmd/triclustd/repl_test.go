@@ -164,6 +164,24 @@ func TestReplicaFrameSequence(t *testing.T) {
 	if code != http.StatusConflict || ec != codeReplicaOutOfSync {
 		t.Fatalf("tail without base: %d %q, want 409 %q", code, ec, codeReplicaOutOfSync)
 	}
+	// A refused frame leaves no replica behind: healthz counts none, and no
+	// promotion check is offered one.
+	if n := s.repl.health().Replicas; n != 0 {
+		t.Fatalf("%d replicas held after a refused tail, want 0", n)
+	}
+	// 1b. Neither does a refused first base for another fresh name: one
+	// whose tail does not extend it.
+	code, _, ec, _ = postReplFrame(t, s, "other-topic", &codec.ReplAppend{
+		Source: src, Epoch: 0, SnapCRC: snapCRC,
+		BaseBatches: 1, BaseRandDraws: 10, Batches: 3, RandDraws: 30,
+		Snapshot: snap, Tail: tailFrame(t, 3, 3, 30),
+	})
+	if code != http.StatusConflict || ec != codeReplicaOutOfSync {
+		t.Fatalf("base with a gapped tail: %d %q, want 409 %q", code, ec, codeReplicaOutOfSync)
+	}
+	if n := s.repl.health().Replicas; n != 0 {
+		t.Fatalf("%d replicas held after two refused first frames, want 0", n)
+	}
 
 	// 2. Full install: base at (1 batch, 10 draws) plus a two-record tail
 	// reaching (3, 30).

@@ -205,14 +205,10 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 		tp.mu.Unlock()
 	}
 	if replicated {
-		// A replica that failed its own consistency checks was skipped (and
-		// counted) by the scan — the primary re-ships a fresh base on its
-		// next contact.
+		// The scan kept the replicas it loaded; one that failed its own
+		// consistency checks was skipped (and counted) — the primary
+		// re-ships a fresh base on its next contact.
 		s.repl = newReplicator(s, *opts.repl)
-		for name, rep := range found.Replicas {
-			s.repl.replicas[name] = &replica{Replica: *rep}
-			s.logf("loaded replica %q (source %s, epoch %d, %d batches)", name, rep.Meta.Source, rep.Meta.Epoch, rep.Batches)
-		}
 	}
 
 	mux := http.NewServeMux()
@@ -271,9 +267,7 @@ func (s *server) Close() {
 	s.cancel()
 	s.mu.Unlock()
 	s.wg.Wait()
-	if s.repl != nil {
-		s.repl.closeReplicas()
-	}
+	s.store.Close()
 }
 
 // defaultMaxBody bounds every request body (JSON and snapshot uploads)
@@ -653,7 +647,7 @@ func (s *server) persistNew(tp *topic, epoch uint64) *apiError {
 		// belongs to an earlier, deleted incarnation of the name (the
 		// name was free when this topic registered): drop it so the
 		// failed create cannot resurrect that topic on restart.
-		s.store.RemoveStale(tp.name, s.diskOf)
+		s.dropRetired(tp.name)
 		return errf(http.StatusInternalServerError, codeStorage, "topic not persisted: %w", err)
 	}
 	return nil
@@ -731,7 +725,7 @@ func (s *server) deleteTopic(w http.ResponseWriter, r *http.Request) *apiError {
 	// delete re-checks the registry under the same per-name lock, so it
 	// either belongs to this (now unregistered) topic and is skipped, or
 	// to a re-created topic whose own save marks its file current.
-	s.store.RemoveStale(tp.name, s.diskOf)
+	s.dropRetired(tp.name)
 	if s.repl != nil {
 		// Best-effort: tell the followers their cold replicas are garbage.
 		// A follower that misses the drop keeps a stale replica, which the

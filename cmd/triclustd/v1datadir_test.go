@@ -98,7 +98,7 @@ func TestVersion1DataDir(t *testing.T) {
 	if rec := matrixServe(t, s, "GET", "/v1/topics/p2", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("the quarantined topic answers %d, want 404", rec.Code)
 	}
-	if rep := s.repl.replicaFor("r2", false); rep != nil {
+	if _, held := s.store.Replicas()["r2"]; held {
 		t.Fatal("the quarantined replica is held")
 	}
 	s.Close()

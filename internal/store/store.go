@@ -1,11 +1,14 @@
 // Package store is the one owner of triclustd's data directory: the only
 // code that knows the on-disk layout (the README's data-directory table)
 // and the durable-write protocol. The daemon calls verbs — save, append,
-// load, install/append/load/drop replica, set/clear tombstone, probe,
-// remove — and never holds a fault.FS, a journal.Writer, a path or a
-// suffix. What a failed write means for the topic and the client stays
-// with the caller. Every write goes through the injected fault.FS under a
-// named failpoint site, so the crash-point matrix discovers each one.
+// load, set/clear tombstone, probe, remove — and never holds a fault.FS,
+// a journal.Writer, a path or a suffix. It owns the follower side of
+// replication too: the cold replicas held here, by topic name, and every
+// rule for which shipped frame one accepts, behind apply, drop, list,
+// promote (through the caller's persist callback) and close. What a failed
+// write means for the topic and the client stays with the caller. Every
+// write goes through the injected fault.FS under a named failpoint site,
+// so the crash-point matrix discovers each one.
 package store
 
 import (
@@ -82,7 +85,8 @@ type Store struct {
 	// while healthz reads it, hence atomic.
 	quarantined atomic.Int64
 
-	// locks serializes snapshot-file saves and removes per topic name.
+	// locks serializes snapshot-file saves and removes per topic name (and
+	// each cold replica's frames under a key of its own, see replLock).
 	// Neither the registry lock nor a per-topic mutex can play this role:
 	// a name can be deleted and re-created while an older instance's save
 	// is still in flight, and the two instances' saves hold different
@@ -90,6 +94,12 @@ type Store struct {
 	// name churn does not grow the map without bound.
 	lockMu sync.Mutex
 	locks  map[string]*nameLock
+
+	// replMu guards the registry of cold replicas held here. An entry is
+	// added only by a durable install, and removed only under its replica
+	// lock (replLock).
+	replMu   sync.Mutex
+	replicas map[string]*replica
 }
 
 type nameLock struct {
@@ -109,7 +119,8 @@ func Open(dir string, opts Options, fsys fault.FS, logf func(format string, args
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("create data dir: %w", err)
 	}
-	return &Store{dir: dir, opts: opts.withDefaults(), fs: fsys, logf: logf, locks: make(map[string]*nameLock)}, nil
+	return &Store{dir: dir, opts: opts.withDefaults(), fs: fsys, logf: logf,
+		locks: make(map[string]*nameLock), replicas: make(map[string]*replica)}, nil
 }
 
 func (st *Store) path(file string) string { return filepath.Join(st.dir, file) }
@@ -235,7 +246,6 @@ func (st *Store) quarantine(suffix string, cause error, files ...string) {
 // Found is what the startup scan of the data directory holds.
 type Found struct {
 	Topics     map[string]*Restored
-	Replicas   map[string]*Replica
 	Tombstones map[string]cluster.Tombstone
 }
 
@@ -246,11 +256,10 @@ type Found struct {
 // Orphaned temp files (a crash between create and rename) are deleted:
 // startup is single-threaded, so no writer can own one, and each is an
 // O(state) leak feeding the ENOSPC that may have caused it. Replicas are
-// loaded only for a daemon that runs replication.
+// loaded, and kept by the store, only for a daemon that runs replication.
 func (st *Store) Scan(withReplicas bool) (Found, error) {
 	f := Found{
 		Topics:     make(map[string]*Restored),
-		Replicas:   make(map[string]*Replica),
 		Tombstones: make(map[string]cluster.Tombstone),
 	}
 	if st == nil {
@@ -276,7 +285,7 @@ func (st *Store) Scan(withReplicas bool) (Found, error) {
 		case ext == extSnap:
 			err = scanInto(f.Topics, name, st.Load)
 		case ext == extReplMeta && withReplicas:
-			err = scanInto(f.Replicas, name, st.openReplica)
+			err = scanInto(st.replicas, name, st.openReplica)
 		case ext == extJournal && !st.exists(name+extSnap), ext == extReplJournal && !st.exists(name+extReplMeta):
 			// A journal is read with the file it extends. One found alone
 			// is read for its version: a crash in the quarantine below can

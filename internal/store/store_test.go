@@ -189,9 +189,13 @@ func TestScanClassification(t *testing.T) {
 	}
 	base := []byte("opaque replica base")
 	meta := ReplicaMeta{Source: "http://a", Epoch: 1, SnapCRC: codec.Checksum(base), Batches: 4, RandDraws: 40}
-	if err := st.InstallReplica(new(Replica), "held", meta, base, nil, 4, 40); err != nil {
+	shipped := &codec.ReplAppend{Source: meta.Source, Epoch: meta.Epoch, SnapCRC: meta.SnapCRC,
+		BaseBatches: 4, BaseRandDraws: 40, Batches: 4, RandDraws: 40, Snapshot: base}
+	installer := openStore(t, dir, nil)
+	if _, _, err := installer.ApplyReplica("held", shipped); err != nil {
 		t.Fatal(err)
 	}
+	installer.Close()
 	// Refused, one count each.
 	write("garbage.snap", []byte("not a snapshot"))
 	write("old.snap", legacy)
@@ -214,14 +218,14 @@ func TestScanClassification(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
-	topics, replicas, tombs := sortedKeys(found.Topics), sortedKeys(found.Replicas), sortedKeys(found.Tombstones)
+	topics, replicas, tombs := sortedKeys(found.Topics), sortedKeys(st.Replicas()), sortedKeys(found.Tombstones)
 	if topics != "good" || replicas != "held" || tombs != "gone" {
 		t.Fatalf("scan classified topics=%q replicas=%q tombstones=%q, want good / held / gone", topics, replicas, tombs)
 	}
 	if rt := found.Topics["good"]; rt.Replayed != 0 || rt.SnapCRC != codec.Checksum(snap) {
 		t.Fatalf("good topic restored as %+v", rt)
 	}
-	if rep := found.Replicas["held"]; rep.Meta != meta || rep.Batches != 4 || rep.Draws != 40 {
+	if rep := st.replicas["held"]; rep.meta != meta || rep.batches != 4 || rep.draws != 40 {
 		t.Fatalf("held replica restored as %+v", rep)
 	}
 	if ts := found.Tombstones["gone"]; ts.Epoch != 3 || ts.Target != "http://b" {
@@ -258,8 +262,8 @@ func TestScanClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(found.Replicas) != 0 || st2.Quarantined() != 4 {
-		t.Fatalf("scan without replication: %d replicas, %d quarantined; want 0 and 4", len(found.Replicas), st2.Quarantined())
+	if len(st2.Replicas()) != 0 || st2.Quarantined() != 4 {
+		t.Fatalf("scan without replication: %d replicas, %d quarantined; want 0 and 4", len(st2.Replicas()), st2.Quarantined())
 	}
 }
 
@@ -373,9 +377,9 @@ func TestInterruptedVersionQuarantine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(found.Topics)+len(found.Replicas) != 0 || st.Quarantined() != len(tc.left) {
+			if len(found.Topics)+len(st.Replicas()) != 0 || st.Quarantined() != len(tc.left) {
 				t.Fatalf("%d topics, %d replicas, %d files quarantined; want none, none and %d",
-					len(found.Topics), len(found.Replicas), st.Quarantined(), len(tc.left))
+					len(found.Topics), len(st.Replicas()), st.Quarantined(), len(tc.left))
 			}
 			for file, want := range orig {
 				if got, err := os.ReadFile(filepath.Join(dir, file+".unsupported-version")); err != nil || !bytes.Equal(got, want) {
