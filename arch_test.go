@@ -121,6 +121,11 @@ func TestArchLayering(t *testing.T) {
 		"store is disk mechanism below the daemon; HTTP and commands are its callers")
 	a.want(0, in("internal/cluster"), a.imports(false, "triclust/internal/fault"), "cluster import reaching internal/fault",
 		"cluster decides ownership; internal/store does the file I/O")
+	a.want(0, in("internal/repl"), a.imports(false, "net/http", "triclust/cmd", "triclust/internal/store"),
+		"repl import reaching net/http, a command or internal/store",
+		"repl decides what the primary ships; the daemon carries it and the store keeps the follower's replica")
+	a.want(0, in("internal/repl"), a.use(a.obj("sync", "Mutex"), a.obj("sync", "RWMutex")), "mutex in internal/repl",
+		"a topic's shipping record is written under its topic's lock and read through atomics")
 	a.want(0, in("cmd/triclustd"), a.imports(true, "triclust/internal/journal"), "daemon import of internal/journal",
 		"durable writes go through internal/store's verbs, which bring the journal in")
 }
@@ -135,7 +140,7 @@ func TestArchDaemonSpine(t *testing.T) {
 		"a shard answers 307 for a topic it does not hold; it relays no client request")
 	timer := a.use(a.obj("time", "After"), a.obj("time", "Tick"), a.obj("time", "NewTimer"), a.obj("time", "NewTicker"),
 		a.obj("time", "AfterFunc"), a.obj("time", "Sleep"))
-	a.want(0, in("cmd/triclustd", "internal/cluster"), func(n ast.Node, fun string) bool { return fun != "WallSleep" && timer(n, fun) },
+	a.want(0, in("cmd/triclustd", "internal/cluster", "internal/repl"), func(n ast.Node, fun string) bool { return fun != "WallSleep" && timer(n, fun) },
 		"timer outside cluster.WallSleep", "every loop and retry waits through the server's one cluster.Sleep, which a test replaces")
 	client, topics, moved := a.obj("net/http", "Client"), a.obj(daemon, "server", "topics"), a.obj(daemon, "server", "moved")
 	a.want(1, d, func(n ast.Node, _ string) bool { c, ok := n.(*ast.CompositeLit); return ok && a.ref(c.Type) == client },
@@ -176,7 +181,7 @@ func TestArchDaemonSpine(t *testing.T) {
 		"the cluster detector's probe loops run through it (Detector.Watch)"
 	a.want(1, d, launch("main"), "go statement in main", why)
 	a.want(1, d, launch("server.spawn"), "go statement in server.spawn", why)
-	a.want(0, in("cmd/triclustd", "internal/cluster"), launch(""), "other go statement", why)
+	a.want(0, in("cmd/triclustd", "internal/cluster", "internal/repl"), launch(""), "other go statement", why)
 }
 
 // TestArchWrittenOnce: one solver loop for Algorithms 1 and 2, one graph

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"triclust/internal/cluster"
+	"triclust/internal/repl"
 	"triclust/internal/store"
 )
 
@@ -110,8 +111,8 @@ func (s *server) resolve(name string) placement {
 		return placement{}
 	}
 	owner := s.cluster.ring.Owner(name)
-	if rp := s.repl; rp != nil && owner != self && rp.det.Down(owner) {
-		if alt, ok := rp.det.FirstLive(rp.candidates(name, owner)); ok {
+	if rp := s.repl; rp != nil && owner != self {
+		if alt, ok := repl.Elect(s.cluster.ring, name, owner, rp.det); ok {
 			owner = alt
 		}
 	}
@@ -327,7 +328,7 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, *apiErr
 	// journal handle, snapshot and journal files — the tombstone stays.
 	batches := tp.eng().Batches()
 	s.retire(tp)
-	s.dropRetired(tp.name)
+	s.store.RemoveStale(tp.name, s.diskOf)
 	s.logf("moved topic %q to %s at epoch %d (%d batches)", tp.name, target, newEpoch, batches)
 	return moveResponse{
 		Topic: tp.name, Source: s.cluster.self, Target: target,

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"triclust/internal/cluster"
+	"triclust/internal/codec"
+	"triclust/internal/repl"
 )
 
 // All inter-shard traffic — failure-detector probes, replica ships and
@@ -40,13 +42,6 @@ const (
 	// peerAttempts bounds retries of inter-shard requests that are safe to
 	// re-issue (idempotent GETs; hand-off PUTs disambiguated between tries).
 	peerAttempts = 4
-	// shipRequestAttempts caps replica-ship retries on the request path,
-	// where tp.mu is held and a client is waiting: enough to absorb one
-	// transient failure, tight enough that a hung peer stalls the topic's
-	// writers for about one ship timeout. The reconcile loop, with no
-	// client waiting, gets shipResyncAttempts.
-	shipRequestAttempts = 2
-	shipResyncAttempts  = 8
 )
 
 type peerClient struct {
@@ -148,4 +143,20 @@ func (p *peerClient) call(ctx context.Context, c peerCall, out any) error {
 		return fmt.Errorf("gave up after %d attempts: %w", c.attempts, last)
 	}
 	return last
+}
+
+// Append is repl's Transport: safe to retry, as a follower acks a duplicate
+// frame (a retry whose first response was lost) idempotently.
+func (p *peerClient) Append(ctx context.Context, peer, topic string, fr *codec.ReplAppend, attempts int) (int, error) {
+	var ack replAck
+	err := p.call(ctx, peerCall{
+		method: http.MethodPost, peer: peer, path: "/v1/replica/" + topic + "/append",
+		body:    codec.AppendReplAppend(nil, fr),
+		header:  http.Header{"Content-Type": {mediaTypeSnapshot}},
+		timeout: defaultShipTimeout, attempts: attempts,
+	}, &ack)
+	if ae := (*apiError)(nil); errors.As(err, &ae) && (ae.code == codeEpochMismatch || ae.code == codeReplicaOutOfSync) {
+		err = &repl.Refusal{Fenced: ae.code == codeEpochMismatch, Epoch: ae.epoch, Owner: ae.owner, Err: err}
+	}
+	return ack.Batches, err
 }

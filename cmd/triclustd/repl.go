@@ -3,44 +3,35 @@ package main
 // Replication (RF ≥ 2): after every acknowledged batch the owning shard
 // ships the batch's journal frame to the topic's ring successors, so each
 // topic's history exists on -replication-factor shards before the client
-// sees the ack. Followers keep a *cold* replica — the base snapshot file
-// plus a journal tail, verified frame-by-frame (CRC + the {batches,
-// randDraws} fingerprints) — never an open Topic: replication costs
-// follower disk and verification, not follower compute. internal/store
-// owns that follower side: the replicas held and which frame one accepts.
+// sees the ack. Followers keep a *cold* replica — a base snapshot plus a
+// verified journal tail, never an open Topic. internal/store owns that
+// follower side. internal/repl owns the primary side: each topic
+// instance's shipping record, the ship itself, the follower and candidate
+// sets and the election. This file keeps what needs the server: the
+// replica handlers and their epoch fence, the reconcile and rebalance
+// loops, the startup check and the promotion's durable step; peerClient is
+// repl's Transport.
 //
-// Failure handling is layered on the epoch fencing PR 5 introduced:
+// Failure handling is layered on epoch fencing:
 //
-//   - a failure detector (internal/cluster.Detector) probes every peer's
-//     /v1/healthz; on every -probe-interval tick, a cold replica whose
-//     recorded source is declared down is promoted by the first live
-//     member of its replica set — replayed through Topic.Process
-//     (deterministic, fingerprint-verified), registered at epoch+1 and
-//     saved like a new topic, the replica files dropped only once that
-//     save is durable; a promotion that fails is tried again next tick;
-//   - the zombie side of a promotion (the old primary, still running but
-//     partitioned) discovers its demotion on its next ship: the follower
-//     answers 409 epoch_mismatch, and the zombie fences itself — drops
-//     the topic, writes a tombstone pointing at the new owner — so its
-//     clients are redirected instead of fed forked state;
-//   - an optional rebalancer (-auto-rebalance) converges held topics back
-//     onto the ring as peers die and return, driving the existing move
-//     path in the minimal-remap order the consistent hash gives for free.
+//   - the failure detector (cluster.Detector) probes every peer; on every
+//     -probe-interval tick, a cold replica whose source is down is promoted
+//     by its first live candidate at epoch+1, and its files are dropped
+//     only once the promoted topic is durable;
+//   - a zombie primary discovers its demotion on its next ship: a follower
+//     answers 409 epoch_mismatch, and the zombie fences itself with a
+//     tombstone naming the new owner;
+//   - an optional rebalancer (-auto-rebalance) moves held topics back onto
+//     the ring as peers die and return.
 //
-// Shipping is semi-synchronous: the in-request ship (with bounded retries
-// and backoff) must either succeed, discover a zombie, or mark the
-// follower out of sync. Recorded state is the replicator's only to-do
-// list: every -probe-interval the reconcile loop re-ships a full base to
-// each served topic with a follower that is not down and is unknown or
-// out of sync, then promotes the replicas whose source is down — so
-// convergence and failover depend on what is recorded, never on which
-// events arrived or in what order. A dead or flaky follower therefore
-// degrades a topic from RF=N to fewer live copies — it never blocks the
-// write path indefinitely, and healthz reports the lag so an operator can
-// see the degradation.
+// Shipping is semi-synchronous: the in-request ship succeeds, discovers a
+// zombie, or marks the follower out of sync. The shipping records are the
+// only to-do list: every -probe-interval the reconcile loop re-ships a full
+// base to each served topic with a live follower out of sync, then
+// promotes, so convergence depends on recorded state, never on which
+// events arrived. A dead follower costs redundancy, never the write path.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -48,12 +39,12 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"triclust"
 	"triclust/internal/cluster"
 	"triclust/internal/codec"
+	"triclust/internal/repl"
 	"triclust/internal/store"
 )
 
@@ -91,38 +82,23 @@ func (o replOptions) withDefaults() replOptions {
 	return o
 }
 
-// followerState is the primary's book-keeping for one (topic, follower)
-// pair: which base the follower holds and how far its tail reaches. The
-// incremental frames a primary ships name the *follower's* base CRC, not
-// the primary's on-disk one — the two legitimately diverge between a
-// follower resync and the next compaction, and naming the follower's base
-// is what keeps one resync from looping into another.
-type followerState struct {
-	snapCRC uint32
-	batches int
-	synced  bool
-}
-
 // replAck is the follower's 200 body: the replica position after applying
-// the frame, which the primary folds into its followerState.
+// the frame, which the primary folds into the topic's shipping record.
 type replAck struct {
 	Batches   int    `json:"batches"`
 	RandDraws uint64 `json:"rand_draws"`
 }
 
 // replicator holds one shard's replication machinery: the failure
-// detector, the per-follower shipping state for topics it serves, and the
-// promotion policy for the cold replicas the store holds for peers. Its
-// goroutines — one probe loop per peer, the reconcile loop, the optional
-// rebalancer — run through server.spawn and end with the server's context.
+// detector and the loops that act on what it and each topic's shipping
+// record (internal/repl) say. Its goroutines — one probe loop per peer, the
+// reconcile loop, the optional rebalancer — run through server.spawn and
+// end with the server's context.
 type replicator struct {
 	s     *server
 	opts  replOptions
 	det   *cluster.Detector
 	peers []string // every ring peer but self: what det watches
-
-	mu        sync.Mutex
-	followers map[string]map[string]*followerState // topic → peer → state
 
 	// held is why the last promotion check kept each replica; the tick logs
 	// a reason only when it changes. Only the reconcile loop touches it.
@@ -131,17 +107,8 @@ type replicator struct {
 
 func newReplicator(s *server, opts replOptions) *replicator {
 	opts = opts.withDefaults()
-	r := &replicator{
-		s:         s,
-		opts:      opts,
-		followers: make(map[string]map[string]*followerState),
-		held:      make(map[string]string),
-	}
-	for _, p := range s.cluster.ring.Peers() {
-		if p != s.cluster.self {
-			r.peers = append(r.peers, p)
-		}
-	}
+	r := &replicator{s: s, opts: opts, held: make(map[string]string),
+		peers: slices.DeleteFunc(slices.Clone(s.cluster.ring.Peers()), func(p string) bool { return p == s.cluster.self })}
 	r.det = cluster.NewDetector(r.peers, r.probe, cluster.DetectorConfig{
 		Interval:  opts.ProbeInterval,
 		Timeout:   opts.ProbeTimeout,
@@ -172,80 +139,8 @@ func (r *replicator) start() {
 	r.s.spawn(r.reconcileStartup)
 }
 
-// followerPeers returns the peers a topic this shard serves replicates
-// to: the first Factor-1 ring-ordered replica-set members besides self.
-// Using ring order keyed by the topic name (not by who currently serves
-// it) keeps the set stable under operator moves and promotions.
-func (r *replicator) followerPeers(name string) []string {
-	set := r.candidates(name, r.s.cluster.self)
-	return set[:min(len(set), r.opts.Factor-1)]
-}
-
-// candidates returns the ring-ordered promotion candidates for a topic
-// whose shipping source died: every replica-set member except the source.
-// Every live shard computes the same list, so "the first live candidate
-// promotes" needs no coordination beyond converging failure detectors.
-func (r *replicator) candidates(name, source string) []string {
-	all := r.s.cluster.ring.Peers()
-	set := r.s.cluster.ring.ReplicaSet(name, len(all))
-	out := make([]string, 0, len(set))
-	for _, p := range set {
-		if p != source {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// ——— primary side: shipping ———
-
-// follower returns a copy of the shipping state for (topic, peer).
-func (r *replicator) follower(name, peer string) (followerState, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st := r.followers[name][peer]; st != nil {
-		return *st, true
-	}
-	return followerState{}, false
-}
-
-func (r *replicator) setFollower(name, peer string, st followerState) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.followers[name]
-	if m == nil {
-		m = make(map[string]*followerState)
-		r.followers[name] = m
-	}
-	m[peer] = &st
-}
-
-func (r *replicator) markUnsynced(name, peer string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st := r.followers[name][peer]; st != nil {
-		st.synced = false
-	}
-}
-
-// needsResync reports whether a topic this shard serves has a follower
-// that is not declared down and is unknown or out of sync. It reads the
-// recorded state under r.mu alone, so the reconcile loop never takes the
-// lock of an idle or healthy topic.
-func (r *replicator) needsResync(name string) bool {
-	peers := r.followerPeers(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, peer := range peers {
-		if st := r.followers[name][peer]; (st == nil || !st.synced) && !r.det.Down(peer) {
-			return true
-		}
-	}
-	return false
-}
-
 // reconcileLoop is the replicator's one reconciling tick, -probe-interval
-// after the last one ended: each served topic that needsResync gets a full
+// after the last one ended: each served topic that NeedsResync gets a full
 // re-ship to the followers that fell behind, then each held replica whose
 // source is down is offered to maybePromote. Recorded state is the whole
 // to-do list, so an out-of-sync follower or an orphaned replica is retried
@@ -263,7 +158,7 @@ func (r *replicator) reconcileLoop() {
 			if s.ctx.Err() != nil {
 				return
 			}
-			if !r.needsResync(tp.name) {
+			if !tp.followers.NeedsResync(r.det) {
 				continue
 			}
 			tp.mu.Lock()
@@ -285,127 +180,27 @@ func (r *replicator) reconcileLoop() {
 	}
 }
 
-// post ships one replication frame to peer with bounded retries — safe,
-// because the follower acknowledges a duplicate delivery (a retry whose
-// first response was lost) idempotently.
-func (r *replicator) post(peer, name string, fr *codec.ReplAppend, attempts int) (replAck, error) {
-	var ack replAck
-	err := r.s.peers.call(r.s.ctx, peerCall{
-		method: http.MethodPost, peer: peer, path: "/v1/replica/" + name + "/append",
-		body:    codec.AppendReplAppend(nil, fr),
-		header:  http.Header{"Content-Type": {mediaTypeSnapshot}},
-		timeout: defaultShipTimeout, attempts: attempts,
-	}, &ack)
-	return ack, err
-}
-
-// replShip replicates a topic's latest state to its followers; the caller
-// holds tp.mu and has been admitted. frame non-nil ships that just-
-// appended journal frame incrementally; frame nil ships the full current
-// snapshot — the first-contact, post-compaction and resync path. async
-// marks the reconcile loop's mode: skip followers already in sync, and
-// retry with the full shipResyncAttempts budget (no client is waiting);
-// the request path gets shipRequestAttempts.
-//
-// The only failure that propagates is discovering this shard is a fenced
-// zombie (a follower answered epoch_mismatch): the topic is fenced
-// locally and the caller must fail the client's request with 409. Every
-// other failure degrades: the follower is marked out of sync, which the
-// reconcile loop reads, and the batch acks with fewer live copies.
+// replShip runs repl.Ship for tp (frame nil: the full snapshot); the caller
+// holds tp.mu and has been admitted. A fence verdict fences the topic
+// locally and is the caller's 409.
 func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
-	r := s.repl
-	if r == nil {
+	if s.repl == nil {
 		return nil
 	}
-	peers := r.followerPeers(tp.name)
-	if len(peers) == 0 {
-		return nil
-	}
-	attempts := shipRequestAttempts
-	if async {
-		attempts = shipResyncAttempts
-	}
-	epoch := tp.eng().Epoch()
-	// The post-append fingerprint the frame (or the full snapshot) carries.
-	batches, draws := tp.eng().StreamPos()
-	// The full snapshot is built at most once per ship round and reused
-	// across followers.
-	var fullSnap []byte
-	var fullCRC uint32
-	buildFull := func() error {
-		if fullSnap != nil {
-			return nil
-		}
-		var buf bytes.Buffer
-		if err := tp.eng().Snapshot(&buf); err != nil {
-			return err
-		}
-		fullSnap = buf.Bytes()
-		fullCRC = codec.Checksum(fullSnap)
-		return nil
-	}
-	for _, peer := range peers {
-		st, known := r.follower(tp.name, peer)
-		if async && known && st.synced {
-			continue
-		}
-		if r.det.Down(peer) {
-			// The reconcile loop skips a down peer and picks it up again on
-			// the first tick after it answers.
-			r.markUnsynced(tp.name, peer)
-			continue
-		}
-		full := frame == nil || !known || !st.synced
-		// At most two passes: an incremental ship the follower refuses as
-		// out-of-sync is retried once as a full ship.
-		for pass := 0; pass < 2; pass++ {
-			fr := codec.ReplAppend{Source: s.cluster.self, Epoch: epoch,
-				Batches: uint64(batches), RandDraws: draws}
-			crc := st.snapCRC
-			if full {
-				if err := buildFull(); err != nil {
-					return errf(http.StatusInternalServerError, codeStorage, "export snapshot for replication: %w", err)
-				}
-				crc = fullCRC
-				fr.Snapshot = fullSnap
-				fr.BaseBatches = uint64(batches)
-				fr.BaseRandDraws = draws
-			} else {
-				fr.Tail = frame
-			}
-			fr.SnapCRC = crc
-			ack, err := r.post(peer, tp.name, &fr, attempts)
-			if err == nil {
-				r.setFollower(tp.name, peer, followerState{snapCRC: crc, batches: ack.Batches, synced: true})
-				break
-			}
-			var refusal *apiError
-			errors.As(err, &refusal)
-			if refusal != nil && refusal.code == codeEpochMismatch {
-				// The follower knows the topic at a higher epoch: someone
-				// promoted (or the topic legitimately moved on) while this
-				// shard kept serving. Fence ourselves at just below the
-				// winning epoch so the new owner's ships to *us* pass and
-				// our clients are redirected to it.
-				fe, target := refusal.epoch, refusal.owner
-				if fe == 0 {
-					fe = epoch + 1
-				}
-				if target == "" {
-					target = peer
-				}
-				s.fenceLocal(tp, fe-1, target, fmt.Sprintf("follower %s fenced this shard (epoch %d > %d)", peer, fe, epoch))
-				return &apiError{status: http.StatusConflict, code: codeEpochMismatch, epoch: fe, owner: target,
-					err: fmt.Errorf("topic %q is now owned elsewhere at epoch %d (this shard was fenced; ask %s)", tp.name, fe, target)}
-			}
-			if refusal != nil && refusal.code == codeReplicaOutOfSync && !full {
-				full = true
-				continue
-			}
-			r.markUnsynced(tp.name, peer)
-			s.logf("replicate %q to %s: %v (follower marked out of sync)", tp.name, peer, err)
-			break
-		}
+	eng := tp.eng()
+	batches, draws := eng.StreamPos()
+	fence, err := repl.Ship(s.ctx, &tp.followers, repl.Round{Topic: tp.name, Source: s.cluster.self, Epoch: eng.Epoch(),
+		Batches: batches, RandDraws: draws, Frame: frame, Snapshot: eng.Snapshot, Async: async, Live: s.repl.det, Logf: s.logf}, s.peers)
+	switch {
+	case err != nil:
+		return errf(http.StatusInternalServerError, codeStorage, "export snapshot for replication: %w", err)
+	case fence != nil:
+		// A follower knows the topic at a higher epoch: someone promoted (or
+		// the topic legitimately moved on) while this shard kept serving.
+		ts := fence.Tombstone()
+		s.fenceLocal(tp, ts.Epoch, ts.Target, fmt.Sprintf("follower %s fenced this shard (epoch %d > %d)", fence.Peer, fence.Epoch, eng.Epoch()))
+		return &apiError{status: http.StatusConflict, code: codeEpochMismatch, epoch: fence.Epoch, owner: fence.Owner,
+			err: fmt.Errorf("topic %q is now owned elsewhere at epoch %d (this shard was fenced; ask %s)", tp.name, fence.Epoch, fence.Owner)}
 	}
 	return nil
 }
@@ -423,25 +218,13 @@ func (s *server) fenceLocal(tp *topic, epoch uint64, target, why string) {
 	if err := s.setMoved(tp.name, cluster.Tombstone{Epoch: epoch, Target: target}); err != nil {
 		s.logf("fence %q: tombstone not persisted: %v", tp.name, err)
 	}
-	s.dropRetired(tp.name)
-}
-
-// dropRetired clears what a retired topic leaves here: its files, unless a
-// newer instance of the name owns them (store.RemoveStale), and its
-// followers' shipping state. A fencing tombstone is written before it.
-func (s *server) dropRetired(name string) {
-	s.store.RemoveStale(name, s.diskOf)
-	if r := s.repl; r != nil {
-		r.mu.Lock()
-		delete(r.followers, name)
-		r.mu.Unlock()
-	}
+	s.store.RemoveStale(tp.name, s.diskOf)
 }
 
 // dropReplicas asks a deleted topic's followers to drop their cold
 // replicas (best effort, off the request path).
-func (r *replicator) dropReplicas(name string, epoch uint64) {
-	peers := r.followerPeers(name)
+func (r *replicator) dropReplicas(tp *topic) {
+	name, epoch, peers := tp.name, tp.eng().Epoch(), tp.followers.Peers()
 	r.s.spawn(func() {
 		for _, peer := range peers {
 			_ = r.s.peers.call(r.s.ctx, peerCall{method: http.MethodDelete, peer: peer, timeout: defaultShipTimeout,
@@ -570,15 +353,14 @@ func (r *replicator) maybePromote(name string, meta store.ReplicaMeta) {
 	if s.resolve(name).tp != nil {
 		return
 	}
-	cands := r.candidates(name, meta.Source)
-	if first, ok := r.det.FirstLive(cands); !r.det.Down(meta.Source) || !ok || first != s.cluster.self {
+	if first, ok := repl.Elect(s.cluster.ring, name, meta.Source, r.det); !ok || first != s.cluster.self {
 		return
 	}
 	// Split-brain guard: an operator move (or an earlier promotion) may
 	// have re-homed the topic onto a shard that is alive and well — in
 	// which case the replica is merely stale and promoting it would fork
 	// history. Ask every live candidate before self-electing.
-	for _, c := range cands {
+	for _, c := range repl.Candidates(s.cluster.ring, name, meta.Source) {
 		if c == s.cluster.self || r.det.Down(c) {
 			continue
 		}
@@ -629,9 +411,10 @@ func (r *replicator) hold(name, why string) {
 
 // reconcileStartup checks, once per boot, whether any locally served
 // topic was promoted elsewhere while this shard was down (the restarted-
-// zombie case): if a live replica-set peer serves the topic at a higher
-// epoch, the local copy is fenced immediately instead of waiting to be
-// fenced on its next ship.
+// zombie case): if a candidate serves the topic at a higher epoch, the
+// local copy is fenced at once. It asks every candidate, because the topic
+// may now live outside this shard's follower set, where no ship of its
+// own would be refused.
 func (r *replicator) reconcileStartup() {
 	s := r.s
 	for _, tp := range s.served() {
@@ -639,7 +422,7 @@ func (r *replicator) reconcileStartup() {
 			return
 		}
 		epoch := tp.eng().Epoch()
-		for _, peer := range r.candidates(tp.name, s.cluster.self) {
+		for _, peer := range repl.Candidates(s.cluster.ring, tp.name, s.cluster.self) {
 			if has, _ := s.targetTopicState(peer, tp.name, epoch+1); has {
 				tp.mu.Lock()
 				s.fenceLocal(tp, epoch, peer, fmt.Sprintf("re-homed to %s while this shard was down", peer))
@@ -696,33 +479,18 @@ func (r *replicator) rebalanceOnce() {
 // replicationHealth is the healthz view of this shard's replication
 // state: its own factor, the peers it currently considers down, the cold
 // replicas it holds, and the per-follower shipping lag of the topics it
-// serves (behind = primary batches − follower batches; a synced follower
-// is at 0).
+// serves.
 type replicationHealth struct {
-	Factor    int              `json:"factor"`
-	Replicas  int              `json:"replicas"`
-	DownPeers []string         `json:"down_peers,omitempty"`
-	Lag       []replicaLagJSON `json:"lag,omitempty"`
-}
-
-type replicaLagJSON struct {
-	Topic  string `json:"topic"`
-	Peer   string `json:"peer"`
-	Behind int    `json:"behind"`
-	Synced bool   `json:"synced"`
+	Factor    int        `json:"factor"`
+	Replicas  int        `json:"replicas"`
+	DownPeers []string   `json:"down_peers,omitempty"`
+	Lag       []repl.Lag `json:"lag,omitempty"`
 }
 
 func (r *replicator) health() *replicationHealth {
 	h := &replicationHealth{Factor: r.opts.Factor, DownPeers: r.det.DownPeers(), Replicas: len(r.s.store.Replicas())}
-	served := r.s.served()
-	r.mu.Lock()
-	for _, tp := range served {
-		batches := tp.eng().Batches()
-		for peer, st := range r.followers[tp.name] {
-			behind := max(0, batches-st.batches)
-			h.Lag = append(h.Lag, replicaLagJSON{Topic: tp.name, Peer: peer, Behind: behind, Synced: st.synced})
-		}
+	for _, tp := range r.s.served() {
+		h.Lag = tp.followers.AppendLag(h.Lag, tp.name, tp.eng().Batches())
 	}
-	r.mu.Unlock()
 	return h
 }

@@ -802,3 +802,121 @@ func TestFailoverKeepsReplicaUntilDurable(t *testing.T) {
 	tc.awaitServedAt(name, 1, []int{1})
 	tc.assertPromoted(1, name)
 }
+
+// blindTransport loses the response to the first hand-off PUT (see
+// lostAckTransport) and, while blind is set, fails every placement query:
+// a move whose install landed and cannot be confirmed.
+type blindTransport struct {
+	lostAckTransport
+	blind atomic.Bool
+}
+
+func (b *blindTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if b.blind.Load() && req.URL.Path == "/v1/cluster/info" {
+		return nil, fmt.Errorf("injected: placement query to %s failed", req.URL.Host)
+	}
+	return b.lostAckTransport.RoundTrip(req)
+}
+
+// TestPromotedTopicReseedsAfterAmbiguousMove: a name served again on a
+// shard starts with a shipping record that knows no follower. Ring order
+// [S, U, T], RF 2: S's move to T is ambiguous (the install lands, its ack
+// and the placement query are lost), a retry completes it, T streams on
+// and dies, and S promotes the topic. Within one tick S re-seeds U, which
+// S's record of the topic it moved away once listed as synced.
+func TestPromotedTopicReseedsAfterAmbiguousMove(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster harness is not short")
+	}
+	transport := &blindTransport{}
+	tc := newClockedCluster(t, 3, serverOptions{
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
+		repl:    fastRepl(),
+		peer:    fastPeer(transport),
+	})
+	name := "ambiguous"
+	set := tc.ring.ReplicaSet(name, 3)
+	s, u, tt := tc.peerIdx(set[0]), tc.peerIdx(set[1]), tc.peerIdx(set[2])
+	tc.retryJSON("POST", tc.url(s)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
+	for day := 1; day <= 3; day++ {
+		tc.retryJSON("POST", tc.url(s)+"/v1/topics/"+name+"/batches", degradeBatch(day), nil, http.StatusOK)
+	}
+	tc.awaitFollowersSynced(s, []string{name}, 0)
+
+	transport.blind.Store(true)
+	move := moveRequest{Topic: name, Target: tc.url(tt)}
+	if code, ec := errCode2(t, tc.noRedirect, "POST", tc.url(s)+"/v1/cluster/move", move); code != http.StatusBadGateway || ec != codeMoveFailed {
+		t.Fatalf("ambiguous move answered %d %q, want 502 %q", code, ec, codeMoveFailed)
+	}
+	transport.blind.Store(false)
+	var mv moveResponse
+	tc.retryJSON("POST", tc.url(s)+"/v1/cluster/move", move, &mv, http.StatusOK)
+	if !mv.Resumed || mv.Epoch != 1 {
+		t.Fatalf("move retry %+v, want the hand-off resumed at epoch 1", mv)
+	}
+	for day := 4; day <= 5; day++ {
+		tc.retryJSON("POST", tc.url(tt)+"/v1/topics/"+name+"/batches", degradeBatch(day), nil, http.StatusOK)
+	}
+
+	tc.killShard(tt)
+	if got := tc.awaitServedAt(name, 2, []int{s, u}); got != s {
+		t.Fatalf("shard %d promoted %q, want S (%d), T's first live candidate", got, name, s)
+	}
+	tc.awaitFollowersSynced(s, []string{name}, 1)
+	pb, pd := tc.shards[s].srv.resolve(name).tp.eng().StreamPos()
+	if rb, rd := replicaPos(t, tc.shards[u].dir, name); pb != 5 || rb != pb || rd != pd {
+		t.Fatalf("S at (%d,%d), want 5 batches; U's replica at (%d,%d)", pb, pd, rb, rd)
+	}
+}
+
+// TestStartupFencesRestartedPrimary pins why a restarted shard asks every
+// candidate about its topics: ring order [P, A, B], RF 2. P dies, A
+// promotes and moves the topic to B, then A dies. P reboots holding the
+// topic at epoch 0, and no ship of its own can fence it: its one follower,
+// A, is dead. The clock stands still, so B's resync cannot reach P either;
+// the startup check alone must fence P with a tombstone naming B.
+func TestStartupFencesRestartedPrimary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster harness is not short")
+	}
+	tc := newClockedCluster(t, 3, serverOptions{
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
+		repl:    fastRepl(),
+		peer:    fastPeer(nil),
+	})
+	name := "restarted"
+	set := tc.ring.ReplicaSet(name, 3)
+	p, a, b := tc.peerIdx(set[0]), tc.peerIdx(set[1]), tc.peerIdx(set[2])
+	tc.failoverTopic(p, name)
+
+	tc.killShard(p)
+	if got := tc.awaitServedAt(name, 1, []int{a, b}); got != a {
+		t.Fatalf("shard %d promoted %q, want A (%d)", got, name, a)
+	}
+	var mv moveResponse
+	tc.retryJSON("POST", tc.url(a)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(b)}, &mv, http.StatusOK)
+	if mv.Epoch != 2 {
+		t.Fatalf("move to B %+v, want epoch 2", mv)
+	}
+	tc.killShard(a)
+
+	tc.boot(p)
+	var ts cluster.Tombstone
+	var code int
+	var shard string
+	if !eventually(func() bool {
+		data, err := os.ReadFile(filepath.Join(tc.shards[p].dir, name+".moved"))
+		if err != nil || json.Unmarshal(data, &ts) != nil || ts.Target != tc.url(b) {
+			return false
+		}
+		resp, err := tc.noRedirect.Get(tc.url(p) + "/v1/topics/" + name)
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		code, shard = resp.StatusCode, resp.Header.Get(shardHeader)
+		return code == http.StatusTemporaryRedirect && shard == tc.url(b)
+	}) {
+		t.Fatalf("restarted P: tombstone %+v, GET answered %d shard=%q; want fenced and 307 → %s", ts, code, shard, tc.url(b))
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"triclust/internal/cluster"
 	"triclust/internal/codec"
 	"triclust/internal/fault"
+	"triclust/internal/repl"
 	"triclust/internal/store"
 )
 
@@ -105,6 +106,8 @@ type topic struct {
 	// for the healthz conformance census (see conform.go). Atomic so
 	// healthz reads it without the topic lock.
 	lastViol atomic.Pointer[violationJSON]
+	// followers is this instance's shipping record, written by ships under mu.
+	followers repl.Followers
 }
 
 // serverOptions bundle the daemon's tunables beyond the data directory:
@@ -191,6 +194,12 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 				name, ts.Target, ts.Epoch)
 		}
 	}
+	if replicated {
+		// Before the topics: newTopic gives each its shipping record. The
+		// scan kept the replicas it loaded; one that failed its checks was
+		// skipped, and its primary re-ships a base on its next contact.
+		s.repl = newReplicator(s, *opts.repl)
+	}
 	for name, rt := range found.Topics {
 		// Journal replay (inside the scan) ran without a conformance mode:
 		// recorded batches were already accepted once, so replay must
@@ -203,12 +212,6 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 		tp.mu.Lock()
 		s.openJournal(tp, rt)
 		tp.mu.Unlock()
-	}
-	if replicated {
-		// The scan kept the replicas it loaded; one that failed its own
-		// consistency checks was skipped (and counted) — the primary
-		// re-ships a fresh base on its next contact.
-		s.repl = newReplicator(s, *opts.repl)
 	}
 
 	mux := http.NewServeMux()
@@ -628,6 +631,9 @@ func (s *server) newTopic(name string, tr *triclust.Topic, saved bool) *topic {
 	tr.SetConformanceMode(s.conform)
 	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, saved)}
 	tp.engp.Store(tr)
+	if r := s.repl; r != nil {
+		tp.followers = repl.NewFollowers(s.cluster.ring, name, s.cluster.self, r.opts.Factor)
+	}
 	return tp
 }
 
@@ -647,7 +653,7 @@ func (s *server) persistNew(tp *topic, epoch uint64) *apiError {
 		// belongs to an earlier, deleted incarnation of the name (the
 		// name was free when this topic registered): drop it so the
 		// failed create cannot resurrect that topic on restart.
-		s.dropRetired(tp.name)
+		s.store.RemoveStale(tp.name, s.diskOf)
 		return errf(http.StatusInternalServerError, codeStorage, "topic not persisted: %w", err)
 	}
 	return nil
@@ -725,12 +731,12 @@ func (s *server) deleteTopic(w http.ResponseWriter, r *http.Request) *apiError {
 	// delete re-checks the registry under the same per-name lock, so it
 	// either belongs to this (now unregistered) topic and is skipped, or
 	// to a re-created topic whose own save marks its file current.
-	s.dropRetired(tp.name)
+	s.store.RemoveStale(tp.name, s.diskOf)
 	if s.repl != nil {
 		// Best-effort: tell the followers their cold replicas are garbage.
 		// A follower that misses the drop keeps a stale replica, which the
 		// epoch fence retires if the name is ever re-created.
-		s.repl.dropReplicas(tp.name, tp.eng().Epoch())
+		s.repl.dropReplicas(tp)
 	}
 	w.WriteHeader(http.StatusNoContent)
 	return nil
