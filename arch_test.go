@@ -3,6 +3,7 @@ package triclust
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"slices"
 	"strings"
@@ -119,8 +120,9 @@ func TestArchLayering(t *testing.T) {
 		"internal/codec owns a profile's bytes: conform exports a ProfileState value and writes none")
 	a.want(0, in("internal/store"), a.imports(false, "net/http", "triclust/cmd"), "store import reaching net/http or a command",
 		"store is disk mechanism below the daemon; HTTP and commands are its callers")
-	a.want(0, in("internal/cluster"), a.imports(false, "triclust/internal/fault"), "cluster import reaching internal/fault",
-		"cluster decides ownership; internal/store does the file I/O")
+	a.want(0, in("internal/cluster"), a.imports(false, "net/http", "triclust/cmd", "triclust/internal/fault", "triclust/internal/store"),
+		"cluster import reaching net/http, a command, internal/fault or internal/store",
+		"cluster decides where a topic lives and how it moves, without HTTP: the daemon carries its requests and the store writes its tombstones")
 	a.want(0, in("internal/repl"), a.imports(false, "net/http", "triclust/cmd", "triclust/internal/store"),
 		"repl import reaching net/http, a command or internal/store",
 		"repl decides what the primary ships; the daemon carries it and the store keeps the follower's replica")
@@ -130,10 +132,11 @@ func TestArchLayering(t *testing.T) {
 		"durable writes go through internal/store's verbs, which bring the journal in")
 }
 
-// TestArchDaemonSpine holds cmd/triclustd's request spine to one copy: resolve,
-// apiError, one client to the other shards (peer.go), one background lifetime.
+// TestArchDaemonSpine holds cmd/triclustd's request spine to one copy: routing
+// and epoch fences in cluster.Table, apiError, one client to the other shards
+// (peer.go), one background lifetime.
 func TestArchDaemonSpine(t *testing.T) {
-	a, d, daemon, written := newArch(t), in("cmd/triclustd"), "triclust/cmd/triclustd", map[ast.Node]bool{}
+	a, d, daemon := newArch(t), in("cmd/triclustd"), "triclust/cmd/triclustd"
 	a.want(1, d, a.use(a.obj("net/http", "NewRequestWithContext"), a.obj("net/http", "NewRequest")), "http.NewRequest(WithContext)",
 		"peerClient.once builds every inter-shard request")
 	a.want(1, d, a.use(a.obj("net/http", "Redirect")), "http.Redirect",
@@ -142,7 +145,7 @@ func TestArchDaemonSpine(t *testing.T) {
 		a.obj("time", "AfterFunc"), a.obj("time", "Sleep"))
 	a.want(0, in("cmd/triclustd", "internal/cluster", "internal/repl"), func(n ast.Node, fun string) bool { return fun != "WallSleep" && timer(n, fun) },
 		"timer outside cluster.WallSleep", "every loop and retry waits through the server's one cluster.Sleep, which a test replaces")
-	client, topics, moved := a.obj("net/http", "Client"), a.obj(daemon, "server", "topics"), a.obj(daemon, "server", "moved")
+	client, topics := a.obj("net/http", "Client"), a.obj(daemon, "server", "topics")
 	a.want(1, d, func(n ast.Node, _ string) bool { c, ok := n.(*ast.CompositeLit); return ok && a.ref(c.Type) == client },
 		"http.Client literal", "one client on one injectable transport")
 	triple := []types.Type{types.Typ[types.Int], types.Typ[types.String], types.Universe.Lookup("error").Type()}
@@ -162,15 +165,12 @@ func TestArchDaemonSpine(t *testing.T) {
 		c, ok := n.(*ast.CallExpr)
 		return ok && a.ref(c.Fun) == types.Universe.Lookup("delete") && a.ref(c.Args[0]) == topics
 	}, "delete from server.topics", "retire is the only way out of the registry")
-	a.want(0, d, func(n ast.Node, fun string) bool {
-		if as, ok := n.(*ast.AssignStmt); ok {
-			for _, l := range as.Lhs {
-				written[l] = true
-			}
-		}
-		ix, ok := n.(*ast.IndexExpr)
-		return ok && !written[ix] && a.ref(ix.X) == moved && fun != "server.resolve" && fun != "server.tryRegister"
-	}, "read of server.moved outside resolve and tryRegister", "the tombstone map answers where a name is resolved or registered")
+	tombEpoch := a.obj("triclust/internal/cluster", "Tombstone", "Epoch")
+	a.want(0, func(f string) bool { return !under(f, "internal/cluster") }, func(n ast.Node, _ string) bool {
+		b, ok := n.(*ast.BinaryExpr)
+		return ok && slices.Contains([]token.Token{token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ}, b.Op) &&
+			(a.ref(b.X) == tombEpoch || a.ref(b.Y) == tombEpoch)
+	}, "comparison of a cluster.Tombstone's Epoch outside internal/cluster", "cluster.Table applies every epoch fence")
 	launch := func(owner string) match { // owner "" matches a go statement in any other function
 		return func(n ast.Node, fun string) bool {
 			_, ok := n.(*ast.GoStmt)

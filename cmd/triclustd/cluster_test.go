@@ -44,6 +44,12 @@ func dirStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
+// servedTopic returns the topic s serves under name (nil: none).
+func servedTopic(s *server, name string) *topic {
+	tp, _ := s.route(name)
+	return tp
+}
+
 // shardHandler is the switchable front of one shard. kill() swaps the
 // handler out and waits for in-flight requests to drain, so the old
 // server object is quiescent before a restarted one opens the same data
@@ -154,7 +160,7 @@ func newTestCluster(t *testing.T, n int, opts serverOptions, persistent bool) *t
 func (tc *testCluster) boot(i int) {
 	tc.t.Helper()
 	sd := tc.shards[i]
-	cc, err := newClusterConfig(sd.hs.URL, strings.Join(tc.peers, ","), tc.vnodes)
+	cc, err := newMembership(sd.hs.URL, strings.Join(tc.peers, ","), tc.vnodes)
 	if err != nil {
 		tc.t.Fatalf("shard %d cluster config: %v", i, err)
 	}
@@ -813,7 +819,7 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 	// a hand-off leaves it), are forwarded — not told 404 about a topic
 	// that merely moved.
 	srv := tc.shards[src].srv
-	tp := srv.resolve(name).tp
+	tp := servedTopic(srv, name)
 	tp.mu.Lock()
 	late := map[string]any{
 		"/v1/topics/" + name + "/vocab":   vocabRequest{},
@@ -1063,7 +1069,7 @@ func TestClusterMoveLostInstallAck(t *testing.T) {
 	if got := fetchSnapshot(t, tc.noRedirect, tc.url(dst)+"/v1/topics/"+name+"/snapshot"); !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("target snapshot (%d bytes) differs from the control (%d bytes)", len(got), want.Len())
 	}
-	if pl := tc.shards[src].srv.resolve(name); pl.tp != nil || !pl.moved || pl.owner != tc.url(dst) || pl.epoch != 1 {
+	if tp, pl := tc.shards[src].srv.route(name); tp != nil || !pl.Moved || pl.Owner != tc.url(dst) || pl.Epoch != 1 {
 		t.Fatalf("source placement after the move: %+v, want a tombstone to %s at epoch 1", pl, tc.url(dst))
 	}
 	if dirStore(t, tc.shards[src].dir).HasSnapshot(name) {

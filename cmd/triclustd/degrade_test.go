@@ -467,7 +467,7 @@ func TestDegradedRecoveryReconvergesReplication(t *testing.T) {
 	var servers [2]*server
 	followerDir := ""
 	for i := range servers {
-		cc, err := newClusterConfig(urls[i], strings.Join(urls, ","), 32)
+		cc, err := newMembership(urls[i], strings.Join(urls, ","), 32)
 		if err != nil {
 			t.Fatalf("cluster config %d: %v", i, err)
 		}
@@ -494,7 +494,7 @@ func TestDegradedRecoveryReconvergesReplication(t *testing.T) {
 	name := ""
 	for i := 0; i < 100; i++ {
 		n := fmt.Sprintf("rconv%02d", i)
-		if servers[0].cluster.ring.Owner(n) == urls[0] {
+		if servers[0].table.Ring.Owner(n) == urls[0] {
 			name = n
 			break
 		}

@@ -439,7 +439,7 @@ func TestCrashPointMatrix(t *testing.T) {
 
 				// Reboot the source shard over the frozen image and point
 				// its public URL at the new instance.
-				cc, err := newClusterConfig(urls[0], strings.Join(urls[:], ","), 32)
+				cc, err := newMembership(urls[0], strings.Join(urls[:], ","), 32)
 				if err != nil {
 					t.Fatalf("cluster config: %v", err)
 				}
@@ -600,7 +600,7 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 	}
 	servers[0].Close()
 
-	cc, err := newClusterConfig(urls[0], strings.Join(urls[:], ","), 32)
+	cc, err := newMembership(urls[0], strings.Join(urls[:], ","), 32)
 	if err != nil {
 		t.Fatalf("cluster config: %v", err)
 	}
@@ -616,7 +616,7 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 	// source itself must not apply it to the leftover snapshot.
 	s0b.mu.RLock()
 	_, servesLocally := s0b.topics[name]
-	_, fenced := s0b.moved[name]
+	_, fenced := s0b.table.Tombstone(name)
 	s0b.mu.RUnlock()
 	if servesLocally || !fenced {
 		t.Fatalf("rebooted source: local=%v fenced=%v, want the interrupted hand-off held back (false, true)", servesLocally, fenced)
@@ -714,7 +714,7 @@ func setupMoveCluster(t *testing.T) (*fault.Script, string, [2]*server, [2]strin
 	var servers [2]*server
 	srcDir := ""
 	for i := range servers {
-		cc, err := newClusterConfig(urls[i], strings.Join(urls[:], ","), 32)
+		cc, err := newMembership(urls[i], strings.Join(urls[:], ","), 32)
 		if err != nil {
 			t.Fatalf("cluster config %d: %v", i, err)
 		}
@@ -733,7 +733,7 @@ func setupMoveCluster(t *testing.T) (*fault.Script, string, [2]*server, [2]strin
 	name := ""
 	for i := 0; i < 100; i++ {
 		n := fmt.Sprintf("mv%02d", i)
-		if servers[0].cluster.ring.Owner(n) == urls[0] {
+		if servers[0].table.Ring.Owner(n) == urls[0] {
 			name = n
 			break
 		}
@@ -759,9 +759,9 @@ func replicaMatrixServer(t *testing.T, dir string, fs fault.FS) *server {
 	t.Helper()
 	self := "http://self.test:8547"
 	peer := "http://peer.test:8547"
-	cc, err := newClusterConfig(self, self+","+peer, 32)
+	cc, err := newMembership(self, self+","+peer, 32)
 	if err != nil {
-		t.Fatalf("newClusterConfig: %v", err)
+		t.Fatalf("newMembership: %v", err)
 	}
 	s, err := newServer(dir, serverOptions{
 		journal: matrixJournalOpts(),

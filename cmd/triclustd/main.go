@@ -224,7 +224,7 @@ func main() {
 		},
 	}
 	if *peers != "" || *self != "" {
-		cc, err := newClusterConfig(*self, *peers, *vnodes)
+		cc, err := newMembership(*self, *peers, *vnodes)
 		if err != nil {
 			logf("startup: %v", err)
 			os.Exit(1)
@@ -269,7 +269,7 @@ func main() {
 		*addr, par.Procs(), *dataDir)
 	if cc := opts.cluster; cc != nil {
 		logf("cluster mode: self=%s peers=%v vnodes=%d",
-			cc.self, cc.ring.Peers(), cc.ring.VirtualNodes())
+			cc.Self, cc.Ring.Peers(), cc.Ring.VirtualNodes())
 	}
 
 	select {

@@ -45,17 +45,17 @@ const (
 )
 
 type peerClient struct {
-	opts  peerOptions
-	hc    *http.Client
-	sleep cluster.Sleep // the server's: spaces the retries
-	// down reports a peer the failure detector declared down (nil without
-	// replication): retrying it is abandoned at once — its resync happens
-	// when it comes back, not by hammering a corpse.
-	down func(peer string) bool
+	opts peerOptions
+	hc   *http.Client
+	// retry paces every retried call, and Handoff's installs, with the
+	// server's sleep; its Live is the failure detector once replication
+	// runs, so a peer declared down is not retried.
+	retry cluster.Retry
 }
 
 func newPeerClient(opts peerOptions, sleep cluster.Sleep) *peerClient {
-	return &peerClient{opts: opts, hc: &http.Client{Transport: opts.Transport}, sleep: sleep}
+	return &peerClient{opts: opts, hc: &http.Client{Transport: opts.Transport},
+		retry: cluster.Retry{Attempts: peerAttempts, Backoff: opts.Backoff, Sleep: sleep}}
 }
 
 // peerCall is one inter-shard request with a bounded JSON (or ignored) reply.
@@ -67,11 +67,8 @@ type peerCall struct {
 	// timeout is the deadline when -peer-timeout is unset (0: defaultPeerTimeout).
 	timeout time.Duration
 	// attempts bounds the tries (0: one). Transport errors and 5xx answers
-	// retry, a 4xx is the peer's considered verdict — unless settle is set:
-	// it sees each failure and either ends the call with a result or lets
-	// the next try happen.
+	// retry, a 4xx is the peer's considered verdict.
 	attempts int
-	settle   func(err error) (done bool, result error)
 }
 
 // once issues c a single time under its own deadline — the one place an
@@ -113,36 +110,17 @@ func (p *peerClient) once(ctx context.Context, c *peerCall, out any) error {
 	return nil
 }
 
-// call issues c with bounded retries and backoff — the one retry loop of
-// inter-shard traffic. ctx ends the retry waits and the request in flight:
-// the server's lifetime, or a probe's deadline.
+// call issues c with bounded retries and backoff (cluster.Retry, the one
+// retry loop of inter-shard traffic). ctx ends the retry waits and the
+// request in flight: the server's lifetime, or a probe's deadline.
 func (p *peerClient) call(ctx context.Context, c peerCall, out any) error {
-	var last error
-	for attempt := 0; attempt < max(c.attempts, 1); attempt++ {
-		if attempt > 0 {
-			if p.down != nil && p.down(c.peer) {
-				return fmt.Errorf("%s declared down after %d attempts: %w", c.peer, attempt, last)
-			}
-			if !p.sleep(ctx, p.opts.Backoff.Delay(attempt-1)) {
-				return ctx.Err()
-			}
-		}
-		if last = p.once(ctx, &c, out); last == nil {
-			return nil
-		}
-		var ae *apiError
-		if c.settle != nil {
-			if done, result := c.settle(last); done {
-				return result
-			}
-		} else if errors.As(last, &ae) && ae.status < 500 {
-			return last
-		}
-	}
-	if c.attempts > 1 {
-		return fmt.Errorf("gave up after %d attempts: %w", c.attempts, last)
-	}
-	return last
+	r := p.retry
+	r.Attempts = c.attempts
+	return r.Do(ctx, c.peer, func() (bool, error) {
+		err := p.once(ctx, &c, out)
+		ae := (*apiError)(nil)
+		return err == nil || errors.As(err, &ae) && ae.status < 500, err
+	})
 }
 
 // Append is repl's Transport: safe to retry, as a follower acks a duplicate
@@ -159,4 +137,27 @@ func (p *peerClient) Append(ctx context.Context, peer, topic string, fr *codec.R
 		err = &repl.Refusal{Fenced: ae.code == codeEpochMismatch, Epoch: ae.epoch, Owner: ae.owner, Err: err}
 	}
 	return ack.Batches, err
+}
+
+// Install is cluster's Transport: one hand-off PUT through the ordinary
+// restore endpoint, marked so the target pins the topic. Every answer but a
+// 201 is the target's refusal; a 5xx or topic_exists is settled by Holds.
+func (p *peerClient) Install(ctx context.Context, peer, name string, snapshot []byte) error {
+	err := p.once(ctx, &peerCall{method: http.MethodPut, peer: peer, path: "/v1/topics/" + name, body: snapshot,
+		header: http.Header{"Content-Type": {mediaTypeSnapshot}, handoffHeader: {"1"}}}, nil)
+	if ae := (*apiError)(nil); errors.As(err, &ae) {
+		err = &cluster.Refusal{Exists: ae.code == codeTopicExists, Transient: ae.status >= 500, Err: err}
+	}
+	return err
+}
+
+// Holds asks peer whether it serves name locally at an epoch at least the
+// given one — the signature of a hand-off (or promotion) that already
+// happened there; reachable tells "asked, and it does not" from "could not
+// ask". An idempotent GET, so it retries.
+func (p *peerClient) Holds(ctx context.Context, peer, name string, epoch uint64) (has, reachable bool) {
+	var info clusterInfoResponse
+	err := p.call(ctx, peerCall{method: http.MethodGet, peer: peer,
+		path: "/v1/cluster/info?topic=" + name, attempts: peerAttempts}, &info)
+	return err == nil && info.Topic != nil && info.Topic.Local && info.Topic.Epoch >= epoch, err == nil
 }

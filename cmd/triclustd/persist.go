@@ -106,7 +106,7 @@ func (s *server) reloadFromDisk(tp *topic) error {
 // name (nil: none) — how the store tells the current instance of a name
 // from a deleted earlier incarnation.
 func (s *server) diskOf(name string) *store.Handle {
-	if tp := s.resolve(name).tp; tp != nil {
+	if tp, _ := s.route(name); tp != nil {
 		return tp.disk
 	}
 	return nil

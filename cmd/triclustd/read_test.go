@@ -587,7 +587,7 @@ func TestHealthzAnswersDuringSolve(t *testing.T) {
 	}
 	owner := tc.ownerIdx(create.Name)
 	tc.retryJSON("POST", tc.url(owner)+"/v1/topics", create, nil, http.StatusCreated)
-	tp := tc.shards[owner].srv.resolve(create.Name).tp
+	tp := servedTopic(tc.shards[owner].srv, create.Name)
 	if tp == nil {
 		t.Fatalf("shard %d does not serve %q", owner, create.Name)
 	}

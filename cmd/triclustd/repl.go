@@ -6,11 +6,11 @@ package main
 // sees the ack. Followers keep a *cold* replica — a base snapshot plus a
 // verified journal tail, never an open Topic. internal/store owns that
 // follower side. internal/repl owns the primary side: each topic
-// instance's shipping record, the ship itself, the follower and candidate
-// sets and the election. This file keeps what needs the server: the
-// replica handlers and their epoch fence, the reconcile and rebalance
-// loops, the startup check and the promotion's durable step; peerClient is
-// repl's Transport.
+// instance's shipping record and the ship itself. internal/cluster owns
+// the candidate sets, the election and the replica frame's epoch fence.
+// This file keeps what needs the server: the replica handlers, the
+// reconcile and rebalance loops, the startup check and the promotion's
+// durable step; peerClient is repl's Transport.
 //
 // Failure handling is layered on epoch fencing:
 //
@@ -105,10 +105,10 @@ type replicator struct {
 	held map[string]string
 }
 
-func newReplicator(s *server, opts replOptions) *replicator {
+func newReplicator(s *server, m cluster.Membership, opts replOptions) *replicator {
 	opts = opts.withDefaults()
 	r := &replicator{s: s, opts: opts, held: make(map[string]string),
-		peers: slices.DeleteFunc(slices.Clone(s.cluster.ring.Peers()), func(p string) bool { return p == s.cluster.self })}
+		peers: slices.DeleteFunc(slices.Clone(m.Ring.Peers()), func(p string) bool { return p == m.Self })}
 	r.det = cluster.NewDetector(r.peers, r.probe, cluster.DetectorConfig{
 		Interval:  opts.ProbeInterval,
 		Timeout:   opts.ProbeTimeout,
@@ -116,7 +116,7 @@ func newReplicator(s *server, opts replOptions) *replicator {
 		Backoff:   s.peers.opts.Backoff,
 		Sleep:     s.sleep,
 	})
-	s.peers.down = r.det.Down
+	s.peers.retry.Live = r.det
 	return r
 }
 
@@ -189,7 +189,7 @@ func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
 	}
 	eng := tp.eng()
 	batches, draws := eng.StreamPos()
-	fence, err := repl.Ship(s.ctx, &tp.followers, repl.Round{Topic: tp.name, Source: s.cluster.self, Epoch: eng.Epoch(),
+	fence, err := repl.Ship(s.ctx, &tp.followers, repl.Round{Topic: tp.name, Source: s.table.Self, Epoch: eng.Epoch(),
 		Batches: batches, RandDraws: draws, Frame: frame, Snapshot: eng.Snapshot, Async: async, Live: s.repl.det, Logf: s.logf}, s.peers)
 	switch {
 	case err != nil:
@@ -215,7 +215,7 @@ func (s *server) fenceLocal(tp *topic, epoch uint64, target, why string) {
 		return
 	}
 	s.logf("topic %q: %s; demoting local copy", tp.name, why)
-	if err := s.setMoved(tp.name, cluster.Tombstone{Epoch: epoch, Target: target}); err != nil {
+	if err := s.table.Fence(tp.name, cluster.Tombstone{Epoch: epoch, Target: target}); err != nil {
 		s.logf("fence %q: tombstone not persisted: %v", tp.name, err)
 	}
 	s.store.RemoveStale(tp.name, s.diskOf)
@@ -279,35 +279,27 @@ func (s *server) replicaAppend(w http.ResponseWriter, req *http.Request) *apiErr
 // replica answers 409 replica_out_of_sync, telling the primary to re-ship
 // a full base; a duplicate (a retry whose ack was lost) is acknowledged.
 func (s *server) storeFrame(name string, fr *codec.ReplAppend) (replAck, *apiError) {
-	// Epoch fencing against this shard's own view of the topic. A local
-	// copy at a strictly higher epoch outranks the shipper (it is the
-	// zombie); a local copy at a lower epoch means *we* are stale — fence
-	// ourselves, then accept the replica. Equal epochs are the hand-off
-	// window: this shard is mid-move of the topic to the shipper (our
-	// tombstone at newEpoch is already down, the local copy is about to be
-	// dropped when the install PUT we are serving right now acks), so the
-	// frame is stored as a replica without touching the served topic —
-	// demoting here would deadlock against the hand-off holding tp.mu, and
-	// refusing would fence the legitimate new owner.
+	// The table's fence against this shard's own view of the topic: a copy
+	// served here or a tombstone may outrank the shipper (it is the
+	// zombie), or the served copy is the stale one — fenced here, before
+	// the frame is stored. Demoting at equal epochs would deadlock against
+	// the hand-off holding tp.mu, so the table accepts those.
 	outranked := func(held uint64, owner, how string) (replAck, *apiError) {
 		return replAck{}, &apiError{status: http.StatusConflict, code: codeEpochMismatch, epoch: held, owner: owner,
 			err: fmt.Errorf("topic %q %s at epoch %d; refusing replica frames at epoch %d", name, how, held, fr.Epoch)}
 	}
-	pl := s.resolve(name)
-	if tp := pl.tp; tp != nil {
-		if le := tp.eng().Epoch(); le > fr.Epoch {
-			return outranked(le, s.cluster.self, "is served here")
-		} else if le < fr.Epoch {
-			tp.mu.Lock()
-			s.fenceLocal(tp, fr.Epoch-1, fr.Source,
-				fmt.Sprintf("replica frame at epoch %d outranks local epoch %d", fr.Epoch, le))
-			tp.mu.Unlock()
-		}
-	} else if pl.moved && pl.epoch > fr.Epoch {
-		// The tombstone records the epoch the topic *left* at — the new
-		// owner legitimately ships at exactly that epoch, so only strictly
-		// older frames are the fenced zombie's.
-		return outranked(pl.epoch, pl.owner, "was handed off")
+	tp, _ := s.route(name)
+	var local uint64
+	if tp != nil {
+		local = tp.eng().Epoch()
+	}
+	switch v, ts := s.table.Frame(name, tp != nil, local, fr.Epoch, fr.Source); v {
+	case cluster.Outranked:
+		return outranked(ts.Epoch, ts.Target, "is held by "+ts.Target)
+	case cluster.Demote:
+		tp.mu.Lock()
+		s.fenceLocal(tp, ts.Epoch, ts.Target, fmt.Sprintf("replica frame at epoch %d outranks local epoch %d", fr.Epoch, local))
+		tp.mu.Unlock()
 	}
 
 	batches, draws, err := s.store.ApplyReplica(name, fr)
@@ -350,21 +342,21 @@ func (s *server) replicaDrop(w http.ResponseWriter, req *http.Request) *apiError
 // the next tick.
 func (r *replicator) maybePromote(name string, meta store.ReplicaMeta) {
 	s := r.s
-	if s.resolve(name).tp != nil {
+	if tp, _ := s.route(name); tp != nil {
 		return
 	}
-	if first, ok := repl.Elect(s.cluster.ring, name, meta.Source, r.det); !ok || first != s.cluster.self {
+	if first, ok := cluster.Elect(s.table.Ring, name, meta.Source, r.det); !ok || first != s.table.Self {
 		return
 	}
 	// Split-brain guard: an operator move (or an earlier promotion) may
 	// have re-homed the topic onto a shard that is alive and well — in
 	// which case the replica is merely stale and promoting it would fork
 	// history. Ask every live candidate before self-electing.
-	for _, c := range repl.Candidates(s.cluster.ring, name, meta.Source) {
-		if c == s.cluster.self || r.det.Down(c) {
+	for _, c := range cluster.Candidates(s.table.Ring, name, meta.Source) {
+		if c == s.table.Self || r.det.Down(c) {
 			continue
 		}
-		if has, _ := s.targetTopicState(c, name, meta.Epoch); has {
+		if has, _ := s.peers.Holds(s.ctx, c, name, meta.Epoch); has {
 			r.hold(name, fmt.Sprintf("not promoting %q: %s already serves it at epoch ≥ %d", name, c, meta.Epoch))
 			return
 		}
@@ -422,8 +414,8 @@ func (r *replicator) reconcileStartup() {
 			return
 		}
 		epoch := tp.eng().Epoch()
-		for _, peer := range repl.Candidates(s.cluster.ring, tp.name, s.cluster.self) {
-			if has, _ := s.targetTopicState(peer, tp.name, epoch+1); has {
+		for _, peer := range cluster.Candidates(s.table.Ring, tp.name, s.table.Self) {
+			if has, _ := s.peers.Holds(s.ctx, peer, tp.name, epoch+1); has {
 				tp.mu.Lock()
 				s.fenceLocal(tp, epoch, peer, fmt.Sprintf("re-homed to %s while this shard was down", peer))
 				tp.mu.Unlock()
@@ -449,28 +441,20 @@ func (r *replicator) rebalanceLoop() {
 
 func (r *replicator) rebalanceOnce() {
 	s := r.s
-	served := s.served()
-	held := make([]string, len(served))
-	for i, tp := range served {
-		held[i] = tp.name
+	var held []string
+	for _, tp := range s.served() {
+		held = append(held, tp.name)
 	}
-	plan := cluster.PlanRebalance(s.cluster.ring, s.cluster.self, held, func(p string) bool {
-		return !r.det.Down(p)
-	})
-	for _, mv := range plan {
+	for _, mv := range cluster.PlanRebalance(s.table.Ring, s.table.Self, held, func(p string) bool { return !r.det.Down(p) }) {
 		if s.ctx.Err() != nil {
 			return
 		}
-		tp := s.resolve(mv.Topic).tp
-		if tp == nil {
-			continue
+		// performHandoff logs the move; a topic gone meanwhile is skipped.
+		if tp, _ := s.route(mv.Topic); tp != nil {
+			if _, e := s.performHandoff(tp, mv.To); e != nil {
+				s.logf("rebalance %q to %s: %v", mv.Topic, mv.To, e)
+			}
 		}
-		resp, e := s.performHandoff(tp, mv.To)
-		if e != nil {
-			s.logf("rebalance %q to %s: %v", mv.Topic, mv.To, e)
-			continue
-		}
-		s.logf("rebalanced %q to its ring owner %s at epoch %d", mv.Topic, mv.To, resp.Epoch)
 	}
 }
 

@@ -435,7 +435,7 @@ func TestResyncConvergesIdleTopics(t *testing.T) {
 
 	primary := tc.shards[0].srv
 	for _, name := range names {
-		pb, pd := primary.resolve(name).tp.eng().StreamPos()
+		pb, pd := servedTopic(primary, name).eng().StreamPos()
 		if rb, rd := replicaPos(t, tc.shards[1].dir, name); pb != rb || pd != rd {
 			t.Fatalf("%s: primary at (%d,%d), replica at (%d,%d)", name, pb, pd, rb, rd)
 		}
@@ -728,7 +728,7 @@ func TestFailoverCascade(t *testing.T) {
 	if !eventually(func() bool { return hold.held.Load() > 0 && det.Down(tc.url(p)) }) {
 		t.Fatalf("A never asked its split-brain guard (held %d) or B never saw P down (%v)", hold.held.Load(), det.Down(tc.url(p)))
 	}
-	if tc.shards[b].srv.resolve(name).tp != nil {
+	if servedTopic(tc.shards[b].srv, name) != nil {
 		t.Fatal("B promoted while A was the first live candidate")
 	}
 
@@ -791,7 +791,7 @@ func TestFailoverKeepsReplicaUntilDurable(t *testing.T) {
 	// Closed, the shard has no promotion in flight: the topic is retired
 	// and the replica kept.
 	tc.killShard(1)
-	if tc.shards[1].srv.resolve(name).tp != nil {
+	if servedTopic(tc.shards[1].srv, name) != nil {
 		t.Fatal("a promoted topic whose first snapshot failed is served")
 	}
 	if _, err := os.Stat(filepath.Join(tc.shards[1].dir, name+".rsnap")); err != nil {
@@ -863,9 +863,73 @@ func TestPromotedTopicReseedsAfterAmbiguousMove(t *testing.T) {
 		t.Fatalf("shard %d promoted %q, want S (%d), T's first live candidate", got, name, s)
 	}
 	tc.awaitFollowersSynced(s, []string{name}, 1)
-	pb, pd := tc.shards[s].srv.resolve(name).tp.eng().StreamPos()
+	pb, pd := servedTopic(tc.shards[s].srv, name).eng().StreamPos()
 	if rb, rd := replicaPos(t, tc.shards[u].dir, name); pb != 5 || rb != pb || rd != pd {
 		t.Fatalf("S at (%d,%d), want 5 batches; U's replica at (%d,%d)", pb, pd, rb, rd)
+	}
+}
+
+// TestClusterMoveResumeElsewhereAfterLandedInstall: a move S→T whose install
+// landed but could not be confirmed — its ack and the placement query were
+// lost — is retried naming U. The resume must not install a second copy: S
+// asks T, finds the hand-off landed there, drops its leftover files and
+// redirects the move to T. Exactly one shard serves the topic, with its
+// full history, and every other shard redirects its batches.
+func TestClusterMoveResumeElsewhereAfterLandedInstall(t *testing.T) {
+	transport := &blindTransport{}
+	tc := newTestCluster(t, 3, serverOptions{
+		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
+		peer:    fastPeer(transport),
+	}, true)
+	name := harnessTopicName(5)
+	s := tc.ownerIdx(name)
+	tt, u := (s+1)%3, (s+2)%3
+	tc.retryJSON("POST", tc.url(s)+"/v1/topics", harnessCreateReq(5), nil, http.StatusCreated)
+	for day := 1; day <= 3; day++ {
+		tc.retryJSON("POST", tc.url(s)+"/v1/topics/"+name+"/batches", harnessBatch(5, day), nil, http.StatusOK)
+	}
+
+	transport.blind.Store(true)
+	if code, ec := errCode2(t, tc.noRedirect, "POST", tc.url(s)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(tt)}); code != http.StatusBadGateway || ec != codeMoveFailed {
+		t.Fatalf("ambiguous move answered %d %q, want 502 %q", code, ec, codeMoveFailed)
+	}
+	transport.blind.Store(false)
+	body, err := json.Marshal(moveRequest{Topic: name, Target: tc.url(u)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := tc.noRedirect.Post(tc.url(s)+"/v1/cluster/move", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	var serving []int
+	for i := range tc.shards {
+		var info clusterInfoResponse
+		tc.retryJSON("GET", tc.url(i)+"/v1/cluster/info?topic="+name, nil, &info, http.StatusOK)
+		if info.Topic != nil && info.Topic.Local {
+			serving = append(serving, i)
+		}
+	}
+	if len(serving) != 1 || serving[0] != tt {
+		t.Fatalf("shards %v serve %q, want exactly T (%d)", serving, name, tt)
+	}
+	if resp.StatusCode != http.StatusTemporaryRedirect || resp.Header.Get(shardHeader) != tc.url(tt) {
+		t.Fatalf("move retry naming U answered %d shard=%q, want 307 to T %s", resp.StatusCode, resp.Header.Get(shardHeader), tc.url(tt))
+	}
+	var sum topicSummary
+	tc.retryJSON("GET", tc.url(tt)+"/v1/topics/"+name, nil, &sum, http.StatusOK)
+	if sum.Batches != 3 {
+		t.Fatalf("T serves %d batches, want 3", sum.Batches)
+	}
+	if dirStore(t, tc.shards[s].dir).HasSnapshot(name) {
+		t.Fatal("S still holds the snapshot of a topic T serves")
+	}
+	for _, i := range []int{s, u} {
+		if code, _ := errCode2(t, tc.noRedirect, "POST", tc.url(i)+"/v1/topics/"+name+"/batches", harnessBatch(5, 4)); code != http.StatusTemporaryRedirect {
+			t.Fatalf("batch sent to shard %d answered %d, want 307", i, code)
+		}
 	}
 }
 

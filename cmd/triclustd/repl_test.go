@@ -28,9 +28,9 @@ func replTestServer(t *testing.T) (*server, string) {
 	t.Helper()
 	self := "http://self.test:8547"
 	peer := "http://peer.test:8547"
-	cc, err := newClusterConfig(self, self+","+peer, 32)
+	cc, err := newMembership(self, self+","+peer, 32)
 	if err != nil {
-		t.Fatalf("newClusterConfig: %v", err)
+		t.Fatalf("newMembership: %v", err)
 	}
 	dir := t.TempDir()
 	s, err := newServer(dir, serverOptions{
@@ -393,7 +393,7 @@ func lockWaiters(fns ...string) int {
 // is a no-op.
 func TestCloseEndsOneLifetime(t *testing.T) {
 	const self = "http://self.test:8547"
-	cc, err := newClusterConfig(self, self+",http://peer.test:8547", 32)
+	cc, err := newMembership(self, self+",http://peer.test:8547", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 
 	name := ""
 	for i := 0; name == ""; i++ {
-		if n := "life" + strconv.Itoa(i); cc.ring.Owner(n) == self {
+		if n := "life" + strconv.Itoa(i); cc.Ring.Owner(n) == self {
 			name = n
 		}
 	}

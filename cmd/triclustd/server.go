@@ -28,26 +28,20 @@ import (
 // operation is durable before it is acknowledged (see persist.go), so a
 // restarted daemon resumes exactly where it stopped.
 type server struct {
-	// mu guards the registry (topics, moved) and orders spawn against
-	// Close.
+	// mu guards the registry and orders spawn against Close; it is taken
+	// before the table's lock.
 	mu     sync.RWMutex
 	topics map[string]*topic
-	// moved records topics this shard handed off to another shard
-	// (tombstones): the ownership epoch they left at and where they went.
-	// Guarded by mu, persisted by the store when a data directory is
-	// configured. A name is never in both topics and moved
-	// visibility-wise: while a hand-off is in flight the registry entry
-	// wins (lookups serve it until the move commits).
-	moved map[string]cluster.Tombstone
+	// table is where names live (cluster.go): this shard, the ring (nil
+	// runs the exact single-process behavior) and the tombstones of the
+	// topics it handed off, persisted by the store when a data directory
+	// is configured. While a hand-off is in flight the registry entry wins.
+	table *cluster.Table
 	store *store.Store // nil: in-memory only
 	logf  func(format string, args ...any)
 	mux   *http.ServeMux
-	// cluster is non-nil when the daemon runs as one shard of a
-	// consistent-hash cluster (see cluster.go); nil preserves the exact
-	// single-process behavior.
-	cluster *clusterConfig
 	// peers carries every request to another shard (peer.go); non-nil
-	// exactly when cluster is.
+	// exactly in cluster mode.
 	peers *peerClient
 	// repl is non-nil when -replication-factor >= 2: this shard ships its
 	// topics' journals to ring successors and holds cold replicas for
@@ -118,7 +112,7 @@ type serverOptions struct {
 	// maxBody bounds every request body in bytes (0: defaultMaxBody).
 	maxBody int64
 	// cluster enables sharded routing; nil runs single-process.
-	cluster *clusterConfig
+	cluster *cluster.Membership
 	// peer tunes inter-shard traffic (cluster mode only).
 	peer peerOptions
 	// repl enables journal-shipped replication (nil or Factor < 2: off).
@@ -143,7 +137,7 @@ type serverOptions struct {
 // journal tail and opening its journal (see openJournal). Hand-off
 // tombstones are reloaded alongside the snapshots; a topic with both a
 // snapshot and a tombstone was caught mid-move and is held back from
-// serving until the move is retried (see resumeMove).
+// serving until the move is retried (see moveTopic).
 func newServer(dataDir string, opts serverOptions, logf func(format string, args ...any)) (*server, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -154,10 +148,8 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 	}
 	s := &server{
 		topics:  make(map[string]*topic),
-		moved:   make(map[string]cluster.Tombstone),
 		store:   st,
 		logf:    logf,
-		cluster: opts.cluster,
 		maxBody: opts.maxBody,
 		conform: opts.conform,
 		sleep:   opts.sleep,
@@ -169,7 +161,9 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 	if st != nil {
 		s.storage = newStorageMonitor(s, opts.storage)
 	}
+	var m cluster.Membership
 	if opts.cluster != nil {
+		m = *opts.cluster
 		s.peers = newPeerClient(opts.peer, s.sleep)
 	}
 	replicated := opts.repl != nil && opts.repl.Factor >= 2
@@ -183,24 +177,24 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 	if err != nil {
 		return nil, err
 	}
-	for name, ts := range found.Tombstones {
-		s.moved[name] = ts
-		if _, pending := found.Topics[name]; pending {
-			// The daemon crashed between writing the hand-off intent and
-			// deleting the topic's files: the tombstone fences writes, the
-			// snapshot stays for a move retry.
-			delete(found.Topics, name)
-			s.logf("topic %q has an interrupted hand-off to %s (epoch %d); refusing writes until the move is retried",
-				name, ts.Target, ts.Epoch)
-		}
-	}
+	var live cluster.Liveness
 	if replicated {
 		// Before the topics: newTopic gives each its shipping record. The
 		// scan kept the replicas it loaded; one that failed its checks was
 		// skipped, and its primary re-ships a base on its next contact.
-		s.repl = newReplicator(s, *opts.repl)
+		s.repl = newReplicator(s, m, *opts.repl)
+		live = s.repl.det
 	}
+	s.table = cluster.NewTable(m, live, st, found.Tombstones, logf)
 	for name, rt := range found.Topics {
+		if ts, parked := s.table.Tombstone(name); parked {
+			// The daemon stopped between writing the hand-off intent and
+			// deleting the topic's files: the tombstone fences writes, the
+			// snapshot stays for a move retry.
+			s.logf("topic %q has an interrupted hand-off to %s (epoch %d); refusing writes until the move is retried",
+				name, ts.Target, ts.Epoch)
+			continue
+		}
 		// Journal replay (inside the scan) ran without a conformance mode:
 		// recorded batches were already accepted once, so replay must
 		// redo them regardless of today's policy. newTopic stamps the mode
@@ -330,10 +324,8 @@ type healthResponse struct {
 }
 
 type clusterHealth struct {
-	Self        string   `json:"self"`
-	Peers       []string `json:"peers"`
-	Vnodes      int      `json:"vnodes"`
-	MovedTopics int      `json:"moved_topics"`
+	clusterView
+	MovedTopics int `json:"moved_topics"`
 }
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) *apiError {
@@ -362,15 +354,8 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) *apiError {
 			resp.Status = "degraded"
 		}
 	}
-	if c := s.cluster; c != nil {
-		s.mu.RLock()
-		resp.Cluster = &clusterHealth{
-			Self:        c.self,
-			Peers:       c.ring.Peers(),
-			Vnodes:      c.ring.VirtualNodes(),
-			MovedTopics: len(s.moved),
-		}
-		s.mu.RUnlock()
+	if s.table.Ring != nil {
+		resp.Cluster = &clusterHealth{s.clusterView(), s.table.Moved()}
 	}
 	if rp := s.repl; rp != nil {
 		resp.Replication = rp.health()
@@ -525,19 +510,27 @@ func readBody(r *http.Request) ([]byte, *apiError) {
 	return buf.Bytes(), nil
 }
 
+// readJSON decodes a request's buffered body strictly into v.
+func readJSON(r *http.Request, v any) *apiError {
+	body, e := readBody(r)
+	if e != nil {
+		return e
+	}
+	if err := decodeStrict(body, v); err != nil {
+		return errf(http.StatusBadRequest, codeInvalidRequest, "decode: %w", err)
+	}
+	return nil
+}
+
 func (s *server) createTopic(w http.ResponseWriter, r *http.Request) *apiError {
 	if _, e := requireMediaType(r, mediaTypeJSON); e != nil {
 		return e
 	}
 	// The topic name lives in the body, so routing needs the body decoded
 	// first.
-	body, e := readBody(r)
-	if e != nil {
-		return e
-	}
 	var req createTopicRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return errf(http.StatusBadRequest, codeInvalidRequest, "decode: %w", err)
+	if e := readJSON(r, &req); e != nil {
+		return e
 	}
 	if err := store.ValidTopicName(req.Name); err != nil {
 		return errf(http.StatusBadRequest, codeInvalidName, "%w", err)
@@ -632,20 +625,33 @@ func (s *server) newTopic(name string, tr *triclust.Topic, saved bool) *topic {
 	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, saved)}
 	tp.engp.Store(tr)
 	if r := s.repl; r != nil {
-		tp.followers = repl.NewFollowers(s.cluster.ring, name, s.cluster.self, r.opts.Factor)
+		tp.followers = repl.NewFollowers(s.table.Ring, name, s.table.Self, r.opts.Factor)
 	}
 	return tp
 }
 
 // persistNew is the durable-or-retire step every new topic takes (create,
-// restore, promotion): register tp at epoch, then write its first snapshot
-// and open its journal. A registered topic must be durable when -data-dir
-// is set, so a failed save retires it again and fails with storage_error.
-// The caller holds tp.mu from before the registration, so no request
-// reaches the topic until the step is decided.
+// restore, promotion): register tp at the ownership epoch it arrives with
+// (0 for a fresh create) — 409 if the name is taken or the table's restore
+// fence refuses the epoch — then write its first snapshot and open its
+// journal. A registered topic must be durable when -data-dir is set, so a
+// failed save retires it again and fails with storage_error. The caller
+// holds tp.mu from before the registration, so no request reaches the
+// topic until the step is decided.
 func (s *server) persistNew(tp *topic, epoch uint64) *apiError {
-	if e := s.tryRegister(tp, epoch); e != nil {
-		return e
+	ok, err := s.table.Register(tp.name, epoch, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, taken := s.topics[tp.name]
+		if !taken {
+			s.topics[tp.name] = tp
+		}
+		return !taken
+	})
+	if err != nil {
+		return errf(http.StatusConflict, codeEpochMismatch, "%w", err)
+	} else if !ok {
+		return errf(http.StatusConflict, codeTopicExists, "topic %q already exists", tp.name)
 	}
 	if err := s.saveIfCurrent(tp); err != nil {
 		s.retire(tp)
@@ -655,37 +661,6 @@ func (s *server) persistNew(tp *topic, epoch uint64) *apiError {
 		// failed create cannot resurrect that topic on restart.
 		s.store.RemoveStale(tp.name, s.diskOf)
 		return errf(http.StatusInternalServerError, codeStorage, "topic not persisted: %w", err)
-	}
-	return nil
-}
-
-// tryRegister installs a topic in the registry, failing with 409 and a
-// stable code if the name is taken or if a hand-off tombstone fences the
-// topic's epoch. epoch is the ownership epoch the topic arrives with (0
-// for a fresh create): a shard that handed the topic away at epoch E
-// accepts it back only at a strictly greater epoch, so a stale pre-move
-// snapshot can never resurrect forked state. Registering at a valid
-// epoch clears the tombstone — the topic legitimately lives here again.
-func (s *server) tryRegister(tp *topic, epoch uint64) *apiError {
-	s.mu.Lock()
-	mv, wasMoved := s.moved[tp.name]
-	if wasMoved && epoch <= mv.Epoch {
-		s.mu.Unlock()
-		return errf(http.StatusConflict, codeEpochMismatch,
-			"topic %q was handed off to %s at epoch %d; refusing state at epoch %d",
-			tp.name, mv.Target, mv.Epoch, epoch)
-	}
-	if _, exists := s.topics[tp.name]; exists {
-		s.mu.Unlock()
-		return errf(http.StatusConflict, codeTopicExists, "topic %q already exists", tp.name)
-	}
-	s.topics[tp.name] = tp
-	delete(s.moved, tp.name)
-	s.mu.Unlock()
-	if wasMoved {
-		if err := s.store.ClearTombstone(tp.name); err != nil {
-			s.logf("remove tombstone %q: %v", tp.name, err)
-		}
 	}
 	return nil
 }
@@ -975,13 +950,9 @@ func (s *server) warmupVocab(w http.ResponseWriter, r *http.Request) *apiError {
 	// json.Decoder this handler used to construct stopped at the first
 	// complete value and silently accepted trailing garbage, a laxness no
 	// other endpoint shared.
-	body, e := readBody(r)
-	if e != nil {
-		return e
-	}
 	var req vocabRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return errf(http.StatusBadRequest, codeInvalidRequest, "decode: %w", err)
+	if e := readJSON(r, &req); e != nil {
+		return e
 	}
 	var resp vocabResponse
 	// Vocabulary warm-up mutates state outside the journal, so its durable

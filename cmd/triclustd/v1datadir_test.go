@@ -34,7 +34,7 @@ func (refusePeers) RoundTrip(*http.Request) (*http.Response, error) {
 // replication on dir, without its background loops.
 func bootV1DataDir(t *testing.T, dir string) *server {
 	t.Helper()
-	cc, err := newClusterConfig("http://self.test:8547", "http://self.test:8547,http://peer.test:8547", 32)
+	cc, err := newMembership("http://self.test:8547", "http://self.test:8547,http://peer.test:8547", 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"time"
 )
@@ -61,4 +62,38 @@ func (b Backoff) Delay(attempt int) time.Duration {
 		d = max
 	}
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
+}
+
+// Retry paces the tries of one call to a peer: up to Attempts (at least
+// one), Backoff apart, waited out with Sleep. A peer Live declares down
+// (nil: no detector) is not tried again: it is resynced when it comes back.
+type Retry struct {
+	Attempts int
+	Backoff  Backoff
+	Sleep    Sleep
+	Live     Liveness
+}
+
+// Do calls try until it reports done or the tries run out, and returns its
+// last error, wrapped when a retry was cut short or given up.
+func (r Retry) Do(ctx context.Context, peer string, try func() (done bool, err error)) error {
+	var last error
+	for attempt := 0; attempt < max(r.Attempts, 1); attempt++ {
+		if attempt > 0 {
+			if r.Live != nil && r.Live.Down(peer) {
+				return fmt.Errorf("%s declared down after %d attempts: %w", peer, attempt, last)
+			}
+			if !r.Sleep(ctx, r.Backoff.Delay(attempt-1)) {
+				return ctx.Err()
+			}
+		}
+		done, err := try()
+		if last = err; done {
+			return err
+		}
+	}
+	if r.Attempts > 1 {
+		return fmt.Errorf("gave up after %d attempts: %w", r.Attempts, last)
+	}
+	return last
 }

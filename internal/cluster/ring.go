@@ -1,15 +1,14 @@
-// Package cluster implements the placement layer of a sharded triclustd
-// deployment: a consistent-hash ring assigning topics to shards, and the
-// ownership metadata (epochs, hand-off tombstones) that lets a topic move
-// between shards without two processes ever accepting writes for it.
-//
-// The ring is purely deterministic: every shard builds it from the same
-// static peer list and virtual-node count, hashes peers and topics with
-// the same 64-bit FNV-1a function, and therefore computes the same owner
-// for every topic with no coordination traffic. Placement changes only
-// when the operator changes the peer list — or explicitly overrides the
-// ring with a topic move, which the daemon records as a registry entry on
-// the new owner and a tombstone on the old one.
+// Package cluster decides where a topic lives in a sharded triclustd. A
+// consistent-hash ring assigns every topic name an owning shard: every shard
+// builds it from the same static peer list and virtual-node count and hashes
+// with the same 64-bit FNV-1a function, so all compute the same owner with no
+// coordination traffic. A Table is one shard's placement: itself, the ring,
+// and the tombstones of the topics it handed off, which override the ring;
+// it answers every route and every epoch fence — a restore, a shipped
+// replica frame. Handoff is the one protocol that moves a topic to another
+// shard, over a Transport: fence, install, settle an unknown outcome by
+// asking the target. The package does no I/O of its own and starts no
+// goroutine; the daemon carries its requests and its loops.
 package cluster
 
 import (

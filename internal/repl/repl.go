@@ -1,11 +1,10 @@
 // Package repl is the primary side of triclustd's journal-shipped
-// replication: each topic instance's shipping record (Followers), the ship
-// of its latest state (Ship), and the election of the shard that takes a
-// topic over when its source dies (Elect). It owns no goroutine, timer,
-// lock or server: the daemon keeps a record per topic instance, ships under
-// that topic's lock over a Transport and applies the Fence Ship may return.
-// A record lives and dies with its instance, so a name served again starts
-// with a fresh one.
+// replication: each topic instance's shipping record (Followers) and the
+// ship of its latest state (Ship), to the followers cluster.Candidates
+// names. It owns no goroutine, timer, lock or server: the daemon keeps a
+// record per topic instance, ships under that topic's lock over a Transport
+// and applies the Fence Ship may return. A record lives and dies with its
+// instance, so a name served again starts with a fresh one.
 package repl
 
 import (
@@ -25,27 +24,6 @@ import (
 // with a client waiting, so a hung peer stalls its writers for about one
 // ship timeout; the reconcile loop's resync has no client waiting.
 const requestAttempts, resyncAttempts = 2, 8
-
-// Liveness is the failure detector's verdict on peers (cluster.Detector).
-type Liveness interface {
-	Down(peer string) bool
-	FirstLive(peers []string) (string, bool)
-}
-
-// Candidates returns, in ring order, every replica-set member of name but
-// source; a topic's followers are the first factor-1 of them besides self.
-func Candidates(ring *cluster.Ring, name, source string) []string {
-	return slices.DeleteFunc(ring.ReplicaSet(name, len(ring.Peers())), func(p string) bool { return p == source })
-}
-
-// Elect returns the shard that takes name over from source: nobody while
-// source is live, else its first live candidate.
-func Elect(ring *cluster.Ring, name, source string, live Liveness) (string, bool) {
-	if !live.Down(source) {
-		return "", false
-	}
-	return live.FirstLive(Candidates(ring, name, source))
-}
 
 // Followers is the shipping record of one topic instance: its followers in
 // ring order and what the primary knows of each. Only Ship writes it, under
@@ -67,7 +45,7 @@ type follower struct {
 // NewFollowers is the record, with no ack yet, of name served by self.
 func NewFollowers(ring *cluster.Ring, name, self string, factor int) Followers {
 	var f Followers
-	peers := Candidates(ring, name, self)
+	peers := cluster.Candidates(ring, name, self)
 	for _, p := range peers[:min(len(peers), factor-1)] {
 		fl := &follower{peer: p}
 		fl.acked.Store(-1)
@@ -87,7 +65,7 @@ func (f *Followers) Peers() []string {
 
 // NeedsResync reports whether a follower live does not declare down is out
 // of sync or never acked.
-func (f *Followers) NeedsResync(live Liveness) bool {
+func (f *Followers) NeedsResync(live cluster.Liveness) bool {
 	return slices.ContainsFunc(f.list, func(fl *follower) bool { return !fl.synced.Load() && !live.Down(fl.peer) })
 }
 
@@ -140,7 +118,7 @@ type Round struct {
 	Frame         []byte
 	Snapshot      func(io.Writer) error
 	Async         bool
-	Live          Liveness
+	Live          cluster.Liveness
 	Logf          func(format string, args ...any)
 }
 

@@ -79,7 +79,7 @@ func newFixture(t *testing.T, factor int) *fixture {
 }
 
 // ship runs one round at position (epoch 3, batches) over tr with live.
-func (fx *fixture) ship(t *testing.T, tr Transport, live Liveness, batches int, frame []byte, async bool) *Fence {
+func (fx *fixture) ship(t *testing.T, tr Transport, live cluster.Liveness, batches int, frame []byte, async bool) *Fence {
 	t.Helper()
 	fence, err := Ship(context.Background(), &fx.rec, Round{
 		Topic: "t", Source: fx.self, Epoch: 3, Batches: batches, RandDraws: 7,
@@ -254,27 +254,6 @@ func TestShipBuildsTheSnapshotOnce(t *testing.T) {
 	}
 	if fx.builds != 1 {
 		t.Fatalf("the snapshot was built %d times in one ship, want 1", fx.builds)
-	}
-}
-
-func TestElect(t *testing.T) {
-	fx := newFixture(t, 2)
-	source := fx.self
-	cands := Candidates(fx.ring, "t", source)
-	if len(cands) != 2 || cands[0] == source || cands[1] == source {
-		t.Fatalf("candidates %v of a three-shard ring without %s", cands, source)
-	}
-	if w, ok := Elect(fx.ring, "t", source, downSet{}); ok {
-		t.Fatalf("%s elected while the source is alive", w)
-	}
-	if w, ok := Elect(fx.ring, "t", source, downSet{source: true}); !ok || w != cands[0] {
-		t.Fatalf("elected %q (%v), want the first candidate %s", w, ok, cands[0])
-	}
-	if w, ok := Elect(fx.ring, "t", source, downSet{source: true, cands[0]: true}); !ok || w != cands[1] {
-		t.Fatalf("elected %q (%v) past a down first candidate, want %s", w, ok, cands[1])
-	}
-	if w, ok := Elect(fx.ring, "t", source, downSet{source: true, cands[0]: true, cands[1]: true}); ok {
-		t.Fatalf("%s elected with every candidate down", w)
 	}
 }
 
