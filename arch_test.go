@@ -212,7 +212,7 @@ func TestArchWrittenOnce(t *testing.T) {
 	lock := a.use(a.obj("sync", "Mutex", "Lock"), a.obj("sync", "RWMutex", "Lock"), a.obj("sync", "RWMutex", "RLock"))
 	a.want(0, func(f string) bool { return !strings.Contains(f, "/") }, func(n ast.Node, fun string) bool {
 		m, ok := strings.CutPrefix(fun, "Topic.")
-		return ok && !slices.Contains([]string{"Process", "FitCorpus", "Freeze", "SetEpoch", "Snapshot"}, m) && lock(n, fun)
+		return ok && !slices.Contains([]string{"ProcessIf", "FitCorpus", "Freeze", "SetEpoch", "Snapshot"}, m) && lock(n, fun)
 	}, "lock taken by a Topic method that is not a writer", "a read loads t.view; Topic.mu orders the writers")
 }
 
@@ -225,7 +225,7 @@ func TestLibrarySurface(t *testing.T) {
 		ConvergenceState Converging Corpus DefaultConfig DefaultOnlineConfig DefaultStreamOptions DefaultTokenizerOptions Flagged
 		InduceLexicon Lexicon Neg Neu NewTopic NoLabel OnlineConfig Option ParseConformanceMode Pos Quarantined ReadView Restore Result
 		Sentiment Steady StreamOptions StreamResult TF TFIDF TokenizerOptions Topic Tweet User Warming Weighting WithConformance
-		WithLexicon WithLexiconHit WithMinDF WithSolverConfig WithTokenizer WithWeighting
+		WithLexicon WithLexiconHit WithMinDF WithSolverConfig WithTokenizer WithWeighting Topic.ProcessIf
 		Config.K Config.Alpha Config.Beta Config.MaxIter Config.Tol Config.Seed Config.LexiconInit`) {
 		path := strings.Split(name, ".")
 		pinned[a.obj("triclust", path[0], path[1:]...)] = true

@@ -213,10 +213,10 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, *apiErr
 	}
 	// Final compaction: fold the journal tail into one fresh snapshot so
 	// the exported state is the complete, settled history.
-	if err := s.saveIfCurrent(tp); err != nil {
+	if err := s.saveIfCurrent(tp, tp.eng); err != nil {
 		return moveResponse{}, errf(http.StatusInternalServerError, codeStorage, "final compaction before hand-off: %w", err)
 	}
-	eng, epoch := tp.eng(), tp.eng().Epoch()
+	eng, epoch := tp.eng, tp.eng.Epoch()
 	eng.SetEpoch(epoch + 1)
 	resp, e := s.handOff(tp.name, tp, eng, target)
 	if e != nil {
@@ -299,7 +299,7 @@ func (s *server) clusterInfo(w http.ResponseWriter, r *http.Request) *apiError {
 		tp, rt := s.route(name)
 		resp.Topic = &topicPlacement{Name: name, Owner: rt.Owner, Local: tp != nil, Epoch: rt.Epoch}
 		if tp != nil {
-			resp.Topic.Epoch = tp.eng().Epoch()
+			resp.Topic.Epoch = tp.eng.Epoch()
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -11,10 +11,10 @@ import (
 // per-topic record of the most recent violation.
 //
 // The mode is a runtime policy, not topic state: every topic this shard
-// serves — created, restored, reloaded after a rollback, or promoted
-// from a replica — is stamped with the server's mode, while the profile
-// it scores against lives inside the topic's durable state and
-// accumulates identically in every mode.
+// serves — created, restored, or promoted from a replica — is stamped
+// with the server's mode, while the profile it scores against lives
+// inside the topic's durable state and accumulates identically in every
+// mode.
 
 // verdictJSON is the wire shape of a conformance verdict, embedded in
 // flag-mode batch responses and in enforce-mode rejection bodies.
@@ -121,7 +121,7 @@ func (s *server) conformanceHealth(served []*topic) *conformanceHealth {
 	}
 	for _, tp := range served {
 		row := topicConformance{Name: tp.name, Trend: "flat", LastViolation: tp.lastViol.Load()}
-		if rep := tp.eng().ConformanceReport(); rep != nil {
+		if rep := tp.eng.ConformanceReport(); rep != nil {
 			row.Ready = rep.Ready
 			row.Observed = rep.Observed
 			row.Scored = rep.Scored

@@ -13,25 +13,20 @@ import (
 
 // A topic's condition is one atomic state, and topicStates the one table
 // of what each state means to a request. A topic leaves stServing when
-// its durable writes keep failing (stReadOnly: reads served from the last
-// durable state via the RCU view) and falls to stParked when even the
-// rollback reload failed — the daemon then holds NO state disk vouches
-// for, so the topic serves nothing until a probe-driven reload succeeds.
+// its durable writes keep failing (stReadOnly: reads served from the
+// topic's state, which a refused write never changed, via the RCU view).
 // stRetired is terminal: the topic was deleted, handed off or fenced.
 //
 //	stServing ──(DegradeAfter consecutive failures, ENOSPC, or no journal)──▶ stReadOnly
-//	stServing/stReadOnly ──(rollback reload fails)──▶ stParked
 //	stReadOnly ──(probe ok + compaction save ok)──▶ stServing
-//	stParked ──(probe ok + reload ok + save ok)──▶ stServing
 //	any ──(retire)──▶ stRetired
 //
-// Past ShardAfter read-only/parked topics the whole shard turns
-// read-only: every write answers 503 storage_readonly, because a disk
-// failing across topics is a disk about to fail the next topic too.
+// Past ShardAfter read-only topics the whole shard turns read-only: every
+// write answers 503 storage_readonly, because a disk failing across
+// topics is a disk about to fail the next topic too.
 const (
 	stServing int32 = iota
 	stReadOnly
-	stParked
 	stRetired
 )
 
@@ -49,8 +44,6 @@ var topicStates = [...]struct {
 	stServing: {readable: true, writable: true},
 	stReadOnly: {readable: true, status: http.StatusServiceUnavailable, code: codeStorageDegraded,
 		why: "is read-only after persistent storage failures; retry after recovery", mark: "storage"},
-	stParked: {status: http.StatusServiceUnavailable, code: codeStorageDegraded,
-		why: "is parked after a storage failure (no state disk vouches for); retry after recovery"},
 	stRetired: {status: http.StatusNotFound, code: codeTopicNotFound, why: "was deleted"},
 }
 
@@ -95,7 +88,7 @@ type storageOptions struct {
 	// topic into the read-only degraded state (ENOSPC and a lost journal
 	// flip immediately: neither is a transient).
 	DegradeAfter int
-	// ShardAfter is how many degraded/parked topics flip the whole shard
+	// ShardAfter is how many degraded topics flip the whole shard
 	// read-only.
 	ShardAfter int
 	// ProbeInterval is the write-probe cadence while anything is
@@ -120,9 +113,9 @@ func (o storageOptions) withDefaults() storageOptions {
 // durable-write failures per topic, degrades topics (and past a
 // threshold the shard) into read-only, probes the data directory with
 // real write+fsync cycles (the store's Probe) while anything is degraded,
-// and recovers topics — reload from disk if parked, then a proving
-// compaction save — once writes succeed again. One monitor per server; nil
-// when the server has no store (nothing durable can fail).
+// and recovers topics with a proving compaction save once writes succeed
+// again. One monitor per server; nil when the server has no store
+// (nothing durable can fail).
 type storageMonitor struct {
 	s    *server
 	opts storageOptions
@@ -133,7 +126,7 @@ type storageMonitor struct {
 	lastErr    atomic.Pointer[string]
 	lastProbe  atomic.Pointer[string]
 	// readonly is the shard-level switch: set when ≥ ShardAfter topics
-	// are degraded/parked, cleared as recoveries bring the count back
+	// are degraded, cleared as recoveries bring the count back
 	// down.
 	readonly atomic.Bool
 
@@ -185,23 +178,6 @@ func (m *storageMonitor) noteFailure(tp *topic, err error) {
 // state while the topic's storage is degraded (see topicStates.mark).
 const degradedHeader = "X-Triclust-Degraded"
 
-// park drops tp to the parked state: the rollback reload after a failed
-// durable write itself failed, so the in-memory engine is ahead of
-// anything disk vouches for and must not be served as current — reads
-// and writes both refuse until a probe-driven reload succeeds. Callers
-// hold tp.mu.
-func (m *storageMonitor) park(tp *topic, err error) {
-	if m == nil {
-		return
-	}
-	tp.setState(stParked)
-	msg := err.Error()
-	m.lastErr.Store(&msg)
-	m.s.logf("topic %q parked: durable state unreadable after a storage failure (%v); refusing reads and writes until recovery re-reads disk", tp.name, err)
-	m.recount()
-	m.ensureProber()
-}
-
 // impaired returns the served topics that do not admit writes.
 func (m *storageMonitor) impaired() []*topic {
 	var out []*topic
@@ -251,7 +227,7 @@ func (m *storageMonitor) probeLoop() {
 		ok := "ok"
 		m.lastProbe.Store(&ok)
 		// Writes work again: walk the degraded topics and prove each one
-		// back to health with a real reload + compaction save.
+		// back to health with a real compaction save.
 		for _, tp := range m.impaired() {
 			m.recoverTopic(tp)
 		}
@@ -268,28 +244,17 @@ func (m *storageMonitor) probeLoop() {
 	}
 }
 
-// recoverTopic brings one degraded/parked topic back: a parked topic is
-// first rebuilt from disk (the only trustworthy source once the
-// in-memory state ran ahead of a failed rollback), then either kind
-// proves writability with a compaction save. Failure leaves the state
-// unchanged for the next probe round.
+// recoverTopic brings one degraded topic back with a proving write: a
+// fresh snapshot + journal restart, which also re-bases the followers
+// (replShip below), so replication converges from the recovered durable
+// state. Failure leaves the state unchanged for the next probe round.
 func (m *storageMonitor) recoverTopic(tp *topic) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	state := tp.state.Load()
-	if state != stReadOnly && state != stParked {
+	if tp.state.Load() != stReadOnly {
 		return
 	}
-	if state == stParked {
-		if err := m.s.reloadFromDisk(tp); err != nil {
-			m.s.logf("recovery reload %q: %v (still parked)", tp.name, err)
-			return
-		}
-	}
-	// The proving write: a fresh snapshot + journal restart. This also
-	// re-bases the followers (replShip below), so replication converges
-	// from the recovered durable state.
-	if err := m.s.saveIfCurrent(tp); err != nil {
+	if err := m.s.saveIfCurrent(tp, tp.eng); err != nil {
 		m.s.logf("recovery save %q: %v (still degraded)", tp.name, err)
 		return
 	}
@@ -308,9 +273,8 @@ type storageHealth struct {
 	// State is "ok", "degraded" (some topics read-only) or "readonly"
 	// (the shard-level switch tripped).
 	State string `json:"state"`
-	// Degraded and Parked list the topics in each non-OK state.
+	// Degraded lists the read-only topics.
 	Degraded []string `json:"degraded_topics,omitempty"`
-	Parked   []string `json:"parked_topics,omitempty"`
 	// Failures counts durable-write failures since startup; Recoveries
 	// counts topics proven back to health; Probes counts write probes.
 	Failures   uint64 `json:"failures"`
@@ -330,15 +294,13 @@ func (m *storageMonitor) health(served []*topic) *storageHealth {
 		Recoveries: m.recoveries.Load(),
 		Probes:     m.probes.Load(),
 	}
-	var in [len(topicStates)][]string
 	for _, tp := range served {
-		st := tp.state.Load()
-		in[st] = append(in[st], tp.name)
+		if tp.state.Load() == stReadOnly {
+			h.Degraded = append(h.Degraded, tp.name)
+		}
 	}
-	h.Degraded, h.Parked = in[stReadOnly], in[stParked]
 	sort.Strings(h.Degraded)
-	sort.Strings(h.Parked)
-	if len(h.Degraded)+len(h.Parked) > 0 {
+	if len(h.Degraded) > 0 {
 		h.State = "degraded"
 	}
 	if m.readonly.Load() {

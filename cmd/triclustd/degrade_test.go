@@ -177,8 +177,8 @@ func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
 	}
 	defer s2.Close()
 	for _, name := range []string{"storm-a", "storm-b"} {
-		b1, d1 := s.topics[name].eng().StreamPos()
-		b2, d2 := s2.topics[name].eng().StreamPos()
+		b1, d1 := s.topics[name].eng.StreamPos()
+		b2, d2 := s2.topics[name].eng.StreamPos()
 		if b1 != b2 || d1 != d2 {
 			t.Fatalf("%s: recovered position (%d,%d) != restart position (%d,%d)", name, b1, d1, b2, d2)
 		}
@@ -193,77 +193,71 @@ func decodeBody(t *testing.T, resp *http.Response, out any) {
 	}
 }
 
-// TestParkedTopicAfterFailedRollback is the regression test for the
-// rollback latent bug: when the disk refuses the append AND the
-// rollback reload fails, the daemon holds no state disk vouches for —
-// it must park the topic (refuse reads and writes), not keep serving
-// the in-memory state that is ahead of durable history as if it were
-// current.
-func TestParkedTopicAfterFailedRollback(t *testing.T) {
-	injectAppend := errors.New("injected append failure")
-	injectRead := errors.New("injected snapshot read failure")
-	script := fault.NewScript(
-		// The second append fails (the first is batch 1, which must land)...
-		fault.Rule{Site: "journal.append.sync", Hit: 2, Err: injectAppend},
-		// ...and the rollback cannot re-read the snapshot either.
-		fault.Rule{Site: "persist.snap.read", Err: injectRead},
-	)
-	s, hs := faultServer(t, script, store.Options{Every: 100},
-		storageOptions{ProbeInterval: 20 * time.Millisecond})
-	client := hs.Client()
-
-	const name = "parked"
-	if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq(name)); code != http.StatusCreated {
-		t.Fatalf("create: %d %s", code, ec)
-	}
-	if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(1)); code != http.StatusOK {
-		t.Fatalf("batch 1: %d %s", code, ec)
-	}
-	if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(2)); code != http.StatusServiceUnavailable || ec != codeStorageDegraded {
-		t.Fatalf("batch 2 (append + rollback both fail): %d %s, want 503 %s", code, ec, codeStorageDegraded)
-	}
-
-	// Parked: the in-memory engine ran batch 2, but disk only vouches
-	// for batch 1 — so nothing may be served, reads included.
-	for _, url := range []string{
-		hs.URL + "/v1/topics/" + name,
-		hs.URL + "/v1/topics/" + name + "/users/0",
-		hs.URL + "/v1/topics/" + name + "/features",
-		hs.URL + "/v1/topics/" + name + "/snapshot",
+// TestFailedAppendLeavesTopicUntouched: a batch whose journal append
+// fails — at any failpoint of the batch path — answers 503
+// journal_write_failed and leaves the topic exactly as it was: nothing is
+// read back from disk, reads keep serving batch 1's snapshot bytes and
+// ETag, no read is refused, and once the disk heals the same batch
+// retries onto it as batch 2. (A failed truncate after the failed append
+// also loses the journal, so that topic waits read-only for the write
+// probe.)
+func TestFailedAppendLeavesTopicUntouched(t *testing.T) {
+	inject := errors.New("injected journal failure")
+	// The create writes no frame: batch 1 is each append site's first hit.
+	syncFails := fault.Rule{Site: "journal.append.sync", Hit: 2, Err: inject}
+	for _, tc := range []struct {
+		label string
+		rules []fault.Rule
+	}{
+		{"append.write", []fault.Rule{{Site: "journal.append.write", Hit: 2, Err: inject}}},
+		{"append.write short", []fault.Rule{{Site: "journal.append.write", Hit: 2, Err: inject, Short: 5}}},
+		{"append.sync", []fault.Rule{syncFails}},
+		{"truncate.truncate", []fault.Rule{syncFails, {Site: "journal.truncate.truncate", Err: inject}}},
+		{"truncate.sync", []fault.Rule{syncFails, {Site: "journal.truncate.sync", Err: inject}}},
 	} {
-		if code, ec := errCode(t, client, "GET", url, nil); code != http.StatusServiceUnavailable || ec != codeStorageDegraded {
-			t.Fatalf("parked read %s: %d %s, want 503 %s", url, code, ec, codeStorageDegraded)
-		}
-	}
-	if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(3)); code != http.StatusServiceUnavailable || ec != codeStorageDegraded {
-		t.Fatalf("parked write: %d %s, want 503 %s", code, ec, codeStorageDegraded)
-	}
-	var hr healthResponse
-	if code, err := doJSON(client, "GET", hs.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
-		t.Fatalf("healthz: %d %v", code, err)
-	}
-	if hr.Storage == nil || len(hr.Storage.Parked) != 1 || hr.Storage.Parked[0] != name {
-		t.Fatalf("healthz parked = %+v, want [%s]", hr.Storage, name)
-	}
+		t.Run(tc.label, func(t *testing.T) {
+			script := fault.NewScript(tc.rules...)
+			s, hs := faultServer(t, script, store.Options{Every: 100},
+				storageOptions{ProbeInterval: 20 * time.Millisecond})
+			const name = "untouched"
+			topic := "/v1/topics/" + name
+			if rec := matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name)); rec.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+			}
+			if rec := matrixServe(t, s, "POST", topic+"/batches", degradeBatch(1)); rec.Code != http.StatusOK {
+				t.Fatalf("batch 1: %d %s", rec.Code, rec.Body.String())
+			}
+			before := captureTopic(t, s, name)
+			etag := matrixServe(t, s, "GET", topic+"/users/0", nil).Header().Get("ETag")
 
-	// The disk heals: the probe reloads the topic from durable state and
-	// proves it back with a compaction save.
-	script.ClearRules()
-	awaitStorageState(t, client, hs.URL, "ok")
+			if rec := matrixServe(t, s, "POST", topic+"/batches", degradeBatch(2)); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), codeJournalWriteFailed) {
+				t.Fatalf("batch 2: %d %s, want 503 %s", rec.Code, rec.Body.String(), codeJournalWriteFailed)
+			}
+			if n := script.Hits("persist.snap.read"); n != 0 {
+				t.Fatalf("the refused batch read the snapshot back %d times", n)
+			}
+			if got := captureTopic(t, s, name); got.batches != 1 || !bytes.Equal(got.snap, before.snap) {
+				t.Fatalf("after the refused batch: %d batches, snapshot equal = %v; want batch 1's bytes",
+					got.batches, bytes.Equal(got.snap, before.snap))
+			}
+			for _, path := range []string{"", "/users/0", "/features", "/snapshot"} {
+				if rec := matrixServe(t, s, "GET", topic+path, nil); rec.Code != http.StatusOK {
+					t.Fatalf("read %s after the refused batch: %d %s, want 200", path, rec.Code, rec.Body.String())
+				}
+			}
+			if got := matrixServe(t, s, "GET", topic+"/users/0", nil).Header().Get("ETag"); got != etag {
+				t.Fatalf("ETag after the refused batch %q, want batch 1's %q", got, etag)
+			}
 
-	var sum topicSummary
-	if code, err := doJSON(client, "GET", hs.URL+"/v1/topics/"+name, nil, &sum); err != nil || code != http.StatusOK {
-		t.Fatalf("read after recovery: %d %v", code, err)
-	}
-	if sum.Batches != 1 {
-		t.Fatalf("recovered topic serves %d batches, want 1: the failed batch must not leak back", sum.Batches)
-	}
-	// The rolled-back batch retries cleanly onto the recovered state.
-	if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(2)); code != http.StatusOK {
-		t.Fatalf("retry after recovery: %d %s", code, ec)
-	}
-	if s.topics[name].eng().Batches() != 2 {
-		t.Fatalf("batches after retry = %d, want 2", s.topics[name].eng().Batches())
+			script.ClearRules()
+			awaitStorageState(t, hs.Client(), hs.URL, "ok")
+			if rec := matrixServe(t, s, "POST", topic+"/batches", degradeBatch(2)); rec.Code != http.StatusOK {
+				t.Fatalf("retry of batch 2: %d %s", rec.Code, rec.Body.String())
+			}
+			if got := captureTopic(t, s, name); got.batches != 2 || script.Hits("persist.snap.read") != 0 {
+				t.Fatalf("after the retry: %d batches, %d snapshot reads; want 2, 0", got.batches, script.Hits("persist.snap.read"))
+			}
+		})
 	}
 }
 
@@ -353,6 +347,13 @@ func TestVocabSaveFailureRollsBack(t *testing.T) {
 		{"control", nil, http.StatusOK},
 		// The create's save is the first rename; the warm-up's the second.
 		{"save fails", []fault.Rule{{Site: "persist.snap.rename", Hit: 2, Err: errors.New("injected rename failure")}},
+			http.StatusInternalServerError},
+		// The warm-up's rename lands; the journal restart after it fails
+		// (the create's restart was the first journal.create.open), so disk
+		// already holds the warmed snapshot.
+		{"restart fails after the rename", []fault.Rule{
+			{Site: "journal.rotate.truncate", Hit: 1, Err: errors.New("injected rotate failure")},
+			{Site: "journal.create.open", Hit: 2, Err: errors.New("injected create failure")}},
 			http.StatusInternalServerError},
 	} {
 		t.Run(tc.label, func(t *testing.T) {
@@ -530,7 +531,7 @@ func TestDegradedRecoveryReconvergesReplication(t *testing.T) {
 	if code, ec := errCode(t, client, "POST", urls[0]+"/v1/topics/"+name+"/batches", degradeBatch(4)); code != http.StatusOK {
 		t.Fatalf("batch after recovery: %d %s", code, ec)
 	}
-	pb, pd := servers[0].topics[name].eng().StreamPos()
+	pb, pd := servers[0].topics[name].eng.StreamPos()
 	rb, rd := replicaPos(t, followerDir, name)
 	if pb != rb || pd != rd {
 		t.Fatalf("replication diverged after recovery: primary (%d,%d), replica (%d,%d)", pb, pd, rb, rd)

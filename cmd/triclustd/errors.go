@@ -41,19 +41,16 @@ const (
 	// endpoint additionally accepts application/x-triclust-batch. Fix the
 	// header (or the body format), don't retry as-is.
 	codeUnsupportedMediaType = "unsupported_media_type"
-	// codeJournalWriteFailed means the batch was processed in memory but
-	// its journal record could not be appended + fsynced (disk full, I/O
-	// error). The batch is rolled back, the on-disk tail truncated to the
-	// last intact record, and the topic marked degraded in healthz until a
-	// later append or snapshot succeeds. Retryable once disk recovers.
+	// codeJournalWriteFailed means the batch's journal record could not be
+	// appended + fsynced (disk full, I/O error), so the topic did not take
+	// the batch: the on-disk tail is truncated to the last intact record,
+	// and the topic is marked degraded in healthz until a later append or
+	// snapshot succeeds. Retryable once disk recovers.
 	codeJournalWriteFailed = "journal_write_failed"
-	// codeStorageDegraded means the topic's storage gave up: either
-	// repeated durable-write failures flipped it read-only (reads still
-	// answer from the last durable state, marked by an
-	// X-Triclust-Degraded header), or — parked — the rollback re-read
-	// after a failed write also failed, so the daemon holds no state disk
-	// vouches for and refuses reads too. Retry after the Retry-After
-	// hint; a background write probe recovers the topic automatically.
+	// codeStorageDegraded means repeated durable-write failures (or a lost
+	// journal) flipped the topic read-only: reads still answer, marked by
+	// an X-Triclust-Degraded header. Retry after the Retry-After hint; a
+	// background write probe recovers the topic automatically.
 	codeStorageDegraded = "storage_degraded"
 	// codeStorageReadonly means enough topics degraded that the whole
 	// shard refuses writes (a disk failing across topics is about to fail

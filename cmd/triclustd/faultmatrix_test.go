@@ -141,9 +141,9 @@ func captureTopic(t *testing.T, s *server, name string) *engineState {
 		return nil
 	}
 	st := &engineState{}
-	st.batches, st.draws = tp.eng().StreamPos()
+	st.batches, st.draws = tp.eng.StreamPos()
 	var buf bytes.Buffer
-	if err := tp.eng().Snapshot(&buf); err != nil {
+	if err := tp.eng.Snapshot(&buf); err != nil {
 		t.Fatalf("snapshot %q: %v", name, err)
 	}
 	st.snap = buf.Bytes()

@@ -71,15 +71,14 @@
 //
 //	serving    reads 200/304                        writes 200
 //	read-only  reads 200/304 + X-Triclust-Degraded  writes 503 storage_degraded + Retry-After
-//	parked     reads and writes 503 storage_degraded + Retry-After
 //	retired    404 topic_not_found or, if the topic moved, 307 after its tombstone
 //
-// A write whose durable step fails (503 journal_write_failed for a batch,
-// 500 storage_error for a warm-up) is rolled back to what disk vouches
-// for and can be retried. -degrade-after failures in a row (ENOSPC at
-// once) make a topic read-only; a rollback that cannot re-read disk parks
-// it; -shard-degrade-after unwritable topics make the shard refuse every
-// write with 503 storage_readonly. A write probe (-storage-probe-interval,
+// A write changes a topic only once it is durable, so one whose durable
+// step fails (503 journal_write_failed for a batch, 500 storage_error for
+// a warm-up) leaves the topic as it was and can be retried.
+// -degrade-after failures in a row (ENOSPC at once) make a topic
+// read-only; -shard-degrade-after unwritable topics make the shard refuse
+// every write with 503 storage_readonly. A write probe (-storage-probe-interval,
 // also the Retry-After hint) recovers topics without a restart.
 //
 // # Conformance gate

@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -436,13 +438,11 @@ func TestClusterReadersDuringMoveAndIngest(t *testing.T) {
 }
 
 // TestReadPlaneDuringJournalRollback races the lock-free readers against
-// the one write-path operation that swaps the topic's engine pointer:
-// the journal-append-failure rollback (rollback reloads the
-// topic from disk and stores a fresh engine). Readers must keep getting
-// well-formed responses throughout — this is the -race proof that the
-// engine pointer hand-off is safe without the topic lock — and after
-// the rollback the validator must revert to the last durable one, per
-// the README's rollback caveat.
+// a batch whose journal append fails — a batch the topic solves and then
+// drops. Readers must keep getting well-formed responses throughout —
+// the -race proof that a dropped solve touches nothing the read plane
+// loads without the topic lock — and afterwards the validator is still
+// the last durable one: the topic never published the refused batch.
 func TestReadPlaneDuringJournalRollback(t *testing.T) {
 	script := fault.NewScript()
 	s, hs := faultServer(t, script, store.Options{Every: 100}, storageOptions{})
@@ -506,12 +506,80 @@ func TestReadPlaneDuringJournalRollback(t *testing.T) {
 	default:
 	}
 
-	// The rollback re-published the last durable view: same validator,
-	// so a conditional poll on the pre-failure ETag still answers 304.
+	// The topic still serves the last durable view: same validator, so a
+	// conditional poll on the pre-failure ETag still answers 304.
 	after := getRead(t, client, hs.URL+"/v1/topics/"+req.Name+"/users/0", durable.etag)
 	if after.status != http.StatusNotModified {
 		t.Fatalf("post-rollback conditional poll: %d (etag %q vs durable %q), want 304",
 			after.status, after.etag, durable.etag)
+	}
+}
+
+// syncReadFS is a fault.Script whose journal-append fsync first runs
+// read: a request served while a batch's fsync is in flight.
+type syncReadFS struct {
+	*fault.Script
+	read func()
+}
+
+func (fs *syncReadFS) OpenFile(site, name string, flag int, perm os.FileMode) (fault.File, error) {
+	f, err := fs.Script.OpenFile(site, name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncReadFile{f, fs}, nil
+}
+
+type syncReadFile struct {
+	fault.File
+	fs *syncReadFS
+}
+
+func (f syncReadFile) Sync(site string) error {
+	if site == "journal.append.sync" && f.fs.read != nil {
+		f.fs.read()
+	}
+	return f.File.Sync(site)
+}
+
+// TestNoReadSeesABatchBeforeItsFsync: a read served while a batch's
+// journal fsync is in flight answers the pre-batch ETag, whether the sync
+// then succeeds or fails — a topic publishes a batch only once the
+// journal holds it. Afterwards the ETag is the new batch's if the sync
+// succeeded and still the pre-batch one if it failed.
+func TestNoReadSeesABatchBeforeItsFsync(t *testing.T) {
+	for _, fails := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sync fails=%v", fails), func(t *testing.T) {
+			fs := &syncReadFS{Script: fault.NewScript()}
+			s, _ := faultServer(t, fs, store.Options{Every: 100}, storageOptions{})
+			const name = "inflight"
+			users0 := "/v1/topics/" + name + "/users/0"
+			etag := func() string { return matrixServe(t, s, "GET", users0, nil).Header().Get("ETag") }
+			if rec := matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name)); rec.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+			}
+			if rec := matrixServe(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1)); rec.Code != http.StatusOK {
+				t.Fatalf("batch 1: %d %s", rec.Code, rec.Body.String())
+			}
+			pre, want := etag(), http.StatusOK
+			if fails {
+				fs.AddRule(fault.Rule{Site: "journal.append.sync", Hit: fs.Hits("journal.append.sync") + 1, Err: errors.New("injected sync failure")})
+				want = http.StatusServiceUnavailable
+			}
+			inflight := ""
+			fs.read = func() { inflight = etag() }
+			rec := matrixServe(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(2))
+			fs.read = nil
+			if rec.Code != want {
+				t.Fatalf("batch 2: %d %s, want %d", rec.Code, rec.Body.String(), want)
+			}
+			if inflight != pre {
+				t.Fatalf("a read during batch 2's fsync answered ETag %q, want the pre-batch %q", inflight, pre)
+			}
+			if post := etag(); (post != pre) == fails {
+				t.Fatalf("ETag after batch 2 %q (pre-batch %q) with the sync failing = %v", post, pre, fails)
+			}
+		})
 	}
 }
 
@@ -561,11 +629,11 @@ func TestReadPlaneSeesVocabFreeze(t *testing.T) {
 // failure detector's probe target and /v1/cluster/info?topic= the
 // placement query every move and promotion asks — neither may wait for a
 // number behind a solve, or a shard that is merely busy gets declared down
-// and fenced. Asserted by order: the topic's first batch freezes the
-// vocabulary inside Process, under the engine's locks, so once Vocabulary
-// shows it both endpoints are asked against a held lock, and must answer
-// before the solve commits (the published view still counts no batch), let
-// alone before the batch POST does. No probe interferes (interval: an hour).
+// and fenced. Asserted by order: once the batch's write holds the topic
+// lock — the solve is nearly all of that hold — both endpoints are asked
+// against it, and must answer before the solve commits (the published view
+// still counts no batch), let alone before the batch POST does. No probe
+// interferes (interval: an hour).
 func TestHealthzAnswersDuringSolve(t *testing.T) {
 	tc := newTestCluster(t, 2, serverOptions{
 		repl: &replOptions{Factor: 2, ProbeInterval: time.Hour},
@@ -597,7 +665,8 @@ func TestHealthzAnswersDuringSolve(t *testing.T) {
 		code, err := doJSON(tc.client, "POST", tc.url(owner)+"/v1/topics/"+create.Name+"/batches", batch, nil)
 		done <- fmt.Sprintf("%d %v", code, err)
 	}()
-	for tp.eng().Vocabulary() == nil {
+	for tp.mu.TryLock() {
+		tp.mu.Unlock()
 		runtime.Gosched()
 	}
 	var hr healthResponse
@@ -609,7 +678,7 @@ func TestHealthzAnswersDuringSolve(t *testing.T) {
 		code != http.StatusOK || info.Topic == nil || !info.Topic.Local {
 		t.Errorf("cluster info during the solve: %d %v %+v", code, err, info.Topic)
 	}
-	if n := tp.eng().ReadView().Batches(); n != 0 {
+	if n := tp.eng.ReadView().Batches(); n != 0 {
 		t.Fatalf("healthz and cluster/info answered after the solve committed (%d batch published): they waited on it, or the batch is too small to tell", n)
 	}
 	select {

@@ -34,7 +34,7 @@ const readCacheControl = "private, no-cache"
 
 // appendETag appends the view's strong ETag: batches, random-stream
 // position (hex) and ownership epoch. Any committed batch changes the
-// fingerprint; a rolled-back (journal-refused) batch reverts it. Before
+// fingerprint; a journal-refused batch never reaches the view. Before
 // the first batch the one thing a view can still change is an explicit
 // vocabulary freeze, so a frozen topic at batch 0 adds its vocabulary
 // size; from the first batch on only a batch changes what a view reports.
@@ -166,7 +166,7 @@ func (s *server) conditionalRead(w http.ResponseWriter, r *http.Request) (tp *to
 		return nil, v, "", e
 	}
 	s.reads.Add(1)
-	v = tp.eng().ReadView()
+	v = tp.eng.ReadView()
 	var tag [64]byte
 	etag = string(appendETag(tag[:0], v))
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
@@ -270,7 +270,7 @@ func (s *server) readPlaneHealth(topics []*topic) *readPlaneHealth {
 		NotModified: s.notModified.Load(),
 	}
 	for _, tp := range topics {
-		switch tp.eng().ReadView().Convergence().State {
+		switch tp.eng.ReadView().Convergence().State {
 		case triclust.Warming:
 			h.Warming++
 		case triclust.Converging:

@@ -187,7 +187,7 @@ func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
 	if s.repl == nil {
 		return nil
 	}
-	eng := tp.eng()
+	eng := tp.eng
 	batches, draws := eng.StreamPos()
 	fence, err := repl.Ship(s.ctx, &tp.followers, repl.Round{Topic: tp.name, Source: s.table.Self, Epoch: eng.Epoch(),
 		Batches: batches, RandDraws: draws, Frame: frame, Snapshot: eng.Snapshot, Async: async, Live: s.repl.det, Logf: s.logf}, s.peers)
@@ -224,7 +224,7 @@ func (s *server) fenceLocal(tp *topic, epoch uint64, target, why string) {
 // dropReplicas asks a deleted topic's followers to drop their cold
 // replicas (best effort, off the request path).
 func (r *replicator) dropReplicas(tp *topic) {
-	name, epoch, peers := tp.name, tp.eng().Epoch(), tp.followers.Peers()
+	name, epoch, peers := tp.name, tp.eng.Epoch(), tp.followers.Peers()
 	r.s.spawn(func() {
 		for _, peer := range peers {
 			_ = r.s.peers.call(r.s.ctx, peerCall{method: http.MethodDelete, peer: peer, timeout: defaultShipTimeout,
@@ -291,7 +291,7 @@ func (s *server) storeFrame(name string, fr *codec.ReplAppend) (replAck, *apiErr
 	tp, _ := s.route(name)
 	var local uint64
 	if tp != nil {
-		local = tp.eng().Epoch()
+		local = tp.eng.Epoch()
 	}
 	switch v, ts := s.table.Frame(name, tp != nil, local, fr.Epoch, fr.Source); v {
 	case cluster.Outranked:
@@ -413,7 +413,7 @@ func (r *replicator) reconcileStartup() {
 		if s.ctx.Err() != nil {
 			return
 		}
-		epoch := tp.eng().Epoch()
+		epoch := tp.eng.Epoch()
 		for _, peer := range cluster.Candidates(s.table.Ring, tp.name, s.table.Self) {
 			if has, _ := s.peers.Holds(s.ctx, peer, tp.name, epoch+1); has {
 				tp.mu.Lock()
@@ -474,7 +474,7 @@ type replicationHealth struct {
 func (r *replicator) health() *replicationHealth {
 	h := &replicationHealth{Factor: r.opts.Factor, DownPeers: r.det.DownPeers(), Replicas: len(r.s.store.Replicas())}
 	for _, tp := range r.s.served() {
-		h.Lag = tp.followers.AppendLag(h.Lag, tp.name, tp.eng().Batches())
+		h.Lag = tp.followers.AppendLag(h.Lag, tp.name, tp.eng.Batches())
 	}
 	return h
 }

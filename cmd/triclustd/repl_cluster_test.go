@@ -435,7 +435,7 @@ func TestResyncConvergesIdleTopics(t *testing.T) {
 
 	primary := tc.shards[0].srv
 	for _, name := range names {
-		pb, pd := servedTopic(primary, name).eng().StreamPos()
+		pb, pd := servedTopic(primary, name).eng.StreamPos()
 		if rb, rd := replicaPos(t, tc.shards[1].dir, name); pb != rb || pd != rd {
 			t.Fatalf("%s: primary at (%d,%d), replica at (%d,%d)", name, pb, pd, rb, rd)
 		}
@@ -863,7 +863,7 @@ func TestPromotedTopicReseedsAfterAmbiguousMove(t *testing.T) {
 		t.Fatalf("shard %d promoted %q, want S (%d), T's first live candidate", got, name, s)
 	}
 	tc.awaitFollowersSynced(s, []string{name}, 1)
-	pb, pd := servedTopic(tc.shards[s].srv, name).eng().StreamPos()
+	pb, pd := servedTopic(tc.shards[s].srv, name).eng.StreamPos()
 	if rb, rd := replicaPos(t, tc.shards[u].dir, name); pb != 5 || rb != pb || rd != pd {
 		t.Fatalf("S at (%d,%d), want 5 batches; U's replica at (%d,%d)", pb, pd, rb, rd)
 	}

@@ -78,11 +78,10 @@ type topic struct {
 	created time.Time
 
 	mu sync.Mutex // serializes Process + persistence + deletion
-	// engp holds the engine. All mutations happen under mu, but the
-	// pointer itself is atomic because the lock-free read plane loads
-	// it without mu while reloadFromDisk may be swapping in an engine
-	// reloaded from disk (the rollback path). Access via eng().
-	engp atomic.Pointer[triclust.Topic]
+	// eng is the engine, the same one for the topic's whole life: writers
+	// mutate it only under mu and never ahead of what disk vouches for, and
+	// the lock-free read plane loads its published view.
+	eng *triclust.Topic
 	// disk is the topic's durable side — its open batch journal and its
 	// claim on the snapshot file (see store.Handle); nil without a data
 	// directory. The journal is guarded by mu.
@@ -301,7 +300,7 @@ type healthResponse struct {
 	Quarantined int            `json:"quarantined"`
 	Cluster     *clusterHealth `json:"cluster,omitempty"`
 	// Degraded lists topics whose last durable write failed (their next
-	// one has yet to succeed) or whose storage is degraded/parked — the
+	// one has yet to succeed) or whose storage is degraded — the
 	// same per-topic state the storage section reports, so the two cannot
 	// disagree. Non-empty flips Status to "degraded".
 	Degraded []string `json:"degraded,omitempty"`
@@ -310,7 +309,7 @@ type healthResponse struct {
 	// replication is off.
 	Replication *replicationHealth `json:"replication,omitempty"`
 	// Storage reports the disk-degraded state machine: which topics are
-	// read-only or parked, the shard-level read-only switch, and the
+	// read-only, the shard-level read-only switch, and the
 	// failure/probe/recovery counters (see degrade.go). Absent without a
 	// data directory.
 	Storage *storageHealth `json:"storage,omitempty"`
@@ -622,8 +621,7 @@ func (s *server) install(w http.ResponseWriter, name string, tr *triclust.Topic,
 // its snapshot on disk (see store.Handle).
 func (s *server) newTopic(name string, tr *triclust.Topic, saved bool) *topic {
 	tr.SetConformanceMode(s.conform)
-	tp := &topic{name: name, created: time.Now().UTC(), disk: s.store.Handle(name, saved)}
-	tp.engp.Store(tr)
+	tp := &topic{name: name, created: time.Now().UTC(), eng: tr, disk: s.store.Handle(name, saved)}
 	if r := s.repl; r != nil {
 		tp.followers = repl.NewFollowers(s.table.Ring, name, s.table.Self, r.opts.Factor)
 	}
@@ -653,7 +651,7 @@ func (s *server) persistNew(tp *topic, epoch uint64) *apiError {
 	} else if !ok {
 		return errf(http.StatusConflict, codeTopicExists, "topic %q already exists", tp.name)
 	}
-	if err := s.saveIfCurrent(tp); err != nil {
+	if err := s.saveIfCurrent(tp, tp.eng); err != nil {
 		s.retire(tp)
 		// With this topic unregistered, any snapshot file left on disk
 		// belongs to an earlier, deleted incarnation of the name (the
@@ -873,65 +871,67 @@ func writeBatchBinary(w http.ResponseWriter, sc *batchScratch, out *triclust.Str
 }
 
 // update is the one write path of a registered topic: lock → admit →
-// mutate → durable-or-rollback. mutate changes the engine in memory and
-// reports whether anything changed (false: nothing to persist) beside any
-// refusal; persist makes the change durable and returns the journal frame
-// the followers get (nil: the full snapshot). A persist that fails leaves
-// memory ahead of what disk vouches for — keeping that state would promise
-// durability the disk refused — so the engine is rolled back to disk (see
-// rollback) and the write answers persist's error. The lock is released by
-// defer so that a panic below — the solver, the store — unwinds instead of
+// write, which makes its change durable before the topic takes it, so a
+// refused write leaves the topic as it was. The lock is released by defer
+// so that a panic below — the solver, the store — unwinds instead of
 // wedging the topic forever; the response is written by the caller, off
 // the lock, so a slow client cannot stall the topic either.
-func (s *server) update(tp *topic, mutate func(eng *triclust.Topic) (bool, *apiError), persist func() ([]byte, *apiError)) *apiError {
+func (s *server) update(tp *topic, write func(eng *triclust.Topic) *apiError) *apiError {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	// Fail fast while storage is degraded: don't burn a solve (or worse,
-	// another rollback reload) on a write that cannot be made durable.
+	// Fail fast while storage is degraded: don't burn a solve on a write
+	// that cannot be made durable.
 	if e := s.admit(tp, opWrite); e != nil {
 		return e
 	}
-	changed, refusal := mutate(tp.eng())
-	if changed && s.store != nil {
-		frame, e := persist()
-		if e != nil {
-			return s.rollback(tp, e)
-		}
-		if e := s.replShip(tp, frame, false); e != nil {
-			return e
-		}
-	}
-	return refusal
+	return write(tp.eng)
 }
 
-// runBatch solves one batch through update; with a data directory every
-// applied batch is journaled (commit, persist.go) before it is acked.
+// runBatch solves one batch through update; with a data directory its
+// journal append is the commit point ProcessIf takes it at (persist.go),
+// so it is durable before any reader can see it.
 func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust.StreamResult, *apiError) {
 	var out *triclust.StreamResult
-	e := s.update(tp, func(eng *triclust.Topic) (bool, *apiError) {
+	e := s.update(tp, func(eng *triclust.Topic) *apiError {
 		if last, ok := eng.LastTime(); ok && len(tweets) > 0 && ts <= last {
-			return false, errf(http.StatusConflict, codeStaleTimestamp, "time %d not after last processed %d", ts, last)
+			return errf(http.StatusConflict, codeStaleTimestamp, "time %d not after last processed %d", ts, last)
+		}
+		var frame []byte
+		var due bool
+		var appendErr error
+		var durable func(batches int, draws uint64) error
+		if s.store != nil {
+			durable = func(batches int, draws uint64) error {
+				frame, due, appendErr = tp.disk.Append(ts, tweets, batches, draws)
+				return appendErr
+			}
 		}
 		var err error
-		if out, err = eng.Process(ts, tweets); err != nil {
-			// An enforce-mode conformance rejection happened before any state
-			// advanced — before the journal append in particular, so the
-			// refused batch is not in durable history and a corrected retry is
-			// safe. It gets its own stable code (the verdict rides in the
-			// error body, see fail) and is tracked for healthz.
+		if out, err = eng.ProcessIf(ts, tweets, durable); appendErr != nil {
+			s.storage.noteFailure(tp, appendErr)
+			return errf(http.StatusServiceUnavailable, codeJournalWriteFailed, "batch not applied, its journal append failed: %w", appendErr)
+		} else if err != nil {
+			// An enforce-mode conformance rejection happened before the solve
+			// — before the journal append in particular, so the refused batch
+			// is not in durable history and a corrected retry is safe. It gets
+			// its own stable code (the verdict rides in the error body, see
+			// fail) and is tracked for healthz.
 			var ce *triclust.ConformanceError
 			if errors.As(err, &ce) {
 				s.conformRejected.Add(1)
 				tp.noteViolation(ts, &ce.Verdict)
-				return false, &apiError{status: http.StatusUnprocessableEntity, code: codeBatchNonconforming, err: err}
+				return &apiError{status: http.StatusUnprocessableEntity, code: codeBatchNonconforming, err: err}
 			}
-			return false, &apiError{status: http.StatusUnprocessableEntity, code: codeInvalidBatch, err: err}
+			return &apiError{status: http.StatusUnprocessableEntity, code: codeInvalidBatch, err: err}
 		}
 		// Flag-mode bookkeeping: an accepted batch whose verdict was flagged
 		// or quarantined still shows up in the healthz census.
 		tp.noteViolation(ts, out.Conformance)
-		return !out.Skipped, nil
-	}, func() ([]byte, *apiError) { return s.commit(tp, ts, tweets) })
+		if out.Skipped || s.store == nil {
+			return nil
+		}
+		return s.replShip(tp, s.compactBatch(tp, frame, due), false)
+	})
 	return out, e
 }
 
@@ -954,50 +954,79 @@ func (s *server) warmupVocab(w http.ResponseWriter, r *http.Request) *apiError {
 	if e := readJSON(r, &req); e != nil {
 		return e
 	}
-	var resp vocabResponse
 	// Vocabulary warm-up mutates state outside the journal, so its durable
-	// write is a fresh snapshot, and the followers get that new base. A
-	// no-op request (nothing folded in, no freeze) persists nothing:
-	// repeated empty POSTs must not re-write a potentially large snapshot.
-	// A request refused part-way still persists the part it folded in.
-	e = s.update(tp, func(eng *triclust.Topic) (changed bool, _ *apiError) {
-		if len(req.Texts) > 0 {
-			if err := eng.WarmupVocabulary(req.Texts...); err != nil {
-				return changed, &apiError{status: http.StatusConflict, code: codeVocabFrozen, err: err}
-			}
-			changed = true
+	// write is a fresh snapshot, and the followers get that new base. It is
+	// staged on a copy restored from the topic's in-memory snapshot (an
+	// unfrozen topic has no solved state to copy); the copy's snapshot
+	// rename is the commit point, after which the topic takes the same,
+	// deterministic steps. A no-op request (nothing folded in, no freeze)
+	// persists nothing: repeated empty POSTs must not re-write a
+	// potentially large snapshot. A request refused part-way still
+	// persists the part it folded in.
+	var resp vocabResponse
+	e = s.update(tp, func(eng *triclust.Topic) *apiError {
+		defer func() { resp = vocabResponse{Frozen: eng.Frozen(), VocabSize: eng.VocabSize()} }()
+		var snap bytes.Buffer
+		err := eng.Snapshot(&snap)
+		var staged *triclust.Topic
+		if err == nil {
+			staged, err = triclust.Restore(&snap)
 		}
-		if len(req.Docs) > 0 {
-			if err := eng.WarmupTokenized(req.Docs); err != nil {
-				return changed, &apiError{status: http.StatusConflict, code: codeVocabFrozen, err: err}
-			}
-			changed = true
+		if err != nil {
+			return &apiError{status: http.StatusInternalServerError, code: codeStorage, err: err}
 		}
-		if req.Freeze {
-			if err := eng.Freeze(); err != nil {
-				// Freeze fails for two distinct reasons: the vocabulary is
-				// already frozen (a conflict) or the warm-up counts yield no
-				// words at MinDF (a bad request, fixed by sending more docs).
-				if eng.Frozen() {
-					return changed, &apiError{status: http.StatusConflict, code: codeVocabFrozen, err: err}
-				}
-				return changed, &apiError{status: http.StatusUnprocessableEntity, code: codeInvalidRequest, err: err}
-			}
-			changed = true
+		changed, refusal := warmVocab(staged, &req)
+		if !changed {
+			return refusal
 		}
-		resp = vocabResponse{Frozen: eng.Frozen(), VocabSize: eng.VocabSize()}
-		return changed, nil
-	}, func() ([]byte, *apiError) {
-		if err := s.saveIfCurrent(tp); err != nil {
-			return nil, &apiError{status: http.StatusInternalServerError, code: codeStorage, err: err}
+		// An error after the rename comes from the journal restart, which
+		// leaves the handle without a journal: disk holds the staged state.
+		if err = s.saveIfCurrent(tp, staged); err == nil || !tp.disk.HasJournal() {
+			warmVocab(eng, &req)
 		}
-		return nil, nil
+		if err != nil {
+			return &apiError{status: http.StatusInternalServerError, code: codeStorage, err: err}
+		}
+		if e := s.replShip(tp, nil, false); e != nil {
+			return e
+		}
+		return refusal
 	})
 	if e != nil {
 		return s.refuse(w, r, tp.name, e)
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil
+}
+
+// warmVocab applies a warm-up request to eng, reporting whether anything
+// changed beside any refusal.
+func warmVocab(eng *triclust.Topic, req *vocabRequest) (changed bool, _ *apiError) {
+	if len(req.Texts)+len(req.Docs) > 0 {
+		// Both fail only on a frozen vocabulary, so the second never does
+		// once the first folded its documents in.
+		err := eng.WarmupVocabulary(req.Texts...)
+		if err == nil {
+			err = eng.WarmupTokenized(req.Docs)
+		}
+		if err != nil {
+			return false, &apiError{status: http.StatusConflict, code: codeVocabFrozen, err: err}
+		}
+		changed = true
+	}
+	if req.Freeze {
+		if err := eng.Freeze(); err != nil {
+			// Freeze fails for two distinct reasons: the vocabulary is
+			// already frozen (a conflict) or the warm-up counts yield no
+			// words at MinDF (a bad request, fixed by sending more docs).
+			if eng.Frozen() {
+				return changed, &apiError{status: http.StatusConflict, code: codeVocabFrozen, err: err}
+			}
+			return changed, &apiError{status: http.StatusUnprocessableEntity, code: codeInvalidRequest, err: err}
+		}
+		changed = true
+	}
+	return changed, nil
 }
 
 // exportSnapshot implements GET /v1/topics/{topic}/snapshot: the durable
@@ -1010,7 +1039,7 @@ func (s *server) exportSnapshot(w http.ResponseWriter, r *http.Request) *apiErro
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", tp.name+".snap"))
-	if err := tp.eng().Snapshot(w); err != nil {
+	if err := tp.eng.Snapshot(w); err != nil {
 		// Headers are committed; all we can do is drop the connection so
 		// the client sees a truncated (checksum-failing) body.
 		s.logf("snapshot %q: %v", tp.name, err)
@@ -1025,7 +1054,7 @@ func (s *server) exportSnapshot(w http.ResponseWriter, r *http.Request) *apiErro
 // committed batch per topic.
 func marshalFeatures(tp *topic, v triclust.ReadView) ([]byte, error) {
 	return json.Marshal(featuresResponse{
-		Vocabulary:  tp.eng().Vocabulary(),
+		Vocabulary:  tp.eng.Vocabulary(),
 		Features:    toJSON(v.FeatureSentiments()),
 		Convergence: convergenceOf(v),
 	})
@@ -1037,7 +1066,7 @@ func (s *server) snapshotAll() error {
 	var first error
 	for _, tp := range s.served() {
 		tp.mu.Lock()
-		err := s.saveIfCurrent(tp)
+		err := s.saveIfCurrent(tp, tp.eng)
 		tp.mu.Unlock()
 		if err != nil {
 			s.logf("final snapshot %q: %v", tp.name, err)
@@ -1052,7 +1081,7 @@ func (s *server) snapshotAll() error {
 // ——— helpers ———
 
 func (tp *topic) summary() topicSummary {
-	return tp.summaryView(tp.eng().ReadView())
+	return tp.summaryView(tp.eng.ReadView())
 }
 
 // summaryView builds the summary from one read view, so a handler that
@@ -1094,8 +1123,3 @@ func appendJSON(dst []sentimentJSON, ss []triclust.Sentiment) []sentimentJSON {
 	}
 	return dst
 }
-
-// eng returns the topic's engine. Writers mutate the engine only under
-// tp.mu; the atomic load lets the lock-free read plane observe the
-// rollback swap in reloadFromDisk without a lock.
-func (tp *topic) eng() *triclust.Topic { return tp.engp.Load() }

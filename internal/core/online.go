@@ -262,6 +262,16 @@ func (o *Online) HistoryLen() int { return len(o.sfHist) }
 // history is indexed by it, so it grows to the largest id seen.
 // Timestamps must be strictly increasing across calls.
 func (o *Online) Step(t int, p *Problem, active []int) (*Result, error) {
+	return o.StepIf(t, p, active, nil)
+}
+
+// StepIf is Step with a commit point: after the solve, durable is handed
+// the random-stream position the solver holds once the step is taken, and
+// the step is taken — recorded into the history — only if durable returns
+// nil. Otherwise the stream is rewound and StepIf returns durable's error:
+// nothing a later step or an export reads has changed. A nil durable takes
+// every step.
+func (o *Online) StepIf(t int, p *Problem, active []int, durable func(randDraws uint64) error) (*Result, error) {
 	if err := p.Validate(o.cfg.K); err != nil {
 		return nil, err
 	}
@@ -276,8 +286,15 @@ func (o *Online) Step(t int, p *Problem, active []int) (*Result, error) {
 	if n := len(o.sfHist); n > 0 && o.sfHist[n-1].time >= t {
 		return nil, fmt.Errorf("core: non-increasing timestamp %d after %d", t, o.sfHist[n-1].time)
 	}
+	from := o.src.n
 	cfg, tr, f := o.begin(t, p, active)
 	res := iterate(p, f, cfg, tr, onlineOrder, o.ws)
+	if durable != nil {
+		if err := durable(o.src.n); err != nil {
+			o.src.skip(from)
+			return nil, err
+		}
+	}
 	o.end(t, p, &f, active)
 	return res, nil
 }

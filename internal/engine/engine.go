@@ -23,7 +23,7 @@
 //
 //	tokenize → vocabulary → graph build → lexicon prior → solve → label
 //
-// Stages 1–4 are Model methods (Tokenize, EnsureVocabulary, tgraph
+// Stages 1–4 are Model methods (Tokenize, the vocabulary freeze, tgraph
 // builders, Prior); stage 5 is core.FitOffline / core.Online.Step; stage 6
 // is Label. The prior and the problem scaffolding are reused across a
 // session's batches with zero steady-state heap allocation.
@@ -146,6 +146,12 @@ type Model struct {
 	tok       *text.Tokenizer
 	conformP  conform.Params
 
+	// thaw guards vb and is held by every writer of the vocabulary, a
+	// session's first batch from the stage of its freeze to its apply or
+	// drop included, so a staged freeze races no other; mu lets the
+	// lock-free readers of vocab and sf0 see a freeze whole. Lock order:
+	// thaw → mu.
+	thaw  sync.Mutex
 	mu    sync.RWMutex
 	vb    *text.VocabBuilder // pre-freeze document-frequency counts
 	vocab *text.Vocabulary   // non-nil once frozen
@@ -189,8 +195,8 @@ func (m *Model) Vocabulary() *text.Vocabulary {
 // warm-up data before the first processed batch fixes it. It errors once
 // the vocabulary is frozen.
 func (m *Model) AccumulateVocabulary(docs [][]string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.thaw.Lock()
+	defer m.thaw.Unlock()
 	if m.vocab != nil {
 		return errors.New("engine: vocabulary already frozen")
 	}
@@ -198,41 +204,40 @@ func (m *Model) AccumulateVocabulary(docs [][]string) error {
 	return nil
 }
 
-// EnsureVocabulary is stage 2: on the first call it folds docs into the
-// accumulated document frequencies, freezes the vocabulary at MinDF and
-// builds the cached Sf0 prior (stage 4's artifact); later calls return the
-// frozen vocabulary unchanged. Safe for concurrent use.
-func (m *Model) EnsureVocabulary(docs [][]string) *text.Vocabulary {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.vocab == nil {
-		m.vb.Add(docs...)
-		m.freezeLocked(m.vb.Build(m.minDF))
-	}
-	return m.vocab
-}
-
 // FreezeNow fixes the vocabulary from the document frequencies
 // accumulated so far (via AccumulateVocabulary), without waiting for a
 // first processed batch. It errors if the vocabulary is already frozen or
 // if the accumulated counts yield no words at MinDF.
 func (m *Model) FreezeNow() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.vocab != nil {
+	m.thaw.Lock()
+	defer m.thaw.Unlock()
+	if m.Vocabulary() != nil {
 		return errors.New("engine: vocabulary already frozen")
 	}
-	v := m.vb.Build(m.minDF)
+	v, sf0 := m.stageFreeze(nil)
 	if v.Len() == 0 {
 		return fmt.Errorf("engine: warm-up documents yield an empty vocabulary at MinDF=%d", m.minDF)
 	}
-	m.freezeLocked(v)
+	m.applyFreeze(v, sf0)
 	return nil
 }
 
-func (m *Model) freezeLocked(v *text.Vocabulary) {
-	m.vocab = v
-	m.sf0 = m.lex.Sf0(v, m.cfg.K, m.hit)
+// stageFreeze is stage 2 before the freeze: the vocabulary that docs and
+// the accumulated counts freeze to at MinDF, and its Sf0 prior (stage 4's
+// artifact), left out of the Model until applyFreeze. Caller holds m.thaw
+// from the stage to the apply.
+func (m *Model) stageFreeze(docs [][]string) (*text.Vocabulary, *mat.Dense) {
+	b := text.NewVocabBuilderFromCounts(m.vb.Counts(), m.vb.Docs())
+	b.Add(docs...)
+	v := b.Build(m.minDF)
+	return v, m.lex.Sf0(v, m.cfg.K, m.hit)
+}
+
+// applyFreeze fixes a staged freeze (see stageFreeze).
+func (m *Model) applyFreeze(v *text.Vocabulary, sf0 *mat.Dense) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.vocab, m.sf0 = v, sf0
 }
 
 // Prior is stage 4: the l×k lexicon prior Sf0 for the frozen vocabulary,
@@ -256,10 +261,16 @@ func (m *Model) FitCorpus(c *tgraph.Corpus) (*Outcome, error) {
 		return nil, err
 	}
 	m.Tokenize(c)
-	vocab := m.EnsureVocabulary(c.TokenDocs())
+	m.thaw.Lock()
+	vocab, prior := m.Vocabulary(), m.Prior()
+	if vocab == nil {
+		vocab, prior = m.stageFreeze(c.TokenDocs())
+		m.applyFreeze(vocab, prior)
+	}
+	m.thaw.Unlock()
 	g := tgraph.Build(c, tgraph.BuildOptions{Weighting: m.weighting, Vocab: vocab})
 	var p core.Problem
-	p.Reset(g.Xp, g.Xu, g.Xr, g.Gu, m.Prior())
+	p.Reset(g.Xp, g.Xu, g.Xr, g.Gu, prior)
 	res, err := core.FitOffline(&p, m.cfg.Config)
 	if err != nil {
 		return nil, err

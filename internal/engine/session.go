@@ -79,6 +79,17 @@ func (s *Session) Model() *Model { return s.model }
 // The caller's tweets are never mutated; tweets without Tokens are
 // tokenized into session-owned buffers.
 func (s *Session) Process(t int, tweets []tgraph.Tweet) (*Outcome, error) {
+	return s.ProcessIf(t, tweets, nil)
+}
+
+// ProcessIf is Process with a commit point: the batch is solved, and
+// applied only if durable, handed the position the session holds once it
+// is (non-empty batch count, random-stream position), returns nil.
+// Otherwise ProcessIf returns durable's error and nothing an export, a
+// view or a later batch reads has changed — a first batch's vocabulary
+// freeze stays staged until then. A nil durable takes every batch; an
+// empty batch calls none.
+func (s *Session) ProcessIf(t int, tweets []tgraph.Tweet, durable func(batches int, randDraws uint64) error) (*Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -98,21 +109,33 @@ func (s *Session) Process(t int, tweets []tgraph.Tweet) (*Outcome, error) {
 	s.canonicalize(tweets)
 
 	// Conformance gate: score the batch against the profile of the
-	// batches before it, before any state can advance — an enforce-mode
-	// rejection must leave the vocabulary unfrozen, the timestamp
-	// unconsumed and the profile untouched, so the caller can retry.
+	// batches before it, before anything is solved — an enforce-mode
+	// rejection costs no solve, and the caller can retry.
 	obs := s.observation(t)
-	verdict, scored := s.prof.Score(obs)
-	if scored && verdict.Status == conform.Quarantined && s.cmode == conform.Enforce {
-		return nil, &conform.BatchError{Verdict: verdict}
+	var scored *conform.Verdict
+	if verdict, ok := s.prof.Score(obs); ok {
+		if verdict.Status == conform.Quarantined && s.cmode == conform.Enforce {
+			return nil, &conform.BatchError{Verdict: verdict}
+		}
+		scored = &verdict
 	}
 
-	// Stage 2: the first batch freezes the vocabulary (and the prior).
-	s.docs = s.docs[:0]
-	for _, tw := range s.sorted {
-		s.docs = append(s.docs, tw.Tokens)
+	// Stage 2: the vocabulary. A first batch stages the freeze (and prior)
+	// it causes; m.thaw keeps every other writer out until the apply.
+	vocab, prior := s.model.Vocabulary(), s.model.Prior()
+	staged := false
+	if vocab == nil {
+		s.model.thaw.Lock()
+		defer s.model.thaw.Unlock()
+		if vocab, prior = s.model.Vocabulary(), s.model.Prior(); vocab == nil {
+			s.docs = s.docs[:0]
+			for _, tw := range s.sorted {
+				s.docs = append(s.docs, tw.Tokens)
+			}
+			vocab, prior = s.model.stageFreeze(s.docs)
+			staged = true
+		}
 	}
-	vocab := s.model.EnsureVocabulary(s.docs)
 
 	// Stage 3: snapshot graph over the batch's time window.
 	lo, hi := timeBounds(tweets)
@@ -120,30 +143,31 @@ func (s *Session) Process(t int, tweets []tgraph.Tweet) (*Outcome, error) {
 	snap := s.sb.Build(&s.batch, lo, hi+1, vocab, s.model.weighting)
 
 	// Stage 4–5: cached prior, problem skeleton reset in place, solve.
-	s.prob.Reset(snap.Graph.Xp, snap.Graph.Xu, snap.Graph.Xr, snap.Graph.Gu, s.model.Prior())
-	res, err := s.online.Step(t, &s.prob, snap.Active)
+	s.prob.Reset(snap.Graph.Xp, snap.Graph.Xu, snap.Graph.Xr, snap.Graph.Gu, prior)
+	var commit func(uint64) error
+	if durable != nil {
+		commit = func(draws uint64) error { return durable(s.batches+1, draws) }
+	}
+	res, err := s.online.StepIf(t, &s.prob, snap.Active, commit)
 	if err != nil {
 		return nil, err
 	}
 
+	if staged {
+		s.model.applyFreeze(vocab, prior)
+	}
+	s.batches++
+	// Fold the batch into the conformance profile (and, when it was
+	// scored, the verdict counters — flag-mode semantics record even
+	// quarantine verdicts of applied batches).
+	s.prof.Observe(obs, scored)
+
 	// Scatter the tweet factor back to the caller's ordering so the
 	// public contract (rows follow the input) survives canonicalization.
 	res.Sp = permuteRows(res.Sp, s.order)
-
-	s.batches++
-	// The batch was applied: fold it into the conformance profile (and,
-	// when it was scored, the verdict counters — flag-mode semantics
-	// record even quarantine verdicts of applied batches).
-	if scored {
-		s.prof.Observe(obs, &verdict)
-	} else {
-		s.prof.Observe(obs, nil)
-	}
 	// Stage 6: label.
 	out := newOutcome(res, snap.Active)
-	if scored {
-		out.Conform = &verdict
-	}
+	out.Conform = scored
 	return out, nil
 }
 

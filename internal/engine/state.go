@@ -78,8 +78,8 @@ type State struct {
 }
 
 // ExportState deep-copies the session's full state (model + session +
-// solver). Safe to call concurrently with Process: it takes both the
-// session and model locks.
+// solver). Safe to call concurrently with Process: it takes the session's
+// lock and the model's writer lock.
 func (s *Session) ExportState() *State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -97,8 +97,8 @@ func (s *Session) ExportState() *State {
 	prof := s.prof.State()
 	st.Conform = &prof
 
-	s.model.mu.RLock()
-	defer s.model.mu.RUnlock()
+	s.model.thaw.Lock()
+	defer s.model.thaw.Unlock()
 	if s.model.vocab != nil {
 		st.Frozen = true
 		st.VocabWords = s.model.vocab.Words()

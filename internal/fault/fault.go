@@ -24,8 +24,8 @@ import (
 
 // FS is the filesystem surface of the daemon's durable-write sites.
 // Every method takes the failpoint site it is called from. Read-side
-// methods (ReadFile) are included because recovery paths — the rollback
-// reload after a failed append — must be injectable too.
+// methods (ReadFile) are included because recovery paths — a startup load,
+// a replica promotion — must be injectable too.
 type FS interface {
 	// OpenFile opens (or creates) a file for writing; the returned File
 	// routes its Write/Sync/Truncate calls back through the failpoint

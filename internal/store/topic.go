@@ -53,9 +53,9 @@ func revive(snap []byte, recs []*journal.Record) (tp *triclust.Topic, tailErr, e
 	return tp, nil, nil
 }
 
-// Load rebuilds one topic from its snapshot + journal tail, at startup
-// and at every later rollback to what disk vouches for. Any problem with
-// the journal — header undecodable, a different snapshot named, replay
+// Load rebuilds one topic from its snapshot + journal tail: at startup,
+// and when a hand-off resumes from the files it left. Any problem with the
+// journal — header undecodable, a different snapshot named, replay
 // divergence — resolves to "serve the snapshot alone": that is exactly
 // the state the journal's acked batches extended, minus records that can
 // no longer be trusted. The journal is quarantined, or ignored when

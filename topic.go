@@ -190,7 +190,7 @@ func defaultTopicSettings() topicSettings {
 // versioned binary snapshot; Restore rebuilds a topic that continues the
 // stream bit-identically, at any kernel parallelism width.
 //
-// A Topic is safe for concurrent use, by one rule: writers (Process,
+// A Topic is safe for concurrent use, by one rule: writers (Process(If),
 // FitCorpus, Freeze, SetEpoch, Snapshot's export) take Topic.mu; nothing
 // that reports a result or a counter takes any lock. Every such number —
 // estimates, counters, the stream position, the epoch, the vocabulary's
@@ -337,12 +337,24 @@ func (t *Topic) Freeze() error {
 // already did; an empty batch returns a result with Skipped set and
 // changes nothing.
 func (t *Topic) Process(ts int, tweets []Tweet) (*StreamResult, error) {
+	return t.ProcessIf(ts, tweets, nil)
+}
+
+// ProcessIf is Process with a commit point: it solves the batch, calls
+// durable under the topic's write lock with the stream position the topic
+// reports once the batch is taken (see StreamPos), and takes the batch,
+// publishing its view, only if durable returns nil — so a caller can
+// journal a batch before any reader sees it. Otherwise it returns
+// durable's error and the topic is exactly as before the call. An empty
+// batch and a refused one never call durable; a nil durable takes every
+// batch.
+func (t *Topic) ProcessIf(ts int, tweets []Tweet, durable func(batches int, randDraws uint64) error) (*StreamResult, error) {
 	// t.mu is held across the solve (not just the publish) so a concurrent
 	// Snapshot can never pair batch-N solver history with the batch-N−1
 	// view; lock order is always Topic.mu → Session.mu.
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out, err := t.sess.Process(ts, tweets)
+	out, err := t.sess.ProcessIf(ts, tweets, durable)
 	if err != nil {
 		return nil, err
 	}

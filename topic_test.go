@@ -1033,3 +1033,75 @@ func TestAllOOVBatchKeepsTheTopicFinite(t *testing.T) {
 		t.Fatalf("user a after the batches: %+v, %v; want a confident estimate", s, ok)
 	}
 }
+
+// TestProcessIfDropLeavesTopicUntouched: a batch whose durable callback
+// refuses it changes nothing a snapshot carries — at every index of a
+// stream, the first (whose solve would freeze the vocabulary) included,
+// and in flag mode, where a taken batch also moves the conformance
+// profile. Afterwards the topic finishes the stream exactly like a control
+// that never saw the dropped call, and the position each taken batch's
+// callback was handed is the StreamPos it reports.
+func TestProcessIfDropLeavesTopicUntouched(t *testing.T) {
+	d := demoCorpus(t, 5)
+	const days = 8
+	batches := dayBatches(d, days)
+	newTopic := func() *triclust.Topic {
+		tp, err := triclust.NewTopic(d.Corpus.Users, triclust.WithConformance(triclust.ConformanceParams{MinSamples: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp.SetConformanceMode(triclust.ConformFlag)
+		return tp
+	}
+	snapshot := func(tp *triclust.Topic) []byte {
+		var buf bytes.Buffer
+		if err := tp.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	refused := errors.New("not durable")
+	for drop := 0; drop < days; drop++ {
+		t.Run(fmt.Sprintf("drop=%d", drop), func(t *testing.T) {
+			tp, ctrl := newTopic(), newTopic()
+			flagged := false
+			for day, b := range batches {
+				if day == drop {
+					before, view := snapshot(tp), tp.ReadView()
+					calls := 0
+					_, err := tp.ProcessIf(day, b, func(int, uint64) error { calls++; return refused })
+					if !errors.Is(err, refused) || calls != 1 {
+						t.Fatalf("dropped call: err %v after %d callbacks, want %v after 1", err, calls, refused)
+					}
+					if !bytes.Equal(snapshot(tp), before) {
+						t.Fatal("a dropped batch changed the snapshot")
+					}
+					if tp.ReadView() != view || tp.Frozen() != (day > 0) {
+						t.Fatal("a dropped batch published a view")
+					}
+				}
+				var pos [2]uint64
+				out, err := tp.ProcessIf(day, b, func(batches int, draws uint64) error {
+					pos = [2]uint64{uint64(batches), draws}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("day %d: %v", day, err)
+				}
+				if batches, draws := tp.StreamPos(); pos != [2]uint64{uint64(batches), draws} {
+					t.Fatalf("day %d: the callback was handed %v, the topic reports (%d, %d)", day, pos, batches, draws)
+				}
+				flagged = flagged || out.Conformance != nil
+				if _, err := ctrl.Process(day, b); err != nil {
+					t.Fatalf("control day %d: %v", day, err)
+				}
+			}
+			if !flagged {
+				t.Fatal("no batch was scored: the stream never exercised the profile")
+			}
+			if !bytes.Equal(snapshot(tp), snapshot(ctrl)) {
+				t.Fatal("the stream finished with a snapshot unlike the control's")
+			}
+		})
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -376,11 +375,11 @@ func TestFreezeIsVisibleToTheView(t *testing.T) {
 
 // TestReadsNeverWaitOnASolve: nothing that reports a result or a counter
 // queues behind an in-flight Process. Asserted by order, not by clock: the
-// first batch freezes the vocabulary inside Process, under both the topic's
-// and the session's lock, and Vocabulary (which reads the model's immutable
-// word list, not the view) shows it — from then until the done channel
-// fills, every accessor below is called against a held lock. Each must
-// return, and with the last committed state: the topic as it was created.
+// first batch's commit point runs solved but not yet taken, under the
+// topic's and the session's lock and the model's freeze lock, and holds
+// there until released — every accessor below is called against those
+// held locks. Each must return, and with the last committed state: the
+// topic as it was created.
 func TestReadsNeverWaitOnASolve(t *testing.T) {
 	cfg := synth.DefaultConfig()
 	cfg.Seed, cfg.NumUsers, cfg.Days = 41, 1500, 8
@@ -398,14 +397,16 @@ func TestReadsNeverWaitOnASolve(t *testing.T) {
 	}
 	before := tp.ReadView()
 
-	done := make(chan error, 1)
+	done, staged, release := make(chan error, 1), make(chan struct{}), make(chan struct{})
 	go func() {
-		_, err := tp.Process(0, batch)
+		_, err := tp.ProcessIf(0, batch, func(int, uint64) error {
+			close(staged)
+			<-release
+			return nil
+		})
 		done <- err
 	}()
-	for tp.Vocabulary() == nil {
-		runtime.Gosched()
-	}
+	<-staged
 
 	batches, draws := tp.StreamPos()
 	_, hasTime := tp.LastTime()
@@ -422,6 +423,7 @@ func TestReadsNeverWaitOnASolve(t *testing.T) {
 		t.Fatalf("the solve (err=%v) finished before the reads returned: one waited on it, or the batch is too small to tell", err)
 	default:
 	}
+	close(release)
 	if err := <-done; err != nil {
 		t.Fatalf("Process: %v", err)
 	}
