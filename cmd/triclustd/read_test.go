@@ -437,13 +437,13 @@ func TestClusterReadersDuringMoveAndIngest(t *testing.T) {
 	t.Logf("stress: %d full reads, %d revalidations, %d moves", okReads.Load(), notMod.Load(), moveWant)
 }
 
-// TestReadPlaneDuringJournalRollback races the lock-free readers against
+// TestReadPlaneDuringRefusedAppend races the lock-free readers against
 // a batch whose journal append fails — a batch the topic solves and then
 // drops. Readers must keep getting well-formed responses throughout —
 // the -race proof that a dropped solve touches nothing the read plane
 // loads without the topic lock — and afterwards the validator is still
 // the last durable one: the topic never published the refused batch.
-func TestReadPlaneDuringJournalRollback(t *testing.T) {
+func TestReadPlaneDuringRefusedAppend(t *testing.T) {
 	script := fault.NewScript()
 	s, hs := faultServer(t, script, store.Options{Every: 100}, storageOptions{})
 	client := hs.Client()
@@ -481,7 +481,7 @@ func TestReadPlaneDuringJournalRollback(t *testing.T) {
 				s.ServeHTTP(w, readReq)
 				if et := w.h.Get("ETag"); !etagShape.MatchString(et) {
 					select {
-					case fail <- fmt.Sprintf("malformed ETag during rollback: %q", et):
+					case fail <- fmt.Sprintf("malformed ETag during the refused append: %q", et):
 					default:
 					}
 					return
@@ -490,7 +490,7 @@ func TestReadPlaneDuringJournalRollback(t *testing.T) {
 		}()
 	}
 
-	// Sabotage the journal writer and trip the rollback while the
+	// Sabotage the journal writer and send the batch it refuses while the
 	// readers hammer the topic.
 	sabotageJournal(script)
 	day3 := batchRequest{Time: 3, Tweets: dayTweets(d, 3)}
@@ -510,7 +510,7 @@ func TestReadPlaneDuringJournalRollback(t *testing.T) {
 	// conditional poll on the pre-failure ETag still answers 304.
 	after := getRead(t, client, hs.URL+"/v1/topics/"+req.Name+"/users/0", durable.etag)
 	if after.status != http.StatusNotModified {
-		t.Fatalf("post-rollback conditional poll: %d (etag %q vs durable %q), want 304",
+		t.Fatalf("conditional poll after the refused append: %d (etag %q vs durable %q), want 304",
 			after.status, after.etag, durable.etag)
 	}
 }

@@ -285,64 +285,6 @@ func TestReplicaFrameSequence(t *testing.T) {
 	}
 }
 
-// TestJournalWriteFailureDegradesTopic (satellite: durability fault
-// handling): when a journal append fails mid-stream, the batch answers
-// 503 journal_write_failed, the topic rolls back to what disk vouches
-// for (so the same timestamp retries cleanly instead of tripping the
-// stale-timestamp guard), healthz reports the topic degraded, and the
-// first successful durability operation clears that.
-func TestJournalWriteFailureDegradesTopic(t *testing.T) {
-	script := fault.NewScript()
-	_, hs := faultServer(t, script, store.Options{}, storageOptions{ProbeInterval: 200 * time.Millisecond})
-	client := hs.Client()
-
-	d, req := synthTopic(t, 77)
-	if code, err := doJSON(client, "POST", hs.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create: %d %v", code, err)
-	}
-	url := hs.URL + "/v1/topics/" + req.Name + "/batches"
-	if code, err := doJSON(client, "POST", url, batchRequest{Time: 1, Tweets: dayTweets(d, 1)}, nil); err != nil || code != http.StatusOK {
-		t.Fatalf("day 1: %d %v", code, err)
-	}
-
-	sabotageJournal(script)
-
-	day2 := batchRequest{Time: 2, Tweets: dayTweets(d, 2)}
-	code, ec := errCode(t, client, "POST", url, day2)
-	if code != http.StatusServiceUnavailable || ec != codeJournalWriteFailed {
-		t.Fatalf("batch on dead journal: %d %q, want 503 %q", code, ec, codeJournalWriteFailed)
-	}
-
-	var hr healthResponse
-	if code, err := doJSON(client, "GET", hs.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
-		t.Fatalf("healthz: %d %v", code, err)
-	}
-	if hr.Status != "degraded" || len(hr.Degraded) != 1 || hr.Degraded[0] != req.Name {
-		t.Fatalf("healthz after failed append: status=%q degraded=%v", hr.Status, hr.Degraded)
-	}
-
-	// The writer was closed, so the failed append's tail could not be
-	// truncated either: the topic lost its journal and is read-only until
-	// the write probe's compaction re-creates one. The failed batch was
-	// rolled back, so the SAME timestamp then retries cleanly.
-	awaitStorageState(t, client, hs.URL, "ok")
-	if code, err := doJSON(client, "POST", url, day2, nil); err != nil || code != http.StatusOK {
-		t.Fatalf("day 2 retry: %d %v", code, err)
-	}
-	hr = healthResponse{}
-	if code, err := doJSON(client, "GET", hs.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
-		t.Fatalf("healthz: %d %v", code, err)
-	}
-	if hr.Status != "ok" || len(hr.Degraded) != 0 {
-		t.Fatalf("healthz after recovery: status=%q degraded=%v", hr.Status, hr.Degraded)
-	}
-
-	// And the stream continues normally.
-	if code, err := doJSON(client, "POST", url, batchRequest{Time: 3, Tweets: dayTweets(d, 3)}, nil); err != nil || code != http.StatusOK {
-		t.Fatalf("day 3: %d %v", code, err)
-	}
-}
-
 // lifetimeLoops are the daemon's background loops: the detector's probe
 // loop, the reconcile and rebalance loops, and the storage prober.
 var lifetimeLoops = []string{

@@ -979,8 +979,8 @@ func (s *server) warmupVocab(w http.ResponseWriter, r *http.Request) *apiError {
 		if !changed {
 			return refusal
 		}
-		// An error after the rename comes from the journal restart, which
-		// leaves the handle without a journal: disk holds the staged state.
+		// Any error after the rename leaves the handle without a journal
+		// (store.Handle.Save): disk holds the staged state.
 		if err = s.saveIfCurrent(tp, staged); err == nil || !tp.disk.HasJournal() {
 			warmVocab(eng, &req)
 		}

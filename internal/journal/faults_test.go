@@ -213,7 +213,7 @@ func FuzzJournalFaultInjection(f *testing.F) {
 			for i := 1; i <= 3; i++ {
 				// Mirror production: the batch counter advances only on a
 				// durable append, so a failed-then-retried slot re-uses its
-				// fingerprint (the rollback re-read restores the position).
+				// fingerprint (a refused batch never moves the position).
 				attemptedOld = ackedOld + 1
 				if err := w.Append(&Record{Time: i, Batches: ackedOld + 1, RandDraws: uint64(ackedOld+1) * 10}); err != nil {
 					// A failed append leaves an ambiguous tail; production

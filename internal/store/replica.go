@@ -142,7 +142,8 @@ func (st *Store) installReplica(rep *replica, name string, fr *codec.ReplAppend)
 	}
 	meta := ReplicaMeta{Source: fr.Source, Epoch: fr.Epoch, SnapCRC: fr.SnapCRC,
 		Batches: int(fr.BaseBatches), RandDraws: fr.BaseRandDraws}
-	if err := st.replace("repl.snap", name+extReplSnap, fr.Snapshot); err != nil {
+	renamed, err := st.replace("repl.snap", name+extReplSnap, fr.Snapshot)
+	if !renamed {
 		return nil, err
 	}
 	// The base on disk is the shipped one now: if the rest fails, no replica
@@ -150,7 +151,10 @@ func (st *Store) installReplica(rep *replica, name string, fr *codec.ReplAppend)
 	if rep != nil {
 		rep.close()
 	}
-	jw, err := journal.Create(st.fs, st.path(name+extReplJournal), meta.SnapCRC)
+	var jw *journal.Writer
+	if err == nil {
+		jw, err = journal.Create(st.fs, st.path(name+extReplJournal), meta.SnapCRC)
+	}
 	if err == nil && len(fr.Tail) > 0 {
 		err = jw.AppendFrames(fr.Tail)
 	}

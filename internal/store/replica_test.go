@@ -204,10 +204,11 @@ func TestReplicaRemovalRace(t *testing.T) {
 }
 
 // TestFailedReinstall: a re-shipped base whose install fails after the
-// base's rename leaves files no replica held matches, so the name is held
-// no more and a tail-only frame asks for a full base: acking it would
-// extend a replica whose promotion can only fail. One failing before the
-// rename keeps the replica, which takes its tail and promotes.
+// base's rename (at the directory fsync or later) leaves files no replica
+// held matches, so the name is held no more and a tail-only frame asks for
+// a full base: acking it would extend a replica whose promotion can only
+// fail. One failing before the rename keeps the replica, which takes its
+// tail and promotes.
 func TestFailedReinstall(t *testing.T) {
 	rs := newReplicaStream(t, 3)
 	tp, err := triclust.NewTopic([]triclust.User{{Name: "c", Label: triclust.NoLabel}})
@@ -221,11 +222,12 @@ func TestFailedReinstall(t *testing.T) {
 	other := &codec.ReplAppend{Source: replSource, Epoch: 1, SnapCRC: codec.Checksum(buf.Bytes()), Snapshot: buf.Bytes()}
 	for _, tc := range []struct {
 		site string
+		hit  int // the re-install's crossing; the first install crosses the directory fsync twice
 		held bool
-	}{{"repl.snap.write", true}, {"journal.create.open", false}, {"repl.meta.write", false}} {
+	}{{"repl.snap.write", 2, true}, {"persist.dir.sync", 3, false}, {"journal.create.open", 2, false}, {"repl.meta.write", 2, false}} {
 		t.Run(tc.site, func(t *testing.T) {
 			injected := errors.New("injected")
-			st := openStore(t, t.TempDir(), fault.NewScript(fault.Rule{Site: tc.site, Hit: 2, Err: injected}))
+			st := openStore(t, t.TempDir(), fault.NewScript(fault.Rule{Site: tc.site, Hit: tc.hit, Err: injected}))
 			t.Cleanup(st.Close)
 			if _, _, err := st.ApplyReplica("r", rs.base(2)); err != nil {
 				t.Fatal(err)

@@ -159,19 +159,22 @@ func (st *Store) lock(name string) (unlock func()) {
 // or the new bytes at the target, never a torn file; the directory fsync
 // makes the rename survive a power failure, not just a process crash. The
 // failpoint sites are <prefix>.tmp, .write, .sync, .rename and .cleanup.
-func (st *Store) replace(prefix, file string, data []byte) error {
+// renamed reports that the rename landed: an error after it (the
+// directory fsync's) leaves the target holding the new bytes now and the
+// old or the new ones after a power failure.
+func (st *Store) replace(prefix, file string, data []byte) (renamed bool, err error) {
 	tmp, err := st.fs.CreateTemp(prefix+".tmp", st.dir, file+".tmp*")
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer st.fs.Remove(prefix+".cleanup", tmp.Name())
 	if err := writeSyncClose(tmp, prefix, data); err != nil {
-		return err
+		return false, err
 	}
 	if err := st.fs.Rename(prefix+".rename", tmp.Name(), st.path(file)); err != nil {
-		return err
+		return false, err
 	}
-	return st.syncDir()
+	return true, st.syncDir()
 }
 
 // writeSyncClose writes data to f and fsyncs it, closing f either way.
@@ -192,7 +195,8 @@ func (st *Store) writeJSON(prefix, file string, v any) error {
 	if err != nil {
 		return err
 	}
-	return st.replace(prefix, file, data)
+	_, err = st.replace(prefix, file, data)
+	return err
 }
 
 func (st *Store) readJSON(site, file string, v any) error {

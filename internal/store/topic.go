@@ -211,7 +211,9 @@ func (st *Store) appendFrames(jw *journal.Writer, file string, frames []byte) (*
 // concurrent removes and against saves of other same-named instances, so
 // <name>.snap always holds the state of the topic a restarted daemon
 // would be expected to serve under that name. Lock order is topic lock →
-// name lock → registry lock (inside current).
+// name lock → registry lock (inside current). An error after the
+// snapshot's rename leaves the handle without a journal: the open one
+// extends the old snapshot, which disk may no longer hold.
 func (h *Handle) Save(tp *triclust.Topic, current func(name string) *Handle) (bool, error) {
 	defer h.st.lock(h.name)()
 	if current(h.name) != h {
@@ -220,14 +222,19 @@ func (h *Handle) Save(tp *triclust.Topic, current func(name string) *Handle) (bo
 	// Topic.Snapshot hands its writer the whole snapshot in one Write, so
 	// there is no streaming to preserve by passing the file down.
 	var snap bytes.Buffer
+	var renamed bool
 	err := tp.Snapshot(&snap)
 	if err == nil {
-		err = h.st.replace("persist.snap", h.name+extSnap, snap.Bytes())
+		renamed, err = h.st.replace("persist.snap", h.name+extSnap, snap.Bytes())
 	}
-	if err != nil {
+	if !renamed {
 		return true, err
 	}
 	h.saved = true
+	if err != nil {
+		h.Close()
+		return true, err
+	}
 	return true, h.Restart(codec.Checksum(snap.Bytes()))
 }
 
