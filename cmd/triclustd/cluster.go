@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"slices"
 	"strings"
+	"time"
 
 	"triclust"
 	"triclust/internal/cluster"
@@ -76,34 +77,54 @@ func (s *server) served() []*topic {
 
 // routeTopic decides whether this shard serves the request for name,
 // reporting true (and the topic, if registered) to continue locally. When
-// another shard owns the topic the request is redirected there and
+// another shard owns the topic the request is redirected there, and while
+// this shard holds it parked the request is refused retryably; either way
 // routeTopic reports false with the response written. Hand-off PUTs bypass
 // routing: the move pins the topic here.
 func (s *server) routeTopic(w http.ResponseWriter, r *http.Request, name string) (*topic, bool) {
 	tp, rt := s.route(name)
-	if rt.Here || r.Header.Get(handoffHeader) != "" {
+	switch {
+	case rt.Here || r.Header.Get(handoffHeader) != "":
 		return tp, true
+	case rt.Parked:
+		s.fail(w, errParked(name))
+	default:
+		forward(w, r, rt.Owner)
 	}
-	forward(w, r, rt.Owner)
 	return nil, false
 }
 
 // refuse hands e back to be the answer — unless the topic merely moved:
 // a request that found it, then waited out a hand-off on the topic lock,
 // sees a retired topic whose tombstone says where it lives now, and is
-// redirected there (nil: response written) instead of told 404.
+// redirected there (nil: response written) instead of told 404, or told to
+// retry while that hand-off has no verdict.
 func (s *server) refuse(w http.ResponseWriter, r *http.Request, name string, e *apiError) *apiError {
-	if _, rt := s.route(name); e.code == codeTopicNotFound && rt.Moved && !rt.Here {
+	if e.code != codeTopicNotFound {
+		return e
+	}
+	switch _, rt := s.route(name); {
+	case rt.Parked:
+		return errParked(name)
+	case rt.Moved && !rt.Here:
 		forward(w, r, rt.Owner)
 		return nil
 	}
 	return e
 }
 
+// errParked refuses a request for a topic this shard holds parked: its
+// hand-off has no verdict, so the target may not hold it yet.
+func errParked(name string) *apiError {
+	return errf(http.StatusServiceUnavailable, codeHandoffPending,
+		"the hand-off of topic %q has no verdict yet; retry after it resumes", name)
+}
+
 // forward answers 307 with the same request URI on target, naming target
 // in X-Triclust-Shard. The client re-sends the method and body there; a
-// chain of hops (wrong shard → ring owner → tombstone target) is bounded
-// by the client's own redirect cap.
+// chain of hops (wrong shard → ring owner → tombstone target) ends, since a
+// shard follows its own tombstone only once the hand-off is confirmed
+// (cluster.Route).
 func forward(w http.ResponseWriter, r *http.Request, target string) {
 	w.Header().Set(shardHeader, target)
 	http.Redirect(w, r, target+r.URL.RequestURI(), http.StatusTemporaryRedirect)
@@ -167,17 +188,7 @@ func (s *server) moveTopic(w http.ResponseWriter, r *http.Request) *apiError {
 	case req.Target == s.table.Self:
 		return errf(http.StatusBadRequest, codeInvalidRequest, "topic %q already lives on %s", req.Topic, s.table.Self)
 	case parked:
-		// A tombstone *and* the snapshot still on disk is the signature of
-		// a hand-off interrupted between fencing and installation: the
-		// topic serves nothing until a move retry resumes it. Any journal
-		// tail is replayed (the verified startup path) rather than dropped,
-		// and the snapshot, the final compaction, gets the fencing epoch.
-		rt, err := s.store.Load(req.Topic)
-		if err != nil {
-			return errf(http.StatusInternalServerError, codeStorage, "reload pending snapshot: %w", err)
-		}
-		rt.Topic.SetEpoch(where.Epoch)
-		resp, e = s.handOff(req.Topic, nil, rt.Topic, req.Target)
+		resp, e = s.resume(req.Topic, req.Target)
 	default:
 		resp, e = s.performHandoff(tp, req.Target)
 	}
@@ -225,6 +236,68 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, *apiErr
 	return resp, e
 }
 
+// resume drives the interrupted hand-off of name to target, or (target
+// empty) to its recorded one. A tombstone *and* the snapshot still on disk
+// is the signature of a hand-off interrupted between fencing and removing
+// the files — an ambiguous outcome, or a crash; one without a verdict is
+// parked and serves nothing until a resume reaches one. Its state is
+// reloaded from disk, any journal tail replayed (the verified startup
+// path), at the fencing epoch. One resume of a name runs at a time; a
+// second is refused retryably, and one that finds the hand-off finished
+// meanwhile answers topic_not_found, which refuse turns into a redirect.
+func (s *server) resume(name, target string) (moveResponse, *apiError) {
+	if _, busy := s.resuming.LoadOrStore(name, true); busy {
+		return moveResponse{}, errParked(name)
+	}
+	defer s.resuming.Delete(name)
+	_, where := s.route(name)
+	if !where.Moved || !s.store.HasSnapshot(name) {
+		return moveResponse{}, errf(http.StatusNotFound, codeTopicNotFound, "topic %q has no interrupted hand-off", name)
+	}
+	if target == "" {
+		target = where.Owner
+	}
+	rt, err := s.store.Load(name)
+	if err != nil {
+		return moveResponse{}, errf(http.StatusInternalServerError, codeStorage, "reload pending snapshot: %w", err)
+	}
+	rt.Topic.SetEpoch(where.Epoch)
+	return s.handOff(name, nil, rt.Topic, target)
+}
+
+// resumeLoop keeps every redirect of this shard's tombstones ending at a
+// shard that answers, every -probe-interval. It drives each parked hand-off
+// to a verdict: cluster.Handoff retries the recorded move, which asks the
+// target, installs again when it is reachable and holds nothing, and keeps
+// the fence while it cannot be asked. And it re-points each tombstone whose
+// target the detector declares down at the candidate that took the topic
+// over.
+func (s *server) resumeLoop(every time.Duration) {
+	for s.sleep(s.ctx, every) {
+		for _, name := range s.table.Parked() {
+			if s.ctx.Err() != nil {
+				return
+			}
+			if _, e := s.resume(name, ""); e != nil {
+				s.logf("resume the hand-off of %q: %v", name, e)
+			}
+		}
+		for name, ts := range s.table.Orphaned() {
+			for _, c := range cluster.Candidates(s.table.Ring, name, ts.Target) {
+				if c == s.table.Self {
+					continue
+				}
+				if has, _ := s.peers.Holds(s.ctx, c, name, ts.Epoch); has {
+					if err := s.table.Retarget(name, ts, c); err != nil {
+						s.logf("re-point the tombstone of %q at %s: %v", name, c, err)
+					}
+					break
+				}
+			}
+		}
+	}
+}
+
 // handOff is the daemon's one move: eng, at the epoch it carries — tp's,
 // drained under its lock, or (tp nil) a parked hand-off's, reloaded from
 // disk — goes to target through cluster.Handoff over the peer client. tp is
@@ -249,8 +322,8 @@ func (s *server) handOff(name string, tp *topic, eng *triclust.Topic, target str
 	case out == cluster.Unfenced:
 		return moveResponse{}, errf(http.StatusInternalServerError, codeStorage, "persist hand-off intent: %w", err)
 	case parked:
-		s.logf("hand-off of %q to %s is ambiguous (%v); fence kept, retry the move to resume", name, target, err)
-		err = fmt.Errorf("%w — the topic is fenced; retry the move to resume the hand-off", err)
+		s.logf("hand-off of %q to %s is ambiguous (%v); fence kept until it resumes", name, target, err)
+		err = fmt.Errorf("%w — the topic is fenced until the hand-off resumes", err)
 	}
 	return moveResponse{}, errf(http.StatusBadGateway, codeMoveFailed, "install %q on %s: %w", name, target, err)
 }

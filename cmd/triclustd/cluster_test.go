@@ -9,11 +9,11 @@ package main
 // shard's data directory — exactly a process crash plus restart, minus
 // the port juggling.
 //
-// The headline test drives 50+ topics of mixed batch/read/snapshot
-// traffic from concurrent clients, kills and restarts a shard mid-stream,
-// moves topics between shards mid-stream, and then holds the cluster to
-// the determinism bar of PRs 3–4: every topic's final snapshot must be
-// byte-identical to a single-process control run fed the same batches.
+// TestClusterSim (sim_test.go) drives the shards through seeded schedules
+// of traffic and faults and holds every topic to the determinism bar: its
+// final snapshot byte-identical to a single-process control run fed the
+// acked batches. The scenarios here pin the move endpoint's answers and
+// the redirect of a parked hand-off.
 
 import (
 	"bytes"
@@ -58,8 +58,6 @@ type shardHandler struct {
 	mu sync.RWMutex
 	h  http.Handler
 	wg sync.WaitGroup
-	// refused counts the requests answered 503 while the shard was down.
-	refused atomic.Int64
 }
 
 func (sh *shardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -70,7 +68,6 @@ func (sh *shardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	sh.mu.RUnlock()
 	if h == nil {
-		sh.refused.Add(1)
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: errorDetail{Code: "shard_down", Message: "shard is down"}})
 		return
 	}
@@ -97,6 +94,9 @@ type testShard struct {
 	sh  *shardHandler
 	srv *server
 	fs  fault.FS // nil: the cluster's opts.fs
+	// transport carries the shard's peer requests (nil: the cluster's
+	// opts.peer.Transport).
+	transport http.RoundTripper
 }
 
 type testCluster struct {
@@ -169,6 +169,9 @@ func (tc *testCluster) boot(i int) {
 	if sd.fs != nil {
 		opts.fs = sd.fs
 	}
+	if sd.transport != nil {
+		opts.peer.Transport = sd.transport
+	}
 	s, err := newServer(sd.dir, opts, tc.t.Logf)
 	if err != nil {
 		tc.t.Fatalf("shard %d boot: %v", i, err)
@@ -218,10 +221,10 @@ func (tc *testCluster) tick() {
 	tc.parkLoops()
 }
 
-// parkLoops waits until every loop of every live shard is parked: a probe
-// loop per peer, the reconcile loop, the rebalancer if it is on (its
-// interval must be the probe interval), and the storage prober while it
-// runs.
+// parkLoops waits until every loop of every live shard is parked: the
+// resume loop, with replication a probe loop per peer and the reconcile
+// loop, the rebalancer if it is on (its interval must be the probe
+// interval), and the storage prober while it runs.
 // A round that degrades a topic starts the prober, so the count is taken
 // again after each wait; the prober is counted before it can park.
 func (tc *testCluster) parkLoops() {
@@ -230,9 +233,12 @@ func (tc *testCluster) parkLoops() {
 		n := 0
 		for _, sd := range tc.shards {
 			if s := sd.srv; s != nil && s.ctx.Err() == nil {
-				n += len(s.repl.peers) + 1
-				if s.repl.opts.AutoRebalance {
-					n++
+				n++
+				if r := s.repl; r != nil {
+					n += len(r.peers) + 1
+					if r.opts.AutoRebalance {
+						n++
+					}
 				}
 				s.storage.mu.Lock()
 				if s.storage.running {
@@ -243,8 +249,12 @@ func (tc *testCluster) parkLoops() {
 		}
 		return n
 	}
-	for n := -1; n != loops(); {
-		if n = loops(); !tc.clock.WaitSleepers(n, eventuallyWithin) {
+	// The prober stops itself at the end of the round that recovers the
+	// last topic, so the count is re-read whenever the wait stalls.
+	for deadline := time.Now().Add(eventuallyWithin); ; {
+		if n := loops(); tc.clock.WaitSleepers(n, 10*time.Millisecond) && n == loops() {
+			return
+		} else if time.Now().After(deadline) {
 			tc.t.Fatalf("the %d loops of the live shards never all parked", n)
 		}
 	}
@@ -316,11 +326,7 @@ func (tc *testCluster) peerIdx(peer string) int {
 
 // ——— deterministic workload ———
 
-const (
-	harnessTopics = 54
-	harnessDays   = 10
-	harnessUsers  = 5
-)
+const harnessUsers = 5
 
 func harnessTopicName(i int) string { return fmt.Sprintf("t%02d", i) }
 
@@ -397,237 +403,18 @@ func controlTopic(t *testing.T, req createTopicRequest) *triclust.Topic {
 }
 
 // retryJSON keeps issuing one request until it yields wantCode, riding
-// out shard kills (503), routing races around a mid-stream move (404,
-// redirect-cap errors) and the restart window. It fails the test once
-// eventually gives up.
+// out shard kills (503), routing races around a move (404, redirect-cap
+// errors) and the restart window. It fails the test once eventually gives
+// up.
 func (tc *testCluster) retryJSON(method, url string, body, out any, wantCode int) {
-	tc.t.Helper()
-	tc.retryJSONAt(method, func() string { return url }, "", body, out, wantCode)
-}
-
-// retryJSONAt is retryJSON with the base URL re-resolved on every
-// attempt: a worker caught mid-retry against a shard that just died for
-// good must fail over to a survivor instead of hammering the corpse for
-// its whole retry budget.
-func (tc *testCluster) retryJSONAt(method string, url func() string, path string, body, out any, wantCode int) {
 	tc.t.Helper()
 	var code int
 	var err error
 	if !eventually(func() bool {
-		code, err = doJSON(tc.client, method, url()+path, body, out)
+		code, err = doJSON(tc.client, method, url, body, out)
 		return err == nil && code == wantCode
 	}) {
-		tc.t.Fatalf("%s %s never returned %d (last: %d, %v)", method, url()+path, wantCode, code, err)
-	}
-}
-
-// awaitAcked waits until acked reaches frac of total.
-func awaitAcked(t *testing.T, acked *atomic.Int64, frac float64, total int64) {
-	t.Helper()
-	want := int64(frac * float64(total))
-	if !eventually(func() bool { return acked.Load() >= want }) {
-		t.Fatalf("stream stalled at %d/%d acked batches", acked.Load(), total)
-	}
-}
-
-// TestClusterShardingEndToEnd is the acceptance test of the sharded
-// daemon (ISSUE 5): 3 persistent shards, 54 topics of concurrent mixed
-// traffic, one shard killed and restarted mid-stream, two topics moved
-// between shards mid-stream — and every topic's final snapshot
-// byte-identical to a single-process control run.
-func TestClusterShardingEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster harness is not short")
-	}
-	// Journal every 4 batches so the kill lands between compactions and
-	// restart has a journal tail to replay. The conformance gate runs in
-	// enforce mode: the harness stream is well-formed, so any rejection
-	// is a false quarantine — and the control comparison below proves
-	// enforce leaves snapshots byte-identical to an ungated run.
-	tc := newTestCluster(t, 3, serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		conform: triclust.ConformEnforce,
-	}, true)
-
-	// Create every topic through a rotating shard: roughly two thirds of
-	// the creates arrive at the wrong shard and must be routed.
-	for i := 0; i < harnessTopics; i++ {
-		var sum topicSummary
-		tc.retryJSON("POST", tc.url(i%3)+"/v1/topics", harnessCreateReq(i), &sum, http.StatusCreated)
-		if sum.Name != harnessTopicName(i) {
-			t.Fatalf("create %d: summary %+v", i, sum)
-		}
-	}
-
-	// Pick the two topics to move mid-stream: one off shard 0, one off
-	// shard 2 (the kill/restart victim is shard 1, so the moves exercise
-	// healthy shards while the cluster as a whole is still degraded).
-	moveA, moveB := -1, -1
-	for i := 0; i < harnessTopics; i++ {
-		name := harnessTopicName(i)
-		if moveA == -1 && tc.ownerIdx(name) == 0 {
-			moveA = i
-		} else if moveB == -1 && tc.ownerIdx(name) == 2 {
-			moveB = i
-		}
-	}
-	if moveA == -1 || moveB == -1 {
-		t.Fatalf("ring left a shard empty (moveA=%d moveB=%d)", moveA, moveB)
-	}
-
-	// Drive all topics concurrently: each worker owns a disjoint set of
-	// topics (per-topic batch times must strictly increase), and mixes
-	// reads and snapshot downloads into the batch stream.
-	var acked atomic.Int64
-	total := int64(harnessTopics * harnessDays)
-	var wg sync.WaitGroup
-	const workers = 6
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for day := 1; day <= harnessDays; day++ {
-				for i := w; i < harnessTopics; i += workers {
-					name := harnessTopicName(i)
-					base := tc.url((i + day) % 3) // deliberately often the wrong shard
-					var br batchResponse
-					tc.retryJSON("POST", base+"/v1/topics/"+name+"/batches", harnessBatch(i, day), &br, http.StatusOK)
-					if br.Skipped {
-						t.Errorf("topic %s day %d skipped", name, day)
-						return
-					}
-					acked.Add(1)
-					// Mixed read traffic: user estimates, feature
-					// sentiments, a topic summary, and a mid-stream
-					// snapshot download.
-					switch (i + day) % 4 {
-					case 0:
-						// The first tweet of the batch just acked came from
-						// user (i+day)%harnessUsers, so that user has history.
-						u := (i + day) % harnessUsers
-						var ue userSentimentJSON
-						tc.retryJSON("GET", fmt.Sprintf("%s/v1/topics/%s/users/%d", base, name, u), nil, &ue, http.StatusOK)
-					case 1:
-						var fr featuresResponse
-						tc.retryJSON("GET", base+"/v1/topics/"+name+"/features", nil, &fr, http.StatusOK)
-					case 2:
-						var sum topicSummary
-						tc.retryJSON("GET", base+"/v1/topics/"+name, nil, &sum, http.StatusOK)
-					case 3:
-						resp, err := tc.client.Get(base + "/v1/topics/" + name + "/snapshot")
-						if err == nil {
-							resp.Body.Close()
-						}
-					}
-				}
-			}
-		}(w)
-	}
-
-	// Mid-stream chaos, phase 1: kill shard 1 abruptly (no graceful
-	// drain beyond in-flight requests) once ~30% of batches are acked,
-	// then restart it from its data directory — snapshot load plus
-	// journal-tail replay — once traffic has hit the dead shard.
-	awaitAcked(t, &acked, 0.3, total)
-	tc.shards[1].sh.kill()
-	if !eventually(func() bool { return tc.shards[1].sh.refused.Load() > 0 }) {
-		t.Fatal("no request reached the dead shard")
-	}
-	tc.boot(1)
-
-	// Phase 2: once ~60% of batches are acked, rebalance two topics while
-	// their streams are still running.
-	awaitAcked(t, &acked, 0.6, total)
-	var mvResp moveResponse
-	tc.retryJSON("POST", tc.url(1)+"/v1/cluster/move", // deliberately not the source: the move routes
-		moveRequest{Topic: harnessTopicName(moveA), Target: tc.url(2)}, &mvResp, http.StatusOK)
-	if mvResp.Epoch != 1 || mvResp.Target != tc.url(2) {
-		t.Fatalf("move A response %+v", mvResp)
-	}
-	tc.retryJSON("POST", tc.url(2)+"/v1/cluster/move",
-		moveRequest{Topic: harnessTopicName(moveB), Target: tc.url(0)}, &mvResp, http.StatusOK)
-	if mvResp.Epoch != 1 || mvResp.Target != tc.url(0) {
-		t.Fatalf("move B response %+v", mvResp)
-	}
-
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if got := acked.Load(); got != total {
-		t.Fatalf("acked %d of %d batches", got, total)
-	}
-
-	// The old owner of a moved topic answers 307 with the new owner in
-	// X-Triclust-Shard — across a restart of that shard, too, since the
-	// tombstone is persisted.
-	req, err := http.NewRequest("GET", tc.url(0)+"/v1/topics/"+harnessTopicName(moveA), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tc.noRedirect.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("old owner answered %d, want 307", resp.StatusCode)
-	}
-	if got := resp.Header.Get(shardHeader); got != tc.url(2) {
-		t.Fatalf("X-Triclust-Shard %q, want %q", got, tc.url(2))
-	}
-
-	// The determinism bar: every topic's snapshot — fetched through the
-	// cluster, after a kill/restart and two mid-stream moves — must be
-	// byte-identical to a single-process control run of the same batches.
-	// Moved topics carry epoch 1 (one hand-off); the control topic is
-	// stamped to match, making the comparison exact, not epoch-modulo.
-	for i := 0; i < harnessTopics; i++ {
-		name := harnessTopicName(i)
-		got := fetchSnapshot(t, tc.client, tc.url(i%3)+"/v1/topics/"+name+"/snapshot")
-
-		wantEpoch := uint64(0)
-		if i == moveA || i == moveB {
-			wantEpoch = 1
-		}
-		rt, err := triclust.Restore(bytes.NewReader(got))
-		if err != nil {
-			t.Fatalf("cluster snapshot of %s does not restore: %v", name, err)
-		}
-		if rt.Epoch() != wantEpoch {
-			t.Fatalf("topic %s epoch %d, want %d", name, rt.Epoch(), wantEpoch)
-		}
-
-		ctl := controlTopic(t, harnessCreateReq(i))
-		for day := 1; day <= harnessDays; day++ {
-			if _, err := ctl.Process(day, specTweets(harnessBatch(i, day))); err != nil {
-				t.Fatalf("control %s day %d: %v", name, day, err)
-			}
-		}
-		ctl.SetEpoch(wantEpoch)
-		var want bytes.Buffer
-		if err := ctl.Snapshot(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("topic %s: cluster snapshot (%d bytes) differs from single-process control (%d bytes)",
-				name, len(got), want.Len())
-		}
-	}
-
-	// Every shard is still healthy and no startup quarantined anything.
-	for i := range tc.shards {
-		var hr healthResponse
-		code, err := doJSON(tc.client, "GET", tc.url(i)+"/v1/healthz", nil, &hr)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("healthz shard %d: %d %v", i, code, err)
-		}
-		if hr.Quarantined != 0 {
-			t.Fatalf("shard %d quarantined %d files", i, hr.Quarantined)
-		}
-		if hr.Cluster == nil || hr.Cluster.Self != tc.url(i) {
-			t.Fatalf("shard %d cluster health %+v", i, hr.Cluster)
-		}
+		tc.t.Fatalf("%s %s never returned %d (last: %d, %v)", method, url, wantCode, code, err)
 	}
 }
 
@@ -661,17 +448,8 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 	}
 
 	// The source now refuses the topic: writes 307 to the target.
-	req, err := http.NewRequest("GET", tc.url(src)+"/v1/topics/"+name, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tc.noRedirect.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect || resp.Header.Get(shardHeader) != tc.url(dst) {
-		t.Fatalf("source answered %d shard=%q", resp.StatusCode, resp.Header.Get(shardHeader))
+	if a, err := follow(tc.noRedirect, "GET", tc.url(src)+"/v1/topics/"+name, nil, -1); err != nil || a.code != http.StatusTemporaryRedirect || a.shard != tc.url(dst) {
+		t.Fatalf("source answered %v %v", a, err)
 	}
 	var hr healthResponse
 	tc.retryJSON("GET", tc.url(src)+"/v1/healthz", nil, &hr, http.StatusOK)
@@ -728,20 +506,18 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 	}
 
 	// Validation errors on the move endpoint itself.
-	code, ec := errCode2(t, tc.client, "POST", tc.url(src)+"/v1/cluster/move",
-		moveRequest{Topic: name, Target: "http://not-a-peer:1"})
-	if code != http.StatusBadRequest || ec != codeUnknownPeer {
-		t.Fatalf("bad target: %d %q", code, ec)
-	}
-	code, ec = errCode2(t, tc.client, "POST", tc.url(src)+"/v1/cluster/move",
-		moveRequest{Topic: "no-such-topic", Target: tc.url(dst)})
-	if code != http.StatusNotFound || ec != codeTopicNotFound {
-		t.Fatalf("missing topic: %d %q", code, ec)
-	}
-	code, ec = errCode2(t, tc.client, "POST", tc.url(src)+"/v1/cluster/move",
-		moveRequest{Topic: name, Target: tc.url(src)})
-	if code != http.StatusBadRequest || ec != codeInvalidRequest {
-		t.Fatalf("move onto self: %d %q", code, ec)
+	for _, c := range []struct {
+		req  moveRequest
+		code int
+		ec   string
+	}{
+		{moveRequest{Topic: name, Target: "http://not-a-peer:1"}, http.StatusBadRequest, codeUnknownPeer},
+		{moveRequest{Topic: "no-such-topic", Target: tc.url(dst)}, http.StatusNotFound, codeTopicNotFound},
+		{moveRequest{Topic: name, Target: tc.url(src)}, http.StatusBadRequest, codeInvalidRequest},
+	} {
+		if code, ec := errCode2(t, tc.client, "POST", tc.url(src)+"/v1/cluster/move", c.req); code != c.code || ec != c.ec {
+			t.Fatalf("move %+v: %d %q, want %d %q", c.req, code, ec, c.code, c.ec)
+		}
 	}
 
 	// Every write path that loses the race to a hand-off follows the
@@ -757,57 +533,37 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 		"/v1/topics/" + name + "/batches": harnessBatch(7, 6),
 		"/v1/cluster/move":                moveRequest{Topic: name, Target: tc.url(dst)},
 	}
-	type answer struct {
-		path, shard string
-		code        int
-	}
-	answers := make(chan answer, len(late))
+	answers := make(chan simAnswer, len(late))
 	for path, body := range late {
 		go func() {
-			data, _ := json.Marshal(body)
-			resp, err := tc.noRedirect.Post(tc.url(src)+path, "application/json", bytes.NewReader(data))
-			if err != nil {
-				answers <- answer{path: path}
-				return
-			}
-			resp.Body.Close()
-			answers <- answer{path, resp.Header.Get(shardHeader), resp.StatusCode}
+			a, _ := follow(tc.noRedirect, "POST", tc.url(src)+path, body, -1)
+			a.etag = path
+			answers <- a
 		}()
 	}
 	if !eventually(func() bool { return lockWaiters("(*server).update", "(*server).performHandoff") == len(late) }) {
-		t.Fatalf("%d of %d requests reached the topic lock", lockWaiters("(*server).update", "(*server).performHandoff"), len(late))
+		waiting := lockWaiters("(*server).update", "(*server).performHandoff")
+		tp.mu.Unlock() // failing with it held would wedge the shards' cleanup
+		t.Fatalf("%d of %d requests reached the topic lock", waiting, len(late))
 	}
 	srv.fenceLocal(tp, 3, tc.url(dst), "simulated hand-off")
 	tp.mu.Unlock()
 	for range late {
 		if a := <-answers; a.code != http.StatusTemporaryRedirect || a.shard != tc.url(dst) {
-			t.Fatalf("POST %s behind a hand-off answered %d shard=%q, want 307 to %s", a.path, a.code, a.shard, tc.url(dst))
+			t.Fatalf("POST %s behind a hand-off answered %v shard=%q, want 307 to %s", a.etag, a, a.shard, tc.url(dst))
 		}
 	}
 }
 
-// errCode2 is errCode for clients that must not follow redirects (the
-// original helper decodes the response body, which a 307 does not have).
+// errCode2 is errCode for clients that must not follow redirects: the
+// status and error code of the first answer, a 307 included.
 func errCode2(t *testing.T, client *http.Client, method, url string, body any) (int, string) {
 	t.Helper()
-	var buf bytes.Buffer
-	if body != nil {
-		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	req, err := http.NewRequest(method, url, &buf)
+	a, err := follow(client, method, url, body, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var eb errorBody
-	_ = json.NewDecoder(resp.Body).Decode(&eb)
-	return resp.StatusCode, eb.Error.Code
+	return a.code, a.ec
 }
 
 // lostAckTransport performs every request for real, but reports the first
@@ -886,5 +642,52 @@ func TestMoveRequiresClusterMode(t *testing.T) {
 	code, ec = errCode(t, client, "GET", srv.URL+"/v1/cluster/info", nil)
 	if code != http.StatusConflict || ec != codeNotClustered {
 		t.Fatalf("info without cluster: %d %q", code, ec)
+	}
+}
+
+// TestParkedHandoffAnswersThenResumes: a two-shard data dir, with and
+// without replication, where the ring owner S holds a topic's snapshot
+// beside a tombstone naming T — a hand-off interrupted before T confirmed
+// it. A client following redirects from either shard gets a retryable 503
+// handoff_pending within two hops, never a redirect loop; one tick later
+// the resume loop has installed the topic on T, where every entry reaches
+// it at the fencing epoch with its batches.
+func TestParkedHandoffAnswersThenResumes(t *testing.T) {
+	for _, rf := range []int{1, 2} {
+		t.Run(fmt.Sprintf("rf=%d", rf), func(t *testing.T) {
+			ro := fastRepl()
+			ro.Factor = rf
+			tc := newClockedCluster(t, 2, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}, repl: ro})
+			name := harnessTopicName(3)
+			s := tc.ownerIdx(name)
+			tt := 1 - s
+			tc.retryJSON("POST", tc.url(s)+"/v1/topics", harnessCreateReq(3), nil, http.StatusCreated)
+			for day := 1; day <= 2; day++ {
+				tc.retryJSON("POST", tc.url(s)+"/v1/topics/"+name+"/batches", harnessBatch(3, day), nil, http.StatusOK)
+			}
+			tc.killShard(s)
+			if err := dirStore(t, tc.shards[s].dir).SetTombstone(name, cluster.Tombstone{Epoch: 1, Target: tc.url(tt)}); err != nil {
+				t.Fatal(err)
+			}
+			tc.boot(s)
+
+			for _, entry := range []int{s, tt} {
+				a, err := follow(tc.noRedirect, "GET", tc.url(entry)+"/v1/topics/"+name, nil, 2)
+				if err != nil || a.code != http.StatusServiceUnavailable || a.ec != codeHandoffPending {
+					t.Fatalf("GET through shard %d before the resume: %v %v, want 503 %s within two hops", entry, a, err, codeHandoffPending)
+				}
+			}
+			tc.tick()
+			for _, entry := range []int{s, tt} {
+				var sum topicSummary
+				a, err := follow(tc.noRedirect, "GET", tc.url(entry)+"/v1/topics/"+name, nil, 2)
+				if err != nil || a.code != http.StatusOK || json.Unmarshal(a.body, &sum) != nil || sum.Batches != 2 {
+					t.Fatalf("GET through shard %d after a tick: %v %v (%+v), want 200 with 2 batches", entry, a, err, sum)
+				}
+			}
+			if tp := servedTopic(tc.shards[tt].srv, name); tp == nil || tp.eng.Epoch() != 1 {
+				t.Fatal("T does not serve the resumed topic at the fencing epoch 1")
+			}
+		})
 	}
 }

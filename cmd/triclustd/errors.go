@@ -63,6 +63,11 @@ const (
 	codeUnknownPeer   = "unknown_peer"   // move target not in the ring
 	codeMoveFailed    = "move_failed"    // hand-off installation failed (see message for fence state)
 	codeEpochMismatch = "epoch_mismatch" // snapshot's ownership epoch fenced by a tombstone
+	// codeHandoffPending means this shard holds the topic from a hand-off
+	// whose install it has not confirmed: it neither serves the topic nor
+	// redirects it until the hand-off resumes (every -probe-interval).
+	// Retryable.
+	codeHandoffPending = "handoff_pending"
 
 	// Replication codes.
 	codeReplicationOff   = "replication_off"     // replica endpoint without -replication-factor >= 2

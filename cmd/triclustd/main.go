@@ -72,6 +72,7 @@
 //	serving    reads 200/304                        writes 200
 //	read-only  reads 200/304 + X-Triclust-Degraded  writes 503 storage_degraded + Retry-After
 //	retired    404 topic_not_found or, if the topic moved, 307 after its tombstone
+//	           (503 handoff_pending while that hand-off has no verdict)
 //
 // A write changes a topic only once it is durable, so one whose durable
 // step fails (503 journal_write_failed for a batch, 500 storage_error for
@@ -117,6 +118,8 @@
 // endpoint, and drops the local copy, leaving a persisted tombstone
 // (<topic>.moved) that refuses the topic's state at stale epochs and —
 // across restarts — sends its clients after it (the retired row above).
+// A hand-off whose install cannot be confirmed keeps the fence and is
+// resumed every -probe-interval until it has a verdict.
 //
 // # Replication and failover
 //
@@ -183,7 +186,7 @@ func main() {
 	replFactor := flag.Int("replication-factor", 1,
 		"copies of every topic across the cluster: the primary plus N-1 cold replicas on ring successors (1: off)")
 	probeInterval := flag.Duration("probe-interval", time.Second,
-		"peer failure-detector probe cadence")
+		"peer failure-detector probe cadence, and how often a parked hand-off is resumed")
 	probeTimeout := flag.Duration("probe-timeout", 0,
 		"deadline for one failure-detector probe (0: the probe interval)")
 	probeFailures := flag.Int("probe-failures", 3,
@@ -231,15 +234,13 @@ func main() {
 		opts.cluster = cc
 		opts.peer = peerOptions{Timeout: *peerTimeout}
 	}
-	if *replFactor >= 2 {
-		opts.repl = &replOptions{
-			Factor:            *replFactor,
-			ProbeInterval:     *probeInterval,
-			ProbeTimeout:      *probeTimeout,
-			ProbeFailures:     *probeFailures,
-			AutoRebalance:     *autoRebalance,
-			RebalanceInterval: *rebalanceInterval,
-		}
+	opts.repl = &replOptions{
+		Factor:            *replFactor,
+		ProbeInterval:     *probeInterval,
+		ProbeTimeout:      *probeTimeout,
+		ProbeFailures:     *probeFailures,
+		AutoRebalance:     *autoRebalance,
+		RebalanceInterval: *rebalanceInterval,
 	}
 	handler, err := newServer(*dataDir, opts, logf)
 	if err != nil {

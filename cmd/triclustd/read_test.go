@@ -10,10 +10,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,16 +65,6 @@ type userReadBody struct {
 }
 
 var etagShape = regexp.MustCompile(`^"b\d+-r[0-9a-f]+-e\d+"$`)
-
-// etagEpoch extracts the epoch component of a read-plane ETag.
-func etagEpoch(etag string) (uint64, bool) {
-	i := strings.LastIndex(etag, "-e")
-	if i < 0 || !strings.HasSuffix(etag, `"`) {
-		return 0, false
-	}
-	e, err := strconv.ParseUint(etag[i+2:len(etag)-1], 10, 64)
-	return e, err == nil
-}
 
 // TestReadPlaneETagContract pins the HTTP caching contract of the read
 // endpoints: strong per-view ETags, Cache-Control, the If-None-Match →
@@ -267,174 +254,6 @@ func TestReadPlaneServeAllocs(t *testing.T) {
 	if freshAllocs > 16 {
 		t.Fatalf("200 path allocates %.1f per request, want <= 16 (measured 7)", freshAllocs)
 	}
-}
-
-// TestClusterReadersDuringMoveAndIngest is the read-plane stress leg of
-// the cluster suite (run it under -race): readers hammer user-estimate
-// and feature polls — conditional ones included — while the topic keeps
-// ingesting batches and is handed between the two shards repeatedly.
-// Readers must never observe a torn body (batch counter moving
-// backwards) or a stale-epoch view (ETag epoch moving backwards), and
-// every 304 must confirm exactly the validator the reader presented.
-func TestClusterReadersDuringMoveAndIngest(t *testing.T) {
-	tc := newTestCluster(t, 2, serverOptions{}, false)
-	name := harnessTopicName(3)
-	src := tc.ownerIdx(name)
-	dst := 1 - src
-
-	var sum topicSummary
-	tc.retryJSON("POST", tc.url(src)+"/v1/topics", harnessCreateReq(3), &sum, http.StatusCreated)
-	for day := 1; day <= 3; day++ {
-		var br batchResponse
-		tc.retryJSON("POST", tc.url(src)+"/v1/topics/"+name+"/batches", harnessBatch(3, day), &br, http.StatusOK)
-	}
-
-	var (
-		done     atomic.Bool
-		fail     = make(chan string, 16)
-		okReads  atomic.Int64
-		notMod   atomic.Int64
-		wg       sync.WaitGroup
-		lastDay  = 3
-		moveWant = 4
-	)
-	report := func(format string, args ...any) {
-		select {
-		case fail <- fmt.Sprintf(format, args...):
-		default:
-		}
-	}
-
-	// Readers: half conditional user polls, half feature polls, spread
-	// over both shard URLs (redirects followed by tc.client).
-	for rdr := 0; rdr < 4; rdr++ {
-		wg.Add(1)
-		go func(rdr int) {
-			defer wg.Done()
-			url := tc.url(rdr%2) + "/v1/topics/" + name
-			if rdr%2 == 1 {
-				url += "/features"
-			} else {
-				url += "/users/1"
-			}
-			lastBatches, lastEpoch := -1, uint64(0)
-			etag := ""
-			for !done.Load() {
-				req, err := http.NewRequest("GET", url, nil)
-				if err != nil {
-					report("reader %d: %v", rdr, err)
-					return
-				}
-				if etag != "" {
-					req.Header.Set("If-None-Match", etag)
-				}
-				resp, err := tc.client.Do(req)
-				if err != nil {
-					continue // shard mid-handoff; retry
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				switch resp.StatusCode {
-				case http.StatusOK:
-					got := resp.Header.Get("ETag")
-					if !etagShape.MatchString(got) {
-						report("reader %d: bad etag %q", rdr, got)
-						return
-					}
-					e, ok := etagEpoch(got)
-					if !ok {
-						report("reader %d: malformed etag %q", rdr, got)
-						return
-					}
-					if e < lastEpoch {
-						report("reader %d: epoch went backwards %d -> %d", rdr, lastEpoch, e)
-						return
-					}
-					lastEpoch = e
-					var conv struct {
-						Convergence convergenceJSON `json:"convergence"`
-					}
-					if err := json.Unmarshal(body, &conv); err != nil {
-						report("reader %d: torn body %q: %v", rdr, body, err)
-						return
-					}
-					if conv.Convergence.Batches < lastBatches {
-						report("reader %d: batches went backwards %d -> %d", rdr, lastBatches, conv.Convergence.Batches)
-						return
-					}
-					lastBatches = conv.Convergence.Batches
-					etag = got
-					okReads.Add(1)
-				case http.StatusNotModified:
-					if got := resp.Header.Get("ETag"); got != etag {
-						report("reader %d: 304 for %q but sent %q", rdr, got, etag)
-						return
-					}
-					notMod.Add(1)
-				default:
-					// 404/409/503/redirect-cap responses are expected while
-					// a hand-off commits; the invariants only bind served
-					// views.
-				}
-			}
-		}(rdr)
-	}
-
-	// Writer + mover: keep ingesting while handing the topic back and
-	// forth; each move must land with a bumped epoch.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			// On a loaded machine the four moves can finish before a reader
-			// has come round to its first conditional poll: let the readers
-			// run on (against the settled topic) until both read paths were
-			// seen, so the check below judges the read plane, not the
-			// scheduler.
-			eventually(func() bool { return okReads.Load() > 0 && notMod.Load() > 0 })
-			done.Store(true)
-		}()
-		owner, other := src, dst
-		for move := 1; move <= moveWant; move++ {
-			for i := 0; i < 2; i++ {
-				lastDay++
-				if !eventually(func() bool {
-					var br batchResponse
-					code, err := doJSON(tc.client, "POST", tc.url(owner)+"/v1/topics/"+name+"/batches", harnessBatch(3, lastDay), &br)
-					return err == nil && code == http.StatusOK
-				}) {
-					report("writer: batch %d never accepted", lastDay)
-					return
-				}
-			}
-			var mv moveResponse
-			if !eventually(func() bool {
-				code, err := doJSON(tc.client, "POST", tc.url(owner)+"/v1/cluster/move",
-					moveRequest{Topic: name, Target: tc.url(other)}, &mv)
-				return err == nil && code == http.StatusOK
-			}) {
-				report("mover: move %d never committed", move)
-				return
-			}
-			if mv.Epoch != uint64(move) {
-				report("mover: move %d landed at epoch %d", move, mv.Epoch)
-				return
-			}
-			owner, other = other, owner
-		}
-	}()
-
-	wg.Wait()
-	select {
-	case msg := <-fail:
-		t.Fatal(msg)
-	default:
-	}
-	if okReads.Load() == 0 || notMod.Load() == 0 {
-		t.Fatalf("stress observed %d full reads, %d revalidations — both paths must be exercised",
-			okReads.Load(), notMod.Load())
-	}
-	t.Logf("stress: %d full reads, %d revalidations, %d moves", okReads.Load(), notMod.Load(), moveWant)
 }
 
 // TestReadPlaneDuringRefusedAppend races the lock-free readers against

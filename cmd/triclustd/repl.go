@@ -429,10 +429,11 @@ func (r *replicator) reconcileStartup() {
 
 // rebalanceLoop converges this shard's held topics onto the ring,
 // -rebalance-interval after its last round ended: topics whose ring owner
-// is a different live peer are handed off through the ordinary move path.
-// Because placement is a consistent hash, the plan is exactly the minimal
-// remap for whatever peers died or returned — topics still mapping here
-// never move.
+// is a different live peer — or, that owner down, whose first live
+// candidate is — are handed off through the ordinary move path, so each
+// topic ends where routing sends it. Because placement is a consistent
+// hash, the plan is exactly the minimal remap for whatever peers died or
+// returned — topics still mapping here never move.
 func (r *replicator) rebalanceLoop() {
 	for r.s.sleep(r.s.ctx, r.opts.RebalanceInterval) {
 		r.rebalanceOnce()
@@ -445,7 +446,7 @@ func (r *replicator) rebalanceOnce() {
 	for _, tp := range s.served() {
 		held = append(held, tp.name)
 	}
-	for _, mv := range cluster.PlanRebalance(s.table.Ring, s.table.Self, held, func(p string) bool { return !r.det.Down(p) }) {
+	for _, mv := range cluster.PlanRebalance(s.table.Ring, s.table.Self, held, r.det) {
 		if s.ctx.Err() != nil {
 			return
 		}

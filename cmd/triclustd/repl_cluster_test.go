@@ -1,32 +1,27 @@
 package main
 
-// Fault-injection tests for journal-shipped replication: a shard killed
-// mid-stream and never restarted (the failover tentpole), a flaky
-// transport randomly dropping and delaying replica ships, a zombie
-// primary fenced after a promotion, the rebalancer converging a
-// failed-over topic back onto the ring when its owner returns, and
-// promotions that cascade past a dead candidate, fail and retry, or fail
-// to become durable. All of them hold the same bar as the PR 5 harness:
-// every topic's final snapshot byte-identical to a single-process control
-// run.
+// Fault-injection scenarios for journal-shipped replication, each pinning
+// what one schedule alone shows (TestClusterSim explores the schedules): a
+// zombie primary fenced by its next ship, idle followers converging, a
+// restarted primary re-seeding, promotions that cascade past a dead
+// candidate, fail and retry, or fail to become durable, and the move
+// corner cases whose hand-off is ambiguous. The failover scenarios hold
+// the promoted topic to a single-process control run, byte for byte.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"triclust"
 	"triclust/internal/cluster"
 	"triclust/internal/fault"
 	"triclust/internal/store"
@@ -77,273 +72,6 @@ func (tc *testCluster) awaitServedAt(name string, wantEpoch uint64, live []int) 
 		tc.t.Fatalf("no live shard ever served %q at epoch %d", name, wantEpoch)
 	}
 	return served
-}
-
-// TestClusterReplicationFailover is the tentpole acceptance test: three
-// persistent shards at RF=2, 54 topics of concurrent batch traffic, and
-// one shard killed mid-stream — handler gone, server closed, never
-// restarted. Topics the dead shard owned must be promoted from their
-// cold replicas on the survivors and finish their streams; at the end,
-// every topic (dead-shard-owned included) must be byte-identical to a
-// single-process control run, with zero batches lost.
-func TestClusterReplicationFailover(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster harness is not short")
-	}
-	opts := serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    fastRepl(),
-		peer:    fastPeer(nil),
-		// Enforce mode rides the failover harness too: replica promotion
-		// replays the tail ungated (the records were already accepted),
-		// re-stamps the mode, and must still match the control run
-		// byte-for-byte — profile included.
-		conform: triclust.ConformEnforce,
-	}
-	tc := newTestCluster(t, 3, opts, true)
-	const victim = 1
-	survivors := []int{0, 2}
-
-	for i := 0; i < harnessTopics; i++ {
-		tc.retryJSON("POST", tc.url(i%3)+"/v1/topics", harnessCreateReq(i), nil, http.StatusCreated)
-	}
-	victimOwned := map[int]bool{}
-	for i := 0; i < harnessTopics; i++ {
-		if tc.ownerIdx(harnessTopicName(i)) == victim {
-			victimOwned[i] = true
-		}
-	}
-	if len(victimOwned) == 0 {
-		t.Fatal("ring left the victim shard empty; nothing would fail over")
-	}
-
-	// killed flips once the victim is gone; from then on workers address
-	// only the survivors (a real client pool would do the same after
-	// connection refusals — the harness listener instead answers 503
-	// forever, which would exhaust the retry budget).
-	var killed atomic.Bool
-	base := func(k int) string {
-		if killed.Load() {
-			return tc.url(survivors[k%len(survivors)])
-		}
-		return tc.url(k % 3)
-	}
-
-	var acked atomic.Int64
-	total := int64(harnessTopics * harnessDays)
-	var wg sync.WaitGroup
-	const workers = 6
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for day := 1; day <= harnessDays; day++ {
-				for i := w; i < harnessTopics; i += workers {
-					name := harnessTopicName(i)
-					k := i + day
-					var br batchResponse
-					tc.retryJSONAt("POST", func() string { return base(k) }, "/v1/topics/"+name+"/batches", harnessBatch(i, day), &br, http.StatusOK)
-					if br.Skipped {
-						t.Errorf("topic %s day %d skipped", name, day)
-						return
-					}
-					acked.Add(1)
-				}
-			}
-		}(w)
-	}
-
-	// Kill the victim once ~40% of the stream is acked. No restart.
-	awaitAcked(t, &acked, 0.4, total)
-	tc.killShard(victim)
-	killed.Store(true)
-
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if got := acked.Load(); got != total {
-		t.Fatalf("acked %d of %d batches", got, total)
-	}
-
-	// Zero topics lost: every topic answers through the survivors, and
-	// every snapshot is byte-identical to the single-process control.
-	// Promoted topics carry epoch 1 (one promotion past the dead
-	// primary's 0); the control is stamped to match.
-	for i := 0; i < harnessTopics; i++ {
-		name := harnessTopicName(i)
-		got := fetchSnapshot(t, tc.client, tc.url(survivors[i%2])+"/v1/topics/"+name+"/snapshot")
-		wantEpoch := uint64(0)
-		if victimOwned[i] {
-			wantEpoch = 1
-		}
-		rt, err := triclust.Restore(bytes.NewReader(got))
-		if err != nil {
-			t.Fatalf("snapshot of %s does not restore: %v", name, err)
-		}
-		if rt.Epoch() != wantEpoch {
-			t.Fatalf("topic %s epoch %d, want %d (victim-owned=%v)", name, rt.Epoch(), wantEpoch, victimOwned[i])
-		}
-		ctl := controlTopic(t, harnessCreateReq(i))
-		for day := 1; day <= harnessDays; day++ {
-			if _, err := ctl.Process(day, specTweets(harnessBatch(i, day))); err != nil {
-				t.Fatalf("control %s day %d: %v", name, day, err)
-			}
-		}
-		ctl.SetEpoch(wantEpoch)
-		var wantBytes bytes.Buffer
-		if err := ctl.Snapshot(&wantBytes); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantBytes.Bytes()) {
-			t.Fatalf("topic %s: post-failover snapshot (%d bytes) differs from control (%d bytes)",
-				name, len(got), wantBytes.Len())
-		}
-	}
-
-	// The survivors report the failure: the victim is a down peer, and
-	// replication health is being served at all.
-	for _, i := range survivors {
-		var hr healthResponse
-		code, err := doJSON(tc.client, "GET", tc.url(i)+"/v1/healthz", nil, &hr)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("healthz shard %d: %d %v", i, code, err)
-		}
-		if hr.Replication == nil || hr.Replication.Factor != 2 {
-			t.Fatalf("shard %d replication health %+v", i, hr.Replication)
-		}
-		found := false
-		for _, p := range hr.Replication.DownPeers {
-			if p == tc.url(victim) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("shard %d does not report the victim down: %+v", i, hr.Replication.DownPeers)
-		}
-	}
-}
-
-// flakyTransport mangles replica-ship traffic only: with probability p
-// per request it drops the request before sending, drops the response
-// after the follower processed it (exercising the duplicate-delivery
-// ack), or delays the request. Probes and client traffic pass untouched.
-type flakyTransport struct {
-	next http.RoundTripper
-	mu   sync.Mutex
-	rng  *rand.Rand
-	p    float64
-}
-
-func newFlakyTransport(seed int64, p float64) *flakyTransport {
-	return &flakyTransport{next: http.DefaultTransport, rng: rand.New(rand.NewSource(seed)), p: p}
-}
-
-func (f *flakyTransport) roll() (fail bool, mode int, delay time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	fail = f.rng.Float64() < f.p
-	mode = f.rng.Intn(3)
-	delay = time.Duration(1+f.rng.Intn(4)) * time.Millisecond
-	return
-}
-
-func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if !strings.Contains(req.URL.Path, "/v1/replica/") {
-		return f.next.RoundTrip(req)
-	}
-	fail, mode, delay := f.roll()
-	if !fail {
-		return f.next.RoundTrip(req)
-	}
-	switch mode {
-	case 0: // drop the request on the floor
-		if req.Body != nil {
-			req.Body.Close()
-		}
-		return nil, fmt.Errorf("flaky transport: dropped request to %s", req.URL.Path)
-	case 1: // deliver, then lose the response
-		resp, err := f.next.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		resp.Body.Close()
-		return nil, fmt.Errorf("flaky transport: dropped response from %s", req.URL.Path)
-	default: // deliver late
-		time.Sleep(delay)
-		return f.next.RoundTrip(req)
-	}
-}
-
-// TestClusterReplicationFlakyTransport streams the full workload with
-// ~12% of replica ships dropped or delayed. The in-request retries and
-// the idempotent duplicate ack must absorb all of it: no client-visible
-// failures, every topic byte-identical to control at epoch 0.
-func TestClusterReplicationFlakyTransport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster harness is not short")
-	}
-	opts := serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    fastRepl(),
-		peer:    fastPeer(newFlakyTransport(20260808, 0.12)),
-	}
-	tc := newTestCluster(t, 3, opts, true)
-
-	const topics = 18 // fewer topics than the failover run: every batch ships through the flaky pipe
-	for i := 0; i < topics; i++ {
-		tc.retryJSON("POST", tc.url(i%3)+"/v1/topics", harnessCreateReq(i), nil, http.StatusCreated)
-	}
-	var wg sync.WaitGroup
-	const workers = 3
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for day := 1; day <= harnessDays; day++ {
-				for i := w; i < topics; i += workers {
-					name := harnessTopicName(i)
-					var br batchResponse
-					tc.retryJSON("POST", tc.url((i+day)%3)+"/v1/topics/"+name+"/batches", harnessBatch(i, day), &br, http.StatusOK)
-					if br.Skipped {
-						t.Errorf("topic %s day %d skipped", name, day)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	for i := 0; i < topics; i++ {
-		name := harnessTopicName(i)
-		got := fetchSnapshot(t, tc.client, tc.url(i%3)+"/v1/topics/"+name+"/snapshot")
-		ctl := controlTopic(t, harnessCreateReq(i))
-		for day := 1; day <= harnessDays; day++ {
-			if _, err := ctl.Process(day, specTweets(harnessBatch(i, day))); err != nil {
-				t.Fatalf("control %s day %d: %v", name, day, err)
-			}
-		}
-		var wantBytes bytes.Buffer
-		if err := ctl.Snapshot(&wantBytes); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantBytes.Bytes()) {
-			t.Fatalf("topic %s: snapshot under flaky replication differs from control", name)
-		}
-	}
-	// No peer was ever wrongly declared down: ships are flaky, probes are
-	// not, and ship failures must not feed the failure detector.
-	for i := 0; i < 3; i++ {
-		var hr healthResponse
-		tc.retryJSON("GET", tc.url(i)+"/v1/healthz", nil, &hr, http.StatusOK)
-		if hr.Replication == nil || len(hr.Replication.DownPeers) != 0 {
-			t.Fatalf("shard %d wrongly holds peers down: %+v", i, hr.Replication)
-		}
-	}
 }
 
 // gateTransport fails every inter-shard request whose path starts with
@@ -487,15 +215,9 @@ func TestClusterZombieFencing(t *testing.T) {
 	tc := newClockedCluster(t, 3, opts)
 
 	// One topic, owned by the shard that will go zombie.
-	pick := -1
-	for i := 0; i < harnessTopics; i++ {
-		if tc.ownerIdx(harnessTopicName(i)) == 0 {
-			pick = i
-			break
-		}
-	}
-	if pick == -1 {
-		t.Fatal("ring left shard 0 empty")
+	pick := 0
+	for tc.ownerIdx(harnessTopicName(pick)) != 0 {
+		pick++
 	}
 	name := harnessTopicName(pick)
 	tc.retryJSON("POST", tc.url(0)+"/v1/topics", harnessCreateReq(pick), nil, http.StatusCreated)
@@ -566,78 +288,6 @@ func serveJSON(t *testing.T, s *server, method, path string, body any) (int, str
 	var eb errorBody
 	_ = json.NewDecoder(rec.Body).Decode(&eb)
 	return rec.Code, eb.Error.Code
-}
-
-// TestClusterReplicationRebalanceAfterRecovery closes the loop: after a
-// failover, the dead shard comes back (fresh boot off its old data dir).
-// Startup reconciliation must fence its stale copy instead of serving
-// forked state, and the auto-rebalancer on the promoted shard must hand
-// the topic home once the ring owner is live again.
-func TestClusterReplicationRebalanceAfterRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster harness is not short")
-	}
-	ro := fastRepl()
-	ro.AutoRebalance = true
-	ro.RebalanceInterval = ro.ProbeInterval // one tick steps the rebalancer too
-	opts := serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    ro,
-		peer:    fastPeer(nil),
-	}
-	tc := newClockedCluster(t, 3, opts)
-
-	pick := -1
-	for i := 0; i < harnessTopics; i++ {
-		if tc.ownerIdx(harnessTopicName(i)) == 0 {
-			pick = i
-			break
-		}
-	}
-	if pick == -1 {
-		t.Fatal("ring left shard 0 empty")
-	}
-	name := harnessTopicName(pick)
-	tc.retryJSON("POST", tc.url(0)+"/v1/topics", harnessCreateReq(pick), nil, http.StatusCreated)
-	for day := 1; day <= 3; day++ {
-		tc.retryJSON("POST", tc.url(0)+"/v1/topics/"+name+"/batches", harnessBatch(pick, day), nil, http.StatusOK)
-	}
-
-	tc.killShard(0)
-	tc.awaitServedAt(name, 1, []int{1, 2})
-	// The stream continues against the promoted copy while the owner is
-	// dead (routed via the survivors' failure detectors).
-	for day := 4; day <= 5; day++ {
-		tc.retryJSON("POST", tc.url(1)+"/v1/topics/"+name+"/batches", harnessBatch(pick, day), nil, http.StatusOK)
-	}
-
-	// The owner returns from its old data directory, which still holds
-	// the topic at epoch 0. Reconciliation fences it; the rebalancer
-	// then moves the promoted copy home at epoch 2.
-	tc.boot(0)
-	home := tc.awaitServedAt(name, 2, []int{0})
-	if home != 0 {
-		t.Fatalf("topic rebalanced to shard %d, want its ring owner 0", home)
-	}
-
-	// Post-recovery stream lands at home, and the final state is
-	// byte-identical to control at epoch 2 (promotion + rebalance move).
-	tc.retryJSON("POST", tc.url(0)+"/v1/topics/"+name+"/batches", harnessBatch(pick, 6), nil, http.StatusOK)
-	got := fetchSnapshot(t, tc.client, tc.url(0)+"/v1/topics/"+name+"/snapshot")
-	ctl := controlTopic(t, harnessCreateReq(pick))
-	for day := 1; day <= 6; day++ {
-		if _, err := ctl.Process(day, specTweets(harnessBatch(pick, day))); err != nil {
-			t.Fatalf("control day %d: %v", day, err)
-		}
-	}
-	ctl.SetEpoch(2)
-	var wantBytes bytes.Buffer
-	if err := ctl.Snapshot(&wantBytes); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantBytes.Bytes()) {
-		t.Fatal("post-recovery snapshot differs from single-process control")
-	}
 }
 
 // holdTransport holds every inter-shard request whose path starts with
@@ -894,15 +544,10 @@ func TestClusterMoveResumeElsewhereAfterLandedInstall(t *testing.T) {
 		t.Fatalf("ambiguous move answered %d %q, want 502 %q", code, ec, codeMoveFailed)
 	}
 	transport.blind.Store(false)
-	body, err := json.Marshal(moveRequest{Topic: name, Target: tc.url(u)})
+	moved, err := follow(tc.noRedirect, "POST", tc.url(s)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(u)}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := tc.noRedirect.Post(tc.url(s)+"/v1/cluster/move", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 
 	var serving []int
 	for i := range tc.shards {
@@ -915,8 +560,8 @@ func TestClusterMoveResumeElsewhereAfterLandedInstall(t *testing.T) {
 	if len(serving) != 1 || serving[0] != tt {
 		t.Fatalf("shards %v serve %q, want exactly T (%d)", serving, name, tt)
 	}
-	if resp.StatusCode != http.StatusTemporaryRedirect || resp.Header.Get(shardHeader) != tc.url(tt) {
-		t.Fatalf("move retry naming U answered %d shard=%q, want 307 to T %s", resp.StatusCode, resp.Header.Get(shardHeader), tc.url(tt))
+	if moved.code != http.StatusTemporaryRedirect || moved.shard != tc.url(tt) {
+		t.Fatalf("move retry naming U answered %v, want 307 to T %s", moved, tc.url(tt))
 	}
 	var sum topicSummary
 	tc.retryJSON("GET", tc.url(tt)+"/v1/topics/"+name, nil, &sum, http.StatusOK)
@@ -966,21 +611,15 @@ func TestStartupFencesRestartedPrimary(t *testing.T) {
 
 	tc.boot(p)
 	var ts cluster.Tombstone
-	var code int
-	var shard string
+	var ans simAnswer
 	if !eventually(func() bool {
 		data, err := os.ReadFile(filepath.Join(tc.shards[p].dir, name+".moved"))
 		if err != nil || json.Unmarshal(data, &ts) != nil || ts.Target != tc.url(b) {
 			return false
 		}
-		resp, err := tc.noRedirect.Get(tc.url(p) + "/v1/topics/" + name)
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		code, shard = resp.StatusCode, resp.Header.Get(shardHeader)
-		return code == http.StatusTemporaryRedirect && shard == tc.url(b)
+		ans, err = follow(tc.noRedirect, "GET", tc.url(p)+"/v1/topics/"+name, nil, -1)
+		return err == nil && ans.code == http.StatusTemporaryRedirect && ans.shard == tc.url(b)
 	}) {
-		t.Fatalf("restarted P: tombstone %+v, GET answered %d shard=%q; want fenced and 307 → %s", ts, code, shard, tc.url(b))
+		t.Fatalf("restarted P: tombstone %+v, GET answered %v shard=%q; want fenced and 307 → %s", ts, ans, ans.shard, tc.url(b))
 	}
 }

@@ -286,10 +286,12 @@ func TestReplicaFrameSequence(t *testing.T) {
 }
 
 // lifetimeLoops are the daemon's background loops: the detector's probe
-// loop, the reconcile and rebalance loops, and the storage prober.
+// loop, the reconcile and rebalance loops, the storage prober and the
+// resume loop.
 var lifetimeLoops = []string{
 	"(*Detector).Watch(", "(*replicator).reconcileLoop(",
 	"(*replicator).rebalanceLoop(", "(*storageMonitor).probeLoop(",
+	"(*server).resumeLoop(",
 }
 
 // stacks returns the stack of every live goroutine.

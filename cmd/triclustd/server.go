@@ -71,6 +71,11 @@ type server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 	sleep  cluster.Sleep // serverOptions.sleep: every wait of the lifetime
+	// probeEvery is the -probe-interval, the resume loop's round as well as
+	// the replication loops'; resuming holds the names a resume is driving
+	// (cluster.go).
+	probeEvery time.Duration
+	resuming   sync.Map
 }
 
 type topic struct {
@@ -136,7 +141,7 @@ type serverOptions struct {
 // journal tail and opening its journal (see openJournal). Hand-off
 // tombstones are reloaded alongside the snapshots; a topic with both a
 // snapshot and a tombstone was caught mid-move and is held back from
-// serving until the move is retried (see moveTopic).
+// serving until its hand-off resumes (see resume).
 func newServer(dataDir string, opts serverOptions, logf func(format string, args ...any)) (*server, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -156,6 +161,11 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 	if s.sleep == nil {
 		s.sleep = cluster.WallSleep
 	}
+	var ro replOptions
+	if opts.repl != nil {
+		ro = *opts.repl
+	}
+	s.probeEvery = ro.withDefaults().ProbeInterval
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if st != nil {
 		s.storage = newStorageMonitor(s, opts.storage)
@@ -189,8 +199,9 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 		if ts, parked := s.table.Tombstone(name); parked {
 			// The daemon stopped between writing the hand-off intent and
 			// deleting the topic's files: the tombstone fences writes, the
-			// snapshot stays for a move retry.
-			s.logf("topic %q has an interrupted hand-off to %s (epoch %d); refusing writes until the move is retried",
+			// snapshot stays for the resume.
+			s.table.Park(name)
+			s.logf("topic %q has an interrupted hand-off to %s (epoch %d); refusing requests until it resumes",
 				name, ts.Target, ts.Epoch)
 			continue
 		}
@@ -231,12 +242,16 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 }
 
 // start launches the server's background machinery — the failure
-// detector's probe loops, the reconcile loop and the optional rebalancer.
+// detector's probe loops, the reconcile loop, the optional rebalancer and,
+// in cluster mode with a data directory, the resume loop.
 // Kept out of newServer so construction stays side-effect-free (tests that
 // never exercise replication need no goroutines).
 func (s *server) start() {
 	if s.repl != nil {
 		s.repl.start()
+	}
+	if s.table.Ring != nil && s.store != nil {
+		s.spawn(func() { s.resumeLoop(s.probeEvery) })
 	}
 }
 

@@ -58,11 +58,13 @@ type Transfer struct {
 // does not (retry), or it cannot be asked (ambiguous). A resume naming
 // another target than its tombstone first asks the recorded one: if that
 // holds the topic, the interrupted hand-off landed there, and the tombstone
-// keeps naming it.
+// keeps naming it. An ambiguous hand-off of resumable state stays Parked
+// until a later Handoff of it installs.
 func Handoff(ctx context.Context, t *Table, tr Transport, r Retry, x Transfer) (Outcome, string, error) {
 	prev, resumed := t.Tombstone(x.Topic)
 	if resumed && prev.Target != x.Target {
 		if has, _ := tr.Holds(ctx, prev.Target, x.Topic, prev.Epoch); has {
+			t.settle(x.Topic)
 			return Installed, prev.Target, nil
 		}
 	}
@@ -73,7 +75,12 @@ func Handoff(ctx context.Context, t *Table, tr Transport, r Retry, x Transfer) (
 	if err == nil {
 		out, err = install(ctx, tr, r, x)
 	}
-	if !resumed && out != Installed && (out != Ambiguous || !x.Resumable) {
+	switch {
+	case out == Installed:
+		t.settle(x.Topic)
+	case out == Ambiguous && x.Resumable:
+		t.Park(x.Topic)
+	case !resumed:
 		t.Unfence(x.Topic)
 	}
 	return out, x.Target, err

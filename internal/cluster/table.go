@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 )
@@ -63,33 +64,45 @@ type Table struct {
 
 	mu    sync.RWMutex
 	tombs map[string]Tombstone
+	// parked names the tombstones of hand-offs that have no verdict yet:
+	// the install may or may not have landed, and this shard still holds
+	// the state on disk.
+	parked map[string]bool
 }
 
 // NewTable is the placement of m holding tombs, the tombstones on disk.
 func NewTable(m Membership, live Liveness, disk Disk, tombs map[string]Tombstone, logf func(format string, args ...any)) *Table {
-	return &Table{Membership: m, live: live, disk: disk, logf: logf, tombs: tombs}
+	return &Table{Membership: m, live: live, disk: disk, logf: logf, tombs: tombs, parked: make(map[string]bool)}
 }
 
 // Route is where a name lives as this shard knows it: Here, this shard
 // answers for it (serves it, owns it, or runs alone), else Owner does; Moved,
-// Owner is the target of a tombstone left at Epoch. A single process keeps
-// its tombstones for Register only.
+// Owner is the target of a tombstone left at Epoch. Parked, that hand-off
+// has no verdict yet: this shard neither serves the name nor redirects it,
+// for Owner may not hold it. A single process keeps its tombstones for
+// Register only.
 type Route struct {
-	Here, Moved bool
-	Owner       string
-	Epoch       uint64
+	Here, Moved, Parked bool
+	Owner               string
+	Epoch               uint64
 }
 
 // Route answers where name lives, in order: served here (a move overrides
 // the ring), handed off (the tombstone), the ring owner, or — that owner
 // declared down — its first live candidate, the shard that promoted or is
-// about to promote the topic's replica.
+// about to promote the topic's replica. Every chain of routes ends: a
+// tombstone names a shard that held the topic past its epoch, and a hand-off
+// not yet confirmed is Parked, not followed.
 func (t *Table) Route(name string, served bool) Route {
 	if served || t.Ring == nil {
 		return Route{Here: true, Owner: t.Self}
 	}
-	if ts, moved := t.Tombstone(name); moved {
-		return Route{Here: ts.Target == t.Self, Moved: true, Owner: ts.Target, Epoch: ts.Epoch}
+	t.mu.RLock()
+	ts, moved := t.tombs[name]
+	parked := t.parked[name]
+	t.mu.RUnlock()
+	if moved {
+		return Route{Here: ts.Target == t.Self, Moved: true, Parked: parked, Owner: ts.Target, Epoch: ts.Epoch}
 	}
 	owner := t.Ring.Owner(name)
 	if t.live != nil && owner != t.Self {
@@ -115,6 +128,59 @@ func (t *Table) Moved() int {
 	return len(t.tombs)
 }
 
+// Park marks name's hand-off as without a verdict: its tombstone stands and
+// this shard still holds its state (a restart found both on disk).
+func (t *Table) Park(name string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, moved := t.tombs[name]; moved {
+		t.parked[name] = true
+	}
+}
+
+// Parked returns the names whose hand-off has no verdict yet, sorted.
+func (t *Table) Parked() []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return slices.Sorted(maps.Keys(t.parked))
+}
+
+// Orphaned returns the confirmed tombstones whose target is declared down:
+// their topic lives on, if anywhere, where a candidate promoted it.
+func (t *Table) Orphaned() map[string]Tombstone {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make(map[string]Tombstone)
+	for name, ts := range t.tombs {
+		if !t.parked[name] && t.live != nil && t.live.Down(ts.Target) {
+			out[name] = ts
+		}
+	}
+	return out
+}
+
+// Retarget re-points name's tombstone ts, if it still stands as it was, at
+// target — a shard holding the topic past ts.Epoch, as a tombstone's target
+// always is.
+func (t *Table) Retarget(name string, ts Tombstone, target string) error {
+	t.mu.Lock()
+	if cur, ok := t.tombs[name]; !ok || cur != ts || t.parked[name] {
+		t.mu.Unlock()
+		return nil
+	}
+	ts.Target = target
+	t.tombs[name] = ts
+	t.mu.Unlock()
+	return t.disk.SetTombstone(name, ts)
+}
+
+// settle records name's hand-off verdict: the tombstone's target holds it.
+func (t *Table) settle(name string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.parked, name)
+}
+
 // Fence records ts for name — in memory, fencing at once, then on disk.
 func (t *Table) Fence(name string, ts Tombstone) error {
 	t.mu.Lock()
@@ -127,6 +193,7 @@ func (t *Table) Fence(name string, ts Tombstone) error {
 func (t *Table) Unfence(name string) {
 	t.mu.Lock()
 	delete(t.tombs, name)
+	delete(t.parked, name)
 	t.mu.Unlock()
 	if err := t.disk.ClearTombstone(name); err != nil {
 		t.logf("remove tombstone %q: %v", name, err)

@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+	"time"
 )
 
 // downSet is a Liveness whose down peers are its true keys.
@@ -182,4 +186,96 @@ func TestElect(t *testing.T) {
 	if w, ok := Elect(ring, "t", source, downSet{source: true, cands[0]: true, cands[1]: true}); ok {
 		t.Fatalf("%s elected with every candidate down", w)
 	}
+}
+
+// TestRouteChainsEnd: over placements the table's own verbs reach, from
+// every shard, following Route ends within as many hops as there are
+// shards — at a shard that answers for the name (Here), one that holds it
+// parked, or one declared down, which a client cannot reach and retries.
+// Each trial is a ring of 2–5 shards and one topic created at its ring
+// owner, then moved by Handoff with every outcome — installed, refused,
+// ambiguous with the install landed or not — and resumed, under a random
+// Liveness. Without Parked a parked source and a ring owner that does not
+// hold the topic route to each other.
+func TestRouteChainsEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 500 {
+		n, name, live := 2+rng.Intn(4), fmt.Sprintf("x%d", trial), downSet{}
+		var peers []string
+		for i := range n {
+			peers = append(peers, fmt.Sprintf("http://s%d", i))
+		}
+		ring := testRing(t, peers...)
+		tr := &routeTransport{served: map[string]uint64{}, tables: map[string]*Table{}}
+		for _, p := range peers {
+			tr.tables[p] = NewTable(Membership{Self: p, Ring: ring}, live, newMemDisk(), map[string]Tombstone{}, t.Logf)
+		}
+		tr.register(ring.Owner(name), name, 0)
+		var log []string
+		for range 6 {
+			from, to := peers[rng.Intn(n)], peers[rng.Intn(n)]
+			epoch, holds := tr.served[from]
+			ts, parked := tr.tables[from].Tombstone(name)
+			switch parked = parked && slices.Contains(tr.tables[from].Parked(), name); {
+			case to == from || !holds && !parked:
+				continue
+			case parked:
+				epoch = ts.Epoch
+			default:
+				epoch++
+			}
+			tr.epoch, tr.land, tr.lost, tr.reachable = epoch, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
+			out, _, _ := Handoff(context.Background(), tr.tables[from], tr,
+				Retry{Attempts: 1, Sleep: func(context.Context, time.Duration) bool { return true }}, Transfer{Topic: name, Target: to, Epoch: epoch, Resumable: true})
+			if out == Installed || out == Ambiguous {
+				delete(tr.served, from)
+			}
+			log = append(log, fmt.Sprintf("%s→%s@%d land=%v lost=%v reachable=%v: outcome %d", from, to, epoch, tr.land, tr.lost, tr.reachable, out))
+		}
+		for _, p := range peers {
+			live[p] = rng.Intn(4) == 0
+		}
+		for _, entry := range peers {
+			for at, chain := entry, []string{entry}; !live.Down(at); chain = append(chain, at) {
+				_, holds := tr.served[at]
+				if rt := tr.tables[at].Route(name, holds); rt.Here || rt.Parked {
+					break
+				} else if at = rt.Owner; len(chain) == n {
+					t.Fatalf("trial %d: the route from %s does not end: %v (down %v; moves %v)", trial, entry, chain, live, log)
+				}
+			}
+		}
+	}
+}
+
+// routeTransport is one topic's cluster: the epoch each shard serves it at
+// and each shard's table. An install lands (registers at the target) or
+// not, its answer is lost or not, and placement queries reach or not.
+type routeTransport struct {
+	served                map[string]uint64
+	tables                map[string]*Table
+	epoch                 uint64
+	land, lost, reachable bool
+}
+
+func (r *routeTransport) register(peer, name string, epoch uint64) bool {
+	ok, _ := r.tables[peer].Register(name, epoch, func() bool { r.served[peer] = epoch; return true })
+	return ok
+}
+
+func (r *routeTransport) Install(_ context.Context, peer, name string, _ []byte) error {
+	switch {
+	case r.land && !r.register(peer, name, r.epoch):
+		return &Refusal{Err: errors.New("fenced")}
+	case r.lost:
+		return errLost
+	case !r.land:
+		return &Refusal{Err: errors.New("refused")}
+	}
+	return nil
+}
+
+func (r *routeTransport) Holds(_ context.Context, peer, name string, epoch uint64) (bool, bool) {
+	at, ok := r.served[peer]
+	return r.reachable && ok && at >= epoch, r.reachable
 }
