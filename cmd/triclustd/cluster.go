@@ -242,9 +242,11 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, *apiErr
 // the files — an ambiguous outcome, or a crash; one without a verdict is
 // parked and serves nothing until a resume reaches one. Its state is
 // reloaded from disk, any journal tail replayed (the verified startup
-// path), at the fencing epoch. One resume of a name runs at a time; a
-// second is refused retryably, and one that finds the hand-off finished
-// meanwhile answers topic_not_found, which refuse turns into a redirect.
+// path), at the fencing epoch. A target that refuses it gives the topic
+// back: the fence goes (cluster.Handoff) and this shard serves it again, as
+// after a refused live move. One resume of a name runs at a time; a second
+// is refused retryably, and one that finds the hand-off finished meanwhile
+// answers topic_not_found, which refuse turns into a redirect.
 func (s *server) resume(name, target string) (moveResponse, *apiError) {
 	if _, busy := s.resuming.LoadOrStore(name, true); busy {
 		return moveResponse{}, errParked(name)
@@ -261,17 +263,35 @@ func (s *server) resume(name, target string) (moveResponse, *apiError) {
 	if err != nil {
 		return moveResponse{}, errf(http.StatusInternalServerError, codeStorage, "reload pending snapshot: %w", err)
 	}
+	epoch := rt.Topic.Epoch()
 	rt.Topic.SetEpoch(where.Epoch)
-	return s.handOff(name, nil, rt.Topic, target)
+	resp, e := s.handOff(name, nil, rt.Topic, target)
+	if _, moved := s.table.Tombstone(name); !moved {
+		rt.Topic.SetEpoch(epoch)
+		s.takeBack(name, rt)
+	}
+	return resp, e
 }
 
-// resumeLoop keeps every redirect of this shard's tombstones ending at a
-// shard that answers, every -probe-interval. It drives each parked hand-off
-// to a verdict: cluster.Handoff retries the recorded move, which asks the
-// target, installs again when it is reachable and holds nothing, and keeps
-// the fence while it cannot be asked. And it re-points each tombstone whose
-// target the detector declares down at the candidate that took the topic
-// over.
+// takeBack serves rt, the state of name's refused hand-off, again as the
+// start-up scan would have: registered at the epoch it had before the move,
+// its journal reopened.
+func (s *server) takeBack(name string, rt *store.Restored) {
+	tp := s.newTopic(name, rt.Topic, true)
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	if ok, err := s.table.Register(name, rt.Topic.Epoch(), func() bool { return s.claim(tp) }); !ok {
+		s.logf("take back topic %q: the name is taken (%v)", name, err)
+		return
+	}
+	s.openJournal(tp, rt)
+	s.logf("took back topic %q (%d batches): its hand-off was refused", name, rt.Topic.Batches())
+}
+
+// resumeLoop drives each parked hand-off to a verdict, every
+// -probe-interval: cluster.Handoff retries the recorded move, which asks
+// the target, installs again when it is reachable and holds nothing, and
+// keeps the fence while it cannot be asked.
 func (s *server) resumeLoop(every time.Duration) {
 	for s.sleep(s.ctx, every) {
 		for _, name := range s.table.Parked() {
@@ -280,19 +300,6 @@ func (s *server) resumeLoop(every time.Duration) {
 			}
 			if _, e := s.resume(name, ""); e != nil {
 				s.logf("resume the hand-off of %q: %v", name, e)
-			}
-		}
-		for name, ts := range s.table.Orphaned() {
-			for _, c := range cluster.Candidates(s.table.Ring, name, ts.Target) {
-				if c == s.table.Self {
-					continue
-				}
-				if has, _ := s.peers.Holds(s.ctx, c, name, ts.Epoch); has {
-					if err := s.table.Retarget(name, ts, c); err != nil {
-						s.logf("re-point the tombstone of %q at %s: %v", name, c, err)
-					}
-					break
-				}
 			}
 		}
 	}

@@ -146,7 +146,7 @@ func (p *peerClient) Install(ctx context.Context, peer, name string, snapshot []
 	err := p.once(ctx, &peerCall{method: http.MethodPut, peer: peer, path: "/v1/topics/" + name, body: snapshot,
 		header: http.Header{"Content-Type": {mediaTypeSnapshot}, handoffHeader: {"1"}}}, nil)
 	if ae := (*apiError)(nil); errors.As(err, &ae) {
-		err = &cluster.Refusal{Exists: ae.code == codeTopicExists, Transient: ae.status >= 500, Err: err}
+		err = &cluster.Refusal{Exists: ae.code == codeTopicExists, Transient: ae.status >= 500, Fenced: ae.code == codeEpochMismatch, Err: err}
 	}
 	return err
 }

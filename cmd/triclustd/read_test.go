@@ -444,6 +444,24 @@ func TestReadPlaneSeesVocabFreeze(t *testing.T) {
 	}
 }
 
+// TestFeaturesOfAViewBeforeItsFreeze: a first batch freezes the engine's
+// vocabulary in its commit, before it publishes its view, so a /features
+// body built meanwhile for the batch-0 view must carry no vocabulary — a
+// torn read TestClusterSim's concurrent event found. Here the window is
+// held open: the view is taken before the batch and rendered after it.
+func TestFeaturesOfAViewBeforeItsFreeze(t *testing.T) {
+	tp := &topic{name: "t", eng: controlTopic(t, harnessCreateReq(1))}
+	v := tp.eng.ReadView()
+	req := harnessBatch(1, 1)
+	if _, err := tp.eng.Process(req.Time, specTweets(req)); err != nil {
+		t.Fatal(err)
+	}
+	var got featuresResponse
+	if body, err := marshalFeatures(tp, v); err != nil || json.Unmarshal(body, &got) != nil || len(got.Vocabulary) != 0 {
+		t.Fatalf("features of the batch-0 view once the first batch froze the vocabulary: %s %v", body, err)
+	}
+}
+
 // TestHealthzAnswersDuringSolve: with replication on, /v1/healthz is the
 // failure detector's probe target and /v1/cluster/info?topic= the
 // placement query every move and promotion asks — neither may wait for a

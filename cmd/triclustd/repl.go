@@ -206,18 +206,21 @@ func (s *server) replShip(tp *topic, frame []byte, async bool) *apiError {
 }
 
 // fenceLocal demotes this shard's copy of a topic (why says who outranked
-// it): it is retired, a tombstone at the given epoch written (so clients
-// are redirected to target and stale-epoch state cannot re-register), and
-// its files dropped. A topic retired already stays as it is. Caller holds
-// tp.mu.
+// it): a tombstone at the given epoch is written (so clients are redirected
+// to target and stale-epoch state cannot re-register), the copy retired,
+// and its files dropped. The tombstone goes first, as in a hand-off: the
+// copy that outranks this one may register here the moment the name is
+// free, and must clear the tombstone, not be followed by it. A topic
+// retired already stays as it is. Caller holds tp.mu.
 func (s *server) fenceLocal(tp *topic, epoch uint64, target, why string) {
-	if !s.retire(tp) {
+	if tp.state.Load() == stRetired {
 		return
 	}
 	s.logf("topic %q: %s; demoting local copy", tp.name, why)
 	if err := s.table.Fence(tp.name, cluster.Tombstone{Epoch: epoch, Target: target}); err != nil {
 		s.logf("fence %q: tombstone not persisted: %v", tp.name, err)
 	}
+	s.retire(tp)
 	s.store.RemoveStale(tp.name, s.diskOf)
 }
 
@@ -429,11 +432,10 @@ func (r *replicator) reconcileStartup() {
 
 // rebalanceLoop converges this shard's held topics onto the ring,
 // -rebalance-interval after its last round ended: topics whose ring owner
-// is a different live peer — or, that owner down, whose first live
-// candidate is — are handed off through the ordinary move path, so each
-// topic ends where routing sends it. Because placement is a consistent
-// hash, the plan is exactly the minimal remap for whatever peers died or
-// returned — topics still mapping here never move.
+// is a different live peer are handed off through the ordinary move path.
+// Because placement is a consistent hash, the plan is exactly the minimal
+// remap for whatever peers died or returned — topics still mapping here
+// never move.
 func (r *replicator) rebalanceLoop() {
 	for r.s.sleep(r.s.ctx, r.opts.RebalanceInterval) {
 		r.rebalanceOnce()
@@ -446,7 +448,7 @@ func (r *replicator) rebalanceOnce() {
 	for _, tp := range s.served() {
 		held = append(held, tp.name)
 	}
-	for _, mv := range cluster.PlanRebalance(s.table.Ring, s.table.Self, held, r.det) {
+	for _, mv := range cluster.PlanRebalance(s.table.Ring, s.table.Self, held, func(p string) bool { return !r.det.Down(p) }) {
 		if s.ctx.Err() != nil {
 			return
 		}

@@ -652,15 +652,7 @@ func (s *server) newTopic(name string, tr *triclust.Topic, saved bool) *topic {
 // holds tp.mu from before the registration, so no request reaches the
 // topic until the step is decided.
 func (s *server) persistNew(tp *topic, epoch uint64) *apiError {
-	ok, err := s.table.Register(tp.name, epoch, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		_, taken := s.topics[tp.name]
-		if !taken {
-			s.topics[tp.name] = tp
-		}
-		return !taken
-	})
+	ok, err := s.table.Register(tp.name, epoch, func() bool { return s.claim(tp) })
 	if err != nil {
 		return errf(http.StatusConflict, codeEpochMismatch, "%w", err)
 	} else if !ok {
@@ -676,6 +668,18 @@ func (s *server) persistNew(tp *topic, epoch uint64) *apiError {
 		return errf(http.StatusInternalServerError, codeStorage, "topic not persisted: %w", err)
 	}
 	return nil
+}
+
+// claim registers tp under its name unless the name is taken, and reports
+// whether it did: the insert of cluster.Table.Register.
+func (s *server) claim(tp *topic) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, taken := s.topics[tp.name]
+	if !taken {
+		s.topics[tp.name] = tp
+	}
+	return !taken
 }
 
 // lookup resolves the request's topic, routing it to the owning shard
@@ -1068,8 +1072,14 @@ func (s *server) exportSnapshot(w http.ResponseWriter, r *http.Request) *apiErro
 // topic's cached body is for a different ETag, i.e. at most once per
 // committed batch per topic.
 func marshalFeatures(tp *topic, v triclust.ReadView) ([]byte, error) {
+	// The engine freezes its vocabulary once, in a first batch's commit,
+	// before that batch's view is published: a view not yet frozen has none.
+	var vocab []string
+	if v.Frozen() {
+		vocab = tp.eng.Vocabulary()
+	}
 	return json.Marshal(featuresResponse{
-		Vocabulary:  tp.eng.Vocabulary(),
+		Vocabulary:  vocab,
 		Features:    toJSON(v.FeatureSentiments()),
 		Convergence: convergenceOf(v),
 	})

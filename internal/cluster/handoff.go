@@ -19,10 +19,12 @@ type Transport interface {
 
 // Refusal is a target's answer that it did not install a hand-off. Exists
 // says the name is taken there, which may be this very hand-off landed
-// earlier; Transient, that the target failed (a 5xx) and a retry may not.
+// earlier; Transient, that the target failed (a 5xx) and a retry may not;
+// Fenced, that its tombstone refuses the epoch: the topic passed through
+// the target at that epoch or a later one.
 type Refusal struct {
-	Exists, Transient bool
-	Err               error
+	Exists, Transient, Fenced bool
+	Err                       error
 }
 
 func (r *Refusal) Error() string { return r.Err.Error() }
@@ -32,7 +34,7 @@ func (r *Refusal) Unwrap() error { return r.Err }
 type Outcome int
 
 const (
-	Installed Outcome = iota // the target Handoff returns serves the topic; the tombstone names it
+	Installed Outcome = iota // the target Handoff returns serves the topic, or served it and passed it on; the tombstone names it
 	Refused                  // the target installed nothing
 	Ambiguous                // the install may have landed
 	Unfenced                 // the tombstone could not be written; nothing was sent
@@ -59,7 +61,13 @@ type Transfer struct {
 // another target than its tombstone first asks the recorded one: if that
 // holds the topic, the interrupted hand-off landed there, and the tombstone
 // keeps naming it. An ambiguous hand-off of resumable state stays Parked
-// until a later Handoff of it installs.
+// until a later Handoff of it reaches a verdict; a resume decides only on
+// an answer that settles it. Refused by the target's fence, it is
+// Installed: the topic reached the target, or a later epoch of it did, and
+// the tombstone leads on from there. Refused by a target that failed (a
+// 5xx), it stays Ambiguous: the target may hold it parked or have passed it
+// on. Refused otherwise, the fence goes, as for a refused live hand-off,
+// and the caller serves the state again.
 func Handoff(ctx context.Context, t *Table, tr Transport, r Retry, x Transfer) (Outcome, string, error) {
 	prev, resumed := t.Tombstone(x.Topic)
 	if resumed && prev.Target != x.Target {
@@ -75,12 +83,20 @@ func Handoff(ctx context.Context, t *Table, tr Transport, r Retry, x Transfer) (
 	if err == nil {
 		out, err = install(ctx, tr, r, x)
 	}
+	if refusal := (*Refusal)(nil); resumed && out == Refused && errors.As(err, &refusal) {
+		switch {
+		case refusal.Fenced:
+			out, err = Installed, nil
+		case refusal.Transient:
+			out = Ambiguous
+		}
+	}
 	switch {
 	case out == Installed:
 		t.settle(x.Topic)
 	case out == Ambiguous && x.Resumable:
 		t.Park(x.Topic)
-	case !resumed:
+	case !resumed || out == Refused:
 		t.Unfence(x.Topic)
 	}
 	return out, x.Target, err
@@ -104,12 +120,12 @@ func install(ctx context.Context, tr Transport, r Retry, x Transfer) (Outcome, e
 		case has:
 			out = Installed
 			return true, nil
-		case answered && refusal.Exists:
-			out = Refused // the name is taken there by other state
-			return true, err
 		case !reachable:
 			answered = false
 			return true, fmt.Errorf("outcome unknown and %s cannot be asked: %w", x.Target, err)
+		case answered && refusal.Exists:
+			out = Refused // the name is taken there by other state
+			return true, err
 		}
 		return false, err
 	})

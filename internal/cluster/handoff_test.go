@@ -199,7 +199,9 @@ func TestHandoffUnwrittenFenceSendsNothing(t *testing.T) {
 // than the tombstone first asks the recorded one. Holding the topic, it is
 // where the interrupted hand-off landed: nothing is sent and the tombstone
 // keeps it. Unreachable, the resume re-points to the new target; refused
-// there, the topic stays fenced.
+// there, the fence goes and the source takes the topic back, unless the new
+// target's own fence refused it: the topic passed through there, and the
+// tombstone leads on.
 func TestHandoffResumeAsksRecordedTarget(t *testing.T) {
 	resumeTo := func(tr *fakeTransport) *handoffFixture {
 		fx := newHandoffFixture(t, nil, tr)
@@ -224,9 +226,15 @@ func TestHandoffResumeAsksRecordedTarget(t *testing.T) {
 	}
 	fx.fenced(t, Tombstone{1, "http://b"})
 
-	fx = resumeTo(&fakeTransport{installs: []error{&Refusal{Err: errors.New("409")}}, queries: []holds{{false, true}}})
+	fx = resumeTo(&fakeTransport{installs: []error{&Refusal{Err: errors.New("400")}}, queries: []holds{{false, true}}})
 	if res := fx.run(); res.Outcome != Refused {
 		t.Fatalf("refused resume: %+v", res)
+	}
+	fx.fenced(t, Tombstone{})
+
+	fx = resumeTo(&fakeTransport{installs: []error{&Refusal{Fenced: true, Err: errors.New("409 epoch_mismatch")}}, queries: []holds{{false, true}}})
+	if res := fx.run(); res.Outcome != Installed || res.Target != "http://b" || res.Err != nil {
+		t.Fatalf("resume refused by the target's fence: %+v, want installed on http://b", res)
 	}
 	fx.fenced(t, Tombstone{1, "http://b"})
 }

@@ -15,26 +15,22 @@ type Move struct {
 // arc changed hands — the plan *is* the minimal remap; topics the ring
 // still assigns to self never appear in it.
 //
-// A topic whose owner live reports down goes where routing sends it
-// meanwhile, the owner's first live candidate (Elect), and home again once
-// the owner answers probes; with no live candidate it stays put. The plan
-// is ordered deterministically (by topic name) so concurrent planners on
-// different shards interleave predictably and logs are comparable across
-// runs.
-func PlanRebalance(r *Ring, self string, held []string, live Liveness) []Move {
+// Topics whose new owner is reported down by alive are skipped (moving a
+// topic onto a dead shard would just lose it again); they reappear in the
+// next plan once the owner answers probes. The plan is ordered
+// deterministically (by topic name) so concurrent planners on different
+// shards interleave predictably and logs are comparable across runs.
+func PlanRebalance(r *Ring, self string, held []string, alive func(peer string) bool) []Move {
 	var out []Move
 	for _, t := range held {
 		owner := r.Owner(t)
-		if live != nil && live.Down(owner) {
-			alt, ok := Elect(r, t, owner, live)
-			if !ok {
-				continue
-			}
-			owner = alt
+		if owner == self {
+			continue
 		}
-		if owner != self {
-			out = append(out, Move{Topic: t, To: owner})
+		if alive != nil && !alive(owner) {
+			continue
 		}
+		out = append(out, Move{Topic: t, To: owner})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Topic < out[j].Topic })
 	return out

@@ -335,17 +335,15 @@ func TestPlanRebalance(t *testing.T) {
 	if !reflect.DeepEqual(got, wantMoved) {
 		t.Fatalf("plan moves %v, want %v", got, wantMoved)
 	}
-	// A dead owner's topics go to its first live candidate, where routing
-	// sends them, or stay put when that candidate is this shard.
+	// Dead owners are skipped; their topics stay put until they answer.
 	deadOwner := plan[0].To
-	live := downSet{deadOwner: true}
-	for _, mv := range PlanRebalance(r, "http://a", held, live) {
-		want := r.Owner(mv.Topic)
-		if want == deadOwner {
-			want, _ = Elect(r, mv.Topic, deadOwner, live)
+	filtered := PlanRebalance(r, "http://a", held, func(p string) bool { return p != deadOwner })
+	for _, mv := range filtered {
+		if mv.To == deadOwner {
+			t.Fatalf("plan moves %q onto the dead peer %s", mv.Topic, deadOwner)
 		}
-		if mv.To == deadOwner || mv.To != want || mv.To == "http://a" {
-			t.Fatalf("plan moves %q to %s with %s down, want %s", mv.Topic, mv.To, deadOwner, want)
-		}
+	}
+	if len(filtered) >= len(plan) {
+		t.Fatalf("filtering a dead owner did not shrink the plan (%d vs %d)", len(filtered), len(plan))
 	}
 }

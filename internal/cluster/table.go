@@ -145,35 +145,6 @@ func (t *Table) Parked() []string {
 	return slices.Sorted(maps.Keys(t.parked))
 }
 
-// Orphaned returns the confirmed tombstones whose target is declared down:
-// their topic lives on, if anywhere, where a candidate promoted it.
-func (t *Table) Orphaned() map[string]Tombstone {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[string]Tombstone)
-	for name, ts := range t.tombs {
-		if !t.parked[name] && t.live != nil && t.live.Down(ts.Target) {
-			out[name] = ts
-		}
-	}
-	return out
-}
-
-// Retarget re-points name's tombstone ts, if it still stands as it was, at
-// target — a shard holding the topic past ts.Epoch, as a tombstone's target
-// always is.
-func (t *Table) Retarget(name string, ts Tombstone, target string) error {
-	t.mu.Lock()
-	if cur, ok := t.tombs[name]; !ok || cur != ts || t.parked[name] {
-		t.mu.Unlock()
-		return nil
-	}
-	ts.Target = target
-	t.tombs[name] = ts
-	t.mu.Unlock()
-	return t.disk.SetTombstone(name, ts)
-}
-
 // settle records name's hand-off verdict: the tombstone's target holds it.
 func (t *Table) settle(name string) {
 	t.mu.Lock()

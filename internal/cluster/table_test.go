@@ -193,13 +193,18 @@ func TestElect(t *testing.T) {
 // shards — at a shard that answers for the name (Here), one that holds it
 // parked, or one declared down, which a client cannot reach and retries.
 // Each trial is a ring of 2–5 shards and one topic created at its ring
-// owner, then moved by Handoff with every outcome — installed, refused,
-// ambiguous with the install landed or not — and resumed, under a random
-// Liveness. Without Parked a parked source and a ring owner that does not
-// hold the topic route to each other.
+// owner, then moved by Handoff with every outcome — installed, refused by a
+// fence or otherwise, ambiguous with the install landed or not — and
+// resumed toward its recorded target, a refused resume taken back by its
+// source as the daemon does, under a random Liveness. (An operator's
+// re-point to another target is TestHandoffResumeAsksRecordedTarget's.) Then every target answers, and one resume of
+// each parked hand-off must reach a verdict: no shard stays parked, one
+// serves the topic, and the chains end as before. Without Parked a parked source and a ring owner that
+// does not hold the topic route to each other; without the fence's verdict a
+// resume whose target passed the topic on stays parked.
 func TestRouteChainsEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := range 500 {
+	for trial := range 2000 {
 		n, name, live := 2+rng.Intn(4), fmt.Sprintf("x%d", trial), downSet{}
 		var peers []string
 		for i := range n {
@@ -212,65 +217,98 @@ func TestRouteChainsEnd(t *testing.T) {
 		}
 		tr.register(ring.Owner(name), name, 0)
 		var log []string
-		for range 6 {
-			from, to := peers[rng.Intn(n)], peers[rng.Intn(n)]
+		handoff := func(from, to string) {
 			epoch, holds := tr.served[from]
 			ts, parked := tr.tables[from].Tombstone(name)
 			switch parked = parked && slices.Contains(tr.tables[from].Parked(), name); {
-			case to == from || !holds && !parked:
-				continue
+			case to == from && !parked || !holds && !parked:
+				return
 			case parked:
-				epoch = ts.Epoch
+				to, epoch = ts.Target, ts.Epoch
 			default:
 				epoch++
 			}
-			tr.epoch, tr.land, tr.lost, tr.reachable = epoch, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
+			tr.epoch, tr.land = epoch, tr.healthy || rng.Intn(2) == 0
 			out, _, _ := Handoff(context.Background(), tr.tables[from], tr,
 				Retry{Attempts: 1, Sleep: func(context.Context, time.Duration) bool { return true }}, Transfer{Topic: name, Target: to, Epoch: epoch, Resumable: true})
-			if out == Installed || out == Ambiguous {
+			if _, fenced := tr.tables[from].Tombstone(name); out == Installed || out == Ambiguous {
 				delete(tr.served, from)
+			} else if parked && !fenced {
+				tr.register(from, name, epoch-1)
 			}
 			log = append(log, fmt.Sprintf("%s→%s@%d land=%v lost=%v reachable=%v: outcome %d", from, to, epoch, tr.land, tr.lost, tr.reachable, out))
+		}
+		chainsEnd := func() {
+			for _, entry := range peers {
+				for at, chain := entry, []string{entry}; !live.Down(at); chain = append(chain, at) {
+					_, holds := tr.served[at]
+					if rt := tr.tables[at].Route(name, holds); rt.Here || rt.Parked {
+						break
+					} else if at = rt.Owner; len(chain) == n {
+						t.Fatalf("trial %d: the route from %s does not end: %v (down %v; moves %v)", trial, entry, chain, live, log)
+					}
+				}
+			}
+		}
+		for range 6 {
+			tr.lost, tr.reachable = rng.Intn(2) == 0, rng.Intn(2) == 0
+			handoff(peers[rng.Intn(n)], peers[rng.Intn(n)])
 		}
 		for _, p := range peers {
 			live[p] = rng.Intn(4) == 0
 		}
-		for _, entry := range peers {
-			for at, chain := entry, []string{entry}; !live.Down(at); chain = append(chain, at) {
-				_, holds := tr.served[at]
-				if rt := tr.tables[at].Route(name, holds); rt.Here || rt.Parked {
-					break
-				} else if at = rt.Owner; len(chain) == n {
-					t.Fatalf("trial %d: the route from %s does not end: %v (down %v; moves %v)", trial, entry, chain, live, log)
-				}
+		chainsEnd()
+		tr.lost, tr.reachable = false, true
+		for _, p := range peers {
+			if ts, parked := tr.tables[p].Tombstone(name); parked {
+				tr.healthy = true
+				handoff(p, ts.Target)
+				tr.healthy = false
+			}
+			if parked := tr.tables[p].Parked(); len(parked) > 0 {
+				t.Fatalf("trial %d: %s stays parked after a resume its target answered (moves %v)", trial, p, log)
 			}
 		}
+		if len(tr.served) != 1 {
+			t.Fatalf("trial %d: after every resume the topic is served at %v, want one shard (moves %v)", trial, tr.served, log)
+		}
+		chainsEnd()
 	}
 }
 
 // routeTransport is one topic's cluster: the epoch each shard serves it at
-// and each shard's table. An install lands (registers at the target) or
-// not, its answer is lost or not, and placement queries reach or not.
+// and each shard's table. An install lands or fails on the target (a 5xx),
+// its answer is lost or not, and placement queries reach or not; one that
+// lands is refused, as the daemon refuses it, by the target's fence or by
+// the name taken there.
 type routeTransport struct {
-	served                map[string]uint64
-	tables                map[string]*Table
-	epoch                 uint64
-	land, lost, reachable bool
+	served                         map[string]uint64
+	tables                         map[string]*Table
+	epoch                          uint64
+	land, lost, reachable, healthy bool
 }
 
-func (r *routeTransport) register(peer, name string, epoch uint64) bool {
-	ok, _ := r.tables[peer].Register(name, epoch, func() bool { r.served[peer] = epoch; return true })
-	return ok
+func (r *routeTransport) register(peer, name string, epoch uint64) (bool, error) {
+	return r.tables[peer].Register(name, epoch, func() bool {
+		_, taken := r.served[peer]
+		if !taken {
+			r.served[peer] = epoch
+		}
+		return !taken
+	})
 }
 
 func (r *routeTransport) Install(_ context.Context, peer, name string, _ []byte) error {
-	switch {
-	case r.land && !r.register(peer, name, r.epoch):
-		return &Refusal{Err: errors.New("fenced")}
+	if !r.land {
+		return &Refusal{Transient: true, Err: errors.New("500")}
+	}
+	switch ok, err := r.register(peer, name, r.epoch); {
+	case err != nil:
+		return &Refusal{Fenced: true, Err: err}
+	case !ok:
+		return &Refusal{Exists: true, Err: errors.New("topic_exists")}
 	case r.lost:
 		return errLost
-	case !r.land:
-		return &Refusal{Err: errors.New("refused")}
 	}
 	return nil
 }
