@@ -1,13 +1,12 @@
 package main
 
 // The cluster test harness: several complete shards — full daemons with
-// their own data directories — run in one process behind httptest
-// listeners, so `go test -race` observes every cross-shard interaction.
-// Each listener fronts a switchable handler, which is how the harness
+// their own data directories — run in one process on an in-process
+// network, so `go test -race` observes every cross-shard interaction.
+// Each shard sits behind a switchable front, which is how the harness
 // "kills" a shard: the handler is swapped out (new requests answer 503),
 // in-flight requests are drained, and a fresh server is booted from the
-// shard's data directory — exactly a process crash plus restart, minus
-// the port juggling.
+// shard's data directory — exactly a process crash plus restart.
 //
 // TestClusterSim (sim_test.go) drives the shards through seeded schedules
 // of traffic and faults and holds every topic to the determinism bar: its
@@ -17,15 +16,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,15 +93,20 @@ func (sh *shardHandler) swap(h http.Handler) {
 
 type testShard struct {
 	dir string
-	hs  *httptest.Server
 	sh  *shardHandler
 	srv *server
 	fs  fault.FS // nil: the cluster's opts.fs
 	// transport carries the shard's peer requests (nil: the cluster's
-	// opts.peer.Transport).
+	// opts.peer.Transport, or else the cluster's network).
 	transport http.RoundTripper
 }
 
+// testCluster is the harness's network as well: its RoundTrip serves a
+// request in process, on the caller's goroutine, through the front of the
+// shard its URL names, so a handler has returned by the time its client
+// reads the answer, and a shard needs no listener. Its shards are
+// http://shard0, http://shard1, …, so a name lands on the same shard on
+// every run.
 type testCluster struct {
 	t      *testing.T
 	clock  *fault.Clock // nil: the shards wait on the wall clock
@@ -114,37 +120,47 @@ type testCluster struct {
 	client *http.Client
 	// noRedirect surfaces 307s for asserting on routing itself.
 	noRedirect *http.Client
+	// logs holds every line the shards logged, in order (see logf).
+	logMu sync.Mutex
+	logs  []string
 }
+
+// onNet is embedded by a peer transport that fails or loses requests on
+// their way: the harness points net at its network before the first boot.
+type onNet struct{ net http.RoundTripper }
+
+func (o *onNet) over(net http.RoundTripper) { o.net = net }
 
 // newTestCluster boots n shards with fresh data directories. persistent
 // false runs the cluster fully in memory (no -data-dir).
 func newTestCluster(t *testing.T, n int, opts serverOptions, persistent bool) *testCluster {
+	return newCluster(t, n, opts, persistent, nil)
+}
+
+// newClockedCluster is newTestCluster, persistent, with every shard's
+// loops waiting on one manual clock that tick steps, and no retry backoff.
+func newClockedCluster(t *testing.T, n int, opts serverOptions) *testCluster {
+	opts.peer.Backoff = noBackoff
+	return newCluster(t, n, opts, true, fault.NewClock())
+}
+
+func newCluster(t *testing.T, n int, opts serverOptions, persistent bool, clock *fault.Clock) *testCluster {
 	t.Helper()
-	tc := &testCluster{
-		t:      t,
-		opts:   opts,
-		vnodes: 32,
-		client: &http.Client{Timeout: 60 * time.Second},
-		noRedirect: &http.Client{
-			Timeout: 60 * time.Second,
-			CheckRedirect: func(*http.Request, []*http.Request) error {
-				return http.ErrUseLastResponse
-			},
-		},
+	tc := &testCluster{t: t, clock: clock, opts: opts, vnodes: 32}
+	tc.client = &http.Client{Transport: tc}
+	tc.noRedirect = &http.Client{Transport: tc, CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	if w, ok := opts.peer.Transport.(interface{ over(http.RoundTripper) }); ok {
+		w.over(tc)
 	}
-	// The ring needs every peer URL, and httptest assigns URLs at listener
-	// start — so start all listeners on placeholder handlers first, then
-	// boot the servers against the complete peer list.
-	for i := 0; i < n; i++ {
-		sh := &shardHandler{}
-		hs := httptest.NewServer(sh)
-		t.Cleanup(hs.Close)
+	for i := range n {
 		dir := ""
 		if persistent {
 			dir = t.TempDir()
 		}
-		tc.shards = append(tc.shards, &testShard{dir: dir, hs: hs, sh: sh})
-		tc.peers = append(tc.peers, hs.URL)
+		tc.shards = append(tc.shards, &testShard{dir: dir, sh: &shardHandler{}})
+		tc.peers = append(tc.peers, fmt.Sprintf("http://shard%d", i))
 	}
 	ring, err := cluster.New(tc.peers, tc.vnodes)
 	if err != nil {
@@ -157,12 +173,37 @@ func newTestCluster(t *testing.T, n int, opts serverOptions, persistent bool) *t
 	return tc
 }
 
+// RoundTrip is the harness's network (see testCluster).
+func (tc *testCluster) RoundTrip(req *http.Request) (*http.Response, error) {
+	i := slices.Index(tc.peers, "http://"+req.URL.Host)
+	if i < 0 {
+		return nil, fmt.Errorf("%s is no shard of this cluster", req.URL.Host)
+	}
+	r := req.Clone(req.Context())
+	r.RequestURI = req.URL.RequestURI()
+	if r.Body == nil {
+		r.Body = http.NoBody
+	}
+	rec := httptest.NewRecorder()
+	tc.shards[i].sh.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// logf is every shard's log: the test's log, and tc.logs.
+func (tc *testCluster) logf(format string, args ...any) {
+	tc.logMu.Lock()
+	tc.logs = append(tc.logs, fmt.Sprintf(format, args...))
+	tc.logMu.Unlock()
+	tc.t.Logf(format, args...)
+}
+
 // boot (re)starts shard i's server from its data directory and swaps it
-// live.
+// live. On the manual clock each of its waits is keyed by the shard and
+// the function that waits, so tick wakes the loops in one order.
 func (tc *testCluster) boot(i int) {
 	tc.t.Helper()
 	sd := tc.shards[i]
-	cc, err := newMembership(sd.hs.URL, strings.Join(tc.peers, ","), tc.vnodes)
+	cc, err := newMembership(tc.peers[i], strings.Join(tc.peers, ","), tc.vnodes)
 	if err != nil {
 		tc.t.Fatalf("shard %d cluster config: %v", i, err)
 	}
@@ -173,8 +214,16 @@ func (tc *testCluster) boot(i int) {
 	}
 	if sd.transport != nil {
 		opts.peer.Transport = sd.transport
+	} else if opts.peer.Transport == nil {
+		opts.peer.Transport = tc
 	}
-	s, err := newServer(sd.dir, opts, tc.t.Logf)
+	if tc.clock != nil {
+		opts.sleep = func(ctx context.Context, d time.Duration) bool {
+			pc, _, _, _ := runtime.Caller(1)
+			return tc.clock.SleepAs(ctx, d, fmt.Sprint(i, " ", runtime.FuncForPC(pc).Name()))
+		}
+	}
+	s, err := newServer(sd.dir, opts, tc.logf)
 	if err != nil {
 		tc.t.Fatalf("shard %d boot: %v", i, err)
 	}
@@ -182,10 +231,9 @@ func (tc *testCluster) boot(i int) {
 	tc.t.Cleanup(s.Close)
 	sd.srv = s
 	sd.sh.swap(s)
-	tc.awaitReady(i)
 }
 
-// killShard takes shard i down for good: the listener answers 503, the
+// killShard takes shard i down for good: its front answers 503, the
 // in-flight requests drain, and the server object — detector, resync
 // worker, replica handles — is shut down. Unlike kill()+boot(), nothing
 // comes back: this is the process death the failover machinery exists
@@ -202,25 +250,20 @@ func (tc *testCluster) killShard(i int) {
 // needs.
 var noBackoff = cluster.Backoff{Base: 1, Max: 1}
 
-// newClockedCluster is newTestCluster, persistent, with every shard's
-// loops waiting on one manual clock that tick advances, and no retry
-// backoff.
-func newClockedCluster(t *testing.T, n int, opts serverOptions) *testCluster {
-	clock := fault.NewClock()
-	opts.sleep, opts.peer.Backoff = clock.Sleep, noBackoff
-	tc := newTestCluster(t, n, opts, true)
-	tc.clock = clock
-	return tc
-}
-
-// tick advances the manual clock one probe interval once every loop of
-// every live shard is parked on it, and returns once all of them have
-// parked again: each loop due ran exactly one round.
+// tick moves the manual clock one probe interval once every loop of every
+// live shard is parked on it, and returns once all of them have parked
+// again: each loop due ran exactly one round. The loops run one at a time,
+// in the order of their keys (see boot), so a tick has one outcome; the
+// race leg wakes them all at once instead.
 func (tc *testCluster) tick() {
 	tc.t.Helper()
 	tc.parkLoops()
-	tc.clock.Advance(tc.opts.repl.ProbeInterval)
-	tc.parkLoops()
+	if raceLeg {
+		tc.clock.Advance(tc.opts.repl.ProbeInterval)
+		tc.parkLoops()
+		return
+	}
+	tc.clock.Step(tc.opts.repl.ProbeInterval, tc.parkLoops)
 }
 
 // parkLoops waits until every loop of every live shard is parked: the
@@ -295,22 +338,8 @@ func eventually(cond func() bool) bool {
 	return true
 }
 
-// awaitReady polls the shard's /v1/healthz until it answers — the
-// readiness gate the healthz endpoint exists for.
-func (tc *testCluster) awaitReady(i int) {
-	tc.t.Helper()
-	url := tc.shards[i].hs.URL + "/v1/healthz"
-	if !eventually(func() bool {
-		var hr healthResponse
-		code, err := doJSON(tc.client, "GET", url, nil, &hr)
-		return err == nil && code == http.StatusOK && hr.Status == "ok"
-	}) {
-		tc.t.Fatalf("shard %d never became healthy", i)
-	}
-}
-
 // url returns shard i's base URL.
-func (tc *testCluster) url(i int) string { return tc.shards[i].hs.URL }
+func (tc *testCluster) url(i int) string { return tc.peers[i] }
 
 // ownerIdx resolves the ring owner of a topic to a shard index.
 func (tc *testCluster) ownerIdx(topic string) int { return tc.peerIdx(tc.ring.Owner(topic)) }
@@ -467,6 +496,13 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 	if info.Topic == nil || !info.Topic.Local || info.Topic.Epoch != 1 {
 		t.Fatalf("target placement %+v", info.Topic)
 	}
+	// The placement query a hand-off and a promotion rest on answers for
+	// the epoch it is asked about.
+	for epoch, want := range []bool{true, true, false} {
+		if has, ok := tc.shards[src].srv.peers.Holds(t.Context(), tc.url(dst), name, uint64(epoch)); has != want || !ok {
+			t.Fatalf("Holds(%s at epoch ≥ %d) = %v, %v; the target serves it at epoch 1", name, epoch, has, ok)
+		}
+	}
 
 	// Epoch fencing: installing the stale pre-move snapshot (epoch 0) on
 	// the source — even through the hand-off path — is refused.
@@ -566,70 +602,6 @@ func errCode2(t *testing.T, client *http.Client, method, url string, body any) (
 		t.Fatal(err)
 	}
 	return a.code, a.ec
-}
-
-// lostAckTransport performs every request for real, but reports the first
-// hand-off PUT's response as lost: the target installed the topic, the
-// source only sees a transport error.
-type lostAckTransport struct {
-	lost atomic.Bool
-}
-
-func (l *lostAckTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err == nil && req.Header.Get(handoffHeader) != "" && l.lost.CompareAndSwap(false, true) {
-		resp.Body.Close()
-		return nil, fmt.Errorf("injected: the response to %s %s was lost", req.Method, req.URL.Path)
-	}
-	return resp, err
-}
-
-// TestClusterMoveLostInstallAck: the hand-off PUT lands but its ack does
-// not. The source must neither un-fence (two owners) nor park the move
-// (the target can be asked): the placement query at the hand-off epoch
-// finds the topic installed, and the move completes.
-func TestClusterMoveLostInstallAck(t *testing.T) {
-	transport := &lostAckTransport{}
-	tc := newTestCluster(t, 3, serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		peer:    fastPeer(transport),
-	}, true)
-	name := harnessTopicName(5)
-	src := tc.ownerIdx(name)
-	dst := (src + 1) % 3
-	tc.retryJSON("POST", tc.url(src)+"/v1/topics", harnessCreateReq(5), nil, http.StatusCreated)
-	ctl := controlTopic(t, harnessCreateReq(5))
-	for day := 1; day <= 3; day++ {
-		tc.retryJSON("POST", tc.url(src)+"/v1/topics/"+name+"/batches", harnessBatch(5, day), nil, http.StatusOK)
-		if _, err := ctl.Process(day, specTweets(harnessBatch(5, day))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var mv moveResponse
-	code, err := doJSON(tc.client, "POST", tc.url(src)+"/v1/cluster/move",
-		moveRequest{Topic: name, Target: tc.url(dst)}, &mv)
-	if err != nil || code != http.StatusOK || mv.Epoch != 1 || mv.Batches != 3 {
-		t.Fatalf("move with a lost install ack: %d %v %+v", code, err, mv)
-	}
-	if !transport.lost.Load() {
-		t.Fatal("the hand-off PUT never crossed the transport")
-	}
-
-	ctl.SetEpoch(1)
-	var want bytes.Buffer
-	if err := ctl.Snapshot(&want); err != nil {
-		t.Fatal(err)
-	}
-	if got := fetchSnapshot(t, tc.noRedirect, tc.url(dst)+"/v1/topics/"+name+"/snapshot"); !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("target snapshot (%d bytes) differs from the control (%d bytes)", len(got), want.Len())
-	}
-	if tp, pl := tc.shards[src].srv.route(name); tp != nil || !pl.Moved || pl.Owner != tc.url(dst) || pl.Epoch != 1 {
-		t.Fatalf("source placement after the move: %+v, want a tombstone to %s at epoch 1", pl, tc.url(dst))
-	}
-	if dirStore(t, tc.shards[src].dir).HasSnapshot(name) {
-		t.Fatal("source still holds the snapshot of a topic it handed off")
-	}
 }
 
 // TestMoveRequiresClusterMode pins the single-process behavior of the

@@ -3,15 +3,12 @@ package main
 // Fault-injection scenarios for journal-shipped replication, each pinning
 // what one schedule alone shows (TestClusterSim explores the schedules): a
 // zombie primary fenced by its next ship, idle followers converging, a
-// restarted primary re-seeding, promotions that cascade past a dead
-// candidate, fail and retry, or fail to become durable, and the move
-// corner cases whose hand-off is ambiguous. The failover scenarios hold
-// the promoted topic to a single-process control run, byte for byte.
+// restarted primary fenced at start-up, a promotion held back by a live
+// holder, and the move corner cases whose hand-off is ambiguous.
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -75,8 +72,9 @@ func (tc *testCluster) awaitServedAt(name string, wantEpoch uint64, live []int) 
 }
 
 // gateTransport fails every inter-shard request whose path starts with
-// prefix until open is set; the rest pass to the default transport.
+// prefix until open is set; the rest pass to the harness's network.
 type gateTransport struct {
+	onNet
 	prefix string
 	open   atomic.Bool
 }
@@ -88,7 +86,7 @@ func (g *gateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		return nil, fmt.Errorf("gate closed: %s %s", req.Method, req.URL.Path)
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	return g.net.RoundTrip(req)
 }
 
 // ownedBy returns n topic names whose ring owner is shard i.
@@ -168,34 +166,6 @@ func TestResyncConvergesIdleTopics(t *testing.T) {
 			t.Fatalf("%s: primary at (%d,%d), replica at (%d,%d)", name, pb, pd, rb, rd)
 		}
 	}
-}
-
-// TestRestartReseedsIdleFollowers: a rebooted primary knows nothing of its
-// followers, so in its first tick it re-seeds those of its idle topics —
-// healthz lists every one synced without another batch. The clock stands
-// still while the primary is down, so no probe fails and no promotion
-// races the reboot.
-func TestRestartReseedsIdleFollowers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster harness is not short")
-	}
-	tc := newClockedCluster(t, 2, serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    fastRepl(),
-		peer:    fastPeer(nil),
-	})
-	names := tc.ownedBy(0, 6)
-	for _, name := range names {
-		tc.retryJSON("POST", tc.url(0)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
-		for day := 1; day <= 2; day++ {
-			tc.retryJSON("POST", tc.url(0)+"/v1/topics/"+name+"/batches", degradeBatch(day), nil, http.StatusOK)
-		}
-	}
-	tc.awaitFollowersSynced(0, names, 0)
-
-	tc.killShard(0)
-	tc.boot(0)
-	tc.awaitFollowersSynced(0, names, 1)
 }
 
 // TestClusterZombieFencing pins the split-brain guarantee: a primary cut
@@ -290,27 +260,6 @@ func serveJSON(t *testing.T, s *server, method, path string, body any) (int, str
 	return rec.Code, eb.Error.Code
 }
 
-// holdTransport holds every inter-shard request whose path starts with
-// prefix until release is closed or the request's context ends, counting
-// the requests it holds; the rest pass to the default transport.
-type holdTransport struct {
-	prefix  string
-	release chan struct{}
-	held    atomic.Int32
-}
-
-func (h *holdTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.HasPrefix(req.URL.Path, h.prefix) {
-		h.held.Add(1)
-		select {
-		case <-h.release:
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
 // useFS reboots shard i with its durable writes going through fs.
 func (tc *testCluster) useFS(i int, fs fault.FS) {
 	tc.killShard(i)
@@ -329,143 +278,25 @@ func (tc *testCluster) failoverTopic(p int, name string) {
 	tc.awaitFollowersSynced(p, []string{name}, 40)
 }
 
-// assertPromoted holds the topic shard i serves to a single-process
-// control fed days 1–3, at epoch 1: one promotion past the dead primary,
-// every acked batch, byte for byte.
-func (tc *testCluster) assertPromoted(i int, name string) {
-	tc.t.Helper()
-	got := fetchSnapshot(tc.t, tc.client, tc.url(i)+"/v1/topics/"+name+"/snapshot")
-	ctl := controlTopic(tc.t, degradeCreateReq(name))
-	for day := 1; day <= 3; day++ {
-		if _, err := ctl.Process(day, specTweets(degradeBatch(day))); err != nil {
-			tc.t.Fatalf("control day %d: %v", day, err)
-		}
-	}
-	ctl.SetEpoch(1)
-	var want bytes.Buffer
-	if err := ctl.Snapshot(&want); err != nil {
-		tc.t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		tc.t.Fatalf("promoted %s on shard %d differs from the control at epoch 1", name, i)
-	}
-}
-
-// TestFailoverCascade: at RF 3 the primary P dies while its first
-// promotion candidate A is alive, so the second candidate B defers to A;
-// A dies before it promotes (its split-brain guard's query is held). B
-// must then promote, though the replica's recorded source is P and no
-// event names P again: the check runs on every tick from recorded state.
-func TestFailoverCascade(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster harness is not short")
-	}
-	hold := &holdTransport{prefix: "/v1/cluster/info", release: make(chan struct{})}
-	ro := fastRepl()
-	ro.Factor = 3
-	tc := newTestCluster(t, 3, serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    ro,
-		peer:    fastPeer(hold),
-	}, true)
-	name := "cascade"
-	set := tc.ring.ReplicaSet(name, 3)
-	p, a, b := tc.peerIdx(set[0]), tc.peerIdx(set[1]), tc.peerIdx(set[2])
-	tc.failoverTopic(p, name)
-
-	tc.killShard(p)
-	det := tc.shards[b].srv.repl.det
-	if !eventually(func() bool { return hold.held.Load() > 0 && det.Down(tc.url(p)) }) {
-		t.Fatalf("A never asked its split-brain guard (held %d) or B never saw P down (%v)", hold.held.Load(), det.Down(tc.url(p)))
-	}
-	if servedTopic(tc.shards[b].srv, name) != nil {
-		t.Fatal("B promoted while A was the first live candidate")
-	}
-
-	tc.killShard(a)
-	close(hold.release)
-	tc.awaitServedAt(name, 1, []int{b})
-	tc.assertPromoted(b, name)
-}
-
-// TestFailoverRetriesFailedPromotion: the promoting shard cannot read the
-// replica's base once; the replica is kept and the next tick promotes it.
-func TestFailoverRetriesFailedPromotion(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster harness is not short")
-	}
-	tc := newClockedCluster(t, 2, serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    fastRepl(),
-		peer:    fastPeer(nil),
-	})
-	script := fault.NewScript()
-	tc.useFS(1, script)
-	name := tc.ownedBy(0, 1)[0]
-	tc.failoverTopic(0, name)
-
-	reads := script.Hits("repl.snap.read")
-	script.AddRule(fault.Rule{Site: "repl.snap.read", Hit: reads + 1, Err: errors.New("injected: replica base unreadable")})
-	tc.killShard(0)
-	tc.awaitServedAt(name, 1, []int{1})
-	if got := script.Hits("repl.snap.read"); got != reads+2 {
-		t.Fatalf("replica base read %d times, want %d (one failed promotion, one retry)", got-reads, 2)
-	}
-	tc.assertPromoted(1, name)
-}
-
-// TestFailoverKeepsReplicaUntilDurable: the promoted topic's first
-// snapshot cannot be written, so the topic is retired and the replica
-// kept. A restart with a healthy disk, the old primary still dead,
-// promotes it with every batch.
-func TestFailoverKeepsReplicaUntilDurable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster harness is not short")
-	}
-	tc := newClockedCluster(t, 2, serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    fastRepl(),
-		peer:    fastPeer(nil),
-	})
-	script := fault.NewScript()
-	tc.useFS(1, script)
-	name := tc.ownedBy(0, 1)[0]
-	tc.failoverTopic(0, name)
-
-	writes := script.Hits("persist.snap.write")
-	script.AddRule(fault.Rule{Site: "persist.snap.write", Err: errors.New("injected: snapshot device gone")})
-	tc.killShard(0)
-	if !tc.await(tc.opts.repl.ProbeFailures+2, func() bool { return script.Hits("persist.snap.write") >= writes+2 }) {
-		t.Fatalf("promotion tried %d snapshot writes, want 2", script.Hits("persist.snap.write")-writes)
-	}
-	// Closed, the shard has no promotion in flight: the topic is retired
-	// and the replica kept.
-	tc.killShard(1)
-	if servedTopic(tc.shards[1].srv, name) != nil {
-		t.Fatal("a promoted topic whose first snapshot failed is served")
-	}
-	if _, err := os.Stat(filepath.Join(tc.shards[1].dir, name+".rsnap")); err != nil {
-		t.Fatalf("replica dropped though the promotion was not durable: %v", err)
-	}
-	script.ClearRules()
-	tc.boot(1)
-	tc.awaitServedAt(name, 1, []int{1})
-	tc.assertPromoted(1, name)
-}
-
-// blindTransport loses the response to the first hand-off PUT (see
-// lostAckTransport) and, while blind is set, fails every placement query:
-// a move whose install landed and cannot be confirmed.
+// blindTransport reports the response to the first hand-off PUT as lost
+// (the target installed the topic, the source sees a transport error) and,
+// while blind is set, fails every placement query: a move whose install
+// landed and cannot be confirmed.
 type blindTransport struct {
-	lostAckTransport
-	blind atomic.Bool
+	onNet
+	lost, blind atomic.Bool
 }
 
 func (b *blindTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if b.blind.Load() && req.URL.Path == "/v1/cluster/info" {
 		return nil, fmt.Errorf("injected: placement query to %s failed", req.URL.Host)
 	}
-	return b.lostAckTransport.RoundTrip(req)
+	resp, err := b.net.RoundTrip(req)
+	if err == nil && req.Header.Get(handoffHeader) != "" && b.lost.CompareAndSwap(false, true) {
+		resp.Body.Close()
+		return nil, fmt.Errorf("injected: the response to %s %s was lost", req.Method, req.URL.Path)
+	}
+	return resp, err
 }
 
 // TestPromotedTopicReseedsAfterAmbiguousMove: a name served again on a
@@ -621,5 +452,29 @@ func TestStartupFencesRestartedPrimary(t *testing.T) {
 		return err == nil && ans.code == http.StatusTemporaryRedirect && ans.shard == tc.url(b)
 	}) {
 		t.Fatalf("restarted P: tombstone %+v, GET answered %v shard=%q; want fenced and 307 → %s", ts, ans, ans.shard, tc.url(b))
+	}
+}
+
+// TestPromotionDefersToAMovedTopic pins the promotion's split-brain guard:
+// ring order [P, A, B], RF 2. P moves the topic to B, which ships to its
+// own follower, P, and leaves A holding a replica of P's epoch 0. P dies.
+// A is that replica's first live candidate, but B serves the topic: A must
+// keep the replica, not promote it to a second writer at epoch 1.
+func TestPromotionDefersToAMovedTopic(t *testing.T) {
+	tc := newClockedCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}, repl: fastRepl()})
+	name := "moved"
+	set := tc.ring.ReplicaSet(name, 3)
+	p, a, b := tc.peerIdx(set[0]), tc.peerIdx(set[1]), tc.peerIdx(set[2])
+	tc.failoverTopic(p, name)
+	tc.retryJSON("POST", tc.url(p)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(b)}, nil, http.StatusOK)
+	tc.killShard(p)
+	for range tc.opts.repl.ProbeFailures + 2 {
+		tc.tick()
+	}
+	if meta, held := tc.shards[a].srv.store.Replicas()[name]; !held || meta.Source != tc.url(p) || !tc.shards[a].srv.repl.det.Down(tc.url(p)) {
+		t.Fatalf("A holds %+v (%v) and sees P down: %v; want P's replica, and P down", meta, held, tc.shards[a].srv.repl.det.Down(tc.url(p)))
+	}
+	if servedTopic(tc.shards[a].srv, name) != nil || servedTopic(tc.shards[b].srv, name) == nil {
+		t.Fatal("A promoted its replica of a topic B serves")
 	}
 }

@@ -6,13 +6,15 @@ package main
 // ones, rebalancer and enforce mode on), each on its own fault.Script and
 // its own link into one fault network, through drawn events: creates,
 // batches and reads at random entry shards, operator moves, one event
-// whose batch, move and reads of a topic run at once (the -race leg),
-// crashes and reboots, a zombie (listener gone, server running, a stale
-// client writing to it), one permanent kill, partitions, a held probe, a
-// dropped request, lost install and replica acks, ENOSPC on and off, ticks.
-// Each event completes and the loops park before the next; every event
-// draws the same numbers, so a seed's draws are fixed, though not every
-// interleaving inside an event. The oracle holds every topic to a control
+// that races a topic's batch, move and reads, crashes and reboots, a zombie
+// (front gone, server running, a stale client writing to it), one
+// permanent kill, partitions, a held probe, a dropped request, lost install
+// and replica acks, ENOSPC on and off, ticks. Each event completes and the
+// loops park before the next; requests are served in process, and a tick
+// wakes the loops one at a time in a fixed order (cluster_test.go), so a
+// seed fixes every interleaving and replays. The race leg (race_on_test.go)
+// runs each tick's loops and the race's requests at once instead, so that
+// -race sees them overlap. The oracle holds every topic to a control
 // fed exactly the batches the cluster acked: at quiescence exactly one
 // shard serves each created topic and every entry shard reaches it with the
 // control's bytes (epoch aligned); every 200 read equals the control at the
@@ -30,8 +32,7 @@ package main
 // asserted: finite factors (a diverged step is acked today), and, once a
 // shard is dead for good, that every entry reaches a topic whose route
 // ends at the dead shard or short of it (stranded: two known defects). A
-// failure prints the seed and its events; -run 'TestClusterSim/seed=N'
-// replays it.
+// failure prints the seed, its events and the command that replays it.
 
 import (
 	"bytes"
@@ -63,9 +64,35 @@ const (
 	simSettle = 12  // ticks a settle may take before the cluster is stuck
 )
 
-func TestClusterSim(t *testing.T) {
-	for seed := int64(1); seed <= simSeeds; seed++ {
+func TestClusterSim(t *testing.T) { runSims(t, 1, simSeeds) }
+
+// runSims runs seeds from … to as subtests seed=N.
+func runSims(t *testing.T, from, to int64) {
+	for seed := from; seed <= to; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runSim(t, seed) })
+	}
+}
+
+// TestSimSeedsReplay runs a few seeds twice each and requires one
+// outcome: the same events with the same results, the same lines logged
+// by the shards during each, and the same topics served at the end, byte
+// for byte. A new source of variance in the harness or in the loops
+// fails it. The race leg runs ticks and the concurrent event at once, so
+// it does not replay.
+func TestSimSeedsReplay(t *testing.T) {
+	if raceLeg {
+		t.Skip("the race leg runs the loops at once; its runs do not replay")
+	}
+	for _, seed := range []int64{2, 3, 4, 7} {
+		first := runSim(t, seed).outcome()
+		if again := runSim(t, seed).outcome(); again != first {
+			a, b := strings.Split(first, "\n"), strings.Split(again, "\n")
+			k := 0
+			for k < min(len(a), len(b)) && a[k] == b[k] {
+				k++
+			}
+			t.Fatalf("seed %d: two runs differ at line %d:\n  %s\n  %s", seed, k, a[min(k, len(a)-1)], b[min(k, len(b)-1)])
+		}
 	}
 }
 
@@ -97,6 +124,7 @@ type sim struct {
 	scripts []*fault.Script
 	topics  []*simTopic
 	log     []string
+	logged  []int  // len(tc.logs) at the end of each event
 	down    int    // the shard crashed or turned zombie (-1: none)
 	zombie  bool   // down is a zombie: its server still runs
 	dead    int    // the shard killed for good (-1: none)
@@ -104,7 +132,7 @@ type sim struct {
 	full    []bool
 }
 
-func runSim(t *testing.T, seed int64) {
+func runSim(t *testing.T, seed int64) *sim {
 	ro := fastRepl()
 	ro.Factor = 2 + int(seed+1)%2
 	ro.ProbeTimeout = time.Minute // only the clock releases a held probe
@@ -119,7 +147,7 @@ func runSim(t *testing.T, seed int64) {
 		conform: triclust.ConformEnforce,
 	})
 	s := &sim{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), tc: tc, down: -1, dead: -1,
-		net: &simNet{peers: tc.peers, clock: tc.clock, every: ro.ProbeInterval, healed: 1}, full: make([]bool, simShards)}
+		net: &simNet{tc: tc, every: ro.ProbeInterval, healed: 1}, full: make([]bool, simShards)}
 	for i := range tc.shards {
 		s.scripts = append(s.scripts, fault.NewScript())
 		tc.shards[i].transport = &simLink{net: s.net, from: i}
@@ -133,6 +161,35 @@ func runSim(t *testing.T, seed int64) {
 		s.step()
 	}
 	s.quiesce()
+	return s
+}
+
+// outcome is what a run leaves, one line each: each event with its result
+// and the lines the shards logged while it ran (sorted: loops that log in
+// one order may write in another, as a restart restoring its topics in
+// map order does), then every topic a live shard serves at the end, with
+// its position, epoch and snapshot bytes.
+func (s *sim) outcome() string {
+	var out []string
+	from := 0
+	for k, line := range s.log {
+		out = append(out, line)
+		out = append(out, slices.Sorted(slices.Values(s.tc.logs[from:s.logged[k]]))...)
+		from = s.logged[k]
+	}
+	for i, sd := range s.tc.shards {
+		var served []string
+		for _, tp := range sd.srv.served() {
+			var snap bytes.Buffer
+			_ = tp.eng.Snapshot(&snap)
+			b, d := tp.eng.StreamPos()
+			served = append(served, fmt.Sprintf("shard %d serves %s at %d batches, %d draws, epoch %d: %x", i, tp.name, b, d, tp.eng.Epoch(), snap.Bytes()))
+		}
+		if i != s.dead {
+			out = append(out, slices.Sorted(slices.Values(served))...)
+		}
+	}
+	return strings.Join(out, "\n")
 }
 
 // event logs one event; the func it returns ends it: the result is logged,
@@ -145,6 +202,7 @@ func (s *sim) event(format string, args ...any) func(result string) {
 		s.log[n] += " → " + result
 		s.net.disarm()
 		s.tc.parkLoops()
+		s.logged = append(s.logged, len(s.tc.logs))
 		s.checkWriters()
 	}
 }
@@ -152,7 +210,7 @@ func (s *sim) event(format string, args ...any) func(result string) {
 // fail reports a broken property with the seed and the event list.
 func (s *sim) fail(format string, args ...any) {
 	s.t.Helper()
-	s.t.Fatalf("seed %d: %s\nreplay: go test -run 'TestClusterSim/seed=%d' ./cmd/triclustd/\nevents:\n  %s",
+	s.t.Fatalf("seed %d: %s\nreplay: go test -tags simwide -run 'TestClusterSimWide/^seed=%d$' ./cmd/triclustd/\nevents:\n  %s",
 		s.seed, fmt.Sprintf(format, args...), s.seed, strings.Join(s.log, "\n  "))
 }
 
@@ -183,8 +241,9 @@ func (s *sim) step() {
 	case r >= 77 && r < 82 && i != j && s.up(i) && s.up(j) && s.net.cutPair(i, j, s.tc.opts.repl.ProbeFailures-1):
 		s.event("partition %d|%d", i, j)("cut")
 	case r >= 82 && r < 85:
-		done := s.event("hold the next probe of shard %d, tick", i)
-		s.net.arm(&s.net.hold, i, false)
+		j = (i + 1 + j%(simShards-1)) % simShards
+		done := s.event("hold the next probe of shard %d to %d, tick", i, j)
+		s.net.arm(&s.net.hold, i*simShards+j, false)
 		s.tc.tick()
 		done(s.net.age())
 	case r >= 85 && r < 89:
@@ -288,37 +347,55 @@ func (s *sim) read(tp *simTopic, entry, kind, user int) {
 	done(a.String())
 }
 
-// race sends, all at once, tp's next batch and its move to target at shard
-// entry, and two reads of it at shard reader, the second conditional on the
-// first's ETag: the one event whose requests overlap, so that under -race
-// the read plane, the write path and a hand-off run into each other. The
-// target is neither the dead shard nor the one the topic is routed to. Its
-// draws are fixed; its interleaving is not.
+// race sends tp's next batch and its move to target at shard entry, and
+// two reads of it at shard reader, the second conditional on the first's
+// ETag. The replayed run sends the four one by one, in an order drawn from
+// the seed (the reads in their order); the race leg sends the batch, the
+// move and the reads at once, so that under -race the read plane, the
+// write path and a hand-off run into each other. The target is neither the
+// dead shard nor the one the topic is routed to.
 func (s *sim) race(tp *simTopic, entry, reader, target, kind, user int) {
 	for target == s.dead || target == s.routesTo(tp.name, entry) {
 		target = (target + 1) % simShards
 	}
 	tp.day++
 	req, path := harnessBatch(tp.idx, tp.day), simReadPath(tp, kind, user)
-	done := s.event("at once: batch %s day %d and move it to %d at %d, read %s twice at %d", tp.name, tp.day, target, entry, path, reader)
+	order, reads := s.rng.Perm(4), 2
+	for i, k := range order {
+		if k >= 2 {
+			order[i], reads = reads, reads+1
+		}
+	}
+	done := s.event("race: batch %s day %d and move it to %d at %d, read %s twice at %d, in order %v", tp.name, tp.day, target, entry, path, reader, order)
 	var a [4]simAnswer // the batch, the move, the two reads
 	var errs [4]error
-	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		a[0], errs[0] = follow(s.tc.noRedirect, "POST", s.tc.url(entry)+"/v1/topics/"+tp.name+"/batches", req, simShards)
-	}()
-	go func() {
-		defer wg.Done()
-		a[1], errs[1] = follow(s.tc.noRedirect, "POST", s.tc.url(entry)+"/v1/cluster/move", moveRequest{Topic: tp.name, Target: s.tc.url(target)}, simShards)
-	}()
-	go func() {
-		defer wg.Done()
-		a[2], errs[2] = follow(s.tc.noRedirect, "GET", s.tc.url(reader)+path, nil, simShards)
-		a[3], errs[3] = follow(s.tc.noRedirect, "GET", s.tc.url(reader)+path, nil, simShards, "If-None-Match", a[2].etag)
-	}()
-	wg.Wait()
+	send := [...]func(){
+		func() {
+			a[0], errs[0] = follow(s.tc.noRedirect, "POST", s.tc.url(entry)+"/v1/topics/"+tp.name+"/batches", req, simShards)
+		},
+		func() {
+			a[1], errs[1] = follow(s.tc.noRedirect, "POST", s.tc.url(entry)+"/v1/cluster/move", moveRequest{Topic: tp.name, Target: s.tc.url(target)}, simShards)
+		},
+		func() { a[2], errs[2] = follow(s.tc.noRedirect, "GET", s.tc.url(reader)+path, nil, simShards) },
+		func() {
+			a[3], errs[3] = follow(s.tc.noRedirect, "GET", s.tc.url(reader)+path, nil, simShards, "If-None-Match", a[2].etag)
+		},
+	}
+	if raceLeg {
+		var wg sync.WaitGroup
+		for _, f := range []func(){send[0], send[1], func() { send[2](); send[3]() }} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f()
+			}()
+		}
+		wg.Wait()
+	} else {
+		for _, k := range order {
+			send[k]()
+		}
+	}
 	if err := errors.Join(errs[:]...); err != nil {
 		s.fail("%v", err)
 	}
@@ -699,16 +776,18 @@ func follow(client *http.Client, method, url string, body any, maxHops int, head
 // ——— the fault network ———
 
 // simNet is the fault network every shard's peer client rides, one simLink
-// per shard. drop, lose, shipLost and hold name the shard each is armed
-// for, plus one (0: unarmed, simShards+1: any); carry keeps them armed for
+// per shard, over the harness's in-process network. drop, lose and
+// shipLost name the shard each is armed for, plus one (0: unarmed,
+// simShards+1: any), and hold the pair from*simShards+to, plus one: the
+// probe loops of one shard wake in no fixed order among themselves, so a
+// fault they could race for names its target. carry keeps them armed for
 // the next event.
 // cut is the partitioned pair (from*simShards+to, plus one), cut for
 // cutLeft more ticks; a new cut waits until the last has been healed for a
 // tick, so no probe fails ProbeFailures times in a row. Only the sim's
 // goroutine writes carry, cutLeft and healed.
 type simNet struct {
-	peers []string
-	clock *fault.Clock
+	tc    *testCluster
 	every time.Duration
 
 	drop, lose, shipLost, hold, cut atomic.Int32
@@ -773,7 +852,7 @@ var errSimLost = errors.New("sim: the response was lost")
 
 func (l *simLink) RoundTrip(req *http.Request) (*http.Response, error) {
 	n := l.net
-	to := slices.Index(n.peers, "http://"+req.URL.Host)
+	to := slices.Index(n.tc.peers, "http://"+req.URL.Host)
 	probe := req.URL.Path == "/v1/healthz"
 	take := func(fault *atomic.Int32, cond bool) bool {
 		return cond && (fault.CompareAndSwap(int32(l.from+1), 0) || fault.CompareAndSwap(simShards+1, 0))
@@ -786,11 +865,12 @@ func (l *simLink) RoundTrip(req *http.Request) (*http.Response, error) {
 			req.Body.Close()
 		}
 		return nil, fmt.Errorf("sim: %s %s from shard %d dropped (cut %v)", req.Method, req.URL.Path, l.from, cut)
-	case take(&n.hold, probe) && !n.clock.Sleep(req.Context(), n.every):
+	case probe && n.hold.CompareAndSwap(int32(l.from*simShards+to+1), 0) &&
+		!n.tc.clock.SleepAs(req.Context(), n.every, fmt.Sprint(l.from, " held probe")):
 		return nil, req.Context().Err()
 	}
 	lose := take(&n.lose, req.Header.Get(handoffHeader) != "") || take(&n.shipLost, strings.HasPrefix(req.URL.Path, "/v1/replica/"))
-	resp, err := http.DefaultTransport.RoundTrip(req)
+	resp, err := n.tc.RoundTrip(req)
 	if err == nil && lose {
 		resp.Body.Close()
 		return nil, errSimLost

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -22,16 +21,9 @@ const v1Data = "../../testdata/datadir_v1/data"
 // replica with a version 1 journal.
 var v1Files = []string{"p2.snap", "p2.journal", "r2.rsnap", "r2.rjournal", "r2.rmeta"}
 
-// refusePeers fails every inter-shard request at once: the ring's peer
-// never exists, and no request leaves the process.
-type refusePeers struct{}
-
-func (refusePeers) RoundTrip(*http.Request) (*http.Response, error) {
-	return nil, errors.New("the peer is down")
-}
-
 // bootV1DataDir starts the fixture's shard (self, of self and peer) with
-// replication on dir, without its background loops.
+// replication on dir, without its background loops. The peer exists on the
+// ring only: every request to it fails at once.
 func bootV1DataDir(t *testing.T, dir string) *server {
 	t.Helper()
 	cc, err := newMembership("http://self.test:8547", "http://self.test:8547,http://peer.test:8547", 32)
@@ -39,7 +31,7 @@ func bootV1DataDir(t *testing.T, dir string) *server {
 		t.Fatal(err)
 	}
 	s, err := newServer(dir, serverOptions{journal: store.Options{Every: 64}, cluster: cc,
-		repl: &replOptions{Factor: 2}, peer: peerOptions{Transport: refusePeers{}}}, t.Logf)
+		repl: &replOptions{Factor: 2}, peer: peerOptions{Transport: &gateTransport{prefix: "/"}}}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 )
@@ -49,5 +50,31 @@ func TestClockWakesOnlyDueSleepers(t *testing.T) {
 	c.Advance(time.Hour)
 	if c.WaitSleepers(1, 0) {
 		t.Fatal("a sleeper whose context ended is still parked")
+	}
+}
+
+// TestClockStepWakesInOrder: Step wakes the due sleepers one at a time, by
+// deadline, then key, then the order they parked in, calling settle after
+// each; a sleeper not yet due stays parked.
+func TestClockStepWakesInOrder(t *testing.T) {
+	c := NewClock()
+	woke := make(chan string)
+	for i, sl := range []struct {
+		label, key string
+		d          time.Duration
+	}{{"b", "b", time.Second}, {"a1", "a", time.Second}, {"a2", "a", time.Second}, {"a later", "a", 2 * time.Second}} {
+		go func() {
+			if c.SleepAs(context.Background(), sl.d, sl.key) {
+				woke <- sl.label
+			}
+		}()
+		if !c.WaitSleepers(i+1, 10*time.Second) {
+			t.Fatalf("sleeper %s never parked", sl.label)
+		}
+	}
+	var got []string
+	c.Step(time.Second, func() { got = append(got, <-woke) })
+	if want := []string{"a1", "a2", "b"}; !slices.Equal(got, want) || !c.WaitSleepers(1, 0) {
+		t.Fatalf("Step woke %v, want %v and the later sleeper still parked", got, want)
 	}
 }
