@@ -8,21 +8,18 @@ package main
 // in-flight requests are drained, and a fresh server is booted from the
 // shard's data directory — exactly a process crash plus restart.
 //
-// TestClusterSim (sim_test.go) drives the shards through seeded schedules
-// of traffic and faults and holds every topic to the determinism bar: its
-// final snapshot byte-identical to a single-process control run fed the
-// acked batches. The scenarios here pin the move endpoint's answers and
-// the redirect of a parked hand-off.
+// TestClusterSim (sim_test.go) drives the shards through seeded and named
+// schedules of traffic and faults and holds every topic to the determinism
+// bar: its final snapshot byte-identical to a single-process control run
+// fed the acked batches. The scenario here pins the move endpoint's
+// answers on an in-memory cluster.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -109,7 +106,7 @@ type testShard struct {
 // every run.
 type testCluster struct {
 	t      *testing.T
-	clock  *fault.Clock // nil: the shards wait on the wall clock
+	clock  *fault.Clock // every shard waits on it
 	shards []*testShard
 	peers  []string
 	opts   serverOptions // journal/maxBody template; cluster filled per shard
@@ -131,22 +128,13 @@ type onNet struct{ net http.RoundTripper }
 
 func (o *onNet) over(net http.RoundTripper) { o.net = net }
 
-// newTestCluster boots n shards with fresh data directories. persistent
-// false runs the cluster fully in memory (no -data-dir).
-func newTestCluster(t *testing.T, n int, opts serverOptions, persistent bool) *testCluster {
-	return newCluster(t, n, opts, persistent, nil)
-}
-
-// newClockedCluster is newTestCluster, persistent, with every shard's
-// loops waiting on one manual clock that tick steps, and no retry backoff.
-func newClockedCluster(t *testing.T, n int, opts serverOptions) *testCluster {
-	opts.peer.Backoff = noBackoff
-	return newCluster(t, n, opts, true, fault.NewClock())
-}
-
-func newCluster(t *testing.T, n int, opts serverOptions, persistent bool, clock *fault.Clock) *testCluster {
+// newCluster boots n shards with fresh data directories (persistent false:
+// fully in memory, no -data-dir), every shard's loops waiting on one manual
+// clock that tick steps, and no retry backoff.
+func newCluster(t *testing.T, n int, opts serverOptions, persistent bool) *testCluster {
 	t.Helper()
-	tc := &testCluster{t: t, clock: clock, opts: opts, vnodes: 32}
+	opts.peer.Backoff = noBackoff
+	tc := &testCluster{t: t, clock: fault.NewClock(), opts: opts, vnodes: 32}
 	tc.client = &http.Client{Transport: tc}
 	tc.noRedirect = &http.Client{Transport: tc, CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
@@ -217,11 +205,9 @@ func (tc *testCluster) boot(i int) {
 	} else if opts.peer.Transport == nil {
 		opts.peer.Transport = tc
 	}
-	if tc.clock != nil {
-		opts.sleep = func(ctx context.Context, d time.Duration) bool {
-			pc, _, _, _ := runtime.Caller(1)
-			return tc.clock.SleepAs(ctx, d, fmt.Sprint(i, " ", runtime.FuncForPC(pc).Name()))
-		}
+	opts.sleep = func(ctx context.Context, d time.Duration) bool {
+		pc, _, _, _ := runtime.Caller(1)
+		return tc.clock.SleepAs(ctx, d, fmt.Sprint(i, " ", runtime.FuncForPC(pc).Name()))
 	}
 	s, err := newServer(sd.dir, opts, tc.logf)
 	if err != nil {
@@ -305,13 +291,9 @@ func (tc *testCluster) parkLoops() {
 	}
 }
 
-// await waits for cond: on the manual clock it ticks between checks, at
-// most ticks times; on the wall clock it polls until eventually gives up.
+// await waits for cond, ticking between checks at most ticks times.
 func (tc *testCluster) await(ticks int, cond func() bool) bool {
 	tc.t.Helper()
-	if tc.clock == nil {
-		return eventually(cond)
-	}
 	for tick := 0; !cond(); tick++ {
 		if tick == ticks {
 			return false
@@ -449,112 +431,75 @@ func (tc *testCluster) retryJSON(method, url string, body, out any, wantCode int
 	}
 }
 
-// TestClusterMoveAndEpochFencing covers the ownership-epoch state machine
-// on an in-memory cluster (moves work without -data-dir): a move bumps
-// the epoch, the source redirects from then on and counts the tombstone
-// in healthz, a stale pre-move snapshot is fenced with epoch_mismatch,
-// and a second move hands the topic back at epoch 2.
+// TestClusterMoveAndEpochFencing is the move endpoint's answers, in order,
+// on an in-memory cluster (moves work without -data-dir): a move bumps the
+// epoch and names both shards; the source then redirects the topic and a
+// re-move to the target, and fences the stale pre-move snapshot; the
+// endpoint refuses an unknown peer, an unknown topic and a move to where
+// the topic lives; and the topic moves back at epoch 2, the shard it left
+// counting the tombstone in healthz. Want is the reply's body for a 200,
+// the shard a 307 names, else the error code. A placement query answers for
+// the epoch it asks about, and a write that waited out a hand-off follows it.
 func TestClusterMoveAndEpochFencing(t *testing.T) {
-	tc := newTestCluster(t, 3, serverOptions{}, false)
+	tc := newCluster(t, 3, serverOptions{}, false)
 	name := harnessTopicName(7)
 	src := tc.ownerIdx(name)
 	dst := (src + 1) % 3
-
-	var sum topicSummary
-	tc.retryJSON("POST", tc.url(src)+"/v1/topics", harnessCreateReq(7), &sum, http.StatusCreated)
+	tc.retryJSON("POST", tc.url(src)+"/v1/topics", harnessCreateReq(7), nil, http.StatusCreated)
 	for day := 1; day <= 3; day++ {
-		var br batchResponse
-		tc.retryJSON("POST", tc.url(src)+"/v1/topics/"+name+"/batches", harnessBatch(7, day), &br, http.StatusOK)
+		tc.retryJSON("POST", tc.url(src)+"/v1/topics/"+name+"/batches", harnessBatch(7, day), nil, http.StatusOK)
 	}
 	stale := fetchSnapshot(t, tc.client, tc.url(src)+"/v1/topics/"+name+"/snapshot")
-
-	var mv moveResponse
-	code, err := doJSON(tc.client, "POST", tc.url(src)+"/v1/cluster/move",
-		moveRequest{Topic: name, Target: tc.url(dst)}, &mv)
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("move: %d %v", code, err)
+	move := func(topic string, target int) moveRequest { return moveRequest{Topic: topic, Target: tc.url(target)} }
+	reply := func(from, to int, epoch uint64) string {
+		b, _ := json.Marshal(moveResponse{Topic: name, Source: tc.url(from), Target: tc.url(to), Epoch: epoch, Batches: 3})
+		return string(b)
 	}
-	if mv.Epoch != 1 || mv.Source != tc.url(src) || mv.Target != tc.url(dst) || mv.Batches != 3 {
-		t.Fatalf("move response %+v", mv)
-	}
-
-	// The source now refuses the topic: writes 307 to the target.
-	if a, err := follow(tc.noRedirect, "GET", tc.url(src)+"/v1/topics/"+name, nil, -1); err != nil || a.code != http.StatusTemporaryRedirect || a.shard != tc.url(dst) {
-		t.Fatalf("source answered %v %v", a, err)
+	for _, c := range []struct {
+		method string
+		at     int
+		path   string
+		body   any
+		code   int
+		want   string
+	}{
+		{"POST", src, "/v1/cluster/move", move(name, dst), http.StatusOK, reply(src, dst, 1)},
+		{"GET", src, "/v1/topics/" + name, nil, http.StatusTemporaryRedirect, tc.url(dst)},
+		{"POST", src, "/v1/cluster/move", move(name, dst), http.StatusTemporaryRedirect, tc.url(dst)},
+		{"PUT", src, "/v1/topics/" + name, stale, http.StatusConflict, codeEpochMismatch},
+		{"POST", src, "/v1/cluster/move", moveRequest{Topic: name, Target: "http://not-a-peer:1"}, http.StatusBadRequest, codeUnknownPeer},
+		{"POST", src, "/v1/cluster/move", move("no-such-topic", dst), http.StatusNotFound, codeTopicNotFound},
+		{"POST", dst, "/v1/cluster/move", move(name, dst), http.StatusBadRequest, codeInvalidRequest},
+		{"POST", dst, "/v1/cluster/move", move(name, src), http.StatusOK, reply(dst, src, 2)},
+	} {
+		hops, header := simShards, []string(nil)
+		if c.code == http.StatusTemporaryRedirect {
+			hops = -1
+		}
+		if c.method == "PUT" { // a hand-off's install of the snapshot
+			header = []string{"Content-Type", mediaTypeSnapshot, handoffHeader, "1"}
+		}
+		a, err := follow(tc.noRedirect, c.method, tc.url(c.at)+c.path, c.body, hops, header...)
+		got := a.ec
+		switch a.code {
+		case http.StatusOK:
+			got = strings.TrimSpace(string(a.body))
+		case http.StatusTemporaryRedirect:
+			got = a.shard
+		}
+		if err != nil || a.code != c.code || got != c.want {
+			t.Fatalf("%s %s at shard %d answered %d %s (%v), want %d %s", c.method, c.path, c.at, a.code, got, err, c.code, c.want)
+		}
 	}
 	var hr healthResponse
-	tc.retryJSON("GET", tc.url(src)+"/v1/healthz", nil, &hr, http.StatusOK)
-	if hr.Cluster == nil || hr.Cluster.MovedTopics != 1 {
-		t.Fatalf("source healthz after the move: %+v, want 1 moved topic", hr.Cluster)
-	}
-
-	// The target serves it, at epoch 1, and the stream continues.
-	var br batchResponse
-	tc.retryJSON("POST", tc.url(dst)+"/v1/topics/"+name+"/batches", harnessBatch(7, 4), &br, http.StatusOK)
-	var info clusterInfoResponse
-	tc.retryJSON("GET", tc.url(dst)+"/v1/cluster/info?topic="+name, nil, &info, http.StatusOK)
-	if info.Topic == nil || !info.Topic.Local || info.Topic.Epoch != 1 {
-		t.Fatalf("target placement %+v", info.Topic)
+	if code, err := doJSON(tc.client, "GET", tc.url(dst)+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK || hr.Cluster == nil || hr.Cluster.MovedTopics != 1 {
+		t.Fatalf("healthz of the shard the topic left: %d %v %+v, want 1 moved topic", code, err, hr.Cluster)
 	}
 	// The placement query a hand-off and a promotion rest on answers for
 	// the epoch it is asked about.
-	for epoch, want := range []bool{true, true, false} {
-		if has, ok := tc.shards[src].srv.peers.Holds(t.Context(), tc.url(dst), name, uint64(epoch)); has != want || !ok {
-			t.Fatalf("Holds(%s at epoch ≥ %d) = %v, %v; the target serves it at epoch 1", name, epoch, has, ok)
-		}
-	}
-
-	// Epoch fencing: installing the stale pre-move snapshot (epoch 0) on
-	// the source — even through the hand-off path — is refused.
-	preq, err := http.NewRequest(http.MethodPut, tc.url(src)+"/v1/topics/"+name, bytes.NewReader(stale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	preq.Header.Set(handoffHeader, "1")
-	presp, err := tc.noRedirect.Do(preq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eb errorBody
-	if err := json.NewDecoder(presp.Body).Decode(&eb); err != nil {
-		t.Fatal(err)
-	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusConflict || eb.Error.Code != codeEpochMismatch {
-		t.Fatalf("stale restore: %d %q, want 409 %q", presp.StatusCode, eb.Error.Code, codeEpochMismatch)
-	}
-
-	// Moving the topic again is rejected at the source (it moved on) but
-	// succeeds at the current owner, handing it home at epoch 2 — which
-	// clears the source's tombstone.
-	code, _ = errCode2(t, tc.noRedirect, "POST", tc.url(src)+"/v1/cluster/move",
-		moveRequest{Topic: name, Target: tc.url(dst)})
-	if code != http.StatusTemporaryRedirect && code != http.StatusConflict {
-		t.Fatalf("re-move at source: %d", code)
-	}
-	code, err = doJSON(tc.client, "POST", tc.url(dst)+"/v1/cluster/move",
-		moveRequest{Topic: name, Target: tc.url(src)}, &mv)
-	if err != nil || code != http.StatusOK || mv.Epoch != 2 {
-		t.Fatalf("move back: %d %v %+v", code, err, mv)
-	}
-	tc.retryJSON("POST", tc.url(src)+"/v1/topics/"+name+"/batches", harnessBatch(7, 5), &br, http.StatusOK)
-	tc.retryJSON("GET", tc.url(src)+"/v1/cluster/info?topic="+name, nil, &info, http.StatusOK)
-	if info.Topic == nil || !info.Topic.Local || info.Topic.Epoch != 2 {
-		t.Fatalf("after move back: %+v", info.Topic)
-	}
-
-	// Validation errors on the move endpoint itself.
-	for _, c := range []struct {
-		req  moveRequest
-		code int
-		ec   string
-	}{
-		{moveRequest{Topic: name, Target: "http://not-a-peer:1"}, http.StatusBadRequest, codeUnknownPeer},
-		{moveRequest{Topic: "no-such-topic", Target: tc.url(dst)}, http.StatusNotFound, codeTopicNotFound},
-		{moveRequest{Topic: name, Target: tc.url(src)}, http.StatusBadRequest, codeInvalidRequest},
-	} {
-		if code, ec := errCode2(t, tc.client, "POST", tc.url(src)+"/v1/cluster/move", c.req); code != c.code || ec != c.ec {
-			t.Fatalf("move %+v: %d %q, want %d %q", c.req, code, ec, c.code, c.ec)
+	for epoch, want := range []bool{true, true, true, false} {
+		if has, ok := tc.shards[dst].srv.peers.Holds(t.Context(), tc.url(src), name, uint64(epoch)); has != want || !ok {
+			t.Fatalf("Holds(%s at epoch ≥ %d) = %v, %v; shard %d serves it at epoch 2", name, epoch, has, ok, src)
 		}
 	}
 
@@ -593,17 +538,6 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 	}
 }
 
-// errCode2 is errCode for clients that must not follow redirects: the
-// status and error code of the first answer, a 307 included.
-func errCode2(t *testing.T, client *http.Client, method, url string, body any) (int, string) {
-	t.Helper()
-	a, err := follow(client, method, url, body, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a.code, a.ec
-}
-
 // TestMoveRequiresClusterMode pins the single-process behavior of the
 // cluster endpoints: clean structured errors, not 404s.
 func TestMoveRequiresClusterMode(t *testing.T) {
@@ -616,94 +550,5 @@ func TestMoveRequiresClusterMode(t *testing.T) {
 	code, ec = errCode(t, client, "GET", srv.URL+"/v1/cluster/info", nil)
 	if code != http.StatusConflict || ec != codeNotClustered {
 		t.Fatalf("info without cluster: %d %q", code, ec)
-	}
-}
-
-// TestParkedHandoffAnswersThenResumes: a data dir where the ring owner S
-// holds a topic's snapshot beside a tombstone naming T — a hand-off
-// interrupted before T confirmed it. Two shards, with and without
-// replication: T does not hold the topic. A client following redirects from
-// either shard gets a retryable 503 handoff_pending within two hops, never a
-// redirect loop; one tick later the resume loop has installed the topic on
-// T, where every entry reaches it at the fencing epoch with its batches.
-// Three shards (moved-on): the install had landed and T has moved the
-// topic on to U at epoch 2. T's fence refuses the resume, which is the
-// verdict: S drops its copy and routes after its tombstone, so every entry
-// reaches U.
-func TestParkedHandoffAnswersThenResumes(t *testing.T) {
-	for _, c := range []struct {
-		name            string
-		shards, rf      int
-		movedOn         bool
-		holder, atEpoch int // the shard serving the topic after the tick (0: T, 1: U), at what epoch
-	}{
-		{"rf=1", 2, 1, false, 0, 1},
-		{"rf=2", 2, 2, false, 0, 1},
-		{"moved-on", 3, 1, true, 1, 2},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			ro := fastRepl()
-			ro.Factor = c.rf
-			tc := newClockedCluster(t, c.shards, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}, repl: ro})
-			name := harnessTopicName(3)
-			s := tc.ownerIdx(name)
-			tt, u := (s+1)%c.shards, (s+2)%c.shards
-			tc.retryJSON("POST", tc.url(s)+"/v1/topics", harnessCreateReq(3), nil, http.StatusCreated)
-			for day := 1; day <= 2; day++ {
-				tc.retryJSON("POST", tc.url(s)+"/v1/topics/"+name+"/batches", harnessBatch(3, day), nil, http.StatusOK)
-			}
-			tc.killShard(s)
-			files := map[string][]byte{}
-			for _, ext := range []string{".snap", ".journal"} {
-				if b, err := os.ReadFile(filepath.Join(tc.shards[s].dir, name+ext)); err == nil {
-					files[ext] = b
-				}
-			}
-			if err := dirStore(t, tc.shards[s].dir).SetTombstone(name, cluster.Tombstone{Epoch: 1, Target: tc.url(tt)}); err != nil {
-				t.Fatal(err)
-			}
-			tc.boot(s)
-			if c.movedOn {
-				// The hand-off lands on T and moves on to U; then S stops
-				// before it removed the files it handed off.
-				tc.retryJSON("POST", tc.url(s)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(tt)}, nil, http.StatusOK)
-				tc.retryJSON("POST", tc.url(tt)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(u)}, nil, http.StatusOK)
-				tc.killShard(s)
-				for ext, b := range files {
-					if err := os.WriteFile(filepath.Join(tc.shards[s].dir, name+ext), b, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				tc.boot(s)
-			}
-
-			entries := []int{s, tt}
-			if c.movedOn {
-				entries = []int{s}
-			}
-			for _, entry := range entries {
-				a, err := follow(tc.noRedirect, "GET", tc.url(entry)+"/v1/topics/"+name, nil, 2)
-				if err != nil || a.code != http.StatusServiceUnavailable || a.ec != codeHandoffPending {
-					t.Fatalf("GET through shard %d before the resume: %v %v, want 503 %s within two hops", entry, a, err, codeHandoffPending)
-				}
-			}
-			tc.tick()
-			if p := tc.shards[s].srv.table.Parked(); len(p) > 0 {
-				t.Fatalf("S still holds %v parked after a tick", p)
-			}
-			for entry := range c.shards {
-				var sum topicSummary
-				a, err := follow(tc.noRedirect, "GET", tc.url(entry)+"/v1/topics/"+name, nil, 2)
-				if err != nil || a.code != http.StatusOK || json.Unmarshal(a.body, &sum) != nil || sum.Batches != 2 {
-					t.Fatalf("GET through shard %d after a tick: %v %v (%+v), want 200 with 2 batches", entry, a, err, sum)
-				}
-			}
-			if tp := servedTopic(tc.shards[[]int{tt, u}[c.holder]].srv, name); tp == nil || tp.eng.Epoch() != uint64(c.atEpoch) {
-				t.Fatalf("the topic is not served at epoch %d where its hand-offs went", c.atEpoch)
-			}
-			if tc.shards[s].srv.store.HasSnapshot(name) {
-				t.Fatal("S kept the files of a hand-off that has its verdict")
-			}
-		})
 	}
 }

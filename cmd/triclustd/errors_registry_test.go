@@ -272,7 +272,7 @@ func TestPersistenceFailureStorageError(t *testing.T) {
 // (peer down, answering 503) is reported as move_failed, and the source
 // un-fences and keeps serving the topic.
 func TestMoveToDeadPeerFails(t *testing.T) {
-	tc := newTestCluster(t, 2, serverOptions{}, false)
+	tc := newCluster(t, 2, serverOptions{}, false)
 	name := harnessTopicName(5)
 	src := tc.ownerIdx(name)
 	dst := 1 - src
@@ -283,10 +283,9 @@ func TestMoveToDeadPeerFails(t *testing.T) {
 	tc.retryJSON("POST", tc.url(src)+"/v1/topics/"+name+"/batches", harnessBatch(5, 1), &br, http.StatusOK)
 
 	tc.killShard(dst)
-	code, ec := errCode2(t, tc.noRedirect, "POST", tc.url(src)+"/v1/cluster/move",
-		moveRequest{Topic: name, Target: tc.url(dst)})
-	if code != http.StatusBadGateway || ec != codeMoveFailed {
-		t.Fatalf("move to dead peer: %d %q, want 502 %q", code, ec, codeMoveFailed)
+	a, err := follow(tc.noRedirect, "POST", tc.url(src)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(dst)}, -1)
+	if err != nil || a.code != http.StatusBadGateway || a.ec != codeMoveFailed {
+		t.Fatalf("move to dead peer: %v %v, want 502 %q", a, err, codeMoveFailed)
 	}
 
 	// The failed move left the topic served at the source, un-fenced.

@@ -655,7 +655,7 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 // cut can bring the old target back. The resume is crashed at its first
 // directory fsync; by then the tombstone's rename must have happened.
 func TestMoveResumeRepointSyncsDir(t *testing.T) {
-	tc := newTestCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}}, true)
+	tc := newCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}}, true)
 	name := harnessTopicName(3)
 	src := tc.ownerIdx(name)
 	first, second := (src+1)%3, (src+2)%3

@@ -472,7 +472,7 @@ func TestFeaturesOfAViewBeforeItsFreeze(t *testing.T) {
 // still counts no batch), let alone before the batch POST does. No probe
 // interferes (interval: an hour).
 func TestHealthzAnswersDuringSolve(t *testing.T) {
-	tc := newTestCluster(t, 2, serverOptions{
+	tc := newCluster(t, 2, serverOptions{
 		repl: &replOptions{Factor: 2, ProbeInterval: time.Hour},
 		peer: fastPeer(nil),
 	}, true)

@@ -1,10 +1,9 @@
 package main
 
 // Fault-injection scenarios for journal-shipped replication, each pinning
-// what one schedule alone shows (TestClusterSim explores the schedules): a
-// zombie primary fenced by its next ship, idle followers converging, a
-// restarted primary fenced at start-up, a promotion held back by a live
-// holder, and the move corner cases whose hand-off is ambiguous.
+// what the simulator (TestClusterSim) does not reach: idle followers
+// converging past a bounded queue, a restarted primary fenced at start-up
+// while two shards are down, and a promotion held back by a live holder.
 
 import (
 	"bytes"
@@ -147,11 +146,11 @@ func TestResyncConvergesIdleTopics(t *testing.T) {
 		t.Skip("cluster harness is not short")
 	}
 	gate := &gateTransport{prefix: "/v1/replica/"}
-	tc := newClockedCluster(t, 2, serverOptions{
+	tc := newCluster(t, 2, serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    fastRepl(),
 		peer:    fastPeer(gate),
-	})
+	}, true)
 	names := tc.ownedBy(0, 320)
 	for _, name := range names {
 		tc.retryJSON("POST", tc.url(0)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
@@ -166,79 +165,6 @@ func TestResyncConvergesIdleTopics(t *testing.T) {
 			t.Fatalf("%s: primary at (%d,%d), replica at (%d,%d)", name, pb, pd, rb, rd)
 		}
 	}
-}
-
-// TestClusterZombieFencing pins the split-brain guarantee: a primary cut
-// off from clients (but still running) keeps accepting nothing after its
-// topic is promoted elsewhere — its next write's replica ship comes back
-// 409 epoch_mismatch, it fences itself with a tombstone naming the new
-// owner, and redirects from then on.
-func TestClusterZombieFencing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster harness is not short")
-	}
-	opts := serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    fastRepl(),
-		peer:    fastPeer(nil),
-	}
-	tc := newClockedCluster(t, 3, opts)
-
-	// One topic, owned by the shard that will go zombie.
-	pick := 0
-	for tc.ownerIdx(harnessTopicName(pick)) != 0 {
-		pick++
-	}
-	name := harnessTopicName(pick)
-	tc.retryJSON("POST", tc.url(0)+"/v1/topics", harnessCreateReq(pick), nil, http.StatusCreated)
-	for day := 1; day <= 3; day++ {
-		tc.retryJSON("POST", tc.url(0)+"/v1/topics/"+name+"/batches", harnessBatch(pick, day), nil, http.StatusOK)
-	}
-
-	// Partition the primary: its listener stops answering, but its server
-	// object keeps running — detector, replicator, topic state all live.
-	zombie := tc.shards[0].srv
-	tc.shards[0].sh.kill()
-
-	// The peers declare it down and the replica holder promotes at epoch 1.
-	promoted := tc.awaitServedAt(name, 1, []int{1, 2})
-
-	// The zombie still believes it owns the topic at epoch 0. Drive a
-	// batch into it directly (its listener is gone; ServeHTTP stands in
-	// for a client that still holds a connection): processing succeeds in
-	// memory, but the replica ship is refused with epoch_mismatch and the
-	// zombie fences itself instead of acking forked history.
-	code, ec := serveJSON(t, zombie, "POST", "/v1/topics/"+name+"/batches", harnessBatch(pick, 4))
-	if code != http.StatusConflict || ec != codeEpochMismatch {
-		t.Fatalf("zombie write answered %d %q, want 409 %q", code, ec, codeEpochMismatch)
-	}
-
-	// Fenced: the tombstone is on the zombie's disk, naming the new owner
-	// at the epoch that demoted it, and reads redirect.
-	var ts cluster.Tombstone
-	data, err := os.ReadFile(filepath.Join(tc.shards[0].dir, name+".moved"))
-	ok := err == nil && json.Unmarshal(data, &ts) == nil
-	if !ok || ts.Target != tc.url(promoted) || ts.Epoch != 0 {
-		t.Fatalf("zombie tombstone = %+v (present=%v), want epoch 0 → %s", ts, ok, tc.url(promoted))
-	}
-	req := httptest.NewRequest("GET", "/v1/topics/"+name, nil)
-	rec := httptest.NewRecorder()
-	zombie.ServeHTTP(rec, req)
-	if rec.Code != http.StatusTemporaryRedirect || rec.Header().Get(shardHeader) != tc.url(promoted) {
-		t.Fatalf("fenced zombie answered %d shard=%q, want 307 → %s", rec.Code, rec.Header().Get(shardHeader), tc.url(promoted))
-	}
-
-	// Meanwhile the promoted copy serves the full acked history and the
-	// stream continues — the zombie's rejected day-4 batch was never
-	// acked, so the client's retry lands day 4 on the new primary.
-	var sum topicSummary
-	tc.retryJSON("GET", tc.url(promoted)+"/v1/topics/"+name, nil, &sum, http.StatusOK)
-	if sum.Batches != 3 {
-		t.Fatalf("promoted topic has %d batches, want 3", sum.Batches)
-	}
-	tc.retryJSON("POST", tc.url(promoted)+"/v1/topics/"+name+"/batches", harnessBatch(pick, 4), nil, http.StatusOK)
-
-	zombie.Close()
 }
 
 // serveJSON drives one JSON request straight into a server's ServeHTTP
@@ -278,137 +204,6 @@ func (tc *testCluster) failoverTopic(p int, name string) {
 	tc.awaitFollowersSynced(p, []string{name}, 40)
 }
 
-// blindTransport reports the response to the first hand-off PUT as lost
-// (the target installed the topic, the source sees a transport error) and,
-// while blind is set, fails every placement query: a move whose install
-// landed and cannot be confirmed.
-type blindTransport struct {
-	onNet
-	lost, blind atomic.Bool
-}
-
-func (b *blindTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if b.blind.Load() && req.URL.Path == "/v1/cluster/info" {
-		return nil, fmt.Errorf("injected: placement query to %s failed", req.URL.Host)
-	}
-	resp, err := b.net.RoundTrip(req)
-	if err == nil && req.Header.Get(handoffHeader) != "" && b.lost.CompareAndSwap(false, true) {
-		resp.Body.Close()
-		return nil, fmt.Errorf("injected: the response to %s %s was lost", req.Method, req.URL.Path)
-	}
-	return resp, err
-}
-
-// TestPromotedTopicReseedsAfterAmbiguousMove: a name served again on a
-// shard starts with a shipping record that knows no follower. Ring order
-// [S, U, T], RF 2: S's move to T is ambiguous (the install lands, its ack
-// and the placement query are lost), a retry completes it, T streams on
-// and dies, and S promotes the topic. Within one tick S re-seeds U, which
-// S's record of the topic it moved away once listed as synced.
-func TestPromotedTopicReseedsAfterAmbiguousMove(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster harness is not short")
-	}
-	transport := &blindTransport{}
-	tc := newClockedCluster(t, 3, serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		repl:    fastRepl(),
-		peer:    fastPeer(transport),
-	})
-	name := "ambiguous"
-	set := tc.ring.ReplicaSet(name, 3)
-	s, u, tt := tc.peerIdx(set[0]), tc.peerIdx(set[1]), tc.peerIdx(set[2])
-	tc.retryJSON("POST", tc.url(s)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
-	for day := 1; day <= 3; day++ {
-		tc.retryJSON("POST", tc.url(s)+"/v1/topics/"+name+"/batches", degradeBatch(day), nil, http.StatusOK)
-	}
-	tc.awaitFollowersSynced(s, []string{name}, 0)
-
-	transport.blind.Store(true)
-	move := moveRequest{Topic: name, Target: tc.url(tt)}
-	if code, ec := errCode2(t, tc.noRedirect, "POST", tc.url(s)+"/v1/cluster/move", move); code != http.StatusBadGateway || ec != codeMoveFailed {
-		t.Fatalf("ambiguous move answered %d %q, want 502 %q", code, ec, codeMoveFailed)
-	}
-	transport.blind.Store(false)
-	var mv moveResponse
-	tc.retryJSON("POST", tc.url(s)+"/v1/cluster/move", move, &mv, http.StatusOK)
-	if !mv.Resumed || mv.Epoch != 1 {
-		t.Fatalf("move retry %+v, want the hand-off resumed at epoch 1", mv)
-	}
-	for day := 4; day <= 5; day++ {
-		tc.retryJSON("POST", tc.url(tt)+"/v1/topics/"+name+"/batches", degradeBatch(day), nil, http.StatusOK)
-	}
-
-	tc.killShard(tt)
-	if got := tc.awaitServedAt(name, 2, []int{s, u}); got != s {
-		t.Fatalf("shard %d promoted %q, want S (%d), T's first live candidate", got, name, s)
-	}
-	tc.awaitFollowersSynced(s, []string{name}, 1)
-	pb, pd := servedTopic(tc.shards[s].srv, name).eng.StreamPos()
-	if rb, rd := replicaPos(t, tc.shards[u].dir, name); pb != 5 || rb != pb || rd != pd {
-		t.Fatalf("S at (%d,%d), want 5 batches; U's replica at (%d,%d)", pb, pd, rb, rd)
-	}
-}
-
-// TestClusterMoveResumeElsewhereAfterLandedInstall: a move S→T whose install
-// landed but could not be confirmed — its ack and the placement query were
-// lost — is retried naming U. The resume must not install a second copy: S
-// asks T, finds the hand-off landed there, drops its leftover files and
-// redirects the move to T. Exactly one shard serves the topic, with its
-// full history, and every other shard redirects its batches.
-func TestClusterMoveResumeElsewhereAfterLandedInstall(t *testing.T) {
-	transport := &blindTransport{}
-	tc := newTestCluster(t, 3, serverOptions{
-		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
-		peer:    fastPeer(transport),
-	}, true)
-	name := harnessTopicName(5)
-	s := tc.ownerIdx(name)
-	tt, u := (s+1)%3, (s+2)%3
-	tc.retryJSON("POST", tc.url(s)+"/v1/topics", harnessCreateReq(5), nil, http.StatusCreated)
-	for day := 1; day <= 3; day++ {
-		tc.retryJSON("POST", tc.url(s)+"/v1/topics/"+name+"/batches", harnessBatch(5, day), nil, http.StatusOK)
-	}
-
-	transport.blind.Store(true)
-	if code, ec := errCode2(t, tc.noRedirect, "POST", tc.url(s)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(tt)}); code != http.StatusBadGateway || ec != codeMoveFailed {
-		t.Fatalf("ambiguous move answered %d %q, want 502 %q", code, ec, codeMoveFailed)
-	}
-	transport.blind.Store(false)
-	moved, err := follow(tc.noRedirect, "POST", tc.url(s)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(u)}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var serving []int
-	for i := range tc.shards {
-		var info clusterInfoResponse
-		tc.retryJSON("GET", tc.url(i)+"/v1/cluster/info?topic="+name, nil, &info, http.StatusOK)
-		if info.Topic != nil && info.Topic.Local {
-			serving = append(serving, i)
-		}
-	}
-	if len(serving) != 1 || serving[0] != tt {
-		t.Fatalf("shards %v serve %q, want exactly T (%d)", serving, name, tt)
-	}
-	if moved.code != http.StatusTemporaryRedirect || moved.shard != tc.url(tt) {
-		t.Fatalf("move retry naming U answered %v, want 307 to T %s", moved, tc.url(tt))
-	}
-	var sum topicSummary
-	tc.retryJSON("GET", tc.url(tt)+"/v1/topics/"+name, nil, &sum, http.StatusOK)
-	if sum.Batches != 3 {
-		t.Fatalf("T serves %d batches, want 3", sum.Batches)
-	}
-	if dirStore(t, tc.shards[s].dir).HasSnapshot(name) {
-		t.Fatal("S still holds the snapshot of a topic T serves")
-	}
-	for _, i := range []int{s, u} {
-		if code, _ := errCode2(t, tc.noRedirect, "POST", tc.url(i)+"/v1/topics/"+name+"/batches", harnessBatch(5, 4)); code != http.StatusTemporaryRedirect {
-			t.Fatalf("batch sent to shard %d answered %d, want 307", i, code)
-		}
-	}
-}
-
 // TestStartupFencesRestartedPrimary pins why a restarted shard asks every
 // candidate about its topics: ring order [P, A, B], RF 2. P dies, A
 // promotes and moves the topic to B, then A dies. P reboots holding the
@@ -419,11 +214,11 @@ func TestStartupFencesRestartedPrimary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster harness is not short")
 	}
-	tc := newClockedCluster(t, 3, serverOptions{
+	tc := newCluster(t, 3, serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    fastRepl(),
 		peer:    fastPeer(nil),
-	})
+	}, true)
 	name := "restarted"
 	set := tc.ring.ReplicaSet(name, 3)
 	p, a, b := tc.peerIdx(set[0]), tc.peerIdx(set[1]), tc.peerIdx(set[2])
@@ -461,7 +256,7 @@ func TestStartupFencesRestartedPrimary(t *testing.T) {
 // A is that replica's first live candidate, but B serves the topic: A must
 // keep the replica, not promote it to a second writer at epoch 1.
 func TestPromotionDefersToAMovedTopic(t *testing.T) {
-	tc := newClockedCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}, repl: fastRepl()})
+	tc := newCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}, repl: fastRepl()}, true)
 	name := "moved"
 	set := tc.ring.ReplicaSet(name, 3)
 	p, a, b := tc.peerIdx(set[0]), tc.peerIdx(set[1]), tc.peerIdx(set[2])

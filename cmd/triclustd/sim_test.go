@@ -1,38 +1,41 @@
 package main
 
-// TestClusterSim is the cluster's schedule explorer: one seeded simulator
-// and one oracle in place of a hand-written scenario per rule. Each seed
-// runs three clocked shards (replication factor 2 on odd seeds, 3 on even
-// ones, rebalancer and enforce mode on), each on its own fault.Script and
-// its own link into one fault network, through drawn events: creates,
-// batches and reads at random entry shards, operator moves, one event
-// that races a topic's batch, move and reads, crashes and reboots, a zombie
-// (front gone, server running, a stale client writing to it), one
-// permanent kill, partitions, a held probe, a dropped request, lost install
-// and replica acks, ENOSPC on and off, ticks. Each event completes and the
-// loops park before the next; requests are served in process, and a tick
-// wakes the loops one at a time in a fixed order (cluster_test.go), so a
-// seed fixes every interleaving and replays. The race leg (race_on_test.go)
-// runs each tick's loops and the race's requests at once instead, so that
-// -race sees them overlap. The oracle holds every topic to a control
-// fed exactly the batches the cluster acked: at quiescence exactly one
-// shard serves each created topic and every entry shard reaches it with the
-// control's bytes (epoch aligned); every 200 read equals the control at the
-// position its ETag names, and a 304 names the ETag it was sent; ETags are
-// monotone per (topic, epoch); after every event at most one shard admits
-// writes per (topic, epoch); every redirect chain ends within simShards
-// hops — a 404 ends one, as the ring owner answers while a hand-off toward
-// it is parked (the holder answers 503 handoff_pending) or a promotion is
-// pending. The fault model is the one the design claims to survive: one
-// shard down at a time, killed only once every live follower caught up
-// (the simulator settles first), so no kill lands under traffic, a full
-// disk only while every shard is up, partitions that heal before the
-// detector's threshold, a client that creates a name once, and an operator
-// who re-points a hand-off parked toward a shard killed for good. Not
-// asserted: finite factors (a diverged step is acked today), and, once a
-// shard is dead for good, that every entry reaches a topic whose route
-// ends at the dead shard or short of it (stranded: two known defects). A
-// failure prints the seed, its events and the command that replays it.
+// TestClusterSim is the cluster's schedule explorer: one simulator and one
+// oracle in place of a hand-written scenario per rule. A run is three
+// clocked shards (replication factor 2 on odd seeds, 3 on even ones,
+// rebalancer and enforce mode on), each on its own fault.Script and its own
+// link into one fault network, driven through events: creates, batches and
+// reads at chosen entry shards, operator moves, one event that races a
+// topic's batch, move and reads, crashes and reboots, a zombie (front gone,
+// server running, a stale client writing to it), one permanent kill,
+// partitions, held probes, dropped requests, lost install and replica acks,
+// blind placement queries, ENOSPC on and off, ticks. A seed draws its events
+// (seed=N); a schedule is a named list of them (schedule=name). Each event
+// completes and the loops park before the next; requests are served in
+// process, and a tick wakes the loops one at a time in a fixed order
+// (cluster_test.go), so a run fixes every interleaving and replays. The race
+// leg (race_on_test.go) runs each tick's loops and the race's requests at
+// once instead, so that -race sees them overlap. The oracle holds every
+// topic to a control fed exactly the batches the cluster acked: at
+// quiescence exactly one shard serves each created topic and every entry
+// shard reaches it with the control's bytes (epoch aligned); every 200 read
+// equals the control at the position its ETag names, and a 304 names the
+// ETag it was sent; ETags are monotone per (topic, epoch); after every event
+// at most one shard admits writes per (topic, epoch); every redirect chain
+// ends within simShards hops (a 404 ends one: the ring owner answers while a
+// hand-off toward it is parked or a promotion is pending), and every 307
+// names the shard it leads to; a 200 move answers for what it did (checkMove);
+// a zombie fenced for a topic redirects it from then on; and a storage error
+// answers only after a full disk (judge). The fault model is the one the
+// design claims to survive: one shard down at a time, killed only once every
+// live follower caught up (the simulator settles first), a full disk only
+// while every shard is up, partitions that heal before the detector's
+// threshold, a client that creates a name once, and an operator who
+// re-points a hand-off parked toward a shard killed for good. Not asserted:
+// finite factors (a diverged step is acked today), and, once a shard is dead
+// for good, that every entry reaches a topic whose route ends at the dead
+// shard or short of it (stranded: two known defects). A failure prints its
+// events and the command that replays it.
 
 import (
 	"bytes"
@@ -64,13 +67,29 @@ const (
 	simSettle = 12  // ticks a settle may take before the cluster is stuck
 )
 
-func TestClusterSim(t *testing.T) { runSims(t, 1, simSeeds) }
+func TestClusterSim(t *testing.T) {
+	runSims(t, 1, simSeeds)
+	for _, sc := range simSchedules {
+		t.Run("schedule="+sc.name, func(t *testing.T) {
+			simulate(t, "go test -run 'TestClusterSim/^schedule="+sc.name+"$' ./cmd/triclustd/", 1, sc.drive)
+		})
+	}
+}
 
 // runSims runs seeds from … to as subtests seed=N.
 func runSims(t *testing.T, from, to int64) {
 	for seed := from; seed <= to; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runSim(t, seed) })
 	}
+}
+
+// runSim runs seed: simEvents events drawn from it.
+func runSim(t *testing.T, seed int64) *sim {
+	return simulate(t, fmt.Sprintf("go test -tags simwide -run 'TestClusterSimWide/^seed=%d$' ./cmd/triclustd/", seed), seed, func(s *sim) {
+		for range simEvents {
+			s.step()
+		}
+	})
 }
 
 // TestSimSeedsReplay runs a few seeds twice each and requires one
@@ -117,7 +136,7 @@ type simPos struct {
 
 type sim struct {
 	t       *testing.T
-	seed    int64
+	replay  string // the command that replays the run
 	rng     *rand.Rand
 	tc      *testCluster
 	net     *simNet
@@ -130,14 +149,19 @@ type sim struct {
 	dead    int    // the shard killed for good (-1: none)
 	deadURL string // its base URL ("": none)
 	full    []bool
+	wasFull bool            // some disk has been full since the last settle
+	fenced  map[string]bool // the topics the zombie answered epoch_mismatch for
 }
 
-func runSim(t *testing.T, seed int64) *sim {
+// simulate sets up a run of three shards, replication factor 2 on odd
+// seeds and 3 on even ones, drives it, and ends it with quiesce; replay is
+// the command a failure prints.
+func simulate(t *testing.T, replay string, seed int64, drive func(*sim)) *sim {
 	ro := fastRepl()
 	ro.Factor = 2 + int(seed+1)%2
 	ro.ProbeTimeout = time.Minute // only the clock releases a held probe
 	ro.AutoRebalance, ro.RebalanceInterval = true, ro.ProbeInterval
-	tc := newClockedCluster(t, simShards, serverOptions{
+	tc := newCluster(t, simShards, serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    ro,
 		peer:    peerOptions{Timeout: time.Minute},
@@ -145,21 +169,20 @@ func runSim(t *testing.T, seed int64) *sim {
 		// A promotion replays its tail ungated and must still match the
 		// ungated control byte for byte.
 		conform: triclust.ConformEnforce,
-	})
-	s := &sim{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), tc: tc, down: -1, dead: -1,
+	}, true)
+	s := &sim{t: t, replay: replay, rng: rand.New(rand.NewSource(seed)), tc: tc, down: -1, dead: -1,
 		net: &simNet{tc: tc, every: ro.ProbeInterval, healed: 1}, full: make([]bool, simShards)}
 	for i := range tc.shards {
 		s.scripts = append(s.scripts, fault.NewScript())
 		tc.shards[i].transport = &simLink{net: s.net, from: i}
 		tc.useFS(i, s.scripts[i])
 	}
+	s.awaitStartup()
 	for i := range simTopics {
 		req := harnessCreateReq(i)
 		s.topics = append(s.topics, &simTopic{idx: i, name: req.Name, ctl: controlTopic(t, req), seen: map[uint64]int{}})
 	}
-	for range simEvents {
-		s.step()
-	}
+	drive(s)
 	s.quiesce()
 	return s
 }
@@ -207,11 +230,11 @@ func (s *sim) event(format string, args ...any) func(result string) {
 	}
 }
 
-// fail reports a broken property with the seed and the event list.
+// fail reports a broken property with the event list and the command
+// that replays the run.
 func (s *sim) fail(format string, args ...any) {
 	s.t.Helper()
-	s.t.Fatalf("seed %d: %s\nreplay: go test -tags simwide -run 'TestClusterSimWide/^seed=%d$' ./cmd/triclustd/\nevents:\n  %s",
-		s.seed, fmt.Sprintf(format, args...), s.seed, strings.Join(s.log, "\n  "))
+	s.t.Fatalf("%s\nreplay: %s\nevents:\n  %s", fmt.Sprintf(format, args...), s.replay, strings.Join(s.log, "\n  "))
 }
 
 // step draws one event and runs it; an event whose precondition does not
@@ -223,7 +246,7 @@ func (s *sim) step() {
 	case r < 6 && !tp.created:
 		s.create(tp, entry)
 	case r < 30:
-		s.batch(tp, entry, nil)
+		s.batch(tp, entry, false)
 	case r < 44:
 		s.read(tp, entry, k%3, k%harnessUsers)
 	case r < 51:
@@ -258,9 +281,108 @@ func (s *sim) step() {
 		// faults.
 		s.enospc(i, !s.full[i])
 	case r >= 97 && s.zombie && s.down >= 0:
-		s.batch(tp, s.down, s.tc.shards[s.down].srv)
+		s.batch(tp, s.down, true)
 	default:
 		s.tick()
+	}
+}
+
+// ——— the schedules ———
+
+// simSchedules are the named event lists TestClusterSim runs beside its
+// seeds, each down a path the draws rarely reach, each on seed 1's set-up
+// (replication factor 2) and judged by the same oracle. A schedule expects
+// the answer it is there to reach, so that it cannot pass by missing it.
+var simSchedules = []struct {
+	name  string
+	drive func(s *sim)
+}{
+	// A primary turns zombie and its follower promotes the topic: the
+	// zombie's next write is fenced by the promoted copy, and the one after
+	// that is redirected.
+	{"zombie", func(s *sim) {
+		tp := s.topics[0]
+		p, _, _ := s.start(tp, 3)
+		s.kill(p, true, false)
+		s.ticks(5)
+		s.expect(s.batch(tp, p, true), http.StatusConflict, codeEpochMismatch)
+		s.batch(tp, p, true)
+	}},
+	// A hand-off lands, but its ack and every placement query are lost, so
+	// the source parks it. A retry naming another target finds it landed:
+	// the source drops its copy and redirects the move to where it landed.
+	{"resume-elsewhere", func(s *sim) {
+		tp := s.topics[1]
+		src, u, t := s.start(tp, 3)
+		s.arm("blind the placement queries of shard %d", src, &s.net.blind)
+		s.expect(s.move(tp, src, t, true), http.StatusBadGateway, codeMoveFailed)
+		s.expect(s.move(tp, src, u, false), http.StatusOK, "")
+	}},
+	// A parked hand-off is resumed by a move to its own target, which then
+	// dies: the source, its first candidate, promotes the topic and seeds
+	// its own follower.
+	{"resume-then-failover", func(s *sim) {
+		tp := s.topics[2]
+		src, _, t := s.start(tp, 3)
+		s.arm("blind the placement queries of shard %d", src, &s.net.blind)
+		s.expect(s.move(tp, src, t, true), http.StatusBadGateway, codeMoveFailed)
+		s.expect(s.move(tp, src, t, false), http.StatusOK, "")
+		s.batch(tp, t, false)
+		s.batch(tp, t, false)
+		s.kill(t, false, false)
+		s.ticks(5)
+		s.batch(tp, src, false)
+	}},
+	// Two parked hand-offs answer 503 handoff_pending, never a redirect
+	// loop, and each resumes to its verdict: one whose install never arrived
+	// is installed again; one whose target moved the topic on is refused by
+	// that target's fence, and its source drops its copy for good, so a
+	// batch sent there while it is cut off from its follower is redirected,
+	// not acked.
+	{"parked", func(s *sim) {
+		a, b := s.topics[0], s.topics[4]
+		src, _, t := s.start(a, 2)
+		s.arm("drop the next peer request of shard %d", src, &s.net.drop)
+		s.arm("blind the placement queries of shard %d", src, &s.net.blind)
+		s.expect(s.move(a, src, t, false), http.StatusBadGateway, codeMoveFailed)
+		s.expect(s.read(a, t, 0, 0), http.StatusServiceUnavailable, codeHandoffPending)
+		src, t, u := s.start(b, 2)
+		s.arm("blind the placement queries of shard %d", src, &s.net.blind)
+		s.expect(s.move(b, src, t, true), http.StatusBadGateway, codeMoveFailed)
+		s.expect(s.read(b, src, 1, 0), http.StatusServiceUnavailable, codeHandoffPending)
+		s.expect(s.move(b, t, u, false), http.StatusOK, "")
+		s.batch(b, u, false)
+		s.tick()
+		if s.net.cutPair(src, t, s.tc.opts.repl.ProbeFailures-1) {
+			s.event("partition %d|%d", src, t)("cut")
+		}
+		s.batch(b, src, false)
+	}},
+}
+
+// start creates tp at its ring owner and sends it n batches there; it
+// returns the shards of tp's replica set in ring order: the owner, the
+// owner's follower at replication factor 2, and the third.
+func (s *sim) start(tp *simTopic, n int) (owner, next, last int) {
+	set := s.tc.ring.ReplicaSet(tp.name, simShards)
+	owner, next, last = s.tc.peerIdx(set[0]), s.tc.peerIdx(set[1]), s.tc.peerIdx(set[2])
+	s.create(tp, owner)
+	for range n {
+		s.batch(tp, owner, false)
+	}
+	return owner, next, last
+}
+
+func (s *sim) ticks(n int) {
+	for range n {
+		s.tick()
+	}
+}
+
+// expect fails a schedule whose answer is not the one it exists to reach.
+func (s *sim) expect(a simAnswer, code int, ec string) {
+	if a.code != code || a.ec != ec {
+		s.fail("the schedule reached %s, not %d %s", a, code, ec)
 	}
 }
 
@@ -283,14 +405,23 @@ func (s *sim) create(tp *simTopic, entry int) {
 
 // batch sends the topic's next batch at shard entry or, zombie set, straight
 // into the zombie's server, as a client still holding a connection to it
-// would; a 200 feeds the control.
-func (s *sim) batch(tp *simTopic, entry int, zombie *server) {
+// would; a 200 feeds the control. Once the zombie answered epoch_mismatch
+// for a topic, it has fenced its copy, and its next answer for the topic is
+// a 307.
+func (s *sim) batch(tp *simTopic, entry int, zombie bool) simAnswer {
 	tp.day++
 	req := harnessBatch(tp.idx, tp.day)
-	done := s.event("batch %s day %d at %d (zombie %v)", tp.name, tp.day, entry, zombie != nil)
+	done := s.event("batch %s day %d at %d (zombie %v)", tp.name, tp.day, entry, zombie)
 	var a simAnswer
-	if zombie != nil {
-		a.code, a.ec = serveJSON(s.t, zombie, "POST", "/v1/topics/"+tp.name+"/batches", req)
+	if zombie {
+		a.code, a.ec = serveJSON(s.t, s.tc.shards[entry].srv, "POST", "/v1/topics/"+tp.name+"/batches", req)
+		s.judge(a)
+		if s.fenced[tp.name] && a.code != http.StatusTemporaryRedirect {
+			s.fail("the fenced zombie shard %d answered %s for %s, want a 307", entry, a, tp.name)
+		}
+		if a.ec == codeEpochMismatch {
+			s.fenced[tp.name] = true
+		}
 	} else {
 		a = s.do("POST", entry, "/v1/topics/"+tp.name+"/batches", req)
 	}
@@ -304,6 +435,7 @@ func (s *sim) batch(tp *simTopic, entry int, zombie *server) {
 		s.record(tp)
 	}
 	done(a.String())
+	return a
 }
 
 // record appends the control's current position to its history.
@@ -337,7 +469,7 @@ func simReadPath(tp *simTopic, kind, user int) string {
 	return path
 }
 
-func (s *sim) read(tp *simTopic, entry, kind, user int) {
+func (s *sim) read(tp *simTopic, entry, kind, user int) simAnswer {
 	path := simReadPath(tp, kind, user)
 	done := s.event("read %s at %d", path, entry)
 	a := s.do("GET", entry, path, nil)
@@ -345,6 +477,7 @@ func (s *sim) read(tp *simTopic, entry, kind, user int) {
 		s.checkRead(tp, kind, user, a)
 	}
 	done(a.String())
+	return a
 }
 
 // race sends tp's next batch and its move to target at shard entry, and
@@ -367,6 +500,7 @@ func (s *sim) race(tp *simTopic, entry, reader, target, kind, user int) {
 		}
 	}
 	done := s.event("race: batch %s day %d and move it to %d at %d, read %s twice at %d, in order %v", tp.name, tp.day, target, entry, path, reader, order)
+	held := s.holders(tp.name)
 	var a [4]simAnswer // the batch, the move, the two reads
 	var errs [4]error
 	send := [...]func(){
@@ -399,6 +533,9 @@ func (s *sim) race(tp *simTopic, entry, reader, target, kind, user int) {
 	if err := errors.Join(errs[:]...); err != nil {
 		s.fail("%v", err)
 	}
+	for _, r := range a {
+		s.judge(r)
+	}
 	if a[0].code == http.StatusOK {
 		if !tp.created {
 			s.fail("%s acked a batch before any create was acked", tp.name)
@@ -412,6 +549,15 @@ func (s *sim) race(tp *simTopic, entry, reader, target, kind, user int) {
 		if r.code == http.StatusOK {
 			s.checkRead(tp, kind, user, r)
 		}
+	}
+	if a[1].code == http.StatusOK {
+		batches := len(tp.hist) - 1
+		if raceLeg {
+			batches = -1
+		} else if a[0].code == http.StatusOK && slices.Index(order, 0) > slices.Index(order, 1) {
+			batches-- // the batch was sent after the move
+		}
+		s.checkMove(tp, target, a[1], held, batches)
 	}
 	if a[3].code == http.StatusNotModified && (a[2].code != http.StatusOK || a[3].etag != a[2].etag) {
 		s.fail("a read of %s answered 304 with ETag %q after %s with ETag %q", path, a[3].etag, a[2], a[2].etag)
@@ -482,7 +628,7 @@ func (s *sim) restore(snap []byte) (*triclust.Topic, []byte) {
 // move asks shard entry to move tp to target, never the dead shard; with
 // lostAck the first hand-off PUT any shard sends meanwhile lands, but its
 // answer is lost.
-func (s *sim) move(tp *simTopic, entry, target int, lostAck bool) {
+func (s *sim) move(tp *simTopic, entry, target int, lostAck bool) simAnswer {
 	if target == s.dead {
 		target = (target + 1) % simShards
 	}
@@ -490,7 +636,48 @@ func (s *sim) move(tp *simTopic, entry, target int, lostAck bool) {
 	if lostAck {
 		s.net.arm(&s.net.lose, simShards, false)
 	}
-	done(s.do("POST", entry, "/v1/cluster/move", moveRequest{Topic: tp.name, Target: s.tc.url(target)}).String())
+	held := s.holders(tp.name)
+	a := s.do("POST", entry, "/v1/cluster/move", moveRequest{Topic: tp.name, Target: s.tc.url(target)})
+	if a.code == http.StatusOK {
+		s.checkMove(tp, target, a, held, len(tp.hist)-1)
+	}
+	done(a.String())
+	return a
+}
+
+// holders returns the reply a move from each shard must give, but for its
+// target and batch count: a served copy hands off one epoch past its own, a
+// parked hand-off resumes at its tombstone's epoch (epoch 0: nothing held).
+func (s *sim) holders(name string) (h [simShards]moveResponse) {
+	for i, sd := range s.tc.shards {
+		h[i] = moveResponse{Topic: name, Source: s.tc.url(i)}
+		if tp := servedTopic(sd.srv, name); tp != nil {
+			h[i].Epoch = tp.eng.Epoch() + 1
+		} else if ts, _ := sd.srv.table.Tombstone(name); slices.Contains(sd.srv.table.Parked(), name) {
+			h[i].Epoch, h[i].Resumed = ts.Epoch, true
+		}
+	}
+	return h
+}
+
+// checkMove holds a 200 move of tp to target to what it did: the reply is
+// the one the answering shard's holding called for (held, taken before the
+// move), with the target and the control's batch count (batches < 0: either
+// of two, in the race leg); and the target serves the topic at its epoch.
+func (s *sim) checkMove(tp *simTopic, target int, a simAnswer, held [simShards]moveResponse, batches int) {
+	var got moveResponse
+	err := json.Unmarshal(a.body, &got)
+	want := held[slices.Index(s.tc.peers, a.at)]
+	want.Target, want.Batches = s.tc.url(target), batches
+	if batches < 0 {
+		want.Batches = got.Batches
+	}
+	if err != nil || got != want {
+		s.fail("a move of %s answered %+v (%v), want %+v", tp.name, got, err, want)
+	}
+	if at := servedTopic(s.tc.shards[target].srv, tp.name); at == nil || at.eng.Epoch() != got.Epoch {
+		s.fail("shard %d does not serve %s at epoch %d after its move there", target, tp.name, got.Epoch)
+	}
 }
 
 func (s *sim) tick() {
@@ -519,7 +706,7 @@ func (s *sim) kill(i int, zombie, forGood bool) {
 	if forGood {
 		s.dead, s.deadURL = i, s.tc.url(i)
 	} else {
-		s.down, s.zombie = i, zombie
+		s.down, s.zombie, s.fenced = i, zombie, map[string]bool{}
 	}
 	done("down")
 }
@@ -532,22 +719,28 @@ func (s *sim) reboot() {
 	}
 	s.tc.boot(i)
 	s.down = -1
-	// The shard is up once its start-up check, which asks the candidates
-	// about every served topic, has ended: every goroutine a server
-	// spawned is then one of its loops.
+	s.awaitStartup()
+	done("up")
+}
+
+// awaitStartup waits until the start-up check of every booted shard, which
+// asks the candidates about every served topic, has ended: every goroutine
+// a server spawned is then one of its loops. A check left running would
+// fence a topic at whatever later event it reached.
+func (s *sim) awaitStartup() {
 	if !eventually(func() bool {
 		return !slices.ContainsFunc(stacks(), func(g string) bool {
 			return strings.Contains(g, "(*server).spawn.func") && !strings.Contains(g, "Loop(") && !strings.Contains(g, "(*Detector).Watch(")
 		})
 	}) {
-		s.fail("the start-up check of shard %d never ended", i)
+		s.fail("a start-up check never ended")
 	}
-	done("up")
 }
 
 func (s *sim) enospc(i int, full bool) {
 	done := s.event("ENOSPC on shard %d: %v", i, full)
 	s.full[i] = full
+	s.wasFull = s.wasFull || full
 	s.scripts[i].SetBudget(map[bool]int64{true: 0, false: -1}[full])
 	done("set")
 }
@@ -573,6 +766,7 @@ func (s *sim) settle() {
 		s.repoint()
 		why := s.unsettled()
 		if why == "" {
+			s.wasFull = false
 			return
 		}
 		if n == simSettle {
@@ -713,9 +907,11 @@ func (s *sim) checkWriters() {
 
 // simAnswer is the end of one request's redirect chain.
 type simAnswer struct {
-	code, hops      int
-	ec, etag, shard string
-	body            []byte
+	code, hops int
+	// ec is the error code; shard the X-Triclust-Shard header; at the base
+	// URL of the shard that answered.
+	ec, etag, shard, at string
+	body                []byte
 }
 
 func (a simAnswer) String() string { return fmt.Sprintf("%d %s (%d hops)", a.code, a.ec, a.hops) }
@@ -727,15 +923,30 @@ func (s *sim) do(method string, entry int, path string, body any) simAnswer {
 	if err != nil {
 		s.fail("%s %s at shard %d: %v", method, path, entry, err)
 	}
+	s.judge(a)
 	return a
 }
 
-// follow sends one JSON request, with header's name and value pairs (an
-// empty value: none), and follows up to maxHops 307s by hand (maxHops < 0: none, the 307 is the
-// answer).
+// judge holds an answer to the storage property: a storage error code
+// answers only while some disk has been full since the last settle.
+func (s *sim) judge(a simAnswer) {
+	switch a.ec {
+	case codeStorage, codeJournalWriteFailed, codeStorageDegraded, codeStorageReadonly:
+		if !s.wasFull {
+			s.fail("answered %s, and no disk has been full since the last settle", a)
+		}
+	}
+}
+
+// follow sends one JSON request (a []byte body as it is), with header's
+// name and value pairs (an empty value: none), and follows up to maxHops
+// 307s by hand (maxHops < 0: none, the 307 is the answer). Every 307 must
+// name the shard its Location leads to in X-Triclust-Shard.
 func follow(client *http.Client, method, url string, body any, maxHops int, header ...string) (simAnswer, error) {
 	data, err := json.Marshal(body)
-	if body == nil || err != nil {
+	if raw, ok := body.([]byte); ok {
+		data = raw
+	} else if body == nil || err != nil {
 		data = nil
 	}
 	var trail []string
@@ -757,15 +968,19 @@ func follow(client *http.Client, method, url string, body any, maxHops int, head
 		}
 		b, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		loc, _ := resp.Location()
 		switch {
 		case err != nil:
 			return simAnswer{}, err
+		case resp.StatusCode == http.StatusTemporaryRedirect && (loc == nil || loc.Scheme+"://"+loc.Host != resp.Header.Get(shardHeader)):
+			return simAnswer{}, fmt.Errorf("a 307 to %v names shard %q: %s", loc, resp.Header.Get(shardHeader), strings.Join(trail, " → "))
 		case resp.StatusCode != http.StatusTemporaryRedirect || maxHops < 0:
 			var eb errorBody
 			if resp.StatusCode >= 400 {
 				_ = json.Unmarshal(b, &eb)
 			}
-			return simAnswer{code: resp.StatusCode, hops: hops, ec: eb.Error.Code, etag: resp.Header.Get("ETag"), shard: resp.Header.Get(shardHeader), body: b}, nil
+			return simAnswer{code: resp.StatusCode, hops: hops, ec: eb.Error.Code, etag: resp.Header.Get("ETag"),
+				shard: resp.Header.Get(shardHeader), at: req.URL.Scheme + "://" + req.URL.Host, body: b}, nil
 		case hops == maxHops:
 			return simAnswer{}, fmt.Errorf("the redirect chain did not end within %d hops: %s", maxHops, strings.Join(trail, " → "))
 		}
@@ -776,9 +991,10 @@ func follow(client *http.Client, method, url string, body any, maxHops int, head
 // ——— the fault network ———
 
 // simNet is the fault network every shard's peer client rides, one simLink
-// per shard, over the harness's in-process network. drop, lose and
-// shipLost name the shard each is armed for, plus one (0: unarmed,
-// simShards+1: any), and hold the pair from*simShards+to, plus one: the
+// per shard, over the harness's in-process network. drop, lose, shipLost
+// and blind (every placement query fails) name the shard each is armed
+// for, plus one (0: unarmed, simShards+1: any), and hold the pair
+// from*simShards+to, plus one: the
 // probe loops of one shard wake in no fixed order among themselves, so a
 // fault they could race for names its target. carry keeps them armed for
 // the next event.
@@ -790,9 +1006,9 @@ type simNet struct {
 	tc    *testCluster
 	every time.Duration
 
-	drop, lose, shipLost, hold, cut atomic.Int32
-	carry                           bool
-	cutLeft, healed                 int
+	drop, lose, shipLost, blind, hold, cut atomic.Int32
+	carry                                  bool
+	cutLeft, healed                        int
 }
 
 func (n *simNet) arm(fault *atomic.Int32, i int, carry bool) {
@@ -801,7 +1017,7 @@ func (n *simNet) arm(fault *atomic.Int32, i int, carry bool) {
 }
 
 func (n *simNet) disarm() {
-	for _, f := range []*atomic.Int32{&n.drop, &n.lose, &n.shipLost, &n.hold} {
+	for _, f := range []*atomic.Int32{&n.drop, &n.lose, &n.shipLost, &n.blind, &n.hold} {
 		if !n.carry {
 			f.Store(0)
 		}
@@ -859,12 +1075,13 @@ func (l *simLink) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	c := int(n.cut.Load()) - 1
 	cut := c == l.from*simShards+to || c == to*simShards+l.from
+	blind := n.blind.Load() == int32(l.from+1) && req.URL.Path == "/v1/cluster/info"
 	switch {
-	case cut || take(&n.drop, !probe):
+	case cut || blind || take(&n.drop, !probe):
 		if req.Body != nil {
 			req.Body.Close()
 		}
-		return nil, fmt.Errorf("sim: %s %s from shard %d dropped (cut %v)", req.Method, req.URL.Path, l.from, cut)
+		return nil, fmt.Errorf("sim: %s %s from shard %d dropped (cut %v, blind %v)", req.Method, req.URL.Path, l.from, cut, blind)
 	case probe && n.hold.CompareAndSwap(int32(l.from*simShards+to+1), 0) &&
 		!n.tc.clock.SleepAs(req.Context(), n.every, fmt.Sprint(l.from, " held probe")):
 		return nil, req.Context().Err()

@@ -391,11 +391,11 @@ func TestClusterWireFormatsEndToEnd(t *testing.T) {
 		topics = 6
 		days   = 6
 	)
-	tc := newClockedCluster(t, 3, serverOptions{
+	tc := newCluster(t, 3, serverOptions{
 		journal: store.Options{Every: 3, MaxBytes: 8 << 20},
 		repl:    fastRepl(),
 		peer:    fastPeer(nil),
-	})
+	}, true)
 
 	for i := 0; i < topics; i++ {
 		var sum topicSummary
