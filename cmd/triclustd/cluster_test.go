@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -550,5 +552,94 @@ func TestMoveRequiresClusterMode(t *testing.T) {
 	code, ec = errCode(t, client, "GET", srv.URL+"/v1/cluster/info", nil)
 	if code != http.StatusConflict || ec != codeNotClustered {
 		t.Fatalf("info without cluster: %d %q", code, ec)
+	}
+}
+
+// TestParkedHandoffAnswersThenResumes: a data dir where the ring owner S
+// holds a topic's snapshot beside a tombstone naming T — a hand-off
+// interrupted before T confirmed it. Two shards, with and without
+// replication: T does not hold the topic. A client following redirects from
+// either shard gets a retryable 503 handoff_pending within two hops, never a
+// redirect loop; one tick later the resume loop has installed the topic on
+// T, where every entry reaches it at the fencing epoch with its batches.
+// Three shards (moved-on): the install had landed and T has moved the
+// topic on to U at epoch 2. T's fence refuses the resume, which is the
+// verdict: S drops its copy and routes after its tombstone, so every entry
+// reaches U.
+func TestParkedHandoffAnswersThenResumes(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		shards, rf      int
+		movedOn         bool
+		holder, atEpoch int // the shard serving the topic after the tick (0: T, 1: U), at what epoch
+	}{
+		{"rf=1", 2, 1, false, 0, 1},
+		{"rf=2", 2, 2, false, 0, 1},
+		{"moved-on", 3, 1, true, 1, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ro := fastRepl()
+			ro.Factor = c.rf
+			tc := newCluster(t, c.shards, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}, repl: ro}, true)
+			name := harnessTopicName(3)
+			s := tc.ownerIdx(name)
+			tt, u := (s+1)%c.shards, (s+2)%c.shards
+			tc.retryJSON("POST", tc.url(s)+"/v1/topics", harnessCreateReq(3), nil, http.StatusCreated)
+			for day := 1; day <= 2; day++ {
+				tc.retryJSON("POST", tc.url(s)+"/v1/topics/"+name+"/batches", harnessBatch(3, day), nil, http.StatusOK)
+			}
+			tc.killShard(s)
+			files := map[string][]byte{}
+			for _, ext := range []string{".snap", ".journal"} {
+				if b, err := os.ReadFile(filepath.Join(tc.shards[s].dir, name+ext)); err == nil {
+					files[ext] = b
+				}
+			}
+			if err := dirStore(t, tc.shards[s].dir).SetTombstone(name, cluster.Tombstone{Epoch: 1, Target: tc.url(tt)}); err != nil {
+				t.Fatal(err)
+			}
+			tc.boot(s)
+			if c.movedOn {
+				// The hand-off lands on T and moves on to U; then S stops
+				// before it removed the files it handed off.
+				tc.retryJSON("POST", tc.url(s)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(tt)}, nil, http.StatusOK)
+				tc.retryJSON("POST", tc.url(tt)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(u)}, nil, http.StatusOK)
+				tc.killShard(s)
+				for ext, b := range files {
+					if err := os.WriteFile(filepath.Join(tc.shards[s].dir, name+ext), b, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tc.boot(s)
+			}
+
+			entries := []int{s, tt}
+			if c.movedOn {
+				entries = []int{s}
+			}
+			for _, entry := range entries {
+				a, err := follow(tc.noRedirect, "GET", tc.url(entry)+"/v1/topics/"+name, nil, 2)
+				if err != nil || a.code != http.StatusServiceUnavailable || a.ec != codeHandoffPending {
+					t.Fatalf("GET through shard %d before the resume: %v %v, want 503 %s within two hops", entry, a, err, codeHandoffPending)
+				}
+			}
+			tc.tick()
+			if p := tc.shards[s].srv.table.Parked(); len(p) > 0 {
+				t.Fatalf("S still holds %v parked after a tick", p)
+			}
+			for entry := range c.shards {
+				var sum topicSummary
+				a, err := follow(tc.noRedirect, "GET", tc.url(entry)+"/v1/topics/"+name, nil, 2)
+				if err != nil || a.code != http.StatusOK || json.Unmarshal(a.body, &sum) != nil || sum.Batches != 2 {
+					t.Fatalf("GET through shard %d after a tick: %v %v (%+v), want 200 with 2 batches", entry, a, err, sum)
+				}
+			}
+			if tp := servedTopic(tc.shards[[]int{tt, u}[c.holder]].srv, name); tp == nil || tp.eng.Epoch() != uint64(c.atEpoch) {
+				t.Fatalf("the topic is not served at epoch %d where its hand-offs went", c.atEpoch)
+			}
+			if tc.shards[s].srv.store.HasSnapshot(name) {
+				t.Fatal("S kept the files of a hand-off that has its verdict")
+			}
+		})
 	}
 }
