@@ -8,7 +8,6 @@ import (
 	"net/url"
 	"slices"
 	"strings"
-	"time"
 
 	"triclust"
 	"triclust/internal/cluster"
@@ -292,8 +291,8 @@ func (s *server) takeBack(name string, rt *store.Restored) {
 // -probe-interval: cluster.Handoff retries the recorded move, which asks
 // the target, installs again when it is reachable and holds nothing, and
 // keeps the fence while it cannot be asked.
-func (s *server) resumeLoop(every time.Duration) {
-	for s.sleep(s.ctx, every) {
+func (s *server) resumeLoop() {
+	for s.sleep(s.ctx, s.probeEvery) {
 		for _, name := range s.table.Parked() {
 			if s.ctx.Err() != nil {
 				return

@@ -132,10 +132,14 @@ func (o *onNet) over(net http.RoundTripper) { o.net = net }
 
 // newCluster boots n shards with fresh data directories (persistent false:
 // fully in memory, no -data-dir), every shard's loops waiting on one manual
-// clock that tick steps, and no retry backoff.
+// clock that tick steps by the probe interval (unset: fastProbe), and no
+// retry backoff.
 func newCluster(t *testing.T, n int, opts serverOptions, persistent bool) *testCluster {
 	t.Helper()
 	opts.peer.Backoff = noBackoff
+	if opts.probeEvery == 0 {
+		opts.probeEvery = fastProbe
+	}
 	tc := &testCluster{t: t, clock: fault.NewClock(), opts: opts, vnodes: 32}
 	tc.client = &http.Client{Transport: tc}
 	tc.noRedirect = &http.Client{Transport: tc, CheckRedirect: func(*http.Request, []*http.Request) error {
@@ -247,17 +251,16 @@ func (tc *testCluster) tick() {
 	tc.t.Helper()
 	tc.parkLoops()
 	if raceLeg {
-		tc.clock.Advance(tc.opts.repl.ProbeInterval)
+		tc.clock.Advance(tc.opts.probeEvery)
 		tc.parkLoops()
 		return
 	}
-	tc.clock.Step(tc.opts.repl.ProbeInterval, tc.parkLoops)
+	tc.clock.Step(tc.opts.probeEvery, tc.parkLoops)
 }
 
 // parkLoops waits until every loop of every live shard is parked: the
 // resume loop, with replication a probe loop per peer and the reconcile
-// loop, the rebalancer if it is on (its interval must be the probe
-// interval), and the storage prober while it runs.
+// loop, the rebalancer if it is on, and the storage prober while it runs.
 // A round that degrades a topic starts the prober, so the count is taken
 // again after each wait; the prober is counted before it can park.
 func (tc *testCluster) parkLoops() {

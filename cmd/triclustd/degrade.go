@@ -17,13 +17,13 @@ import (
 // topic's state, which a refused write never changed, via the RCU view).
 // stRetired is terminal: the topic was deleted, handed off or fenced.
 //
-//	stServing ──(DegradeAfter consecutive failures, ENOSPC, or no journal)──▶ stReadOnly
+//	stServing ──(degradeAfter consecutive failures, ENOSPC, or no journal)──▶ stReadOnly
 //	stReadOnly ──(probe ok + compaction save ok)──▶ stServing
 //	any ──(retire)──▶ stRetired
 //
-// Past ShardAfter read-only topics the whole shard turns read-only: every
-// write answers 503 storage_readonly, because a disk failing across
-// topics is a disk about to fail the next topic too.
+// Past shardDegradeAfter read-only topics the whole shard turns
+// read-only: every write answers 503 storage_readonly, because a disk
+// failing across topics is a disk about to fail the next topic too.
 const (
 	stServing int32 = iota
 	stReadOnly
@@ -60,7 +60,7 @@ const (
 func (s *server) admit(tp *topic, write bool) *apiError {
 	if m := s.storage; write && m != nil && m.readonly.Load() {
 		return errf(http.StatusServiceUnavailable, codeStorageReadonly,
-			"shard is read-only: %d+ topics have degraded storage; retry after recovery", m.opts.ShardAfter)
+			"shard is read-only: %d+ topics have degraded storage; retry after recovery", shardDegradeAfter)
 	}
 	if tp == nil {
 		return nil
@@ -82,32 +82,15 @@ func (tp *topic) setState(to int32) bool {
 	return true
 }
 
-// storageOptions tune the degraded-mode state machine.
-type storageOptions struct {
-	// DegradeAfter is how many consecutive durable-write failures flip a
+const (
+	// degradeAfter is how many consecutive durable-write failures flip a
 	// topic into the read-only degraded state (ENOSPC and a lost journal
 	// flip immediately: neither is a transient).
-	DegradeAfter int
-	// ShardAfter is how many degraded topics flip the whole shard
+	degradeAfter = 3
+	// shardDegradeAfter is how many degraded topics flip the whole shard
 	// read-only.
-	ShardAfter int
-	// ProbeInterval is the write-probe cadence while anything is
-	// degraded, and the Retry-After hint handed to refused writers.
-	ProbeInterval time.Duration
-}
-
-func (o storageOptions) withDefaults() storageOptions {
-	if o.DegradeAfter <= 0 {
-		o.DegradeAfter = 3
-	}
-	if o.ShardAfter <= 0 {
-		o.ShardAfter = 2
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 5 * time.Second
-	}
-	return o
-}
+	shardDegradeAfter = 2
+)
 
 // storageMonitor runs the disk-degraded state machine: it counts
 // durable-write failures per topic, degrades topics (and past a
@@ -117,16 +100,15 @@ func (o storageOptions) withDefaults() storageOptions {
 // again. One monitor per server; nil when the server has no store
 // (nothing durable can fail).
 type storageMonitor struct {
-	s    *server
-	opts storageOptions
+	s *server
 
 	failures   atomic.Uint64
 	recoveries atomic.Uint64
 	probes     atomic.Uint64
 	lastErr    atomic.Pointer[string]
 	lastProbe  atomic.Pointer[string]
-	// readonly is the shard-level switch: set when ≥ ShardAfter topics
-	// are degraded, cleared as recoveries bring the count back
+	// readonly is the shard-level switch: set when ≥ shardDegradeAfter
+	// topics are degraded, cleared as recoveries bring the count back
 	// down.
 	readonly atomic.Bool
 
@@ -136,14 +118,11 @@ type storageMonitor struct {
 	running bool
 }
 
-func newStorageMonitor(s *server, opts storageOptions) *storageMonitor {
-	return &storageMonitor{s: s, opts: opts.withDefaults()}
-}
-
 // retrySeconds is the Retry-After value for refused writes: the probe
-// cadence, since that is how often recovery can happen.
-func (m *storageMonitor) retrySeconds() string {
-	return strconv.Itoa(int(max(1, int64(m.opts.ProbeInterval/time.Second))))
+// cadence, since that is how often recovery can happen, in whole seconds
+// rounded up (at least 1), so a client never retries before the next probe.
+func retrySeconds(every time.Duration) string {
+	return strconv.FormatInt(max(1, int64((every+time.Second-1)/time.Second)), 10)
 }
 
 // noteSuccess resets a topic's consecutive-failure count after any
@@ -165,7 +144,7 @@ func (m *storageMonitor) noteFailure(tp *topic, err error) {
 	msg := err.Error()
 	m.lastErr.Store(&msg)
 	n := int(tp.storFails.Add(1))
-	if n >= m.opts.DegradeAfter || errors.Is(err, syscall.ENOSPC) || !tp.disk.HasJournal() {
+	if n >= degradeAfter || errors.Is(err, syscall.ENOSPC) || !tp.disk.HasJournal() {
 		if tp.state.CompareAndSwap(stServing, stReadOnly) {
 			m.s.logf("topic %q storage-degraded after %d consecutive durable-write failures: %v", tp.name, n, err)
 		}
@@ -194,12 +173,12 @@ func (m *storageMonitor) impaired() []*topic {
 // under tp.mu (lock order tp.mu → s.mu).
 func (m *storageMonitor) recount() int {
 	n := len(m.impaired())
-	was := m.readonly.Swap(n >= m.opts.ShardAfter)
-	now := n >= m.opts.ShardAfter
+	was := m.readonly.Swap(n >= shardDegradeAfter)
+	now := n >= shardDegradeAfter
 	if now && !was {
-		m.s.logf("shard read-only: %d topics with degraded storage (threshold %d)", n, m.opts.ShardAfter)
+		m.s.logf("shard read-only: %d topics with degraded storage (threshold %d)", n, shardDegradeAfter)
 	} else if was && !now {
-		m.s.logf("shard writable again: %d topics with degraded storage (threshold %d)", n, m.opts.ShardAfter)
+		m.s.logf("shard writable again: %d topics with degraded storage (threshold %d)", n, shardDegradeAfter)
 	}
 	return n
 }
@@ -217,7 +196,7 @@ func (m *storageMonitor) ensureProber() {
 }
 
 func (m *storageMonitor) probeLoop() {
-	for m.s.sleep(m.s.ctx, m.opts.ProbeInterval) {
+	for m.s.sleep(m.s.ctx, m.s.probeEvery) {
 		m.probes.Add(1)
 		if err := m.s.store.Probe(); err != nil {
 			msg := "probe failed: " + err.Error()

@@ -18,18 +18,19 @@ import (
 )
 
 // faultServer builds one daemon whose durable writes go through the
-// given fault.FS, with a fast storage probe so degraded-mode tests
-// converge in milliseconds.
-func faultServer(t *testing.T, fs fault.FS, jopts store.Options, sopts storageOptions) (*server, *httptest.Server) {
+// given fault.FS, with its loops' round set to probeEvery (0: the 1s
+// default): a fast storage probe lets degraded-mode tests converge in
+// milliseconds.
+func faultServer(t *testing.T, fs fault.FS, jopts store.Options, probeEvery time.Duration) (*server, *httptest.Server) {
 	t.Helper()
-	return faultServerAt(t, t.TempDir(), fs, jopts, sopts)
+	return faultServerAt(t, t.TempDir(), fs, jopts, probeEvery)
 }
 
 // faultServerAt is faultServer over a data directory the test keeps, to
 // inspect or reopen it afterwards.
-func faultServerAt(t *testing.T, dir string, fs fault.FS, jopts store.Options, sopts storageOptions) (*server, *httptest.Server) {
+func faultServerAt(t *testing.T, dir string, fs fault.FS, jopts store.Options, probeEvery time.Duration) (*server, *httptest.Server) {
 	t.Helper()
-	s, err := newServer(dir, serverOptions{journal: jopts, fs: fs, storage: sopts}, t.Logf)
+	s, err := newServer(dir, serverOptions{journal: jopts, fs: fs, probeEvery: probeEvery}, t.Logf)
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
 	}
@@ -87,7 +88,7 @@ func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
 	script := fault.NewScript()
 	dir := t.TempDir()
 	s, hs := faultServerAt(t, dir, script, store.Options{Every: 100},
-		storageOptions{ShardAfter: 2, ProbeInterval: 20 * time.Millisecond})
+		20*time.Millisecond)
 	client := hs.Client()
 
 	for _, name := range []string{"storm-a", "storm-b"} {
@@ -99,12 +100,12 @@ func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
 		}
 	}
 
-	// The disk fills. The first failing batch per topic reports the
-	// append failure itself; ENOSPC degrades the topic immediately.
+	// The disk fills. The first failing batch per topic is refused by its
+	// append; ENOSPC degrades the topic immediately.
 	script.SetBudget(0)
 	for _, name := range []string{"storm-a", "storm-b"} {
-		if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(2)); code != http.StatusServiceUnavailable || ec != codeJournalWriteFailed {
-			t.Fatalf("batch %s on full disk: %d %s, want 503 %s", name, code, ec, codeJournalWriteFailed)
+		if code, ec, retry := postRetry(t, client, hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(2)); code != http.StatusServiceUnavailable || ec != codeStorageDegraded || retry != "1" {
+			t.Fatalf("batch %s on full disk: %d %s (Retry-After %q), want 503 %s (Retry-After 1)", name, code, ec, retry, codeStorageDegraded)
 		}
 	}
 
@@ -192,9 +193,44 @@ func decodeBody(t *testing.T, resp *http.Response, out any) {
 	}
 }
 
+// TestRetryAfterRoundsUp: a storage refusal's Retry-After is the probe
+// interval in whole seconds rounded up, at least 1, so a client that
+// honours it never retries before the next write probe can have run.
+func TestRetryAfterRoundsUp(t *testing.T) {
+	for _, tc := range []struct {
+		every time.Duration
+		want  string
+	}{
+		{1500 * time.Millisecond, "2"},
+		{25 * time.Millisecond, "1"},
+		{5 * time.Second, "5"},
+	} {
+		if got := retrySeconds(tc.every); got != tc.want {
+			t.Errorf("retrySeconds(%v) = %s, want %s", tc.every, got, tc.want)
+		}
+	}
+}
+
+// postRetry posts body as JSON and returns the answer's status, error
+// code and Retry-After header.
+func postRetry(t *testing.T, client *http.Client, url string, body any) (int, string, string) {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Post(url, "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	decodeBody(t, resp, &eb)
+	return resp.StatusCode, eb.Error.Code, resp.Header.Get("Retry-After")
+}
+
 // TestFailedAppendLeavesTopicUntouched: a batch whose journal append
 // fails — at any failpoint of the batch path — answers 503
-// journal_write_failed and leaves the topic exactly as it was: nothing is
+// storage_degraded and leaves the topic exactly as it was: nothing is
 // read back from disk, reads keep serving batch 1's snapshot bytes and
 // ETag, no read is refused, and once the disk heals the same batch
 // retries onto it as batch 2. (A failed truncate after the failed append
@@ -217,7 +253,7 @@ func TestFailedAppendLeavesTopicUntouched(t *testing.T) {
 		t.Run(tc.label, func(t *testing.T) {
 			script := fault.NewScript(tc.rules...)
 			s, hs := faultServer(t, script, store.Options{Every: 100},
-				storageOptions{ProbeInterval: 20 * time.Millisecond})
+				20*time.Millisecond)
 			const name = "untouched"
 			topic := "/v1/topics/" + name
 			if rec := matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name)); rec.Code != http.StatusCreated {
@@ -229,8 +265,8 @@ func TestFailedAppendLeavesTopicUntouched(t *testing.T) {
 			before := captureTopic(t, s, name)
 			etag := matrixServe(t, s, "GET", topic+"/users/0", nil).Header().Get("ETag")
 
-			if rec := matrixServe(t, s, "POST", topic+"/batches", degradeBatch(2)); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), codeJournalWriteFailed) {
-				t.Fatalf("batch 2: %d %s, want 503 %s", rec.Code, rec.Body.String(), codeJournalWriteFailed)
+			if rec := matrixServe(t, s, "POST", topic+"/batches", degradeBatch(2)); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), codeStorageDegraded) || rec.Header().Get("Retry-After") != "1" {
+				t.Fatalf("batch 2: %d %s (Retry-After %q), want 503 %s (Retry-After 1)", rec.Code, rec.Body.String(), rec.Header().Get("Retry-After"), codeStorageDegraded)
 			}
 			if n := script.Hits("persist.snap.read"); n != 0 {
 				t.Fatalf("the refused batch read the snapshot back %d times", n)
@@ -277,7 +313,7 @@ func TestCompactionFailureKeepsAck(t *testing.T) {
 		}
 	}
 
-	ctrl, _ := faultServer(t, nil, opts, storageOptions{})
+	ctrl, _ := faultServer(t, nil, opts, 0)
 	matrixServe(t, ctrl, "POST", "/v1/topics", degradeCreateReq(name))
 	feed(ctrl, 1, 3)
 	want := captureTopic(t, ctrl, name)
@@ -285,7 +321,7 @@ func TestCompactionFailureKeepsAck(t *testing.T) {
 	// The create's save is the first rename; batch 3's compaction the second.
 	script := fault.NewScript(fault.Rule{Site: "persist.snap.rename", Hit: 2, Err: errors.New("injected rename failure")})
 	dir := t.TempDir()
-	s, hs := faultServerAt(t, dir, script, opts, storageOptions{})
+	s, hs := faultServerAt(t, dir, script, opts, 0)
 	matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name))
 	feed(s, 1, 3)
 	var hr healthResponse
@@ -363,7 +399,7 @@ func TestVocabSaveFailureRollsBack(t *testing.T) {
 	} {
 		t.Run(tc.label, func(t *testing.T) {
 			dir := t.TempDir()
-			s, _ := faultServerAt(t, dir, fault.NewScript(tc.rules...), opts, storageOptions{ProbeInterval: time.Hour})
+			s, _ := faultServerAt(t, dir, fault.NewScript(tc.rules...), opts, time.Hour)
 			if rec := matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name)); rec.Code != http.StatusCreated {
 				t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
 			}
@@ -406,7 +442,7 @@ func TestJournalRecreateFailureDegrades(t *testing.T) {
 	script := fault.NewScript()
 	dir := t.TempDir()
 	s, hs := faultServerAt(t, dir, script, store.Options{Every: 2},
-		storageOptions{ProbeInterval: 20 * time.Millisecond})
+		20*time.Millisecond)
 	client := hs.Client()
 	url := hs.URL + "/v1/topics/" + name + "/batches"
 	if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq(name)); code != http.StatusCreated {

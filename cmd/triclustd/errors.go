@@ -13,8 +13,8 @@ import (
 
 // Stable error codes of the v1 API. Clients should branch on these, not
 // on message text or HTTP status alone. A code never changes meaning, and
-// a retired code (shard_unreachable went with the cluster proxy) is never
-// reused.
+// a retired code is never reused: shard_unreachable went with the cluster
+// proxy, and journal_write_failed folded into storage_degraded.
 const (
 	codeInvalidRequest = "invalid_request" // malformed JSON / missing fields
 	codeInvalidName    = "invalid_topic_name"
@@ -41,16 +41,13 @@ const (
 	// endpoint additionally accepts application/x-triclust-batch. Fix the
 	// header (or the body format), don't retry as-is.
 	codeUnsupportedMediaType = "unsupported_media_type"
-	// codeJournalWriteFailed means the batch's journal record could not be
-	// appended + fsynced (disk full, I/O error), so the topic did not take
-	// the batch: the on-disk tail is truncated to the last intact record,
-	// and the topic is marked degraded in healthz until a later append or
-	// snapshot succeeds. Retryable once disk recovers.
-	codeJournalWriteFailed = "journal_write_failed"
-	// codeStorageDegraded means repeated durable-write failures (or a lost
-	// journal) flipped the topic read-only: reads still answer, marked by
-	// an X-Triclust-Degraded header. Retry after the Retry-After hint; a
-	// background write probe recovers the topic automatically.
+	// codeStorageDegraded means the topic's storage refused the write:
+	// either this batch's journal append + fsync failed (disk full, I/O
+	// error), so the topic did not take the batch, or repeated failures
+	// (or a lost journal) flipped the topic read-only, where reads still
+	// answer, marked by an X-Triclust-Degraded header. Retry after the
+	// Retry-After hint; a background write probe recovers the topic
+	// automatically.
 	codeStorageDegraded = "storage_degraded"
 	// codeStorageReadonly means enough topics degraded that the whole
 	// shard refuses writes (a disk failing across topics is about to fail
@@ -116,8 +113,8 @@ func errf(status int, code, format string, args ...any) *apiError {
 // of a conformance rejection (which invariant broke, by how many sigma).
 func (s *server) fail(w http.ResponseWriter, e *apiError) {
 	h := w.Header()
-	if s.storage != nil && (e.code == codeStorageDegraded || e.code == codeStorageReadonly) {
-		h.Set("Retry-After", s.storage.retrySeconds())
+	if e.code == codeStorageDegraded || e.code == codeStorageReadonly {
+		h.Set("Retry-After", retrySeconds(s.probeEvery))
 	}
 	if e.epoch != 0 {
 		h.Set(epochHeader, strconv.FormatUint(e.epoch, 10))

@@ -764,10 +764,11 @@ func replicaMatrixServer(t *testing.T, dir string, fs fault.FS) *server {
 		t.Fatalf("newMembership: %v", err)
 	}
 	s, err := newServer(dir, serverOptions{
-		journal: matrixJournalOpts(),
-		cluster: cc,
-		repl:    &replOptions{Factor: 2, ProbeInterval: time.Hour},
-		fs:      fs,
+		journal:    matrixJournalOpts(),
+		cluster:    cc,
+		repl:       &replOptions{Factor: 2},
+		fs:         fs,
+		probeEvery: time.Hour,
 	}, t.Logf)
 	if err != nil {
 		t.Fatalf("replica server over %s: %v", dir, err)

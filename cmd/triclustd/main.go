@@ -75,12 +75,12 @@
 //	           (503 handoff_pending while that hand-off has no verdict)
 //
 // A write changes a topic only once it is durable, so one whose durable
-// step fails (503 journal_write_failed for a batch, 500 storage_error for
-// a warm-up) leaves the topic as it was and can be retried.
-// -degrade-after failures in a row (ENOSPC at once) make a topic
-// read-only; -shard-degrade-after unwritable topics make the shard refuse
-// every write with 503 storage_readonly. A write probe (-storage-probe-interval,
-// also the Retry-After hint) recovers topics without a restart.
+// step fails (503 storage_degraded for a batch, 500 storage_error for a
+// warm-up) leaves the topic as it was and can be retried. Three failures
+// in a row (ENOSPC at once) make a topic read-only; two unwritable topics
+// make the shard refuse every write with 503 storage_readonly. A write
+// probe every -probe-interval (also the Retry-After hint) recovers topics
+// without a restart.
 //
 // # Conformance gate
 //
@@ -186,23 +186,15 @@ func main() {
 	replFactor := flag.Int("replication-factor", 1,
 		"copies of every topic across the cluster: the primary plus N-1 cold replicas on ring successors (1: off)")
 	probeInterval := flag.Duration("probe-interval", time.Second,
-		"peer failure-detector probe cadence, and how often a parked hand-off is resumed")
+		"round of every background loop: peer failure-detector probes, replica resync and promotion, the -auto-rebalance check, the storage write probe while storage is degraded (also the Retry-After hint on refused writes) and parked hand-off resumes")
 	probeTimeout := flag.Duration("probe-timeout", 0,
 		"deadline for one failure-detector probe (0: the probe interval)")
 	probeFailures := flag.Int("probe-failures", 3,
 		"consecutive probe failures before a peer is declared down")
 	autoRebalance := flag.Bool("auto-rebalance", false,
-		"periodically move held topics back to their ring owners as peers die and return")
-	rebalanceInterval := flag.Duration("rebalance-interval", 10*time.Second,
-		"cadence of the -auto-rebalance convergence check")
+		"every -probe-interval, move held topics back to their ring owners as peers die and return")
 	conformMode := flag.String("conform-mode", "off",
 		"stream-conformance gate: off (score silently), flag (annotate batch responses with verdicts), enforce (reject quarantined batches with 422 batch_nonconforming before the journal append)")
-	degradeAfter := flag.Int("degrade-after", 3,
-		"consecutive durable-write failures before a topic turns read-only with 503 storage_degraded (ENOSPC degrades immediately)")
-	shardDegradeAfter := flag.Int("shard-degrade-after", 2,
-		"degraded topics before the whole shard refuses writes with 503 storage_readonly")
-	storageProbeInterval := flag.Duration("storage-probe-interval", 5*time.Second,
-		"write-probe cadence while storage is degraded (also the Retry-After hint on refused writes)")
 	drain := flag.Duration("shutdown-timeout", 30*time.Second, "graceful-shutdown drain timeout")
 	flag.Parse()
 	par.SetProcs(*procs)
@@ -216,14 +208,10 @@ func main() {
 		os.Exit(1)
 	}
 	opts := serverOptions{
-		journal: store.Options{Every: *journalEvery, MaxBytes: *journalMaxBytes},
-		maxBody: *maxBody,
-		conform: conform,
-		storage: storageOptions{
-			DegradeAfter:  *degradeAfter,
-			ShardAfter:    *shardDegradeAfter,
-			ProbeInterval: *storageProbeInterval,
-		},
+		journal:    store.Options{Every: *journalEvery, MaxBytes: *journalMaxBytes},
+		maxBody:    *maxBody,
+		conform:    conform,
+		probeEvery: *probeInterval,
 	}
 	if *peers != "" || *self != "" {
 		cc, err := newMembership(*self, *peers, *vnodes)
@@ -235,12 +223,10 @@ func main() {
 		opts.peer = peerOptions{Timeout: *peerTimeout}
 	}
 	opts.repl = &replOptions{
-		Factor:            *replFactor,
-		ProbeInterval:     *probeInterval,
-		ProbeTimeout:      *probeTimeout,
-		ProbeFailures:     *probeFailures,
-		AutoRebalance:     *autoRebalance,
-		RebalanceInterval: *rebalanceInterval,
+		Factor:        *replFactor,
+		ProbeTimeout:  *probeTimeout,
+		ProbeFailures: *probeFailures,
+		AutoRebalance: *autoRebalance,
 	}
 	handler, err := newServer(*dataDir, opts, logf)
 	if err != nil {

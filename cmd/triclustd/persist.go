@@ -10,7 +10,7 @@ import (
 // A batch's record is fsync-appended to the topic's journal before the
 // topic takes the batch — runBatch hands the append to Topic.ProcessIf as
 // its commit point — so memory never runs ahead of disk, and a failed
-// append (503 journal_write_failed) leaves the topic as it was. Then the
+// append (503 storage_degraded) leaves the topic as it was. Then the
 // batch is compacted if due, shipped (the followers store the same frame
 // byte for byte) and acked. Snapshots are compaction — maintenance that
 // bounds recovery time, never the thing an ack rests on.

@@ -264,7 +264,7 @@ func TestReadPlaneServeAllocs(t *testing.T) {
 // the last durable one: the topic never published the refused batch.
 func TestReadPlaneDuringRefusedAppend(t *testing.T) {
 	script := fault.NewScript()
-	s, hs := faultServer(t, script, store.Options{Every: 100}, storageOptions{})
+	s, hs := faultServer(t, script, store.Options{Every: 100}, 0)
 	client := hs.Client()
 
 	d, req := synthTopic(t, 41)
@@ -313,8 +313,8 @@ func TestReadPlaneDuringRefusedAppend(t *testing.T) {
 	// readers hammer the topic.
 	sabotageJournal(script)
 	day3 := batchRequest{Time: 3, Tweets: dayTweets(d, 3)}
-	if code, ec := errCode(t, client, "POST", url, day3); code != http.StatusServiceUnavailable || ec != codeJournalWriteFailed {
-		t.Fatalf("batch on dead journal: %d %q, want 503 %q", code, ec, codeJournalWriteFailed)
+	if code, ec, retry := postRetry(t, client, url, day3); code != http.StatusServiceUnavailable || ec != codeStorageDegraded || retry != "1" {
+		t.Fatalf("batch on dead journal: %d %q (Retry-After %q), want 503 %q (Retry-After 1)", code, ec, retry, codeStorageDegraded)
 	}
 
 	close(stop)
@@ -370,7 +370,7 @@ func TestNoReadSeesABatchBeforeItsFsync(t *testing.T) {
 	for _, fails := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sync fails=%v", fails), func(t *testing.T) {
 			fs := &syncReadFS{Script: fault.NewScript()}
-			s, _ := faultServer(t, fs, store.Options{Every: 100}, storageOptions{})
+			s, _ := faultServer(t, fs, store.Options{Every: 100}, 0)
 			const name = "inflight"
 			users0 := "/v1/topics/" + name + "/users/0"
 			etag := func() string { return matrixServe(t, s, "GET", users0, nil).Header().Get("ETag") }
@@ -473,8 +473,9 @@ func TestFeaturesOfAViewBeforeItsFreeze(t *testing.T) {
 // interferes (interval: an hour).
 func TestHealthzAnswersDuringSolve(t *testing.T) {
 	tc := newCluster(t, 2, serverOptions{
-		repl: &replOptions{Factor: 2, ProbeInterval: time.Hour},
-		peer: fastPeer(nil),
+		repl:       &replOptions{Factor: 2},
+		peer:       fastPeer(nil),
+		probeEvery: time.Hour,
 	}, true)
 	cfg := synth.DefaultConfig()
 	cfg.Seed, cfg.NumUsers, cfg.Days = 41, 1500, 8

@@ -59,27 +59,13 @@ type replOptions struct {
 	// Factor is the replication factor: every topic lives on its primary
 	// plus Factor-1 ring successors. 1 disables replication.
 	Factor int
-	// ProbeInterval / ProbeTimeout / ProbeFailures tune the failure
-	// detector (see cluster.DetectorConfig).
-	ProbeInterval time.Duration
+	// ProbeTimeout / ProbeFailures tune the failure detector, which probes
+	// every serverOptions.probeEvery (see cluster.DetectorConfig).
 	ProbeTimeout  time.Duration
 	ProbeFailures int
 	// AutoRebalance drives held topics back onto the ring every
-	// RebalanceInterval; off by default, preserving PR 5's pin semantics.
-	AutoRebalance     bool
-	RebalanceInterval time.Duration
-}
-
-// withDefaults fills what the replicator itself reads; the detector
-// defaults its own timeout and threshold (cluster.DetectorConfig).
-func (o replOptions) withDefaults() replOptions {
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = time.Second
-	}
-	if o.RebalanceInterval <= 0 {
-		o.RebalanceInterval = 10 * time.Second
-	}
-	return o
+	// probeEvery; off by default, preserving PR 5's pin semantics.
+	AutoRebalance bool
 }
 
 // replAck is the follower's 200 body: the replica position after applying
@@ -106,11 +92,10 @@ type replicator struct {
 }
 
 func newReplicator(s *server, m cluster.Membership, opts replOptions) *replicator {
-	opts = opts.withDefaults()
 	r := &replicator{s: s, opts: opts, held: make(map[string]string),
 		peers: slices.DeleteFunc(slices.Clone(m.Ring.Peers()), func(p string) bool { return p == m.Self })}
 	r.det = cluster.NewDetector(r.peers, r.probe, cluster.DetectorConfig{
-		Interval:  opts.ProbeInterval,
+		Interval:  s.probeEvery,
 		Timeout:   opts.ProbeTimeout,
 		Threshold: opts.ProbeFailures,
 		Backoff:   s.peers.opts.Backoff,
@@ -149,7 +134,7 @@ func (r *replicator) start() {
 func (r *replicator) reconcileLoop() {
 	s := r.s
 	var down []string
-	for s.sleep(s.ctx, r.opts.ProbeInterval) {
+	for s.sleep(s.ctx, s.probeEvery) {
 		if now := r.det.DownPeers(); !slices.Equal(now, down) {
 			s.logf("peers declared down: %v (was %v)", now, down)
 			down = now
@@ -431,13 +416,13 @@ func (r *replicator) reconcileStartup() {
 // ——— rebalancer ———
 
 // rebalanceLoop converges this shard's held topics onto the ring,
-// -rebalance-interval after its last round ended: topics whose ring owner
+// -probe-interval after its last round ended: topics whose ring owner
 // is a different live peer are handed off through the ordinary move path.
 // Because placement is a consistent hash, the plan is exactly the minimal
 // remap for whatever peers died or returned — topics still mapping here
 // never move.
 func (r *replicator) rebalanceLoop() {
-	for r.s.sleep(r.s.ctx, r.opts.RebalanceInterval) {
+	for r.s.sleep(r.s.ctx, r.s.probeEvery) {
 		r.rebalanceOnce()
 	}
 }

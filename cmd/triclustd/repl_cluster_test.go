@@ -23,12 +23,15 @@ import (
 	"triclust/internal/store"
 )
 
-// fastRepl returns replication options tuned for the harness: probes
-// every 25ms, a peer is down after 3 straight failures (~75ms).
+// fastProbe is the harness's probe interval (see newCluster): on its
+// manual clock it sets only the length of a tick.
+const fastProbe = 25 * time.Millisecond
+
+// fastRepl returns replication options tuned for the harness: a peer is
+// down after 3 straight failed probes, each bounded by 250ms.
 func fastRepl() *replOptions {
 	return &replOptions{
 		Factor:        2,
-		ProbeInterval: 25 * time.Millisecond,
 		ProbeTimeout:  250 * time.Millisecond,
 		ProbeFailures: 3,
 	}

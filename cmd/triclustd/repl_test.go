@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -332,9 +334,9 @@ func lockWaiters(fns ...string) int {
 }
 
 // TestCloseEndsOneLifetime: a replicated shard with a degraded topic runs
-// every background loop, each parked on a manual clock; when Close returns
-// they have all exited, spawn starts nothing any more, and a second Close
-// is a no-op.
+// every background loop, each parked on a manual clock; one advance of the
+// one probe interval runs one round of each; when Close returns they have
+// all exited, spawn starts nothing any more, and a second Close is a no-op.
 func TestCloseEndsOneLifetime(t *testing.T) {
 	const self = "http://self.test:8547"
 	cc, err := newMembership(self, self+",http://peer.test:8547", 32)
@@ -344,16 +346,30 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 	ro := fastRepl()
 	ro.AutoRebalance = true
 	clock := fault.NewClock()
+	// waits counts each loop's waits on the clock, by lifetimeLoops entry.
+	var waitsMu sync.Mutex
+	waits := map[string]int{}
+	sleep := func(ctx context.Context, d time.Duration) bool {
+		pc, _, _, _ := runtime.Caller(1)
+		name := runtime.FuncForPC(pc).Name() + "("
+		waitsMu.Lock()
+		for _, loop := range lifetimeLoops {
+			if strings.Contains(name, loop) {
+				waits[loop]++
+			}
+		}
+		waitsMu.Unlock()
+		return clock.Sleep(ctx, d)
+	}
 	script := fault.NewScript()
 	s, err := newServer(t.TempDir(), serverOptions{
 		journal: store.Options{Every: 100},
 		cluster: cc,
 		repl:    ro,
 		// The peer exists on the ring only: every request to it fails here.
-		peer:    peerOptions{Backoff: noBackoff, Transport: &gateTransport{prefix: "/"}},
-		fs:      script,
-		storage: storageOptions{ProbeInterval: 10 * time.Millisecond},
-		sleep:   clock.Sleep,
+		peer:  peerOptions{Backoff: noBackoff, Transport: &gateTransport{prefix: "/"}},
+		fs:    script,
+		sleep: sleep,
 	}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
@@ -388,6 +404,22 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 	}
 	if !extra(func(n int) bool { return n == 1 }) {
 		t.Fatalf("loops running: %v (before start: %v)", loopCounts(), before)
+	}
+	// One advance of the probe interval wakes every loop once, the storage
+	// prober's failing probe included, and each parks again.
+	clock.Advance(s.probeEvery)
+	if !clock.WaitSleepers(len(lifetimeLoops), eventuallyWithin) {
+		t.Fatalf("not every loop parked again after one round: %v", loopCounts())
+	}
+	waitsMu.Lock()
+	for _, loop := range lifetimeLoops {
+		if waits[loop] != 2 {
+			t.Errorf("%s waited %d times over one round, want 2", loop, waits[loop])
+		}
+	}
+	waitsMu.Unlock()
+	if n := s.storage.probes.Load(); n != 1 {
+		t.Errorf("%d storage probes over one round, want 1", n)
 	}
 	// A goroutine that outlives the context by a moment: Close must wait
 	// for it like for the loops.

@@ -71,9 +71,9 @@ type server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 	sleep  cluster.Sleep // serverOptions.sleep: every wait of the lifetime
-	// probeEvery is the -probe-interval, the resume loop's round as well as
-	// the replication loops'; resuming holds the names a resume is driving
-	// (cluster.go).
+	// probeEvery is serverOptions.probeEvery, the round of every loop of
+	// the lifetime and the Retry-After of a storage refusal; resuming holds
+	// the names a resume is driving (cluster.go).
 	probeEvery time.Duration
 	resuming   sync.Map
 }
@@ -129,8 +129,10 @@ type serverOptions struct {
 	// fault.OS). Tests inject a fault.Script here to exercise crash
 	// points and degraded mode.
 	fs fault.FS
-	// storage tunes the disk-degraded state machine (see degrade.go).
-	storage storageOptions
+	// probeEvery is the -probe-interval (≤ 0: 1s), the one round of every
+	// background loop: the failure detector's probes, the reconcile and
+	// rebalance loops, the storage write probe and the resume loop.
+	probeEvery time.Duration
 	// sleep is every wait of the loops and retries (nil: cluster.WallSleep);
 	// tests inject a fault.Clock's to step the loops a round at a time.
 	sleep cluster.Sleep
@@ -151,24 +153,23 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 		return nil, err
 	}
 	s := &server{
-		topics:  make(map[string]*topic),
-		store:   st,
-		logf:    logf,
-		maxBody: opts.maxBody,
-		conform: opts.conform,
-		sleep:   opts.sleep,
+		topics:     make(map[string]*topic),
+		store:      st,
+		logf:       logf,
+		maxBody:    opts.maxBody,
+		conform:    opts.conform,
+		sleep:      opts.sleep,
+		probeEvery: opts.probeEvery,
 	}
 	if s.sleep == nil {
 		s.sleep = cluster.WallSleep
 	}
-	var ro replOptions
-	if opts.repl != nil {
-		ro = *opts.repl
+	if s.probeEvery <= 0 {
+		s.probeEvery = time.Second
 	}
-	s.probeEvery = ro.withDefaults().ProbeInterval
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if st != nil {
-		s.storage = newStorageMonitor(s, opts.storage)
+		s.storage = &storageMonitor{s: s}
 	}
 	var m cluster.Membership
 	if opts.cluster != nil {
@@ -251,7 +252,7 @@ func (s *server) start() {
 		s.repl.start()
 	}
 	if s.table.Ring != nil && s.store != nil {
-		s.spawn(func() { s.resumeLoop(s.probeEvery) })
+		s.spawn(s.resumeLoop)
 	}
 }
 
@@ -928,7 +929,7 @@ func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust
 		var err error
 		if out, err = eng.ProcessIf(ts, tweets, durable); appendErr != nil {
 			s.storage.noteFailure(tp, appendErr)
-			return errf(http.StatusServiceUnavailable, codeJournalWriteFailed, "batch not applied, its journal append failed: %w", appendErr)
+			return errf(http.StatusServiceUnavailable, codeStorageDegraded, "batch not applied, its journal append failed: %w", appendErr)
 		} else if err != nil {
 			// An enforce-mode conformance rejection happened before the solve
 			// — before the journal append in particular, so the refused batch

@@ -160,18 +160,17 @@ func simulate(t *testing.T, replay string, seed int64, drive func(*sim)) *sim {
 	ro := fastRepl()
 	ro.Factor = 2 + int(seed+1)%2
 	ro.ProbeTimeout = time.Minute // only the clock releases a held probe
-	ro.AutoRebalance, ro.RebalanceInterval = true, ro.ProbeInterval
+	ro.AutoRebalance = true
 	tc := newCluster(t, simShards, serverOptions{
 		journal: store.Options{Every: 4, MaxBytes: 8 << 20},
 		repl:    ro,
 		peer:    peerOptions{Timeout: time.Minute},
-		storage: storageOptions{ProbeInterval: ro.ProbeInterval},
 		// A promotion replays its tail ungated and must still match the
 		// ungated control byte for byte.
 		conform: triclust.ConformEnforce,
 	}, true)
 	s := &sim{t: t, replay: replay, rng: rand.New(rand.NewSource(seed)), tc: tc, down: -1, dead: -1,
-		net: &simNet{tc: tc, every: ro.ProbeInterval, healed: 1}, full: make([]bool, simShards)}
+		net: &simNet{tc: tc, every: tc.opts.probeEvery, healed: 1}, full: make([]bool, simShards)}
 	for i := range tc.shards {
 		s.scripts = append(s.scripts, fault.NewScript())
 		tc.shards[i].transport = &simLink{net: s.net, from: i}
@@ -931,7 +930,7 @@ func (s *sim) do(method string, entry int, path string, body any) simAnswer {
 // answers only while some disk has been full since the last settle.
 func (s *sim) judge(a simAnswer) {
 	switch a.ec {
-	case codeStorage, codeJournalWriteFailed, codeStorageDegraded, codeStorageReadonly:
+	case codeStorage, codeStorageDegraded, codeStorageReadonly:
 		if !s.wasFull {
 			s.fail("answered %s, and no disk has been full since the last settle", a)
 		}

@@ -7,8 +7,10 @@ import "testing"
 // TestClusterSimWide is the wide run: seeds 1–1,000 once each, built only
 // with -tags simwide (about a minute on two cores):
 //
-//	go test -tags simwide -run TestClusterSimWide ./cmd/triclustd/
+//	go test -tags simwide -run '^TestClusterSimWide$' ./cmd/triclustd/
 //
-// A failing seed N replays alone with -run 'TestClusterSim/seed=N' in the
-// ordinary build, or with -run 'TestClusterSimWide/seed=N' in this one.
+// A failing seed N replays alone with -run 'TestClusterSimWide/^seed=N$'.
+// Seeds above 16 exist only in this build; the ordinary build's
+// -run 'TestClusterSim/^seed=N$' reaches seeds 1–16. scripts/simwide-gate.sh
+// runs this test and fails unless exactly its listed seeds fail.
 func TestClusterSimWide(t *testing.T) { runSims(t, 1, 1000) }
