@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -29,12 +27,8 @@ const (
 // vocabulary and one wide batch giving every user recorded history.
 func benchDaemon(b *testing.B, opts store.Options) (*server, *httptest.Server, *int) {
 	b.Helper()
-	s, err := newServer(b.TempDir(), serverOptions{journal: opts}, nil)
-	if err != nil {
-		b.Fatalf("newServer: %v", err)
-	}
-	srv := httptest.NewServer(s)
-	b.Cleanup(srv.Close)
+	s := serve(b, b.TempDir(), serverOptions{journal: opts}, false)
+	srv := front(b, s)
 	client := srv.Client()
 
 	users := make([]string, benchUsers)
@@ -46,27 +40,27 @@ func benchDaemon(b *testing.B, opts store.Options) (*server, *httptest.Server, *
 		Users:   users,
 		Options: topicOptions{MaxIter: 1, Seed: 1, MinDF: 1},
 	}
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		b.Fatalf("create: status %d err %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		b.Fatalf("create: status %d err %v", r.code, r.err)
 	}
 	words := make([][]string, 1)
 	for i := 0; i < benchVocab; i++ {
 		words[0] = append(words[0], benchWord(i))
 	}
 	vr := vocabRequest{Docs: words, Freeze: true}
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/bench/vocab", vr, nil); err != nil || code != http.StatusOK {
-		b.Fatalf("vocab: status %d err %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics/bench/vocab", vr, nil); r.err != nil || r.code != http.StatusOK {
+		b.Fatalf("vocab: status %d err %v", r.code, r.err)
 	}
 	// One wide batch: every user tweets once, so every user carries
 	// history the snapshot must serialize from now on.
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/bench/batches",
-		benchWideBatch(0), nil); err != nil || code != http.StatusOK {
-		b.Fatalf("wide warm batch: status %d err %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics/bench/batches",
+		benchWideBatch(0), nil); r.err != nil || r.code != http.StatusOK {
+		b.Fatalf("wide warm batch: status %d err %v", r.code, r.err)
 	}
 	day := 1
 	for ; day < 3; day++ {
-		if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/bench/batches", benchBatch(day), nil); err != nil || code != http.StatusOK {
-			b.Fatalf("warm batch %d: status %d err %v", day, code, err)
+		if r := call(nil, client, "POST", srv.URL+"/v1/topics/bench/batches", benchBatch(day), nil); r.err != nil || r.code != http.StatusOK {
+			b.Fatalf("warm batch %d: status %d err %v", day, r.code, r.err)
 		}
 	}
 	return s, srv, &day
@@ -118,9 +112,9 @@ func BenchmarkDaemonBatchPersist(b *testing.B) {
 		client := srv.Client()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			code, err := doJSON(client, "POST", srv.URL+"/v1/topics/bench/batches", benchBatch(*day), nil)
-			if err != nil || code != http.StatusOK {
-				b.Fatalf("batch %d: status %d err %v", *day, code, err)
+			r := call(nil, client, "POST", srv.URL+"/v1/topics/bench/batches", benchBatch(*day), nil)
+			if r.err != nil || r.code != http.StatusOK {
+				b.Fatalf("batch %d: status %d err %v", *day, r.code, r.err)
 			}
 			*day++
 		}
@@ -169,18 +163,14 @@ func BenchmarkReadsUnderIngest(b *testing.B) {
 						return
 					default:
 					}
-					body, err := json.Marshal(benchBatch(*day))
-					if err != nil {
-						ingestDone <- err
+					r := call(nil, s, "POST", "/v1/topics/bench/batches", benchBatch(*day), nil)
+					*day++
+					if r.err != nil {
+						ingestDone <- r.err
 						return
 					}
-					*day++
-					req := httptest.NewRequest("POST", "/v1/topics/bench/batches", bytes.NewReader(body))
-					req.Header.Set("Content-Type", "application/json")
-					rec := httptest.NewRecorder()
-					s.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						ingestDone <- fmt.Errorf("ingest batch: status %d: %s", rec.Code, rec.Body.String())
+					if r.code != http.StatusOK {
+						ingestDone <- fmt.Errorf("ingest batch: status %d: %s", r.code, r.body)
 						return
 					}
 					ingested.Add(1)

@@ -358,7 +358,9 @@ type topicPlacement struct {
 	// Owner is where this shard would route the topic: itself, the
 	// tombstone target, or the ring owner.
 	Owner string `json:"owner"`
-	// Local reports the topic is registered on this shard.
+	// Local reports the topic is registered on this shard, or held here
+	// parked: a hand-off without a verdict keeps its state on disk at the
+	// tombstone's epoch.
 	Local bool `json:"local"`
 	// Epoch is the hand-off epoch when a tombstone exists, else the local
 	// topic's epoch (0 when neither applies).
@@ -376,7 +378,7 @@ func (s *server) clusterInfo(w http.ResponseWriter, r *http.Request) *apiError {
 		}
 		// Owner is exactly where this shard would route the topic.
 		tp, rt := s.route(name)
-		resp.Topic = &topicPlacement{Name: name, Owner: rt.Owner, Local: tp != nil, Epoch: rt.Epoch}
+		resp.Topic = &topicPlacement{Name: name, Owner: rt.Owner, Local: tp != nil || rt.Parked, Epoch: rt.Epoch}
 		if tp != nil {
 			resp.Topic.Epoch = tp.eng.Epoch()
 		}

@@ -119,9 +119,11 @@ type testCluster struct {
 	client *http.Client
 	// noRedirect surfaces 307s for asserting on routing itself.
 	noRedirect *http.Client
-	// logs holds every line the shards logged, in order (see logf).
+	// logs holds every line the shards logged, in order (see logf); a
+	// failed test prints dump once, at its end (nil: nothing).
 	logMu sync.Mutex
 	logs  []string
+	dump  func() string
 }
 
 // onNet is embedded by a peer transport that fails or loses requests on
@@ -141,6 +143,16 @@ func newCluster(t *testing.T, n int, opts serverOptions, persistent bool) *testC
 		opts.probeEvery = fastProbe
 	}
 	tc := &testCluster{t: t, clock: fault.NewClock(), opts: opts, vnodes: 32}
+	tc.dump = func() string {
+		tc.logMu.Lock()
+		defer tc.logMu.Unlock()
+		return strings.Join(tc.logs, "\n")
+	}
+	t.Cleanup(func() {
+		if t.Failed() && tc.dump != nil {
+			t.Logf("the shards logged:\n%s", tc.dump())
+		}
+	})
 	tc.client = &http.Client{Transport: tc}
 	tc.noRedirect = &http.Client{Transport: tc, CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
@@ -183,13 +195,20 @@ func (tc *testCluster) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// logf is every shard's log: the test's log, and tc.logs.
+// logf is every shard's log, kept in tc.logs.
 func (tc *testCluster) logf(format string, args ...any) {
 	tc.logMu.Lock()
 	tc.logs = append(tc.logs, fmt.Sprintf(format, args...))
 	tc.logMu.Unlock()
-	tc.t.Logf(format, args...)
 }
+
+// shardLog is the test as its shards see it: their lines go to tc.logs.
+type shardLog struct {
+	*testing.T
+	tc *testCluster
+}
+
+func (l shardLog) Logf(format string, args ...any) { l.tc.logf(format, args...) }
 
 // boot (re)starts shard i's server from its data directory and swaps it
 // live. On the manual clock each of its waits is keyed by the shard and
@@ -215,12 +234,8 @@ func (tc *testCluster) boot(i int) {
 		pc, _, _, _ := runtime.Caller(1)
 		return tc.clock.SleepAs(ctx, d, fmt.Sprint(i, " ", runtime.FuncForPC(pc).Name()))
 	}
-	s, err := newServer(sd.dir, opts, tc.logf)
-	if err != nil {
-		tc.t.Fatalf("shard %d boot: %v", i, err)
-	}
+	s := serve(shardLog{tc.t, tc}, sd.dir, opts, true)
 	s.start()
-	tc.t.Cleanup(s.Close)
 	sd.srv = s
 	sd.sh.swap(s)
 }
@@ -426,13 +441,12 @@ func controlTopic(t *testing.T, req createTopicRequest) *triclust.Topic {
 // up.
 func (tc *testCluster) retryJSON(method, url string, body, out any, wantCode int) {
 	tc.t.Helper()
-	var code int
-	var err error
+	var r reply
 	if !eventually(func() bool {
-		code, err = doJSON(tc.client, method, url, body, out)
-		return err == nil && code == wantCode
+		r = call(nil, tc.client, method, url, body, out)
+		return r.err == nil && r.code == wantCode
 	}) {
-		tc.t.Fatalf("%s %s never returned %d (last: %d, %v)", method, url, wantCode, code, err)
+		tc.t.Fatalf("%s %s never returned %d (last: %d, %v)", method, url, wantCode, r.code, r.err)
 	}
 }
 
@@ -454,9 +468,13 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 	for day := 1; day <= 3; day++ {
 		tc.retryJSON("POST", tc.url(src)+"/v1/topics/"+name+"/batches", harnessBatch(7, day), nil, http.StatusOK)
 	}
-	stale := fetchSnapshot(t, tc.client, tc.url(src)+"/v1/topics/"+name+"/snapshot")
+	r := call(t, tc.client, "GET", tc.url(src)+"/v1/topics/"+name+"/snapshot", nil, nil)
+	if ct := r.hdr.Get("Content-Type"); r.code != http.StatusOK || ct != "application/octet-stream" {
+		t.Fatalf("snapshot: status %d content type %q", r.code, ct)
+	}
+	stale := r.body
 	move := func(topic string, target int) moveRequest { return moveRequest{Topic: topic, Target: tc.url(target)} }
-	reply := func(from, to int, epoch uint64) string {
+	moved := func(from, to int, epoch uint64) string {
 		b, _ := json.Marshal(moveResponse{Topic: name, Source: tc.url(from), Target: tc.url(to), Epoch: epoch, Batches: 3})
 		return string(b)
 	}
@@ -468,23 +486,23 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 		code   int
 		want   string
 	}{
-		{"POST", src, "/v1/cluster/move", move(name, dst), http.StatusOK, reply(src, dst, 1)},
+		{"POST", src, "/v1/cluster/move", move(name, dst), http.StatusOK, moved(src, dst, 1)},
 		{"GET", src, "/v1/topics/" + name, nil, http.StatusTemporaryRedirect, tc.url(dst)},
 		{"POST", src, "/v1/cluster/move", move(name, dst), http.StatusTemporaryRedirect, tc.url(dst)},
 		{"PUT", src, "/v1/topics/" + name, stale, http.StatusConflict, codeEpochMismatch},
 		{"POST", src, "/v1/cluster/move", moveRequest{Topic: name, Target: "http://not-a-peer:1"}, http.StatusBadRequest, codeUnknownPeer},
 		{"POST", src, "/v1/cluster/move", move("no-such-topic", dst), http.StatusNotFound, codeTopicNotFound},
 		{"POST", dst, "/v1/cluster/move", move(name, dst), http.StatusBadRequest, codeInvalidRequest},
-		{"POST", dst, "/v1/cluster/move", move(name, src), http.StatusOK, reply(dst, src, 2)},
+		{"POST", dst, "/v1/cluster/move", move(name, src), http.StatusOK, moved(dst, src, 2)},
 	} {
-		hops, header := simShards, []string(nil)
+		n, header := simShards, []string(nil)
 		if c.code == http.StatusTemporaryRedirect {
-			hops = -1
+			n = -1
 		}
 		if c.method == "PUT" { // a hand-off's install of the snapshot
 			header = []string{"Content-Type", mediaTypeSnapshot, handoffHeader, "1"}
 		}
-		a, err := follow(tc.noRedirect, c.method, tc.url(c.at)+c.path, c.body, hops, header...)
+		a := call(nil, hops{tc.noRedirect, n}, c.method, tc.url(c.at)+c.path, c.body, nil, header...)
 		got := a.ec
 		switch a.code {
 		case http.StatusOK:
@@ -492,13 +510,13 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 		case http.StatusTemporaryRedirect:
 			got = a.shard
 		}
-		if err != nil || a.code != c.code || got != c.want {
-			t.Fatalf("%s %s at shard %d answered %d %s (%v), want %d %s", c.method, c.path, c.at, a.code, got, err, c.code, c.want)
+		if a.err != nil || a.code != c.code || got != c.want {
+			t.Fatalf("%s %s at shard %d answered %d %s (%v), want %d %s", c.method, c.path, c.at, a.code, got, a.err, c.code, c.want)
 		}
 	}
 	var hr healthResponse
-	if code, err := doJSON(tc.client, "GET", tc.url(dst)+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK || hr.Cluster == nil || hr.Cluster.MovedTopics != 1 {
-		t.Fatalf("healthz of the shard the topic left: %d %v %+v, want 1 moved topic", code, err, hr.Cluster)
+	if r := call(nil, tc.client, "GET", tc.url(dst)+"/v1/healthz", nil, &hr); r.err != nil || r.code != http.StatusOK || hr.Cluster == nil || hr.Cluster.MovedTopics != 1 {
+		t.Fatalf("healthz of the shard the topic left: %d %v %+v, want 1 moved topic", r.code, r.err, hr.Cluster)
 	}
 	// The placement query a hand-off and a promotion rest on answers for
 	// the epoch it is asked about.
@@ -521,10 +539,10 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 		"/v1/topics/" + name + "/batches": harnessBatch(7, 6),
 		"/v1/cluster/move":                moveRequest{Topic: name, Target: tc.url(dst)},
 	}
-	answers := make(chan simAnswer, len(late))
+	answers := make(chan reply, len(late))
 	for path, body := range late {
 		go func() {
-			a, _ := follow(tc.noRedirect, "POST", tc.url(src)+path, body, -1)
+			a := call(nil, tc.noRedirect, "POST", tc.url(src)+path, body, nil)
 			a.etag = path
 			answers <- a
 		}()
@@ -546,15 +564,15 @@ func TestClusterMoveAndEpochFencing(t *testing.T) {
 // TestMoveRequiresClusterMode pins the single-process behavior of the
 // cluster endpoints: clean structured errors, not 404s.
 func TestMoveRequiresClusterMode(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
-	code, ec := errCode(t, client, "POST", srv.URL+"/v1/cluster/move", moveRequest{Topic: "x", Target: "y"})
-	if code != http.StatusConflict || ec != codeNotClustered {
-		t.Fatalf("move without cluster: %d %q", code, ec)
+	r := call(t, client, "POST", srv.URL+"/v1/cluster/move", moveRequest{Topic: "x", Target: "y"}, nil)
+	if r.code != http.StatusConflict || r.ec != codeNotClustered {
+		t.Fatalf("move without cluster: %d %q", r.code, r.ec)
 	}
-	code, ec = errCode(t, client, "GET", srv.URL+"/v1/cluster/info", nil)
-	if code != http.StatusConflict || ec != codeNotClustered {
-		t.Fatalf("info without cluster: %d %q", code, ec)
+	r = call(t, client, "GET", srv.URL+"/v1/cluster/info", nil, nil)
+	if r.code != http.StatusConflict || r.ec != codeNotClustered {
+		t.Fatalf("info without cluster: %d %q", r.code, r.ec)
 	}
 }
 
@@ -563,8 +581,10 @@ func TestMoveRequiresClusterMode(t *testing.T) {
 // interrupted before T confirmed it. Two shards, with and without
 // replication: T does not hold the topic. A client following redirects from
 // either shard gets a retryable 503 handoff_pending within two hops, never a
-// redirect loop; one tick later the resume loop has installed the topic on
-// T, where every entry reaches it at the fencing epoch with its batches.
+// redirect loop, and S's placement query counts the parked topic as held
+// at the tombstone's epoch; one tick later the resume loop has installed
+// the topic on T, where every entry reaches it at the fencing epoch with
+// its batches.
 // Three shards (moved-on): the install had landed and T has moved the
 // topic on to U at epoch 2. T's fence refuses the resume, which is the
 // verdict: S drops its copy and routes after its tombstone, so every entry
@@ -621,10 +641,17 @@ func TestParkedHandoffAnswersThenResumes(t *testing.T) {
 				entries = []int{s}
 			}
 			for _, entry := range entries {
-				a, err := follow(tc.noRedirect, "GET", tc.url(entry)+"/v1/topics/"+name, nil, 2)
-				if err != nil || a.code != http.StatusServiceUnavailable || a.ec != codeHandoffPending {
-					t.Fatalf("GET through shard %d before the resume: %v %v, want 503 %s within two hops", entry, a, err, codeHandoffPending)
+				a := call(nil, hops{tc.noRedirect, 2}, "GET", tc.url(entry)+"/v1/topics/"+name, nil, nil)
+				if a.err != nil || a.code != http.StatusServiceUnavailable || a.ec != codeHandoffPending {
+					t.Fatalf("GET through shard %d before the resume: %v %v, want 503 %s within two hops", entry, a, a.err, codeHandoffPending)
 				}
+			}
+			// S holds the hand-off parked: its state is on disk at the
+			// tombstone's epoch, and the placement query says so.
+			var info clusterInfoResponse
+			if a := call(t, tc.client, "GET", tc.url(s)+"/v1/cluster/info?topic="+name, nil, &info); a.code != http.StatusOK ||
+				info.Topic == nil || !info.Topic.Local || info.Topic.Epoch != 1 {
+				t.Fatalf("placement query at S before the resume: %d %+v, want local at the tombstone's epoch 1", a.code, info.Topic)
 			}
 			tc.tick()
 			if p := tc.shards[s].srv.table.Parked(); len(p) > 0 {
@@ -632,9 +659,9 @@ func TestParkedHandoffAnswersThenResumes(t *testing.T) {
 			}
 			for entry := range c.shards {
 				var sum topicSummary
-				a, err := follow(tc.noRedirect, "GET", tc.url(entry)+"/v1/topics/"+name, nil, 2)
-				if err != nil || a.code != http.StatusOK || json.Unmarshal(a.body, &sum) != nil || sum.Batches != 2 {
-					t.Fatalf("GET through shard %d after a tick: %v %v (%+v), want 200 with 2 batches", entry, a, err, sum)
+				a := call(nil, hops{tc.noRedirect, 2}, "GET", tc.url(entry)+"/v1/topics/"+name, nil, nil)
+				if a.err != nil || a.code != http.StatusOK || json.Unmarshal(a.body, &sum) != nil || sum.Batches != 2 {
+					t.Fatalf("GET through shard %d after a tick: %v %v (%+v), want 200 with 2 batches", entry, a, a.err, sum)
 				}
 			}
 			if tp := servedTopic(tc.shards[[]int{tt, u}[c.holder]].srv, name); tp == nil || tp.eng.Epoch() != uint64(c.atEpoch) {

@@ -2,11 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"testing"
 
@@ -20,17 +17,6 @@ import (
 // stepping by one. Ten warm batches put every invariant — including
 // time_step, which only starts accumulating at the second batch — past
 // its MinSamples gate, so batch 11 is scored on all seven.
-
-func conformServer(t *testing.T, mode triclust.ConformanceMode) (*server, *httptest.Server) {
-	t.Helper()
-	s, err := newServer("", serverOptions{conform: mode}, t.Logf)
-	if err != nil {
-		t.Fatalf("newServer: %v", err)
-	}
-	hs := httptest.NewServer(s)
-	t.Cleanup(hs.Close)
-	return s, hs
-}
 
 func steadyCreateReq(name string) createTopicRequest {
 	users := make([]string, 12)
@@ -60,45 +46,16 @@ func steadyBatch(ts int) batchRequest {
 // ts 1..n, asserting every one is accepted.
 func warmSteady(t *testing.T, client *http.Client, base, name string, n int) {
 	t.Helper()
-	if code, err := doJSON(client, http.MethodPost, base+"/v1/topics", steadyCreateReq(name), nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create %s: code=%d err=%v", name, code, err)
+	if r := call(nil, client, http.MethodPost, base+"/v1/topics", steadyCreateReq(name), nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("create %s: code=%d err=%v", name, r.code, r.err)
 	}
 	for ts := 1; ts <= n; ts++ {
 		var resp batchResponse
-		code, err := doJSON(client, http.MethodPost, base+"/v1/topics/"+name+"/batches", steadyBatch(ts), &resp)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("warm batch %d: code=%d err=%v", ts, code, err)
+		r := call(nil, client, http.MethodPost, base+"/v1/topics/"+name+"/batches", steadyBatch(ts), &resp)
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("warm batch %d: code=%d err=%v", ts, r.code, r.err)
 		}
 	}
-}
-
-// postBatchVerdict sends one batch and returns (status code, error body)
-// so callers can inspect both acceptance and rejection shapes.
-func postBatchVerdict(t *testing.T, client *http.Client, base, name string, req batchRequest) (int, batchResponse, errorBody) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(req); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	resp, err := client.Post(base+"/v1/topics/"+name+"/batches", "application/json", &buf)
-	if err != nil {
-		t.Fatalf("POST batch: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	var ok batchResponse
-	var eb errorBody
-	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(body, &ok); err != nil {
-			t.Fatalf("decode batch response: %v", err)
-		}
-	} else if err := json.Unmarshal(body, &eb); err != nil {
-		t.Fatalf("decode error body: %v", err)
-	}
-	return resp.StatusCode, ok, eb
 }
 
 // Injected anomalies against the steady stream. Each perturbs exactly
@@ -147,7 +104,7 @@ func flagBandBatch(ts int) batchRequest {
 // trace (the same timestamp retries cleanly), and the healthz census
 // reports the rejections.
 func TestConformEnforceRejectsAnomalies(t *testing.T) {
-	_, srv := conformServer(t, triclust.ConformEnforce)
+	srv := front(t, serve(t, "", serverOptions{conform: triclust.ConformEnforce}, false))
 	client := srv.Client()
 	const name = "gate"
 	warmSteady(t, client, srv.URL, name, 10)
@@ -162,9 +119,10 @@ func TestConformEnforceRejectsAnomalies(t *testing.T) {
 		{"timestamp jump", batchRequest{Time: 1000, Tweets: steadyBatch(11).Tweets}, "time_step"},
 	}
 	for _, tc := range cases {
-		code, _, eb := postBatchVerdict(t, client, srv.URL, name, tc.req)
-		if code != http.StatusUnprocessableEntity || eb.Error.Code != codeBatchNonconforming {
-			t.Fatalf("%s: got code=%d %q, want 422 %s", tc.label, code, eb.Error.Code, codeBatchNonconforming)
+		var eb errorBody
+		r := call(t, client, "POST", srv.URL+"/v1/topics/"+name+"/batches", tc.req, &eb)
+		if r.code != http.StatusUnprocessableEntity || eb.Error.Code != codeBatchNonconforming {
+			t.Fatalf("%s: got code=%d %q, want 422 %s", tc.label, r.code, eb.Error.Code, codeBatchNonconforming)
 		}
 		v := eb.Error.Conformance
 		if v == nil {
@@ -182,9 +140,10 @@ func TestConformEnforceRejectsAnomalies(t *testing.T) {
 	}
 	// The timestamp-jump rejection must name time_step as the worst
 	// offender outright (every other invariant is at its steady value).
-	code, _, eb := postBatchVerdict(t, client, srv.URL, name, batchRequest{Time: 1000, Tweets: steadyBatch(11).Tweets})
-	if code != http.StatusUnprocessableEntity || eb.Error.Conformance == nil {
-		t.Fatalf("repeat jump: code=%d", code)
+	var eb errorBody
+	r := call(t, client, "POST", srv.URL+"/v1/topics/"+name+"/batches", batchRequest{Time: 1000, Tweets: steadyBatch(11).Tweets}, &eb)
+	if r.code != http.StatusUnprocessableEntity || eb.Error.Conformance == nil {
+		t.Fatalf("repeat jump: code=%d", r.code)
 	}
 	if eb.Error.Conformance.Worst != "time_step" {
 		t.Fatalf("jump worst = %q, want time_step", eb.Error.Conformance.Worst)
@@ -192,9 +151,10 @@ func TestConformEnforceRejectsAnomalies(t *testing.T) {
 
 	// Rejected batches left no durable trace: ts 11 is still free, and a
 	// conforming batch at it is accepted.
-	code, ok, _ := postBatchVerdict(t, client, srv.URL, name, steadyBatch(11))
-	if code != http.StatusOK {
-		t.Fatalf("retry after rejection: code=%d, want 200", code)
+	var ok batchResponse
+	r = call(t, client, "POST", srv.URL+"/v1/topics/"+name+"/batches", steadyBatch(11), &ok)
+	if r.code != http.StatusOK {
+		t.Fatalf("retry after rejection: code=%d, want 200", r.code)
 	}
 	if ok.Conformance == nil || ok.Conformance.Status != string(triclust.Conforming) {
 		t.Fatalf("retry verdict %+v, want conforming annotation", ok.Conformance)
@@ -203,8 +163,8 @@ func TestConformEnforceRejectsAnomalies(t *testing.T) {
 	// Healthz census: enforce mode, four rejections, and the topic's
 	// last violation is the repeat timestamp jump.
 	var hr healthResponse
-	if code, err := doJSON(client, http.MethodGet, srv.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
-		t.Fatalf("healthz: code=%d err=%v", code, err)
+	if r := call(nil, client, http.MethodGet, srv.URL+"/v1/healthz", nil, &hr); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("healthz: code=%d err=%v", r.code, r.err)
 	}
 	ch := hr.Conformance
 	if ch == nil {
@@ -229,14 +189,15 @@ func TestConformEnforceRejectsAnomalies(t *testing.T) {
 // responses with the verdict, counts the applied quarantine in the
 // census, and keeps scoring the stream afterwards.
 func TestConformFlagAnnotates(t *testing.T) {
-	_, srv := conformServer(t, triclust.ConformFlag)
+	srv := front(t, serve(t, "", serverOptions{conform: triclust.ConformFlag}, false))
 	client := srv.Client()
 	const name = "advisory"
 	warmSteady(t, client, srv.URL, name, 10)
 
-	code, ok, _ := postBatchVerdict(t, client, srv.URL, name, oovSpikeBatch(11))
-	if code != http.StatusOK {
-		t.Fatalf("flag-mode anomaly: code=%d, want 200", code)
+	var ok batchResponse
+	r := call(t, client, "POST", srv.URL+"/v1/topics/"+name+"/batches", oovSpikeBatch(11), &ok)
+	if r.code != http.StatusOK {
+		t.Fatalf("flag-mode anomaly: code=%d, want 200", r.code)
 	}
 	if ok.Conformance == nil || ok.Conformance.Status != string(triclust.Quarantined) {
 		t.Fatalf("flag-mode verdict %+v, want quarantined annotation", ok.Conformance)
@@ -247,14 +208,15 @@ func TestConformFlagAnnotates(t *testing.T) {
 
 	// The stream continues: the next steady batch is conforming (the
 	// applied anomaly widened the profile, it did not wedge it).
-	code, ok, _ = postBatchVerdict(t, client, srv.URL, name, steadyBatch(12))
-	if code != http.StatusOK || ok.Conformance == nil || ok.Conformance.Status != string(triclust.Conforming) {
-		t.Fatalf("post-anomaly steady batch: code=%d verdict=%+v", code, ok.Conformance)
+	ok = batchResponse{}
+	r = call(t, client, "POST", srv.URL+"/v1/topics/"+name+"/batches", steadyBatch(12), &ok)
+	if r.code != http.StatusOK || ok.Conformance == nil || ok.Conformance.Status != string(triclust.Conforming) {
+		t.Fatalf("post-anomaly steady batch: code=%d verdict=%+v", r.code, ok.Conformance)
 	}
 
 	var hr healthResponse
-	if code, err := doJSON(client, http.MethodGet, srv.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
-		t.Fatalf("healthz: code=%d err=%v", code, err)
+	if r := call(nil, client, http.MethodGet, srv.URL+"/v1/healthz", nil, &hr); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("healthz: code=%d err=%v", r.code, r.err)
 	}
 	ch := hr.Conformance
 	if ch == nil || ch.Mode != "flag" || ch.RejectedBatches != 0 {
@@ -273,22 +235,22 @@ func TestConformFlagAnnotates(t *testing.T) {
 // but the profile still accumulates — healthz shows the census and a
 // later mode flip would score against the full history.
 func TestConformOffScoresSilently(t *testing.T) {
-	_, srv := conformServer(t, triclust.ConformOff)
+	srv := front(t, serve(t, "", serverOptions{conform: triclust.ConformOff}, false))
 	client := srv.Client()
 	const name = "silent"
 	warmSteady(t, client, srv.URL, name, 10)
 
-	code, ok, _ := postBatchVerdict(t, client, srv.URL, name, flagBandBatch(11))
-	if code != http.StatusOK {
-		t.Fatalf("off-mode batch: code=%d", code)
+	var ok batchResponse
+	if r := call(t, client, "POST", srv.URL+"/v1/topics/"+name+"/batches", flagBandBatch(11), &ok); r.code != http.StatusOK {
+		t.Fatalf("off-mode batch: code=%d", r.code)
 	}
 	if ok.Conformance != nil {
 		t.Fatalf("off-mode response annotated: %+v", ok.Conformance)
 	}
 
 	var hr healthResponse
-	if code, err := doJSON(client, http.MethodGet, srv.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
-		t.Fatalf("healthz: code=%d err=%v", code, err)
+	if r := call(nil, client, http.MethodGet, srv.URL+"/v1/healthz", nil, &hr); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("healthz: code=%d err=%v", r.code, r.err)
 	}
 	if hr.Conformance == nil || hr.Conformance.Mode != "off" {
 		t.Fatalf("census %+v, want off mode section present", hr.Conformance)
@@ -308,32 +270,21 @@ func TestConformOffScoresSilently(t *testing.T) {
 func TestConformFlaggedBatchKeepsETagParity(t *testing.T) {
 	const name = "parity"
 	feed := func(mode triclust.ConformanceMode) (etag string, snap []byte, last batchResponse) {
-		_, srv := conformServer(t, mode)
+		srv := front(t, serve(t, "", serverOptions{conform: mode}, false))
 		client := srv.Client()
 		warmSteady(t, client, srv.URL, name, 10)
-		code, ok, _ := postBatchVerdict(t, client, srv.URL, name, flagBandBatch(11))
-		if code != http.StatusOK {
-			t.Fatalf("mode %v flag-band batch: code=%d", mode, code)
+		if r := call(t, client, "POST", srv.URL+"/v1/topics/"+name+"/batches", flagBandBatch(11), &last); r.code != http.StatusOK {
+			t.Fatalf("mode %v flag-band batch: code=%d", mode, r.code)
 		}
-		resp, err := client.Get(srv.URL + "/v1/topics/" + name + "/users/0")
-		if err != nil {
-			t.Fatalf("user estimate: %v", err)
+		user := call(t, client, "GET", srv.URL+"/v1/topics/"+name+"/users/0", nil, nil)
+		if user.code != http.StatusOK {
+			t.Fatalf("user estimate: code=%d", user.code)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("user estimate: code=%d", resp.StatusCode)
+		sr := call(t, client, "GET", srv.URL+"/v1/topics/"+name+"/snapshot", nil, nil)
+		if sr.code != http.StatusOK {
+			t.Fatalf("snapshot: code=%d err=%v", sr.code, sr.err)
 		}
-		sresp, err := client.Get(srv.URL + "/v1/topics/" + name + "/snapshot")
-		if err != nil {
-			t.Fatalf("snapshot: %v", err)
-		}
-		snap, err = io.ReadAll(sresp.Body)
-		sresp.Body.Close()
-		if err != nil || sresp.StatusCode != http.StatusOK {
-			t.Fatalf("snapshot: code=%d err=%v", sresp.StatusCode, err)
-		}
-		return resp.Header.Get("ETag"), snap, ok
+		return user.etag, sr.body, last
 	}
 
 	offTag, offSnap, _ := feed(triclust.ConformOff)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,29 +15,6 @@ import (
 	"triclust/internal/journal"
 	"triclust/internal/store"
 )
-
-// faultServer builds one daemon whose durable writes go through the
-// given fault.FS, with its loops' round set to probeEvery (0: the 1s
-// default): a fast storage probe lets degraded-mode tests converge in
-// milliseconds.
-func faultServer(t *testing.T, fs fault.FS, jopts store.Options, probeEvery time.Duration) (*server, *httptest.Server) {
-	t.Helper()
-	return faultServerAt(t, t.TempDir(), fs, jopts, probeEvery)
-}
-
-// faultServerAt is faultServer over a data directory the test keeps, to
-// inspect or reopen it afterwards.
-func faultServerAt(t *testing.T, dir string, fs fault.FS, jopts store.Options, probeEvery time.Duration) (*server, *httptest.Server) {
-	t.Helper()
-	s, err := newServer(dir, serverOptions{journal: jopts, fs: fs, probeEvery: probeEvery}, t.Logf)
-	if err != nil {
-		t.Fatalf("newServer: %v", err)
-	}
-	t.Cleanup(s.Close)
-	hs := httptest.NewServer(s)
-	t.Cleanup(hs.Close)
-	return s, hs
-}
 
 // sabotageJournal makes the next journal append fail the way a dead disk
 // would: the write errors, and so does the truncate that would tidy up
@@ -71,8 +47,8 @@ func awaitStorageState(t *testing.T, client *http.Client, base, want string) hea
 	var hr healthResponse
 	if !eventually(func() bool {
 		hr = healthResponse{}
-		code, err := doJSON(client, "GET", base+"/v1/healthz", nil, &hr)
-		return err == nil && code == http.StatusOK && hr.Storage != nil && hr.Storage.State == want
+		r := call(nil, client, "GET", base+"/v1/healthz", nil, &hr)
+		return r.err == nil && r.code == http.StatusOK && hr.Storage != nil && hr.Storage.State == want
 	}) {
 		t.Fatalf("storage never reached state %q (last: %+v)", want, hr.Storage)
 	}
@@ -87,16 +63,16 @@ func awaitStorageState(t *testing.T, client *http.Client, base, want string) hea
 func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
 	script := fault.NewScript()
 	dir := t.TempDir()
-	s, hs := faultServerAt(t, dir, script, store.Options{Every: 100},
-		20*time.Millisecond)
+	s := serve(t, dir, serverOptions{journal: store.Options{Every: 100}, fs: script, probeEvery: 20 * time.Millisecond}, true)
+	hs := front(t, s)
 	client := hs.Client()
 
 	for _, name := range []string{"storm-a", "storm-b"} {
-		if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq(name)); code != http.StatusCreated {
-			t.Fatalf("create %s: %d %s", name, code, ec)
+		if r := call(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq(name), nil); r.code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", name, r.code, r.ec)
 		}
-		if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(1)); code != http.StatusOK {
-			t.Fatalf("batch %s: %d %s", name, code, ec)
+		if r := call(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(1), nil); r.code != http.StatusOK {
+			t.Fatalf("batch %s: %d %s", name, r.code, r.ec)
 		}
 	}
 
@@ -104,42 +80,33 @@ func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
 	// append; ENOSPC degrades the topic immediately.
 	script.SetBudget(0)
 	for _, name := range []string{"storm-a", "storm-b"} {
-		if code, ec, retry := postRetry(t, client, hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(2)); code != http.StatusServiceUnavailable || ec != codeStorageDegraded || retry != "1" {
-			t.Fatalf("batch %s on full disk: %d %s (Retry-After %q), want 503 %s (Retry-After 1)", name, code, ec, retry, codeStorageDegraded)
+		if r := call(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(2), nil); r.code != http.StatusServiceUnavailable || r.ec != codeStorageDegraded || r.hdr.Get("Retry-After") != "1" {
+			t.Fatalf("batch %s on full disk: %d %s (Retry-After %q), want 503 %s (Retry-After 1)", name, r.code, r.ec, r.hdr.Get("Retry-After"), codeStorageDegraded)
 		}
 	}
 
 	// Both topics degraded >= ShardAfter: the shard is read-only. Writes
 	// fail fast with the shard-level code and a Retry-After hint — no
 	// solve, no journal attempt.
-	resp, err := client.Post(hs.URL+"/v1/topics/storm-a/batches", "application/json",
-		strings.NewReader(`{"time":3,"tweets":[{"tokens":["w1"],"user":0}]}`))
-	if err != nil {
-		t.Fatal(err)
+	r := call(t, client, "POST", hs.URL+"/v1/topics/storm-a/batches",
+		[]byte(`{"time":3,"tweets":[{"tokens":["w1"],"user":0}]}`), nil, "Content-Type", mediaTypeJSON)
+	if r.code != http.StatusServiceUnavailable || r.ec != codeStorageReadonly {
+		t.Fatalf("write on read-only shard: %d %s, want 503 %s", r.code, r.ec, codeStorageReadonly)
 	}
-	var eb errorBody
-	decodeBody(t, resp, &eb)
-	if resp.StatusCode != http.StatusServiceUnavailable || eb.Error.Code != codeStorageReadonly {
-		t.Fatalf("write on read-only shard: %d %s, want 503 %s", resp.StatusCode, eb.Error.Code, codeStorageReadonly)
-	}
-	if resp.Header.Get("Retry-After") == "" {
+	if r.hdr.Get("Retry-After") == "" {
 		t.Fatal("storage refusal carries no Retry-After")
 	}
-	if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq("storm-c")); code != http.StatusServiceUnavailable || ec != codeStorageReadonly {
-		t.Fatalf("create on read-only shard: %d %s, want 503 %s", code, ec, codeStorageReadonly)
+	if r := call(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq("storm-c"), nil); r.code != http.StatusServiceUnavailable || r.ec != codeStorageReadonly {
+		t.Fatalf("create on read-only shard: %d %s, want 503 %s", r.code, r.ec, codeStorageReadonly)
 	}
 
 	// Reads still answer — from the last durable state, marked degraded.
-	rresp, err := client.Get(hs.URL + "/v1/topics/storm-a")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sum topicSummary
-	decodeBody(t, rresp, &sum)
-	if rresp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded read: %d, want 200", rresp.StatusCode)
+	r = call(t, client, "GET", hs.URL+"/v1/topics/storm-a", nil, &sum)
+	if r.code != http.StatusOK {
+		t.Fatalf("degraded read: %d, want 200", r.code)
 	}
-	if got := rresp.Header.Get(degradedHeader); got != "storage" {
+	if got := r.hdr.Get(degradedHeader); got != "storage" {
 		t.Fatalf("degraded read marker = %q, want %q", got, "storage")
 	}
 	if sum.Batches != 1 {
@@ -162,34 +129,22 @@ func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
 		t.Fatalf("recoveries = %d, want >= 2", hr.Storage.Recoveries)
 	}
 	for _, name := range []string{"storm-a", "storm-b"} {
-		if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(2)); code != http.StatusOK {
-			t.Fatalf("batch %s after recovery: %d %s", name, code, ec)
+		if r := call(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", degradeBatch(2), nil); r.code != http.StatusOK {
+			t.Fatalf("batch %s after recovery: %d %s", name, r.code, r.ec)
 		}
 	}
-	if code, _ := errCode(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq("storm-c")); code != http.StatusCreated {
-		t.Fatalf("create after recovery: %d", code)
+	if r := call(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq("storm-c"), nil); r.code != http.StatusCreated {
+		t.Fatalf("create after recovery: %d", r.code)
 	}
 
 	// The recovered state must be exactly what a restart would serve.
-	s2, err := newServer(dir, serverOptions{journal: store.Options{Every: 100}}, t.Logf)
-	if err != nil {
-		t.Fatalf("re-open after recovery: %v", err)
-	}
-	defer s2.Close()
+	s2 := serve(t, dir, serverOptions{journal: store.Options{Every: 100}}, true)
 	for _, name := range []string{"storm-a", "storm-b"} {
 		b1, d1 := s.topics[name].eng.StreamPos()
 		b2, d2 := s2.topics[name].eng.StreamPos()
 		if b1 != b2 || d1 != d2 {
 			t.Fatalf("%s: recovered position (%d,%d) != restart position (%d,%d)", name, b1, d1, b2, d2)
 		}
-	}
-}
-
-func decodeBody(t *testing.T, resp *http.Response, out any) {
-	t.Helper()
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		t.Fatalf("decode response: %v", err)
 	}
 }
 
@@ -209,23 +164,6 @@ func TestRetryAfterRoundsUp(t *testing.T) {
 			t.Errorf("retrySeconds(%v) = %s, want %s", tc.every, got, tc.want)
 		}
 	}
-}
-
-// postRetry posts body as JSON and returns the answer's status, error
-// code and Retry-After header.
-func postRetry(t *testing.T, client *http.Client, url string, body any) (int, string, string) {
-	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eb errorBody
-	decodeBody(t, resp, &eb)
-	return resp.StatusCode, eb.Error.Code, resp.Header.Get("Retry-After")
 }
 
 // TestFailedAppendLeavesTopicUntouched: a batch whose journal append
@@ -252,21 +190,21 @@ func TestFailedAppendLeavesTopicUntouched(t *testing.T) {
 	} {
 		t.Run(tc.label, func(t *testing.T) {
 			script := fault.NewScript(tc.rules...)
-			s, hs := faultServer(t, script, store.Options{Every: 100},
-				20*time.Millisecond)
+			s := serve(t, t.TempDir(), serverOptions{journal: store.Options{Every: 100}, fs: script, probeEvery: 20 * time.Millisecond}, true)
+			hs := front(t, s)
 			const name = "untouched"
 			topic := "/v1/topics/" + name
-			if rec := matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name)); rec.Code != http.StatusCreated {
-				t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+			if rec := call(t, s, "POST", "/v1/topics", degradeCreateReq(name), nil); rec.code != http.StatusCreated {
+				t.Fatalf("create: %d %s", rec.code, rec.body)
 			}
-			if rec := matrixServe(t, s, "POST", topic+"/batches", degradeBatch(1)); rec.Code != http.StatusOK {
-				t.Fatalf("batch 1: %d %s", rec.Code, rec.Body.String())
+			if rec := call(t, s, "POST", topic+"/batches", degradeBatch(1), nil); rec.code != http.StatusOK {
+				t.Fatalf("batch 1: %d %s", rec.code, rec.body)
 			}
 			before := captureTopic(t, s, name)
-			etag := matrixServe(t, s, "GET", topic+"/users/0", nil).Header().Get("ETag")
+			etag := call(t, s, "GET", topic+"/users/0", nil, nil).etag
 
-			if rec := matrixServe(t, s, "POST", topic+"/batches", degradeBatch(2)); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), codeStorageDegraded) || rec.Header().Get("Retry-After") != "1" {
-				t.Fatalf("batch 2: %d %s (Retry-After %q), want 503 %s (Retry-After 1)", rec.Code, rec.Body.String(), rec.Header().Get("Retry-After"), codeStorageDegraded)
+			if rec := call(t, s, "POST", topic+"/batches", degradeBatch(2), nil); rec.code != http.StatusServiceUnavailable || !strings.Contains(string(rec.body), codeStorageDegraded) || rec.hdr.Get("Retry-After") != "1" {
+				t.Fatalf("batch 2: %d %s (Retry-After %q), want 503 %s (Retry-After 1)", rec.code, rec.body, rec.hdr.Get("Retry-After"), codeStorageDegraded)
 			}
 			if n := script.Hits("persist.snap.read"); n != 0 {
 				t.Fatalf("the refused batch read the snapshot back %d times", n)
@@ -276,18 +214,18 @@ func TestFailedAppendLeavesTopicUntouched(t *testing.T) {
 					got.batches, bytes.Equal(got.snap, before.snap))
 			}
 			for _, path := range []string{"", "/users/0", "/features", "/snapshot"} {
-				if rec := matrixServe(t, s, "GET", topic+path, nil); rec.Code != http.StatusOK {
-					t.Fatalf("read %s after the refused batch: %d %s, want 200", path, rec.Code, rec.Body.String())
+				if rec := call(t, s, "GET", topic+path, nil, nil); rec.code != http.StatusOK {
+					t.Fatalf("read %s after the refused batch: %d %s, want 200", path, rec.code, rec.body)
 				}
 			}
-			if got := matrixServe(t, s, "GET", topic+"/users/0", nil).Header().Get("ETag"); got != etag {
+			if got := call(t, s, "GET", topic+"/users/0", nil, nil).etag; got != etag {
 				t.Fatalf("ETag after the refused batch %q, want batch 1's %q", got, etag)
 			}
 
 			script.ClearRules()
 			awaitStorageState(t, hs.Client(), hs.URL, "ok")
-			if rec := matrixServe(t, s, "POST", topic+"/batches", degradeBatch(2)); rec.Code != http.StatusOK {
-				t.Fatalf("retry of batch 2: %d %s", rec.Code, rec.Body.String())
+			if rec := call(t, s, "POST", topic+"/batches", degradeBatch(2), nil); rec.code != http.StatusOK {
+				t.Fatalf("retry of batch 2: %d %s", rec.code, rec.body)
 			}
 			if got := captureTopic(t, s, name); got.batches != 2 || script.Hits("persist.snap.read") != 0 {
 				t.Fatalf("after the retry: %d batches, %d snapshot reads; want 2, 0", got.batches, script.Hits("persist.snap.read"))
@@ -307,26 +245,27 @@ func TestCompactionFailureKeepsAck(t *testing.T) {
 	feed := func(s *server, from, to int) {
 		t.Helper()
 		for day := from; day <= to; day++ {
-			if rec := matrixServe(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(day)); rec.Code != http.StatusOK {
-				t.Fatalf("batch %d: %d %s", day, rec.Code, rec.Body.String())
+			if rec := call(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(day), nil); rec.code != http.StatusOK {
+				t.Fatalf("batch %d: %d %s", day, rec.code, rec.body)
 			}
 		}
 	}
 
-	ctrl, _ := faultServer(t, nil, opts, 0)
-	matrixServe(t, ctrl, "POST", "/v1/topics", degradeCreateReq(name))
+	ctrl := serve(t, t.TempDir(), serverOptions{journal: opts}, true)
+	call(t, ctrl, "POST", "/v1/topics", degradeCreateReq(name), nil)
 	feed(ctrl, 1, 3)
 	want := captureTopic(t, ctrl, name)
 
 	// The create's save is the first rename; batch 3's compaction the second.
 	script := fault.NewScript(fault.Rule{Site: "persist.snap.rename", Hit: 2, Err: errors.New("injected rename failure")})
 	dir := t.TempDir()
-	s, hs := faultServerAt(t, dir, script, opts, 0)
-	matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name))
+	s := serve(t, dir, serverOptions{journal: opts, fs: script}, true)
+	hs := front(t, s)
+	call(t, s, "POST", "/v1/topics", degradeCreateReq(name), nil)
 	feed(s, 1, 3)
 	var hr healthResponse
-	if code, err := doJSON(hs.Client(), "GET", hs.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
-		t.Fatalf("healthz: %d %v", code, err)
+	if r := call(nil, hs.Client(), "GET", hs.URL+"/v1/healthz", nil, &hr); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("healthz: %d %v", r.code, r.err)
 	}
 	if hr.Storage.Failures != 1 || hr.Storage.State != "ok" {
 		t.Fatalf("storage after the failed compaction: %+v, want 1 failure and state ok", hr.Storage)
@@ -337,11 +276,7 @@ func TestCompactionFailureKeepsAck(t *testing.T) {
 	if err := os.CopyFS(crashDir, os.DirFS(dir)); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := newServer(crashDir, serverOptions{journal: opts}, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
+	s2 := serve(t, crashDir, serverOptions{journal: opts}, true)
 	if got := captureTopic(t, s2, name); got.batches != 3 || !bytes.Equal(got.snap, want.snap) {
 		t.Fatalf("restart recovered %d batches, snapshot equal to control = %v; want 3, true",
 			got.batches, bytes.Equal(got.snap, want.snap))
@@ -356,8 +291,8 @@ func TestCompactionFailureKeepsAck(t *testing.T) {
 	if len(j.Records) != 0 {
 		t.Fatalf("journal holds %d records after batch 4, want a compacted, empty one", len(j.Records))
 	}
-	if code, err := doJSON(hs.Client(), "GET", hs.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
-		t.Fatalf("healthz: %d %v", code, err)
+	if r := call(nil, hs.Client(), "GET", hs.URL+"/v1/healthz", nil, &hr); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("healthz: %d %v", r.code, r.err)
 	}
 	if hr.Status != "ok" || hr.Storage.Failures != 1 {
 		t.Fatalf("healthz after the retried compaction: status %q, storage %+v", hr.Status, hr.Storage)
@@ -399,27 +334,23 @@ func TestVocabSaveFailureRollsBack(t *testing.T) {
 	} {
 		t.Run(tc.label, func(t *testing.T) {
 			dir := t.TempDir()
-			s, _ := faultServerAt(t, dir, fault.NewScript(tc.rules...), opts, time.Hour)
-			if rec := matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name)); rec.Code != http.StatusCreated {
-				t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+			s := serve(t, dir, serverOptions{journal: opts, fs: fault.NewScript(tc.rules...), probeEvery: time.Hour}, true)
+			if rec := call(t, s, "POST", "/v1/topics", degradeCreateReq(name), nil); rec.code != http.StatusCreated {
+				t.Fatalf("create: %d %s", rec.code, rec.body)
 			}
-			rec := matrixServe(t, s, "POST", "/v1/topics/"+name+"/vocab", warm)
-			if rec.Code != tc.vocabCode || (rec.Code != http.StatusOK && !strings.Contains(rec.Body.String(), codeStorage)) {
-				t.Fatalf("warm-up: %d %s, want %d", rec.Code, rec.Body.String(), tc.vocabCode)
+			rec := call(t, s, "POST", "/v1/topics/"+name+"/vocab", warm, nil)
+			if rec.code != tc.vocabCode || (rec.code != http.StatusOK && !strings.Contains(string(rec.body), codeStorage)) {
+				t.Fatalf("warm-up: %d %s, want %d", rec.code, rec.body, tc.vocabCode)
 			}
-			rec = matrixServe(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1))
-			t.Logf("batch 1 after the warm-up: %d", rec.Code)
+			rec = call(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1), nil)
+			t.Logf("batch 1 after the warm-up: %d", rec.code)
 			live := captureTopic(t, s, name)
 
 			restartDir := t.TempDir()
 			if err := os.CopyFS(restartDir, os.DirFS(dir)); err != nil {
 				t.Fatal(err)
 			}
-			s2, err := newServer(restartDir, serverOptions{journal: opts}, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
+			s2 := serve(t, restartDir, serverOptions{journal: opts}, true)
 			got := captureTopic(t, s2, name)
 			if got == nil {
 				t.Fatal("restart does not serve the topic")
@@ -441,15 +372,15 @@ func TestJournalRecreateFailureDegrades(t *testing.T) {
 	const name = "nojournal"
 	script := fault.NewScript()
 	dir := t.TempDir()
-	s, hs := faultServerAt(t, dir, script, store.Options{Every: 2},
-		20*time.Millisecond)
+	s := serve(t, dir, serverOptions{journal: store.Options{Every: 2}, fs: script, probeEvery: 20 * time.Millisecond}, true)
+	hs := front(t, s)
 	client := hs.Client()
 	url := hs.URL + "/v1/topics/" + name + "/batches"
-	if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq(name)); code != http.StatusCreated {
-		t.Fatalf("create: %d %s", code, ec)
+	if r := call(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq(name), nil); r.code != http.StatusCreated {
+		t.Fatalf("create: %d %s", r.code, r.ec)
 	}
-	if code, ec := errCode(t, client, "POST", url, degradeBatch(1)); code != http.StatusOK {
-		t.Fatalf("batch 1: %d %s", code, ec)
+	if r := call(t, client, "POST", url, degradeBatch(1), nil); r.code != http.StatusOK {
+		t.Fatalf("batch 1: %d %s", r.code, r.ec)
 	}
 
 	inject := errors.New("injected journal failure")
@@ -457,18 +388,13 @@ func TestJournalRecreateFailureDegrades(t *testing.T) {
 	script.AddRule(fault.Rule{Site: "journal.create.open", Err: inject})
 	// Batch 2 is a compaction point. Its frame is durable before the
 	// rotate fails, so it is acked.
-	if code, ec := errCode(t, client, "POST", url, degradeBatch(2)); code != http.StatusOK {
-		t.Fatalf("batch 2: %d %s", code, ec)
+	if r := call(t, client, "POST", url, degradeBatch(2), nil); r.code != http.StatusOK {
+		t.Fatalf("batch 2: %d %s", r.code, r.ec)
 	}
-	resp, err := client.Post(url, "application/json", strings.NewReader(`{"time":3,"tweets":[{"tokens":["w1"],"user":0}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eb errorBody
-	decodeBody(t, resp, &eb)
-	if resp.StatusCode != http.StatusServiceUnavailable || eb.Error.Code != codeStorageDegraded || resp.Header.Get("Retry-After") == "" {
+	r := call(t, client, "POST", url, []byte(`{"time":3,"tweets":[{"tokens":["w1"],"user":0}]}`), nil, "Content-Type", mediaTypeJSON)
+	if r.code != http.StatusServiceUnavailable || r.ec != codeStorageDegraded || r.hdr.Get("Retry-After") == "" {
 		t.Fatalf("batch on a topic without a journal: %d %s (Retry-After %q), want 503 %s",
-			resp.StatusCode, eb.Error.Code, resp.Header.Get("Retry-After"), codeStorageDegraded)
+			r.code, r.ec, r.hdr.Get("Retry-After"), codeStorageDegraded)
 	}
 	hr := awaitStorageState(t, client, hs.URL, "degraded")
 	if len(hr.Degraded) != 1 || hr.Degraded[0] != name {
@@ -477,14 +403,10 @@ func TestJournalRecreateFailureDegrades(t *testing.T) {
 
 	script.ClearRules()
 	awaitStorageState(t, client, hs.URL, "ok")
-	if code, ec := errCode(t, client, "POST", url, degradeBatch(3)); code != http.StatusOK {
-		t.Fatalf("batch 3 after recovery: %d %s", code, ec)
+	if r := call(t, client, "POST", url, degradeBatch(3), nil); r.code != http.StatusOK {
+		t.Fatalf("batch 3 after recovery: %d %s", r.code, r.ec)
 	}
-	s2, err := newServer(dir, serverOptions{}, t.Logf)
-	if err != nil {
-		t.Fatalf("re-open after recovery: %v", err)
-	}
-	defer s2.Close()
+	s2 := serve(t, dir, serverOptions{}, true)
 	if got, want := captureTopic(t, s2, name), captureTopic(t, s, name); got.batches != 3 || !bytes.Equal(got.snap, want.snap) {
 		t.Fatalf("restart serves %d batches, snapshot equal = %v; want 3, true", got.batches, bytes.Equal(got.snap, want.snap))
 	}

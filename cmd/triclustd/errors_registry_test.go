@@ -9,7 +9,6 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"flag"
 	"go/ast"
 	"go/parser"
@@ -217,32 +216,23 @@ func TestErrorCodeRegistry(t *testing.T) {
 // not invalid_snapshot — so clients can tell a skewed build from a
 // corrupt file.
 func TestRestoreUnsupportedSnapshotVersion(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 	jtCreate(t, client, srv.URL)
 	jtFeed(t, client, srv.URL, 0, 2)
-	snap := jtSnapshotBytes(t, client, srv.URL)
+	r := call(t, client, "GET", srv.URL+jtSnapshot, nil, nil)
+	if r.code != http.StatusOK {
+		t.Fatalf("snapshot: status %d", r.code)
+	}
+	snap := r.body
 
 	// The version lives at bytes 8:10 of the header, checked before the
 	// payload checksum.
 	future := append([]byte(nil), snap...)
 	binary.LittleEndian.PutUint16(future[8:10], codec.Version+1)
 
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/topics/other", bytes.NewReader(future))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var eb errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != codeSnapshotVersion {
-		t.Fatalf("future-version restore: %d %q, want 400 %q", resp.StatusCode, eb.Error.Code, codeSnapshotVersion)
+	if r := call(t, client, http.MethodPut, srv.URL+"/v1/topics/other", future, nil); r.code != http.StatusBadRequest || r.ec != codeSnapshotVersion {
+		t.Fatalf("future-version restore: %d %q, want 400 %q", r.code, r.ec, codeSnapshotVersion)
 	}
 }
 
@@ -252,19 +242,18 @@ func TestRestoreUnsupportedSnapshotVersion(t *testing.T) {
 // storage_error and leaves no topic behind.
 func TestPersistenceFailureStorageError(t *testing.T) {
 	dir := t.TempDir()
-	s, srv := testServer(t, dir)
-	t.Cleanup(s.Close)
+	srv := front(t, serve(t, dir, serverOptions{}, true))
 	client := srv.Client()
 
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics", jtCreateReq())
-	if code != http.StatusInternalServerError || ec != codeStorage {
-		t.Fatalf("create without storage: %d %q, want 500 %q", code, ec, codeStorage)
+	r := call(t, client, "POST", srv.URL+"/v1/topics", jtCreateReq(), nil)
+	if r.code != http.StatusInternalServerError || r.ec != codeStorage {
+		t.Fatalf("create without storage: %d %q, want 500 %q", r.code, r.ec, codeStorage)
 	}
-	if code, ec := errCode(t, client, "GET", srv.URL+"/v1/topics/"+journalTopicName, nil); code != http.StatusNotFound {
-		t.Fatalf("topic after failed create: %d %q, want 404", code, ec)
+	if r := call(t, client, "GET", srv.URL+"/v1/topics/"+journalTopicName, nil, nil); r.code != http.StatusNotFound {
+		t.Fatalf("topic after failed create: %d %q, want 404", r.code, r.ec)
 	}
 }
 
@@ -283,9 +272,9 @@ func TestMoveToDeadPeerFails(t *testing.T) {
 	tc.retryJSON("POST", tc.url(src)+"/v1/topics/"+name+"/batches", harnessBatch(5, 1), &br, http.StatusOK)
 
 	tc.killShard(dst)
-	a, err := follow(tc.noRedirect, "POST", tc.url(src)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(dst)}, -1)
-	if err != nil || a.code != http.StatusBadGateway || a.ec != codeMoveFailed {
-		t.Fatalf("move to dead peer: %v %v, want 502 %q", a, err, codeMoveFailed)
+	a := call(nil, tc.noRedirect, "POST", tc.url(src)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(dst)}, nil)
+	if a.err != nil || a.code != http.StatusBadGateway || a.ec != codeMoveFailed {
+		t.Fatalf("move to dead peer: %v %v, want 502 %q", a, a.err, codeMoveFailed)
 	}
 
 	// The failed move left the topic served at the source, un-fenced.

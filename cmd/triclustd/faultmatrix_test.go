@@ -32,12 +32,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -58,42 +55,6 @@ func matrixJournalOpts() store.Options {
 	return store.Options{Every: 3, MaxBytes: 1 << 40}
 }
 
-// matrixServe sends one request straight through ServeHTTP — no TCP, no
-// net/http panic recovery — so a scripted *Crash panic propagates to the
-// matrix driver exactly like a kill -9 unwinds the process. A 307 (the
-// shard does not hold the topic) is followed once, the same way, to the
-// shard of setupMoveCluster its Location names.
-func matrixServe(t *testing.T, s *server, method, path string, body any) *httptest.ResponseRecorder {
-	t.Helper()
-	var data []byte
-	if body != nil {
-		var err error
-		if data, err = json.Marshal(body); err != nil {
-			t.Fatalf("marshal %T: %v", body, err)
-		}
-	}
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(data)))
-	if rec.Code != http.StatusTemporaryRedirect {
-		return rec
-	}
-	loc, err := url.Parse(rec.Header().Get("Location"))
-	if err != nil {
-		t.Fatalf("307 with a bad Location: %v", err)
-	}
-	h, ok := matrixShards.Load(loc.Scheme + "://" + loc.Host)
-	if !ok {
-		t.Fatalf("307 to %s, which is no shard of this matrix", loc)
-	}
-	rec = httptest.NewRecorder()
-	h.(http.Handler).ServeHTTP(rec, httptest.NewRequest(method, loc.RequestURI(), bytes.NewReader(data)))
-	return rec
-}
-
-// matrixShards maps each setupMoveCluster shard's base URL to its
-// switchable front, so matrixServe can follow a 307 in-process.
-var matrixShards sync.Map
-
 // runMatrixWorkload drives create + mxDays batches, reporting progress as
 // batch-count states: -1 = nothing, 0 = topic created, i = batch i acked.
 // A scripted crash is recovered and returned; any other panic is a test
@@ -110,13 +71,13 @@ func runMatrixWorkload(t *testing.T, s *server) (acked, attempted int, crash *fa
 		}
 	}()
 	attempted = 0
-	if rec := matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(mxTopic)); rec.Code != http.StatusCreated {
+	if rec := call(t, s, "POST", "/v1/topics", degradeCreateReq(mxTopic), nil); rec.code != http.StatusCreated {
 		return
 	}
 	acked = 0
 	for day := 1; day <= mxDays; day++ {
 		attempted = day
-		if rec := matrixServe(t, s, "POST", "/v1/topics/"+mxTopic+"/batches", degradeBatch(day)); rec.Code != http.StatusOK {
+		if rec := call(t, s, "POST", "/v1/topics/"+mxTopic+"/batches", degradeBatch(day), nil); rec.code != http.StatusOK {
 			return
 		}
 		acked = day
@@ -192,19 +153,15 @@ func TestCrashPointMatrix(t *testing.T) {
 	t.Run("BatchCommitAndCompaction", func(t *testing.T) {
 		// Control run: the states a crash-free daemon passes through,
 		// indexed by batch count.
-		ctrl, err := newServer(t.TempDir(), serverOptions{journal: matrixJournalOpts()}, t.Logf)
-		if err != nil {
-			t.Fatalf("control server: %v", err)
-		}
-		defer ctrl.Close()
+		ctrl := serve(t, t.TempDir(), serverOptions{journal: matrixJournalOpts()}, true)
 		controls := make([]*engineState, 0, mxDays+1)
-		if rec := matrixServe(t, ctrl, "POST", "/v1/topics", degradeCreateReq(mxTopic)); rec.Code != http.StatusCreated {
-			t.Fatalf("control create: %d", rec.Code)
+		if rec := call(t, ctrl, "POST", "/v1/topics", degradeCreateReq(mxTopic), nil); rec.code != http.StatusCreated {
+			t.Fatalf("control create: %d", rec.code)
 		}
 		controls = append(controls, captureTopic(t, ctrl, mxTopic))
 		for day := 1; day <= mxDays; day++ {
-			if rec := matrixServe(t, ctrl, "POST", "/v1/topics/"+mxTopic+"/batches", degradeBatch(day)); rec.Code != http.StatusOK {
-				t.Fatalf("control batch %d: %d", day, rec.Code)
+			if rec := call(t, ctrl, "POST", "/v1/topics/"+mxTopic+"/batches", degradeBatch(day), nil); rec.code != http.StatusOK {
+				t.Fatalf("control batch %d: %d", day, rec.code)
 			}
 			controls = append(controls, captureTopic(t, ctrl, mxTopic))
 		}
@@ -213,10 +170,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		// recorded reopen so load-side sites count toward the floor.
 		dir := t.TempDir()
 		disc := fault.NewScript()
-		ds, err := newServer(dir, serverOptions{journal: matrixJournalOpts(), fs: disc}, t.Logf)
-		if err != nil {
-			t.Fatalf("discovery server: %v", err)
-		}
+		ds := serve(t, dir, serverOptions{journal: matrixJournalOpts(), fs: disc}, false)
 		if acked, _, crash := runMatrixWorkload(t, ds); crash != nil || acked != mxDays {
 			t.Fatalf("rule-less discovery run: acked=%d crash=%v", acked, crash)
 		}
@@ -224,10 +178,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		sites := disc.Sites()
 		noteSites(sites)
 		reload := fault.NewScript()
-		rs, err := newServer(dir, serverOptions{journal: matrixJournalOpts(), fs: reload}, t.Logf)
-		if err != nil {
-			t.Fatalf("discovery reopen: %v", err)
-		}
+		rs := serve(t, dir, serverOptions{journal: matrixJournalOpts(), fs: reload}, false)
 		rs.Close()
 		noteSites(reload.Sites())
 		if len(sites) == 0 {
@@ -239,10 +190,7 @@ func TestCrashPointMatrix(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/tail=%d", site, tail), func(t *testing.T) {
 					dir := t.TempDir()
 					script := fault.NewScript(fault.Rule{Site: site, Hit: 1, Crash: true, Tail: tail})
-					s, err := newServer(dir, serverOptions{journal: matrixJournalOpts(), fs: script}, t.Logf)
-					if err != nil {
-						t.Fatalf("newServer: %v", err)
-					}
+					s := serve(t, dir, serverOptions{journal: matrixJournalOpts(), fs: script}, false)
 					acked, attempted, crash := runMatrixWorkload(t, s)
 					s.Close()
 					if crash == nil {
@@ -251,10 +199,7 @@ func TestCrashPointMatrix(t *testing.T) {
 
 					// Reboot over the frozen disk image. Recovery must never
 					// fail, whatever the crash left behind.
-					s2, err := newServer(dir, serverOptions{journal: matrixJournalOpts()}, t.Logf)
-					if err != nil {
-						t.Fatalf("recovery after crash at %s failed: %v", site, err)
-					}
+					s2 := serve(t, dir, serverOptions{journal: matrixJournalOpts()}, false)
 					assertNoTempFiles(t, dir)
 					got := captureTopic(t, s2, mxTopic)
 					recovered := -1
@@ -277,11 +222,7 @@ func TestCrashPointMatrix(t *testing.T) {
 					// Second restart: recovery must be idempotent — replay,
 					// quarantine and compaction decisions settle to the same
 					// bytes, not a state that drifts per reboot.
-					s3, err := newServer(dir, serverOptions{journal: matrixJournalOpts()}, t.Logf)
-					if err != nil {
-						t.Fatalf("second reopen after crash at %s failed: %v", site, err)
-					}
-					defer s3.Close()
+					s3 := serve(t, dir, serverOptions{journal: matrixJournalOpts()}, true)
 					again := captureTopic(t, s3, mxTopic)
 					switch {
 					case (got == nil) != (again == nil):
@@ -293,12 +234,12 @@ func TestCrashPointMatrix(t *testing.T) {
 
 					// The recovered daemon must accept writes again.
 					if got == nil {
-						if rec := matrixServe(t, s3, "POST", "/v1/topics", degradeCreateReq(mxTopic)); rec.Code != http.StatusCreated {
-							t.Fatalf("re-create after crash at %s: %d", site, rec.Code)
+						if rec := call(t, s3, "POST", "/v1/topics", degradeCreateReq(mxTopic), nil); rec.code != http.StatusCreated {
+							t.Fatalf("re-create after crash at %s: %d", site, rec.code)
 						}
 					}
-					if rec := matrixServe(t, s3, "POST", "/v1/topics/"+mxTopic+"/batches", degradeBatch(50)); rec.Code != http.StatusOK {
-						t.Fatalf("batch after recovery from crash at %s: %d %s", site, rec.Code, rec.Body.String())
+					if rec := call(t, s3, "POST", "/v1/topics/"+mxTopic+"/batches", degradeBatch(50), nil); rec.code != http.StatusOK {
+						t.Fatalf("batch after recovery from crash at %s: %d %s", site, rec.code, rec.body)
 					}
 				})
 			}
@@ -311,11 +252,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		// empty otherwise. Kill each of those writes on both kinds of disk
 		// image; the next boot must still serve all mxDays batches.
 		withTail := t.TempDir() // ends one record past the compaction at batch 6
-		ctrl, err := newServer(withTail, serverOptions{journal: matrixJournalOpts()}, t.Logf)
-		if err != nil {
-			t.Fatalf("control server: %v", err)
-		}
-		defer ctrl.Close()
+		ctrl := serve(t, withTail, serverOptions{journal: matrixJournalOpts()}, true)
 		if acked, _, _ := runMatrixWorkload(t, ctrl); acked != mxDays {
 			t.Fatalf("control run acked %d batches", acked)
 		}
@@ -324,10 +261,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		if err := os.CopyFS(compacted, os.DirFS(withTail)); err != nil {
 			t.Fatal(err)
 		}
-		cs, err := newServer(compacted, serverOptions{journal: matrixJournalOpts()}, t.Logf)
-		if err != nil {
-			t.Fatalf("compacting reopen: %v", err)
-		}
+		cs := serve(t, compacted, serverOptions{journal: matrixJournalOpts()}, false)
 		cs.Close()
 
 		for image, src := range map[string]string{"tail": withTail, "compacted": compacted} {
@@ -336,10 +270,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
 				t.Fatal(err)
 			}
-			ds, err := newServer(dir, serverOptions{journal: matrixJournalOpts(), fs: disc}, t.Logf)
-			if err != nil {
-				t.Fatalf("discovery reopen: %v", err)
-			}
+			ds := serve(t, dir, serverOptions{journal: matrixJournalOpts(), fs: disc}, false)
 			ds.Close()
 			noteSites(disc.Sites())
 			for _, site := range disc.Sites() {
@@ -356,20 +287,16 @@ func TestCrashPointMatrix(t *testing.T) {
 									t.Fatalf("site %s was hit in discovery but the reopen did not crash", site)
 								}
 							}()
-							_, _ = newServer(dir, serverOptions{journal: matrixJournalOpts(), fs: script}, t.Logf)
+							serve(t, dir, serverOptions{journal: matrixJournalOpts(), fs: script}, false)
 						}()
-						s2, err := newServer(dir, serverOptions{journal: matrixJournalOpts()}, t.Logf)
-						if err != nil {
-							t.Fatalf("recovery after a restart crashed at %s failed: %v", site, err)
-						}
-						defer s2.Close()
+						s2 := serve(t, dir, serverOptions{journal: matrixJournalOpts()}, true)
 						assertNoTempFiles(t, dir)
 						got := captureTopic(t, s2, mxTopic)
 						if got == nil || got.batches != mxDays || got.draws != want.draws || !bytes.Equal(got.snap, want.snap) {
 							t.Fatalf("restart crashed at %s: recovered %+v, want the control's %d batches byte-identical", site, got, mxDays)
 						}
-						if rec := matrixServe(t, s2, "POST", "/v1/topics/"+mxTopic+"/batches", degradeBatch(50)); rec.Code != http.StatusOK {
-							t.Fatalf("batch after recovery: %d %s", rec.Code, rec.Body.String())
+						if rec := call(t, s2, "POST", "/v1/topics/"+mxTopic+"/batches", degradeBatch(50), nil); rec.code != http.StatusOK {
+							t.Fatalf("batch after recovery: %d %s", rec.code, rec.body)
 						}
 					})
 				}
@@ -386,9 +313,9 @@ func TestCrashPointMatrix(t *testing.T) {
 		for _, site := range script.Sites() {
 			pre[site] = script.Hits(site)
 		}
-		if rec := matrixServe(t, servers[0], "POST", "/v1/cluster/move",
-			moveRequest{Topic: name, Target: urls[1]}); rec.Code != http.StatusOK {
-			t.Fatalf("clean discovery move: %d %s", rec.Code, rec.Body.String())
+		if rec := call(t, servers[0], "POST", "/v1/cluster/move",
+			moveRequest{Topic: name, Target: urls[1]}, nil); rec.code != http.StatusOK {
+			t.Fatalf("clean discovery move: %d %s", rec.code, rec.body)
 		}
 		var moveSites []string
 		for _, site := range script.Sites() {
@@ -429,8 +356,8 @@ func TestCrashPointMatrix(t *testing.T) {
 							crashed = true
 						}
 					}()
-					matrixServe(t, servers[0], "POST", "/v1/cluster/move",
-						moveRequest{Topic: name, Target: urls[1]})
+					call(t, servers[0], "POST", "/v1/cluster/move",
+						moveRequest{Topic: name, Target: urls[1]}, nil)
 				}()
 				if !crashed {
 					t.Fatalf("site %s was hit by the clean move but this move finished without crashing", site)
@@ -443,11 +370,7 @@ func TestCrashPointMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cluster config: %v", err)
 				}
-				s0b, err := newServer(srcDir, serverOptions{journal: matrixJournalOpts(), cluster: cc}, t.Logf)
-				if err != nil {
-					t.Fatalf("source reboot after crash at %s failed: %v", site, err)
-				}
-				defer s0b.Close()
+				s0b := serve(t, srcDir, serverOptions{journal: matrixJournalOpts(), cluster: cc}, true)
 				assertNoTempFiles(t, srcDir)
 				handlers[0].swap(s0b)
 
@@ -455,15 +378,15 @@ func TestCrashPointMatrix(t *testing.T) {
 				// a fresh hand-off, a resume of the interrupted one, or a
 				// no-op because the topic already completed its journey —
 				// never a fork, never a stuck topic.
-				rec := matrixServe(t, s0b, "POST", "/v1/cluster/move",
-					moveRequest{Topic: name, Target: urls[1]})
+				rec := call(t, hops{s0b, 1}, "POST", "/v1/cluster/move",
+					moveRequest{Topic: name, Target: urls[1]}, nil)
 				switch {
-				case rec.Code == http.StatusOK:
-				case rec.Code == http.StatusBadRequest && strings.Contains(rec.Body.String(), "already lives"):
+				case rec.code == http.StatusOK:
+				case rec.code == http.StatusBadRequest && strings.Contains(string(rec.body), "already lives"):
 					// Redirected to the target, which already owns it: the
 					// crashed move had fully completed.
 				default:
-					t.Fatalf("move retry after crash at %s: %d %s", site, rec.Code, rec.Body.String())
+					t.Fatalf("move retry after crash at %s: %d %s", site, rec.code, rec.body)
 				}
 
 				// Exactly one shard serves the topic, at the pre-move
@@ -472,11 +395,11 @@ func TestCrashPointMatrix(t *testing.T) {
 				var holder *server
 				for _, sv := range []*server{s0b, servers[1]} {
 					var info clusterInfoResponse
-					rec := matrixServe(t, sv, "GET", "/v1/cluster/info?topic="+name, nil)
-					if rec.Code != http.StatusOK {
-						t.Fatalf("cluster info: %d", rec.Code)
+					rec := call(t, sv, "GET", "/v1/cluster/info?topic="+name, nil, nil)
+					if rec.code != http.StatusOK {
+						t.Fatalf("cluster info: %d", rec.code)
 					}
-					if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+					if err := json.Unmarshal(rec.body, &info); err != nil {
 						t.Fatalf("decode cluster info: %v", err)
 					}
 					if info.Topic != nil && info.Topic.Local {
@@ -495,8 +418,8 @@ func TestCrashPointMatrix(t *testing.T) {
 
 				// And the topic keeps taking writes wherever it landed —
 				// routed through the rebooted source, following the fence.
-				if rec := matrixServe(t, s0b, "POST", "/v1/topics/"+name+"/batches", degradeBatch(50)); rec.Code != http.StatusOK {
-					t.Fatalf("batch after crash at %s: %d %s", site, rec.Code, rec.Body.String())
+				if rec := call(t, hops{s0b, 1}, "POST", "/v1/topics/"+name+"/batches", degradeBatch(50), nil); rec.code != http.StatusOK {
+					t.Fatalf("batch after crash at %s: %d %s", site, rec.code, rec.body)
 				}
 			})
 		}
@@ -507,7 +430,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		// follower under a recording script.
 		dir := t.TempDir()
 		disc := fault.NewScript()
-		s := replicaMatrixServer(t, dir, disc)
+		s := serve(t, dir, replicaMatrixOpts(t, disc), false)
 		if acked, crash := shipReplicaFrames(t, s); crash != nil || acked != 3 {
 			t.Fatalf("rule-less replica discovery: acked=%d crash=%v", acked, crash)
 		}
@@ -523,7 +446,7 @@ func TestCrashPointMatrix(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/tail=%d", site, tail), func(t *testing.T) {
 					dir := t.TempDir()
 					script := fault.NewScript(fault.Rule{Site: site, Hit: 1, Crash: true, Tail: tail})
-					s := replicaMatrixServer(t, dir, script)
+					s := serve(t, dir, replicaMatrixOpts(t, script), false)
 					acked, crash := shipReplicaFrames(t, s)
 					s.Close()
 					if crash == nil {
@@ -533,22 +456,22 @@ func TestCrashPointMatrix(t *testing.T) {
 					// Reboot the follower: whatever half-written replica
 					// files the crash left, startup must quarantine or
 					// adopt them — never fail.
-					s2 := replicaMatrixServer(t, dir, nil)
-					defer s2.Close()
+					s2 := serve(t, dir, replicaMatrixOpts(t, nil), true)
 					assertNoTempFiles(t, dir)
 
 					// The primary notices the lag and re-ships a full base;
 					// the follower must converge on it regardless of the
 					// rubble the crash left behind.
-					code, ack, ec, _ := postReplFrame(t, s2, mxTopic, &codec.ReplAppend{
+					var ack replAck
+					r := call(t, s2, "POST", "/v1/replica/"+mxTopic+"/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 						Source: "http://peer.test:8547", Epoch: 0, SnapCRC: replicaMatrixCRC(),
 						BaseBatches: 1, BaseRandDraws: 10,
 						Batches: 3, RandDraws: 30,
 						Snapshot: replicaMatrixSnap(),
 						Tail:     append(tailFrame(t, 2, 2, 20), tailFrame(t, 3, 3, 30)...),
-					})
-					if code != http.StatusOK || ack.Batches != 3 || ack.RandDraws != 30 {
-						t.Fatalf("full re-ship after crash at %s: %d %s ack=%+v", site, code, ec, ack)
+					}), &ack)
+					if r.code != http.StatusOK || ack.Batches != 3 || ack.RandDraws != 30 {
+						t.Fatalf("full re-ship after crash at %s: %d %s ack=%+v", site, r.code, r.ec, ack)
 					}
 					if b, d := replicaPos(t, dir, mxTopic); b != 3 || d != 30 {
 						t.Fatalf("replica at (%d,%d) after re-ship, want (3,30)", b, d)
@@ -592,7 +515,7 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 				}
 			}
 		}()
-		matrixServe(t, servers[0], "POST", "/v1/cluster/move", moveRequest{Topic: name, Target: urls[1]})
+		call(t, servers[0], "POST", "/v1/cluster/move", moveRequest{Topic: name, Target: urls[1]}, nil)
 		t.Error("the move completed without crashing at persist.remove.snap")
 	}()
 	if t.Failed() {
@@ -604,11 +527,7 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster config: %v", err)
 	}
-	s0b, err := newServer(srcDir, serverOptions{journal: matrixJournalOpts(), cluster: cc}, t.Logf)
-	if err != nil {
-		t.Fatalf("source reboot: %v", err)
-	}
-	defer s0b.Close()
+	s0b := serve(t, srcDir, serverOptions{journal: matrixJournalOpts(), cluster: cc}, true)
 	handlers[0].swap(s0b)
 
 	// The rebooted source must hold the topic fenced, not serve it: a
@@ -624,12 +543,12 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 
 	// Retrying the move resumes the interrupted hand-off rather than
 	// starting a new one (or forking the topic).
-	rec := matrixServe(t, s0b, "POST", "/v1/cluster/move", moveRequest{Topic: name, Target: urls[1]})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("move retry: %d %s", rec.Code, rec.Body.String())
+	rec := call(t, hops{s0b, 1}, "POST", "/v1/cluster/move", moveRequest{Topic: name, Target: urls[1]}, nil)
+	if rec.code != http.StatusOK {
+		t.Fatalf("move retry: %d %s", rec.code, rec.body)
 	}
 	var mr moveResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &mr); err != nil {
+	if err := json.Unmarshal(rec.body, &mr); err != nil {
 		t.Fatalf("decode move response: %v", err)
 	}
 	if !mr.Resumed {
@@ -644,8 +563,8 @@ func TestMoveResumeAfterFenceCrash(t *testing.T) {
 	if s0b.store.HasSnapshot(name) {
 		t.Fatal("the resumed hand-off left the source's snapshot behind")
 	}
-	if rec := matrixServe(t, s0b, "POST", "/v1/topics/"+name+"/batches", degradeBatch(50)); rec.Code != http.StatusOK {
-		t.Fatalf("batch after resume: %d %s", rec.Code, rec.Body.String())
+	if rec := call(t, hops{s0b, 1}, "POST", "/v1/topics/"+name+"/batches", degradeBatch(50), nil); rec.code != http.StatusOK {
+		t.Fatalf("batch after resume: %d %s", rec.code, rec.body)
 	}
 }
 
@@ -685,7 +604,7 @@ func TestMoveResumeRepointSyncsDir(t *testing.T) {
 				crashed = true
 			}
 		}()
-		matrixServe(t, tc.shards[src].srv, "POST", "/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(second)})
+		call(t, tc.shards[src].srv, "POST", "/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(second)}, nil)
 	}()
 	if !crashed {
 		t.Fatal("the resumed hand-off re-pointed its tombstone without ever fsyncing the directory")
@@ -703,11 +622,9 @@ func setupMoveCluster(t *testing.T) (*fault.Script, string, [2]*server, [2]strin
 	handlers := [2]*shardHandler{{}, {}}
 	var urls [2]string
 	for i := range handlers {
-		hs := httptest.NewServer(handlers[i])
-		t.Cleanup(hs.Close)
-		urls[i] = hs.URL
-		matrixShards.Store(hs.URL, handlers[i])
-		t.Cleanup(func() { matrixShards.Delete(hs.URL) })
+		urls[i] = front(t, handlers[i]).URL
+		fronts.Store(urls[i], handlers[i])
+		t.Cleanup(func() { fronts.Delete(urls[i]) })
 	}
 	script := fault.NewScript()
 	fss := [2]fault.FS{script, nil}
@@ -722,13 +639,8 @@ func setupMoveCluster(t *testing.T) (*fault.Script, string, [2]*server, [2]strin
 		if i == 0 {
 			srcDir = dir
 		}
-		s, err := newServer(dir, serverOptions{journal: matrixJournalOpts(), cluster: cc, fs: fss[i]}, t.Logf)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		t.Cleanup(s.Close)
-		servers[i] = s
-		handlers[i].swap(s)
+		servers[i] = serve(t, dir, serverOptions{journal: matrixJournalOpts(), cluster: cc, fs: fss[i]}, true)
+		handlers[i].swap(servers[i])
 	}
 	name := ""
 	for i := 0; i < 100; i++ {
@@ -741,39 +653,23 @@ func setupMoveCluster(t *testing.T) (*fault.Script, string, [2]*server, [2]strin
 	if name == "" {
 		t.Fatal("no topic name owned by shard 0")
 	}
-	if rec := matrixServe(t, servers[0], "POST", "/v1/topics", degradeCreateReq(name)); rec.Code != http.StatusCreated {
-		t.Fatalf("create %s: %d %s", name, rec.Code, rec.Body.String())
+	if rec := call(t, servers[0], "POST", "/v1/topics", degradeCreateReq(name), nil); rec.code != http.StatusCreated {
+		t.Fatalf("create %s: %d %s", name, rec.code, rec.body)
 	}
 	for day := 1; day <= 2; day++ {
-		if rec := matrixServe(t, servers[0], "POST", "/v1/topics/"+name+"/batches", degradeBatch(day)); rec.Code != http.StatusOK {
-			t.Fatalf("batch %d: %d %s", day, rec.Code, rec.Body.String())
+		if rec := call(t, servers[0], "POST", "/v1/topics/"+name+"/batches", degradeBatch(day), nil); rec.code != http.StatusOK {
+			t.Fatalf("batch %d: %d %s", day, rec.code, rec.body)
 		}
 	}
 	return script, srcDir, servers, urls, handlers, name
 }
 
-// replicaMatrixServer builds a follower whose replica files go through
-// fs, with fake ring peers (the replica wire is driven by hand, so no
-// peer has to exist). Background machinery stays off.
-func replicaMatrixServer(t *testing.T, dir string, fs fault.FS) *server {
-	t.Helper()
-	self := "http://self.test:8547"
-	peer := "http://peer.test:8547"
-	cc, err := newMembership(self, self+","+peer, 32)
-	if err != nil {
-		t.Fatalf("newMembership: %v", err)
-	}
-	s, err := newServer(dir, serverOptions{
-		journal:    matrixJournalOpts(),
-		cluster:    cc,
-		repl:       &replOptions{Factor: 2},
-		fs:         fs,
-		probeEvery: time.Hour,
-	}, t.Logf)
-	if err != nil {
-		t.Fatalf("replica server over %s: %v", dir, err)
-	}
-	return s
+// replicaMatrixOpts are a follower's whose replica files go through fs,
+// with fake ring peers (the replica wire is driven by hand, so no peer has
+// to exist). Background machinery stays off.
+func replicaMatrixOpts(t *testing.T, fs fault.FS) serverOptions {
+	return serverOptions{journal: matrixJournalOpts(), cluster: selfAndPeer(t),
+		repl: &replOptions{Factor: 2}, fs: fs, probeEvery: time.Hour}
 }
 
 func replicaMatrixSnap() []byte {
@@ -810,12 +706,8 @@ func shipReplicaFrames(t *testing.T, s *server) (acked int, crash *fault.Crash) 
 			Batches: 3, RandDraws: 30, Tail: tailFrame(t, 3, 3, 30)},
 	}
 	for _, fr := range frames {
-		body := bytes.NewReader(codec.AppendReplAppend(nil, fr))
-		req := httptest.NewRequest("POST", "/v1/replica/"+mxTopic+"/append", body)
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("replica frame to (%d,%d): %d %s", fr.Batches, fr.RandDraws, rec.Code, rec.Body.String())
+		if rec := call(t, s, "POST", "/v1/replica/"+mxTopic+"/append", codec.AppendReplAppend(nil, fr), nil); rec.code != http.StatusOK {
+			t.Fatalf("replica frame to (%d,%d): %d %s", fr.Batches, fr.RandDraws, rec.code, rec.body)
 		}
 		acked = int(fr.Batches)
 	}

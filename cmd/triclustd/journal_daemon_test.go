@@ -14,8 +14,12 @@ import (
 	"triclust/internal/store"
 )
 
-// journalTopicName is the fixed topic every journal test drives.
-const journalTopicName = "jtopic"
+// journalTopicName is the fixed topic every journal test drives; jtSnapshot
+// is the path of its snapshot.
+const (
+	journalTopicName = "jtopic"
+	jtSnapshot       = "/v1/topics/" + journalTopicName + "/snapshot"
+)
 
 // jtCreateReq returns a deterministic create request over a small user
 // universe with a low iteration budget (the tests measure persistence,
@@ -55,9 +59,8 @@ func jtBatch(day int) batchRequest {
 
 func jtCreate(t *testing.T, client *http.Client, url string) {
 	t.Helper()
-	code, err := doJSON(client, "POST", url+"/v1/topics", jtCreateReq(), nil)
-	if err != nil || code != http.StatusCreated {
-		t.Fatalf("create: status %d err %v", code, err)
+	if r := call(t, client, "POST", url+"/v1/topics", jtCreateReq(), nil); r.code != http.StatusCreated {
+		t.Fatalf("create: status %d", r.code)
 	}
 }
 
@@ -65,41 +68,10 @@ func jtFeed(t *testing.T, client *http.Client, url string, from, to int) {
 	t.Helper()
 	for day := from; day < to; day++ {
 		var resp batchResponse
-		code, err := doJSON(client, "POST", url+"/v1/topics/"+journalTopicName+"/batches", jtBatch(day), &resp)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("batch %d: status %d err %v", day, code, err)
-		}
-		if resp.Skipped {
-			t.Fatalf("batch %d skipped", day)
+		if r := call(t, client, "POST", url+"/v1/topics/"+journalTopicName+"/batches", jtBatch(day), &resp); r.code != http.StatusOK || resp.Skipped {
+			t.Fatalf("batch %d: status %d, skipped %v", day, r.code, resp.Skipped)
 		}
 	}
-}
-
-func jtSnapshotBytes(t *testing.T, client *http.Client, url string) []byte {
-	t.Helper()
-	resp, err := client.Get(url + "/v1/topics/" + journalTopicName + "/snapshot")
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status %d", resp.StatusCode)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatalf("snapshot read: %v", err)
-	}
-	return buf.Bytes()
-}
-
-func jtSummary(t *testing.T, client *http.Client, url string) topicSummary {
-	t.Helper()
-	var sum topicSummary
-	code, err := doJSON(client, "GET", url+"/v1/topics/"+journalTopicName, nil, &sum)
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("summary: status %d err %v", code, err)
-	}
-	return sum
 }
 
 // TestDaemonJournalCrashRecoveryBitIdentical is the end-to-end crash
@@ -113,14 +85,14 @@ func TestDaemonJournalCrashRecoveryBitIdentical(t *testing.T) {
 	opts := store.Options{Every: 1 << 20, MaxBytes: 1 << 40} // no compaction during the test
 
 	// Reference: the uninterrupted stream.
-	_, refSrv := testServerOpts(t, t.TempDir(), opts)
+	refSrv := front(t, serve(t, t.TempDir(), serverOptions{journal: opts}, false))
 	jtCreate(t, refSrv.Client(), refSrv.URL)
 	jtFeed(t, refSrv.Client(), refSrv.URL, 0, total)
-	want := jtSnapshotBytes(t, refSrv.Client(), refSrv.URL)
+	want := call(t, refSrv.Client(), "GET", refSrv.URL+jtSnapshot, nil, nil)
 
 	// Crash run: process through crashAt, then die mid-append.
 	dir := t.TempDir()
-	_, srvA := testServerOpts(t, dir, opts)
+	srvA := front(t, serve(t, dir, serverOptions{journal: opts}, false))
 	jtCreate(t, srvA.Client(), srvA.URL)
 	jtFeed(t, srvA.Client(), srvA.URL, 0, crashAt)
 	srvA.Close()
@@ -143,17 +115,18 @@ func TestDaemonJournalCrashRecoveryBitIdentical(t *testing.T) {
 	f.Close()
 
 	// Restart: the torn tail is truncated, the intact records replayed.
-	_, srvB := testServerOpts(t, dir, opts)
-	if sum := jtSummary(t, srvB.Client(), srvB.URL); sum.Batches != crashAt {
-		t.Fatalf("recovered %d batches, want %d (journal was %d bytes before tear)",
-			sum.Batches, crashAt, info.Size())
+	srvB := front(t, serve(t, dir, serverOptions{journal: opts}, false))
+	var sum topicSummary
+	if r := call(t, srvB.Client(), "GET", srvB.URL+"/v1/topics/"+journalTopicName, nil, &sum); r.code != http.StatusOK || sum.Batches != crashAt {
+		t.Fatalf("status %d: recovered %d batches, want %d (journal was %d bytes before tear)",
+			r.code, sum.Batches, crashAt, info.Size())
 	}
 
 	// The stream resumes where the acknowledged prefix ended.
 	jtFeed(t, srvB.Client(), srvB.URL, crashAt, total)
-	got := jtSnapshotBytes(t, srvB.Client(), srvB.URL)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("recovered stream diverged: snapshot %d bytes vs %d, equal=false", len(got), len(want))
+	got := call(t, srvB.Client(), "GET", srvB.URL+jtSnapshot, nil, nil)
+	if got.code != http.StatusOK || want.code != http.StatusOK || !bytes.Equal(got.body, want.body) {
+		t.Fatalf("recovered stream diverged: snapshot %d bytes vs %d (status %d, %d)", len(got.body), len(want.body), got.code, want.code)
 	}
 }
 
@@ -164,24 +137,25 @@ func TestDaemonJournalRestartWithoutTear(t *testing.T) {
 	const stopAt, total = 5, 9
 	opts := store.Options{Every: 3, MaxBytes: 1 << 40} // compaction mid-stream too
 
-	_, refSrv := testServerOpts(t, t.TempDir(), opts)
+	refSrv := front(t, serve(t, t.TempDir(), serverOptions{journal: opts}, false))
 	jtCreate(t, refSrv.Client(), refSrv.URL)
 	jtFeed(t, refSrv.Client(), refSrv.URL, 0, total)
-	want := jtSnapshotBytes(t, refSrv.Client(), refSrv.URL)
+	want := call(t, refSrv.Client(), "GET", refSrv.URL+jtSnapshot, nil, nil)
 
 	dir := t.TempDir()
-	_, srvA := testServerOpts(t, dir, opts)
+	srvA := front(t, serve(t, dir, serverOptions{journal: opts}, false))
 	jtCreate(t, srvA.Client(), srvA.URL)
 	jtFeed(t, srvA.Client(), srvA.URL, 0, stopAt)
 	srvA.Close()
 
-	_, srvB := testServerOpts(t, dir, opts)
-	if sum := jtSummary(t, srvB.Client(), srvB.URL); sum.Batches != stopAt {
-		t.Fatalf("recovered %d batches, want %d", sum.Batches, stopAt)
+	srvB := front(t, serve(t, dir, serverOptions{journal: opts}, false))
+	var sum topicSummary
+	if r := call(t, srvB.Client(), "GET", srvB.URL+"/v1/topics/"+journalTopicName, nil, &sum); r.code != http.StatusOK || sum.Batches != stopAt {
+		t.Fatalf("status %d: recovered %d batches, want %d", r.code, sum.Batches, stopAt)
 	}
 	jtFeed(t, srvB.Client(), srvB.URL, stopAt, total)
-	if got := jtSnapshotBytes(t, srvB.Client(), srvB.URL); !bytes.Equal(got, want) {
-		t.Fatal("restarted stream's snapshot differs from the uninterrupted run")
+	if got := call(t, srvB.Client(), "GET", srvB.URL+jtSnapshot, nil, nil); got.code != http.StatusOK || want.code != http.StatusOK || !bytes.Equal(got.body, want.body) {
+		t.Fatalf("restarted stream's snapshot differs from the uninterrupted run (status %d, %d)", got.code, want.code)
 	}
 }
 
@@ -194,7 +168,7 @@ func TestDaemonJournalRestartWithoutTear(t *testing.T) {
 func TestDaemonJournalBytesPerBatch(t *testing.T) {
 	const every = 8
 	dir := t.TempDir()
-	_, srv := testServerOpts(t, dir, store.Options{Every: every, MaxBytes: 1 << 40})
+	srv := front(t, serve(t, dir, serverOptions{journal: store.Options{Every: every, MaxBytes: 1 << 40}}, false))
 	client := srv.Client()
 	jtCreate(t, client, srv.URL)
 
@@ -220,8 +194,8 @@ func TestDaemonJournalBytesPerBatch(t *testing.T) {
 		return batchRequest{Time: day, Tweets: tweets}
 	}
 	for day := 0; day < warmup; day++ {
-		if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/"+journalTopicName+"/batches", batchFor(day), nil); err != nil || code != http.StatusOK {
-			t.Fatalf("warm-up batch %d: status %d err %v", day, code, err)
+		if r := call(nil, client, "POST", srv.URL+"/v1/topics/"+journalTopicName+"/batches", batchFor(day), nil); r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("warm-up batch %d: status %d err %v", day, r.code, r.err)
 		}
 	}
 	var deltas []int64
@@ -230,9 +204,9 @@ func TestDaemonJournalBytesPerBatch(t *testing.T) {
 		prev = info.Size()
 	}
 	for day := warmup; day < every-1; day++ {
-		code, err := doJSON(client, "POST", srv.URL+"/v1/topics/"+journalTopicName+"/batches", batchFor(day), nil)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("batch %d: status %d err %v", day, code, err)
+		r := call(nil, client, "POST", srv.URL+"/v1/topics/"+journalTopicName+"/batches", batchFor(day), nil)
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("batch %d: status %d err %v", day, r.code, r.err)
 		}
 		info, err := os.Stat(jourPath)
 		if err != nil {
@@ -258,9 +232,9 @@ func TestDaemonJournalBytesPerBatch(t *testing.T) {
 
 	// The next batch crosses -journal-every: snapshot rewritten once,
 	// journal truncated to its bare header.
-	code, err := doJSON(client, "POST", srv.URL+"/v1/topics/"+journalTopicName+"/batches", batchFor(every-1), nil)
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("compaction batch: status %d err %v", code, err)
+	r := call(nil, client, "POST", srv.URL+"/v1/topics/"+journalTopicName+"/batches", batchFor(every-1), nil)
+	if r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("compaction batch: status %d err %v", r.code, r.err)
 	}
 	snapAfter, err := os.ReadFile(snapPath)
 	if err != nil {
@@ -282,7 +256,7 @@ func TestDaemonJournalBytesPerBatch(t *testing.T) {
 // trigger: a tiny -journal-max-bytes compacts on (nearly) every batch.
 func TestDaemonJournalMaxBytesCompaction(t *testing.T) {
 	dir := t.TempDir()
-	_, srv := testServerOpts(t, dir, store.Options{Every: 1 << 20, MaxBytes: 64})
+	srv := front(t, serve(t, dir, serverOptions{journal: store.Options{Every: 1 << 20, MaxBytes: 64}}, false))
 	jtCreate(t, srv.Client(), srv.URL)
 	jtFeed(t, srv.Client(), srv.URL, 0, 3)
 	info, err := os.Stat(filepath.Join(dir, journalTopicName+".journal"))
@@ -301,7 +275,8 @@ func TestDaemonJournalMaxBytesCompaction(t *testing.T) {
 // loads, gets a journal, and keeps its batches.
 func TestDaemonJournalModeMigration(t *testing.T) {
 	dir := t.TempDir()
-	sA, srvA := testServer(t, dir)
+	sA := serve(t, dir, serverOptions{}, false)
+	srvA := front(t, sA)
 	jtCreate(t, srvA.Client(), srvA.URL)
 	jtFeed(t, srvA.Client(), srvA.URL, 0, 2)
 	srvA.Close()
@@ -314,9 +289,10 @@ func TestDaemonJournalModeMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, srvB := testServer(t, dir)
-	if sum := jtSummary(t, srvB.Client(), srvB.URL); sum.Batches != 2 {
-		t.Fatalf("snapshot-only dir loaded %d batches, want 2", sum.Batches)
+	srvB := front(t, serve(t, dir, serverOptions{}, false))
+	var sum topicSummary
+	if r := call(t, srvB.Client(), "GET", srvB.URL+"/v1/topics/"+journalTopicName, nil, &sum); r.code != http.StatusOK || sum.Batches != 2 {
+		t.Fatalf("status %d: snapshot-only dir loaded %d batches, want 2", r.code, sum.Batches)
 	}
 	if _, err := os.Stat(jp); err != nil {
 		t.Fatalf("loaded topic got no journal: %v", err)
@@ -324,9 +300,10 @@ func TestDaemonJournalModeMigration(t *testing.T) {
 	jtFeed(t, srvB.Client(), srvB.URL, 2, 4)
 	srvB.Close()
 
-	_, srvC := testServer(t, dir)
-	if sum := jtSummary(t, srvC.Client(), srvC.URL); sum.Batches != 4 {
-		t.Fatalf("after restart: %d batches, want 4", sum.Batches)
+	srvC := front(t, serve(t, dir, serverOptions{}, false))
+	sum = topicSummary{}
+	if r := call(t, srvC.Client(), "GET", srvC.URL+"/v1/topics/"+journalTopicName, nil, &sum); r.code != http.StatusOK || sum.Batches != 4 {
+		t.Fatalf("status %d: after restart: %d batches, want 4", r.code, sum.Batches)
 	}
 }
 
@@ -336,7 +313,8 @@ func TestDaemonJournalModeMigration(t *testing.T) {
 // O(batch) record and leaves the O(state) snapshot alone.
 func TestFirstBatchAfterRestartAppends(t *testing.T) {
 	dir := t.TempDir()
-	sA, srvA := testServer(t, dir)
+	sA := serve(t, dir, serverOptions{}, false)
+	srvA := front(t, sA)
 	jtCreate(t, srvA.Client(), srvA.URL)
 	jtFeed(t, srvA.Client(), srvA.URL, 0, 3)
 	srvA.Close()
@@ -349,7 +327,7 @@ func TestFirstBatchAfterRestartAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, srvB := testServer(t, dir)
+	srvB := front(t, serve(t, dir, serverOptions{}, false))
 	jtFeed(t, srvB.Client(), srvB.URL, 3, 4)
 	snapAfter, err := os.ReadFile(snapPath)
 	if err != nil {
@@ -373,7 +351,7 @@ func TestFirstBatchAfterRestartAppends(t *testing.T) {
 func TestDaemonJournalQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	opts := store.Options{Every: 1 << 20, MaxBytes: 1 << 40}
-	_, srvA := testServerOpts(t, dir, opts)
+	srvA := front(t, serve(t, dir, serverOptions{journal: opts}, false))
 	jtCreate(t, srvA.Client(), srvA.URL)
 	jtFeed(t, srvA.Client(), srvA.URL, 0, 3)
 	srvA.Close()
@@ -388,10 +366,11 @@ func TestDaemonJournalQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, srvB := testServerOpts(t, dir, opts)
+	srvB := front(t, serve(t, dir, serverOptions{journal: opts}, false))
 	// The snapshot predates every journaled batch (create-time state).
-	if sum := jtSummary(t, srvB.Client(), srvB.URL); sum.Batches != 0 {
-		t.Fatalf("quarantined journal still applied: %d batches", sum.Batches)
+	var sum topicSummary
+	if r := call(t, srvB.Client(), "GET", srvB.URL+"/v1/topics/"+journalTopicName, nil, &sum); r.code != http.StatusOK || sum.Batches != 0 {
+		t.Fatalf("status %d: quarantined journal still applied: %d batches", r.code, sum.Batches)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,42 +17,6 @@ import (
 	"triclust/internal/store"
 	"triclust/internal/synth"
 )
-
-// readResp is one observed read-plane response.
-type readResp struct {
-	status int
-	etag   string
-	cc     string
-	body   []byte
-}
-
-// getRead issues one read with an optional If-None-Match and returns the
-// caching-relevant parts.
-func getRead(t *testing.T, client *http.Client, url, inm string) readResp {
-	t.Helper()
-	req, err := http.NewRequest("GET", url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inm != "" {
-		req.Header.Set("If-None-Match", inm)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET %s read: %v", url, err)
-	}
-	return readResp{
-		status: resp.StatusCode,
-		etag:   resp.Header.Get("ETag"),
-		cc:     resp.Header.Get("Cache-Control"),
-		body:   body,
-	}
-}
 
 // userReadBody is the wire shape of GET /v1/topics/{t}/users/{u}.
 type userReadBody struct {
@@ -72,16 +35,16 @@ var etagShape = regexp.MustCompile(`^"b\d+-r[0-9a-f]+-e\d+"$`)
 // convergence fields in every body, ETag movement on new batches, and
 // the healthz read-plane counters that observe it all.
 func TestReadPlaneETagContract(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 	jtCreate(t, client, srv.URL)
 	jtFeed(t, client, srv.URL, 0, 3)
 	base := srv.URL + "/v1/topics/" + journalTopicName
 
 	// The hot read: a user estimate with caching headers and convergence.
-	r := getRead(t, client, base+"/users/0", "")
-	if r.status != http.StatusOK || !etagShape.MatchString(r.etag) || r.cc != readCacheControl {
-		t.Fatalf("user read: status %d etag %q cc %q", r.status, r.etag, r.cc)
+	r := call(t, client, "GET", base+"/users/0", nil, nil)
+	if r.code != http.StatusOK || !etagShape.MatchString(r.etag) || r.hdr.Get("Cache-Control") != readCacheControl {
+		t.Fatalf("user read: status %d etag %q cc %q", r.code, r.etag, r.hdr.Get("Cache-Control"))
 	}
 	var ub userReadBody
 	if err := json.Unmarshal(r.body, &ub); err != nil {
@@ -103,22 +66,22 @@ func TestReadPlaneETagContract(t *testing.T) {
 	// Conditional requests: exact, weak-prefixed, list and "*" match; a
 	// mismatch re-serves the body.
 	for _, inm := range []string{etag, "W/" + etag, `"zzz", ` + etag, "*"} {
-		c := getRead(t, client, base+"/users/0", inm)
-		if c.status != http.StatusNotModified || c.etag != etag || len(c.body) != 0 {
-			t.Fatalf("If-None-Match %q: status %d etag %q body %q", inm, c.status, c.etag, c.body)
+		c := call(t, client, "GET", base+"/users/0", nil, nil, "If-None-Match", inm)
+		if c.code != http.StatusNotModified || c.etag != etag || len(c.body) != 0 {
+			t.Fatalf("If-None-Match %q: status %d etag %q body %q", inm, c.code, c.etag, c.body)
 		}
 	}
-	if c := getRead(t, client, base+"/users/0", `"zzz"`); c.status != http.StatusOK {
-		t.Fatalf("mismatched If-None-Match: status %d", c.status)
+	if c := call(t, client, "GET", base+"/users/0", nil, nil, "If-None-Match", `"zzz"`); c.code != http.StatusOK {
+		t.Fatalf("mismatched If-None-Match: status %d", c.code)
 	}
 
 	// Features: same view, same ETag; repeated polls serve identical
 	// bytes (the body is cached per ETag) and revalidate to 304.
-	f1 := getRead(t, client, base+"/features", "")
-	f2 := getRead(t, client, base+"/features", "")
-	if f1.status != http.StatusOK || f1.etag != etag || string(f1.body) != string(f2.body) {
+	f1 := call(t, client, "GET", base+"/features", nil, nil)
+	f2 := call(t, client, "GET", base+"/features", nil, nil)
+	if f1.code != http.StatusOK || f1.etag != etag || string(f1.body) != string(f2.body) {
 		t.Fatalf("features: status %d etag %q (want %q), stable body %v",
-			f1.status, f1.etag, etag, string(f1.body) == string(f2.body))
+			f1.code, f1.etag, etag, string(f1.body) == string(f2.body))
 	}
 	var fb featuresResponse
 	if err := json.Unmarshal(f1.body, &fb); err != nil {
@@ -128,14 +91,14 @@ func TestReadPlaneETagContract(t *testing.T) {
 		t.Fatalf("features body: %d words, %d features, convergence %v",
 			len(fb.Vocabulary), len(fb.Features), fb.Convergence)
 	}
-	if c := getRead(t, client, base+"/features", etag); c.status != http.StatusNotModified {
-		t.Fatalf("features revalidation: status %d", c.status)
+	if c := call(t, client, "GET", base+"/features", nil, nil, "If-None-Match", etag); c.code != http.StatusNotModified {
+		t.Fatalf("features revalidation: status %d", c.code)
 	}
 
 	// Topic info: same ETag contract, convergence in the summary.
-	ir := getRead(t, client, base, "")
-	if ir.status != http.StatusOK || ir.etag != etag {
-		t.Fatalf("info: status %d etag %q", ir.status, ir.etag)
+	ir := call(t, client, "GET", base, nil, nil)
+	if ir.code != http.StatusOK || ir.etag != etag {
+		t.Fatalf("info: status %d etag %q", ir.code, ir.etag)
 	}
 	var sum topicSummary
 	if err := json.Unmarshal(ir.body, &sum); err != nil {
@@ -144,16 +107,16 @@ func TestReadPlaneETagContract(t *testing.T) {
 	if sum.Convergence == nil || sum.Convergence.Batches != 3 {
 		t.Fatalf("info convergence %+v", sum.Convergence)
 	}
-	if c := getRead(t, client, base, etag); c.status != http.StatusNotModified {
-		t.Fatalf("info revalidation: status %d", c.status)
+	if c := call(t, client, "GET", base, nil, nil, "If-None-Match", etag); c.code != http.StatusNotModified {
+		t.Fatalf("info revalidation: status %d", c.code)
 	}
 
 	// A new batch moves the validator: the stale ETag stops matching and
 	// the fresh body reports the new batch counter.
 	jtFeed(t, client, srv.URL, 3, 4)
-	c := getRead(t, client, base+"/users/0", etag)
-	if c.status != http.StatusOK || c.etag == etag {
-		t.Fatalf("after batch: status %d etag %q (stale %q)", c.status, c.etag, etag)
+	c := call(t, client, "GET", base+"/users/0", nil, nil, "If-None-Match", etag)
+	if c.code != http.StatusOK || c.etag == etag {
+		t.Fatalf("after batch: status %d etag %q (stale %q)", c.code, c.etag, etag)
 	}
 	if err := json.Unmarshal(c.body, &ub); err != nil {
 		t.Fatal(err)
@@ -163,18 +126,18 @@ func TestReadPlaneETagContract(t *testing.T) {
 	}
 
 	// Error paths keep their codes.
-	if code, ec := errCode(t, client, "GET", base+"/users/999", nil); code != http.StatusNotFound || ec != codeUserNotFound {
-		t.Fatalf("unknown user: %d %q", code, ec)
+	if r := call(t, client, "GET", base+"/users/999", nil, nil); r.code != http.StatusNotFound || r.ec != codeUserNotFound {
+		t.Fatalf("unknown user: %d %q", r.code, r.ec)
 	}
-	if code, ec := errCode(t, client, "GET", base+"/users/abc", nil); code != http.StatusBadRequest || ec != codeInvalidRequest {
-		t.Fatalf("bad user id: %d %q", code, ec)
+	if r := call(t, client, "GET", base+"/users/abc", nil, nil); r.code != http.StatusBadRequest || r.ec != codeInvalidRequest {
+		t.Fatalf("bad user id: %d %q", r.code, r.ec)
 	}
 
 	// healthz observes the traffic: reads counted, 304s counted, and the
 	// one topic classified into exactly one convergence bucket.
 	var hr healthResponse
-	if code, err := doJSON(client, "GET", srv.URL+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK {
-		t.Fatalf("healthz: %d %v", code, err)
+	if r := call(nil, client, "GET", srv.URL+"/v1/healthz", nil, &hr); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("healthz: %d %v", r.code, r.err)
 	}
 	rp := hr.ReadPlane
 	if rp == nil || rp.Reads < 10 || rp.NotModified < 6 {
@@ -193,23 +156,23 @@ func TestReadPlaneETagContract(t *testing.T) {
 func TestReadPlaneETagStableAcrossRestart(t *testing.T) {
 	opts := store.Options{Every: 1 << 20, MaxBytes: 1 << 40} // force replay on restart
 	dir := t.TempDir()
-	_, srvA := testServerOpts(t, dir, opts)
+	srvA := front(t, serve(t, dir, serverOptions{journal: opts}, false))
 	jtCreate(t, srvA.Client(), srvA.URL)
 	jtFeed(t, srvA.Client(), srvA.URL, 0, 6)
-	before := getRead(t, srvA.Client(), srvA.URL+"/v1/topics/"+journalTopicName+"/users/0", "")
-	if before.status != http.StatusOK {
-		t.Fatalf("pre-restart read: %d", before.status)
+	before := call(t, srvA.Client(), "GET", srvA.URL+"/v1/topics/"+journalTopicName+"/users/0", nil, nil)
+	if before.code != http.StatusOK {
+		t.Fatalf("pre-restart read: %d", before.code)
 	}
 	srvA.Close()
 
-	_, srvB := testServerOpts(t, dir, opts)
-	after := getRead(t, srvB.Client(), srvB.URL+"/v1/topics/"+journalTopicName+"/users/0", "")
-	if after.status != http.StatusOK || after.etag != before.etag || string(after.body) != string(before.body) {
+	srvB := front(t, serve(t, dir, serverOptions{journal: opts}, false))
+	after := call(t, srvB.Client(), "GET", srvB.URL+"/v1/topics/"+journalTopicName+"/users/0", nil, nil)
+	if after.code != http.StatusOK || after.etag != before.etag || string(after.body) != string(before.body) {
 		t.Fatalf("post-replay read: status %d etag %q body %q, want etag %q body %q",
-			after.status, after.etag, after.body, before.etag, before.body)
+			after.code, after.etag, after.body, before.etag, before.body)
 	}
-	if c := getRead(t, srvB.Client(), srvB.URL+"/v1/topics/"+journalTopicName+"/users/0", before.etag); c.status != http.StatusNotModified {
-		t.Fatalf("pre-restart validator after replay: status %d, want 304", c.status)
+	if c := call(t, srvB.Client(), "GET", srvB.URL+"/v1/topics/"+journalTopicName+"/users/0", nil, nil, "If-None-Match", before.etag); c.code != http.StatusNotModified {
+		t.Fatalf("pre-restart validator after replay: status %d, want 304", c.code)
 	}
 }
 
@@ -226,18 +189,14 @@ func (w *nullResponseWriter) WriteHeader(int)             {}
 // ETag/header strings that escape into the response, and a full 200
 // costs little more — no per-request JSON machinery.
 func TestReadPlaneServeAllocs(t *testing.T) {
-	s, err := newServer("", serverOptions{}, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s)
-	defer srv.Close()
+	s := serve(t, "", serverOptions{}, false)
+	srv := front(t, s)
 	jtCreate(t, srv.Client(), srv.URL)
 	jtFeed(t, srv.Client(), srv.URL, 0, 3)
 
-	r := getRead(t, srv.Client(), srv.URL+"/v1/topics/"+journalTopicName+"/users/0", "")
-	if r.status != http.StatusOK {
-		t.Fatalf("warm read: %d", r.status)
+	r := call(t, srv.Client(), "GET", srv.URL+"/v1/topics/"+journalTopicName+"/users/0", nil, nil)
+	if r.code != http.StatusOK {
+		t.Fatalf("warm read: %d", r.code)
 	}
 
 	w := &nullResponseWriter{h: make(http.Header)}
@@ -264,21 +223,22 @@ func TestReadPlaneServeAllocs(t *testing.T) {
 // the last durable one: the topic never published the refused batch.
 func TestReadPlaneDuringRefusedAppend(t *testing.T) {
 	script := fault.NewScript()
-	s, hs := faultServer(t, script, store.Options{Every: 100}, 0)
+	s := serve(t, t.TempDir(), serverOptions{journal: store.Options{Every: 100}, fs: script}, true)
+	hs := front(t, s)
 	client := hs.Client()
 
 	d, req := synthTopic(t, 41)
-	if code, err := doJSON(client, "POST", hs.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create: %d %v", code, err)
+	if r := call(nil, client, "POST", hs.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("create: %d %v", r.code, r.err)
 	}
 	url := hs.URL + "/v1/topics/" + req.Name + "/batches"
 	for day := 1; day <= 2; day++ {
-		if code, err := doJSON(client, "POST", url, batchRequest{Time: day, Tweets: dayTweets(d, day)}, nil); err != nil || code != http.StatusOK {
-			t.Fatalf("day %d: %d %v", day, code, err)
+		if r := call(nil, client, "POST", url, batchRequest{Time: day, Tweets: dayTweets(d, day)}, nil); r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("day %d: %d %v", day, r.code, r.err)
 		}
 	}
-	durable := getRead(t, client, hs.URL+"/v1/topics/"+req.Name+"/users/0", "")
-	if durable.status != http.StatusOK || durable.etag == "" {
+	durable := call(t, client, "GET", hs.URL+"/v1/topics/"+req.Name+"/users/0", nil, nil)
+	if durable.code != http.StatusOK || durable.etag == "" {
 		t.Fatalf("pre-failure read: %+v", durable)
 	}
 
@@ -289,16 +249,13 @@ func TestReadPlaneDuringRefusedAppend(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			readReq := httptest.NewRequest("GET", "/v1/topics/"+req.Name+"/users/0", nil)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				w := &nullResponseWriter{h: make(http.Header)}
-				s.ServeHTTP(w, readReq)
-				if et := w.h.Get("ETag"); !etagShape.MatchString(et) {
+				if et := call(nil, s, "GET", "/v1/topics/"+req.Name+"/users/0", nil, nil).etag; !etagShape.MatchString(et) {
 					select {
 					case fail <- fmt.Sprintf("malformed ETag during the refused append: %q", et):
 					default:
@@ -313,8 +270,8 @@ func TestReadPlaneDuringRefusedAppend(t *testing.T) {
 	// readers hammer the topic.
 	sabotageJournal(script)
 	day3 := batchRequest{Time: 3, Tweets: dayTweets(d, 3)}
-	if code, ec, retry := postRetry(t, client, url, day3); code != http.StatusServiceUnavailable || ec != codeStorageDegraded || retry != "1" {
-		t.Fatalf("batch on dead journal: %d %q (Retry-After %q), want 503 %q (Retry-After 1)", code, ec, retry, codeStorageDegraded)
+	if r := call(t, client, "POST", url, day3, nil); r.code != http.StatusServiceUnavailable || r.ec != codeStorageDegraded || r.hdr.Get("Retry-After") != "1" {
+		t.Fatalf("batch on dead journal: %d %q (Retry-After %q), want 503 %q (Retry-After 1)", r.code, r.ec, r.hdr.Get("Retry-After"), codeStorageDegraded)
 	}
 
 	close(stop)
@@ -327,10 +284,10 @@ func TestReadPlaneDuringRefusedAppend(t *testing.T) {
 
 	// The topic still serves the last durable view: same validator, so a
 	// conditional poll on the pre-failure ETag still answers 304.
-	after := getRead(t, client, hs.URL+"/v1/topics/"+req.Name+"/users/0", durable.etag)
-	if after.status != http.StatusNotModified {
+	after := call(t, client, "GET", hs.URL+"/v1/topics/"+req.Name+"/users/0", nil, nil, "If-None-Match", durable.etag)
+	if after.code != http.StatusNotModified {
 		t.Fatalf("conditional poll after the refused append: %d (etag %q vs durable %q), want 304",
-			after.status, after.etag, durable.etag)
+			after.code, after.etag, durable.etag)
 	}
 }
 
@@ -370,15 +327,15 @@ func TestNoReadSeesABatchBeforeItsFsync(t *testing.T) {
 	for _, fails := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sync fails=%v", fails), func(t *testing.T) {
 			fs := &syncReadFS{Script: fault.NewScript()}
-			s, _ := faultServer(t, fs, store.Options{Every: 100}, 0)
+			s := serve(t, t.TempDir(), serverOptions{journal: store.Options{Every: 100}, fs: fs}, true)
 			const name = "inflight"
 			users0 := "/v1/topics/" + name + "/users/0"
-			etag := func() string { return matrixServe(t, s, "GET", users0, nil).Header().Get("ETag") }
-			if rec := matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq(name)); rec.Code != http.StatusCreated {
-				t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+			etag := func() string { return call(t, s, "GET", users0, nil, nil).etag }
+			if rec := call(t, s, "POST", "/v1/topics", degradeCreateReq(name), nil); rec.code != http.StatusCreated {
+				t.Fatalf("create: %d %s", rec.code, rec.body)
 			}
-			if rec := matrixServe(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1)); rec.Code != http.StatusOK {
-				t.Fatalf("batch 1: %d %s", rec.Code, rec.Body.String())
+			if rec := call(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1), nil); rec.code != http.StatusOK {
+				t.Fatalf("batch 1: %d %s", rec.code, rec.body)
 			}
 			pre, want := etag(), http.StatusOK
 			if fails {
@@ -387,10 +344,10 @@ func TestNoReadSeesABatchBeforeItsFsync(t *testing.T) {
 			}
 			inflight := ""
 			fs.read = func() { inflight = etag() }
-			rec := matrixServe(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(2))
+			rec := call(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(2), nil)
 			fs.read = nil
-			if rec.Code != want {
-				t.Fatalf("batch 2: %d %s, want %d", rec.Code, rec.Body.String(), want)
+			if rec.code != want {
+				t.Fatalf("batch 2: %d %s, want %d", rec.code, rec.body, want)
 			}
 			if inflight != pre {
 				t.Fatalf("a read during batch 2's fsync answered ETag %q, want the pre-batch %q", inflight, pre)
@@ -408,24 +365,24 @@ func TestNoReadSeesABatchBeforeItsFsync(t *testing.T) {
 // validator: a client revalidating with the pre-freeze ETag is re-served,
 // not told 304 about a body that says "unfrozen, empty vocabulary".
 func TestReadPlaneSeesVocabFreeze(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 	req := createTopicRequest{Name: "warm", Users: []string{"a"}, Options: topicOptions{MinDF: 1, MaxIter: 5}}
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("create: %d %v", r.code, r.err)
 	}
 	url := srv.URL + "/v1/topics/warm"
-	before := getRead(t, client, url, "")
-	if before.status != http.StatusOK || !etagShape.MatchString(before.etag) {
-		t.Fatalf("pre-freeze read: status %d etag %q", before.status, before.etag)
+	before := call(t, client, "GET", url, nil, nil)
+	if before.code != http.StatusOK || !etagShape.MatchString(before.etag) {
+		t.Fatalf("pre-freeze read: status %d etag %q", before.code, before.etag)
 	}
-	if code, err := doJSON(client, "POST", url+"/vocab", vocabRequest{Texts: []string{"label gmo ballot"}, Freeze: true}, nil); err != nil || code != http.StatusOK {
-		t.Fatalf("freeze: %d %v", code, err)
+	if r := call(nil, client, "POST", url+"/vocab", vocabRequest{Texts: []string{"label gmo ballot"}, Freeze: true}, nil); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("freeze: %d %v", r.code, r.err)
 	}
-	after := getRead(t, client, url, before.etag)
-	if after.status != http.StatusOK || after.etag == before.etag {
+	after := call(t, client, "GET", url, nil, nil, "If-None-Match", before.etag)
+	if after.code != http.StatusOK || after.etag == before.etag {
 		t.Fatalf("revalidation across the freeze: status %d etag %q (pre-freeze %q), want 200 and a new validator",
-			after.status, after.etag, before.etag)
+			after.code, after.etag, before.etag)
 	}
 	var sum topicSummary
 	if err := json.Unmarshal(after.body, &sum); err != nil {
@@ -435,12 +392,12 @@ func TestReadPlaneSeesVocabFreeze(t *testing.T) {
 		t.Fatalf("summary after the freeze: frozen=%v vocab_size=%d, want true/3", sum.Frozen, sum.VocabSize)
 	}
 	// From the first batch on the validator is the stream fingerprint alone.
-	if code, err := doJSON(client, "POST", url+"/batches",
-		batchRequest{Time: 0, Tweets: []tweetSpec{{Text: "label gmo today", User: 0}}}, nil); err != nil || code != http.StatusOK {
-		t.Fatalf("batch after freeze: %d %v", code, err)
+	if r := call(nil, client, "POST", url+"/batches",
+		batchRequest{Time: 0, Tweets: []tweetSpec{{Text: "label gmo today", User: 0}}}, nil); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("batch after freeze: %d %v", r.code, r.err)
 	}
-	if r := getRead(t, client, url, after.etag); r.status != http.StatusOK || !etagShape.MatchString(r.etag) {
-		t.Fatalf("read after the first batch: status %d etag %q", r.status, r.etag)
+	if r := call(t, client, "GET", url, nil, nil, "If-None-Match", after.etag); r.code != http.StatusOK || !etagShape.MatchString(r.etag) {
+		t.Fatalf("read after the first batch: status %d etag %q", r.code, r.etag)
 	}
 }
 
@@ -500,21 +457,21 @@ func TestHealthzAnswersDuringSolve(t *testing.T) {
 
 	done := make(chan string, 1)
 	go func() {
-		code, err := doJSON(tc.client, "POST", tc.url(owner)+"/v1/topics/"+create.Name+"/batches", batch, nil)
-		done <- fmt.Sprintf("%d %v", code, err)
+		r := call(nil, tc.client, "POST", tc.url(owner)+"/v1/topics/"+create.Name+"/batches", batch, nil)
+		done <- fmt.Sprintf("%d %v", r.code, r.err)
 	}()
 	for tp.mu.TryLock() {
 		tp.mu.Unlock()
 		runtime.Gosched()
 	}
 	var hr healthResponse
-	if code, err := doJSON(tc.client, "GET", tc.url(owner)+"/v1/healthz", nil, &hr); err != nil || code != http.StatusOK || hr.Replication == nil {
-		t.Errorf("healthz during the solve: %d %v %+v", code, err, hr.Replication)
+	if r := call(nil, tc.client, "GET", tc.url(owner)+"/v1/healthz", nil, &hr); r.err != nil || r.code != http.StatusOK || hr.Replication == nil {
+		t.Errorf("healthz during the solve: %d %v %+v", r.code, r.err, hr.Replication)
 	}
 	var info clusterInfoResponse
-	if code, err := doJSON(tc.client, "GET", tc.url(owner)+"/v1/cluster/info?topic="+create.Name, nil, &info); err != nil ||
-		code != http.StatusOK || info.Topic == nil || !info.Topic.Local {
-		t.Errorf("cluster info during the solve: %d %v %+v", code, err, info.Topic)
+	if r := call(nil, tc.client, "GET", tc.url(owner)+"/v1/cluster/info?topic="+create.Name, nil, &info); r.err != nil ||
+		r.code != http.StatusOK || info.Topic == nil || !info.Topic.Local {
+		t.Errorf("cluster info during the solve: %d %v %+v", r.code, r.err, info.Topic)
 	}
 	if n := tp.eng.ReadView().Batches(); n != 0 {
 		t.Fatalf("healthz and cluster/info answered after the solve committed (%d batch published): they waited on it, or the batch is too small to tell", n)

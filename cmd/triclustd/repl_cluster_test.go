@@ -2,15 +2,13 @@ package main
 
 // Fault-injection scenarios for journal-shipped replication, each pinning
 // what the simulator (TestClusterSim) does not reach: idle followers
-// converging past a bounded queue, a restarted primary fenced at start-up
-// while two shards are down, and a promotion held back by a live holder.
+// converging past a bounded queue, and a restarted primary fenced at
+// start-up while two shards are down.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,8 +57,8 @@ func (tc *testCluster) awaitServedAt(name string, wantEpoch uint64, live []int) 
 	if !tc.await(tc.opts.repl.ProbeFailures+2, func() bool {
 		for _, i := range live {
 			var info clusterInfoResponse
-			code, err := doJSON(tc.client, "GET", tc.url(i)+"/v1/cluster/info?topic="+name, nil, &info)
-			if err == nil && code == http.StatusOK && info.Topic != nil &&
+			r := call(nil, tc.client, "GET", tc.url(i)+"/v1/cluster/info?topic="+name, nil, &info)
+			if r.err == nil && r.code == http.StatusOK && info.Topic != nil &&
 				info.Topic.Local && info.Topic.Epoch == wantEpoch {
 				served = i
 				return true
@@ -112,8 +110,8 @@ func (tc *testCluster) awaitFollowersSynced(i int, names []string, ticks int) {
 	synced := 0
 	if !tc.await(ticks, func() bool {
 		hr = healthResponse{}
-		code, err := doJSON(tc.client, "GET", tc.url(i)+"/v1/healthz", nil, &hr)
-		if err != nil || code != http.StatusOK || hr.Replication == nil {
+		r := call(nil, tc.client, "GET", tc.url(i)+"/v1/healthz", nil, &hr)
+		if r.err != nil || r.code != http.StatusOK || hr.Replication == nil {
 			return false
 		}
 		ok := map[string]int{}
@@ -170,25 +168,6 @@ func TestResyncConvergesIdleTopics(t *testing.T) {
 	}
 }
 
-// serveJSON drives one JSON request straight into a server's ServeHTTP
-// (no listener), returning the status and error code.
-func serveJSON(t *testing.T, s *server, method, path string, body any) (int, string) {
-	t.Helper()
-	var buf bytes.Buffer
-	if body != nil {
-		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	req := httptest.NewRequest(method, path, &buf)
-	req.Header.Set("Content-Type", "application/json")
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	var eb errorBody
-	_ = json.NewDecoder(rec.Body).Decode(&eb)
-	return rec.Code, eb.Error.Code
-}
-
 // useFS reboots shard i with its durable writes going through fs.
 func (tc *testCluster) useFS(i int, fs fault.FS) {
 	tc.killShard(i)
@@ -240,39 +219,15 @@ func TestStartupFencesRestartedPrimary(t *testing.T) {
 
 	tc.boot(p)
 	var ts cluster.Tombstone
-	var ans simAnswer
+	var ans reply
 	if !eventually(func() bool {
 		data, err := os.ReadFile(filepath.Join(tc.shards[p].dir, name+".moved"))
 		if err != nil || json.Unmarshal(data, &ts) != nil || ts.Target != tc.url(b) {
 			return false
 		}
-		ans, err = follow(tc.noRedirect, "GET", tc.url(p)+"/v1/topics/"+name, nil, -1)
-		return err == nil && ans.code == http.StatusTemporaryRedirect && ans.shard == tc.url(b)
+		ans = call(nil, tc.noRedirect, "GET", tc.url(p)+"/v1/topics/"+name, nil, nil)
+		return ans.err == nil && ans.code == http.StatusTemporaryRedirect && ans.shard == tc.url(b)
 	}) {
 		t.Fatalf("restarted P: tombstone %+v, GET answered %v shard=%q; want fenced and 307 → %s", ts, ans, ans.shard, tc.url(b))
-	}
-}
-
-// TestPromotionDefersToAMovedTopic pins the promotion's split-brain guard:
-// ring order [P, A, B], RF 2. P moves the topic to B, which ships to its
-// own follower, P, and leaves A holding a replica of P's epoch 0. P dies.
-// A is that replica's first live candidate, but B serves the topic: A must
-// keep the replica, not promote it to a second writer at epoch 1.
-func TestPromotionDefersToAMovedTopic(t *testing.T) {
-	tc := newCluster(t, 3, serverOptions{journal: store.Options{Every: 4, MaxBytes: 8 << 20}, repl: fastRepl()}, true)
-	name := "moved"
-	set := tc.ring.ReplicaSet(name, 3)
-	p, a, b := tc.peerIdx(set[0]), tc.peerIdx(set[1]), tc.peerIdx(set[2])
-	tc.failoverTopic(p, name)
-	tc.retryJSON("POST", tc.url(p)+"/v1/cluster/move", moveRequest{Topic: name, Target: tc.url(b)}, nil, http.StatusOK)
-	tc.killShard(p)
-	for range tc.opts.repl.ProbeFailures + 2 {
-		tc.tick()
-	}
-	if meta, held := tc.shards[a].srv.store.Replicas()[name]; !held || meta.Source != tc.url(p) || !tc.shards[a].srv.repl.det.Down(tc.url(p)) {
-		t.Fatalf("A holds %+v (%v) and sees P down: %v; want P's replica, and P down", meta, held, tc.shards[a].srv.repl.det.Down(tc.url(p)))
-	}
-	if servedTopic(tc.shards[a].srv, name) != nil || servedTopic(tc.shards[b].srv, name) == nil {
-		t.Fatal("A promoted its replica of a topic B serves")
 	}
 }

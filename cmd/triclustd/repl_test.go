@@ -3,9 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,56 +14,23 @@ import (
 	"testing"
 	"time"
 
+	"triclust/internal/cluster"
 	"triclust/internal/codec"
 	"triclust/internal/fault"
 	"triclust/internal/journal"
 	"triclust/internal/store"
 )
 
-// replTestServer builds one replicated daemon without starting its
-// background machinery (no detector, no reconcile loop, no rebalancer):
-// the replica endpoints are exercised directly through ServeHTTP with
-// hand-crafted wire frames, so the peer in the ring never has to exist.
-func replTestServer(t *testing.T) (*server, string) {
+// selfAndPeer is the membership of shard self.test, whose one peer,
+// peer.test, exists on the ring only: tests that drive the replica wire by
+// hand through ServeHTTP never reach it.
+func selfAndPeer(t *testing.T) *cluster.Membership {
 	t.Helper()
-	self := "http://self.test:8547"
-	peer := "http://peer.test:8547"
-	cc, err := newMembership(self, self+","+peer, 32)
+	cc, err := newMembership("http://self.test:8547", "http://self.test:8547,http://peer.test:8547", 32)
 	if err != nil {
 		t.Fatalf("newMembership: %v", err)
 	}
-	dir := t.TempDir()
-	s, err := newServer(dir, serverOptions{
-		journal: store.Options{Every: 4},
-		cluster: cc,
-		repl:    &replOptions{Factor: 2},
-	}, t.Logf)
-	if err != nil {
-		t.Fatalf("newServer: %v", err)
-	}
-	t.Cleanup(s.Close)
-	return s, dir
-}
-
-// postReplFrame ships one encoded ReplAppend to the server's replica
-// endpoint and returns the status, the ack (on 200), the stable error
-// code (otherwise), and the response headers.
-func postReplFrame(t *testing.T, s *server, name string, fr *codec.ReplAppend) (int, replAck, string, http.Header) {
-	t.Helper()
-	body := bytes.NewReader(codec.AppendReplAppend(nil, fr))
-	req := httptest.NewRequest("POST", "/v1/replica/"+name+"/append", body)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	var ack replAck
-	var eb errorBody
-	if rec.Code == http.StatusOK {
-		if err := json.NewDecoder(rec.Body).Decode(&ack); err != nil {
-			t.Fatalf("decode ack: %v", err)
-		}
-	} else if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil {
-		t.Fatalf("decode error body (%d): %v", rec.Code, err)
-	}
-	return rec.Code, ack, eb.Error.Code, rec.Result().Header
+	return cc
 }
 
 // tailFrame encodes one journal record frame carrying the post-batch
@@ -85,35 +50,15 @@ func tailFrame(t *testing.T, time, batches int, draws uint64) []byte {
 // -replication-factor refuses the replica wire with a stable code
 // instead of quietly accepting state it would never serve.
 func TestReplicaEndpointsRequireReplication(t *testing.T) {
-	_, hs := testServer(t, t.TempDir())
+	hs := front(t, serve(t, t.TempDir(), serverOptions{}, false))
 	client := hs.Client()
 
-	body := bytes.NewReader(codec.AppendReplAppend(nil, &codec.ReplAppend{Source: "http://x", SnapCRC: codec.Checksum(nil)}))
-	resp, err := client.Post(hs.URL+"/v1/replica/some-topic/append", "application/octet-stream", body)
-	if err != nil {
-		t.Fatal(err)
+	body := codec.AppendReplAppend(nil, &codec.ReplAppend{Source: "http://x", SnapCRC: codec.Checksum(nil)})
+	if r := call(t, client, "POST", hs.URL+"/v1/replica/some-topic/append", body, nil, "Content-Type", mediaTypeSnapshot); r.code != http.StatusConflict || r.ec != codeReplicationOff {
+		t.Fatalf("append without replication: %d %q, want 409 %q", r.code, r.ec, codeReplicationOff)
 	}
-	var eb errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || eb.Error.Code != codeReplicationOff {
-		t.Fatalf("append without replication: %d %q, want 409 %q", resp.StatusCode, eb.Error.Code, codeReplicationOff)
-	}
-
-	req, _ := http.NewRequest("DELETE", hs.URL+"/v1/replica/some-topic?epoch=0", nil)
-	resp, err = client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb = errorBody{}
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || eb.Error.Code != codeReplicationOff {
-		t.Fatalf("drop without replication: %d %q, want 409 %q", resp.StatusCode, eb.Error.Code, codeReplicationOff)
+	if r := call(t, client, "DELETE", hs.URL+"/v1/replica/some-topic?epoch=0", nil, nil); r.code != http.StatusConflict || r.ec != codeReplicationOff {
+		t.Fatalf("drop without replication: %d %q, want 409 %q", r.code, r.ec, codeReplicationOff)
 	}
 }
 
@@ -121,28 +66,12 @@ func TestReplicaEndpointsRequireReplication(t *testing.T) {
 // garbage bytes, invalid topic names — is rejected before anything
 // touches disk.
 func TestReplicaAppendRejectsBadRequests(t *testing.T) {
-	s, _ := replTestServer(t)
-
-	req := httptest.NewRequest("POST", "/v1/replica/tp/append", strings.NewReader("definitely not a TRICREPL frame"))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	var eb errorBody
-	if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil {
-		t.Fatal(err)
+	s := serve(t, t.TempDir(), serverOptions{journal: store.Options{Every: 4}, cluster: selfAndPeer(t), repl: &replOptions{Factor: 2}}, true)
+	if r := call(t, s, "POST", "/v1/replica/tp/append", []byte("definitely not a TRICREPL frame"), nil); r.code != http.StatusBadRequest || r.ec != codeInvalidRequest {
+		t.Fatalf("garbage body: %d %q, want 400 %q", r.code, r.ec, codeInvalidRequest)
 	}
-	if rec.Code != http.StatusBadRequest || eb.Error.Code != codeInvalidRequest {
-		t.Fatalf("garbage body: %d %q, want 400 %q", rec.Code, eb.Error.Code, codeInvalidRequest)
-	}
-
-	req = httptest.NewRequest("POST", "/v1/replica/no%2Fslashes/append", strings.NewReader(""))
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	eb = errorBody{}
-	if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Code != http.StatusBadRequest || eb.Error.Code != codeInvalidName {
-		t.Fatalf("bad topic name: %d %q, want 400 %q", rec.Code, eb.Error.Code, codeInvalidName)
+	if r := call(t, s, "POST", "/v1/replica/no%2Fslashes/append", []byte(""), nil); r.code != http.StatusBadRequest || r.ec != codeInvalidName {
+		t.Fatalf("bad topic name: %d %q, want 400 %q", r.code, r.ec, codeInvalidName)
 	}
 }
 
@@ -152,19 +81,20 @@ func TestReplicaAppendRejectsBadRequests(t *testing.T) {
 // refuse gaps and wrong bases, and fence stale epochs — verifying the
 // on-disk replica (snapshot, journal, meta) after each accepted frame.
 func TestReplicaFrameSequence(t *testing.T) {
-	s, dir := replTestServer(t)
+	dir := t.TempDir()
+	s := serve(t, dir, serverOptions{journal: store.Options{Every: 4}, cluster: selfAndPeer(t), repl: &replOptions{Factor: 2}}, true)
 	const name = "protocol-topic"
 	src := "http://peer.test:8547"
 	snap := []byte("opaque base snapshot bytes — the follower stores, never decodes")
 	snapCRC := codec.Checksum(snap)
 
 	// 1. A tail with no base: nothing to extend.
-	code, _, ec, _ := postReplFrame(t, s, name, &codec.ReplAppend{
+	r := call(t, s, "POST", "/v1/replica/"+name+"/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 		Source: src, Epoch: 0, SnapCRC: snapCRC,
 		Batches: 1, RandDraws: 10, Tail: tailFrame(t, 1, 1, 10),
-	})
-	if code != http.StatusConflict || ec != codeReplicaOutOfSync {
-		t.Fatalf("tail without base: %d %q, want 409 %q", code, ec, codeReplicaOutOfSync)
+	}), nil)
+	if r.code != http.StatusConflict || r.ec != codeReplicaOutOfSync {
+		t.Fatalf("tail without base: %d %q, want 409 %q", r.code, r.ec, codeReplicaOutOfSync)
 	}
 	// A refused frame leaves no replica behind: healthz counts none, and no
 	// promotion check is offered one.
@@ -173,13 +103,13 @@ func TestReplicaFrameSequence(t *testing.T) {
 	}
 	// 1b. Neither does a refused first base for another fresh name: one
 	// whose tail does not extend it.
-	code, _, ec, _ = postReplFrame(t, s, "other-topic", &codec.ReplAppend{
+	r = call(t, s, "POST", "/v1/replica/other-topic/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 		Source: src, Epoch: 0, SnapCRC: snapCRC,
 		BaseBatches: 1, BaseRandDraws: 10, Batches: 3, RandDraws: 30,
 		Snapshot: snap, Tail: tailFrame(t, 3, 3, 30),
-	})
-	if code != http.StatusConflict || ec != codeReplicaOutOfSync {
-		t.Fatalf("base with a gapped tail: %d %q, want 409 %q", code, ec, codeReplicaOutOfSync)
+	}), nil)
+	if r.code != http.StatusConflict || r.ec != codeReplicaOutOfSync {
+		t.Fatalf("base with a gapped tail: %d %q, want 409 %q", r.code, r.ec, codeReplicaOutOfSync)
 	}
 	if n := s.repl.health().Replicas; n != 0 {
 		t.Fatalf("%d replicas held after two refused first frames, want 0", n)
@@ -188,14 +118,15 @@ func TestReplicaFrameSequence(t *testing.T) {
 	// 2. Full install: base at (1 batch, 10 draws) plus a two-record tail
 	// reaching (3, 30).
 	tail := append(tailFrame(t, 2, 2, 20), tailFrame(t, 3, 3, 30)...)
-	code, ack, _, _ := postReplFrame(t, s, name, &codec.ReplAppend{
+	var ack replAck
+	r = call(t, s, "POST", "/v1/replica/"+name+"/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 		Source: src, Epoch: 0, SnapCRC: snapCRC,
 		BaseBatches: 1, BaseRandDraws: 10,
 		Batches: 3, RandDraws: 30,
 		Snapshot: snap, Tail: tail,
-	})
-	if code != http.StatusOK || ack.Batches != 3 || ack.RandDraws != 30 {
-		t.Fatalf("full install: %d ack=%+v", code, ack)
+	}), &ack)
+	if r.code != http.StatusOK || ack.Batches != 3 || ack.RandDraws != 30 {
+		t.Fatalf("full install: %d ack=%+v", r.code, ack)
 	}
 	onDisk, err := os.ReadFile(filepath.Join(dir, name+".rsnap"))
 	if err != nil || !bytes.Equal(onDisk, snap) {
@@ -203,52 +134,52 @@ func TestReplicaFrameSequence(t *testing.T) {
 	}
 
 	// 3. Incremental append to (4, 40).
-	code, ack, _, _ = postReplFrame(t, s, name, &codec.ReplAppend{
+	r = call(t, s, "POST", "/v1/replica/"+name+"/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 		Source: src, Epoch: 0, SnapCRC: snapCRC,
 		Batches: 4, RandDraws: 40, Tail: tailFrame(t, 4, 4, 40),
-	})
-	if code != http.StatusOK || ack.Batches != 4 || ack.RandDraws != 40 {
-		t.Fatalf("incremental append: %d ack=%+v", code, ack)
+	}), &ack)
+	if r.code != http.StatusOK || ack.Batches != 4 || ack.RandDraws != 40 {
+		t.Fatalf("incremental append: %d ack=%+v", r.code, ack)
 	}
 
 	// 4. Exact duplicate (a retry whose ack was lost): idempotent 200 at
 	// the unchanged position.
-	code, ack, _, _ = postReplFrame(t, s, name, &codec.ReplAppend{
+	r = call(t, s, "POST", "/v1/replica/"+name+"/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 		Source: src, Epoch: 0, SnapCRC: snapCRC,
 		Batches: 4, RandDraws: 40, Tail: tailFrame(t, 4, 4, 40),
-	})
-	if code != http.StatusOK || ack.Batches != 4 || ack.RandDraws != 40 {
-		t.Fatalf("duplicate append: %d ack=%+v", code, ack)
+	}), &ack)
+	if r.code != http.StatusOK || ack.Batches != 4 || ack.RandDraws != 40 {
+		t.Fatalf("duplicate append: %d ack=%+v", r.code, ack)
 	}
 
 	// 4b. A same-position frame with a different draw fingerprint is not a
 	// duplicate — it is a same-epoch primary whose history diverged, and
 	// acking it would bless the fork.
-	code, _, ec, _ = postReplFrame(t, s, name, &codec.ReplAppend{
+	r = call(t, s, "POST", "/v1/replica/"+name+"/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 		Source: src, Epoch: 0, SnapCRC: snapCRC,
 		Batches: 4, RandDraws: 41, Tail: tailFrame(t, 4, 4, 41),
-	})
-	if code != http.StatusConflict || ec != codeReplicaOutOfSync {
-		t.Fatalf("diverged duplicate: %d %q, want 409 %q", code, ec, codeReplicaOutOfSync)
+	}), nil)
+	if r.code != http.StatusConflict || r.ec != codeReplicaOutOfSync {
+		t.Fatalf("diverged duplicate: %d %q, want 409 %q", r.code, r.ec, codeReplicaOutOfSync)
 	}
 
 	// 5. A gap (batch 6 does not follow 4): the follower must demand a
 	// resync, not fake continuity.
-	code, _, ec, _ = postReplFrame(t, s, name, &codec.ReplAppend{
+	r = call(t, s, "POST", "/v1/replica/"+name+"/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 		Source: src, Epoch: 0, SnapCRC: snapCRC,
 		Batches: 6, RandDraws: 60, Tail: tailFrame(t, 6, 6, 60),
-	})
-	if code != http.StatusConflict || ec != codeReplicaOutOfSync {
-		t.Fatalf("gapped tail: %d %q, want 409 %q", code, ec, codeReplicaOutOfSync)
+	}), nil)
+	if r.code != http.StatusConflict || r.ec != codeReplicaOutOfSync {
+		t.Fatalf("gapped tail: %d %q, want 409 %q", r.code, r.ec, codeReplicaOutOfSync)
 	}
 
 	// 6. A frame extending a different base snapshot.
-	code, _, ec, _ = postReplFrame(t, s, name, &codec.ReplAppend{
+	r = call(t, s, "POST", "/v1/replica/"+name+"/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 		Source: src, Epoch: 0, SnapCRC: snapCRC + 1,
 		Batches: 5, RandDraws: 50, Tail: tailFrame(t, 5, 5, 50),
-	})
-	if code != http.StatusConflict || ec != codeReplicaOutOfSync {
-		t.Fatalf("wrong base CRC: %d %q, want 409 %q", code, ec, codeReplicaOutOfSync)
+	}), nil)
+	if r.code != http.StatusConflict || r.ec != codeReplicaOutOfSync {
+		t.Fatalf("wrong base CRC: %d %q, want 409 %q", r.code, r.ec, codeReplicaOutOfSync)
 	}
 
 	// 7. The replica journal holds exactly the accepted records.
@@ -267,22 +198,22 @@ func TestReplicaFrameSequence(t *testing.T) {
 	// 8. A re-install at a higher epoch (promotion elsewhere) wins; stale
 	// frames at the old epoch are then fenced with the epoch header the
 	// zombie needs to write its tombstone.
-	code, ack, _, _ = postReplFrame(t, s, name, &codec.ReplAppend{
+	r = call(t, s, "POST", "/v1/replica/"+name+"/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 		Source: src, Epoch: 2, SnapCRC: snapCRC,
 		BaseBatches: 5, BaseRandDraws: 50,
 		Batches: 5, RandDraws: 50, Snapshot: snap,
-	})
-	if code != http.StatusOK || ack.Batches != 5 {
-		t.Fatalf("higher-epoch install: %d ack=%+v", code, ack)
+	}), &ack)
+	if r.code != http.StatusOK || ack.Batches != 5 {
+		t.Fatalf("higher-epoch install: %d ack=%+v", r.code, ack)
 	}
-	code, _, ec, hdr := postReplFrame(t, s, name, &codec.ReplAppend{
+	r = call(t, s, "POST", "/v1/replica/"+name+"/append", codec.AppendReplAppend(nil, &codec.ReplAppend{
 		Source: src, Epoch: 0, SnapCRC: snapCRC,
 		Batches: 6, RandDraws: 60, Tail: tailFrame(t, 6, 6, 60),
-	})
-	if code != http.StatusConflict || ec != codeEpochMismatch {
-		t.Fatalf("stale-epoch frame: %d %q, want 409 %q", code, ec, codeEpochMismatch)
+	}), nil)
+	if r.code != http.StatusConflict || r.ec != codeEpochMismatch {
+		t.Fatalf("stale-epoch frame: %d %q, want 409 %q", r.code, r.ec, codeEpochMismatch)
 	}
-	if got := hdr.Get(epochHeader); got != "2" {
+	if got := r.hdr.Get(epochHeader); got != "2" {
 		t.Fatalf("stale-epoch fence header %s=%q, want 2", epochHeader, got)
 	}
 }
@@ -339,10 +270,7 @@ func lockWaiters(fns ...string) int {
 // all exited, spawn starts nothing any more, and a second Close is a no-op.
 func TestCloseEndsOneLifetime(t *testing.T) {
 	const self = "http://self.test:8547"
-	cc, err := newMembership(self, self+",http://peer.test:8547", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := selfAndPeer(t)
 	ro := fastRepl()
 	ro.AutoRebalance = true
 	clock := fault.NewClock()
@@ -362,7 +290,7 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 		return clock.Sleep(ctx, d)
 	}
 	script := fault.NewScript()
-	s, err := newServer(t.TempDir(), serverOptions{
+	s := serve(t, t.TempDir(), serverOptions{
 		journal: store.Options{Every: 100},
 		cluster: cc,
 		repl:    ro,
@@ -370,11 +298,7 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 		peer:  peerOptions{Backoff: noBackoff, Transport: &gateTransport{prefix: "/"}},
 		fs:    script,
 		sleep: sleep,
-	}, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
+	}, true)
 	before := loopCounts()
 	s.start()
 
@@ -384,14 +308,14 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 			name = n
 		}
 	}
-	if code, ec := serveJSON(t, s, "POST", "/v1/topics", degradeCreateReq(name)); code != http.StatusCreated {
-		t.Fatalf("create: %d %s", code, ec)
+	if r := call(t, s, "POST", "/v1/topics", degradeCreateReq(name), nil); r.code != http.StatusCreated {
+		t.Fatalf("create: %d %s", r.code, r.ec)
 	}
 	// A full disk degrades the topic, which starts the storage prober; the
 	// disk stays full and the clock never moves, so each loop stays parked.
 	script.SetBudget(0)
-	if code, ec := serveJSON(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1)); code != http.StatusServiceUnavailable {
-		t.Fatalf("batch on a full disk: %d %s, want 503", code, ec)
+	if r := call(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1), nil); r.code != http.StatusServiceUnavailable {
+		t.Fatalf("batch on a full disk: %d %s, want 503", r.code, r.ec)
 	}
 	if !clock.WaitSleepers(len(lifetimeLoops), eventuallyWithin) {
 		t.Fatalf("not every loop parked on the clock: %v (before start: %v)", loopCounts(), before)

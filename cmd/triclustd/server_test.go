@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -21,59 +22,156 @@ import (
 	"triclust/internal/synth"
 )
 
-// testServer runs a daemon at the default compaction cadence; tests that
-// care about the cadence use testServerOpts.
-func testServer(t *testing.T, dataDir string) (*server, *httptest.Server) {
-	return testServerOpts(t, dataDir, store.Options{})
-}
-
-func testServerOpts(t *testing.T, dataDir string, opts store.Options) (*server, *httptest.Server) {
-	t.Helper()
-	s, err := newServer(dataDir, serverOptions{journal: opts}, t.Logf)
+// serve builds a daemon over dir ("": in memory) that logs to tb, and
+// fails tb if it cannot. It starts no loop. With cleanup, tb's cleanup
+// closes it; without, the test closes it itself, or leaves it where a
+// scripted crash left it.
+func serve(tb testing.TB, dir string, opts serverOptions, cleanup bool) *server {
+	tb.Helper()
+	s, err := newServer(dir, opts, tb.Logf)
 	if err != nil {
-		t.Fatalf("newServer: %v", err)
+		tb.Fatalf("newServer(%q): %v", dir, err)
 	}
-	hs := httptest.NewServer(s)
-	t.Cleanup(hs.Close)
-	return s, hs
+	if cleanup {
+		tb.Cleanup(s.Close)
+	}
+	return s
 }
 
-// doJSON issues one JSON request and decodes the response. It returns
-// errors instead of failing the test so worker goroutines can use it.
-func doJSON(client *http.Client, method, url string, body, out any) (int, error) {
-	var buf bytes.Buffer
-	if body != nil {
-		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			return 0, err
+// front puts h behind a listener that tb's cleanup closes.
+func front(tb testing.TB, h http.Handler) *httptest.Server {
+	hs := httptest.NewServer(h)
+	tb.Cleanup(hs.Close)
+	return hs
+}
+
+// reply is the answer to one request, at the end of its redirect chain.
+type reply struct {
+	code, hops int
+	// ec is a refusal's stable error code; etag and shard are the ETag and
+	// X-Triclust-Shard headers; at is the base URL of the shard that
+	// answered ("" from a handler called directly).
+	ec, etag, shard, at string
+	hdr                 http.Header
+	body                []byte
+	err                 error // with a nil tb: why there is no answer
+}
+
+func (r reply) String() string { return fmt.Sprintf("%d %s (%d hops)", r.code, r.ec, r.hops) }
+
+// hops has call follow up to n 307s from dst by hand (without hops, or
+// n < 0: none, the 307 is the answer).
+type hops struct {
+	dst any
+	n   int
+}
+
+// fronts maps base URLs to the handlers behind them, so that a 307 from a
+// handler is followed in process.
+var fronts sync.Map
+
+// call sends one request to dst and reads the answer. dst is an
+// http.Handler, which serves it on the caller's goroutine, so a scripted
+// crash unwinds into the caller as a kill -9 would; an *http.Client, for
+// which path is a full URL; or hops. Every 307 must name in
+// X-Triclust-Shard the shard its Location leads to. A []byte body is sent
+// as it is, any other non-nil body as JSON with Content-Type
+// application/json; header adds name and value pairs (an empty value:
+// none). A non-nil out decodes the body. A failure fails tb or, with a nil
+// tb (a goroutine, a poll), is returned in err.
+func call(tb testing.TB, dst any, method, path string, body, out any, header ...string) (r reply) {
+	if tb != nil {
+		tb.Helper()
+		defer func() {
+			if r.err != nil {
+				tb.Fatalf("%s %s: %v", method, path, r.err)
+			}
+		}()
+	}
+	var data []byte
+	switch b := body.(type) {
+	case nil:
+	case []byte:
+		data = b
+	default:
+		var err error
+		if data, err = json.Marshal(b); err != nil {
+			return reply{err: err}
+		}
+		header = append([]string{"Content-Type", mediaTypeJSON}, header...)
+	}
+	maxHops := -1
+	if h, ok := dst.(hops); ok {
+		dst, maxHops = h.dst, h.n
+	}
+	var trail []string
+	for ; ; r.hops++ {
+		trail = append(trail, path)
+		var res *http.Response
+		switch d := dst.(type) {
+		case http.Handler:
+			req := httptest.NewRequest(method, path, bytes.NewReader(data))
+			setHeader(req, header)
+			rec := httptest.NewRecorder()
+			d.ServeHTTP(rec, req)
+			res = rec.Result()
+		case *http.Client:
+			req, err := http.NewRequest(method, path, bytes.NewReader(data))
+			if err != nil {
+				return reply{err: err}
+			}
+			setHeader(req, header)
+			if res, err = d.Do(req); err != nil {
+				return reply{err: err}
+			}
+			r.at = req.URL.Scheme + "://" + req.URL.Host
+		default:
+			return reply{err: fmt.Errorf("call: %T is no daemon", dst)}
+		}
+		b, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		if err != nil {
+			return reply{err: err}
+		}
+		r.code, r.hdr, r.body = res.StatusCode, res.Header, b
+		r.etag, r.shard = res.Header.Get("ETag"), res.Header.Get(shardHeader)
+		loc, _ := res.Location()
+		switch {
+		case r.code == http.StatusTemporaryRedirect && (loc == nil || loc.Scheme+"://"+loc.Host != r.shard):
+			return reply{err: fmt.Errorf("a 307 to %v names shard %q: %s", loc, r.shard, strings.Join(trail, " → "))}
+		case r.code != http.StatusTemporaryRedirect || maxHops < 0:
+			var eb errorBody
+			if r.code >= 400 {
+				_ = json.Unmarshal(b, &eb)
+			}
+			r.ec = eb.Error.Code
+			if out != nil {
+				if err := json.Unmarshal(b, out); err != nil {
+					r.err = fmt.Errorf("decode: %w", err)
+				}
+			}
+			return r
+		case r.hops == maxHops:
+			return reply{err: fmt.Errorf("the redirect chain did not end within %d hops: %s", maxHops, strings.Join(trail, " → "))}
+		}
+		if _, ok := dst.(http.Handler); ok {
+			h, ok := fronts.Load(r.shard)
+			if !ok {
+				return reply{err: fmt.Errorf("a 307 to %s, which no front serves", loc)}
+			}
+			dst, r.at = h.(http.Handler), r.shard
+		}
+		path = res.Header.Get("Location")
+	}
+}
+
+// setHeader sets header's name and value pairs on req, but for empty values.
+func setHeader(req *http.Request, header []string) {
+	for i := 0; i+1 < len(header); i += 2 {
+		if header[i+1] != "" {
+			req.Header.Set(header[i], header[i+1])
 		}
 	}
-	req, err := http.NewRequest(method, url, &buf)
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("%s %s decode: %w", method, url, err)
-		}
-	}
-	return resp.StatusCode, nil
-}
-
-// errCode fetches the stable error code of a failed request.
-func errCode(t *testing.T, client *http.Client, method, url string, body any) (int, string) {
-	t.Helper()
-	var eb errorBody
-	code, err := doJSON(client, method, url, body, &eb)
-	if err != nil {
-		t.Fatalf("%s %s: %v", method, url, err)
-	}
-	return code, eb.Error.Code
 }
 
 func synthTopic(t *testing.T, seed int64) (*synth.Dataset, createTopicRequest) {
@@ -114,7 +212,7 @@ func dayTweets(d *synth.Dataset, day int) []tweetSpec {
 // snapshot export). Under go test -race this exercises the registry and
 // the per-session locking.
 func TestTwoTopicsConcurrently(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 
 	type topicRun struct {
@@ -125,9 +223,9 @@ func TestTwoTopicsConcurrently(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		d, req := synthTopic(t, seed)
 		var sum topicSummary
-		code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, &sum)
-		if err != nil || code != http.StatusCreated {
-			t.Fatalf("create %s: status %d err %v", req.Name, code, err)
+		r := call(nil, client, "POST", srv.URL+"/v1/topics", req, &sum)
+		if r.err != nil || r.code != http.StatusCreated {
+			t.Fatalf("create %s: status %d err %v", req.Name, r.code, r.err)
 		}
 		if sum.Users != len(req.Users) || sum.Batches != 0 {
 			t.Fatalf("create summary %+v", sum)
@@ -145,14 +243,14 @@ func TestTwoTopicsConcurrently(t *testing.T) {
 			for day := 0; day < 5; day++ {
 				batch := batchRequest{Time: day, Tweets: dayTweets(run.d, day)}
 				var resp batchResponse
-				code, err := doJSON(client, "POST",
+				r := call(nil, client, "POST",
 					srv.URL+"/v1/topics/"+run.name+"/batches", batch, &resp)
-				if err != nil {
-					errs <- err
+				if r.err != nil {
+					errs <- r.err
 					return
 				}
-				if code != http.StatusOK {
-					errs <- fmt.Errorf("%s day %d: status %d", run.name, day, code)
+				if r.code != http.StatusOK {
+					errs <- fmt.Errorf("%s day %d: status %d", run.name, day, r.code)
 					return
 				}
 				if resp.Skipped != (len(batch.Tweets) == 0) {
@@ -189,27 +287,27 @@ func TestTwoTopicsConcurrently(t *testing.T) {
 	// Post-stream queries against both sessions.
 	for _, run := range runs {
 		var sum topicSummary
-		code, err := doJSON(client, "GET", srv.URL+"/v1/topics/"+run.name, nil, &sum)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("info %s: status %d err %v", run.name, code, err)
+		r := call(nil, client, "GET", srv.URL+"/v1/topics/"+run.name, nil, &sum)
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("info %s: status %d err %v", run.name, r.code, r.err)
 		}
 		if sum.Batches < 2 || sum.VocabSize == 0 || sum.KnownUsers == 0 || !sum.Frozen {
 			t.Fatalf("summary %s: %+v", run.name, sum)
 		}
 		user := run.d.Corpus.Tweets[0].User
 		var est userSentimentJSON
-		code, err = doJSON(client, "GET",
+		r = call(nil, client, "GET",
 			fmt.Sprintf("%s/v1/topics/%s/users/%d", srv.URL, run.name, user), nil, &est)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("estimate %s user %d: status %d err %v", run.name, user, code, err)
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("estimate %s user %d: status %d err %v", run.name, user, r.code, r.err)
 		}
 		if est.User != user || est.Confidence < 0 || est.Confidence > 1 {
 			t.Fatalf("estimate %s: %+v", run.name, est)
 		}
 		var feats featuresResponse
-		code, err = doJSON(client, "GET", srv.URL+"/v1/topics/"+run.name+"/features", nil, &feats)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("features %s: status %d err %v", run.name, code, err)
+		r = call(nil, client, "GET", srv.URL+"/v1/topics/"+run.name+"/features", nil, &feats)
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("features %s: status %d err %v", run.name, r.code, r.err)
 		}
 		if len(feats.Vocabulary) == 0 || len(feats.Features) != len(feats.Vocabulary) {
 			t.Fatalf("features %s: %d words, %d features",
@@ -218,8 +316,8 @@ func TestTwoTopicsConcurrently(t *testing.T) {
 	}
 
 	var all []topicSummary
-	if code, err := doJSON(client, "GET", srv.URL+"/v1/topics", nil, &all); err != nil || code != http.StatusOK {
-		t.Fatalf("list: status %d err %v", code, err)
+	if r := call(nil, client, "GET", srv.URL+"/v1/topics", nil, &all); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("list: status %d err %v", r.code, r.err)
 	}
 	if len(all) != 2 {
 		t.Fatalf("list has %d topics", len(all))
@@ -227,197 +325,154 @@ func TestTwoTopicsConcurrently(t *testing.T) {
 }
 
 func TestTopicLifecycleAndErrors(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 
 	// Unknown topic → 404 with a stable code.
-	if code, ec := errCode(t, client, "GET", srv.URL+"/v1/topics/nope", nil); code != http.StatusNotFound || ec != codeTopicNotFound {
-		t.Fatalf("unknown topic: status %d code %q", code, ec)
+	if r := call(t, client, "GET", srv.URL+"/v1/topics/nope", nil, nil); r.code != http.StatusNotFound || r.ec != codeTopicNotFound {
+		t.Fatalf("unknown topic: status %d code %q", r.code, r.ec)
 	}
 	// Create without users → 400.
-	if code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics",
-		createTopicRequest{Name: "x"}); code != http.StatusBadRequest || ec != codeInvalidRequest {
-		t.Fatalf("create without users: status %d code %q", code, ec)
+	if r := call(t, client, "POST", srv.URL+"/v1/topics",
+		createTopicRequest{Name: "x"}, nil); r.code != http.StatusBadRequest || r.ec != codeInvalidRequest {
+		t.Fatalf("create without users: status %d code %q", r.code, r.ec)
 	}
 	// Bad topic name → 400 invalid_topic_name.
-	if code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics",
-		createTopicRequest{Name: "../escape", Users: []string{"a"}}); code != http.StatusBadRequest || ec != codeInvalidName {
-		t.Fatalf("bad name: status %d code %q", code, ec)
+	if r := call(t, client, "POST", srv.URL+"/v1/topics",
+		createTopicRequest{Name: "../escape", Users: []string{"a"}}, nil); r.code != http.StatusBadRequest || r.ec != codeInvalidName {
+		t.Fatalf("bad name: status %d code %q", r.code, r.ec)
 	}
 	// Invalid configuration → 400 invalid_config.
-	if code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics",
-		createTopicRequest{Name: "bad-k", Users: []string{"a"}, Options: topicOptions{K: 9}}); code != http.StatusBadRequest || ec != codeInvalidConfig {
-		t.Fatalf("invalid config: status %d code %q", code, ec)
+	if r := call(t, client, "POST", srv.URL+"/v1/topics",
+		createTopicRequest{Name: "bad-k", Users: []string{"a"}, Options: topicOptions{K: 9}}, nil); r.code != http.StatusBadRequest || r.ec != codeInvalidConfig {
+		t.Fatalf("invalid config: status %d code %q", r.code, r.ec)
 	}
 	// Create, duplicate → 409.
 	req := createTopicRequest{Name: "x", Users: []string{"a", "b"}}
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create: status %d err %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("create: status %d err %v", r.code, r.err)
 	}
-	if code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics", req); code != http.StatusConflict || ec != codeTopicExists {
-		t.Fatalf("duplicate create: status %d code %q", code, ec)
+	if r := call(t, client, "POST", srv.URL+"/v1/topics", req, nil); r.code != http.StatusConflict || r.ec != codeTopicExists {
+		t.Fatalf("duplicate create: status %d code %q", r.code, r.ec)
 	}
 
 	// Empty batch is a recorded no-op.
 	var resp batchResponse
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/x/batches",
-		batchRequest{Time: 0}, &resp); err != nil || code != http.StatusOK || !resp.Skipped {
-		t.Fatalf("empty batch: status %d skipped %v err %v", code, resp.Skipped, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics/x/batches",
+		batchRequest{Time: 0}, &resp); r.err != nil || r.code != http.StatusOK || !resp.Skipped {
+		t.Fatalf("empty batch: status %d skipped %v err %v", r.code, resp.Skipped, r.err)
 	}
 	// Invalid user index → 422 invalid_batch.
-	if code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics/x/batches",
-		batchRequest{Time: 1, Tweets: []tweetSpec{{Text: "hi", User: 9}}}); code != http.StatusUnprocessableEntity || ec != codeInvalidBatch {
-		t.Fatalf("invalid batch: status %d code %q", code, ec)
+	if r := call(t, client, "POST", srv.URL+"/v1/topics/x/batches",
+		batchRequest{Time: 1, Tweets: []tweetSpec{{Text: "hi", User: 9}}}, nil); r.code != http.StatusUnprocessableEntity || r.ec != codeInvalidBatch {
+		t.Fatalf("invalid batch: status %d code %q", r.code, r.ec)
 	}
 	// Valid batch; then a stale timestamp → 409 stale_timestamp.
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/x/batches",
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics/x/batches",
 		batchRequest{Time: 1, Tweets: []tweetSpec{
 			{Text: "love love great win", User: 0},
 			{Text: "love great hate awful", User: 1},
-		}}, &resp); err != nil || code != http.StatusOK || resp.Skipped {
-		t.Fatalf("valid batch: status %d err %v", code, err)
+		}}, &resp); r.err != nil || r.code != http.StatusOK || resp.Skipped {
+		t.Fatalf("valid batch: status %d err %v", r.code, r.err)
 	}
-	if code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics/x/batches",
-		batchRequest{Time: 1, Tweets: []tweetSpec{{Text: "again", User: 0}}}); code != http.StatusConflict || ec != codeStaleTimestamp {
-		t.Fatalf("stale timestamp: status %d code %q", code, ec)
+	if r := call(t, client, "POST", srv.URL+"/v1/topics/x/batches",
+		batchRequest{Time: 1, Tweets: []tweetSpec{{Text: "again", User: 0}}}, nil); r.code != http.StatusConflict || r.ec != codeStaleTimestamp {
+		t.Fatalf("stale timestamp: status %d code %q", r.code, r.ec)
 	}
 	// User with no history → 404; delete → 204; gone → 404.
-	if code, _ := doJSON(client, "GET", srv.URL+"/v1/topics/x/users/1", nil, nil); code != http.StatusOK {
-		t.Fatalf("active user estimate: status %d", code)
+	if r := call(nil, client, "GET", srv.URL+"/v1/topics/x/users/1", nil, nil); r.code != http.StatusOK {
+		t.Fatalf("active user estimate: status %d", r.code)
 	}
-	if code, ec := errCode(t, client, "GET", srv.URL+"/v1/topics/x/users/99", nil); code != http.StatusNotFound || ec != codeUserNotFound {
-		t.Fatalf("unknown user estimate: status %d code %q", code, ec)
+	if r := call(t, client, "GET", srv.URL+"/v1/topics/x/users/99", nil, nil); r.code != http.StatusNotFound || r.ec != codeUserNotFound {
+		t.Fatalf("unknown user estimate: status %d code %q", r.code, r.ec)
 	}
-	req2, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/topics/x", nil)
-	if err != nil {
-		t.Fatal(err)
+	if r := call(t, client, http.MethodDelete, srv.URL+"/v1/topics/x", nil, nil); r.code != http.StatusNoContent {
+		t.Fatalf("delete: status %d", r.code)
 	}
-	del, err := client.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	del.Body.Close()
-	if del.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete: status %d", del.StatusCode)
-	}
-	if code, _ := doJSON(client, "GET", srv.URL+"/v1/topics/x", nil, nil); code != http.StatusNotFound {
-		t.Fatalf("deleted topic: status %d", code)
+	if r := call(nil, client, "GET", srv.URL+"/v1/topics/x", nil, nil); r.code != http.StatusNotFound {
+		t.Fatalf("deleted topic: status %d", r.code)
 	}
 }
 
 // TestVocabWarmupOverHTTP: POST /vocab seeds and freezes the vocabulary
 // before any batch, and warm-up after the freeze fails with a stable code.
 func TestVocabWarmupOverHTTP(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 	req := createTopicRequest{Name: "warm", Users: []string{"a"}, Options: topicOptions{MinDF: 2, MaxIter: 5}}
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("create: %d %v", r.code, r.err)
 	}
 	var vr vocabResponse
-	code, err := doJSON(client, "POST", srv.URL+"/v1/topics/warm/vocab", vocabRequest{
+	r := call(nil, client, "POST", srv.URL+"/v1/topics/warm/vocab", vocabRequest{
 		Texts: []string{"label gmo ballot", "label gmo vote", "stray word"},
 	}, &vr)
-	if err != nil || code != http.StatusOK || vr.Frozen {
-		t.Fatalf("warm-up: %d %+v %v", code, vr, err)
+	if r.err != nil || r.code != http.StatusOK || vr.Frozen {
+		t.Fatalf("warm-up: %d %+v %v", r.code, vr, r.err)
 	}
-	code, err = doJSON(client, "POST", srv.URL+"/v1/topics/warm/vocab", vocabRequest{Freeze: true}, &vr)
-	if err != nil || code != http.StatusOK || !vr.Frozen || vr.VocabSize != 2 {
-		t.Fatalf("freeze: %d %+v %v", code, vr, err)
+	r = call(nil, client, "POST", srv.URL+"/v1/topics/warm/vocab", vocabRequest{Freeze: true}, &vr)
+	if r.err != nil || r.code != http.StatusOK || !vr.Frozen || vr.VocabSize != 2 {
+		t.Fatalf("freeze: %d %+v %v", r.code, vr, r.err)
 	}
-	if code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics/warm/vocab",
-		vocabRequest{Texts: []string{"too late"}}); code != http.StatusConflict || ec != codeVocabFrozen {
-		t.Fatalf("post-freeze warm-up: status %d code %q", code, ec)
+	if r := call(t, client, "POST", srv.URL+"/v1/topics/warm/vocab",
+		vocabRequest{Texts: []string{"too late"}}, nil); r.code != http.StatusConflict || r.ec != codeVocabFrozen {
+		t.Fatalf("post-freeze warm-up: status %d code %q", r.code, r.ec)
 	}
 	// Batches run against the pre-frozen vocabulary.
 	var resp batchResponse
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/warm/batches",
-		batchRequest{Time: 0, Tweets: []tweetSpec{{Text: "label gmo today", User: 0}}}, &resp); err != nil || code != http.StatusOK || resp.Skipped {
-		t.Fatalf("batch after freeze: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics/warm/batches",
+		batchRequest{Time: 0, Tweets: []tweetSpec{{Text: "label gmo today", User: 0}}}, &resp); r.err != nil || r.code != http.StatusOK || resp.Skipped {
+		t.Fatalf("batch after freeze: %d %v", r.code, r.err)
 	}
 	var sum topicSummary
-	if _, err := doJSON(client, "GET", srv.URL+"/v1/topics/warm", nil, &sum); err != nil || sum.VocabSize != 2 {
-		t.Fatalf("summary after batch: %+v %v", sum, err)
+	if r := call(nil, client, "GET", srv.URL+"/v1/topics/warm", nil, &sum); r.err != nil || sum.VocabSize != 2 {
+		t.Fatalf("summary after batch: %+v %v", sum, r.err)
 	}
-}
-
-// fetchSnapshot downloads a topic's binary snapshot.
-func fetchSnapshot(t *testing.T, client *http.Client, url string) []byte {
-	t.Helper()
-	resp, err := client.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Fatalf("snapshot content type %q", ct)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // TestSnapshotRestoreOverHTTP: GET …/snapshot → PUT /v1/topics/{new}
 // round-trips a topic; the restored topic serves identical estimates and
 // processes the next batch identically to the original.
 func TestSnapshotRestoreOverHTTP(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 	d, req := synthTopic(t, 5)
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("create: %d %v", r.code, r.err)
 	}
 	for day := 0; day < 3; day++ {
-		if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/"+req.Name+"/batches",
-			batchRequest{Time: day, Tweets: dayTweets(d, day)}, nil); err != nil || code != http.StatusOK {
-			t.Fatalf("day %d: %d %v", day, code, err)
+		if r := call(nil, client, "POST", srv.URL+"/v1/topics/"+req.Name+"/batches",
+			batchRequest{Time: day, Tweets: dayTweets(d, day)}, nil); r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("day %d: %d %v", day, r.code, r.err)
 		}
 	}
-	snap := fetchSnapshot(t, client, srv.URL+"/v1/topics/"+req.Name+"/snapshot")
+	r := call(t, client, "GET", srv.URL+"/v1/topics/"+req.Name+"/snapshot", nil, nil)
+	if ct := r.hdr.Get("Content-Type"); r.code != http.StatusOK || ct != "application/octet-stream" {
+		t.Fatalf("snapshot: status %d content type %q", r.code, ct)
+	}
+	snap := r.body
 
 	// Corrupt snapshot body → 400 invalid_snapshot, nothing registered.
 	bad := append([]byte(nil), snap...)
 	bad[len(bad)/2] ^= 0xff
-	putReq, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/topics/badcopy", bytes.NewReader(bad))
-	resp, err := client.Do(putReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eb errorBody
-	_ = json.NewDecoder(resp.Body).Decode(&eb)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != codeInvalidSnapshot {
-		t.Fatalf("corrupt PUT: status %d code %q", resp.StatusCode, eb.Error.Code)
+	if r := call(t, client, http.MethodPut, srv.URL+"/v1/topics/badcopy", bad, nil); r.code != http.StatusBadRequest || r.ec != codeInvalidSnapshot {
+		t.Fatalf("corrupt PUT: status %d code %q", r.code, r.ec)
 	}
 
 	// Pristine snapshot restores under a new name.
-	putReq, _ = http.NewRequest(http.MethodPut, srv.URL+"/v1/topics/copy", bytes.NewReader(snap))
-	resp, err = client.Do(putReq)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sum topicSummary
-	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated || sum.Batches != 3 || sum.Name != "copy" {
-		t.Fatalf("restore: status %d summary %+v", resp.StatusCode, sum)
+	if r := call(t, client, http.MethodPut, srv.URL+"/v1/topics/copy", snap, &sum); r.code != http.StatusCreated || sum.Batches != 3 || sum.Name != "copy" {
+		t.Fatalf("restore: status %d summary %+v", r.code, sum)
 	}
 
 	// The next batch solves identically on the original and the copy.
 	batch := batchRequest{Time: 3, Tweets: dayTweets(d, 3)}
 	var orig, copied batchResponse
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/"+req.Name+"/batches", batch, &orig); err != nil || code != http.StatusOK {
-		t.Fatalf("original day 3: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics/"+req.Name+"/batches", batch, &orig); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("original day 3: %d %v", r.code, r.err)
 	}
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/copy/batches", batch, &copied); err != nil || code != http.StatusOK {
-		t.Fatalf("copy day 3: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics/copy/batches", batch, &copied); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("copy day 3: %d %v", r.code, r.err)
 	}
 	if len(orig.Tweets) != len(copied.Tweets) || orig.Iterations != copied.Iterations {
 		t.Fatalf("restored continuation diverged: %d/%d tweets, %d/%d iterations",
@@ -438,30 +493,31 @@ func TestDataDirRestart(t *testing.T) {
 	dir := t.TempDir()
 	d, req := synthTopic(t, 7)
 
-	s1, srv1 := testServer(t, dir)
+	s1 := serve(t, dir, serverOptions{}, false)
+	srv1 := front(t, s1)
 	client := srv1.Client()
-	if code, err := doJSON(client, "POST", srv1.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create: %d %v", code, err)
+	if r := call(nil, client, "POST", srv1.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("create: %d %v", r.code, r.err)
 	}
 	for day := 0; day < 3; day++ {
-		if code, err := doJSON(client, "POST", srv1.URL+"/v1/topics/"+req.Name+"/batches",
-			batchRequest{Time: day, Tweets: dayTweets(d, day)}, nil); err != nil || code != http.StatusOK {
-			t.Fatalf("day %d: %d %v", day, code, err)
+		if r := call(nil, client, "POST", srv1.URL+"/v1/topics/"+req.Name+"/batches",
+			batchRequest{Time: day, Tweets: dayTweets(d, day)}, nil); r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("day %d: %d %v", day, r.code, r.err)
 		}
 	}
 	var beforeSum topicSummary
-	if _, err := doJSON(client, "GET", srv1.URL+"/v1/topics/"+req.Name, nil, &beforeSum); err != nil {
-		t.Fatal(err)
+	if r := call(nil, client, "GET", srv1.URL+"/v1/topics/"+req.Name, nil, &beforeSum); r.err != nil {
+		t.Fatal(r.err)
 	}
 	before := make(map[int]userSentimentJSON)
 	for u := range req.Users {
 		var est userSentimentJSON
-		code, err := doJSON(client, "GET",
+		r := call(nil, client, "GET",
 			fmt.Sprintf("%s/v1/topics/%s/users/%d", srv1.URL, req.Name, u), nil, &est)
-		if err != nil {
-			t.Fatal(err)
+		if r.err != nil {
+			t.Fatal(r.err)
 		}
-		if code == http.StatusOK {
+		if r.code == http.StatusOK {
 			before[u] = est
 		}
 	}
@@ -474,11 +530,11 @@ func TestDataDirRestart(t *testing.T) {
 	srv1.Close()
 
 	// "Restart": a fresh server over the same data dir.
-	_, srv2 := testServer(t, dir)
+	srv2 := front(t, serve(t, dir, serverOptions{}, false))
 	client2 := srv2.Client()
 	var afterSum topicSummary
-	if code, err := doJSON(client2, "GET", srv2.URL+"/v1/topics/"+req.Name, nil, &afterSum); err != nil || code != http.StatusOK {
-		t.Fatalf("summary after restart: %d %v", code, err)
+	if r := call(nil, client2, "GET", srv2.URL+"/v1/topics/"+req.Name, nil, &afterSum); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("summary after restart: %d %v", r.code, r.err)
 	}
 	if afterSum.Batches != beforeSum.Batches || afterSum.VocabSize != beforeSum.VocabSize {
 		t.Fatalf("summary changed across restart: %+v vs %+v", beforeSum, afterSum)
@@ -488,10 +544,10 @@ func TestDataDirRestart(t *testing.T) {
 	}
 	for u, want := range before {
 		var got userSentimentJSON
-		code, err := doJSON(client2, "GET",
+		r := call(nil, client2, "GET",
 			fmt.Sprintf("%s/v1/topics/%s/users/%d", srv2.URL, req.Name, u), nil, &got)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("user %d after restart: %d %v", u, code, err)
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("user %d after restart: %d %v", u, r.code, r.err)
 		}
 		if got.Class != want.Class || math.Abs(got.Confidence-want.Confidence) > 1e-12 {
 			t.Fatalf("user %d estimate changed across restart: %+v vs %+v", u, want, got)
@@ -500,8 +556,8 @@ func TestDataDirRestart(t *testing.T) {
 	// Feature sentiments are derived from the restored factors, so the
 	// endpoint serves full data after the restart too.
 	var feats featuresResponse
-	if code, err := doJSON(client2, "GET", srv2.URL+"/v1/topics/"+req.Name+"/features", nil, &feats); err != nil || code != http.StatusOK {
-		t.Fatalf("features after restart: %d %v", code, err)
+	if r := call(nil, client2, "GET", srv2.URL+"/v1/topics/"+req.Name+"/features", nil, &feats); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("features after restart: %d %v", r.code, r.err)
 	}
 	if len(feats.Vocabulary) == 0 || len(feats.Features) != len(feats.Vocabulary) {
 		t.Fatalf("features after restart: %d words, %d features",
@@ -509,14 +565,14 @@ func TestDataDirRestart(t *testing.T) {
 	}
 	// The stream picks up where it stopped: day 2 again conflicts, day 3
 	// processes.
-	if code, ec := errCode(t, client2, "POST", srv2.URL+"/v1/topics/"+req.Name+"/batches",
-		batchRequest{Time: 2, Tweets: dayTweets(d, 2)}); code != http.StatusConflict || ec != codeStaleTimestamp {
-		t.Fatalf("stale day after restart: status %d code %q", code, ec)
+	if r := call(t, client2, "POST", srv2.URL+"/v1/topics/"+req.Name+"/batches",
+		batchRequest{Time: 2, Tweets: dayTweets(d, 2)}, nil); r.code != http.StatusConflict || r.ec != codeStaleTimestamp {
+		t.Fatalf("stale day after restart: status %d code %q", r.code, r.ec)
 	}
 	var resp batchResponse
-	if code, err := doJSON(client2, "POST", srv2.URL+"/v1/topics/"+req.Name+"/batches",
-		batchRequest{Time: 3, Tweets: dayTweets(d, 3)}, &resp); err != nil || code != http.StatusOK {
-		t.Fatalf("day 3 after restart: %d %v", code, err)
+	if r := call(nil, client2, "POST", srv2.URL+"/v1/topics/"+req.Name+"/batches",
+		batchRequest{Time: 3, Tweets: dayTweets(d, 3)}, &resp); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("day 3 after restart: %d %v", r.code, r.err)
 	}
 }
 
@@ -528,7 +584,7 @@ func TestDataDirRestart(t *testing.T) {
 // incarnation — and a deleted name leaves no file behind.
 func TestDeleteRecreateFileConsistency(t *testing.T) {
 	dir := t.TempDir()
-	_, srv := testServer(t, dir)
+	srv := front(t, serve(t, dir, serverOptions{}, false))
 	client := srv.Client()
 	const name = "contested"
 	topics := srv.URL + "/v1/topics"
@@ -541,22 +597,22 @@ func TestDeleteRecreateFileConsistency(t *testing.T) {
 			go func(users []string) {
 				defer wg.Done()
 				if users == nil {
-					_, _ = doJSON(client, http.MethodDelete, topics+"/"+name, nil, nil)
+					call(nil, client, http.MethodDelete, topics+"/"+name, nil, nil)
 					return
 				}
-				_, _ = doJSON(client, http.MethodPost, topics,
+				call(nil, client, http.MethodPost, topics,
 					createTopicRequest{Name: name, Users: users}, nil)
 			}(users)
 		}
 		wg.Wait()
 
 		var sum topicSummary
-		code, err := doJSON(client, http.MethodGet, topics+"/"+name, nil, &sum)
-		if err != nil {
-			t.Fatalf("round %d: info: %v", round, err)
+		r := call(nil, client, http.MethodGet, topics+"/"+name, nil, &sum)
+		if r.err != nil {
+			t.Fatalf("round %d: info: %v", round, r.err)
 		}
 		data, readErr := os.ReadFile(snap)
-		switch code {
+		switch r.code {
 		case http.StatusOK:
 			if readErr != nil {
 				t.Fatalf("round %d: topic registered but snapshot missing: %v", round, readErr)
@@ -574,9 +630,9 @@ func TestDeleteRecreateFileConsistency(t *testing.T) {
 				t.Fatalf("round %d: topic deleted but snapshot file remains", round)
 			}
 		default:
-			t.Fatalf("round %d: unexpected status %d", round, code)
+			t.Fatalf("round %d: unexpected status %d", round, r.code)
 		}
-		_, _ = doJSON(client, http.MethodDelete, topics+"/"+name, nil, nil)
+		call(nil, client, http.MethodDelete, topics+"/"+name, nil, nil)
 	}
 }
 
@@ -610,10 +666,10 @@ func TestLoadAllQuarantinesUnsupportedVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, srv := testServer(t, dir)
-	code, _ := doJSON(srv.Client(), http.MethodGet, srv.URL+"/v1/topics/prop37", nil, nil)
-	if code != http.StatusNotFound {
-		t.Fatalf("legacy topic served with status %d", code)
+	srv := front(t, serve(t, dir, serverOptions{}, false))
+	r := call(nil, srv.Client(), http.MethodGet, srv.URL+"/v1/topics/prop37", nil, nil)
+	if r.code != http.StatusNotFound {
+		t.Fatalf("legacy topic served with status %d", r.code)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "prop37.snap")); !os.IsNotExist(err) {
 		t.Fatalf("legacy file still occupies the snapshot name: %v", err)
@@ -626,9 +682,9 @@ func TestLoadAllQuarantinesUnsupportedVersion(t *testing.T) {
 		t.Fatal("quarantined copy does not match the original bytes")
 	}
 	// The freed name is usable again without touching the quarantined file.
-	if code, err := doJSON(srv.Client(), http.MethodPost, srv.URL+"/v1/topics",
-		createTopicRequest{Name: "prop37", Users: []string{"a", "b"}}, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("re-create over quarantined name: %d %v", code, err)
+	if r := call(nil, srv.Client(), http.MethodPost, srv.URL+"/v1/topics",
+		createTopicRequest{Name: "prop37", Users: []string{"a", "b"}}, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("re-create over quarantined name: %d %v", r.code, r.err)
 	}
 	if kept2, err := os.ReadFile(filepath.Join(dir, "prop37.snap.unsupported-version")); err != nil || !bytes.Equal(kept2, legacySnapshot) {
 		t.Fatalf("re-create disturbed the quarantined copy: %v", err)
@@ -650,7 +706,7 @@ func TestQuarantineDoesNotClobberEarlierCopy(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "prop37.snap"), legacySnapshot, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	testServer(t, dir)
+	serve(t, dir, serverOptions{}, false)
 	if kept, err := os.ReadFile(filepath.Join(dir, "prop37.snap.unsupported-version")); err != nil || !bytes.Equal(kept, first) {
 		t.Fatalf("earlier quarantined copy clobbered: %v", err)
 	}
@@ -664,17 +720,12 @@ func TestQuarantineDoesNotClobberEarlierCopy(t *testing.T) {
 // the client can branch on: split the batch, don't blindly re-send), and
 // requests under the limit are unaffected.
 func TestMaxBodyBytes(t *testing.T) {
-	s, err := newServer("", serverOptions{maxBody: 4096}, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
+	srv := front(t, serve(t, "", serverOptions{maxBody: 4096}, false))
 	client := srv.Client()
 
 	_, req := synthTopic(t, 31)
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("small create: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("small create: %d %v", r.code, r.err)
 	}
 
 	// An oversized batch.
@@ -682,9 +733,9 @@ func TestMaxBodyBytes(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		big.Tweets = append(big.Tweets, tweetSpec{Text: "padding padding padding padding", User: 0})
 	}
-	code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics/"+req.Name+"/batches", big)
-	if code != http.StatusRequestEntityTooLarge || ec != codeBodyTooLarge {
-		t.Fatalf("oversized batch: %d %q, want 413 %q", code, ec, codeBodyTooLarge)
+	r := call(t, client, "POST", srv.URL+"/v1/topics/"+req.Name+"/batches", big, nil)
+	if r.code != http.StatusRequestEntityTooLarge || r.ec != codeBodyTooLarge {
+		t.Fatalf("oversized batch: %d %q, want 413 %q", r.code, r.ec, codeBodyTooLarge)
 	}
 
 	// An oversized create.
@@ -693,27 +744,15 @@ func TestMaxBodyBytes(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		bigCreate.Users = append(bigCreate.Users, fmt.Sprintf("filler-user-%06d", i))
 	}
-	code, ec = errCode(t, client, "POST", srv.URL+"/v1/topics", bigCreate)
-	if code != http.StatusRequestEntityTooLarge || ec != codeBodyTooLarge {
-		t.Fatalf("oversized create: %d %q", code, ec)
+	r = call(t, client, "POST", srv.URL+"/v1/topics", bigCreate, nil)
+	if r.code != http.StatusRequestEntityTooLarge || r.ec != codeBodyTooLarge {
+		t.Fatalf("oversized create: %d %q", r.code, r.ec)
 	}
 
 	// An oversized snapshot PUT (binary path, not JSON).
-	hreq, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/topics/restored", bytes.NewReader(make([]byte, 64<<10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eb errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Error.Code != codeBodyTooLarge {
-		t.Fatalf("oversized snapshot: %d %q", resp.StatusCode, eb.Error.Code)
+	r = call(t, client, http.MethodPut, srv.URL+"/v1/topics/restored", make([]byte, 64<<10), nil)
+	if r.code != http.StatusRequestEntityTooLarge || r.ec != codeBodyTooLarge {
+		t.Fatalf("oversized snapshot: %d %q", r.code, r.ec)
 	}
 
 	// An oversized vocab warm-up.
@@ -721,15 +760,15 @@ func TestMaxBodyBytes(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		texts = append(texts, "sufficiently long warmup text to overflow the configured limit")
 	}
-	code, ec = errCode(t, client, "POST", srv.URL+"/v1/topics/"+req.Name+"/vocab", vocabRequest{Texts: texts})
-	if code != http.StatusRequestEntityTooLarge || ec != codeBodyTooLarge {
-		t.Fatalf("oversized vocab: %d %q", code, ec)
+	r = call(t, client, "POST", srv.URL+"/v1/topics/"+req.Name+"/vocab", vocabRequest{Texts: texts}, nil)
+	if r.code != http.StatusRequestEntityTooLarge || r.ec != codeBodyTooLarge {
+		t.Fatalf("oversized vocab: %d %q", r.code, r.ec)
 	}
 
 	// The topic is untouched by all the rejected bodies.
 	var sum topicSummary
-	if code, err := doJSON(client, "GET", srv.URL+"/v1/topics/"+req.Name, nil, &sum); err != nil || code != http.StatusOK {
-		t.Fatalf("info: %d %v", code, err)
+	if r := call(nil, client, "GET", srv.URL+"/v1/topics/"+req.Name, nil, &sum); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("info: %d %v", r.code, r.err)
 	}
 	if sum.Batches != 0 {
 		t.Fatalf("rejected bodies changed state: %+v", sum)
@@ -744,14 +783,11 @@ func TestHealthzQuarantineCount(t *testing.T) {
 
 	// One healthy topic, persisted by a first daemon instance.
 	{
-		s, err := newServer(dir, serverOptions{journal: store.Options{Every: 1}}, t.Logf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := serve(t, dir, serverOptions{journal: store.Options{Every: 1}}, false)
 		srv := httptest.NewServer(s)
 		_, req := synthTopic(t, 77)
-		if code, err := doJSON(srv.Client(), "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-			t.Fatalf("create: %d %v", code, err)
+		if r := call(nil, srv.Client(), "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+			t.Fatalf("create: %d %v", r.code, r.err)
 		}
 		srv.Close()
 	}
@@ -764,17 +800,12 @@ func TestHealthzQuarantineCount(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := newServer(dir, serverOptions{journal: store.Options{Every: 4}}, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
+	srv := front(t, serve(t, dir, serverOptions{journal: store.Options{Every: 4}}, false))
 
 	var hr healthResponse
-	code, err := doJSON(srv.Client(), "GET", srv.URL+"/v1/healthz", nil, &hr)
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("healthz: %d %v", code, err)
+	r := call(nil, srv.Client(), "GET", srv.URL+"/v1/healthz", nil, &hr)
+	if r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("healthz: %d %v", r.code, r.err)
 	}
 	if hr.Status != "ok" || hr.Topics != 1 {
 		t.Fatalf("healthz %+v, want ok with 1 topic", hr)

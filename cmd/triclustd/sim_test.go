@@ -42,7 +42,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"slices"
@@ -171,6 +170,7 @@ func simulate(t *testing.T, replay string, seed int64, drive func(*sim)) *sim {
 	}, true)
 	s := &sim{t: t, replay: replay, rng: rand.New(rand.NewSource(seed)), tc: tc, down: -1, dead: -1,
 		net: &simNet{tc: tc, every: tc.opts.probeEvery, healed: 1}, full: make([]bool, simShards)}
+	tc.dump = func() string { return strings.Join(s.events(true), "\n") }
 	for i := range tc.shards {
 		s.scripts = append(s.scripts, fault.NewScript())
 		tc.shards[i].transport = &simLink{net: s.net, from: i}
@@ -186,19 +186,42 @@ func simulate(t *testing.T, replay string, seed int64, drive func(*sim)) *sim {
 	return s
 }
 
-// outcome is what a run leaves, one line each: each event with its result
-// and the lines the shards logged while it ran (sorted: loops that log in
-// one order may write in another, as a restart restoring its topics in
-// map order does), then every topic a live shard serves at the end, with
-// its position, epoch and snapshot bytes.
-func (s *sim) outcome() string {
+// events is the run so far, one line each: each event with its result,
+// then the lines the shards logged while it ran, indented and sorted (loops
+// that log in one order may write in another, as a restart restoring its
+// topics in map order does). With tail, the lines logged after the last
+// event ended follow, sorted too.
+func (s *sim) events(tail bool) []string {
+	s.tc.logMu.Lock()
+	logs := slices.Clone(s.tc.logs)
+	s.tc.logMu.Unlock()
 	var out []string
 	from := 0
+	lines := func(to int) {
+		for _, l := range slices.Sorted(slices.Values(logs[from:to])) {
+			out = append(out, "    "+l)
+		}
+		from = to
+	}
 	for k, line := range s.log {
 		out = append(out, line)
-		out = append(out, slices.Sorted(slices.Values(s.tc.logs[from:s.logged[k]]))...)
-		from = s.logged[k]
+		if k < len(s.logged) {
+			lines(s.logged[k])
+		} else {
+			lines(len(logs))
+		}
 	}
+	if tail {
+		lines(len(logs))
+	}
+	return out
+}
+
+// outcome is what a run leaves, one line each: its events, then every
+// topic a live shard serves at the end, with its position, epoch and
+// snapshot bytes.
+func (s *sim) outcome() string {
+	out := s.events(false)
 	for i, sd := range s.tc.shards {
 		var served []string
 		for _, tp := range sd.srv.served() {
@@ -224,16 +247,20 @@ func (s *sim) event(format string, args ...any) func(result string) {
 		s.log[n] += " → " + result
 		s.net.disarm()
 		s.tc.parkLoops()
+		s.tc.logMu.Lock()
 		s.logged = append(s.logged, len(s.tc.logs))
+		s.tc.logMu.Unlock()
 		s.checkWriters()
 	}
 }
 
-// fail reports a broken property with the event list and the command
-// that replays the run.
+// fail reports a broken property with the command that replays the run
+// and its events, each with the lines the shards logged while it ran: a
+// failing seed prints the same every time.
 func (s *sim) fail(format string, args ...any) {
 	s.t.Helper()
-	s.t.Fatalf("%s\nreplay: %s\nevents:\n  %s", fmt.Sprintf(format, args...), s.replay, strings.Join(s.log, "\n  "))
+	s.tc.dump = nil
+	s.t.Fatalf("%s\nreplay: %s\nevents:\n  %s", fmt.Sprintf(format, args...), s.replay, strings.Join(s.events(true), "\n  "))
 }
 
 // step draws one event and runs it; an event whose precondition does not
@@ -357,6 +384,22 @@ var simSchedules = []struct {
 		}
 		s.batch(b, src, false)
 	}},
+	// The owner P moves a topic to the third shard B, which ships it back
+	// to P, its follower, while P's own follower A keeps the replica of
+	// P's epoch. P dies: A must see that B holds the topic and not promote
+	// its stale replica, so the batch and the reads sent at A end at B.
+	{"stale-promotion", func(s *sim) {
+		tp := s.topics[3]
+		p, a, b := s.start(tp, 3)
+		s.expect(s.move(tp, p, b, false), http.StatusOK, "")
+		s.batch(tp, b, false)
+		s.kill(p, false, false)
+		s.ticks(5)
+		s.batch(tp, a, false)
+		for kind := range simReads {
+			s.read(tp, a, kind, 0)
+		}
+	}},
 }
 
 // start creates tp at its ring owner and sends it n batches there; it
@@ -379,7 +422,7 @@ func (s *sim) ticks(n int) {
 }
 
 // expect fails a schedule whose answer is not the one it exists to reach.
-func (s *sim) expect(a simAnswer, code int, ec string) {
+func (s *sim) expect(a reply, code int, ec string) {
 	if a.code != code || a.ec != ec {
 		s.fail("the schedule reached %s, not %d %s", a, code, ec)
 	}
@@ -407,13 +450,13 @@ func (s *sim) create(tp *simTopic, entry int) {
 // would; a 200 feeds the control. Once the zombie answered epoch_mismatch
 // for a topic, it has fenced its copy, and its next answer for the topic is
 // a 307.
-func (s *sim) batch(tp *simTopic, entry int, zombie bool) simAnswer {
+func (s *sim) batch(tp *simTopic, entry int, zombie bool) reply {
 	tp.day++
 	req := harnessBatch(tp.idx, tp.day)
 	done := s.event("batch %s day %d at %d (zombie %v)", tp.name, tp.day, entry, zombie)
-	var a simAnswer
+	var a reply
 	if zombie {
-		a.code, a.ec = serveJSON(s.t, s.tc.shards[entry].srv, "POST", "/v1/topics/"+tp.name+"/batches", req)
+		a = call(s.t, s.tc.shards[entry].srv, "POST", "/v1/topics/"+tp.name+"/batches", req, nil)
 		s.judge(a)
 		if s.fenced[tp.name] && a.code != http.StatusTemporaryRedirect {
 			s.fail("the fenced zombie shard %d answered %s for %s, want a 307", entry, a, tp.name)
@@ -468,7 +511,7 @@ func simReadPath(tp *simTopic, kind, user int) string {
 	return path
 }
 
-func (s *sim) read(tp *simTopic, entry, kind, user int) simAnswer {
+func (s *sim) read(tp *simTopic, entry, kind, user int) reply {
 	path := simReadPath(tp, kind, user)
 	done := s.event("read %s at %d", path, entry)
 	a := s.do("GET", entry, path, nil)
@@ -500,19 +543,15 @@ func (s *sim) race(tp *simTopic, entry, reader, target, kind, user int) {
 	}
 	done := s.event("race: batch %s day %d and move it to %d at %d, read %s twice at %d, in order %v", tp.name, tp.day, target, entry, path, reader, order)
 	held := s.holders(tp.name)
-	var a [4]simAnswer // the batch, the move, the two reads
-	var errs [4]error
+	var a [4]reply // the batch, the move, the two reads
+	net := hops{s.tc.noRedirect, simShards}
 	send := [...]func(){
+		func() { a[0] = call(nil, net, "POST", s.tc.url(entry)+"/v1/topics/"+tp.name+"/batches", req, nil) },
 		func() {
-			a[0], errs[0] = follow(s.tc.noRedirect, "POST", s.tc.url(entry)+"/v1/topics/"+tp.name+"/batches", req, simShards)
+			a[1] = call(nil, net, "POST", s.tc.url(entry)+"/v1/cluster/move", moveRequest{Topic: tp.name, Target: s.tc.url(target)}, nil)
 		},
-		func() {
-			a[1], errs[1] = follow(s.tc.noRedirect, "POST", s.tc.url(entry)+"/v1/cluster/move", moveRequest{Topic: tp.name, Target: s.tc.url(target)}, simShards)
-		},
-		func() { a[2], errs[2] = follow(s.tc.noRedirect, "GET", s.tc.url(reader)+path, nil, simShards) },
-		func() {
-			a[3], errs[3] = follow(s.tc.noRedirect, "GET", s.tc.url(reader)+path, nil, simShards, "If-None-Match", a[2].etag)
-		},
+		func() { a[2] = call(nil, net, "GET", s.tc.url(reader)+path, nil, nil) },
+		func() { a[3] = call(nil, net, "GET", s.tc.url(reader)+path, nil, nil, "If-None-Match", a[2].etag) },
 	}
 	if raceLeg {
 		var wg sync.WaitGroup
@@ -529,7 +568,7 @@ func (s *sim) race(tp *simTopic, entry, reader, target, kind, user int) {
 			send[k]()
 		}
 	}
-	if err := errors.Join(errs[:]...); err != nil {
+	if err := errors.Join(a[0].err, a[1].err, a[2].err, a[3].err); err != nil {
 		s.fail("%v", err)
 	}
 	for _, r := range a {
@@ -565,7 +604,7 @@ func (s *sim) race(tp *simTopic, entry, reader, target, kind, user int) {
 }
 
 // checkRead holds a 200 read to the control at the position it names.
-func (s *sim) checkRead(tp *simTopic, kind, user int, a simAnswer) {
+func (s *sim) checkRead(tp *simTopic, kind, user int, a reply) {
 	var batches int
 	var draws, epoch uint64
 	var at0 []byte
@@ -627,7 +666,7 @@ func (s *sim) restore(snap []byte) (*triclust.Topic, []byte) {
 // move asks shard entry to move tp to target, never the dead shard; with
 // lostAck the first hand-off PUT any shard sends meanwhile lands, but its
 // answer is lost.
-func (s *sim) move(tp *simTopic, entry, target int, lostAck bool) simAnswer {
+func (s *sim) move(tp *simTopic, entry, target int, lostAck bool) reply {
 	if target == s.dead {
 		target = (target + 1) % simShards
 	}
@@ -663,7 +702,7 @@ func (s *sim) holders(name string) (h [simShards]moveResponse) {
 // the one the answering shard's holding called for (held, taken before the
 // move), with the target and the control's batch count (batches < 0: either
 // of two, in the race leg); and the target serves the topic at its epoch.
-func (s *sim) checkMove(tp *simTopic, target int, a simAnswer, held [simShards]moveResponse, batches int) {
+func (s *sim) checkMove(tp *simTopic, target int, a reply, held [simShards]moveResponse, batches int) {
 	var got moveResponse
 	err := json.Unmarshal(a.body, &got)
 	want := held[slices.Index(s.tc.peers, a.at)]
@@ -862,10 +901,10 @@ func (s *sim) quiesce() {
 		if i == s.dead {
 			continue
 		}
-		code, err := doJSON(s.tc.client, "GET", s.tc.url(i)+"/v1/healthz", nil, &hr)
-		if r := hr.Replication; err != nil || code != http.StatusOK || r == nil || r.Factor != s.tc.opts.repl.Factor ||
+		a := call(nil, s.tc.client, "GET", s.tc.url(i)+"/v1/healthz", nil, &hr)
+		if r := hr.Replication; a.err != nil || a.code != http.StatusOK || r == nil || r.Factor != s.tc.opts.repl.Factor ||
 			s.dead >= 0 && !slices.Equal(r.DownPeers, []string{s.deadURL}) || hr.Quarantined != 0 {
-			s.fail("at quiescence shard %d answers healthz %d %v: replication %+v, %d quarantined files", i, code, err, r, hr.Quarantined)
+			s.fail("at quiescence shard %d answers healthz %d %v: replication %+v, %d quarantined files", i, a.code, a.err, r, hr.Quarantined)
 		}
 	}
 	for _, tp := range s.topics {
@@ -904,23 +943,12 @@ func (s *sim) checkWriters() {
 
 // ——— the client ———
 
-// simAnswer is the end of one request's redirect chain.
-type simAnswer struct {
-	code, hops int
-	// ec is the error code; shard the X-Triclust-Shard header; at the base
-	// URL of the shard that answered.
-	ec, etag, shard, at string
-	body                []byte
-}
-
-func (a simAnswer) String() string { return fmt.Sprintf("%d %s (%d hops)", a.code, a.ec, a.hops) }
-
 // do sends one JSON request at shard entry and follows its redirects,
 // failing the run if the chain does not end within simShards hops.
-func (s *sim) do(method string, entry int, path string, body any) simAnswer {
-	a, err := follow(s.tc.noRedirect, method, s.tc.url(entry)+path, body, simShards)
-	if err != nil {
-		s.fail("%s %s at shard %d: %v", method, path, entry, err)
+func (s *sim) do(method string, entry int, path string, body any) reply {
+	a := call(nil, hops{s.tc.noRedirect, simShards}, method, s.tc.url(entry)+path, body, nil)
+	if a.err != nil {
+		s.fail("%s %s at shard %d: %v", method, path, entry, a.err)
 	}
 	s.judge(a)
 	return a
@@ -928,62 +956,12 @@ func (s *sim) do(method string, entry int, path string, body any) simAnswer {
 
 // judge holds an answer to the storage property: a storage error code
 // answers only while some disk has been full since the last settle.
-func (s *sim) judge(a simAnswer) {
+func (s *sim) judge(a reply) {
 	switch a.ec {
 	case codeStorage, codeStorageDegraded, codeStorageReadonly:
 		if !s.wasFull {
 			s.fail("answered %s, and no disk has been full since the last settle", a)
 		}
-	}
-}
-
-// follow sends one JSON request (a []byte body as it is), with header's
-// name and value pairs (an empty value: none), and follows up to maxHops
-// 307s by hand (maxHops < 0: none, the 307 is the answer). Every 307 must
-// name the shard its Location leads to in X-Triclust-Shard.
-func follow(client *http.Client, method, url string, body any, maxHops int, header ...string) (simAnswer, error) {
-	data, err := json.Marshal(body)
-	if raw, ok := body.([]byte); ok {
-		data = raw
-	} else if body == nil || err != nil {
-		data = nil
-	}
-	var trail []string
-	for hops := 0; ; hops++ {
-		trail = append(trail, url)
-		req, err := http.NewRequest(method, url, bytes.NewReader(data))
-		if err != nil {
-			return simAnswer{}, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		for i := 0; i+1 < len(header); i += 2 {
-			if header[i+1] != "" {
-				req.Header.Set(header[i], header[i+1])
-			}
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return simAnswer{}, err
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		loc, _ := resp.Location()
-		switch {
-		case err != nil:
-			return simAnswer{}, err
-		case resp.StatusCode == http.StatusTemporaryRedirect && (loc == nil || loc.Scheme+"://"+loc.Host != resp.Header.Get(shardHeader)):
-			return simAnswer{}, fmt.Errorf("a 307 to %v names shard %q: %s", loc, resp.Header.Get(shardHeader), strings.Join(trail, " → "))
-		case resp.StatusCode != http.StatusTemporaryRedirect || maxHops < 0:
-			var eb errorBody
-			if resp.StatusCode >= 400 {
-				_ = json.Unmarshal(b, &eb)
-			}
-			return simAnswer{code: resp.StatusCode, hops: hops, ec: eb.Error.Code, etag: resp.Header.Get("ETag"),
-				shard: resp.Header.Get(shardHeader), at: req.URL.Scheme + "://" + req.URL.Host, body: b}, nil
-		case hops == maxHops:
-			return simAnswer{}, fmt.Errorf("the redirect chain did not end within %d hops: %s", maxHops, strings.Join(trail, " → "))
-		}
-		url = resp.Header.Get("Location")
 	}
 }
 

@@ -21,24 +21,6 @@ const v1Data = "../../testdata/datadir_v1/data"
 // replica with a version 1 journal.
 var v1Files = []string{"p2.snap", "p2.journal", "r2.rsnap", "r2.rjournal", "r2.rmeta"}
 
-// bootV1DataDir starts the fixture's shard (self, of self and peer) with
-// replication on dir, without its background loops. The peer exists on the
-// ring only: every request to it fails at once.
-func bootV1DataDir(t *testing.T, dir string) *server {
-	t.Helper()
-	cc, err := newMembership("http://self.test:8547", "http://self.test:8547,http://peer.test:8547", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := newServer(dir, serverOptions{journal: store.Options{Every: 64}, cluster: cc,
-		repl: &replOptions{Factor: 2}, peer: peerOptions{Transport: &gateTransport{prefix: "/"}}}, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	return s
-}
-
 // assertQuarantined checks that every fixture file sits under
 // .unsupported-version with its bytes unchanged, and that the files named
 // free are not under their own names.
@@ -81,27 +63,32 @@ func TestVersion1DataDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := bootV1DataDir(t, dir)
+	// The fixture's shard (self, of self and peer) with replication, without
+	// its background loops. The peer exists on the ring only: every request
+	// to it fails at once.
+	opts := serverOptions{journal: store.Options{Every: 64}, cluster: selfAndPeer(t),
+		repl: &replOptions{Factor: 2}, peer: peerOptions{Transport: &gateTransport{prefix: "/"}}}
+	s := serve(t, dir, opts, true)
 	var health healthResponse
-	if rec := matrixServe(t, s, "GET", "/v1/healthz", nil); rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &health) != nil || health.Quarantined != len(v1Files) {
-		t.Fatalf("healthz after start: %d %s; want %d files quarantined", rec.Code, rec.Body, len(v1Files))
+	if rec := call(t, s, "GET", "/v1/healthz", nil, nil); rec.code != http.StatusOK || json.Unmarshal(rec.body, &health) != nil || health.Quarantined != len(v1Files) {
+		t.Fatalf("healthz after start: %d %s; want %d files quarantined", rec.code, rec.body, len(v1Files))
 	}
 	assertQuarantined(t, dir, v1Files...)
-	if rec := matrixServe(t, s, "GET", "/v1/topics/p2", nil); rec.Code != http.StatusNotFound {
-		t.Fatalf("the quarantined topic answers %d, want 404", rec.Code)
+	if rec := call(t, s, "GET", "/v1/topics/p2", nil, nil); rec.code != http.StatusNotFound {
+		t.Fatalf("the quarantined topic answers %d, want 404", rec.code)
 	}
 	if _, held := s.store.Replicas()["r2"]; held {
 		t.Fatal("the quarantined replica is held")
 	}
 	s.Close()
 
-	s = bootV1DataDir(t, dir)
+	s = serve(t, dir, opts, true)
 	if n := s.store.Quarantined(); n != 0 {
 		t.Fatalf("a second start quarantined %d more files", n)
 	}
 	assertQuarantined(t, dir, v1Files...)
-	if rec := matrixServe(t, s, "POST", "/v1/topics", degradeCreateReq("p2")); rec.Code != http.StatusCreated {
-		t.Fatalf("re-create of the quarantined name: %d %s", rec.Code, rec.Body)
+	if rec := call(t, s, "POST", "/v1/topics", degradeCreateReq("p2"), nil); rec.code != http.StatusCreated {
+		t.Fatalf("re-create of the quarantined name: %d %s", rec.code, rec.body)
 	}
 	assertQuarantined(t, dir, v1Files[2:]...)
 }

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -18,44 +17,6 @@ import (
 	"triclust/internal/codec"
 	"triclust/internal/store"
 )
-
-// doRaw issues one request with an explicit body, Content-Type, and
-// Accept, returning the status, the response body, and the response
-// Content-Type. The *bytes.Reader body gives the request GetBody, so a
-// client following a 307 re-sends the same bytes to the owning shard.
-func doRaw(t *testing.T, client *http.Client, method, url, contentType, accept string, body []byte) (int, []byte, string) {
-	t.Helper()
-	req, err := http.NewRequest(method, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, data, resp.Header.Get("Content-Type")
-}
-
-// rawErrCode extracts the stable error code from an error response body.
-func rawErrCode(t *testing.T, body []byte) string {
-	t.Helper()
-	var eb errorBody
-	if err := decodeStrict(body, &eb); err != nil {
-		t.Fatalf("error body %q does not decode: %v", body, err)
-	}
-	return eb.Error.Code
-}
 
 // binaryBatchBody frames one harness batch in the binary wire format,
 // via the same wire→solver conversion the JSON path applies.
@@ -73,36 +34,34 @@ func binaryBatchBody(t *testing.T, req batchRequest) []byte {
 // silently ignored trailing garbage. Every JSON endpoint must reject a
 // body that is not exactly one JSON value.
 func TestVocabStrictDecode(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 	_, req := synthTopic(t, 1)
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("create: %d %v", r.code, r.err)
 	}
 	url := srv.URL + "/v1/topics/" + req.Name + "/vocab"
 
-	status, body, _ := doRaw(t, client, "POST", url, "application/json", "",
-		[]byte(`{"texts":["warm up the vocabulary"]}{"junk":1}`))
-	if status != http.StatusBadRequest {
-		t.Fatalf("trailing garbage: status %d, want 400", status)
+	r := call(t, client, "POST", url, []byte(`{"texts":["warm up the vocabulary"]}{"junk":1}`), nil, "Content-Type", "application/json")
+	if r.code != http.StatusBadRequest {
+		t.Fatalf("trailing garbage: status %d, want 400", r.code)
 	}
-	if code := rawErrCode(t, body); code != codeInvalidRequest {
+	if code := r.ec; code != codeInvalidRequest {
 		t.Fatalf("trailing garbage: code %q, want %q", code, codeInvalidRequest)
 	}
 	// The rejected body must not have been half-applied: the clean prefix
 	// named one text, so an applied half would have grown the vocabulary.
 	var sum topicSummary
-	if code, err := doJSON(client, "GET", srv.URL+"/v1/topics/"+req.Name, nil, &sum); err != nil || code != http.StatusOK {
-		t.Fatalf("summary: %d %v", code, err)
+	if r := call(nil, client, "GET", srv.URL+"/v1/topics/"+req.Name, nil, &sum); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("summary: %d %v", r.code, r.err)
 	}
 	if sum.VocabSize != 0 {
 		t.Fatalf("rejected vocab body leaked %d words into the vocabulary", sum.VocabSize)
 	}
 	// The same body shape without the garbage is fine.
-	status, _, _ = doRaw(t, client, "POST", url, "application/json", "",
-		[]byte(`{"texts":["warm up the vocabulary"]}`))
-	if status != http.StatusOK {
-		t.Fatalf("clean body: status %d, want 200", status)
+	r = call(t, client, "POST", url, []byte(`{"texts":["warm up the vocabulary"]}`), nil, "Content-Type", "application/json")
+	if r.code != http.StatusOK {
+		t.Fatalf("clean body: status %d, want 200", r.code)
 	}
 }
 
@@ -111,11 +70,11 @@ func TestVocabStrictDecode(t *testing.T) {
 // (parameters like charset tolerated), anything else is refused with
 // unsupported_media_type before any state changes.
 func TestContentTypeEnforcement(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 	_, req := synthTopic(t, 2)
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("create: %d %v", r.code, r.err)
 	}
 	batchJSON := []byte(`{"time":1,"tweets":[{"tokens":["a","b"],"user":0}]}`)
 	topicJSON := []byte(`{"name":"ct-probe","users":["u0"],"options":{"max_iter":2,"seed":1,"min_df":1}}`)
@@ -135,11 +94,11 @@ func TestContentTypeEnforcement(t *testing.T) {
 	}
 	for _, tc := range rejected {
 		t.Run(tc.name, func(t *testing.T) {
-			status, body, _ := doRaw(t, client, tc.method, srv.URL+tc.url, tc.ct, "", tc.body)
-			if status != http.StatusUnsupportedMediaType {
-				t.Fatalf("status %d, want 415 (body %s)", status, body)
+			r := call(t, client, tc.method, srv.URL+tc.url, tc.body, nil, "Content-Type", tc.ct)
+			if r.code != http.StatusUnsupportedMediaType {
+				t.Fatalf("status %d, want 415 (body %s)", r.code, r.body)
 			}
-			if code := rawErrCode(t, body); code != codeUnsupportedMediaType {
+			if code := r.ec; code != codeUnsupportedMediaType {
 				t.Fatalf("code %q, want %q", code, codeUnsupportedMediaType)
 			}
 		})
@@ -155,16 +114,16 @@ func TestContentTypeEnforcement(t *testing.T) {
 	for day, tc := range accepted {
 		t.Run(tc.name, func(t *testing.T) {
 			body := fmt.Appendf(nil, `{"time":%d,"tweets":[{"tokens":["a","b"],"user":0}]}`, day+1)
-			status, respBody, _ := doRaw(t, client, "POST", srv.URL+"/v1/topics/"+req.Name+"/batches", tc.ct, "", body)
-			if status != http.StatusOK {
-				t.Fatalf("status %d, want 200 (body %s)", status, respBody)
+			r := call(t, client, "POST", srv.URL+"/v1/topics/"+req.Name+"/batches", body, nil, "Content-Type", tc.ct)
+			if r.code != http.StatusOK {
+				t.Fatalf("status %d, want 200 (body %s)", r.code, r.body)
 			}
 		})
 	}
 
 	// The rejected probe create must not have registered its topic.
-	if code, errc := errCode(t, client, "GET", srv.URL+"/v1/topics/ct-probe", nil); code != http.StatusNotFound || errc != codeTopicNotFound {
-		t.Fatalf("415-rejected create leaked a topic: %d %s", code, errc)
+	if r := call(t, client, "GET", srv.URL+"/v1/topics/ct-probe", nil, nil); r.code != http.StatusNotFound || r.ec != codeTopicNotFound {
+		t.Fatalf("415-rejected create leaked a topic: %d %s", r.code, r.ec)
 	}
 }
 
@@ -172,22 +131,11 @@ func TestContentTypeEnforcement(t *testing.T) {
 // features endpoint.
 func wireTopicETag(t *testing.T, client *http.Client, base, name string) string {
 	t.Helper()
-	resp, err := client.Get(base + "/v1/topics/" + name + "/features")
-	if err != nil {
-		t.Fatal(err)
+	r := call(t, client, "GET", base+"/v1/topics/"+name+"/features", nil, nil)
+	if r.code != http.StatusOK || r.etag == "" {
+		t.Fatalf("features: status %d, ETag %q", r.code, r.etag)
 	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("features: status %d", resp.StatusCode)
-	}
-	etag := resp.Header.Get("ETag")
-	if etag == "" {
-		t.Fatal("features response has no ETag")
-	}
-	return etag
+	return r.etag
 }
 
 // TestBatchFormatEquivalence is the pooled-scratch/equivalence bar on a
@@ -198,7 +146,7 @@ func wireTopicETag(t *testing.T, client *http.Client, base, name string) string 
 // surviving scratch reuse between formats would desynchronize the solver
 // stream and break the byte equality.
 func TestBatchFormatEquivalence(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 
 	const days = 6
@@ -215,21 +163,21 @@ func TestBatchFormatEquivalence(t *testing.T) {
 		req := harnessCreateReq(tc.idx)
 		req.Name = fmt.Sprintf("eq-%s", tc.mode)
 		req.Options = harnessCreateReq(0).Options
-		if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-			t.Fatalf("create %s: %d %v", req.Name, code, err)
+		if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+			t.Fatalf("create %s: %d %v", req.Name, r.code, r.err)
 		}
 		url := srv.URL + "/v1/topics/" + req.Name + "/batches"
 		for day := 1; day <= days; day++ {
 			batch := harnessBatch(0, day)
 			useBinary := tc.mode == "binary" || (tc.mode == "alternate" && day%2 == 0)
 			if useBinary {
-				status, body, _ := doRaw(t, client, "POST", url, mediaTypeBatch, "", binaryBatchBody(t, batch))
-				if status != http.StatusOK {
-					t.Fatalf("%s day %d binary: status %d (%s)", req.Name, day, status, body)
+				r := call(t, client, "POST", url, binaryBatchBody(t, batch), nil, "Content-Type", mediaTypeBatch)
+				if r.code != http.StatusOK {
+					t.Fatalf("%s day %d binary: status %d (%s)", req.Name, day, r.code, r.body)
 				}
 			} else {
-				if code, err := doJSON(client, "POST", url, batch, nil); err != nil || code != http.StatusOK {
-					t.Fatalf("%s day %d json: %d %v", req.Name, day, code, err)
+				if r := call(nil, client, "POST", url, batch, nil); r.err != nil || r.code != http.StatusOK {
+					t.Fatalf("%s day %d json: %d %v", req.Name, day, r.code, r.err)
 				}
 			}
 		}
@@ -250,10 +198,10 @@ func TestBatchFormatEquivalence(t *testing.T) {
 	var etags []string
 	for _, tc := range topics {
 		name := fmt.Sprintf("eq-%s", tc.mode)
-		got := fetchSnapshot(t, client, srv.URL+"/v1/topics/"+name+"/snapshot")
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("topic %s: snapshot (%d bytes) differs from the library control (%d bytes)",
-				name, len(got), want.Len())
+		got := call(t, client, "GET", srv.URL+"/v1/topics/"+name+"/snapshot", nil, nil)
+		if ct := got.hdr.Get("Content-Type"); got.code != http.StatusOK || ct != "application/octet-stream" || !bytes.Equal(got.body, want.Bytes()) {
+			t.Fatalf("topic %s: snapshot (status %d, %s, %d bytes) differs from the library control (%d bytes)",
+				name, got.code, ct, len(got.body), want.Len())
 		}
 		etags = append(etags, wireTopicETag(t, client, srv.URL, name))
 	}
@@ -267,30 +215,29 @@ func TestBatchFormatEquivalence(t *testing.T) {
 // TestBinaryBatchResponseNegotiation checks that an Accept-negotiated
 // binary response carries exactly the numbers the JSON response does.
 func TestBinaryBatchResponseNegotiation(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 
 	for _, name := range []string{"neg-json", "neg-bin"} {
 		req := harnessCreateReq(0)
 		req.Name = name
-		if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-			t.Fatalf("create %s: %d %v", name, code, err)
+		if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+			t.Fatalf("create %s: %d %v", name, r.code, r.err)
 		}
 	}
 	batch := harnessBatch(0, 1)
 	var jsonResp batchResponse
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics/neg-json/batches", batch, &jsonResp); err != nil || code != http.StatusOK {
-		t.Fatalf("json batch: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics/neg-json/batches", batch, &jsonResp); r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("json batch: %d %v", r.code, r.err)
 	}
-	status, body, respCT := doRaw(t, client, "POST", srv.URL+"/v1/topics/neg-bin/batches",
-		mediaTypeBatch, mediaTypeBatch+";q=0.9, application/json;q=0.1", binaryBatchBody(t, batch))
-	if status != http.StatusOK {
-		t.Fatalf("binary batch: status %d (%s)", status, body)
+	r := call(t, client, "POST", srv.URL+"/v1/topics/neg-bin/batches", binaryBatchBody(t, batch), nil, "Content-Type", mediaTypeBatch, "Accept", mediaTypeBatch+";q=0.9, application/json;q=0.1")
+	if r.code != http.StatusOK {
+		t.Fatalf("binary batch: status %d (%s)", r.code, r.body)
 	}
-	if mt, _, _ := strings.Cut(respCT, ";"); strings.TrimSpace(mt) != mediaTypeBatch {
-		t.Fatalf("response Content-Type %q, want %q", respCT, mediaTypeBatch)
+	if mt, _, _ := strings.Cut(r.hdr.Get("Content-Type"), ";"); strings.TrimSpace(mt) != mediaTypeBatch {
+		t.Fatalf("response Content-Type %q, want %q", r.hdr.Get("Content-Type"), mediaTypeBatch)
 	}
-	res, err := codec.DecodeBatchResponse(body)
+	res, err := codec.DecodeBatchResponse(r.body)
 	if err != nil {
 		t.Fatalf("binary response does not decode: %v", err)
 	}
@@ -314,15 +261,15 @@ func TestBinaryBatchResponseNegotiation(t *testing.T) {
 		}
 	}
 	// Errors ignore Accept: they are always JSON, with the stable code.
-	status, body, respCT = doRaw(t, client, "POST", srv.URL+"/v1/topics/neg-bin/batches",
-		mediaTypeBatch, mediaTypeBatch, binaryBatchBody(t, batch)) // same day again → stale_timestamp
-	if status != http.StatusConflict {
-		t.Fatalf("stale binary batch: status %d", status)
+	r = call(t, client, "POST", srv.URL+"/v1/topics/neg-bin/batches", binaryBatchBody(t, batch), nil,
+		"Content-Type", mediaTypeBatch, "Accept", mediaTypeBatch) // same day again → stale_timestamp
+	if r.code != http.StatusConflict {
+		t.Fatalf("stale binary batch: status %d", r.code)
 	}
-	if mt, _, _ := strings.Cut(respCT, ";"); strings.TrimSpace(mt) != mediaTypeJSON {
-		t.Fatalf("error Content-Type %q, want JSON", respCT)
+	if mt, _, _ := strings.Cut(r.hdr.Get("Content-Type"), ";"); strings.TrimSpace(mt) != mediaTypeJSON {
+		t.Fatalf("error Content-Type %q, want JSON", r.hdr.Get("Content-Type"))
 	}
-	if code := rawErrCode(t, body); code != codeStaleTimestamp {
+	if code := r.ec; code != codeStaleTimestamp {
 		t.Fatalf("error code %q, want %q", code, codeStaleTimestamp)
 	}
 }
@@ -331,15 +278,15 @@ func TestBinaryBatchResponseNegotiation(t *testing.T) {
 // live topic: every rejection must be a clean 400 invalid_request with
 // no state change — no batch applied, no ETag movement.
 func TestBinaryBatchCorruptionRejected(t *testing.T) {
-	_, srv := testServer(t, "")
+	srv := front(t, serve(t, "", serverOptions{}, false))
 	client := srv.Client()
 	req := harnessCreateReq(0)
-	if code, err := doJSON(client, "POST", srv.URL+"/v1/topics", req, nil); err != nil || code != http.StatusCreated {
-		t.Fatalf("create: %d %v", code, err)
+	if r := call(nil, client, "POST", srv.URL+"/v1/topics", req, nil); r.err != nil || r.code != http.StatusCreated {
+		t.Fatalf("create: %d %v", r.code, r.err)
 	}
 	url := srv.URL + "/v1/topics/" + req.Name + "/batches"
-	if status, body, _ := doRaw(t, client, "POST", url, mediaTypeBatch, "", binaryBatchBody(t, harnessBatch(0, 1))); status != http.StatusOK {
-		t.Fatalf("seed batch: %d (%s)", status, body)
+	if r := call(t, client, "POST", url, binaryBatchBody(t, harnessBatch(0, 1)), nil, "Content-Type", mediaTypeBatch); r.code != http.StatusOK {
+		t.Fatalf("seed batch: %d (%s)", r.code, r.body)
 	}
 	before := wireTopicETag(t, client, srv.URL, req.Name)
 
@@ -356,11 +303,11 @@ func TestBinaryBatchCorruptionRejected(t *testing.T) {
 	damaged["version 1"] = binary.LittleEndian.AppendUint32(v1, codec.Checksum(v1))
 	for name, body := range damaged {
 		t.Run(name, func(t *testing.T) {
-			status, respBody, _ := doRaw(t, client, "POST", url, mediaTypeBatch, "", body)
-			if status != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400 (%s)", status, respBody)
+			r := call(t, client, "POST", url, body, nil, "Content-Type", mediaTypeBatch)
+			if r.code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400 (%s)", r.code, r.body)
 			}
-			if code := rawErrCode(t, respBody); code != codeInvalidRequest {
+			if code := r.ec; code != codeInvalidRequest {
 				t.Fatalf("code %q, want %q", code, codeInvalidRequest)
 			}
 		})
@@ -370,8 +317,8 @@ func TestBinaryBatchCorruptionRejected(t *testing.T) {
 	}
 	// The stream is intact: the batch the damaged frames failed to carry
 	// still applies.
-	if status, body, _ := doRaw(t, client, "POST", url, mediaTypeBatch, "", valid); status != http.StatusOK {
-		t.Fatalf("follow-up batch: %d (%s)", status, body)
+	if r := call(t, client, "POST", url, valid, nil, "Content-Type", mediaTypeBatch); r.code != http.StatusOK {
+		t.Fatalf("follow-up batch: %d (%s)", r.code, r.body)
 	}
 }
 
@@ -381,7 +328,7 @@ func TestBinaryBatchCorruptionRejected(t *testing.T) {
 // replicated cluster, then — after failing the topics' primaries over —
 // every topic's snapshot must still be byte-identical to the
 // single-process control. The binary frames must survive the client's
-// re-send on the 307 (doRaw's request carries GetBody) and journal-ship
+// re-send on the 307 (call's request carries GetBody) and journal-ship
 // replication unchanged for that to hold.
 func TestClusterWireFormatsEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -408,15 +355,14 @@ func TestClusterWireFormatsEndToEnd(t *testing.T) {
 			if (i+day)%2 == 0 {
 				// Binary leg, with a binary-negotiated response, retried the
 				// same way retryJSON rides out routing races.
-				var status int
-				var body []byte
+				var r reply
 				if !eventually(func() bool {
-					status, body, _ = doRaw(t, tc.client, "POST", url, mediaTypeBatch, mediaTypeBatch, binaryBatchBody(t, batch))
-					return status == http.StatusOK
+					r = call(t, tc.client, "POST", url, binaryBatchBody(t, batch), nil, "Content-Type", mediaTypeBatch, "Accept", mediaTypeBatch)
+					return r.code == http.StatusOK
 				}) {
-					t.Fatalf("topic %d day %d binary never succeeded (last %d: %s)", i, day, status, body)
+					t.Fatalf("topic %d day %d binary never succeeded (last %d: %s)", i, day, r.code, r.body)
 				}
-				if _, err := codec.DecodeBatchResponse(body); err != nil {
+				if _, err := codec.DecodeBatchResponse(r.body); err != nil {
 					t.Fatalf("topic %d day %d: redirected binary response does not decode: %v", i, day, err)
 				}
 			} else {
@@ -442,7 +388,7 @@ func TestClusterWireFormatsEndToEnd(t *testing.T) {
 
 	for i := 0; i < topics; i++ {
 		name := harnessTopicName(i)
-		got := fetchSnapshot(t, tc.client, tc.url(1+i%2)+"/v1/topics/"+name+"/snapshot")
+		got := call(t, tc.client, "GET", tc.url(1+i%2)+"/v1/topics/"+name+"/snapshot", nil, nil)
 		ctl := controlTopic(t, harnessCreateReq(i))
 		for day := 1; day <= days; day++ {
 			if _, err := ctl.Process(day, specTweets(harnessBatch(i, day))); err != nil {
@@ -456,9 +402,9 @@ func TestClusterWireFormatsEndToEnd(t *testing.T) {
 		if err := ctl.Snapshot(&want); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("topic %s: post-failover snapshot (%d bytes) differs from control (%d bytes)",
-				name, len(got), want.Len())
+		if ct := got.hdr.Get("Content-Type"); got.code != http.StatusOK || ct != "application/octet-stream" || !bytes.Equal(got.body, want.Bytes()) {
+			t.Fatalf("topic %s: post-failover snapshot (status %d, %s, %d bytes) differs from control (%d bytes)",
+				name, got.code, ct, len(got.body), want.Len())
 		}
 	}
 }
