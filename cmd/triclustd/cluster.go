@@ -67,11 +67,12 @@ func (s *server) route(name string) (*topic, cluster.Route) {
 	return tp, s.table.Route(name, tp != nil)
 }
 
-// served returns the registered topics.
+// served returns the registered topics in name order, so every walk of
+// them — a listing, healthz, each step of the tick — takes one order.
 func (s *server) served() []*topic {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return slices.Collect(maps.Values(s.topics))
+	return slices.SortedFunc(maps.Values(s.topics), func(a, b *topic) int { return strings.Compare(a.name, b.name) })
 }
 
 // routeTopic decides whether this shard serves the request for name,
@@ -287,19 +288,17 @@ func (s *server) takeBack(name string, rt *store.Restored) {
 	s.logf("took back topic %q (%d batches): its hand-off was refused", name, rt.Topic.Batches())
 }
 
-// resumeLoop drives each parked hand-off to a verdict, every
-// -probe-interval: cluster.Handoff retries the recorded move, which asks
+// resumeParked is the tick's resume step: it drives each parked hand-off
+// toward a verdict. cluster.Handoff retries the recorded move, which asks
 // the target, installs again when it is reachable and holds nothing, and
 // keeps the fence while it cannot be asked.
-func (s *server) resumeLoop() {
-	for s.sleep(s.ctx, s.probeEvery) {
-		for _, name := range s.table.Parked() {
-			if s.ctx.Err() != nil {
-				return
-			}
-			if _, e := s.resume(name, ""); e != nil {
-				s.logf("resume the hand-off of %q: %v", name, e)
-			}
+func (s *server) resumeParked() {
+	for _, name := range s.table.Parked() {
+		if s.ctx.Err() != nil {
+			return
+		}
+		if _, e := s.resume(name, ""); e != nil {
+			s.logf("resume the hand-off of %q: %v", name, e)
 		}
 	}
 }

@@ -273,41 +273,21 @@ func (tc *testCluster) tick() {
 	tc.clock.Step(tc.opts.probeEvery, tc.parkLoops)
 }
 
-// parkLoops waits until every loop of every live shard is parked: the
-// resume loop, with replication a probe loop per peer and the reconcile
-// loop, the rebalancer if it is on, and the storage prober while it runs.
-// A round that degrades a topic starts the prober, so the count is taken
-// again after each wait; the prober is counted before it can park.
+// parkLoops waits until both loops of every live shard are parked: the
+// tick, and with replication the detector's watch of each peer.
 func (tc *testCluster) parkLoops() {
 	tc.t.Helper()
-	loops := func() int {
-		n := 0
-		for _, sd := range tc.shards {
-			if s := sd.srv; s != nil && s.ctx.Err() == nil {
-				n++
-				if r := s.repl; r != nil {
-					n += len(r.peers) + 1
-					if r.opts.AutoRebalance {
-						n++
-					}
-				}
-				s.storage.mu.Lock()
-				if s.storage.running {
-					n++
-				}
-				s.storage.mu.Unlock()
+	n := 0
+	for _, sd := range tc.shards {
+		if s := sd.srv; s != nil && s.ctx.Err() == nil {
+			n++
+			if r := s.repl; r != nil {
+				n += len(r.peers)
 			}
 		}
-		return n
 	}
-	// The prober stops itself at the end of the round that recovers the
-	// last topic, so the count is re-read whenever the wait stalls.
-	for deadline := time.Now().Add(eventuallyWithin); ; {
-		if n := loops(); tc.clock.WaitSleepers(n, 10*time.Millisecond) && n == loops() {
-			return
-		} else if time.Now().After(deadline) {
-			tc.t.Fatalf("the %d loops of the live shards never all parked", n)
-		}
+	if !tc.clock.WaitSleepers(n, eventuallyWithin) {
+		tc.t.Fatalf("the %d loops of the live shards never all parked", n)
 	}
 }
 
@@ -582,7 +562,7 @@ func TestMoveRequiresClusterMode(t *testing.T) {
 // replication: T does not hold the topic. A client following redirects from
 // either shard gets a retryable 503 handoff_pending within two hops, never a
 // redirect loop, and S's placement query counts the parked topic as held
-// at the tombstone's epoch; one tick later the resume loop has installed
+// at the tombstone's epoch; one tick later the resume step has installed
 // the topic on T, where every entry reaches it at the fencing epoch with
 // its batches.
 // Three shards (moved-on): the install had landed and T has moved the

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"sort"
-
 	"triclust"
 )
 
@@ -132,6 +130,5 @@ func (s *server) conformanceHealth(served []*topic) *conformanceHealth {
 		}
 		ch.Topics = append(ch.Topics, row)
 	}
-	sort.Slice(ch.Topics, func(i, j int) bool { return ch.Topics[i].Name < ch.Topics[j].Name })
 	return ch
 }

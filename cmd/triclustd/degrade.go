@@ -3,9 +3,7 @@ package main
 import (
 	"errors"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -95,9 +93,9 @@ const (
 // storageMonitor runs the disk-degraded state machine: it counts
 // durable-write failures per topic, degrades topics (and past a
 // threshold the shard) into read-only, probes the data directory with
-// real write+fsync cycles (the store's Probe) while anything is degraded,
-// and recovers topics with a proving compaction save once writes succeed
-// again. One monitor per server; nil when the server has no store
+// real write+fsync cycles (the store's Probe) on each tick while anything
+// is degraded, and recovers topics with a proving compaction save once
+// writes succeed again. One monitor per server; nil when the server has no store
 // (nothing durable can fail).
 type storageMonitor struct {
 	s *server
@@ -111,11 +109,6 @@ type storageMonitor struct {
 	// topics are degraded, cleared as recoveries bring the count back
 	// down.
 	readonly atomic.Bool
-
-	// running is set while the probe loop is live; the loop clears it
-	// when it stops itself.
-	mu      sync.Mutex
-	running bool
 }
 
 // retrySeconds is the Retry-After value for refused writes: the probe
@@ -149,7 +142,6 @@ func (m *storageMonitor) noteFailure(tp *topic, err error) {
 			m.s.logf("topic %q storage-degraded after %d consecutive durable-write failures: %v", tp.name, n, err)
 		}
 		m.recount()
-		m.ensureProber()
 	}
 }
 
@@ -183,44 +175,26 @@ func (m *storageMonitor) recount() int {
 	return n
 }
 
-// ensureProber starts the probe loop if it is not already running. The
-// loop stops itself once every topic admits writes again, so servers that
-// never degrade never run it.
-func (m *storageMonitor) ensureProber() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.running {
-		m.running = true
-		m.s.spawn(m.probeLoop)
+// probe is the tick's storage step. While any topic is impaired or the
+// shard switch is set, it probes the data directory with a real
+// write+fsync cycle; once writes work again it proves each impaired topic
+// back to health, then recounts the switch.
+func (m *storageMonitor) probe() {
+	if m == nil || len(m.impaired()) == 0 && !m.readonly.Load() {
+		return
 	}
-}
-
-func (m *storageMonitor) probeLoop() {
-	for m.s.sleep(m.s.ctx, m.s.probeEvery) {
-		m.probes.Add(1)
-		if err := m.s.store.Probe(); err != nil {
-			msg := "probe failed: " + err.Error()
-			m.lastProbe.Store(&msg)
-			continue
-		}
-		ok := "ok"
-		m.lastProbe.Store(&ok)
-		// Writes work again: walk the degraded topics and prove each one
-		// back to health with a real compaction save.
-		for _, tp := range m.impaired() {
-			m.recoverTopic(tp)
-		}
-		// Nothing left to watch: stop until the next degrade. The count is
-		// taken under m.mu, so a topic that degrades after it finds the
-		// loop stopped and starts the next one.
-		m.mu.Lock()
-		idle := m.recount() == 0
-		m.running = !idle
-		m.mu.Unlock()
-		if idle {
-			return
-		}
+	m.probes.Add(1)
+	if err := m.s.store.Probe(); err != nil {
+		msg := "probe failed: " + err.Error()
+		m.lastProbe.Store(&msg)
+		return
 	}
+	ok := "ok"
+	m.lastProbe.Store(&ok)
+	for _, tp := range m.impaired() {
+		m.recoverTopic(tp)
+	}
+	m.recount()
 }
 
 // recoverTopic brings one degraded topic back with a proving write: a
@@ -255,7 +229,8 @@ type storageHealth struct {
 	// Degraded lists the read-only topics.
 	Degraded []string `json:"degraded_topics,omitempty"`
 	// Failures counts durable-write failures since startup; Recoveries
-	// counts topics proven back to health; Probes counts write probes.
+	// counts topics proven back to health; Probes counts write probes: the
+	// ticks whose storage step ran, one probe each.
 	Failures   uint64 `json:"failures"`
 	Recoveries uint64 `json:"recoveries"`
 	Probes     uint64 `json:"probes"`
@@ -278,7 +253,6 @@ func (m *storageMonitor) health(served []*topic) *storageHealth {
 			h.Degraded = append(h.Degraded, tp.name)
 		}
 	}
-	sort.Strings(h.Degraded)
 	if len(h.Degraded) > 0 {
 		h.State = "degraded"
 	}

@@ -64,6 +64,7 @@ func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
 	script := fault.NewScript()
 	dir := t.TempDir()
 	s := serve(t, dir, serverOptions{journal: store.Options{Every: 100}, fs: script, probeEvery: 20 * time.Millisecond}, true)
+	s.start()
 	hs := front(t, s)
 	client := hs.Client()
 
@@ -148,6 +149,54 @@ func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
 	}
 }
 
+// TestShardSwitchClearsWithoutDegradedTopics: the shard-wide read-only
+// switch is the storage step's to clear even once no topic is degraded.
+// Two topics degrade on a full disk, which makes the shard read-only; both
+// are deleted and the disk is freed; one probe interval later the shard
+// reports ok storage and takes a create.
+func TestShardSwitchClearsWithoutDegradedTopics(t *testing.T) {
+	script := fault.NewScript()
+	clock := fault.NewClock()
+	s := serve(t, t.TempDir(), serverOptions{journal: store.Options{Every: 100}, fs: script, sleep: clock.Sleep}, true)
+	s.start()
+	names := []string{"switch-a", "switch-b"}
+	for _, name := range names {
+		if r := call(t, s, "POST", "/v1/topics", degradeCreateReq(name), nil); r.code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", name, r.code, r.ec)
+		}
+	}
+	script.SetBudget(0)
+	for _, name := range names {
+		if r := call(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1), nil); r.code != http.StatusServiceUnavailable || r.ec != codeStorageDegraded {
+			t.Fatalf("batch %s on a full disk: %d %s, want 503 %s", name, r.code, r.ec, codeStorageDegraded)
+		}
+	}
+	for _, name := range names {
+		if r := call(t, s, "DELETE", "/v1/topics/"+name, nil, nil); r.code != http.StatusNoContent {
+			t.Fatalf("delete %s: %d %s", name, r.code, r.ec)
+		}
+	}
+	script.SetBudget(-1)
+	storage := func() string {
+		var hr healthResponse
+		call(t, s, "GET", "/v1/healthz", nil, &hr)
+		return hr.Storage.State
+	}
+	if got := storage(); got != "readonly" {
+		t.Fatalf("storage %q with both degraded topics deleted, before a probe interval, want readonly", got)
+	}
+	if !clock.WaitSleepers(1, eventuallyWithin) {
+		t.Fatal("no loop parked on the clock")
+	}
+	clock.Advance(s.probeEvery)
+	if !eventually(func() bool { return storage() == "ok" }) {
+		t.Fatalf("storage %q one probe interval after the disk freed, want ok", storage())
+	}
+	if r := call(t, s, "POST", "/v1/topics", degradeCreateReq("switch-c"), nil); r.code != http.StatusCreated {
+		t.Fatalf("create after the switch cleared: %d %s, want 201", r.code, r.ec)
+	}
+}
+
 // TestRetryAfterRoundsUp: a storage refusal's Retry-After is the probe
 // interval in whole seconds rounded up, at least 1, so a client that
 // honours it never retries before the next write probe can have run.
@@ -191,6 +240,7 @@ func TestFailedAppendLeavesTopicUntouched(t *testing.T) {
 		t.Run(tc.label, func(t *testing.T) {
 			script := fault.NewScript(tc.rules...)
 			s := serve(t, t.TempDir(), serverOptions{journal: store.Options{Every: 100}, fs: script, probeEvery: 20 * time.Millisecond}, true)
+			s.start()
 			hs := front(t, s)
 			const name = "untouched"
 			topic := "/v1/topics/" + name
@@ -373,6 +423,7 @@ func TestJournalRecreateFailureDegrades(t *testing.T) {
 	script := fault.NewScript()
 	dir := t.TempDir()
 	s := serve(t, dir, serverOptions{journal: store.Options{Every: 2}, fs: script, probeEvery: 20 * time.Millisecond}, true)
+	s.start()
 	hs := front(t, s)
 	client := hs.Client()
 	url := hs.URL + "/v1/topics/" + name + "/batches"

@@ -186,7 +186,7 @@ func main() {
 	replFactor := flag.Int("replication-factor", 1,
 		"copies of every topic across the cluster: the primary plus N-1 cold replicas on ring successors (1: off)")
 	probeInterval := flag.Duration("probe-interval", time.Second,
-		"round of every background loop: peer failure-detector probes, replica resync and promotion, the -auto-rebalance check, the storage write probe while storage is degraded (also the Retry-After hint on refused writes) and parked hand-off resumes")
+		"round of the shard's two background loops: each peer's failure-detector probe, and the tick, whose steps run one after the other: the -auto-rebalance check, replica resync and promotion, parked hand-off resumes, the storage write probe while storage is degraded (also the Retry-After hint on refused writes)")
 	probeTimeout := flag.Duration("probe-timeout", 0,
 		"deadline for one failure-detector probe (0: the probe interval)")
 	probeFailures := flag.Int("probe-failures", 3,
@@ -274,9 +274,8 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logf("shutdown: %v", err)
 	}
-	// End the background lifetime (detector, reconcile loop, rebalancer,
-	// storage prober) before the final snapshot pass so nothing ships or
-	// promotes mid-exit.
+	// End the background lifetime (the detector's watches and the tick)
+	// before the final snapshot pass so nothing ships or promotes mid-exit.
 	handler.Close()
 	if err := handler.snapshotAll(); err != nil {
 		logf("final snapshot: %v", err)

@@ -9,15 +9,17 @@ package main
 // instance's shipping record and the ship itself. internal/cluster owns
 // the candidate sets, the election and the replica frame's epoch fence.
 // This file keeps what needs the server: the replica handlers, the
-// reconcile and rebalance loops, the startup check and the promotion's
-// durable step; peerClient is repl's Transport.
+// reconcile and rebalance steps of the shard's tick (server.tickLoop), the
+// startup check and the promotion's durable step; peerClient is repl's
+// Transport.
 //
 // Failure handling is layered on epoch fencing:
 //
-//   - the failure detector (cluster.Detector) probes every peer; on every
-//     -probe-interval tick, a cold replica whose source is down is promoted
-//     by its first live candidate at epoch+1, and its files are dropped
-//     only once the promoted topic is durable;
+//   - the failure detector (cluster.Detector) probes every peer, one watch
+//     goroutine each, apart from the tick; on every -probe-interval tick, a
+//     cold replica whose source is down is promoted by its first live
+//     candidate at epoch+1, and its files are dropped only once the
+//     promoted topic is durable;
 //   - a zombie primary discovers its demotion on its next ship: a follower
 //     answers 409 epoch_mismatch, and the zombie fences itself with a
 //     tombstone naming the new owner;
@@ -26,8 +28,8 @@ package main
 //
 // Shipping is semi-synchronous: the in-request ship succeeds, discovers a
 // zombie, or marks the follower out of sync. The shipping records are the
-// only to-do list: every -probe-interval the reconcile loop re-ships a full
-// base to each served topic with a live follower out of sync, then
+// only to-do list: every -probe-interval the tick's reconcile step re-ships
+// a full base to each served topic with a live follower out of sync, then
 // promotes, so convergence depends on recorded state, never on which
 // events arrived. A dead follower costs redundancy, never the write path.
 
@@ -76,19 +78,20 @@ type replAck struct {
 }
 
 // replicator holds one shard's replication machinery: the failure
-// detector and the loops that act on what it and each topic's shipping
-// record (internal/repl) say. Its goroutines — one probe loop per peer, the
-// reconcile loop, the optional rebalancer — run through server.spawn and
-// end with the server's context.
+// detector, whose per-peer watches run through server.spawn, and the tick
+// steps (server.tickLoop) that act on what it and each topic's shipping
+// record (internal/repl) say.
 type replicator struct {
 	s     *server
 	opts  replOptions
 	det   *cluster.Detector
 	peers []string // every ring peer but self: what det watches
 
-	// held is why the last promotion check kept each replica; the tick logs
-	// a reason only when it changes. Only the reconcile loop touches it.
+	// held is why the last promotion check kept each replica, and down the
+	// peers the last reconcile step saw declared down; the tick logs either
+	// only when it changes. Only the tick touches them.
 	held map[string]string
+	down []string
 }
 
 func newReplicator(s *server, m cluster.Membership, opts replOptions) *replicator {
@@ -111,57 +114,41 @@ func (r *replicator) probe(ctx context.Context, peer string) error {
 	return r.s.peers.call(ctx, peerCall{method: http.MethodGet, peer: peer, path: "/v1/healthz"}, nil)
 }
 
-// start launches the detector's probe loops, the reconcile loop, the
-// optional rebalancer, and the one-shot startup reconciliation.
-func (r *replicator) start() {
-	for _, p := range r.peers {
-		r.s.spawn(func() { r.det.Watch(r.s.ctx, p) })
-	}
-	r.s.spawn(r.reconcileLoop)
-	if r.opts.AutoRebalance {
-		r.s.spawn(r.rebalanceLoop)
-	}
-	r.s.spawn(r.reconcileStartup)
-}
-
-// reconcileLoop is the replicator's one reconciling tick, -probe-interval
-// after the last one ended: each served topic that NeedsResync gets a full
-// re-ship to the followers that fell behind, then each held replica whose
-// source is down is offered to maybePromote. Recorded state is the whole
-// to-do list, so an out-of-sync follower or an orphaned replica is retried
-// on every tick until it converges — whether or not another batch or peer
-// event ever arrives, and whatever order the verdicts arrived in.
-func (r *replicator) reconcileLoop() {
+// reconcile is the tick's reconcile step: each served topic that
+// NeedsResync gets a full re-ship to the followers that fell behind, then
+// each held replica whose source is down is offered to maybePromote, in
+// name order. Recorded state is the whole to-do list, so an out-of-sync
+// follower or an orphaned replica is retried on every tick until it
+// converges — whether or not another batch or peer event ever arrives, and
+// whatever order the verdicts arrived in.
+func (r *replicator) reconcile() {
 	s := r.s
-	var down []string
-	for s.sleep(s.ctx, s.probeEvery) {
-		if now := r.det.DownPeers(); !slices.Equal(now, down) {
-			s.logf("peers declared down: %v (was %v)", now, down)
-			down = now
+	if now := r.det.DownPeers(); !slices.Equal(now, r.down) {
+		s.logf("peers declared down: %v (was %v)", now, r.down)
+		r.down = now
+	}
+	for _, tp := range s.served() {
+		if s.ctx.Err() != nil {
+			return
 		}
-		for _, tp := range s.served() {
-			if s.ctx.Err() != nil {
-				return
-			}
-			if !tp.followers.NeedsResync(r.det) {
-				continue
-			}
-			tp.mu.Lock()
-			if s.admit(tp, opRead) == nil {
-				if e := s.replShip(tp, nil, true); e != nil {
-					s.logf("resync %q: %v", tp.name, e)
-				}
-			}
-			tp.mu.Unlock()
+		if !tp.followers.NeedsResync(r.det) {
+			continue
 		}
-		held := s.store.Replicas()
-		maps.DeleteFunc(r.held, func(name, _ string) bool { _, ok := held[name]; return !ok })
-		for name, meta := range held {
-			if s.ctx.Err() != nil {
-				return
+		tp.mu.Lock()
+		if s.admit(tp, opRead) == nil {
+			if e := s.replShip(tp, nil, true); e != nil {
+				s.logf("resync %q: %v", tp.name, e)
 			}
-			r.maybePromote(name, meta)
 		}
+		tp.mu.Unlock()
+	}
+	held := s.store.Replicas()
+	maps.DeleteFunc(r.held, func(name, _ string) bool { _, ok := held[name]; return !ok })
+	for _, name := range slices.Sorted(maps.Keys(held)) {
+		if s.ctx.Err() != nil {
+			return
+		}
+		r.maybePromote(name, held[name])
 	}
 }
 
@@ -389,12 +376,12 @@ func (r *replicator) hold(name, why string) {
 	}
 }
 
-// reconcileStartup checks, once per boot, whether any locally served
-// topic was promoted elsewhere while this shard was down (the restarted-
-// zombie case): if a candidate serves the topic at a higher epoch, the
-// local copy is fenced at once. It asks every candidate, because the topic
-// may now live outside this shard's follower set, where no ship of its
-// own would be refused.
+// reconcileStartup checks, once per boot and before the first tick,
+// whether any locally served topic was promoted elsewhere while this shard
+// was down (the restarted-zombie case): if a candidate serves the topic at
+// a higher epoch, the local copy is fenced at once. It asks every
+// candidate, because the topic may now live outside this shard's follower
+// set, where no ship of its own would be refused.
 func (r *replicator) reconcileStartup() {
 	s := r.s
 	for _, tp := range s.served() {
@@ -415,19 +402,12 @@ func (r *replicator) reconcileStartup() {
 
 // ——— rebalancer ———
 
-// rebalanceLoop converges this shard's held topics onto the ring,
-// -probe-interval after its last round ended: topics whose ring owner
-// is a different live peer are handed off through the ordinary move path.
-// Because placement is a consistent hash, the plan is exactly the minimal
-// remap for whatever peers died or returned — topics still mapping here
-// never move.
-func (r *replicator) rebalanceLoop() {
-	for r.s.sleep(r.s.ctx, r.s.probeEvery) {
-		r.rebalanceOnce()
-	}
-}
-
-func (r *replicator) rebalanceOnce() {
+// rebalance is the tick's first step with -auto-rebalance: it converges
+// this shard's held topics onto the ring, handing off through the ordinary
+// move path each topic whose ring owner is a different live peer. Because
+// placement is a consistent hash, the plan is exactly the minimal remap for
+// whatever peers died or returned — topics still mapping here never move.
+func (r *replicator) rebalance() {
 	s := r.s
 	var held []string
 	for _, tp := range s.served() {

@@ -140,7 +140,7 @@ func (tc *testCluster) awaitFollowersSynced(i int, names []string, ticks int) {
 // TestResyncConvergesIdleTopics: followers that missed the base ship of
 // more topics than a bounded queue would hold converge in the first
 // reconcile round after the transport heals, though no batch follows and
-// no peer changes state. The resync loop reads the recorded follower
+// no peer changes state. The tick's resync reads the recorded follower
 // state, so an idle topic is never dropped from it.
 func TestResyncConvergesIdleTopics(t *testing.T) {
 	if testing.Short() {

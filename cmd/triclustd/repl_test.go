@@ -218,14 +218,9 @@ func TestReplicaFrameSequence(t *testing.T) {
 	}
 }
 
-// lifetimeLoops are the daemon's background loops: the detector's probe
-// loop, the reconcile and rebalance loops, the storage prober and the
-// resume loop.
-var lifetimeLoops = []string{
-	"(*Detector).Watch(", "(*replicator).reconcileLoop(",
-	"(*replicator).rebalanceLoop(", "(*storageMonitor).probeLoop(",
-	"(*server).resumeLoop(",
-}
+// lifetimeLoops are the daemon's background loops: the detector's watch
+// of a peer and the shard's tick.
+var lifetimeLoops = []string{"(*Detector).Watch(", "(*server).tickLoop("}
 
 // stacks returns the stack of every live goroutine.
 func stacks() []string {
@@ -264,10 +259,12 @@ func lockWaiters(fns ...string) int {
 	return n
 }
 
-// TestCloseEndsOneLifetime: a replicated shard with a degraded topic runs
-// every background loop, each parked on a manual clock; one advance of the
-// one probe interval runs one round of each; when Close returns they have
-// all exited, spawn starts nothing any more, and a second Close is a no-op.
+// TestCloseEndsOneLifetime: a replicated shard with one peer runs two
+// background goroutines, the detector's watch of the peer and the tick,
+// each parked on a manual clock, before a topic degrades and after; one
+// advance of the one probe interval runs one round of each, the tick's
+// storage step included; when Close returns they have all exited, spawn
+// starts nothing any more, and a second Close is a no-op.
 func TestCloseEndsOneLifetime(t *testing.T) {
 	const self = "http://self.test:8547"
 	cc := selfAndPeer(t)
@@ -301,6 +298,19 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 	}, true)
 	before := loopCounts()
 	s.start()
+	// extra reports whether ok holds for each loop's goroutine count less
+	// its count before start.
+	extra := func(ok func(extra int) bool) bool {
+		now := loopCounts()
+		return !slices.ContainsFunc(lifetimeLoops, func(loop string) bool { return !ok(now[loop] - before[loop]) })
+	}
+	parked := func(when string) {
+		t.Helper()
+		if !clock.WaitSleepers(len(lifetimeLoops), eventuallyWithin) || !extra(func(n int) bool { return n == 1 }) {
+			t.Fatalf("loops running %s: %v (before start: %v), want one of each parked", when, loopCounts(), before)
+		}
+	}
+	parked("with healthy storage")
 
 	name := ""
 	for i := 0; name == ""; i++ {
@@ -311,30 +321,17 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 	if r := call(t, s, "POST", "/v1/topics", degradeCreateReq(name), nil); r.code != http.StatusCreated {
 		t.Fatalf("create: %d %s", r.code, r.ec)
 	}
-	// A full disk degrades the topic, which starts the storage prober; the
-	// disk stays full and the clock never moves, so each loop stays parked.
+	// A full disk degrades the topic, which starts no goroutine; the disk
+	// stays full and the clock never moves, so each loop stays parked.
 	script.SetBudget(0)
 	if r := call(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1), nil); r.code != http.StatusServiceUnavailable {
 		t.Fatalf("batch on a full disk: %d %s, want 503", r.code, r.ec)
 	}
-	if !clock.WaitSleepers(len(lifetimeLoops), eventuallyWithin) {
-		t.Fatalf("not every loop parked on the clock: %v (before start: %v)", loopCounts(), before)
-	}
-	// extra reports whether ok holds for each loop's goroutine count less
-	// its count before start.
-	extra := func(ok func(extra int) bool) bool {
-		now := loopCounts()
-		return !slices.ContainsFunc(lifetimeLoops, func(loop string) bool { return !ok(now[loop] - before[loop]) })
-	}
-	if !extra(func(n int) bool { return n == 1 }) {
-		t.Fatalf("loops running: %v (before start: %v)", loopCounts(), before)
-	}
+	parked("with a degraded topic")
 	// One advance of the probe interval wakes every loop once, the storage
-	// prober's failing probe included, and each parks again.
+	// step's failing probe included, and each parks again.
 	clock.Advance(s.probeEvery)
-	if !clock.WaitSleepers(len(lifetimeLoops), eventuallyWithin) {
-		t.Fatalf("not every loop parked again after one round: %v", loopCounts())
-	}
+	parked("after one round")
 	waitsMu.Lock()
 	for _, loop := range lifetimeLoops {
 		if waits[loop] != 2 {

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,7 +70,7 @@ type server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 	sleep  cluster.Sleep // serverOptions.sleep: every wait of the lifetime
-	// probeEvery is serverOptions.probeEvery, the round of every loop of
+	// probeEvery is serverOptions.probeEvery, the round of both loops of
 	// the lifetime and the Retry-After of a storage refusal; resuming holds
 	// the names a resume is driving (cluster.go).
 	probeEvery time.Duration
@@ -130,8 +129,7 @@ type serverOptions struct {
 	// points and degraded mode.
 	fs fault.FS
 	// probeEvery is the -probe-interval (≤ 0: 1s), the one round of every
-	// background loop: the failure detector's probes, the reconcile and
-	// rebalance loops, the storage write probe and the resume loop.
+	// background loop: the failure detector's probes and the tick.
 	probeEvery time.Duration
 	// sleep is every wait of the loops and retries (nil: cluster.WallSleep);
 	// tests inject a fault.Clock's to step the loops a round at a time.
@@ -242,17 +240,42 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 	return s, nil
 }
 
-// start launches the server's background machinery — the failure
-// detector's probe loops, the reconcile loop, the optional rebalancer and,
-// in cluster mode with a data directory, the resume loop.
-// Kept out of newServer so construction stays side-effect-free (tests that
-// never exercise replication need no goroutines).
+// start launches the server's background lifetime: with replication, the
+// failure detector's watch of each peer; and tickLoop, the shard's one
+// tick. Kept out of newServer so construction stays side-effect-free.
 func (s *server) start() {
-	if s.repl != nil {
-		s.repl.start()
+	if r := s.repl; r != nil {
+		for _, p := range r.peers {
+			s.spawn(func() { r.det.Watch(s.ctx, p) })
+		}
 	}
-	if s.table.Ring != nil && s.store != nil {
-		s.spawn(s.resumeLoop)
+	s.spawn(s.tickLoop)
+}
+
+// tickLoop is the shard's one tick. A replicated shard first runs its
+// start-up check; then every -probe-interval, after the last tick ended,
+// the steps run one after the other, in this order: rebalance (with
+// -auto-rebalance), reconcile (resync, then promotion), the resume of
+// parked hand-offs (cluster mode with a data directory), and the storage
+// step. A slow step delays the ones after it, never overlaps them; the
+// detector's watches run apart, so a liveness verdict never waits on a
+// step.
+func (s *server) tickLoop() {
+	r := s.repl
+	if r != nil {
+		r.reconcileStartup()
+	}
+	for s.sleep(s.ctx, s.probeEvery) {
+		if r != nil {
+			if r.opts.AutoRebalance {
+				r.rebalance()
+			}
+			r.reconcile()
+		}
+		if s.table.Ring != nil && s.store != nil {
+			s.resumeParked()
+		}
+		s.storage.probe()
 	}
 }
 
@@ -358,7 +381,6 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) *apiError {
 		Conformance: s.conformanceHealth(served),
 	}
 	if len(degraded) > 0 {
-		sort.Strings(degraded)
 		resp.Status = "degraded"
 		resp.Degraded = degraded
 	}
@@ -619,7 +641,7 @@ func (s *server) install(w http.ResponseWriter, name string, tr *triclust.Topic,
 	if e == nil {
 		// Seed the topic's followers with its base snapshot before the 201:
 		// a replicated topic's creation ack implies RF copies exist (or a
-		// follower recorded out of sync, for the reconcile loop). Only a
+		// follower recorded out of sync, for the tick's resync). Only a
 		// fencing verdict fails the request — this shard learned it does
 		// not own the name after all.
 		e = s.replShip(tp, nil, false)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -321,6 +322,29 @@ func TestTwoTopicsConcurrently(t *testing.T) {
 	}
 	if len(all) != 2 {
 		t.Fatalf("list has %d topics", len(all))
+	}
+}
+
+// TestTopicsListInNameOrder: GET /v1/topics lists the served topics in
+// name order, whatever order they were created in, and two identical
+// requests answer the same list.
+func TestTopicsListInNameOrder(t *testing.T) {
+	s := serve(t, "", serverOptions{}, false)
+	names := []string{"delta", "alpha", "golf", "echo", "charlie", "hotel", "bravo", "foxtrot"}
+	for _, name := range names {
+		call(t, s, "POST", "/v1/topics", degradeCreateReq(name), nil)
+	}
+	slices.Sort(names)
+	for range 2 {
+		var all []topicSummary
+		call(t, s, "GET", "/v1/topics", nil, &all)
+		var got []string
+		for _, sum := range all {
+			got = append(got, sum.Name)
+		}
+		if !slices.Equal(got, names) {
+			t.Fatalf("listed %v, want %v", got, names)
+		}
 	}
 }
 

@@ -9,13 +9,14 @@ package main
 // topic's batch, move and reads, crashes and reboots, a zombie (front gone,
 // server running, a stale client writing to it), one permanent kill,
 // partitions, held probes, dropped requests, lost install and replica acks,
-// blind placement queries, ENOSPC on and off, ticks. A seed draws its events
-// (seed=N); a schedule is a named list of them (schedule=name). Each event
-// completes and the loops park before the next; requests are served in
-// process, and a tick wakes the loops one at a time in a fixed order
-// (cluster_test.go), so a run fixes every interleaving and replays. The race
-// leg (race_on_test.go) runs each tick's loops and the race's requests at
-// once instead, so that -race sees them overlap. The oracle holds every
+// blind placement queries, hand-off PUTs that lose their answers, ENOSPC on
+// and off, ticks. A seed draws its events (seed=N); a schedule is a named
+// list of them (schedule=name). Each event completes and the loops park
+// before the next; requests are served in process, and a tick wakes each
+// shard's tick and watches one at a time in a fixed order (cluster_test.go),
+// so a run fixes every interleaving and replays. The race leg
+// (race_on_test.go) runs each tick's loops and the race's requests at once
+// instead, so that -race sees them overlap. The oracle holds every
 // topic to a control fed exactly the batches the cluster acked: at
 // quiescence exactly one shard serves each created topic and every entry
 // shard reaches it with the control's bytes (epoch aligned); every 200 read
@@ -39,6 +40,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,10 +77,14 @@ func TestClusterSim(t *testing.T) {
 	}
 }
 
-// runSims runs seeds from … to as subtests seed=N.
+// runSims runs seeds from … to as subtests seed=N. Each passing seed logs
+// the digest of its outcome, so two builds compare seed by seed
+// (scripts/simwide-gate.sh collects them from the wide run).
 func runSims(t *testing.T, from, to int64) {
 	for seed := from; seed <= to; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runSim(t, seed) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Logf("outcome sha256 %x", sha256.Sum256([]byte(runSim(t, seed).outcome())))
+		})
 	}
 }
 
@@ -176,7 +182,7 @@ func simulate(t *testing.T, replay string, seed int64, drive func(*sim)) *sim {
 		tc.shards[i].transport = &simLink{net: s.net, from: i}
 		tc.useFS(i, s.scripts[i])
 	}
-	s.awaitStartup()
+	tc.parkLoops()
 	for i := range simTopics {
 		req := harnessCreateReq(i)
 		s.topics = append(s.topics, &simTopic{idx: i, name: req.Name, ctl: controlTopic(t, req), seen: map[uint64]int{}})
@@ -223,15 +229,14 @@ func (s *sim) events(tail bool) []string {
 func (s *sim) outcome() string {
 	out := s.events(false)
 	for i, sd := range s.tc.shards {
-		var served []string
+		if i == s.dead {
+			continue
+		}
 		for _, tp := range sd.srv.served() {
 			var snap bytes.Buffer
 			_ = tp.eng.Snapshot(&snap)
 			b, d := tp.eng.StreamPos()
-			served = append(served, fmt.Sprintf("shard %d serves %s at %d batches, %d draws, epoch %d: %x", i, tp.name, b, d, tp.eng.Epoch(), snap.Bytes()))
-		}
-		if i != s.dead {
-			out = append(out, slices.Sorted(slices.Values(served))...)
+			out = append(out, fmt.Sprintf("shard %d serves %s at %d batches, %d draws, epoch %d: %x", i, tp.name, b, d, tp.eng.Epoch(), snap.Bytes()))
 		}
 	}
 	return strings.Join(out, "\n")
@@ -398,6 +403,40 @@ var simSchedules = []struct {
 		s.batch(tp, a, false)
 		for kind := range simReads {
 			s.read(tp, a, kind, 0)
+		}
+	}},
+	// A hand-off lands on T, but the source S parks it; T moves the topic
+	// on toward U and parks that hand-off too. A move at S naming U asks
+	// the recorded target T first, which holds the topic parked at a later
+	// epoch: the hand-off landed there, so S drops its copy and redirects
+	// the move to T, which resumes its own hand-off onto U.
+	{"recorded-target-parked", func(s *sim) {
+		tp := s.topics[1]
+		src, t, u := s.start(tp, 3)
+		s.arm("blind the placement queries of shard %d", src, &s.net.blind)
+		s.expect(s.move(tp, src, t, true), http.StatusBadGateway, codeMoveFailed)
+		s.arm("drop the next peer request of shard %d", t, &s.net.drop)
+		s.arm("blind the placement queries of shard %d", t, &s.net.blind)
+		s.expect(s.move(tp, t, u, false), http.StatusBadGateway, codeMoveFailed)
+		if a := s.move(tp, src, u, false); a.code != http.StatusOK || a.at != s.tc.url(t) {
+			s.fail("the schedule reached %s at %s, not 200 at shard %d", a, a.at, t)
+		}
+	}},
+	// A hand-off lands on T, but the source S parks it; T moves the topic
+	// on toward U, which is down, and parks that hand-off. On the next tick
+	// S resumes toward T, which no longer answers the install: S asks T,
+	// which holds the topic parked at a later epoch, and S drops its copy.
+	{"install-target-parked", func(s *sim) {
+		tp := s.topics[2]
+		src, t, u := s.start(tp, 3)
+		s.kill(u, false, false)
+		s.arm("blind the placement queries of shard %d", src, &s.net.blind)
+		s.expect(s.move(tp, src, t, true), http.StatusBadGateway, codeMoveFailed)
+		s.expect(s.move(tp, t, u, false), http.StatusBadGateway, codeMoveFailed)
+		s.arm("lose the answer to every hand-off PUT of shard %d", src, &s.net.mute)
+		s.tick()
+		if p := s.tc.shards[src].srv.table.Parked(); len(p) > 0 {
+			s.fail("shard %d still holds %v parked after the tick", src, p)
 		}
 	}},
 }
@@ -757,22 +796,7 @@ func (s *sim) reboot() {
 	}
 	s.tc.boot(i)
 	s.down = -1
-	s.awaitStartup()
 	done("up")
-}
-
-// awaitStartup waits until the start-up check of every booted shard, which
-// asks the candidates about every served topic, has ended: every goroutine
-// a server spawned is then one of its loops. A check left running would
-// fence a topic at whatever later event it reached.
-func (s *sim) awaitStartup() {
-	if !eventually(func() bool {
-		return !slices.ContainsFunc(stacks(), func(g string) bool {
-			return strings.Contains(g, "(*server).spawn.func") && !strings.Contains(g, "Loop(") && !strings.Contains(g, "(*Detector).Watch(")
-		})
-	}) {
-		s.fail("a start-up check never ended")
-	}
 }
 
 func (s *sim) enospc(i int, full bool) {
@@ -968,12 +992,12 @@ func (s *sim) judge(a reply) {
 // ——— the fault network ———
 
 // simNet is the fault network every shard's peer client rides, one simLink
-// per shard, over the harness's in-process network. drop, lose, shipLost
-// and blind (every placement query fails) name the shard each is armed
-// for, plus one (0: unarmed, simShards+1: any), and hold the pair
-// from*simShards+to, plus one: the
-// probe loops of one shard wake in no fixed order among themselves, so a
-// fault they could race for names its target. carry keeps them armed for
+// per shard, over the harness's in-process network. drop, lose, shipLost,
+// blind (every placement query fails) and mute (every hand-off PUT lands,
+// but its answer is lost) name the shard each is armed for, plus one (0:
+// unarmed, simShards+1: any), and hold the pair from*simShards+to, plus
+// one: the probe loops of one shard wake in no fixed order among
+// themselves, so a fault they could race for names its target. carry keeps them armed for
 // the next event.
 // cut is the partitioned pair (from*simShards+to, plus one), cut for
 // cutLeft more ticks; a new cut waits until the last has been healed for a
@@ -983,9 +1007,9 @@ type simNet struct {
 	tc    *testCluster
 	every time.Duration
 
-	drop, lose, shipLost, blind, hold, cut atomic.Int32
-	carry                                  bool
-	cutLeft, healed                        int
+	drop, lose, shipLost, blind, mute, hold, cut atomic.Int32
+	carry                                        bool
+	cutLeft, healed                              int
 }
 
 func (n *simNet) arm(fault *atomic.Int32, i int, carry bool) {
@@ -994,7 +1018,7 @@ func (n *simNet) arm(fault *atomic.Int32, i int, carry bool) {
 }
 
 func (n *simNet) disarm() {
-	for _, f := range []*atomic.Int32{&n.drop, &n.lose, &n.shipLost, &n.blind, &n.hold} {
+	for _, f := range []*atomic.Int32{&n.drop, &n.lose, &n.shipLost, &n.blind, &n.mute, &n.hold} {
 		if !n.carry {
 			f.Store(0)
 		}
@@ -1063,7 +1087,8 @@ func (l *simLink) RoundTrip(req *http.Request) (*http.Response, error) {
 		!n.tc.clock.SleepAs(req.Context(), n.every, fmt.Sprint(l.from, " held probe")):
 		return nil, req.Context().Err()
 	}
-	lose := take(&n.lose, req.Header.Get(handoffHeader) != "") || take(&n.shipLost, strings.HasPrefix(req.URL.Path, "/v1/replica/"))
+	handoff := req.Header.Get(handoffHeader) != ""
+	lose := take(&n.lose, handoff) || handoff && n.mute.Load() == int32(l.from+1) || take(&n.shipLost, strings.HasPrefix(req.URL.Path, "/v1/replica/"))
 	resp, err := n.tc.RoundTrip(req)
 	if err == nil && lose {
 		resp.Body.Close()

@@ -22,7 +22,8 @@ import (
 
 // Ship's retry budgets per follower: the request path holds the topic lock
 // with a client waiting, so a hung peer stalls its writers for about one
-// ship timeout; the reconcile loop's resync has no client waiting.
+// ship timeout; the daemon's resync, a step of its tick, has no client
+// waiting.
 const requestAttempts, resyncAttempts = 2, 8
 
 // Followers is the shipping record of one topic instance: its followers in
@@ -109,7 +110,7 @@ func (r *Refusal) Error() string { return r.Err.Error() }
 
 // Round is one ship of a topic at its epoch and stream position: Frame, the
 // just-appended journal frame, or if nil the full snapshot Snapshot writes.
-// Async is the reconcile loop's: it skips synced followers.
+// Async is the resync's: it skips synced followers.
 type Round struct {
 	Topic, Source string
 	Epoch         uint64
@@ -139,7 +140,7 @@ func (f *Fence) Tombstone() cluster.Tombstone {
 // Ship replicates a topic's latest state to the followers f lists, writing
 // the snapshot at most once. An incremental frame refused as out of sync is
 // retried once in full; any other failure marks the follower out of sync for
-// the reconcile loop. A follower at a higher epoch ends the ship with its
+// the daemon's resync. A follower at a higher epoch ends the ship with its
 // Fence, a snapshot that cannot be written with its error.
 func Ship(ctx context.Context, f *Followers, r Round, t Transport) (*Fence, error) {
 	attempts := requestAttempts

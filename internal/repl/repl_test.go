@@ -257,7 +257,7 @@ func TestShipBuildsTheSnapshotOnce(t *testing.T) {
 	}
 }
 
-// TestRecordReadsBesideShips: healthz and the reconcile loop read a record
+// TestRecordReadsBesideShips: healthz and the resync read a record
 // while a ship under the topic's lock writes it; run under -race.
 func TestRecordReadsBesideShips(t *testing.T) {
 	fx := newFixture(t, 3)

@@ -12,9 +12,17 @@
 #
 #   go test -tags simwide -run 'TestClusterSimWide/^seed=N$' ./cmd/triclustd/
 #
-# Usage (≈1 min on two cores; fsync dominates, so TMPDIR=/dev/shm helps):
-#   scripts/simwide-gate.sh
+# Each passing seed logs the sha256 of its outcome (its events, what the
+# shards logged during each, and the topics served at the end); given an
+# output path (relative to the repository root), the script writes them
+# there as "seed digest" lines, so two builds compare seed by seed (diff the
+# two files). The digests do not enter the verdict.
+#
+# Usage (≈25 s on two cores; fsync dominates, so TMPDIR=/dev/shm helps):
+#   scripts/simwide-gate.sh [digests.txt]
 set -euo pipefail
+
+DIGESTS=${1:-}
 
 KNOWN="263 412 430 561 750 961 962 963"
 SEEDS=1000
@@ -31,6 +39,11 @@ seeds() {
 		| .Test | ltrimstr("TestClusterSimWide/seed=")' "$out" | sort -n
 }
 failed=$(seeds fail)
+if [ -n "$DIGESTS" ]; then
+	jq -rR 'fromjson? | select(.Action == "output" and ((.Test // "") | test("^TestClusterSimWide/seed=[0-9]+$")))
+		| (.Output | capture("outcome sha256 (?<d>[0-9a-f]{64})")) as $m
+		| "\(.Test | ltrimstr("TestClusterSimWide/seed=")) \($m.d)"' "$out" | sort -n >"$DIGESTS"
+fi
 passed=$(seeds pass)
 ran=$(printf '%s\n%s\n' "$failed" "$passed" | grep -c .) || true
 
