@@ -220,7 +220,7 @@ func TestRestoreUnsupportedSnapshotVersion(t *testing.T) {
 	client := srv.Client()
 	jtCreate(t, client, srv.URL)
 	jtFeed(t, client, srv.URL, 0, 2)
-	r := call(t, client, "GET", srv.URL+jtSnapshot, nil, nil)
+	r := call(t, client, "GET", srv.URL+"/v1/topics/"+journalTopicName+"/snapshot", nil, nil)
 	if r.code != http.StatusOK {
 		t.Fatalf("snapshot: status %d", r.code)
 	}
@@ -248,7 +248,7 @@ func TestPersistenceFailureStorageError(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	r := call(t, client, "POST", srv.URL+"/v1/topics", jtCreateReq(), nil)
+	r := call(t, client, "POST", srv.URL+"/v1/topics", jtCreateReq(journalTopicName), nil)
 	if r.code != http.StatusInternalServerError || r.ec != codeStorage {
 		t.Fatalf("create without storage: %d %q, want 500 %q", r.code, r.ec, codeStorage)
 	}

@@ -14,23 +14,19 @@ import (
 	"triclust/internal/store"
 )
 
-// journalTopicName is the fixed topic every journal test drives; jtSnapshot
-// is the path of its snapshot.
-const (
-	journalTopicName = "jtopic"
-	jtSnapshot       = "/v1/topics/" + journalTopicName + "/snapshot"
-)
+// journalTopicName is the fixed topic every journal test drives.
+const journalTopicName = "jtopic"
 
-// jtCreateReq returns a deterministic create request over a small user
-// universe with a low iteration budget (the tests measure persistence,
-// not solver quality).
-func jtCreateReq() createTopicRequest {
+// jtCreateReq returns a deterministic create request for topic name over a
+// small user universe with a low iteration budget (the tests measure
+// persistence, not solver quality).
+func jtCreateReq(name string) createTopicRequest {
 	users := make([]string, 12)
 	for i := range users {
 		users[i] = fmt.Sprintf("user%02d", i)
 	}
 	return createTopicRequest{
-		Name:    journalTopicName,
+		Name:    name,
 		Users:   users,
 		Options: topicOptions{MaxIter: 4, Seed: 7, MinDF: 1},
 	}
@@ -59,7 +55,7 @@ func jtBatch(day int) batchRequest {
 
 func jtCreate(t *testing.T, client *http.Client, url string) {
 	t.Helper()
-	if r := call(t, client, "POST", url+"/v1/topics", jtCreateReq(), nil); r.code != http.StatusCreated {
+	if r := call(t, client, "POST", url+"/v1/topics", jtCreateReq(journalTopicName), nil); r.code != http.StatusCreated {
 		t.Fatalf("create: status %d", r.code)
 	}
 }
@@ -71,91 +67,6 @@ func jtFeed(t *testing.T, client *http.Client, url string, from, to int) {
 		if r := call(t, client, "POST", url+"/v1/topics/"+journalTopicName+"/batches", jtBatch(day), &resp); r.code != http.StatusOK || resp.Skipped {
 			t.Fatalf("batch %d: status %d, skipped %v", day, r.code, resp.Skipped)
 		}
-	}
-}
-
-// TestDaemonJournalCrashRecoveryBitIdentical is the end-to-end crash
-// drill: a daemon journaling its batches is killed mid-append (torn
-// final record), restarted, and fed the remainder of the stream. The
-// recovered daemon's final snapshot must be byte-identical to that of a
-// daemon that processed the whole stream uninterrupted — replay drift
-// zero, not just within tolerance.
-func TestDaemonJournalCrashRecoveryBitIdentical(t *testing.T) {
-	const crashAt, total = 10, 14
-	opts := store.Options{Every: 1 << 20, MaxBytes: 1 << 40} // no compaction during the test
-
-	// Reference: the uninterrupted stream.
-	refSrv := front(t, serve(t, t.TempDir(), serverOptions{journal: opts}, false))
-	jtCreate(t, refSrv.Client(), refSrv.URL)
-	jtFeed(t, refSrv.Client(), refSrv.URL, 0, total)
-	want := call(t, refSrv.Client(), "GET", refSrv.URL+jtSnapshot, nil, nil)
-
-	// Crash run: process through crashAt, then die mid-append.
-	dir := t.TempDir()
-	srvA := front(t, serve(t, dir, serverOptions{journal: opts}, false))
-	jtCreate(t, srvA.Client(), srvA.URL)
-	jtFeed(t, srvA.Client(), srvA.URL, 0, crashAt)
-	srvA.Close()
-
-	// Tear the final record as a crash between write and ack would:
-	// batch crashAt-1 is acknowledged and intact, then a partial frame of
-	// the never-acknowledged next batch lands in the file.
-	jp := filepath.Join(dir, journalTopicName+".journal")
-	info, err := os.Stat(jp)
-	if err != nil {
-		t.Fatalf("journal stat: %v", err)
-	}
-	f, err := os.OpenFile(jp, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{1, 0xFF, 0x03, 0, 0, 'p', 'a', 'r'}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// Restart: the torn tail is truncated, the intact records replayed.
-	srvB := front(t, serve(t, dir, serverOptions{journal: opts}, false))
-	var sum topicSummary
-	if r := call(t, srvB.Client(), "GET", srvB.URL+"/v1/topics/"+journalTopicName, nil, &sum); r.code != http.StatusOK || sum.Batches != crashAt {
-		t.Fatalf("status %d: recovered %d batches, want %d (journal was %d bytes before tear)",
-			r.code, sum.Batches, crashAt, info.Size())
-	}
-
-	// The stream resumes where the acknowledged prefix ended.
-	jtFeed(t, srvB.Client(), srvB.URL, crashAt, total)
-	got := call(t, srvB.Client(), "GET", srvB.URL+jtSnapshot, nil, nil)
-	if got.code != http.StatusOK || want.code != http.StatusOK || !bytes.Equal(got.body, want.body) {
-		t.Fatalf("recovered stream diverged: snapshot %d bytes vs %d (status %d, %d)", len(got.body), len(want.body), got.code, want.code)
-	}
-}
-
-// TestDaemonJournalRestartWithoutTear is the plain restart drill: stop
-// after an acknowledged batch, restart, finish the stream, and compare
-// snapshots byte-for-byte with an uninterrupted run.
-func TestDaemonJournalRestartWithoutTear(t *testing.T) {
-	const stopAt, total = 5, 9
-	opts := store.Options{Every: 3, MaxBytes: 1 << 40} // compaction mid-stream too
-
-	refSrv := front(t, serve(t, t.TempDir(), serverOptions{journal: opts}, false))
-	jtCreate(t, refSrv.Client(), refSrv.URL)
-	jtFeed(t, refSrv.Client(), refSrv.URL, 0, total)
-	want := call(t, refSrv.Client(), "GET", refSrv.URL+jtSnapshot, nil, nil)
-
-	dir := t.TempDir()
-	srvA := front(t, serve(t, dir, serverOptions{journal: opts}, false))
-	jtCreate(t, srvA.Client(), srvA.URL)
-	jtFeed(t, srvA.Client(), srvA.URL, 0, stopAt)
-	srvA.Close()
-
-	srvB := front(t, serve(t, dir, serverOptions{journal: opts}, false))
-	var sum topicSummary
-	if r := call(t, srvB.Client(), "GET", srvB.URL+"/v1/topics/"+journalTopicName, nil, &sum); r.code != http.StatusOK || sum.Batches != stopAt {
-		t.Fatalf("status %d: recovered %d batches, want %d", r.code, sum.Batches, stopAt)
-	}
-	jtFeed(t, srvB.Client(), srvB.URL, stopAt, total)
-	if got := call(t, srvB.Client(), "GET", srvB.URL+jtSnapshot, nil, nil); got.code != http.StatusOK || want.code != http.StatusOK || !bytes.Equal(got.body, want.body) {
-		t.Fatalf("restarted stream's snapshot differs from the uninterrupted run (status %d, %d)", got.code, want.code)
 	}
 }
 

@@ -331,10 +331,10 @@ func TestNoReadSeesABatchBeforeItsFsync(t *testing.T) {
 			const name = "inflight"
 			users0 := "/v1/topics/" + name + "/users/0"
 			etag := func() string { return call(t, s, "GET", users0, nil, nil).etag }
-			if rec := call(t, s, "POST", "/v1/topics", degradeCreateReq(name), nil); rec.code != http.StatusCreated {
+			if rec := call(t, s, "POST", "/v1/topics", jtCreateReq(name), nil); rec.code != http.StatusCreated {
 				t.Fatalf("create: %d %s", rec.code, rec.body)
 			}
-			if rec := call(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1), nil); rec.code != http.StatusOK {
+			if rec := call(t, s, "POST", "/v1/topics/"+name+"/batches", jtBatch(1), nil); rec.code != http.StatusOK {
 				t.Fatalf("batch 1: %d %s", rec.code, rec.body)
 			}
 			pre, want := etag(), http.StatusOK
@@ -344,7 +344,7 @@ func TestNoReadSeesABatchBeforeItsFsync(t *testing.T) {
 			}
 			inflight := ""
 			fs.read = func() { inflight = etag() }
-			rec := call(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(2), nil)
+			rec := call(t, s, "POST", "/v1/topics/"+name+"/batches", jtBatch(2), nil)
 			fs.read = nil
 			if rec.code != want {
 				t.Fatalf("batch 2: %d %s, want %d", rec.code, rec.body, want)

@@ -154,7 +154,7 @@ func TestResyncConvergesIdleTopics(t *testing.T) {
 	}, true)
 	names := tc.ownedBy(0, 320)
 	for _, name := range names {
-		tc.retryJSON("POST", tc.url(0)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
+		tc.retryJSON("POST", tc.url(0)+"/v1/topics", jtCreateReq(name), nil, http.StatusCreated)
 	}
 	gate.open.Store(true)
 	tc.awaitFollowersSynced(0, names, 1)
@@ -179,9 +179,9 @@ func (tc *testCluster) useFS(i int, fs fault.FS) {
 // waits until every follower holds all three.
 func (tc *testCluster) failoverTopic(p int, name string) {
 	tc.t.Helper()
-	tc.retryJSON("POST", tc.url(p)+"/v1/topics", degradeCreateReq(name), nil, http.StatusCreated)
+	tc.retryJSON("POST", tc.url(p)+"/v1/topics", jtCreateReq(name), nil, http.StatusCreated)
 	for day := 1; day <= 3; day++ {
-		tc.retryJSON("POST", tc.url(p)+"/v1/topics/"+name+"/batches", degradeBatch(day), nil, http.StatusOK)
+		tc.retryJSON("POST", tc.url(p)+"/v1/topics/"+name+"/batches", jtBatch(day), nil, http.StatusOK)
 	}
 	tc.awaitFollowersSynced(p, []string{name}, 40)
 }

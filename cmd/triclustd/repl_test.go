@@ -318,13 +318,13 @@ func TestCloseEndsOneLifetime(t *testing.T) {
 			name = n
 		}
 	}
-	if r := call(t, s, "POST", "/v1/topics", degradeCreateReq(name), nil); r.code != http.StatusCreated {
+	if r := call(t, s, "POST", "/v1/topics", jtCreateReq(name), nil); r.code != http.StatusCreated {
 		t.Fatalf("create: %d %s", r.code, r.ec)
 	}
 	// A full disk degrades the topic, which starts no goroutine; the disk
 	// stays full and the clock never moves, so each loop stays parked.
 	script.SetBudget(0)
-	if r := call(t, s, "POST", "/v1/topics/"+name+"/batches", degradeBatch(1), nil); r.code != http.StatusServiceUnavailable {
+	if r := call(t, s, "POST", "/v1/topics/"+name+"/batches", jtBatch(1), nil); r.code != http.StatusServiceUnavailable {
 		t.Fatalf("batch on a full disk: %d %s, want 503", r.code, r.ec)
 	}
 	parked("with a degraded topic")

@@ -87,7 +87,7 @@ func TestVersion1DataDir(t *testing.T) {
 		t.Fatalf("a second start quarantined %d more files", n)
 	}
 	assertQuarantined(t, dir, v1Files...)
-	if rec := call(t, s, "POST", "/v1/topics", degradeCreateReq("p2"), nil); rec.code != http.StatusCreated {
+	if rec := call(t, s, "POST", "/v1/topics", jtCreateReq("p2"), nil); rec.code != http.StatusCreated {
 		t.Fatalf("re-create of the quarantined name: %d %s", rec.code, rec.body)
 	}
 	assertQuarantined(t, dir, v1Files[2:]...)

@@ -119,7 +119,7 @@ func Open(dir string, opts Options, fsys fault.FS, logf func(format string, args
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("create data dir: %w", err)
 	}
-	return &Store{dir: dir, opts: opts.withDefaults(), fs: fsys, logf: logf,
+	return &Store{dir: dir, opts: opts.withDefaults(), fs: readMarked{fsys}, logf: logf,
 		locks: make(map[string]*nameLock), replicas: make(map[string]*replica)}, nil
 }
 
@@ -207,6 +207,35 @@ func (st *Store) readJSON(site, file string, v any) error {
 	return json.Unmarshal(data, v)
 }
 
+// readFailure is a file the store could not read, as opposed to one whose
+// bytes do not decode: the disk failed, not the data, so the file may hold
+// acked batches that skipping or quarantining it would give up.
+type readFailure struct {
+	file string
+	err  error
+}
+
+func (e *readFailure) Error() string { return fmt.Sprintf("read %s: %v", e.file, e.err) }
+func (e *readFailure) Unwrap() error { return e.err }
+
+// unreadable reports whether err is, or wraps, a readFailure.
+func unreadable(err error) bool {
+	var rf *readFailure
+	return errors.As(err, &rf)
+}
+
+// readMarked is the store's view of its fault.FS: a read that fails, but
+// for a missing file, fails as a readFailure.
+type readMarked struct{ fault.FS }
+
+func (m readMarked) ReadFile(site, name string) ([]byte, error) {
+	data, err := m.FS.ReadFile(site, name)
+	if err != nil && !os.IsNotExist(err) {
+		err = &readFailure{filepath.Base(name), err}
+	}
+	return data, err
+}
+
 // syncDir makes renames and newly created journal files durable.
 func (st *Store) syncDir() error {
 	return st.fs.SyncDir("persist.dir.sync", st.dir)
@@ -257,6 +286,10 @@ type Found struct {
 // file by suffix. A file that cannot be served — invalid name, undecodable
 // snapshot, inconsistent replica, damaged tombstone — is counted and
 // skipped: it must not keep the daemon from serving the healthy topics.
+// A file that cannot be read is not one of those: its bytes may be
+// intact, and skipping it would serve a topic without its journal, a
+// parked hand-off unfenced, or free a name whose re-create overwrites it.
+// The scan stops there, renames nothing, and its error names the file.
 // Orphaned temp files (a crash between create and rename) are deleted:
 // startup is single-threaded, so no writer can own one, and each is an
 // O(state) leak feeding the ENOSPC that may have caused it. Replicas are
@@ -294,7 +327,7 @@ func (st *Store) Scan(withReplicas bool) (Found, error) {
 			// A journal is read with the file it extends. One found alone
 			// is read for its version: a crash in the quarantine below can
 			// leave a refused journal so, where a re-create would truncate it.
-			if _, err = journal.Load(st.fs, st.path(file)); !errors.Is(err, journal.ErrVersion) {
+			if _, err = journal.Load(st.fs, st.path(file)); !errors.Is(err, journal.ErrVersion) && !unreadable(err) {
 				err = nil
 			}
 		case ext == extMoved:
@@ -302,6 +335,8 @@ func (st *Store) Scan(withReplicas bool) (Found, error) {
 		}
 		switch {
 		case err == nil:
+		case unreadable(err):
+			return f, err
 		case errors.Is(err, codec.ErrVersion), errors.Is(err, journal.ErrVersion):
 			// A snapshot or journal of another format version is intact
 			// data this build cannot replay, not corruption, and a snapshot

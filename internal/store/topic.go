@@ -59,8 +59,9 @@ func revive(snap []byte, recs []*journal.Record) (tp *triclust.Topic, tailErr, e
 // divergence — resolves to "serve the snapshot alone": that is exactly
 // the state the journal's acked batches extended, minus records that can
 // no longer be trusted. The journal is quarantined, or ignored when
-// merely stale. One of another format version holds intact acked batches:
-// Load fails with its journal.ErrVersion rather than serve the snapshot.
+// merely stale. One of another format version holds intact acked batches,
+// and so may one that cannot be read: Load fails with journal.ErrVersion,
+// or the read error, rather than serve the snapshot.
 func (st *Store) Load(name string) (*Restored, error) {
 	data, err := st.fs.ReadFile("persist.snap.read", st.path(name+extSnap))
 	if err != nil {
@@ -69,7 +70,10 @@ func (st *Store) Load(name string) (*Restored, error) {
 	rt := &Restored{SnapCRC: codec.Checksum(data)}
 	jfile := name + extJournal
 	j, jerr := journal.Load(st.fs, st.path(jfile))
-	if errors.Is(jerr, journal.ErrVersion) {
+	switch {
+	case unreadable(jerr):
+		return nil, jerr
+	case errors.Is(jerr, journal.ErrVersion):
 		return nil, fmt.Errorf("%s: %w", jfile, jerr)
 	}
 	var recs []*journal.Record
