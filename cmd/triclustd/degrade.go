@@ -1,27 +1,25 @@
 package main
 
 import (
-	"errors"
 	"net/http"
 	"strconv"
 	"sync/atomic"
-	"syscall"
 	"time"
 )
 
 // A topic's condition is one atomic state, and topicStates the one table
 // of what each state means to a request. A topic leaves stServing when
-// its durable writes keep failing (stReadOnly: reads served from the
+// one of its durable writes fails (stReadOnly: reads served from the
 // topic's state, which a refused write never changed, via the RCU view).
 // stRetired is terminal: the topic was deleted, handed off or fenced.
 //
-//	stServing ──(degradeAfter consecutive failures, ENOSPC, or no journal)──▶ stReadOnly
+//	stServing ──(a failed durable write)──▶ stReadOnly
 //	stReadOnly ──(probe ok + compaction save ok)──▶ stServing
 //	any ──(retire)──▶ stRetired
 //
-// Past shardDegradeAfter read-only topics the whole shard turns
-// read-only: every write answers 503 storage_readonly, because a disk
-// failing across topics is a disk about to fail the next topic too.
+// The whole shard is read-only while its last write probe failed: every
+// write answers 503 storage_degraded, because a data directory that
+// refuses a probe would refuse the next topic's write too.
 const (
 	stServing int32 = iota
 	stReadOnly
@@ -31,7 +29,7 @@ const (
 var topicStates = [...]struct {
 	readable, writable bool
 	// status, code and why refuse what the state does not admit
-	// (Retry-After rides on the storage codes, see fail).
+	// (Retry-After rides on every 503, see fail).
 	status    int
 	code, why string
 	// mark is the X-Triclust-Degraded value of admitted reads: a header
@@ -41,7 +39,7 @@ var topicStates = [...]struct {
 }{
 	stServing: {readable: true, writable: true},
 	stReadOnly: {readable: true, status: http.StatusServiceUnavailable, code: codeStorageDegraded,
-		why: "is read-only after persistent storage failures; retry after recovery", mark: "storage"},
+		why: "is read-only after a failed durable write; retry after recovery", mark: "storage"},
 	stRetired: {status: http.StatusNotFound, code: codeTopicNotFound, why: "was deleted"},
 }
 
@@ -57,8 +55,8 @@ const (
 // plane calls it lock-free.
 func (s *server) admit(tp *topic, write bool) *apiError {
 	if m := s.storage; write && m != nil && m.readonly.Load() {
-		return errf(http.StatusServiceUnavailable, codeStorageReadonly,
-			"shard is read-only: %d+ topics have degraded storage; retry after recovery", shardDegradeAfter)
+		return errf(http.StatusServiceUnavailable, codeStorageDegraded,
+			"shard is read-only: its last write probe failed; retry after recovery")
 	}
 	if tp == nil {
 		return nil
@@ -80,23 +78,13 @@ func (tp *topic) setState(to int32) bool {
 	return true
 }
 
-const (
-	// degradeAfter is how many consecutive durable-write failures flip a
-	// topic into the read-only degraded state (ENOSPC and a lost journal
-	// flip immediately: neither is a transient).
-	degradeAfter = 3
-	// shardDegradeAfter is how many degraded topics flip the whole shard
-	// read-only.
-	shardDegradeAfter = 2
-)
-
-// storageMonitor runs the disk-degraded state machine: it counts
-// durable-write failures per topic, degrades topics (and past a
-// threshold the shard) into read-only, probes the data directory with
-// real write+fsync cycles (the store's Probe) on each tick while anything
-// is degraded, and recovers topics with a proving compaction save once
-// writes succeed again. One monitor per server; nil when the server has no store
-// (nothing durable can fail).
+// storageMonitor runs the disk-degraded state machine: a failed durable
+// write makes its topic read-only, and while anything is read-only each
+// tick probes the data directory with a real write+fsync cycle (the
+// store's Probe). The probe's result is the shard's switch; once it
+// passes, each read-only topic is recovered by a proving compaction save.
+// One monitor per server; nil when the server has no store (nothing
+// durable can fail).
 type storageMonitor struct {
 	s *server
 
@@ -105,30 +93,22 @@ type storageMonitor struct {
 	probes     atomic.Uint64
 	lastErr    atomic.Pointer[string]
 	lastProbe  atomic.Pointer[string]
-	// readonly is the shard-level switch: set when ≥ shardDegradeAfter
-	// topics are degraded, cleared as recoveries bring the count back
-	// down.
+	// readonly is the shard-level switch: whether the last probe failed.
 	readonly atomic.Bool
 }
 
-// retrySeconds is the Retry-After value for refused writes: the probe
-// cadence, since that is how often recovery can happen, in whole seconds
-// rounded up (at least 1), so a client never retries before the next probe.
+// retrySeconds is the Retry-After value of every 503: the tick's cadence,
+// since that is how often its storage or resume step can clear the
+// refusal, in whole seconds rounded up (at least 1), so a client never
+// retries before the next tick.
 func retrySeconds(every time.Duration) string {
 	return strconv.FormatInt(max(1, int64((every+time.Second-1)/time.Second)), 10)
 }
 
-// noteSuccess resets a topic's consecutive-failure count after any
-// successful durable write. One atomic load on the hot path.
-func (m *storageMonitor) noteSuccess(tp *topic) {
-	if m != nil && tp.storFails.Load() != 0 {
-		tp.storFails.Store(0)
-	}
-}
-
-// noteFailure records a failed durable write on tp, degrading the topic
-// once failures look persistent — or at once if tp lost its journal, which
-// only the write probe's compaction re-creates. Callers hold tp.mu.
+// noteFailure records a failed durable write on tp and makes the topic
+// read-only: whatever the failure left behind — a journal lost or cut
+// back, a snapshot without its journal restarted — the write probe's
+// recovery compaction rebuilds. Callers hold tp.mu.
 func (m *storageMonitor) noteFailure(tp *topic, err error) {
 	if m == nil {
 		return
@@ -136,12 +116,8 @@ func (m *storageMonitor) noteFailure(tp *topic, err error) {
 	m.failures.Add(1)
 	msg := err.Error()
 	m.lastErr.Store(&msg)
-	n := int(tp.storFails.Add(1))
-	if n >= degradeAfter || errors.Is(err, syscall.ENOSPC) || !tp.disk.HasJournal() {
-		if tp.state.CompareAndSwap(stServing, stReadOnly) {
-			m.s.logf("topic %q storage-degraded after %d consecutive durable-write failures: %v", tp.name, n, err)
-		}
-		m.recount()
+	if tp.state.CompareAndSwap(stServing, stReadOnly) {
+		m.s.logf("topic %q storage-degraded after a failed durable write: %v", tp.name, err)
 	}
 }
 
@@ -160,41 +136,34 @@ func (m *storageMonitor) impaired() []*topic {
 	return out
 }
 
-// recount recomputes the shard-level read-only switch from the current
-// per-topic states and returns how many served topics are impaired. Safe
-// under tp.mu (lock order tp.mu → s.mu).
-func (m *storageMonitor) recount() int {
-	n := len(m.impaired())
-	was := m.readonly.Swap(n >= shardDegradeAfter)
-	now := n >= shardDegradeAfter
-	if now && !was {
-		m.s.logf("shard read-only: %d topics with degraded storage (threshold %d)", n, shardDegradeAfter)
-	} else if was && !now {
-		m.s.logf("shard writable again: %d topics with degraded storage (threshold %d)", n, shardDegradeAfter)
-	}
-	return n
-}
-
 // probe is the tick's storage step. While any topic is impaired or the
 // shard switch is set, it probes the data directory with a real
-// write+fsync cycle; once writes work again it proves each impaired topic
-// back to health, then recounts the switch.
+// write+fsync cycle and sets the switch to whether that failed; once
+// writes work again it proves each impaired topic back to health.
 func (m *storageMonitor) probe() {
 	if m == nil || len(m.impaired()) == 0 && !m.readonly.Load() {
 		return
 	}
 	m.probes.Add(1)
-	if err := m.s.store.Probe(); err != nil {
-		msg := "probe failed: " + err.Error()
-		m.lastProbe.Store(&msg)
+	err := m.s.store.Probe()
+	msg := "ok"
+	if err != nil {
+		msg = "probe failed: " + err.Error()
+	}
+	m.lastProbe.Store(&msg)
+	if failed := err != nil; m.readonly.Swap(failed) != failed {
+		if failed {
+			m.s.logf("shard read-only: write %s", msg)
+		} else {
+			m.s.logf("shard writable again: write probe ok")
+		}
+	}
+	if err != nil {
 		return
 	}
-	ok := "ok"
-	m.lastProbe.Store(&ok)
 	for _, tp := range m.impaired() {
 		m.recoverTopic(tp)
 	}
-	m.recount()
 }
 
 // recoverTopic brings one degraded topic back with a proving write: a
@@ -212,7 +181,6 @@ func (m *storageMonitor) recoverTopic(tp *topic) {
 		return
 	}
 	tp.setState(stServing)
-	tp.storFails.Store(0)
 	m.recoveries.Add(1)
 	if e := m.s.replShip(tp, nil, false); e != nil {
 		m.s.logf("recovery re-ship %q: %v", tp.name, e)
@@ -224,7 +192,7 @@ func (m *storageMonitor) recoverTopic(tp *topic) {
 // state machine made visible.
 type storageHealth struct {
 	// State is "ok", "degraded" (some topics read-only) or "readonly"
-	// (the shard-level switch tripped).
+	// (the last write probe failed: the shard-level switch).
 	State string `json:"state"`
 	// Degraded lists the read-only topics.
 	Degraded []string `json:"degraded_topics,omitempty"`

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,166 +25,107 @@ func sabotageJournal(script *fault.Script) {
 	script.AddRule(fault.Rule{Site: "journal.truncate.truncate", Hit: script.Hits("journal.truncate.truncate") + 1, Err: dead})
 }
 
-// awaitStorageState polls healthz until the storage section reaches the
-// wanted state.
-func awaitStorageState(t *testing.T, client *http.Client, base, want string) healthResponse {
-	t.Helper()
-	var hr healthResponse
-	if !eventually(func() bool {
-		hr = healthResponse{}
-		r := call(nil, client, "GET", base+"/v1/healthz", nil, &hr)
-		return r.err == nil && r.code == http.StatusOK && hr.Storage != nil && hr.Storage.State == want
-	}) {
-		t.Fatalf("storage never reached state %q (last: %+v)", want, hr.Storage)
-	}
-	return hr
-}
-
-// TestDiskDegradedModeENOSPCStorm is the degraded-mode acceptance path:
-// a full disk flips first the failing topics, then the whole shard, into
-// read-only; reads keep answering (marked) from the last durable state;
-// freeing space lets the write probe recover everything without a
+// TestDiskDegradedModeENOSPCStorm is the degraded-mode acceptance path,
+// on the manual clock: a full disk makes each topic whose batch it refuses
+// read-only, and the next tick's failed write probe the whole shard;
+// reads keep answering (marked) from the last durable state. Once the
+// degraded topics are deleted and space frees, one tick clears the switch
+// — the storage step's to clear with no topic degraded — without a
 // restart.
 func TestDiskDegradedModeENOSPCStorm(t *testing.T) {
-	script := fault.NewScript()
+	script, clock := fault.NewScript(), fault.NewClock()
 	dir := t.TempDir()
-	s := serve(t, dir, serverOptions{journal: store.Options{Every: 100}, fs: script, probeEvery: 20 * time.Millisecond}, true)
+	s := serve(t, dir, serverOptions{journal: store.Options{Every: 100}, fs: script, sleep: clock.Sleep}, true)
 	s.start()
-	hs := front(t, s)
-	client := hs.Client()
-
-	for _, name := range []string{"storm-a", "storm-b"} {
-		if r := call(t, client, "POST", hs.URL+"/v1/topics", jtCreateReq(name), nil); r.code != http.StatusCreated {
-			t.Fatalf("create %s: %d %s", name, r.code, r.ec)
+	tick := func() {
+		t.Helper()
+		if !clock.WaitSleepers(1, eventuallyWithin) {
+			t.Fatal("the tick never parked on the clock")
 		}
-		if r := call(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", jtBatch(1), nil); r.code != http.StatusOK {
-			t.Fatalf("batch %s: %d %s", name, r.code, r.ec)
-		}
-	}
-
-	// The disk fills. The first failing batch per topic is refused by its
-	// append; ENOSPC degrades the topic immediately.
-	script.SetBudget(0)
-	for _, name := range []string{"storm-a", "storm-b"} {
-		if r := call(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", jtBatch(2), nil); r.code != http.StatusServiceUnavailable || r.ec != codeStorageDegraded || r.hdr.Get("Retry-After") != "1" {
-			t.Fatalf("batch %s on full disk: %d %s (Retry-After %q), want 503 %s (Retry-After 1)", name, r.code, r.ec, r.hdr.Get("Retry-After"), codeStorageDegraded)
+		clock.Advance(s.probeEvery)
+		if !clock.WaitSleepers(1, eventuallyWithin) {
+			t.Fatal("the tick never parked again")
 		}
 	}
-
-	// Both topics degraded >= ShardAfter: the shard is read-only. Writes
-	// fail fast with the shard-level code and a Retry-After hint — no
-	// solve, no journal attempt.
-	r := call(t, client, "POST", hs.URL+"/v1/topics/storm-a/batches",
-		[]byte(`{"time":3,"tweets":[{"tokens":["w1"],"user":0}]}`), nil, "Content-Type", mediaTypeJSON)
-	if r.code != http.StatusServiceUnavailable || r.ec != codeStorageReadonly {
-		t.Fatalf("write on read-only shard: %d %s, want 503 %s", r.code, r.ec, codeStorageReadonly)
+	health := func() (hr healthResponse) {
+		call(t, s, "GET", "/v1/healthz", nil, &hr)
+		return hr
 	}
-	if r.hdr.Get("Retry-After") == "" {
-		t.Fatal("storage refusal carries no Retry-After")
-	}
-	if r := call(t, client, "POST", hs.URL+"/v1/topics", jtCreateReq("storm-c"), nil); r.code != http.StatusServiceUnavailable || r.ec != codeStorageReadonly {
-		t.Fatalf("create on read-only shard: %d %s, want 503 %s", r.code, r.ec, codeStorageReadonly)
-	}
-
-	// Reads still answer — from the last durable state, marked degraded.
-	var sum topicSummary
-	r = call(t, client, "GET", hs.URL+"/v1/topics/storm-a", nil, &sum)
-	if r.code != http.StatusOK {
-		t.Fatalf("degraded read: %d, want 200", r.code)
-	}
-	if got := r.hdr.Get(degradedHeader); got != "storage" {
-		t.Fatalf("degraded read marker = %q, want %q", got, "storage")
-	}
-	if sum.Batches != 1 {
-		t.Fatalf("degraded read serves %d batches, want the 1 durable one", sum.Batches)
-	}
-
-	hr := awaitStorageState(t, client, hs.URL, "readonly")
-	if hr.Status != "degraded" {
-		t.Fatalf("healthz status %q, want degraded", hr.Status)
-	}
-	if len(hr.Storage.Degraded) != 2 {
-		t.Fatalf("degraded topics %v, want both", hr.Storage.Degraded)
-	}
-
-	// Space frees: the write probe notices and proves both topics back,
-	// no restart, no operator action.
-	script.SetBudget(-1)
-	hr = awaitStorageState(t, client, hs.URL, "ok")
-	if hr.Storage.Recoveries < 2 {
-		t.Fatalf("recoveries = %d, want >= 2", hr.Storage.Recoveries)
-	}
-	for _, name := range []string{"storm-a", "storm-b"} {
-		if r := call(t, client, "POST", hs.URL+"/v1/topics/"+name+"/batches", jtBatch(2), nil); r.code != http.StatusOK {
-			t.Fatalf("batch %s after recovery: %d %s", name, r.code, r.ec)
+	refused := func(what string, r reply) {
+		t.Helper()
+		if r.code != http.StatusServiceUnavailable || r.ec != codeStorageDegraded || r.hdr.Get("Retry-After") != "1" {
+			t.Fatalf("%s: %d %s (Retry-After %q), want 503 %s (Retry-After 1)", what, r.code, r.ec, r.hdr.Get("Retry-After"), codeStorageDegraded)
 		}
 	}
-	if r := call(t, client, "POST", hs.URL+"/v1/topics", jtCreateReq("storm-c"), nil); r.code != http.StatusCreated {
-		t.Fatalf("create after recovery: %d", r.code)
-	}
-
-	// The recovered state must be exactly what a restart would serve.
-	s2 := serve(t, dir, serverOptions{journal: store.Options{Every: 100}}, true)
-	for _, name := range []string{"storm-a", "storm-b"} {
-		b1, d1 := s.topics[name].eng.StreamPos()
-		b2, d2 := s2.topics[name].eng.StreamPos()
-		if b1 != b2 || d1 != d2 {
-			t.Fatalf("%s: recovered position (%d,%d) != restart position (%d,%d)", name, b1, d1, b2, d2)
-		}
-	}
-}
-
-// TestShardSwitchClearsWithoutDegradedTopics: the shard-wide read-only
-// switch is the storage step's to clear even once no topic is degraded.
-// Two topics degrade on a full disk, which makes the shard read-only; both
-// are deleted and the disk is freed; one probe interval later the shard
-// reports ok storage and takes a create.
-func TestShardSwitchClearsWithoutDegradedTopics(t *testing.T) {
-	script := fault.NewScript()
-	clock := fault.NewClock()
-	s := serve(t, t.TempDir(), serverOptions{journal: store.Options{Every: 100}, fs: script, sleep: clock.Sleep}, true)
-	s.start()
-	names := []string{"switch-a", "switch-b"}
+	names := []string{"storm-a", "storm-b", "storm-x"}
+	degraded := names[:2]
 	for _, name := range names {
 		if r := call(t, s, "POST", "/v1/topics", jtCreateReq(name), nil); r.code != http.StatusCreated {
 			t.Fatalf("create %s: %d %s", name, r.code, r.ec)
 		}
-	}
-	script.SetBudget(0)
-	for _, name := range names {
-		if r := call(t, s, "POST", "/v1/topics/"+name+"/batches", jtBatch(1), nil); r.code != http.StatusServiceUnavailable || r.ec != codeStorageDegraded {
-			t.Fatalf("batch %s on a full disk: %d %s, want 503 %s", name, r.code, r.ec, codeStorageDegraded)
+		if r := call(t, s, "POST", "/v1/topics/"+name+"/batches", jtBatch(1), nil); r.code != http.StatusOK {
+			t.Fatalf("batch %s: %d %s", name, r.code, r.ec)
 		}
 	}
-	for _, name := range names {
+
+	// The disk fills: a batch's append fails, and its topic turns read-only.
+	script.SetBudget(0)
+	for _, name := range degraded {
+		refused("batch "+name+" on a full disk", call(t, s, "POST", "/v1/topics/"+name+"/batches", jtBatch(2), nil))
+	}
+	// Reads still answer — from the last durable state, marked degraded.
+	var sum topicSummary
+	if r := call(t, s, "GET", "/v1/topics/storm-a", nil, &sum); r.code != http.StatusOK || r.hdr.Get(degradedHeader) != "storage" || sum.Batches != 1 {
+		t.Fatalf("degraded read: %d, marker %q, %d batches; want 200, %q, the 1 durable batch", r.code, r.hdr.Get(degradedHeader), sum.Batches, "storage")
+	}
+
+	// A tick's write probe fails: the whole shard is read-only, and every
+	// write answers 503 before it reaches the disk.
+	tick()
+	if hr := health(); hr.Status != "degraded" || hr.Storage.State != "readonly" || !slices.Equal(hr.Degraded, degraded) || !slices.Equal(hr.Storage.Degraded, degraded) {
+		t.Fatalf("healthz after a failed probe: status %q, storage %+v, degraded %v; want degraded, readonly, %v in both lists", hr.Status, hr.Storage, hr.Degraded, degraded)
+	}
+	refused("create on a read-only shard", call(t, s, "POST", "/v1/topics", jtCreateReq("storm-c"), nil))
+	refused("batch storm-x on a read-only shard", call(t, s, "POST", "/v1/topics/storm-x/batches", jtBatch(2), nil))
+
+	// The degraded topics go and space frees; the switch waits for a tick.
+	for _, name := range degraded {
 		if r := call(t, s, "DELETE", "/v1/topics/"+name, nil, nil); r.code != http.StatusNoContent {
 			t.Fatalf("delete %s: %d %s", name, r.code, r.ec)
 		}
 	}
 	script.SetBudget(-1)
-	storage := func() string {
-		var hr healthResponse
-		call(t, s, "GET", "/v1/healthz", nil, &hr)
-		return hr.Storage.State
+	if got := health().Storage.State; got != "readonly" {
+		t.Fatalf("storage %q with the disk freed, before a tick, want readonly", got)
 	}
-	if got := storage(); got != "readonly" {
-		t.Fatalf("storage %q with both degraded topics deleted, before a probe interval, want readonly", got)
+	tick()
+	if hr := health(); hr.Status != "ok" || hr.Storage.State != "ok" {
+		t.Fatalf("healthz one tick after the disk freed: status %q, storage %q, want ok", hr.Status, hr.Storage.State)
 	}
-	if !clock.WaitSleepers(1, eventuallyWithin) {
-		t.Fatal("no loop parked on the clock")
+	if r := call(t, s, "POST", "/v1/topics/storm-x/batches", jtBatch(2), nil); r.code != http.StatusOK {
+		t.Fatalf("batch storm-x after recovery: %d %s", r.code, r.ec)
 	}
-	clock.Advance(s.probeEvery)
-	if !eventually(func() bool { return storage() == "ok" }) {
-		t.Fatalf("storage %q one probe interval after the disk freed, want ok", storage())
+	if r := call(t, s, "POST", "/v1/topics", jtCreateReq("storm-c"), nil); r.code != http.StatusCreated {
+		t.Fatalf("create after recovery: %d %s, want 201", r.code, r.ec)
 	}
-	if r := call(t, s, "POST", "/v1/topics", jtCreateReq("switch-c"), nil); r.code != http.StatusCreated {
-		t.Fatalf("create after the switch cleared: %d %s, want 201", r.code, r.ec)
+
+	// What the shard serves is exactly what a restart would serve.
+	s2 := serve(t, dir, serverOptions{journal: store.Options{Every: 100}}, true)
+	for _, name := range []string{"storm-x", "storm-c"} {
+		b1, d1 := s.topics[name].eng.StreamPos()
+		b2, d2 := s2.topics[name].eng.StreamPos()
+		if b1 != b2 || d1 != d2 {
+			t.Fatalf("%s: position (%d,%d) != restart position (%d,%d)", name, b1, d1, b2, d2)
+		}
+	}
+	if _, ok := s2.topics["storm-a"]; ok {
+		t.Fatal("a restart serves the deleted storm-a")
 	}
 }
 
-// TestRetryAfterRoundsUp: a storage refusal's Retry-After is the probe
-// interval in whole seconds rounded up, at least 1, so a client that
-// honours it never retries before the next write probe can have run.
+// TestRetryAfterRoundsUp: a 503's Retry-After is the probe interval in
+// whole seconds rounded up, at least 1, so a client that honours it never
+// retries before the next tick can have run.
 func TestRetryAfterRoundsUp(t *testing.T) {
 	for _, tc := range []struct {
 		every time.Duration
@@ -194,6 +137,33 @@ func TestRetryAfterRoundsUp(t *testing.T) {
 	} {
 		if got := retrySeconds(tc.every); got != tc.want {
 			t.Errorf("retrySeconds(%v) = %s, want %s", tc.every, got, tc.want)
+		}
+	}
+}
+
+// TestFailStampsRetryAfterOnEvery503: the retry hint goes by status, not
+// by code — every 503 (a parked hand-off's handoff_pending as much as a
+// storage refusal) carries Retry-After, and no other status does.
+func TestFailStampsRetryAfterOnEvery503(t *testing.T) {
+	s := &server{probeEvery: 1500 * time.Millisecond}
+	for _, tc := range []struct {
+		status int
+		code   string
+	}{
+		{http.StatusServiceUnavailable, codeStorageDegraded},
+		{http.StatusServiceUnavailable, codeHandoffPending},
+		{http.StatusInternalServerError, codeStorage},
+		{http.StatusConflict, codeEpochMismatch},
+		{http.StatusBadRequest, codeInvalidRequest},
+	} {
+		w := httptest.NewRecorder()
+		s.fail(w, errf(tc.status, tc.code, "refused"))
+		want := ""
+		if tc.status == http.StatusServiceUnavailable {
+			want = "2"
+		}
+		if got := w.Header().Get("Retry-After"); w.Code != tc.status || got != want {
+			t.Errorf("%d %s: answered %d with Retry-After %q, want %d with %q", tc.status, tc.code, w.Code, got, tc.status, want)
 		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // Stable error codes of the v1 API. Clients should branch on these, not
 // on message text or HTTP status alone. A code never changes meaning, and
 // a retired code is never reused: shard_unreachable went with the cluster
-// proxy, and journal_write_failed folded into storage_degraded.
+// proxy, and journal_write_failed and storage_readonly folded into
+// storage_degraded.
 const (
 	codeInvalidRequest = "invalid_request" // malformed JSON / missing fields
 	codeInvalidName    = "invalid_topic_name"
@@ -41,19 +42,14 @@ const (
 	// endpoint additionally accepts application/x-triclust-batch. Fix the
 	// header (or the body format), don't retry as-is.
 	codeUnsupportedMediaType = "unsupported_media_type"
-	// codeStorageDegraded means the topic's storage refused the write:
-	// either this batch's journal append + fsync failed (disk full, I/O
-	// error), so the topic did not take the batch, or repeated failures
-	// (or a lost journal) flipped the topic read-only, where reads still
-	// answer, marked by an X-Triclust-Degraded header. Retry after the
-	// Retry-After hint; a background write probe recovers the topic
-	// automatically.
+	// codeStorageDegraded means storage refused the write, and the message
+	// says whose: this batch's journal append + fsync failed (disk full,
+	// I/O error), so the topic did not take the batch; or a failed durable
+	// write made the topic read-only, where reads still answer, marked by
+	// an X-Triclust-Degraded header; or the shard's last write probe
+	// failed, so the shard refuses every write. Retry after the
+	// Retry-After hint; the write probe recovers without a restart.
 	codeStorageDegraded = "storage_degraded"
-	// codeStorageReadonly means enough topics degraded that the whole
-	// shard refuses writes (a disk failing across topics is about to fail
-	// the next one too). Reads still work. Retryable like
-	// storage_degraded.
-	codeStorageReadonly = "storage_readonly"
 
 	// Cluster-mode codes.
 	codeNotClustered  = "not_clustered"  // cluster endpoint without -peers/-self
@@ -63,7 +59,7 @@ const (
 	// codeHandoffPending means this shard holds the topic from a hand-off
 	// whose install it has not confirmed: it neither serves the topic nor
 	// redirects it until the hand-off resumes (every -probe-interval).
-	// Retryable.
+	// Retryable after the Retry-After hint.
 	codeHandoffPending = "handoff_pending"
 
 	// Replication codes.
@@ -107,13 +103,14 @@ func errf(status int, code, format string, args ...any) *apiError {
 }
 
 // fail writes e as the response — the only place that stamps what a
-// refusal means beyond its body: the retry hint of a storage refusal (the
-// probe cadence, i.e. the soonest recovery could have happened), the
-// fencing epoch and owner of an epoch_mismatch, and the structured verdict
-// of a conformance rejection (which invariant broke, by how many sigma).
+// refusal means beyond its body: the retry hint of every 503 (the tick's
+// cadence, the soonest its storage or resume step could have cleared the
+// refusal), the fencing epoch and owner of an epoch_mismatch, and the
+// structured verdict of a conformance rejection (which invariant broke, by
+// how many sigma).
 func (s *server) fail(w http.ResponseWriter, e *apiError) {
 	h := w.Header()
-	if e.code == codeStorageDegraded || e.code == codeStorageReadonly {
+	if e.status == http.StatusServiceUnavailable {
 		h.Set("Retry-After", retrySeconds(s.probeEvery))
 	}
 	if e.epoch != 0 {

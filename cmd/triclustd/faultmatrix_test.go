@@ -340,23 +340,26 @@ func (f tracedFile) Write(site string, p []byte) (int, error) {
 
 // write sends one write to s and judges what it did:
 //
-//   - after it, a served topic admits writes exactly while it holds a
-//     journal to commit them to (no case fails often enough to degrade
-//     one that does);
+//   - after it, every topic that admits writes holds a journal to commit
+//     them to;
 //   - after the request a fault reached, a restart of a copy of the data
 //     directory serves what s serves (single-shard planes);
-//   - it answers ok, or refuses for storage — 503 storage_degraded or
-//     storage_readonly with a Retry-After, or (not a batch) 500
-//     storage_error — and only if a fault reached its request, which
-//     healthz then counts, or while a topic is read-only, which healthz
-//     then lists;
+//   - it answers ok, or refuses for storage — 503 storage_degraded with a
+//     Retry-After, or (not a batch) 500 storage_error — and only if a
+//     fault reached its request, which healthz then counts, or while a
+//     topic is read-only, which healthz then lists, at the top level and
+//     in its storage section;
+//   - a storage refusal of a /v1/topics/{name}[/batches|/vocab] write
+//     that a fault reached leaves that topic read-only;
 //   - a refused batch leaves the topic as it was: every read answers as
 //     before, byte for byte, and no snapshot is read back from disk;
 //   - one tick later the same write answers ok.
 func (r *mxRun) write(s *server, method, path string, body any, ok int) reply {
 	t := r.t
 	t.Helper()
-	name, batch := strings.CutSuffix(strings.TrimPrefix(path, "/v1/topics/"), "/batches")
+	rest, topicWrite := strings.CutPrefix(path, "/v1/topics/")
+	name, batch := strings.CutSuffix(rest, "/batches")
+	name = strings.TrimSuffix(name, "/vocab")
 	readAll := func() (out []reply) {
 		for _, read := range []string{"", "/users/0", "/features", "/snapshot"} {
 			if batch {
@@ -395,7 +398,7 @@ func (r *mxRun) write(s *server, method, path string, body any, ok int) reply {
 	}
 	switch {
 	case (a.code != http.StatusInternalServerError || a.ec != codeStorage || batch) &&
-		(a.code != http.StatusServiceUnavailable || a.ec != codeStorageDegraded && a.ec != codeStorageReadonly || a.hdr.Get("Retry-After") == ""):
+		(a.code != http.StatusServiceUnavailable || a.ec != codeStorageDegraded || a.hdr.Get("Retry-After") == ""):
 		t.Fatalf("%s %s: %s %s, want %d or a storage refusal", method, path, a, a.body, ok)
 	case !faulted && !readOnly:
 		t.Fatalf("%s %s: %s with no fault in its request and no topic read-only", method, path, a)
@@ -410,8 +413,11 @@ func (r *mxRun) write(s *server, method, path string, body any, ok int) reply {
 			degraded = append(degraded, tp.name)
 		}
 	}
-	if !slices.Equal(hr.Storage.Degraded, degraded) {
-		t.Fatalf("healthz lists %v degraded, the daemon holds %v read-only", hr.Storage.Degraded, degraded)
+	switch {
+	case faulted && topicWrite && !slices.Contains(degraded, name):
+		t.Fatalf("%s %s: %s for a fault in its request, and topic %q is not read-only", method, path, a, name)
+	case !slices.Equal(hr.Degraded, degraded) || !slices.Equal(hr.Storage.Degraded, degraded):
+		t.Fatalf("healthz lists %v and %v degraded, the daemon holds %v read-only", hr.Degraded, hr.Storage.Degraded, degraded)
 	}
 	for i, b := range readAll() {
 		if b.code >= 500 || b.code != reads[i].code || b.etag != reads[i].etag || !bytes.Equal(b.body, reads[i].body) {
@@ -429,16 +435,16 @@ func (r *mxRun) write(s *server, method, path string, body any, ok int) reply {
 	return a
 }
 
-// checkJournals fails unless each topic s serves admits writes exactly
-// while it holds a journal, and (single-shard planes) the journal on disk
-// extends the snapshot on disk.
+// checkJournals fails unless each topic s serves that admits writes holds
+// a journal, and (single-shard planes) the journal on disk extends the
+// snapshot on disk.
 func (r *mxRun) checkJournals(s *server) {
 	for _, tp := range s.served() {
 		tp.mu.Lock()
 		held := tp.disk.HasJournal()
 		tp.mu.Unlock()
-		if writable := topicStates[tp.state.Load()].writable; writable != held {
-			r.t.Fatalf("topic %q admits writes %v, holds a journal %v", tp.name, writable, held)
+		if topicStates[tp.state.Load()].writable && !held {
+			r.t.Fatalf("topic %q admits writes and holds no journal", tp.name)
 		}
 		if !held || r.dir == "" {
 			continue

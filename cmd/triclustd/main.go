@@ -72,15 +72,14 @@
 //	serving    reads 200/304                        writes 200
 //	read-only  reads 200/304 + X-Triclust-Degraded  writes 503 storage_degraded + Retry-After
 //	retired    404 topic_not_found or, if the topic moved, 307 after its tombstone
-//	           (503 handoff_pending while that hand-off has no verdict)
+//	           (503 handoff_pending + Retry-After while that hand-off has no verdict)
 //
 // A write changes a topic only once it is durable, so one whose durable
 // step fails (503 storage_degraded for a batch, 500 storage_error for a
-// warm-up) leaves the topic as it was and can be retried. Three failures
-// in a row (ENOSPC at once) make a topic read-only; two unwritable topics
-// make the shard refuse every write with 503 storage_readonly. A write
-// probe every -probe-interval (also the Retry-After hint) recovers topics
-// without a restart.
+// warm-up) leaves the topic as it was, but read-only. A write probe every
+// -probe-interval (also the Retry-After hint of every 503) recovers topics
+// without a restart; while the last probe failed, the shard refuses every
+// write with 503 storage_degraded.
 //
 // # Conformance gate
 //
@@ -186,7 +185,7 @@ func main() {
 	replFactor := flag.Int("replication-factor", 1,
 		"copies of every topic across the cluster: the primary plus N-1 cold replicas on ring successors (1: off)")
 	probeInterval := flag.Duration("probe-interval", time.Second,
-		"round of the shard's two background loops: each peer's failure-detector probe, and the tick, whose steps run one after the other: the -auto-rebalance check, replica resync and promotion, parked hand-off resumes, the storage write probe while storage is degraded (also the Retry-After hint on refused writes)")
+		"round of the shard's two background loops: each peer's failure-detector probe, and the tick, whose steps run one after the other: the -auto-rebalance check, replica resync and promotion, parked hand-off resumes, the storage write probe while storage is degraded (also the Retry-After hint of every 503)")
 	probeTimeout := flag.Duration("probe-timeout", 0,
 		"deadline for one failure-detector probe (0: the probe interval)")
 	probeFailures := flag.Int("probe-failures", 3,

@@ -37,12 +37,11 @@ func (s *server) openJournal(tp *topic, rt *store.Restored) {
 // compactBatch follows the apply of a journaled batch (frame, due: what
 // its append returned) and returns the frame the followers get: nil after
 // a compaction, which re-bases them on the fresh snapshot so their replica
-// journals restart as bounded tails. A failed compaction is counted (in
-// saveIfCurrent) and retried by the next batch, but cannot un-ack a batch
-// the journal already vouches for. Caller holds tp.mu.
+// journals restart as bounded tails. A failed compaction makes the topic
+// read-only (saveIfCurrent) until the tick's storage step compacts it, but
+// cannot un-ack a batch the journal already vouches for. Caller holds tp.mu.
 func (s *server) compactBatch(tp *topic, frame []byte, due bool) []byte {
 	if !due {
-		s.storage.noteSuccess(tp)
 		return frame
 	}
 	if err := s.saveIfCurrent(tp, tp.eng); err != nil {
@@ -68,17 +67,15 @@ func (s *server) diskOf(name string) *store.Handle {
 // caller holds tp.mu, which also guards the journal; under it a topic
 // that admit has not refused is current, because only retire unregisters
 // one. A retired topic's files are not its own any more: nothing is
-// written and nothing is wrong. The outcome is reported to the storage
-// monitor either way.
+// written and nothing is wrong. A failure is reported to the storage
+// monitor, which makes the topic read-only.
 func (s *server) saveIfCurrent(tp *topic, eng *triclust.Topic) error {
 	if s.store == nil {
 		return nil
 	}
-	current, err := tp.disk.Save(eng, s.diskOf)
+	err := tp.disk.Save(eng, s.diskOf)
 	if err != nil {
 		s.storage.noteFailure(tp, err)
-	} else if current {
-		s.storage.noteSuccess(tp)
 	}
 	return err
 }

@@ -90,12 +90,10 @@ type topic struct {
 	// claim on the snapshot file (see store.Handle); nil without a data
 	// directory. The journal is guarded by mu.
 	disk *store.Handle
-	// state is the topic's one condition (topicStates, degrade.go) and
-	// storFails its consecutive durable-write failure count. Both change
-	// only under mu; atomic so admit, the read plane and healthz check
-	// them without the topic lock.
-	state     atomic.Int32
-	storFails atomic.Int32
+	// state is the topic's one condition (topicStates, degrade.go). It
+	// changes only under mu; atomic so admit, the read plane and healthz
+	// check it without the topic lock.
+	state atomic.Int32
 	// feat caches the encoded /features response for the current read
 	// view's ETag (see readplane.go); lock-free like the view itself.
 	feat atomic.Pointer[cachedRead]
@@ -338,10 +336,8 @@ type healthResponse struct {
 	// counter existed, quarantine was silent unless you listed the files.
 	Quarantined int            `json:"quarantined"`
 	Cluster     *clusterHealth `json:"cluster,omitempty"`
-	// Degraded lists topics whose last durable write failed (their next
-	// one has yet to succeed) or whose storage is degraded — the
-	// same per-topic state the storage section reports, so the two cannot
-	// disagree. Non-empty flips Status to "degraded".
+	// Degraded lists the read-only topics: the storage section's
+	// degraded_topics, the same list. Non-empty flips Status to "degraded".
 	Degraded []string `json:"degraded,omitempty"`
 	// Replication reports the shard's replication state (factor, down
 	// peers, held replicas, per-follower shipping lag); absent when
@@ -368,25 +364,15 @@ type clusterHealth struct {
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) *apiError {
 	served := s.served()
-	var degraded []string
-	for _, tp := range served {
-		if tp.storFails.Load() != 0 || !topicStates[tp.state.Load()].writable {
-			degraded = append(degraded, tp.name)
-		}
-	}
 	resp := healthResponse{
 		Status:      "ok",
 		Topics:      len(served),
 		ReadPlane:   s.readPlaneHealth(served),
 		Conformance: s.conformanceHealth(served),
 	}
-	if len(degraded) > 0 {
-		resp.Status = "degraded"
-		resp.Degraded = degraded
-	}
 	resp.Quarantined = s.store.Quarantined()
 	if sh := s.storage.health(served); sh != nil {
-		resp.Storage = sh
+		resp.Storage, resp.Degraded = sh, sh.Degraded
 		if sh.State != "ok" {
 			resp.Status = "degraded"
 		}

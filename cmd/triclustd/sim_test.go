@@ -978,14 +978,19 @@ func (s *sim) do(method string, entry int, path string, body any) reply {
 	return a
 }
 
-// judge holds an answer to the storage property: a storage error code
-// answers only while some disk has been full since the last settle.
+// judge holds an answer to the storage property — a storage error code
+// answers only while some disk has been full since the last settle — and
+// to the retry property: every 503 a daemon answers (not the harness's
+// shard_down, which stands in for a dead process) names when to retry.
 func (s *sim) judge(a reply) {
 	switch a.ec {
-	case codeStorage, codeStorageDegraded, codeStorageReadonly:
+	case codeStorage, codeStorageDegraded:
 		if !s.wasFull {
 			s.fail("answered %s, and no disk has been full since the last settle", a)
 		}
+	}
+	if a.code == http.StatusServiceUnavailable && a.ec != "shard_down" && a.hdr.Get("Retry-After") == "" {
+		s.fail("answered %s without a Retry-After", a)
 	}
 }
 

@@ -210,7 +210,7 @@ func (st *Store) appendFrames(jw *journal.Writer, file string, frames []byte) (*
 
 // Save compacts the topic — snapshot atomically replaced, then the
 // journal restarted against it — if h is still the instance current
-// serves under its name, reporting whether it was. Holding the per-name
+// serves under its name; otherwise it writes nothing. Holding the per-name
 // lock across that re-check and the write orders the save against
 // concurrent removes and against saves of other same-named instances, so
 // <name>.snap always holds the state of the topic a restarted daemon
@@ -218,10 +218,10 @@ func (st *Store) appendFrames(jw *journal.Writer, file string, frames []byte) (*
 // name lock → registry lock (inside current). An error after the
 // snapshot's rename leaves the handle without a journal: the open one
 // extends the old snapshot, which disk may no longer hold.
-func (h *Handle) Save(tp *triclust.Topic, current func(name string) *Handle) (bool, error) {
+func (h *Handle) Save(tp *triclust.Topic, current func(name string) *Handle) error {
 	defer h.st.lock(h.name)()
 	if current(h.name) != h {
-		return false, nil
+		return nil
 	}
 	// Topic.Snapshot hands its writer the whole snapshot in one Write, so
 	// there is no streaming to preserve by passing the file down.
@@ -232,14 +232,14 @@ func (h *Handle) Save(tp *triclust.Topic, current func(name string) *Handle) (bo
 		renamed, err = h.st.replace("persist.snap", h.name+extSnap, snap.Bytes())
 	}
 	if !renamed {
-		return true, err
+		return err
 	}
 	h.saved = true
 	if err != nil {
 		h.Close()
-		return true, err
+		return err
 	}
-	return true, h.Restart(codec.Checksum(snap.Bytes()))
+	return h.Restart(codec.Checksum(snap.Bytes()))
 }
 
 // Restart restarts the journal empty, extending the snapshot with

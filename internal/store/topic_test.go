@@ -25,7 +25,7 @@ func TestFailedSaveLosesNoAckedBatch(t *testing.T) {
 			}
 			h := st.Handle("t", false)
 			current := func(string) *Handle { return h }
-			if _, err := h.Save(tp, current); err != nil {
+			if err := h.Save(tp, current); err != nil {
 				t.Fatal(err)
 			}
 			acked := 0
@@ -46,7 +46,7 @@ func TestFailedSaveLosesNoAckedBatch(t *testing.T) {
 			batch(1)
 			batch(2)
 			script.AddRule(fault.Rule{Site: site, Err: errors.New("injected")})
-			if _, err := h.Save(tp, current); err == nil {
+			if err := h.Save(tp, current); err == nil {
 				t.Fatal("save succeeded with a failing " + site)
 			}
 			batch(3)
